@@ -421,9 +421,9 @@ func BenchmarkE12GaoDecode(b *testing.B) {
 
 // benchBatchVsPerPoint times one node's steady-state workload —
 // evaluating a block of consecutive code points for one prime — through
-// a compiled plan (compiled once, as the scheduler's planner does per
-// task group) and the generic per-point fallback, which pays the full
-// per-prime setup on every point.
+// a compiled plan (compiled once, as a run's planner does per prime)
+// and a loop over point-wise Evaluate, which pays the full per-prime
+// setup on every point.
 func benchBatchVsPerPoint(b *testing.B, p core.CompiledProblem, q uint64, points int) {
 	xs := make([]uint64, points)
 	for i := range xs {
@@ -692,8 +692,7 @@ func mixedJobProblems(b *testing.B) []core.Problem {
 
 // BenchmarkJobsClusterThroughput runs the mixed workload as concurrent
 // jobs on one warm cluster — the session serving pattern. Compare
-// against BenchmarkJobsSequentialRun for the jobs/sec ratio recorded in
-// BENCH_3.json.
+// against BenchmarkJobsSequentialRun for the jobs/sec ratio.
 func BenchmarkJobsClusterThroughput(b *testing.B) {
 	cluster := NewCluster(WithNodes(2))
 	defer cluster.Close()

@@ -63,13 +63,6 @@ type Problem = core.Problem
 // Adversary injects byzantine behaviour into a run's share traffic.
 type Adversary = core.Adversary
 
-// BatchProblem is the optional block-evaluation extension of Problem:
-// problems implementing it receive their owned point range per prime
-// in blocks of consecutive points per EvaluateBlock call, amortizing
-// per-prime setup across each block. Block size is autotuned from a
-// first-chunk timing probe by default; WithBlockSize pins it.
-type BatchProblem = core.BatchProblem
-
 // Transport carries node share broadcasts; the default is the in-memory
 // broadcast bus.
 type Transport = core.Transport
@@ -188,11 +181,6 @@ type clusterConfig struct {
 type runSettings struct {
 	opts core.Options // only run-scoped fields are set here
 	base tensor.Decomposition
-	// planKey names the run's workload for the cluster's shared
-	// compiled-plan cache; empty keeps the run's plans private. Set via
-	// the unexported withPlanKey (the serve layer derives it from
-	// Workload.PlanDigest), not by callers directly.
-	planKey string
 }
 
 func defaultRunSettings() runSettings {
@@ -219,7 +207,6 @@ func (c *config) coreOptions() core.Options {
 	o.Nodes = c.cluster.nodes
 	o.MaxParallelism = c.cluster.maxParallelism
 	o.NewTransport = c.cluster.newTransport
-	o.PlanKey = c.run.planKey
 	return o
 }
 
@@ -323,27 +310,6 @@ func WithLossyTransport(cfg LossyConfig) ClusterOption {
 	return clusterOption(func(cc *clusterConfig) {
 		cc.newTransport = core.NewLossyFactory(cfg, cc.newTransport)
 	})
-}
-
-// WithBlockSize fixes how many consecutive points one EvaluateBlock
-// call receives for BatchProblem implementations. The default (0)
-// autotunes: each evaluation task times a small probe chunk and sizes
-// subsequent blocks for roughly 25ms each, so cheap points get large
-// amortizing blocks and expensive points keep cancellation responsive.
-// Pin an explicit size when the problem's per-block setup has a known
-// sweet spot (or when benchmarking block-size sensitivity itself).
-func WithBlockSize(points int) RunOption {
-	return runOption(func(rs *runSettings) { rs.opts.BlockSize = points })
-}
-
-// withPlanKey names the run's workload for the cluster's shared
-// compiled-plan cache: runs submitted with the same key to one cluster
-// reuse each other's compiled per-prime evaluation plans. The key must
-// be derived from the instance's canonical encoding (Workload.
-// PlanDigest) — a display name is not unique enough. Unexported: the
-// serve layer is the only caller with a canonical digest in hand.
-func withPlanKey(key string) RunOption {
-	return runOption(func(rs *runSettings) { rs.planKey = key })
 }
 
 // WithFaultTolerance sets the number f of corrupted shares the run

@@ -16,7 +16,6 @@ import (
 	"sync"
 
 	"camelot/internal/core"
-	"camelot/internal/plan"
 )
 
 // ErrClusterClosed is the failure state of jobs submitted to a closed
@@ -28,10 +27,9 @@ var ErrClusterClosed = errors.New("camelot: cluster closed")
 // for concurrent use; any number of goroutines may submit jobs and
 // in-flight jobs of any size share the pool fairly.
 type Cluster struct {
-	cfg   clusterConfig
-	pool  *core.Pool
-	geom  *core.GeometryCache
-	plans *plan.Cache
+	cfg  clusterConfig
+	pool *core.Pool
+	geom *core.GeometryCache
 
 	mu     sync.Mutex
 	wg     sync.WaitGroup // in-flight jobs
@@ -47,10 +45,9 @@ func NewCluster(opts ...ClusterOption) *Cluster {
 		o.applyCluster(&cc)
 	}
 	return &Cluster{
-		cfg:   cc,
-		pool:  core.NewPool(cc.maxParallelism),
-		geom:  core.NewGeometryCache(),
-		plans: plan.NewCache(),
+		cfg:  cc,
+		pool: core.NewPool(cc.maxParallelism),
+		geom: core.NewGeometryCache(),
 	}
 }
 
@@ -75,19 +72,11 @@ func (cl *Cluster) Submit(ctx context.Context, p Problem, opts ...RunOption) *Jo
 func (cl *Cluster) submitCore(ctx context.Context, p core.Problem, opts core.Options) *Job {
 	j := newJob(p)
 	// An explicitly narrowed per-call parallelism bound (one-shot
-	// facade calls with WithMaxParallelism) keeps the legacy per-run
-	// scheduler: the shared pool's width is fixed and must not
-	// silently widen a caller's requested bound.
+	// facade calls with WithMaxParallelism) leaves Pool unset, so the
+	// run builds a private pool of that width: the shared pool's width
+	// is fixed and must not silently widen a caller's requested bound.
 	if opts.MaxParallelism == 0 || opts.MaxParallelism == cl.pool.Width() {
 		opts.Pool = cl.pool
-		opts.MaxParallelism = 0
-	}
-	// Runs carrying a workload plan key share the cluster's compiled-
-	// plan cache: the same canonical instance submitted twice (even by
-	// different tenants, even under different fault knobs) compiles its
-	// per-prime plans once. Keyless runs keep their plans private.
-	if opts.PlanKey != "" {
-		opts.Plans = cl.plans
 	}
 	opts.Geometry = cl.geom
 	opts.Observer = (*jobObserver)(j)
@@ -105,15 +94,6 @@ func (cl *Cluster) submitCore(ctx context.Context, p core.Problem, opts core.Opt
 		j.finish(proof, rep, err)
 	}()
 	return j
-}
-
-// PlanCacheStats reports how the cluster's shared compiled-plan cache
-// has been used: hits count (workload, prime) lookups that found an
-// existing compiled plan (or one mid-compile), misses count first
-// compilations. Only runs submitted with a workload plan key (the serve
-// layer's digest-keyed submissions) touch the shared cache.
-func (cl *Cluster) PlanCacheStats() (hits, misses int64) {
-	return cl.plans.Stats()
 }
 
 // Close drains the cluster: new submissions fail with ErrClusterClosed,

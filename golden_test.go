@@ -206,7 +206,7 @@ func TestGoldenProofs(t *testing.T) {
 					}
 				}()
 			}
-			proof, _, err = RunProblem(ctx, co.Workload().Problem, append(append([]Option(nil), base...), co.AsTransport())...)
+			proof, _, err = run(co.AsTransport())
 			check("remote", proof, err)
 			if err != nil {
 				cancel() // workers of a run that never finished would wait for it forever

@@ -8,8 +8,8 @@
 //     logical nodes, each responsible for ~e/K evaluation points,
 //     scheduled on a bounded worker pool and broadcasting their shares
 //     over a pluggable Transport (default: an in-memory bus). Problems
-//     implementing BatchProblem evaluate their whole owned range per
-//     prime in one call.
+//     implementing CompiledProblem compile once per prime and evaluate
+//     their owned range in blocks.
 //   - Error correction during preparation (§1.3 step 2): every honest
 //     node independently runs the Gao decoder on whatever it received,
 //     recovering the true proof and identifying the failed nodes, for up
@@ -24,8 +24,9 @@
 //
 // The protocol itself is a staged pipeline (see ARCHITECTURE.md at the
 // repository root): engine.go wires prepare → decode → verify over the
-// transport layer (transport.go) and the scheduler layer (scheduler.go),
-// with context cancellation observed in every stage.
+// transport layer (transport.go), the worker pool (pool.go) and the
+// evaluation seam (planner.go), with context cancellation observed in
+// every stage.
 package core
 
 import (
@@ -34,7 +35,6 @@ import (
 	"time"
 
 	"camelot/internal/ff"
-	"camelot/internal/plan"
 )
 
 // Problem is a Camelot proof system: a family of Width() univariate proof
@@ -143,17 +143,10 @@ type Options struct {
 	// (every node receives everything regardless). 0 means all — the
 	// paper's model; tests at large K may reduce it for speed.
 	DecodingNodes int
-	// MaxParallelism bounds the worker pool that drives node evaluation
-	// and decoding. 0 means runtime.GOMAXPROCS — the logical node count
-	// K no longer dictates goroutine count.
+	// MaxParallelism is the width of the private worker pool a run
+	// without a Pool builds for itself (0 means runtime.GOMAXPROCS). The
+	// logical node count K sets the work split, not the goroutine count.
 	MaxParallelism int
-	// BlockSize fixes how many consecutive points one EvaluateBlock call
-	// receives when the problem implements BatchProblem. 0 (the default)
-	// autotunes: each range task times a small probe chunk first and
-	// sizes subsequent blocks to targetBlockNs, clamped to
-	// [minBatchChunk, maxBatchChunk]. Explicit positive values are used
-	// as given — the cancellation quantum is then the caller's business.
-	BlockSize int
 	// NewTransport builds the share-broadcast transport for a run of k
 	// nodes (default: the in-memory BroadcastBus). A factory rather than
 	// an instance because transports hold per-run message state while
@@ -182,34 +175,23 @@ type Options struct {
 	// strict gather has no missing nodes to repair; newEngine rejects
 	// the combination).
 	MaxRepairRounds int
-	// Pool, when non-nil, substitutes the session layer's shared
-	// long-lived worker pool for the per-run scheduler; MaxParallelism
-	// is then ignored (the pool's width was fixed at construction).
+	// Pool, when non-nil, is the session layer's shared long-lived
+	// worker pool; MaxParallelism is then ignored (the pool's width was
+	// fixed at construction). A run without one builds a private pool
+	// and closes it on return.
 	Pool *Pool
 	// Priority is the run's scheduling weight on the shared Pool: each
 	// cycle of the pool's between-runs round-robin lets this run claim
 	// Priority tasks where a default run claims one. Values below 1
-	// (including the zero default) mean weight 1; without a Pool the
-	// per-run scheduler ignores it. This is how a multi-tenant service
-	// gives some tenants a larger share of a contended cluster without
+	// (including the zero default) mean weight 1; on a private pool there
+	// is nobody to outweigh. This is how a multi-tenant service gives
+	// some tenants a larger share of a contended cluster without
 	// starving the rest.
 	Priority int
 	// Geometry, when non-nil, memoizes prime selection and Reed–Solomon
 	// code construction across runs — the Cluster's warm per-prime
 	// state. One-shot runs leave it nil and recompute per run.
 	Geometry *GeometryCache
-	// Plans, when non-nil and paired with a non-empty PlanKey, memoizes
-	// compiled evaluation plans across runs: the run's planner keys its
-	// per-prime compiles into this shared cache instead of a private
-	// one, so repeated submissions of the same workload skip compilation
-	// entirely. Within a single run plans are always shared across
-	// chunks and repair rounds, shared cache or not.
-	Plans *plan.Cache
-	// PlanKey identifies the workload instance in the shared Plans
-	// cache. It must be derived from a canonical instance encoding (the
-	// serve layer uses the workload's plan digest) — never a display
-	// name, which distinct instances can share. Empty disables sharing.
-	PlanKey string
 	// Observer, when non-nil, receives progress callbacks (stage
 	// transitions, evaluation units done, live suspect counts).
 	Observer Observer

@@ -1,16 +1,17 @@
 package core
 
 // The pipeline layer wires the paper's three protocol steps — prepare,
-// decode, verify — as explicit stages over the transport and scheduler
-// layers. Each stage observes context cancellation at entry and inside
-// its hot loops, so a cancelled run returns promptly no matter which
-// stage it is in.
+// decode, verify — over the transport, the worker pool and the
+// evaluation seam. Preparation is one loop: round sends a list of range
+// assignments out and gathers the shares back, once for all K ranges
+// and again for whatever a failed decode says is still missing. Every
+// step observes context cancellation at entry and inside its hot loops,
+// so a cancelled run returns promptly wherever it is.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -79,14 +80,16 @@ type Report struct {
 type engine struct {
 	p    Problem
 	opts Options
-	// planner resolves and memoizes the run's per-prime evaluation
-	// plans: every chunk task and repair round of this run shares one
-	// compile per prime, and runs submitted with Options.Plans/PlanKey
-	// share compiles across runs.
+	// planner memoizes the run's per-prime evaluation plans: every chunk
+	// task and repair round of this run shares one compile per prime.
 	planner *Planner
-	w, d    int // width, degree bound
-	e, k    int // code length, node count (clamped to e)
-	primes  []uint64
+	// pool executes the run's chunk and decode tasks: Options.Pool when
+	// the session layer supplied one, otherwise a private pool the engine
+	// closes with the run.
+	pool   *Pool
+	w, d   int // width, degree bound
+	e, k   int // code length, node count (clamped to e)
+	primes []uint64
 	assign PointAssignment
 	codes  []*rs.Code
 	report *Report
@@ -100,19 +103,26 @@ type engine struct {
 	// and clamps at zero: PointsDone can never exceed PointsTotal.
 	pointsLeft atomic.Int64
 
-	// Transport state, owned for the whole run once stagePrepare builds
+	// Transport state, owned for the whole run once openTransport builds
 	// it: repair rounds re-gather over the same instance, so the engine
 	// — not the gather — decides when the transport's world ends (see
-	// closeTransport). quorumTr is the same transport's quorum
-	// capability; keepOpen records that gathers must leave it alive for
-	// potential repair rounds.
+	// close). quorumTr is the same transport's quorum capability, set
+	// when the run tolerates delivery faults; keepOpen records that
+	// gathers must leave the transport alive for potential repair rounds.
 	tr       Transport
 	quorumTr QuorumGatherer
 	keepOpen bool
 	// remote is the transport's RemoteAssigner capability when it has
-	// one: prepare and repair rounds then ship AssignSpec manifests to
-	// remote workers instead of evaluating on the local pool.
+	// one: rounds then ship AssignSpec manifests to remote workers
+	// instead of evaluating on the local pool.
 	remote RemoteAssigner
+
+	// What the rounds so far have gathered: the valid share messages
+	// (round 0's ordered by node id, repaired ones appended), and the
+	// ids still unheard — their coordinates become Reed–Solomon erasures
+	// in the decode stage.
+	shares  []NodeShares
+	missing []int
 }
 
 // newEngine validates the problem geometry, selects the proof moduli,
@@ -165,13 +175,18 @@ func newEngine(p Problem, opts Options) (*engine, error) {
 	if obs == nil {
 		obs = nopObserver{}
 	}
+	pool := opts.Pool
+	if pool == nil {
+		pool = NewPool(opts.MaxParallelism)
+	}
 	return &engine{
 		p: p, opts: opts, w: w, d: d, e: e, k: k,
-		planner: NewSharedPlanner(p, opts.Plans, opts.PlanKey),
+		planner: NewPlanner(p),
+		pool:    pool,
 		primes:  primes,
-		assign: NewPointAssignment(e, k),
-		codes:  codes,
-		obs:    obs,
+		assign:  NewPointAssignment(e, k),
+		codes:   codes,
+		obs:     obs,
 		report: &Report{
 			Problem:        p.Name(),
 			Nodes:          k,
@@ -203,19 +218,18 @@ func Run(ctx context.Context, p Problem, opts Options) (*Proof, *Report, error) 
 	}
 	// The engine owns the transport for the whole run — gathers in
 	// repair-capable runs leave it open between rounds.
-	defer en.closeTransport()
+	defer en.close()
 	en.pointsLeft.Store(int64(en.e * len(en.primes)))
 	en.obs.Geometry(en.e*len(en.primes), en.k)
-	prep, err := en.stagePrepare(ctx)
-	if err != nil {
+	if err := en.round(ctx, 0, en.ownRanges()); err != nil {
 		return nil, nil, fmt.Errorf("core: %s: %w", p.Name(), err)
 	}
-	proof, err := en.stageDecode(ctx, prep)
-	for round := 1; err != nil && en.canRepair(err, prep, round); round++ {
-		if rerr := en.stageRepair(ctx, prep, round); rerr != nil {
-			return nil, nil, fmt.Errorf("core: %s: repair round %d: %w", p.Name(), round, rerr)
+	proof, err := en.stageDecode(ctx)
+	for n := 1; err != nil && en.canRepair(err, n); n++ {
+		if rerr := en.round(ctx, n, en.repairRanges(n)); rerr != nil {
+			return nil, nil, fmt.Errorf("core: %s: repair round %d: %w", p.Name(), n, rerr)
 		}
-		proof, err = en.stageDecode(ctx, prep)
+		proof, err = en.stageDecode(ctx)
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %s: %w", p.Name(), err)
@@ -257,155 +271,149 @@ func (en *engine) creditPoints(n int) {
 // the typed beyond-budget refusal (anything else — cancellation, a
 // decoder bug — repair cannot fix), and there must be both missing
 // nodes to recompute and survivors to recompute them.
-func (en *engine) canRepair(err error, prep *prepared, round int) bool {
+func (en *engine) canRepair(err error, round int) bool {
 	if !(round <= en.opts.MaxRepairRounds && en.keepOpen &&
-		errors.Is(err, rs.ErrDecodeFailure) && len(prep.missing) > 0) {
+		errors.Is(err, rs.ErrDecodeFailure) && len(en.missing) > 0) {
 		return false
 	}
 	// Locally, a survivor must exist to sponsor the recompute. Remotely,
 	// logical nodes and workers are different populations: even with
 	// every logical node missing, any live worker can be re-assigned the
 	// ranges (AssignRanges fails if none is).
-	return en.remote != nil || len(prep.missing) < en.k
+	return en.remote != nil || len(en.missing) < en.k
 }
 
-// closeTransport ends the transport's world for transports that have
-// one to end (sharded relays, a TCP listener). Repair-capable gathers
-// run with GatherSpec.KeepOpen, so teardown is the engine's job; for
-// everything else this is an idempotent no-op.
-func (en *engine) closeTransport() {
+// close releases what the engine owns for the run: the transport's
+// world, for transports that have one to end (sharded relays, a TCP
+// listener — repair-capable gathers run with GatherSpec.KeepOpen, so
+// teardown is the engine's job), and the private pool.
+func (en *engine) close() {
 	if c, ok := en.tr.(interface{ Close() }); ok {
 		c.Close()
 	}
-}
-
-// runTasks executes indexed tasks on the session pool when one is
-// configured (Cluster runs) and on a per-run scheduler otherwise. On
-// the pool the run's Priority becomes its scheduling weight, so a
-// high-priority tenant's tasks interleave more densely than a default
-// run's.
-func (en *engine) runTasks(ctx context.Context, n int, task func(id int) error) error {
-	if en.opts.Pool != nil {
-		return en.opts.Pool.RunWeighted(ctx, n, en.opts.Priority, task)
+	if en.opts.Pool == nil {
+		en.pool.Close()
 	}
-	return newScheduler(en.opts.MaxParallelism).run(ctx, n, task)
 }
 
-// execWidth returns the execution parallelism available to this run —
-// the knob that decides whether owned point ranges are worth
-// sub-chunking.
-func (en *engine) execWidth() int {
-	if en.opts.Pool != nil {
-		return en.opts.Pool.Width()
+// assignment is one unit of a round: the point range [lo, hi) that
+// owner's decoder coordinates index, evaluated and sent by sponsor. In
+// round 0 every node sponsors its own range; in a repair round the
+// owner's broadcast was lost and a survivor stands in.
+type assignment struct {
+	owner, sponsor int
+	lo, hi         int
+}
+
+// ownRanges is round 0's assignment list: every node evaluates and
+// broadcasts its own range.
+func (en *engine) ownRanges() []assignment {
+	ranges := make([]assignment, en.k)
+	for id := range ranges {
+		lo, hi := en.assign.Range(id)
+		ranges[id] = assignment{owner: id, sponsor: id, lo: lo, hi: hi}
 	}
-	if en.opts.MaxParallelism > 0 {
-		return en.opts.MaxParallelism
+	return ranges
+}
+
+// repairRanges re-assigns the missing nodes' ranges for repair round n.
+// Evaluation is deterministic in (q, x0), so a survivor recomputes
+// exactly the values the dead node would have sent, bit for bit. The
+// message carries the dead owner's id (what the decoders index by) and
+// is sent by a sponsoring survivor (what the transport's link faults
+// attach to), sponsors rotating across rounds so a round-robin neighbor
+// with its own bad link does not doom every retry. A remote executor
+// ignores the sponsor: the coordinator routes each range to whichever
+// worker is live, which is the point of separating logical nodes from
+// physical workers.
+func (en *engine) repairRanges(n int) []assignment {
+	dead := make([]bool, en.k)
+	for _, id := range en.missing {
+		dead[id] = true
 	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// prepChunk is one prepare-stage task: a slice of one owned point range
-// for one prime. node indexes the round's prepNode slice (which in
-// round 0 coincides with the owner's id; in a repair round it is just
-// the position among the ranges being repaired).
-type prepChunk struct {
-	node, prime int
-	lo, hi      int
-}
-
-// prepNode tracks one node's in-flight message across its chunks.
-type prepNode struct {
-	msg       NodeShares
-	remaining atomic.Int32
-	elapsedNS atomic.Int64
-}
-
-// prepared is the prepare stage's product: the delivered share
-// messages ordered by node id, plus the ids whose broadcasts never
-// arrived (their coordinates become Reed–Solomon erasures in the
-// decode stage).
-type prepared struct {
-	shares  []NodeShares
-	missing []int
-}
-
-// stagePrepare is protocol step 1 (distributed encoded proof
-// preparation): every node evaluates its owned block of the codeword for
-// every prime and coordinate and broadcasts it as one message over the
-// transport; the collector gathers all K messages.
-//
-// The work unit is a (node, prime, sub-range) chunk rather than a whole
-// node: when the pool is wider than the node count — a single-node run
-// on a many-core box, say — idle workers take sub-chunks of the same
-// node's range, so K bounds the paper's work *split* but never the
-// machine's parallelism. Chunk boundaries cannot change results: every
-// point is evaluated independently and written to its own slot (and the
-// BatchProblem contract requires block results to match point-wise
-// evaluation bit for bit).
-// In quorum mode (Options.MaxErasures > 0) the gather tolerates
-// delivery faults: it returns once K-MaxErasures distinct senders have
-// been heard or the grace timer fires, stragglers are cut loose (their
-// pending work is cancelled — it could only produce messages the run
-// has already given up on), and the missing node ids are passed to the
-// decode stage as erasures instead of failing the run.
-func (en *engine) stagePrepare(ctx context.Context) (*prepared, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	survivors := make([]int, 0, en.k-len(en.missing))
+	for id, d := range dead {
+		if !d {
+			survivors = append(survivors, id)
+		}
 	}
-	en.obs.StageStart(StagePrepare)
+	ranges := make([]assignment, len(en.missing))
+	for i, id := range en.missing {
+		lo, hi := en.assign.Range(id)
+		ranges[i] = assignment{owner: id, sponsor: id, lo: lo, hi: hi}
+		if len(survivors) > 0 {
+			ranges[i].sponsor = survivors[(i+n-1)%len(survivors)]
+		}
+	}
+	return ranges
+}
+
+// openTransport builds the run's transport and resolves its optional
+// capabilities against what the run asks of it.
+func (en *engine) openTransport() error {
 	en.tr = en.opts.NewTransport(en.k)
-	quorumMode := en.opts.MaxErasures > 0
-	if quorumMode {
+	if en.opts.MaxErasures > 0 {
 		var ok bool
 		if en.quorumTr, ok = en.tr.(QuorumGatherer); !ok {
-			return nil, fmt.Errorf("%w: MaxErasures=%d needs one, %T is not",
+			return fmt.Errorf("%w: MaxErasures=%d needs one, %T is not",
 				ErrQuorumUnsupported, en.opts.MaxErasures, en.tr)
 		}
 	}
 	// Repair rounds re-gather over this same transport instance, so
 	// gathers must not tear it down on return.
-	en.keepOpen = quorumMode && en.opts.MaxRepairRounds > 0
+	en.keepOpen = en.quorumTr != nil && en.opts.MaxRepairRounds > 0
 	// A transport that can assign work to remote workers flips the
 	// engine into remote mode: manifests go out instead of local
 	// evaluation, and frames stream back through the same gather.
 	en.remote, _ = en.tr.(RemoteAssigner)
+	return nil
+}
+
+// round is protocol step 1 (distributed encoded proof preparation) for
+// one list of assignments: each range is evaluated for every prime and
+// coordinate and broadcast as one message over the transport, the
+// collector gathers them, and the valid ones join en.shares while the
+// unheard owners become en.missing. Round 0 assigns all K ranges; repair
+// round n ≥ 1 runs after the decode stage refused (erasures beyond the
+// Reed–Solomon budget) and re-assigns exactly the missing ones, leaving
+// whatever is still missing for the decode retry to judge against the
+// budget.
+//
+// In quorum mode (Options.MaxErasures > 0) the gather tolerates delivery
+// faults: round 0 returns once K-MaxErasures distinct senders have been
+// heard or the grace timer fires, stragglers are cut loose (their
+// pending work is cancelled — it could only produce messages the run
+// has already given up on), and the missing ids are decoded as erasures
+// instead of failing the run. A strict run refuses any loss by name.
+func (en *engine) round(ctx context.Context, n int, ranges []assignment) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if n == 0 {
+		en.obs.StageStart(StagePrepare)
+		if err := en.openTransport(); err != nil {
+			return err
+		}
+	} else {
+		en.obs.RepairRound(n, append([]int(nil), en.missing...))
+	}
+	quorumMode := en.quorumTr != nil
+	start := time.Now()
 	spec := GatherSpec{
-		K:        en.k,
-		Quorum:   en.k - en.opts.MaxErasures,
+		K: en.k,
+		// A repair round is complete when every re-assigned range has
+		// been heard; the grace timer hands over a partial round.
+		Quorum:   len(ranges),
 		Grace:    en.opts.GatherGrace,
-		Round:    0,
+		Round:    n,
 		KeepOpen: en.keepOpen,
 	}
-	computeStart := time.Now()
-	var msgs []NodeShares
-	var err error
-	if en.remote != nil {
-		specs := make([]AssignSpec, 0, en.k)
-		for id := 0; id < en.k; id++ {
-			lo, hi := en.assign.Range(id)
-			specs = append(specs, AssignSpec{
-				Owner: id, Round: 0, Lo: lo, Hi: hi,
-				Width: en.w, Primes: en.primes,
-			})
-		}
-		msgs, err = en.runRemoteRound(ctx, specs, spec, quorumMode)
-	} else {
-		parts := 1
-		if w := en.execWidth(); w > en.k {
-			parts = (w + en.k - 1) / en.k
-		}
-		nodes := make([]*prepNode, 0, en.k)
-		var chunks []prepChunk
-		for id := 0; id < en.k; id++ {
-			lo, hi := en.assign.Range(id)
-			var st *prepNode
-			st, chunks = en.buildShareTasks(len(nodes), id, id, 0, lo, hi, parts, chunks)
-			nodes = append(nodes, st)
-		}
-		msgs, err = en.runRound(ctx, nodes, chunks, spec, quorumMode)
+	if n == 0 {
+		spec.Quorum -= en.opts.MaxErasures
 	}
+	msgs, err := en.exchange(ctx, spec, ranges)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if quorumMode {
 		// A node that reports an in-band failure contributed no shares,
@@ -424,46 +432,33 @@ func (en *engine) stagePrepare(ctx context.Context) (*prepared, error) {
 		}
 		msgs = kept
 	}
-	delivered, missing, err := collectShares(msgs, en.k, 0)
+	delivered, _, err := collectShares(msgs, en.k, n)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// Shape guard: a message that crossed an untrusted transport (TCP)
-	// may claim any geometry the codec's generic bounds allow, and the
-	// decoders index shares by the run's. A malformed message must
-	// never panic a decoder — it becomes its sender's delivery fault
-	// where the run tolerates those, and a typed refusal where it
-	// does not.
-	valid := delivered[:0]
-	var malformed []int
+	// A delivery counts when it belongs to a range this round assigned
+	// and passes the shape guard: a message that crossed an untrusted
+	// transport (TCP) may claim any geometry the codec's generic bounds
+	// allow, and the decoders index shares by the run's. A malformed
+	// message must never panic a decoder — it becomes its sender's
+	// delivery fault where the run tolerates those, and a typed refusal
+	// where it does not.
+	wanted := make([]bool, en.k)
+	for _, a := range ranges {
+		wanted[a.owner] = true
+	}
 	for _, m := range delivered {
-		if en.shareShapeOK(m) {
-			valid = append(valid, m)
-		} else {
-			malformed = append(malformed, m.ID)
+		if !wanted[m.ID] {
+			continue
 		}
-	}
-	if len(malformed) > 0 {
-		if !quorumMode {
-			return nil, fmt.Errorf("transport delivered malformed shares from node %d; tolerate delivery faults with MaxErasures", malformed[0])
+		if !en.shareShapeOK(m) {
+			if !quorumMode {
+				return fmt.Errorf("transport delivered malformed shares from node %d; tolerate delivery faults with MaxErasures", m.ID)
+			}
+			continue
 		}
-		delivered = valid
-		missing = append(missing, malformed...)
-		sort.Ints(missing)
-	}
-	if len(missing) > 0 && !quorumMode {
-		if len(msgs) > len(delivered) {
-			// The strict gather counts raw messages, so duplicated
-			// deliveries consumed the slots of a sender still in
-			// flight — name the real defect, not a phantom loss.
-			return nil, fmt.Errorf("transport duplicated deliveries (%d messages from %d senders) while node %d went unheard; tolerate delivery faults with MaxErasures",
-				len(msgs), len(delivered), missing[0])
-		}
-		return nil, fmt.Errorf("transport delivered no message from node %d", missing[0])
-	}
-	en.report.MissingNodes = missing
-	en.obs.DeliveryFaults(len(missing))
-	for _, m := range delivered {
+		wanted[m.ID] = false
+		en.shares = append(en.shares, m)
 		en.report.TotalNodeCompute += m.Elapsed
 		if m.Elapsed > en.report.MaxNodeCompute {
 			en.report.MaxNodeCompute = m.Elapsed
@@ -474,46 +469,51 @@ func (en *engine) stagePrepare(ctx context.Context) (*prepared, error) {
 			// units) when its frame lands.
 			en.creditPoints((m.Hi - m.Lo) * len(en.primes))
 		}
-	}
-	en.report.ComputeWall = time.Since(computeStart)
-	return &prepared{shares: delivered, missing: missing}, nil
-}
-
-// buildShareTasks allocates the in-flight message for one owned point
-// range [lo, hi) — owner's id on the message, sponsor as the physical
-// sender, round tagging the gather it belongs to — and appends its
-// (prime, sub-range) chunk tasks. idx is the message's position in the
-// round's prepNode slice (what prepChunk.node indexes).
-func (en *engine) buildShareTasks(idx, owner, sponsor, round, lo, hi, parts int, chunks []prepChunk) (*prepNode, []prepChunk) {
-	st := &prepNode{msg: NodeShares{
-		ID: owner, From: sponsor, Round: round,
-		Lo: lo, Hi: hi,
-		Vals: make([][][]uint64, len(en.primes)),
-	}}
-	n := 0
-	for pi := range en.primes {
-		st.msg.Vals[pi] = make([][]uint64, en.w)
-		for c := 0; c < en.w; c++ {
-			st.msg.Vals[pi][c] = make([]uint64, hi-lo)
-		}
-		for _, cut := range cutRange(lo, hi, parts) {
-			chunks = append(chunks, prepChunk{node: idx, prime: pi, lo: cut[0], hi: cut[1]})
-			n++
+		if n > 0 {
+			en.report.RepairedNodes = append(en.report.RepairedNodes, m.ID)
 		}
 	}
-	st.remaining.Store(int32(n))
-	return st, chunks
+	var missing []int
+	for _, a := range ranges {
+		if wanted[a.owner] {
+			missing = append(missing, a.owner)
+		}
+	}
+	if len(missing) > 0 && !quorumMode {
+		if len(msgs) > len(delivered) {
+			// The strict gather counts raw messages, so duplicated
+			// deliveries consumed the slots of a sender still in
+			// flight — name the real defect, not a phantom loss.
+			return fmt.Errorf("transport duplicated deliveries (%d messages from %d senders) while node %d went unheard; tolerate delivery faults with MaxErasures",
+				len(msgs), len(delivered), missing[0])
+		}
+		return fmt.Errorf("transport delivered no message from node %d", missing[0])
+	}
+	en.missing = missing
+	en.report.MissingNodes = missing
+	if n == 0 {
+		en.obs.DeliveryFaults(len(missing))
+	} else {
+		sort.Ints(en.report.RepairedNodes)
+		en.report.RepairRounds = n
+	}
+	en.report.ComputeWall += time.Since(start)
+	return nil
 }
 
-// runRound drives one send/gather round over the run's transport: the
-// worker pool evaluates the chunks, each completed message is broadcast,
-// and the collector gathers under spec. Each round gets fresh send and
-// gather contexts scoped to this call — cancelling the round's senders
-// on return is what abandons its still-pending deliveries (a lossy
-// transport's delayed copies, say) so they cannot leak into a later
-// round's gather; the round filter in the quorum loop is the second
-// line of defense.
-func (en *engine) runRound(ctx context.Context, nodes []*prepNode, chunks []prepChunk, spec GatherSpec, quorumMode bool) ([]NodeShares, error) {
+// exchange drives one send/gather round over the run's transport and
+// returns the raw gathered messages. Only the executor differs between
+// deployments: locally the worker pool evaluates the ranges and Sends
+// each completed message while the collector gathers; remotely the
+// transport ships each range's manifest to a live worker and the
+// collector gathers the frames streamed back.
+//
+// Each round gets fresh send and gather contexts scoped to this call —
+// cancelling the round's senders on return is what abandons its
+// still-pending deliveries (a lossy transport's delayed copies, say) so
+// they cannot leak into a later round's gather; the round filter in the
+// quorum loop is the second line of defense.
+func (en *engine) exchange(ctx context.Context, spec GatherSpec, ranges []assignment) ([]NodeShares, error) {
 	// Failure on either side of the transport must cancel the other:
 	// a pool (Send) failure cancels the gather so the collector cannot
 	// wait forever on messages that will never arrive, and a gather
@@ -523,53 +523,42 @@ func (en *engine) runRound(ctx context.Context, nodes []*prepNode, chunks []prep
 	defer cancelSend()
 	gatherCtx, cancelGather := context.WithCancel(ctx)
 	defer cancelGather()
-	poolDone := make(chan error, 1)
-	// sendsDone tells a quorum gather that no further Send can occur,
-	// so a total-loss network ends in one grace period instead of
-	// waiting out the caller's context.
-	sendsDone := make(chan struct{})
-	spec.SendsDone = sendsDone
-	go func() {
-		defer close(sendsDone)
-		err := en.runTasks(sendCtx, len(chunks), func(ti int) error {
-			chk := chunks[ti]
-			st := nodes[chk.node]
-			start := time.Now()
-			err := evaluateRangeInto(sendCtx, en.planner, en.primes[chk.prime], chk.lo, chk.hi, en.w,
-				st.msg.Vals[chk.prime], st.msg.Lo, en.opts.BlockSize)
-			st.elapsedNS.Add(int64(time.Since(start)))
+	sent := make(chan error, 1)
+	if en.remote != nil {
+		// SendsDone stays nil: the engine cannot see when remote workers
+		// finish sending, so a quorum gather's deadline rests on the
+		// grace timer armed by arrivals. The coordinator turns worker
+		// faults into in-band Err frames, which are arrivals too, so a
+		// dying cluster still converges instead of waiting out ctx.
+		manifests := make([]AssignSpec, len(ranges))
+		for i, a := range ranges {
+			manifests[i] = AssignSpec{
+				Owner: a.owner, Round: spec.Round, Lo: a.lo, Hi: a.hi,
+				Width: en.w, Primes: en.primes,
+			}
+		}
+		if err := en.remote.AssignRanges(ctx, manifests); err != nil {
+			return nil, err
+		}
+		sent <- nil
+	} else {
+		// sendsDone tells a quorum gather that no further Send can occur,
+		// so a total-loss network ends in one grace period instead of
+		// waiting out the caller's context.
+		sendsDone := make(chan struct{})
+		spec.SendsDone = sendsDone
+		go func() {
+			defer close(sendsDone)
+			err := en.evaluateAndSend(sendCtx, spec.Round, ranges)
 			if err != nil {
-				return fmt.Errorf("node %d: %w", st.msg.Origin(), err)
+				cancelGather()
 			}
-			en.creditPoints(chk.hi - chk.lo)
-			if st.remaining.Add(-1) == 0 {
-				// Last chunk of this message: it is complete (every
-				// other chunk's write happened-before the counter
-				// reached zero), broadcast it.
-				st.msg.Elapsed = time.Duration(st.elapsedNS.Load())
-				return en.tr.Send(sendCtx, st.msg)
-			}
-			return nil
-		})
-		if err == nil {
-			// A transport may still hold accepted deliveries in flight
-			// (injected delays): conclude them before announcing
-			// SendsDone, and surface an asynchronous delivery failure
-			// exactly as a Send returning it would have. The drain
-			// covers this round's sends — repair rounds included —
-			// because it runs inside every round.
-			if d, ok := en.tr.(SendDrainer); ok {
-				err = d.DrainSends(sendCtx)
-			}
-		}
-		if err != nil {
-			cancelGather()
-		}
-		poolDone <- err
-	}()
+			sent <- err
+		}()
+	}
 	var msgs []NodeShares
 	var gatherErr error
-	if quorumMode {
+	if en.quorumTr != nil {
 		msgs, gatherErr = en.quorumTr.GatherQuorum(gatherCtx, spec)
 	} else {
 		msgs, gatherErr = en.tr.Gather(gatherCtx, spec.K)
@@ -580,11 +569,10 @@ func (en *engine) runRound(ctx context.Context, nodes []*prepNode, chunks []prep
 	// (strict gathers have heard every node by now, quorum gathers have
 	// decided to erase the rest).
 	cancelSend()
-	poolErr := <-poolDone
 	// Prefer the root cause over the cancellation it triggered on the
 	// other side.
-	if poolErr != nil && !errors.Is(poolErr, context.Canceled) {
-		return nil, poolErr
+	if sendErr := <-sent; sendErr != nil && !errors.Is(sendErr, context.Canceled) {
+		return nil, sendErr
 	}
 	if gatherErr != nil {
 		return nil, gatherErr
@@ -592,144 +580,88 @@ func (en *engine) runRound(ctx context.Context, nodes []*prepNode, chunks []prep
 	return msgs, nil
 }
 
-// runRemoteRound drives one assign/gather round in remote mode: the
-// transport ships each spec's manifest to a live worker and the
-// collector gathers the frames streamed back. GatherSpec.SendsDone
-// stays nil — the engine cannot see when remote workers finish sending,
-// so a quorum gather's deadline discipline rests on the grace timer
-// armed by arrivals; the coordinator turns worker faults into in-band
-// Err frames, which are arrivals too, so a dying cluster still
-// converges instead of waiting out ctx.
-func (en *engine) runRemoteRound(ctx context.Context, specs []AssignSpec, spec GatherSpec, quorumMode bool) ([]NodeShares, error) {
-	if err := en.remote.AssignRanges(ctx, specs); err != nil {
-		return nil, err
-	}
-	if quorumMode {
-		return en.quorumTr.GatherQuorum(ctx, spec)
-	}
-	return en.tr.Gather(ctx, spec.K)
+// prepNode tracks one assignment's message across its chunk tasks.
+type prepNode struct {
+	msg       NodeShares
+	remaining atomic.Int32
+	elapsedNS atomic.Int64
 }
 
-// stageRepair is the self-healing gather: the decode stage has refused
-// (erasures beyond the Reed–Solomon budget), but the missing nodes'
-// point ranges are known, survivors are idle, and evaluation is
-// deterministic in (q, x0) — so a survivor recomputes exactly the
-// values the dead node would have sent, bit for bit. Each missing
-// range becomes one message carrying the dead owner's id (what the
-// decoders index by) sent by a sponsoring survivor (what the
-// transport's link faults attach to), sponsors rotating across rounds
-// so a round-robin neighbor with its own bad link does not doom every
-// retry. Recovered messages join prep.shares; whatever is still
-// missing stays erased for the decode retry to judge against the
-// budget.
-func (en *engine) stageRepair(ctx context.Context, prep *prepared, round int) error {
-	if err := ctx.Err(); err != nil {
-		return err
+// prepChunk is one local evaluation task: a slice of one assignment's
+// point range for one prime. node indexes the round's prepNode slice.
+type prepChunk struct {
+	node, prime int
+	lo, hi      int
+}
+
+// evaluateAndSend is the local executor: the pool evaluates every
+// assignment and Sends each message as its last chunk completes, then
+// the transport's accepted deliveries are drained.
+//
+// The work unit is a (range, prime, sub-range) chunk rather than a whole
+// node: when the pool is wider than the assignment list — a single-node
+// run on a many-core box, say — idle workers take sub-chunks of the same
+// range, so K bounds the paper's work *split* but never the machine's
+// parallelism. Chunk boundaries cannot change results: every point is
+// evaluated independently and written to its own slot (and the Plan
+// contract requires block results to match point-wise evaluation bit
+// for bit).
+func (en *engine) evaluateAndSend(ctx context.Context, round int, ranges []assignment) error {
+	parts := 1
+	if w := en.pool.Width(); w > len(ranges) {
+		parts = (w + len(ranges) - 1) / len(ranges)
 	}
-	still := make(map[int]bool, len(prep.missing))
-	for _, id := range prep.missing {
-		still[id] = true
-	}
-	en.obs.RepairRound(round, append([]int(nil), prep.missing...))
-	repairStart := time.Now()
-	spec := GatherSpec{
-		K: en.k,
-		// The round is complete when every re-assigned range has been
-		// heard; the grace timer hands over a partial round (the decode
-		// retry then judges what is still missing against the budget).
-		Quorum:   len(prep.missing),
-		Grace:    en.opts.GatherGrace,
-		Round:    round,
-		KeepOpen: true,
-	}
-	var msgs []NodeShares
-	var err error
-	if en.remote != nil {
-		// Remotely there is no sponsor rotation to run here: the
-		// coordinator re-routes each missing range to whichever worker
-		// is live, which is the whole point of separating logical nodes
-		// from physical workers.
-		specs := make([]AssignSpec, 0, len(prep.missing))
-		for _, id := range prep.missing {
-			lo, hi := en.assign.Range(id)
-			specs = append(specs, AssignSpec{
-				Owner: id, Round: round, Lo: lo, Hi: hi,
-				Width: en.w, Primes: en.primes,
-			})
-		}
-		msgs, err = en.runRemoteRound(ctx, specs, spec, true)
-	} else {
-		survivors := make([]int, 0, en.k-len(prep.missing))
-		for id := 0; id < en.k; id++ {
-			if !still[id] {
-				survivors = append(survivors, id)
+	nodes := make([]*prepNode, len(ranges))
+	var chunks []prepChunk
+	for i, a := range ranges {
+		st := &prepNode{msg: NodeShares{
+			ID: a.owner, From: a.sponsor, Round: round,
+			Lo: a.lo, Hi: a.hi,
+			Vals: make([][][]uint64, len(en.primes)),
+		}}
+		before := len(chunks)
+		for pi := range en.primes {
+			st.msg.Vals[pi] = make([][]uint64, en.w)
+			for c := 0; c < en.w; c++ {
+				st.msg.Vals[pi][c] = make([]uint64, a.hi-a.lo)
+			}
+			for _, cut := range cutRange(a.lo, a.hi, parts) {
+				chunks = append(chunks, prepChunk{node: i, prime: pi, lo: cut[0], hi: cut[1]})
 			}
 		}
-		if len(survivors) == 0 {
-			// canRepair refuses this; keep the invariant locally too.
-			return fmt.Errorf("no surviving nodes to repair %d missing ranges", len(prep.missing))
-		}
-		parts := 1
-		if w := en.execWidth(); w > len(prep.missing) {
-			parts = (w + len(prep.missing) - 1) / len(prep.missing)
-		}
-		nodes := make([]*prepNode, 0, len(prep.missing))
-		var chunks []prepChunk
-		for i, id := range prep.missing {
-			sponsor := survivors[(i+round-1)%len(survivors)]
-			lo, hi := en.assign.Range(id)
-			var st *prepNode
-			st, chunks = en.buildShareTasks(len(nodes), id, sponsor, round, lo, hi, parts, chunks)
-			nodes = append(nodes, st)
-		}
-		msgs, err = en.runRound(ctx, nodes, chunks, spec, true)
+		st.remaining.Store(int32(len(chunks) - before))
+		nodes[i] = st
 	}
+	err := en.pool.RunWeighted(ctx, len(chunks), en.opts.Priority, func(ti int) error {
+		chk := chunks[ti]
+		st := nodes[chk.node]
+		start := time.Now()
+		err := evaluateRangeInto(ctx, en.planner, en.primes[chk.prime], chk.lo, chk.hi, en.w,
+			st.msg.Vals[chk.prime], st.msg.Lo)
+		st.elapsedNS.Add(int64(time.Since(start)))
+		if err != nil {
+			return fmt.Errorf("node %d: %w", st.msg.Origin(), err)
+		}
+		en.creditPoints(chk.hi - chk.lo)
+		if st.remaining.Add(-1) == 0 {
+			// Last chunk of this message: it is complete (every
+			// other chunk's write happened-before the counter
+			// reached zero), broadcast it.
+			st.msg.Elapsed = time.Duration(st.elapsedNS.Load())
+			return en.tr.Send(ctx, st.msg)
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	// Merge under the same quorum-mode rules as round 0: in-band Err
-	// messages are their sender's delivery fault, duplicates dedup by
-	// (node, round), and a message must both belong to a range this
-	// round re-assigned and match the run geometry to count.
-	kept := msgs[:0]
-	for _, m := range msgs {
-		if m.Err != nil && m.ID >= 0 && m.ID < en.k {
-			continue
-		}
-		kept = append(kept, m)
+	// A transport may still hold accepted deliveries in flight
+	// (injected delays): conclude them before the caller announces
+	// SendsDone, and surface an asynchronous delivery failure exactly
+	// as a Send returning it would have.
+	if d, ok := en.tr.(SendDrainer); ok {
+		return d.DrainSends(ctx)
 	}
-	delivered, _, err := collectShares(kept, en.k, round)
-	if err != nil {
-		return err
-	}
-	var repaired []int
-	for _, m := range delivered {
-		if !still[m.ID] || !en.shareShapeOK(m) {
-			continue
-		}
-		still[m.ID] = false
-		prep.shares = append(prep.shares, m)
-		repaired = append(repaired, m.ID)
-		en.report.TotalNodeCompute += m.Elapsed
-		if m.Elapsed > en.report.MaxNodeCompute {
-			en.report.MaxNodeCompute = m.Elapsed
-		}
-		if en.remote != nil {
-			en.creditPoints((m.Hi - m.Lo) * len(en.primes))
-		}
-	}
-	remaining := prep.missing[:0]
-	for _, id := range prep.missing {
-		if still[id] {
-			remaining = append(remaining, id)
-		}
-	}
-	prep.missing = remaining
-	en.report.MissingNodes = append([]int(nil), remaining...)
-	en.report.RepairedNodes = append(en.report.RepairedNodes, repaired...)
-	sort.Ints(en.report.RepairedNodes)
-	en.report.RepairRounds = round
-	en.report.ComputeWall += time.Since(repairStart)
 	return nil
 }
 
@@ -799,7 +731,7 @@ func cutRange(lo, hi, parts int) [][2]int {
 // broadcasts the transport lost contribute no symbols: their
 // coordinates are decoded as erasures, which cost half an error each in
 // the Reed–Solomon budget and are never counted as suspects.
-func (en *engine) stageDecode(ctx context.Context, prep *prepared) (*Proof, error) {
+func (en *engine) stageDecode(ctx context.Context) (*Proof, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -816,7 +748,7 @@ func (en *engine) stageDecode(ctx context.Context, prep *prepared) (*Proof, erro
 	// the erasure set is a property of the gather, not of any received
 	// word, and the plan's root-product precomputation is quadratic in
 	// the codeword length. An undecodable erasure set fails here.
-	erased := en.erasedPoints(prep.missing)
+	erased := en.erasedPoints(en.missing)
 	plans := make([]*rs.ErasurePlan, len(en.codes))
 	for pi, code := range en.codes {
 		plan, err := code.ErasurePlan(erased)
@@ -832,9 +764,9 @@ func (en *engine) stageDecode(ctx context.Context, prep *prepared) (*Proof, erro
 	// report a live count mid-stage.
 	var mu sync.Mutex
 	suspects := map[int]bool{}
-	err := en.runTasks(ctx, len(decoders), func(di int) error {
+	err := en.pool.RunWeighted(ctx, len(decoders), en.opts.Priority, func(di int) error {
 		recipient := decoders[di]
-		res, err := decodeAsNode(ctx, recipient, en.primes, plans, prep.shares, en.assign, en.opts.Adversary, en.w, en.e)
+		res, err := decodeAsNode(ctx, recipient, en.primes, plans, en.shares, en.assign, en.opts.Adversary, en.w, en.e)
 		if err != nil {
 			return fmt.Errorf("node %d decoding: %w", recipient, err)
 		}

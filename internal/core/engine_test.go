@@ -9,6 +9,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"camelot/internal/ff"
+	"camelot/internal/plan"
 )
 
 // slowProblem sleeps per evaluation, for cancellation-promptness tests.
@@ -29,18 +32,30 @@ func (p *slowProblem) Evaluate(q, x0 uint64) ([]uint64, error) {
 	return []uint64{x0 % q}, nil
 }
 
-// batchPolyProblem wraps polyProblem with a block path, optionally
-// sabotaged to return malformed blocks.
+// batchPolyProblem wraps polyProblem with a compiled block path,
+// optionally sabotaged to return malformed blocks.
 type batchPolyProblem struct {
 	*polyProblem
+	compiles   atomic.Int64
 	blockCalls atomic.Int64
 	badRows    bool
 	badWidth   bool
 }
 
-var _ BatchProblem = (*batchPolyProblem)(nil)
+var _ CompiledProblem = (*batchPolyProblem)(nil)
 
-func (p *batchPolyProblem) EvaluateBlock(q uint64, xs []uint64) ([][]uint64, error) {
+func (p *batchPolyProblem) Compile(f ff.Field) (plan.Plan, error) {
+	p.compiles.Add(1)
+	return batchPolyPlan{p: p, q: f.Q}, nil
+}
+
+type batchPolyPlan struct {
+	p *batchPolyProblem
+	q uint64
+}
+
+func (c batchPolyPlan) EvaluateBlock(xs []uint64) ([][]uint64, error) {
+	p, q := c.p, c.q
 	p.blockCalls.Add(1)
 	if p.badRows {
 		return make([][]uint64, len(xs)+1), nil
@@ -72,6 +87,9 @@ func TestRunUsesBatchPath(t *testing.T) {
 	if bp.blockCalls.Load() == 0 {
 		t.Fatal("EvaluateBlock was never called")
 	}
+	if got, want := bp.compiles.Load(), int64(len(batchProof.Primes)); got != want {
+		t.Fatalf("run compiled %d times, want once per prime (%d)", got, want)
+	}
 	if !rep.Verified {
 		t.Fatal("batch run not verified")
 	}
@@ -93,69 +111,6 @@ func TestRunRejectsMalformedBlocks(t *testing.T) {
 		if _, _, err := Run(context.Background(), bp, Options{Nodes: 2}); err == nil {
 			t.Fatalf("%s: malformed EvaluateBlock output accepted", name)
 		}
-	}
-}
-
-func TestRunMaxParallelismOneMatchesDefault(t *testing.T) {
-	p := testProblem()
-	serial, _, err := Run(context.Background(), p, Options{Nodes: 6, FaultTolerance: 3, MaxParallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pooled, _, err := Run(context.Background(), p, Options{Nodes: 6, FaultTolerance: 3, MaxParallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := serial.Primes[0]
-	for w := range serial.Coeffs[q] {
-		for j := range serial.Coeffs[q][w] {
-			if serial.Coeffs[q][w][j] != pooled.Coeffs[q][w][j] {
-				t.Fatal("worker pool size changed the proof")
-			}
-		}
-	}
-}
-
-func TestSchedulerBoundsParallelism(t *testing.T) {
-	const workers, tasks = 3, 20
-	var cur, peak atomic.Int64
-	s := newScheduler(workers)
-	err := s.run(context.Background(), tasks, func(int) error {
-		c := cur.Add(1)
-		for {
-			p := peak.Load()
-			if c <= p || peak.CompareAndSwap(p, c) {
-				break
-			}
-		}
-		time.Sleep(time.Millisecond)
-		cur.Add(-1)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := peak.Load(); got > workers {
-		t.Fatalf("observed %d concurrent tasks, pool bound is %d", got, workers)
-	}
-}
-
-func TestSchedulerFirstErrorWinsAndStops(t *testing.T) {
-	var ran atomic.Int64
-	boom := errors.New("boom")
-	s := newScheduler(1)
-	err := s.run(context.Background(), 100, func(id int) error {
-		ran.Add(1)
-		if id == 2 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if n := ran.Load(); n > 4 {
-		t.Fatalf("pool kept scheduling after error: %d tasks ran", n)
 	}
 }
 
@@ -288,46 +243,15 @@ func TestRunFailingGatherDoesNotDeadlock(t *testing.T) {
 	}
 }
 
-func TestEvaluateRangeChunksBatchWithCancellationChecks(t *testing.T) {
-	bp := &batchPolyProblem{polyProblem: testProblem()}
-	ctx := context.Background()
-	const blockSize = 256
-	const q, lo, hi = 257, 0, 2*blockSize + 10
-	batch, err := evaluateRange(ctx, NewPlanner(bp), q, lo, hi, bp.Width(), blockSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls := bp.blockCalls.Load(); calls != 3 {
-		t.Fatalf("range of %d points used %d blocks, want 3 chunks of <= %d", hi-lo, calls, blockSize)
-	}
-	point, err := evaluateRange(ctx, NewPlanner(bp.polyProblem), q, lo, hi, bp.Width(), blockSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(batch) != fmt.Sprint(point) {
-		t.Fatal("chunked batch evaluation disagrees with per-point fallback")
-	}
-	// A cancelled context must be noticed before any chunk runs.
-	cancelled, cancel := context.WithCancel(ctx)
-	cancel()
-	before := bp.blockCalls.Load()
-	if _, err := evaluateRange(cancelled, NewPlanner(bp), q, lo, hi, bp.Width(), blockSize); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if bp.blockCalls.Load() != before {
-		t.Fatal("EvaluateBlock ran despite cancelled context")
-	}
-}
-
 func TestEvaluateRangeAutotunesBlockSize(t *testing.T) {
 	bp := &batchPolyProblem{polyProblem: testProblem()}
 	ctx := context.Background()
 	const q, lo, hi = 257, 0, 20000
-	// blockSize <= 0 autotunes: the first call is a probeChunk-sized
-	// probe, and these near-free evaluations push the steady-state size
-	// to the maxBatchChunk clamp, so the whole range takes
-	// 1 + ceil((hi-probeChunk)/maxBatchChunk) calls.
-	batch, err := evaluateRange(ctx, NewPlanner(bp), q, lo, hi, bp.Width(), 0)
+	// The first call is a probeChunk-sized probe, and these near-free
+	// evaluations push the steady-state size to the maxBatchChunk clamp,
+	// so the whole range takes 1 + ceil((hi-probeChunk)/maxBatchChunk)
+	// calls.
+	batch, err := evaluateRange(ctx, NewPlanner(bp), q, lo, hi, bp.Width())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,12 +260,23 @@ func TestEvaluateRangeAutotunesBlockSize(t *testing.T) {
 		t.Fatalf("autotuned range of %d points used %d blocks, want %d (probe %d + clamp %d)",
 			hi-lo, calls, wantCalls, probeChunk, maxBatchChunk)
 	}
-	point, err := evaluateRange(ctx, NewPlanner(bp.polyProblem), q, lo, hi, bp.Width(), 0)
+	point, err := evaluateRange(ctx, NewPlanner(bp.polyProblem), q, lo, hi, bp.Width())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(batch) != fmt.Sprint(point) {
-		t.Fatal("autotuned batch evaluation disagrees with per-point fallback")
+		t.Fatal("autotuned batch evaluation disagrees with the pointwise plan")
+	}
+	// A block is the cancellation quantum: a cancelled context must be
+	// noticed before any block runs.
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	before := bp.blockCalls.Load()
+	if _, err := evaluateRange(cancelled, NewPlanner(bp), q, lo, hi, bp.Width()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if bp.blockCalls.Load() != before {
+		t.Fatal("EvaluateBlock ran despite cancelled context")
 	}
 }
 
@@ -390,17 +325,17 @@ func TestEveryStageReturnsCtxErr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := en.stagePrepare(cancelled); !errors.Is(err, context.Canceled) {
+	defer en.close()
+	if err := en.round(cancelled, 0, en.ownRanges()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("prepare: err = %v, want context.Canceled", err)
 	}
-	all, err := en.stagePrepare(bg)
-	if err != nil {
+	if err := en.round(bg, 0, en.ownRanges()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := en.stageDecode(cancelled, all); !errors.Is(err, context.Canceled) {
+	if _, err := en.stageDecode(cancelled); !errors.Is(err, context.Canceled) {
 		t.Fatalf("decode: err = %v, want context.Canceled", err)
 	}
-	proof, err := en.stageDecode(bg, all)
+	proof, err := en.stageDecode(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,11 +433,11 @@ func TestEvaluateRangeFallbackMatchesBatch(t *testing.T) {
 	ctx := context.Background()
 	const q, lo, hi = 257, 2, 9
 	w := bp.Width()
-	batch, err := evaluateRange(ctx, NewPlanner(bp), q, lo, hi, w, 0)
+	batch, err := evaluateRange(ctx, NewPlanner(bp), q, lo, hi, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	point, err := evaluateRange(ctx, NewPlanner(bp.polyProblem), q, lo, hi, w, 0)
+	point, err := evaluateRange(ctx, NewPlanner(bp.polyProblem), q, lo, hi, w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,13 @@
 package core
 
-// The session layer's execution substrate: a long-lived, bounded worker
-// pool that many concurrent engine runs share. The per-run scheduler
-// (scheduler.go) bounds one run's concurrency; the Pool additionally
-// arbitrates *between* runs — task sets from concurrent Run calls are
-// interleaved round-robin, so a wide run cannot starve a narrow one.
-// This is the fairness a multi-tenant cluster needs when jobs of very
-// different sizes are in flight together. The round-robin is
+// The scheduler layer: the bounded worker pool every engine run executes
+// its chunk and decode tasks on. A Cluster shares one long-lived pool
+// across all its runs; a one-shot core.Run builds a private one for the
+// run. Either way the width bounds concurrency, and the pool arbitrates
+// *between* runs — task sets from concurrent Run calls are interleaved
+// round-robin, so a wide run cannot starve a narrow one. This is the
+// fairness a multi-tenant cluster needs when jobs of very different
+// sizes are in flight together. The round-robin is
 // weight-aware: a run submitted with weight w claims w tasks per
 // scheduling cycle where a weight-1 run claims one, so a proof service
 // can give paying tenants a larger share of the pool without ever
@@ -71,10 +72,10 @@ func NewPool(width int) *Pool {
 func (p *Pool) Width() int { return p.width }
 
 // Run executes task(0..n-1) on the pool and returns the first task
-// error (or the context error). Like scheduler.run, it blocks until
-// every *claimed* task has returned, so callers may reuse task-captured
-// state afterwards; a task error or cancellation only stops unclaimed
-// tasks from starting. Concurrent Run calls are served fairly.
+// error (or the context error). It blocks until every *claimed* task
+// has returned, so callers may reuse task-captured state afterwards; a
+// task error or cancellation only stops unclaimed tasks from starting.
+// Concurrent Run calls are served fairly.
 func (p *Pool) Run(ctx context.Context, n int, task func(id int) error) error {
 	return p.RunWeighted(ctx, n, 1, task)
 }

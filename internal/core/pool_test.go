@@ -221,7 +221,37 @@ func TestPoolRunHonorsCancellation(t *testing.T) {
 	}
 }
 
-func TestRunWithPoolMatchesScheduler(t *testing.T) {
+// TestRunPrivatePool pins what a run without Options.Pool gets: a pool
+// of its own, MaxParallelism wide, closed when the run ends — and the
+// same proof at any width.
+func TestRunPrivatePool(t *testing.T) {
+	p := testProblem()
+	en, err := newEngine(p, Options{Nodes: 2, MaxParallelism: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := en.pool.Width(); got != 3 {
+		t.Fatalf("private pool width = %d, want MaxParallelism 3", got)
+	}
+	en.close()
+	if err := en.pool.Run(context.Background(), 1, func(int) error { return nil }); !errors.Is(err, ErrPoolClosed) {
+		t.Fatalf("private pool still accepts work after the run closed: %v", err)
+	}
+
+	serial, _, err := Run(context.Background(), p, Options{Nodes: 6, FaultTolerance: 3, MaxParallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, _, err := Run(context.Background(), p, Options{Nodes: 6, FaultTolerance: 3, MaxParallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := proofsEqual(serial, wide); err != nil {
+		t.Fatalf("worker pool size changed the proof: %v", err)
+	}
+}
+
+func TestRunWithSharedPoolMatchesPrivate(t *testing.T) {
 	p := testProblem()
 	plain, _, err := Run(context.Background(), p, Options{Nodes: 3, FaultTolerance: 2})
 	if err != nil {

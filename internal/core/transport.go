@@ -111,7 +111,7 @@ type GatherSpec struct {
 	// returns (sharded relays, the TCP listener) to stay alive: the
 	// engine may run repair rounds over the same instance and owns the
 	// transport's lifecycle for the rest of the run (see the engine's
-	// closeTransport).
+	// close).
 	KeepOpen bool
 }
 
@@ -172,8 +172,8 @@ type AssignSpec struct {
 // own worker pool and Send-ing the results, AssignRanges ships each
 // range's manifest to a live remote worker, which evaluates and streams
 // NodeShares frames back through the transport's gather side. The
-// engine detects the capability by type assertion in stagePrepare and
-// switches the prepare and repair stages to assignment mode; a repair
+// engine detects the capability by type assertion when it opens the
+// transport and every round then assigns instead of evaluating; a repair
 // round re-assigns a missing range with its new Round tag. AssignRanges
 // returns once every spec has been handed to some worker (not once
 // results arrive) — delivery is judged by the gather, like any Send.

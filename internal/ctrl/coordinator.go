@@ -5,8 +5,8 @@ package ctrl
 // over the control protocol, ships them point-range manifests, and
 // feeds the frames they stream back into the exact quorum-gather loop
 // the in-process engine uses (core.GatherShares). To the engine it is
-// just another Transport with the RemoteAssigner capability — the
-// prepare and repair stages call AssignRanges instead of evaluating
+// just another Transport with the RemoteAssigner capability — every
+// round calls AssignRanges instead of evaluating
 // locally, and everything downstream (collectShares, erasure decode,
 // repair policy) is unchanged, which is what keeps a multi-process
 // proof bit-identical to the in-process bus run.

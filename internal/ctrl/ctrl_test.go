@@ -250,7 +250,7 @@ func (f *fakeWorker) recvAssign() Assign {
 
 func (f *fakeWorker) sendShares(ctx context.Context, p core.Problem, a Assign) {
 	f.t.Helper()
-	shares, err := core.EvaluateShares(ctx, p, a.Primes, a.Owner, f.ack.Worker, a.Round, a.Lo, a.Hi)
+	shares, err := core.NewPlanner(p).EvaluateShares(ctx, a.Primes, a.Owner, f.ack.Worker, a.Round, a.Lo, a.Hi)
 	if err != nil {
 		f.t.Fatalf("fake worker evaluate: %v", err)
 	}

@@ -5,7 +5,7 @@ package ctrl
 // until told Done. A worker holds no run state beyond its problem
 // cache and its resume token — everything it needs to produce
 // bit-identical shares travels in the Assign manifest, and evaluation
-// goes through core.EvaluateShares, the same range evaluator the
+// goes through core.Planner.EvaluateShares, the same block loop the
 // in-process engine uses. A dropped connection is retried with
 // exponential backoff; presenting the resume token reattaches the same
 // slot, and the coordinator replays any assignment whose shares never

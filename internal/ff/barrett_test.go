@@ -3,8 +3,7 @@ package ff
 // Differential tests pinning the precomputed-reciprocal (Barrett /
 // Möller–Granlund) reduction against the retired division-based
 // implementation, bit for bit, across the full supported modulus range —
-// plus the inlining guard for MulK and the microbenchmarks quoted in
-// BENCH_2.json.
+// plus the inlining guard for MulK and the microbenchmarks.
 
 import (
 	"math/rand"
@@ -245,7 +244,7 @@ func FuzzMul(f *testing.F) {
 	})
 }
 
-// --- microbenchmarks (recorded in BENCH_2.json by scripts/bench.sh) ----------
+// --- microbenchmarks ----------------------------------------------------------
 
 func benchOperands(q uint64) []uint64 {
 	xs := make([]uint64, 4096)

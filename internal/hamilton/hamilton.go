@@ -32,7 +32,7 @@ type Problem struct {
 	rest int // enumerated z variables (vertices half+1..n-1)
 }
 
-var _ core.Problem = (*Problem)(nil)
+var _ core.CompiledProblem = (*Problem)(nil)
 
 // NewProblem builds the Theorem 8(3) problem.
 func NewProblem(g *graph.Graph) (*Problem, error) {

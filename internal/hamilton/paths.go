@@ -30,7 +30,7 @@ type PathProblem struct {
 	rest int
 }
 
-var _ core.Problem = (*PathProblem)(nil)
+var _ core.CompiledProblem = (*PathProblem)(nil)
 
 // NewPathProblem builds the Hamiltonian-path problem.
 func NewPathProblem(g *graph.Graph) (*PathProblem, error) {

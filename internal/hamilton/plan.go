@@ -15,11 +15,6 @@ import (
 	"camelot/internal/plan"
 )
 
-var (
-	_ plan.Compiler = (*Problem)(nil)
-	_ plan.Compiler = (*PathProblem)(nil)
-)
-
 // inNeighbours lists, for each vertex v, the vertices u with a_uv = 1.
 func inNeighbours(g *graph.Graph) [][]int32 {
 	n := g.N()

@@ -4,8 +4,7 @@ package poly
 // and against a self-contained division-based reference transform (the
 // pre-plan implementation, kept here verbatim in spirit: twiddles
 // rebuilt per call, Fermat inversions per multiply, hardware-division
-// modmul), plan-cache concurrency, and the BenchmarkNTT pair quoted in
-// BENCH_2.json.
+// modmul), plan-cache concurrency, and the BenchmarkNTT pair.
 
 import (
 	"math/bits"

@@ -284,8 +284,7 @@ func TestEvaluateBlockMatchesEvaluate(t *testing.T) {
 }
 
 func TestCamelotTrianglesBatchEndToEnd(t *testing.T) {
-	// Full protocol through the batch path (core.Run prefers
-	// EvaluateBlock now that Problem implements BatchProblem), checked
+	// Full protocol through the compiled plan's block path, checked
 	// against the naive count.
 	g := graph.Gnp(30, 0.3, 8)
 	p, err := NewProblem(g, tensor.Strassen())

@@ -254,7 +254,7 @@ func (ss *SplitSparse) PartPolyDegree() int { return pow(ss.t, ss.k-ss.ell) - 1 
 // ff.LagrangeEvaluator (factorial products and fixed denominators
 // inverted at construction), and the Φ/x^{(ℓ)} scatter buffers are
 // reused between calls. This is the block-evaluation workhorse behind
-// BatchProblem implementations of the §3.3 polynomial extension.
+// compiled plans of the §3.3 polynomial extension.
 //
 // Like ff.LagrangeEvaluator, a PartsEvaluator is NOT safe for
 // concurrent use (shared scratch); build one per goroutine. At(z0) is

@@ -5,6 +5,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -80,9 +81,9 @@ var lockGrandfathered = map[string]bool{}
 
 // TestNoAdHocPlanCachesInProblems enforces the plan-layer contract: a
 // problem package that memoizes per-prime state behind sync.Once or a
-// sync.Mutex is rebuilding the compiled-plan machinery privately —
-// unshared across tenants, invisible to the cluster's plan cache, and
-// a lock on the scheduler's hot path. Per-prime state belongs in
+// sync.Mutex is rebuilding the planner's per-prime memo privately — a
+// second compile-once mechanism, and a lock on the pool workers' hot
+// path. Per-prime state belongs in
 // Compile (plan.Compiler); cross-call coordination inside a plan is a
 // design smell the equivalence tests cannot catch. sync.WaitGroup
 // (fan-out joins) stays allowed.
@@ -116,5 +117,50 @@ func TestNoAdHocPlanCachesInProblems(t *testing.T) {
 	if len(offenders) > 0 {
 		t.Fatalf("ad-hoc lazy caches in problem packages (move per-prime state into plan.Compiler.Compile):\n  %s",
 			strings.Join(offenders, "\n  "))
+	}
+}
+
+// coreForbidden are the duplicates internal/core collapsed: a block
+// seam that takes the prime per call (the legacy BatchProblem shape —
+// block evaluation goes through plan.Compiler and a compiled plan.Plan)
+// and a per-run worker pool beside Pool (the retired scheduler.run).
+var coreForbidden = map[string]*regexp.Regexp{
+	"second evaluation seam (compile a plan.Plan instead)": regexp.MustCompile(`EvaluateBlock\(q uint64`),
+	"second worker pool (run tasks on core.Pool instead)":  regexp.MustCompile(`func \([^)]*\) run\(ctx context\.Context, n int, task `),
+}
+
+// coreGrandfathered lists internal/core files still allowed to match
+// coreForbidden. Empty. Do not add entries.
+var coreGrandfathered = map[string]bool{}
+
+// TestCoreKeepsOneOfEach keeps internal/core at one evaluation seam and
+// one worker pool: every strategy added beside them is a path the
+// golden proofs and the benchmark must cover twice.
+func TestCoreKeepsOneOfEach(t *testing.T) {
+	entries, err := os.ReadDir("internal/core")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var offenders []string
+	for _, d := range entries {
+		name := d.Name()
+		path := "internal/core/" + name
+		if d.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") || coreGrandfathered[path] {
+			continue
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			for what, re := range coreForbidden {
+				if re.MatchString(line) {
+					offenders = append(offenders, fmt.Sprintf("%s:%d: %s: %s", path, i+1, what, strings.TrimSpace(line)))
+				}
+			}
+		}
+	}
+	if len(offenders) > 0 {
+		t.Fatalf("duplicate paths in internal/core:\n  %s", strings.Join(offenders, "\n  "))
 	}
 }

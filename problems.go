@@ -135,8 +135,8 @@ func TuttePolynomial(ctx context.Context, mg *Multigraph, opts ...Option) (*Tutt
 	if copts.MaxParallelism > 0 {
 		// An explicit parallelism bound must hold across the whole
 		// computation, not per line: the default cluster's pool has its
-		// own width and the per-run scheduler fallback would multiply
-		// the bound by m+1 concurrent lines. A transient cluster sized
+		// own width and a private pool per line would multiply the
+		// bound by m+1 concurrent lines. A transient cluster sized
 		// to the bound keeps every line on one pool of exactly that
 		// width.
 		cl = NewCluster(WithNodes(copts.Nodes), WithMaxParallelism(copts.MaxParallelism))
@@ -368,42 +368,19 @@ type CountingProblem interface {
 	Count(proof *Proof) (*big.Int, error)
 }
 
-// countingProblem adapts an internal problem + recovery closure.
+// countingProblem adapts an internal problem + recovery closure. It
+// embeds CompiledProblem, not Problem: the bare interface would hide
+// Compile from the planner's type assertion, silently downgrading every
+// spec workload to pointwise evaluation.
 type countingProblem struct {
-	core.Problem
+	core.CompiledProblem
 	count func(*core.Proof) (*big.Int, error)
 }
 
 func (p countingProblem) Count(proof *Proof) (*big.Int, error) { return p.count(proof) }
 
-// countingCompiledProblem preserves the compiled-plan fast path through
-// the adapter: embedding the bare Problem interface would hide Compile
-// from the planner's type assertion, silently downgrading every spec
-// workload to per-point evaluation.
-type countingCompiledProblem struct {
-	core.CompiledProblem
-	count func(*core.Proof) (*big.Int, error)
-}
-
-func (p countingCompiledProblem) Count(proof *Proof) (*big.Int, error) { return p.count(proof) }
-
-// countingBatchProblem preserves the legacy BatchProblem seam for
-// problems that block-evaluate without a compile phase.
-type countingBatchProblem struct {
-	core.BatchProblem
-	count func(*core.Proof) (*big.Int, error)
-}
-
-func (p countingBatchProblem) Count(proof *Proof) (*big.Int, error) { return p.count(proof) }
-
-func newCountingProblem(p core.Problem, count func(*core.Proof) (*big.Int, error)) CountingProblem {
-	if cp, ok := p.(core.CompiledProblem); ok {
-		return countingCompiledProblem{CompiledProblem: cp, count: count}
-	}
-	if bp, ok := p.(core.BatchProblem); ok {
-		return countingBatchProblem{BatchProblem: bp, count: count}
-	}
-	return countingProblem{Problem: p, count: count}
+func newCountingProblem(p core.CompiledProblem, count func(*core.Proof) (*big.Int, error)) CountingProblem {
+	return countingProblem{CompiledProblem: p, count: count}
 }
 
 // NewTriangleProblem builds the Theorem 3 triangle-counting problem for

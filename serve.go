@@ -249,9 +249,6 @@ func (s *Server) Submit(tenant, spec string) (SubmitOutcome, error) {
 		return out, fmt.Errorf("%w: %d preparations in flight", ErrQueueFull, s.depth)
 	}
 	e := &serveEntry{digest: digest, spec: w.Canonical, tenant: tenant, done: make(chan struct{})}
-	// The plan key is the fault-independent PlanDigest, not the proof
-	// digest: tenants whose submissions differ only in fault knobs still
-	// share one compiled evaluation plan per prime on the cluster.
 	e.job = s.cluster.Submit(s.ctx, w.Problem,
 		WithFaultTolerance(s.cfg.FaultTolerance),
 		WithMaxErasures(s.cfg.MaxErasures),
@@ -259,7 +256,6 @@ func (s *Server) Submit(tenant, spec string) (SubmitOutcome, error) {
 		WithVerifyTrials(s.cfg.VerifyTrials),
 		WithSeed(s.cfg.VerifySeed),
 		WithPriority(tc.Priority),
-		withPlanKey(w.PlanDigest()),
 	)
 	s.entries[digest] = e
 	s.inflight[tenant]++
@@ -582,7 +578,4 @@ func (s *Server) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "camelot_stage_seconds{stage=\"verify\"} %g\n", float64(verify)/1e9)
 	fmt.Fprintf(w, "camelot_spot_checks_total %d\n", s.spotChecks.Load())
 	fmt.Fprintf(w, "camelot_spot_check_failures_total %d\n", s.spotCheckFailures.Load())
-	planHits, planMisses := s.cluster.PlanCacheStats()
-	fmt.Fprintf(w, "camelot_plan_cache_hits %d\n", planHits)
-	fmt.Fprintf(w, "camelot_plan_cache_misses %d\n", planMisses)
 }

@@ -148,19 +148,6 @@ func TestServeCacheHitsAreBitIdentical(t *testing.T) {
 	if ok, err := srv.VerifyStored(ctx, out.Digest); err != nil || !ok {
 		t.Fatalf("VerifyStored on cached proof = (%v, %v), want (true, nil)", ok, err)
 	}
-	// Every digest-keyed run compiles each (workload, prime) plan once
-	// (misses) and reuses it across that run's chunks and any later
-	// identical submission (hits); the storm must have produced both.
-	planHits, planMisses := cl.PlanCacheStats()
-	if planHits == 0 || planMisses == 0 {
-		t.Errorf("plan cache stats = (%d hits, %d misses), want both > 0", planHits, planMisses)
-	}
-	var metrics strings.Builder
-	srv.WriteMetrics(&metrics)
-	if !strings.Contains(metrics.String(), fmt.Sprintf("camelot_plan_cache_hits %d\n", planHits)) ||
-		!strings.Contains(metrics.String(), fmt.Sprintf("camelot_plan_cache_misses %d\n", planMisses)) {
-		t.Errorf("metrics missing plan cache counters:\n%s", metrics.String())
-	}
 }
 
 // TestServeQuotaRefusalsTyped pins the admission-control contract: a
@@ -362,69 +349,6 @@ func BenchmarkServeFirstRun(b *testing.B) {
 		if _, err := srv.Result(ctx, out.Digest); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// planBenchSpec is the workload the plan-reuse benchmarks submit.
-const planBenchSpec = "cliques n=14 p=0.5 k=6 seed=7"
-
-// BenchmarkServePlanCold rebuilds the whole service per iteration: a
-// fresh cluster means a fresh plan cache, so every submission compiles
-// its per-prime plans from scratch.
-func BenchmarkServePlanCold(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		cl := NewCluster(WithNodes(2))
-		srv := NewServer(cl, ServerConfig{FaultTolerance: 1})
-		out, err := srv.Submit("bench", planBenchSpec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := srv.Result(ctx, out.Digest); err != nil {
-			b.Fatal(err)
-		}
-		srv.Close()
-		cl.Close()
-	}
-}
-
-// BenchmarkServePlanWarm reuses one cluster — and with it the shared
-// compiled-plan cache — while rebuilding the Server per iteration so
-// the proof cache never short-circuits the run: each iteration is the
-// "second identical submit" regime with only the plan layer warm. The
-// ratio against BenchmarkServePlanCold is the plan_cache_reuse entry
-// bench.sh records. Measured honestly it hovers ≈1.0: every in-tree
-// Compile is µs-scale against a multi-second run (heavy per-prime
-// state stays per-block where it allocates mutable scratch), so the
-// cache's value is single-flight sharing and the /metrics counters,
-// not wall-clock — the serve storm test pins that functional claim.
-func BenchmarkServePlanWarm(b *testing.B) {
-	ctx := context.Background()
-	cl := NewCluster(WithNodes(2))
-	defer cl.Close()
-	// Prime the plan cache outside the timed loop.
-	{
-		srv := NewServer(cl, ServerConfig{FaultTolerance: 1})
-		out, err := srv.Submit("bench", planBenchSpec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := srv.Result(ctx, out.Digest); err != nil {
-			b.Fatal(err)
-		}
-		srv.Close()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		srv := NewServer(cl, ServerConfig{FaultTolerance: 1})
-		out, err := srv.Submit("bench", planBenchSpec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := srv.Result(ctx, out.Digest); err != nil {
-			b.Fatal(err)
-		}
-		srv.Close()
 	}
 }
 

@@ -61,17 +61,6 @@ func (w *Workload) Digest(faults int) string {
 	return hex.EncodeToString(h[:])
 }
 
-// PlanDigest returns the cache key for compiled evaluation plans of
-// this workload: a hex SHA-256 over the canonical spec alone. Unlike
-// Digest it deliberately excludes the fault-tolerance knob — f changes
-// the codeword length, not the proof polynomial, so two tenants
-// submitting the same instance with different fault budgets share one
-// compiled plan per prime.
-func (w *Workload) PlanDigest() string {
-	h := sha256.Sum256([]byte("camelot/plan/v1 " + w.Canonical))
-	return hex.EncodeToString(h[:])
-}
-
 // ParseWorkload parses a `kind key=value ...` spec line. Unknown kinds
 // and malformed fields error; unknown keys are ignored (forward
 // compatibility with newer spec writers). Defaults per kind:

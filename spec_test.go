@@ -1,6 +1,10 @@
 package camelot
 
-import "testing"
+import (
+	"testing"
+
+	"camelot/internal/plan"
+)
 
 // Equivalent spec strings — defaults omitted vs. spelled out, fields in
 // any order — must canonicalize to one line and one digest: the cache
@@ -60,5 +64,42 @@ func TestWorkloadDigestSeparatesInstances(t *testing.T) {
 	// Negative fault tolerance is clamped like the run options clamp it.
 	if base.Digest(-3) != base.Digest(0) {
 		t.Fatal("Digest(-3) != Digest(0): negative faults should clamp to 0")
+	}
+}
+
+// Every counting problem the facade hands out must still compile after
+// the newCountingProblem wrapping: a wrapper that hid Compile would
+// silently send the workload through the pointwise plan.
+func TestCountingProblemsCompile(t *testing.T) {
+	problems := map[string]CountingProblem{}
+	for _, kind := range []string{"triangles", "cliques", "permanent", "cnfsat", "hamilton"} {
+		w, err := ParseWorkload(kind)
+		if err != nil {
+			t.Fatalf("ParseWorkload(%q): %v", kind, err)
+		}
+		problems["spec "+kind] = w.Problem
+	}
+	g := RandomGraph(8, 0.5, 1)
+	add := func(name string, p CountingProblem, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		problems[name] = p
+	}
+	p, err := NewTriangleProblem(g)
+	add("NewTriangleProblem", p, err)
+	p, err = NewCliqueProblem(g, 6)
+	add("NewCliqueProblem", p, err)
+	p, err = NewPermanentProblem([][]int64{{1, 2}, {3, 4}})
+	add("NewPermanentProblem", p, err)
+	p, err = NewCNFProblem(&CNFFormula{V: 4, Clauses: [][]int{{1, 2}, {-3, 4}}})
+	add("NewCNFProblem", p, err)
+	p, err = NewHamiltonianCycleProblem(g)
+	add("NewHamiltonianCycleProblem", p, err)
+	for name, p := range problems {
+		if _, ok := p.(plan.Compiler); !ok {
+			t.Errorf("%s: %T does not implement plan.Compiler", name, p)
+		}
 	}
 }
