@@ -1,6 +1,6 @@
 package camelot
 
-// Ablation benchmarks for the design choices DESIGN.md calls out:
+// Ablation benchmarks for three design choices:
 // the matrix-multiplication tensor decomposition (Strassen ω≈2.807 vs
 // classical ω=3), the number of decoding nodes, and the NTT-vs-Karatsuba
 // polynomial multiplication path.

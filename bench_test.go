@@ -1,8 +1,8 @@
 package camelot
 
 // Benchmarks E01..E13 regenerate the per-theorem experiment measurements
-// recorded in EXPERIMENTS.md (the paper is an extended abstract with no
-// numbered tables; DESIGN.md §3 maps theorems to experiment ids). Run
+// (the paper is an extended abstract with no numbered tables;
+// cmd/experiments/main.go maps theorems to experiment ids). Run
 //
 //	go test -bench=. -benchmem .
 //

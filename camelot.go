@@ -27,7 +27,6 @@
 package camelot
 
 import (
-	"math/rand"
 	"time"
 
 	"camelot/internal/core"
@@ -42,6 +41,20 @@ import (
 // errors.Is; the budget arithmetic lives in the run's FaultTolerance
 // and MaxErasures options.
 var ErrDecodeFailure = rs.ErrDecodeFailure
+
+// ErrInvalidOptions is the typed refusal of run options outside their
+// domain (a negative node count, fault tolerance, trial count, erasure
+// or repair budget) or contradicting each other (WithMaxRepairRounds or
+// WithGatherGrace without WithMaxErasures). The engine judges them once
+// per run, so one-shot calls, Cluster.Submit, manifests and the proof
+// service all refuse the same inputs. Match with errors.Is.
+var ErrInvalidOptions = core.ErrInvalidOptions
+
+// ErrDeliveryFault is the typed refusal of a strict run — one without
+// WithMaxErasures — whose transport lost a node's broadcast: once
+// sending has concluded and a grace period has passed, the run names
+// the unheard node and stops rather than wait. Match with errors.Is.
+var ErrDeliveryFault = core.ErrDeliveryFault
 
 // ErrQuorumUnsupported is returned when a run tolerating delivery
 // faults (WithMaxErasures) is configured with a custom transport that
@@ -187,6 +200,12 @@ func defaultRunSettings() runSettings {
 	return runSettings{base: tensor.Strassen()}
 }
 
+// Resolved settings are themselves a RunOption — "use exactly these" —
+// which is how a facade call hands the settings its options resolved to
+// on to the problem constructor it wraps.
+func (rs runSettings) applyRun(dst *runSettings) { *dst = rs }
+func (rs runSettings) applyFacade(c *config)     { c.run = rs }
+
 // config is the merged view a one-shot facade call resolves.
 type config struct {
 	cluster clusterConfig
@@ -305,7 +324,9 @@ func tcpFactory(dial, listen string) TransportFactory {
 // WithShardedTransport or WithTCPTransport/WithListenAddr to lose
 // messages on a sharded or networked run). Runs on
 // a lossy cluster that may actually drop messages also need the
-// run-scoped WithMaxErasures to opt into erasure-tolerant gathering.
+// run-scoped WithMaxErasures to opt into erasure-tolerant gathering; a
+// strict run that loses one ends in ErrDeliveryFault a grace period
+// after sending has concluded.
 func WithLossyTransport(cfg LossyConfig) ClusterOption {
 	return clusterOption(func(cc *clusterConfig) {
 		cc.newTransport = core.NewLossyFactory(cfg, cc.newTransport)
@@ -345,14 +366,14 @@ func WithDecodingNodes(k int) RunOption {
 // heard (or the grace timer fires) and the missing nodes' coordinates
 // are decoded as Reed–Solomon erasures — each costing half an error in
 // the budget 2·errors + erasures ≤ e-d-1. Default 0: a strict run that
-// fails if any message is lost.
+// fails with ErrDeliveryFault if any message is lost.
 func WithMaxErasures(n int) RunOption {
 	return runOption(func(rs *runSettings) { rs.opts.MaxErasures = n })
 }
 
 // WithGatherGrace bounds how long an erasure-tolerant gather waits
 // between hearing from *new* senders before giving up on stragglers
-// (default 2s; only meaningful with WithMaxErasures). Duplicate
+// (default 2s; without WithMaxErasures it is ErrInvalidOptions). Duplicate
 // deliveries do not renew the grace — only a sender not heard before
 // does, as does the moment all sending concludes.
 func WithGatherGrace(d time.Duration) RunOption {
@@ -366,7 +387,8 @@ func WithGatherGrace(d time.Duration) RunOption {
 // and retry the decode — turning a terminal failure into latency.
 // Repaired proofs are bit-identical to fault-free ones (evaluation is
 // deterministic in the point). Default 0: repair off. Requires
-// WithMaxErasures — a strict gather has no missing nodes to repair.
+// WithMaxErasures — a strict gather has no missing nodes to repair, and
+// the combination is ErrInvalidOptions.
 func WithMaxRepairRounds(n int) RunOption {
 	return runOption(func(rs *runSettings) { rs.opts.MaxRepairRounds = n })
 }
@@ -461,17 +483,4 @@ func FromGraph(g *Graph) *Multigraph { return &Multigraph{mg: graph.FromGraph(g.
 // RandomMultigraph draws m edges uniformly with replacement.
 func RandomMultigraph(n, m int, seed int64) *Multigraph {
 	return &Multigraph{mg: graph.RandomMultigraph(n, m, seed)}
-}
-
-// randomBits fills a Boolean matrix deterministically; shared by the
-// vector-problem constructors.
-func randomBits(n, t int, density float64, seed int64) []uint8 {
-	rng := rand.New(rand.NewSource(seed))
-	bits := make([]uint8, n*t)
-	for i := range bits {
-		if rng.Float64() < density {
-			bits[i] = 1
-		}
-	}
-	return bits
 }

@@ -1,0 +1,150 @@
+package camelot
+
+import (
+	"context"
+	"errors"
+	"math/big"
+	"strings"
+	"testing"
+	"time"
+
+	"camelot/internal/chromatic"
+	"camelot/internal/conv3sum"
+	"camelot/internal/csp"
+	"camelot/internal/graph"
+	"camelot/internal/orthvec"
+	"camelot/internal/setcover"
+)
+
+// The kinds the catalog made spec-addressable define their Count here
+// (a total, Σ|c_k|, N_m) rather than in a facade constructor, so each is
+// checked against its package's brute-force oracle on the instance the
+// catalog's seeded generator draws — the wiring of generator, problem
+// and answer that no other test sees.
+func TestCatalogAnswersMatchOracles(t *testing.T) {
+	sum := func(cs []int64) *big.Int {
+		total := new(big.Int)
+		for _, c := range cs {
+			total.Add(total, big.NewInt(c))
+		}
+		return total
+	}
+	for spec, oracle := range map[string]func() *big.Int{
+		"chromatic n=6 p=0.5 seed=3": func() *big.Int {
+			// Σ|c_k| = |χ_G(-1)|, and χ_G(-1) follows from the colouring
+			// counts χ_G(0..n) by Lagrange interpolation.
+			g, n := graph.Gnp(6, 0.5, 3), 6
+			at := new(big.Rat)
+			for i := 0; i <= n; i++ {
+				term := new(big.Rat).SetInt(chromatic.CountColoringsBrute(g, i))
+				for j := 0; j <= n; j++ {
+					if j != i {
+						term.Mul(term, big.NewRat(int64(-1-j), int64(i-j)))
+					}
+				}
+				at.Add(at, term)
+			}
+			if !at.IsInt() {
+				t.Fatalf("χ_G(-1) = %v is not an integer", at)
+			}
+			return new(big.Int).Abs(at.Num())
+		},
+		"setcover n=6 sets=8 t=3 seed=2": func() *big.Int {
+			return setcover.CountCoversBrute(randomFamily(6, 8, 2), 6, 3)
+		},
+		"ov n=12 t=5 seed=4": func() *big.Int {
+			am, bm, err := boolMatrices(12, 5, RandomBoolMatrix(12, 5, 0.3, 4), RandomBoolMatrix(12, 5, 0.3, 5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sum(orthvec.CountOrthogonalNaive(am, bm))
+		},
+		"conv3sum n=16 bits=4 seed=5": func() *big.Int {
+			return sum(conv3sum.CountNaive(randomArray(16, 4, 5)))
+		},
+		"csp n=6 sigma=2 m=4 seed=6": func() *big.Int {
+			dist := csp.DistributionBrute(csp.RandomSystem(6, 2, 4, 0.5, 6))
+			return dist[len(dist)-1]
+		},
+	} {
+		w, err := ParseWorkload(spec)
+		if err != nil {
+			t.Fatalf("ParseWorkload(%q): %v", spec, err)
+		}
+		proof, _, err := RunProblem(context.Background(), w.Problem, WithNodes(3))
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		got, err := w.Problem.Count(proof)
+		if err != nil {
+			t.Fatalf("%s: Count: %v", spec, err)
+		}
+		if want := oracle(); got.Cmp(want) != 0 {
+			t.Errorf("%s: Count = %v, oracle says %v", spec, got, want)
+		}
+		if text, err := w.Answer(proof); err != nil || text == "" {
+			t.Errorf("%s: Answer = %q, %v", spec, text, err)
+		}
+	}
+}
+
+// Options outside their domain or contradicting each other are refused
+// by the engine with ErrInvalidOptions, whichever door they came in by —
+// not clamped, and not surfacing from the Reed–Solomon layer.
+func TestInvalidOptionsRefusedEverywhere(t *testing.T) {
+	ctx := context.Background()
+	g := CompleteGraph(6)
+	for name, opts := range map[string][]Option{
+		"negative faults":      {WithFaultTolerance(-3)},
+		"negative nodes":       {WithNodes(-2)},
+		"negative trials":      {WithVerifyTrials(-1)},
+		"negative erasures":    {WithMaxErasures(-4)},
+		"repair sans erasures": {WithMaxRepairRounds(1)},
+		"grace sans erasures":  {WithGatherGrace(time.Second)},
+	} {
+		if _, _, err := CountTriangles(ctx, g, opts...); !errors.Is(err, ErrInvalidOptions) {
+			t.Errorf("one-shot, %s: err = %v, want ErrInvalidOptions", name, err)
+		}
+	}
+	p, err := NewTriangleProblem(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := NewCluster(WithNodes(2))
+	defer cl.Close()
+	if _, _, err := cl.Submit(ctx, p, WithMaxRepairRounds(2)).Wait(ctx); !errors.Is(err, ErrInvalidOptions) {
+		t.Errorf("Cluster.Submit: err = %v, want ErrInvalidOptions", err)
+	}
+	srv := NewServer(cl, ServerConfig{MaxRepairRounds: 1})
+	defer srv.Close()
+	out, err := srv.Submit("tenant", "permanent n=4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Result(ctx, out.Digest); !errors.Is(err, ErrInvalidOptions) {
+		t.Errorf("Server: err = %v, want ErrInvalidOptions", err)
+	}
+}
+
+// A strict run over a transport that loses a message must end on its
+// own, typed and naming the node, well inside the deadline: a gather
+// that waits for the caller's context instead never returns under the
+// proof service's background context, and keeps its queue slot.
+func TestStrictRunRefusesLossPromptly(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	cl := NewCluster(WithNodes(4), WithLossyTransport(LossyConfig{DropNodes: []int{1}}))
+	defer cl.Close()
+	p, err := NewTriangleProblem(RandomGraph(12, 0.5, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, _, err = cl.Submit(context.Background(), p).Wait(ctx)
+	if !errors.Is(err, ErrDeliveryFault) || !strings.Contains(err.Error(), "no message from node 1") {
+		t.Fatalf("err = %v, want ErrDeliveryFault naming node 1", err)
+	}
+	if took := time.Since(start); took > 4*time.Second {
+		t.Fatalf("refusal took %v of a 5s deadline", took)
+	}
+}

@@ -58,11 +58,7 @@ func NewCluster(opts ...ClusterOption) *Cluster {
 // pool arbitrates execution. Submitting to a closed cluster yields a
 // job already failed with ErrClusterClosed.
 func (cl *Cluster) Submit(ctx context.Context, p Problem, opts ...RunOption) *Job {
-	rs := defaultRunSettings()
-	for _, o := range opts {
-		o.applyRun(&rs)
-	}
-	c := config{cluster: cl.cfg, run: rs}
+	c := config{cluster: cl.cfg, run: applyRunOptions(opts)}
 	return cl.submitCore(ctx, p, c.coreOptions())
 }
 

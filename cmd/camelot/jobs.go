@@ -8,8 +8,9 @@ package main
 //
 //	camelot jobs -manifest workload.txt -nodes 4
 //
-// Manifest format: one job per line, `kind key=value ...`; blank lines
-// and #-comments are ignored.
+// Manifest format: one job per line, `kind key=value ...` for any kind
+// of the catalog (camelot.Kinds); blank lines and #-comments are
+// ignored.
 //
 //	triangles n=32 p=0.3 seed=7
 //	cliques   n=8 k=6 p=0.7 seed=1
@@ -29,25 +30,17 @@ import (
 	"camelot"
 )
 
-// manifestJob is one parsed manifest line.
-type manifestJob struct {
-	line    int
-	kind    string
-	digest  func(faults int) string // the proof-cache key of this line
-	problem camelot.CountingProblem
-}
-
 // parseManifest reads the job list. Each non-comment line is a
 // workload spec in the facade's shared grammar (camelot.ParseWorkload)
 // — the same one-line encoding the coordinate subcommand and the
 // control protocol's Assign manifests use.
-func parseManifest(path string) ([]manifestJob, error) {
+func parseManifest(path string) ([]*camelot.Workload, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var jobs []manifestJob
+	var jobs []*camelot.Workload
 	sc := bufio.NewScanner(f)
 	lineNo := 0
 	for sc.Scan() {
@@ -60,7 +53,7 @@ func parseManifest(path string) ([]manifestJob, error) {
 		if err != nil {
 			return nil, fmt.Errorf("manifest line %d: %w", lineNo, err)
 		}
-		jobs = append(jobs, manifestJob{line: lineNo, kind: w.Kind, digest: w.Digest, problem: w.Problem})
+		jobs = append(jobs, w)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -72,7 +65,7 @@ func parseManifest(path string) ([]manifestJob, error) {
 }
 
 // runJobs is the jobs subcommand body.
-func runJobs(rest []string) error {
+func runJobs(ctx context.Context, rest []string) error {
 	fs := flag.NewFlagSet("jobs", flag.ContinueOnError)
 	var cf commonFlags
 	cf.register(fs)
@@ -93,14 +86,13 @@ func runJobs(rest []string) error {
 		return err
 	}
 
-	ctx := context.Background()
 	cluster := camelot.NewCluster(clusterOpts...)
 	defer cluster.Close()
 
 	start := time.Now()
 	jobs := make([]*camelot.Job, len(specs))
 	for i, spec := range specs {
-		jobs[i] = cluster.Submit(ctx, spec.problem, runOpts...)
+		jobs[i] = cluster.Submit(ctx, spec.Problem, runOpts...)
 	}
 	fmt.Printf("submitted %d jobs to one cluster (K=%d)\n", len(jobs), cf.nodes)
 
@@ -112,24 +104,24 @@ func runJobs(rest []string) error {
 	for i, job := range jobs {
 		proof, rep, err := job.Wait(ctx)
 		if err != nil {
-			fmt.Printf("  [%2d] %-30s FAILED: %v\n", i, specs[i].kind, err)
+			fmt.Printf("  [%2d] %-30s FAILED: %v\n", i, specs[i].Kind, err)
 			if firstFailure == nil {
-				firstFailure = fmt.Errorf("job %d (%s): %w", i, specs[i].kind, err)
+				firstFailure = fmt.Errorf("job %d (%s): %w", i, specs[i].Kind, err)
 			}
 			continue
 		}
-		count, err := specs[i].problem.Count(proof)
+		count, err := specs[i].Problem.Count(proof)
 		if err != nil {
-			fmt.Printf("  [%2d] %-30s RECOVERY FAILED: %v\n", i, specs[i].kind, err)
+			fmt.Printf("  [%2d] %-30s RECOVERY FAILED: %v\n", i, specs[i].Kind, err)
 			if firstFailure == nil {
-				firstFailure = fmt.Errorf("job %d (%s): recovering count: %w", i, specs[i].kind, err)
+				firstFailure = fmt.Errorf("job %d (%s): recovering count: %w", i, specs[i].Kind, err)
 			}
 			continue
 		}
 		// The digest is the same content-address `camelot serve` caches
 		// under, so a manifest run's proofs are findable in a service.
 		fmt.Printf("  [%2d] %-30s count=%v  (%d proof symbols, suspects %v, digest %s)\n",
-			i, rep.Problem, count, rep.ProofSymbols, rep.SuspectNodes, specs[i].digest(cf.faults)[:12])
+			i, rep.Problem, count, rep.ProofSymbols, rep.SuspectNodes, specs[i].Digest(cf.faults)[:12])
 	}
 	elapsed := time.Since(start)
 	fmt.Printf("%d jobs in %v — %.2f jobs/sec\n",

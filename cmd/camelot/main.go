@@ -3,7 +3,13 @@
 // byzantine adversary, and it prepares, error-corrects, and verifies the
 // proof, printing the framework report.
 //
-// Usage:
+// The problem subcommands are the kinds of the facade's catalog
+// (camelot.Kinds): each kind's fields are its flags, with the same names
+// and defaults as in a workload spec, so `camelot cliques -n 9` runs the
+// spec "cliques n=9" (-seed is the spec's seed). tutte is the one
+// subcommand of its own, because it prepares m+1 proofs, not one.
+//
+// Usage (a test keeps these lines true to the catalog):
 //
 //	camelot cliques   -n 10 -k 6 -nodes 8 -faults 200 -lie 2
 //	camelot triangles -n 48 -p 0.2 -nodes 4
@@ -34,9 +40,11 @@
 // cross-shard relay, -dropnodes/-droprate/-duprate/-delayrate/-maxdelay
 // wrap the transport in a seeded lossy network, and -erasures/-grace
 // opt the run into the erasure-tolerant quorum gather that survives the
-// losses. -repair N allows up to N self-healing gather rounds when the
-// losses exceed even the erasure budget — surviving nodes recompute the
-// missing ranges and the decode is retried:
+// losses (without -erasures a lost broadcast ends the run with a typed
+// refusal naming the node). -repair N allows up to N self-healing
+// gather rounds when the losses exceed even the erasure budget —
+// surviving nodes recompute the missing ranges and the decode is
+// retried:
 //
 //	camelot triangles -n 48 -nodes 8 -faults 6 -shards 3 -dropnodes 2 -erasures 2
 //	camelot triangles -n 48 -nodes 8 -faults 1 -dropnodes 2,5 -erasures 2 -repair 1
@@ -61,9 +69,9 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
-	"math/big"
 	"net"
 	"os"
 	"strconv"
@@ -123,22 +131,18 @@ func (cf *commonFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&cf.listenAddr, "listen", "", "TCP collector bind address when it differs from -tcp; alone, a loopback cluster dialing the bound address (use 127.0.0.1:0 for an ephemeral port)")
 }
 
-// validate applies every cross-flag rule up front, so a contradictory
-// invocation dies with one friendly line instead of a mid-run hang or a
-// deep framework error. splitOptions calls it first; subcommands with
-// extra flags (coordinate) layer their own checks on top.
+// validate checks what only a command line can get wrong: the syntax of
+// its flags (probabilities, host:port addresses, a node count of zero
+// where the library would read "default") and the one-transport rule of
+// composing them. Whether the resulting options make sense together is
+// the library's judgement — camelot.ErrInvalidOptions, the same refusal
+// a Go caller, a manifest or the proof service gets.
 func (cf *commonFlags) validate() error {
-	if cf.nodes < 1 {
-		return fmt.Errorf("-nodes must be at least 1, got %d", cf.nodes)
+	if cf.nodes == 0 {
+		return fmt.Errorf("-nodes 0: a run needs at least one node")
 	}
-	if cf.faults < 0 {
-		return fmt.Errorf("-faults must be >= 0, got %d", cf.faults)
-	}
-	if cf.trials < 0 {
-		return fmt.Errorf("-trials must be >= 0, got %d", cf.trials)
-	}
-	if cf.shards < 0 || cf.erasures < 0 || cf.repair < 0 {
-		return fmt.Errorf("-shards/-erasures/-repair must be >= 0")
+	if cf.shards < 0 {
+		return fmt.Errorf("-shards must be >= 0, got %d", cf.shards)
 	}
 	for _, r := range []struct {
 		name string
@@ -159,22 +163,12 @@ func (cf *commonFlags) validate() error {
 			return fmt.Errorf("%s %q is not a host:port address (try 127.0.0.1:0 for an ephemeral port)", a.name, a.addr)
 		}
 	}
-	if (cf.dropNodes != "" || cf.dropRate > 0 || cf.dupRate > 0) && cf.erasures <= 0 {
-		return fmt.Errorf("-dropnodes/-droprate/-duprate need -erasures N: a strict gather waits forever for lost messages")
-	}
-	if cf.repair > 0 && cf.erasures <= 0 {
-		return fmt.Errorf("-repair needs -erasures N: a strict gather has no missing nodes to repair")
-	}
-	if cf.grace > 0 && cf.erasures <= 0 {
-		return fmt.Errorf("-grace needs -erasures N: only the erasure-tolerant gather has a grace timer")
-	}
 	return nil
 }
 
 // splitOptions resolves the flags into the session API's two scopes:
 // cluster-scoped (nodes, pool width) and run-scoped (faults, seed,
-// trials, adversary). The jobs subcommand feeds them to NewCluster and
-// Submit respectively; the one-shot subcommands merge them back.
+// trials, adversary), which NewCluster and Submit take respectively.
 func (cf *commonFlags) splitOptions() ([]camelot.RunOption, []camelot.ClusterOption, error) {
 	if err := cf.validate(); err != nil {
 		return nil, nil, err
@@ -187,6 +181,9 @@ func (cf *commonFlags) splitOptions() ([]camelot.RunOption, []camelot.ClusterOpt
 		camelot.WithFaultTolerance(cf.faults),
 		camelot.WithSeed(cf.seed),
 		camelot.WithVerifyTrials(cf.trials),
+		camelot.WithMaxErasures(cf.erasures),
+		camelot.WithGatherGrace(cf.grace),
+		camelot.WithMaxRepairRounds(cf.repair),
 	}
 	parse := func(s string) ([]int, error) {
 		if s == "" {
@@ -230,281 +227,172 @@ func (cf *commonFlags) splitOptions() ([]camelot.RunOption, []camelot.ClusterOpt
 			MaxDelay:  cf.maxDelay,
 		}))
 	}
-	if cf.erasures > 0 {
-		run = append(run, camelot.WithMaxErasures(cf.erasures))
-	}
-	if cf.grace > 0 {
-		run = append(run, camelot.WithGatherGrace(cf.grace))
-	}
-	if cf.repair > 0 {
-		run = append(run, camelot.WithMaxRepairRounds(cf.repair))
-	}
-	if ids, err := parse(cf.lie); err != nil {
-		return nil, nil, err
-	} else if len(ids) > 0 {
-		run = append(run, camelot.WithAdversary(camelot.LyingNodes(uint64(cf.seed), ids...)))
-	}
-	if ids, err := parse(cf.silence); err != nil {
-		return nil, nil, err
-	} else if len(ids) > 0 {
-		run = append(run, camelot.WithAdversary(camelot.SilentNodes(ids...)))
-	}
-	if ids, err := parse(cf.equiv); err != nil {
-		return nil, nil, err
-	} else if len(ids) > 0 {
-		run = append(run, camelot.WithAdversary(camelot.EquivocatingNodes(uint64(cf.seed), ids...)))
+	for _, adv := range []struct {
+		ids  string
+		make func(ids ...int) camelot.Adversary
+	}{
+		{cf.lie, func(ids ...int) camelot.Adversary { return camelot.LyingNodes(uint64(cf.seed), ids...) }},
+		{cf.silence, camelot.SilentNodes},
+		{cf.equiv, func(ids ...int) camelot.Adversary { return camelot.EquivocatingNodes(uint64(cf.seed), ids...) }},
+	} {
+		if ids, err := parse(adv.ids); err != nil {
+			return nil, nil, err
+		} else if len(ids) > 0 {
+			run = append(run, camelot.WithAdversary(adv.make(ids...)))
+		}
 	}
 	return run, cluster, nil
 }
 
-func (cf *commonFlags) options() ([]camelot.Option, error) {
+// submit runs p to completion on a cluster built from the flags, plus
+// any extra cluster options.
+func (cf *commonFlags) submit(ctx context.Context, p camelot.Problem, extra ...camelot.ClusterOption) (*camelot.Proof, *camelot.Report, error) {
 	run, cluster, err := cf.splitOptions()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	opts := make([]camelot.Option, 0, len(run)+len(cluster))
+	cl := camelot.NewCluster(append(cluster, extra...)...)
+	defer cl.Close()
+	return cl.Submit(ctx, p, run...).Wait(ctx)
+}
+
+// subcommand is one entry of the command line's dispatch table.
+type subcommand struct {
+	name string
+	run  func(ctx context.Context, rest []string) error
+}
+
+// subcommands is every catalog kind followed by the bespoke commands.
+// tutte is among the latter because it is m+1 proofs, not one.
+func subcommands() []subcommand {
+	var subs []subcommand
+	for _, k := range camelot.Kinds() {
+		subs = append(subs, subcommand{k.Name, func(ctx context.Context, rest []string) error {
+			spec, cf, err := kindSpec(k, rest)
+			if err != nil {
+				return err
+			}
+			return runSpec(ctx, spec, cf, "")
+		}})
+	}
+	return append(subs,
+		subcommand{"tutte", runTutte}, subcommand{"jobs", runJobs}, subcommand{"serve", runServe},
+		subcommand{"coordinate", runCoordinate}, subcommand{"node", runNode})
+}
+
+func run(args []string) error {
+	var names []string
+	for _, sub := range subcommands() {
+		if len(args) > 0 && sub.name == args[0] {
+			return sub.run(context.Background(), args[1:])
+		}
+		names = append(names, sub.name)
+	}
+	usage := "usage: camelot <" + strings.Join(names, "|") + "> [flags]"
+	if len(args) == 0 {
+		return errors.New(usage)
+	}
+	return fmt.Errorf("unknown subcommand %q\n%s", args[0], usage)
+}
+
+// kindSpec is the front half of every catalog kind's subcommand: the
+// kind's fields become flags and the flags become a spec line, which
+// then runs like any other — so `camelot cliques -n 9` and the spec
+// "cliques n=9" are the same workload with the same digest. -seed
+// doubles as the instance seed.
+func kindSpec(k camelot.Kind, rest []string) (string, *commonFlags, error) {
+	fs := flag.NewFlagSet(k.Name, flag.ContinueOnError)
+	cf := new(commonFlags)
+	cf.register(fs)
+	values := make([]*string, len(k.Fields))
+	for i, f := range k.Fields {
+		values[i] = fs.String(f.Name, f.Default, f.Help)
+	}
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "camelot %s: %s\n", k.Name, k.Help)
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(rest); err != nil {
+		return "", nil, err
+	}
+	spec := fmt.Sprintf("%s seed=%d", k.Name, cf.seed)
+	for i, f := range k.Fields {
+		spec += " " + f.Name + "=" + *values[i]
+	}
+	return spec, cf, nil
+}
+
+// runSpec runs one workload spec in-process and prints its answer and
+// the framework report.
+func runSpec(ctx context.Context, spec string, cf *commonFlags, proofOut string) error {
+	w, err := camelot.ParseWorkload(spec)
+	if err != nil {
+		return err
+	}
+	proof, rep, err := cf.submit(ctx, w.Problem)
+	if err != nil {
+		return err
+	}
+	return finish(w, proof, rep, proofOut)
+}
+
+// finish prints a run's answer, the framework report, and optionally
+// writes the marshalled proof — identical output for in-process and
+// multi-process runs, so the two are diffable.
+func finish(w *camelot.Workload, proof *camelot.Proof, rep *camelot.Report, proofOut string) error {
+	answer, err := w.Answer(proof)
+	if err != nil {
+		return fmt.Errorf("recovering answer: %w", err)
+	}
+	fmt.Println(answer)
+	printReport(rep)
+	if proofOut != "" {
+		raw, err := proof.MarshalBinary()
+		if err != nil {
+			return fmt.Errorf("marshalling proof: %w", err)
+		}
+		if err := os.WriteFile(proofOut, raw, 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("proof written to %s (%d bytes)\n", proofOut, len(raw))
+	}
+	return nil
+}
+
+// runTutte is the tutte subcommand body: one run per Fortuin–Kasteleyn
+// line, so not a single workload spec.
+func runTutte(ctx context.Context, rest []string) error {
+	fs := flag.NewFlagSet("tutte", flag.ContinueOnError)
+	var cf commonFlags
+	cf.register(fs)
+	n := fs.Int("n", 6, "vertices")
+	edges := fs.Int("edges", 8, "edge count (multigraph, drawn uniformly)")
+	if err := fs.Parse(rest); err != nil {
+		return err
+	}
+	run, cluster, err := cf.splitOptions()
+	if err != nil {
+		return err
+	}
+	var opts []camelot.Option
 	for _, o := range cluster {
 		opts = append(opts, o)
 	}
 	for _, o := range run {
 		opts = append(opts, o)
 	}
-	return opts, nil
-}
-
-func run(args []string) error {
-	if len(args) == 0 {
-		return fmt.Errorf("usage: camelot <cliques|triangles|chromatic|tutte|cnfsat|permanent|hamilton|setcover|ov|conv3sum|csp|jobs|serve|coordinate|node> [flags]")
-	}
-	ctx := context.Background()
-	sub, rest := args[0], args[1:]
-	switch sub {
-	case "jobs":
-		return runJobs(rest)
-	case "serve":
-		return runServe(rest)
-	case "coordinate":
-		return runCoordinate(ctx, rest)
-	case "node":
-		return runNode(ctx, rest)
-	}
-	fs := flag.NewFlagSet(sub, flag.ContinueOnError)
-	var cf commonFlags
-	cf.register(fs)
-
-	switch sub {
-	case "cliques":
-		n := fs.Int("n", 9, "vertices")
-		k := fs.Int("k", 6, "clique size (multiple of 6)")
-		p := fs.Float64("p", 0.6, "edge probability")
-		if err := fs.Parse(rest); err != nil {
-			return err
-		}
-		opts, err := cf.options()
-		if err != nil {
-			return err
-		}
-		g := camelot.RandomGraph(*n, *p, cf.seed)
-		count, rep, err := camelot.CountCliques(ctx, g, *k, opts...)
-		return report(fmt.Sprintf("%d-cliques", *k), count, rep, err)
-
-	case "triangles":
-		n := fs.Int("n", 48, "vertices")
-		p := fs.Float64("p", 0.2, "edge probability")
-		if err := fs.Parse(rest); err != nil {
-			return err
-		}
-		opts, err := cf.options()
-		if err != nil {
-			return err
-		}
-		g := camelot.RandomGraph(*n, *p, cf.seed)
-		count, rep, err := camelot.CountTriangles(ctx, g, opts...)
-		return report("triangles", count, rep, err)
-
-	case "chromatic":
-		n := fs.Int("n", 10, "vertices")
-		p := fs.Float64("p", 0.4, "edge probability")
-		if err := fs.Parse(rest); err != nil {
-			return err
-		}
-		opts, err := cf.options()
-		if err != nil {
-			return err
-		}
-		g := camelot.RandomGraph(*n, *p, cf.seed)
-		coeffs, rep, err := camelot.ChromaticPolynomial(ctx, g, opts...)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("χ_G(t) coefficients (c_0..c_%d): %v\n", len(coeffs)-1, coeffs)
-		printReport(rep)
-		return nil
-
-	case "tutte":
-		n := fs.Int("n", 6, "vertices")
-		edges := fs.Int("edges", 8, "edge count (multigraph, drawn uniformly)")
-		if err := fs.Parse(rest); err != nil {
-			return err
-		}
-		opts, err := cf.options()
-		if err != nil {
-			return err
-		}
-		mg := camelot.RandomMultigraph(*n, *edges, cf.seed)
-		start := time.Now()
-		res, err := camelot.TuttePolynomial(ctx, mg, opts...)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("Tutte polynomial recovered in %v over %d Fortuin–Kasteleyn lines\n",
-			time.Since(start).Round(time.Millisecond), len(res.Reports))
-		fmt.Printf("  spanning trees T(1,1) = %v\n", camelot.EvalTutte(res.T, 1, 1))
-		fmt.Printf("  forests        T(2,1) = %v\n", camelot.EvalTutte(res.T, 2, 1))
-		fmt.Printf("  2^m check      T(2,2) = %v\n", camelot.EvalTutte(res.T, 2, 2))
-		printReport(res.Reports[0])
-		return nil
-
-	case "cnfsat":
-		vars := fs.Int("vars", 12, "variables")
-		clauses := fs.Int("clauses", 20, "clauses")
-		width := fs.Int("width", 3, "literals per clause")
-		if err := fs.Parse(rest); err != nil {
-			return err
-		}
-		opts, err := cf.options()
-		if err != nil {
-			return err
-		}
-		f := camelot.RandomCNF(*vars, *clauses, *width, cf.seed)
-		count, rep, err := camelot.CountCNFSolutions(ctx, f, opts...)
-		return report("#SAT", count, rep, err)
-
-	case "permanent":
-		n := fs.Int("n", 10, "matrix dimension")
-		if err := fs.Parse(rest); err != nil {
-			return err
-		}
-		opts, err := cf.options()
-		if err != nil {
-			return err
-		}
-		a := camelot.RandomIntMatrix(*n, cf.seed)
-		per, rep, err := camelot.Permanent(ctx, a, opts...)
-		return report("permanent", per, rep, err)
-
-	case "hamilton":
-		n := fs.Int("n", 9, "vertices")
-		p := fs.Float64("p", 0.5, "edge probability")
-		if err := fs.Parse(rest); err != nil {
-			return err
-		}
-		opts, err := cf.options()
-		if err != nil {
-			return err
-		}
-		g := camelot.RandomGraph(*n, *p, cf.seed)
-		count, rep, err := camelot.CountHamiltonianCycles(ctx, g, opts...)
-		return report("hamiltonian cycles", count, rep, err)
-
-	case "setcover":
-		n := fs.Int("n", 10, "universe size")
-		sets := fs.Int("sets", 30, "family size")
-		t := fs.Int("t", 4, "cover size")
-		if err := fs.Parse(rest); err != nil {
-			return err
-		}
-		opts, err := cf.options()
-		if err != nil {
-			return err
-		}
-		fam := randomFamily(*n, *sets, cf.seed)
-		count, rep, err := camelot.CountSetCovers(ctx, fam, *n, *t, opts...)
-		return report(fmt.Sprintf("%d-covers", *t), count, rep, err)
-
-	case "ov":
-		n := fs.Int("n", 128, "vectors per side")
-		t := fs.Int("t", 16, "dimension")
-		if err := fs.Parse(rest); err != nil {
-			return err
-		}
-		opts, err := cf.options()
-		if err != nil {
-			return err
-		}
-		a := camelot.RandomBoolMatrix(*n, *t, 0.3, cf.seed)
-		b := camelot.RandomBoolMatrix(*n, *t, 0.3, cf.seed+1)
-		counts, rep, err := camelot.CountOrthogonalPairs(ctx, *n, *t, a, b, opts...)
-		if err != nil {
-			return err
-		}
-		total := int64(0)
-		for _, c := range counts {
-			total += c
-		}
-		fmt.Printf("orthogonal pairs: %d\n", total)
-		printReport(rep)
-		return nil
-
-	case "conv3sum":
-		n := fs.Int("n", 64, "array length (even)")
-		bits := fs.Int("bits", 10, "integer bit width")
-		if err := fs.Parse(rest); err != nil {
-			return err
-		}
-		opts, err := cf.options()
-		if err != nil {
-			return err
-		}
-		a := randomArray(*n, *bits, cf.seed)
-		counts, rep, err := camelot.Convolution3SUM(ctx, a, *bits, opts...)
-		if err != nil {
-			return err
-		}
-		total := int64(0)
-		for _, c := range counts {
-			total += c
-		}
-		fmt.Printf("convolution-3SUM solutions: %d\n", total)
-		printReport(rep)
-		return nil
-
-	case "csp":
-		n := fs.Int("n", 12, "variables (multiple of 6)")
-		sigma := fs.Int("sigma", 2, "alphabet size")
-		m := fs.Int("m", 8, "constraints")
-		if err := fs.Parse(rest); err != nil {
-			return err
-		}
-		opts, err := cf.options()
-		if err != nil {
-			return err
-		}
-		sys := randomCSP(*n, *sigma, *m, cf.seed)
-		dist, rep, err := camelot.CSPDistribution(ctx, sys, opts...)
-		if err != nil {
-			return err
-		}
-		fmt.Println("assignments by satisfied-constraint count:")
-		for k, v := range dist {
-			if v.Sign() != 0 {
-				fmt.Printf("  %2d satisfied: %v\n", k, v)
-			}
-		}
-		printReport(rep)
-		return nil
-
-	default:
-		return fmt.Errorf("unknown subcommand %q", sub)
-	}
-}
-
-func report(label string, count *big.Int, rep *camelot.Report, err error) error {
+	mg := camelot.RandomMultigraph(*n, *edges, cf.seed)
+	start := time.Now()
+	res, err := camelot.TuttePolynomial(ctx, mg, opts...)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: %v\n", label, count)
-	printReport(rep)
+	fmt.Printf("Tutte polynomial recovered in %v over %d Fortuin–Kasteleyn lines\n",
+		time.Since(start).Round(time.Millisecond), len(res.Reports))
+	fmt.Printf("  spanning trees T(1,1) = %v\n", camelot.EvalTutte(res.T, 1, 1))
+	fmt.Printf("  forests        T(2,1) = %v\n", camelot.EvalTutte(res.T, 2, 1))
+	fmt.Printf("  2^m check      T(2,2) = %v\n", camelot.EvalTutte(res.T, 2, 2))
+	printReport(res.Reports[0])
 	return nil
 }
 

@@ -1,9 +1,16 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
+	"time"
+
+	"camelot"
 )
 
 func TestRunSubcommands(t *testing.T) {
@@ -44,17 +51,20 @@ func TestRunErrors(t *testing.T) {
 		"oversized csp":  {"csp", "-n", "5"},
 		"tiny permanent": {"permanent", "-n", "1"},
 
-		// Cross-flag rules (commonFlags.validate): each contradictory
-		// combination dies up front with one line.
+		// Flag syntax (commonFlags.validate) and cross-option rules (the
+		// library's ErrInvalidOptions): each contradictory combination
+		// dies with one line.
 		"repair sans erasures": {"triangles", "-repair", "1"},
 		"grace sans erasures":  {"triangles", "-grace", "1s"},
-		"drop sans erasures":   {"triangles", "-dropnodes", "1"},
 		"listen plus shards":   {"triangles", "-listen", "127.0.0.1:0", "-shards", "2"},
 		"rate beyond 1":        {"triangles", "-droprate", "1.5", "-erasures", "1"},
 		"negative rate":        {"triangles", "-droprate", "-0.1", "-erasures", "1"},
 		"malformed tcp":        {"triangles", "-tcp", "not-an-address"},
 		"malformed listen":     {"triangles", "-listen", "127.0.0.1"},
 		"zero nodes":           {"triangles", "-nodes", "0"},
+		"negative nodes":       {"triangles", "-nodes", "-2"},
+		"negative faults":      {"triangles", "-faults", "-1"},
+		"negative erasures":    {"triangles", "-erasures", "-1"},
 
 		// coordinate/node flag contracts.
 		"coordinate sans spec":    {"coordinate", "-local"},
@@ -108,6 +118,8 @@ func TestRunJobsManifestErrors(t *testing.T) {
 		"bad field":     {"jobs", "-manifest", write("field.txt", "triangles n=x\n")},
 		"not key=value": {"jobs", "-manifest", write("kv.txt", "triangles n\n")},
 		"bad clique k":  {"jobs", "-manifest", write("k.txt", "cliques n=7 k=5\n")},
+		// The library's option check reaches manifests too.
+		"repair sans erasures": {"jobs", "-manifest", write("ok.txt", "permanent n=4\n"), "-repair", "1", "-poll", "0"},
 	}
 	for name, args := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -115,5 +127,93 @@ func TestRunJobsManifestErrors(t *testing.T) {
 				t.Fatalf("run(%v) succeeded, want error", args)
 			}
 		})
+	}
+}
+
+// Every kind's flag form and spec form are one workload: with no flags
+// the subcommand is the bare kind name (the CLI has no defaults of its
+// own to drift), and spelled-out flags are the spelled-out spec, with
+// the same canonical line and the same proof-cache digest.
+func TestKindFlagsAndSpecAgree(t *testing.T) {
+	for _, k := range camelot.Kinds() {
+		for _, form := range []struct {
+			args []string
+			spec string
+		}{
+			{nil, k.Name},
+			{[]string{"-seed", "5"}, k.Name + " seed=5"},
+		} {
+			args, spec := form.args, form.spec
+			for _, f := range k.Fields {
+				if form.args != nil {
+					args = append(args, "-"+f.Name, f.Default)
+					spec += " " + f.Name + "=" + f.Default
+				}
+			}
+			line, _, err := kindSpec(k, args)
+			if err != nil {
+				t.Fatalf("%s %v: %v", k.Name, args, err)
+			}
+			fromFlags, err := camelot.ParseWorkload(line)
+			if err != nil {
+				t.Fatalf("%s %v: spec line %q: %v", k.Name, args, line, err)
+			}
+			fromSpec, err := camelot.ParseWorkload(spec)
+			if err != nil {
+				t.Fatalf("ParseWorkload(%q): %v", spec, err)
+			}
+			if fromFlags.Canonical != fromSpec.Canonical || fromFlags.Digest(2) != fromSpec.Digest(2) {
+				t.Errorf("%s %v resolves to %q, spec %q to %q", k.Name, args, fromFlags.Canonical, spec, fromSpec.Canonical)
+			}
+		}
+	}
+}
+
+// The package comment's usage block is checked against the catalog:
+// every kind has a line, and every line of a kind names only flags that
+// exist (its fields or the common ones).
+func TestUsageCommentMatchesCatalog(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, _ := strings.Cut(string(src), "\npackage main")
+	common := map[string]bool{}
+	fs := flag.NewFlagSet("common", flag.ContinueOnError)
+	new(commonFlags).register(fs)
+	fs.VisitAll(func(f *flag.Flag) { common[f.Name] = true })
+	flagRe := regexp.MustCompile(` -([a-z]+)`)
+	for _, k := range camelot.Kinds() {
+		lines := regexp.MustCompile(`(?m)^//\tcamelot `+k.Name+` .*$`).FindAllString(doc, -1)
+		if len(lines) == 0 {
+			t.Errorf("package comment has no usage line for %q", k.Name)
+		}
+		known := map[string]bool{}
+		for _, f := range k.Fields {
+			known[f.Name] = true
+		}
+		for _, line := range lines {
+			for _, m := range flagRe.FindAllStringSubmatch(line, -1) {
+				if !known[m[1]] && !common[m[1]] {
+					t.Errorf("usage line %q: kind %s has no flag -%s", line, k.Name, m[1])
+				}
+			}
+		}
+	}
+}
+
+// The CLI has no "-dropnodes needs -erasures" rule: a strict run over a
+// lossy transport is the library's to end — typed, naming the node — and
+// it must come back well inside the deadline rather than hang.
+func TestStrictDropRefusedPromptly(t *testing.T) {
+	done := make(chan error, 1)
+	go func() { done <- run([]string{"triangles", "-n", "16", "-nodes", "4", "-dropnodes", "1"}) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, camelot.ErrDeliveryFault) || !strings.Contains(err.Error(), "node 1") {
+			t.Fatalf("err = %v, want ErrDeliveryFault naming node 1", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("strict run over a lossy transport still hangs")
 	}
 }

@@ -5,7 +5,7 @@ package main
 // listener, and drives the engine with the coordinator transport —
 // every point range is shipped to whatever worker daemons join;
 // `node` is that daemon. The same binary serves both roles, so the
-// workload registry (camelot.ParseWorkload's kinds) is identical on
+// workload catalog (camelot.Kinds) is identical on
 // each side and the proof is bit-identical to an in-process run.
 //
 //	camelot coordinate -spec "triangles n=24 p=0.3 seed=7" -listen 127.0.0.1:9000 -workers 2 -secret s
@@ -21,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"os"
 	"time"
 
 	"camelot"
@@ -51,19 +50,7 @@ func runCoordinate(ctx context.Context, rest []string) error {
 		return fmt.Errorf("coordinate: -workers must be at least 1, got %d", *workers)
 	}
 	if *local {
-		w, err := camelot.ParseWorkload(*spec)
-		if err != nil {
-			return fmt.Errorf("coordinate: %w", err)
-		}
-		opts, err := cf.options()
-		if err != nil {
-			return err
-		}
-		proof, rep, err := camelot.RunProblem(ctx, w.Problem, opts...)
-		if err != nil {
-			return err
-		}
-		return finishCoordinate(w, proof, rep, *proofOut)
+		return runSpec(ctx, *spec, &cf, *proofOut)
 	}
 	// Remote mode: the coordinator IS the transport, so the in-process
 	// transport-shaping flags have nothing to attach to.
@@ -75,8 +62,7 @@ func runCoordinate(ctx context.Context, rest []string) error {
 	}
 	listen := cf.listenAddr
 	cf.listenAddr = "" // consumed by the coordinator, not the TCP transport options
-	runOpts, clusterOpts, err := cf.splitOptions()
-	if err != nil {
+	if err := cf.validate(); err != nil {
 		return err
 	}
 	co, err := camelot.NewCoordinator(cf.nodes, camelot.CoordinatorConfig{
@@ -93,43 +79,11 @@ func runCoordinate(ctx context.Context, rest []string) error {
 	// Announced before the run starts, so process managers (and the
 	// multiproc example) can parse the bound address and launch workers.
 	fmt.Printf("coordinator listening on %s\n", co.Addr())
-	opts := make([]camelot.Option, 0, len(clusterOpts)+len(runOpts)+1)
-	for _, o := range clusterOpts {
-		opts = append(opts, o)
-	}
-	opts = append(opts, co.AsTransport())
-	for _, o := range runOpts {
-		opts = append(opts, o)
-	}
-	proof, rep, err := camelot.RunProblem(ctx, co.Workload().Problem, opts...)
+	proof, rep, err := cf.submit(ctx, co.Workload().Problem, co.AsTransport())
 	if err != nil {
 		return err
 	}
-	return finishCoordinate(co.Workload(), proof, rep, *proofOut)
-}
-
-// finishCoordinate recovers and prints the count, the framework report,
-// and optionally the marshalled proof — identical output for local and
-// remote modes, so the two are diffable.
-func finishCoordinate(w *camelot.Workload, proof *camelot.Proof, rep *camelot.Report, proofOut string) error {
-	count, err := w.Problem.Count(proof)
-	if err != nil {
-		return fmt.Errorf("recovering count: %w", err)
-	}
-	if err := report(w.Kind, count, rep, nil); err != nil {
-		return err
-	}
-	if proofOut != "" {
-		raw, err := proof.MarshalBinary()
-		if err != nil {
-			return fmt.Errorf("marshalling proof: %w", err)
-		}
-		if err := os.WriteFile(proofOut, raw, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("proof written to %s (%d bytes)\n", proofOut, len(raw))
-	}
-	return nil
+	return finish(co.Workload(), proof, rep, *proofOut)
 }
 
 // runNode is the node subcommand body: the worker daemon.

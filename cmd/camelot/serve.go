@@ -21,7 +21,7 @@ import (
 	"camelot"
 )
 
-func runServe(args []string) error {
+func runServe(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	var cf commonFlags
 	cf.register(fs)
@@ -64,7 +64,7 @@ func runServe(args []string) error {
 		return fmt.Errorf("serve: %w", err)
 	}
 	hs := &http.Server{Handler: srv.Handler()}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	ctx, stop := signal.NotifyContext(ctx, syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()

@@ -13,6 +13,8 @@ import (
 	"camelot/internal/hamilton"
 	"camelot/internal/permanent"
 	"camelot/internal/setcover"
+	"camelot/internal/tensor"
+	"camelot/internal/triangles"
 	"camelot/internal/tutte"
 )
 
@@ -263,9 +265,7 @@ func singletons(n int) []uint64 {
 // forged proofs are rejected at the d/q rate.
 func runE12(quick bool) {
 	g := graph.Gnp(24, 0.3, 9)
-	p, err := func() (core.Problem, error) {
-		return newTriangleProblemForE12(g)
-	}()
+	p, err := triangles.NewProblem(g, tensor.Strassen())
 	if err != nil {
 		panic(err)
 	}

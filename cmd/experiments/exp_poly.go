@@ -6,7 +6,9 @@ import (
 	"runtime"
 	"time"
 
+	"camelot"
 	"camelot/internal/cliques"
+	"camelot/internal/conv3sum"
 	"camelot/internal/core"
 	"camelot/internal/csp"
 	"camelot/internal/ff"
@@ -238,8 +240,8 @@ func runE10(quick bool) {
 	}
 	for _, n := range ovSizes {
 		const t = 12
-		a, _ := orthvec.NewBoolMatrix(n, t, bits(n, t, 0.3, 1))
-		b, _ := orthvec.NewBoolMatrix(n, t, bits(n, t, 0.3, 2))
+		a, _ := orthvec.NewBoolMatrix(n, t, camelot.RandomBoolMatrix(n, t, 0.3, 1))
+		b, _ := orthvec.NewBoolMatrix(n, t, camelot.RandomBoolMatrix(n, t, 0.3, 2))
 		var naive []int64
 		nt := timed(func() { naive = orthvec.CountOrthogonalNaive(a, b) })
 		p, err := orthvec.NewOVProblem(a, b)
@@ -264,8 +266,8 @@ func runE10(quick bool) {
 	// Hamming distribution.
 	{
 		const n, t = 24, 6
-		a, _ := orthvec.NewBoolMatrix(n, t, bits(n, t, 0.5, 4))
-		b, _ := orthvec.NewBoolMatrix(n, t, bits(n, t, 0.5, 5))
+		a, _ := orthvec.NewBoolMatrix(n, t, camelot.RandomBoolMatrix(n, t, 0.5, 4))
+		b, _ := orthvec.NewBoolMatrix(n, t, camelot.RandomBoolMatrix(n, t, 0.5, 5))
 		var naive [][]int64
 		nt := timed(func() { naive = orthvec.HammingDistributionNaive(a, b) })
 		p, err := orthvec.NewHammingProblem(a, b)
@@ -293,7 +295,7 @@ func runE10(quick bool) {
 	{
 		arr := arrayIdentity(24)
 		var naive []int64
-		nt := timed(func() { naive = conv3sumNaive(arr) })
+		nt := timed(func() { naive = conv3sum.CountNaive(arr) })
 		p, rep, counts := conv3sumRun(arr, 6)
 		agree := true
 		for i := range counts {

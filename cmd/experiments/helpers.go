@@ -2,26 +2,10 @@ package main
 
 import (
 	"context"
-	"math/rand"
 
 	"camelot/internal/conv3sum"
 	"camelot/internal/core"
-	"camelot/internal/graph"
-	"camelot/internal/tensor"
-	"camelot/internal/triangles"
 )
-
-// bits draws an n×t 0/1 matrix with the given density.
-func bits(n, t int, density float64, seed int64) []uint8 {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]uint8, n*t)
-	for i := range out {
-		if rng.Float64() < density {
-			out[i] = 1
-		}
-	}
-	return out
-}
 
 // arrayIdentity returns [1, 2, ..., n]: every (i, ℓ) pair is a
 // Convolution3SUM solution.
@@ -32,9 +16,6 @@ func arrayIdentity(n int) []uint64 {
 	}
 	return out
 }
-
-// conv3sumNaive wraps the package baseline.
-func conv3sumNaive(a []uint64) []int64 { return conv3sum.CountNaive(a) }
 
 // conv3sumRun executes the Camelot Convolution3SUM run.
 func conv3sumRun(a []uint64, t int) (*conv3sum.Problem, *core.Report, []int64) {
@@ -51,9 +32,4 @@ func conv3sumRun(a []uint64, t int) (*conv3sum.Problem, *core.Report, []int64) {
 		panic(err)
 	}
 	return p, rep, counts
-}
-
-// newTriangleProblemForE12 builds the robustness-experiment problem.
-func newTriangleProblemForE12(g *graph.Graph) (core.Problem, error) {
-	return triangles.NewProblem(g, tensor.Strassen())
 }

@@ -1,7 +1,7 @@
-// Command experiments reproduces the paper's per-theorem claims (the
-// paper is an extended abstract without numbered tables; DESIGN.md maps
-// theorems to experiment ids E1..E13). Each experiment prints a markdown
-// table that EXPERIMENTS.md records, comparing the Camelot execution
+// Command experiments reproduces the paper's per-theorem claims. The
+// paper is an extended abstract without numbered tables, so the table in
+// run below is the map from theorems to experiment ids E1..E13. Each
+// experiment prints a markdown table comparing the Camelot execution
 // against the best sequential baseline and checking the claimed shape:
 // proof sizes, per-node times, total-work ratios, fault tolerance, and
 // soundness.
@@ -17,9 +17,19 @@ import (
 )
 
 func main() {
-	quick := flag.Bool("quick", false, "smaller sweeps (CI-sized)")
-	only := flag.String("only", "", "comma-separated experiment ids (default: all)")
-	flag.Parse()
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+}
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	quick := fs.Bool("quick", false, "smaller sweeps (CI-sized)")
+	only := fs.String("only", "", "comma-separated experiment ids (default: all)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	wanted := map[string]bool{}
 	if *only != "" {
@@ -53,5 +63,5 @@ func main() {
 		fmt.Printf("\n## %s — %s\n\n", exp.id, exp.name)
 		exp.run(*quick)
 	}
-	_ = os.Stdout
+	return nil
 }

@@ -38,8 +38,8 @@ const (
 	goldenNodes = 6
 )
 
-// goldenCase is one pinned workload. Spec cases are ParseWorkload kinds
-// at their defaults, which a ctrl worker can rebuild from the spec line,
+// goldenCase is one pinned workload. Spec cases are catalog kinds at
+// their defaults, which a ctrl worker can rebuild from the spec line,
 // so they also run on the remote executor.
 type goldenCase struct {
 	name  string
@@ -47,34 +47,45 @@ type goldenCase struct {
 	build func() (Problem, error)
 }
 
+// goldenCases is every catalog kind at its defaults plus five instances
+// pinned through internal constructors. The instance cases were named
+// first, so a kind whose name one of them holds is filed as "<kind>-spec".
 func goldenCases() []goldenCase {
-	var cases []goldenCase
-	for _, kind := range []string{"triangles", "cliques", "permanent", "cnfsat", "hamilton"} {
-		cases = append(cases, goldenCase{name: kind, spec: kind, build: func() (Problem, error) {
-			w, err := ParseWorkload(kind)
+	cases := []goldenCase{
+		{name: "chromatic", build: func() (Problem, error) {
+			return chromatic.NewProblem(graph.Gnp(8, 0.4, 1))
+		}},
+		{name: "setcover", build: func() (Problem, error) {
+			return setcover.NewCoverProblem([]uint64{0b000111, 0b011100, 0b110001, 0b101010, 0b010101, 0b100100, 0b001001}, 6, 3)
+		}},
+		{name: "tutte-line", build: func() (Problem, error) {
+			return tutte.NewProblem(graph.RandomMultigraph(5, 6, 3), 2)
+		}},
+		{name: "conv3sum", build: func() (Problem, error) {
+			return conv3sum.NewProblem([]uint64{3, 5, 8, 13, 2, 10, 7, 15}, 6)
+		}},
+		{name: "csp", build: func() (Problem, error) {
+			return csp.NewProblem(csp.RandomSystem(6, 2, 5, 0.5, 1), tensor.Strassen())
+		}},
+	}
+	taken := map[string]bool{}
+	for _, gc := range cases {
+		taken[gc.name] = true
+	}
+	for _, k := range Kinds() {
+		name := k.Name
+		if taken[name] {
+			name += "-spec"
+		}
+		cases = append(cases, goldenCase{name: name, spec: k.Name, build: func() (Problem, error) {
+			w, err := ParseWorkload(k.Name)
 			if err != nil {
 				return nil, err
 			}
 			return w.Problem, nil
 		}})
 	}
-	return append(cases,
-		goldenCase{name: "chromatic", build: func() (Problem, error) {
-			return chromatic.NewProblem(graph.Gnp(8, 0.4, 1))
-		}},
-		goldenCase{name: "setcover", build: func() (Problem, error) {
-			return setcover.NewCoverProblem([]uint64{0b000111, 0b011100, 0b110001, 0b101010, 0b010101, 0b100100, 0b001001}, 6, 3)
-		}},
-		goldenCase{name: "tutte-line", build: func() (Problem, error) {
-			return tutte.NewProblem(graph.RandomMultigraph(5, 6, 3), 2)
-		}},
-		goldenCase{name: "conv3sum", build: func() (Problem, error) {
-			return conv3sum.NewProblem([]uint64{3, 5, 8, 13, 2, 10, 7, 15}, 6)
-		}},
-		goldenCase{name: "csp", build: func() (Problem, error) {
-			return csp.NewProblem(csp.RandomSystem(6, 2, 5, 0.5, 1), tensor.Strassen())
-		}},
-	)
+	return cases
 }
 
 // goldenGeometry picks the smallest fault tolerance f under which every

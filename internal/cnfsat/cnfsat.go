@@ -193,10 +193,15 @@ func CountBrute(f *Formula) *big.Int {
 }
 
 // RandomFormula draws a uniform k-CNF with the given seed-driven clause
-// structure, for experiments.
+// structure, for experiments and workload specs (no clauses when there
+// is no variable to draw a literal over).
 func RandomFormula(v, m, k int, seed int64) *Formula {
 	rng := newRng(seed)
-	f := &Formula{V: v, Clauses: make([][]int, m)}
+	f := &Formula{V: v}
+	if v < 1 {
+		return f
+	}
+	f.Clauses = make([][]int, m)
 	for j := range f.Clauses {
 		cl := make([]int, k)
 		for i := range cl {

@@ -123,6 +123,11 @@ var ErrProofDisagreement = errors.New("core: honest nodes decoded different proo
 // randomized check against the input.
 var ErrVerificationFailed = errors.New("core: proof verification failed")
 
+// ErrDeliveryFault is the refusal of a strict run (Options.MaxErasures
+// 0) whose transport lost, mangled or duplicated away a node's message:
+// the run tolerates no delivery fault, so it names the node and stops.
+var ErrDeliveryFault = errors.New("core: delivery fault in a strict run")
+
 // Options configure a Camelot run. The zero value is usable: a
 // single-node, fault-free, honest run with one verification trial.
 type Options struct {
@@ -163,7 +168,9 @@ type Options struct {
 	MaxErasures int
 	// GatherGrace bounds how long a quorum-mode gather waits between
 	// message arrivals before treating the stragglers as lost (default
-	// 2s when MaxErasures > 0). Ignored in strict mode.
+	// 2s). Only settable with MaxErasures > 0: a strict gather waits for
+	// every sender while sending continues and allows the default grace
+	// for the transport's last hop once it has concluded.
 	GatherGrace time.Duration
 	// MaxRepairRounds bounds how many repair rounds the engine may run
 	// when the decode stage fails with erasures beyond the Reed–Solomon
@@ -172,8 +179,8 @@ type Options struct {
 	// the decode — converting a transport loss the budget cannot absorb
 	// into latency instead of a typed failure. Default 0: repair off,
 	// the run fails exactly as before. Requires MaxErasures > 0 (a
-	// strict gather has no missing nodes to repair; newEngine rejects
-	// the combination).
+	// strict gather has no missing nodes to repair; the combination is
+	// ErrInvalidOptions).
 	MaxRepairRounds int
 	// Pool, when non-nil, is the session layer's shared long-lived
 	// worker pool; MaxParallelism is then ignored (the pool's width was
@@ -197,27 +204,51 @@ type Options struct {
 	Observer Observer
 }
 
+// ErrInvalidOptions is the typed refusal of Options outside their
+// domain or contradicting each other. newEngine is the one place that
+// judges them, so the Go API, the CLI, manifests and the proof service
+// all refuse the same inputs with the same error. Match with errors.Is.
+var ErrInvalidOptions = errors.New("core: invalid options")
+
+// validate rejects what withDefaults would otherwise have to guess a
+// meaning for: negative counts, and erasure-mode knobs on a strict run.
+func (o Options) validate() error {
+	for _, c := range []struct {
+		name string
+		v    int
+	}{
+		{"Nodes", o.Nodes}, {"FaultTolerance", o.FaultTolerance}, {"VerifyTrials", o.VerifyTrials},
+		{"DecodingNodes", o.DecodingNodes}, {"MaxParallelism", o.MaxParallelism},
+		{"MaxErasures", o.MaxErasures}, {"MaxRepairRounds", o.MaxRepairRounds},
+		{"GatherGrace", int(o.GatherGrace)},
+	} {
+		if c.v < 0 {
+			return fmt.Errorf("%w: %s must be >= 0, got %d", ErrInvalidOptions, c.name, c.v)
+		}
+	}
+	if o.MaxErasures == 0 && (o.MaxRepairRounds > 0 || o.GatherGrace > 0) {
+		return fmt.Errorf("%w: MaxRepairRounds=%d and GatherGrace=%v require MaxErasures > 0: a strict gather gives up on no sender while sending continues and leaves no missing node to repair",
+			ErrInvalidOptions, o.MaxRepairRounds, o.GatherGrace)
+	}
+	return nil
+}
+
+// withDefaults fills the zero fields of validated Options.
 func (o Options) withDefaults() Options {
-	if o.Nodes <= 0 {
+	if o.Nodes == 0 {
 		o.Nodes = 1
 	}
 	if o.Adversary == nil {
 		o.Adversary = NoAdversary{}
 	}
-	if o.VerifyTrials <= 0 {
+	if o.VerifyTrials == 0 {
 		o.VerifyTrials = 1
 	}
 	if o.NewTransport == nil {
 		o.NewTransport = func(k int) Transport { return NewBroadcastBus(k) }
 	}
-	if o.MaxErasures < 0 {
-		o.MaxErasures = 0
-	}
-	if o.MaxErasures > 0 && o.GatherGrace <= 0 {
+	if o.GatherGrace == 0 {
 		o.GatherGrace = 2 * time.Second
-	}
-	if o.MaxRepairRounds < 0 {
-		o.MaxRepairRounds = 0
 	}
 	return o
 }

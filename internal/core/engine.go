@@ -106,12 +106,8 @@ type engine struct {
 	// Transport state, owned for the whole run once openTransport builds
 	// it: repair rounds re-gather over the same instance, so the engine
 	// — not the gather — decides when the transport's world ends (see
-	// close). quorumTr is the same transport's quorum capability, set
-	// when the run tolerates delivery faults; keepOpen records that
-	// gathers must leave the transport alive for potential repair rounds.
-	tr       Transport
-	quorumTr QuorumGatherer
-	keepOpen bool
+	// close).
+	tr Transport
 	// remote is the transport's RemoteAssigner capability when it has
 	// one: rounds then ship AssignSpec manifests to remote workers
 	// instead of evaluating on the local pool.
@@ -125,9 +121,12 @@ type engine struct {
 	missing []int
 }
 
-// newEngine validates the problem geometry, selects the proof moduli,
-// and builds the per-prime Reed–Solomon codes.
+// newEngine validates the options and the problem geometry, selects the
+// proof moduli, and builds the per-prime Reed–Solomon codes.
 func newEngine(p Problem, opts Options) (*engine, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	opts = opts.withDefaults()
 	d := p.Degree()
 	w := p.Width()
@@ -138,12 +137,6 @@ func newEngine(p Problem, opts Options) (*engine, error) {
 	k := opts.Nodes
 	if k > e {
 		k = e // more nodes than points is pointless; trailing nodes would idle
-	}
-	if opts.MaxRepairRounds > 0 && opts.MaxErasures <= 0 {
-		// A strict gather either hears every node or fails the run —
-		// there is never a missing set to repair, so the combination is
-		// a configuration mistake worth naming.
-		return nil, fmt.Errorf("MaxRepairRounds=%d requires MaxErasures > 0: only erasure-tolerant gathers produce repairable missing nodes", opts.MaxRepairRounds)
 	}
 	minQ := p.MinModulus()
 	if minQ < uint64(e)+1 {
@@ -205,7 +198,8 @@ func newEngine(p Problem, opts Options) (*engine, error) {
 // proof preparation on a bounded worker pool over opts.Nodes logical
 // nodes, per-node Gao decoding with failed-node identification,
 // cross-node agreement check, and randomized verification. When the
-// decode fails with erasures beyond the Reed–Solomon budget and
+// decode fails with erasures beyond the Reed–Solomon budget — or slips
+// past it into a wrong proof that verification then rejects — and
 // Options.MaxRepairRounds allows it, bounded repair rounds re-assign
 // the missing nodes' point ranges to survivors and retry — turning
 // delivery faults the budget cannot absorb into latency. It returns
@@ -224,20 +218,31 @@ func Run(ctx context.Context, p Problem, opts Options) (*Proof, *Report, error) 
 	if err := en.round(ctx, 0, en.ownRanges()); err != nil {
 		return nil, nil, fmt.Errorf("core: %s: %w", p.Name(), err)
 	}
-	proof, err := en.stageDecode(ctx)
+	proof, err := en.decodeAndVerify(ctx)
 	for n := 1; err != nil && en.canRepair(err, n); n++ {
 		if rerr := en.round(ctx, n, en.repairRanges(n)); rerr != nil {
 			return nil, nil, fmt.Errorf("core: %s: repair round %d: %w", p.Name(), n, rerr)
 		}
-		proof, err = en.stageDecode(ctx)
+		proof, err = en.decodeAndVerify(ctx)
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: %s: %w", p.Name(), err)
+		err = fmt.Errorf("core: %s: %w", p.Name(), err)
+		if proof == nil {
+			return nil, nil, err
+		}
 	}
-	if err := en.stageVerify(ctx, proof); err != nil {
-		return proof, en.report, fmt.Errorf("core: %s: %w", p.Name(), err)
+	return proof, en.report, err
+}
+
+// decodeAndVerify is protocol steps 2 and 3 over whatever the rounds so
+// far have gathered. A proof that decoded but failed its check is
+// returned beside the error.
+func (en *engine) decodeAndVerify(ctx context.Context) (*Proof, error) {
+	proof, err := en.stageDecode(ctx)
+	if err != nil {
+		return nil, err
 	}
-	return proof, en.report, nil
+	return proof, en.stageVerify(ctx, proof)
 }
 
 // creditPoints reports n newly evaluated (point, prime) units to the
@@ -266,14 +271,20 @@ func (en *engine) creditPoints(n int) {
 	}
 }
 
-// canRepair decides whether a failed decode is worth another gather
-// round: repair must be enabled with rounds left, the failure must be
-// the typed beyond-budget refusal (anything else — cancellation, a
-// decoder bug — repair cannot fix), and there must be both missing
-// nodes to recompute and survivors to recompute them.
+// canRepair decides whether a failed decode-and-verify is worth another
+// gather round: repair must be enabled with rounds left, the failure
+// must be one more shares can fix, and there must be both missing nodes
+// to recompute and survivors to recompute them. Two failures qualify.
+// The typed beyond-budget refusal is the usual one. The other is a
+// failed verification while nodes are missing: erasures shrink the
+// unique-decoding radius, and content errors beyond what is left of it
+// can land the received word inside a *neighbouring* codeword's radius —
+// Gao then succeeds with the wrong polynomial (over a small field this
+// is not even rare) and only verification, the paper's safety net, sees
+// it. Anything else — cancellation, a decoder bug — repair cannot fix.
 func (en *engine) canRepair(err error, round int) bool {
-	if !(round <= en.opts.MaxRepairRounds && en.keepOpen &&
-		errors.Is(err, rs.ErrDecodeFailure) && len(en.missing) > 0) {
+	recoverable := errors.Is(err, rs.ErrDecodeFailure) || errors.Is(err, ErrVerificationFailed)
+	if !(round <= en.opts.MaxRepairRounds && recoverable && len(en.missing) > 0) {
 		return false
 	}
 	// Locally, a survivor must exist to sponsor the recompute. Remotely,
@@ -352,16 +363,10 @@ func (en *engine) repairRanges(n int) []assignment {
 // capabilities against what the run asks of it.
 func (en *engine) openTransport() error {
 	en.tr = en.opts.NewTransport(en.k)
-	if en.opts.MaxErasures > 0 {
-		var ok bool
-		if en.quorumTr, ok = en.tr.(QuorumGatherer); !ok {
-			return fmt.Errorf("%w: MaxErasures=%d needs one, %T is not",
-				ErrQuorumUnsupported, en.opts.MaxErasures, en.tr)
-		}
+	if _, ok := en.tr.(QuorumGatherer); !ok && en.opts.MaxErasures > 0 {
+		return fmt.Errorf("%w: MaxErasures=%d needs one, %T is not",
+			ErrQuorumUnsupported, en.opts.MaxErasures, en.tr)
 	}
-	// Repair rounds re-gather over this same transport instance, so
-	// gathers must not tear it down on return.
-	en.keepOpen = en.quorumTr != nil && en.opts.MaxRepairRounds > 0
 	// A transport that can assign work to remote workers flips the
 	// engine into remote mode: manifests go out instead of local
 	// evaluation, and frames stream back through the same gather.
@@ -397,16 +402,19 @@ func (en *engine) round(ctx context.Context, n int, ranges []assignment) error {
 	} else {
 		en.obs.RepairRound(n, append([]int(nil), en.missing...))
 	}
-	quorumMode := en.quorumTr != nil
+	quorumMode := en.opts.MaxErasures > 0
 	start := time.Now()
 	spec := GatherSpec{
 		K: en.k,
 		// A repair round is complete when every re-assigned range has
 		// been heard; the grace timer hands over a partial round.
-		Quorum:   len(ranges),
-		Grace:    en.opts.GatherGrace,
-		Round:    n,
-		KeepOpen: en.keepOpen,
+		Quorum: len(ranges),
+		Grace:  en.opts.GatherGrace,
+		Strict: !quorumMode,
+		Round:  n,
+		// Repair rounds re-gather over this same transport instance, so
+		// gathers must not tear it down on return.
+		KeepOpen: en.opts.MaxRepairRounds > 0,
 	}
 	if n == 0 {
 		spec.Quorum -= en.opts.MaxErasures
@@ -480,14 +488,7 @@ func (en *engine) round(ctx context.Context, n int, ranges []assignment) error {
 		}
 	}
 	if len(missing) > 0 && !quorumMode {
-		if len(msgs) > len(delivered) {
-			// The strict gather counts raw messages, so duplicated
-			// deliveries consumed the slots of a sender still in
-			// flight — name the real defect, not a phantom loss.
-			return fmt.Errorf("transport duplicated deliveries (%d messages from %d senders) while node %d went unheard; tolerate delivery faults with MaxErasures",
-				len(msgs), len(delivered), missing[0])
-		}
-		return fmt.Errorf("transport delivered no message from node %d", missing[0])
+		return fmt.Errorf("%w: transport delivered no message from node %d", ErrDeliveryFault, missing[0])
 	}
 	en.missing = missing
 	en.report.MissingNodes = missing
@@ -542,9 +543,9 @@ func (en *engine) exchange(ctx context.Context, spec GatherSpec, ranges []assign
 		}
 		sent <- nil
 	} else {
-		// sendsDone tells a quorum gather that no further Send can occur,
-		// so a total-loss network ends in one grace period instead of
-		// waiting out the caller's context.
+		// sendsDone tells the gather that no further Send can occur, so a
+		// network that lost messages ends the round one grace period
+		// later instead of waiting out the caller's context.
 		sendsDone := make(chan struct{})
 		spec.SendsDone = sendsDone
 		go func() {
@@ -558,8 +559,11 @@ func (en *engine) exchange(ctx context.Context, spec GatherSpec, ranges []assign
 	}
 	var msgs []NodeShares
 	var gatherErr error
-	if en.quorumTr != nil {
-		msgs, gatherErr = en.quorumTr.GatherQuorum(gatherCtx, spec)
+	// Every gather, strict ones included, goes through the transport's
+	// quorum capability when it has one; a raw Transport.Gather can only
+	// wait.
+	if qg, ok := en.tr.(QuorumGatherer); ok {
+		msgs, gatherErr = qg.GatherQuorum(gatherCtx, spec)
 	} else {
 		msgs, gatherErr = en.tr.Gather(gatherCtx, spec.K)
 	}

@@ -280,6 +280,29 @@ func TestEvaluateRangeAutotunesBlockSize(t *testing.T) {
 	}
 }
 
+// TestInvalidOptionsAreTyped pins the one options check: values outside
+// their domain and erasure-mode knobs on a strict run (repair without
+// erasure tolerance is a contradiction — a strict gather never produces
+// a repairable missing set) are refused up front with ErrInvalidOptions
+// instead of being clamped or surfacing from a layer below.
+func TestInvalidOptionsAreTyped(t *testing.T) {
+	for name, opts := range map[string]Options{
+		"negative nodes":       {Nodes: -2},
+		"negative faults":      {FaultTolerance: -3},
+		"negative trials":      {VerifyTrials: -1},
+		"negative erasures":    {MaxErasures: -4},
+		"negative repair":      {MaxErasures: 1, MaxRepairRounds: -1},
+		"negative grace":       {MaxErasures: 1, GatherGrace: -time.Second},
+		"negative parallelism": {MaxParallelism: -1},
+		"repair sans erasures": {Nodes: 3, MaxRepairRounds: 1},
+		"grace sans erasures":  {Nodes: 3, GatherGrace: time.Second},
+	} {
+		if _, _, err := Run(context.Background(), testProblem(), opts); !errors.Is(err, ErrInvalidOptions) {
+			t.Errorf("%s: err = %v, want ErrInvalidOptions", name, err)
+		}
+	}
+}
+
 func TestRunCancelledContextPrompt(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -192,20 +192,23 @@ func (t *LossyTransport) DrainSends(ctx context.Context) error {
 }
 
 // Gather implements Transport by delegation. With drops configured, a
-// strict gather can never complete — use GatherQuorum (the engine does
-// when Options.MaxErasures > 0).
+// raw-count gather can never complete — the engine gathers through
+// GatherQuorum, whose strict form ends once sending has.
 func (t *LossyTransport) Gather(ctx context.Context, k int) ([]NodeShares, error) {
 	return t.inner.Gather(ctx, k)
 }
 
 // GatherQuorum implements QuorumGatherer by delegation; the inner
-// transport must support it too.
+// transport must support it too, except for a strict gather, which an
+// inner transport without the capability serves by raw count.
 func (t *LossyTransport) GatherQuorum(ctx context.Context, spec GatherSpec) ([]NodeShares, error) {
-	qg, ok := t.inner.(QuorumGatherer)
-	if !ok {
-		return nil, ErrQuorumUnsupported
+	if qg, ok := t.inner.(QuorumGatherer); ok {
+		return qg.GatherQuorum(ctx, spec)
 	}
-	return qg.GatherQuorum(ctx, spec)
+	if spec.Strict {
+		return t.inner.Gather(ctx, spec.K)
+	}
+	return nil, ErrQuorumUnsupported
 }
 
 // Close tears the inner transport down when it has a lifecycle to tear

@@ -100,18 +100,6 @@ func TestRepairExhaustedStaysTyped(t *testing.T) {
 	}
 }
 
-// TestRepairRequiresErasureMode pins the configuration guard: repair
-// without erasure tolerance is a contradiction (a strict gather never
-// produces a repairable missing set) and must be rejected up front.
-func TestRepairRequiresErasureMode(t *testing.T) {
-	_, _, err := Run(context.Background(), testProblem(), Options{
-		Nodes: 3, MaxRepairRounds: 1,
-	})
-	if err == nil {
-		t.Fatal("MaxRepairRounds without MaxErasures accepted")
-	}
-}
-
 // replayTransport captures a frame the network "lost" in round 0 and
 // replays it — values mutated — into the repair round's gather, still
 // tagged Round 0. The round filter must treat it as noise.
@@ -188,7 +176,7 @@ func TestGatherQuorumDropsStaleRoundFrames(t *testing.T) {
 	ch <- NodeShares{ID: 0, Round: 1}
 	ch <- NodeShares{ID: 1, Round: 1}
 	ch <- NodeShares{ID: 0, Round: 2} // from a round that does not exist yet
-	out, err := gatherQuorum(context.Background(), ch, GatherSpec{K: 2, Quorum: 2, Round: 1})
+	out, err := GatherShares(context.Background(), ch, GatherSpec{K: 2, Quorum: 2, Round: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +196,7 @@ func TestGatherQuorumDropsStaleRoundFrames(t *testing.T) {
 	ch2 <- NodeShares{ID: 0, Round: 0}
 	done := make(chan struct{})
 	close(done)
-	out, err = gatherQuorum(context.Background(), ch2, GatherSpec{K: 2, Quorum: 2, Round: 1, SendsDone: done})
+	out, err = GatherShares(context.Background(), ch2, GatherSpec{K: 2, Quorum: 2, Round: 1, SendsDone: done})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +318,7 @@ func TestLossyDelayedCopyCannotStraddleRounds(t *testing.T) {
 	if err := bus.Send(context.Background(), NodeShares{ID: 0, From: 2, Round: 1}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := gatherQuorum(context.Background(), bus.ch, GatherSpec{K: 4, Quorum: 1, Round: 1})
+	out, err := GatherShares(context.Background(), bus.ch, GatherSpec{K: 4, Quorum: 1, Round: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,16 +115,7 @@ func (t *ShardedTransport) Send(ctx context.Context, m NodeShares) error {
 // Gather implements Transport (strict: counts raw messages).
 func (t *ShardedTransport) Gather(ctx context.Context, k int) ([]NodeShares, error) {
 	defer t.shutdown()
-	out := make([]NodeShares, 0, k)
-	for len(out) < k {
-		select {
-		case m := <-t.collector:
-			out = append(out, m)
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	return out, nil
+	return gatherRaw(ctx, t.collector, k)
 }
 
 // GatherQuorum implements QuorumGatherer. With spec.KeepOpen the relays
@@ -134,7 +125,7 @@ func (t *ShardedTransport) GatherQuorum(ctx context.Context, spec GatherSpec) ([
 	if !spec.KeepOpen {
 		defer t.shutdown()
 	}
-	return gatherQuorum(ctx, t.collector, spec)
+	return GatherShares(ctx, t.collector, spec)
 }
 
 // Close shuts the relays down (idempotent) — for callers that kept the

@@ -343,16 +343,7 @@ func (t *TCPTransport) Gather(ctx context.Context, k int) ([]NodeShares, error) 
 		return nil, ErrNotCollector
 	}
 	defer t.shutdown()
-	out := make([]NodeShares, 0, k)
-	for len(out) < k {
-		select {
-		case m := <-t.ch:
-			out = append(out, m)
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	return out, nil
+	return gatherRaw(ctx, t.ch, k)
 }
 
 // GatherQuorum implements QuorumGatherer over the collector channel —
@@ -369,7 +360,7 @@ func (t *TCPTransport) GatherQuorum(ctx context.Context, spec GatherSpec) ([]Nod
 	if !spec.KeepOpen {
 		defer t.shutdown()
 	}
-	return gatherQuorum(ctx, t.ch, spec)
+	return GatherShares(ctx, t.ch, spec)
 }
 
 // shutdown ends the transport's world: listener closed, reader

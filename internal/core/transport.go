@@ -100,6 +100,14 @@ type GatherSpec struct {
 	// never trip the first-arrival grace timer and the gather would
 	// wait for ctx alone.
 	SendsDone <-chan struct{}
+	// Strict marks the gather of a run that tolerates no delivery fault
+	// (Options.MaxErasures == 0): no sender is given up on while sending
+	// may still occur, so the grace timer stays unarmed until SendsDone
+	// closes (with SendsDone nil, as in remote runs, never). From then on
+	// a sender still unheard is lost, not slow, and the gather hands over
+	// the partial result for the engine to refuse by name — where a raw
+	// Transport.Gather would wait for ctx alone.
+	Strict bool
 	// Round is the gather round this spec serves. Messages carrying any
 	// other NodeShares.Round are dropped unseen — not counted toward
 	// the quorum, not returned, not allowed to arm the grace timer. A
@@ -181,15 +189,6 @@ type RemoteAssigner interface {
 	AssignRanges(ctx context.Context, specs []AssignSpec) error
 }
 
-// GatherShares runs the shared quorum-gather loop over ch under spec.
-// It exists for transports implemented outside this package (the
-// control-protocol coordinator in internal/ctrl) so their GatherQuorum
-// has byte-for-byte the engine's gather semantics: distinct-sender
-// counting, round filtering, grace timing, and the post-quorum drain.
-func GatherShares(ctx context.Context, ch <-chan NodeShares, spec GatherSpec) ([]NodeShares, error) {
-	return gatherQuorum(ctx, ch, spec)
-}
-
 // BroadcastBus is the default in-memory transport: a reliable,
 // order-preserving broadcast channel with capacity for every node's
 // message, so Send never blocks in a fault-free run.
@@ -222,10 +221,17 @@ func (b *BroadcastBus) Send(ctx context.Context, m NodeShares) error {
 
 // Gather implements Transport.
 func (b *BroadcastBus) Gather(ctx context.Context, k int) ([]NodeShares, error) {
+	return gatherRaw(ctx, b.ch, k)
+}
+
+// gatherRaw is the raw-count gather behind every built-in Transport.Gather:
+// k messages, whoever sent them, or ctx. The engine gathers through
+// GatherShares instead wherever the transport offers it.
+func gatherRaw(ctx context.Context, ch <-chan NodeShares, k int) ([]NodeShares, error) {
 	out := make([]NodeShares, 0, k)
 	for len(out) < k {
 		select {
-		case m := <-b.ch:
+		case m := <-ch:
 			out = append(out, m)
 		case <-ctx.Done():
 			return nil, ctx.Err()
@@ -236,12 +242,17 @@ func (b *BroadcastBus) Gather(ctx context.Context, k int) ([]NodeShares, error) 
 
 // GatherQuorum implements QuorumGatherer.
 func (b *BroadcastBus) GatherQuorum(ctx context.Context, spec GatherSpec) ([]NodeShares, error) {
-	return gatherQuorum(ctx, b.ch, spec)
+	return GatherShares(ctx, b.ch, spec)
 }
 
-// gatherQuorum is the shared quorum-gather loop over a message channel;
-// see QuorumGatherer for the contract.
-func gatherQuorum(ctx context.Context, ch <-chan NodeShares, spec GatherSpec) ([]NodeShares, error) {
+// GatherShares is the one quorum-gather loop over a message channel;
+// see QuorumGatherer for the contract. Every built-in transport's
+// GatherQuorum is this function, and it is exported so that a transport
+// outside the package (the control-protocol coordinator in
+// internal/ctrl) has the engine's gather semantics byte for byte:
+// distinct-sender counting, round filtering, grace timing, and the
+// post-quorum drain.
+func GatherShares(ctx context.Context, ch <-chan NodeShares, spec GatherSpec) ([]NodeShares, error) {
 	if spec.Quorum > spec.K {
 		spec.Quorum = spec.K
 	}
@@ -258,8 +269,9 @@ func gatherQuorum(ctx context.Context, ch <-chan NodeShares, spec GatherSpec) ([
 			timer.Stop()
 		}
 	}()
+	hold := spec.Strict // a strict gather arms no timer before SendsDone closes
 	armTimer := func() {
-		if spec.Grace <= 0 {
+		if spec.Grace <= 0 || hold {
 			return
 		}
 		if timer == nil {
@@ -302,6 +314,7 @@ func gatherQuorum(ctx context.Context, ch <-chan NodeShares, spec GatherSpec) ([
 			// drain, then hand over the partial gather. With the timer
 			// disabled, settle for what is already buffered.
 			spec.SendsDone = nil
+			hold = false
 			if spec.Grace <= 0 {
 				for {
 					select {

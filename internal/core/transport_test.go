@@ -332,19 +332,44 @@ func TestRunRejectsQuorumOnStrictTransport(t *testing.T) {
 	}
 }
 
-func TestRunStrictModeStillRequiresEveryMessage(t *testing.T) {
-	// Without MaxErasures a lossy run cannot complete: the strict
-	// gather waits for all K and the run ends only with the context.
-	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-	defer cancel()
-	_, _, err := Run(ctx, testProblem(), Options{
-		Nodes: 4, FaultTolerance: 4,
+// A lossy wrapper claims the quorum capability on behalf of whatever it
+// wraps; over an inner transport without it, a strict run must still
+// gather (by raw count) rather than fail on a capability it never needed.
+func TestRunStrictOverLossyOverStrictOnlyTransport(t *testing.T) {
+	_, rep, err := Run(context.Background(), testProblem(), Options{
+		Nodes: 4,
 		NewTransport: func(k int) Transport {
-			return NewLossyTransport(NewBroadcastBus(k), LossyConfig{DropNodes: []int{0}})
+			return NewLossyTransport(strictOnlyTransport{inner: NewBroadcastBus(k)}, LossyConfig{})
 		},
 	})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	if err != nil || !rep.Verified {
+		t.Fatalf("err = %v, report %+v", err, rep)
+	}
+}
+
+// TestRunStrictModeRefusesLossPromptly pins the end of a strict gather:
+// once sending has concluded and one grace period brought nothing more,
+// the unheard node is lost, and the run refuses by name instead of
+// waiting out the caller's context (under a background context: forever).
+func TestRunStrictModeRefusesLossPromptly(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for name, inner := range map[string]func(k int) Transport{
+		"bus":     func(k int) Transport { return NewBroadcastBus(k) },
+		"sharded": func(k int) Transport { return NewShardedTransport(k, 2) },
+	} {
+		_, _, err := Run(ctx, testProblem(), Options{
+			Nodes: 4, FaultTolerance: 4,
+			NewTransport: func(k int) Transport {
+				return NewLossyTransport(inner(k), LossyConfig{DropNodes: []int{2}})
+			},
+		})
+		if err == nil || !strings.Contains(err.Error(), "transport delivered no message from node 2") {
+			t.Fatalf("%s: err = %v, want the strict refusal naming node 2", name, err)
+		}
+	}
+	if ctx.Err() != nil {
+		t.Fatal("strict refusals took the whole deadline")
 	}
 }
 

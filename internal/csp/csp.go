@@ -402,10 +402,15 @@ func DistributionBrute(sys *System) []*big.Int {
 }
 
 // RandomSystem draws m random binary constraints with the given
-// satisfaction density, for experiments.
+// satisfaction density, for experiments and workload specs (none over
+// fewer than two variables, where no constraint has a pair to bind).
 func RandomSystem(n, sigma, m int, density float64, seed int64) *System {
 	rng := newRng(seed)
-	sys := &System{N: n, Sigma: sigma, Constraints: make([]Constraint, m)}
+	sys := &System{N: n, Sigma: sigma}
+	if n < 2 || m < 0 || sigma < 0 {
+		return sys
+	}
+	sys.Constraints = make([]Constraint, m)
 	for i := range sys.Constraints {
 		u := rng.Intn(n)
 		v := rng.Intn(n)

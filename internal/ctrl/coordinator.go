@@ -519,24 +519,16 @@ func (c *Coordinator) Send(ctx context.Context, m core.NodeShares) error {
 	return fmt.Errorf("ctrl: coordinator transport evaluates remotely; local Send is not supported")
 }
 
-// Gather implements core.Transport (strict mode): k raw frames,
-// counting in-band faults — collectShares then surfaces the first
-// fault (an ErrAuth-wrapped one included) as a typed refusal. Like the
-// TCP transport's strict mode, a worker that dies silently *with no
-// outstanding assignment* cannot be distinguished from a slow one, so
-// strict remote runs lean on ctx for total-silence deadlines; quorum
-// mode is the fault-tolerant path.
+// Gather implements core.Transport. The engine gathers through
+// GatherQuorum in both modes; this is the strict form of the same loop
+// for any other caller. In-band faults count as arrivals —
+// collectShares then surfaces the first one (an ErrAuth-wrapped one
+// included) as a typed refusal. Like the TCP transport's strict mode, a
+// worker that dies silently *with no outstanding assignment* cannot be
+// distinguished from a slow one, so strict remote runs lean on ctx for
+// total-silence deadlines; quorum mode is the fault-tolerant path.
 func (c *Coordinator) Gather(ctx context.Context, k int) ([]core.NodeShares, error) {
-	out := make([]core.NodeShares, 0, k)
-	for len(out) < k {
-		select {
-		case m := <-c.ch:
-			out = append(out, m)
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	return out, nil
+	return c.GatherQuorum(ctx, core.GatherSpec{K: k, Quorum: k, Strict: true})
 }
 
 // GatherQuorum implements core.QuorumGatherer with exactly the

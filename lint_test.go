@@ -2,10 +2,14 @@ package camelot
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -162,5 +166,91 @@ func TestCoreKeepsOneOfEach(t *testing.T) {
 	}
 	if len(offenders) > 0 {
 		t.Fatalf("duplicate paths in internal/core:\n  %s", strings.Join(offenders, "\n  "))
+	}
+}
+
+// TestKindsAreDeclaredOnce is the catalog's half of "one of each": in
+// packages camelot and cmd/camelot a kind's name may be spelled as a Go
+// string literal — a switch case, a name list, a usage or error text —
+// only in catalog.go. Everything else asks Kinds(). Comments are free
+// (the doc tables are checked against the catalog by their own tests),
+// as are test files, the spec lines of examples/ and the problem names
+// of internal/*, none of which declares a kind.
+func TestKindsAreDeclaredOnce(t *testing.T) {
+	kinds := map[string]bool{}
+	for _, k := range Kinds() {
+		kinds[k.Name] = true
+	}
+	word := regexp.MustCompile(`[A-Za-z0-9]+`)
+	var offenders []string
+	for _, dir := range []string{".", "cmd/camelot"} {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range entries {
+			name := d.Name()
+			if d.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") || dir == "." && name == "catalog.go" {
+				continue
+			}
+			fset := token.NewFileSet()
+			file, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				if _, ok := n.(*ast.ImportSpec); ok {
+					return false // an import path is not a name list
+				}
+				lit, ok := n.(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					return true
+				}
+				text, err := strconv.Unquote(lit.Value)
+				if err != nil {
+					return true
+				}
+				for _, w := range word.FindAllString(text, -1) {
+					if kinds[w] {
+						offenders = append(offenders, fmt.Sprintf("%s: %s names kind %q", fset.Position(lit.Pos()), lit.Value, w))
+					}
+				}
+				return true
+			})
+		}
+	}
+	if len(offenders) > 0 {
+		t.Fatalf("kind names outside catalog.go (derive them from Kinds()):\n  %s", strings.Join(offenders, "\n  "))
+	}
+}
+
+// TestParseWorkloadDocListsCatalog checks the defaults table in
+// ParseWorkload's doc comment against the catalog, line for line.
+func TestParseWorkloadDocListsCatalog(t *testing.T) {
+	src, err := os.ReadFile("spec.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, ok := strings.Cut(string(src), "\nfunc ParseWorkload(")
+	if !ok {
+		t.Fatal("spec.go has no ParseWorkload")
+	}
+	doc = doc[strings.LastIndex(doc, "\n\n")+1:]
+	var want []string
+	for _, k := range Kinds() {
+		line := fmt.Sprintf("//\t%-9s", k.Name)
+		for _, f := range k.Fields {
+			line += " " + f.Name + "=" + f.Default
+		}
+		want = append(want, line)
+	}
+	var got []string
+	for _, line := range strings.Split(doc, "\n") {
+		if strings.HasPrefix(line, "//\t") {
+			got = append(got, line)
+		}
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("ParseWorkload's doc table is\n%s\nbut the catalog declares\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -63,21 +63,32 @@ func VerifyProofBatchContext(ctx context.Context, proof *Proof, seed int64) (boo
 	return core.VerifyProofBatchContext(ctx, proof, seed)
 }
 
+// oneShot is the run-and-recover body of every facade function below:
+// resolve the options, build the problem, run it on the default cluster,
+// and read the answer out of the decoded proof.
+func oneShot[P Problem, A any](ctx context.Context, opts []Option,
+	build func(runSettings) (P, error), answer func(P, *Proof) (A, error)) (A, *Report, error) {
+	var none A
+	c := newConfig(opts)
+	p, err := build(c.run)
+	if err != nil {
+		return none, nil, err
+	}
+	proof, rep, err := runOneShot(ctx, p, c)
+	if err != nil {
+		return none, rep, err
+	}
+	a, err := answer(p, proof)
+	return a, rep, err
+}
+
 // CountCliques counts the k-cliques of g (k divisible by 6) with the
 // Theorem 1 Camelot algorithm: proof size and per-node time O(n^{ωk/6}),
 // matching the best sequential total.
 func CountCliques(ctx context.Context, g *Graph, k int, opts ...Option) (*big.Int, *Report, error) {
-	c := newConfig(opts)
-	p, err := cliques.NewProblem(g.g, k, c.run.base)
-	if err != nil {
-		return nil, nil, err
-	}
-	proof, rep, err := runOneShot(ctx, p, c)
-	if err != nil {
-		return nil, rep, err
-	}
-	count, err := p.Recover(proof)
-	return count, rep, err
+	return oneShot(ctx, opts, func(rs runSettings) (CountingProblem, error) {
+		return NewCliqueProblem(g, k, rs)
+	}, CountingProblem.Count)
 }
 
 // CountCliquesSequential counts k-cliques with the Nešetřil–Poljak
@@ -89,34 +100,18 @@ func CountCliquesSequential(g *Graph, k int) (*big.Int, error) {
 // CountTriangles counts the triangles of g with the Theorem 3 Camelot
 // algorithm: proof size O(n^ω/m), per-node time Õ(m).
 func CountTriangles(ctx context.Context, g *Graph, opts ...Option) (*big.Int, *Report, error) {
-	c := newConfig(opts)
-	p, err := triangles.NewProblem(g.g, c.run.base)
-	if err != nil {
-		return nil, nil, err
-	}
-	proof, rep, err := runOneShot(ctx, p, c)
-	if err != nil {
-		return nil, rep, err
-	}
-	count, err := p.Recover(proof)
-	return count, rep, err
+	return oneShot(ctx, opts, func(rs runSettings) (CountingProblem, error) {
+		return NewTriangleProblem(g, rs)
+	}, CountingProblem.Count)
 }
 
 // ChromaticPolynomial computes the chromatic polynomial of g with the
 // Theorem 6 Camelot algorithm (proof size and time O*(2^{n/2})),
 // returning the integer coefficients c_0..c_n of χ_G(t) = Σ c_k t^k.
 func ChromaticPolynomial(ctx context.Context, g *Graph, opts ...Option) ([]*big.Int, *Report, error) {
-	c := newConfig(opts)
-	p, err := chromatic.NewProblem(g.g)
-	if err != nil {
-		return nil, nil, err
-	}
-	proof, rep, err := runOneShot(ctx, p, c)
-	if err != nil {
-		return nil, rep, err
-	}
-	coeffs, err := p.Coefficients(proof)
-	return coeffs, rep, err
+	return oneShot(ctx, opts, func(runSettings) (*chromatic.Problem, error) {
+		return chromatic.NewProblem(g.g)
+	}, (*chromatic.Problem).Coefficients)
 }
 
 // TutteResult carries the recovered Tutte and random-cluster polynomials.
@@ -162,166 +157,95 @@ type CNFFormula = cnfsat.Formula
 // CountCNFSolutions counts satisfying assignments with the Theorem 8(1)
 // Camelot algorithm: proof size and time O*(2^{v/2}).
 func CountCNFSolutions(ctx context.Context, f *CNFFormula, opts ...Option) (*big.Int, *Report, error) {
-	c := newConfig(opts)
-	p, err := cnfsat.NewProblem(f)
-	if err != nil {
-		return nil, nil, err
-	}
-	proof, rep, err := runOneShot(ctx, p, c)
-	if err != nil {
-		return nil, rep, err
-	}
-	count, err := p.CountSolutions(proof)
-	return count, rep, err
+	return oneShot(ctx, opts, func(runSettings) (CountingProblem, error) {
+		return NewCNFProblem(f)
+	}, CountingProblem.Count)
 }
 
 // Permanent computes the permanent of an integer matrix with the
 // Theorem 8(2) Camelot algorithm: proof size and time O*(2^{n/2})
 // against Ryser's O*(2^n).
 func Permanent(ctx context.Context, a [][]int64, opts ...Option) (*big.Int, *Report, error) {
-	c := newConfig(opts)
-	p, err := permanent.NewProblem(a)
-	if err != nil {
-		return nil, nil, err
-	}
-	proof, rep, err := runOneShot(ctx, p, c)
-	if err != nil {
-		return nil, rep, err
-	}
-	per, err := p.Recover(proof)
-	return per, rep, err
+	return oneShot(ctx, opts, func(runSettings) (CountingProblem, error) {
+		return NewPermanentProblem(a)
+	}, CountingProblem.Count)
 }
 
 // CountHamiltonianCycles counts the (undirected) Hamiltonian cycles of g
 // with the Theorem 8(3) Camelot algorithm: proof size and time
 // O*(2^{n/2}).
 func CountHamiltonianCycles(ctx context.Context, g *Graph, opts ...Option) (*big.Int, *Report, error) {
-	c := newConfig(opts)
-	p, err := hamilton.NewProblem(g.g)
-	if err != nil {
-		return nil, nil, err
-	}
-	proof, rep, err := runOneShot(ctx, p, c)
-	if err != nil {
-		return nil, rep, err
-	}
-	count, err := p.RecoverUndirected(proof)
-	return count, rep, err
+	return oneShot(ctx, opts, func(runSettings) (CountingProblem, error) {
+		return NewHamiltonianCycleProblem(g)
+	}, CountingProblem.Count)
 }
 
 // CountHamiltonianPaths counts the (undirected) Hamiltonian paths of g —
 // the Appendix A.5 closing remark — with proof size and time O*(2^{n/2}).
 func CountHamiltonianPaths(ctx context.Context, g *Graph, opts ...Option) (*big.Int, *Report, error) {
-	c := newConfig(opts)
-	p, err := hamilton.NewPathProblem(g.g)
-	if err != nil {
-		return nil, nil, err
-	}
-	proof, rep, err := runOneShot(ctx, p, c)
-	if err != nil {
-		return nil, rep, err
-	}
-	count, err := p.RecoverUndirected(proof)
-	return count, rep, err
+	return oneShot(ctx, opts, func(runSettings) (*hamilton.PathProblem, error) {
+		return hamilton.NewPathProblem(g.g)
+	}, (*hamilton.PathProblem).RecoverUndirected)
 }
 
 // CountSetCovers counts ordered t-tuples from the family (sets given as
 // bit masks over an n-element universe) whose union is the universe,
 // with the Theorem 9 Camelot algorithm: proof size and time O*(2^{n/2}).
 func CountSetCovers(ctx context.Context, family []uint64, n, t int, opts ...Option) (*big.Int, *Report, error) {
-	c := newConfig(opts)
-	p, err := setcover.NewCoverProblem(family, n, t)
-	if err != nil {
-		return nil, nil, err
-	}
-	proof, rep, err := runOneShot(ctx, p, c)
-	if err != nil {
-		return nil, rep, err
-	}
-	count, err := p.RecoverCovers(proof)
-	return count, rep, err
+	return oneShot(ctx, opts, func(runSettings) (*setcover.CoverProblem, error) {
+		return setcover.NewCoverProblem(family, n, t)
+	}, (*setcover.CoverProblem).RecoverCovers)
 }
 
 // CountSetPartitions counts the unordered partitions of the universe
 // into t sets from the family, with the Theorem 10 Camelot algorithm.
 func CountSetPartitions(ctx context.Context, family []uint64, n, t int, opts ...Option) (*big.Int, *Report, error) {
-	c := newConfig(opts)
-	p, err := setcover.NewExactCoverProblem(family, n, t)
-	if err != nil {
+	return oneShot(ctx, opts, func(runSettings) (*setcover.ExactCoverProblem, error) {
+		return setcover.NewExactCoverProblem(family, n, t)
+	}, (*setcover.ExactCoverProblem).RecoverPartitions)
+}
+
+// boolMatrices wraps the row-major 0/1 inputs of the vector problems.
+func boolMatrices(n, t int, a, b []uint8) (am, bm *orthvec.BoolMatrix, err error) {
+	if am, err = orthvec.NewBoolMatrix(n, t, a); err != nil {
 		return nil, nil, err
 	}
-	proof, rep, err := runOneShot(ctx, p, c)
-	if err != nil {
-		return nil, rep, err
-	}
-	count, err := p.RecoverPartitions(proof)
-	return count, rep, err
+	bm, err = orthvec.NewBoolMatrix(n, t, b)
+	return am, bm, err
 }
 
 // CountOrthogonalPairs returns, for each row of a, how many rows of b
 // are orthogonal to it (Theorem 11(1): proof size and time Õ(nt)).
 // Matrices are n×t row-major 0/1.
 func CountOrthogonalPairs(ctx context.Context, n, t int, a, b []uint8, opts ...Option) ([]int64, *Report, error) {
-	c := newConfig(opts)
-	am, err := orthvec.NewBoolMatrix(n, t, a)
-	if err != nil {
-		return nil, nil, err
-	}
-	bm, err := orthvec.NewBoolMatrix(n, t, b)
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := orthvec.NewOVProblem(am, bm)
-	if err != nil {
-		return nil, nil, err
-	}
-	proof, rep, err := runOneShot(ctx, p, c)
-	if err != nil {
-		return nil, rep, err
-	}
-	counts, err := p.Counts(proof)
-	return counts, rep, err
+	return oneShot(ctx, opts, func(runSettings) (*orthvec.OVProblem, error) {
+		am, bm, err := boolMatrices(n, t, a, b)
+		if err != nil {
+			return nil, err
+		}
+		return orthvec.NewOVProblem(am, bm)
+	}, (*orthvec.OVProblem).Counts)
 }
 
 // HammingDistribution returns counts[i][h] = number of rows of b at
 // Hamming distance h from row i of a (Theorem 11(2): Õ(nt²)).
 func HammingDistribution(ctx context.Context, n, t int, a, b []uint8, opts ...Option) ([][]int64, *Report, error) {
-	c := newConfig(opts)
-	am, err := orthvec.NewBoolMatrix(n, t, a)
-	if err != nil {
-		return nil, nil, err
-	}
-	bm, err := orthvec.NewBoolMatrix(n, t, b)
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := orthvec.NewHammingProblem(am, bm)
-	if err != nil {
-		return nil, nil, err
-	}
-	proof, rep, err := runOneShot(ctx, p, c)
-	if err != nil {
-		return nil, rep, err
-	}
-	dist, err := p.Distribution(proof)
-	return dist, rep, err
+	return oneShot(ctx, opts, func(runSettings) (*orthvec.HammingProblem, error) {
+		am, bm, err := boolMatrices(n, t, a, b)
+		if err != nil {
+			return nil, err
+		}
+		return orthvec.NewHammingProblem(am, bm)
+	}, (*orthvec.HammingProblem).Distribution)
 }
 
 // Convolution3SUM counts the witnesses of A[i]+A[ℓ] = A[i+ℓ] per index
 // i in [1, n/2] (Theorem 11(3): Õ(nt²)). The array is 1-based
 // conceptually; a[0] is A[1].
 func Convolution3SUM(ctx context.Context, a []uint64, bits int, opts ...Option) ([]int64, *Report, error) {
-	c := newConfig(opts)
-	p, err := conv3sum.NewProblem(a, bits)
-	if err != nil {
-		return nil, nil, err
-	}
-	proof, rep, err := runOneShot(ctx, p, c)
-	if err != nil {
-		return nil, rep, err
-	}
-	counts, err := p.Counts(proof)
-	return counts, rep, err
+	return oneShot(ctx, opts, func(runSettings) (*conv3sum.Problem, error) {
+		return conv3sum.NewProblem(a, bits)
+	}, (*conv3sum.Problem).Counts)
 }
 
 // CSPConstraint is a binary constraint with a σ×σ satisfaction table.
@@ -334,23 +258,9 @@ type CSPSystem = csp.System
 // exactly k constraints, for k = 0..m (Theorem 12: proof size and time
 // O*(σ^{ωn/6})).
 func CSPDistribution(ctx context.Context, sys *CSPSystem, opts ...Option) ([]*big.Int, *Report, error) {
-	c := newConfig(opts)
-	p, err := csp.NewProblem(sys, c.run.base)
-	if err != nil {
-		return nil, nil, err
-	}
-	proof, rep, err := runOneShot(ctx, p, c)
-	if err != nil {
-		return nil, rep, err
-	}
-	dist, err := p.Distribution(proof)
-	return dist, rep, err
-}
-
-// RandomBoolMatrix returns an n×t 0/1 matrix with the given density —
-// a convenience for experiments with the vector problems.
-func RandomBoolMatrix(n, t int, density float64, seed int64) []uint8 {
-	return randomBits(n, t, density, seed)
+	return oneShot(ctx, opts, func(rs runSettings) (*csp.Problem, error) {
+		return csp.NewProblem(sys, rs.base)
+	}, (*csp.Problem).Distribution)
 }
 
 // --- Counting problems for the session API ------------------------------------
@@ -375,65 +285,53 @@ type CountingProblem interface {
 type countingProblem struct {
 	core.CompiledProblem
 	count func(*core.Proof) (*big.Int, error)
+	// text, when non-nil, renders an answer that is more than the count
+	// (see Workload.Answer).
+	text func(*core.Proof) (string, error)
 }
 
 func (p countingProblem) Count(proof *Proof) (*big.Int, error) { return p.count(proof) }
 
-func newCountingProblem(p core.CompiledProblem, count func(*core.Proof) (*big.Int, error)) CountingProblem {
-	return countingProblem{CompiledProblem: p, count: count}
+// counting pairs what an internal constructor returned with the method
+// that recovers its count: counting(recover)(pkg.NewProblem(...)).
+func counting[P core.CompiledProblem](count func(P, *core.Proof) (*big.Int, error)) func(P, error) (CountingProblem, error) {
+	return func(p P, err error) (CountingProblem, error) {
+		if err != nil {
+			return nil, err
+		}
+		return countingProblem{CompiledProblem: p, count: func(proof *core.Proof) (*big.Int, error) { return count(p, proof) }}, nil
+	}
 }
 
 // NewTriangleProblem builds the Theorem 3 triangle-counting problem for
 // cluster submission. Run-scoped options select the tensor
 // decomposition; everything else is ignored.
 func NewTriangleProblem(g *Graph, opts ...RunOption) (CountingProblem, error) {
-	rs := applyRunOptions(opts)
-	p, err := triangles.NewProblem(g.g, rs.base)
-	if err != nil {
-		return nil, err
-	}
-	return newCountingProblem(p, p.Recover), nil
+	return counting((*triangles.Problem).Recover)(triangles.NewProblem(g.g, applyRunOptions(opts).base))
 }
 
 // NewCliqueProblem builds the Theorem 1 k-clique problem (k divisible
 // by 6) for cluster submission.
 func NewCliqueProblem(g *Graph, k int, opts ...RunOption) (CountingProblem, error) {
-	rs := applyRunOptions(opts)
-	p, err := cliques.NewProblem(g.g, k, rs.base)
-	if err != nil {
-		return nil, err
-	}
-	return newCountingProblem(p, p.Recover), nil
+	return counting((*cliques.Problem).Recover)(cliques.NewProblem(g.g, k, applyRunOptions(opts).base))
 }
 
 // NewPermanentProblem builds the Theorem 8(2) permanent problem for
 // cluster submission.
 func NewPermanentProblem(a [][]int64) (CountingProblem, error) {
-	p, err := permanent.NewProblem(a)
-	if err != nil {
-		return nil, err
-	}
-	return newCountingProblem(p, p.Recover), nil
+	return counting((*permanent.Problem).Recover)(permanent.NewProblem(a))
 }
 
 // NewCNFProblem builds the Theorem 8(1) #CNFSAT problem for cluster
 // submission.
 func NewCNFProblem(f *CNFFormula) (CountingProblem, error) {
-	p, err := cnfsat.NewProblem(f)
-	if err != nil {
-		return nil, err
-	}
-	return newCountingProblem(p, p.CountSolutions), nil
+	return counting((*cnfsat.Problem).CountSolutions)(cnfsat.NewProblem(f))
 }
 
 // NewHamiltonianCycleProblem builds the Theorem 8(3) Hamiltonian cycle
 // problem for cluster submission.
 func NewHamiltonianCycleProblem(g *Graph) (CountingProblem, error) {
-	p, err := hamilton.NewProblem(g.g)
-	if err != nil {
-		return nil, err
-	}
-	return newCountingProblem(p, p.RecoverUndirected), nil
+	return counting((*hamilton.Problem).RecoverUndirected)(hamilton.NewProblem(g.g))
 }
 
 func applyRunOptions(opts []RunOption) runSettings {

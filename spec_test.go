@@ -2,6 +2,7 @@ package camelot
 
 import (
 	"testing"
+	"time"
 
 	"camelot/internal/plan"
 )
@@ -61,9 +62,96 @@ func TestWorkloadDigestSeparatesInstances(t *testing.T) {
 		}
 		record(spec+" f=0", w.Digest(0))
 	}
-	// Negative fault tolerance is clamped like the run options clamp it.
-	if base.Digest(-3) != base.Digest(0) {
-		t.Fatal("Digest(-3) != Digest(0): negative faults should clamp to 0")
+}
+
+// The five kinds that predate the catalog are cache keys in the wild:
+// their canonical lines and digests at defaults are pinned as literals
+// (recorded at 9666d69, before the catalog existed), so deriving the
+// grammar from a table cannot have moved them — and no later edit of a
+// default can without failing here.
+func TestCanonicalAndDigestPinned(t *testing.T) {
+	for _, pin := range []struct{ kind, canonical, digest0, digest2 string }{
+		{"triangles", "triangles seed=1 n=32 p=0.3", "b70bcd82aca283f8c5cf68198909173723cfc3aa113d6d034652b30f804df40b", "32675a4ff215104b40251bc411d28b4eafa5e480a81d9ed25180f6b16320d092"},
+		{"cliques", "cliques seed=1 n=8 k=6 p=0.7", "b2107f4495dabe78f73b8e7abdc9d2f8fb2907c8a0a5d8e4a10ec3ab630b6296", "8c665081a0a1765de62642ec834f42e6ad94af52a7a8034bab5d000db1f0b53a"},
+		{"permanent", "permanent seed=1 n=10", "be34efbde2f4c72c39a3f0c14b5f1fff6331a13e25f3807195aa8c8933d77e0b", "97e6131308209434dcac34c1e14c9dfa9d4fe68589ec30d6b2ba0364a66d2a64"},
+		{"cnfsat", "cnfsat seed=1 vars=12 clauses=20 width=3", "58240ea2af70acb9a884afe1d4fe67c695bceaf79788a342119176fa6abf9e4e", "010357d674c94af0684001e29ce3840533b83b68b19a2882b43c3819e9903b48"},
+		{"hamilton", "hamilton seed=1 n=9 p=0.5", "42605b776c6a0985ea8999e8185eb97bd6c5fbed349d26a35b0d08f351ac208b", "865cf3e34fc3bf8fa6c2671691dc7e4504d0ff8433ccf1ec19e40d2f09d449c8"},
+	} {
+		w, err := ParseWorkload(pin.kind)
+		if err != nil {
+			t.Fatalf("ParseWorkload(%q): %v", pin.kind, err)
+		}
+		if w.Canonical != pin.canonical {
+			t.Errorf("%s: Canonical = %q, want %q", pin.kind, w.Canonical, pin.canonical)
+		}
+		if got := w.Digest(0); got != pin.digest0 {
+			t.Errorf("%s: Digest(0) = %s, want %s", pin.kind, got, pin.digest0)
+		}
+		if got := w.Digest(2); got != pin.digest2 {
+			t.Errorf("%s: Digest(2) = %s, want %s", pin.kind, got, pin.digest2)
+		}
+	}
+}
+
+// Every catalog entry is well formed: defaults are already in canonical
+// form (so the ParseWorkload doc table, the CLI's flag defaults and the
+// canonical line all show the same text), a bare kind name and its fully
+// spelled-out canonical line are the same workload, and the answer
+// renders.
+func TestCatalogEntries(t *testing.T) {
+	seen := map[string]bool{}
+	for _, k := range Kinds() {
+		if seen[k.Name] || k.Name == "" || k.Help == "" {
+			t.Errorf("kind %q: duplicate, unnamed or undocumented", k.Name)
+		}
+		seen[k.Name] = true
+		w, err := ParseWorkload(k.Name)
+		if err != nil {
+			t.Fatalf("ParseWorkload(%q): %v", k.Name, err)
+		}
+		want := k.Name + " seed=1"
+		for _, f := range k.Fields {
+			if f.Help == "" {
+				t.Errorf("%s: field %s has no help text", k.Name, f.Name)
+			}
+			want += " " + f.Name + "=" + f.Default
+		}
+		if w.Canonical != want {
+			t.Errorf("%s: Canonical = %q, but the declared defaults spell %q", k.Name, w.Canonical, want)
+		}
+		again, err := ParseWorkload(w.Canonical)
+		if err != nil {
+			t.Fatalf("ParseWorkload(%q): %v", w.Canonical, err)
+		}
+		if again.Canonical != w.Canonical || again.Digest(3) != w.Digest(3) {
+			t.Errorf("%s: canonical line reparses to %q", k.Name, again.Canonical)
+		}
+	}
+}
+
+// A spec is untrusted input (the proof service parses what tenants
+// send): a zero or negative size must come back as an error or a
+// problem, never as a panic or a hang in an instance generator.
+func TestParseWorkloadDegenerateFields(t *testing.T) {
+	for _, k := range Kinds() {
+		for _, f := range k.Fields {
+			for _, v := range []string{"0", "1", "-1", "65"} {
+				spec := k.Name + " " + f.Name + "=" + v
+				done := make(chan error, 1)
+				go func() {
+					_, err := ParseWorkload(spec)
+					done <- err
+				}()
+				select {
+				case err := <-done:
+					if v == "-1" && !f.real && err == nil {
+						t.Errorf("ParseWorkload(%q) accepted a negative size", spec)
+					}
+				case <-time.After(20 * time.Second):
+					t.Fatalf("ParseWorkload(%q) hangs", spec)
+				}
+			}
+		}
 	}
 }
 
@@ -72,12 +160,12 @@ func TestWorkloadDigestSeparatesInstances(t *testing.T) {
 // silently send the workload through the pointwise plan.
 func TestCountingProblemsCompile(t *testing.T) {
 	problems := map[string]CountingProblem{}
-	for _, kind := range []string{"triangles", "cliques", "permanent", "cnfsat", "hamilton"} {
-		w, err := ParseWorkload(kind)
+	for _, k := range Kinds() {
+		w, err := ParseWorkload(k.Name)
 		if err != nil {
-			t.Fatalf("ParseWorkload(%q): %v", kind, err)
+			t.Fatalf("ParseWorkload(%q): %v", k.Name, err)
 		}
-		problems["spec "+kind] = w.Problem
+		problems["spec "+k.Name] = w.Problem
 	}
 	g := RandomGraph(8, 0.5, 1)
 	add := func(name string, p CountingProblem, err error) {
