@@ -748,10 +748,13 @@ func (en *engine) stageDecode(ctx context.Context) (*Proof, error) {
 	if en.opts.DecodingNodes > 0 && en.opts.DecodingNodes < len(decoders) {
 		decoders = decoders[:en.opts.DecodingNodes]
 	}
-	// One erasure plan per prime, shared read-only by every decoder:
-	// the erasure set is a property of the gather, not of any received
-	// word, and the plan's root-product precomputation is quadratic in
-	// the codeword length. An undecodable erasure set fails here.
+	// The decode wall starts here: a plan for a shortened point set builds
+	// that set's subproduct tree and interpolation weights, and that is
+	// decode work.
+	decodeStart := time.Now()
+	// One erasure plan per prime, shared read-only by every decoder: the
+	// erasure set is a property of the gather, not of any received word.
+	// An undecodable erasure set fails here.
 	erased := en.erasedPoints(en.missing)
 	plans := make([]*rs.ErasurePlan, len(en.codes))
 	for pi, code := range en.codes {
@@ -762,7 +765,6 @@ func (en *engine) stageDecode(ctx context.Context) (*Proof, error) {
 		plans[pi] = plan
 	}
 
-	decodeStart := time.Now()
 	results := make([]*decodeResult, len(decoders))
 	// Suspects merge incrementally as decoders finish so Status() can
 	// report a live count mid-stage.

@@ -370,6 +370,55 @@ func TestEveryStageReturnsCtxErr(t *testing.T) {
 	}
 }
 
+// TestDecodeWallCoversPlanConstruction: when nodes are missing, the
+// per-prime erasure plans build a subproduct tree and interpolation
+// weights over the surviving points before any word is decoded, and that
+// is decode time — Report.DecodeWall must include it, or it would be
+// charged to no stage. The part of stageDecode the report does not
+// account for has to be far smaller than building the plans takes.
+func TestDecodeWallCoversPlanConstruction(t *testing.T) {
+	bg := context.Background()
+	en, err := newEngine(testProblem(), Options{
+		Nodes: 8, FaultTolerance: 2000, MaxErasures: 1, DecodingNodes: 1, GatherGrace: 50 * time.Millisecond,
+		NewTransport: func(k int) Transport {
+			return NewLossyTransport(NewBroadcastBus(k), LossyConfig{Seed: 1, DropNodes: []int{3}})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer en.close()
+	if err := en.round(bg, 0, en.ownRanges()); err != nil {
+		t.Fatal(err)
+	}
+	if !sameInts(en.missing, []int{3}) {
+		t.Fatalf("missing = %v, want [3]", en.missing)
+	}
+	erased := en.erasedPoints(en.missing)
+	planWall := time.Duration(1 << 62)
+	for rep := 0; rep < 3; rep++ { // the fastest of three: a floor, not a noisy sample
+		start := time.Now()
+		for _, code := range en.codes {
+			if _, err := code.ErasurePlan(erased); err != nil {
+				t.Fatal(err)
+			}
+		}
+		planWall = min(planWall, time.Since(start))
+	}
+
+	start := time.Now()
+	if _, err := en.stageDecode(bg); err != nil {
+		t.Fatal(err)
+	}
+	stageWall := time.Since(start)
+	unaccounted := stageWall - en.report.DecodeWall
+	t.Logf("e=%d, %d erased: plans %v, stage %v, DecodeWall %v", en.e, len(erased), planWall, stageWall, en.report.DecodeWall)
+	if unaccounted > planWall/2 {
+		t.Fatalf("stageDecode took %v but reports DecodeWall %v: %v is unaccounted for, and building the erasure plans takes %v",
+			stageWall, en.report.DecodeWall, unaccounted, planWall)
+	}
+}
+
 func TestPointAssignmentTilesExactly(t *testing.T) {
 	// Property sweep: Range intervals must tile [0, e) in order with no
 	// gaps or overlaps, and Owner must agree with Range — including the

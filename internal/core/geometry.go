@@ -22,20 +22,30 @@ import (
 // the engine can consult Options.Geometry unconditionally.
 //
 // Memory stays bounded for long-lived clusters sweeping many distinct
-// problem shapes: when either map reaches maxGeometryEntries the whole
-// map is dropped and rebuilt — an epoch flush rather than LRU, because
-// the steady state of a serving cluster is a handful of hot geometries
-// that immediately repopulate, and a flush is contention-free.
+// problem shapes: prime selections are capped by count, codes by the
+// bytes they hold, and a map that would pass its cap is dropped whole and
+// rebuilt — an epoch flush rather than LRU, because the steady state of
+// a serving cluster is a handful of hot geometries that immediately
+// repopulate, and a flush is contention-free.
 type GeometryCache struct {
-	mu     sync.Mutex
-	primes map[primesKey][]uint64
-	codes  map[codeKey]*rs.Code
+	mu         sync.Mutex
+	primes     map[primesKey][]uint64
+	codes      map[codeKey]*rs.Code
+	codeBytes  int // summed Footprint of codes
+	codeBudget int // flush threshold for codeBytes; geometryCodeBudget outside tests
 }
 
-// maxGeometryEntries caps each memo map. A code for a length-e word
-// holds O(e) field elements, so the cap bounds warm state to a few
-// hundred codes regardless of how many shapes a process ever sees.
+// maxGeometryEntries caps the prime-selection memo; an entry is a few
+// primes.
 const maxGeometryEntries = 256
+
+// geometryCodeBudget caps the bytes of cached codes. A code for a
+// length-e word holds its points' subproduct tree and interpolation
+// weights, O(e log e) field elements — about 160 KB at e=1535 and 14 MB
+// at e=100 000 — so a count of codes bounds nothing; the budget holds a
+// few hundred codes of the first size and four of the second. A code
+// larger than the whole budget is built for its run and not cached.
+const geometryCodeBudget = 64 << 20
 
 type primesKey struct {
 	count int
@@ -51,8 +61,9 @@ type codeKey struct {
 // NewGeometryCache returns an empty cache.
 func NewGeometryCache() *GeometryCache {
 	return &GeometryCache{
-		primes: make(map[primesKey][]uint64),
-		codes:  make(map[codeKey]*rs.Code),
+		primes:     make(map[primesKey][]uint64),
+		codes:      make(map[codeKey]*rs.Code),
+		codeBudget: geometryCodeBudget,
 	}
 }
 
@@ -104,12 +115,21 @@ func (gc *GeometryCache) code(q uint64, e, d int) (*rs.Code, error) {
 	if err != nil {
 		return nil, err
 	}
+	size := c.Footprint()
+	if size > gc.codeBudget {
+		return c, nil
+	}
 	gc.mu.Lock()
-	if len(gc.codes) >= maxGeometryEntries {
+	defer gc.mu.Unlock()
+	if prev, ok := gc.codes[key]; ok {
+		return prev, nil // a racing first build got there; keep one copy
+	}
+	if gc.codeBytes+size > gc.codeBudget {
 		gc.codes = make(map[codeKey]*rs.Code)
+		gc.codeBytes = 0
 	}
 	gc.codes[key] = c
-	gc.mu.Unlock()
+	gc.codeBytes += size
 	return c, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -316,6 +317,93 @@ func TestGeometryCacheReusesCodesAndPrimes(t *testing.T) {
 	}
 	if _, err := nilGC.code(p1[0], 16, 7); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGeometryCacheFlushesByBytes: the code memo is bounded by the bytes
+// its codes hold, not by how many there are — inserting past the budget
+// drops the epoch, a code over the whole budget is never kept, and a
+// flushed geometry rebuilds to a code that decodes bit-identically.
+func TestGeometryCacheFlushesByBytes(t *testing.T) {
+	primes, err := ChoosePrimes(1, 1<<20, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := primes[0]
+	const e, d = 300, 200
+	gc := NewGeometryCache()
+	first, err := gc.code(q, e, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := first.Footprint()
+	if size < 8*e*5 {
+		t.Fatalf("a length-%d code reports %d bytes: the subproduct tree is not counted", e, size)
+	}
+	if gc.codeBytes != size {
+		t.Fatalf("codeBytes = %d after one insert of %d bytes", gc.codeBytes, size)
+	}
+	msg := make([]uint64, d+1)
+	for i := range msg {
+		msg[i] = uint64(3*i+1) % q
+	}
+	word, err := first.Encode(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 10; i < 10+first.CorrectionRadius(); i++ {
+		word[i] = (word[i] + 1) % q
+	}
+	wantMsg, wantWord, wantLocs, err := first.Decode(word)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Room for the first code and two more of its size: the fourth insert
+	// passes the budget and starts a new epoch holding only itself.
+	gc.codeBudget = 3*size + size/2
+	for i := 1; i <= 2; i++ {
+		if _, err := gc.code(q, e, d-i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if again, _ := gc.code(q, e, d); again != first {
+		t.Fatal("code evicted while the cache was within its budget")
+	}
+	if len(gc.codes) != 3 {
+		t.Fatalf("%d codes cached within budget, want 3", len(gc.codes))
+	}
+	if _, err := gc.code(q, e, d-3); err != nil {
+		t.Fatal(err)
+	}
+	if len(gc.codes) != 1 || gc.codeBytes > gc.codeBudget {
+		t.Fatalf("after passing the budget: %d codes, %d bytes (budget %d); want a flushed epoch of one",
+			len(gc.codes), gc.codeBytes, gc.codeBudget)
+	}
+	rebuilt, err := gc.code(q, e, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rebuilt == first {
+		t.Fatal("flushed code was not rebuilt")
+	}
+	gotMsg, gotWord, gotLocs, err := rebuilt.Decode(word)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(gotMsg, wantMsg) || !slices.Equal(gotWord, wantWord) || !slices.Equal(gotLocs, wantLocs) {
+		t.Fatal("a rebuilt code decodes the same word differently")
+	}
+
+	// A code larger than the whole budget serves its run uncached.
+	gc.codeBudget = size - 1
+	before := len(gc.codes)
+	big, err := gc.code(q, e, d-4)
+	if err != nil || big == nil {
+		t.Fatalf("over-budget code: %v", err)
+	}
+	if len(gc.codes) != before {
+		t.Fatal("a code larger than the budget was cached")
 	}
 }
 

@@ -7,6 +7,7 @@ package poly
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"camelot/internal/ff"
@@ -107,31 +108,45 @@ func TestEvalManyInterpolateParallelMatchesSerial(t *testing.T) {
 	restore := par.SetParallelism(1)
 	wantVals := r.EvalMany(coeffs, points)
 	wantPoly := r.Interpolate(points, wantVals)
-	wantProd := r.ProductFromRoots(points)
+	wantSet := r.NewPointSet(points)
 	restore()
 
 	restore = par.SetParallelism(4)
+	defer restore()
 	gotVals := r.EvalMany(coeffs, points)
 	gotPoly := r.Interpolate(points, gotVals)
-	gotProd := r.ProductFromRoots(points)
-	restore()
+	gotSet := r.NewPointSet(points)
 
-	for i := range wantVals {
-		if gotVals[i] != wantVals[i] {
-			t.Fatalf("parallel EvalMany[%d] = %d, serial %d", i, gotVals[i], wantVals[i])
+	equal := func(name string, got, want []uint64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Errorf("parallel %s length %d, serial %d", name, len(got), len(want))
+			return
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("parallel %s[%d] = %d, serial %d", name, i, got[i], want[i])
+				return
+			}
 		}
 	}
-	if len(gotPoly) != len(wantPoly) {
-		t.Fatalf("parallel Interpolate length %d, serial %d", len(gotPoly), len(wantPoly))
+	equal("EvalMany", gotVals, wantVals)
+	equal("Interpolate", gotPoly, wantPoly)
+	equal("PointSet.Product", gotSet.Product(), wantSet.Product())
+	equal("PointSet weights", gotSet.invW, wantSet.invW)
+
+	// One shared point set walked from four goroutines at once: every
+	// walk only reads the set, so each must reproduce the serial answers.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 3; rep++ {
+				equal("shared PointSet.Eval", wantSet.Eval(coeffs), wantVals)
+				equal("shared PointSet.Interpolate", wantSet.Interpolate(wantVals), wantPoly)
+			}
+		}()
 	}
-	for i := range wantPoly {
-		if gotPoly[i] != wantPoly[i] {
-			t.Fatalf("parallel Interpolate[%d] = %d, serial %d", i, gotPoly[i], wantPoly[i])
-		}
-	}
-	for i := range wantProd {
-		if gotProd[i] != wantProd[i] {
-			t.Fatalf("parallel ProductFromRoots[%d] = %d, serial %d", i, gotProd[i], wantProd[i])
-		}
-	}
+	wg.Wait()
 }

@@ -257,21 +257,28 @@ func (r *Ring) DivMod(a, b []uint64) (q, rem []uint64) {
 	rem = make([]uint64, len(a))
 	copy(rem, a)
 	q = make([]uint64, len(a)-len(b)+1)
+	r.divInPlace(rem, b, q)
+	return Trim(q), Trim(rem[:len(b)-1])
+}
+
+// divInPlace is schoolbook division of a by b (both trimmed, len(a) >=
+// len(b) > 0): it overwrites q[:len(a)-len(b)+1] with the quotient and
+// leaves the remainder in a[:len(b)-1], the rest of a zeroed.
+func (r *Ring) divInPlace(a, b, q []uint64) {
 	k := r.f.Kernel()
 	invLeadS := k.Shift(r.f.Inv(b[len(b)-1]))
 	for i := len(a) - len(b); i >= 0; i-- {
-		c := ff.MulKS(rem[i+len(b)-1], invLeadS, k)
+		c := ff.MulKS(a[i+len(b)-1], invLeadS, k)
+		q[i] = c
 		if c == 0 {
 			continue
 		}
-		q[i] = c
 		cs := k.Shift(c)
-		row := rem[i : i+len(b)]
+		row := a[i : i+len(b)]
 		for j, bj := range b {
 			row[j] = r.f.Sub(row[j], ff.MulKS(bj, cs, k))
 		}
 	}
-	return Trim(q), Trim(rem)
 }
 
 // GCD returns the monic greatest common divisor of a and b.
@@ -298,22 +305,58 @@ func (r *Ring) Monic(p []uint64) []uint64 {
 }
 
 // PartialXGCD runs the extended Euclidean algorithm on (a, b) and stops as
-// soon as the remainder g has degree < stopDeg, returning (g, u, v) with
-// u*a + v*b = g. This is exactly the half-way stop the Gao decoder needs
-// (paper §2.3): a = G0, b = G1, stopDeg = (e+d+1)/2.
-func (r *Ring) PartialXGCD(a, b []uint64, stopDeg int) (g, u, v []uint64) {
-	// Invariants: r0 = u0*a + v0*b, r1 = u1*a + v1*b. The "current
-	// remainder" of the Euclidean sequence is r1; we stop at the first
-	// remainder with degree < stopDeg (which may be the zero polynomial —
-	// e.g. decoding a received word close to the zero codeword).
-	r0, r1 := Trim(a), Trim(b)
-	u0, u1 := []uint64{1}, []uint64(nil)
-	v0, v1 := []uint64(nil), []uint64{1}
+// soon as the remainder g has degree < stopDeg, returning g and the
+// cofactor v of b: g = u*a + v*b for a u that is never formed, so
+// g ≡ v*b (mod a). This is exactly the half-way stop the Gao decoder needs
+// (paper §2.3): a = G0, b = G1, stopDeg = (e+d+1)/2, and the decoder reads
+// only g and v. It is the classical quadratic loop — one schoolbook
+// division per remainder — on two remainder and two cofactor buffers that
+// swap roles, so a step allocates nothing.
+func (r *Ring) PartialXGCD(a, b []uint64, stopDeg int) (g, v []uint64) {
+	// Invariants: r0 ≡ v0*b, r1 ≡ v1*b (mod a). The "current remainder"
+	// of the Euclidean sequence is r1; we stop at the first remainder with
+	// degree < stopDeg (which may be the zero polynomial — e.g. decoding a
+	// received word close to the zero codeword).
+	a, b = Trim(a), Trim(b)
+	// deg v grows to deg a - stopDeg at most (append covers a caller whose
+	// degrees break that pattern).
+	vcap := max(len(a)-stopDeg, 0) + 1
+	r0 := append(make([]uint64, 0, len(a)), a...)
+	r1 := append(make([]uint64, 0, max(len(a), len(b))), b...)
+	v0, v1 := make([]uint64, 0, vcap), append(make([]uint64, 0, vcap), 1)
+	var q []uint64
+	k := r.f.Kernel()
 	for Degree(r1) >= stopDeg {
-		q, rem := r.DivMod(r0, r1)
-		r0, r1 = r1, rem
-		u0, u1 = u1, r.Sub(u0, r.Mul(q, u1))
-		v0, v1 = v1, r.Sub(v0, r.Mul(q, v1))
+		if len(r0) < len(r1) {
+			// First step with deg a < deg b: quotient 0, remainder a.
+			r0, r1 = r1, r0
+			v0, v1 = v1, v0
+			continue
+		}
+		nq := len(r0) - len(r1) + 1
+		if cap(q) < nq {
+			q = make([]uint64, nq)
+		}
+		q = q[:nq]
+		r.divInPlace(r0, r1, q)
+		r0, r1 = r1, Trim(r0[:len(r1)-1])
+		// v0 - q*v1, formed in v0's buffer, becomes the new v1.
+		if len(v1) > 0 {
+			if need := nq + len(v1) - 1; len(v0) < need {
+				v0 = append(v0, make([]uint64, need-len(v0))...)
+			}
+			for i, qi := range q {
+				if qi == 0 {
+					continue
+				}
+				qs := k.Shift(qi)
+				row := v0[i : i+len(v1)]
+				for j, vj := range v1 {
+					row[j] = r.f.Sub(row[j], ff.MulKS(vj, qs, k))
+				}
+			}
+		}
+		v0, v1 = v1, Trim(v0)
 	}
-	return r1, u1, v1
+	return r1, v1
 }

@@ -141,21 +141,55 @@ func TestGCD(t *testing.T) {
 	}
 }
 
+// TestPartialXGCDInvariant checks what PartialXGCD promises: the returned
+// remainder is the first of the Euclidean sequence below the stop degree,
+// and it is congruent to v*b modulo a (the u cofactor is never formed).
 func TestPartialXGCDInvariant(t *testing.T) {
 	r := testRing(t)
 	rng := rand.New(rand.NewSource(19))
+	check := func(name string, a, b []uint64, stop int) (g, v []uint64) {
+		t.Helper()
+		g, v = r.PartialXGCD(a, b, stop)
+		if Degree(g) >= stop {
+			t.Fatalf("%s: stopped with degree %d >= stop %d", name, Degree(g), stop)
+		}
+		if _, rem := r.DivMod(r.Sub(r.Mul(v, b), g), a); len(rem) != 0 {
+			t.Fatalf("%s: g is not congruent to v*b mod a", name)
+		}
+		// g is the FIRST remainder below the stop: replaying the sequence
+		// with DivMod reaches the same polynomial and no earlier one.
+		r0, r1 := Trim(a), Trim(b)
+		for Degree(r1) >= stop {
+			_, rem := r.DivMod(r0, r1)
+			r0, r1 = r1, rem
+		}
+		if !Equal(g, r1) {
+			t.Fatalf("%s: g is not the first remainder below degree %d", name, stop)
+		}
+		return g, v
+	}
 	for trial := 0; trial < 20; trial++ {
 		a := randPoly(rng, r.f, 40)
 		b := randPoly(rng, r.f, 35)
-		stop := rng.Intn(30)
-		g, u, v := r.PartialXGCD(a, b, stop)
-		if Degree(g) >= stop && Degree(r.GCD(a, b)) < stop {
-			t.Fatalf("stopped with degree %d >= stop %d", Degree(g), stop)
-		}
-		lhs := r.Add(r.Mul(u, a), r.Mul(v, b))
-		if !Equal(lhs, g) {
-			t.Fatalf("u*a + v*b != g (trial %d)", trial)
-		}
+		check("random", a, b, 1+rng.Intn(30))
+		check("deg a < deg b", b, a, 1+rng.Intn(30))
+	}
+	// A zero remainder: b divides a, so the sequence ends at 0 after one
+	// step — the shape of a received word next to the zero codeword, whose
+	// interpolant is a near-multiple of G0's cofactor.
+	b := randPoly(rng, r.f, 12)
+	a := r.Mul(b, randPoly(rng, r.f, 9))
+	g, v := check("zero remainder", a, b, 5)
+	if Degree(g) != -1 {
+		t.Fatalf("zero remainder: g has degree %d, want the zero polynomial", Degree(g))
+	}
+	if Degree(v) != Degree(a)-Degree(b) {
+		t.Fatalf("zero remainder: deg v = %d, want deg a - deg b = %d", Degree(v), Degree(a)-Degree(b))
+	}
+	// Already below the stop: nothing runs, g = b and v = 1.
+	g, v = check("no step", a, b, Degree(b)+1)
+	if !Equal(g, b) || !Equal(v, []uint64{1}) {
+		t.Fatalf("no step: got g of degree %d, v = %v", Degree(g), v)
 	}
 }
 
@@ -207,11 +241,11 @@ func TestInterpolateConstantAndLinear(t *testing.T) {
 	}
 }
 
-func TestProductFromRoots(t *testing.T) {
+func TestPointSetProduct(t *testing.T) {
 	r := testRing(t)
 	roots := []uint64{1, 2, 3}
 	// (x-1)(x-2)(x-3) = x^3 - 6x^2 + 11x - 6
-	got := r.ProductFromRoots(roots)
+	got := r.NewPointSet(roots).Product()
 	want := []uint64{r.f.Reduce(-6), 11, r.f.Reduce(-6), 1}
 	if !Equal(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
@@ -219,6 +253,47 @@ func TestProductFromRoots(t *testing.T) {
 	for _, x := range roots {
 		if r.Eval(got, x) != 0 {
 			t.Fatalf("root %d not a root", x)
+		}
+	}
+}
+
+// TestPointSetMatchesOneShot pins the cached form against the one-shot
+// Ring methods across the fastThreshold boundary and a padded tree, on
+// both rings: same evaluations, same interpolant, reused many times.
+func TestPointSetMatchesOneShot(t *testing.T) {
+	for name, r := range map[string]*Ring{"ntt": testRing(t), "plain": plainRing(t)} {
+		rng := rand.New(rand.NewSource(13))
+		for _, n := range []int{1, 2, 63, 64, 65, 128, 129, 300, 513} {
+			points := make([]uint64, n)
+			for i := range points {
+				points[i] = uint64(i)*7919%r.f.Q + 1
+			}
+			ps := r.NewPointSet(points)
+			if ps.Len() != n {
+				t.Fatalf("%s n=%d: Len = %d", name, n, ps.Len())
+			}
+			for _, deg := range []int{0, n / 2, n - 1, n + 70} {
+				p := randPoly(rng, r.f, deg)
+				got := ps.Eval(p)
+				for i, x := range points {
+					if want := r.Eval(p, x); got[i] != want {
+						t.Fatalf("%s n=%d deg=%d: Eval[%d] = %d, Horner %d", name, n, deg, i, got[i], want)
+					}
+				}
+			}
+			for rep := 0; rep < 3; rep++ {
+				p := randPoly(rng, r.f, n-1)
+				values := r.EvalMany(p, points)
+				if got := ps.Interpolate(values); !Equal(got, p) {
+					t.Fatalf("%s n=%d: PointSet.Interpolate did not round-trip", name, n)
+				}
+				if got := r.Interpolate(points, values); !Equal(got, p) {
+					t.Fatalf("%s n=%d: Ring.Interpolate did not round-trip", name, n)
+				}
+			}
+			if got := ps.Interpolate(make([]uint64, n)); Degree(got) != -1 {
+				t.Fatalf("%s n=%d: interpolating zeros gave degree %d", name, n, Degree(got))
+			}
 		}
 	}
 }

@@ -6,6 +6,20 @@
 // The decoder additionally reports *which* positions were corrupted, which
 // is how a Camelot node identifies the Knights that Morgana enchanted
 // (paper §1.3, step 2).
+//
+// A decode is interpolate → partial Euclid → exact division → locator
+// roots, and only the middle two depend on more than the received word's
+// values: the subproduct tree and interpolation weights of the evaluation
+// points belong to the Code (and to an ErasurePlan, for a shortened point
+// set), built once. The corrected word is never re-encoded. Gao's stop
+// leaves g = u·G0 + v·G1 with G0(x_i) = 0 and G1(x_i) = r_i at every
+// delivered point, and the message is the exact quotient p = g/v, so
+//
+//	p(x_i)·v(x_i) = g(x_i) = v(x_i)·r_i,   hence p(x_i) = r_i wherever v(x_i) ≠ 0:
+//
+// the codeword can differ from the received word only at roots of the
+// locator v (degree at most the number of errors), and p is evaluated
+// only there and at erased positions.
 package rs
 
 import (
@@ -26,7 +40,10 @@ type Code struct {
 	ring   *poly.Ring
 	points []uint64
 	d      int
-	g0     []uint64 // Π (x - x_i), precomputed for decoding
+	// ps is what encoding and decoding need of the points alone: their
+	// subproduct tree, whose root is Gao's G0 = Π (x - x_i), and the
+	// interpolation weights.
+	ps *poly.PointSet
 }
 
 // New constructs a code over the given ring with the given evaluation
@@ -47,7 +64,7 @@ func New(ring *poly.Ring, points []uint64, d int) (*Code, error) {
 		}
 		seen[xr] = struct{}{}
 	}
-	return &Code{ring: ring, points: points, d: d, g0: ring.ProductFromRoots(points)}, nil
+	return &Code{ring: ring, points: points, d: d, ps: ring.NewPointSet(points)}, nil
 }
 
 // ConsecutivePoints returns the canonical Camelot point set 0..e-1.
@@ -68,6 +85,11 @@ func (c *Code) DegreeBound() int { return c.d }
 // Points returns the evaluation points (not a copy; callers must not
 // mutate).
 func (c *Code) Points() []uint64 { return c.points }
+
+// Footprint returns the bytes the code keeps alive — O(e log e) field
+// elements, nearly all of them the subproduct tree — for callers that
+// cache codes under a memory budget.
+func (c *Code) Footprint() int { return c.ps.Footprint() }
 
 // CorrectionRadius returns the number of symbol errors the decoder is
 // guaranteed to correct: ⌊(e-d-1)/2⌋.
@@ -92,7 +114,7 @@ func (c *Code) Encode(message []uint64) ([]uint64, error) {
 	if len(message) > c.d+1 {
 		return nil, fmt.Errorf("rs: message length %d exceeds d+1 = %d", len(message), c.d+1)
 	}
-	return c.ring.EvalMany(message, c.points), nil
+	return c.ps.Eval(message), nil
 }
 
 // Decode recovers the message polynomial from a received word, correcting
@@ -107,7 +129,7 @@ func (c *Code) Decode(received []uint64) (message, corrected []uint64, errorLocs
 	if len(received) != len(c.points) {
 		return nil, nil, nil, fmt.Errorf("rs: received word length %d, want %d", len(received), len(c.points))
 	}
-	return c.decodeOver(c.points, received, c.g0, nil)
+	return c.decodeOver(c.ps, received, nil)
 }
 
 // DecodeErasures decodes a received word in which the symbols at the
@@ -135,16 +157,15 @@ func (c *Code) DecodeErasures(received []uint64, erased []int) (message, correct
 }
 
 // ErasurePlan is a precomputed decoding context for one erasure set:
-// the erasure mask, the surviving evaluation points, and their root
-// product Π (x - x_i) — everything about the erasures that does not
-// depend on the received word. Plans are immutable and safe for
-// concurrent Decode calls, so one plan can serve every (decoder,
-// prime, coordinate) of a run that lost the same senders.
+// the erasure mask and the surviving evaluation points with their
+// subproduct tree and interpolation weights — everything about the
+// erasures that does not depend on the received word. Plans are
+// immutable and safe for concurrent Decode calls, so one plan can serve
+// every (decoder, prime, coordinate) of a run that lost the same senders.
 type ErasurePlan struct {
 	c    *Code
-	mask []bool // nil when nothing is erased
-	pts  []uint64
-	g0   []uint64
+	mask []bool         // nil when nothing is erased
+	ps   *poly.PointSet // the surviving points; the code's own set when nothing is erased
 }
 
 // ErasurePlan validates the erasure set and precomputes the shortened
@@ -154,7 +175,7 @@ type ErasurePlan struct {
 func (c *Code) ErasurePlan(erased []int) (*ErasurePlan, error) {
 	e := len(c.points)
 	if len(erased) == 0 {
-		return &ErasurePlan{c: c, pts: c.points, g0: c.g0}, nil
+		return &ErasurePlan{c: c, ps: c.ps}, nil
 	}
 	mask := make([]bool, e)
 	s := 0
@@ -177,7 +198,7 @@ func (c *Code) ErasurePlan(erased []int) (*ErasurePlan, error) {
 			pts = append(pts, x)
 		}
 	}
-	return &ErasurePlan{c: c, mask: mask, pts: pts, g0: c.ring.ProductFromRoots(pts)}, nil
+	return &ErasurePlan{c: c, mask: mask, ps: c.ring.NewPointSet(pts)}, nil
 }
 
 // Decode runs the erasure-aware Gao decoder against one received word;
@@ -190,32 +211,40 @@ func (p *ErasurePlan) Decode(received []uint64) (message, corrected []uint64, er
 	}
 	vals := received
 	if p.mask != nil {
-		vals = make([]uint64, 0, len(p.pts))
+		vals = make([]uint64, 0, p.ps.Len())
 		for i, v := range received {
 			if !p.mask[i] {
 				vals = append(vals, v)
 			}
 		}
 	}
-	return c.decodeOver(p.pts, vals, p.g0, p.mask)
+	return c.decodeOver(p.ps, vals, p.mask)
 }
 
 // decodeOver runs Gao's decoder on the (possibly erasure-shortened) code
-// over the given evaluation points: vals are the received symbols at
-// pts, g0 = Π (x - pts_i), and mask (nil when nothing is erased) marks
-// the erased positions of the full-length code so the corrected word
-// and error locations can be expressed in full-length coordinates.
-func (c *Code) decodeOver(pts, vals []uint64, g0 []uint64, mask []bool) (message, corrected []uint64, errorLocs []int, err error) {
+// over the point set ps: vals are the received symbols at its points, and
+// mask (nil when nothing is erased) marks the erased positions of the
+// full-length code so the corrected word and error locations can be
+// expressed in full-length coordinates.
+//
+// By the identity in the package comment the corrected word is the
+// received word except at roots of the locator v and at erased positions,
+// so only those are evaluated; a clean word (constant v) evaluates
+// nothing. A root of v is reported as an error only if p really differs
+// from the received symbol there, which keeps the outcome — refusals
+// beyond the radius included — what re-encoding and diffing every
+// position would give.
+func (c *Code) decodeOver(ps *poly.PointSet, vals []uint64, mask []bool) (message, corrected []uint64, errorLocs []int, err error) {
 	e := len(c.points)
-	n := len(pts)
-	g1 := c.ring.Interpolate(pts, vals)
+	n := ps.Len()
+	g1 := ps.Interpolate(vals)
 	if poly.Degree(g1) < 0 {
 		// Every delivered symbol is zero: the zero codeword (the Euclidean
 		// recursion below would degenerate on G1 = 0).
 		return make([]uint64, c.d+1), make([]uint64, e), nil, nil
 	}
 	stop := (n + c.d + 1) / 2
-	g, _, v := c.ring.PartialXGCD(g0, g1, stop)
+	g, v := c.ring.PartialXGCD(ps.Product(), g1, stop)
 	if poly.Degree(v) < 0 {
 		return nil, nil, nil, fmt.Errorf("%w: degenerate error locator", ErrDecodeFailure)
 	}
@@ -223,17 +252,38 @@ func (c *Code) decodeOver(pts, vals []uint64, g0 []uint64, mask []bool) (message
 	if len(r) != 0 || poly.Degree(p) > c.d {
 		return nil, nil, nil, ErrDecodeFailure
 	}
-	corrected = c.ring.EvalMany(p, c.points)
+
+	var locator []uint64 // v at the delivered points; nil when v has no roots
+	if poly.Degree(v) > 0 {
+		locator = ps.Eval(v)
+	}
 	q := c.ring.Field().Q
-	di := 0 // index into the delivered symbols
+	corrected = make([]uint64, e)
+	var open []int // positions whose symbol must come from p: erased, or a root of v
+	di := 0        // index into the delivered symbols
 	for i := range corrected {
 		if mask != nil && mask[i] {
+			open = append(open, i)
 			continue
 		}
-		if corrected[i] != vals[di]%q {
-			errorLocs = append(errorLocs, i)
+		if locator != nil && locator[di] == 0 {
+			open = append(open, i)
 		}
+		corrected[i] = vals[di] % q
 		di++
+	}
+	if len(open) > 0 {
+		xs := make([]uint64, len(open))
+		for j, i := range open {
+			xs[j] = c.points[i]
+		}
+		for j, y := range c.ring.EvalMany(p, xs) {
+			i := open[j]
+			if (mask == nil || !mask[i]) && y != corrected[i] {
+				errorLocs = append(errorLocs, i)
+			}
+			corrected[i] = y
+		}
 	}
 	if radius := c.CorrectionRadiusWithErasures(e - n); len(errorLocs) > radius {
 		// The Euclidean stop produced a "codeword" farther away than the

@@ -284,21 +284,36 @@ func BenchmarkEncode1024(b *testing.B) {
 	}
 }
 
-func BenchmarkDecode1024With100Errors(b *testing.B) {
-	c := newTestCode(b, 1024, 500)
+// BenchmarkDecode times one warm decode at the benchmark's decode_bound
+// geometry (e=1535, d=1134): a clean word, a lying node's block of 192
+// errors, and the whole budget spent on erasures through a reused plan.
+func BenchmarkDecode(b *testing.B) {
+	const e, d = 1535, 1134
+	c := newTestCode(b, e, d)
 	rng := rand.New(rand.NewSource(1))
-	msg := randMessage(rng, c.Field(), 500)
-	cw, _ := c.Encode(msg)
-	rx := make([]uint64, len(cw))
-	copy(rx, cw)
-	for _, i := range rng.Perm(len(cw))[:100] {
-		rx[i] = rng.Uint64() % c.Field().Q
+	cw, _ := c.Encode(randMessage(rng, c.Field(), d))
+	garbled := append([]uint64(nil), cw...)
+	for i := 192; i < 384; i++ {
+		garbled[i] = c.Field().Add(garbled[i], 1+rng.Uint64()%(c.Field().Q-1))
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, _, err := c.Decode(rx); err != nil {
-			b.Fatal(err)
-		}
+	full, _ := c.ErasurePlan(nil)
+	shortened, err := c.ErasurePlan(rng.Perm(e)[:e-d-1])
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		plan *ErasurePlan
+		word []uint64
+	}{{"clean", full, cw}, {"errors", full, garbled}, {"erasures", shortened, cw}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, _, err := bc.plan.Decode(bc.word); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
