@@ -344,6 +344,15 @@ func TestRemoteReconnectResume(t *testing.T) {
 	fw2.conn.Close()
 }
 
+// corkedConn holds back everything written to it, so a test can put
+// several frames on the wire in a single write of buf.
+type corkedConn struct {
+	net.Conn
+	buf bytes.Buffer
+}
+
+func (c *corkedConn) Write(p []byte) (int, error) { return c.buf.Write(p) }
+
 // sendTampered writes a shares-shaped frame whose MAC is garbage,
 // bypassing wireConn's honest MAC computation.
 func (f *fakeWorker) sendTampered(seq uint64) {
@@ -430,8 +439,18 @@ func TestAuthTamperQuorum(t *testing.T) {
 	}()
 	fw := dialFake(t, co.Addr(), secret, nil)
 	a0, _ := fw.recvAssign(), fw.recvAssign()
+	// Owner 0's honest share alone fills the quorum, so the run may
+	// finish and close the coordinator the moment it is read. Both
+	// frames therefore go out in one write: the forgery is on the wire
+	// before the honest owner can release the run, never a write into a
+	// closed pipe.
+	cork := &corkedConn{Conn: fw.conn}
+	fw.conn, fw.wc.conn = cork, cork
 	fw.sendShares(ctx, p, a0) // owner 0 delivered honestly
 	fw.sendTampered(2)        // owner 1's delivery is a forgery
+	if _, err := cork.Conn.Write(cork.buf.Bytes()); err != nil {
+		t.Fatalf("fake worker write both frames: %v", err)
+	}
 	res := <-runDone
 	if res.err != nil {
 		t.Fatalf("quorum run should absorb tampering as a delivery fault: %v", res.err)

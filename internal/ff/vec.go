@@ -97,6 +97,60 @@ func ProdSumLazy(acc uint64, a, b []uint64, k Kernel) uint64 {
 	return acc
 }
 
+// SumProd3 returns Σ_i a[i]·b[i]·c[i] mod q over canonical entries — the
+// Σ_v A_v·B_v·C_v reduction of the triangle proof polynomial. Four
+// accumulators keep the reduction chains independent.
+func (f Field) SumProd3(a, b, c []uint64) uint64 {
+	k := f.Kernel()
+	n := len(a)
+	b, c = b[:n], c[:n]
+	var s0, s1, s2, s3 uint64
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		s0 = f.Add(s0, MulK(MulK(a[i], b[i], k), c[i], k))
+		s1 = f.Add(s1, MulK(MulK(a[i+1], b[i+1], k), c[i+1], k))
+		s2 = f.Add(s2, MulK(MulK(a[i+2], b[i+2], k), c[i+2], k))
+		s3 = f.Add(s3, MulK(MulK(a[i+3], b[i+3], k), c[i+3], k))
+	}
+	for ; i < n; i++ {
+		s0 = f.Add(s0, MulK(MulK(a[i], b[i], k), c[i], k))
+	}
+	return f.Add(f.Add(s0, s1), f.Add(s2, s3))
+}
+
+// AddVec sets dst[i] = a[i]+b[i] mod q over canonical entries. dst may
+// alias a or b; a and b must be at least as long as dst. With SubVec it
+// is the whole inner loop of a 0/±1 Yates level (internal/yates), where
+// unrolling took the 7×4 Strassen transform from 55 to 40 µs.
+func (f Field) AddVec(dst, a, b []uint64) {
+	n := len(dst)
+	a, b = a[:n], b[:n]
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		d0, d1 := f.Add(a[i], b[i]), f.Add(a[i+1], b[i+1])
+		d2, d3 := f.Add(a[i+2], b[i+2]), f.Add(a[i+3], b[i+3])
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = d0, d1, d2, d3
+	}
+	for ; i < n; i++ {
+		dst[i] = f.Add(a[i], b[i])
+	}
+}
+
+// SubVec sets dst[i] = a[i]−b[i] mod q; same contract as AddVec.
+func (f Field) SubVec(dst, a, b []uint64) {
+	n := len(dst)
+	a, b = a[:n], b[:n]
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		d0, d1 := f.Sub(a[i], b[i]), f.Sub(a[i+1], b[i+1])
+		d2, d3 := f.Sub(a[i+2], b[i+2]), f.Sub(a[i+3], b[i+3])
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = d0, d1, d2, d3
+	}
+	for ; i < n; i++ {
+		dst[i] = f.Sub(a[i], b[i])
+	}
+}
+
 // ReduceVec4Q canonicalizes entries from the Harvey lazy range [0, 4q)
 // in place: two conditional subtractions per entry.
 func ReduceVec4Q(a []uint64, q uint64) {

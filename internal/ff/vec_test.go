@@ -155,6 +155,50 @@ func TestReduceVec4Q(t *testing.T) {
 	}
 }
 
+func TestAddSubVecAndSumProd3MatchScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, q := range diffModuli(t) {
+		f := Must(q)
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 64, 129} {
+			a, b, c := randVec(n, q, rng), randVec(n, q, rng), randVec(n, q, rng)
+			if n > 2 { // the wrap-around edges of Add and Sub
+				a[0], b[0] = q-1, q-1
+				a[1], b[1] = 0, q-1
+			}
+			sum, diff, dot := make([]uint64, n), make([]uint64, n), uint64(0)
+			for i := range a {
+				sum[i], diff[i] = (a[i]+b[i])%q, (a[i]+q-b[i])%q
+				dot = (dot + f.mulDiv(f.mulDiv(a[i], b[i]), c[i])) % q
+			}
+			if got := f.SumProd3(a, b, c); got != dot {
+				t.Fatalf("q=%d n=%d: SumProd3 = %d, want %d", q, n, got, dot)
+			}
+			got := make([]uint64, n)
+			f.AddVec(got, a, b)
+			for i := range sum {
+				if got[i] != sum[i] {
+					t.Fatalf("q=%d n=%d: AddVec[%d] = %d, want %d", q, n, i, got[i], sum[i])
+				}
+			}
+			f.SubVec(got, a, b)
+			for i := range diff {
+				if got[i] != diff[i] {
+					t.Fatalf("q=%d n=%d: SubVec[%d] = %d, want %d", q, n, i, got[i], diff[i])
+				}
+			}
+			// Aliased dst == a is how the Yates kernel accumulates.
+			acc := append([]uint64(nil), a...)
+			f.AddVec(acc, acc, b)
+			f.SubVec(acc, acc, b)
+			for i := range a {
+				if acc[i] != a[i] {
+					t.Fatalf("q=%d n=%d: aliased AddVec then SubVec [%d] = %d, want %d", q, n, i, acc[i], a[i])
+				}
+			}
+		}
+	}
+}
+
 func FuzzMulVecKS(f *testing.F) {
 	f.Add(uint64(1048583), uint64(3), uint64(5), uint64(2))
 	f.Add(^uint64(0), ^uint64(0), ^uint64(0), uint64(3))

@@ -93,40 +93,38 @@ func adjacencyEntries(g *graph.Graph, dc tensor.Decomposition) []yates.Entry {
 }
 
 // sparseTriple bundles the three split/sparse transforms (α, β, γ sides)
-// of the trace identity (19) for one modulus.
+// of the trace identity (19) for one modulus, each over the R0×n0²
+// transposed base. It is also the triangle plan.Plan for that modulus.
 type sparseTriple struct {
-	a, b, c *sparseTransform
-}
-
-// sparseTransform wraps a SplitSparse over the R0×n0² transposed base.
-type sparseTransform struct {
-	ss *yates.SplitSparse
+	f       ff.Field
+	a, b, c *yates.SplitSparse
 }
 
 func newSparseTriple(f ff.Field, g *graph.Graph, dc tensor.Decomposition, ell int) (*sparseTriple, error) {
 	entries := adjacencyEntries(g, dc)
 	alphaT, betaT, gammaT := dc.SparseBases(f)
-	s := dc.N0 * dc.N0
-	mk := func(base []uint64) (*sparseTransform, error) {
-		ss, err := yates.NewSplitSparse(f, base, dc.R0, s, dc.T, entries, ell)
+	var sides [3]*yates.SplitSparse
+	for i, base := range [][]uint64{alphaT, betaT, gammaT} {
+		ss, err := yates.NewSplitSparse(f, base, dc.R0, dc.N0*dc.N0, dc.T, entries, ell)
 		if err != nil {
 			return nil, err
 		}
-		return &sparseTransform{ss: ss}, nil
+		sides[i] = ss
 	}
-	a, err := mk(alphaT)
-	if err != nil {
-		return nil, err
+	return &sparseTriple{f: f, a: sides[0], b: sides[1], c: sides[2]}, nil
+}
+
+// evaluator returns z0 ↦ P(z0) = Σ_v A_v(z0)·B_v(z0)·C_v(z0), the one
+// per-point path of verifier and compiled plan alike. The three sides
+// share the part grid, so one Lagrange basis Φ(z0) serves all of them;
+// only their (Aᵀ)^{⊗(k-ℓ)} weights differ. The closure owns the three
+// evaluators' scratch and is not safe for concurrent use.
+func (tr *sparseTriple) evaluator() func(z0 uint64) uint64 {
+	ea, eb, ec := tr.a.NewPartsEvaluator(), tr.b.NewPartsEvaluator(), tr.c.NewPartsEvaluator()
+	return func(z0 uint64) uint64 {
+		phi := ea.Basis(z0)
+		return tr.f.SumProd3(ea.AtBasis(phi), eb.AtBasis(phi), ec.AtBasis(phi))
 	}
-	b, err := mk(betaT)
-	if err != nil {
-		return nil, err
-	}
-	c, err := mk(gammaT)
-	if err != nil {
-		return nil, err
-	}
-	return &sparseTriple{a: a, b: b, c: c}, nil
 }
 
 // CountSplitSparse counts triangles with the Theorem 4 execution: the
@@ -153,7 +151,7 @@ func CountSplitSparse(g *graph.Graph, base tensor.Decomposition, parallelism int
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	nParts := triple.a.ss.NumParts()
+	nParts := triple.a.NumParts()
 	if parallelism > nParts {
 		parallelism = nParts
 	}
@@ -165,9 +163,9 @@ func CountSplitSparse(g *graph.Graph, base tensor.Decomposition, parallelism int
 			defer wg.Done()
 			acc := uint64(0)
 			for outer := w; outer < nParts; outer += parallelism {
-				pa := triple.a.ss.Part(outer)
-				pb := triple.b.ss.Part(outer)
-				pc := triple.c.ss.Part(outer)
+				pa := triple.a.Part(outer)
+				pb := triple.b.Part(outer)
+				pc := triple.c.Part(outer)
 				for v := range pa {
 					acc = f.Add(acc, f.Mul(pa[v], f.Mul(pb[v], pc[v])))
 				}
@@ -265,62 +263,34 @@ func (p *Problem) Evaluate(q, z0 uint64) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	pa := triple.a.ss.PartsAtPoint(z0)
-	pb := triple.b.ss.PartsAtPoint(z0)
-	pc := triple.c.ss.PartsAtPoint(z0)
-	acc := uint64(0)
-	for v := range pa {
-		acc = f.Add(acc, f.Mul(pa[v], f.Mul(pb[v], pc[v])))
-	}
-	return []uint64{acc}, nil
+	return []uint64{triple.evaluator()(z0)}, nil
 }
 
 var _ core.CompiledProblem = (*Problem)(nil)
 
-// compiled is the triangle Plan for one prime: the sparse triple (edge
-// reduction, digit tables) is built once at compile time; the
-// scratch-carrying parts evaluators are created per EvaluateBlock call.
-type compiled struct {
-	f      ff.Field
-	triple *sparseTriple
-}
-
-// Compile implements plan.Compiler: the per-prime edge reduction
-// (sparse adjacency entries, digit tables) compiles once, and each
-// block hoists the per-point Lagrange setup (factorial products, fixed
-// denominator inverses, the transposed base) into three
-// yates.PartsEvaluators instead of paying it per point. Results are
-// bit-identical to Evaluate: the amortized and one-shot Lagrange
-// kernels produce the same residues, so compiled and per-point protocol
-// paths decode to the same proof.
+// Compile implements plan.Compiler: the per-prime sparse triple (edge
+// reduction, digit tables, compiled Kronecker kernels) is built once and
+// only read afterwards, and each block then runs the same per-point
+// evaluator as Evaluate — so compiled and per-point protocol paths
+// decode to the same proof by construction.
 func (p *Problem) Compile(f ff.Field) (plan.Plan, error) {
 	triple, err := newSparseTriple(f, p.g, p.dc, p.ell)
 	if err != nil {
 		return nil, err
 	}
-	return &compiled{f: f, triple: triple}, nil
+	return triple, nil
 }
 
-// EvaluateBlock implements plan.Plan.
-func (c *compiled) EvaluateBlock(xs []uint64) ([][]uint64, error) {
-	f := c.f
-	// Per-call evaluators: they carry scratch, so they cannot be shared
-	// between concurrent EvaluateBlock calls; their construction cost is
-	// amortized over the block.
-	ea := c.triple.a.ss.NewPartsEvaluator()
-	eb := c.triple.b.ss.NewPartsEvaluator()
-	ec := c.triple.c.ss.NewPartsEvaluator()
-	fk := f.Kernel()
+// EvaluateBlock implements plan.Plan. The evaluator is built per call,
+// not kept in the plan: it carries the Lagrange, scatter and Yates
+// scratch that makes a point allocation-free, and plans must stay safe
+// for concurrent EvaluateBlock calls. Its construction (three part-sized
+// buffer pairs) is amortized over the block.
+func (tr *sparseTriple) EvaluateBlock(xs []uint64) ([][]uint64, error) {
+	at := tr.evaluator()
 	out := make([][]uint64, len(xs))
 	for i, z0 := range xs {
-		pa := ea.At(z0)
-		pb := eb.At(z0)
-		pc := ec.At(z0)
-		acc := uint64(0)
-		for v := range pa {
-			acc = f.Add(acc, ff.MulK(pa[v], ff.MulK(pb[v], pc[v], fk), fk))
-		}
-		out[i] = []uint64{acc}
+		out[i] = []uint64{at(z0)}
 	}
 	return out, nil
 }

@@ -232,8 +232,11 @@ func TestEvaluateBlockMatchesEvaluate(t *testing.T) {
 	// The compiled plan must be bit-identical to point-wise Evaluate
 	// (the verification stage evaluates through Evaluate, so any
 	// divergence would fail verification instead of corrupting the
-	// proof silently). Cover sparse and dense graphs, on- and off-grid
-	// points, and values needing reduction mod q.
+	// proof silently). Both run one evaluator type; what differs is that
+	// a block reuses its scratch from point to point while Evaluate
+	// starts fresh — so this pins that nothing leaks between points.
+	// Cover sparse and dense graphs, on- and off-grid points, and values
+	// needing reduction mod q.
 	for _, tc := range []struct {
 		name string
 		g    *graph.Graph

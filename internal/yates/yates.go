@@ -20,62 +20,165 @@ import (
 // row-major order (a[i*s+j] = A[i][j], entries already reduced mod f.Q)
 // and x has length s^k. The result has length t^k. The input is not
 // modified. Work is O((s+t)·max(s,t)^k·k) field operations, space
-// O(max(s,t)^k) — exactly paper eq. (5) level by level.
+// O(max(s,t)^k) — exactly paper eq. (5) level by level. This is the
+// one-shot form of the kernel below: compile, allocate scratch, apply.
 func Transform(f ff.Field, a []uint64, t, s, k int, x []uint64) []uint64 {
-	if len(a) != t*s {
-		panic(fmt.Sprintf("yates: base matrix %d entries, want %dx%d", len(a), t, s))
-	}
+	pw := compile(f, a, t, s, k)
 	if len(x) != pow(s, k) {
 		panic(fmt.Sprintf("yates: input length %d, want %d^%d", len(x), s, k))
 	}
-	fk := f.Kernel()
-	// Double-buffer the level fan-out: the per-level result was
-	// previously a fresh allocation, which made the allocator and GC a
-	// visible fraction of tight Kronecker pushes (R0^T levels per fanOut
-	// call). Both buffers are sized to the largest level.
-	maxSize := len(x)
-	for l := 1; l <= k; l++ {
-		if sz := pow(t, l) * pow(s, k-l); sz > maxSize {
-			maxSize = sz
-		}
+	return pw.apply(x, make([]uint64, pw.scratch()))
+}
+
+// term is one non-zero entry A[i][j] of a compiled base row.
+type term struct {
+	j    int    // source digit
+	sign int    // +1 for coefficient 1, −1 for q−1, 0 for anything else
+	cs   uint64 // Kernel.Shift(coefficient); read only when sign == 0
+}
+
+// power is A^{⊗k} compiled for repeated application — the evaluation
+// kernel. Each base row is a term list sorted +1, −1, general, so a
+// 0/±1 base (both tensor bases) costs modular adds and subtracts only.
+// A power is immutable and safe for concurrent apply calls; the scratch
+// belongs to the caller.
+type power struct {
+	f       ff.Field
+	t, s, k int
+	rows    [][]term
+}
+
+func compile(f ff.Field, a []uint64, t, s, k int) *power {
+	if len(a) != t*s {
+		panic(fmt.Sprintf("yates: base matrix %d entries, want %dx%d", len(a), t, s))
 	}
-	bufA := make([]uint64, maxSize)
-	bufB := make([]uint64, maxSize)
-	cur := bufA[:len(x)]
-	copy(cur, x)
-	// After level ℓ the shape is [t^ℓ][s^{k-ℓ}]; level ℓ contracts digit ℓ.
-	for l := 1; l <= k; l++ {
-		prefix := pow(t, l-1)
-		suffix := pow(s, k-l)
-		next := bufB[:prefix*t*suffix]
-		clear(next)
-		for p := 0; p < prefix; p++ {
-			for i := 0; i < t; i++ {
-				row := a[i*s:]
-				dst := next[(p*t+i)*suffix:]
-				for j := 0; j < s; j++ {
-					c := row[j]
-					if c == 0 {
-						continue
-					}
-					src := cur[(p*s+j)*suffix:]
-					if c == 1 {
-						for u := 0; u < suffix; u++ {
-							dst[u] = f.Add(dst[u], src[u])
-						}
-						continue
-					}
-					cs := fk.Shift(c)
-					for u := 0; u < suffix; u++ {
-						dst[u] = f.Add(dst[u], ff.MulKS(src[u], cs, fk))
-					}
+	fk := f.Kernel()
+	rows := make([][]term, t)
+	for i := range rows {
+		for _, sign := range []int{1, -1, 0} {
+			for j, c := range a[i*s : (i+1)*s] {
+				sg := 0
+				switch c {
+				case 1:
+					sg = 1
+				case f.Q - 1:
+					sg = -1
+				}
+				if c != 0 && sg == sign {
+					rows[i] = append(rows[i], term{j: j, sign: sg, cs: fk.Shift(c)})
 				}
 			}
 		}
-		bufA, bufB = bufB, bufA
-		cur = next
+	}
+	return &power{f: f, t: t, s: s, k: k, rows: rows}
+}
+
+// scratch returns the buffer length apply needs: two copies of the
+// largest level, which is the output when t >= s and level one otherwise.
+func (pw *power) scratch() int {
+	return 2 * max(pow(pw.t, pw.k), pw.t*pow(pw.s, pw.k-1))
+}
+
+// apply returns A^{⊗k} x as a slice of buf (length scratch()), valid
+// until buf is next written; x is only read. Every level keeps the
+// natural row-major layout [prefix][digit][suffix] and ping-pongs
+// between the halves of buf. All levels together cost the same in
+// either axis order, but the heavy ones should own the long contiguous
+// suffix: with t >= s the array grows, so the last axis goes first and
+// the final level runs over suffix t^{k-1}; with t < s it shrinks, so
+// the first axis goes first and level one runs over suffix s^{k-1}.
+func (pw *power) apply(x, buf []uint64) []uint64 {
+	t, s, k := pw.t, pw.s, pw.k
+	b0, b1 := buf[:len(buf)/2], buf[len(buf)/2:]
+	if k == 0 {
+		b0[0] = x[0]
+		return b0[:1]
+	}
+	cur := x
+	for step := 0; step < k; step++ {
+		prefix, suffix := pow(t, step), pow(s, k-1-step)
+		if t >= s {
+			prefix, suffix = pow(s, k-1-step), pow(t, step)
+		}
+		next := b0[:prefix*t*suffix]
+		if suffix == 1 {
+			pw.scalarLevel(next, cur)
+		} else {
+			for p := 0; p < prefix; p++ {
+				src := cur[p*s*suffix : (p+1)*s*suffix]
+				dst := next[p*t*suffix : (p+1)*t*suffix]
+				for i, row := range pw.rows {
+					pw.combine(dst[i*suffix:(i+1)*suffix], src, row)
+				}
+			}
+		}
+		cur, b0, b1 = next, b1, b0
 	}
 	return cur
+}
+
+// scalarLevel is the level of suffix 1 — the lightest one, where a call
+// per one-word run would cost more than the arithmetic (37 against 47 µs
+// for the whole 7×4, k=5 transform).
+func (pw *power) scalarLevel(next, cur []uint64) {
+	f, fk := pw.f, pw.f.Kernel()
+	for p := 0; p*pw.t < len(next); p++ {
+		src := cur[p*pw.s : (p+1)*pw.s]
+		for i, row := range pw.rows {
+			acc := uint64(0)
+			for _, tm := range row {
+				switch tm.sign {
+				case 1:
+					acc = f.Add(acc, src[tm.j])
+				case -1:
+					acc = f.Sub(acc, src[tm.j])
+				default:
+					acc = f.Add(acc, ff.MulKS(src[tm.j], tm.cs, fk))
+				}
+			}
+			next[p*pw.t+i] = acc
+		}
+	}
+}
+
+// combine writes one output run dst = Σ_j A[i][j]·src_j, where src_j is
+// the j-th len(dst)-word run of src. The first one or two terms are
+// fused into the pass that first writes dst — no clear, no
+// read-modify-write — which covers every row of the Strassen bases; only
+// third and later terms, and rows that open with a −1, accumulate.
+func (pw *power) combine(dst, src []uint64, row []term) {
+	f, n := pw.f, len(dst)
+	run := func(tm term) []uint64 { return src[tm.j*n : (tm.j+1)*n] }
+	rest := row
+	switch {
+	case len(row) >= 2 && row[1].sign == 1:
+		f.AddVec(dst, run(row[0]), run(row[1]))
+		rest = row[2:]
+	case len(row) >= 2 && row[0].sign == 1 && row[1].sign == -1:
+		f.SubVec(dst, run(row[0]), run(row[1]))
+		rest = row[2:]
+	case len(row) >= 1 && row[0].sign == 1:
+		copy(dst, run(row[0]))
+		rest = row[1:]
+	case len(row) >= 1 && row[0].sign == 0:
+		ff.MulVecKS(dst, run(row[0]), row[0].cs, f.Kernel())
+		rest = row[1:]
+	default:
+		clear(dst)
+	}
+	for _, tm := range rest {
+		switch tm.sign {
+		case 1:
+			f.AddVec(dst, dst, run(tm))
+		case -1:
+			f.SubVec(dst, dst, run(tm))
+		default:
+			fk := f.Kernel()
+			for i, v := range run(tm) {
+				dst[i] = f.Add(dst[i], ff.MulKS(v, tm.cs, fk))
+			}
+		}
+	}
 }
 
 func pow(b, e int) int {
@@ -103,11 +206,14 @@ type SplitSparse struct {
 	t, s, k int
 	ell     int
 	entries []Entry
-	// lowDigits[i] caches the k-ℓ least-significant base-s digits of
-	// entry i's index (most significant of the low block first).
-	lowDigits [][]int
-	// highIndex[i] caches the ℓ most-significant digits as one number.
-	highIndex []int
+	inner   *power // A^{⊗ℓ}: scattered input → one part
+	outer   *power // (Aᵀ)^{⊗(k-ℓ)}: Lagrange basis → weight per low index
+	// lowDigits[i*(k-ℓ):] caches the k-ℓ least-significant base-s digits
+	// of entry i's index (most significant of the low block first);
+	// low[i] and high[i] are those digits and the ℓ most-significant
+	// ones, each as one number.
+	lowDigits []int32
+	low, high []int
 }
 
 // NewSplitSparse prepares a split/sparse transform. ell is the number of
@@ -123,26 +229,34 @@ func NewSplitSparse(f ff.Field, a []uint64, t, s, k int, entries []Entry, ell in
 	if ell < 0 || ell > k {
 		return nil, fmt.Errorf("yates: ell=%d out of range [0,%d]", ell, k)
 	}
+	at := make([]uint64, s*t)
+	for i := 0; i < t; i++ {
+		for j := 0; j < s; j++ {
+			at[j*t+i] = a[i*s+j]
+		}
+	}
+	nOut := k - ell
 	ss := &SplitSparse{
 		f: f, a: a, t: t, s: s, k: k, ell: ell,
 		entries:   entries,
-		lowDigits: make([][]int, len(entries)),
-		highIndex: make([]int, len(entries)),
+		inner:     compile(f, a, t, s, ell),
+		outer:     compile(f, at, s, t, nOut),
+		lowDigits: make([]int32, len(entries)*nOut),
+		low:       make([]int, len(entries)),
+		high:      make([]int, len(entries)),
 	}
 	sHigh := pow(s, ell)
-	sLow := pow(s, k-ell)
+	sLow := pow(s, nOut)
 	for i, e := range entries {
 		if e.Index < 0 || e.Index >= sHigh*sLow {
 			return nil, fmt.Errorf("yates: entry index %d out of range", e.Index)
 		}
-		ss.highIndex[i] = e.Index / sLow
-		low := e.Index % sLow
-		digs := make([]int, k-ell)
-		for d := k - ell - 1; d >= 0; d-- {
-			digs[d] = low % s
+		ss.high[i], ss.low[i] = e.Index/sLow, e.Index%sLow
+		low := ss.low[i]
+		for d := nOut - 1; d >= 0; d-- {
+			ss.lowDigits[i*nOut+d] = int32(low % s)
 			low /= s
 		}
-		ss.lowDigits[i] = digs
 	}
 	return ss, nil
 }
@@ -169,10 +283,11 @@ func (ss *SplitSparse) PartSize() int { return pow(ss.t, ss.ell) }
 // Part v contains y[v'*t^{k-ℓ} + outer] at position v' for v' in [t^ℓ].
 func (ss *SplitSparse) Part(outer int) []uint64 {
 	f := ss.f
+	nOut := ss.k - ss.ell
 	// Outer digits, most significant of the low block first.
-	outDigs := make([]int, ss.k-ss.ell)
+	outDigs := make([]int, nOut)
 	o := outer
-	for d := ss.k - ss.ell - 1; d >= 0; d-- {
+	for d := nOut - 1; d >= 0; d-- {
 		outDigs[d] = o % ss.t
 		o /= ss.t
 	}
@@ -180,8 +295,8 @@ func (ss *SplitSparse) Part(outer int) []uint64 {
 	xl := make([]uint64, pow(ss.s, ss.ell))
 	for i, e := range ss.entries {
 		w := uint64(1)
-		for d, jd := range ss.lowDigits[i] {
-			w = f.Mul(w, ss.a[outDigs[d]*ss.s+jd])
+		for d, jd := range ss.lowDigits[i*nOut : (i+1)*nOut] {
+			w = f.Mul(w, ss.a[outDigs[d]*ss.s+int(jd)])
 			if w == 0 {
 				break
 			}
@@ -189,16 +304,15 @@ func (ss *SplitSparse) Part(outer int) []uint64 {
 		if w == 0 {
 			continue
 		}
-		hi := ss.highIndex[i]
-		xl[hi] = f.Add(xl[hi], f.Mul(w, e.Value))
+		xl[ss.high[i]] = f.Add(xl[ss.high[i]], f.Mul(w, e.Value))
 	}
 	// Inner classical Yates (paper step (c)).
-	return Transform(f, ss.a, ss.t, ss.s, ss.ell, xl)
+	return ss.inner.apply(xl, make([]uint64, ss.inner.scratch()))
 }
 
 // Dense computes the full y = A^{⊗k} x by concatenating parts — a test
 // and small-scale convenience (quadratic in part count; real users call
-// Part/PartsAtPoint).
+// Part or a PartsEvaluator).
 func (ss *SplitSparse) Dense() []uint64 {
 	nParts := ss.NumParts()
 	size := ss.PartSize()
@@ -212,103 +326,73 @@ func (ss *SplitSparse) Dense() []uint64 {
 	return y
 }
 
-// PartsAtPoint evaluates the part-polynomials u^{(ℓ)}(z) at z = z0
-// (paper §3.3). For z0 = 1, 2, ..., t^{k-ℓ} the result equals
-// Part(z0 - 1); at other points it is the degree-(t^{k-ℓ}-1) polynomial
-// extension. Cost O(|D|·(k-ℓ) + t^{k-ℓ+1}(k-ℓ) + inner Yates).
-func (ss *SplitSparse) PartsAtPoint(z0 uint64) []uint64 {
-	f := ss.f
-	nOut := ss.k - ss.ell
-	// Φ_i(z0) over the 1-based outer range [t^{k-ℓ}].
-	phi := f.LagrangeAtOneBased(pow(ss.t, nOut), z0)
-	// α_{j_low}(z0) for every low-digit tuple: (Aᵀ)^{⊗(k-ℓ)} Φ.
-	at := make([]uint64, ss.s*ss.t)
-	for i := 0; i < ss.t; i++ {
-		for j := 0; j < ss.s; j++ {
-			at[j*ss.t+i] = ss.a[i*ss.s+j]
-		}
-	}
-	alpha := Transform(f, at, ss.s, ss.t, nOut, phi)
-	// Scatter with interpolated weights, then inner Yates.
-	xl := make([]uint64, pow(ss.s, ss.ell))
-	sLow := pow(ss.s, nOut)
-	for i, e := range ss.entries {
-		low := e.Index % sLow
-		w := alpha[low]
-		if w == 0 {
-			continue
-		}
-		hi := ss.highIndex[i]
-		xl[hi] = f.Add(xl[hi], f.Mul(w, e.Value))
-	}
-	return Transform(f, ss.a, ss.t, ss.s, ss.ell, xl)
-}
-
 // PartPolyDegree returns the degree bound t^{k-ℓ} - 1 of each part
 // polynomial u^{(ℓ)}_{i}(z).
 func (ss *SplitSparse) PartPolyDegree() int { return pow(ss.t, ss.k-ss.ell) - 1 }
 
-// PartsEvaluator amortizes PartsAtPoint across many points of the same
-// transform: the transposed base matrix is built once, the Lagrange
-// basis over the 1-based outer range goes through a scratch-reusing
-// ff.LagrangeEvaluator (factorial products and fixed denominators
-// inverted at construction), and the Φ/x^{(ℓ)} scatter buffers are
-// reused between calls. This is the block-evaluation workhorse behind
-// compiled plans of the §3.3 polynomial extension.
+// PartsEvaluator evaluates the part-polynomials u^{(ℓ)}(z) of paper
+// §3.3 at arbitrary points: for z0 = 1, 2, ..., t^{k-ℓ} the result
+// equals Part(z0 - 1), elsewhere it is the degree-(t^{k-ℓ}-1)
+// polynomial extension. It is the one per-point path — the verifier's
+// Evaluate and preparation's compiled plans both run it — and costs
+// O(|D| + t^{k-ℓ+1}(k-ℓ) + inner Yates) per point with no allocation:
+// the Lagrange evaluator (factorial products and fixed denominators
+// inverted at construction), the basis and scatter vectors and the
+// kernel's ping-pong buffer are all owned here and reused between calls.
 //
 // Like ff.LagrangeEvaluator, a PartsEvaluator is NOT safe for
-// concurrent use (shared scratch); build one per goroutine. At(z0) is
-// bit-identical to ss.PartsAtPoint(z0) for every z0 — the one-shot and
-// amortized Lagrange kernels compute the same residues — which is what
-// lets batch and per-point protocol paths share one proof.
+// concurrent use (shared scratch); build one per goroutine.
 type PartsEvaluator struct {
 	ss  *SplitSparse
-	at  []uint64 // transposed base, s×t
 	le  *ff.LagrangeEvaluator
 	phi []uint64 // Lagrange basis scratch, length t^{k-ℓ}
 	xl  []uint64 // scatter scratch, length s^ℓ
+	buf []uint64 // kernel scratch: the weights, then (once scattered) the part
 }
 
 // NewPartsEvaluator prepares a reusable part-polynomial evaluator.
 func (ss *SplitSparse) NewPartsEvaluator() *PartsEvaluator {
-	at := make([]uint64, ss.s*ss.t)
-	for i := 0; i < ss.t; i++ {
-		for j := 0; j < ss.s; j++ {
-			at[j*ss.t+i] = ss.a[i*ss.s+j]
-		}
-	}
-	nOut := ss.k - ss.ell
+	nParts := ss.NumParts()
 	return &PartsEvaluator{
 		ss:  ss,
-		at:  at,
-		le:  ss.f.NewLagrangeEvaluatorOneBased(pow(ss.t, nOut)),
-		phi: make([]uint64, pow(ss.t, nOut)),
+		le:  ss.f.NewLagrangeEvaluatorOneBased(nParts),
+		phi: make([]uint64, nParts),
 		xl:  make([]uint64, pow(ss.s, ss.ell)),
+		buf: make([]uint64, max(ss.inner.scratch(), ss.outer.scratch())),
 	}
 }
 
-// At evaluates the part-polynomials u^{(ℓ)}(z) at z = z0, exactly like
-// SplitSparse.PartsAtPoint but with the per-point setup amortized. The
-// returned slice is freshly allocated (the inner Yates transform owns
-// it); scratch reuse covers the Lagrange and scatter phases.
-func (pe *PartsEvaluator) At(z0 uint64) []uint64 {
+// At evaluates the part-polynomials u^{(ℓ)}(z) at z = z0. The returned
+// slice is the evaluator's own scratch: it is valid until the next call
+// of At or AtBasis on this evaluator and must not be written.
+func (pe *PartsEvaluator) At(z0 uint64) []uint64 { return pe.AtBasis(pe.Basis(z0)) }
+
+// Basis returns Φ(z0), the Lagrange basis over the 1-based outer range
+// [t^{k-ℓ}], valid until the next Basis or At on this evaluator. It
+// depends on the grid alone, so evaluators of transforms that differ
+// only in their base can share one Basis per point through AtBasis.
+func (pe *PartsEvaluator) Basis(z0 uint64) []uint64 { return pe.le.At(z0, pe.phi) }
+
+// AtBasis is At given phi = Basis(z0).
+func (pe *PartsEvaluator) AtBasis(phi []uint64) []uint64 {
 	ss := pe.ss
-	f := ss.f
-	nOut := ss.k - ss.ell
-	pe.le.At(z0, pe.phi)
-	alpha := Transform(f, pe.at, ss.s, ss.t, nOut, pe.phi)
+	f, fk := ss.f, ss.f.Kernel()
+	// α_{j_low}(z0) for every low-digit tuple: (Aᵀ)^{⊗(k-ℓ)} Φ.
+	alpha := ss.outer.apply(phi, pe.buf)
+	// Scatter with interpolated weights, then inner Yates.
 	clear(pe.xl)
-	sLow := pow(ss.s, nOut)
-	for i, e := range ss.entries {
-		low := e.Index % sLow
-		w := alpha[low]
+	for i, lo := range ss.low {
+		w := alpha[lo]
 		if w == 0 {
 			continue
 		}
-		hi := ss.highIndex[i]
-		pe.xl[hi] = f.Add(pe.xl[hi], f.Mul(w, e.Value))
+		if v := ss.entries[i].Value; v != 1 {
+			w = ff.MulK(w, v, fk)
+		}
+		hi := ss.high[i]
+		pe.xl[hi] = f.Add(pe.xl[hi], w)
 	}
-	return Transform(f, ss.a, ss.t, ss.s, ss.ell, pe.xl)
+	return ss.inner.apply(pe.xl, pe.buf)
 }
 
 // Zeta computes the subset zeta transform in place over a generic

@@ -2,6 +2,7 @@ package yates
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"camelot/internal/ff"
@@ -71,6 +72,73 @@ func TestTransformMatchesDense(t *testing.T) {
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("(%d,%d,%d): index %d: %d want %d", c.t, c.s, c.k, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+func TestTransformDifferential(t *testing.T) {
+	// The kernel against the naive dense Kronecker product over random
+	// shapes on both sides of the axis-order rule (t > s, t = s, t < s),
+	// degenerate exponents, and base rows built to hit every path of
+	// combine: empty, one, two and 3+ terms, with coefficients drawn from
+	// {0, 1, q-1, general} — over the smallest prime, one near 2^20 and
+	// one near 2^61.
+	rng := rand.New(rand.NewSource(7))
+	for _, q := range []uint64{2, 1048583, (1 << 61) - 1} {
+		f := ff.Must(q)
+		coeff := func() uint64 {
+			switch rng.Intn(4) {
+			case 0:
+				return 0
+			case 1:
+				return 1
+			case 2:
+				return q - 1
+			}
+			return rng.Uint64() % q
+		}
+		for iter := 0; iter < 300; iter++ {
+			tt, s := 1+rng.Intn(7), 1+rng.Intn(7)
+			k := rng.Intn(5)
+			for pow(max(tt, s), k) > 4096 {
+				k--
+			}
+			a := make([]uint64, tt*s)
+			for i := 0; i < tt; i++ {
+				row := a[i*s : (i+1)*s]
+				switch terms := rng.Intn(5); terms {
+				case 4: // anything, including zeros
+					for j := range row {
+						row[j] = coeff()
+					}
+				default: // exactly min(terms, s) non-zero entries
+					for _, j := range rng.Perm(s)[:min(terms, s)] {
+						for row[j] == 0 {
+							row[j] = coeff()
+						}
+					}
+				}
+			}
+			x := make([]uint64, pow(s, k))
+			for i := range x {
+				x[i] = rng.Uint64() % q
+			}
+			orig := append([]uint64(nil), x...)
+			got := Transform(f, a, tt, s, k, x)
+			want := kroneckerDense(f, a, tt, s, k, x)
+			if len(got) != len(want) {
+				t.Fatalf("q=%d (%d,%d,%d): length %d want %d", q, tt, s, k, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("q=%d (%d,%d,%d) base %v: index %d: %d want %d", q, tt, s, k, a, i, got[i], want[i])
+				}
+			}
+			for i := range x {
+				if x[i] != orig[i] {
+					t.Fatalf("q=%d (%d,%d,%d): Transform modified its input", q, tt, s, k)
+				}
 			}
 		}
 	}
@@ -166,58 +234,54 @@ func TestDefaultEll(t *testing.T) {
 	}
 }
 
-func TestPartsAtPointOnGridMatchesParts(t *testing.T) {
+func TestPartsEvaluatorOnGridMatchesParts(t *testing.T) {
 	// Paper §3.3: evaluating the polynomial extension at z0 in [t^{k-ℓ}]
-	// reproduces exactly the split/sparse parts.
+	// reproduces exactly the split/sparse parts — for a general base and
+	// for the 0/±1 Strassen base, whose weights are mostly zero on the grid.
 	rng := rand.New(rand.NewSource(4))
-	const tt, s, k, ell = 3, 2, 4, 2
-	x := make([]uint64, pow(s, k))
-	for _, i := range rng.Perm(len(x))[:5] {
-		x[i] = 1 + rng.Uint64()%(testField.Q-1)
-	}
-	ss, err := NewSplitSparse(testField, randBase(rng, tt, s), tt, s, k, sparseFromDense(x), ell)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for outer := 0; outer < ss.NumParts(); outer++ {
-		want := ss.Part(outer)
-		got := ss.PartsAtPoint(uint64(outer + 1))
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("outer %d entry %d: %d want %d", outer, i, got[i], want[i])
+	for _, c := range []struct {
+		t, s, k, ell int
+		base         []uint64
+	}{
+		{3, 2, 4, 2, randBase(rng, 3, 2)},
+		{7, 4, 3, 1, strassenAlpha(testField)},
+	} {
+		x := make([]uint64, pow(c.s, c.k))
+		for _, i := range rng.Perm(len(x))[:5] {
+			x[i] = 1 + rng.Uint64()%(testField.Q-1)
+		}
+		ss, err := NewSplitSparse(testField, c.base, c.t, c.s, c.k, sparseFromDense(x), c.ell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pe := ss.NewPartsEvaluator()
+		for outer := 0; outer < ss.NumParts(); outer++ {
+			want := ss.Part(outer)
+			got := pe.At(uint64(outer + 1))
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("(%d,%d,%d) outer %d entry %d: %d want %d", c.t, c.s, c.k, outer, i, got[i], want[i])
+				}
 			}
 		}
 	}
 }
 
-func TestPartsAtPointIsLowDegreePolynomial(t *testing.T) {
-	// Each coordinate of PartsAtPoint is a polynomial of degree
-	// <= t^{k-ℓ}-1 in z0; check by Lagrange-extrapolating from the grid to
-	// an off-grid point and comparing.
-	rng := rand.New(rand.NewSource(5))
-	const tt, s, k, ell = 2, 2, 5, 2
-	f := testField
-	x := make([]uint64, pow(s, k))
-	for _, i := range rng.Perm(len(x))[:6] {
-		x[i] = 1 + rng.Uint64()%(f.Q-1)
-	}
-	ss, err := NewSplitSparse(f, randBase(rng, tt, s), tt, s, k, sparseFromDense(x), ell)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nParts := ss.NumParts()
-	z0 := uint64(123456)
-	got := ss.PartsAtPoint(z0)
+// partsAtDense is the dense reference of the §3.3 polynomial extension:
+// the full product y = A^{⊗k} x by kroneckerDense, cut into its parts
+// y[v·t^{k-ℓ} + o] and combined with the one-shot Lagrange basis over
+// the 1-based part range.
+func partsAtDense(f ff.Field, a []uint64, t, s, k, ell int, x []uint64, z0 uint64) []uint64 {
+	y := kroneckerDense(f, a, t, s, k, x)
+	nParts := pow(t, k-ell)
 	lam := f.LagrangeAtOneBased(nParts, z0)
-	for coord := 0; coord < ss.PartSize(); coord++ {
-		want := uint64(0)
+	out := make([]uint64, pow(t, ell))
+	for v := range out {
 		for o := 0; o < nParts; o++ {
-			want = f.Add(want, f.Mul(ss.Part(o)[coord], lam[o]))
-		}
-		if got[coord] != want {
-			t.Fatalf("coord %d: %d want %d", coord, got[coord], want)
+			out[v] = f.Add(out[v], f.Mul(y[v*nParts+o], lam[o]))
 		}
 	}
+	return out
 }
 
 func TestZetaTransform(t *testing.T) {
@@ -280,24 +344,25 @@ func BenchmarkSplitSparsePart(b *testing.B) {
 	}
 }
 
-func TestPartsEvaluatorMatchesPartsAtPoint(t *testing.T) {
-	// The amortized evaluator must be bit-identical to the one-shot
-	// PartsAtPoint everywhere: on the grid, off the grid, and at points
-	// needing reduction mod q — that equality is what lets batch and
-	// per-point protocol paths share one proof.
+func TestPartsEvaluatorMatchesDense(t *testing.T) {
+	// The one per-point path against the dense reference everywhere: on
+	// the grid, off the grid, and at points needing reduction mod q.
 	rng := rand.New(rand.NewSource(6))
 	cases := []struct{ t, s, k, ell, nnz int }{
 		{2, 2, 5, 2, 6},
 		{3, 2, 4, 2, 5},
 		{7, 4, 2, 1, 9},
 		{2, 2, 6, 0, 4},
+		{3, 2, 3, 3, 4}, // ell = k: one part, constant polynomials
 	}
 	for _, c := range cases {
 		x := make([]uint64, pow(c.s, c.k))
 		for _, i := range rng.Perm(len(x))[:c.nnz] {
 			x[i] = 1 + rng.Uint64()%(testField.Q-1)
 		}
-		ss, err := NewSplitSparse(testField, randBase(rng, c.t, c.s), c.t, c.s, c.k, sparseFromDense(x), c.ell)
+		x[rng.Perm(len(x))[0]] = 1 // the unit-value shortcut of the scatter
+		a := randBase(rng, c.t, c.s)
+		ss, err := NewSplitSparse(testField, a, c.t, c.s, c.k, sparseFromDense(x), c.ell)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,13 +372,136 @@ func TestPartsEvaluatorMatchesPartsAtPoint(t *testing.T) {
 			points = append(points, rng.Uint64()%(2*testField.Q))
 		}
 		for _, z0 := range points {
-			want := ss.PartsAtPoint(z0)
+			want := partsAtDense(testField, a, c.t, c.s, c.k, c.ell, x, z0)
 			got := pe.At(z0)
+			if len(got) != len(want) {
+				t.Fatalf("case %+v z0=%d: length %d want %d", c, z0, len(got), len(want))
+			}
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("case %+v z0=%d entry %d: %d want %d", c, z0, i, got[i], want[i])
 				}
 			}
 		}
+	}
+}
+
+// strassenAlpha is the 7×4 α-side base of the triangle workloads (rows
+// M1..M7 over u11, u12, u21, u22) with −1 written as q−1.
+func strassenAlpha(f ff.Field) []uint64 {
+	m := f.Q - 1
+	return []uint64{
+		1, 0, 0, 1,
+		0, 0, 1, 1,
+		1, 0, 0, 0,
+		0, 0, 0, 1,
+		1, 1, 0, 0,
+		m, 0, 1, 0,
+		0, 1, 0, m,
+	}
+}
+
+// evalBoundTransform is one side of the eval_bound geometry: 7×4 ±1
+// base, k = 7, ℓ = 5, a few thousand unit entries.
+func evalBoundTransform(tb testing.TB) *SplitSparse {
+	rng := rand.New(rand.NewSource(8))
+	entries := make([]Entry, 3000)
+	for i := range entries {
+		entries[i] = Entry{Index: rng.Intn(pow(4, 7)), Value: 1}
+	}
+	ss, err := NewSplitSparse(testField, strassenAlpha(testField), 7, 4, 7, entries, 5)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ss
+}
+
+func TestPartsEvaluatorAtAllocatesNothing(t *testing.T) {
+	pe := evalBoundTransform(t).NewPartsEvaluator()
+	z0 := uint64(1000)
+	if n := testing.AllocsPerRun(20, func() { z0++; _ = pe.At(z0) }); n != 0 {
+		t.Fatalf("PartsEvaluator.At allocates %v times per call, want 0", n)
+	}
+}
+
+func TestPartsEvaluatorAliasing(t *testing.T) {
+	// At returns the evaluator's own scratch, valid until its next At.
+	// Successive calls on one evaluator and interleaved calls on two must
+	// give the residues a fresh evaluator gives.
+	ss := evalBoundTransform(t)
+	fresh := func(z0 uint64) []uint64 {
+		return append([]uint64(nil), ss.NewPartsEvaluator().At(z0)...)
+	}
+	equal := func(what string, got, want []uint64) {
+		t.Helper()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: entry %d: %d want %d", what, i, got[i], want[i])
+			}
+		}
+	}
+	w1, w2 := fresh(77), fresh(123456)
+	pe, other := ss.NewPartsEvaluator(), ss.NewPartsEvaluator()
+	equal("first call", pe.At(77), w1)
+	equal("second call on the same evaluator", pe.At(123456), w2)
+	equal("repeat of the first point", pe.At(77), w1)
+	g1 := pe.At(77)
+	g2 := other.At(123456)
+	equal("held result after another evaluator ran", g1, w1)
+	equal("the other evaluator", g2, w2)
+	equal("shared basis", other.AtBasis(pe.Basis(77)), w1)
+}
+
+func TestPartsEvaluatorsConcurrentOnOneTransform(t *testing.T) {
+	// Compiled plans hand one SplitSparse (and its two compiled kernels)
+	// to every node goroutine, each with its own evaluator; run with
+	// -race, this pins that the shared half is only ever read.
+	ss := evalBoundTransform(t)
+	points := []uint64{3, 50, 1 << 40, 999}
+	want := make([][]uint64, len(points))
+	pe := ss.NewPartsEvaluator()
+	for i, z0 := range points {
+		want[i] = append([]uint64(nil), pe.At(z0)...)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pe := ss.NewPartsEvaluator()
+			for i, z0 := range points {
+				got := pe.At(z0)
+				for v := range want[i] {
+					if got[v] != want[i][v] {
+						t.Errorf("z0=%d entry %d: %d want %d", z0, v, got[v], want[i][v])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+func BenchmarkTransform7x4x5(b *testing.B) {
+	// The inner transform of eval_bound, through the kernel as the
+	// evaluator drives it: compiled once, caller-owned scratch.
+	rng := rand.New(rand.NewSource(1))
+	pw := compile(testField, strassenAlpha(testField), 7, 4, 5)
+	x := randVec(rng, pow(4, 5))
+	buf := make([]uint64, pw.scratch())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = pw.apply(x, buf)
+	}
+}
+
+func BenchmarkPartsEvaluatorAt(b *testing.B) {
+	pe := evalBoundTransform(b).NewPartsEvaluator()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = pe.At(uint64(1000 + i))
 	}
 }
