@@ -56,11 +56,6 @@ var ErrInvalidOptions = core.ErrInvalidOptions
 // the unheard node and stops rather than wait. Match with errors.Is.
 var ErrDeliveryFault = core.ErrDeliveryFault
 
-// ErrQuorumUnsupported is returned when a run tolerating delivery
-// faults (WithMaxErasures) is configured with a custom transport that
-// cannot gather by quorum. The built-in transports all can.
-var ErrQuorumUnsupported = core.ErrQuorumUnsupported
-
 // Report summarizes a run: sizing (proof symbols, code length, primes),
 // timing (per-node and total compute), adversary damage (suspect nodes,
 // corrupted shares), and the verification outcome.
@@ -77,8 +72,13 @@ type Problem = core.Problem
 type Adversary = core.Adversary
 
 // Transport carries node share broadcasts; the default is the in-memory
-// broadcast bus.
+// broadcast bus. It is four methods — Send, Gather, GatherQuorum, Close
+// — and a run's engine closes the transport it asked the factory for.
 type Transport = core.Transport
+
+// GatherSpec parameterizes Transport.GatherQuorum; a custom transport
+// wrapping a built-in one hands it through unchanged.
+type GatherSpec = core.GatherSpec
 
 // TransportFactory builds a fresh Transport for a run of k nodes.
 type TransportFactory = core.TransportFactory
@@ -91,11 +91,6 @@ type NodeShares = core.NodeShares
 // list of senders whose broadcasts are always lost.
 type LossyConfig = core.LossyConfig
 
-// TCPConfig parameterizes a TCP share transport: the collector's
-// listen address, the address senders dial, and the dial-retry and
-// frame-size knobs (see WithTCPTransport for the option form).
-type TCPConfig = core.TCPConfig
-
 // ErrBadFrame is the typed rejection of a malformed NodeShares frame
 // arriving over a networked transport. Match with errors.Is.
 var ErrBadFrame = core.ErrBadFrame
@@ -107,26 +102,6 @@ var ErrMalformedProof = core.ErrMalformedProof
 
 // NewBroadcastBus returns the default in-memory transport for k nodes.
 func NewBroadcastBus(k int) *core.BroadcastBus { return core.NewBroadcastBus(k) }
-
-// NewShardedTransport returns a transport that partitions k nodes into
-// per-shard buses bridged by cross-shard relay goroutines.
-func NewShardedTransport(k, shards int) *core.ShardedTransport {
-	return core.NewShardedTransport(k, shards)
-}
-
-// NewLossyTransport wraps an inner transport with the seeded fault
-// model of cfg (see WithLossyTransport for the factory form).
-func NewLossyTransport(inner Transport, cfg LossyConfig) *core.LossyTransport {
-	return core.NewLossyTransport(inner, cfg)
-}
-
-// NewTCPTransport returns a transport carrying NodeShares frames over
-// TCP for a run of k nodes (see WithTCPTransport for the option form
-// and TCPConfig for the knobs). With a ListenAddr it binds immediately
-// and acts as the run's collector; construction fails if the bind does.
-func NewTCPTransport(k int, cfg TCPConfig) (*core.TCPTransport, error) {
-	return core.NewTCPTransport(k, cfg)
-}
 
 // SilentNodes returns a crash-fault adversary: the listed nodes send
 // nothing.
@@ -182,10 +157,6 @@ type clusterConfig struct {
 	nodes          int
 	maxParallelism int
 	newTransport   TransportFactory
-	// tcpDial/tcpListen accumulate across WithTCPTransport and
-	// WithListenAddr so the two options compose in either order; each
-	// application re-snapshots both into the factory.
-	tcpDial, tcpListen string
 }
 
 // runSettings holds the run-scoped knobs: the run-scoped subset of
@@ -262,71 +233,33 @@ func WithTransport(tf TransportFactory) ClusterOption {
 	return clusterOption(func(cc *clusterConfig) { cc.newTransport = tf })
 }
 
-// WithShardedTransport partitions the cluster's nodes into the given
-// number of per-shard buses bridged by cross-shard relay goroutines —
-// the paper's broadcast bus split across machine groups. Replaces any
-// previously configured transport.
-func WithShardedTransport(shards int) ClusterOption {
-	return clusterOption(func(cc *clusterConfig) {
-		cc.newTransport = func(k int) Transport { return core.NewShardedTransport(k, shards) }
-	})
-}
-
-// WithTCPTransport carries share broadcasts over TCP instead of an
-// in-memory bus: addr is the address every node's Send dials, and —
-// unless WithListenAddr overrides it — also where the run's collector
-// listens. The wire format is the versioned length-prefixed NodeShares
-// frame (see ARCHITECTURE.md "Networked transport"); delivery faults a
-// real socket can inflict (lost, truncated, or corrupted frames) are
-// absorbed by the same WithMaxErasures/WithGatherGrace budget as any
-// other transport, and WithLossyTransport layers on top for loopback
-// chaos. Each run binds its own listener, so concurrent runs on one
-// cluster need an ephemeral port (":0", senders dial the bound
-// address) or per-run addresses; back-to-back runs can share a fixed
-// port. Replaces any previously configured transport.
-func WithTCPTransport(addr string) ClusterOption {
-	return clusterOption(func(cc *clusterConfig) {
-		cc.tcpDial = addr
-		cc.newTransport = tcpFactory(cc.tcpDial, cc.tcpListen)
-	})
-}
-
-// WithListenAddr sets (or, together with WithTCPTransport, overrides)
-// the TCP collector's bind address. Alone it makes a loopback TCP
-// cluster whose senders dial whatever the listener bound — the
-// idiomatic form for ephemeral ports: WithListenAddr("127.0.0.1:0").
-// With WithTCPTransport it separates bind from dial, e.g. listening on
-// "0.0.0.0:9000" while senders dial a public name. Like every base
-// transport option it replaces any previously configured transport —
-// place WithLossyTransport after the TCP options so the faults ride
-// the socket path.
+// WithListenAddr carries share broadcasts over loopback TCP instead of
+// the in-memory bus: each run's collector binds addr and every node's
+// Send dials what it bound, so an ephemeral port works —
+// WithListenAddr("127.0.0.1:0") is the idiomatic form. The wire format
+// is the versioned length-prefixed NodeShares frame (see
+// ARCHITECTURE.md "Transport layer"); delivery faults a real socket can
+// inflict (lost, truncated, or corrupted frames) are absorbed by the
+// same WithMaxErasures/WithGatherGrace budget as any other transport.
+// Each run binds its own listener, so concurrent runs on one cluster
+// need an ephemeral port; back-to-back runs can share a fixed one.
+// Replaces any previously configured transport — place
+// WithLossyTransport after it so the faults ride the socket path. Runs
+// whose nodes are other processes use NewCoordinator instead.
 func WithListenAddr(addr string) ClusterOption {
 	return clusterOption(func(cc *clusterConfig) {
-		cc.tcpListen = addr
-		cc.newTransport = tcpFactory(cc.tcpDial, cc.tcpListen)
+		cc.newTransport = core.NewTCPFactory(core.TCPConfig{ListenAddr: addr})
 	})
-}
-
-// tcpFactory resolves the two TCP option fields into a transport
-// factory: an empty listen address falls back to binding the dial
-// address; an empty dial address means "dial the bound listener".
-func tcpFactory(dial, listen string) TransportFactory {
-	if listen == "" {
-		listen = dial
-	}
-	return core.NewTCPFactory(core.TCPConfig{Addr: dial, ListenAddr: listen})
 }
 
 // WithLossyTransport simulates a faulty network: seeded, per-sender
 // decisions to drop, delay, or duplicate share broadcasts, layered over
 // whatever transport the preceding options configured (the broadcast
-// bus by default, so order matters: place this after
-// WithShardedTransport or WithTCPTransport/WithListenAddr to lose
-// messages on a sharded or networked run). Runs on
-// a lossy cluster that may actually drop messages also need the
-// run-scoped WithMaxErasures to opt into erasure-tolerant gathering; a
-// strict run that loses one ends in ErrDeliveryFault a grace period
-// after sending has concluded.
+// bus by default, so order matters: place this after WithListenAddr to
+// lose messages on a socket run). Runs on a lossy cluster that may
+// actually drop messages also need the run-scoped WithMaxErasures to
+// opt into erasure-tolerant gathering; a strict run that loses one ends
+// in ErrDeliveryFault a grace period after sending has concluded.
 func WithLossyTransport(cfg LossyConfig) ClusterOption {
 	return clusterOption(func(cc *clusterConfig) {
 		cc.newTransport = core.NewLossyFactory(cfg, cc.newTransport)

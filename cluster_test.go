@@ -310,12 +310,13 @@ func TestTuttePolynomialHonorsExplicitParallelism(t *testing.T) {
 	}
 }
 
-func TestClusterShardedLossyTransportRecoversDroppedNode(t *testing.T) {
+func TestClusterLossyTransportRecoversDroppedNode(t *testing.T) {
 	// End-to-end through the public session API: a cluster whose
-	// transport is sharded *and* lossy (node 1's broadcast always lost)
-	// must — given enough fault tolerance and an erasure allowance —
-	// produce the exact proof and count of a solo run on a perfect bus,
-	// and report the loss as a delivery fault rather than a suspect.
+	// transport is lossy (node 1's broadcast always lost, half the rest
+	// duplicated), over the bus and over loopback sockets, must — given
+	// enough fault tolerance and an erasure allowance — produce the
+	// exact proof and count of a solo run on a perfect bus, and report
+	// the loss as a delivery fault rather than a suspect.
 	p, err := NewTriangleProblem(RandomGraph(18, 0.35, 7))
 	if err != nil {
 		t.Fatal(err)
@@ -334,46 +335,50 @@ func TestClusterShardedLossyTransportRecoversDroppedNode(t *testing.T) {
 	}
 	golden := soloProof(t, p, core.Options{Nodes: k, FaultTolerance: faults, Seed: 4, VerifyTrials: 1})
 
-	cluster := NewCluster(
-		WithNodes(k),
-		WithShardedTransport(3),
-		WithLossyTransport(LossyConfig{Seed: 21, DropNodes: []int{1}, DupRate: 0.5}),
-	)
-	defer cluster.Close()
-	job := cluster.Submit(context.Background(), p,
-		WithSeed(4),
-		WithVerifyTrials(1),
-		WithFaultTolerance(faults),
-		WithMaxErasures(1),
-		WithGatherGrace(5*time.Second),
-	)
-	proof, rep, err := job.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sameProof(golden, proof); err != nil {
-		t.Fatalf("lossy sharded cluster proof diverges from solo run: %v", err)
-	}
-	if len(rep.MissingNodes) != 1 || rep.MissingNodes[0] != 1 {
-		t.Fatalf("MissingNodes = %v, want [1]", rep.MissingNodes)
-	}
-	for _, s := range rep.SuspectNodes {
-		if s == 1 {
-			t.Fatal("delivery fault reported as content suspect")
-		}
-	}
-	if st := job.Status(); st.DeliveryFaults != 1 {
-		t.Fatalf("job status DeliveryFaults = %d, want 1", st.DeliveryFaults)
-	}
 	wantCount, err := p.Count(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotCount, err := p.Count(proof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantCount.Cmp(gotCount) != 0 {
-		t.Fatalf("count %v != solo count %v", gotCount, wantCount)
+	for name, base := range map[string][]ClusterOption{
+		"bus": nil,
+		"tcp": {WithListenAddr("127.0.0.1:0")},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cluster := NewCluster(append(append([]ClusterOption{WithNodes(k)}, base...),
+				WithLossyTransport(LossyConfig{Seed: 21, DropNodes: []int{1}, DupRate: 0.5}))...)
+			defer cluster.Close()
+			job := cluster.Submit(context.Background(), p,
+				WithSeed(4),
+				WithVerifyTrials(1),
+				WithFaultTolerance(faults),
+				WithMaxErasures(1),
+				WithGatherGrace(5*time.Second),
+			)
+			proof, rep, err := job.Wait(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameProof(golden, proof); err != nil {
+				t.Fatalf("lossy cluster proof diverges from solo run: %v", err)
+			}
+			if len(rep.MissingNodes) != 1 || rep.MissingNodes[0] != 1 {
+				t.Fatalf("MissingNodes = %v, want [1]", rep.MissingNodes)
+			}
+			for _, s := range rep.SuspectNodes {
+				if s == 1 {
+					t.Fatal("delivery fault reported as content suspect")
+				}
+			}
+			if st := job.Status(); st.DeliveryFaults != 1 {
+				t.Fatalf("job status DeliveryFaults = %d, want 1", st.DeliveryFaults)
+			}
+			gotCount, err := p.Count(proof)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantCount.Cmp(gotCount) != 0 {
+				t.Fatalf("count %v != solo count %v", gotCount, wantCount)
+			}
+		})
 	}
 }

@@ -36,24 +36,21 @@
 //	camelot serve -addr 127.0.0.1:8080 -nodes 4 -faults 2 -tenants alice=8:3,bob=2:1
 //
 // Every subcommand (jobs included) also takes transport fault-simulation
-// flags: -shards splits the broadcast bus into per-shard buses with a
-// cross-shard relay, -dropnodes/-droprate/-duprate/-delayrate/-maxdelay
-// wrap the transport in a seeded lossy network, and -erasures/-grace
-// opt the run into the erasure-tolerant quorum gather that survives the
-// losses (without -erasures a lost broadcast ends the run with a typed
-// refusal naming the node). -repair N allows up to N self-healing
-// gather rounds when the losses exceed even the erasure budget —
-// surviving nodes recompute the missing ranges and the decode is
-// retried:
+// flags: -dropnodes/-droprate/-duprate/-delayrate/-maxdelay wrap the
+// transport in a seeded lossy network, and -erasures/-grace opt the run
+// into the erasure-tolerant quorum gather that survives the losses
+// (without -erasures a lost broadcast ends the run with a typed refusal
+// naming the node). -repair N allows up to N self-healing gather rounds
+// when the losses exceed even the erasure budget — surviving nodes
+// recompute the missing ranges and the decode is retried:
 //
-//	camelot triangles -n 48 -nodes 8 -faults 6 -shards 3 -dropnodes 2 -erasures 2
+//	camelot triangles -n 48 -nodes 8 -faults 6 -dropnodes 2 -erasures 2
 //	camelot triangles -n 48 -nodes 8 -faults 1 -dropnodes 2,5 -erasures 2 -repair 1
 //
-// The -tcp/-listen flags carry the share broadcasts over real sockets
-// instead of an in-memory bus: -tcp gives the address senders dial (the
-// collector binds it too), -listen overrides the bind address or — alone
-// — makes a loopback cluster on an ephemeral port. The lossy flags layer
-// on top, so a chaos run can drop frames off a real TCP stream:
+// The -listen flag carries the share broadcasts over loopback sockets
+// instead of the in-memory bus: the run's collector binds the address
+// and its senders dial it. The lossy flags layer on top, so a chaos run
+// can drop frames off a real TCP stream:
 //
 //	camelot triangles -n 48 -nodes 8 -listen 127.0.0.1:0
 //	camelot triangles -n 20 -nodes 8 -faults 12 -listen 127.0.0.1:0 -dropnodes 2 -erasures 1
@@ -95,8 +92,7 @@ type commonFlags struct {
 	seed                  int64
 	lie, silence, equiv   string
 
-	// Transport fault simulation (sharded/lossy networks).
-	shards                       int
+	// Transport fault simulation (a seeded lossy network).
 	dropNodes                    string
 	dropRate, dupRate, delayRate float64
 	maxDelay                     time.Duration
@@ -104,8 +100,7 @@ type commonFlags struct {
 	grace                        time.Duration
 	repair                       int
 
-	// Networked transport (NodeShares frames over TCP).
-	tcpAddr    string
+	// Loopback socket transport (NodeShares frames over TCP).
 	listenAddr string
 }
 
@@ -118,7 +113,6 @@ func (cf *commonFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&cf.lie, "lie", "", "comma-separated node ids that broadcast garbage")
 	fs.StringVar(&cf.silence, "silence", "", "comma-separated node ids that crash")
 	fs.StringVar(&cf.equiv, "equivocate", "", "comma-separated node ids that equivocate")
-	fs.IntVar(&cf.shards, "shards", 0, "partition nodes into this many per-shard buses with a cross-shard relay (0 = one broadcast bus)")
 	fs.StringVar(&cf.dropNodes, "dropnodes", "", "comma-separated node ids whose broadcasts the network always loses")
 	fs.Float64Var(&cf.dropRate, "droprate", 0, "probability a node's broadcast is dropped")
 	fs.Float64Var(&cf.dupRate, "duprate", 0, "probability a broadcast is delivered twice")
@@ -127,22 +121,18 @@ func (cf *commonFlags) register(fs *flag.FlagSet) {
 	fs.IntVar(&cf.erasures, "erasures", 0, "tolerate losing up to this many node broadcasts (decoded as erasures)")
 	fs.DurationVar(&cf.grace, "grace", 0, "erasure-tolerant gather grace timer (0 = framework default)")
 	fs.IntVar(&cf.repair, "repair", 0, "self-healing gather: retry decode failures with up to this many repair rounds (needs -erasures)")
-	fs.StringVar(&cf.tcpAddr, "tcp", "", "carry share broadcasts over TCP: senders dial (and the collector binds) this address")
-	fs.StringVar(&cf.listenAddr, "listen", "", "TCP collector bind address when it differs from -tcp; alone, a loopback cluster dialing the bound address (use 127.0.0.1:0 for an ephemeral port)")
+	fs.StringVar(&cf.listenAddr, "listen", "", "carry share broadcasts over loopback TCP: the collector binds this address and senders dial it (use 127.0.0.1:0 for an ephemeral port)")
 }
 
 // validate checks what only a command line can get wrong: the syntax of
-// its flags (probabilities, host:port addresses, a node count of zero
-// where the library would read "default") and the one-transport rule of
-// composing them. Whether the resulting options make sense together is
-// the library's judgement — camelot.ErrInvalidOptions, the same refusal
-// a Go caller, a manifest or the proof service gets.
+// its flags (probabilities, a host:port address, a node count of zero
+// where the library would read "default"). Whether the resulting
+// options make sense together is the library's judgement —
+// camelot.ErrInvalidOptions, the same refusal a Go caller, a manifest or
+// the proof service gets.
 func (cf *commonFlags) validate() error {
 	if cf.nodes == 0 {
 		return fmt.Errorf("-nodes 0: a run needs at least one node")
-	}
-	if cf.shards < 0 {
-		return fmt.Errorf("-shards must be >= 0, got %d", cf.shards)
 	}
 	for _, r := range []struct {
 		name string
@@ -152,15 +142,9 @@ func (cf *commonFlags) validate() error {
 			return fmt.Errorf("%s is a probability: want 0..1, got %g", r.name, r.v)
 		}
 	}
-	if (cf.tcpAddr != "" || cf.listenAddr != "") && cf.shards > 0 {
-		return fmt.Errorf("-tcp/-listen and -shards are mutually exclusive: a run uses one transport")
-	}
-	for _, a := range []struct{ name, addr string }{{"-tcp", cf.tcpAddr}, {"-listen", cf.listenAddr}} {
-		if a.addr == "" {
-			continue
-		}
-		if _, _, err := net.SplitHostPort(a.addr); err != nil {
-			return fmt.Errorf("%s %q is not a host:port address (try 127.0.0.1:0 for an ephemeral port)", a.name, a.addr)
+	if cf.listenAddr != "" {
+		if _, _, err := net.SplitHostPort(cf.listenAddr); err != nil {
+			return fmt.Errorf("-listen %q is not a host:port address (try 127.0.0.1:0 for an ephemeral port)", cf.listenAddr)
 		}
 	}
 	return nil
@@ -200,14 +184,8 @@ func (cf *commonFlags) splitOptions() ([]camelot.RunOption, []camelot.ClusterOpt
 		}
 		return ids, nil
 	}
-	if cf.shards > 0 {
-		cluster = append(cluster, camelot.WithShardedTransport(cf.shards))
-	}
 	// TCP before the lossy wrapper below, so injected faults ride the
 	// real socket path (loopback chaos).
-	if cf.tcpAddr != "" {
-		cluster = append(cluster, camelot.WithTCPTransport(cf.tcpAddr))
-	}
 	if cf.listenAddr != "" {
 		cluster = append(cluster, camelot.WithListenAddr(cf.listenAddr))
 	}
@@ -217,7 +195,7 @@ func (cf *commonFlags) splitOptions() ([]camelot.RunOption, []camelot.ClusterOpt
 	}
 	if len(dropIDs) > 0 || cf.dropRate > 0 || cf.dupRate > 0 || cf.delayRate > 0 {
 		// The lossy wrapper layers over whatever came before it — the
-		// sharded network when -shards is set, the plain bus otherwise.
+		// loopback sockets when -listen is set, the plain bus otherwise.
 		cluster = append(cluster, camelot.WithLossyTransport(camelot.LossyConfig{
 			Seed:      cf.seed,
 			DropNodes: dropIDs,

@@ -56,10 +56,8 @@ func TestRunErrors(t *testing.T) {
 		// dies with one line.
 		"repair sans erasures": {"triangles", "-repair", "1"},
 		"grace sans erasures":  {"triangles", "-grace", "1s"},
-		"listen plus shards":   {"triangles", "-listen", "127.0.0.1:0", "-shards", "2"},
 		"rate beyond 1":        {"triangles", "-droprate", "1.5", "-erasures", "1"},
 		"negative rate":        {"triangles", "-droprate", "-0.1", "-erasures", "1"},
-		"malformed tcp":        {"triangles", "-tcp", "not-an-address"},
 		"malformed listen":     {"triangles", "-listen", "127.0.0.1"},
 		"zero nodes":           {"triangles", "-nodes", "0"},
 		"negative nodes":       {"triangles", "-nodes", "-2"},
@@ -72,7 +70,6 @@ func TestRunErrors(t *testing.T) {
 		"coordinate both modes":   {"coordinate", "-spec", "triangles", "-local", "-listen", "127.0.0.1:0"},
 		"coordinate bad spec":     {"coordinate", "-spec", "frobnicate n=3", "-local"},
 		"coordinate lossy remote": {"coordinate", "-spec", "triangles", "-listen", "127.0.0.1:0", "-dropnodes", "1", "-erasures", "1"},
-		"coordinate tcp remote":   {"coordinate", "-spec", "triangles", "-listen", "127.0.0.1:0", "-tcp", "127.0.0.1:9"},
 		"node sans join":          {"node"},
 		"node bad join":           {"node", "-join", "not-an-address"},
 		"node negative owner":     {"node", "-join", "127.0.0.1:9", "-fail-owner", "-1"},

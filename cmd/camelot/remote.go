@@ -54,9 +54,6 @@ func runCoordinate(ctx context.Context, rest []string) error {
 	}
 	// Remote mode: the coordinator IS the transport, so the in-process
 	// transport-shaping flags have nothing to attach to.
-	if cf.tcpAddr != "" || cf.shards > 0 {
-		return fmt.Errorf("coordinate: -tcp/-shards shape in-process transports; remote runs use the coordinator's -listen")
-	}
 	if cf.dropNodes != "" || cf.dropRate > 0 || cf.dupRate > 0 || cf.delayRate > 0 {
 		return fmt.Errorf("coordinate: the lossy flags shape in-process transports; fault-inject remote runs by killing workers (node -fail-owner)")
 	}

@@ -1,18 +1,23 @@
 // Chaos: the paper's Camelot on a bad network. Eight Knights count
-// triangles over a sharded messenger system — three per-shard buses
-// bridged by relays — while the network itself misbehaves: two Knights'
-// broadcasts are lost outright and every surviving scroll may arrive
-// twice. The collector gathers by quorum instead of insisting on every
-// message, the decoders treat the lost Knights' coordinates as
-// Reed–Solomon erasures, and the proof still comes out bit-identical to
-// a calm-weather run. Then the storm worsens past the code's budget:
-// left alone, the run fails loudly with a typed decode error instead of
-// lying — but with a repair round allowed, surviving Knights recompute
-// the lost ranges and the same hurricane ends in the same proof, a
-// little later.
+// triangles while the network itself misbehaves: two Knights' broadcasts
+// are lost outright and every surviving scroll arrives twice. The
+// collector gathers by quorum instead of insisting on every message, the
+// decoders treat the lost Knights' coordinates as Reed–Solomon erasures,
+// and the proof still comes out bit-identical to a calm-weather run.
+// Then the storm worsens past the code's budget: left alone, the run
+// fails loudly with a typed decode error instead of lying — but with a
+// repair round allowed, surviving Knights recompute the lost ranges and
+// the same hurricane ends in the same proof, a little later.
+//
+// The whole walkthrough runs twice: once over the in-memory broadcast
+// bus and once with every scroll travelling a length-prefixed binary
+// frame over a loopback TCP socket. The transport carries the same one
+// message kind either way, so the weather and the proofs are the same.
+// (Knights in separate OS processes are examples/multiproc.)
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -22,21 +27,38 @@ import (
 	"camelot"
 )
 
+const k = 8
+
 func main() {
 	ctx := context.Background()
 	g := camelot.RandomGraph(32, 0.3, 11)
-
-	// Calm weather first: the reference proof on a perfect bus.
-	calm, calmRep, err := camelot.CountTriangles(ctx, g, camelot.WithSeed(5))
+	p, err := camelot.NewTriangleProblem(g)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("calm run:  %v triangles (degree %d proof)\n", calm, calmRep.Degree)
 
-	// Storm: 8 nodes on 3 shards; nodes 2 and 6 are unreachable and
-	// every delivered message is duplicated. Losing 2 of 8 nodes erases
-	// 2·⌈e/8⌉ coordinates, so pick f with 2f ≥ that budget.
-	const k = 8
+	// Calm weather first: the reference proofs on a perfect bus, one per
+	// fault tolerance the storms below run at (f lengthens the codeword,
+	// so proofs are comparable byte for byte only at equal f).
+	calmCluster := camelot.NewCluster(camelot.WithNodes(k))
+	defer calmCluster.Close()
+	calm := func(faults int) (*camelot.Proof, *camelot.Report) {
+		proof, rep, err := calmCluster.Submit(ctx, p, camelot.WithSeed(5), camelot.WithFaultTolerance(faults)).Wait(ctx)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return proof, rep
+	}
+	calmProof, calmRep := calm(0)
+	count, err := p.Count(calmProof)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("calm run:  %v triangles (degree %d proof)\n", count, calmRep.Degree)
+
+	// Storm: nodes 2 and 6 are unreachable and every delivered message
+	// is duplicated. Losing 2 of 8 nodes erases 2·⌈e/8⌉ coordinates, so
+	// pick f with 2f ≥ that budget.
 	faults := 0
 	for {
 		e := calmRep.Degree + 1 + 2*faults
@@ -45,41 +67,50 @@ func main() {
 		}
 		faults++
 	}
-	cluster := camelot.NewCluster(
-		camelot.WithNodes(k),
-		camelot.WithShardedTransport(3),
-		camelot.WithLossyTransport(camelot.LossyConfig{
+	stormCalm, _ := calm(faults)
+	hurricaneCalm, _ := calm(1)
+
+	for _, network := range []struct {
+		name string
+		opts []camelot.ClusterOption
+	}{
+		{"in-memory bus", nil},
+		// WithListenAddr binds an ephemeral port per run and the senders
+		// dial whatever was bound: every broadcast crosses a real socket.
+		{"loopback TCP", []camelot.ClusterOption{camelot.WithListenAddr("127.0.0.1:0")}},
+	} {
+		fmt.Printf("\n— %s —\n", network.name)
+		opts := append([]camelot.ClusterOption{camelot.WithNodes(k)}, network.opts...)
+		// The lossy wrapper goes last, so the faults ride whatever
+		// transport the options before it chose.
+		opts = append(opts, camelot.WithLossyTransport(camelot.LossyConfig{
 			Seed:      77,
 			DropNodes: []int{2, 6},
 			DupRate:   1.0,
-		}),
-	)
-	defer cluster.Close()
-
-	p, err := camelot.NewTriangleProblem(g)
-	if err != nil {
-		log.Fatal(err)
+		}))
+		badWeather(ctx, camelot.NewCluster(opts...), p, faults, stormCalm, hurricaneCalm)
 	}
-	job := cluster.Submit(ctx, p,
+	fmt.Println("\nthe storm beyond the budget became latency, not failure — on either network")
+}
+
+// badWeather runs the storm, the hurricane and the healed hurricane on
+// one lossy cluster and checks each recovered proof against the calm
+// run's, byte for byte.
+func badWeather(ctx context.Context, cluster *camelot.Cluster, p camelot.CountingProblem, faults int, stormCalm, hurricaneCalm *camelot.Proof) {
+	defer cluster.Close()
+	proof, rep, err := cluster.Submit(ctx, p,
 		camelot.WithSeed(5),
 		camelot.WithFaultTolerance(faults),
 		camelot.WithMaxErasures(2),
 		camelot.WithGatherGrace(500*time.Millisecond),
-	)
-	proof, rep, err := job.Wait(ctx)
+	).Wait(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
-	stormy, err := p.Count(proof)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("storm run: %v triangles — lost couriers %v decoded as erasures (f=%d)\n",
-		stormy, rep.MissingNodes, faults)
-	if stormy.Cmp(calm) != 0 {
-		log.Fatal("storm run disagrees with calm run")
-	}
-	fmt.Println("proofs agree bit for bit; delivery faults never entered the suspect list:", rep.SuspectNodes)
+	mustEqual("storm", stormCalm, proof)
+	fmt.Printf("storm run: lost couriers %v decoded as erasures (f=%d), proof bit-identical to the calm run\n",
+		rep.MissingNodes, faults)
+	fmt.Println("           delivery faults never entered the suspect list:", rep.SuspectNodes)
 
 	// Worse weather than the code can carry: with f=1 the budget is 2
 	// erasures, and the two dead Knights own far more coordinates than
@@ -90,8 +121,7 @@ func main() {
 		camelot.WithMaxErasures(2),
 		camelot.WithGatherGrace(300 * time.Millisecond),
 	}
-	job = cluster.Submit(ctx, p, hurricane...)
-	if _, _, err = job.Wait(ctx); errors.Is(err, camelot.ErrDecodeFailure) {
+	if _, _, err = cluster.Submit(ctx, p, hurricane...).Wait(ctx); errors.Is(err, camelot.ErrDecodeFailure) {
 		fmt.Println("hurricane run: refused honestly —", err)
 	} else {
 		log.Fatalf("hurricane run: expected a typed decode failure, got %v", err)
@@ -101,20 +131,33 @@ func main() {
 	// triggers a self-healing gather — surviving Knights recompute the
 	// dead Knights' ranges (evaluation is deterministic in the point, so
 	// the recomputed scrolls are the very scrolls the dead would have
-	// sent) and the retried decode succeeds with the bit-identical count.
-	job = cluster.Submit(ctx, p, append(hurricane, camelot.WithMaxRepairRounds(1))...)
-	proof, rep, err = job.Wait(ctx)
+	// sent) over the same transport, and the retried decode succeeds
+	// with the bit-identical proof.
+	proof, rep, err = cluster.Submit(ctx, p, append(hurricane, camelot.WithMaxRepairRounds(1))...).Wait(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
+	mustEqual("healed", hurricaneCalm, proof)
 	healed, err := p.Count(proof)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("healed run: %v triangles — %d repair round(s) recovered Knights %v\n",
 		healed, rep.RepairRounds, rep.RepairedNodes)
-	if healed.Cmp(calm) != 0 {
-		log.Fatal("healed run disagrees with calm run")
+}
+
+// mustEqual compares two proofs by their wire encoding — the strictest
+// bit-identity check the format offers.
+func mustEqual(what string, calm, got *camelot.Proof) {
+	a, err := calm.MarshalBinary()
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Println("the storm beyond the budget became latency, not failure")
+	b, err := got.MarshalBinary()
+	if err != nil {
+		log.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		log.Fatalf("%s run's proof differs from the calm run's", what)
+	}
 }

@@ -35,9 +35,6 @@ type Poly struct {
 // Zero returns the zero polynomial.
 func (r Ring) Zero() Poly { return Poly{} }
 
-// One returns the constant 1.
-func (r Ring) One() Poly { return r.Monomial(0, 0, 1) }
-
 // Monomial returns c·w_E^i w_B^j (zero if the monomial exceeds the
 // truncation).
 func (r Ring) Monomial(i, j int, c uint64) Poly {

@@ -1,7 +1,7 @@
 package core
 
 // The deterministic chaos harness: a table of seeded transport-fault
-// scenarios — message loss, duplicate storms, cross-shard delays,
+// scenarios — message loss, duplicate storms, delay-reordered arrivals,
 // combined byzantine-plus-loss weather — asserting the protocol's two
 // honest outcomes. Where the Reed–Solomon budget 2·errors + erasures
 // ≤ e-d-1 covers the damage, the run must produce a proof bit-identical
@@ -58,13 +58,6 @@ func chaosScenarios() []chaosScenario {
 			return NewLossyTransport(NewBroadcastBus(k), cfg)
 		}
 	}
-	shardedLossy := func(shards int, cfg LossyConfig) func(int64, int) Transport {
-		return func(seed int64, k int) Transport {
-			cfg := cfg
-			cfg.Seed = seed
-			return NewLossyTransport(NewShardedTransport(k, shards), cfg)
-		}
-	}
 	// tcp binds an ephemeral loopback collector per run; a bind
 	// failure surfaces through the run as a typed transport error.
 	tcp := func(k int) Transport {
@@ -83,11 +76,12 @@ func chaosScenarios() []chaosScenario {
 	}
 	return []chaosScenario{
 		{
-			// The sharded bus alone is lossless: the strict gather path
-			// (MaxErasures 0) must work across the relay hop.
-			name:  "sharded-clean-strict",
+			// Every message held by the network and delivered out of
+			// order, none lost: the strict gather path (MaxErasures 0)
+			// must hear all eight across the asynchronous hop.
+			name:  "delayed-clean-strict",
 			nodes: 8, faults: 4,
-			transport:    func(_ int64, k int) Transport { return NewShardedTransport(k, 3) },
+			transport:    lossy(LossyConfig{DelayRate: 1, MaxDelay: 3 * time.Millisecond}),
 			wantMissing:  []int{},
 			wantSuspects: []int{},
 		},
@@ -110,11 +104,11 @@ func chaosScenarios() []chaosScenario {
 			skipDeliveryCk: true, // an early quorum may erase 0-2 stragglers
 		},
 		{
-			// Every message delayed on a sharded network: the grace timer
+			// Every frame delayed on its way to the socket: the grace timer
 			// resets per arrival, so a slow-but-alive network completes.
-			name:  "cross-shard-delays",
+			name:  "tcp-all-delayed",
 			nodes: 8, faults: 4, maxErasures: 2, grace: 2 * time.Second,
-			transport:      shardedLossy(3, LossyConfig{DelayRate: 1, MaxDelay: 3 * time.Millisecond}),
+			transport:      lossyTCP(LossyConfig{DelayRate: 1, MaxDelay: 3 * time.Millisecond}),
 			skipDeliveryCk: true,
 		},
 		{
@@ -211,12 +205,12 @@ func chaosScenarios() []chaosScenario {
 			wantRepaired: []int{1, 3},
 		},
 		{
-			// The same healed storm across the cross-shard relay: the
-			// sharded transport must keep its relays alive for the
-			// follow-up round.
-			name:  "repair-sharded-beyond-budget",
+			// The same healed storm with every delivery delayed, the
+			// repair round's included: the sponsors' frames arrive late
+			// and reordered over the transport round 0 left open.
+			name:  "repair-delayed-beyond-budget",
 			nodes: 5, faults: 1, maxErasures: 2, repair: 1, grace: 2 * time.Second,
-			transport:    shardedLossy(2, LossyConfig{DropNodes: []int{1, 3}}),
+			transport:    lossy(LossyConfig{DropNodes: []int{1, 3}, DelayRate: 1, MaxDelay: 3 * time.Millisecond}),
 			wantMissing:  []int{},
 			wantSuspects: []int{},
 			wantRepaired: []int{1, 3},
@@ -426,7 +420,7 @@ func TestChaosLossRunsAreReproducible(t *testing.T) {
 		proof, rep, err := Run(ctx, p, Options{
 			Nodes: 8, FaultTolerance: 4, MaxErasures: 2, GatherGrace: 2 * time.Second,
 			NewTransport: func(k int) Transport {
-				return NewLossyTransport(NewShardedTransport(k, 2), LossyConfig{Seed: 99, DropNodes: []int{1, 4}})
+				return NewLossyTransport(NewBroadcastBus(k), LossyConfig{Seed: 99, DropNodes: []int{1, 4}})
 			},
 		})
 		if err != nil {

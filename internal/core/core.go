@@ -163,8 +163,7 @@ type Options struct {
 	// K-MaxErasures distinct senders have been heard or the GatherGrace
 	// timer fires — and the decode stage treats the missing nodes'
 	// coordinates as Reed–Solomon erasures: recovery succeeds whenever
-	// 2·(corrupted shares) + (erased shares) ≤ e-d-1. Requires a
-	// transport implementing QuorumGatherer (the built-ins all do).
+	// 2·(corrupted shares) + (erased shares) ≤ e-d-1.
 	MaxErasures int
 	// GatherGrace bounds how long a quorum-mode gather waits between
 	// message arrivals before treating the stragglers as lost (default

@@ -103,9 +103,9 @@ type engine struct {
 	// and clamps at zero: PointsDone can never exceed PointsTotal.
 	pointsLeft atomic.Int64
 
-	// Transport state, owned for the whole run once openTransport builds
-	// it: repair rounds re-gather over the same instance, so the engine
-	// — not the gather — decides when the transport's world ends (see
+	// Transport state, owned for the whole run once round 0 builds it:
+	// repair rounds re-gather over the same instance, so the engine —
+	// not the gather — decides when the transport's world ends (see
 	// close).
 	tr Transport
 	// remote is the transport's RemoteAssigner capability when it has
@@ -210,8 +210,8 @@ func Run(ctx context.Context, p Problem, opts Options) (*Proof, *Report, error) 
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %s: %w", p.Name(), err)
 	}
-	// The engine owns the transport for the whole run — gathers in
-	// repair-capable runs leave it open between rounds.
+	// The engine owns the transport for the whole run: no gather ends
+	// it, close does.
 	defer en.close()
 	en.pointsLeft.Store(int64(en.e * len(en.primes)))
 	en.obs.Geometry(en.e*len(en.primes), en.k)
@@ -294,13 +294,11 @@ func (en *engine) canRepair(err error, round int) bool {
 	return en.remote != nil || len(en.missing) < en.k
 }
 
-// close releases what the engine owns for the run: the transport's
-// world, for transports that have one to end (sharded relays, a TCP
-// listener — repair-capable gathers run with GatherSpec.KeepOpen, so
-// teardown is the engine's job), and the private pool.
+// close releases what the engine owns for the run: the transport (nil
+// when the run failed before round 0 opened one) and the private pool.
 func (en *engine) close() {
-	if c, ok := en.tr.(interface{ Close() }); ok {
-		c.Close()
+	if en.tr != nil {
+		en.tr.Close()
 	}
 	if en.opts.Pool == nil {
 		en.pool.Close()
@@ -359,21 +357,6 @@ func (en *engine) repairRanges(n int) []assignment {
 	return ranges
 }
 
-// openTransport builds the run's transport and resolves its optional
-// capabilities against what the run asks of it.
-func (en *engine) openTransport() error {
-	en.tr = en.opts.NewTransport(en.k)
-	if _, ok := en.tr.(QuorumGatherer); !ok && en.opts.MaxErasures > 0 {
-		return fmt.Errorf("%w: MaxErasures=%d needs one, %T is not",
-			ErrQuorumUnsupported, en.opts.MaxErasures, en.tr)
-	}
-	// A transport that can assign work to remote workers flips the
-	// engine into remote mode: manifests go out instead of local
-	// evaluation, and frames stream back through the same gather.
-	en.remote, _ = en.tr.(RemoteAssigner)
-	return nil
-}
-
 // round is protocol step 1 (distributed encoded proof preparation) for
 // one list of assignments: each range is evaluated for every prime and
 // coordinate and broadcast as one message over the transport, the
@@ -396,9 +379,11 @@ func (en *engine) round(ctx context.Context, n int, ranges []assignment) error {
 	}
 	if n == 0 {
 		en.obs.StageStart(StagePrepare)
-		if err := en.openTransport(); err != nil {
-			return err
-		}
+		// A transport that can assign work to remote workers flips the
+		// engine into remote mode: manifests go out instead of local
+		// evaluation, and frames stream back through the same gather.
+		en.tr = en.opts.NewTransport(en.k)
+		en.remote, _ = en.tr.(RemoteAssigner)
 	} else {
 		en.obs.RepairRound(n, append([]int(nil), en.missing...))
 	}
@@ -412,9 +397,6 @@ func (en *engine) round(ctx context.Context, n int, ranges []assignment) error {
 		Grace:  en.opts.GatherGrace,
 		Strict: !quorumMode,
 		Round:  n,
-		// Repair rounds re-gather over this same transport instance, so
-		// gathers must not tear it down on return.
-		KeepOpen: en.opts.MaxRepairRounds > 0,
 	}
 	if n == 0 {
 		spec.Quorum -= en.opts.MaxErasures
@@ -557,16 +539,9 @@ func (en *engine) exchange(ctx context.Context, spec GatherSpec, ranges []assign
 			sent <- err
 		}()
 	}
-	var msgs []NodeShares
-	var gatherErr error
-	// Every gather, strict ones included, goes through the transport's
-	// quorum capability when it has one; a raw Transport.Gather can only
-	// wait.
-	if qg, ok := en.tr.(QuorumGatherer); ok {
-		msgs, gatherErr = qg.GatherQuorum(gatherCtx, spec)
-	} else {
-		msgs, gatherErr = en.tr.Gather(gatherCtx, spec.K)
-	}
+	// Every gather goes by spec, strict ones included: Transport.Gather
+	// has no SendsDone and could only wait out a lost message.
+	msgs, gatherErr := en.tr.GatherQuorum(gatherCtx, spec)
 	// Either outcome ends the round's senders: after a failure the
 	// cancellation frees workers stuck on a dead collector; after a
 	// success any straggler still computing or sending is cut loose

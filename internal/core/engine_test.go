@@ -208,7 +208,7 @@ func TestRunWithCustomTransport(t *testing.T) {
 }
 
 // blockingSendTransport models a bounded transport with a dead
-// collector: Send blocks until cancelled, Gather fails immediately.
+// collector: Send blocks until cancelled, every gather fails immediately.
 type blockingSendTransport struct {
 	gatherErr error
 }
@@ -221,6 +221,12 @@ func (tr *blockingSendTransport) Send(ctx context.Context, m NodeShares) error {
 func (tr *blockingSendTransport) Gather(ctx context.Context, k int) ([]NodeShares, error) {
 	return nil, tr.gatherErr
 }
+
+func (tr *blockingSendTransport) GatherQuorum(ctx context.Context, spec GatherSpec) ([]NodeShares, error) {
+	return nil, tr.gatherErr
+}
+
+func (tr *blockingSendTransport) Close() {}
 
 func TestRunFailingGatherDoesNotDeadlock(t *testing.T) {
 	boom := errors.New("collector died")

@@ -26,6 +26,13 @@ func ConsumeMagic(data []byte, want [4]byte) (rest []byte, ok bool) {
 	return data[4:], true
 }
 
+// MaxFrameBytes caps the payload a reader accepts from a peer, for the
+// share transport and the control protocol alike. A frame claiming
+// more is rejected before any allocation and costs the peer its
+// connection: the cap guards untrusted bytes, and 64 MiB is far above
+// any share frame a run in this tree produces.
+const MaxFrameBytes = 64 << 20
+
 // maxFrameBytesHardCap bounds any frame regardless of configuration —
 // a backstop against a misconfigured or hostile peer.
 const maxFrameBytesHardCap = 1 << 30

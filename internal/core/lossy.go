@@ -21,11 +21,6 @@ import (
 	"time"
 )
 
-// ErrQuorumUnsupported is returned when a run that tolerates delivery
-// faults (Options.MaxErasures > 0) is configured with a transport that
-// cannot gather by quorum.
-var ErrQuorumUnsupported = errors.New("core: transport does not support quorum gather")
-
 // LossyConfig parameterizes the simulated faults. The zero value is a
 // perfect network.
 type LossyConfig struct {
@@ -52,20 +47,23 @@ type LossyTransport struct {
 	inner Transport
 	cfg   LossyConfig
 	drop  map[int]bool
-	// wg tracks in-flight delayed deliveries, which run on their own
+	// mu guards the in-flight delayed deliveries, which run on their own
 	// goroutines so the injected latency holds the *message*, not the
-	// sending worker's pool slot. DrainSends waits on it and surfaces
-	// the first delivery failure (errOnce/sendErr), so an asynchronous
-	// send cannot silently lose the error a blocking one would have
-	// returned.
-	wg      sync.WaitGroup
-	errOnce sync.Once
-	sendErr error
+	// sending worker's pool slot. DrainSends waits for inflight to reach
+	// zero (idle is closed then, if a drain is waiting) and surfaces the
+	// first delivery failure (sendErr), so an asynchronous send cannot
+	// silently lose the error a blocking one would have returned. Not a
+	// WaitGroup: a drain abandoned on ctx would still be in Wait when the
+	// next round's Send calls Add.
+	mu       sync.Mutex
+	inflight int
+	idle     chan struct{}
+	sendErr  error
 }
 
 var (
-	_ Transport      = (*LossyTransport)(nil)
-	_ QuorumGatherer = (*LossyTransport)(nil)
+	_ Transport   = (*LossyTransport)(nil)
+	_ SendDrainer = (*LossyTransport)(nil)
 )
 
 // NewLossyTransport wraps inner with the given fault model.
@@ -134,9 +132,22 @@ func (t *LossyTransport) Send(ctx context.Context, m NodeShares) error {
 		return nil
 	}
 	if delay > 0 {
-		t.wg.Add(1)
+		t.mu.Lock()
+		t.inflight++
+		t.mu.Unlock()
 		go func() {
-			defer t.wg.Done()
+			var failed error
+			defer func() {
+				t.mu.Lock()
+				if failed != nil && t.sendErr == nil {
+					t.sendErr = failed
+				}
+				if t.inflight--; t.inflight == 0 && t.idle != nil {
+					close(t.idle)
+					t.idle = nil
+				}
+				t.mu.Unlock()
+			}()
 			timer := time.NewTimer(delay)
 			defer timer.Stop()
 			select {
@@ -151,7 +162,7 @@ func (t *LossyTransport) Send(ctx context.Context, m NodeShares) error {
 					// blocking path would have returned — keep it for
 					// DrainSends.
 					if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-						t.errOnce.Do(func() { t.sendErr = err })
+						failed = err
 					}
 					return
 				}
@@ -175,48 +186,44 @@ func (t *LossyTransport) Send(ctx context.Context, m NodeShares) error {
 // SendsDone, which both restores the blocking path's error propagation
 // and keeps the "no further Send can occur" signal truthful.
 func (t *LossyTransport) DrainSends(ctx context.Context) error {
-	done := make(chan struct{})
-	go func() {
-		t.wg.Wait()
-		close(done)
-	}()
-	// The delivery goroutines honor their own Send contexts, but a
-	// user-supplied inner transport might not be prompt about it — the
-	// drain must still be interruptible by the engine's context.
-	select {
-	case <-done:
-		return t.sendErr
-	case <-ctx.Done():
-		return ctx.Err()
+	t.mu.Lock()
+	var idle chan struct{}
+	if t.inflight > 0 {
+		if t.idle == nil {
+			t.idle = make(chan struct{})
+		}
+		idle = t.idle
 	}
+	t.mu.Unlock()
+	if idle != nil {
+		// The delivery goroutines honor their own Send contexts, but a
+		// user-supplied inner transport might not be prompt about it —
+		// the drain must still be interruptible by the engine's context.
+		select {
+		case <-idle:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.sendErr
 }
 
-// Gather implements Transport by delegation. With drops configured, a
-// raw-count gather can never complete — the engine gathers through
-// GatherQuorum, whose strict form ends once sending has.
+// Gather implements Transport by delegation. With drops configured the
+// strict wait-for-all-k gather can never complete — the engine gathers
+// through GatherQuorum, whose strict form ends once sending has.
 func (t *LossyTransport) Gather(ctx context.Context, k int) ([]NodeShares, error) {
 	return t.inner.Gather(ctx, k)
 }
 
-// GatherQuorum implements QuorumGatherer by delegation; the inner
-// transport must support it too, except for a strict gather, which an
-// inner transport without the capability serves by raw count.
+// GatherQuorum implements Transport by delegation.
 func (t *LossyTransport) GatherQuorum(ctx context.Context, spec GatherSpec) ([]NodeShares, error) {
-	if qg, ok := t.inner.(QuorumGatherer); ok {
-		return qg.GatherQuorum(ctx, spec)
-	}
-	if spec.Strict {
-		return t.inner.Gather(ctx, spec.K)
-	}
-	return nil, ErrQuorumUnsupported
+	return t.inner.GatherQuorum(ctx, spec)
 }
 
-// Close tears the inner transport down when it has a lifecycle to tear
-// down (sharded relays, a TCP listener kept open across repair rounds).
-// The wrapper itself holds no resources beyond the delayed-delivery
-// goroutines, which exit on their own cancelled Send contexts.
-func (t *LossyTransport) Close() {
-	if c, ok := t.inner.(interface{ Close() }); ok {
-		c.Close()
-	}
-}
+// Close implements Transport by closing the inner transport. The wrapper
+// itself holds no resources beyond the delayed-delivery goroutines,
+// which exit on their own cancelled Send contexts or on the inner
+// transport's closed Send.
+func (t *LossyTransport) Close() { t.inner.Close() }

@@ -1,14 +1,13 @@
 package core
 
-// TCPTransport carries NodeShares over real sockets — the ROADMAP's
-// networked transport, behind the same Transport seam every in-memory
-// implementation satisfies. One instance plays both roles of a
-// loopback cluster: the collector side binds a listener at
-// construction (so senders can connect before the gather starts),
+// TCPTransport carries NodeShares over real sockets behind the same
+// Transport contract the in-memory bus satisfies. One instance plays
+// both roles of a loopback cluster: the collector side binds a listener
+// at construction (so senders can connect before the gather starts),
 // accepts connections, and feeds decoded frames into the shared
-// quorum-gather loop; the sender side dials the collector per message
-// with bounded retry and backoff. A send-only instance (no listen
-// address) is the shape a remote compute process would use.
+// quorum-gather loop; the sender side dials that listener per message
+// with bounded retry and backoff. Runs whose senders live in other
+// processes use the control protocol (internal/ctrl) instead.
 //
 // Failure philosophy: a socket can lose, truncate, or corrupt frames,
 // so the TCP path changes no engine semantics — a message that never
@@ -31,73 +30,33 @@ import (
 	"time"
 )
 
-// ErrNotCollector is returned when Gather is called on a send-only
-// TCPTransport (one constructed without a listen address).
-var ErrNotCollector = errors.New("core: tcp transport is send-only (no listen address)")
-
-// TCPConfig parameterizes a TCPTransport. The zero value of every
-// field has a usable default except the addresses: at least one of
-// Addr and ListenAddr must be set.
+// TCPConfig parameterizes a TCPTransport.
 type TCPConfig struct {
-	// Addr is the address senders dial to reach the collector. Empty
-	// with a non-empty ListenAddr means "dial whatever the listener
-	// bound" — the loopback case, which supports ephemeral ":0" ports.
-	Addr string
-	// ListenAddr, when non-empty, makes this instance the run's
-	// collector: the listener binds at construction. Empty means
-	// send-only — a Gather on such an instance fails with
-	// ErrNotCollector. (The facade's WithTCPTransport option defaults
-	// the bind address to the dial address; this constructor does
-	// not, because send-only is exactly Addr-without-ListenAddr.)
+	// ListenAddr is the address the collector binds and the senders
+	// dial; ":0" (or "127.0.0.1:0") picks an ephemeral port. Required.
 	ListenAddr string
-	// DialTimeout bounds one dial attempt (default 2s).
-	DialTimeout time.Duration
-	// RetryBackoff is the initial gap between dial attempts, doubling
-	// per retry (default 50ms) — a sender may come up before its
-	// collector does.
-	RetryBackoff time.Duration
-	// DialRetries is the number of redials after a failed first
-	// attempt (default 4; negative disables retrying).
-	DialRetries int
-	// MaxFrameBytes caps the payload size a reader accepts (default
-	// 64 MiB; hard cap 1 GiB). Frames claiming more are rejected
-	// before any allocation and cost the peer its connection.
-	MaxFrameBytes int
 }
 
-func (cfg TCPConfig) withDefaults() TCPConfig {
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 50 * time.Millisecond
-	}
-	if cfg.DialRetries == 0 {
-		cfg.DialRetries = 4
-	}
-	if cfg.DialRetries < 0 {
-		cfg.DialRetries = 0
-	}
-	if cfg.MaxFrameBytes <= 0 {
-		cfg.MaxFrameBytes = 64 << 20
-	}
-	if cfg.MaxFrameBytes > maxFrameBytesHardCap {
-		cfg.MaxFrameBytes = maxFrameBytesHardCap
-	}
-	return cfg
-}
+// A sender dials with bounded patience: the collector is in this
+// process and already listening, so a failed dial means a backlog
+// overflow or a listener mid-teardown, and a few doubling retries
+// outlast both.
+const (
+	tcpDialTimeout  = 2 * time.Second
+	tcpRetryBackoff = 50 * time.Millisecond
+	tcpDialRetries  = 4
+)
 
 // TCPTransport is a Transport whose messages travel length-prefixed
 // binary frames over TCP. Safe for concurrent Send calls;
 // Gather/GatherQuorum must be called from a single collector goroutine
-// (the engine's), and returning from either shuts the transport down:
-// the listener closes, reader connections close, and any straggler's
-// Send completes as a no-op — the run no longer wants the message.
+// (the engine's). Close shuts it down: the listener closes, reader
+// connections close, and any straggler's Send completes as a no-op —
+// the run no longer wants the message.
 type TCPTransport struct {
-	cfg TCPConfig
-	k   int
-	ln  net.Listener
-	ch  chan NodeShares
+	k  int
+	ln net.Listener
+	ch chan NodeShares
 
 	done      chan struct{}
 	stop      sync.Once
@@ -107,42 +66,34 @@ type TCPTransport struct {
 	badFrames atomic.Int64
 }
 
-var (
-	_ Transport      = (*TCPTransport)(nil)
-	_ QuorumGatherer = (*TCPTransport)(nil)
-)
+var _ Transport = (*TCPTransport)(nil)
 
-// NewTCPTransport builds a transport for a run of k nodes. With a
-// listen address it binds immediately (retrying briefly on "address in
-// use", so back-to-back runs can share one fixed port) and starts
-// accepting; construction failure means the collector cannot exist and
-// is returned as an error.
+// NewTCPTransport builds a transport for a run of k nodes. It binds
+// immediately (retrying briefly on "address in use", so back-to-back
+// runs can share one fixed port) and starts accepting; construction
+// failure means the collector cannot exist and is returned as an error.
 func NewTCPTransport(k int, cfg TCPConfig) (*TCPTransport, error) {
 	if k < 1 {
 		k = 1
 	}
-	cfg = cfg.withDefaults()
-	if cfg.Addr == "" && cfg.ListenAddr == "" {
-		return nil, errors.New("core: tcp transport needs an Addr or ListenAddr")
+	if cfg.ListenAddr == "" {
+		return nil, errors.New("core: tcp transport needs a ListenAddr")
+	}
+	ln, err := listenWithRetry(cfg.ListenAddr)
+	if err != nil {
+		return nil, fmt.Errorf("core: tcp listen %s: %w", cfg.ListenAddr, err)
 	}
 	t := &TCPTransport{
-		cfg: cfg,
-		k:   k,
-		// Headroom for duplicated deliveries, mirroring the sharded
-		// transport: a lossy wrapper must never wedge a reader.
+		k:  k,
+		ln: ln,
+		// Headroom for duplicated deliveries: a lossy wrapper must never
+		// wedge a reader.
 		ch:    make(chan NodeShares, 2*k+2),
 		done:  make(chan struct{}),
 		conns: make(map[net.Conn]bool),
 	}
-	if cfg.ListenAddr != "" {
-		ln, err := listenWithRetry(cfg.ListenAddr)
-		if err != nil {
-			return nil, fmt.Errorf("core: tcp listen %s: %w", cfg.ListenAddr, err)
-		}
-		t.ln = ln
-		t.wg.Add(1)
-		go t.acceptLoop()
-	}
+	t.wg.Add(1)
+	go t.acceptLoop()
 	return t, nil
 }
 
@@ -172,24 +123,16 @@ func listenWithRetry(addr string) (net.Listener, error) {
 	return nil, lastErr
 }
 
-// Addr returns the address senders should dial. A loopback instance —
-// one whose dial address is unset or identical to its listen address —
-// dials what the listener actually bound, which is what makes
-// ephemeral ":0" ports work; a split configuration (bind behind NAT,
-// dial a public name) keeps the configured dial address.
-func (t *TCPTransport) Addr() string {
-	if t.ln != nil && (t.cfg.Addr == "" || t.cfg.Addr == t.cfg.ListenAddr) {
-		return t.ln.Addr().String()
-	}
-	return t.cfg.Addr
-}
+// Addr returns the address senders dial: what the listener actually
+// bound, which is what makes ephemeral ":0" ports work.
+func (t *TCPTransport) Addr() string { return t.ln.Addr().String() }
 
 // BadFrames reports how many connections were dropped for malformed
 // frames — wrong magic, implausible geometry, oversized or short body.
 func (t *TCPTransport) BadFrames() int64 { return t.badFrames.Load() }
 
 // acceptLoop hands each inbound connection to its own reader
-// goroutine; it ends when shutdown closes the listener.
+// goroutine; it ends when Close closes the listener.
 func (t *TCPTransport) acceptLoop() {
 	defer t.wg.Done()
 	for {
@@ -200,7 +143,7 @@ func (t *TCPTransport) acceptLoop() {
 		t.mu.Lock()
 		select {
 		case <-t.done:
-			// Shutdown already swept the conns map; a connection
+			// Close already swept the conns map; a connection
 			// registered now would never be closed and its reader
 			// would hang Close() forever. Turn it away instead.
 			t.mu.Unlock()
@@ -227,7 +170,7 @@ func (t *TCPTransport) readConn(conn net.Conn) {
 		t.wg.Done()
 	}()
 	for {
-		payload, err := ReadFrame(conn, t.cfg.MaxFrameBytes)
+		payload, err := ReadFrame(conn, MaxFrameBytes)
 		if err != nil {
 			// A clean EOF or a died connection is a delivery fault the
 			// quorum gather absorbs; only protocol violations count as
@@ -262,24 +205,23 @@ func (t *TCPTransport) readConn(conn net.Conn) {
 }
 
 // Send implements Transport: encode, dial the collector (retrying with
-// backoff — it may not be up yet), write one frame, close. Cancelling
-// ctx aborts a blocked dial or write; after the gather has returned,
-// Send completes as a no-op.
+// backoff), write one frame, close. Cancelling ctx aborts a blocked dial
+// or write; after Close, Send completes as a no-op.
 func (t *TCPTransport) Send(ctx context.Context, m NodeShares) error {
 	payload, err := EncodeNodeShares(m)
 	if err != nil {
 		return err
 	}
-	if len(payload) > t.cfg.MaxFrameBytes {
+	if len(payload) > MaxFrameBytes {
 		// The receiver enforces the same cap, so a larger frame would
 		// be "sent" successfully and silently dropped on arrival —
 		// fail here with the real cause instead.
-		return fmt.Errorf("core: tcp send from node %d: frame is %d bytes, cap %d (raise TCPConfig.MaxFrameBytes)",
-			m.ID, len(payload), t.cfg.MaxFrameBytes)
+		return fmt.Errorf("core: tcp send from node %d: frame is %d bytes, cap %d",
+			m.ID, len(payload), MaxFrameBytes)
 	}
-	backoff := t.cfg.RetryBackoff
+	backoff := tcpRetryBackoff
 	var lastErr error
-	for attempt := 0; attempt <= t.cfg.DialRetries; attempt++ {
+	for attempt := 0; attempt <= tcpDialRetries; attempt++ {
 		if attempt > 0 {
 			timer := time.NewTimer(backoff)
 			select {
@@ -308,7 +250,7 @@ func (t *TCPTransport) Send(ctx context.Context, m NodeShares) error {
 		}
 	}
 	return fmt.Errorf("core: tcp send from node %d to %s failed after %d attempts: %w",
-		m.ID, t.Addr(), t.cfg.DialRetries+1, lastErr)
+		m.ID, t.Addr(), tcpDialRetries+1, lastErr)
 }
 
 // sendOnce is one dial+write attempt. A per-connection watchdog
@@ -316,7 +258,7 @@ func (t *TCPTransport) Send(ctx context.Context, m NodeShares) error {
 // transport shuts down, so a write blocked on a dead collector cannot
 // outlive either.
 func (t *TCPTransport) sendOnce(ctx context.Context, payload []byte) error {
-	d := net.Dialer{Timeout: t.cfg.DialTimeout}
+	d := net.Dialer{Timeout: tcpDialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", t.Addr())
 	if err != nil {
 		return err
@@ -336,54 +278,33 @@ func (t *TCPTransport) sendOnce(ctx context.Context, payload []byte) error {
 	return WriteFrame(conn, payload)
 }
 
-// Gather implements Transport (strict: counts raw messages); see
-// TCPTransport's doc for the shutdown-on-return contract.
+// Gather implements Transport.
 func (t *TCPTransport) Gather(ctx context.Context, k int) ([]NodeShares, error) {
-	if t.ln == nil {
-		return nil, ErrNotCollector
-	}
-	defer t.shutdown()
-	return gatherRaw(ctx, t.ch, k)
+	return t.GatherQuorum(ctx, GatherSpec{K: k, Quorum: k, Strict: true})
 }
 
-// GatherQuorum implements QuorumGatherer over the collector channel —
-// the same loop every in-memory transport uses, so MaxErasures and
-// GatherGrace behave identically over a socket. With spec.KeepOpen the
-// listener and reader connections survive the gather's return: the
-// engine may run repair rounds over this instance — follow-up frames
-// arrive on existing or fresh connections alike — and calls Close when
-// the run ends.
+// GatherQuorum implements Transport over the collector channel — the
+// same loop every in-memory transport uses, so MaxErasures and
+// GatherGrace behave identically over a socket. The listener and reader
+// connections outlive the gather: a repair round's frames arrive on
+// existing or fresh connections alike.
 func (t *TCPTransport) GatherQuorum(ctx context.Context, spec GatherSpec) ([]NodeShares, error) {
-	if t.ln == nil {
-		return nil, ErrNotCollector
-	}
-	if !spec.KeepOpen {
-		defer t.shutdown()
-	}
 	return GatherShares(ctx, t.ch, spec)
 }
 
-// shutdown ends the transport's world: listener closed, reader
-// connections closed, stragglers' Send released as no-ops. Idempotent.
-func (t *TCPTransport) shutdown() {
+// Close implements Transport: listener closed, reader connections
+// closed, stragglers' Send released as no-ops, and the accept and
+// reader goroutines waited for. Idempotent.
+func (t *TCPTransport) Close() {
 	t.stop.Do(func() {
 		close(t.done)
-		if t.ln != nil {
-			t.ln.Close()
-		}
+		t.ln.Close()
 		t.mu.Lock()
 		for conn := range t.conns {
 			conn.Close()
 		}
 		t.mu.Unlock()
 	})
-}
-
-// Close shuts the transport down and waits for the accept and reader
-// goroutines to exit — for callers that never reach a gather (tests,
-// aborted runs). Gather paths shut down implicitly on return.
-func (t *TCPTransport) Close() {
-	t.shutdown()
 	t.wg.Wait()
 }
 
@@ -401,9 +322,8 @@ func NewTCPFactory(cfg TCPConfig) TransportFactory {
 	}
 }
 
-// FailedTransport returns a Transport (and QuorumGatherer) whose every
-// method fails with err — the factory-shaped surface for construction
-// failures.
+// FailedTransport returns a Transport whose every method fails with
+// err — the factory-shaped surface for construction failures.
 func FailedTransport(err error) Transport { return failedTransport{err} }
 
 type failedTransport struct{ err error }
@@ -415,3 +335,4 @@ func (t failedTransport) Gather(context.Context, int) ([]NodeShares, error) {
 func (t failedTransport) GatherQuorum(context.Context, GatherSpec) ([]NodeShares, error) {
 	return nil, t.err
 }
+func (t failedTransport) Close() {}

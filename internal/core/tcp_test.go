@@ -1,8 +1,9 @@
 package core
 
 // TCPTransport tests: full engine runs over loopback sockets (strict
-// and quorum gathers, bare and lossy-wrapped), the dial-retry path, the
-// malformed-frame trust boundary, and shutdown/cancellation hygiene.
+// and quorum gathers, bare and lossy-wrapped), the dial- and
+// listen-retry paths, the malformed-frame trust boundary, and
+// Close/cancellation hygiene.
 
 import (
 	"context"
@@ -74,67 +75,81 @@ func TestTCPQuorumWithLoss(t *testing.T) {
 	}
 }
 
-// TestTCPSendRetriesUntilCollectorUp reserves an address, starts a
-// send-only transport dialing it, and only then brings the collector
-// up: the dial-retry loop must bridge the gap.
+// TestTCPSendRetriesUntilCollectorUp takes the listener away behind the
+// transport's back and brings one up on the same address only after
+// Send has started dialing: the dial-retry loop must bridge the gap.
 func TestTCPSendRetriesUntilCollectorUp(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
+	tr := tcpLoopback(t, 1)
+	defer tr.Close()
+	addr := tr.Addr()
+	tr.ln.Close()
 
-	sender, err := NewTCPTransport(1, TCPConfig{Addr: addr, RetryBackoff: 25 * time.Millisecond, DialRetries: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	collectorUp := make(chan *TCPTransport, 1)
+	got := make(chan NodeShares, 1)
 	go func() {
+		defer close(got)
 		time.Sleep(150 * time.Millisecond)
-		c, err := NewTCPTransport(1, TCPConfig{ListenAddr: addr})
+		ln, err := net.Listen("tcp", addr)
 		if err != nil {
-			collectorUp <- nil
 			return
 		}
-		collectorUp <- c
+		defer ln.Close()
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		payload, err := ReadFrame(conn, MaxFrameBytes)
+		if err != nil {
+			return
+		}
+		if m, err := DecodeNodeShares(payload); err == nil {
+			got <- m
+		}
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := sender.Send(ctx, NodeShares{ID: 0, Lo: 0, Hi: 1, Vals: [][][]uint64{{{42}}}}); err != nil {
+	if err := tr.Send(ctx, NodeShares{ID: 0, Lo: 0, Hi: 1, Vals: [][][]uint64{{{42}}}}); err != nil {
 		t.Fatalf("send with late collector: %v", err)
 	}
-	collector := <-collectorUp
-	if collector == nil {
-		t.Fatal("collector failed to bind the reserved address")
+	m, ok := <-got
+	if !ok {
+		t.Fatal("late listener failed to bind the address or read the frame")
 	}
-	defer collector.Close()
-	msgs, err := collector.Gather(ctx, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(msgs) != 1 || msgs[0].ID != 0 || msgs[0].Vals[0][0][0] != 42 {
-		t.Fatalf("gathered %+v", msgs)
+	if m.ID != 0 || m.Vals[0][0][0] != 42 {
+		t.Fatalf("received %+v", m)
 	}
 }
 
-// TestTCPSendFailsTyped pins the giving-up path: nothing ever listens,
-// so Send must return the dial failure after its bounded retries
-// rather than hang.
+// TestTCPSendFailsTyped pins the giving-up path: nothing listens
+// anymore, so Send must return the dial failure after its bounded
+// retries rather than hang.
 func TestTCPSendFailsTyped(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	sender, err := NewTCPTransport(1, TCPConfig{Addr: addr, RetryBackoff: 5 * time.Millisecond, DialRetries: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = sender.Send(context.Background(), NodeShares{ID: 0, Lo: 0, Hi: 0})
+	tr := tcpLoopback(t, 1)
+	defer tr.Close()
+	tr.ln.Close()
+	err := tr.Send(context.Background(), NodeShares{ID: 0, Lo: 0, Hi: 0})
 	if err == nil {
 		t.Fatal("send to dead address succeeded")
+	}
+}
+
+// TestTCPListenRetriesAddressInUse: back-to-back runs may share one
+// fixed port, so a constructor that finds the previous run's listener
+// still bound must wait it out rather than fail.
+func TestTCPListenRetriesAddressInUse(t *testing.T) {
+	first := tcpLoopback(t, 1)
+	addr := first.Addr()
+	go func() {
+		time.Sleep(150 * time.Millisecond)
+		first.Close()
+	}()
+	second, err := NewTCPTransport(1, TCPConfig{ListenAddr: addr})
+	if err != nil {
+		t.Fatalf("bind behind a closing listener: %v", err)
+	}
+	defer second.Close()
+	if second.Addr() != addr {
+		t.Fatalf("bound %s, want %s", second.Addr(), addr)
 	}
 }
 
@@ -167,8 +182,7 @@ func TestTCPMalformedFramesCostTheConnection(t *testing.T) {
 	}
 	defer c2.Close()
 
-	// Both rejections must land before the gather returns and shuts
-	// the readers down; they record asynchronously.
+	// The rejections record asynchronously.
 	deadline := time.Now().Add(5 * time.Second)
 	for tr.BadFrames() < 2 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
@@ -217,7 +231,7 @@ func TestTCPInBandError(t *testing.T) {
 }
 
 // TestTCPGatherCancellation: a gather with no senders must end with
-// the context, and the transport must shut down cleanly after.
+// the context, and the transport must close cleanly after.
 func TestTCPGatherCancellation(t *testing.T) {
 	tr := tcpLoopback(t, 4)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
@@ -226,24 +240,9 @@ func TestTCPGatherCancellation(t *testing.T) {
 		t.Fatalf("err = %v, want deadline", err)
 	}
 	tr.Close() // must not hang or double-close anything
-	// After shutdown a straggler's Send completes as a no-op.
+	// After Close a straggler's Send completes as a no-op.
 	if err := tr.Send(context.Background(), NodeShares{ID: 0, Lo: 0, Hi: 0}); err != nil {
 		t.Fatalf("post-shutdown send: %v", err)
-	}
-}
-
-// TestTCPSendOnlyGatherRefuses pins the collector contract: a
-// send-only instance cannot gather.
-func TestTCPSendOnlyGatherRefuses(t *testing.T) {
-	sender, err := NewTCPTransport(1, TCPConfig{Addr: "127.0.0.1:1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sender.Gather(context.Background(), 1); !errors.Is(err, ErrNotCollector) {
-		t.Fatalf("Gather = %v, want ErrNotCollector", err)
-	}
-	if _, err := sender.GatherQuorum(context.Background(), GatherSpec{K: 1, Quorum: 1}); !errors.Is(err, ErrNotCollector) {
-		t.Fatalf("GatherQuorum = %v, want ErrNotCollector", err)
 	}
 }
 
@@ -273,9 +272,8 @@ func TestTCPUnknownSenderCostsTheConnection(t *testing.T) {
 	defer tr.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	// A well-formed frame from "node 7" of a 2-node run. Wait for the
-	// filter to record it before gathering — the gather returning at
-	// quorum shuts the readers down.
+	// A well-formed frame from "node 7" of a 2-node run. The filter
+	// records it asynchronously.
 	if err := tr.Send(ctx, NodeShares{ID: 7, Lo: 0, Hi: 1, Vals: [][][]uint64{{{1}}}}); err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,9 @@ package core
 // node's broadcast of its evaluated shares — from the prepare stage to
 // the decode stage. The paper's model is a reliable broadcast bus; the
 // Transport interface keeps that as the default while modeling the
-// delivery-fault axis explicitly: ShardedTransport partitions nodes
-// into per-shard buses bridged by relay goroutines, and LossyTransport
-// drops, delays, duplicates, and reorders messages under a seeded RNG.
+// delivery-fault axis explicitly: TCPTransport carries the frames over
+// loopback sockets, and LossyTransport drops, delays, duplicates, and
+// reorders messages under a seeded RNG over either.
 // Delivery faults (a message that never arrives) are distinct from the
 // content faults the Adversary injects: the Adversary corrupts the
 // *values* of received words per (sender, recipient) pair at decode
@@ -17,6 +17,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -62,16 +63,35 @@ func (m NodeShares) Origin() int {
 }
 
 // Transport moves NodeShares messages from compute nodes to the
-// collector. Implementations must be safe for concurrent Send calls.
+// collector. It is the whole contract: the engine calls these four
+// methods and asks a transport nothing else (SendDrainer and
+// RemoteAssigner are the two genuine extras). Implementations must be
+// safe for concurrent Send calls; gathers run on a single collector
+// goroutine, and no gather ends the transport — a run gathers once per
+// round over the same instance, and whoever built the transport (the
+// engine, for a run's) calls Close when done with it.
 type Transport interface {
 	// Send broadcasts one node's shares. It may block (a bounded or
-	// networked transport) and must honor ctx cancellation.
+	// networked transport) and must honor ctx cancellation. After Close
+	// it is a no-op: nobody wants the message anymore.
 	Send(ctx context.Context, m NodeShares) error
-	// Gather blocks until k messages have arrived (or ctx is cancelled)
-	// and returns them in arbitrary order. It counts raw messages — a
-	// transport that can lose or duplicate them must also implement
-	// QuorumGatherer, which counts distinct senders instead.
+	// Gather is the strict round-0 gather: GatherQuorum with
+	// {K: k, Quorum: k, Strict: true}. It returns once all k senders
+	// have been heard (or ctx is cancelled).
 	Gather(ctx context.Context, k int) ([]NodeShares, error)
+	// GatherQuorum returns when all K distinct senders have been heard,
+	// when Quorum distinct senders have been heard (plus a non-blocking
+	// drain of whatever else is already buffered, so an arrived message
+	// is never erased just because the quorum filled first), or when the
+	// grace timer fires — whichever comes first. The returned slice is
+	// the raw message stream: duplicates are preserved (collectShares
+	// dedups them) and only counting is by distinct sender. Every
+	// implementation in the tree is GatherShares over its channel.
+	GatherQuorum(ctx context.Context, spec GatherSpec) ([]NodeShares, error)
+	// Close ends the transport's world: goroutines and sockets are
+	// released, a Send blocked on a full channel returns, later Sends
+	// are no-ops. Idempotent.
+	Close()
 }
 
 // GatherSpec parameterizes a quorum gather.
@@ -105,8 +125,8 @@ type GatherSpec struct {
 	// may still occur, so the grace timer stays unarmed until SendsDone
 	// closes (with SendsDone nil, as in remote runs, never). From then on
 	// a sender still unheard is lost, not slow, and the gather hands over
-	// the partial result for the engine to refuse by name — where a raw
-	// Transport.Gather would wait for ctx alone.
+	// the partial result for the engine to refuse by name. Transport.Gather
+	// is the strict gather with no SendsDone: it waits for all k or ctx.
 	Strict bool
 	// Round is the gather round this spec serves. Messages carrying any
 	// other NodeShares.Round are dropped unseen — not counted toward
@@ -115,25 +135,6 @@ type GatherSpec struct {
 	// delivery fault in its round, never as a phantom arrival in the
 	// repair round that follows.
 	Round int
-	// KeepOpen tells transports that normally shut down when a gather
-	// returns (sharded relays, the TCP listener) to stay alive: the
-	// engine may run repair rounds over the same instance and owns the
-	// transport's lifecycle for the rest of the run (see the engine's
-	// close).
-	KeepOpen bool
-}
-
-// QuorumGatherer is the capability a transport needs to serve runs that
-// tolerate delivery faults (Options.MaxErasures > 0). GatherQuorum
-// returns when all K distinct senders have been heard, when Quorum
-// distinct senders have been heard (plus a non-blocking drain of
-// whatever else is already buffered, so an arrived message is never
-// erased just because the quorum filled first), or when the grace
-// timer fires — whichever comes first. The returned slice is the raw
-// message stream: duplicates are preserved (collectShares dedups them)
-// and only counting is by distinct sender.
-type QuorumGatherer interface {
-	GatherQuorum(ctx context.Context, spec GatherSpec) ([]NodeShares, error)
 }
 
 // SendDrainer is an optional Transport capability for transports that
@@ -193,26 +194,27 @@ type RemoteAssigner interface {
 // order-preserving broadcast channel with capacity for every node's
 // message, so Send never blocks in a fault-free run.
 type BroadcastBus struct {
-	ch chan NodeShares
+	ch   chan NodeShares
+	done chan struct{}
+	stop sync.Once
 }
 
-var (
-	_ Transport      = (*BroadcastBus)(nil)
-	_ QuorumGatherer = (*BroadcastBus)(nil)
-)
+var _ Transport = (*BroadcastBus)(nil)
 
 // NewBroadcastBus returns a bus buffered for k messages.
 func NewBroadcastBus(k int) *BroadcastBus {
 	if k < 1 {
 		k = 1
 	}
-	return &BroadcastBus{ch: make(chan NodeShares, k)}
+	return &BroadcastBus{ch: make(chan NodeShares, k), done: make(chan struct{})}
 }
 
 // Send implements Transport.
 func (b *BroadcastBus) Send(ctx context.Context, m NodeShares) error {
 	select {
 	case b.ch <- m:
+		return nil
+	case <-b.done:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -221,32 +223,20 @@ func (b *BroadcastBus) Send(ctx context.Context, m NodeShares) error {
 
 // Gather implements Transport.
 func (b *BroadcastBus) Gather(ctx context.Context, k int) ([]NodeShares, error) {
-	return gatherRaw(ctx, b.ch, k)
+	return b.GatherQuorum(ctx, GatherSpec{K: k, Quorum: k, Strict: true})
 }
 
-// gatherRaw is the raw-count gather behind every built-in Transport.Gather:
-// k messages, whoever sent them, or ctx. The engine gathers through
-// GatherShares instead wherever the transport offers it.
-func gatherRaw(ctx context.Context, ch <-chan NodeShares, k int) ([]NodeShares, error) {
-	out := make([]NodeShares, 0, k)
-	for len(out) < k {
-		select {
-		case m := <-ch:
-			out = append(out, m)
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	return out, nil
-}
-
-// GatherQuorum implements QuorumGatherer.
+// GatherQuorum implements Transport.
 func (b *BroadcastBus) GatherQuorum(ctx context.Context, spec GatherSpec) ([]NodeShares, error) {
 	return GatherShares(ctx, b.ch, spec)
 }
 
+// Close implements Transport: it releases senders blocked on a full bus
+// (a lossy wrapper's duplicates can overfill it).
+func (b *BroadcastBus) Close() { b.stop.Do(func() { close(b.done) }) }
+
 // GatherShares is the one quorum-gather loop over a message channel;
-// see QuorumGatherer for the contract. Every built-in transport's
+// see Transport.GatherQuorum for the contract. Every transport's
 // GatherQuorum is this function, and it is exported so that a transport
 // outside the package (the control-protocol coordinator in
 // internal/ctrl) has the engine's gather semantics byte for byte:

@@ -2,14 +2,15 @@ package core
 
 // Unit and property tests for the transport layer itself: the
 // collector's tolerance of arbitrary message streams, the broadcast
-// bus's cancellation behaviour, the quorum-gather contract, and the
-// sharded/lossy implementations. End-to-end fault scenarios live in
-// chaos_test.go.
+// bus's cancellation behaviour, the quorum-gather contract, the
+// four-method Transport contract over every implementation, and the
+// lossy wrapper. End-to-end fault scenarios live in chaos_test.go.
 
 import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -182,70 +183,101 @@ func TestGatherQuorumReturnsAtQuorum(t *testing.T) {
 	}
 }
 
-func TestShardedTransportDeliversAcrossShards(t *testing.T) {
-	const k = 9
-	tr := NewShardedTransport(k, 4)
-	if tr.Shards() != 4 {
-		t.Fatalf("shards = %d", tr.Shards())
-	}
-	ctx := context.Background()
-	for id := 0; id < k; id++ {
-		if err := tr.Send(ctx, NodeShares{ID: id, Lo: id, Hi: id + 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	msgs, err := tr.Gather(ctx, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delivered, missing, err := collectShares(msgs, k, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(missing) != 0 || len(delivered) != k {
-		t.Fatalf("relays lost messages: missing %v", missing)
-	}
-	for id, m := range delivered {
-		if m.ID != id || m.Lo != id {
-			t.Fatalf("message %d misfiled: %+v", id, m)
-		}
+// transportImpls is the table of Transport implementations in this
+// package (internal/ctrl runs the same checks on its Coordinator). The
+// lossy rows delay every delivery, so arrivals cross an asynchronous hop
+// and land out of order.
+func transportImpls(t *testing.T) map[string]func(k int) Transport {
+	delayed := LossyConfig{Seed: 5, DelayRate: 1, MaxDelay: 2 * time.Millisecond}
+	return map[string]func(k int) Transport{
+		"bus":        func(k int) Transport { return NewBroadcastBus(k) },
+		"lossy(bus)": func(k int) Transport { return NewLossyTransport(NewBroadcastBus(k), delayed) },
+		"tcp":        func(k int) Transport { return tcpLoopback(t, k) },
+		"lossy(tcp)": func(k int) Transport { return NewLossyTransport(tcpLoopback(t, k), delayed) },
 	}
 }
 
-func TestShardedTransportShutdownFreesLateSenders(t *testing.T) {
-	const k = 6
-	tr := NewShardedTransport(k, 2)
-	ctx := context.Background()
-	for id := 0; id < 4; id++ {
-		if err := tr.Send(ctx, NodeShares{ID: id}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	msgs, err := tr.GatherQuorum(ctx, GatherSpec{K: k, Quorum: 4, Grace: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, missing, _ := collectShares(msgs, k, 0); len(missing) != 2 {
-		t.Fatalf("missing = %v, want 2 stragglers", missing)
-	}
-	// The gather has returned and shut the relays down: a straggler's
-	// Send (and many of them — beyond any buffer) must complete as a
-	// no-op rather than wedge its worker.
-	done := make(chan error, 1)
-	go func() {
-		var err error
-		for i := 0; i < 10*k && err == nil; i++ {
-			err = tr.Send(ctx, NodeShares{ID: 4})
-		}
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("late Send blocked after gather shutdown")
+// TestTCPAndBusConformance holds every implementation to the Transport
+// contract: Gather(ctx, k) is the strict GatherQuorum, gathers leave the
+// instance open for the next round, and Close is idempotent, releases
+// senders blocked on a full channel, turns later Sends into no-ops and
+// leaves no goroutine behind.
+func TestTCPAndBusConformance(t *testing.T) {
+	const k = 4
+	for name, build := range transportImpls(t) {
+		t.Run(name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			tr := build(k)
+			sendAll := func(round int) {
+				t.Helper()
+				for id := 0; id < k; id++ {
+					m := NodeShares{ID: id, From: (id + 1) % k, Round: round, Lo: id, Hi: id + 1, Vals: [][][]uint64{{{uint64(id)}}}}
+					if err := tr.Send(ctx, m); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			heard := func(msgs []NodeShares, err error, round int) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+				delivered, missing, err := collectShares(msgs, k, round)
+				if err != nil || len(missing) != 0 || len(delivered) != k {
+					t.Fatalf("round %d: %d delivered, missing %v, err %v", round, len(delivered), missing, err)
+				}
+				for id, m := range delivered {
+					if m.ID != id || m.Lo != id || m.Vals[0][0][0] != uint64(id) {
+						t.Fatalf("round %d: message %d misfiled: %+v", round, id, m)
+					}
+				}
+			}
+			// Three gathers over one instance: by count, by the strict spec
+			// it stands for, and a later round's.
+			sendAll(0)
+			msgs, err := tr.Gather(ctx, k)
+			heard(msgs, err, 0)
+			sendAll(0)
+			msgs, err = tr.GatherQuorum(ctx, GatherSpec{K: k, Quorum: k, Strict: true})
+			heard(msgs, err, 0)
+			sendAll(1)
+			msgs, err = tr.GatherQuorum(ctx, GatherSpec{K: k, Quorum: k, Grace: time.Second, Round: 1})
+			heard(msgs, err, 1)
+
+			// Far more Sends than any buffer holds and nobody gathering:
+			// Close must release whatever blocked, and the rest are no-ops.
+			done := make(chan error, 1)
+			go func() {
+				var err error
+				for i := 0; i < 10*k && err == nil; i++ {
+					err = tr.Send(ctx, NodeShares{ID: i % k, Lo: 0, Hi: 0})
+				}
+				done <- err
+			}()
+			time.Sleep(20 * time.Millisecond)
+			tr.Close()
+			tr.Close()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("Send across Close: %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Send still blocked after Close")
+			}
+			if err := tr.Send(ctx, NodeShares{ID: 0, Lo: 0, Hi: 0}); err != nil {
+				t.Fatalf("Send after Close: %v", err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Fatalf("%d goroutines before, %d after Close", before, n)
+			}
+		})
 	}
 }
 
@@ -310,43 +342,6 @@ func TestLossyTransportDropsAndDuplicates(t *testing.T) {
 	}
 }
 
-// strictOnlyTransport implements Transport but not QuorumGatherer (no
-// embedding: that would promote the bus's GatherQuorum).
-type strictOnlyTransport struct{ inner *BroadcastBus }
-
-func (s strictOnlyTransport) Send(ctx context.Context, m NodeShares) error {
-	return s.inner.Send(ctx, m)
-}
-
-func (s strictOnlyTransport) Gather(ctx context.Context, k int) ([]NodeShares, error) {
-	return s.inner.Gather(ctx, k)
-}
-
-func TestRunRejectsQuorumOnStrictTransport(t *testing.T) {
-	_, _, err := Run(context.Background(), testProblem(), Options{
-		Nodes: 4, FaultTolerance: 4, MaxErasures: 1,
-		NewTransport: func(k int) Transport { return strictOnlyTransport{inner: NewBroadcastBus(k)} },
-	})
-	if !errors.Is(err, ErrQuorumUnsupported) {
-		t.Fatalf("err = %v, want ErrQuorumUnsupported", err)
-	}
-}
-
-// A lossy wrapper claims the quorum capability on behalf of whatever it
-// wraps; over an inner transport without it, a strict run must still
-// gather (by raw count) rather than fail on a capability it never needed.
-func TestRunStrictOverLossyOverStrictOnlyTransport(t *testing.T) {
-	_, rep, err := Run(context.Background(), testProblem(), Options{
-		Nodes: 4,
-		NewTransport: func(k int) Transport {
-			return NewLossyTransport(strictOnlyTransport{inner: NewBroadcastBus(k)}, LossyConfig{})
-		},
-	})
-	if err != nil || !rep.Verified {
-		t.Fatalf("err = %v, report %+v", err, rep)
-	}
-}
-
 // TestRunStrictModeRefusesLossPromptly pins the end of a strict gather:
 // once sending has concluded and one grace period brought nothing more,
 // the unheard node is lost, and the run refuses by name instead of
@@ -355,8 +350,8 @@ func TestRunStrictModeRefusesLossPromptly(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	for name, inner := range map[string]func(k int) Transport{
-		"bus":     func(k int) Transport { return NewBroadcastBus(k) },
-		"sharded": func(k int) Transport { return NewShardedTransport(k, 2) },
+		"bus": func(k int) Transport { return NewBroadcastBus(k) },
+		"tcp": func(k int) Transport { return tcpLoopback(t, k) },
 	} {
 		_, _, err := Run(ctx, testProblem(), Options{
 			Nodes: 4, FaultTolerance: 4,
@@ -456,7 +451,9 @@ func TestLossyTransportShortDelayStillDelivers(t *testing.T) {
 	if err := lt.Send(ctx, NodeShares{ID: 3, Lo: 0, Hi: 0}); err != nil {
 		t.Fatal(err)
 	}
-	msgs, err := bus.Gather(ctx, 2)
+	// One distinct sender can never fill a quorum of two: the grace
+	// timer ends the gather, after both copies have landed.
+	msgs, err := bus.GatherQuorum(ctx, GatherSpec{K: 4, Quorum: 2, Grace: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

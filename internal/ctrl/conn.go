@@ -25,8 +25,7 @@ import (
 const sendTimeout = 5 * time.Second
 
 type wireConn struct {
-	conn     net.Conn
-	maxFrame int
+	conn net.Conn
 
 	// sendMu serializes writers (the coordinator assigns from multiple
 	// goroutines) and guards sendSeq; key is written once at handshake
@@ -37,9 +36,7 @@ type wireConn struct {
 	key     []byte
 }
 
-func newWireConn(conn net.Conn, maxFrame int) *wireConn {
-	return &wireConn{conn: conn, maxFrame: maxFrame}
-}
+func newWireConn(conn net.Conn) *wireConn { return &wireConn{conn: conn} }
 
 // send encodes msg at this connection's next send sequence number,
 // authenticated when a key has been negotiated, and writes it under a
@@ -65,7 +62,7 @@ func (w *wireConn) send(msg any) error {
 // these the stream is unusable and the caller must drop the
 // connection.
 func (w *wireConn) recv() (Frame, any, error) {
-	payload, err := core.ReadFrame(w.conn, w.maxFrame)
+	payload, err := core.ReadFrame(w.conn, core.MaxFrameBytes)
 	if err != nil {
 		return Frame{}, nil, err
 	}

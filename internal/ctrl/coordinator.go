@@ -58,12 +58,11 @@ type Config struct {
 	// JoinTimeout bounds how long AssignRanges waits for MinWorkers
 	// (default 30s).
 	JoinTimeout time.Duration
-	// MaxFrameBytes caps accepted control frames (default 64 MiB, same
-	// as the share transport).
-	MaxFrameBytes int
-	// Job identifies this run in manifests (default 1).
-	Job int
 }
+
+// jobID is what every manifest and Done names as its job: a coordinator
+// serves one run, so there is nothing to tell apart.
+const jobID = 1
 
 func (cfg Config) withDefaults() Config {
 	if cfg.ListenAddr == "" {
@@ -74,12 +73,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.JoinTimeout <= 0 {
 		cfg.JoinTimeout = 30 * time.Second
-	}
-	if cfg.MaxFrameBytes <= 0 {
-		cfg.MaxFrameBytes = 64 << 20
-	}
-	if cfg.Job <= 0 {
-		cfg.Job = 1
 	}
 	return cfg
 }
@@ -108,8 +101,8 @@ type assignment struct {
 	delivered bool
 }
 
-// Coordinator implements core.Transport, core.QuorumGatherer, and
-// core.RemoteAssigner over the control protocol.
+// Coordinator implements core.Transport and core.RemoteAssigner over the
+// control protocol.
 type Coordinator struct {
 	k   int
 	cfg Config
@@ -129,7 +122,6 @@ type Coordinator struct {
 
 var (
 	_ core.Transport      = (*Coordinator)(nil)
-	_ core.QuorumGatherer = (*Coordinator)(nil)
 	_ core.RemoteAssigner = (*Coordinator)(nil)
 )
 
@@ -204,7 +196,7 @@ const handshakeTimeout = 10 * time.Second
 func (c *Coordinator) handleConn(conn net.Conn) {
 	defer c.wg.Done()
 	defer conn.Close()
-	wc := newWireConn(conn, c.cfg.MaxFrameBytes)
+	wc := newWireConn(conn)
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	_, msg, err := wc.recv()
 	if err != nil {
@@ -432,7 +424,7 @@ func (c *Coordinator) AssignRanges(ctx context.Context, specs []core.AssignSpec)
 	}
 	for _, spec := range specs {
 		msg := Assign{
-			Job: c.cfg.Job, Owner: spec.Owner, Round: spec.Round,
+			Job: jobID, Owner: spec.Owner, Round: spec.Round,
 			Lo: spec.Lo, Hi: spec.Hi, Width: spec.Width, Primes: spec.Primes,
 			Kind: c.cfg.Kind, Instance: c.cfg.Instance,
 		}
@@ -519,11 +511,9 @@ func (c *Coordinator) Send(ctx context.Context, m core.NodeShares) error {
 	return fmt.Errorf("ctrl: coordinator transport evaluates remotely; local Send is not supported")
 }
 
-// Gather implements core.Transport. The engine gathers through
-// GatherQuorum in both modes; this is the strict form of the same loop
-// for any other caller. In-band faults count as arrivals —
-// collectShares then surfaces the first one (an ErrAuth-wrapped one
-// included) as a typed refusal. Like the TCP transport's strict mode, a
+// Gather implements core.Transport: the strict form of GatherQuorum.
+// In-band faults count as arrivals — collectShares then surfaces the
+// first one (an ErrAuth-wrapped one included) as a typed refusal. A
 // worker that dies silently *with no outstanding assignment* cannot be
 // distinguished from a slow one, so strict remote runs lean on ctx for
 // total-silence deadlines; quorum mode is the fault-tolerant path.
@@ -531,18 +521,18 @@ func (c *Coordinator) Gather(ctx context.Context, k int) ([]core.NodeShares, err
 	return c.GatherQuorum(ctx, core.GatherSpec{K: k, Quorum: k, Strict: true})
 }
 
-// GatherQuorum implements core.QuorumGatherer with exactly the
-// engine's shared gather loop. GatherSpec.SendsDone is nil in remote
+// GatherQuorum implements core.Transport with exactly the engine's
+// shared gather loop. GatherSpec.SendsDone is nil in remote
 // mode; injected fault frames count as arrivals, so grace timing still
 // converges on a dying cluster.
 func (c *Coordinator) GatherQuorum(ctx context.Context, spec core.GatherSpec) ([]core.NodeShares, error) {
 	return core.GatherShares(ctx, c.ch, spec)
 }
 
-// Close ends the coordinator's world: stop admitting, best-effort Done
-// to live workers so daemons exit cleanly, tear down connections, and
-// wait for every goroutine. Idempotent; the engine calls it through
-// its end-of-run transport teardown.
+// Close implements core.Transport: stop admitting, best-effort Done to
+// live workers so daemons exit cleanly, tear down connections, and wait
+// for every goroutine. Idempotent; the engine calls it when the run
+// ends.
 func (c *Coordinator) Close() {
 	c.closeOnce.Do(func() {
 		close(c.done)
@@ -557,24 +547,9 @@ func (c *Coordinator) Close() {
 		}
 		c.mu.Unlock()
 		for _, wc := range conns {
-			wc.send(Done{Job: c.cfg.Job}) // best-effort, bounded by sendTimeout
+			wc.send(Done{Job: jobID}) // best-effort, bounded by sendTimeout
 			wc.conn.Close()
 		}
 		c.wg.Wait()
 	})
-}
-
-// NewCoordinatorFactory adapts a coordinator to the engine's
-// TransportFactory seam. Construction failures degrade to
-// core.FailedTransport, which lacks the RemoteAssigner capability —
-// the run then fails on first use with the root cause instead of
-// hanging a remote gather.
-func NewCoordinatorFactory(cfg Config) core.TransportFactory {
-	return func(k int) core.Transport {
-		c, err := NewCoordinator(k, cfg)
-		if err != nil {
-			return core.FailedTransport(err)
-		}
-		return c
-	}
 }

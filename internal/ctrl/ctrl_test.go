@@ -218,7 +218,7 @@ func dialFake(t *testing.T, addr string, secret, resume []byte) *fakeWorker {
 	if err != nil {
 		t.Fatalf("fake worker dial: %v", err)
 	}
-	wc := newWireConn(conn, 64<<20)
+	wc := newWireConn(conn)
 	if err := wc.send(Hello{Version: ProtocolVersion, Resume: resume, Name: "fake"}); err != nil {
 		t.Fatalf("fake worker hello: %v", err)
 	}

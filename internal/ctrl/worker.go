@@ -36,16 +36,6 @@ type WorkerConfig struct {
 	// Name is a display name carried in hello (defaults to the local
 	// address).
 	Name string
-	// MaxFrameBytes caps accepted control frames (default 64 MiB).
-	MaxFrameBytes int
-	// DialTimeout bounds each dial attempt (default 2s); RetryBackoff
-	// is the initial reconnect delay, doubling to 2s (default 100ms).
-	DialTimeout  time.Duration
-	RetryBackoff time.Duration
-	// MaxAttempts bounds *consecutive failed* connection attempts
-	// before the daemon gives up (default 5); any successful handshake
-	// resets the count.
-	MaxAttempts int
 	// FailOwner > 0 makes the worker die (ErrFailInjected) the moment a
 	// round-0 assignment names that logical node — a deterministic
 	// fault-injection knob for churn tests and the multiproc example.
@@ -56,27 +46,24 @@ type WorkerConfig struct {
 	FailOwner int
 }
 
-func (cfg WorkerConfig) withDefaults() WorkerConfig {
-	if cfg.MaxFrameBytes <= 0 {
-		cfg.MaxFrameBytes = 64 << 20
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 100 * time.Millisecond
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 5
-	}
-	return cfg
-}
+// A worker's patience with its coordinator.
+const (
+	// workerDialTimeout bounds each dial attempt.
+	workerDialTimeout = 2 * time.Second
+	// workerRetryBackoff is the initial reconnect delay; it doubles per
+	// attempt up to workerMaxBackoff.
+	workerRetryBackoff = 100 * time.Millisecond
+	workerMaxBackoff   = 2 * time.Second
+	// workerMaxAttempts bounds *consecutive failed* connection attempts
+	// before the daemon gives up; any successful handshake resets the
+	// count.
+	workerMaxAttempts = 5
+)
 
 // RunWorker runs the daemon until the coordinator says Done (nil), the
 // context ends, a terminal refusal arrives, or reconnection is
 // exhausted.
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
-	cfg = cfg.withDefaults()
 	if cfg.Join == "" {
 		return fmt.Errorf("ctrl: worker needs a coordinator address")
 	}
@@ -85,7 +72,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	// re-assigned range re-enters evaluation without recompiling.
 	planners := map[string]*core.Planner{}
 	var resume []byte
-	backoff := cfg.RetryBackoff
+	backoff := workerRetryBackoff
 	failures := 0
 	for {
 		joined, terminal, err := serveWorker(ctx, cfg, &resume, planners)
@@ -96,10 +83,10 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			// The session worked until the connection died: fresh
 			// patience for the reconnect.
 			failures = 0
-			backoff = cfg.RetryBackoff
+			backoff = workerRetryBackoff
 		} else {
 			failures++
-			if failures >= cfg.MaxAttempts {
+			if failures >= workerMaxAttempts {
 				return fmt.Errorf("ctrl: giving up on %s after %d failed attempts: %w", cfg.Join, failures, err)
 			}
 		}
@@ -108,8 +95,8 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		case <-ctx.Done():
 			return ctx.Err()
 		}
-		if backoff *= 2; backoff > 2*time.Second {
-			backoff = 2 * time.Second
+		if backoff *= 2; backoff > workerMaxBackoff {
+			backoff = workerMaxBackoff
 		}
 	}
 }
@@ -118,7 +105,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 // the handshake completed (resets the retry budget); terminal means
 // RunWorker must return err instead of reconnecting.
 func serveWorker(ctx context.Context, cfg WorkerConfig, resume *[]byte, planners map[string]*core.Planner) (joined, terminal bool, err error) {
-	conn, err := net.DialTimeout("tcp", cfg.Join, cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", cfg.Join, workerDialTimeout)
 	if err != nil {
 		return false, false, err
 	}
@@ -133,7 +120,7 @@ func serveWorker(ctx context.Context, cfg WorkerConfig, resume *[]byte, planners
 		case <-stop:
 		}
 	}()
-	wc := newWireConn(conn, cfg.MaxFrameBytes)
+	wc := newWireConn(conn)
 	name := cfg.Name
 	if name == "" {
 		name = conn.LocalAddr().String()

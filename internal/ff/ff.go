@@ -231,21 +231,6 @@ func (f Field) Mul(a, b uint64) uint64 {
 	return MulK(a, b, f.k)
 }
 
-// reduce128Div is the pre-Barrett reduction: one hardware 128/64
-// division. Kept as the internal reference implementation — differential
-// and fuzz tests pin the reciprocal path against it bit for bit.
-func (f Field) reduce128Div(hi, lo uint64) uint64 {
-	_, rem := bits.Div64(hi, lo, f.Q)
-	return rem
-}
-
-// mulDiv is Mul through the division reference path, for differential
-// tests and benchmarks.
-func (f Field) mulDiv(a, b uint64) uint64 {
-	hi, lo := bits.Mul64(a, b)
-	return f.reduce128Div(hi, lo)
-}
-
 // Reduce maps an arbitrary signed integer into [0, q).
 func (f Field) Reduce(x int64) uint64 {
 	m := x % int64(f.Q)

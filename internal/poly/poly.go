@@ -128,17 +128,6 @@ func (r *Ring) Scale(a []uint64, c uint64) []uint64 {
 	return Trim(out)
 }
 
-// MulXn returns a * x^n (shift by n).
-func (r *Ring) MulXn(a []uint64, n int) []uint64 {
-	a = Trim(a)
-	if len(a) == 0 {
-		return nil
-	}
-	out := make([]uint64, len(a)+n)
-	copy(out[n:], a)
-	return out
-}
-
 // Mul returns a*b, dispatching on size: naive for tiny operands,
 // Karatsuba in the mid range, NTT for large products when the modulus
 // supports a big enough transform.

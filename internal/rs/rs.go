@@ -76,12 +76,6 @@ func ConsecutivePoints(e int) []uint64 {
 	return pts
 }
 
-// Length returns the codeword length e.
-func (c *Code) Length() int { return len(c.points) }
-
-// DegreeBound returns the message degree bound d.
-func (c *Code) DegreeBound() int { return c.d }
-
 // Points returns the evaluation points (not a copy; callers must not
 // mutate).
 func (c *Code) Points() []uint64 { return c.points }

@@ -41,11 +41,6 @@ func SpanningTrees(tutteCoeffs [][]*big.Int) *big.Int { return Eval(tutteCoeffs,
 // Forests returns T_G(2,1): the number of spanning forests.
 func Forests(tutteCoeffs [][]*big.Int) *big.Int { return Eval(tutteCoeffs, 2, 1) }
 
-// ConnectedSpanningSubgraphs returns T_G(1,2).
-func ConnectedSpanningSubgraphs(tutteCoeffs [][]*big.Int) *big.Int {
-	return Eval(tutteCoeffs, 1, 2)
-}
-
 // AcyclicOrientations returns T_G(2,0) (Stanley's theorem).
 func AcyclicOrientations(tutteCoeffs [][]*big.Int) *big.Int { return Eval(tutteCoeffs, 2, 0) }
 

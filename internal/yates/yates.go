@@ -326,10 +326,6 @@ func (ss *SplitSparse) Dense() []uint64 {
 	return y
 }
 
-// PartPolyDegree returns the degree bound t^{k-ℓ} - 1 of each part
-// polynomial u^{(ℓ)}_{i}(z).
-func (ss *SplitSparse) PartPolyDegree() int { return pow(ss.t, ss.k-ss.ell) - 1 }
-
 // PartsEvaluator evaluates the part-polynomials u^{(ℓ)}(z) of paper
 // §3.3 at arbitrary points: for z0 = 1, 2, ..., t^{k-ℓ} the result
 // equals Part(z0 - 1), elsewhere it is the degree-(t^{k-ℓ}-1)

@@ -127,10 +127,16 @@ func TestNoAdHocPlanCachesInProblems(t *testing.T) {
 // coreForbidden are the duplicates internal/core collapsed: a block
 // seam that takes the prime per call (the legacy BatchProblem shape —
 // block evaluation goes through plan.Compiler and a compiled plan.Plan)
-// and a per-run worker pool beside Pool (the retired scheduler.run).
+// a per-run worker pool beside Pool (the retired scheduler.run), and the
+// three shapes of asking a transport what it can do — Transport is the
+// whole contract (Send, Gather, GatherQuorum, Close), the engine closes
+// what it opened, and no gather ends its transport.
 var coreForbidden = map[string]*regexp.Regexp{
-	"second evaluation seam (compile a plan.Plan instead)": regexp.MustCompile(`EvaluateBlock\(q uint64`),
-	"second worker pool (run tasks on core.Pool instead)":  regexp.MustCompile(`func \([^)]*\) run\(ctx context\.Context, n int, task `),
+	"second evaluation seam (compile a plan.Plan instead)":       regexp.MustCompile(`EvaluateBlock\(q uint64`),
+	"second worker pool (run tasks on core.Pool instead)":        regexp.MustCompile(`func \([^)]*\) run\(ctx context\.Context, n int, task `),
+	"gather capability probe (every Transport has GatherQuorum)": regexp.MustCompile(`\.\(QuorumGatherer\)`),
+	"lifecycle capability probe (every Transport has Close)":     regexp.MustCompile(`\.\(interface\s*\{\s*Close\(\)\s*\}\)`),
+	"gather that may end its transport (the engine calls Close)": regexp.MustCompile(`\bKeepOpen\b`),
 }
 
 // coreGrandfathered lists internal/core files still allowed to match

@@ -49,7 +49,7 @@ func TestTCPFacadeProofBitIdentical(t *testing.T) {
 	}
 }
 
-// TestTCPFacadeLossyRecovers drives WithTCPTransport composed with
+// TestTCPFacadeLossyRecovers drives WithListenAddr composed with
 // WithLossyTransport: drops within the erasure budget off a real
 // socket still recover the identical proof.
 func TestTCPFacadeLossyRecovers(t *testing.T) {
@@ -124,7 +124,7 @@ func (t *countingTransport) Gather(ctx context.Context, k int) ([]NodeShares, er
 	return t.BroadcastBus.Gather(ctx, k)
 }
 
-func (t *countingTransport) GatherQuorum(ctx context.Context, spec core.GatherSpec) ([]NodeShares, error) {
+func (t *countingTransport) GatherQuorum(ctx context.Context, spec GatherSpec) ([]NodeShares, error) {
 	defer t.done()
 	defer time.Sleep(time.Millisecond)
 	return t.BroadcastBus.GatherQuorum(ctx, spec)

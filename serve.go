@@ -296,7 +296,11 @@ func (s *Server) watch(e *serveEntry) {
 		s.decodeNs += report.DecodeWall.Nanoseconds()
 		s.verifyNs += (time.Duration(report.VerifyTrials) * report.VerifyPerTrial).Nanoseconds()
 	}
-	s.inflight[e.tenant]--
+	// Tenant names come from clients: keep a key only while it counts
+	// something, or the map and /metrics grow with every name ever seen.
+	if s.inflight[e.tenant]--; s.inflight[e.tenant] == 0 {
+		delete(s.inflight, e.tenant)
+	}
 	s.depth--
 	s.mu.Unlock()
 	close(e.done)

@@ -36,6 +36,12 @@ func (t *serveGatedTransport) Gather(ctx context.Context, k int) ([]NodeShares, 
 	return t.inner.Gather(ctx, k)
 }
 
+func (t *serveGatedTransport) GatherQuorum(ctx context.Context, spec GatherSpec) ([]NodeShares, error) {
+	return t.inner.GatherQuorum(ctx, spec)
+}
+
+func (t *serveGatedTransport) Close() { t.inner.Close() }
+
 // TestServeCacheHitsAreBitIdentical storms one server from two tenants
 // with a shared (cache-hitting) workload and per-goroutine distinct
 // (cache-missing) workloads, and asserts every cached serve is
@@ -349,6 +355,46 @@ func BenchmarkServeFirstRun(b *testing.B) {
 		if _, err := srv.Result(ctx, out.Digest); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestServeTenantNamesDoNotAccumulate: tenant names are client-supplied,
+// so a key in the in-flight table (and its /metrics line) must live only
+// while it counts a running preparation — a thousand tenants passing
+// through leave nothing behind.
+func TestServeTenantNamesDoNotAccumulate(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cl := NewCluster(WithNodes(2))
+	defer cl.Close()
+	srv := NewServer(cl, ServerConfig{MaxQueueDepth: 64})
+	defer srv.Close()
+
+	// Eight distinct specs, so eight of the tenants run a preparation
+	// and the rest coalesce onto one or hit the cache.
+	digests := map[string]bool{}
+	for i := 0; i < 1000; i++ {
+		out, err := srv.Submit(fmt.Sprintf("tenant-%04d", i), fmt.Sprintf("permanent n=4 seed=%d", i%8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		digests[out.Digest] = true
+	}
+	for d := range digests {
+		if _, err := srv.Result(ctx, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.mu.Lock()
+	left := len(srv.inflight)
+	srv.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d tenants still in the in-flight table after every preparation finished", left)
+	}
+	var metrics strings.Builder
+	srv.WriteMetrics(&metrics)
+	if strings.Contains(metrics.String(), "tenant-") {
+		t.Fatalf("/metrics still names finished tenants:\n%s", metrics.String())
 	}
 }
 
