@@ -2,11 +2,10 @@ package camelot
 
 // Ablation benchmarks for three design choices:
 // the matrix-multiplication tensor decomposition (Strassen ω≈2.807 vs
-// classical ω=3), the number of decoding nodes, and the NTT-vs-Karatsuba
-// polynomial multiplication path.
+// classical ω=3), identical vs equivocated received words, and the
+// NTT-vs-Karatsuba polynomial multiplication path.
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -37,7 +36,7 @@ func BenchmarkAblationTensorCliques(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rep := runFull(b, p, core.Options{Nodes: 2, Seed: 1, DecodingNodes: 1})
+			rep := runFull(b, p, core.Options{Nodes: 2, Seed: 1})
 			b.ReportMetric(float64(rep.ProofSymbols), "proof-symbols")
 		})
 	}
@@ -59,24 +58,39 @@ func BenchmarkAblationTensorTriangles(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rep := runFull(b, p, core.Options{Nodes: 2, Seed: 2, DecodingNodes: 1})
+			rep := runFull(b, p, core.Options{Nodes: 2, Seed: 2})
 			b.ReportMetric(float64(rep.ProofSymbols), "proof-symbols")
 		})
 	}
 }
 
-// BenchmarkAblationDecodingNodes measures the cost of the paper's
-// "every node decodes" model against a single-verifier deployment
-// (paper footnote 6: with one verifier no broadcast is needed).
-func BenchmarkAblationDecodingNodes(b *testing.B) {
+// BenchmarkAblationReceivedWords shows the property the decode stage's
+// cost depends on: a consistent liar shows every honest node the same
+// word, so each (prime, coordinate) decodes once; an equivocator shows
+// each of them a different one, and each is decoded (paper footnote 7).
+func BenchmarkAblationReceivedWords(b *testing.B) {
 	g := graph.Gnp(24, 0.3, 3)
 	p, err := triangles.NewProblem(g, tensor.Strassen())
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, dn := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("decoders=%d", dn), func(b *testing.B) {
-			runFull(b, p, core.Options{Nodes: 8, FaultTolerance: 40, Seed: 3, DecodingNodes: dn})
+	// The smallest f whose radius covers one node's whole block of
+	// ⌈e/K⌉ points, e = d+1+2f.
+	const k = 8
+	f := 0
+	for f < (p.Degree()+1+2*f+k-1)/k {
+		f++
+	}
+	for _, tc := range []struct {
+		name string
+		adv  core.Adversary
+	}{
+		{"consistent-liar", core.NewLyingNodes(7, 3)},
+		{"equivocator", core.NewEquivocatingNodes(7, 3)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			rep := runFull(b, p, core.Options{Nodes: k, FaultTolerance: f, Adversary: tc.adv, Seed: 3})
+			b.ReportMetric(float64(rep.Decodes), "decodes")
 		})
 	}
 }

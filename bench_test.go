@@ -57,7 +57,7 @@ func BenchmarkE01KCliqueCamelot(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rep := runFull(b, p, core.Options{Nodes: 8, Seed: 1, DecodingNodes: 1})
+	rep := runFull(b, p, core.Options{Nodes: 8, Seed: 1})
 	b.ReportMetric(float64(rep.ProofSymbols), "proof-symbols")
 }
 
@@ -121,7 +121,7 @@ func BenchmarkE03TrianglesCamelot(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rep := runFull(b, p, core.Options{Nodes: 4, Seed: 2, DecodingNodes: 1})
+			rep := runFull(b, p, core.Options{Nodes: 4, Seed: 2})
 			b.ReportMetric(float64(p.NumParts()), "proof-parts")
 			b.ReportMetric(float64(rep.Degree), "degree")
 		})
@@ -177,7 +177,7 @@ func BenchmarkE06Chromatic(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rep := runFull(b, p, core.Options{Nodes: 4, Seed: 1, DecodingNodes: 1})
+		rep := runFull(b, p, core.Options{Nodes: 4, Seed: 1})
 		b.ReportMetric(float64(rep.ProofSymbols), "proof-symbols")
 	})
 	b.Run("deletion-contraction", func(b *testing.B) {
@@ -193,7 +193,7 @@ func BenchmarkE07Tutte(b *testing.B) {
 	mg := graph.RandomMultigraph(6, 8, 6)
 	b.Run("camelot-full", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := tutte.Compute(context.Background(), mg, core.Options{Nodes: 2, Seed: 2, DecodingNodes: 1}); err != nil {
+			if _, err := tutte.Compute(context.Background(), mg, core.Options{Nodes: 2, Seed: 2}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -214,7 +214,7 @@ func BenchmarkE08CNFSAT(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		runFull(b, p, core.Options{Nodes: 4, Seed: 3, DecodingNodes: 1})
+		runFull(b, p, core.Options{Nodes: 4, Seed: 3})
 	})
 	b.Run("brute-2^v", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -236,7 +236,7 @@ func BenchmarkE08Permanent(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		runFull(b, p, core.Options{Nodes: 4, Seed: 4, DecodingNodes: 1})
+		runFull(b, p, core.Options{Nodes: 4, Seed: 4})
 	})
 	b.Run("ryser-2^n", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -252,7 +252,7 @@ func BenchmarkE08Hamilton(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		runFull(b, p, core.Options{Nodes: 4, Seed: 5, DecodingNodes: 1})
+		runFull(b, p, core.Options{Nodes: 4, Seed: 5})
 	})
 	b.Run("held-karp-2^n", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -277,7 +277,7 @@ func BenchmarkE09SetCover(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		runFull(b, p, core.Options{Nodes: 4, Seed: 6, DecodingNodes: 1})
+		runFull(b, p, core.Options{Nodes: 4, Seed: 6})
 	})
 	b.Run("sequential-IE-2^n", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -297,7 +297,7 @@ func BenchmarkE10OV(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		runFull(b, p, core.Options{Nodes: 4, Seed: 7, DecodingNodes: 1})
+		runFull(b, p, core.Options{Nodes: 4, Seed: 7})
 	})
 	b.Run("naive-n^2t", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -314,7 +314,7 @@ func BenchmarkE10Hamming(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	runFull(b, p, core.Options{Nodes: 4, Seed: 8, DecodingNodes: 1})
+	runFull(b, p, core.Options{Nodes: 4, Seed: 8})
 }
 
 func BenchmarkE10Conv3SUM(b *testing.B) {
@@ -326,7 +326,7 @@ func BenchmarkE10Conv3SUM(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	runFull(b, p, core.Options{Nodes: 4, Seed: 9, DecodingNodes: 1})
+	runFull(b, p, core.Options{Nodes: 4, Seed: 9})
 }
 
 // --- E11: Theorem 12, 2-CSP --------------------------------------------------------
@@ -337,7 +337,7 @@ func BenchmarkE11CSP(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rep := runFull(b, p, core.Options{Nodes: 4, Seed: 10, DecodingNodes: 1})
+	rep := runFull(b, p, core.Options{Nodes: 4, Seed: 10})
 	b.ReportMetric(float64(rep.ProofSymbols), "proof-symbols")
 }
 
@@ -361,7 +361,7 @@ func BenchmarkE12Robustness(b *testing.B) {
 	}
 	runFull(b, p, core.Options{
 		Nodes: k, FaultTolerance: f, Adversary: core.NewEquivocatingNodes(1, 3),
-		Seed: 1, DecodingNodes: 1,
+		Seed: 1,
 	})
 }
 
@@ -372,7 +372,7 @@ func BenchmarkE12Verify(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	proof, _, err := core.Run(context.Background(), p, core.Options{Seed: 2, DecodingNodes: 1})
+	proof, _, err := core.Run(context.Background(), p, core.Options{Seed: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -702,7 +702,7 @@ func BenchmarkJobsClusterThroughput(b *testing.B) {
 		problems := mixedJobProblems(b)
 		jobs := make([]*Job, len(problems))
 		for j, p := range problems {
-			jobs[j] = cluster.Submit(ctx, p, WithSeed(1), WithDecodingNodes(1))
+			jobs[j] = cluster.Submit(ctx, p, WithSeed(1))
 		}
 		for _, job := range jobs {
 			if _, _, err := job.Wait(ctx); err != nil {
@@ -716,7 +716,7 @@ func BenchmarkJobsClusterThroughput(b *testing.B) {
 // same mixed workload through one-shot core.Run calls, rebuilding
 // geometry per call, one job at a time.
 func BenchmarkJobsSequentialRun(b *testing.B) {
-	opts := core.Options{Nodes: 2, Seed: 1, DecodingNodes: 1}
+	opts := core.Options{Nodes: 2, Seed: 1}
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -735,7 +735,7 @@ func BenchmarkJobsTutteConcurrentLines(b *testing.B) {
 	mg := RandomMultigraph(6, 8, 6)
 	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		if _, err := TuttePolynomial(ctx, mg, WithNodes(2), WithSeed(2), WithDecodingNodes(1)); err != nil {
+		if _, err := TuttePolynomial(ctx, mg, WithNodes(2), WithSeed(2)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -745,7 +745,7 @@ func BenchmarkJobsTutteSequentialLines(b *testing.B) {
 	mg := graph.RandomMultigraph(6, 8, 6)
 	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		if _, err := tutte.Compute(ctx, mg, core.Options{Nodes: 2, Seed: 2, DecodingNodes: 1}); err != nil {
+		if _, err := tutte.Compute(ctx, mg, core.Options{Nodes: 2, Seed: 2}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -761,7 +761,7 @@ func BenchmarkE13Tradeoff(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rep := runFull(b, p, core.Options{Nodes: k, Seed: 6, DecodingNodes: 1})
+			rep := runFull(b, p, core.Options{Nodes: k, Seed: 6})
 			b.ReportMetric(float64(rep.MaxNodeCompute.Microseconds())/1000, "pernode-ms")
 			b.ReportMetric(float64(rep.CodeLength)/float64(k), "points-per-node")
 		})

@@ -288,12 +288,6 @@ func WithVerifyTrials(trials int) RunOption {
 	return runOption(func(rs *runSettings) { rs.opts.VerifyTrials = trials })
 }
 
-// WithDecodingNodes caps how many honest nodes run the full decoder
-// (0 = all, the paper's model).
-func WithDecodingNodes(k int) RunOption {
-	return runOption(func(rs *runSettings) { rs.opts.DecodingNodes = k })
-}
-
 // WithMaxErasures lets the run tolerate losing up to n node broadcasts
 // in delivery: the gather returns once K-n distinct senders have been
 // heard (or the grace timer fires) and the missing nodes' coordinates

@@ -390,7 +390,8 @@ func printReport(rep *camelot.Report) {
 		rep.ComputeWall.Round(time.Microsecond),
 		rep.MaxNodeCompute.Round(time.Microsecond),
 		rep.TotalNodeCompute.Round(time.Microsecond))
-	fmt.Printf("  decode         wall %v\n", rep.DecodeWall.Round(time.Microsecond))
+	fmt.Printf("  decode         wall %v, %d distinct received word(s) decoded\n",
+		rep.DecodeWall.Round(time.Microsecond), rep.Decodes)
 	fmt.Printf("  verification   %d trial(s), %v each, accepted=%v\n",
 		rep.VerifyTrials, rep.VerifyPerTrial.Round(time.Microsecond), rep.Verified)
 }

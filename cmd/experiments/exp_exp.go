@@ -35,7 +35,7 @@ func runE6(quick bool) {
 		if err != nil {
 			panic(err)
 		}
-		proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 1, DecodingNodes: 1})
+		proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 1})
 		if err != nil {
 			panic(err)
 		}
@@ -70,7 +70,7 @@ func runE7(quick bool) {
 		var res *tutte.Result
 		camTime := timed(func() {
 			var err error
-			res, err = tutte.Compute(context.Background(), mg, core.Options{Nodes: 2, Seed: 2, DecodingNodes: 1})
+			res, err = tutte.Compute(context.Background(), mg, core.Options{Nodes: 2, Seed: 2})
 			if err != nil {
 				panic(err)
 			}
@@ -128,7 +128,7 @@ func runE8(quick bool) {
 		if err != nil {
 			panic(err)
 		}
-		proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 3, DecodingNodes: 1})
+		proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 3})
 		if err != nil {
 			panic(err)
 		}
@@ -159,7 +159,7 @@ func runE8(quick bool) {
 		if err != nil {
 			panic(err)
 		}
-		proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 4, DecodingNodes: 1})
+		proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 4})
 		if err != nil {
 			panic(err)
 		}
@@ -183,7 +183,7 @@ func runE8(quick bool) {
 		if err != nil {
 			panic(err)
 		}
-		proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 5, DecodingNodes: 1})
+		proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 5})
 		if err != nil {
 			panic(err)
 		}
@@ -221,7 +221,7 @@ func runE9(quick bool) {
 		if err != nil {
 			panic(err)
 		}
-		proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 6, DecodingNodes: 1})
+		proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 6})
 		if err != nil {
 			panic(err)
 		}
@@ -239,7 +239,7 @@ func runE9(quick bool) {
 		if err != nil {
 			panic(err)
 		}
-		proofE, repE, err := core.Run(context.Background(), pe, core.Options{Nodes: 4, Seed: 7, DecodingNodes: 1})
+		proofE, repE, err := core.Run(context.Background(), pe, core.Options{Nodes: 4, Seed: 7})
 		if err != nil {
 			panic(err)
 		}
@@ -288,7 +288,7 @@ func runE12(quick bool) {
 			adv = core.NewLyingNodes(1, bad...)
 		}
 		_, rep, err := core.Run(context.Background(), p, core.Options{
-			Nodes: k, FaultTolerance: f, Adversary: adv, Seed: 1, DecodingNodes: 1,
+			Nodes: k, FaultTolerance: f, Adversary: adv, Seed: 1,
 		})
 		outcome := "decoded+verified"
 		identified := "-"
@@ -300,7 +300,7 @@ func runE12(quick bool) {
 		fmt.Printf("| %v | %d | %s | %s |\n", bad, f, outcome, identified)
 	}
 	// Soundness: empirical forged-proof acceptance rate vs d/q.
-	proof, _, err := core.Run(context.Background(), p, core.Options{Seed: 2, DecodingNodes: 1})
+	proof, _, err := core.Run(context.Background(), p, core.Options{Seed: 2})
 	if err != nil {
 		panic(err)
 	}

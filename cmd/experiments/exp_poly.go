@@ -53,7 +53,7 @@ func runE1(quick bool) {
 		if err != nil {
 			panic(err)
 		}
-		proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 8, Seed: 1, DecodingNodes: 1})
+		proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 8, Seed: 1})
 		if err != nil {
 			panic(err)
 		}
@@ -151,7 +151,7 @@ func runE3(quick bool) {
 		if err != nil {
 			panic(err)
 		}
-		proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 2, DecodingNodes: 1})
+		proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 2})
 		if err != nil {
 			panic(err)
 		}
@@ -248,7 +248,7 @@ func runE10(quick bool) {
 		if err != nil {
 			panic(err)
 		}
-		proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 3, DecodingNodes: 1})
+		proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 3})
 		if err != nil {
 			panic(err)
 		}
@@ -274,7 +274,7 @@ func runE10(quick bool) {
 		if err != nil {
 			panic(err)
 		}
-		proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 4, DecodingNodes: 1})
+		proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 4})
 		if err != nil {
 			panic(err)
 		}
@@ -327,7 +327,7 @@ func runE11(quick bool) {
 		if err != nil {
 			panic(err)
 		}
-		proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 5, DecodingNodes: 1})
+		proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 5})
 		if err != nil {
 			panic(err)
 		}
@@ -360,7 +360,7 @@ func runE13(quick bool) {
 		if err != nil {
 			panic(err)
 		}
-		_, rep, err := core.Run(context.Background(), p, core.Options{Nodes: k, Seed: 6, DecodingNodes: 1})
+		_, rep, err := core.Run(context.Background(), p, core.Options{Nodes: k, Seed: 6})
 		if err != nil {
 			panic(err)
 		}

@@ -23,7 +23,7 @@ func conv3sumRun(a []uint64, t int) (*conv3sum.Problem, *core.Report, []int64) {
 	if err != nil {
 		panic(err)
 	}
-	proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 8, DecodingNodes: 1})
+	proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 8})
 	if err != nil {
 		panic(err)
 	}

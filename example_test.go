@@ -33,7 +33,6 @@ func ExampleCountCliques() {
 		camelot.WithFaultTolerance(200), // covers one node's ~179 shares
 		camelot.WithAdversary(camelot.LyingNodes(7, 3)),
 		camelot.WithSeed(2),
-		camelot.WithDecodingNodes(1),
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -37,9 +37,10 @@ func main() {
 	count, report, err := camelot.CountCliques(context.Background(), g, 6,
 		camelot.WithNodes(k),
 		camelot.WithFaultTolerance(faults),
+		// Every honest Knight decodes; the consistent liar costs one
+		// decode, the equivocator one per Knight.
 		camelot.WithAdversary(camelot.EquivocatingNodes(13, 2, 5)),
 		camelot.WithSeed(1),
-		camelot.WithDecodingNodes(2), // two honest Knights decode (both must agree)
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -18,7 +18,7 @@ func main() {
 	fmt.Printf("%4s %10s %14s %16s %14s\n", "K", "points", "points/node", "per-node time", "total time")
 	for _, k := range []int{1, 2, 4, 8, 16, 32} {
 		count, rep, err := camelot.CountCliques(context.Background(), g, 6,
-			camelot.WithNodes(k), camelot.WithSeed(3), camelot.WithDecodingNodes(1))
+			camelot.WithNodes(k), camelot.WithSeed(3))
 		if err != nil {
 			log.Fatal(err)
 		}

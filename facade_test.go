@@ -41,11 +41,11 @@ func TestGraphBuilders(t *testing.T) {
 func TestTensorOptionsChangeProofGeometry(t *testing.T) {
 	g := CompleteGraph(8)
 	ctx := context.Background()
-	_, repS, err := CountCliques(ctx, g, 6, WithStrassenTensor(), WithDecodingNodes(1))
+	_, repS, err := CountCliques(ctx, g, 6, WithStrassenTensor())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, repT, err := CountCliques(ctx, g, 6, WithTrivialTensor(2), WithDecodingNodes(1))
+	_, repT, err := CountCliques(ctx, g, 6, WithTrivialTensor(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -242,7 +242,7 @@ func TestCamelotSixCliqueEndToEnd(t *testing.T) {
 	// e = 1027+2f, f=200 => e=1427, ~179 shares per node <= radius 200.
 	proof, rep, err := core.Run(context.Background(), p, core.Options{
 		Nodes: 8, FaultTolerance: 200, Adversary: core.NewLyingNodes(3, 2),
-		Seed: 1, DecodingNodes: 2,
+		Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,5 @@
 package core
 
-import "hash/fnv"
-
 // Adversary models Lady Morgana: it may tamper with shares in flight
 // from a byzantine sender to any recipient. Honest nodes' shares are
 // never touched. Implementations must be deterministic so runs are
@@ -137,15 +135,17 @@ func (e *EquivocatingNodes) Transform(sender, recipient int, prime uint64, coord
 // CorruptNodes implements Adversary.
 func (e *EquivocatingNodes) CorruptNodes() []int { return e.IDs }
 
-// garbage hashes the share coordinates into a deterministic 64-bit value.
+// garbage hashes the share coordinates into a deterministic 64-bit
+// value: 64-bit FNV-1a over the parts' little-endian bytes, inlined
+// because word assembly calls it for every lying share of every
+// recipient and hash/fnv's Hash64 is a heap allocation per call.
 func garbage(parts ...uint64) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
+	h := uint64(14695981039346656037)
 	for _, p := range parts {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(p >> (8 * i))
+		for shift := 0; shift < 64; shift += 8 {
+			h ^= p >> shift & 0xff
+			h *= 1099511628211
 		}
-		_, _ = h.Write(buf[:])
 	}
-	return h.Sum64()
+	return h
 }

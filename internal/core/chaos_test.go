@@ -395,7 +395,15 @@ func TestChaosScenarios(t *testing.T) {
 						t.Fatalf("seed %d: observer saw %d delivery faults, report says %d", seed, got, want)
 					}
 				}
-				// Delivery faults must never leak into the suspect list.
+				// Every adversary in the table is consistent, so each
+				// decode attempt — round 0's and one per repair round —
+				// decodes at most one word per prime and coordinate.
+				if perRound := len(rep.Primes) * rep.Width; rep.Decodes < perRound || rep.Decodes > (1+rep.RepairRounds)*perRound {
+					t.Fatalf("seed %d: Decodes = %d, want %d per decode attempt over %d repair round(s)",
+						seed, rep.Decodes, perRound, rep.RepairRounds)
+				}
+				// Delivery faults must never leak into the suspect list:
+				// an erased slot is no symbol of any received word.
 				suspect := map[int]bool{}
 				for _, id := range rep.SuspectNodes {
 					suspect[id] = true

@@ -11,9 +11,10 @@
 //     implementing CompiledProblem compile once per prime and evaluate
 //     their owned range in blocks.
 //   - Error correction during preparation (§1.3 step 2): every honest
-//     node independently runs the Gao decoder on whatever it received,
-//     recovering the true proof and identifying the failed nodes, for up
-//     to ⌊(e-d-1)/2⌋ corrupted shares — byzantine equivocation included.
+//     node's received word goes through the Gao decoder — once per
+//     distinct word, since one process holds them all — recovering the
+//     true proof and identifying the failed nodes, for up to ⌊(e-d-1)/2⌋
+//     corrupted shares — byzantine equivocation included.
 //   - Independent verification (§1.3 step 3): any entity checks the proof
 //     against the input with one evaluation of P at a random point;
 //     soundness error ≤ d/q per trial.
@@ -115,8 +116,9 @@ func (p *Proof) Size() int {
 var ErrNoHonestNodes = errors.New("core: adversary left no honest nodes")
 
 // ErrProofDisagreement is returned when two honest nodes decode different
-// proofs — impossible within the decoding radius, so it indicates that
-// corruption exceeded the configured fault tolerance.
+// proofs: two distinct received words of one prime and coordinate each
+// decoded, but to different messages. Within the decoding radius that is
+// impossible, so corruption exceeded the configured fault tolerance.
 var ErrProofDisagreement = errors.New("core: honest nodes decoded different proofs")
 
 // ErrVerificationFailed is returned when the prepared proof fails the
@@ -144,10 +146,6 @@ type Options struct {
 	// VerifyTrials is the number of independent spot checks each with
 	// soundness error ≤ d/q (default 1).
 	VerifyTrials int
-	// DecodingNodes caps how many honest nodes perform the full decode
-	// (every node receives everything regardless). 0 means all — the
-	// paper's model; tests at large K may reduce it for speed.
-	DecodingNodes int
 	// MaxParallelism is the width of the private worker pool a run
 	// without a Pool builds for itself (0 means runtime.GOMAXPROCS). The
 	// logical node count K sets the work split, not the goroutine count.
@@ -217,9 +215,8 @@ func (o Options) validate() error {
 		v    int
 	}{
 		{"Nodes", o.Nodes}, {"FaultTolerance", o.FaultTolerance}, {"VerifyTrials", o.VerifyTrials},
-		{"DecodingNodes", o.DecodingNodes}, {"MaxParallelism", o.MaxParallelism},
-		{"MaxErasures", o.MaxErasures}, {"MaxRepairRounds", o.MaxRepairRounds},
-		{"GatherGrace", int(o.GatherGrace)},
+		{"MaxParallelism", o.MaxParallelism}, {"MaxErasures", o.MaxErasures},
+		{"MaxRepairRounds", o.MaxRepairRounds}, {"GatherGrace", int(o.GatherGrace)},
 	} {
 		if c.v < 0 {
 			return fmt.Errorf("%w: %s must be >= 0, got %d", ErrInvalidOptions, c.name, c.v)

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -364,6 +366,48 @@ func TestAdversaryDeterminism(t *testing.T) {
 	r1, _ := e.Transform(1, 2, 101, 0, 5, 7)
 	if r0 == r1 {
 		t.Fatal("equivocator sent identical values to different recipients (hash collision would be astronomically unlikely)")
+	}
+}
+
+// TestGarbageMatchesHashFNV pins every garbage value the adversaries and
+// the lossy transport have ever drawn: the inlined hash is hash/fnv's
+// 64-bit FNV-1a over the parts' little-endian bytes.
+func TestGarbageMatchesHashFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		parts := make([]uint64, 1+rng.Intn(6))
+		if i%2 == 0 {
+			parts = make([]uint64, 6) // what Transform passes
+		}
+		h := fnv.New64a()
+		for j := range parts {
+			parts[j] = rng.Uint64() >> uint(rng.Intn(64)) // small and large values alike
+			var buf [8]byte
+			binary.LittleEndian.PutUint64(buf[:], parts[j])
+			h.Write(buf[:])
+		}
+		if got, want := garbage(parts...), h.Sum64(); got != want {
+			t.Fatalf("garbage(%v) = %#x, hash/fnv says %#x", parts, got, want)
+		}
+	}
+}
+
+// TestAdversaryTransformDoesNotAllocate: word assembly calls Transform
+// once per share per recipient, lying shares included.
+func TestAdversaryTransformDoesNotAllocate(t *testing.T) {
+	for name, adv := range map[string]Adversary{
+		"lying":        NewLyingNodes(9, 1),
+		"equivocating": NewEquivocatingNodes(9, 1),
+	} {
+		var sink uint64
+		allocs := testing.AllocsPerRun(100, func() {
+			lie, _ := adv.Transform(1, 2, 12289, 0, 5, 7)
+			truth, _ := adv.Transform(0, 2, 12289, 0, 5, 7)
+			sink += lie + truth
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Transform allocates %v times per lying and honest share", name, allocs)
+		}
 	}
 }
 

@@ -1,94 +1,72 @@
 package core
 
-// Per-node error correction (paper §1.3 step 2): every honest node runs
-// the Gao decoder over the word it received, recovering the true proof
-// and identifying the corrupted shares' owners.
+// Error correction (paper §1.3 step 2): every honest node runs the Gao
+// decoder over the word it received, recovering the true proof and
+// identifying the corrupted shares' owners. One process holds every
+// recipient's word here, and the decoder is a deterministic function of
+// the word — so words are assembled per recipient, decoded once per
+// distinct word, and checked for agreement across words.
 
 import (
-	"context"
-	"fmt"
+	"slices"
 	"sort"
-
-	"camelot/internal/poly"
-	"camelot/internal/rs"
 )
 
-// decodeResult is one honest node's view after decoding: the recovered
-// proof plus the node ids it observed contributing corrupted shares.
-type decodeResult struct {
-	coeffs    map[uint64][][]uint64
-	evals     map[uint64][][]uint64
-	suspects  map[int]bool
-	maxErrors int
+// receivedWord is one distinct word of one (prime, coordinate), with the
+// honest recipients that all received exactly it. msg, corrected and
+// locs are what the word's one decode recovered; every recipient of the
+// group reads them, none writes.
+type receivedWord struct {
+	prime, coord int // indices into the run's primes and coordinates
+	recipients   []int
+	word         []uint64
+
+	msg, corrected []uint64
+	locs           []int
 }
 
-func (a *decodeResult) sameProof(b *decodeResult) bool {
-	for q, ac := range a.coeffs {
-		bc, ok := b.coeffs[q]
-		if !ok || len(ac) != len(bc) {
-			return false
+// receivedWords assembles the word each honest recipient received for
+// one (prime, coordinate) — shares from each delivered sender pass
+// through the adversary, which may show every recipient something else —
+// and groups the recipients whose words are element-wise equal. The
+// words themselves are compared; what kind of adversary produced them is
+// never asked. Senders whose broadcasts the transport lost appear in no
+// share message, so their slots are never written and stay zero in every
+// word: erased positions cannot tell two words apart.
+func (en *engine) receivedWords(pi, c int, honest []int) []*receivedWord {
+	q := en.primes[pi]
+	adv := en.opts.Adversary
+	var words []*receivedWord
+	var word []uint64
+	for _, recipient := range honest {
+		if word == nil {
+			word = make([]uint64, en.e)
 		}
-		for w := range ac {
-			if !poly.Equal(ac[w], bc[w]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// decodeAsNode assembles the word the recipient received — shares from
-// each delivered sender pass through the adversary — and runs the Gao
-// decoder for every prime and coordinate, checking ctx between decodes.
-// Each prime's ErasurePlan carries the coordinates of senders whose
-// broadcasts the transport lost: their word slots are never read, and
-// they never become suspects — only content errors among delivered
-// shares do.
-func decodeAsNode(ctx context.Context, recipient int, primes []uint64, plans []*rs.ErasurePlan,
-	shares []NodeShares, assign PointAssignment, adv Adversary, w, e int) (*decodeResult, error) {
-	res := &decodeResult{
-		coeffs:   make(map[uint64][][]uint64, len(primes)),
-		evals:    make(map[uint64][][]uint64, len(primes)),
-		suspects: make(map[int]bool),
-	}
-	word := make([]uint64, e)
-	for pi, q := range primes {
-		res.coeffs[q] = make([][]uint64, w)
-		res.evals[q] = make([][]uint64, w)
-		for c := 0; c < w; c++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			for _, sender := range shares {
-				// The adversary controls *nodes*, and what it corrupts is
-				// what a node computes and sends: keyed by the message's
-				// physical origin, so a byzantine survivor's repair of a
-				// dead node's range arrives corrupted, while an honest
-				// sponsor's repair of a byzantine-but-silent node's range
-				// arrives clean.
-				for x := sender.Lo; x < sender.Hi; x++ {
-					v, delivered := adv.Transform(sender.Origin(), recipient, q, c, x, sender.Vals[pi][c][x-sender.Lo])
-					if !delivered {
-						v = 0 // suppressed share: decoder sees it as a (probable) error symbol
-					}
-					word[x] = v
+		for _, sender := range en.shares {
+			// The adversary controls *nodes*, and what it corrupts is
+			// what a node computes and sends: keyed by the message's
+			// physical origin, so a byzantine survivor's repair of a
+			// dead node's range arrives corrupted, while an honest
+			// sponsor's repair of a byzantine-but-silent node's range
+			// arrives clean.
+			origin, vals := sender.Origin(), sender.Vals[pi][c]
+			for x := sender.Lo; x < sender.Hi; x++ {
+				v, delivered := adv.Transform(origin, recipient, q, c, x, vals[x-sender.Lo])
+				if !delivered {
+					v = 0 // suppressed share: decoder sees it as a (probable) error symbol
 				}
-			}
-			msg, corrected, locs, err := plans[pi].Decode(word)
-			if err != nil {
-				return nil, fmt.Errorf("prime %d coord %d: %w", q, c, err)
-			}
-			res.coeffs[q][c] = msg
-			res.evals[q][c] = corrected
-			for _, loc := range locs {
-				res.suspects[assign.Owner(loc)] = true
-			}
-			if len(locs) > res.maxErrors {
-				res.maxErrors = len(locs)
+				word[x] = v
 			}
 		}
+		same := slices.IndexFunc(words, func(g *receivedWord) bool { return slices.Equal(g.word, word) })
+		if same >= 0 {
+			words[same].recipients = append(words[same].recipients, recipient)
+			continue
+		}
+		words = append(words, &receivedWord{prime: pi, coord: c, recipients: []int{recipient}, word: word})
+		word = nil
 	}
-	return res, nil
+	return words
 }
 
 func honestNodes(k int, adv Adversary) []int {

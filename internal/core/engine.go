@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -39,7 +40,7 @@ type Report struct {
 	// ByzantineNodes are the adversary-controlled node ids.
 	ByzantineNodes []int
 	// SuspectNodes are the nodes the honest decoders identified as having
-	// contributed corrupted shares (union across decoders).
+	// contributed corrupted shares (union across received words).
 	SuspectNodes []int
 	// MissingNodes are the nodes whose share broadcasts never arrived —
 	// delivery faults, reported distinctly from the content-fault
@@ -56,7 +57,7 @@ type Report struct {
 	// executed (0 when repair never triggered or was disabled).
 	RepairRounds int
 	// CorruptedShares is the largest number of error locations any single
-	// decoder observed (per prime and coordinate, maximized).
+	// decode observed (per prime, coordinate and word, maximized).
 	CorruptedShares int
 	// ComputeWall is the wall-clock duration of the distributed
 	// evaluation phase.
@@ -67,6 +68,10 @@ type Report struct {
 	TotalNodeCompute time.Duration
 	// DecodeWall is the wall-clock duration of the decode phase.
 	DecodeWall time.Duration
+	// Decodes is the number of Gao decodes performed over all rounds: one
+	// per distinct received word per prime and coordinate — primes × width
+	// unless an adversary shows different recipients different words.
+	Decodes int
 	// VerifyPerTrial is the average duration of one verification trial.
 	VerifyPerTrial time.Duration
 	// VerifyTrials is the number of spot checks performed.
@@ -196,15 +201,15 @@ func newEngine(p Problem, opts Options) (*engine, error) {
 
 // Run executes the full Camelot protocol for the problem: distributed
 // proof preparation on a bounded worker pool over opts.Nodes logical
-// nodes, per-node Gao decoding with failed-node identification,
-// cross-node agreement check, and randomized verification. When the
-// decode fails with erasures beyond the Reed–Solomon budget — or slips
-// past it into a wrong proof that verification then rejects — and
-// Options.MaxRepairRounds allows it, bounded repair rounds re-assign
-// the missing nodes' point ranges to survivors and retry — turning
-// delivery faults the budget cannot absorb into latency. It returns
-// the decoded proof even when verification fails (callers inspect the
-// error).
+// nodes, Gao decoding of every distinct received word with failed-node
+// identification, cross-node agreement check, and randomized
+// verification. When the decode fails with erasures beyond the
+// Reed–Solomon budget — or slips past it into a wrong proof that
+// verification then rejects — and Options.MaxRepairRounds allows it,
+// bounded repair rounds re-assign the missing nodes' point ranges to
+// survivors and retry — turning delivery faults the budget cannot absorb
+// into latency. It returns the decoded proof even when verification
+// fails (callers inspect the error).
 func Run(ctx context.Context, p Problem, opts Options) (*Proof, *Report, error) {
 	en, err := newEngine(p, opts)
 	if err != nil {
@@ -666,7 +671,7 @@ func (en *engine) shareShapeOK(m NodeShares) bool {
 }
 
 // erasedPoints expands missing node ids into the evaluation-point
-// indices they owned — the erasure set every decoder passes to the
+// indices they owned — the erasure set every decode passes to the
 // Reed–Solomon decoder.
 func (en *engine) erasedPoints(missing []int) []int {
 	var out []int
@@ -704,12 +709,17 @@ func cutRange(lo, hi, parts int) [][2]int {
 }
 
 // stageDecode is protocol step 2 (error correction during preparation):
-// every honest node assembles its own received word — the adversary may
-// equivocate per recipient — decodes it independently on the worker
-// pool, and the decoded proofs are checked for agreement. Nodes whose
-// broadcasts the transport lost contribute no symbols: their
-// coordinates are decoded as erasures, which cost half an error each in
-// the Reed–Solomon budget and are never counted as suspects.
+// assemble per recipient, decode per distinct word, agree across words.
+// Every honest node's received word is assembled through the adversary —
+// which may equivocate per recipient — and the pool runs one Gao decode
+// per distinct (prime, coordinate, word): a word's message, corrected
+// word and error locations are every one of its recipients' view, so a
+// consistent run decodes primes × width words and a fully equivocated
+// one every honest recipient's. The words of one (prime, coordinate)
+// must then decode to the same message. Nodes whose broadcasts the
+// transport lost contribute no symbols: their coordinates are decoded as
+// erasures, which cost half an error each in the Reed–Solomon budget and
+// are never counted as suspects.
 func (en *engine) stageDecode(ctx context.Context) (*Proof, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -719,15 +729,11 @@ func (en *engine) stageDecode(ctx context.Context) (*Proof, error) {
 	if len(honest) == 0 {
 		return nil, ErrNoHonestNodes
 	}
-	decoders := honest
-	if en.opts.DecodingNodes > 0 && en.opts.DecodingNodes < len(decoders) {
-		decoders = decoders[:en.opts.DecodingNodes]
-	}
 	// The decode wall starts here: a plan for a shortened point set builds
 	// that set's subproduct tree and interpolation weights, and that is
 	// decode work.
 	decodeStart := time.Now()
-	// One erasure plan per prime, shared read-only by every decoder: the
+	// One erasure plan per prime, shared read-only by every decode: the
 	// erasure set is a property of the gather, not of any received word.
 	// An undecodable erasure set fails here.
 	erased := en.erasedPoints(en.missing)
@@ -740,44 +746,66 @@ func (en *engine) stageDecode(ctx context.Context) (*Proof, error) {
 		plans[pi] = plan
 	}
 
-	results := make([]*decodeResult, len(decoders))
-	// Suspects merge incrementally as decoders finish so Status() can
-	// report a live count mid-stage.
-	var mu sync.Mutex
-	suspects := map[int]bool{}
-	err := en.pool.RunWeighted(ctx, len(decoders), en.opts.Priority, func(di int) error {
-		recipient := decoders[di]
-		res, err := decodeAsNode(ctx, recipient, en.primes, plans, en.shares, en.assign, en.opts.Adversary, en.w, en.e)
-		if err != nil {
-			return fmt.Errorf("node %d decoding: %w", recipient, err)
-		}
-		results[di] = res
-		mu.Lock()
-		for nid := range res.suspects {
-			suspects[nid] = true
-		}
-		n := len(suspects)
-		mu.Unlock()
-		en.obs.SuspectsFound(n)
+	// byCoord[pi*w+c] are the distinct words of (prime pi, coordinate c),
+	// the one holding the lowest honest recipient first.
+	byCoord := make([][]*receivedWord, len(en.primes)*en.w)
+	err := en.pool.RunWeighted(ctx, len(byCoord), en.opts.Priority, func(i int) error {
+		byCoord[i] = en.receivedWords(i/en.w, i%en.w, honest)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	words := slices.Concat(byCoord...)
+
+	// Suspects merge as decodes finish so Status() can report a live
+	// count mid-stage.
+	var mu sync.Mutex
+	suspects := map[int]bool{}
+	decodes := 0
+	err = en.pool.RunWeighted(ctx, len(words), en.opts.Priority, func(i int) error {
+		g := words[i]
+		msg, corrected, locs, err := plans[g.prime].Decode(g.word)
+		mu.Lock()
+		decodes++
+		for _, loc := range locs {
+			suspects[en.assign.Owner(loc)] = true
+		}
+		n := len(suspects)
+		mu.Unlock()
+		if err != nil {
+			return fmt.Errorf("node %d decoding: prime %d coord %d: %w", g.recipients[0], en.primes[g.prime], g.coord, err)
+		}
+		g.msg, g.corrected, g.locs = msg, corrected, locs
+		en.obs.SuspectsFound(n)
+		return nil
+	})
 	// Accumulate: a repair-capable run decodes once per round, and the
-	// report's decode wall is the run's total.
+	// report's decode count and wall are the run's totals.
+	en.report.Decodes += decodes
+	if err != nil {
+		return nil, err
+	}
 	en.report.DecodeWall += time.Since(decodeStart)
 
-	// Agreement: all decoders must have recovered the same proof.
-	first := results[0]
-	for _, res := range results[1:] {
-		if !first.sameProof(res) {
-			return nil, ErrProofDisagreement
-		}
-	}
-	for _, res := range results {
-		if res.maxErrors > en.report.CorruptedShares {
-			en.report.CorruptedShares = res.maxErrors
+	// Agreement: every honest node must have recovered the same proof,
+	// i.e. all distinct words of a (prime, coordinate) the same message.
+	coeffs := make(map[uint64][][]uint64, len(en.primes))
+	evals := make(map[uint64][][]uint64, len(en.primes))
+	for pi, q := range en.primes {
+		coeffs[q] = make([][]uint64, en.w)
+		evals[q] = make([][]uint64, en.w)
+		for c := 0; c < en.w; c++ {
+			group := byCoord[pi*en.w+c]
+			for _, g := range group {
+				if !slices.Equal(g.msg, group[0].msg) {
+					return nil, ErrProofDisagreement
+				}
+				if len(g.locs) > en.report.CorruptedShares {
+					en.report.CorruptedShares = len(g.locs)
+				}
+			}
+			coeffs[q][c], evals[q][c] = group[0].msg, group[0].corrected
 		}
 	}
 	en.report.SuspectNodes = sortedKeys(suspects)
@@ -787,8 +815,8 @@ func (en *engine) stageDecode(ctx context.Context) (*Proof, error) {
 		Degree: en.d,
 		Width:  en.w,
 		Points: rs.ConsecutivePoints(en.e),
-		Coeffs: first.coeffs,
-		Evals:  first.evals,
+		Coeffs: coeffs,
+		Evals:  evals,
 	}
 	en.report.ProofSymbols = proof.Size()
 	return proof, nil

@@ -385,7 +385,7 @@ func TestEveryStageReturnsCtxErr(t *testing.T) {
 func TestDecodeWallCoversPlanConstruction(t *testing.T) {
 	bg := context.Background()
 	en, err := newEngine(testProblem(), Options{
-		Nodes: 8, FaultTolerance: 2000, MaxErasures: 1, DecodingNodes: 1, GatherGrace: 50 * time.Millisecond,
+		Nodes: 8, FaultTolerance: 2000, MaxErasures: 1, GatherGrace: 50 * time.Millisecond,
 		NewTransport: func(k int) Transport {
 			return NewLossyTransport(NewBroadcastBus(k), LossyConfig{Seed: 1, DropNodes: []int{3}})
 		},

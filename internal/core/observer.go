@@ -53,7 +53,7 @@ type Observer interface {
 	// PointsDone reports delta newly completed evaluation units.
 	PointsDone(delta int)
 	// SuspectsFound reports the current size of the union of suspect
-	// node sets across the decoders that have finished so far.
+	// node sets across the decodes that have finished so far.
 	SuspectsFound(count int)
 	// DeliveryFaults reports how many nodes' broadcasts never arrived,
 	// once, when the prepare stage's gather resolves. Delivery faults

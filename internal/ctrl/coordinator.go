@@ -114,6 +114,11 @@ type Coordinator struct {
 	wg        sync.WaitGroup
 	badFrames atomic.Int64
 
+	// joined wakes waitForWorkers when publish makes a slot live. One
+	// buffered token is enough: the waiter re-counts live slots on every
+	// wake, so joins that coalesce into one token lose nothing.
+	joined chan struct{}
+
 	mu       sync.Mutex
 	slots    []*workerSlot
 	assigned map[assignKey]*assignment
@@ -149,6 +154,7 @@ func NewCoordinator(k int, cfg Config) (*Coordinator, error) {
 		// reader goroutines against a slow gather.
 		ch:       make(chan core.NodeShares, 4*k+8),
 		done:     make(chan struct{}),
+		joined:   make(chan struct{}, 1),
 		slots:    make([]*workerSlot, k),
 		assigned: map[assignKey]*assignment{},
 	}
@@ -282,7 +288,7 @@ func (c *Coordinator) attach(hello Hello) *workerSlot {
 // publish installs the connection on its slot (superseding any stale
 // one — latest hello wins, because the old TCP connection may be a
 // half-open corpse) and returns the undelivered assignments routed to
-// the slot, for replay.
+// the slot, for replay. A run waiting for workers is woken.
 func (c *Coordinator) publish(slot *workerSlot, wc *wireConn, name string) []Assign {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -291,6 +297,10 @@ func (c *Coordinator) publish(slot *workerSlot, wc *wireConn, name string) []Ass
 	}
 	slot.conn = wc
 	slot.name = name
+	select {
+	case c.joined <- struct{}{}:
+	default:
+	}
 	var replay []Assign
 	for _, a := range c.assigned {
 		if a.slot == slot.id && !a.delivered {
@@ -435,13 +445,12 @@ func (c *Coordinator) AssignRanges(ctx context.Context, specs []core.AssignSpec)
 	return nil
 }
 
-// waitForWorkers polls the slot table until need slots are live, the
-// join timeout lapses, or ctx/Close ends the wait.
+// waitForWorkers blocks until need slots are live, re-counting each time
+// publish signals a join, until the join timeout lapses or ctx/Close
+// ends the wait.
 func (c *Coordinator) waitForWorkers(ctx context.Context, need int) error {
 	deadline := time.NewTimer(c.cfg.JoinTimeout)
 	defer deadline.Stop()
-	tick := time.NewTicker(10 * time.Millisecond)
-	defer tick.Stop()
 	for {
 		c.mu.Lock()
 		live := 0
@@ -455,7 +464,7 @@ func (c *Coordinator) waitForWorkers(ctx context.Context, need int) error {
 			return nil
 		}
 		select {
-		case <-tick.C:
+		case <-c.joined:
 		case <-deadline.C:
 			return fmt.Errorf("ctrl: %d worker(s) joined within %v, need %d", live, c.cfg.JoinTimeout, need)
 		case <-ctx.Done():

@@ -462,3 +462,58 @@ func TestAuthTamperQuorum(t *testing.T) {
 		t.Error("quorum proof differs from bus proof")
 	}
 }
+
+// TestAssignRangesJoinWait: AssignRanges, entered before any worker has
+// finished its handshake, is woken by the join itself and keeps the
+// wait's three ways out — assigned, closed, timed out — as they were.
+func TestAssignRangesJoinWait(t *testing.T) {
+	specs := []core.AssignSpec{{Owner: 0, Round: 0, Lo: 0, Hi: 1, Width: 1, Primes: []uint64{12289}}}
+	for _, tc := range []struct {
+		name        string
+		minWorkers  int
+		joinTimeout time.Duration
+		join        bool // 50 ms into the wait one worker joins; otherwise the coordinator is closed
+		wantErr     string
+	}{
+		{name: "late joiner is assigned", minWorkers: 1, joinTimeout: 20 * time.Second, join: true},
+		{name: "close during the wait", minWorkers: 1, joinTimeout: 20 * time.Second,
+			wantErr: "ctrl: coordinator closed while waiting for workers"},
+		{name: "one joiner of two", minWorkers: 2, joinTimeout: 300 * time.Millisecond, join: true,
+			wantErr: "ctrl: 1 worker(s) joined within 300ms, need 2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			co, err := NewCoordinator(2, Config{
+				Kind: "ctrl-poly", Instance: []byte("d=6 salt=11"),
+				MinWorkers: tc.minWorkers, JoinTimeout: tc.joinTimeout,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer co.Close()
+			ctx := testCtx(t)
+			errc := make(chan error, 1)
+			go func() { errc <- co.AssignRanges(ctx, specs) }()
+			time.Sleep(50 * time.Millisecond)
+			var fw *fakeWorker
+			if tc.join {
+				fw = dialFake(t, co.Addr(), nil, nil)
+				defer fw.conn.Close()
+			} else {
+				co.Close()
+			}
+			err = <-errc
+			if tc.wantErr != "" {
+				if err == nil || err.Error() != tc.wantErr {
+					t.Fatalf("AssignRanges = %v, want %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("AssignRanges: %v", err)
+			}
+			if a := fw.recvAssign(); a.Owner != 0 || a.Round != 0 {
+				t.Fatalf("late joiner was assigned %+v, want owner 0 round 0", a)
+			}
+		})
+	}
+}

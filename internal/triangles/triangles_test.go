@@ -294,7 +294,7 @@ func TestCamelotTrianglesBatchEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 3, Seed: 5, DecodingNodes: 1})
+	proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 3, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
