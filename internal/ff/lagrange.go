@@ -14,6 +14,8 @@ package ff
 // are then distinct canonical residues, so the inner loops use j and r
 // directly without a per-iteration reduction.
 
+import "math/bits"
+
 // checkGrid panics unless the modulus exceeds the grid size — the
 // documented precondition that lets the kernels skip reducing the grid
 // points and factorial arguments.
@@ -109,30 +111,54 @@ func (f Field) LagrangeAtZeroBased(bigR int, x0 uint64) []uint64 {
 	return out
 }
 
+// BitSweepAt returns the bit-sweeping interpolation vector of paper
+// Appendix A.5 at one point: D_j(x0) = Σ_{i : bit j of i set} Φ_i(x0) for
+// j < nbits, over the grid 0..2^nbits-1, so that D(i) is the bit pattern
+// of i on the grid. This is the one-shot form the problems' per-point
+// Evaluate paths use; LagrangeEvaluator.BitSweepBlock derives the same
+// vector another way for whole blocks.
+func (f Field) BitSweepAt(nbits int, x0 uint64) []uint64 {
+	z := make([]uint64, nbits)
+	for i, v := range f.LagrangeAtZeroBased(1<<uint(nbits), x0) {
+		if v == 0 {
+			continue
+		}
+		for b := uint(i); b != 0; b &= b - 1 {
+			j := bits.TrailingZeros(b)
+			z[j] = f.Add(z[j], v)
+		}
+	}
+	return z
+}
+
 // LagrangeEvaluator amortizes repeated Lagrange basis evaluations over a
 // fixed consecutive grid (base..base+R-1, base 0 or 1): the
 // factorial-derived denominator factors are inverted once at
-// construction, so At costs one pass of multiplications plus a single
-// field inversion per point and reuses its scratch between calls. This
-// is the batch-evaluation workhorse: problems evaluating their proof
-// polynomial at a whole block of points build one evaluator per prime.
+// construction, and every evaluation is one window of inverted
+// differences x-point_i times those fixed factors. At evaluates the
+// basis at one point; BitSweepBlock evaluates the bit sums of the basis
+// at a block of points, sharing one window across each run of
+// consecutive points.
 //
-// An evaluator is NOT safe for concurrent use (shared scratch); build
-// one per goroutine.
+// The fixed factors are read-only after construction. At works in the
+// evaluator's own scratch and is NOT safe for concurrent use (build one
+// evaluator per goroutine); BitSweepBlock works in caller scratch only,
+// so one evaluator on a compiled plan serves concurrent blocks.
 //
 // Kept separate from the one-shot LagrangeAt*Based kernels on purpose:
 // the one-shot folds the per-point factor into a single batch
 // inversion (cheaper for a single evaluation), the evaluator splits
 // fixed from per-point factors (cheaper across many), and the two
-// derivations cross-check each other in TestLagrangeEvaluatorMatchesOneShot.
+// derivations cross-check each other in TestLagrangeEvaluatorMatchesOneShot
+// and TestBitSweepBlockMatchesOneShot.
 type LagrangeEvaluator struct {
 	f    Field
 	bigR int
 	base uint64 // first grid point: 0 or 1
 	// invFixed[i] = 1 / ((-1)^{R-1-i} F_i F_{R-1-i}) for grid position i.
 	invFixed []uint64
-	diffs    []uint64 // scratch: (x0 - point_i), then its inverses
-	prefix   []uint64 // scratch for the batch inversion's prefix products
+	diffs    []uint64 // At's scratch: the window of one point
+	prefix   []uint64 // At's scratch for the batch inversion's prefix products
 }
 
 // NewLagrangeEvaluatorOneBased prepares an evaluator for the grid 1..R —
@@ -150,56 +176,154 @@ func (f Field) NewLagrangeEvaluatorZeroBased(bigR int) *LagrangeEvaluator {
 func (f Field) newLagrangeEvaluator(bigR int, base uint64) *LagrangeEvaluator {
 	f.checkGrid(bigR)
 	k := f.Kernel()
-	fact := make([]uint64, bigR)
+	le := &LagrangeEvaluator{
+		f: f, bigR: bigR, base: base,
+		invFixed: make([]uint64, bigR),
+		diffs:    make([]uint64, bigR),
+		prefix:   make([]uint64, bigR),
+	}
+	fact := le.diffs // scratch until the first At
 	fact[0] = 1
 	for j := 1; j < bigR; j++ {
 		fact[j] = MulK(fact[j-1], uint64(j), k)
 	}
-	invFixed := make([]uint64, bigR)
 	for i := 0; i < bigR; i++ {
 		d := MulK(fact[i], fact[bigR-1-i], k)
 		if (bigR-1-i)%2 == 1 {
 			d = f.Neg(d)
 		}
-		invFixed[i] = d
+		le.invFixed[i] = d
 	}
-	f.BatchInv(invFixed)
-	return &LagrangeEvaluator{
-		f: f, bigR: bigR, base: base,
-		invFixed: invFixed,
-		diffs:    make([]uint64, bigR),
-		prefix:   make([]uint64, bigR),
+	f.BatchInvScratch(le.invFixed, le.prefix)
+	return le
+}
+
+// onGrid reports whether the canonical residue x is a grid point.
+func (le *LagrangeEvaluator) onGrid(x uint64) bool {
+	return x >= le.base && x < le.base+uint64(le.bigR)
+}
+
+// window inverts, in one batch, every difference x-point_i that the run
+// of n consecutive off-grid residues x0, ..., x0+n-1 (all below q) has
+// with the grid: they are the n+R-1 consecutive residues from
+// x0+n-1-base downwards, so inv[u] = 1/(x0+n-1-base-u) and the point
+// x0+p reads its R inverses, in grid order, at inv[n-1-p:]. inv and
+// prefix must hold n+R-1 words. It returns Γ(x0) = Π_i (x0-point_i).
+func (le *LagrangeEvaluator) window(x0 uint64, n int, inv, prefix []uint64) uint64 {
+	f := le.f
+	k := f.Kernel()
+	d := f.Sub(x0+uint64(n-1), le.base)
+	for u := range inv {
+		inv[u] = d
+		d = f.Sub(d, 1)
 	}
+	gamma := uint64(1)
+	for _, d := range inv[n-1:] {
+		gamma = MulK(gamma, d, k)
+	}
+	f.BatchInvScratch(inv, prefix)
+	return gamma
 }
 
 // At writes the basis vector (Λ_base(x0), ..., Λ_{base+R-1}(x0)) into
 // out (which must have length R) and returns it. out may be reused
-// across calls.
+// across calls. It is the run of one point of the derivation
+// BitSweepBlock spreads over a block: Λ_i(x0) = Γ(x0)·invFixed[i]/(x0-point_i).
 func (le *LagrangeEvaluator) At(x0 uint64, out []uint64) []uint64 {
 	f := le.f
 	if len(out) != le.bigR {
 		panic("ff: LagrangeEvaluator.At output length mismatch")
 	}
 	x0 = f.ReduceU(x0)
-	if x0 >= le.base && x0 < le.base+uint64(le.bigR) {
-		for i := range out {
-			out[i] = 0
-		}
+	if le.onGrid(x0) {
+		clear(out)
 		out[x0-le.base] = 1
 		return out
 	}
 	k := f.Kernel()
-	gamma := uint64(1)
-	for i := 0; i < le.bigR; i++ {
-		diff := f.Sub(x0, le.base+uint64(i))
-		le.diffs[i] = diff
-		gamma = MulK(gamma, diff, k)
-	}
-	f.BatchInvScratch(le.diffs, le.prefix)
-	// The grid reduction: out[i] = invFixed[i]·diffs[i]·gamma, via the
-	// 4-wide unrolled sweep (vec.go).
+	gamma := le.window(x0, 1, le.diffs, le.prefix)
 	MulScaleVecKS(out, le.invFixed, le.diffs, k.Shift(gamma), k)
 	return out
+}
+
+// SweepBits is the number of coordinates of the bit-swept vector over the
+// evaluator's grid: the bits of its largest grid position R-1.
+func (le *LagrangeEvaluator) SweepBits() int { return bits.Len(uint(le.bigR - 1)) }
+
+// SweepScratch is the scratch length BitSweepBlock needs for m points.
+func (le *LagrangeEvaluator) SweepScratch(m int) int { return 3*m + 2*le.bigR }
+
+// BitSweepBlock writes the bit-swept vector D(x) of paper Appendix A.5 at
+// every point of xs, one row of len(xs) per coordinate:
+//
+//	dst[j·len(xs)+p] = D_j(xs[p]) = Σ_{i : bit j of i set} Λ_{base+i}(xs[p]),   j < SweepBits().
+//
+// A grid point comes out as the bit pattern of its position. The other
+// points are split into maximal runs of consecutive residues; a run of n
+// points shares one window of n+R-1 inverted differences (one field
+// inversion per run, not per point), Γ slides along it by
+// Γ(x+1) = Γ(x)·(x+1-base)/(x-base-R+1), and coordinate j is
+// Γ(x)·Σ_{i∋j} invFixed[i]/(x-point_i): per point R-1 term products and
+// SweepBits() scalings, independent of each other and of the other
+// points, where At's three passes and inversion are dependent chains.
+// Any xs are accepted (descending, repeated, ≥ q); only consecutive ones
+// share work.
+//
+// dst must hold SweepBits()·len(xs) words and scratch
+// SweepScratch(len(xs)); the evaluator itself is only read, so calls may
+// run concurrently.
+func (le *LagrangeEvaluator) BitSweepBlock(dst, xs, scratch []uint64) {
+	f, m, bigR := le.f, len(xs), le.bigR
+	k := f.Kernel()
+	nbits := le.SweepBits()
+	dst = dst[:nbits*m]
+	clear(dst)
+	w := m + bigR - 1
+	// The prefix products are dead once a window is inverted; the run's
+	// terms reuse their words.
+	invBuf, prefix, gamBuf := scratch[:w], scratch[w:2*w], scratch[2*w:2*w+m]
+	for p0 := 0; p0 < m; {
+		x0 := f.ReduceU(xs[p0])
+		if le.onGrid(x0) {
+			for j := 0; j < nbits; j++ {
+				dst[j*m+p0] = (x0 - le.base) >> uint(j) & 1
+			}
+			p0++
+			continue
+		}
+		n := 1
+		for p0+n < m {
+			x := f.ReduceU(xs[p0+n])
+			if x != x0+uint64(n) || le.onGrid(x) {
+				break
+			}
+			n++
+		}
+		inv, term, gam := invBuf[:n+bigR-1], prefix[:n], gamBuf[:n]
+		gamma := le.window(x0, n, inv, prefix)
+		gam[0] = gamma
+		for p := 1; p < n; p++ {
+			// Γ(x) = Γ(x-1)·(x-base)/(x-1-base-(R-1)) at x = x0+p.
+			gamma = MulK(MulK(gamma, f.Sub(x0+uint64(p), le.base), k), inv[n-p+bigR-1], k)
+			gam[p] = gamma
+		}
+		for i := 1; i < bigR; i++ { // position 0 has no bit set
+			cs := k.Shift(le.invFixed[i])
+			src := inv[i : i+n]
+			for p := range term {
+				term[p] = MulKS(src[n-1-p], cs, k)
+			}
+			for b := uint(i); b != 0; b &= b - 1 {
+				row := dst[bits.TrailingZeros(b)*m+p0:][:n]
+				f.AddVec(row, row, term)
+			}
+		}
+		for j := 0; j < nbits; j++ {
+			row := dst[j*m+p0:][:n]
+			MulVecK(row, row, gam, k)
+		}
+		p0 += n
+	}
 }
 
 // Horner evaluates the polynomial with coefficient slice coeffs

@@ -75,26 +75,29 @@ func MulScaleVecKS(dst, a, b []uint64, cs uint64, k Kernel) {
 	}
 }
 
-// ProdSumLazy returns acc·Π_i (a[i]+b[i]) mod q — the Gray-code
-// permanent sweep. The sums a[i]+b[i] are fed to the multiplier
+// MulSumVecK sets dst[i] = (a[i]+t)·src[i] mod q — one row of the
+// permanent's point-inner Ryser sweep: a holds a matrix row's prefix sums
+// at a strip of points, t the row's suffix sum at the current Gray step,
+// src the running products. The sums a[i]+t go to the multiplier
 // unreduced (< 2q, within the lazy first-operand budget), skipping the
-// canonicalizing subtraction of Field.Add. Entries of a and b must be
-// canonical, as must acc. Like the reference sweep it early-exits once
-// the product hits zero (zero is absorbing, so checking every fourth
-// step leaves the result unchanged).
-func ProdSumLazy(acc uint64, a, b []uint64, k Kernel) uint64 {
-	n := len(a)
+// canonicalizing subtraction of Field.Add. Entries of a and src and t
+// must be canonical; dst may alias src. The products of different points
+// are independent, so the reduction chains overlap where a per-point
+// product over the rows would serialize.
+func MulSumVecK(dst, src, a []uint64, t uint64, k Kernel) {
+	n := len(dst)
+	src, a = src[:n], a[:n]
 	i := 0
-	for ; acc != 0 && i+4 <= n; i += 4 {
-		acc = MulK(a[i]+b[i], acc, k)
-		acc = MulK(a[i+1]+b[i+1], acc, k)
-		acc = MulK(a[i+2]+b[i+2], acc, k)
-		acc = MulK(a[i+3]+b[i+3], acc, k)
+	for ; i+4 <= n; i += 4 {
+		d0 := MulK(a[i]+t, src[i], k)
+		d1 := MulK(a[i+1]+t, src[i+1], k)
+		d2 := MulK(a[i+2]+t, src[i+2], k)
+		d3 := MulK(a[i+3]+t, src[i+3], k)
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = d0, d1, d2, d3
 	}
-	for ; acc != 0 && i < n; i++ {
-		acc = MulK(a[i]+b[i], acc, k)
+	for ; i < n; i++ {
+		dst[i] = MulK(a[i]+t, src[i], k)
 	}
-	return acc
 }
 
 // SumProd3 returns Σ_i a[i]·b[i]·c[i] mod q over canonical entries — the

@@ -113,7 +113,7 @@ func TestMulScaleVecKSMatchesScalar(t *testing.T) {
 	}
 }
 
-func TestProdSumLazyMatchesScalar(t *testing.T) {
+func TestMulSumVecKMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, q := range diffModuli(t) {
 		f := Must(q)
@@ -121,20 +121,34 @@ func TestProdSumLazyMatchesScalar(t *testing.T) {
 		for _, n := range []int{0, 1, 3, 4, 5, 8, 33} {
 			for trial := 0; trial < 8; trial++ {
 				a := randVec(n, q, rng)
-				b := randVec(n, q, rng)
+				src := randVec(n, q, rng)
+				tv := rng.Uint64() % q
 				if trial%3 == 1 && n > 0 {
-					// Force a zero factor so the early exit is exercised.
-					i := rng.Intn(n)
-					a[i] = 0
-					b[i] = 0
+					// A zero product and a sum that is exactly q: both must
+					// come out as canonical zeros.
+					src[rng.Intn(n)] = 0
+					a[rng.Intn(n)] = q - tv
 				}
-				acc := rng.Uint64() % q
-				want := acc
-				for i := 0; i < n && want != 0; i++ {
-					want = f.Mul(want, f.Add(a[i], b[i]))
+				if trial%3 == 2 {
+					tv = q - 1 // sums at the top of the lazy range
 				}
-				if got := ProdSumLazy(acc, a, b, k); got != want {
-					t.Fatalf("q=%d n=%d: ProdSumLazy = %d, want %d", q, n, got, want)
+				want := make([]uint64, n)
+				for i := range want {
+					want[i] = f.Mul(f.Add(a[i], tv), src[i])
+				}
+				got := make([]uint64, n)
+				MulSumVecK(got, src, a, tv, k)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("q=%d n=%d: MulSumVecK[%d] = %d, want %d", q, n, i, got[i], want[i])
+					}
+				}
+				// Aliased dst == src, as the sweep runs it.
+				MulSumVecK(src, src, a, tv, k)
+				for i := range want {
+					if src[i] != want[i] {
+						t.Fatalf("q=%d n=%d: aliased MulSumVecK[%d] = %d, want %d", q, n, i, src[i], want[i])
+					}
 				}
 			}
 		}
@@ -223,25 +237,22 @@ func FuzzMulVecKS(f *testing.F) {
 	})
 }
 
-func FuzzProdSumLazy(f *testing.F) {
+func FuzzMulSumVecK(f *testing.F) {
 	f.Add(uint64(65537), uint64(1), uint64(2), uint64(3))
 	f.Add(^uint64(0), uint64(0), ^uint64(0), uint64(1))
-	f.Fuzz(func(t *testing.T, q, x, y, acc uint64) {
+	f.Fuzz(func(t *testing.T, q, x, y, tv uint64) {
 		q = NextPrime(2 + q%(1<<61))
 		fl := Must(q)
 		k := fl.Kernel()
-		x, y, acc = x%q, y%q, acc%q
+		x, y, tv = x%q, y%q, tv%q
 		a := []uint64{x, y, x, y, x, y} // crosses the 4-wide boundary
-		b := []uint64{y, x, y, x, y, x}
-		want := acc
+		src := []uint64{y, x, y, x, y, x}
+		dst := make([]uint64, len(a))
+		MulSumVecK(dst, src, a, tv, k)
 		for i := range a {
-			if want == 0 {
-				break
+			if want := fl.mulDiv((a[i]+tv)%q, src[i]); dst[i] != want {
+				t.Fatalf("q=%d: MulSumVecK(%v, %v, %d)[%d] = %d, reference %d", q, src, a, tv, i, dst[i], want)
 			}
-			want = fl.mulDiv(want, (a[i]+b[i])%q)
-		}
-		if got := ProdSumLazy(acc, a, b, k); got != want {
-			t.Fatalf("q=%d: ProdSumLazy(%d, %v, %v) = %d, reference %d", q, acc, a, b, got, want)
 		}
 	})
 }

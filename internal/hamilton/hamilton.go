@@ -92,19 +92,9 @@ func (p *Problem) Evaluate(q, x0 uint64) ([]uint64, error) {
 	}
 	n := p.n
 	// z_j = D_j(x0) for vertices 1..half.
-	phi := f.LagrangeAtZeroBased(1<<uint(p.half), x0)
 	z := make([]uint64, n) // z[v] for every vertex; z[0] = 1 (anchor)
 	z[0] = 1
-	for i, v := range phi {
-		if v == 0 {
-			continue
-		}
-		for j := 0; j < p.half; j++ {
-			if i&(1<<uint(j)) != 0 {
-				z[1+j] = f.Add(z[1+j], v)
-			}
-		}
-	}
+	copy(z[1:], f.BitSweepAt(p.half, x0))
 	// Prefix sign: (-1)^{n-1} Π_{j=1..half} (1-2z_j).
 	signP := uint64(1)
 	if (n-1)%2 == 1 {

@@ -86,18 +86,8 @@ func (p *PathProblem) Evaluate(q, x0 uint64) ([]uint64, error) {
 		return nil, err
 	}
 	n := p.n
-	phi := f.LagrangeAtZeroBased(1<<uint(p.half), x0)
 	z := make([]uint64, n)
-	for i, v := range phi {
-		if v == 0 {
-			continue
-		}
-		for j := 0; j < p.half; j++ {
-			if i&(1<<uint(j)) != 0 {
-				z[j] = f.Add(z[j], v)
-			}
-		}
-	}
+	copy(z, f.BitSweepAt(p.half, x0))
 	signP := uint64(1)
 	if n%2 == 1 {
 		signP = f.Neg(signP)

@@ -5,9 +5,10 @@ package hamilton
 // z_v · Σ_{u : a_uv = 1} vec[u] distributes exactly over Z_q, so the
 // compiled sweep drops the per-edge multiply of closedWalks/openWalks
 // while producing bit-identical residues. Compile additionally hoists
-// the adjacency structure as in-neighbour lists; the Lagrange
-// evaluator and all walk scratch are per EvaluateBlock call, so one
-// plan serves concurrent chunk tasks.
+// the adjacency structure as in-neighbour lists and the Lagrange
+// evaluator's fixed factors, both only read afterwards; D(x) for the
+// whole block comes from ff's run kernel and all walk scratch is per
+// EvaluateBlock call, so one plan serves concurrent chunk tasks.
 
 import (
 	"camelot/internal/ff"
@@ -66,47 +67,31 @@ func (ws *walkScratch) step(f ff.Field, in [][]int32) {
 	ws.vec, ws.next = ws.next, ws.vec
 }
 
-// fillSwept writes the D(x0)-swept indicators z[off..off+half) from the
-// Lagrange basis row phi, zeroing them first.
-func fillSwept(f ff.Field, z []uint64, off, half int, phi []uint64) {
-	for j := 0; j < half; j++ {
-		z[off+j] = 0
-	}
-	for i, v := range phi {
-		if v == 0 {
-			continue
-		}
-		for j := 0; j < half; j++ {
-			if i&(1<<uint(j)) != 0 {
-				z[off+j] = f.Add(z[off+j], v)
-			}
-		}
-	}
-}
-
 // compiled is the Hamiltonian-cycle Plan for one prime.
 type compiled struct {
 	p  *Problem
 	f  ff.Field
 	in [][]int32
+	le *ff.LagrangeEvaluator // grid 0..2^half-1
 }
 
 // Compile implements plan.Compiler.
 func (p *Problem) Compile(f ff.Field) (plan.Plan, error) {
-	return &compiled{p: p, f: f, in: inNeighbours(p.g)}, nil
+	return &compiled{p: p, f: f, in: inNeighbours(p.g), le: f.NewLagrangeEvaluatorZeroBased(1 << uint(p.half))}, nil
 }
 
 // EvaluateBlock implements plan.Plan.
 func (c *compiled) EvaluateBlock(xs []uint64) ([][]uint64, error) {
-	f, p, n := c.f, c.p, c.p.n
-	le := f.NewLagrangeEvaluatorZeroBased(1 << uint(p.half))
-	phi := make([]uint64, 1<<uint(p.half))
+	f, p, n, m := c.f, c.p, c.p.n, len(xs)
+	swept := make([]uint64, p.half*m)
+	c.le.BitSweepBlock(swept, xs, make([]uint64, c.le.SweepScratch(m)))
 	ws := newWalkScratch(n)
-	out := make([][]uint64, len(xs))
-	for xi, x0 := range xs {
-		le.At(x0, phi)
+	totals := make([]uint64, m)
+	for xi := range xs {
 		ws.z[0] = 1
-		fillSwept(f, ws.z, 1, p.half, phi)
+		for j := 0; j < p.half; j++ {
+			ws.z[1+j] = swept[j*m+xi]
+		}
 		signP := uint64(1)
 		if (n-1)%2 == 1 {
 			signP = f.Neg(signP)
@@ -141,9 +126,9 @@ func (c *compiled) EvaluateBlock(xs []uint64) ([][]uint64, error) {
 			}
 			total = f.Add(total, f.Mul(sign, ws.vec[0]))
 		}
-		out[xi] = []uint64{total}
+		totals[xi] = total
 	}
-	return out, nil
+	return plan.Rows(totals, 1), nil
 }
 
 // compiledPath is the Hamiltonian-path Plan for one prime.
@@ -151,23 +136,25 @@ type compiledPath struct {
 	p  *PathProblem
 	f  ff.Field
 	in [][]int32
+	le *ff.LagrangeEvaluator // grid 0..2^half-1
 }
 
 // Compile implements plan.Compiler.
 func (p *PathProblem) Compile(f ff.Field) (plan.Plan, error) {
-	return &compiledPath{p: p, f: f, in: inNeighbours(p.g)}, nil
+	return &compiledPath{p: p, f: f, in: inNeighbours(p.g), le: f.NewLagrangeEvaluatorZeroBased(1 << uint(p.half))}, nil
 }
 
 // EvaluateBlock implements plan.Plan.
 func (c *compiledPath) EvaluateBlock(xs []uint64) ([][]uint64, error) {
-	f, p, n := c.f, c.p, c.p.n
-	le := f.NewLagrangeEvaluatorZeroBased(1 << uint(p.half))
-	phi := make([]uint64, 1<<uint(p.half))
+	f, p, n, m := c.f, c.p, c.p.n, len(xs)
+	swept := make([]uint64, p.half*m)
+	c.le.BitSweepBlock(swept, xs, make([]uint64, c.le.SweepScratch(m)))
 	ws := newWalkScratch(n)
-	out := make([][]uint64, len(xs))
-	for xi, x0 := range xs {
-		le.At(x0, phi)
-		fillSwept(f, ws.z, 0, p.half, phi)
+	totals := make([]uint64, m)
+	for xi := range xs {
+		for j := 0; j < p.half; j++ {
+			ws.z[j] = swept[j*m+xi]
+		}
 		signP := uint64(1)
 		if n%2 == 1 {
 			signP = f.Neg(signP)
@@ -203,7 +190,7 @@ func (c *compiledPath) EvaluateBlock(xs []uint64) ([][]uint64, error) {
 			}
 			total = f.Add(total, f.Mul(sign, acc))
 		}
-		out[xi] = []uint64{total}
+		totals[xi] = total
 	}
-	return out, nil
+	return plan.Rows(totals, 1), nil
 }

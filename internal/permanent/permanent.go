@@ -9,6 +9,7 @@ package permanent
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 
 	"camelot/internal/core"
 	"camelot/internal/crt"
@@ -108,18 +109,7 @@ func (p *Problem) Evaluate(q, x0 uint64) ([]uint64, error) {
 	k := f.Kernel()
 	am := p.reducedMatrix(f)
 	// z_j = D_j(x0) for the first half of the z variables.
-	phi := f.LagrangeAtZeroBased(1<<uint(half), x0)
-	z := make([]uint64, half)
-	for i, v := range phi {
-		if v == 0 {
-			continue
-		}
-		for j := 0; j < half; j++ {
-			if i&(1<<uint(j)) != 0 {
-				z[j] = f.Add(z[j], v)
-			}
-		}
-	}
+	z := f.BitSweepAt(half, x0)
 	// Prefix row sums rowP_i = Σ_{j<half} a_ij z_j and prefix sign
 	// Π_{j<half}(1-2z_j).
 	rowP := make([]uint64, n)
@@ -159,7 +149,7 @@ func (p *Problem) Evaluate(q, x0 uint64) ([]uint64, error) {
 			break
 		}
 		// Advance Gray code: flip bit tz(iter+1).
-		bit := trailingZeros(iter + 1)
+		bit := bits.TrailingZeros64(iter + 1)
 		mask := uint64(1) << uint(bit)
 		col := half + bit
 		if gray&mask == 0 {
@@ -194,109 +184,127 @@ func (p *Problem) reducedMatrix(f ff.Field) []uint64 {
 	return am
 }
 
-// compiled is the permanent Plan for one prime: the reduced matrix is
-// hoisted to compile time; the Lagrange evaluator and all sweep state
-// are per-call scratch (built once per block, amortized over its
-// points), so one plan serves concurrent chunk tasks.
+// compiled is the permanent Plan for one prime: the reduced matrix and
+// the Lagrange evaluator's fixed factors are hoisted to compile time and
+// only read afterwards; all sweep state is per-call scratch, so one plan
+// serves concurrent chunk tasks.
 type compiled struct {
 	p  *Problem
 	f  ff.Field
-	am []uint64 // reducedMatrix(f), read-only after compile
+	am []uint64              // reducedMatrix(f)
+	le *ff.LagrangeEvaluator // grid 0..2^half-1
 }
 
-// Compile implements plan.Compiler. The per-point Evaluate spends its
-// time in two places: the O(2^{n/2}·n) Gray-code sweep over suffix
-// assignments (half of which is maintaining the suffix row sums) and
-// the O(2^{n/2}) Lagrange vector. Across a block the suffix row sums
-// and Gray-code bookkeeping are identical for every point, so the
-// compiled path updates them once per step for the whole block and
-// reuses one Lagrange evaluator — roughly halving the per-point work
-// for large blocks.
+// Compile implements plan.Compiler. The per-point Evaluate runs two
+// dependent chains per point: the Lagrange vector behind D(x0) (three
+// passes over the grid and a field inversion) and, per suffix
+// assignment, the product of the n row sums. The compiled path runs both
+// across a block instead: D(x) comes from ff's run kernel, which shares
+// one window of inverted differences among consecutive points, and the
+// Gray-code sweep keeps the points of a strip innermost, so each step
+// multiplies one row's sums into a strip of independent products and the
+// suffix row sums and Gray-code bookkeeping are paid once per strip.
 //
 // Deliberately NOT shared with Evaluate: verification re-evaluates
 // through the per-point path, so the two independent implementations
 // cross-check each other and a plan bug fails verification loudly
 // instead of silently corrupting the recovered permanent.
 func (p *Problem) Compile(f ff.Field) (plan.Plan, error) {
-	return &compiled{p: p, f: f, am: p.reducedMatrix(f)}, nil
+	return &compiled{
+		p: p, f: f, am: p.reducedMatrix(f),
+		le: f.NewLagrangeEvaluatorZeroBased(1 << uint(p.half)),
+	}, nil
 }
+
+// strip is the most points the sweep keeps innermost: the n prefix rows
+// of a strip (n·strip words, 20 KB at the largest n) stay L1-resident
+// across the 2^{n-half} Gray steps that reread them.
+const strip = 64
 
 // EvaluateBlock implements plan.Plan.
 func (c *compiled) EvaluateBlock(xs []uint64) ([][]uint64, error) {
-	p, f, am := c.p, c.f, c.am
-	n, half := p.n, p.half
-	rest := n - half
-	m := len(xs)
-	out := make([][]uint64, m)
-	if m == 0 {
-		return out, nil
+	n, half := c.p.n, c.p.half
+	totals := make([]uint64, len(xs))
+	// Equal strips, so the arena is no larger than the block needs and no
+	// strip is a short tail.
+	strips := max(1, (len(xs)+strip-1)/strip)
+	ms := (len(xs) + strips - 1) / strips
+	// One arena for every strip: prefix rows, prefix signs, suffix row
+	// sums, D(x) rows and the run kernel's scratch, whose words the running
+	// products take over once D(x) is computed.
+	buf := make([]uint64, (n+1+half)*ms+n+c.le.SweepScratch(ms))
+	for lo := 0; lo < len(xs); lo += ms {
+		hi := min(lo+ms, len(xs))
+		c.evaluateStrip(xs[lo:hi], totals[lo:hi], buf)
 	}
+	return plan.Rows(totals, 1), nil
+}
+
+// evaluateStrip writes P(x) for the points xs (at most strip of them)
+// into totals, which must be zero, working in buf.
+func (c *compiled) evaluateStrip(xs, totals, buf []uint64) {
+	f, am := c.f, c.am
+	n, half := c.p.n, c.p.half
 	k := f.Kernel()
-	le := f.NewLagrangeEvaluatorZeroBased(1 << uint(half))
-	phi := make([]uint64, 1<<uint(half))
-	z := make([]uint64, half)
-	// Per-point prefix state: row sums over the D(x)-swept columns and
-	// the prefix sign product.
-	rowP := make([]uint64, m*n)
-	signP := make([]uint64, m)
-	for xi, x0 := range xs {
-		le.At(x0, phi)
-		for j := range z {
-			z[j] = 0
-		}
-		for i, v := range phi {
-			if v == 0 {
-				continue
-			}
-			for j := 0; j < half; j++ {
-				if i&(1<<uint(j)) != 0 {
-					z[j] = f.Add(z[j], v)
-				}
-			}
-		}
-		base := xi * n
-		for i := 0; i < n; i++ {
-			acc := uint64(0)
-			row := am[i*n : i*n+half]
-			for j := 0; j < half; j++ {
-				acc = f.Add(acc, ff.MulK(row[j], z[j], k))
-			}
-			rowP[base+i] = acc
-		}
-		sign := uint64(1)
-		if n%2 == 1 {
-			sign = f.Neg(sign)
-		}
-		for j := 0; j < half; j++ {
-			sign = ff.MulK(sign, f.Sub(1, ff.MulK(2%f.Q, z[j], k)), k)
-		}
-		signP[xi] = sign
+	m := len(xs)
+	cut := func(words int) []uint64 {
+		s := buf[:words:words]
+		buf = buf[words:]
+		return s
 	}
-	// One shared Gray-code sweep: suffix row sums rowS and the suffix
-	// popcount advance once per step for every point in the block.
-	totals := make([]uint64, m)
-	rowS := make([]uint64, n)
+	rowP, signP, rowS, z := cut(n*m), cut(m), cut(n), cut(half*m)
+	c.le.BitSweepBlock(z, xs, buf)
+	prod := buf[:m] // the kernel is done with its scratch
+	// Prefix state per point, row-major by matrix row so a Gray step
+	// streams over the strip: rowP[i·m+xi] = Σ_{j<half} a_ij z_j(x_xi) and
+	// signP[xi] = (-1)^n Π_{j<half} (1-2z_j(x_xi)).
+	clear(rowP)
+	for i := 0; i < n; i++ {
+		row := rowP[i*m : (i+1)*m]
+		for j := 0; j < half; j++ {
+			as := k.Shift(am[i*n+j])
+			for xi, zv := range z[j*m : (j+1)*m] {
+				row[xi] = f.Add(row[xi], ff.MulKS(zv, as, k))
+			}
+		}
+	}
+	sign0 := uint64(1)
+	if n%2 == 1 {
+		sign0 = f.Neg(sign0)
+	}
+	two := k.Shift(2 % f.Q)
+	for xi := range signP {
+		signP[xi] = sign0
+	}
+	for j := 0; j < half; j++ {
+		for xi, zv := range z[j*m : (j+1)*m] {
+			signP[xi] = ff.MulK(signP[xi], f.Sub(1, ff.MulKS(zv, two, k)), k)
+		}
+	}
+	// The Gray-code sweep over suffix assignments: the suffix row sums
+	// rowS and the suffix popcount advance once per step for the whole
+	// strip, and each step multiplies the row sums, one row per pass,
+	// into the strip's products. The sums enter the multiplier
+	// unreduced (< 2q); Evaluate keeps the scalar canonical sweep, so the
+	// block/point equivalence tests double as a differential check.
+	clear(rowS)
 	gray := uint64(0)
 	ones := 0
 	for iter := uint64(0); ; iter++ {
-		neg := ones%2 == 1
-		for xi := 0; xi < m; xi++ {
-			sign := signP[xi]
-			if neg {
-				sign = f.Neg(sign)
-			}
-			// 4-wide unrolled lazy sweep: the row sums go into the
-			// multiplier unreduced (< 2q). Evaluate keeps the scalar
-			// canonical sweep, so the block/point equivalence tests double
-			// as a differential check of the lazy variant.
-			base := xi * n
-			prod := ff.ProdSumLazy(sign, rowP[base:base+n], rowS[:n], k)
-			totals[xi] = f.Add(totals[xi], prod)
+		src := signP
+		for i := 0; i < n; i++ {
+			ff.MulSumVecK(prod, src, rowP[i*m:(i+1)*m], rowS[i], k)
+			src = prod
 		}
-		if iter+1 == 1<<uint(rest) {
+		if ones%2 == 1 {
+			f.SubVec(totals, totals, prod)
+		} else {
+			f.AddVec(totals, totals, prod)
+		}
+		if iter+1 == 1<<uint(n-half) {
 			break
 		}
-		bit := trailingZeros(iter + 1)
+		bit := bits.TrailingZeros64(iter + 1)
 		mask := uint64(1) << uint(bit)
 		col := half + bit
 		if gray&mask == 0 {
@@ -313,10 +321,6 @@ func (c *compiled) EvaluateBlock(xs []uint64) ([][]uint64, error) {
 			}
 		}
 	}
-	for xi := range out {
-		out[xi] = []uint64{totals[xi]}
-	}
-	return out, nil
 }
 
 // Recover reconstructs per A = Σ_{i=0}^{2^{n/2}-1} P(i) with the signed
@@ -333,15 +337,6 @@ func (p *Problem) Recover(proof *core.Proof) (*big.Int, error) {
 	return v, nil
 }
 
-func trailingZeros(x uint64) int {
-	c := 0
-	for x&1 == 0 {
-		x >>= 1
-		c++
-	}
-	return c
-}
-
 // Ryser computes the permanent exactly with Ryser's O(2^n·n) formula and
 // Gray-code updates — the sequential baseline.
 func Ryser(a [][]int64) *big.Int {
@@ -355,7 +350,7 @@ func Ryser(a [][]int64) *big.Int {
 	ones := 0
 	term := new(big.Int)
 	for iter := uint64(1); iter < 1<<uint(n); iter++ {
-		bit := trailingZeros(iter)
+		bit := bits.TrailingZeros64(iter)
 		mask := uint64(1) << uint(bit)
 		if gray&mask == 0 {
 			gray |= mask

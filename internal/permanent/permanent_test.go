@@ -176,39 +176,63 @@ func BenchmarkRyser12(b *testing.B) {
 	}
 }
 
+// TestEvaluateBlockMatchesEvaluate holds the compiled block path to the
+// per-point path bit for bit: block lengths on both sides of a strip
+// boundary, even and odd n, the matrices whose row products vanish, a
+// modulus at the top of the lazy range, and points that are grid points,
+// runs and isolated in one block.
 func TestEvaluateBlockMatchesEvaluate(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for _, n := range []int{4, 7, 10} {
-		a := randMatrix(rng, n, -3, 3)
+	zeroRow := randMatrix(rng, 6, -3, 3)
+	for j := range zeroRow[2] {
+		zeroRow[2][j] = 0
+	}
+	zeroCol := randMatrix(rng, 6, -3, 3)
+	for i := range zeroCol {
+		zeroCol[i][5] = 0 // a suffix column: the Gray steps that flip it change nothing
+	}
+	matrices := [][][]int64{zeroRow, zeroCol}
+	for _, n := range []int{2, 3, 4, 7, 12, 13} {
+		matrices = append(matrices, randMatrix(rng, n, -3, 3))
+	}
+	for _, a := range matrices {
+		n := len(a)
 		p, err := NewProblem(a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		const q = uint64(1048583)
-		f, err := ff.New(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl, err := p.Compile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Mix grid points (indicator Lagrange) and far-off points.
-		xs := []uint64{0, 1, 2, uint64(1)<<uint(n/2) + 5, 99991 % q, 123456 % q}
-		rows, err := pl.EvaluateBlock(xs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rows) != len(xs) {
-			t.Fatalf("n=%d: %d rows, want %d", n, len(rows), len(xs))
-		}
-		for i, x := range xs {
-			want, err := p.Evaluate(q, x)
+		for _, q := range []uint64{1048583, 1<<61 - 1} {
+			pl, err := p.Compile(ff.Must(q))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(rows[i]) != 1 || rows[i][0] != want[0] {
-				t.Fatalf("n=%d: block P(%d) = %v, point path %v", n, x, rows[i], want)
+			for _, m := range []int{1, strip - 1, strip, strip + 1, 3*strip + 5} {
+				// Consecutive from inside the grid, then from m/2 on isolated
+				// far-off points, one of them beyond q.
+				xs := make([]uint64, m)
+				for i := range xs {
+					xs[i] = uint64(1)<<uint(n/2) - 2 + uint64(i)
+					if i >= (m+1)/2 {
+						xs[i] = 99991 + 7*uint64(i)
+					}
+				}
+				xs[m-1] += q
+				rows, err := pl.EvaluateBlock(xs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rows) != len(xs) {
+					t.Fatalf("n=%d: %d rows, want %d", n, len(rows), len(xs))
+				}
+				for i, x := range xs {
+					want, err := p.Evaluate(q, x)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(rows[i]) != 1 || rows[i][0] != want[0] {
+						t.Fatalf("n=%d q=%d m=%d: block P(%d) = %v, point path %v", n, q, m, x, rows[i], want)
+					}
+				}
 			}
 		}
 	}
@@ -230,5 +254,31 @@ func TestEvaluateBlockEmpty(t *testing.T) {
 	rows, err := pl.EvaluateBlock(nil)
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("empty block: rows=%v err=%v", rows, err)
+	}
+}
+
+// BenchmarkEvaluateBlock times one compiled block at the decode_bound
+// geometry (n = 12, a 20-bit prime, 160 consecutive points off the
+// grid); ns/op ÷ 160 is the plan's cost per point.
+func BenchmarkEvaluateBlock(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	p, err := NewProblem(randMatrix(rng, 12, 0, 3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	pl, err := p.Compile(ff.Must(1048583))
+	if err != nil {
+		b.Fatal(err)
+	}
+	xs := make([]uint64, 160)
+	for i := range xs {
+		xs[i] = uint64(1000 + i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pl.EvaluateBlock(xs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

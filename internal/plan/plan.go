@@ -38,3 +38,13 @@ type Plan interface {
 	// Implementations must be safe for concurrent calls.
 	EvaluateBlock(xs []uint64) ([][]uint64, error)
 }
+
+// Rows cuts vals into the rows an EvaluateBlock returns, width values
+// each: one backing slice for the whole block instead of one per point.
+func Rows(vals []uint64, width int) [][]uint64 {
+	rows := make([][]uint64, len(vals)/width)
+	for i := range rows {
+		rows[i] = vals[i*width : (i+1)*width : (i+1)*width]
+	}
+	return rows
+}

@@ -292,18 +292,8 @@ func (p *CoverProblem) Evaluate(q, x0 uint64) ([]uint64, error) {
 		return nil, err
 	}
 	// D_j(x0) = Σ_{i: bit j of i set} Φ_i(x0) over the grid 0..2^{n1}-1.
-	phi := f.LagrangeAtZeroBased(1<<uint(p.n1), x0)
 	y := make([]uint64, p.n)
-	for i, v := range phi {
-		if v == 0 {
-			continue
-		}
-		for j := 0; j < p.n1; j++ {
-			if i&(1<<uint(j)) != 0 {
-				y[j] = f.Add(y[j], v)
-			}
-		}
-	}
+	copy(y, f.BitSweepAt(p.n1, x0))
 	total := uint64(0)
 	for suffix := uint64(0); suffix < 1<<uint(p.n2); suffix++ {
 		for j := 0; j < p.n2; j++ {
@@ -325,7 +315,7 @@ func (p *CoverProblem) Evaluate(q, x0 uint64) ([]uint64, error) {
 		for _, x := range p.family {
 			prod := uint64(1)
 			for m := x; m != 0 && prod != 0; {
-				j := trailingZeros(m)
+				j := bits.TrailingZeros64(m)
 				m &= m - 1
 				prod = f.Mul(prod, y[j])
 			}
@@ -337,60 +327,47 @@ func (p *CoverProblem) Evaluate(q, x0 uint64) ([]uint64, error) {
 }
 
 // coverCompiled is the CoverProblem Plan for one prime. The suffix plan
-// is construction-time state on the problem; the Lagrange evaluator
-// carries per-call scratch, so it is built inside EvaluateBlock (once
-// per block — its factorial/inverse setup still amortizes over the
-// block's points) rather than stored here.
+// is construction-time state on the problem and the Lagrange evaluator's
+// fixed factors are built at Compile; both are only read by
+// EvaluateBlock, whose scratch is per call.
 type coverCompiled struct {
-	p *CoverProblem
-	f ff.Field
+	p  *CoverProblem
+	f  ff.Field
+	le *ff.LagrangeEvaluator // grid 0..2^{n1}-1
 }
 
 // Compile implements plan.Compiler. The compiled path produces
 // bit-identical rows to Evaluate (exact modular arithmetic: dropping
 // the zero products of non-surviving sets and the unit factors of
 // suffix variables set to 1 cannot change any value) while amortizing
-// two costs across each block: the Lagrange evaluator's
-// factorial/inverse setup, and the per-suffix family filtering, which
-// the construction-time coverPlan hoists out of the per-point loop
+// two costs across each block: D(x), which ff's run kernel computes
+// with one window of inverted differences per run of consecutive
+// points, and the per-suffix family filtering, which the
+// construction-time coverPlan hoists out of the per-point loop
 // entirely.
 func (p *CoverProblem) Compile(f ff.Field) (plan.Plan, error) {
-	return &coverCompiled{p: p, f: f}, nil
+	return &coverCompiled{p: p, f: f, le: f.NewLagrangeEvaluatorZeroBased(1 << uint(p.n1))}, nil
 }
 
 // EvaluateBlock implements plan.Plan.
 func (c *coverCompiled) EvaluateBlock(xs []uint64) ([][]uint64, error) {
-	p, f := c.p, c.f
-	le := f.NewLagrangeEvaluatorZeroBased(1 << uint(p.n1))
-	phi := make([]uint64, 1<<uint(p.n1))
-	// Per point: D_j(x0) for the first n1 variables, plus the fixed part
-	// of the sign, (-1)^n Π_{j<n1}(1-2y_j).
-	ys := make([][]uint64, len(xs))
-	signs := make([]uint64, len(xs))
-	for xi, x0 := range xs {
-		le.At(x0, phi)
-		y := make([]uint64, p.n1)
-		for i, v := range phi {
-			if v == 0 {
-				continue
-			}
-			for j := 0; j < p.n1; j++ {
-				if i&(1<<uint(j)) != 0 {
-					y[j] = f.Add(y[j], v)
-				}
-			}
-		}
+	p, f, m := c.p, c.f, len(xs)
+	// ys[j·m+xi] = D_j(x_xi) for the first n1 variables; signs holds the
+	// fixed part of the sign, (-1)^n Π_{j<n1}(1-2y_j).
+	ys := make([]uint64, p.n1*m)
+	c.le.BitSweepBlock(ys, xs, make([]uint64, c.le.SweepScratch(m)))
+	signs := make([]uint64, m)
+	for xi := range signs {
 		sign := uint64(1)
 		if p.n%2 == 1 {
 			sign = f.Neg(sign)
 		}
 		for j := 0; j < p.n1; j++ {
-			sign = f.Mul(sign, f.Sub(1, f.Mul(2%f.Q, y[j])))
+			sign = f.Mul(sign, f.Sub(1, f.Mul(2%f.Q, ys[j*m+xi])))
 		}
-		ys[xi] = y
 		signs[xi] = sign
 	}
-	totals := make([]uint64, len(xs))
+	totals := make([]uint64, m)
 	for suffix, surv := range p.suffixes.prefixes {
 		for xi := range xs {
 			sign := signs[xi]
@@ -400,25 +377,18 @@ func (c *coverCompiled) EvaluateBlock(xs []uint64) ([][]uint64, error) {
 			if p.suffixes.negate[suffix] {
 				sign = f.Neg(sign)
 			}
-			y := ys[xi]
 			inner := uint64(0)
 			for _, pm := range surv {
 				prod := uint64(1)
-				for m := pm; m != 0 && prod != 0; {
-					j := trailingZeros(m)
-					m &= m - 1
-					prod = f.Mul(prod, y[j])
+				for b := pm; b != 0 && prod != 0; b &= b - 1 {
+					prod = f.Mul(prod, ys[bits.TrailingZeros64(b)*m+xi])
 				}
 				inner = f.Add(inner, prod)
 			}
 			totals[xi] = f.Add(totals[xi], f.Mul(sign, f.Exp(inner, uint64(p.t))))
 		}
 	}
-	rows := make([][]uint64, len(xs))
-	for xi, total := range totals {
-		rows[xi] = []uint64{total}
-	}
-	return rows, nil
+	return plan.Rows(totals, 1), nil
 }
 
 // RecoverCovers extracts the cover count: c_t = Σ_{i=0}^{2^{n1}-1} P(i)
@@ -511,15 +481,6 @@ func popcount(x uint64) int {
 	c := 0
 	for x != 0 {
 		x &= x - 1
-		c++
-	}
-	return c
-}
-
-func trailingZeros(x uint64) int {
-	c := 0
-	for x&1 == 0 {
-		x >>= 1
 		c++
 	}
 	return c
