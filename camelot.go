@@ -32,7 +32,6 @@ import (
 	"camelot/internal/core"
 	"camelot/internal/graph"
 	"camelot/internal/rs"
-	"camelot/internal/tensor"
 )
 
 // ErrDecodeFailure is the typed failure of a run whose combined faults
@@ -80,7 +79,8 @@ type Transport = core.Transport
 // wrapping a built-in one hands it through unchanged.
 type GatherSpec = core.GatherSpec
 
-// TransportFactory builds a fresh Transport for a run of k nodes.
+// TransportFactory builds a fresh Transport for a run of k nodes; an
+// error it returns (a bind failure, say) is the run's error.
 type TransportFactory = core.TransportFactory
 
 // NodeShares is the message a node broadcasts over the Transport.
@@ -119,103 +119,52 @@ func EquivocatingNodes(salt uint64, ids ...int) Adversary {
 
 // --- Options ------------------------------------------------------------------
 
-// The option vocabulary is split by scope, mirroring the session API:
+// Every run setting lives in one record, the engine's core.Options,
+// validated once per run in internal/core. Each With* constructor is a
+// setter of one of its fields, and the three option types only say where
+// a setter is accepted, mirroring the session API:
 //
 //   - ClusterOption configures the long-lived runtime — how wide the
 //     shared worker pool is, how many logical nodes serve a run, how
-//     shares travel. Accepted by NewCluster.
+//     shares travel. Accepted by NewCluster, whose Cluster keeps the
+//     resolved record as the base of every run it starts.
 //   - RunOption configures one run — its fault tolerance, adversary,
-//     randomness, verification effort, tensor decomposition. Accepted
-//     by Cluster.Submit and the problem constructors.
-//   - Option is either of the two: every With* constructor returns a
-//     value usable with the classic one-shot facade functions, which
-//     route through a lazily initialized default cluster.
+//     randomness, verification effort. Accepted by Cluster.Submit, which
+//     applies it to a copy of the cluster's record, and by
+//     ServerConfig.Run.
+//   - Option is either of the two: what the one-shot facade functions
+//     take, applied to a copy of the default cluster's record.
 
 // Option configures a one-shot facade call (CountTriangles,
 // TuttePolynomial, RunProblem, ...). Every ClusterOption and RunOption
 // is also an Option.
 type Option interface {
-	applyFacade(*config)
+	apply(*core.Options)
 }
 
 // ClusterOption is a cluster-scoped Option: it configures the
 // long-lived runtime a NewCluster call creates.
-type ClusterOption interface {
-	Option
-	applyCluster(*clusterConfig)
-}
+type ClusterOption func(*core.Options)
 
 // RunOption is a run-scoped Option: it configures a single submitted
-// run (or a problem constructed for one).
-type RunOption interface {
-	Option
-	applyRun(*runSettings)
-}
+// run.
+type RunOption func(*core.Options)
 
-// clusterConfig holds the cluster-scoped knobs.
-type clusterConfig struct {
-	nodes          int
-	maxParallelism int
-	newTransport   TransportFactory
-}
+func (o ClusterOption) apply(dst *core.Options) { o(dst) }
+func (o RunOption) apply(dst *core.Options)     { o(dst) }
 
-// runSettings holds the run-scoped knobs: the run-scoped subset of
-// core.Options plus the tensor decomposition used by problem
-// constructors.
-type runSettings struct {
-	opts core.Options // only run-scoped fields are set here
-	base tensor.Decomposition
-}
-
-func defaultRunSettings() runSettings {
-	return runSettings{base: tensor.Strassen()}
-}
-
-// Resolved settings are themselves a RunOption — "use exactly these" —
-// which is how a facade call hands the settings its options resolved to
-// on to the problem constructor it wraps.
-func (rs runSettings) applyRun(dst *runSettings) { *dst = rs }
-func (rs runSettings) applyFacade(c *config)     { c.run = rs }
-
-// config is the merged view a one-shot facade call resolves.
-type config struct {
-	cluster clusterConfig
-	run     runSettings
-}
-
-func newConfig(opts []Option) config {
-	c := config{run: defaultRunSettings()}
+// resolve applies opts, in order, to a copy of base.
+func resolve[O Option](base core.Options, opts []O) core.Options {
 	for _, o := range opts {
-		o.applyFacade(&c)
+		o.apply(&base)
 	}
-	return c
+	return base
 }
-
-// coreOptions merges both scopes into the engine's option struct.
-func (c *config) coreOptions() core.Options {
-	o := c.run.opts
-	o.Nodes = c.cluster.nodes
-	o.MaxParallelism = c.cluster.maxParallelism
-	o.NewTransport = c.cluster.newTransport
-	return o
-}
-
-// clusterOption is the concrete ClusterOption implementation.
-type clusterOption func(*clusterConfig)
-
-func (o clusterOption) applyFacade(c *config)          { o(&c.cluster) }
-func (o clusterOption) applyCluster(cc *clusterConfig) { o(cc) }
-
-// runOption is the concrete RunOption implementation.
-type runOption func(*runSettings)
-
-func (o runOption) applyFacade(c *config)    { o(&c.run) }
-func (o runOption) applyRun(rs *runSettings) { o(rs) }
 
 // WithNodes sets the number of compute nodes K (default 1). Cluster
 // scope: K is the work split every run on the cluster uses.
 func WithNodes(k int) ClusterOption {
-	return clusterOption(func(cc *clusterConfig) { cc.nodes = k })
+	return func(o *core.Options) { o.Nodes = k }
 }
 
 // WithMaxParallelism bounds the worker pool that drives node evaluation
@@ -223,14 +172,14 @@ func WithNodes(k int) ClusterOption {
 // split, not the goroutine count. Cluster scope: the pool is the
 // cluster's shared execution width, fixed at construction.
 func WithMaxParallelism(n int) ClusterOption {
-	return clusterOption(func(cc *clusterConfig) { cc.maxParallelism = n })
+	return func(o *core.Options) { o.MaxParallelism = n }
 }
 
 // WithTransport substitutes the share-broadcast transport (default: the
 // in-memory broadcast bus). The factory is invoked once per run with
 // the node count, so transports can size their buffers.
 func WithTransport(tf TransportFactory) ClusterOption {
-	return clusterOption(func(cc *clusterConfig) { cc.newTransport = tf })
+	return func(o *core.Options) { o.NewTransport = tf }
 }
 
 // WithListenAddr carries share broadcasts over loopback TCP instead of
@@ -247,9 +196,9 @@ func WithTransport(tf TransportFactory) ClusterOption {
 // WithLossyTransport after it so the faults ride the socket path. Runs
 // whose nodes are other processes use NewCoordinator instead.
 func WithListenAddr(addr string) ClusterOption {
-	return clusterOption(func(cc *clusterConfig) {
-		cc.newTransport = core.NewTCPFactory(core.TCPConfig{ListenAddr: addr})
-	})
+	return func(o *core.Options) {
+		o.NewTransport = core.NewTCPFactory(core.TCPConfig{ListenAddr: addr})
+	}
 }
 
 // WithLossyTransport simulates a faulty network: seeded, per-sender
@@ -261,31 +210,31 @@ func WithListenAddr(addr string) ClusterOption {
 // opt into erasure-tolerant gathering; a strict run that loses one ends
 // in ErrDeliveryFault a grace period after sending has concluded.
 func WithLossyTransport(cfg LossyConfig) ClusterOption {
-	return clusterOption(func(cc *clusterConfig) {
-		cc.newTransport = core.NewLossyFactory(cfg, cc.newTransport)
-	})
+	return func(o *core.Options) {
+		o.NewTransport = core.NewLossyFactory(cfg, o.NewTransport)
+	}
 }
 
 // WithFaultTolerance sets the number f of corrupted shares the run
 // survives; the codeword is lengthened to e = d+1+2f.
 func WithFaultTolerance(f int) RunOption {
-	return runOption(func(rs *runSettings) { rs.opts.FaultTolerance = f })
+	return func(o *core.Options) { o.FaultTolerance = f }
 }
 
 // WithAdversary injects byzantine behaviour (for experiments and tests).
 func WithAdversary(a Adversary) RunOption {
-	return runOption(func(rs *runSettings) { rs.opts.Adversary = a })
+	return func(o *core.Options) { o.Adversary = a }
 }
 
 // WithSeed seeds the verification randomness.
 func WithSeed(seed int64) RunOption {
-	return runOption(func(rs *runSettings) { rs.opts.Seed = seed })
+	return func(o *core.Options) { o.Seed = seed }
 }
 
 // WithVerifyTrials sets the number of independent spot checks (each with
 // soundness error <= d/q; default 1).
 func WithVerifyTrials(trials int) RunOption {
-	return runOption(func(rs *runSettings) { rs.opts.VerifyTrials = trials })
+	return func(o *core.Options) { o.VerifyTrials = trials }
 }
 
 // WithMaxErasures lets the run tolerate losing up to n node broadcasts
@@ -295,7 +244,7 @@ func WithVerifyTrials(trials int) RunOption {
 // the budget 2·errors + erasures ≤ e-d-1. Default 0: a strict run that
 // fails with ErrDeliveryFault if any message is lost.
 func WithMaxErasures(n int) RunOption {
-	return runOption(func(rs *runSettings) { rs.opts.MaxErasures = n })
+	return func(o *core.Options) { o.MaxErasures = n }
 }
 
 // WithGatherGrace bounds how long an erasure-tolerant gather waits
@@ -304,7 +253,7 @@ func WithMaxErasures(n int) RunOption {
 // deliveries do not renew the grace — only a sender not heard before
 // does, as does the moment all sending concludes.
 func WithGatherGrace(d time.Duration) RunOption {
-	return runOption(func(rs *runSettings) { rs.opts.GatherGrace = d })
+	return func(o *core.Options) { o.GatherGrace = d }
 }
 
 // WithMaxRepairRounds lets the run recover from delivery losses beyond
@@ -317,7 +266,7 @@ func WithGatherGrace(d time.Duration) RunOption {
 // WithMaxErasures — a strict gather has no missing nodes to repair, and
 // the combination is ErrInvalidOptions.
 func WithMaxRepairRounds(n int) RunOption {
-	return runOption(func(rs *runSettings) { rs.opts.MaxRepairRounds = n })
+	return func(o *core.Options) { o.MaxRepairRounds = n }
 }
 
 // WithPriority sets the run's scheduling weight on the cluster's shared
@@ -329,19 +278,7 @@ func WithMaxRepairRounds(n int) RunOption {
 // multi-tenant proof service uses to give some tenants a larger slice
 // of a contended cluster.
 func WithPriority(weight int) RunOption {
-	return runOption(func(rs *runSettings) { rs.opts.Priority = weight })
-}
-
-// WithStrassenTensor selects the rank-7 ⟨2,2,2⟩ decomposition
-// (ω = log2 7) for the matrix-multiplication-based designs. The default.
-func WithStrassenTensor() RunOption {
-	return runOption(func(rs *runSettings) { rs.base = tensor.Strassen() })
-}
-
-// WithTrivialTensor selects the rank-b³ classical decomposition (ω = 3)
-// with base size b for the matrix-multiplication-based designs.
-func WithTrivialTensor(b int) RunOption {
-	return runOption(func(rs *runSettings) { rs.base = tensor.Trivial(b) })
+	return func(o *core.Options) { o.Priority = weight }
 }
 
 // --- Public input types -------------------------------------------------------

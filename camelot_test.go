@@ -4,9 +4,6 @@ import (
 	"context"
 	"math/big"
 	"testing"
-
-	"camelot/internal/core"
-	"camelot/internal/triangles"
 )
 
 func TestCountCliquesFacade(t *testing.T) {
@@ -190,12 +187,11 @@ func TestMerlinArthurMode(t *testing.T) {
 
 func prepareTriangleProof(t *testing.T, g *Graph) (Problem, *Proof) {
 	t.Helper()
-	c := newConfig([]Option{WithSeed(4)})
-	p, err := triangles.NewProblem(g.g, c.run.base)
+	p, err := NewTriangleProblem(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	proof, _, err := core.Run(context.Background(), p, c.coreOptions())
+	proof, _, err := RunProblem(context.Background(), p, WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}

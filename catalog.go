@@ -30,6 +30,7 @@ import (
 	"camelot/internal/graph"
 	"camelot/internal/orthvec"
 	"camelot/internal/setcover"
+	"camelot/internal/tensor"
 )
 
 // Field is one instance parameter of a kind: `name=value` in a spec
@@ -170,7 +171,7 @@ var catalog = []Kind{
 		Name: "csp", Help: "assignments of a random 2-CSP by satisfied-constraint count (Theorem 12)",
 		Fields: []Field{count("n", "12", "variables (multiple of 6)"), count("sigma", "2", "alphabet size"), count("m", "8", "constraints")},
 		build: func(a fieldValues) (CountingProblem, error) {
-			p, err := csp.NewProblem(csp.RandomSystem(a.n["n"], a.n["sigma"], a.n["m"], 0.5, a.seed()), defaultRunSettings().base)
+			p, err := csp.NewProblem(csp.RandomSystem(a.n["n"], a.n["sigma"], a.n["m"], 0.5, a.seed()), tensor.Strassen())
 			if err != nil {
 				return nil, err
 			}

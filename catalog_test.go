@@ -115,7 +115,7 @@ func TestInvalidOptionsRefusedEverywhere(t *testing.T) {
 	if _, _, err := cl.Submit(ctx, p, WithMaxRepairRounds(2)).Wait(ctx); !errors.Is(err, ErrInvalidOptions) {
 		t.Errorf("Cluster.Submit: err = %v, want ErrInvalidOptions", err)
 	}
-	srv := NewServer(cl, ServerConfig{MaxRepairRounds: 1})
+	srv := NewServer(cl, ServerConfig{Run: []RunOption{WithMaxRepairRounds(1)}})
 	defer srv.Close()
 	out, err := srv.Submit("tenant", "permanent n=4")
 	if err != nil {
@@ -146,5 +146,44 @@ func TestStrictRunRefusesLossPromptly(t *testing.T) {
 	}
 	if took := time.Since(start); took > 4*time.Second {
 		t.Fatalf("refusal took %v of a 5s deadline", took)
+	}
+}
+
+// TestCatalogSizingPinned pins every kind's NumPrimes and MinModulus, at
+// its defaults and at an instance past the 2^20 floor or the one-prime
+// bound where the kind has one, to the values recorded before the zoo's
+// nine sizing loops became crt.PrimesFor and crt.FloorModulus: they
+// select the proof's primes, so a change here moves proof bytes.
+func TestCatalogSizingPinned(t *testing.T) {
+	pinned := map[string]struct {
+		primes int
+		minQ   uint64
+	}{
+		"triangles": {1, 1 << 20}, "cliques": {1, 1 << 20}, "permanent": {2, 1 << 20},
+		"cnfsat": {1, 1 << 20}, "hamilton": {1, 1 << 20}, "chromatic": {2, 1 << 20},
+		"setcover": {1, 1 << 20}, "ov": {1, 1 << 20}, "conv3sum": {1, 1 << 20}, "csp": {2, 1 << 20},
+
+		"triangles n=256 p=0.1":     {2, 1 << 20},
+		"cliques n=30 k=6 p=0.5":    {2, 1 << 20},
+		"permanent n=40":            {12, 1<<20 + 1},
+		"hamilton n=30 p=0.5":       {6, 1 << 20},
+		"chromatic n=30 p=0.4":      {8, 1 << 20},
+		"setcover n=24 sets=30 t=6": {2, 1 << 20},
+		"ov n=2000000 t=1":          {1, 2000001},
+		"csp n=42 sigma=2 m=8":      {4, 2470630},
+	}
+	for _, k := range Kinds() {
+		if _, ok := pinned[k.Name]; !ok {
+			t.Errorf("kind %s has no pinned sizing", k.Name)
+		}
+	}
+	for spec, want := range pinned {
+		w, err := ParseWorkload(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, min := w.Problem.NumPrimes(), w.Problem.MinModulus(); got != want.primes || min != want.minQ {
+			t.Errorf("%s: NumPrimes %d, MinModulus %d; pinned %d, %d", spec, got, min, want.primes, want.minQ)
+		}
 	}
 }

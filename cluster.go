@@ -27,9 +27,10 @@ var ErrClusterClosed = errors.New("camelot: cluster closed")
 // for concurrent use; any number of goroutines may submit jobs and
 // in-flight jobs of any size share the pool fairly.
 type Cluster struct {
-	cfg  clusterConfig
-	pool *core.Pool
-	geom *core.GeometryCache
+	// base is the record every run on this cluster starts from: the
+	// cluster-scoped options as resolved by NewCluster, plus the shared
+	// Pool and the warm Geometry cache.
+	base core.Options
 
 	mu     sync.Mutex
 	wg     sync.WaitGroup // in-flight jobs
@@ -40,15 +41,10 @@ type Cluster struct {
 // logical node count K every run uses (default 1), the shared pool
 // width (default GOMAXPROCS), and the transport factory.
 func NewCluster(opts ...ClusterOption) *Cluster {
-	var cc clusterConfig
-	for _, o := range opts {
-		o.applyCluster(&cc)
-	}
-	return &Cluster{
-		cfg:  cc,
-		pool: core.NewPool(cc.maxParallelism),
-		geom: core.NewGeometryCache(),
-	}
+	base := resolve(core.Options{}, opts)
+	base.Pool = core.NewPool(base.MaxParallelism)
+	base.Geometry = core.NewGeometryCache()
+	return &Cluster{base: base}
 }
 
 // Submit enqueues the full Camelot protocol for p as an asynchronous
@@ -58,23 +54,21 @@ func NewCluster(opts ...ClusterOption) *Cluster {
 // pool arbitrates execution. Submitting to a closed cluster yields a
 // job already failed with ErrClusterClosed.
 func (cl *Cluster) Submit(ctx context.Context, p Problem, opts ...RunOption) *Job {
-	c := config{cluster: cl.cfg, run: applyRunOptions(opts)}
-	return cl.submitCore(ctx, p, c.coreOptions())
+	return cl.start(ctx, p, resolve(cl.base, opts))
 }
 
-// submitCore starts the job goroutine with fully merged core options.
-// The facade path enters here with its own merged config, so one-shot
-// calls and Submit run the exact same pipeline.
-func (cl *Cluster) submitCore(ctx context.Context, p core.Problem, opts core.Options) *Job {
+// start runs the job goroutine on opts, a record resolved from cl.base.
+// One-shot calls and the proof service enter here with the record their
+// own options resolved to, so every front end runs the same pipeline.
+func (cl *Cluster) start(ctx context.Context, p core.Problem, opts core.Options) *Job {
 	j := newJob(p)
 	// An explicitly narrowed per-call parallelism bound (one-shot
-	// facade calls with WithMaxParallelism) leaves Pool unset, so the
+	// facade calls with WithMaxParallelism) drops the shared Pool, so the
 	// run builds a private pool of that width: the shared pool's width
 	// is fixed and must not silently widen a caller's requested bound.
-	if opts.MaxParallelism == 0 || opts.MaxParallelism == cl.pool.Width() {
-		opts.Pool = cl.pool
+	if opts.MaxParallelism != 0 && opts.MaxParallelism != opts.Pool.Width() {
+		opts.Pool = nil
 	}
-	opts.Geometry = cl.geom
 	opts.Observer = (*jobObserver)(j)
 	cl.mu.Lock()
 	if cl.closed {
@@ -104,7 +98,7 @@ func (cl *Cluster) Close() {
 	cl.closed = true
 	cl.mu.Unlock()
 	cl.wg.Wait()
-	cl.pool.Close()
+	cl.base.Pool.Close()
 }
 
 // defaultCluster is the lazily initialized runtime behind the one-shot
@@ -123,15 +117,4 @@ var (
 func DefaultCluster() *Cluster {
 	defaultClusterOnce.Do(func() { defaultClusterInst = NewCluster() })
 	return defaultClusterInst
-}
-
-// runOneShot executes a facade call on the default cluster and waits:
-// the classic synchronous API expressed as submit + wait, sharing the
-// default cluster's pool and warm geometry. Per-call cluster-scoped
-// options (nodes, transport, an explicit parallelism bound) ride along
-// in the merged core options, so results are bit-identical to the old
-// per-call engine construction.
-func runOneShot(ctx context.Context, p core.Problem, c config) (*core.Proof, *core.Report, error) {
-	j := DefaultCluster().submitCore(ctx, p, c.coreOptions())
-	return j.Wait(ctx)
 }

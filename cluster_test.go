@@ -261,7 +261,7 @@ func TestClusterSubmissionContextCancelsJob(t *testing.T) {
 
 func TestTutteConcurrentLinesMatchSequentialDriver(t *testing.T) {
 	// The flagship consumer: the facade's concurrent FK-line driver must
-	// reproduce the sequential tutte.Compute coefficients exactly.
+	// reproduce the deletion–contraction coefficients exactly.
 	mg := RandomMultigraph(5, 6, 3)
 	res, err := TuttePolynomial(context.Background(), mg, WithSeed(2))
 	if err != nil {

@@ -31,11 +31,12 @@
 // The serve subcommand exposes the cluster as a multi-tenant HTTP proof
 // service with a content-addressed proof cache, per-tenant quotas and
 // priorities, and bounded admission (see serve.go and ARCHITECTURE.md
-// "Proof service"):
+// "Proof service"). Every common flag reaches the service's runs, the
+// adversaries and the erasure, grace and repair budgets included:
 //
 //	camelot serve -addr 127.0.0.1:8080 -nodes 4 -faults 2 -tenants alice=8:3,bob=2:1
 //
-// Every subcommand (jobs included) also takes transport fault-simulation
+// Every subcommand (jobs and serve included) also takes transport fault-simulation
 // flags: -dropnodes/-droprate/-duprate/-delayrate/-maxdelay wrap the
 // transport in a seeded lossy network, and -erasures/-grace opt the run
 // into the erasure-tolerant quorum gather that survives the losses

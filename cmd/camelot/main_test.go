@@ -1,16 +1,19 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"camelot"
+	"camelot/internal/core"
 )
 
 func TestRunSubcommands(t *testing.T) {
@@ -212,5 +215,53 @@ func TestStrictDropRefusedPromptly(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("strict run over a lossy transport still hangs")
+	}
+}
+
+// The serve subcommand's common flags are the options of every
+// preparation: `serve -grace 200ms -lie 1` used to parse both and run
+// with the default grace and no adversary.
+func TestServeFlagsReachTheRun(t *testing.T) {
+	config := func(args ...string) ([]camelot.ClusterOption, camelot.ServerConfig) {
+		fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+		var sf serveFlags
+		sf.register(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		clusterOpts, cfg, err := sf.config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return clusterOpts, cfg
+	}
+	_, cfg := config("-trials", "3", "-erasures", "1", "-grace", "200ms", "-repair", "2", "-lie", "2")
+	var run core.Options
+	for _, o := range cfg.Run {
+		o(&run)
+	}
+	if run.MaxErasures != 1 || run.GatherGrace != 200*time.Millisecond || run.MaxRepairRounds != 2 ||
+		run.VerifyTrials != 3 || run.Adversary == nil || !slices.Equal(run.Adversary.CorruptNodes(), []int{2}) {
+		t.Fatalf("serve flags resolve to %+v", run)
+	}
+
+	// End to end, on a strict run so that the liar's broadcast is always
+	// among the gathered ones.
+	clusterOpts, cfg := config("-nodes", "4", "-faults", "40", "-lie", "1")
+	cl := camelot.NewCluster(clusterOpts...)
+	defer cl.Close()
+	srv := camelot.NewServer(cl, cfg)
+	defer srv.Close()
+	out, err := srv.Submit("tenant", "triangles n=16 p=0.3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := srv.Result(ctx, out.Digest); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := srv.Status(out.Digest); err != nil || st.Suspects != 1 {
+		t.Fatalf("status: %d suspects, err %v; want the one lying node", st.Suspects, err)
 	}
 }

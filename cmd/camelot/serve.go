@@ -1,10 +1,13 @@
 package main
 
 // The serve subcommand: a long-lived proof service over one cluster.
-// Cluster geometry comes from the common flags (nodes, parallelism,
-// transport, fault tolerance); service policy — admission bounds,
-// per-tenant contracts — from the serve-specific ones. See the Server
-// type in the root package for the endpoint semantics.
+// Every common flag reaches the service's runs: the cluster-scoped ones
+// (nodes, parallelism, transport) build the cluster, the run-scoped ones
+// (fault tolerance, trials, seed, erasure/grace/repair budgets, the
+// adversaries) are the options of every preparation. Service policy —
+// admission bounds, per-tenant contracts — comes from the serve-specific
+// flags. See the Server type in the root package for the endpoint
+// semantics.
 
 import (
 	"context"
@@ -21,45 +24,69 @@ import (
 	"camelot"
 )
 
+// serveFlags are the serve subcommand's flags: the common ones plus the
+// service policy.
+type serveFlags struct {
+	commonFlags
+	addr             string
+	queue, perTenant int
+	tenants          string
+	retryAfter       time.Duration
+}
+
+func (sf *serveFlags) register(fs *flag.FlagSet) {
+	sf.commonFlags.register(fs)
+	fs.StringVar(&sf.addr, "addr", "127.0.0.1:8080", "HTTP listen address")
+	fs.IntVar(&sf.queue, "queue", 16, "max proofs in preparation across all tenants (further submissions get 429)")
+	fs.IntVar(&sf.perTenant, "tenant-inflight", 4, "default per-tenant in-flight preparation cap")
+	fs.StringVar(&sf.tenants, "tenants", "", "explicit tenant contracts as name=maxinflight:priority, comma-separated (e.g. alice=8:3,bob=2:1)")
+	fs.DurationVar(&sf.retryAfter, "retry-after", time.Second, "backoff hint attached to 429 refusals")
+}
+
+// config resolves the flags into the cluster's options and the service
+// configuration: the run scope of the common flags becomes the options
+// of every preparation.
+func (sf *serveFlags) config() ([]camelot.ClusterOption, camelot.ServerConfig, error) {
+	run, cluster, err := sf.splitOptions()
+	if err != nil {
+		return nil, camelot.ServerConfig{}, err
+	}
+	contracts, err := parseTenantContracts(sf.tenants)
+	if err != nil {
+		return nil, camelot.ServerConfig{}, err
+	}
+	return cluster, camelot.ServerConfig{
+		FaultTolerance:     sf.faults,
+		Run:                run,
+		MaxQueueDepth:      sf.queue,
+		DefaultMaxInFlight: sf.perTenant,
+		RetryAfter:         sf.retryAfter,
+		Tenants:            contracts,
+	}, nil
+}
+
 func runServe(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
-	var cf commonFlags
-	cf.register(fs)
-	addr := fs.String("addr", "127.0.0.1:8080", "HTTP listen address")
-	queue := fs.Int("queue", 16, "max proofs in preparation across all tenants (further submissions get 429)")
-	perTenant := fs.Int("tenant-inflight", 4, "default per-tenant in-flight preparation cap")
-	tenants := fs.String("tenants", "", "explicit tenant contracts as name=maxinflight:priority, comma-separated (e.g. alice=8:3,bob=2:1)")
-	retryAfter := fs.Duration("retry-after", time.Second, "backoff hint attached to 429 refusals")
+	var sf serveFlags
+	sf.register(fs)
+	fs.Usage = func() {
+		fmt.Fprintln(fs.Output(), "camelot serve: an HTTP proof service over one cluster; every common flag (-faults, -trials, -erasures, -grace, -repair, -lie, ...) configures each preparation it runs")
+		fs.PrintDefaults()
+	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// splitOptions validates the shared flags; serve uses the cluster
-	// scope directly and folds the run scope into the service config.
-	_, clusterOpts, err := cf.splitOptions()
-	if err != nil {
-		return err
-	}
-	contracts, err := parseTenantContracts(*tenants)
+	clusterOpts, cfg, err := sf.config()
 	if err != nil {
 		return err
 	}
 
 	cl := camelot.NewCluster(clusterOpts...)
 	defer cl.Close()
-	srv := camelot.NewServer(cl, camelot.ServerConfig{
-		FaultTolerance:     cf.faults,
-		MaxErasures:        cf.erasures,
-		MaxRepairRounds:    cf.repair,
-		VerifyTrials:       cf.trials,
-		VerifySeed:         cf.seed,
-		MaxQueueDepth:      *queue,
-		DefaultMaxInFlight: *perTenant,
-		RetryAfter:         *retryAfter,
-		Tenants:            contracts,
-	})
+	srv := camelot.NewServer(cl, cfg)
 	defer srv.Close()
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", sf.addr)
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
@@ -69,7 +96,7 @@ func runServe(ctx context.Context, args []string) error {
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	fmt.Printf("proof service listening on %s (nodes=%d faults=%d queue=%d)\n",
-		ln.Addr(), cf.nodes, cf.faults, *queue)
+		ln.Addr(), sf.nodes, sf.faults, sf.queue)
 	select {
 	case err := <-errc:
 		return err

@@ -6,9 +6,9 @@ import (
 	"math/big"
 	"math/rand"
 
+	"camelot"
 	"camelot/internal/chromatic"
 	"camelot/internal/cnfsat"
-	"camelot/internal/core"
 	"camelot/internal/graph"
 	"camelot/internal/hamilton"
 	"camelot/internal/permanent"
@@ -35,7 +35,7 @@ func runE6(quick bool) {
 		if err != nil {
 			panic(err)
 		}
-		proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 1})
+		proof, rep, err := camelot.RunProblem(context.Background(), p, camelot.WithNodes(4), camelot.WithSeed(1))
 		if err != nil {
 			panic(err)
 		}
@@ -67,10 +67,12 @@ func runE7(quick bool) {
 		mg := graph.RandomMultigraph(cse.n, cse.m, int64(cse.n))
 		var want [][]*big.Int
 		dcTime := timed(func() { want = tutte.DeletionContraction(mg) })
-		var res *tutte.Result
+		var res *camelot.TutteResult
 		camTime := timed(func() {
 			var err error
-			res, err = tutte.Compute(context.Background(), mg, core.Options{Nodes: 2, Seed: 2})
+			res, err = camelot.TuttePolynomial(context.Background(),
+				camelot.RandomMultigraph(cse.n, cse.m, int64(cse.n)), // the same draw as mg
+				camelot.WithNodes(2), camelot.WithSeed(2))
 			if err != nil {
 				panic(err)
 			}
@@ -128,7 +130,7 @@ func runE8(quick bool) {
 		if err != nil {
 			panic(err)
 		}
-		proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 3})
+		proof, rep, err := camelot.RunProblem(context.Background(), p, camelot.WithNodes(4), camelot.WithSeed(3))
 		if err != nil {
 			panic(err)
 		}
@@ -159,7 +161,7 @@ func runE8(quick bool) {
 		if err != nil {
 			panic(err)
 		}
-		proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 4})
+		proof, rep, err := camelot.RunProblem(context.Background(), p, camelot.WithNodes(4), camelot.WithSeed(4))
 		if err != nil {
 			panic(err)
 		}
@@ -183,7 +185,7 @@ func runE8(quick bool) {
 		if err != nil {
 			panic(err)
 		}
-		proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 5})
+		proof, rep, err := camelot.RunProblem(context.Background(), p, camelot.WithNodes(4), camelot.WithSeed(5))
 		if err != nil {
 			panic(err)
 		}
@@ -221,7 +223,7 @@ func runE9(quick bool) {
 		if err != nil {
 			panic(err)
 		}
-		proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 6})
+		proof, rep, err := camelot.RunProblem(context.Background(), p, camelot.WithNodes(4), camelot.WithSeed(6))
 		if err != nil {
 			panic(err)
 		}
@@ -239,7 +241,7 @@ func runE9(quick bool) {
 		if err != nil {
 			panic(err)
 		}
-		proofE, repE, err := core.Run(context.Background(), pe, core.Options{Nodes: 4, Seed: 7})
+		proofE, repE, err := camelot.RunProblem(context.Background(), pe, camelot.WithNodes(4), camelot.WithSeed(7))
 		if err != nil {
 			panic(err)
 		}
@@ -283,13 +285,11 @@ func runE12(quick bool) {
 	fmt.Println("| byzantine nodes | radius | outcome | identified |")
 	fmt.Println("|---|---|---|---|")
 	for _, bad := range [][]int{nil, {2}, {2, 5}, {1, 2, 5}} {
-		var adv core.Adversary = core.NoAdversary{}
+		opts := []camelot.Option{camelot.WithNodes(k), camelot.WithFaultTolerance(f), camelot.WithSeed(1)}
 		if len(bad) > 0 {
-			adv = core.NewLyingNodes(1, bad...)
+			opts = append(opts, camelot.WithAdversary(camelot.LyingNodes(1, bad...)))
 		}
-		_, rep, err := core.Run(context.Background(), p, core.Options{
-			Nodes: k, FaultTolerance: f, Adversary: adv, Seed: 1,
-		})
+		_, rep, err := camelot.RunProblem(context.Background(), p, opts...)
 		outcome := "decoded+verified"
 		identified := "-"
 		if err != nil {
@@ -300,7 +300,7 @@ func runE12(quick bool) {
 		fmt.Printf("| %v | %d | %s | %s |\n", bad, f, outcome, identified)
 	}
 	// Soundness: empirical forged-proof acceptance rate vs d/q.
-	proof, _, err := core.Run(context.Background(), p, core.Options{Seed: 2})
+	proof, _, err := camelot.RunProblem(context.Background(), p, camelot.WithSeed(2))
 	if err != nil {
 		panic(err)
 	}
@@ -312,7 +312,7 @@ func runE12(quick bool) {
 	}
 	accepted := 0
 	for seed := 0; seed < trials; seed++ {
-		ok, err := core.VerifyProof(p, proof, 1, int64(seed))
+		ok, err := camelot.VerifyProof(p, proof, 1, int64(seed))
 		if err != nil {
 			panic(err)
 		}

@@ -9,7 +9,6 @@ import (
 	"camelot"
 	"camelot/internal/cliques"
 	"camelot/internal/conv3sum"
-	"camelot/internal/core"
 	"camelot/internal/csp"
 	"camelot/internal/ff"
 	"camelot/internal/graph"
@@ -53,7 +52,7 @@ func runE1(quick bool) {
 		if err != nil {
 			panic(err)
 		}
-		proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 8, Seed: 1})
+		proof, rep, err := camelot.RunProblem(context.Background(), p, camelot.WithNodes(8), camelot.WithSeed(1))
 		if err != nil {
 			panic(err)
 		}
@@ -151,7 +150,7 @@ func runE3(quick bool) {
 		if err != nil {
 			panic(err)
 		}
-		proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 2})
+		proof, rep, err := camelot.RunProblem(context.Background(), p, camelot.WithNodes(4), camelot.WithSeed(2))
 		if err != nil {
 			panic(err)
 		}
@@ -248,7 +247,7 @@ func runE10(quick bool) {
 		if err != nil {
 			panic(err)
 		}
-		proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 3})
+		proof, rep, err := camelot.RunProblem(context.Background(), p, camelot.WithNodes(4), camelot.WithSeed(3))
 		if err != nil {
 			panic(err)
 		}
@@ -274,7 +273,7 @@ func runE10(quick bool) {
 		if err != nil {
 			panic(err)
 		}
-		proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 4})
+		proof, rep, err := camelot.RunProblem(context.Background(), p, camelot.WithNodes(4), camelot.WithSeed(4))
 		if err != nil {
 			panic(err)
 		}
@@ -327,7 +326,7 @@ func runE11(quick bool) {
 		if err != nil {
 			panic(err)
 		}
-		proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 5})
+		proof, rep, err := camelot.RunProblem(context.Background(), p, camelot.WithNodes(4), camelot.WithSeed(5))
 		if err != nil {
 			panic(err)
 		}
@@ -360,7 +359,7 @@ func runE13(quick bool) {
 		if err != nil {
 			panic(err)
 		}
-		_, rep, err := core.Run(context.Background(), p, core.Options{Nodes: k, Seed: 6})
+		_, rep, err := camelot.RunProblem(context.Background(), p, camelot.WithNodes(k), camelot.WithSeed(6))
 		if err != nil {
 			panic(err)
 		}

@@ -3,8 +3,8 @@ package main
 import (
 	"context"
 
+	"camelot"
 	"camelot/internal/conv3sum"
-	"camelot/internal/core"
 )
 
 // arrayIdentity returns [1, 2, ..., n]: every (i, ℓ) pair is a
@@ -18,12 +18,12 @@ func arrayIdentity(n int) []uint64 {
 }
 
 // conv3sumRun executes the Camelot Convolution3SUM run.
-func conv3sumRun(a []uint64, t int) (*conv3sum.Problem, *core.Report, []int64) {
+func conv3sumRun(a []uint64, t int) (*conv3sum.Problem, *camelot.Report, []int64) {
 	p, err := conv3sum.NewProblem(a, t)
 	if err != nil {
 		panic(err)
 	}
-	proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 8})
+	proof, rep, err := camelot.RunProblem(context.Background(), p, camelot.WithNodes(4), camelot.WithSeed(8))
 	if err != nil {
 		panic(err)
 	}

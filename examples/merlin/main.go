@@ -10,7 +10,6 @@ import (
 	"log"
 
 	"camelot"
-	"camelot/internal/core"
 	"camelot/internal/permanent"
 )
 
@@ -32,7 +31,7 @@ func main() {
 
 	// Merlin materializes and instantaneously supplies the proof (we
 	// let a single node prepare it; Merlin would just know it).
-	proof, _, err := core.Run(context.Background(), p, core.Options{Seed: 1})
+	proof, _, err := camelot.RunProblem(context.Background(), p, camelot.WithSeed(1))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,15 +17,6 @@ func New(n int) Set {
 	return Set{words: make([]uint64, (n+63)/64), n: n}
 }
 
-// FromMask returns a set over n <= 64 elements initialized from mask bits.
-func FromMask(n int, mask uint64) Set {
-	s := New(n)
-	if len(s.words) > 0 {
-		s.words[0] = mask
-	}
-	return s
-}
-
 // Len returns the universe size.
 func (s Set) Len() int { return s.n }
 
@@ -108,18 +99,4 @@ func (s Set) Word(w int) uint64 {
 		return 0
 	}
 	return s.words[w]
-}
-
-// SubsetSumIter iterates, in increasing mask order, over all submasks of
-// mask (including 0 and mask itself), calling fn for each. It exists for
-// callers that enumerate sub-families of a ground set encoded in 64 bits.
-func SubsetSumIter(mask uint64, fn func(sub uint64)) {
-	sub := uint64(0)
-	for {
-		fn(sub)
-		if sub == mask {
-			return
-		}
-		sub = (sub - mask) & mask
-	}
 }

@@ -56,10 +56,19 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// setOf returns the set of elems over a universe of n.
+func setOf(n int, elems ...int) Set {
+	s := New(n)
+	for _, i := range elems {
+		s.Add(i)
+	}
+	return s
+}
+
 func TestIntersectsAndContainsAll(t *testing.T) {
-	a := FromMask(10, 0b1011)
-	b := FromMask(10, 0b0010)
-	c := FromMask(10, 0b0100)
+	a := setOf(10, 0, 1, 3)
+	b := setOf(10, 1)
+	c := setOf(10, 2)
 	if !a.IntersectsWith(b) {
 		t.Fatal("a should intersect b")
 	}
@@ -74,8 +83,8 @@ func TestIntersectsAndContainsAll(t *testing.T) {
 	}
 }
 
-func TestFromMaskAndWord(t *testing.T) {
-	s := FromMask(8, 0b10110001)
+func TestWord(t *testing.T) {
+	s := setOf(8, 0, 4, 5, 7)
 	if s.Word(0) != 0b10110001 {
 		t.Fatalf("Word(0) = %b", s.Word(0))
 	}
@@ -84,25 +93,5 @@ func TestFromMaskAndWord(t *testing.T) {
 	}
 	if s.Count() != 4 {
 		t.Fatalf("Count = %d", s.Count())
-	}
-}
-
-func TestSubsetSumIter(t *testing.T) {
-	var subs []uint64
-	SubsetSumIter(0b101, func(sub uint64) { subs = append(subs, sub) })
-	want := []uint64{0b000, 0b001, 0b100, 0b101}
-	if len(subs) != len(want) {
-		t.Fatalf("got %v", subs)
-	}
-	for i := range want {
-		if subs[i] != want[i] {
-			t.Fatalf("got %v, want %v", subs, want)
-		}
-	}
-	// Empty mask iterates exactly once.
-	n := 0
-	SubsetSumIter(0, func(uint64) { n++ })
-	if n != 1 {
-		t.Fatalf("empty mask iterated %d times", n)
 	}
 }

@@ -10,6 +10,7 @@ package chromatic
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 
 	"camelot/internal/bipoly"
 	"camelot/internal/core"
@@ -62,26 +63,13 @@ func (p *Problem) Degree() int { return p.split.Degree() }
 // MinModulus implements core.Problem: above the proof degree, floored
 // at 2^20 to keep the CRT prime count low.
 func (p *Problem) MinModulus() uint64 {
-	min := uint64(p.split.Degree()) + 2
-	if min < 1<<20 {
-		min = 1 << 20
-	}
-	return min
+	return crt.FloorModulus(uint64(p.split.Degree()) + 2)
 }
 
 // NumPrimes implements core.Problem: χ_G(t) <= (n+1)^n over the grid.
 func (p *Problem) NumPrimes() int {
 	bound := new(big.Int).Exp(big.NewInt(int64(p.n)+1), big.NewInt(int64(p.n)), nil)
-	bits := bound.BitLen()
-	per := new(big.Int).SetUint64(p.MinModulus()).BitLen() - 1
-	if per < 1 {
-		per = 1
-	}
-	np := (bits + per - 1) / per
-	if np < 1 {
-		np = 1
-	}
-	return np
+	return crt.PrimesFor(bound.BitLen(), p.MinModulus())
 }
 
 // nodeG computes the §9.2 node function in O*(2^{n/2}): a zeta transform
@@ -98,7 +86,7 @@ func (p *Problem) nodeG(f ff.Field, x0 uint64) []bipoly.Poly {
 	gB := make([]bipoly.Poly, 1<<uint(nb))
 	for bm := uint64(0); bm <= fullB; bm++ {
 		if p.g.IsIndependentMask(bm << uint(ne)) {
-			gB[bm] = ring.Monomial(0, popcount(bm), xp.ForMask(bm))
+			gB[bm] = ring.Monomial(0, bits.OnesCount64(bm), xp.ForMask(bm))
 		}
 	}
 	// gB = zeta(fB) over the B lattice.
@@ -111,7 +99,7 @@ func (p *Problem) nodeG(f ff.Field, x0 uint64) []bipoly.Poly {
 			continue
 		}
 		nbrB := (p.g.NeighborhoodMask(em) >> uint(ne)) & fullB
-		g[em] = ring.MulMonomial(gB[fullB&^nbrB], popcount(em), 0, 1)
+		g[em] = ring.MulMonomial(gB[fullB&^nbrB], bits.OnesCount64(em), 0, 1)
 	}
 	// g = zeta(f̂E) over the E lattice.
 	yates.Zeta(ne, g, ring.AddInPlace)
@@ -158,7 +146,7 @@ func (p *Problem) buildMasks() {
 	fullB := uint64(1)<<uint(nb) - 1
 	for bm := uint64(0); bm <= fullB; bm++ {
 		if p.g.IsIndependentMask(bm << uint(ne)) {
-			p.masks.b = append(p.masks.b, bMask{mask: bm, pop: popcount(bm)})
+			p.masks.b = append(p.masks.b, bMask{mask: bm, pop: bits.OnesCount64(bm)})
 		}
 	}
 	for em := uint64(0); em < 1<<uint(ne); em++ {
@@ -166,7 +154,7 @@ func (p *Problem) buildMasks() {
 			continue
 		}
 		nbrB := (p.g.NeighborhoodMask(em) >> uint(ne)) & fullB
-		p.masks.e = append(p.masks.e, eMask{mask: em, comp: fullB &^ nbrB, pop: popcount(em)})
+		p.masks.e = append(p.masks.e, eMask{mask: em, comp: fullB &^ nbrB, pop: bits.OnesCount64(em)})
 	}
 }
 
@@ -225,12 +213,8 @@ func (c *compiled) EvaluateBlock(xs []uint64) ([][]uint64, error) {
 func (p *Problem) Values(proof *core.Proof) ([]*big.Int, error) {
 	idx := p.split.TargetIndex()
 	out := make([]*big.Int, p.n+1)
-	residues := make([]uint64, len(proof.Primes))
 	for t := 1; t <= p.n+1; t++ {
-		for i, q := range proof.Primes {
-			residues[i] = proof.Coeffs[q][t-1][idx]
-		}
-		v, err := crt.Reconstruct(residues, proof.Primes)
+		v, err := crt.Reconstruct(proof.CoeffResidues(t-1, idx), proof.Primes)
 		if err != nil {
 			return nil, fmt.Errorf("chromatic: t=%d: %w", t, err)
 		}
@@ -256,15 +240,6 @@ func (p *Problem) Coefficients(proof *core.Proof) ([]*big.Int, error) {
 		return nil, fmt.Errorf("chromatic: %w", err)
 	}
 	return coeffs, nil
-}
-
-func popcount(x uint64) int {
-	c := 0
-	for x != 0 {
-		x &= x - 1
-		c++
-	}
-	return c
 }
 
 // --- Sequential baselines ----------------------------------------------------

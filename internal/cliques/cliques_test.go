@@ -272,6 +272,37 @@ func TestCamelotSixCliqueEndToEnd(t *testing.T) {
 	}
 }
 
+// TestDecompositionsChangeProofGeometry: the decomposition is the proof's
+// geometry — Strassen's rank 7³ = 343 against the trivial 8³ = 512 on K8
+// is a smaller proof of the same count — and tensor.Trivial is the
+// reference the production Strassen design is held to.
+func TestDecompositionsChangeProofGeometry(t *testing.T) {
+	g := graph.Complete(8)
+	run := func(base tensor.Decomposition) (*big.Int, *core.Report) {
+		p, err := NewProblem(g, 6, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		count, err := p.Recover(proof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return count, rep
+	}
+	countS, repS := run(tensor.Strassen())
+	countT, repT := run(tensor.Trivial(2))
+	if countS.Cmp(countT) != 0 || countS.Int64() != 28 {
+		t.Fatalf("6-cliques of K8: strassen %v, trivial %v, want 28", countS, countT)
+	}
+	if repS.ProofSymbols >= repT.ProofSymbols {
+		t.Fatalf("strassen proof %d not smaller than trivial %d", repS.ProofSymbols, repT.ProofSymbols)
+	}
+}
+
 func TestCamelotCliqueRejectsBadGraphArgs(t *testing.T) {
 	g := graph.Complete(6)
 	if _, err := NewProblem(g, 5, tensor.Strassen()); err == nil {

@@ -141,11 +141,7 @@ func (p *Problem) Degree() int { return 3 * (p.dc.R() - 1) }
 // MinModulus implements core.Problem: q >= 3R+1 enables interpolation
 // (paper §5.2); the 2^20 floor keeps the CRT prime count low.
 func (p *Problem) MinModulus() uint64 {
-	min := uint64(3*p.dc.R() + 1)
-	if min < 1<<20 {
-		min = 1 << 20
-	}
-	return min
+	return crt.FloorModulus(uint64(3*p.dc.R() + 1))
 }
 
 // CountBound returns N^6 · multinomial-free upper bound on X: the form
@@ -157,25 +153,7 @@ func (p *Problem) CountBound() *big.Int {
 
 // NumPrimes implements core.Problem.
 func (p *Problem) NumPrimes() int {
-	return numPrimesFor(p.CountBound(), p.MinModulus())
-}
-
-// numPrimesFor returns how many primes >= minQ are needed so their
-// product exceeds bound.
-func numPrimesFor(bound *big.Int, minQ uint64) int {
-	if minQ < 2 {
-		minQ = 2
-	}
-	bits := bound.BitLen()
-	perPrime := new(big.Int).SetUint64(minQ).BitLen() - 1
-	if perPrime < 1 {
-		perPrime = 1
-	}
-	n := (bits + perPrime - 1) / perPrime
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return crt.PrimesFor(p.CountBound().BitLen(), p.MinModulus())
 }
 
 // buildForm constructs the (6,2)-form of χ over the field: the
@@ -244,11 +222,7 @@ func (c *compiled) EvaluateBlock(xs []uint64) ([][]uint64, error) {
 // then division by the k!/(s!)^6 overcount.
 func (p *Problem) Recover(proof *core.Proof) (*big.Int, error) {
 	r := uint64(p.dc.R())
-	residues := make([]uint64, len(proof.Primes))
-	for i, q := range proof.Primes {
-		residues[i] = proof.SumRange(q, 0, 1, r+1)
-	}
-	x, err := crt.Reconstruct(residues, proof.Primes)
+	x, err := crt.Reconstruct(proof.SumRanges(0, 1, r+1), proof.Primes)
 	if err != nil {
 		return nil, fmt.Errorf("cliques: %w", err)
 	}
@@ -310,7 +284,7 @@ func CountNesetrilPoljak(g *graph.Graph, k int) (*big.Int, error) {
 	}
 	bound := new(big.Int).Exp(big.NewInt(int64(sm.N)), big.NewInt(6), nil)
 	minQ := uint64(1) << 40
-	primes, err := core.ChoosePrimes(numPrimesFor(bound, minQ), minQ, 4)
+	primes, err := core.ChoosePrimes(crt.PrimesFor(bound.BitLen(), minQ), minQ, 4)
 	if err != nil {
 		return nil, err
 	}
@@ -349,12 +323,7 @@ func CountParts(g *graph.Graph, k int, base tensor.Decomposition, parallelism in
 	if err != nil {
 		return nil, err
 	}
-	bound := p.CountBound()
-	minQ := p.MinModulus()
-	if minQ < 1<<20 {
-		minQ = 1 << 20
-	}
-	primes, err := core.ChoosePrimes(numPrimesFor(bound, minQ), minQ, 4)
+	primes, err := core.ChoosePrimes(p.NumPrimes(), p.MinModulus(), 4)
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 	"math/big"
 
 	"camelot/internal/core"
+	"camelot/internal/crt"
 	"camelot/internal/ff"
 	"camelot/internal/plan"
 	"camelot/internal/poly"
@@ -65,11 +66,7 @@ func (p *Problem) Degree() int {
 // MinModulus implements core.Problem: counts c_i <= n/2 need q > n; the
 // 2^20 floor keeps one prime.
 func (p *Problem) MinModulus() uint64 {
-	min := uint64(p.n + 1)
-	if min < 1<<20 {
-		min = 1 << 20
-	}
-	return min
+	return crt.FloorModulus(uint64(p.n + 1))
 }
 
 // NumPrimes implements core.Problem.

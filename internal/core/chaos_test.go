@@ -37,7 +37,7 @@ type chaosScenario struct {
 	maxErasures    int
 	repair         int // MaxRepairRounds (0: self-healing off)
 	grace          time.Duration
-	transport      func(seed int64, k int) Transport
+	transport      func(seed int64, k int) (Transport, error)
 	adversary      func(seed int64) Adversary
 	wantErr        error // nil: run must succeed with the baseline proof
 	wantMissing    []int // exact MissingNodes to assert (nil skips)
@@ -51,29 +51,19 @@ type chaosScenario struct {
 // erasures, one lying node costs 2 errors. Geometry B (k=5, f=1) has
 // budget 2, so losing two nodes (4 erasures) is unrecoverable.
 func chaosScenarios() []chaosScenario {
-	lossy := func(cfg LossyConfig) func(int64, int) Transport {
-		return func(seed int64, k int) Transport {
+	// A scenario's transport is a lossy wrapper, seeded per run, over the
+	// bus or over an ephemeral loopback collector (a bind failure surfaces
+	// through the run as the factory's error).
+	tcp := NewTCPFactory(TCPConfig{ListenAddr: "127.0.0.1:0"})
+	lossyOver := func(inner TransportFactory, cfg LossyConfig) func(int64, int) (Transport, error) {
+		return func(seed int64, k int) (Transport, error) {
 			cfg := cfg
 			cfg.Seed = seed
-			return NewLossyTransport(NewBroadcastBus(k), cfg)
+			return NewLossyFactory(cfg, inner)(k)
 		}
 	}
-	// tcp binds an ephemeral loopback collector per run; a bind
-	// failure surfaces through the run as a typed transport error.
-	tcp := func(k int) Transport {
-		t, err := NewTCPTransport(k, TCPConfig{ListenAddr: "127.0.0.1:0"})
-		if err != nil {
-			return FailedTransport(err)
-		}
-		return t
-	}
-	lossyTCP := func(cfg LossyConfig) func(int64, int) Transport {
-		return func(seed int64, k int) Transport {
-			cfg := cfg
-			cfg.Seed = seed
-			return NewLossyTransport(tcp(k), cfg)
-		}
-	}
+	lossy := func(cfg LossyConfig) func(int64, int) (Transport, error) { return lossyOver(nil, cfg) }
+	lossyTCP := func(cfg LossyConfig) func(int64, int) (Transport, error) { return lossyOver(tcp, cfg) }
 	return []chaosScenario{
 		{
 			// Every message held by the network and delivered out of
@@ -128,7 +118,7 @@ func chaosScenarios() []chaosScenario {
 			// all eight nodes over loopback TCP frames.
 			name:  "tcp-clean-strict",
 			nodes: 8, faults: 4,
-			transport:    func(_ int64, k int) Transport { return tcp(k) },
+			transport:    func(_ int64, k int) (Transport, error) { return tcp(k) },
 			wantMissing:  []int{},
 			wantSuspects: []int{},
 		},
@@ -346,7 +336,7 @@ func TestChaosScenarios(t *testing.T) {
 					MaxRepairRounds: sc.repair,
 					GatherGrace:     sc.grace,
 					Seed:            seed,
-					NewTransport:    func(k int) Transport { return sc.transport(seed, k) },
+					NewTransport:    func(k int) (Transport, error) { return sc.transport(seed, k) },
 					Observer:        obs,
 				}
 				if sc.adversary != nil {
@@ -427,8 +417,8 @@ func TestChaosLossRunsAreReproducible(t *testing.T) {
 	run := func() (*Proof, *Report) {
 		proof, rep, err := Run(ctx, p, Options{
 			Nodes: 8, FaultTolerance: 4, MaxErasures: 2, GatherGrace: 2 * time.Second,
-			NewTransport: func(k int) Transport {
-				return NewLossyTransport(NewBroadcastBus(k), LossyConfig{Seed: 99, DropNodes: []int{1, 4}})
+			NewTransport: func(k int) (Transport, error) {
+				return NewLossyTransport(NewBroadcastBus(k), LossyConfig{Seed: 99, DropNodes: []int{1, 4}}), nil
 			},
 		})
 		if err != nil {

@@ -106,6 +106,28 @@ func (p *Proof) SumRange(prime uint64, w int, lo, hi uint64) uint64 {
 	return acc
 }
 
+// SumRanges returns SumRange(q, w, lo, hi) for every prime q, in Primes
+// order: the residues from which the CRT reconstructs an answer that is
+// an evaluation sum.
+func (p *Proof) SumRanges(w int, lo, hi uint64) []uint64 {
+	residues := make([]uint64, len(p.Primes))
+	for i, q := range p.Primes {
+		residues[i] = p.SumRange(q, w, lo, hi)
+	}
+	return residues
+}
+
+// CoeffResidues returns coefficient i of coordinate w modulo every
+// prime, in Primes order: the residues of an answer that is a
+// coefficient of the proof polynomial.
+func (p *Proof) CoeffResidues(w, i int) []uint64 {
+	residues := make([]uint64, len(p.Primes))
+	for pi, q := range p.Primes {
+		residues[pi] = p.Coeffs[q][w][i]
+	}
+	return residues
+}
+
 // Size returns the proof size in field symbols: Width·(d+1) per prime —
 // the quantity every theorem in the paper bounds.
 func (p *Proof) Size() int {
@@ -241,13 +263,16 @@ func (o Options) withDefaults() Options {
 		o.VerifyTrials = 1
 	}
 	if o.NewTransport == nil {
-		o.NewTransport = func(k int) Transport { return NewBroadcastBus(k) }
+		o.NewTransport = newBusTransport
 	}
 	if o.GatherGrace == 0 {
 		o.GatherGrace = 2 * time.Second
 	}
 	return o
 }
+
+// newBusTransport is the default TransportFactory.
+func newBusTransport(k int) (Transport, error) { return NewBroadcastBus(k), nil }
 
 // PointAssignment maps evaluation-point indices to owner nodes in
 // contiguous balanced blocks, so each node performs ⌈e/K⌉ or ⌊e/K⌋

@@ -387,8 +387,12 @@ func (en *engine) round(ctx context.Context, n int, ranges []assignment) error {
 		// A transport that can assign work to remote workers flips the
 		// engine into remote mode: manifests go out instead of local
 		// evaluation, and frames stream back through the same gather.
-		en.tr = en.opts.NewTransport(en.k)
-		en.remote, _ = en.tr.(RemoteAssigner)
+		tr, err := en.opts.NewTransport(en.k)
+		if err != nil {
+			return err
+		}
+		en.tr = tr
+		en.remote, _ = tr.(RemoteAssigner)
 	} else {
 		en.obs.RepairRound(n, append([]int(nil), en.missing...))
 	}

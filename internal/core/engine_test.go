@@ -190,9 +190,9 @@ func TestRunWithCustomTransport(t *testing.T) {
 	ct := &countingTransport{}
 	opts := Options{
 		Nodes: 4,
-		NewTransport: func(k int) Transport {
+		NewTransport: func(k int) (Transport, error) {
 			ct.BroadcastBus = NewBroadcastBus(k)
-			return ct
+			return ct, nil
 		},
 	}
 	_, rep, err := Run(context.Background(), testProblem(), opts)
@@ -232,7 +232,7 @@ func TestRunFailingGatherDoesNotDeadlock(t *testing.T) {
 	boom := errors.New("collector died")
 	opts := Options{
 		Nodes:        4,
-		NewTransport: func(k int) Transport { return &blockingSendTransport{gatherErr: boom} },
+		NewTransport: func(k int) (Transport, error) { return &blockingSendTransport{gatherErr: boom}, nil },
 	}
 	done := make(chan error, 1)
 	go func() {
@@ -386,8 +386,8 @@ func TestDecodeWallCoversPlanConstruction(t *testing.T) {
 	bg := context.Background()
 	en, err := newEngine(testProblem(), Options{
 		Nodes: 8, FaultTolerance: 2000, MaxErasures: 1, GatherGrace: 50 * time.Millisecond,
-		NewTransport: func(k int) Transport {
-			return NewLossyTransport(NewBroadcastBus(k), LossyConfig{Seed: 1, DropNodes: []int{3}})
+		NewTransport: func(k int) (Transport, error) {
+			return NewLossyTransport(NewBroadcastBus(k), LossyConfig{Seed: 1, DropNodes: []int{3}}), nil
 		},
 	})
 	if err != nil {

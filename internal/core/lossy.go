@@ -80,9 +80,15 @@ func NewLossyTransport(inner Transport, cfg LossyConfig) *LossyTransport {
 // BroadcastBus).
 func NewLossyFactory(cfg LossyConfig, inner TransportFactory) TransportFactory {
 	if inner == nil {
-		inner = func(k int) Transport { return NewBroadcastBus(k) }
+		inner = newBusTransport
 	}
-	return func(k int) Transport { return NewLossyTransport(inner(k), cfg) }
+	return func(k int) (Transport, error) {
+		tr, err := inner(k)
+		if err != nil {
+			return nil, err
+		}
+		return NewLossyTransport(tr, cfg), nil
+	}
 }
 
 // chance maps a hash draw to [0, 1).

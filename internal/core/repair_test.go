@@ -48,7 +48,7 @@ func TestRepairSecondRound(t *testing.T) {
 	proof, rep, err := Run(ctx, p, Options{
 		Nodes: 5, FaultTolerance: 1,
 		MaxErasures: 2, MaxRepairRounds: 2, GatherGrace: 100 * time.Millisecond,
-		NewTransport: func(k int) Transport {
+		NewTransport: func(k int) (Transport, error) {
 			return &filterTransport{
 				BroadcastBus: NewBroadcastBus(k),
 				dropFn: func(m NodeShares) bool {
@@ -57,7 +57,7 @@ func TestRepairSecondRound(t *testing.T) {
 					}
 					return m.Round == 1 // first repair round lost wholesale
 				},
-			}
+			}, nil
 		},
 	})
 	if err != nil {
@@ -86,13 +86,13 @@ func TestRepairExhaustedStaysTyped(t *testing.T) {
 	_, _, err := Run(context.Background(), p, Options{
 		Nodes: 5, FaultTolerance: 1,
 		MaxErasures: 2, MaxRepairRounds: 1, GatherGrace: 100 * time.Millisecond,
-		NewTransport: func(k int) Transport {
+		NewTransport: func(k int) (Transport, error) {
 			return &filterTransport{
 				BroadcastBus: NewBroadcastBus(k),
 				dropFn: func(m NodeShares) bool {
 					return m.Round > 0 || m.ID == 1 || m.ID == 3
 				},
-			}
+			}, nil
 		},
 	})
 	if !errors.Is(err, rs.ErrDecodeFailure) {
@@ -150,8 +150,8 @@ func TestRepairDropsMutatedStaleReplay(t *testing.T) {
 	proof, rep, err := Run(ctx, p, Options{
 		Nodes: 5, FaultTolerance: 1,
 		MaxErasures: 2, MaxRepairRounds: 1, GatherGrace: 2 * time.Second,
-		NewTransport: func(k int) Transport {
-			return &replayTransport{BroadcastBus: NewBroadcastBus(k)}
+		NewTransport: func(k int) (Transport, error) {
+			return &replayTransport{BroadcastBus: NewBroadcastBus(k)}, nil
 		},
 	})
 	if err != nil {
@@ -353,13 +353,13 @@ func TestRepairProgressNeverOverCredits(t *testing.T) {
 		Nodes: 5, FaultTolerance: 1,
 		MaxErasures: 2, MaxRepairRounds: 1, GatherGrace: 100 * time.Millisecond,
 		Observer: obs,
-		NewTransport: func(k int) Transport {
+		NewTransport: func(k int) (Transport, error) {
 			return &filterTransport{
 				BroadcastBus: NewBroadcastBus(k),
 				dropFn: func(m NodeShares) bool {
 					return m.Round == 0 && (m.ID == 1 || m.ID == 3)
 				},
-			}
+			}, nil
 		},
 	})
 	if err != nil {

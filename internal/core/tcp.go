@@ -309,30 +309,12 @@ func (t *TCPTransport) Close() {
 }
 
 // NewTCPFactory adapts NewTCPTransport to the TransportFactory shape.
-// A factory cannot return an error, so a failed construction (bad
-// address, bind failure) yields a transport whose every method reports
-// it — the run fails with the root cause on first use.
 func NewTCPFactory(cfg TCPConfig) TransportFactory {
-	return func(k int) Transport {
+	return func(k int) (Transport, error) {
 		t, err := NewTCPTransport(k, cfg)
 		if err != nil {
-			return FailedTransport(err)
+			return nil, err
 		}
-		return t
+		return t, nil
 	}
 }
-
-// FailedTransport returns a Transport whose every method fails with
-// err — the factory-shaped surface for construction failures.
-func FailedTransport(err error) Transport { return failedTransport{err} }
-
-type failedTransport struct{ err error }
-
-func (t failedTransport) Send(context.Context, NodeShares) error { return t.err }
-func (t failedTransport) Gather(context.Context, int) ([]NodeShares, error) {
-	return nil, t.err
-}
-func (t failedTransport) GatherQuorum(context.Context, GatherSpec) ([]NodeShares, error) {
-	return nil, t.err
-}
-func (t failedTransport) Close() {}

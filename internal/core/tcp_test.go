@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 )
@@ -35,7 +36,7 @@ func TestTCPRunMatchesBus(t *testing.T) {
 	}
 	tcpProof, rep, err := Run(ctx, p, Options{
 		Nodes: 6, FaultTolerance: 3, Seed: 9,
-		NewTransport: func(k int) Transport { return tcpLoopback(t, k) },
+		NewTransport: func(k int) (Transport, error) { return tcpLoopback(t, k), nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,8 +61,8 @@ func TestTCPQuorumWithLoss(t *testing.T) {
 	}
 	proof, rep, err := Run(ctx, p, Options{
 		Nodes: 8, FaultTolerance: 4, MaxErasures: 2, GatherGrace: 2 * time.Second,
-		NewTransport: func(k int) Transport {
-			return NewLossyTransport(tcpLoopback(t, k), LossyConfig{DropNodes: []int{2, 5}})
+		NewTransport: func(k int) (Transport, error) {
+			return NewLossyTransport(tcpLoopback(t, k), LossyConfig{DropNodes: []int{2, 5}}), nil
 		},
 	})
 	if err != nil {
@@ -246,20 +247,18 @@ func TestTCPGatherCancellation(t *testing.T) {
 	}
 }
 
-// TestTCPFactoryFailureSurfaces: a factory whose bind fails must yield
-// a transport that reports the root cause, and a run using it must
-// fail with that cause instead of hanging.
+// TestTCPFactoryFailureSurfaces: a factory whose bind fails reports the
+// root cause, and a run using it fails with that cause instead of
+// hanging.
 func TestTCPFactoryFailureSurfaces(t *testing.T) {
 	factory := NewTCPFactory(TCPConfig{ListenAddr: "this is not:a bindable:address"})
-	tr := factory(4)
-	if _, ok := tr.(failedTransport); !ok {
-		t.Fatalf("factory with unbindable address returned %T, want failedTransport", tr)
+	_, bindErr := factory(4)
+	if bindErr == nil {
+		t.Fatal("factory with unbindable address returned no error")
 	}
-	_, _, err := Run(context.Background(), testProblem(), Options{
-		Nodes: 2, NewTransport: func(k int) Transport { return factory(k) },
-	})
-	if err == nil {
-		t.Fatal("run with unbindable collector succeeded")
+	_, _, err := Run(context.Background(), testProblem(), Options{Nodes: 2, NewTransport: factory})
+	if err == nil || !strings.Contains(err.Error(), bindErr.Error()) {
+		t.Fatalf("run with unbindable collector: err = %v, want the bind failure %v", err, bindErr)
 	}
 }
 

@@ -149,10 +149,12 @@ type SendDrainer interface {
 	DrainSends(ctx context.Context) error
 }
 
-// TransportFactory builds a fresh Transport for a run of k nodes. A
-// factory rather than an instance, because a Transport holds per-run
-// message state while Options values are routinely reused across runs.
-type TransportFactory func(k int) Transport
+// TransportFactory builds a fresh Transport for a run of k nodes, or
+// says why it cannot (a bind failure, a node count the transport was not
+// built for); round 0 returns that as the run's error. A factory rather
+// than an instance, because a Transport holds per-run message state
+// while Options values are routinely reused across runs.
+type TransportFactory func(k int) (Transport, error)
 
 // AssignSpec names one point range the engine wants evaluated remotely:
 // the logical node that owns it (what decoders index by), the gather

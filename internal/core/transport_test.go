@@ -355,8 +355,8 @@ func TestRunStrictModeRefusesLossPromptly(t *testing.T) {
 	} {
 		_, _, err := Run(ctx, testProblem(), Options{
 			Nodes: 4, FaultTolerance: 4,
-			NewTransport: func(k int) Transport {
-				return NewLossyTransport(inner(k), LossyConfig{DropNodes: []int{2}})
+			NewTransport: func(k int) (Transport, error) {
+				return NewLossyTransport(inner(k), LossyConfig{DropNodes: []int{2}}), nil
 			},
 		})
 		if err == nil || !strings.Contains(err.Error(), "transport delivered no message from node 2") {
@@ -498,8 +498,8 @@ func TestLossyDelayedSendErrorFailsTheRun(t *testing.T) {
 	defer cancel()
 	_, _, err := Run(ctx, testProblem(), Options{
 		Nodes: 2, FaultTolerance: 1,
-		NewTransport: func(k int) Transport {
-			return NewLossyTransport(&erroringTransport{BroadcastBus: NewBroadcastBus(k), err: boom}, cfg)
+		NewTransport: func(k int) (Transport, error) {
+			return NewLossyTransport(&erroringTransport{BroadcastBus: NewBroadcastBus(k), err: boom}, cfg), nil
 		},
 	})
 	if !errors.Is(err, boom) {
@@ -538,8 +538,8 @@ func TestMalformedShapeIsDeliveryFaultNotPanic(t *testing.T) {
 	forge := NodeShares{ID: 3, Lo: 0, Hi: 1, Vals: nil}
 	proof, rep, err := Run(ctx, p, Options{
 		Nodes: 8, FaultTolerance: 4, MaxErasures: 1, GatherGrace: 2 * time.Second,
-		NewTransport: func(k int) Transport {
-			return &forgingTransport{BroadcastBus: NewBroadcastBus(2 * k), forge: forge}
+		NewTransport: func(k int) (Transport, error) {
+			return &forgingTransport{BroadcastBus: NewBroadcastBus(2 * k), forge: forge}, nil
 		},
 	})
 	if err != nil {
@@ -562,8 +562,8 @@ func TestMalformedShapeIsDeliveryFaultNotPanic(t *testing.T) {
 	// Strict mode: typed refusal, not a panic, not a hang.
 	_, _, err = Run(ctx, p, Options{
 		Nodes: 8, FaultTolerance: 4,
-		NewTransport: func(k int) Transport {
-			return &forgingTransport{BroadcastBus: NewBroadcastBus(2 * k), forge: forge}
+		NewTransport: func(k int) (Transport, error) {
+			return &forgingTransport{BroadcastBus: NewBroadcastBus(2 * k), forge: forge}, nil
 		},
 	})
 	if err == nil {
@@ -584,8 +584,8 @@ func TestForgedErrFrameIsDeliveryFaultInQuorumMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	forge := NodeShares{ID: 2, Err: errors.New("forged: the node is fine")}
-	newTransport := func(k int) Transport {
-		return &forgingTransport{BroadcastBus: NewBroadcastBus(2 * k), forge: forge}
+	newTransport := func(k int) (Transport, error) {
+		return &forgingTransport{BroadcastBus: NewBroadcastBus(2 * k), forge: forge}, nil
 	}
 	// Quorum mode: the forged report erases node 2 at worst; the
 	// honest copy of node 2's shares arrives later and may still win.

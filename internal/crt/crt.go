@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"math/bits"
 )
 
 // ErrMismatch is returned when residue and modulus slices disagree in
@@ -61,12 +62,18 @@ func ReconstructSigned(residues, moduli []uint64) (*big.Int, error) {
 	return x, nil
 }
 
-// ProductBits returns the bit length of the product of the moduli: the
-// capacity check for "do we have enough primes for this bound".
-func ProductBits(moduli []uint64) int {
-	m := big.NewInt(1)
-	for _, q := range moduli {
-		m.Mul(m, new(big.Int).SetUint64(q))
-	}
-	return m.BitLen()
+// FloorModulus raises the modulus a problem's design needs to the 2^20
+// floor every problem of the zoo shares: it keeps the CRT prime count low
+// and the verifier's soundness error d/q small however little the
+// problem's own degree demands.
+func FloorModulus(need uint64) uint64 {
+	return max(need, 1<<20)
+}
+
+// PrimesFor returns how many primes ≥ minQ make a product that exceeds
+// every bound of boundBits bits: each prime contributes at least
+// bitlen(minQ)-1 bits, and a proof has at least one prime.
+func PrimesFor(boundBits int, minQ uint64) int {
+	per := max(bits.Len64(minQ)-1, 1)
+	return max((boundBits+per-1)/per, 1)
 }

@@ -83,8 +83,26 @@ func TestReconstructSigned(t *testing.T) {
 	}
 }
 
-func TestProductBits(t *testing.T) {
-	if got := ProductBits([]uint64{2, 2}); got != 3 { // product 4 -> 3 bits
-		t.Fatalf("ProductBits = %d, want 3", got)
+// TestPrimesFor holds the word-sized arithmetic to its definition — bits
+// of the bound over (bit length of minQ, less one), rounded up, at least
+// one — and pins the floor.
+func TestPrimesFor(t *testing.T) {
+	for _, minQ := range []uint64{0, 1, 2, 3, 97, 1 << 20, 1<<20 + 7, 1 << 40, 1<<61 - 1} {
+		per := new(big.Int).SetUint64(minQ).BitLen() - 1
+		if per < 1 {
+			per = 1
+		}
+		for _, bits := range []int{0, 1, 19, 20, 21, 40, 41, 64, 1000} {
+			want := (bits + per - 1) / per
+			if want < 1 {
+				want = 1
+			}
+			if got := PrimesFor(bits, minQ); got != want {
+				t.Errorf("PrimesFor(%d, %d) = %d, want %d", bits, minQ, got, want)
+			}
+		}
+	}
+	if FloorModulus(5) != 1<<20 || FloorModulus(1<<20+1) != 1<<20+1 {
+		t.Errorf("FloorModulus(5), FloorModulus(2^20+1) = %d, %d", FloorModulus(5), FloorModulus(1<<20+1))
 	}
 }

@@ -194,11 +194,7 @@ func (p *Problem) Degree() int { return 3 * (p.dc.R() - 1) }
 
 // MinModulus implements core.Problem.
 func (p *Problem) MinModulus() uint64 {
-	min := uint64(3*p.dc.R() + 1)
-	if min < 1<<20 {
-		min = 1 << 20
-	}
-	return min
+	return crt.FloorModulus(uint64(3*p.dc.R() + 1))
 }
 
 // Bound returns σ^n·W^W, an upper bound on X(w0) over the grid
@@ -214,16 +210,7 @@ func (p *Problem) Bound() *big.Int {
 
 // NumPrimes implements core.Problem.
 func (p *Problem) NumPrimes() int {
-	bits := p.Bound().BitLen()
-	per := new(big.Int).SetUint64(p.MinModulus()).BitLen() - 1
-	if per < 1 {
-		per = 1
-	}
-	np := (bits + per - 1) / per
-	if np < 1 {
-		np = 1
-	}
-	return np
+	return crt.PrimesFor(p.Bound().BitLen(), p.MinModulus())
 }
 
 // formsFor builds the m+1 forms over the field, one per w0. The
@@ -338,12 +325,8 @@ func (p *Problem) Distribution(proof *core.Proof) ([]*big.Int, error) {
 	m := p.totalWeight
 	r := uint64(p.dc.R())
 	xvals := make([]*big.Int, m+1)
-	residues := make([]uint64, len(proof.Primes))
 	for w0 := 0; w0 <= m; w0++ {
-		for i, q := range proof.Primes {
-			residues[i] = proof.SumRange(q, w0, 1, r+1)
-		}
-		v, err := crt.Reconstruct(residues, proof.Primes)
+		v, err := crt.Reconstruct(proof.SumRanges(w0, 1, r+1), proof.Primes)
 		if err != nil {
 			return nil, fmt.Errorf("csp: w0=%d: %w", w0, err)
 		}

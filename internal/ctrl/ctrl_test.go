@@ -118,7 +118,7 @@ func TestRemoteRunBitIdentity(t *testing.T) {
 	}
 	proof, report, err := core.Run(testCtx(t), p, core.Options{
 		Nodes: 4, Seed: 42,
-		NewTransport: func(k int) core.Transport { return co },
+		NewTransport: func(k int) (core.Transport, error) { return co, nil },
 	})
 	if err != nil {
 		t.Fatalf("remote run: %v", err)
@@ -171,7 +171,7 @@ func TestRemoteRepairHealsKilledWorker(t *testing.T) {
 	proof, report, err := core.Run(testCtx(t), p, core.Options{
 		Nodes: 3, Seed: 7,
 		MaxErasures: 1, GatherGrace: 750 * time.Millisecond, MaxRepairRounds: 2,
-		NewTransport: func(k int) core.Transport { return co },
+		NewTransport: func(k int) (core.Transport, error) { return co, nil },
 	})
 	if err != nil {
 		t.Fatalf("remote run with churn: %v", err)
@@ -303,7 +303,7 @@ func TestRemoteReconnectResume(t *testing.T) {
 	go func() {
 		proof, _, err := core.Run(ctx, p, core.Options{
 			Nodes: 2, Seed: 5,
-			NewTransport: func(k int) core.Transport { return co },
+			NewTransport: func(k int) (core.Transport, error) { return co, nil },
 		})
 		runDone <- result{proof, err}
 	}()
@@ -384,7 +384,7 @@ func TestAuthTamperStrict(t *testing.T) {
 	go func() {
 		_, _, err := core.Run(ctx, p, core.Options{
 			Nodes: 2, Seed: 1,
-			NewTransport: func(k int) core.Transport { return co },
+			NewTransport: func(k int) (core.Transport, error) { return co, nil },
 		})
 		runDone <- err
 	}()
@@ -433,7 +433,7 @@ func TestAuthTamperQuorum(t *testing.T) {
 		proof, report, err := core.Run(ctx, p, core.Options{
 			Nodes: 2, Seed: 1, FaultTolerance: 3,
 			MaxErasures: 1, GatherGrace: 500 * time.Millisecond,
-			NewTransport: func(k int) core.Transport { return co },
+			NewTransport: func(k int) (core.Transport, error) { return co, nil },
 		})
 		runDone <- result{proof, report, err}
 	}()

@@ -59,11 +59,7 @@ func (p *Problem) Degree() int {
 
 // MinModulus implements core.Problem.
 func (p *Problem) MinModulus() uint64 {
-	min := uint64(1)<<uint(p.half) + 1
-	if min < 1<<20 {
-		min = 1 << 20
-	}
-	return min
+	return crt.FloorModulus(uint64(1)<<uint(p.half) + 1)
 }
 
 // Bound returns n!, an upper bound on the directed cycle count.
@@ -71,16 +67,7 @@ func (p *Problem) Bound() *big.Int { return new(big.Int).MulRange(1, int64(p.n))
 
 // NumPrimes implements core.Problem.
 func (p *Problem) NumPrimes() int {
-	bits := p.Bound().BitLen() + 1
-	per := new(big.Int).SetUint64(p.MinModulus()).BitLen() - 1
-	if per < 1 {
-		per = 1
-	}
-	np := (bits + per - 1) / per
-	if np < 1 {
-		np = 1
-	}
-	return np
+	return crt.PrimesFor(p.Bound().BitLen()+1, p.MinModulus())
 }
 
 // Evaluate implements core.Problem: O*(2^{n/2}) — for each enumerated
@@ -160,11 +147,7 @@ func closedWalks(f ff.Field, adj []uint64, z []uint64, n int) uint64 {
 // RecoverDirected reconstructs the directed Hamiltonian cycle count
 // Σ_{i<2^{half}} P(i) via the CRT.
 func (p *Problem) RecoverDirected(proof *core.Proof) (*big.Int, error) {
-	residues := make([]uint64, len(proof.Primes))
-	for i, q := range proof.Primes {
-		residues[i] = proof.SumRange(q, 0, 0, uint64(1)<<uint(p.half))
-	}
-	v, err := crt.Reconstruct(residues, proof.Primes)
+	v, err := crt.Reconstruct(proof.SumRanges(0, 0, uint64(1)<<uint(p.half)), proof.Primes)
 	if err != nil {
 		return nil, fmt.Errorf("hamilton: %w", err)
 	}

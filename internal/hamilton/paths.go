@@ -58,25 +58,12 @@ func (p *PathProblem) Degree() int {
 
 // MinModulus implements core.Problem.
 func (p *PathProblem) MinModulus() uint64 {
-	min := uint64(1)<<uint(p.half) + 1
-	if min < 1<<20 {
-		min = 1 << 20
-	}
-	return min
+	return crt.FloorModulus(uint64(1)<<uint(p.half) + 1)
 }
 
 // NumPrimes implements core.Problem: the directed path count is < n!.
 func (p *PathProblem) NumPrimes() int {
-	bits := new(big.Int).MulRange(1, int64(p.n)).BitLen() + 1
-	per := new(big.Int).SetUint64(p.MinModulus()).BitLen() - 1
-	if per < 1 {
-		per = 1
-	}
-	np := (bits + per - 1) / per
-	if np < 1 {
-		np = 1
-	}
-	return np
+	return crt.PrimesFor(new(big.Int).MulRange(1, int64(p.n)).BitLen()+1, p.MinModulus())
 }
 
 // Evaluate implements core.Problem.
@@ -151,11 +138,7 @@ func openWalks(f ff.Field, adj []uint64, z []uint64, n int) uint64 {
 
 // RecoverDirected reconstructs the directed Hamiltonian path count.
 func (p *PathProblem) RecoverDirected(proof *core.Proof) (*big.Int, error) {
-	residues := make([]uint64, len(proof.Primes))
-	for i, q := range proof.Primes {
-		residues[i] = proof.SumRange(q, 0, 0, uint64(1)<<uint(p.half))
-	}
-	v, err := crt.Reconstruct(residues, proof.Primes)
+	v, err := crt.Reconstruct(proof.SumRanges(0, 0, uint64(1)<<uint(p.half)), proof.Primes)
 	if err != nil {
 		return nil, fmt.Errorf("hamilton: %w", err)
 	}

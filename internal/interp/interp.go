@@ -83,12 +83,3 @@ func EvalInt(coeffs []*big.Int, x *big.Int) *big.Int {
 	}
 	return acc
 }
-
-// Trim removes trailing zero coefficients (returning at least one).
-func Trim(coeffs []*big.Int) []*big.Int {
-	n := len(coeffs)
-	for n > 1 && coeffs[n-1].Sign() == 0 {
-		n--
-	}
-	return coeffs[:n]
-}

@@ -59,14 +59,3 @@ func TestEvalIntHorner(t *testing.T) {
 		t.Fatalf("empty polynomial = %v, want 0", got)
 	}
 }
-
-func TestTrim(t *testing.T) {
-	in := []*big.Int{big.NewInt(1), big.NewInt(0), big.NewInt(0)}
-	if got := Trim(in); len(got) != 1 {
-		t.Fatalf("Trim kept %d coefficients", len(got))
-	}
-	zero := []*big.Int{big.NewInt(0)}
-	if got := Trim(zero); len(got) != 1 {
-		t.Fatal("Trim must keep at least one coefficient")
-	}
-}

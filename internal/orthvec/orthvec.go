@@ -11,6 +11,7 @@ import (
 	"math/big"
 
 	"camelot/internal/core"
+	"camelot/internal/crt"
 	"camelot/internal/ff"
 	"camelot/internal/plan"
 )
@@ -72,14 +73,7 @@ func (p *OVProblem) Degree() int { return p.a.T * (p.a.N - 1) }
 // MinModulus implements core.Problem: q must exceed the recovery grid and
 // the counts c_i <= n(B); a 2^20 floor keeps the prime count at one.
 func (p *OVProblem) MinModulus() uint64 {
-	min := uint64(p.a.N + 1)
-	if bn := uint64(p.b.N + 1); bn > min {
-		min = bn
-	}
-	if min < 1<<20 {
-		min = 1 << 20
-	}
-	return min
+	return crt.FloorModulus(uint64(max(p.a.N, p.b.N) + 1))
 }
 
 // NumPrimes implements core.Problem: c_i <= n < q, one prime suffices.
@@ -280,14 +274,7 @@ func (p *HammingProblem) Degree() int { return (p.a.T + 1) * (p.grid - 1) }
 // must be invertible and counts c_ih <= n must be recoverable; a 2^20
 // floor keeps a single prime.
 func (p *HammingProblem) MinModulus() uint64 {
-	min := uint64(p.grid + 1)
-	if bn := uint64(p.b.N + 1); bn > min {
-		min = bn
-	}
-	if min < 1<<20 {
-		min = 1 << 20
-	}
-	return min
+	return crt.FloorModulus(uint64(max(p.grid, p.b.N) + 1))
 }
 
 // NumPrimes implements core.Problem.

@@ -19,6 +19,7 @@ package partition
 
 import (
 	"fmt"
+	"math/bits"
 
 	"camelot/internal/bipoly"
 	"camelot/internal/ff"
@@ -169,7 +170,7 @@ func (s Split) EvaluateAll(r bipoly.Ring, g []bipoly.Poly, tMax int) ([]uint64, 
 	}
 	signs := make([]bool, len(g)) // true = negative
 	for y := range signs {
-		signs[y] = (ne-popcount(uint64(y)))%2 == 1
+		signs[y] = (ne-bits.OnesCount64(uint64(y)))%2 == 1
 	}
 	out := make([]uint64, tMax)
 	pow := make([]bipoly.Poly, len(g))
@@ -195,13 +196,4 @@ func (s Split) EvaluateAll(r bipoly.Ring, g []bipoly.Poly, tMax int) ([]uint64, 
 		out[t-1] = acc
 	}
 	return out, nil
-}
-
-func popcount(x uint64) int {
-	c := 0
-	for x != 0 {
-		x &= x - 1
-		c++
-	}
-	return c
 }

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math/bits"
 	"testing"
 
 	"camelot/internal/bipoly"
@@ -86,7 +87,7 @@ func TestEvaluateAllAgainstDirectSumProduct(t *testing.T) {
 	s := Balanced(n) // E = {0,1}, B = {2,3} with weights 1,2
 	f := testField
 	// f(X) = |X| + 1 for a nontrivial non-indicator set function.
-	setf := func(mask uint64) uint64 { return uint64(popcount(mask)) + 1 }
+	setf := func(mask uint64) uint64 { return uint64(bits.OnesCount64(mask)) + 1 }
 
 	for _, x0 := range []uint64{3, 17, 100000} {
 		// Template path: build g per eq. (27) directly (quadratic in 2^n,
@@ -102,7 +103,7 @@ func TestEvaluateAllAgainstDirectSumProduct(t *testing.T) {
 				if xe&^y != 0 {
 					continue
 				}
-				mono := ring.Monomial(popcount(xe), popcount(xb), f.Mul(setf(x), xp.ForMask(xb)))
+				mono := ring.Monomial(bits.OnesCount64(xe), bits.OnesCount64(xb), f.Mul(setf(x), xp.ForMask(xb)))
 				acc = ring.AddInPlace(acc, mono)
 			}
 			g[y] = acc

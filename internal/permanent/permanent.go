@@ -68,11 +68,7 @@ func (p *Problem) Degree() int {
 
 // MinModulus implements core.Problem.
 func (p *Problem) MinModulus() uint64 {
-	min := uint64(1)<<uint(p.half) + 1
-	if min < 1<<20 {
-		min = 1 << 20
-	}
-	return min
+	return crt.FloorModulus(uint64(1)<<uint(p.half) + 1)
 }
 
 // Bound returns n!·φ^n, an upper bound on |per A|.
@@ -85,16 +81,7 @@ func (p *Problem) Bound() *big.Int {
 // NumPrimes implements core.Problem: enough primes for the signed CRT
 // range (one extra bit for the sign).
 func (p *Problem) NumPrimes() int {
-	bits := p.Bound().BitLen() + 2
-	per := new(big.Int).SetUint64(p.MinModulus()).BitLen() - 1
-	if per < 1 {
-		per = 1
-	}
-	np := (bits + per - 1) / per
-	if np < 1 {
-		np = 1
-	}
-	return np
+	return crt.PrimesFor(p.Bound().BitLen()+2, p.MinModulus())
 }
 
 // Evaluate implements core.Problem: P(x0) = Q(D(x0)) per eq. (44), in
@@ -326,11 +313,7 @@ func (c *compiled) evaluateStrip(xs, totals, buf []uint64) {
 // Recover reconstructs per A = Σ_{i=0}^{2^{n/2}-1} P(i) with the signed
 // CRT.
 func (p *Problem) Recover(proof *core.Proof) (*big.Int, error) {
-	residues := make([]uint64, len(proof.Primes))
-	for i, q := range proof.Primes {
-		residues[i] = proof.SumRange(q, 0, 0, uint64(1)<<uint(p.half))
-	}
-	v, err := crt.ReconstructSigned(residues, proof.Primes)
+	v, err := crt.ReconstructSigned(proof.SumRanges(0, 0, uint64(1)<<uint(p.half)), proof.Primes)
 	if err != nil {
 		return nil, fmt.Errorf("permanent: %w", err)
 	}

@@ -77,17 +77,13 @@ func (p *ExactCoverProblem) Degree() int { return p.split.Degree() }
 // MinModulus implements core.Problem: above the proof degree, floored
 // at 2^20 to keep the CRT prime count low.
 func (p *ExactCoverProblem) MinModulus() uint64 {
-	min := uint64(p.split.Degree()) + 2
-	if min < 1<<20 {
-		min = 1 << 20
-	}
-	return min
+	return crt.FloorModulus(uint64(p.split.Degree()) + 2)
 }
 
 // NumPrimes implements core.Problem: tuple count <= |F|^t.
 func (p *ExactCoverProblem) NumPrimes() int {
 	bound := new(big.Int).Exp(big.NewInt(int64(len(p.family))+1), big.NewInt(int64(p.t)), nil)
-	return numPrimesFor(bound, p.MinModulus())
+	return crt.PrimesFor(bound.BitLen(), p.MinModulus())
 }
 
 // nodeG computes the §8.2 node function: scatter every family set into
@@ -102,7 +98,7 @@ func (p *ExactCoverProblem) nodeG(f ff.Field, x0 uint64) []bipoly.Poly {
 	for _, x := range p.family {
 		eMask := x & eFull
 		bMask := x >> uint(ne)
-		mono := ring.Monomial(popcount(eMask), popcount(bMask), xp.ForMask(bMask))
+		mono := ring.Monomial(bits.OnesCount64(eMask), bits.OnesCount64(bMask), xp.ForMask(bMask))
 		g[eMask] = ring.AddInPlace(g[eMask], mono)
 	}
 	yates.Zeta(ne, g, ring.AddInPlace)
@@ -151,7 +147,7 @@ func (c *exactCompiled) EvaluateBlock(xs []uint64) ([][]uint64, error) {
 		for _, x := range p.family {
 			eMask := x & eFull
 			bMask := x >> uint(ne)
-			mono := c.ring.Monomial(popcount(eMask), popcount(bMask), xp.ForMask(bMask))
+			mono := c.ring.Monomial(bits.OnesCount64(eMask), bits.OnesCount64(bMask), xp.ForMask(bMask))
 			g[eMask] = c.ring.AddInPlace(g[eMask], mono)
 		}
 		yates.Zeta(ne, g, c.ring.AddInPlace)
@@ -168,11 +164,7 @@ func (c *exactCompiled) EvaluateBlock(xs []uint64) ([][]uint64, error) {
 // p_{2^{|B|}-1} of the decoded proof, CRT'd over the primes.
 func (p *ExactCoverProblem) RecoverTuples(proof *core.Proof) (*big.Int, error) {
 	idx := p.split.TargetIndex()
-	residues := make([]uint64, len(proof.Primes))
-	for i, q := range proof.Primes {
-		residues[i] = proof.Coeffs[q][0][idx]
-	}
-	return crt.Reconstruct(residues, proof.Primes)
+	return crt.Reconstruct(proof.CoeffResidues(0, idx), proof.Primes)
 }
 
 // RecoverPartitions divides the tuple count by t!.
@@ -210,12 +202,12 @@ type CoverProblem struct {
 // sweep in eq. (46): for each assignment of the last n2 indicator
 // variables, only family sets whose high part is contained in the suffix
 // contribute a nonzero product, and the suffix's own (1-2y_j) factors
-// collapse to (-1)^popcount(suffix).
+// collapse to (-1)^bits.OnesCount64(suffix).
 type coverPlan struct {
 	// prefixes[suffix] lists, in family order, the low-n1-bit masks of
 	// the sets surviving that suffix.
 	prefixes [][]uint64
-	// negate[suffix] reports whether popcount(suffix) is odd, i.e.
+	// negate[suffix] reports whether bits.OnesCount64(suffix) is odd, i.e.
 	// whether the suffix flips the sign of the term.
 	negate []bool
 }
@@ -272,17 +264,13 @@ func (p *CoverProblem) Degree() int {
 // MinModulus implements core.Problem: the Lagrange grid needs q > 2^{n1};
 // the 2^20 floor keeps the CRT prime count low.
 func (p *CoverProblem) MinModulus() uint64 {
-	min := uint64(1)<<uint(p.n1) + 1
-	if min < 1<<20 {
-		min = 1 << 20
-	}
-	return min
+	return crt.FloorModulus(uint64(1)<<uint(p.n1) + 1)
 }
 
 // NumPrimes implements core.Problem: cover count <= |F|^t.
 func (p *CoverProblem) NumPrimes() int {
 	bound := new(big.Int).Exp(big.NewInt(int64(len(p.family))+1), big.NewInt(int64(p.t)), nil)
-	return numPrimesFor(bound, p.MinModulus())
+	return crt.PrimesFor(bound.BitLen(), p.MinModulus())
 }
 
 // Evaluate implements core.Problem: P(x0) = F_t(D(x0)) per eq. (45).
@@ -394,11 +382,7 @@ func (c *coverCompiled) EvaluateBlock(xs []uint64) ([][]uint64, error) {
 // RecoverCovers extracts the cover count: c_t = Σ_{i=0}^{2^{n1}-1} P(i)
 // per modulus, then CRT.
 func (p *CoverProblem) RecoverCovers(proof *core.Proof) (*big.Int, error) {
-	residues := make([]uint64, len(proof.Primes))
-	for i, q := range proof.Primes {
-		residues[i] = proof.SumRange(q, 0, 0, uint64(1)<<uint(p.n1))
-	}
-	return crt.Reconstruct(residues, proof.Primes)
+	return crt.Reconstruct(proof.SumRanges(0, 0, uint64(1)<<uint(p.n1)), proof.Primes)
 }
 
 // --- Sequential baselines ----------------------------------------------------
@@ -468,38 +452,11 @@ func CountCoversIE(family []uint64, n, t int) *big.Int {
 	tt := big.NewInt(int64(t))
 	for y := 0; y < size; y++ {
 		term := new(big.Int).Exp(sub[y], tt, nil)
-		if (n-popcount(uint64(y)))%2 == 1 {
+		if (n-bits.OnesCount64(uint64(y)))%2 == 1 {
 			total.Sub(total, term)
 		} else {
 			total.Add(total, term)
 		}
 	}
 	return total
-}
-
-func popcount(x uint64) int {
-	c := 0
-	for x != 0 {
-		x &= x - 1
-		c++
-	}
-	return c
-}
-
-// numPrimesFor returns how many primes >= minQ are needed so their
-// product exceeds bound.
-func numPrimesFor(bound *big.Int, minQ uint64) int {
-	if minQ < 2 {
-		minQ = 2
-	}
-	bits := bound.BitLen()
-	per := new(big.Int).SetUint64(minQ).BitLen() - 1
-	if per < 1 {
-		per = 1
-	}
-	n := (bits + per - 1) / per
-	if n < 1 {
-		n = 1
-	}
-	return n
 }

@@ -228,27 +228,14 @@ func (p *Problem) NumParts() int { return p.nParts }
 // grid, floored at 2^20 so that a single prime usually covers the n³
 // trace bound.
 func (p *Problem) MinModulus() uint64 {
-	min := uint64(3*p.nParts + 2)
-	if min < 1<<20 {
-		min = 1 << 20
-	}
-	return min
+	return crt.FloorModulus(uint64(3*p.nParts + 2))
 }
 
 // NumPrimes implements core.Problem: the trace is at most n³.
 func (p *Problem) NumPrimes() int {
 	n := big.NewInt(int64(p.g.N()))
 	bound := new(big.Int).Exp(n, big.NewInt(3), nil)
-	bits := bound.BitLen()
-	per := new(big.Int).SetUint64(p.MinModulus()).BitLen() - 1
-	if per < 1 {
-		per = 1
-	}
-	np := (bits + per - 1) / per
-	if np < 1 {
-		np = 1
-	}
-	return np
+	return crt.PrimesFor(bound.BitLen(), p.MinModulus())
 }
 
 // Evaluate implements core.Problem: P(z0) mod q. It rebuilds the
@@ -298,11 +285,7 @@ func (tr *sparseTriple) EvaluateBlock(xs []uint64) ([][]uint64, error) {
 // Recover extracts the triangle count: Σ_{z0=1}^{R/m'} P(z0) equals
 // trace(A³) per modulus (paper eq. (21)), then CRT and division by 6.
 func (p *Problem) Recover(proof *core.Proof) (*big.Int, error) {
-	residues := make([]uint64, len(proof.Primes))
-	for i, q := range proof.Primes {
-		residues[i] = proof.SumRange(q, 0, 1, uint64(p.nParts)+1)
-	}
-	x, err := crt.Reconstruct(residues, proof.Primes)
+	x, err := crt.Reconstruct(proof.SumRanges(0, 1, uint64(p.nParts)+1), proof.Primes)
 	if err != nil {
 		return nil, fmt.Errorf("triangles: %w", err)
 	}

@@ -12,6 +12,8 @@ package tutte
 // concurrent chunk tasks.
 
 import (
+	"math/bits"
+
 	"camelot/internal/bipoly"
 	"camelot/internal/core"
 	"camelot/internal/ff"
@@ -76,7 +78,7 @@ func (p *Problem) Compile(f ff.Field) (plan.Plan, error) {
 	for j := 0; j <= nb; j++ {
 		m2 := matrix.New(f, s2.R, s2.C)
 		for x := uint64(0); x < 1<<uint(nb); x++ {
-			if popcount(x) != j {
+			if bits.OnesCount64(x) != j {
 				continue
 			}
 			colsByJ[j] = append(colsByJ[j], x)
@@ -126,7 +128,7 @@ func (c *compiled) EvaluateBlock(xs []uint64) ([][]uint64, error) {
 		for y1 := uint64(0); y1 < 1<<uint(n1); y1++ {
 			for y2 := uint64(0); y2 < 1<<uint(n2); y2++ {
 				f12 := c.f12[y1<<uint(n2)|y2]
-				wE := popcount(y1) + popcount(y2)
+				wE := bits.OnesCount64(y1) + bits.OnesCount64(y2)
 				poly := ring.Zero()
 				for j := 0; j <= nb; j++ {
 					cv := f.Mul(f12, tj[j].At(int(y1), int(y2)))

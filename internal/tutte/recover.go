@@ -26,27 +26,16 @@ type Result struct {
 
 // RunLine executes one Fortuin–Kasteleyn line's Camelot run — the seam
 // through which the session layer submits lines as concurrent cluster
-// jobs. It must be non-nil; Compute wraps plain core.Run for the
-// sequential case.
+// jobs. It must be non-nil.
 type RunLine func(ctx context.Context, p *Problem) (*core.Proof, *core.Report, error)
 
-// Compute runs the full Theorem 7 pipeline: one Camelot run per integer
-// r = 1..m+1 (each a width-(n+1) proof over the t grid), exact bivariate
-// interpolation of Z, and the eq. (34) change of variables to T_G(x, y).
-// Lines run sequentially through core.Run; the session layer's driver
-// (camelot.TuttePolynomial) uses ComputeLines to run them as concurrent
-// jobs on one cluster instead.
-func Compute(ctx context.Context, mg *graph.Multigraph, opts core.Options) (*Result, error) {
-	line := func(ctx context.Context, p *Problem) (*core.Proof, *core.Report, error) {
-		return core.Run(ctx, p, opts)
-	}
-	return ComputeLines(ctx, mg, line, 1)
-}
-
-// ComputeLines is Compute with the per-line run pluggable and up to
-// concurrency lines in flight at once. The result is deterministic
-// regardless of concurrency: lines are independent Camelot runs, the
-// value grid is indexed by r, and reports keep FK-line order.
+// ComputeLines runs the full Theorem 7 pipeline: one Camelot run per
+// integer r = 1..m+1 (each a width-(n+1) proof over the t grid) through
+// line, up to concurrency of them in flight at once, then exact bivariate
+// interpolation of Z and the eq. (34) change of variables to T_G(x, y).
+// The result is deterministic regardless of concurrency: lines are
+// independent Camelot runs, the value grid is indexed by r, and reports
+// keep FK-line order.
 func ComputeLines(ctx context.Context, mg *graph.Multigraph, line RunLine, concurrency int) (*Result, error) {
 	n := mg.N()
 	m := mg.M()

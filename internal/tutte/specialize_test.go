@@ -22,7 +22,7 @@ func TestChromaticFromTutteCrossValidation(t *testing.T) {
 	for seed := int64(0); seed < 2; seed++ {
 		g := graph.Gnp(6, 0.5, seed)
 		mg := graph.FromGraph(g)
-		res, err := Compute(context.Background(), mg, core.Options{Nodes: 2, Seed: seed})
+		res, err := compute(context.Background(), mg, core.Options{Nodes: 2, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestChromaticFromTutteCrossValidation(t *testing.T) {
 func TestFlowPolynomialKnown(t *testing.T) {
 	// Flow polynomial of C_n is (t-1): exactly t-1 nowhere-zero Z_t flows.
 	mg := graph.FromGraph(graph.Cycle(5))
-	res, err := Compute(context.Background(), mg, core.Options{Seed: 1})
+	res, err := compute(context.Background(), mg, core.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestFlowPolynomialKnown(t *testing.T) {
 	}
 	// Trees have no nowhere-zero flows.
 	tree := graph.FromGraph(graph.Path(4))
-	resT, err := Compute(context.Background(), tree, core.Options{Seed: 2})
+	resT, err := compute(context.Background(), tree, core.Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestSpecializationCounts(t *testing.T) {
 	// K4: 16 spanning trees, 24 acyclic orientations (= 4! since K4 has
 	// one linear order per orientation), 38 forests.
 	mg := graph.FromGraph(graph.Complete(4))
-	res, err := Compute(context.Background(), mg, core.Options{Seed: 3})
+	res, err := compute(context.Background(), mg, core.Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestReliabilityNumerator(t *testing.T) {
 	mg := graph.NewMultigraph(2)
 	mg.AddEdge(0, 1)
 	mg.AddEdge(0, 1)
-	res, err := Compute(context.Background(), mg, core.Options{Seed: 4})
+	res, err := compute(context.Background(), mg, core.Options{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestReliabilityNumerator(t *testing.T) {
 	}
 	// Reliability of a tree path: R(p) = p^m (all edges must survive).
 	tree := graph.FromGraph(graph.Path(3))
-	resT, err := Compute(context.Background(), tree, core.Options{Seed: 5})
+	resT, err := compute(context.Background(), tree, core.Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestReliabilityMonteCarloAgreement(t *testing.T) {
 	// Sanity: the exact reliability polynomial at p = 1/2 equals the
 	// fraction of edge subsets that span connectedly, computable directly.
 	mg := graph.RandomMultigraph(5, 7, 9)
-	res, err := Compute(context.Background(), mg, core.Options{Seed: 6})
+	res, err := compute(context.Background(), mg, core.Options{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ package tutte
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 
 	"camelot/internal/bipoly"
 	"camelot/internal/core"
@@ -69,11 +70,7 @@ func (p *Problem) Degree() int { return p.split.Degree() }
 // MinModulus implements core.Problem: above the proof degree, floored
 // at 2^20 to keep the CRT prime count low.
 func (p *Problem) MinModulus() uint64 {
-	min := uint64(p.split.Degree()) + 2
-	if min < 1<<20 {
-		min = 1 << 20
-	}
-	return min
+	return crt.FloorModulus(uint64(p.split.Degree()) + 2)
 }
 
 // NumPrimes implements core.Problem: Z(t,r) <= t^n (1+r)^m.
@@ -81,16 +78,7 @@ func (p *Problem) NumPrimes() int {
 	bound := new(big.Int).Exp(big.NewInt(int64(p.n)+1), big.NewInt(int64(p.n)), nil)
 	rp := new(big.Int).Exp(new(big.Int).SetUint64(p.r+1), big.NewInt(int64(p.mg.M())), nil)
 	bound.Mul(bound, rp)
-	bits := bound.BitLen()
-	per := new(big.Int).SetUint64(p.MinModulus()).BitLen() - 1
-	if per < 1 {
-		per = 1
-	}
-	np := (bits + per - 1) / per
-	if np < 1 {
-		np = 1
-	}
-	return np
+	return crt.PrimesFor(bound.BitLen(), p.MinModulus())
 }
 
 // nodeG computes the §10.2 node function. Vertex layout: E1 occupies
@@ -146,7 +134,7 @@ func (p *Problem) nodeG(f ff.Field, x0 uint64) []bipoly.Poly {
 		m1 := matrix.New(f, s1.R, s1.C)
 		m2 := matrix.New(f, s2.R, s2.C)
 		for x := uint64(0); x < 1<<uint(nb); x++ {
-			if popcount(x) != j {
+			if bits.OnesCount64(x) != j {
 				continue
 			}
 			for y1 := 0; y1 < s1.R; y1++ {
@@ -164,7 +152,7 @@ func (p *Problem) nodeG(f ff.Field, x0 uint64) []bipoly.Poly {
 		for y2 := uint64(0); y2 < 1<<uint(n2); y2++ {
 			f12exp := p.mg.EdgesBetweenMasks(vmE1(y1), vmE2(y2)) + p.mg.EdgesWithinMask(vmE1(y1))
 			f12 := onePlusR[f12exp]
-			wE := popcount(y1) + popcount(y2)
+			wE := bits.OnesCount64(y1) + bits.OnesCount64(y2)
 			poly := ring.Zero()
 			for j := 0; j <= nb; j++ {
 				c := f.Mul(f12, tj[j].At(int(y1), int(y2)))
@@ -192,25 +180,12 @@ func (p *Problem) Evaluate(q, x0 uint64) ([]uint64, error) {
 func (p *Problem) Values(proof *core.Proof) ([]*big.Int, error) {
 	idx := p.split.TargetIndex()
 	out := make([]*big.Int, p.n+1)
-	residues := make([]uint64, len(proof.Primes))
 	for t := 1; t <= p.n+1; t++ {
-		for i, q := range proof.Primes {
-			residues[i] = proof.Coeffs[q][t-1][idx]
-		}
-		v, err := crt.Reconstruct(residues, proof.Primes)
+		v, err := crt.Reconstruct(proof.CoeffResidues(t-1, idx), proof.Primes)
 		if err != nil {
 			return nil, fmt.Errorf("tutte: t=%d: %w", t, err)
 		}
 		out[t-1] = v
 	}
 	return out, nil
-}
-
-func popcount(x uint64) int {
-	c := 0
-	for x != 0 {
-		x &= x - 1
-		c++
-	}
-	return c
 }

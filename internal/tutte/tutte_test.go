@@ -11,6 +11,15 @@ import (
 	"camelot/internal/graph"
 )
 
+// compute is the sequential driver the tests share: every line through
+// core.Run under opts, one at a time.
+func compute(ctx context.Context, mg *graph.Multigraph, opts core.Options) (*Result, error) {
+	line := func(ctx context.Context, p *Problem) (*core.Proof, *core.Report, error) {
+		return core.Run(ctx, p, opts)
+	}
+	return ComputeLines(ctx, mg, line, 1)
+}
+
 // tutteEqual compares coefficient matrices up to trailing zeros.
 func tutteEqual(a, b [][]*big.Int) bool {
 	coeff := func(m [][]*big.Int, i, j int) *big.Int {
@@ -139,7 +148,7 @@ func TestComputeMatchesDeletionContraction(t *testing.T) {
 	}
 	for name, mg := range cases {
 		t.Run(name, func(t *testing.T) {
-			res, err := Compute(context.Background(), mg, core.Options{Nodes: 2, Seed: 2})
+			res, err := compute(context.Background(), mg, core.Options{Nodes: 2, Seed: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +166,7 @@ func TestTutteClassicalIdentities(t *testing.T) {
 	}
 	// K4: spanning trees T(1,1) = 16, forests T(2,1) = 61, 2^m = T(2,2).
 	mg := graph.FromGraph(graph.Complete(4))
-	res, err := Compute(context.Background(), mg, core.Options{Nodes: 2, Seed: 4})
+	res, err := compute(context.Background(), mg, core.Options{Nodes: 2, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +180,7 @@ func TestTutteClassicalIdentities(t *testing.T) {
 
 func TestComputeEdgeless(t *testing.T) {
 	mg := graph.NewMultigraph(3)
-	res, err := Compute(context.Background(), mg, core.Options{})
+	res, err := compute(context.Background(), mg, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,11 +8,54 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"camelot/internal/core"
 )
+
+// linesContaining walks the module's Go files — test files too unless
+// noTests, leaving out the directory skipDir — and returns
+// "path:line: text" for every line that contains one of the needles.
+func linesContaining(t *testing.T, needles []string, noTests bool, skipDir string) []string {
+	t.Helper()
+	var hits []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		slash := filepath.ToSlash(path)
+		if d.IsDir() {
+			if name := d.Name(); name == ".git" || name == ".bench_build" || name == "testdata" || slash == skipDir {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || noTests && strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			for _, needle := range needles {
+				if strings.Contains(line, needle) {
+					hits = append(hits, fmt.Sprintf("%s:%d: %s", slash, i+1, strings.TrimSpace(line)))
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hits
+}
 
 // TestNoFieldLiteralsOutsideFF enforces the ff constructor contract: a
 // Field assembled as a struct literal skips the precomputed reduction
@@ -21,39 +64,8 @@ import (
 // guarantee the arithmetic layer documents (see ARCHITECTURE.md,
 // "Arithmetic layer").
 func TestNoFieldLiteralsOutsideFF(t *testing.T) {
-	var offenders []string
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if name == ".git" || name == "testdata" {
-				return filepath.SkipDir
-			}
-			if filepath.ToSlash(path) == "internal/ff" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		needle := "ff.Field" + "{" // split so this file does not match itself
-		for i, line := range strings.Split(string(src), "\n") {
-			if strings.Contains(line, needle) {
-				offenders = append(offenders, fmt.Sprintf("%s:%d", filepath.ToSlash(path), i+1))
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	needle := "ff.Field" + "{" // split so this file does not match itself
+	offenders := linesContaining(t, []string{needle}, false, "internal/ff")
 	if len(offenders) > 0 {
 		t.Fatalf("ff.Field struct literals outside package ff (use ff.New or ff.Must):\n  %s",
 			strings.Join(offenders, "\n  "))
@@ -258,5 +270,52 @@ func TestParseWorkloadDocListsCatalog(t *testing.T) {
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("ParseWorkload's doc table is\n%s\nbut the catalog declares\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestOneOptionsRecord is the ratchet on settable values: core.Options is
+// the one record of a run's settings, so camelot.go declares at most the
+// thirteen With* setters of its fields, ServerConfig holds service policy
+// plus the digest's FaultTolerance and takes everything else as Run
+// options, and no front end outside the root package assembles the record
+// or calls the engine by hand. The numbers only go down.
+func TestOneOptionsRecord(t *testing.T) {
+	if withs := exportedWiths(t); len(withs) > 13 {
+		t.Errorf("camelot.go declares %d With* constructors, at most 13 allowed: %v", len(withs), withs)
+	}
+
+	file, err := parser.ParseFile(token.NewFileSet(), "serve.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var serverFields []string
+	ast.Inspect(file, func(n ast.Node) bool {
+		if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.Name == "ServerConfig" {
+			for _, f := range ts.Type.(*ast.StructType).Fields.List {
+				for _, name := range f.Names {
+					serverFields = append(serverFields, name.Name)
+				}
+			}
+		}
+		return true
+	})
+	if len(serverFields) == 0 || len(serverFields) > 6 {
+		t.Errorf("ServerConfig has %d fields, want 1..6: %v", len(serverFields), serverFields)
+	}
+	record := reflect.TypeOf(core.Options{})
+	for _, name := range serverFields {
+		if _, clash := record.FieldByName(name); clash && name != "FaultTolerance" {
+			t.Errorf("ServerConfig.%s re-declares core.Options.%s: pass it in ServerConfig.Run", name, name)
+		}
+	}
+
+	needles := []string{"core.Options" + "{", "core.Run" + "("} // split so this file does not match itself
+	offenders := slices.DeleteFunc(linesContaining(t, needles, true, "internal/core"), func(hit string) bool {
+		path, _, _ := strings.Cut(hit, ":")
+		return !strings.Contains(path, "/") // the root package's own files
+	})
+	if len(offenders) > 0 {
+		t.Errorf("run settings assembled outside the root package (use camelot.RunProblem or Cluster.Submit with With* options):\n  %s",
+			strings.Join(offenders, "\n  "))
 	}
 }

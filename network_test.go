@@ -96,7 +96,7 @@ type countingFactory struct {
 	total             atomic.Int32
 }
 
-func (f *countingFactory) factory(k int) Transport {
+func (f *countingFactory) factory(k int) (Transport, error) {
 	f.total.Add(1)
 	n := f.active.Add(1)
 	for {
@@ -105,7 +105,7 @@ func (f *countingFactory) factory(k int) Transport {
 			break
 		}
 	}
-	return &countingTransport{BroadcastBus: core.NewBroadcastBus(k), f: f}
+	return &countingTransport{BroadcastBus: core.NewBroadcastBus(k), f: f}, nil
 }
 
 type countingTransport struct {

@@ -14,6 +14,7 @@ import (
 	"camelot/internal/orthvec"
 	"camelot/internal/permanent"
 	"camelot/internal/setcover"
+	"camelot/internal/tensor"
 	"camelot/internal/triangles"
 	"camelot/internal/tutte"
 )
@@ -22,10 +23,14 @@ import (
 // preparation, per-node Gao decoding with failed-node identification,
 // and randomized verification — for any Problem. Most callers use the
 // problem-specific functions below instead; all of them run on the
-// shared default cluster (see NewCluster for the session API).
+// shared default cluster (see NewCluster for the session API): the
+// classic synchronous API is submit + wait on a copy of that cluster's
+// record, so per-call cluster-scoped options (nodes, transport, an
+// explicit parallelism bound) override the default cluster's for this
+// run only.
 func RunProblem(ctx context.Context, p Problem, opts ...Option) (*Proof, *Report, error) {
-	c := newConfig(opts)
-	return runOneShot(ctx, p, c)
+	cl := DefaultCluster()
+	return cl.start(ctx, p, resolve(cl.base, opts)).Wait(ctx)
 }
 
 // VerifyProof spot-checks a proof against the input with the given
@@ -64,31 +69,30 @@ func VerifyProofBatchContext(ctx context.Context, proof *Proof, seed int64) (boo
 }
 
 // oneShot is the run-and-recover body of every facade function below:
-// resolve the options, build the problem, run it on the default cluster,
-// and read the answer out of the decoded proof.
+// oneShot(ctx, opts, answer)(pkg.NewProblem(...)) runs what the
+// constructor returned on the default cluster and reads the answer out
+// of the decoded proof.
 func oneShot[P Problem, A any](ctx context.Context, opts []Option,
-	build func(runSettings) (P, error), answer func(P, *Proof) (A, error)) (A, *Report, error) {
-	var none A
-	c := newConfig(opts)
-	p, err := build(c.run)
-	if err != nil {
-		return none, nil, err
+	answer func(P, *Proof) (A, error)) func(P, error) (A, *Report, error) {
+	return func(p P, err error) (A, *Report, error) {
+		var none A
+		if err != nil {
+			return none, nil, err
+		}
+		proof, rep, err := RunProblem(ctx, p, opts...)
+		if err != nil {
+			return none, rep, err
+		}
+		a, err := answer(p, proof)
+		return a, rep, err
 	}
-	proof, rep, err := runOneShot(ctx, p, c)
-	if err != nil {
-		return none, rep, err
-	}
-	a, err := answer(p, proof)
-	return a, rep, err
 }
 
 // CountCliques counts the k-cliques of g (k divisible by 6) with the
 // Theorem 1 Camelot algorithm: proof size and per-node time O(n^{ωk/6}),
 // matching the best sequential total.
 func CountCliques(ctx context.Context, g *Graph, k int, opts ...Option) (*big.Int, *Report, error) {
-	return oneShot(ctx, opts, func(rs runSettings) (CountingProblem, error) {
-		return NewCliqueProblem(g, k, rs)
-	}, CountingProblem.Count)
+	return oneShot(ctx, opts, CountingProblem.Count)(NewCliqueProblem(g, k))
 }
 
 // CountCliquesSequential counts k-cliques with the Nešetřil–Poljak
@@ -100,18 +104,14 @@ func CountCliquesSequential(g *Graph, k int) (*big.Int, error) {
 // CountTriangles counts the triangles of g with the Theorem 3 Camelot
 // algorithm: proof size O(n^ω/m), per-node time Õ(m).
 func CountTriangles(ctx context.Context, g *Graph, opts ...Option) (*big.Int, *Report, error) {
-	return oneShot(ctx, opts, func(rs runSettings) (CountingProblem, error) {
-		return NewTriangleProblem(g, rs)
-	}, CountingProblem.Count)
+	return oneShot(ctx, opts, CountingProblem.Count)(NewTriangleProblem(g))
 }
 
 // ChromaticPolynomial computes the chromatic polynomial of g with the
 // Theorem 6 Camelot algorithm (proof size and time O*(2^{n/2})),
 // returning the integer coefficients c_0..c_n of χ_G(t) = Σ c_k t^k.
 func ChromaticPolynomial(ctx context.Context, g *Graph, opts ...Option) ([]*big.Int, *Report, error) {
-	return oneShot(ctx, opts, func(runSettings) (*chromatic.Problem, error) {
-		return chromatic.NewProblem(g.g)
-	}, (*chromatic.Problem).Coefficients)
+	return oneShot(ctx, opts, (*chromatic.Problem).Coefficients)(chromatic.NewProblem(g.g))
 }
 
 // TutteResult carries the recovered Tutte and random-cluster polynomials.
@@ -120,13 +120,12 @@ type TutteResult = tutte.Result
 // TuttePolynomial computes the Tutte polynomial of a multigraph with the
 // Theorem 7 Camelot algorithm: proof size O*(2^{n/3}), per-node time
 // O*(2^{ωn/3}), one run per Fortuin–Kasteleyn line r = 1..m+1. The m+1
-// lines are submitted as concurrent jobs on the shared default cluster
-// (the sequential driver survives as tutte.Compute); results are
-// bit-identical either way because lines are independent runs.
+// lines are submitted as concurrent jobs on the shared default cluster;
+// the result does not depend on how many run at once because lines are
+// independent runs.
 func TuttePolynomial(ctx context.Context, mg *Multigraph, opts ...Option) (*TutteResult, error) {
-	c := newConfig(opts)
 	cl := DefaultCluster()
-	copts := c.coreOptions()
+	copts := resolve(cl.base, opts)
 	if copts.MaxParallelism > 0 {
 		// An explicit parallelism bound must hold across the whole
 		// computation, not per line: the default cluster's pool has its
@@ -134,18 +133,19 @@ func TuttePolynomial(ctx context.Context, mg *Multigraph, opts ...Option) (*Tutt
 		// bound by m+1 concurrent lines. A transient cluster sized
 		// to the bound keeps every line on one pool of exactly that
 		// width.
-		cl = NewCluster(WithNodes(copts.Nodes), WithMaxParallelism(copts.MaxParallelism))
+		cl = NewCluster(WithMaxParallelism(copts.MaxParallelism))
 		defer cl.Close()
+		copts = resolve(cl.base, opts)
 	}
 	line := func(ctx context.Context, p *tutte.Problem) (*core.Proof, *core.Report, error) {
-		return cl.submitCore(ctx, p, copts).Wait(ctx)
+		return cl.start(ctx, p, copts).Wait(ctx)
 	}
 	// In-flight lines are capped at the executing pool's width, not
 	// m+1: a line allocates its full share buffers the moment its run
 	// starts — before any task reaches the pool — so admitting every
 	// line at once makes peak memory scale with the edge count while
 	// the pool can only progress width lines' work anyway.
-	return tutte.ComputeLines(ctx, mg.mg, line, cl.pool.Width())
+	return tutte.ComputeLines(ctx, mg.mg, line, cl.base.Pool.Width())
 }
 
 // EvalTutte evaluates a recovered Tutte coefficient matrix at (x, y).
@@ -157,52 +157,40 @@ type CNFFormula = cnfsat.Formula
 // CountCNFSolutions counts satisfying assignments with the Theorem 8(1)
 // Camelot algorithm: proof size and time O*(2^{v/2}).
 func CountCNFSolutions(ctx context.Context, f *CNFFormula, opts ...Option) (*big.Int, *Report, error) {
-	return oneShot(ctx, opts, func(runSettings) (CountingProblem, error) {
-		return NewCNFProblem(f)
-	}, CountingProblem.Count)
+	return oneShot(ctx, opts, CountingProblem.Count)(NewCNFProblem(f))
 }
 
 // Permanent computes the permanent of an integer matrix with the
 // Theorem 8(2) Camelot algorithm: proof size and time O*(2^{n/2})
 // against Ryser's O*(2^n).
 func Permanent(ctx context.Context, a [][]int64, opts ...Option) (*big.Int, *Report, error) {
-	return oneShot(ctx, opts, func(runSettings) (CountingProblem, error) {
-		return NewPermanentProblem(a)
-	}, CountingProblem.Count)
+	return oneShot(ctx, opts, CountingProblem.Count)(NewPermanentProblem(a))
 }
 
 // CountHamiltonianCycles counts the (undirected) Hamiltonian cycles of g
 // with the Theorem 8(3) Camelot algorithm: proof size and time
 // O*(2^{n/2}).
 func CountHamiltonianCycles(ctx context.Context, g *Graph, opts ...Option) (*big.Int, *Report, error) {
-	return oneShot(ctx, opts, func(runSettings) (CountingProblem, error) {
-		return NewHamiltonianCycleProblem(g)
-	}, CountingProblem.Count)
+	return oneShot(ctx, opts, CountingProblem.Count)(NewHamiltonianCycleProblem(g))
 }
 
 // CountHamiltonianPaths counts the (undirected) Hamiltonian paths of g —
 // the Appendix A.5 closing remark — with proof size and time O*(2^{n/2}).
 func CountHamiltonianPaths(ctx context.Context, g *Graph, opts ...Option) (*big.Int, *Report, error) {
-	return oneShot(ctx, opts, func(runSettings) (*hamilton.PathProblem, error) {
-		return hamilton.NewPathProblem(g.g)
-	}, (*hamilton.PathProblem).RecoverUndirected)
+	return oneShot(ctx, opts, (*hamilton.PathProblem).RecoverUndirected)(hamilton.NewPathProblem(g.g))
 }
 
 // CountSetCovers counts ordered t-tuples from the family (sets given as
 // bit masks over an n-element universe) whose union is the universe,
 // with the Theorem 9 Camelot algorithm: proof size and time O*(2^{n/2}).
 func CountSetCovers(ctx context.Context, family []uint64, n, t int, opts ...Option) (*big.Int, *Report, error) {
-	return oneShot(ctx, opts, func(runSettings) (*setcover.CoverProblem, error) {
-		return setcover.NewCoverProblem(family, n, t)
-	}, (*setcover.CoverProblem).RecoverCovers)
+	return oneShot(ctx, opts, (*setcover.CoverProblem).RecoverCovers)(setcover.NewCoverProblem(family, n, t))
 }
 
 // CountSetPartitions counts the unordered partitions of the universe
 // into t sets from the family, with the Theorem 10 Camelot algorithm.
 func CountSetPartitions(ctx context.Context, family []uint64, n, t int, opts ...Option) (*big.Int, *Report, error) {
-	return oneShot(ctx, opts, func(runSettings) (*setcover.ExactCoverProblem, error) {
-		return setcover.NewExactCoverProblem(family, n, t)
-	}, (*setcover.ExactCoverProblem).RecoverPartitions)
+	return oneShot(ctx, opts, (*setcover.ExactCoverProblem).RecoverPartitions)(setcover.NewExactCoverProblem(family, n, t))
 }
 
 // boolMatrices wraps the row-major 0/1 inputs of the vector problems.
@@ -218,34 +206,28 @@ func boolMatrices(n, t int, a, b []uint8) (am, bm *orthvec.BoolMatrix, err error
 // are orthogonal to it (Theorem 11(1): proof size and time Õ(nt)).
 // Matrices are n×t row-major 0/1.
 func CountOrthogonalPairs(ctx context.Context, n, t int, a, b []uint8, opts ...Option) ([]int64, *Report, error) {
-	return oneShot(ctx, opts, func(runSettings) (*orthvec.OVProblem, error) {
-		am, bm, err := boolMatrices(n, t, a, b)
-		if err != nil {
-			return nil, err
-		}
-		return orthvec.NewOVProblem(am, bm)
-	}, (*orthvec.OVProblem).Counts)
+	am, bm, err := boolMatrices(n, t, a, b)
+	if err != nil {
+		return nil, nil, err
+	}
+	return oneShot(ctx, opts, (*orthvec.OVProblem).Counts)(orthvec.NewOVProblem(am, bm))
 }
 
 // HammingDistribution returns counts[i][h] = number of rows of b at
 // Hamming distance h from row i of a (Theorem 11(2): Õ(nt²)).
 func HammingDistribution(ctx context.Context, n, t int, a, b []uint8, opts ...Option) ([][]int64, *Report, error) {
-	return oneShot(ctx, opts, func(runSettings) (*orthvec.HammingProblem, error) {
-		am, bm, err := boolMatrices(n, t, a, b)
-		if err != nil {
-			return nil, err
-		}
-		return orthvec.NewHammingProblem(am, bm)
-	}, (*orthvec.HammingProblem).Distribution)
+	am, bm, err := boolMatrices(n, t, a, b)
+	if err != nil {
+		return nil, nil, err
+	}
+	return oneShot(ctx, opts, (*orthvec.HammingProblem).Distribution)(orthvec.NewHammingProblem(am, bm))
 }
 
 // Convolution3SUM counts the witnesses of A[i]+A[ℓ] = A[i+ℓ] per index
 // i in [1, n/2] (Theorem 11(3): Õ(nt²)). The array is 1-based
 // conceptually; a[0] is A[1].
 func Convolution3SUM(ctx context.Context, a []uint64, bits int, opts ...Option) ([]int64, *Report, error) {
-	return oneShot(ctx, opts, func(runSettings) (*conv3sum.Problem, error) {
-		return conv3sum.NewProblem(a, bits)
-	}, (*conv3sum.Problem).Counts)
+	return oneShot(ctx, opts, (*conv3sum.Problem).Counts)(conv3sum.NewProblem(a, bits))
 }
 
 // CSPConstraint is a binary constraint with a σ×σ satisfaction table.
@@ -258,9 +240,7 @@ type CSPSystem = csp.System
 // exactly k constraints, for k = 0..m (Theorem 12: proof size and time
 // O*(σ^{ωn/6})).
 func CSPDistribution(ctx context.Context, sys *CSPSystem, opts ...Option) ([]*big.Int, *Report, error) {
-	return oneShot(ctx, opts, func(rs runSettings) (*csp.Problem, error) {
-		return csp.NewProblem(sys, rs.base)
-	}, (*csp.Problem).Distribution)
+	return oneShot(ctx, opts, (*csp.Problem).Distribution)(csp.NewProblem(sys, tensor.Strassen()))
 }
 
 // --- Counting problems for the session API ------------------------------------
@@ -304,16 +284,15 @@ func counting[P core.CompiledProblem](count func(P, *core.Proof) (*big.Int, erro
 }
 
 // NewTriangleProblem builds the Theorem 3 triangle-counting problem for
-// cluster submission. Run-scoped options select the tensor
-// decomposition; everything else is ignored.
-func NewTriangleProblem(g *Graph, opts ...RunOption) (CountingProblem, error) {
-	return counting((*triangles.Problem).Recover)(triangles.NewProblem(g.g, applyRunOptions(opts).base))
+// cluster submission.
+func NewTriangleProblem(g *Graph) (CountingProblem, error) {
+	return counting((*triangles.Problem).Recover)(triangles.NewProblem(g.g, tensor.Strassen()))
 }
 
 // NewCliqueProblem builds the Theorem 1 k-clique problem (k divisible
 // by 6) for cluster submission.
-func NewCliqueProblem(g *Graph, k int, opts ...RunOption) (CountingProblem, error) {
-	return counting((*cliques.Problem).Recover)(cliques.NewProblem(g.g, k, applyRunOptions(opts).base))
+func NewCliqueProblem(g *Graph, k int) (CountingProblem, error) {
+	return counting((*cliques.Problem).Recover)(cliques.NewProblem(g.g, k, tensor.Strassen()))
 }
 
 // NewPermanentProblem builds the Theorem 8(2) permanent problem for
@@ -332,12 +311,4 @@ func NewCNFProblem(f *CNFFormula) (CountingProblem, error) {
 // problem for cluster submission.
 func NewHamiltonianCycleProblem(g *Graph) (CountingProblem, error) {
 	return counting((*hamilton.Problem).RecoverUndirected)(hamilton.NewProblem(g.g))
-}
-
-func applyRunOptions(opts []RunOption) runSettings {
-	rs := defaultRunSettings()
-	for _, o := range opts {
-		o.applyRun(&rs)
-	}
-	return rs
 }

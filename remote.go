@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"time"
 
-	"camelot/internal/core"
 	"camelot/internal/ctrl"
 )
 
@@ -93,42 +92,25 @@ func (c *Coordinator) Close() { c.co.Close() }
 // geometry — and a mismatch fails the run with a naming error rather
 // than shipping wrong ranges.
 func (c *Coordinator) AsTransport() ClusterOption {
-	return WithTransport(func(k int) Transport {
+	return WithTransport(func(k int) (Transport, error) {
 		if k != c.co.K() {
-			return core.FailedTransport(fmt.Errorf(
+			return nil, fmt.Errorf(
 				"camelot: coordinator built for %d nodes but run configured %d (pair AsTransport with WithNodes(%d))",
-				c.co.K(), k, c.co.K()))
+				c.co.K(), k, c.co.K())
 		}
-		return c.co
+		return c.co, nil
 	})
 }
 
-// NodeConfig parameterizes ServeNode.
-type NodeConfig struct {
-	// Join is the coordinator's address (required).
-	Join string
-	// Secret must match the coordinator's; empty joins an
-	// unauthenticated cluster.
-	Secret []byte
-	// Name is a display name sent in the hello (defaults to the local
-	// address).
-	Name string
-	// FailOwner > 0 injects a deterministic crash when a round-0
-	// assignment names that logical node — the churn knob behind
-	// `camelot node -fail-owner`, used by tests and the multiproc
-	// example to exercise repair rounds.
-	FailOwner int
-}
+// NodeConfig parameterizes ServeNode: the coordinator's address to Join
+// (required), the shared Secret, a display Name, and FailOwner, the
+// deterministic-crash knob behind `camelot node -fail-owner`.
+type NodeConfig = ctrl.WorkerConfig
 
 // ServeNode runs the worker daemon until the coordinator says the run
 // is done (returns nil), the context ends, or the coordinator refuses
 // the join. Connection drops are retried with backoff; a reconnecting
 // worker resumes its slot and replays undelivered assignments.
 func ServeNode(ctx context.Context, cfg NodeConfig) error {
-	return ctrl.RunWorker(ctx, ctrl.WorkerConfig{
-		Join:      cfg.Join,
-		Secret:    cfg.Secret,
-		Name:      cfg.Name,
-		FailOwner: cfg.FailOwner,
-	})
+	return ctrl.RunWorker(ctx, cfg)
 }

@@ -36,6 +36,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"camelot/internal/core"
 )
 
 // Typed admission refusals; HTTP handlers map both to 429 with a
@@ -72,16 +74,15 @@ type TenantConfig struct {
 // submission is a hit for the others.
 type ServerConfig struct {
 	// FaultTolerance is the f every prepared proof survives (e = d+1+2f).
+	// It keys the cache digest, so it overrides a WithFaultTolerance in
+	// Run.
 	FaultTolerance int
-	// MaxErasures and MaxRepairRounds pass through to the runs (see
-	// WithMaxErasures / WithMaxRepairRounds).
-	MaxErasures     int
-	MaxRepairRounds int
-	// VerifyTrials is the per-run verification effort (default 1).
-	VerifyTrials int
-	// VerifySeed seeds run verification and the cached-serve spot
-	// checks (each spot check mixes in a distinct counter).
-	VerifySeed int64
+	// Run are the run options of every preparation — erasure and repair
+	// budgets, verification trials and seed (which also seeds the
+	// cached-serve spot checks, each mixing in a distinct counter), an
+	// adversary for experiments. The tenant's priority overrides a
+	// WithPriority here.
+	Run []RunOption
 	// MaxQueueDepth bounds proofs in preparation across all tenants
 	// (default 16).
 	MaxQueueDepth int
@@ -97,9 +98,6 @@ type ServerConfig struct {
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
-	if c.VerifyTrials <= 0 {
-		c.VerifyTrials = 1
-	}
 	if c.MaxQueueDepth <= 0 {
 		c.MaxQueueDepth = 16
 	}
@@ -159,6 +157,9 @@ type SubmitOutcome struct {
 type Server struct {
 	cluster *Cluster
 	cfg     ServerConfig
+	// run is the record every preparation starts from: the cluster's,
+	// with cfg.Run and then cfg.FaultTolerance applied.
+	run core.Options
 
 	ctx    context.Context // governs all runs; cancelled by Close
 	cancel context.CancelFunc
@@ -185,9 +186,12 @@ type Server struct {
 // the caller's to close.
 func NewServer(cl *Cluster, cfg ServerConfig) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
+	run := resolve(cl.base, cfg.Run)
+	run.FaultTolerance = cfg.FaultTolerance
 	return &Server{
 		cluster:  cl,
 		cfg:      cfg.withDefaults(),
+		run:      run,
 		ctx:      ctx,
 		cancel:   cancel,
 		entries:  make(map[string]*serveEntry),
@@ -249,14 +253,9 @@ func (s *Server) Submit(tenant, spec string) (SubmitOutcome, error) {
 		return out, fmt.Errorf("%w: %d preparations in flight", ErrQueueFull, s.depth)
 	}
 	e := &serveEntry{digest: digest, spec: w.Canonical, tenant: tenant, done: make(chan struct{})}
-	e.job = s.cluster.Submit(s.ctx, w.Problem,
-		WithFaultTolerance(s.cfg.FaultTolerance),
-		WithMaxErasures(s.cfg.MaxErasures),
-		WithMaxRepairRounds(s.cfg.MaxRepairRounds),
-		WithVerifyTrials(s.cfg.VerifyTrials),
-		WithSeed(s.cfg.VerifySeed),
-		WithPriority(tc.Priority),
-	)
+	run := s.run
+	run.Priority = tc.Priority
+	e.job = s.cluster.start(s.ctx, w.Problem, run)
 	s.entries[digest] = e
 	s.inflight[tenant]++
 	s.depth++
@@ -376,7 +375,7 @@ func (s *Server) VerifyStored(ctx context.Context, digest string) (bool, error) 
 func (s *Server) spotCheck(ctx context.Context, e *serveEntry) (bool, error) {
 	// Each check draws a distinct seed so repeated serves accumulate
 	// soundness rather than replaying one fold.
-	seed := s.cfg.VerifySeed + s.spotSeed.Add(1)
+	seed := s.run.Seed + s.spotSeed.Add(1)
 	s.spotChecks.Add(1)
 	ok, err := VerifyProofBatchContext(ctx, e.proof, seed)
 	if err == nil && !ok {
@@ -406,22 +405,6 @@ type statusResponse struct {
 	DeliveryFaults int    `json:"delivery_faults"`
 	RepairRounds   int    `json:"repair_rounds"`
 	Error          string `json:"error,omitempty"`
-}
-
-func stageName(st Stage) string {
-	switch st {
-	case StageQueued:
-		return "queued"
-	case StagePrepare:
-		return "prepare"
-	case StageDecode:
-		return "decode"
-	case StageVerify:
-		return "verify"
-	case StageDone:
-		return "done"
-	}
-	return "unknown"
 }
 
 // Handler returns the service's HTTP interface:
@@ -495,7 +478,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Digest:         digest,
 		Problem:        st.Problem,
 		State:          st.State.String(),
-		Stage:          stageName(st.Stage),
+		Stage:          st.Stage.String(),
 		PointsDone:     st.PointsDone,
 		PointsTotal:    st.PointsTotal,
 		Suspects:       st.Suspects,

@@ -164,8 +164,8 @@ func TestServeQuotaRefusalsTyped(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	gate := make(chan struct{})
-	cl := NewCluster(WithNodes(2), WithTransport(func(k int) Transport {
-		return &serveGatedTransport{inner: NewBroadcastBus(k), gate: gate}
+	cl := NewCluster(WithNodes(2), WithTransport(func(k int) (Transport, error) {
+		return &serveGatedTransport{inner: NewBroadcastBus(k), gate: gate}, nil
 	}))
 	defer cl.Close()
 	srv := NewServer(cl, ServerConfig{MaxQueueDepth: 2, DefaultMaxInFlight: 1})
@@ -295,8 +295,8 @@ func TestServeBackpressureOnTheWire(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	gate := make(chan struct{})
-	cl := NewCluster(WithNodes(2), WithTransport(func(k int) Transport {
-		return &serveGatedTransport{inner: NewBroadcastBus(k), gate: gate}
+	cl := NewCluster(WithNodes(2), WithTransport(func(k int) (Transport, error) {
+		return &serveGatedTransport{inner: NewBroadcastBus(k), gate: gate}, nil
 	}))
 	defer cl.Close()
 	srv := NewServer(cl, ServerConfig{MaxQueueDepth: 1, RetryAfter: 2 * time.Second})
@@ -423,5 +423,47 @@ func BenchmarkServeCacheHit(b *testing.B) {
 		if _, err := srv.Result(ctx, hit.Digest); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestServeRunOptionsReachTheRun: the run options of ServerConfig.Run are
+// the options of every preparation — a lying node is caught and named,
+// the trial count is the configured one — while FaultTolerance, which
+// keys the digest, overrides what Run says.
+func TestServeRunOptionsReachTheRun(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cl := NewCluster(WithNodes(4))
+	defer cl.Close()
+	const faults = 40
+	srv := NewServer(cl, ServerConfig{
+		FaultTolerance: faults,
+		Run: []RunOption{
+			WithAdversary(LyingNodes(7, 1)), WithVerifyTrials(3), WithSeed(5),
+			WithFaultTolerance(1),
+		},
+	})
+	defer srv.Close()
+	if srv.run.FaultTolerance != faults || srv.run.Seed != 5 {
+		t.Fatalf("resolved record has FaultTolerance %d, Seed %d; want %d, 5", srv.run.FaultTolerance, srv.run.Seed, faults)
+	}
+	out, err := srv.Submit("alice", "triangles n=16 p=0.3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Result(ctx, out.Digest); err != nil {
+		t.Fatal(err)
+	}
+	e, err := srv.lookup(out.Digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := e.report
+	if fmt.Sprint(rep.SuspectNodes) != "[1]" || rep.VerifyTrials != 3 || rep.FaultTolerance != faults {
+		t.Fatalf("report: suspects %v, trials %d, fault tolerance %d; want [1], 3, %d",
+			rep.SuspectNodes, rep.VerifyTrials, rep.FaultTolerance, faults)
+	}
+	if st, err := srv.Status(out.Digest); err != nil || st.Suspects != 1 {
+		t.Fatalf("status: suspects %d, err %v; want 1", st.Suspects, err)
 	}
 }
