@@ -3,6 +3,7 @@ package camelot
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/big"
 	"strings"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"camelot/internal/graph"
 	"camelot/internal/orthvec"
 	"camelot/internal/setcover"
+	"camelot/internal/tutte"
 )
 
 // The kinds the catalog made spec-addressable define their Count here
@@ -184,6 +186,81 @@ func TestCatalogSizingPinned(t *testing.T) {
 		}
 		if got, min := w.Problem.NumPrimes(), w.Problem.MinModulus(); got != want.primes || min != want.minQ {
 			t.Errorf("%s: NumPrimes %d, MinModulus %d; pinned %d, %d", spec, got, min, want.primes, want.minQ)
+		}
+	}
+}
+
+// goldenAnswer prepares a golden case's proof and renders what it
+// encodes: a spec case through Workload.Answer, a constructor-built one
+// through its package's own recovery.
+func goldenAnswer(gc goldenCase) (string, error) {
+	p, err := gc.build()
+	if err != nil {
+		return "", err
+	}
+	proof, _, err := RunProblem(context.Background(), p, WithNodes(3))
+	if err != nil {
+		return "", err
+	}
+	if gc.spec != "" {
+		w, err := ParseWorkload(gc.spec)
+		if err != nil {
+			return "", err
+		}
+		return w.Answer(proof)
+	}
+	var v any
+	switch p := p.(type) {
+	case *chromatic.Problem:
+		v, err = p.Coefficients(proof)
+	case *setcover.CoverProblem:
+		v, err = p.RecoverCovers(proof)
+	case *tutte.Problem:
+		v, err = p.Values(proof)
+	case *conv3sum.Problem:
+		v, err = p.Counts(proof)
+	case *csp.Problem:
+		v, err = p.Distribution(proof)
+	default:
+		return "", fmt.Errorf("no recovery for %T", p)
+	}
+	return fmt.Sprint(v), err
+}
+
+// TestCatalogAnswersPinned pins what every golden case's proof says —
+// each catalog kind's answer at its defaults and the counts of the five
+// constructor-built instances — as text. The answers are facts about
+// the instances, not about the primes the proof was prepared over: when
+// the golden digests are regenerated because the modulus policy moved,
+// this table must not change by a byte.
+func TestCatalogAnswersPinned(t *testing.T) {
+	pinned := map[string]string{
+		"chromatic":  "[0 -108 432 -711 625 -318 94 -15 1]",
+		"setcover":   "84",
+		"tutte-line": "[729 3200 9075 20736 41405 75264]",
+		"conv3sum":   "[1 1 0 0]",
+		"csp":        "[0 8 8 40 8 0]",
+
+		"triangles":      "triangles: 126",
+		"cliques":        "k-cliques: 0",
+		"permanent":      "permanent: 301565847",
+		"cnfsat":         "#SAT: 234",
+		"hamilton":       "hamiltonian cycles: 68",
+		"chromatic-spec": "χ_G(t) coefficients (c_0..c_10): [0 -3690 13593 -21746 20098 -11923 4731 -1259 217 -22 1]",
+		"setcover-spec":  "t-covers: 323190",
+		"ov":             "orthogonal pairs: 3537",
+		"conv3sum-spec":  "convolution-3SUM solutions: 4",
+		"csp-spec": "assignments by satisfied-constraint count:\n   1 satisfied: 64\n   2 satisfied: 256\n   3 satisfied: 576\n" +
+			"   4 satisfied: 1024\n   5 satisfied: 1216\n   6 satisfied: 768\n   7 satisfied: 192",
+	}
+	for _, gc := range goldenCases() {
+		got, err := goldenAnswer(gc)
+		if err != nil {
+			t.Errorf("%s: %v", gc.name, err)
+			continue
+		}
+		if want, ok := pinned[gc.name]; !ok || got != want {
+			t.Errorf("%s: answer moved\n got: %q\nwant: %q", gc.name, got, want)
 		}
 	}
 }
