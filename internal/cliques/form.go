@@ -253,15 +253,13 @@ func (fm *Form) ProofEvalBlock(dc tensor.Decomposition, xs []uint64) ([]uint64, 
 	if dc.N() != fm.n {
 		return nil, fmt.Errorf("cliques: decomposition covers N=%d, form has N=%d", dc.N(), fm.n)
 	}
-	pe := dc.NewPointEvaluator(fm.f)
 	out := make([]uint64, len(xs))
-	for i, x0 := range xs {
-		alpha, beta, gamma := pe.MatricesAt(x0)
-		v, err := fm.Combine(alpha, beta, gamma)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
+	err := dc.NewPointEvaluator(fm.f).Sweep(xs, func(i int, alpha, beta, gamma *matrix.Matrix) (err error) {
+		out[i], err = fm.Combine(alpha, beta, gamma)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

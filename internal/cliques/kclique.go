@@ -139,7 +139,8 @@ func (p *Problem) Width() int { return 1 }
 func (p *Problem) Degree() int { return 3 * (p.dc.R() - 1) }
 
 // MinModulus implements core.Problem: q >= 3R+1 enables interpolation
-// (paper §5.2); the 2^20 floor keeps the CRT prime count low.
+// (paper §5.2), raised to the word-sized floor every problem shares
+// (crt.FloorModulus).
 func (p *Problem) MinModulus() uint64 {
 	return crt.FloorModulus(uint64(3*p.dc.R() + 1))
 }
@@ -283,7 +284,7 @@ func CountNesetrilPoljak(g *graph.Graph, k int) (*big.Int, error) {
 		return nil, err
 	}
 	bound := new(big.Int).Exp(big.NewInt(int64(sm.N)), big.NewInt(6), nil)
-	minQ := uint64(1) << 40
+	minQ := crt.FloorModulus(0) // the circuit asks nothing of q
 	primes, err := core.ChoosePrimes(crt.PrimesFor(bound.BitLen(), minQ), minQ, 4)
 	if err != nil {
 		return nil, err

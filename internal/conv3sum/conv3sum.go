@@ -63,8 +63,8 @@ func (p *Problem) Degree() int {
 	return units * (p.n - 1)
 }
 
-// MinModulus implements core.Problem: counts c_i <= n/2 need q > n; the
-// 2^20 floor keeps one prime.
+// MinModulus implements core.Problem: counts c_i <= n/2 need q > n, so
+// one prime at the shared floor (crt.FloorModulus) always suffices.
 func (p *Problem) MinModulus() uint64 {
 	return crt.FloorModulus(uint64(p.n + 1))
 }

@@ -349,6 +349,35 @@ func TestChoosePrimes(t *testing.T) {
 	}
 }
 
+// At the width every proof runs at: four primes from 2^61 up ascend
+// strictly, fit ff's word, and carry the transform order; and a request
+// for more primes than [min, 2^62) holds is an error, not a wrap past
+// 2^64 back to small primes.
+func TestChoosePrimesWide(t *testing.T) {
+	for _, order := range []int{4, 1 << 10, 1 << 20} {
+		primes, err := ChoosePrimes(4, 1<<61, order)
+		if err != nil {
+			t.Fatalf("order %d: %v", order, err)
+		}
+		prev := uint64(1<<61 - 1)
+		for _, q := range primes {
+			if q <= prev || q > ff.MaxPrime || !ff.IsPrime(q) || (q-1)%uint64(order) != 0 {
+				t.Errorf("order %d: primes %v: %d does not ascend, fit the word or carry the order", order, primes, q)
+			}
+			prev = q
+		}
+	}
+	// Two candidates c·2^20+1 are left below 2^62 from here.
+	if ps, err := ChoosePrimes(4, ff.MaxPrime-1<<21, 1<<20); err == nil {
+		t.Errorf("four primes of order 2^20 in the last 2^21 values below 2^62: got %v", ps)
+	}
+	for _, min := range []uint64{ff.MaxPrime + 1, 1<<64 - 1} {
+		if ps, err := ChoosePrimes(1, min, 4); err == nil {
+			t.Errorf("a prime >= %d: got %v", min, ps)
+		}
+	}
+}
+
 func TestAdversaryDeterminism(t *testing.T) {
 	a1 := NewLyingNodes(9, 1)
 	a2 := NewLyingNodes(9, 1)

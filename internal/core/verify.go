@@ -127,8 +127,8 @@ func uniformUint64(rng *rand.Rand, q uint64) uint64 {
 //	(W-1 + max(d, e-1)) / q   per prime,
 //
 // and independent challenges across primes multiply the bound. For the
-// framework's primes (≥ 2^31) and typical proof shapes this is < 2^-19
-// per prime per call.
+// framework's primes (≥ 2^61, crt.FloorModulus) and typical proof
+// shapes (W-1+max(d, e-1) < 2^12) this is < 2^-49 per prime per call.
 //
 // Cost: O(W·(d+e) + e) multiplications per prime versus the W·e·d of
 // auditing every point — the fold is what makes batched ingest cheap.

@@ -3,6 +3,15 @@
 // proofs are prepared modulo O(1) distinct primes q and the final counts
 // (clique counts, permanents, chromatic-polynomial values, ...) are
 // reassembled over the integers (paper footnotes 5 and 18).
+//
+// The package also holds the width policy, which is one rule with no
+// knob: every prime is a full machine word, q in [2^61, 2^62)
+// (FloorModulus), and a proof takes as many of them as its answer bound
+// needs at 61 bits apiece (PrimesFor). internal/ff's reduction kernels
+// cost the same per word for any q < 2^62, and everything the engine
+// does — compile, evaluate, send, decode, verify, marshal — it does once
+// per prime, so the widest word is the cheapest proof: the paper's O(1)
+// is 1 for every catalog kind at its defaults.
 package crt
 
 import (
@@ -62,12 +71,17 @@ func ReconstructSigned(residues, moduli []uint64) (*big.Int, error) {
 	return x, nil
 }
 
-// FloorModulus raises the modulus a problem's design needs to the 2^20
-// floor every problem of the zoo shares: it keeps the CRT prime count low
-// and the verifier's soundness error d/q small however little the
-// problem's own degree demands.
+// FloorModulus raises the modulus a problem's design needs to the 2^61
+// floor every problem of the zoo shares — the one literal floor in the
+// module. core.ChoosePrimes takes the smallest NTT-friendly primes from
+// it up, so q lands in [2^61, 2^62), inside ff.MaxPrime: each prime
+// buys 61 bits of CRT range, and the verifier's soundness error d/q per
+// trial is below 2^-40 for any proof of degree under 2^21, however
+// little the problem's own degree demands. Tests that want a visible
+// d/q pass explicit small primes to the layers below and never ask a
+// problem for its floor.
 func FloorModulus(need uint64) uint64 {
-	return max(need, 1<<20)
+	return max(need, 1<<61)
 }
 
 // PrimesFor returns how many primes ≥ minQ make a product that exceeds

@@ -300,19 +300,21 @@ func (p *Problem) Compile(f ff.Field) (plan.Plan, error) {
 
 // EvaluateBlock implements plan.Plan.
 func (c *compiled) EvaluateBlock(xs []uint64) ([][]uint64, error) {
-	pe := c.p.dc.NewPointEvaluator(c.f)
 	out := make([][]uint64, len(xs))
-	for xi, x0 := range xs {
-		alpha, beta, gamma := pe.MatricesAt(x0)
+	err := c.p.dc.NewPointEvaluator(c.f).Sweep(xs, func(xi int, alpha, beta, gamma *matrix.Matrix) error {
 		row := make([]uint64, len(c.fs))
 		for w0, form := range c.fs {
 			v, err := form.Combine(alpha, beta, gamma)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			row[w0] = v
 		}
 		out[xi] = row
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

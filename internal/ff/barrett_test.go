@@ -6,6 +6,7 @@ package ff
 // plus the inlining guard for MulK and the microbenchmarks.
 
 import (
+	"math/bits"
 	"math/rand"
 	"os/exec"
 	"strings"
@@ -159,23 +160,55 @@ func TestNewIsMemoized(t *testing.T) {
 	}
 }
 
-func TestPrimitiveRootIsGenerator(t *testing.T) {
-	for _, q := range []uint64{3, 5, 97, 65537, 1048583} {
-		g, err := PrimitiveRoot(q)
-		if err != nil {
-			t.Fatalf("PrimitiveRoot(%d): %v", q, err)
+// The transform root at the width the framework runs at: for every order
+// 2^2..2^20 and the first four NTT primes from 2^61 up, NTTPrime's root r
+// has order exactly 2^k — r^(2^k) = 1 and r^(2^(k-1)) = -1 — and
+// RootOfUnity hands the same root to anyone holding the field.
+func TestRootOfUnityWidePrimes(t *testing.T) {
+	for k := 2; k <= 20; k++ {
+		min := uint64(1) << 61
+		for i := 0; i < 4; i++ {
+			q, r, err := NTTPrime(min, 1<<k)
+			if err != nil {
+				t.Fatalf("NTTPrime(%d, 2^%d): %v", min, k, err)
+			}
+			if q < min || q > MaxPrime || (q-1)%(1<<k) != 0 {
+				t.Fatalf("NTTPrime(%d, 2^%d) = %d: out of range or 2^%d does not divide q-1", min, k, q, k)
+			}
+			f := Must(q)
+			if f.Exp(r, 1<<k) != 1 || f.Exp(r, 1<<(k-1)) != q-1 {
+				t.Errorf("q=%d k=%d: root %d does not have order 2^%d", q, k, r, k)
+			}
+			if got := f.RootOfUnity(k); got != r {
+				t.Errorf("q=%d k=%d: RootOfUnity = %d, NTTPrime says %d", q, k, got, r)
+			}
+			min = q + 1
 		}
+	}
+}
+
+// Small and degenerate fields: the order-1 root is 1, the order-2 root
+// is -1, and asking for more two-power than q-1 holds is a caller's bug.
+func TestRootOfUnitySmallFields(t *testing.T) {
+	for _, q := range []uint64{2, 3, 5, 97, 65537, 1048583} {
 		f := Must(q)
-		for _, p := range factorize(q - 1) {
-			if f.Exp(g, (q-1)/p) == 1 {
-				t.Fatalf("PrimitiveRoot(%d) = %d has order dividing (q-1)/%d", q, g, p)
+		if got := f.RootOfUnity(0); got != 1 {
+			t.Errorf("q=%d: RootOfUnity(0) = %d", q, got)
+		}
+		k := bits.TrailingZeros64(q - 1)
+		if k > 0 {
+			if r := f.RootOfUnity(k); f.Exp(r, 1<<(k-1)) != q-1 {
+				t.Errorf("q=%d: RootOfUnity(%d) = %d is not of order 2^%d", q, k, r, k)
 			}
 		}
-		// Memoized second call must agree.
-		g2, _ := PrimitiveRoot(q)
-		if g2 != g {
-			t.Fatalf("PrimitiveRoot(%d) not stable: %d then %d", q, g, g2)
-		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("q=%d: RootOfUnity(%d) did not panic", q, k+1)
+				}
+			}()
+			f.RootOfUnity(k + 1)
+		}()
 	}
 }
 

@@ -1,8 +1,9 @@
 package ff
 
-// Differential and fuzz tests of the run kernel
-// (LagrangeEvaluator.BitSweepBlock) against the one-shot Lagrange
-// kernels, whose derivation shares nothing with it but the field.
+// Differential and fuzz tests of the run kernels
+// (LagrangeEvaluator.BitSweepBlock and Sweep) against the one-shot
+// Lagrange kernels, whose derivation shares nothing with them but the
+// field.
 
 import (
 	"math/bits"
@@ -11,14 +12,20 @@ import (
 	"testing"
 )
 
+// basisOneShot is the basis vector over the grid base..base+R-1 at x
+// from the one-shot kernels.
+func basisOneShot(f Field, bigR int, base, x uint64) []uint64 {
+	if base == 1 {
+		return f.LagrangeAtOneBased(bigR, x)
+	}
+	return f.LagrangeAtZeroBased(bigR, x)
+}
+
 // bitSumOneShot is D(x) over the grid base..base+R-1 from the one-shot
 // basis vector: coordinate j sums the basis values at the grid positions
 // with bit j set.
 func bitSumOneShot(f Field, bigR int, base, x uint64) []uint64 {
-	phi := f.LagrangeAtZeroBased(bigR, x)
-	if base == 1 {
-		phi = f.LagrangeAtOneBased(bigR, x)
-	}
+	phi := basisOneShot(f, bigR, base, x)
 	z := make([]uint64, bits.Len(uint(bigR-1)))
 	for i, v := range phi {
 		for j := range z {
@@ -30,11 +37,27 @@ func bitSumOneShot(f Field, bigR int, base, x uint64) []uint64 {
 	return z
 }
 
-// checkSweep runs the block kernel on xs with poisoned output and
-// scratch and compares every coordinate of every point with the one-shot.
+// checkSweep runs the block kernels on xs — BitSweepBlock with poisoned
+// output and scratch — and compares every coordinate of every point with
+// the one-shot; Sweep must visit every point once, in order.
 func checkSweep(t *testing.T, f Field, bigR int, base uint64, xs []uint64) {
 	t.Helper()
 	le := f.newLagrangeEvaluator(bigR, base)
+	visited := 0
+	le.Sweep(xs, func(p int, lam []uint64) {
+		if p != visited {
+			t.Fatalf("q=%d R=%d base=%d xs=%v: Sweep visited point %d after %d points", f.Q, bigR, base, xs, p, visited)
+		}
+		visited++
+		for i, w := range basisOneShot(f, bigR, base, xs[p]) {
+			if lam[i] != w {
+				t.Fatalf("q=%d R=%d base=%d xs=%v: Sweep's Λ_%d(xs[%d]=%d) = %d, one-shot %d", f.Q, bigR, base, xs, i, p, xs[p], lam[i], w)
+			}
+		}
+	})
+	if visited != len(xs) {
+		t.Fatalf("q=%d R=%d base=%d xs=%v: Sweep visited %d of %d points", f.Q, bigR, base, xs, visited, len(xs))
+	}
 	m, nbits := len(xs), le.SweepBits()
 	dst := make([]uint64, nbits*m)
 	scratch := make([]uint64, le.SweepScratch(m))
@@ -110,7 +133,7 @@ func TestBitSweepBlockMatchesOneShot(t *testing.T) {
 	}
 }
 
-// TestBitSweepBlockConcurrent runs one evaluator's block kernel from
+// TestBitSweepBlockConcurrent runs one evaluator's block kernels from
 // several goroutines at once — what a compiled plan does — for the race
 // detector to watch.
 func TestBitSweepBlockConcurrent(t *testing.T) {
@@ -127,6 +150,19 @@ func TestBitSweepBlockConcurrent(t *testing.T) {
 			got := make([]uint64, len(want))
 			scratch := make([]uint64, le.SweepScratch(len(xs)))
 			for rep := 0; rep < 20; rep++ {
+				le.Sweep(xs, func(p int, lam []uint64) {
+					for j := range le.SweepBits() {
+						sum := uint64(0)
+						for i, v := range lam {
+							if i>>uint(j)&1 == 1 {
+								sum = f.Add(sum, v)
+							}
+						}
+						if sum != want[j*len(xs)+p] {
+							t.Errorf("concurrent Sweep: bit sum %d at point %d = %d, want %d", j, p, sum, want[j*len(xs)+p])
+						}
+					}
+				})
 				le.BitSweepBlock(got, xs, scratch)
 				for i := range want {
 					if got[i] != want[i] {

@@ -412,6 +412,10 @@ func NTTPrime(min uint64, order int) (q, root uint64, err error) {
 	if k > 40 {
 		return 0, 0, fmt.Errorf("ff: NTT order 2^%d too large", k)
 	}
+	if min > MaxPrime {
+		// Also keeps min+step below from wrapping past 2^64.
+		return 0, 0, fmt.Errorf("ff: no prime >= %d below 2^62", min)
+	}
 	step := uint64(1) << k
 	// Smallest candidate c*2^k+1 >= max(min, 2^k+1).
 	c := (min + step - 1) / step
@@ -428,68 +432,33 @@ func NTTPrime(min uint64, order int) (q, root uint64, err error) {
 			return 0, 0, fmt.Errorf("ff: no NTT prime of order 2^%d below 2^62 and >= %d", k, min)
 		}
 		if IsPrime(q) {
-			g, err := PrimitiveRoot(q)
-			if err != nil {
-				return 0, 0, err
-			}
-			f := newUnchecked(q)
-			root = f.Exp(g, (q-1)>>uint(k))
-			return q, root, nil
+			return q, newUnchecked(q).RootOfUnity(k), nil
 		}
 		c++
 	}
 }
 
-// rootCache memoizes PrimitiveRoot per modulus: the search factorizes
-// q-1 and tests candidate generators, which poly.NewRing would otherwise
-// repeat on every ring construction (rings are rebuilt per prime per
-// run).
-var rootCache sync.Map // uint64 -> uint64
-
-// PrimitiveRoot returns a generator of the multiplicative group of Z_q
-// for prime q. Results are memoized per modulus; safe for concurrent
-// use. For composite q (no generator need exist) an error is returned.
-func PrimitiveRoot(q uint64) (uint64, error) {
-	if g, ok := rootCache.Load(q); ok {
-		return g.(uint64), nil
+// RootOfUnity returns a primitive 2^k-th root of unity of Z_q, for a
+// prime q with 2^k | q-1; it panics when 2^k does not divide q-1.
+//
+// The root comes from the smallest quadratic non-residue x — by Euler's
+// criterion x^((q-1)/2) = -1 — as r = x^((q-1)/2^k): then
+// r^(2^(k-1)) = -1, so r has order exactly 2^k. No factor of q-1 other
+// than its power of two is ever needed, where a generator search would
+// have to factorize all of q-1: up to 2^29 trial divisions for a 61-bit
+// q whose (q-1)/2^k has a large prime factor. Half of Z_q* are
+// non-residues and the smallest is tiny, so the whole search is a
+// handful of exponentiations and is not memoized.
+func (f Field) RootOfUnity(k int) uint64 {
+	if k < 0 || (f.Q-1)&(1<<uint(k)-1) != 0 {
+		panic(fmt.Sprintf("ff: no 2^%d-th root of unity mod %d", k, f.Q))
 	}
-	if q < 2 {
-		return 0, fmt.Errorf("ff: no primitive root mod %d", q)
+	if k == 0 {
+		return 1
 	}
-	phi := q - 1
-	factors := factorize(phi)
-	f := newUnchecked(q)
-	for g := uint64(2); g < q; g++ {
-		ok := true
-		for _, p := range factors {
-			if f.Exp(g, phi/p) == 1 {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			rootCache.Store(q, g)
-			return g, nil
-		}
+	x := uint64(2)
+	for f.Exp(x, (f.Q-1)/2) != f.Q-1 {
+		x++
 	}
-	return 0, fmt.Errorf("ff: no primitive root mod %d (modulus not prime?)", q)
-}
-
-// factorize returns the distinct prime factors of n by trial division
-// (adequate: used once per prime selection, on q-1 which is smooth-ish
-// for NTT primes anyway).
-func factorize(n uint64) []uint64 {
-	var fs []uint64
-	for p := uint64(2); p*p <= n; p++ {
-		if n%p == 0 {
-			fs = append(fs, p)
-			for n%p == 0 {
-				n /= p
-			}
-		}
-	}
-	if n > 1 {
-		fs = append(fs, n)
-	}
-	return fs
+	return f.Exp(x, (f.Q-1)>>uint(k))
 }

@@ -136,14 +136,16 @@ func (f Field) BitSweepAt(nbits int, x0 uint64) []uint64 {
 // factorial-derived denominator factors are inverted once at
 // construction, and every evaluation is one window of inverted
 // differences x-point_i times those fixed factors. At evaluates the
-// basis at one point; BitSweepBlock evaluates the bit sums of the basis
-// at a block of points, sharing one window across each run of
-// consecutive points.
+// basis at one point; Sweep hands out the basis at every point of a
+// block and BitSweepBlock the bit sums of the basis, both sharing one
+// window — one field inversion, a Fermat exponentiation whose length is
+// the width of q — across each run of consecutive points.
 //
 // The fixed factors are read-only after construction. At works in the
 // evaluator's own scratch and is NOT safe for concurrent use (build one
-// evaluator per goroutine); BitSweepBlock works in caller scratch only,
-// so one evaluator on a compiled plan serves concurrent blocks.
+// evaluator per goroutine); Sweep allocates its scratch per call and
+// BitSweepBlock works in caller scratch only, so one evaluator on a
+// compiled plan serves concurrent blocks.
 //
 // Kept separate from the one-shot LagrangeAt*Based kernels on purpose:
 // the one-shot folds the per-point factor into a single batch
@@ -225,10 +227,32 @@ func (le *LagrangeEvaluator) window(x0 uint64, n int, inv, prefix []uint64) uint
 	return gamma
 }
 
+// runLen is the length of the run of consecutive off-grid residues that
+// starts at xs[0] = x0 (canonical, off the grid), at most limit points.
+func (le *LagrangeEvaluator) runLen(xs []uint64, x0 uint64, limit int) int {
+	n := 1
+	for n < len(xs) && n < limit {
+		x := le.f.ReduceU(xs[n])
+		if x != x0+uint64(n) || le.onGrid(x) {
+			break
+		}
+		n++
+	}
+	return n
+}
+
+// slide moves Γ one point along a run of n whose window is inv: given
+// gamma = Γ(x-1) at x = x0+p, p >= 1, it returns
+// Γ(x) = Γ(x-1)·(x-base)/(x-1-base-(R-1)).
+func (le *LagrangeEvaluator) slide(gamma, x0 uint64, p, n int, inv []uint64) uint64 {
+	k := le.f.Kernel()
+	return MulK(MulK(gamma, le.f.Sub(x0+uint64(p), le.base), k), inv[n-p+le.bigR-1], k)
+}
+
 // At writes the basis vector (Λ_base(x0), ..., Λ_{base+R-1}(x0)) into
 // out (which must have length R) and returns it. out may be reused
-// across calls. It is the run of one point of the derivation
-// BitSweepBlock spreads over a block: Λ_i(x0) = Γ(x0)·invFixed[i]/(x0-point_i).
+// across calls. It is the run of one point of the derivation Sweep and
+// BitSweepBlock spread over a block: Λ_i(x0) = Γ(x0)·invFixed[i]/(x0-point_i).
 func (le *LagrangeEvaluator) At(x0 uint64, out []uint64) []uint64 {
 	f := le.f
 	if len(out) != le.bigR {
@@ -244,6 +268,52 @@ func (le *LagrangeEvaluator) At(x0 uint64, out []uint64) []uint64 {
 	gamma := le.window(x0, 1, le.diffs, le.prefix)
 	MulScaleVecKS(out, le.invFixed, le.diffs, k.Shift(gamma), k)
 	return out
+}
+
+// sweepRun caps the runs of Sweep: 64 points share an inversion, and the
+// window stays at R+63 words however long the block.
+const sweepRun = 64
+
+// Sweep calls visit(p, Λ(xs[p])) for p = 0, ..., len(xs)-1 in order,
+// where Λ(x) is the basis vector At writes — the block form of a
+// per-point At loop, for callers that consume the whole vector at each
+// point. A maximal run of consecutive off-grid residues (cut at sweepRun
+// points) shares one window of inverted differences, so a block of
+// consecutive points — what the engine's ranges are — costs one field
+// inversion per 64 points where At costs one per point; Γ slides along
+// the run as in BitSweepBlock. Any xs are accepted; only consecutive
+// ones share work. The vectors are bit-identical to At's.
+//
+// lam is Sweep's own buffer, valid until visit returns and not to be
+// written. The evaluator itself is only read, so calls may run
+// concurrently.
+func (le *LagrangeEvaluator) Sweep(xs []uint64, visit func(p int, lam []uint64)) {
+	f, bigR := le.f, le.bigR
+	k := f.Kernel()
+	w := min(len(xs), sweepRun) + bigR - 1
+	buf := make([]uint64, bigR+2*w)
+	lam, invBuf, prefix := buf[:bigR], buf[bigR:bigR+w], buf[bigR+w:]
+	for p0 := 0; p0 < len(xs); {
+		x0 := f.ReduceU(xs[p0])
+		if le.onGrid(x0) {
+			clear(lam)
+			lam[x0-le.base] = 1
+			visit(p0, lam)
+			p0++
+			continue
+		}
+		n := le.runLen(xs[p0:], x0, sweepRun)
+		inv := invBuf[:n+bigR-1]
+		gamma := le.window(x0, n, inv, prefix)
+		for p := 0; p < n; p++ {
+			if p > 0 {
+				gamma = le.slide(gamma, x0, p, n, inv)
+			}
+			MulScaleVecKS(lam, le.invFixed, inv[n-1-p:][:bigR], k.Shift(gamma), k)
+			visit(p0+p, lam)
+		}
+		p0 += n
+	}
 }
 
 // SweepBits is the number of coordinates of the bit-swept vector over the
@@ -291,20 +361,12 @@ func (le *LagrangeEvaluator) BitSweepBlock(dst, xs, scratch []uint64) {
 			p0++
 			continue
 		}
-		n := 1
-		for p0+n < m {
-			x := f.ReduceU(xs[p0+n])
-			if x != x0+uint64(n) || le.onGrid(x) {
-				break
-			}
-			n++
-		}
+		n := le.runLen(xs[p0:], x0, m)
 		inv, term, gam := invBuf[:n+bigR-1], prefix[:n], gamBuf[:n]
 		gamma := le.window(x0, n, inv, prefix)
 		gam[0] = gamma
 		for p := 1; p < n; p++ {
-			// Γ(x) = Γ(x-1)·(x-base)/(x-1-base-(R-1)) at x = x0+p.
-			gamma = MulK(MulK(gamma, f.Sub(x0+uint64(p), le.base), k), inv[n-p+bigR-1], k)
+			gamma = le.slide(gamma, x0, p, n, inv)
 			gam[p] = gamma
 		}
 		for i := 1; i < bigR; i++ { // position 0 has no bit set

@@ -6,6 +6,19 @@
 // driver. Everything is deterministic and allocation-conscious: the
 // (6,2)-linear-form evaluator of paper §4.2 relies on products staying in
 // O(N²) space.
+//
+// mulClassic has two kernels. Every proof prime is at least 2^61
+// (crt.FloorModulus), so the protocol paths — cliques, csp — always run
+// the general one, one division-free reduction per product. The
+// raw-accumulation kernel for q < 2^31 stays for the one small-prime
+// caller outside tests, triangles.CountItaiRodeh (the §6.1 sequential
+// baseline of cmd/experiments, q just above n³): A/B'd with the branch
+// deleted, n = 64, 128, 256 took 1.64, 12.2 and 97 ms against 0.58, 3.4
+// and 31 ms with it. Once that baseline is a test oracle only, the
+// branch can go. It was never why the catalog ran narrow primes: at the
+// old 2^20 floor it was worth 7% on `cliques n=12 k=6 p=0.5` (1.64 s
+// against 1.75 s without it, two primes), where one 61-bit prime through
+// the general kernel takes 1.03 s.
 package matrix
 
 import (
@@ -176,8 +189,9 @@ func (m *Matrix) Mul(o *Matrix) *Matrix {
 
 // mulClassic is an ikj-ordered kernel with lazy reduction: products are
 // accumulated raw in uint64 and reduced only when another addition could
-// overflow, which needs q < 2^31 to guarantee safety; otherwise entries
-// are reduced every step.
+// overflow, which needs q < 2^31 to guarantee safety; otherwise — for
+// every proof prime, see the package comment — entries are reduced every
+// step.
 func (m *Matrix) mulClassic(o *Matrix) *Matrix {
 	out := New(m.F, m.R, o.C)
 	f := m.F

@@ -71,7 +71,8 @@ func (p *OVProblem) Width() int { return 1 }
 func (p *OVProblem) Degree() int { return p.a.T * (p.a.N - 1) }
 
 // MinModulus implements core.Problem: q must exceed the recovery grid and
-// the counts c_i <= n(B); a 2^20 floor keeps the prime count at one.
+// the counts c_i <= n(B), so one prime at the shared floor
+// (crt.FloorModulus) suffices.
 func (p *OVProblem) MinModulus() uint64 {
 	return crt.FloorModulus(uint64(max(p.a.N, p.b.N) + 1))
 }
@@ -120,10 +121,10 @@ func (p *OVProblem) Evaluate(q, x0 uint64) ([]uint64, error) {
 }
 
 // ovCompiled is the OVProblem Plan for one prime. The Lagrange
-// evaluator carries scratch, so it is built per EvaluateBlock call (its
-// factorial/denominator setup amortizes over the block's points); the
-// basis/column scratch vectors are likewise per call, making one plan
-// safe for concurrent chunk tasks.
+// evaluator is built per EvaluateBlock call (its factorial/denominator
+// setup amortizes over the block's points, its field inversions over
+// each run of them); the column scratch vector is likewise per call,
+// making one plan safe for concurrent chunk tasks.
 type ovCompiled struct {
 	p *OVProblem
 	f ff.Field
@@ -144,12 +145,9 @@ func (p *OVProblem) Compile(f ff.Field) (plan.Plan, error) {
 func (c *ovCompiled) EvaluateBlock(xs []uint64) ([][]uint64, error) {
 	p, f := c.p, c.f
 	k := f.Kernel()
-	le := f.NewLagrangeEvaluatorOneBased(p.a.N)
-	lam := make([]uint64, p.a.N)
 	acol := make([]uint64, p.a.T)
 	out := make([][]uint64, len(xs))
-	for xi, x0 := range xs {
-		le.At(x0, lam)
+	f.NewLagrangeEvaluatorOneBased(p.a.N).Sweep(xs, func(xi int, lam []uint64) {
 		for j := range acol {
 			acol[j] = 0
 		}
@@ -180,7 +178,7 @@ func (c *ovCompiled) EvaluateBlock(xs []uint64) ([][]uint64, error) {
 			total = f.Add(total, prod)
 		}
 		out[xi] = []uint64{total}
-	}
+	})
 	return out, nil
 }
 
@@ -271,8 +269,8 @@ func (p *HammingProblem) Width() int { return 1 }
 func (p *HammingProblem) Degree() int { return (p.a.T + 1) * (p.grid - 1) }
 
 // MinModulus implements core.Problem: the factorial Π_{ℓ≠h}(h-ℓ) <= t!
-// must be invertible and counts c_ih <= n must be recoverable; a 2^20
-// floor keeps a single prime.
+// must be invertible and counts c_ih <= n must be recoverable, so one
+// prime at the shared floor (crt.FloorModulus) suffices.
 func (p *HammingProblem) MinModulus() uint64 {
 	return crt.FloorModulus(uint64(max(p.grid, p.b.N) + 1))
 }
@@ -349,7 +347,8 @@ type hammingCompiled struct {
 }
 
 // Compile implements plan.Compiler: the Lagrange factorial and
-// denominator tables build once per block instead of once per point.
+// denominator tables build once per block instead of once per point,
+// and the differences are inverted once per run of points.
 func (p *HammingProblem) Compile(f ff.Field) (plan.Plan, error) {
 	return &hammingCompiled{p: p, f: f}, nil
 }
@@ -359,13 +358,10 @@ func (c *hammingCompiled) EvaluateBlock(xs []uint64) ([][]uint64, error) {
 	p, f := c.p, c.f
 	q := f.Q
 	t := p.a.T
-	le := f.NewLagrangeEvaluatorZeroBased(p.grid)
-	phi := make([]uint64, p.grid)
 	z := make([]uint64, t)
 	w := make([]uint64, t)
 	out := make([][]uint64, len(xs))
-	for xi, x0 := range xs {
-		le.At(x0, phi)
+	f.NewLagrangeEvaluatorZeroBased(p.grid).Sweep(xs, func(xi int, phi []uint64) {
 		for j := range z {
 			z[j] = 0
 		}
@@ -414,7 +410,7 @@ func (c *hammingCompiled) EvaluateBlock(xs []uint64) ([][]uint64, error) {
 			total = f.Add(total, prod)
 		}
 		out[xi] = []uint64{total}
-	}
+	})
 	return out, nil
 }
 

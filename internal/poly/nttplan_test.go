@@ -113,6 +113,25 @@ func nttRings(t testing.TB) []*Ring {
 	return rs
 }
 
+// The ring's transform root is the one ff.NTTPrime reports: for orders
+// 2^2..2^20 over the first four NTT primes from 2^61 up, squaring the
+// ring's full-two-adicity root down to order 2^k lands on NTTPrime's.
+func TestNewRingRootAgreesWithNTTPrime(t *testing.T) {
+	for k := 2; k <= 20; k++ {
+		min := uint64(1) << 61
+		for i := 0; i < 4; i++ {
+			q, root, err := ff.NTTPrime(min, 1<<k)
+			if err != nil {
+				t.Fatalf("NTTPrime(%d, 2^%d): %v", min, k, err)
+			}
+			if got := NewRing(ff.Must(q)).rootOfOrder(1 << k); got != root {
+				t.Errorf("q=%d: ring's root of order 2^%d is %d, NTTPrime says %d", q, k, got, root)
+			}
+			min = q + 1
+		}
+	}
+}
+
 func TestMulNTTMatchesReferenceTransform(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, r := range nttRings(t) {

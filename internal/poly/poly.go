@@ -34,9 +34,8 @@ type Ring struct {
 
 // NewRing returns a polynomial ring over Z_q. If q-1 has enough powers of
 // two, multiplications transparently use the number-theoretic transform.
-// The generator search behind the transform root is delegated to
-// ff.PrimitiveRoot, which memoizes per modulus, so rebuilding a ring for
-// a previously seen prime is cheap.
+// The transform root is ff.Field.RootOfUnity's — a few exponentiations,
+// no factoring of q-1 — so a ring is cheap to rebuild per prime per run.
 func NewRing(f ff.Field) *Ring {
 	r := &Ring{f: f}
 	m := f.Q - 1
@@ -45,9 +44,7 @@ func NewRing(f ff.Field) *Ring {
 		r.twoAdicity++
 	}
 	if r.twoAdicity >= 2 {
-		if g, err := ff.PrimitiveRoot(f.Q); err == nil {
-			r.root = f.Exp(g, (f.Q-1)>>uint(r.twoAdicity))
-		}
+		r.root = f.RootOfUnity(r.twoAdicity)
 	}
 	return r
 }

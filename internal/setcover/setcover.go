@@ -74,8 +74,8 @@ func (p *ExactCoverProblem) Width() int { return 1 }
 // Degree implements core.Problem: |B|·2^{|B|-1} per §7.2.
 func (p *ExactCoverProblem) Degree() int { return p.split.Degree() }
 
-// MinModulus implements core.Problem: above the proof degree, floored
-// at 2^20 to keep the CRT prime count low.
+// MinModulus implements core.Problem: above the proof degree, raised to
+// the word-sized floor every problem shares (crt.FloorModulus).
 func (p *ExactCoverProblem) MinModulus() uint64 {
 	return crt.FloorModulus(uint64(p.split.Degree()) + 2)
 }
@@ -261,8 +261,8 @@ func (p *CoverProblem) Degree() int {
 	return (1<<uint(p.n1) - 1) * (1 + p.t) * p.n1
 }
 
-// MinModulus implements core.Problem: the Lagrange grid needs q > 2^{n1};
-// the 2^20 floor keeps the CRT prime count low.
+// MinModulus implements core.Problem: the Lagrange grid needs q > 2^{n1},
+// raised to the word-sized floor every problem shares (crt.FloorModulus).
 func (p *CoverProblem) MinModulus() uint64 {
 	return crt.FloorModulus(uint64(1)<<uint(p.n1) + 1)
 }

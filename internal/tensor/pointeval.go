@@ -17,16 +17,13 @@ import (
 // [α(x0)], [β(x0)], [γ(x0)] at many points of one prime, sharing the
 // reduced bases, the Lagrange denominator inverses, and the index
 // fan-out table across points — and the Lagrange vector itself across
-// the three families at each point.
-//
-// Not safe for concurrent use (shared scratch); build one per goroutine.
+// the three families at each point. It is read-only after construction.
 type PointEvaluator struct {
 	dc                  Decomposition
 	f                   ff.Field
 	lag                 *ff.LagrangeEvaluator
 	baseA, baseB, baseG []uint64
-	idx                 []int    // matrix cell (row*N+col) -> Yates output index
-	lam                 []uint64 // scratch: per-point Lagrange vector
+	idx                 []int // matrix cell (row*N+col) -> Yates output index
 }
 
 // NewPointEvaluator prepares the per-prime evaluation state.
@@ -54,15 +51,21 @@ func (dc Decomposition) NewPointEvaluator(f ff.Field) *PointEvaluator {
 		baseB: dc.baseMod(f, kindBeta),
 		baseG: dc.baseMod(f, kindGamma),
 		idx:   idx,
-		lam:   make([]uint64, dc.R()),
 	}
 }
 
-// MatricesAt evaluates the three coefficient matrices at x0 with one
-// Lagrange vector and three Yates pushes.
-func (pe *PointEvaluator) MatricesAt(x0 uint64) (alpha, beta, gamma *matrix.Matrix) {
-	lam := pe.lag.At(x0, pe.lam)
-	return pe.fanOut(pe.baseA, lam), pe.fanOut(pe.baseB, lam), pe.fanOut(pe.baseG, lam)
+// Sweep calls visit with the three coefficient matrices at every point
+// of xs, in order: one Lagrange vector and three Yates pushes per point,
+// and one field inversion per run of consecutive points
+// (ff.LagrangeEvaluator.Sweep). It stops at the first error visit
+// returns and returns it.
+func (pe *PointEvaluator) Sweep(xs []uint64, visit func(p int, alpha, beta, gamma *matrix.Matrix) error) (err error) {
+	pe.lag.Sweep(xs, func(p int, lam []uint64) {
+		if err == nil {
+			err = visit(p, pe.fanOut(pe.baseA, lam), pe.fanOut(pe.baseB, lam), pe.fanOut(pe.baseG, lam))
+		}
+	})
+	return err
 }
 
 // fanOut pushes the Lagrange vector through one base's Kronecker power

@@ -166,14 +166,21 @@ func TestPointEvaluatorMatchesAtPoint(t *testing.T) {
 	f := ff.Must(1048583)
 	for _, dc := range []Decomposition{Strassen().Pow(2), Trivial(2).Pow(2), Strassen().Pow(3)} {
 		pe := dc.NewPointEvaluator(f)
-		for _, x0 := range []uint64{0, 1, 5, uint64(dc.R()), uint64(dc.R()) + 3, 987654} {
-			alpha, beta, gamma := pe.MatricesAt(x0)
+		// On the grid, a run that leaves it, and a lone far point.
+		r := uint64(dc.R())
+		xs := []uint64{0, 1, 5, r, r + 1, r + 2, r + 3, 987654}
+		err := pe.Sweep(xs, func(p int, alpha, beta, gamma *matrix.Matrix) error {
+			x0 := xs[p]
 			if !alpha.Equal(dc.AlphaMatrixAtPoint(f, x0)) ||
 				!beta.Equal(dc.BetaMatrixAtPoint(f, x0)) ||
 				!gamma.Equal(dc.GammaMatrixAtPoint(f, x0)) {
 				t.Fatalf("N0=%d R0=%d T=%d x0=%d: PointEvaluator disagrees with per-call path",
 					dc.N0, dc.R0, dc.T, x0)
 			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }

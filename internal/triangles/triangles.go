@@ -114,17 +114,23 @@ func newSparseTriple(f ff.Field, g *graph.Graph, dc tensor.Decomposition, ell in
 	return &sparseTriple{f: f, a: sides[0], b: sides[1], c: sides[2]}, nil
 }
 
-// evaluator returns z0 ↦ P(z0) = Σ_v A_v(z0)·B_v(z0)·C_v(z0), the one
+// tripleEvaluator evaluates P(z0) = Σ_v A_v(z0)·B_v(z0)·C_v(z0), the one
 // per-point path of verifier and compiled plan alike. The three sides
 // share the part grid, so one Lagrange basis Φ(z0) serves all of them;
-// only their (Aᵀ)^{⊗(k-ℓ)} weights differ. The closure owns the three
+// only their (Aᵀ)^{⊗(k-ℓ)} weights differ. It owns the three
 // evaluators' scratch and is not safe for concurrent use.
-func (tr *sparseTriple) evaluator() func(z0 uint64) uint64 {
-	ea, eb, ec := tr.a.NewPartsEvaluator(), tr.b.NewPartsEvaluator(), tr.c.NewPartsEvaluator()
-	return func(z0 uint64) uint64 {
-		phi := ea.Basis(z0)
-		return tr.f.SumProd3(ea.AtBasis(phi), eb.AtBasis(phi), ec.AtBasis(phi))
-	}
+type tripleEvaluator struct {
+	f          ff.Field
+	ea, eb, ec *yates.PartsEvaluator
+}
+
+func (tr *sparseTriple) evaluator() *tripleEvaluator {
+	return &tripleEvaluator{tr.f, tr.a.NewPartsEvaluator(), tr.b.NewPartsEvaluator(), tr.c.NewPartsEvaluator()}
+}
+
+// atBasis is P(z0) given phi = Φ(z0).
+func (e *tripleEvaluator) atBasis(phi []uint64) uint64 {
+	return e.f.SumProd3(e.ea.AtBasis(phi), e.eb.AtBasis(phi), e.ec.AtBasis(phi))
 }
 
 // CountSplitSparse counts triangles with the Theorem 4 execution: the
@@ -225,8 +231,9 @@ func (p *Problem) Degree() int { return 3 * (p.nParts - 1) }
 func (p *Problem) NumParts() int { return p.nParts }
 
 // MinModulus implements core.Problem: big enough for the part-polynomial
-// grid, floored at 2^20 so that a single prime usually covers the n³
-// trace bound.
+// grid, raised to the word-sized floor every problem shares
+// (crt.FloorModulus), at which one prime covers the n³ trace bound for
+// any n below 2^20.
 func (p *Problem) MinModulus() uint64 {
 	return crt.FloorModulus(uint64(3*p.nParts + 2))
 }
@@ -250,7 +257,8 @@ func (p *Problem) Evaluate(q, z0 uint64) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []uint64{triple.evaluator()(z0)}, nil
+	e := triple.evaluator()
+	return []uint64{e.atBasis(e.ea.Basis(z0))}, nil
 }
 
 var _ core.CompiledProblem = (*Problem)(nil)
@@ -269,17 +277,18 @@ func (p *Problem) Compile(f ff.Field) (plan.Plan, error) {
 }
 
 // EvaluateBlock implements plan.Plan. The evaluator is built per call,
-// not kept in the plan: it carries the Lagrange, scatter and Yates
-// scratch that makes a point allocation-free, and plans must stay safe
-// for concurrent EvaluateBlock calls. Its construction (three part-sized
-// buffer pairs) is amortized over the block.
+// not kept in the plan: it carries the scatter and Yates scratch that
+// makes a point allocation-free, and plans must stay safe for concurrent
+// EvaluateBlock calls. Its construction (three part-sized buffer pairs)
+// is amortized over the block, and so are the bases' field inversions:
+// the block's Φ come from one sweep, not a Basis per point.
 func (tr *sparseTriple) EvaluateBlock(xs []uint64) ([][]uint64, error) {
-	at := tr.evaluator()
-	out := make([][]uint64, len(xs))
-	for i, z0 := range xs {
-		out[i] = []uint64{at(z0)}
-	}
-	return out, nil
+	e := tr.evaluator()
+	vals := make([]uint64, len(xs))
+	e.ea.SweepBasis(xs, func(i int, phi []uint64) {
+		vals[i] = e.atBasis(phi)
+	})
+	return plan.Rows(vals, 1), nil
 }
 
 // Recover extracts the triangle count: Σ_{z0=1}^{R/m'} P(z0) equals

@@ -67,8 +67,8 @@ func (p *Problem) Width() int { return p.n + 1 }
 // Degree implements core.Problem.
 func (p *Problem) Degree() int { return p.split.Degree() }
 
-// MinModulus implements core.Problem: above the proof degree, floored
-// at 2^20 to keep the CRT prime count low.
+// MinModulus implements core.Problem: above the proof degree, raised to
+// the word-sized floor every problem shares (crt.FloorModulus).
 func (p *Problem) MinModulus() uint64 {
 	return crt.FloorModulus(uint64(p.split.Degree()) + 2)
 }

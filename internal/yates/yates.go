@@ -369,6 +369,14 @@ func (pe *PartsEvaluator) At(z0 uint64) []uint64 { return pe.AtBasis(pe.Basis(z0
 // only in their base can share one Basis per point through AtBasis.
 func (pe *PartsEvaluator) Basis(z0 uint64) []uint64 { return pe.le.At(z0, pe.phi) }
 
+// SweepBasis calls visit(p, Φ(zs[p])) for every point of zs in order:
+// Basis over a block, at one field inversion per run of consecutive
+// points (ff.LagrangeEvaluator.Sweep) where Basis pays one per point.
+// phi is valid until visit returns and must not be written.
+func (pe *PartsEvaluator) SweepBasis(zs []uint64, visit func(p int, phi []uint64)) {
+	pe.le.Sweep(zs, visit)
+}
+
 // AtBasis is At given phi = Basis(z0).
 func (pe *PartsEvaluator) AtBasis(phi []uint64) []uint64 {
 	ss := pe.ss

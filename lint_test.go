@@ -136,6 +136,77 @@ func TestNoAdHocPlanCachesInProblems(t *testing.T) {
 	}
 }
 
+// TestModulusFloorIsDeclaredOnce keeps the width policy one rule: every
+// MinModulus in a problem package is a single return of
+// crt.FloorModulus(<what the design needs>), or of another problem's
+// MinModulus it wraps. A package that floors its own modulus (a max
+// against a literal, a branch on size) forks the policy PrimesFor, the
+// sizing pins and the documented soundness figure all assume.
+func TestModulusFloorIsDeclaredOnce(t *testing.T) {
+	found := 0
+	for _, pkg := range problemPackages {
+		pkgs, err := parser.ParseDir(token.NewFileSet(), pkg, func(fi fs.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pkgs {
+			for name, file := range p.Files {
+				for _, decl := range file.Decls {
+					fn, ok := decl.(*ast.FuncDecl)
+					if !ok || fn.Recv == nil || fn.Name.Name != "MinModulus" {
+						continue
+					}
+					found++
+					if !returnsFloorModulus(fn.Body) {
+						t.Errorf("%s: %s.MinModulus computes its own floor; return crt.FloorModulus(need)",
+							filepath.ToSlash(name), recvName(fn))
+					}
+				}
+			}
+		}
+	}
+	if found < len(problemPackages) {
+		t.Errorf("found %d MinModulus methods in %d problem packages", found, len(problemPackages))
+	}
+}
+
+// returnsFloorModulus reports whether body is `return crt.FloorModulus(…)`
+// or `return <x>.MinModulus()`.
+func returnsFloorModulus(body *ast.BlockStmt) bool {
+	if len(body.List) != 1 {
+		return false
+	}
+	ret, ok := body.List[0].(*ast.ReturnStmt)
+	if !ok || len(ret.Results) != 1 {
+		return false
+	}
+	call, ok := ret.Results[0].(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "crt" && sel.Sel.Name == "FloorModulus" {
+		return true
+	}
+	return sel.Sel.Name == "MinModulus" && len(call.Args) == 0
+}
+
+func recvName(fn *ast.FuncDecl) string {
+	typ := fn.Recv.List[0].Type
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ = star.X
+	}
+	if id, ok := typ.(*ast.Ident); ok {
+		return id.Name
+	}
+	return "?"
+}
+
 // coreForbidden are the duplicates internal/core collapsed: a block
 // seam that takes the prime per call (the legacy BatchProblem shape —
 // block evaluation goes through plan.Compiler and a compiled plan.Plan)

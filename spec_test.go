@@ -65,17 +65,19 @@ func TestWorkloadDigestSeparatesInstances(t *testing.T) {
 }
 
 // The five kinds that predate the catalog are cache keys in the wild:
-// their canonical lines and digests at defaults are pinned as literals
-// (recorded at 9666d69, before the catalog existed), so deriving the
-// grammar from a table cannot have moved them — and no later edit of a
-// default can without failing here.
+// their canonical lines (recorded at 9666d69, before the catalog
+// existed) and digests at defaults are pinned as literals, so no edit of
+// a default or of the grammar can move them without failing here. The
+// digests are of domain camelot/proof/v2: the canonical lines did not
+// change when the modulus floor went from 2^20 to 2^61, the proof bytes
+// behind every one of them did, and a key must not outlive its bytes.
 func TestCanonicalAndDigestPinned(t *testing.T) {
 	for _, pin := range []struct{ kind, canonical, digest0, digest2 string }{
-		{"triangles", "triangles seed=1 n=32 p=0.3", "b70bcd82aca283f8c5cf68198909173723cfc3aa113d6d034652b30f804df40b", "32675a4ff215104b40251bc411d28b4eafa5e480a81d9ed25180f6b16320d092"},
-		{"cliques", "cliques seed=1 n=8 k=6 p=0.7", "b2107f4495dabe78f73b8e7abdc9d2f8fb2907c8a0a5d8e4a10ec3ab630b6296", "8c665081a0a1765de62642ec834f42e6ad94af52a7a8034bab5d000db1f0b53a"},
-		{"permanent", "permanent seed=1 n=10", "be34efbde2f4c72c39a3f0c14b5f1fff6331a13e25f3807195aa8c8933d77e0b", "97e6131308209434dcac34c1e14c9dfa9d4fe68589ec30d6b2ba0364a66d2a64"},
-		{"cnfsat", "cnfsat seed=1 vars=12 clauses=20 width=3", "58240ea2af70acb9a884afe1d4fe67c695bceaf79788a342119176fa6abf9e4e", "010357d674c94af0684001e29ce3840533b83b68b19a2882b43c3819e9903b48"},
-		{"hamilton", "hamilton seed=1 n=9 p=0.5", "42605b776c6a0985ea8999e8185eb97bd6c5fbed349d26a35b0d08f351ac208b", "865cf3e34fc3bf8fa6c2671691dc7e4504d0ff8433ccf1ec19e40d2f09d449c8"},
+		{"triangles", "triangles seed=1 n=32 p=0.3", "0d4e7fa90a4d6dd3edb8d13591dd886a24245a1637b75ad5f09cae655345be35", "5a1e2e992ddb2fc032bd9b54d80c136244e1281692656827131465b60ca893bb"},
+		{"cliques", "cliques seed=1 n=8 k=6 p=0.7", "8ccdc76148bb3c37e987f1e040d682945cf18a805f4bec4f363ba6488efedf25", "78d4df421c15849206d45a27b5ecc7fae9a4c6d665d9fbb8667e581e892d88bb"},
+		{"permanent", "permanent seed=1 n=10", "340b4f6ae9d7ab208cda14ac131215f0618f0bff9aaf47f742a79508d4bd40d0", "901f4b5f8a0e739529097346836ff5cf17ec4d56ef440f7ccafb1d30c170e14b"},
+		{"cnfsat", "cnfsat seed=1 vars=12 clauses=20 width=3", "ffaa7bd14553a69111f72e19376ad75a584fdddfd78f279862e1725169eb4d9b", "9cfe85ebafc147aa019d9828a3c6a6eea008ae21c49ae6442342f96ac3152e0c"},
+		{"hamilton", "hamilton seed=1 n=9 p=0.5", "ab04ebadb3741e4e66a6f9db35de4d19d03e43b026c90aac37337b9eb81b300c", "5b65bce9674f9592136ee1107f48b3c653f1536674349e9bf0c3266ec7cbb27a"},
 	} {
 		w, err := ParseWorkload(pin.kind)
 		if err != nil {
