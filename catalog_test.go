@@ -152,27 +152,31 @@ func TestStrictRunRefusesLossPromptly(t *testing.T) {
 }
 
 // TestCatalogSizingPinned pins every kind's NumPrimes and MinModulus, at
-// its defaults and at an instance past the 2^20 floor or the one-prime
-// bound where the kind has one, to the values recorded before the zoo's
-// nine sizing loops became crt.PrimesFor and crt.FloorModulus: they
-// select the proof's primes, so a change here moves proof bytes.
+// its defaults and at an instance past the one-prime bound where a kind
+// has one a test can build: they select the proof's primes, so a change
+// here moves proof bytes. Recorded where crt.FloorModulus went from 2^20
+// to 2^61: every default is one prime at the floor, and each instance
+// below still needs a second prime at 61 bits apiece (`permanent n=40`
+// took 12 at 20). No design modulus reaches the floor any more, and
+// triangles (n³ > 2^61), ov, cnfsat and conv3sum (counts of at most n or
+// 2^vars) have no instance that crosses the bound, so they are pinned at
+// their defaults only.
 func TestCatalogSizingPinned(t *testing.T) {
+	const floor = 1 << 61
 	pinned := map[string]struct {
 		primes int
 		minQ   uint64
 	}{
-		"triangles": {1, 1 << 20}, "cliques": {1, 1 << 20}, "permanent": {2, 1 << 20},
-		"cnfsat": {1, 1 << 20}, "hamilton": {1, 1 << 20}, "chromatic": {2, 1 << 20},
-		"setcover": {1, 1 << 20}, "ov": {1, 1 << 20}, "conv3sum": {1, 1 << 20}, "csp": {2, 1 << 20},
+		"triangles": {1, floor}, "cliques": {1, floor}, "permanent": {1, floor},
+		"cnfsat": {1, floor}, "hamilton": {1, floor}, "chromatic": {1, floor},
+		"setcover": {1, floor}, "ov": {1, floor}, "conv3sum": {1, floor}, "csp": {1, floor},
 
-		"triangles n=256 p=0.1":     {2, 1 << 20},
-		"cliques n=30 k=6 p=0.5":    {2, 1 << 20},
-		"permanent n=40":            {12, 1<<20 + 1},
-		"hamilton n=30 p=0.5":       {6, 1 << 20},
-		"chromatic n=30 p=0.4":      {8, 1 << 20},
-		"setcover n=24 sets=30 t=6": {2, 1 << 20},
-		"ov n=2000000 t=1":          {1, 2000001},
-		"csp n=42 sigma=2 m=8":      {4, 2470630},
+		"cliques n=62 k=12 p=0.5":    {2, floor},
+		"permanent n=40":             {4, floor},
+		"hamilton n=30 p=0.5":        {2, floor},
+		"chromatic n=30 p=0.4":       {3, floor},
+		"setcover n=24 sets=30 t=13": {2, floor},
+		"csp n=42 sigma=2 m=8":       {2, floor},
 	}
 	for _, k := range Kinds() {
 		if _, ok := pinned[k.Name]; !ok {

@@ -102,7 +102,7 @@ func TestPrimesFor(t *testing.T) {
 			}
 		}
 	}
-	if FloorModulus(5) != 1<<20 || FloorModulus(1<<20+1) != 1<<20+1 {
-		t.Errorf("FloorModulus(5), FloorModulus(2^20+1) = %d, %d", FloorModulus(5), FloorModulus(1<<20+1))
+	if FloorModulus(5) != 1<<61 || FloorModulus(1<<61+1) != 1<<61+1 {
+		t.Errorf("FloorModulus(5), FloorModulus(2^61+1) = %d, %d", FloorModulus(5), FloorModulus(1<<61+1))
 	}
 }
