@@ -15,10 +15,10 @@
 // baseline of cmd/experiments, q just above n³): A/B'd with the branch
 // deleted, n = 64, 128, 256 took 1.64, 12.2 and 97 ms against 0.58, 3.4
 // and 31 ms with it. Once that baseline is a test oracle only, the
-// branch can go. It was never why the catalog ran narrow primes: at the
-// old 2^20 floor it was worth 7% on `cliques n=12 k=6 p=0.5` (1.64 s
-// against 1.75 s without it, two primes), where one 61-bit prime through
-// the general kernel takes 1.03 s.
+// branch can go. It is no reason to run proofs over narrow primes: on
+// `cliques n=12 k=6 p=0.5` two 20-bit primes through it took 1.64 s
+// (1.75 s without it), one 61-bit prime through the general kernel
+// 1.03 s.
 package matrix
 
 import (

@@ -49,9 +49,9 @@ type Workload struct {
 // leave the decoded proof bit-identical and are deliberately excluded.
 // The CLI, jobs manifests, and the serve layer must all key caches with
 // this digest so a proof prepared through any front end is a hit for the
-// others. The domain string is versioned with the proof bytes: v2 is
-// proofs over primes from the 2^61 floor up, and a v1 key (the 2^20
-// floor) addresses bytes no run produces any more.
+// others. The domain string is versioned with the proof bytes, so a key
+// never outlives them: v2 is proofs over primes from crt.FloorModulus's
+// 2^61 up (v1 was the 2^20 floor).
 func (w *Workload) Digest(faults int) string {
 	h := sha256.Sum256([]byte(fmt.Sprintf("camelot/proof/v2 %s f=%d", w.Canonical, faults)))
 	return hex.EncodeToString(h[:])
