@@ -9,9 +9,10 @@
 // spec "cliques n=9" (-seed is the spec's seed). tutte is the one
 // subcommand of its own, because it prepares m+1 proofs, not one.
 //
-// Usage (a test keeps these lines true to the catalog):
+// Usage (a test runs every line of a catalog kind and checks its flags
+// against the catalog):
 //
-//	camelot cliques   -n 10 -k 6 -nodes 8 -faults 200 -lie 2
+//	camelot cliques   -n 8 -k 6 -nodes 8 -faults 200 -lie 2
 //	camelot triangles -n 48 -p 0.2 -nodes 4
 //	camelot chromatic -n 10 -p 0.4
 //	camelot tutte     -n 6 -edges 8
@@ -45,7 +46,7 @@
 // when the losses exceed even the erasure budget — surviving nodes
 // recompute the missing ranges and the decode is retried:
 //
-//	camelot triangles -n 48 -nodes 8 -faults 6 -dropnodes 2 -erasures 2
+//	camelot triangles -n 48 -nodes 8 -faults 11 -dropnodes 2 -erasures 1
 //	camelot triangles -n 48 -nodes 8 -faults 1 -dropnodes 2,5 -erasures 2 -repair 1
 //
 // The -listen flag carries the share broadcasts over loopback sockets

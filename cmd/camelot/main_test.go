@@ -170,8 +170,11 @@ func TestKindFlagsAndSpecAgree(t *testing.T) {
 }
 
 // The package comment's usage block is checked against the catalog:
-// every kind has a line, and every line of a kind names only flags that
-// exist (its fields or the common ones).
+// every kind has a line, every line of a kind names only flags that
+// exist (its fields or the common ones), and every such line runs to a
+// verified proof exactly as written — the adversary and lossy-network
+// lines are calibrated to their instance's degree, which is how two of
+// them went stale unnoticed while only their flags were checked.
 func TestUsageCommentMatchesCatalog(t *testing.T) {
 	src, err := os.ReadFile("main.go")
 	if err != nil {
@@ -197,6 +200,9 @@ func TestUsageCommentMatchesCatalog(t *testing.T) {
 				if !known[m[1]] && !common[m[1]] {
 					t.Errorf("usage line %q: kind %s has no flag -%s", line, k.Name, m[1])
 				}
+			}
+			if err := run(strings.Fields(line)[2:]); err != nil {
+				t.Errorf("usage line %q fails as written: %v", line, err)
 			}
 		}
 	}

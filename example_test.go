@@ -90,3 +90,54 @@ func ExampleCluster() {
 	// K6 triangles: 20
 	// K7 triangles: 35
 }
+
+// ExampleVerifyProof is the Merlin–Arthur reading of every Camelot
+// algorithm (paper §1.2): Merlin supplies the proof — here prepared
+// honestly by a single node, then forged — and Arthur checks it with
+// random evaluations, each costing no more than one Knight's share of
+// the work. A forged proof survives a trial with probability at most
+// d/q, and q is at least 2^61.
+func ExampleVerifyProof() {
+	// The claim: the permanent of a 10×10 0/1 matrix.
+	a := make([][]int64, 10)
+	for i := range a {
+		a[i] = make([]int64, 10)
+		for j := range a[i] {
+			if (i+j)%3 != 0 {
+				a[i][j] = 1
+			}
+		}
+	}
+	p, err := camelot.NewPermanentProblem(a)
+	if err != nil {
+		log.Fatal(err)
+	}
+	proof, _, err := camelot.RunProblem(context.Background(), p, camelot.WithSeed(1))
+	if err != nil {
+		log.Fatal(err)
+	}
+	per, err := p.Count(proof)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("Merlin claims per(A) = %v with a %d-symbol proof\n", per, proof.Size())
+
+	ok, err := camelot.VerifyProof(p, proof, 3, 1002)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("Arthur accepts the honest proof:", ok)
+
+	// A dishonest Merlin perturbs one coefficient.
+	q := proof.Primes[0]
+	proof.Coeffs[q][0][5] = (proof.Coeffs[q][0][5] + 1) % q
+	ok, err = camelot.VerifyProof(p, proof, 1, 1003)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("Arthur accepts the forged proof:", ok)
+	// Output:
+	// Merlin claims per(A) = 67392 with a 466-symbol proof
+	// Arthur accepts the honest proof: true
+	// Arthur accepts the forged proof: false
+}

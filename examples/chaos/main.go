@@ -1,15 +1,20 @@
-// Chaos: the paper's Camelot on a bad network. Eight Knights count
-// triangles while the network itself misbehaves: two Knights' broadcasts
-// are lost outright and every surviving scroll arrives twice. The
-// collector gathers by quorum instead of insisting on every message, the
-// decoders treat the lost Knights' coordinates as Reed–Solomon erasures,
-// and the proof still comes out bit-identical to a calm-weather run.
+// Chaos: the paper's Camelot among bad Knights and on a bad network —
+// content faults and delivery faults in one walkthrough. Eight Knights
+// count triangles. First the scene of the paper's §1.1: Lady Morgana
+// enchants two of them into telling every listener a different lie; the
+// honest Knights error-correct the shares, name the enchanted ones from
+// the decoded error locations alone, and deliver the proof of a calm
+// run. Then the network itself misbehaves: two Knights' broadcasts are
+// lost outright and every surviving scroll arrives twice. The collector
+// gathers by quorum instead of insisting on every message, the decoders
+// treat the lost Knights' coordinates as Reed–Solomon erasures, and the
+// proof still comes out bit-identical to a calm-weather run.
 // Then the storm worsens past the code's budget: left alone, the run
 // fails loudly with a typed decode error instead of lying — but with a
 // repair round allowed, surviving Knights recompute the lost ranges and
 // the same hurricane ends in the same proof, a little later.
 //
-// The whole walkthrough runs twice: once over the in-memory broadcast
+// The bad-weather half runs twice: once over the in-memory broadcast
 // bus and once with every scroll travelling a length-prefixed binary
 // frame over a loopback TCP socket. The transport carries the same one
 // message kind either way, so the weather and the proofs are the same.
@@ -56,17 +61,36 @@ func main() {
 	}
 	fmt.Printf("calm run:  %v triangles (degree %d proof)\n", count, calmRep.Degree)
 
+	// twoBlocks is the least f at which the code absorbs two whole node
+	// blocks of ⌈e/8⌉ points, e = d+1+2f, when a unit of f pays for
+	// perUnit damaged symbols: one wrong symbol, or two missing ones.
+	twoBlocks := func(perUnit int) int {
+		f := 0
+		for perUnit*f < 2*((calmRep.Degree+1+2*f+k-1)/k) {
+			f++
+		}
+		return f
+	}
+
+	// Enchantment: Knights 2 and 5 equivocate — different garbage to
+	// every recipient, so every honest Knight decodes a word of its own.
+	// The radius f must swallow both their blocks.
+	radius := twoBlocks(1)
+	enchantedCalm, _ := calm(radius)
+	proof, rep, err := calmCluster.Submit(ctx, p, camelot.WithSeed(5), camelot.WithFaultTolerance(radius),
+		camelot.WithAdversary(camelot.EquivocatingNodes(13, 2, 5))).Wait(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
+	mustEqual("enchanted", enchantedCalm, proof)
+	fmt.Printf("enchanted run: %d of %d shares corrupted (radius %d), culprits named from the error locations: %v\n",
+		rep.CorruptedShares, rep.CodeLength, radius, rep.SuspectNodes)
+	fmt.Printf("               %d honest decodes agree on the calm run's proof, verified: %v\n", rep.Decodes, rep.Verified)
+
 	// Storm: nodes 2 and 6 are unreachable and every delivered message
 	// is duplicated. Losing 2 of 8 nodes erases 2·⌈e/8⌉ coordinates, so
 	// pick f with 2f ≥ that budget.
-	faults := 0
-	for {
-		e := calmRep.Degree + 1 + 2*faults
-		if 2*faults >= 2*((e+k-1)/k) {
-			break
-		}
-		faults++
-	}
+	faults := twoBlocks(2)
 	stormCalm, _ := calm(faults)
 	hurricaneCalm, _ := calm(1)
 
@@ -90,7 +114,7 @@ func main() {
 		}))
 		badWeather(ctx, camelot.NewCluster(opts...), p, faults, stormCalm, hurricaneCalm)
 	}
-	fmt.Println("\nthe storm beyond the budget became latency, not failure — on either network")
+	fmt.Println("\nlies were corrected and named; the storm beyond the budget became latency, not failure — on either network")
 }
 
 // badWeather runs the storm, the hurricane and the healed hurricane on

@@ -5,7 +5,7 @@
 // The one-shot functions used here run on a shared default cluster
 // behind the scenes; when you have a *stream* of problems, create your
 // own runtime with camelot.NewCluster and submit them as concurrent
-// jobs — see examples/cluster.
+// jobs — see ExampleCluster in the package documentation.
 package main
 
 import (

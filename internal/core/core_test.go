@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/fnv"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"camelot/internal/ff"
@@ -296,7 +298,72 @@ func TestVerifyProofRejectsForgery(t *testing.T) {
 		rejected = !ok
 	}
 	if !rejected {
-		t.Fatal("forged proof survived 20 trials (d/q ~ 7/257 per trial)")
+		t.Fatal("forged proof survived 20 trials (d/q = 7/97 per trial)")
+	}
+}
+
+// TestVerifyProofSoundnessBound measures the paper's soundness claim —
+// a forged proof survives a trial with probability at most d/q — on the
+// one problem of the module whose q is small enough to see it (d = 7,
+// q = 97). A forgery is accepted exactly when the random point is a root
+// of forged − true, so a one-coefficient forgery (the difference c·x²,
+// root 0 only) passes at rate 1/q, and the worst forgery of degree d
+// (the difference Π_{i=1..d}(x − i)) at rate d/q, which is the bound met
+// with equality. Over 4000 seeds each count must lie within four
+// standard deviations of its binomial mean, and under trials·d/q plus
+// the same slack.
+func TestVerifyProofSoundnessBound(t *testing.T) {
+	const trials = 4000
+	p := testProblem()
+	honest, _, err := Run(context.Background(), p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := honest.Primes[0]
+	f := ff.Must(q)
+	d := p.Degree()
+	worst := []uint64{1} // Π_{i=1..d}(x − i), lowest coefficient first
+	for i := 1; i <= d; i++ {
+		next := make([]uint64, len(worst)+1)
+		for j, c := range worst {
+			next[j+1] = f.Add(next[j+1], c)
+			next[j] = f.Sub(next[j], f.Mul(c, uint64(i)))
+		}
+		worst = next
+	}
+	bound := float64(d) / float64(q)
+	slack := func(rate float64) float64 { return 4 * math.Sqrt(trials*rate*(1-rate)) }
+	for _, forgery := range []struct {
+		name  string
+		diff  []uint64 // forged − true, coordinate 0
+		roots int
+	}{
+		{"one coefficient", []uint64{0, 0, 1}, 1},
+		{"d roots", worst, d},
+	} {
+		forged := *honest
+		forged.Coeffs = map[uint64][][]uint64{q: {slices.Clone(honest.Coeffs[q][0]), honest.Coeffs[q][1]}}
+		for j, c := range forgery.diff {
+			forged.Coeffs[q][0][j] = f.Add(forged.Coeffs[q][0][j], c)
+		}
+		accepted := 0
+		for seed := int64(0); seed < trials; seed++ {
+			ok, err := VerifyProof(p, &forged, 1, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok {
+				accepted++
+			}
+		}
+		rate := float64(forgery.roots) / float64(q)
+		t.Logf("%s: accepted %d of %d trials, rate %d/%d predicts %.0f", forgery.name, accepted, trials, forgery.roots, q, trials*rate)
+		if off := math.Abs(float64(accepted) - trials*rate); off > slack(rate) {
+			t.Errorf("%s: accepted %d of %d, want %.0f ± %.0f (rate %d/%d)", forgery.name, accepted, trials, trials*rate, slack(rate), forgery.roots, q)
+		}
+		if float64(accepted) > trials*bound+slack(bound) {
+			t.Errorf("%s: accepted %d of %d, above the soundness bound d/q = %d/%d (%.0f + %.0f)", forgery.name, accepted, trials, d, q, trials*bound, slack(bound))
+		}
 	}
 }
 

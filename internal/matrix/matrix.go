@@ -1,24 +1,10 @@
 // Package matrix implements dense matrices over a prime field Z_q with
 // the multiplication kernels the Camelot clique/triangle/Tutte algorithms
-// depend on: cache-blocked classical multiplication with lazy modular
-// reduction, Strassen's recursion above a cutoff (the practical stand-in
-// for "fast matrix multiplication" with ω = log2 7), and a row-parallel
-// driver. Everything is deterministic and allocation-conscious: the
-// (6,2)-linear-form evaluator of paper §4.2 relies on products staying in
-// O(N²) space.
-//
-// mulClassic has two kernels. Every proof prime is at least 2^61
-// (crt.FloorModulus), so the protocol paths — cliques, csp — always run
-// the general one, one division-free reduction per product. The
-// raw-accumulation kernel for q < 2^31 stays for the one small-prime
-// caller outside tests, triangles.CountItaiRodeh (the §6.1 sequential
-// baseline of cmd/experiments, q just above n³): A/B'd with the branch
-// deleted, n = 64, 128, 256 took 1.64, 12.2 and 97 ms against 0.58, 3.4
-// and 31 ms with it. Once that baseline is a test oracle only, the
-// branch can go. It is no reason to run proofs over narrow primes: on
-// `cliques n=12 k=6 p=0.5` two 20-bit primes through it took 1.64 s
-// (1.75 s without it), one 61-bit prime through the general kernel
-// 1.03 s.
+// depend on: classical ikj multiplication, one kernel for every modulus,
+// and Strassen's recursion above a cutoff (the practical stand-in for
+// "fast matrix multiplication" with ω = log2 7). Everything is
+// deterministic and allocation-conscious: the (6,2)-linear-form evaluator
+// of paper §4.2 relies on products staying in O(N²) space.
 package matrix
 
 import (
@@ -187,48 +173,12 @@ func (m *Matrix) Mul(o *Matrix) *Matrix {
 	return m.mulClassic(o)
 }
 
-// mulClassic is an ikj-ordered kernel with lazy reduction: products are
-// accumulated raw in uint64 and reduced only when another addition could
-// overflow, which needs q < 2^31 to guarantee safety; otherwise — for
-// every proof prime, see the package comment — entries are reduced every
-// step.
+// mulClassic is an ikj-ordered kernel: one division-free reduction per
+// product (ff.MulKS against the row entry's precomputed shift), zero
+// entries of m skipped.
 func (m *Matrix) mulClassic(o *Matrix) *Matrix {
 	out := New(m.F, m.R, o.C)
 	f := m.F
-	if f.Q < 1<<31 {
-		// (q-1)^2 < 2^62; at least 4 raw products fit before overflow, so
-		// reduce every `lazy` accumulations.
-		lazy := int((^uint64(0)) / ((f.Q - 1) * (f.Q - 1)))
-		row := make([]uint64, o.C)
-		for i := 0; i < m.R; i++ {
-			for j := range row {
-				row[j] = 0
-			}
-			pending := 0
-			for k := 0; k < m.C; k++ {
-				a := m.A[i*m.C+k]
-				if a == 0 {
-					continue
-				}
-				ork := o.A[k*o.C:]
-				for j := 0; j < o.C; j++ {
-					row[j] += a * ork[j]
-				}
-				pending++
-				if pending == lazy {
-					for j := range row {
-						row[j] %= f.Q
-					}
-					pending = 0
-				}
-			}
-			outRow := out.A[i*o.C:]
-			for j := 0; j < o.C; j++ {
-				outRow[j] = row[j] % f.Q
-			}
-		}
-		return out
-	}
 	fk := f.Kernel()
 	for i := 0; i < m.R; i++ {
 		for k := 0; k < m.C; k++ {

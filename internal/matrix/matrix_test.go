@@ -24,40 +24,40 @@ func mulReference(a, b *Matrix) *Matrix {
 	return out
 }
 
+// mulPrimes are the widths the kernel is checked at: the small test
+// field's, and the Mersenne prime 2^61-1 in the [2^61, 2^62) band every
+// proof prime comes from (crt.FloorModulus).
+var mulPrimes = []uint64{testField.Q, 1<<61 - 1}
+
 func TestMulMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	shapes := []struct{ m, k, n int }{
-		{1, 1, 1}, {2, 3, 4}, {7, 7, 7}, {16, 5, 9}, {33, 33, 33}, {64, 64, 64},
+		{1, 1, 1}, {2, 3, 4}, {7, 7, 7}, {16, 5, 9}, {20, 20, 20}, {33, 33, 33}, {64, 64, 64},
 	}
-	for _, sh := range shapes {
-		a := Rand(testField, sh.m, sh.k, rng)
-		b := Rand(testField, sh.k, sh.n, rng)
-		if got, want := a.Mul(b), mulReference(a, b); !got.Equal(want) {
-			t.Fatalf("Mul mismatch at %dx%dx%d", sh.m, sh.k, sh.n)
+	for _, q := range mulPrimes {
+		f := ff.Must(q)
+		for _, sh := range shapes {
+			a := Rand(f, sh.m, sh.k, rng)
+			b := Rand(f, sh.k, sh.n, rng)
+			if got, want := a.Mul(b), mulReference(a, b); !got.Equal(want) {
+				t.Fatalf("q=%d: Mul mismatch at %dx%dx%d", f.Q, sh.m, sh.k, sh.n)
+			}
 		}
-	}
-}
-
-func TestMulLargeModulusPath(t *testing.T) {
-	// q >= 2^31 exercises the non-lazy kernel.
-	f := ff.Must((1 << 61) - 1)
-	rng := rand.New(rand.NewSource(3))
-	a := Rand(f, 20, 20, rng)
-	b := Rand(f, 20, 20, rng)
-	if got, want := a.Mul(b), mulReference(a, b); !got.Equal(want) {
-		t.Fatal("large-modulus Mul mismatch")
 	}
 }
 
 func TestStrassenMatchesClassic(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for _, n := range []int{129, 150, 200} {
-		a := Rand(testField, n, n, rng)
-		b := Rand(testField, n, n, rng)
-		got := a.Mul(b)         // Strassen path (n >= cutoff)
-		want := a.mulClassic(b) // direct kernel
-		if !got.Equal(want) {
-			t.Fatalf("Strassen mismatch at n=%d", n)
+	for _, q := range mulPrimes {
+		f := ff.Must(q)
+		for _, n := range []int{129, 150, 200} {
+			a := Rand(f, n, n, rng)
+			b := Rand(f, n, n, rng)
+			got := a.Mul(b)         // Strassen path (n >= cutoff)
+			want := a.mulClassic(b) // direct kernel
+			if !got.Equal(want) {
+				t.Fatalf("q=%d: Strassen mismatch at n=%d", f.Q, n)
+			}
 		}
 	}
 }

@@ -1,8 +1,9 @@
-// Package triangles implements the paper's sparsity-aware results (§6):
-// the Itai–Rodeh trace reduction, the split/sparse parallel triangle
-// counter of Theorem 4, the Camelot proof polynomial of Theorem 3 built
-// on the §3.3 polynomial extension of Yates's algorithm, and the
-// Alon–Yuster–Zwick-bound parallel design of Theorem 5.
+// Package triangles implements the paper's sparsity-aware results (§6),
+// all on the Itai–Rodeh identity triangles = trace(A³)/6: the
+// split/sparse parallel triangle counter of Theorem 4, the Camelot proof
+// polynomial of Theorem 3 built on the §3.3 polynomial extension of
+// Yates's algorithm, and the Alon–Yuster–Zwick-bound parallel design of
+// Theorem 5.
 package triangles
 
 import (
@@ -17,7 +18,6 @@ import (
 	"camelot/internal/crt"
 	"camelot/internal/ff"
 	"camelot/internal/graph"
-	"camelot/internal/matrix"
 	"camelot/internal/plan"
 	"camelot/internal/tensor"
 	"camelot/internal/yates"
@@ -59,23 +59,6 @@ func CountEdgeIterator(g *graph.Graph) uint64 {
 		}
 	}
 	return total / 3
-}
-
-// CountItaiRodeh counts triangles as trace(A³)/6 with dense matrix
-// multiplication over a prime exceeding n³ (§6.1).
-func CountItaiRodeh(g *graph.Graph) (uint64, error) {
-	n := g.N()
-	q := ff.NextPrime(uint64(n)*uint64(n)*uint64(n) + 1)
-	f, err := ff.New(q)
-	if err != nil {
-		return 0, fmt.Errorf("triangles: %w", err)
-	}
-	a, err := matrix.FromSlice(f, n, n, g.AdjacencyMatrix())
-	if err != nil {
-		return 0, fmt.Errorf("triangles: %w", err)
-	}
-	tr := a.Mul(a).Mul(a).Trace()
-	return tr / 6, nil
 }
 
 // adjacencyEntries returns the sparse Kronecker-indexed entries of the
@@ -227,9 +210,6 @@ func (p *Problem) Width() int { return 1 }
 // most R/m'-1, so P has degree at most 3(R/m'-1).
 func (p *Problem) Degree() int { return 3 * (p.nParts - 1) }
 
-// NumParts exposes the proof-size driver R/m' (for experiments).
-func (p *Problem) NumParts() int { return p.nParts }
-
 // MinModulus implements core.Problem: big enough for the part-polynomial
 // grid, raised to the word-sized floor every problem shares
 // (crt.FloorModulus), at which one prime covers the n³ trace bound for
@@ -321,15 +301,12 @@ func CountAYZ(g *graph.Graph, base tensor.Decomposition, parallelism int) (uint6
 	if m == 0 {
 		return 0, nil
 	}
-	delta := int(math.Ceil(math.Pow(float64(m), (OmegaStrassen-1)/(OmegaStrassen+1))))
-	if delta < 1 {
-		delta = 1
-	}
+	threshold := delta(m)
 	n := g.N()
 	low := make([]bool, n)
 	var high []int
 	for v := 0; v < n; v++ {
-		if g.Degree(v) <= delta {
+		if g.Degree(v) <= threshold {
 			low[v] = true
 		} else {
 			high = append(high, v)
@@ -363,8 +340,8 @@ func CountAYZ(g *graph.Graph, base tensor.Decomposition, parallelism int) (uint6
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	if parallelism > delta {
-		parallelism = delta
+	if parallelism > threshold {
+		parallelism = threshold
 	}
 	neighbors := make([][]int, n)
 	for v := 0; v < n; v++ {
@@ -380,7 +357,7 @@ func CountAYZ(g *graph.Graph, base tensor.Decomposition, parallelism int) (uint6
 		go func(w int) {
 			defer wg.Done()
 			acc := uint64(0)
-			for u := w; u < delta; u += parallelism {
+			for u := w; u < threshold; u += parallelism {
 				for x := 0; x < n; x++ {
 					if !low[x] || u >= len(neighbors[x]) {
 						continue
@@ -409,8 +386,8 @@ func CountAYZ(g *graph.Graph, base tensor.Decomposition, parallelism int) (uint6
 	return highCount + lowCount, nil
 }
 
-// Delta exposes the AYZ degree threshold for a given edge count (used by
-// the experiment harness to report the crossover).
-func Delta(m int) int {
+// delta is the AYZ degree threshold Δ = ⌈m^{(ω-1)/(ω+1)}⌉ for m >= 1
+// edges: vertices of degree at most Δ are low.
+func delta(m int) int {
 	return int(math.Ceil(math.Pow(float64(m), (OmegaStrassen-1)/(OmegaStrassen+1))))
 }

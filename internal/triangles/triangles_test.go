@@ -2,6 +2,7 @@ package triangles
 
 import (
 	"context"
+	"math"
 	"math/big"
 	"testing"
 
@@ -47,17 +48,10 @@ func TestAllCountersAgree(t *testing.T) {
 			if got := CountEdgeIterator(g); got != want {
 				t.Errorf("edge iterator = %d, want %d", got, want)
 			}
-			got, err := CountItaiRodeh(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Errorf("itai-rodeh = %d, want %d", got, want)
-			}
 			for bname, base := range map[string]tensor.Decomposition{
 				"strassen": tensor.Strassen(), "trivial2": tensor.Trivial(2),
 			} {
-				got, err = CountSplitSparse(g, base, 4)
+				got, err := CountSplitSparse(g, base, 4)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -65,7 +59,7 @@ func TestAllCountersAgree(t *testing.T) {
 					t.Errorf("split/sparse(%s) = %d, want %d", bname, got, want)
 				}
 			}
-			got, err = CountAYZ(g, tensor.Strassen(), 4)
+			got, err := CountAYZ(g, tensor.Strassen(), 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,17 +160,33 @@ func TestProblemGeometryScalesWithSparsity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pd.NumParts() > ps.NumParts() {
-		t.Fatalf("dense graph proof (%d parts) larger than sparse (%d parts)", pd.NumParts(), ps.NumParts())
+	if pd.nParts > ps.nParts {
+		t.Fatalf("dense graph proof (%d parts) larger than sparse (%d parts)", pd.nParts, ps.nParts)
 	}
 }
 
+// TestDeltaMonotone reads the threshold CountAYZ splits at (Theorem 5):
+// Δ = ⌈m^{(ω-1)/(ω+1)}⌉ with ω = log₂7, so Δ^{ω+1} >= m^{ω-1} and one
+// less is not, at least 1, and never shrinking as edges are added.
 func TestDeltaMonotone(t *testing.T) {
-	if Delta(10) > Delta(1000) {
-		t.Fatal("Δ must grow with m")
+	for m, want := range map[int]int{1: 1, 2: 2, 10: 3, 100: 9, 1000: 27, 100000: 237} {
+		if got := delta(m); got != want {
+			t.Errorf("Δ(%d) = %d, want %d", m, got, want)
+		}
 	}
-	if Delta(1) < 1 {
-		t.Fatal("Δ must be at least 1")
+	prev := 1
+	for m := 1; m <= 5000; m++ {
+		d := delta(m)
+		if d < prev {
+			t.Fatalf("Δ(%d) = %d below Δ(%d) = %d", m, d, m-1, prev)
+		}
+		lhs := math.Pow(float64(d), OmegaStrassen+1)
+		below := math.Pow(float64(d-1), OmegaStrassen+1)
+		rhs := math.Pow(float64(m), OmegaStrassen-1)
+		if lhs < rhs*(1-1e-9) || d > 1 && below >= rhs*(1+1e-9) {
+			t.Fatalf("Δ(%d) = %d is not ⌈m^{(ω-1)/(ω+1)}⌉", m, d)
+		}
+		prev = d
 	}
 }
 
@@ -218,16 +228,6 @@ func BenchmarkSplitSparse64(b *testing.B) {
 	}
 }
 
-func BenchmarkItaiRodeh64(b *testing.B) {
-	g := graph.Gnp(64, 0.15, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := CountItaiRodeh(g); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestEvaluateBlockMatchesEvaluate(t *testing.T) {
 	// The compiled plan must be bit-identical to point-wise Evaluate
 	// (the verification stage evaluates through Evaluate, so any
@@ -257,7 +257,7 @@ func TestEvaluateBlockMatchesEvaluate(t *testing.T) {
 			for x := uint64(0); x < 20; x++ {
 				xs = append(xs, x)
 			}
-			xs = append(xs, uint64(p.NumParts()), uint64(p.NumParts())+1, q[0]-1, q[0], q[0]+7)
+			xs = append(xs, uint64(p.nParts), uint64(p.nParts)+1, q[0]-1, q[0], q[0]+7)
 			f, err := ff.New(q[0])
 			if err != nil {
 				t.Fatal(err)

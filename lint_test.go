@@ -390,3 +390,42 @@ func TestOneOptionsRecord(t *testing.T) {
 			strings.Join(offenders, "\n  "))
 	}
 }
+
+// TestMainPackagesAreTheseSix is the ratchet on programs: the module
+// builds one CLI, one benchmark and four walkthroughs, each run by CI. A
+// paper claim goes into theorems_test.go and a usage scene into
+// example_test.go, where they are checked; a second harness or a tenth
+// example directory fails here instead of accreting.
+func TestMainPackagesAreTheseSix(t *testing.T) {
+	want := []string{"benchmark", "cmd/camelot", "examples/chaos", "examples/multiproc", "examples/quickstart", "examples/serve"}
+	var got []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == ".git" || name == ".bench_build" || name == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.PackageClauseOnly)
+		if err != nil {
+			return err
+		}
+		if dir := filepath.ToSlash(filepath.Dir(path)); file.Name.Name == "main" && !slices.Contains(got, dir) {
+			got = append(got, dir)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("package main directories are %v, want exactly %v", got, want)
+	}
+}
