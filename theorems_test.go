@@ -264,8 +264,9 @@ func cspRow(nsm [3]int) sizing {
 	}
 }
 
-// pinnedDegrees anchors the closed forms above to numbers: a formula
-// mistyped here the same way as in its package would still miss these.
+// pinnedDegrees anchors the closed forms above to numbers, on instances
+// the sweeps contain: a formula mistyped here the same way as in its
+// package would still miss these.
 var pinnedDegrees = map[string]int{
 	"cliques n=8 k=6": 1026, "cliques n=9 k=6": 7200, "cliques n=16 k=6": 7200, "cliques n=17 k=6": 50418,
 	"triangles n=32 p=0.3": 144, "triangles n=32 p=0.6": 18,
@@ -332,27 +333,32 @@ func TestTheorems(t *testing.T) {
 			}
 		})
 	}
+	for spec, want := range pinnedDegrees {
+		if got := catalogProblem(t, spec).Degree(); got != want {
+			t.Errorf("%s: degree %d, pinned %d", spec, got, want)
+		}
+	}
+}
+
+// catalogProblem builds a spec line through the catalog.
+func catalogProblem(t *testing.T, spec string) CountingProblem {
+	t.Helper()
+	w, err := ParseWorkload(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w.Problem
 }
 
 func checkSizing(t *testing.T, s sizing) {
 	t.Helper()
-	if pin, ok := pinnedDegrees[s.what]; ok && pin != s.degree {
-		t.Errorf("%s: this file's closed form gives degree %d, pinned %d", s.what, s.degree, pin)
-	}
-	build := s.build
-	if build == nil {
-		build = func() (Problem, error) {
-			w, err := ParseWorkload(s.what)
-			if err != nil {
-				return nil, err
-			}
-			return w.Problem, nil
-		}
-	}
-	p, err := build()
-	if err != nil {
-		t.Errorf("%s: %v", s.what, err)
-		return
+	var p Problem
+	if s.build == nil {
+		p = catalogProblem(t, s.what)
+	} else if built, err := s.build(); err != nil {
+		t.Fatalf("%s: %v", s.what, err)
+	} else {
+		p = built
 	}
 	if p.Degree() != s.degree || p.Width() != s.width {
 		t.Errorf("%s: Degree %d, Width %d; the closed form is %d, %d", s.what, p.Degree(), p.Width(), s.degree, s.width)
@@ -401,25 +407,15 @@ func checkFormParts(t *testing.T) {
 }
 
 // checkTrianglesFallInM sweeps the density at n = 32: the proof never
-// grows as edges are added, and shrinks 49-fold over the sweep.
+// grows as edges are added, and from 343 parts at p = 0.02 it is down to
+// 7 at p = 0.9.
 func checkTrianglesFallInM(t *testing.T) {
-	prev, first := math.MaxInt, 0
+	var parts []int
 	for _, p := range []float64{0.02, 0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 0.9} {
-		w, err := ParseWorkload(fmt.Sprintf("triangles n=32 p=%g", p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := w.Problem.Degree()
-		if d > prev {
-			t.Errorf("triangles n=32: degree rose from %d to %d at p=%g", prev, d, p)
-		}
-		if first == 0 {
-			first = d
-		}
-		prev = d
+		parts = append(parts, catalogProblem(t, fmt.Sprintf("triangles n=32 p=%g", p)).Degree()/3+1)
 	}
-	if (first+3)/(prev+3) != 49 {
-		t.Errorf("triangles n=32: %d parts at p=0.02, %d at p=0.9; want a ratio of 7²", first/3+1, prev/3+1)
+	if !slices.IsSortedFunc(parts, func(a, b int) int { return b - a }) || parts[0] != 343 || parts[len(parts)-1] != 7 {
+		t.Errorf("triangles n=32: parts %v over the density sweep, want falling from 343 to 7", parts)
 	}
 }
 
@@ -467,12 +463,9 @@ func checkAYZ(t *testing.T) {
 // third liar is a typed refusal.
 func checkRadius(t *testing.T) {
 	const k = 8
-	w, err := ParseWorkload("triangles n=24 p=0.3 seed=9")
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := catalogProblem(t, "triangles n=24 p=0.3 seed=9")
 	f := 0
-	for f < 2*((w.Problem.Degree()+1+2*f+k-1)/k) {
+	for f < 2*((p.Degree()+1+2*f+k-1)/k) {
 		f++
 	}
 	run := func(liars ...int) (*Proof, *Report, error) {
@@ -480,7 +473,7 @@ func checkRadius(t *testing.T) {
 		if len(liars) > 0 {
 			opts = append(opts, WithAdversary(LyingNodes(1, liars...)))
 		}
-		return RunProblem(context.Background(), w.Problem, opts...)
+		return RunProblem(context.Background(), p, opts...)
 	}
 	clean, _, err := run()
 	if err != nil {
@@ -522,15 +515,12 @@ func (c *pointCounter) Send(ctx context.Context, m NodeShares) error {
 // the e points are dealt ⌈e/K⌉ or ⌊e/K⌋ to a node (§1.4: per-node work
 // falls as 1/K, the total stays e), and the proof does not depend on K.
 func checkTradeoff(t *testing.T) {
-	w, err := ParseWorkload("cliques n=8 k=6 p=0.7 seed=11")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := w.Problem.Degree() + 1
+	p := catalogProblem(t, "cliques n=8 k=6 p=0.7 seed=11")
+	e := p.Degree() + 1
 	var first *Proof
 	for _, k := range []int{1, 2, 3, 4, 7, 8, 16, 32} {
 		counter := &pointCounter{points: map[int]int{}}
-		proof, rep, err := RunProblem(context.Background(), w.Problem, WithNodes(k), WithSeed(6),
+		proof, rep, err := RunProblem(context.Background(), p, WithNodes(k), WithSeed(6),
 			WithTransport(func(k int) (Transport, error) {
 				counter.Transport = NewBroadcastBus(k)
 				return counter, nil
