@@ -735,8 +735,11 @@ func (en *engine) stageDecode(ctx context.Context) (*Proof, error) {
 	}
 	// The decode wall starts here: a plan for a shortened point set builds
 	// that set's subproduct tree and interpolation weights, and that is
-	// decode work.
+	// decode work. It is charged on every exit — a round that ends in a
+	// refusal has decoded too — and like Decodes it accumulates: a
+	// repair-capable run decodes once per round.
 	decodeStart := time.Now()
+	defer func() { en.report.DecodeWall += time.Since(decodeStart) }()
 	// One erasure plan per prime, shared read-only by every decode: the
 	// erasure set is a property of the gather, not of any received word.
 	// An undecodable erasure set fails here.
@@ -784,13 +787,10 @@ func (en *engine) stageDecode(ctx context.Context) (*Proof, error) {
 		en.obs.SuspectsFound(n)
 		return nil
 	})
-	// Accumulate: a repair-capable run decodes once per round, and the
-	// report's decode count and wall are the run's totals.
 	en.report.Decodes += decodes
 	if err != nil {
 		return nil, err
 	}
-	en.report.DecodeWall += time.Since(decodeStart)
 
 	// Agreement: every honest node must have recovered the same proof,
 	// i.e. all distinct words of a (prime, coordinate) the same message.
