@@ -99,16 +99,18 @@ func newSparseTriple(f ff.Field, g *graph.Graph, dc tensor.Decomposition, ell in
 
 // tripleEvaluator evaluates P(z0) = Σ_v A_v(z0)·B_v(z0)·C_v(z0), the one
 // per-point path of verifier and compiled plan alike. The three sides
-// share the part grid, so one Lagrange basis Φ(z0) serves all of them;
-// only their (Aᵀ)^{⊗(k-ℓ)} weights differ. It owns the three
-// evaluators' scratch and is not safe for concurrent use.
+// share the part grid, so one Lagrange basis Φ(z0) — ea's, which eb and
+// ec are siblings of — serves all of them; only their (Aᵀ)^{⊗(k-ℓ)}
+// weights differ. It owns the three evaluators' scratch and is not safe
+// for concurrent use.
 type tripleEvaluator struct {
 	f          ff.Field
 	ea, eb, ec *yates.PartsEvaluator
 }
 
 func (tr *sparseTriple) evaluator() *tripleEvaluator {
-	return &tripleEvaluator{tr.f, tr.a.NewPartsEvaluator(), tr.b.NewPartsEvaluator(), tr.c.NewPartsEvaluator()}
+	ea := tr.a.NewPartsEvaluator()
+	return &tripleEvaluator{tr.f, ea, ea.Sibling(tr.b), ea.Sibling(tr.c)}
 }
 
 // atBasis is P(z0) given phi = Φ(z0).

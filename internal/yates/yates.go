@@ -358,6 +358,23 @@ func (ss *SplitSparse) NewPartsEvaluator() *PartsEvaluator {
 	}
 }
 
+// Sibling returns an evaluator for ss, a transform over pe's part grid
+// with another base, that shares pe's Lagrange basis: one Basis or
+// SweepBasis on pe serves every sibling's AtBasis. For concurrent use the
+// two are one evaluator.
+func (pe *PartsEvaluator) Sibling(ss *SplitSparse) *PartsEvaluator {
+	if ss.NumParts() != pe.ss.NumParts() {
+		panic("yates: sibling evaluator over a different part grid")
+	}
+	return &PartsEvaluator{
+		ss:  ss,
+		le:  pe.le,
+		phi: pe.phi,
+		xl:  make([]uint64, pow(ss.s, ss.ell)),
+		buf: make([]uint64, max(ss.inner.scratch(), ss.outer.scratch())),
+	}
+}
+
 // At evaluates the part-polynomials u^{(ℓ)}(z) at z = z0. The returned
 // slice is the evaluator's own scratch: it is valid until the next call
 // of At or AtBasis on this evaluator and must not be written.
