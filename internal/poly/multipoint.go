@@ -6,13 +6,22 @@ package poly
 // Reed–Solomon encoding (evaluation) and the Gao decoder's first step
 // (interpolation of the received word).
 //
-// Everything here that depends on the points alone — the tree of
-// subproducts and the interpolation weights 1/m'(x_i) — lives in a
-// PointSet. A caller that meets the same points again and again (a
-// Reed–Solomon code decodes every word at the same points) builds the set
-// once; Ring.EvalMany and Ring.Interpolate build one, use it and drop it.
+// Everything here that depends on the points alone lives in a PointSet:
+// the tree of subproducts; beside each node whose parent combines by
+// transform, that node's spectrum at the parent's size, so interpolation
+// transforms only what depends on the values; the interpolation weights
+// 1/m'(x_i); and the spectrum of the full product m on the odd 2N-th
+// roots of unity, against which Quotient divides. A caller that meets the
+// same points again and again (a Reed–Solomon code decodes every word at
+// the same points) builds the set once; Ring.EvalMany and Ring.Interpolate
+// build one, use it and drop it. The quadratic bases under the tree —
+// Horner at the leaves, synthetic division in combineLagrange — are serial
+// multiply chains, latency-bound at 61 bits, and run four independent
+// points at a time (the ff/vec.go idiom).
 
 import (
+	"slices"
+
 	"camelot/internal/ff"
 	"camelot/internal/par"
 )
@@ -21,6 +30,12 @@ import (
 // Lagrange interpolation is used directly (the tree overhead dominates
 // below it).
 const fastThreshold = 64
+
+// spectralMin is the span from which a tree node combines its children by
+// transform: below Ring.Mul's nttThreshold, because with the children's
+// spectra cached two forward transforms and one inverse at the size of
+// the result stand for two products, and halve the quadratic base below.
+const spectralMin = 64
 
 // parSpanMin is the subtree span (leaf count) from which the recursive
 // tree walks fork their two children onto par workers; below it the
@@ -31,10 +46,10 @@ const parSpanMin = 4 * fastThreshold
 
 // PointSet is a fixed list of distinct evaluation points together with
 // what multipoint evaluation and interpolation need of them: the
-// subproduct tree, and — on a set built by NewPointSet — the inverse
-// weights 1/m'(x_i) of m = Π (x - x_i). It is immutable after
-// construction and safe for concurrent use. It holds O(n log n) field
-// elements for n points.
+// subproduct tree with its cached spectra, and — on a set built by
+// NewPointSet — the inverse weights 1/m'(x_i) of m = Π (x - x_i) and m's
+// own spectrum. It is immutable after construction and safe for
+// concurrent use. It holds O(n log n) field elements for n points.
 type PointSet struct {
 	r      *Ring
 	points []uint64
@@ -43,7 +58,13 @@ type PointSet struct {
 	// the leaves under k, leaf size+i is (x - x_i), and a leaf slot past
 	// the last point is the constant 1. node[1] is the full product.
 	node [][]uint64
+	// spec[k] is node[k]'s forward transform at its parent's size, for every
+	// k whose parent is spectral with points on both sides; nil elsewhere.
+	spec [][]uint64
 	invW []uint64 // 1/m'(x_i); nil on a set built for evaluation alone
+	// mHat is m at the odd 2·size-th roots of unity (twistedSpectrum); nil
+	// without weights or where the field has no such roots.
+	mHat []uint64
 }
 
 // NewPointSet builds the subproduct tree and interpolation weights over
@@ -55,6 +76,17 @@ func (r *Ring) NewPointSet(points []uint64) *PointSet {
 		ps.invW = ps.Eval(r.Derivative(ps.node[1]))
 		r.f.BatchInv(ps.invW)
 	}
+	if r.canNTT(2 * ps.size) {
+		m := ps.node[1]
+		if len(m) > ps.size {
+			// x^size = -1 at every odd root: a full tree's monic leading
+			// term folds onto the constant one.
+			m = slices.Clone(m[:ps.size])
+			m[0] = r.f.Sub(m[0], 1)
+		}
+		ps.mHat = make([]uint64, ps.size)
+		r.twistedSpectrum(ps.mHat, m)
+	}
 	return ps
 }
 
@@ -62,7 +94,8 @@ func (r *Ring) NewPointSet(points []uint64) *PointSet {
 func (r *Ring) newTree(points []uint64) *PointSet {
 	n := len(points)
 	size := nttSize(n)
-	ps := &PointSet{r: r, points: points, size: size, node: make([][]uint64, 2*size)}
+	// The smallest nodes with a spectrum span spectralMin/2 leaves.
+	ps := &PointSet{r: r, points: points, size: size, node: make([][]uint64, 2*size), spec: make([][]uint64, 4*size/spectralMin)}
 	one := []uint64{1}
 	for i := 0; i < size; i++ {
 		if i < n {
@@ -77,19 +110,50 @@ func (r *Ring) newTree(points []uint64) *PointSet {
 	// but Mul itself parallelizes through the NTT).
 	for levelLo := size / 2; levelLo >= 1; levelLo /= 2 {
 		width := levelLo // nodes levelLo .. 2*levelLo-1
+		span := size / levelLo
 		if width >= 4 && par.Parallelism() > 1 {
 			par.ForChunks(width, func(clo, chi int) {
 				for k := levelLo + clo; k < levelLo+chi; k++ {
-					ps.node[k] = r.Mul(ps.node[2*k], ps.node[2*k+1])
+					ps.mulNode(k, span)
 				}
 			})
 		} else {
 			for k := levelLo; k < 2*levelLo; k++ {
-				ps.node[k] = r.Mul(ps.node[2*k], ps.node[2*k+1])
+				ps.mulNode(k, span)
 			}
 		}
 	}
 	return ps
+}
+
+// spectral reports whether a node of the given span combines its children
+// by transforms of size span.
+func (ps *PointSet) spectral(span int) bool { return span >= spectralMin && ps.r.canNTT(span) }
+
+// mulNode sets node[k] to the product of its children, keeping their
+// spectra when the node is spectral: the product is then one pointwise
+// multiply and one inverse transform away.
+func (ps *PointSet) mulNode(k, span int) {
+	r := ps.r
+	a, b := ps.node[2*k], ps.node[2*k+1]
+	switch {
+	case len(b) == 1: // nothing but padding on the right
+		ps.node[k] = a
+	case !ps.spectral(span):
+		ps.node[k] = r.Mul(a, b)
+	default:
+		p, f := r.plan(span), r.f
+		ps.spec[2*k], ps.spec[2*k+1] = r.spectrum(a, p), r.spectrum(b, p)
+		out := make([]uint64, span+1)
+		ff.MulVecK(out[:span], ps.spec[2*k], ps.spec[2*k+1], f.Kernel())
+		r.inverse(out[:span], p)
+		if len(a)+len(b)-2 == span {
+			// A full node has degree span: its monic leading term wrapped
+			// around onto the constant one.
+			out[0], out[span] = f.Sub(out[0], 1), 1
+		}
+		ps.node[k] = out[:len(a)+len(b)-1]
+	}
 }
 
 // Len returns the number of points.
@@ -102,18 +166,25 @@ func (ps *PointSet) Product() []uint64 { return ps.node[1] }
 // Footprint returns the bytes of field elements and slice headers the set
 // keeps alive, for callers that cache sets under a memory budget.
 func (ps *PointSet) Footprint() int {
-	words := len(ps.points) + len(ps.invW)
+	words := len(ps.points) + len(ps.invW) + len(ps.mHat)
 	for _, nd := range ps.node {
 		words += len(nd)
 	}
-	return 8*words + 24*len(ps.node)
+	for _, sp := range ps.spec {
+		words += len(sp)
+	}
+	return 8*words + 24*(len(ps.node)+len(ps.spec))
 }
+
+// InvWeights returns 1/m'(x_i) for every point, m the set's product. Not
+// a copy; callers must not mutate.
+func (ps *PointSet) InvWeights() []uint64 { return ps.invW }
 
 // Eval evaluates p at every point of the set, in O(M(d) log d) down the
 // subproduct tree for large inputs and Horner per point for small ones.
 func (ps *PointSet) Eval(p []uint64) []uint64 {
 	if hornerWins(len(p), len(ps.points)) {
-		return ps.r.evalEach(p, ps.points)
+		return ps.r.EvalEach(p, ps.points)
 	}
 	out := make([]uint64, len(ps.points))
 	ps.evalDown(1, p, out, 0, ps.size)
@@ -124,7 +195,7 @@ func (ps *PointSet) Eval(p []uint64) []uint64 {
 // PointSet.Eval, which builds no tree when Horner would be used anyway.
 func (r *Ring) EvalMany(p []uint64, points []uint64) []uint64 {
 	if hornerWins(len(p), len(points)) {
-		return r.evalEach(p, points)
+		return r.EvalEach(p, points)
 	}
 	return r.newTree(points).Eval(p)
 }
@@ -133,12 +204,36 @@ func (r *Ring) EvalMany(p []uint64, points []uint64) []uint64 {
 // at n points is cheaper point by point than down a subproduct tree.
 func hornerWins(plen, n int) bool { return n <= fastThreshold || plen <= fastThreshold }
 
-func (r *Ring) evalEach(p, points []uint64) []uint64 {
+// EvalEach evaluates p at every point by Horner's rule: the form for a
+// few points or a short polynomial, where no tree pays for itself.
+func (r *Ring) EvalEach(p, points []uint64) []uint64 {
 	out := make([]uint64, len(points))
-	for i, x := range points {
-		out[i] = r.Eval(p, x)
-	}
+	r.hornerEach(out, p, points)
 	return out
+}
+
+// hornerEach sets out[i] = p(points[i]), four independent Horner chains
+// at a time (a lane past the last point evaluates at 0). The accumulators
+// ride the multiplier's lazy first-operand slot (a product plus a
+// canonical coefficient is below 2q) and are reduced once at the end.
+func (r *Ring) hornerEach(out, p, points []uint64) {
+	f := r.f
+	k := f.Kernel()
+	for i := 0; i < len(points); i += 4 {
+		var xs, as [4]uint64
+		n := copy(xs[:], points[i:])
+		x0, x1 := k.Shift(f.ReduceU(xs[0])), k.Shift(f.ReduceU(xs[1]))
+		x2, x3 := k.Shift(f.ReduceU(xs[2])), k.Shift(f.ReduceU(xs[3]))
+		var a0, a1, a2, a3 uint64
+		for j := len(p) - 1; j >= 0; j-- {
+			c := p[j]
+			a0, a1 = ff.MulKS(a0, x0, k)+c, ff.MulKS(a1, x1, k)+c
+			a2, a3 = ff.MulKS(a2, x2, k)+c, ff.MulKS(a3, x3, k)+c
+		}
+		as = [4]uint64{a0, a1, a2, a3}
+		copy(out[i:], as[:n])
+	}
+	ff.ReduceVec4Q(out, f.Q)
 }
 
 // evalDown reduces p modulo the subtree products, descending to leaves.
@@ -152,9 +247,8 @@ func (ps *PointSet) evalDown(k int, p []uint64, out []uint64, off, span int) {
 	_, rem := r.DivMod(p, ps.node[k])
 	// Below a size threshold, finish with Horner: cheaper than recursion.
 	if span <= fastThreshold {
-		for i := off; i < off+span && i < n; i++ {
-			out[i] = r.Eval(rem, ps.points[i])
-		}
+		hi := min(off+span, n)
+		r.hornerEach(out[off:hi], rem, ps.points[off:hi])
 		return
 	}
 	// The children read rem (DivMod copies; nothing is mutated) and write
@@ -195,11 +289,12 @@ func (r *Ring) Interpolate(points, values []uint64) []uint64 {
 // combineUp computes Σ_i c_i Π_{j≠i} (x - x_j) over the subtree.
 func (ps *PointSet) combineUp(k int, c []uint64, off, span int) []uint64 {
 	n := len(ps.points)
-	if off >= n {
-		return nil
-	}
-	if span <= fastThreshold {
+	if span <= fastThreshold && !ps.spectral(span) {
 		return ps.combineLagrange(k, c, off, min(off+span, n))
+	}
+	if off+span/2 >= n {
+		// Nothing but padding on the right: its product is 1, its sum empty.
+		return ps.combineUp(2*k, c, off, span/2)
 	}
 	r := ps.r
 	var left, right []uint64
@@ -213,33 +308,111 @@ func (ps *PointSet) combineUp(k int, c []uint64, off, span int) []uint64 {
 		left = ps.combineUp(2*k, c, off, span/2)
 		right = ps.combineUp(2*k+1, c, off+span/2, span/2)
 	}
-	// left * rightProduct + right * leftProduct
-	lp := r.Mul(left, ps.node[2*k+1])
-	rp := r.Mul(right, ps.node[2*k])
-	return r.Add(lp, rp)
+	// left * rightProduct + right * leftProduct, of degree < the number of
+	// points below k: at a spectral node both products are taken against
+	// the cached spectra and summed before the one inverse transform.
+	if !ps.spectral(span) {
+		return r.Add(r.Mul(left, ps.node[2*k+1]), r.Mul(right, ps.node[2*k]))
+	}
+	p, f := r.plan(span), r.f
+	out := make([]uint64, span)
+	copy(out, left)
+	scratch := p.bufs.Get().(*[]uint64)
+	rt := (*scratch)[:span]
+	clear(rt[copy(rt, right):])
+	transformLazy(f, out, p, p.fwd)
+	transformLazy(f, rt, p, p.fwd)
+	mulAddVecK(out, ps.spec[2*k+1], rt, ps.spec[2*k], f.Kernel())
+	p.bufs.Put(scratch)
+	r.inverse(out, p)
+	return out[:min(off+span, n)-off]
 }
 
 // combineLagrange is the quadratic base of combineUp for the points
 // [lo, hi) under node k: each m_k/(x - x_i) comes from one synthetic
-// division of the (monic) node product and is accumulated scaled by c_i.
+// division of the (monic) node product and is accumulated scaled by c_i,
+// four points — four independent division chains — at a time.
 func (ps *PointSet) combineLagrange(k int, c []uint64, lo, hi int) []uint64 {
 	f := ps.r.f
 	kern := f.Kernel()
 	m := ps.node[k] // degree hi-lo
 	out := make([]uint64, hi-lo)
-	for i := lo; i < hi; i++ {
-		if c[i] == 0 {
-			continue
+	for i := lo; i < hi; i += 4 {
+		var cs, xs [4]uint64 // a lane past hi carries c = 0 and adds nothing
+		for l := 0; l < 4 && i+l < hi; l++ {
+			cs[l], xs[l] = kern.Shift(c[i+l]), kern.Shift(f.ReduceU(ps.points[i+l]))
 		}
-		cs, xs := kern.Shift(c[i]), kern.Shift(f.ReduceU(ps.points[i]))
-		b := uint64(1) // quotient coefficient, from the top down
+		c0, c1, c2, c3, x0, x1, x2, x3 := cs[0], cs[1], cs[2], cs[3], xs[0], xs[1], xs[2], xs[3]
+		// Quotient coefficients, from the top down; below 2q (a product
+		// plus a coefficient of m), the multiplier's lazy range.
+		b0, b1, b2, b3 := uint64(1), uint64(1), uint64(1), uint64(1)
 		for j := len(out) - 1; ; j-- {
-			out[j] = f.Add(out[j], ff.MulKS(b, cs, kern))
+			s01 := f.Add(ff.MulKS(b0, c0, kern), ff.MulKS(b1, c1, kern))
+			s23 := f.Add(ff.MulKS(b2, c2, kern), ff.MulKS(b3, c3, kern))
+			out[j] = f.Add(out[j], f.Add(s01, s23))
 			if j == 0 {
 				break
 			}
-			b = f.Add(m[j], ff.MulKS(b, xs, kern))
+			mj := m[j]
+			b0, b1 = mj+ff.MulKS(b0, x0, kern), mj+ff.MulKS(b1, x1, kern)
+			b2, b3 = mj+ff.MulKS(b2, x2, kern), mj+ff.MulKS(b3, x3, kern)
 		}
+	}
+	return out
+}
+
+// Quotient returns p = (u·m + v·b)/v, m the set's product, when the
+// division is exact and deg p ≤ maxDeg, and ok = false otherwise: the last
+// step of Gao's decoder, whose Euclidean stop is g = u·m + v·b. The caller
+// guarantees v ≠ 0 and deg g < Len() (PartialXGCD's cofactors do).
+//
+// Where the field has odd 2N-th roots of unity ζ, N the tree size, neither
+// g nor a division is formed: p - b has degree < N and takes the values
+// u(ζ)·m(ζ)/v(ζ), one inverse transform of a pointwise quotient against
+// the cached m(ζ); and any p̃ of degree ≤ maxDeg with those values has
+// deg p̃·v < N, so p̃·v = g: the degree test is the exactness test. (Odd
+// roots, because x = 1 is an N-th root and a code point; where some v(ζ)
+// is zero all the same, the products and the division are carried out.)
+func (ps *PointSet) Quotient(u, v, b []uint64, maxDeg int) (p []uint64, ok bool) {
+	u, v, b = Trim(u), Trim(v), Trim(b)
+	if len(u) == 0 { // no Euclidean step: g = v·b
+		return b, len(b) <= maxDeg+1
+	}
+	r := ps.r
+	if ps.mHat != nil && maxDeg+len(v) <= ps.size && len(b) <= ps.size {
+		if p = ps.quotientSpectral(u, v); p != nil {
+			addInto(r.f, p, b, 0)
+			p = Trim(p)
+			return p, len(p) <= maxDeg+1
+		}
+	}
+	p, rem := r.DivMod(r.Add(r.Mul(u, ps.node[1]), r.Mul(v, b)), v)
+	return p, len(rem) == 0 && len(p) <= maxDeg+1
+}
+
+// quotientSpectral returns the polynomial of degree < size taking the
+// values u·m/v at the odd 2·size-th roots, or nil if v vanishes at one.
+func (ps *PointSet) quotientSpectral(u, v []uint64) []uint64 {
+	r, f := ps.r, ps.r.f
+	kern := f.Kernel()
+	p := r.plan(ps.size)
+	vbuf, pbuf := p.bufs.Get().(*[]uint64), p.bufs.Get().(*[]uint64)
+	defer p.bufs.Put(vbuf)
+	defer p.bufs.Put(pbuf)
+	vh := *vbuf
+	r.twistedSpectrum(vh, v)
+	if slices.Contains(vh, 0) {
+		return nil
+	}
+	f.BatchInvScratch(vh, *pbuf)
+	out := make([]uint64, ps.size)
+	r.twistedSpectrum(out, u)
+	ff.MulVecK(out, out, ps.mHat, kern)
+	ff.MulVecK(out, out, vh, kern)
+	r.inverse(out, p)
+	_, untw := r.twist(ps.size)
+	for i, w := range untw {
+		out[i] = ff.MulKS(out[i], w, kern)
 	}
 	return out
 }

@@ -127,7 +127,6 @@ func stageTwiddles(f ff.Field, w uint64, n int) []uint64 {
 func (r *Ring) mulNTT(a, b []uint64, n int) []uint64 {
 	p := r.plan(n)
 	f := r.f
-	k := f.Kernel()
 	// fa is returned (truncated) to the caller, so it cannot come from
 	// the pool; fb is pure scratch.
 	fa := make([]uint64, n)
@@ -143,13 +142,63 @@ func (r *Ring) mulNTT(a, b []uint64, n int) []uint64 {
 	// fa rides the lazy first-operand slot (< 4q) untouched. The products
 	// come out canonical, so the inverse transform starts clean.
 	ff.ReduceVec4Q(fb, f.Q)
-	ff.MulVecK(fa, fa, fb, k)
+	ff.MulVecK(fa, fa, fb, f.Kernel())
 	p.bufs.Put(fbp)
-	transformLazy(f, fa, p, p.inv)
-	// Scale by 1/n (invN is stored pre-shifted); fa's lazy entries feed
-	// the first-operand slot, and the sweep emits canonical values.
-	ff.MulVecKS(fa, fa, p.invN, k)
+	r.inverse(fa, p)
 	return fa[:len(a)+len(b)-1]
+}
+
+// inverse is the inverse transform of a (entries below 4q) under plan p,
+// scaled by 1/n: invN is stored pre-shifted, the lazy residues feed the
+// multiplier's first-operand slot, and the sweep emits canonical values.
+func (r *Ring) inverse(a []uint64, p *nttPlan) {
+	transformLazy(r.f, a, p, p.inv)
+	ff.MulVecKS(a, a, p.invN, r.f.Kernel())
+}
+
+// spectrum returns the forward transform of a (len(a) ≤ p.n) under plan p
+// in canonical residues: the form a cached spectrum is kept in, ready for
+// the second-operand slot of ff.MulVecK.
+func (r *Ring) spectrum(a []uint64, p *nttPlan) []uint64 {
+	s := make([]uint64, p.n)
+	copy(s, a)
+	transformLazy(r.f, s, p, p.fwd)
+	ff.ReduceVec4Q(s, r.f.Q)
+	return s
+}
+
+// twist returns ψ^i and ψ^-i for i < n, pre-shifted for ff.MulKS, ψ the
+// primitive 2n-th root of unity of the size-2n plan: they are that plan's
+// last butterfly stage. Multiplying coefficient i by ψ^i before a size-n
+// transform evaluates at the odd 2n-th roots ψ·ω^j, the roots of x^n = -1.
+func (r *Ring) twist(n int) (tw, untw []uint64) {
+	p := r.plan(2 * n)
+	return p.fwd[n-1:], p.inv[n-1:]
+}
+
+// twistedSpectrum sets dst to the values of a (len(a) ≤ len(dst)) at the
+// odd 2·len(dst)-th roots of unity, in canonical residues.
+func (r *Ring) twistedSpectrum(dst, a []uint64) {
+	k := r.f.Kernel()
+	tw, _ := r.twist(len(dst))
+	for i, ai := range a {
+		dst[i] = ff.MulKS(ai, tw[i], k)
+	}
+	clear(dst[len(a):])
+	p := r.plan(len(dst))
+	transformLazy(r.f, dst, p, p.fwd)
+	ff.ReduceVec4Q(dst, r.f.Q)
+}
+
+// mulAddVecK sets dst[i] = dst[i]·b[i] + c[i]·d[i]: two spectra taken
+// against two cached ones and summed before the inverse transform. dst
+// and c may be lazy (< 4q), b and d must be canonical; the sums stay
+// below 2q, inside the range transformLazy accepts.
+func mulAddVecK(dst, b, c, d []uint64, k ff.Kernel) {
+	b, c, d = b[:len(dst)], c[:len(dst)], d[:len(dst)]
+	for i := range dst {
+		dst[i] = ff.MulK(dst[i], b[i], k) + ff.MulK(c[i], d[i], k)
+	}
 }
 
 // rootOfOrder returns a primitive n-th root of unity (n a power of two

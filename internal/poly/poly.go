@@ -3,7 +3,7 @@
 // multiplication (naive, Karatsuba, and NTT when the modulus permits),
 // division with remainder, the truncated extended Euclidean algorithm used
 // by the Gao Reed–Solomon decoder, and subproduct-tree multipoint
-// evaluation and interpolation.
+// evaluation, interpolation and exact division against a cached point set.
 //
 // A polynomial is a coefficient slice c with c[j] the coefficient of x^j.
 // The zero polynomial is the empty (or all-zero) slice. Operations treat
@@ -48,6 +48,10 @@ func NewRing(f ff.Field) *Ring {
 	}
 	return r
 }
+
+// canNTT reports whether the field has a primitive n-th root of unity for
+// the power of two n, that is, whether a size-n transform exists.
+func (r *Ring) canNTT(n int) bool { return r.root != 0 && n <= 1<<uint(r.twoAdicity) }
 
 // Field returns the coefficient field.
 func (r *Ring) Field() ff.Field { return r.f }
@@ -113,18 +117,6 @@ func (r *Ring) Sub(a, b []uint64) []uint64 {
 	return Trim(out)
 }
 
-// Scale returns c*a for a scalar c.
-func (r *Ring) Scale(a []uint64, c uint64) []uint64 {
-	if c == 0 {
-		return nil
-	}
-	out := make([]uint64, len(a))
-	for i := range a {
-		out[i] = r.f.Mul(a[i], c)
-	}
-	return Trim(out)
-}
-
 // Mul returns a*b, dispatching on size: naive for tiny operands,
 // Karatsuba in the mid range, NTT for large products when the modulus
 // supports a big enough transform.
@@ -134,10 +126,8 @@ func (r *Ring) Mul(a, b []uint64) []uint64 {
 		return nil
 	}
 	outLen := len(a) + len(b) - 1
-	if outLen >= nttThreshold && r.root != 0 {
-		if n := nttSize(outLen); n <= 1<<uint(r.twoAdicity) {
-			return Trim(r.mulNTT(a, b, n))
-		}
+	if n := nttSize(outLen); outLen >= nttThreshold && r.canNTT(n) {
+		return Trim(r.mulNTT(a, b, n))
 	}
 	if len(a) <= karatsubaThreshold || len(b) <= karatsubaThreshold {
 		return Trim(r.mulNaive(a, b))
@@ -267,82 +257,66 @@ func (r *Ring) divInPlace(a, b, q []uint64) {
 	}
 }
 
-// GCD returns the monic greatest common divisor of a and b.
-func (r *Ring) GCD(a, b []uint64) []uint64 {
+// PartialXGCD runs the extended Euclidean algorithm on (a, b) and stops at
+// the first remainder g of degree < stopDeg (stopDeg ≥ 0), returning both
+// cofactors: g = u·a + v·b. This is the half-way stop of the Gao decoder
+// (paper §2.3): a = G0, b = G1, stopDeg = (e+d+1)/2. g is not formed,
+// because the loop never sees all of it: with n = deg a and k = n-stopDeg,
+// every remainder before the stop has degree ≥ n-k, so the quotients'
+// degrees sum to at most k, and by the half-GCD lemma such quotients are
+// functions of the leading 2k+1 coefficients of a and b. The classical
+// quadratic loop — one schoolbook division per remainder, buffers swapping
+// roles — runs on those alone, in O(k²) whatever n is. (Through step i the
+// terms dropped from a and b reach only the remainder's coefficients
+// below n-2k+deg v_i ≤ n-k: the leading ones, and whether the degree is
+// still ≥ n-k, read the same on the truncated pair.)
+func (r *Ring) PartialXGCD(a, b []uint64, stopDeg int) (u, v []uint64) {
 	a, b = Trim(a), Trim(b)
-	for len(b) > 0 {
-		_, rem := r.DivMod(a, b)
-		a, b = b, rem
+	if Degree(b) < stopDeg {
+		return nil, []uint64{1} // b is already the remainder: no step
 	}
-	return r.Monic(a)
-}
-
-// Monic scales p so its leading coefficient is one.
-func (r *Ring) Monic(p []uint64) []uint64 {
-	p = Trim(p)
-	if len(p) == 0 {
-		return nil
+	if len(a) < len(b) {
+		// The first division has quotient 0: the sequence is that of (b, a).
+		v, u = r.PartialXGCD(b, a, stopDeg)
+		return u, v
 	}
-	lead := p[len(p)-1]
-	if lead == 1 {
-		return p
-	}
-	return r.Scale(p, r.f.Inv(lead))
-}
-
-// PartialXGCD runs the extended Euclidean algorithm on (a, b) and stops as
-// soon as the remainder g has degree < stopDeg, returning g and the
-// cofactor v of b: g = u*a + v*b for a u that is never formed, so
-// g ≡ v*b (mod a). This is exactly the half-way stop the Gao decoder needs
-// (paper §2.3): a = G0, b = G1, stopDeg = (e+d+1)/2, and the decoder reads
-// only g and v. It is the classical quadratic loop — one schoolbook
-// division per remainder — on two remainder and two cofactor buffers that
-// swap roles, so a step allocates nothing.
-func (r *Ring) PartialXGCD(a, b []uint64, stopDeg int) (g, v []uint64) {
-	// Invariants: r0 ≡ v0*b, r1 ≡ v1*b (mod a). The "current remainder"
-	// of the Euclidean sequence is r1; we stop at the first remainder with
-	// degree < stopDeg (which may be the zero polynomial — e.g. decoding a
-	// received word close to the zero codeword).
-	a, b = Trim(a), Trim(b)
-	// deg v grows to deg a - stopDeg at most (append covers a caller whose
-	// degrees break that pattern).
-	vcap := max(len(a)-stopDeg, 0) + 1
-	r0 := append(make([]uint64, 0, len(a)), a...)
-	r1 := append(make([]uint64, 0, max(len(a), len(b))), b...)
-	v0, v1 := make([]uint64, 0, vcap), append(make([]uint64, 0, vcap), 1)
-	var q []uint64
-	k := r.f.Kernel()
-	for Degree(r1) >= stopDeg {
-		if len(r0) < len(r1) {
-			// First step with deg a < deg b: quotient 0, remainder a.
-			r0, r1 = r1, r0
-			v0, v1 = v1, v0
-			continue
-		}
-		nq := len(r0) - len(r1) + 1
-		if cap(q) < nq {
-			q = make([]uint64, nq)
-		}
-		q = q[:nq]
+	n := len(a) - 1
+	k := n - stopDeg
+	t := max(n-2*k, 0) // coefficients below x^t are never read
+	stop := stopDeg - t
+	r0 := append(make([]uint64, 0, len(a)-t), a[t:]...)
+	r1 := append(make([]uint64, 0, len(a)-t), b[t:]...)
+	u0, u1 := append(make([]uint64, 0, k+1), 1), make([]uint64, 0, k+1)
+	v0, v1 := make([]uint64, 0, k+1), append(make([]uint64, 0, k+1), 1)
+	q := make([]uint64, 0, len(r0))
+	for Degree(r1) >= stop {
+		q = q[:len(r0)-len(r1)+1]
 		r.divInPlace(r0, r1, q)
 		r0, r1 = r1, Trim(r0[:len(r1)-1])
-		// v0 - q*v1, formed in v0's buffer, becomes the new v1.
-		if len(v1) > 0 {
-			if need := nq + len(v1) - 1; len(v0) < need {
-				v0 = append(v0, make([]uint64, need-len(v0))...)
-			}
-			for i, qi := range q {
-				if qi == 0 {
-					continue
-				}
-				qs := k.Shift(qi)
-				row := v0[i : i+len(v1)]
-				for j, vj := range v1 {
-					row[j] = r.f.Sub(row[j], ff.MulKS(vj, qs, k))
-				}
-			}
-		}
-		v0, v1 = v1, Trim(v0)
+		u0, u1 = u1, r.subMul(u0, q, u1)
+		v0, v1 = v1, r.subMul(v0, q, v1)
 	}
-	return r1, v1
+	return u1, v1
+}
+
+// subMul returns c0 - q·c1, formed in c0's buffer (grown when too short).
+func (r *Ring) subMul(c0, q, c1 []uint64) []uint64 {
+	if len(c1) == 0 {
+		return c0
+	}
+	if need := len(q) + len(c1) - 1; len(c0) < need {
+		c0 = append(c0, make([]uint64, need-len(c0))...)
+	}
+	k := r.f.Kernel()
+	for i, qi := range q {
+		if qi == 0 {
+			continue
+		}
+		qs := k.Shift(qi)
+		row := c0[i : i+len(c1)]
+		for j, cj := range c1 {
+			row[j] = r.f.Sub(row[j], ff.MulKS(cj, qs, k))
+		}
+	}
+	return Trim(c0)
 }

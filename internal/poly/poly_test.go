@@ -121,40 +121,45 @@ func TestDivModSmallerDividend(t *testing.T) {
 	}
 }
 
+// TestGCD runs the one Euclidean loop to its end (stop degree 0): the
+// cofactors of the zero remainder are a/gcd and b/gcd up to a unit, so
+// a/v is the greatest common divisor.
 func TestGCD(t *testing.T) {
 	r := testRing(t)
 	rng := rand.New(rand.NewSource(11))
 	g := randPoly(rng, r.f, 7)
 	a := r.Mul(g, randPoly(rng, r.f, 13))
 	b := r.Mul(g, randPoly(rng, r.f, 9))
-	got := r.GCD(a, b)
+	u, v := r.PartialXGCD(a, b, 0)
+	if rem := r.Add(r.Mul(u, a), r.Mul(v, b)); len(rem) != 0 {
+		t.Fatalf("u*a + v*b has degree %d, want the zero remainder", Degree(rem))
+	}
+	got, rem := r.DivMod(a, v)
+	if len(rem) != 0 {
+		t.Fatal("the last cofactor of b does not divide a")
+	}
 	// gcd must divide both and be divisible by g (up to possibly larger
 	// common factors; check divisibility both ways where it must hold).
-	if _, rem := r.DivMod(a, got); len(rem) != 0 {
-		t.Fatal("gcd does not divide a")
-	}
 	if _, rem := r.DivMod(b, got); len(rem) != 0 {
 		t.Fatal("gcd does not divide b")
 	}
-	if _, rem := r.DivMod(got, r.Monic(g)); len(rem) != 0 {
+	if _, rem := r.DivMod(got, g); len(rem) != 0 {
 		t.Fatal("g does not divide gcd")
 	}
 }
 
-// TestPartialXGCDInvariant checks what PartialXGCD promises: the returned
-// remainder is the first of the Euclidean sequence below the stop degree,
-// and it is congruent to v*b modulo a (the u cofactor is never formed).
+// TestPartialXGCDInvariant checks what PartialXGCD promises: the
+// remainder g = u*a + v*b its cofactors stand for is the first of the
+// Euclidean sequence below the stop degree.
 func TestPartialXGCDInvariant(t *testing.T) {
 	r := testRing(t)
 	rng := rand.New(rand.NewSource(19))
 	check := func(name string, a, b []uint64, stop int) (g, v []uint64) {
 		t.Helper()
-		g, v = r.PartialXGCD(a, b, stop)
+		u, v := r.PartialXGCD(a, b, stop)
+		g = r.Add(r.Mul(u, a), r.Mul(v, b))
 		if Degree(g) >= stop {
 			t.Fatalf("%s: stopped with degree %d >= stop %d", name, Degree(g), stop)
-		}
-		if _, rem := r.DivMod(r.Sub(r.Mul(v, b), g), a); len(rem) != 0 {
-			t.Fatalf("%s: g is not congruent to v*b mod a", name)
 		}
 		// g is the FIRST remainder below the stop: replaying the sequence
 		// with DivMod reaches the same polynomial and no earlier one.

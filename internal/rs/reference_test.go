@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -227,13 +228,56 @@ func TestDecodeMatchesReference(t *testing.T) {
 		block[i] = c.Field().Add(block[i], 1)
 	}
 	corner("contiguous error block at the radius", block, nil)
+	// x = 1 is an N-th root of unity for every transform size N: the
+	// quotient's transform points must not include it. Alone, and inside a
+	// whole first block (a lying node 0).
+	atOne := append([]uint64(nil), cw...)
+	atOne[1] = c.Field().Add(atOne[1], 7)
+	if got := corner("error at x = 1", atOne, nil); got.failed || !slices.Equal(got.locs, []int{1}) {
+		t.Fatalf("error at x = 1: failed=%v locs=%v", got.failed, got.locs)
+	}
+	first := append([]uint64(nil), cw...)
+	for i := 0; i < c.CorrectionRadiusWithErasures(2); i++ {
+		first[i] = c.Field().Add(first[i], uint64(1+i))
+	}
+	if got := corner("first block in error", first, []int{150, 151}); got.failed || len(got.locs) != c.CorrectionRadiusWithErasures(2) {
+		t.Fatalf("first block in error: failed=%v with %d locations", got.failed, len(got.locs))
+	}
+
+	// GF(257): every nonzero element is a 256th root of unity, so over a
+	// tree of 128 leaves the quotient's transform points — the odd 256th
+	// roots — are the field's generators, 3 among them. A locator with a
+	// root at x = 3 vanishes at a transform point and the quotient falls
+	// back to Mul and DivMod; one with roots at 0, 1, 2, 4 (no generators)
+	// does not. Both must be the reference's outcome, within the radius
+	// and past it.
+	for trial := 0; trial < 120; trial++ {
+		e := 65 + rng.Intn(64)
+		d := rng.Intn(e - 12)
+		c := codeOver(t, 257, e, d)
+		cw, _ := c.Encode(randMessage(rng, c.Field(), d))
+		radius := c.CorrectionRadius()
+		rx := append([]uint64(nil), cw...)
+		positions := []int{0, 1, 2, 4}
+		if trial%2 == 0 {
+			positions = append([]int{3}, rng.Perm(e)[:rng.Intn(radius+3)]...)
+		}
+		for _, i := range positions {
+			rx[i] = c.Field().Add(rx[i], 1+rng.Uint64()%256)
+		}
+		diffAgainstReference(t, fmt.Sprintf("GF(257) trial %d e=%d d=%d errors at %v", trial, e, d, positions), c, rx, nil)
+	}
 
 	// GF(97): the field is small enough that a word pushed past the
 	// (erasure-shrunk) radius often lies within the radius of a different
 	// codeword, and Gao returns that one — the miscorrection behind the
 	// chaos seeds fixed in PR 14. Accepted or refused, the outcome must be
 	// the reference's.
-	miscorrected, refused := 0, 0
+	// Past the radius the locator is whatever Euclid left, and its roots
+	// may fall on erased points. An exact quotient rules that out (v then
+	// divides the delivered points' G0), so such a word must be refused
+	// and an erased position never opened as a root.
+	miscorrected, refused, erasedRoots := 0, 0, 0
 	for trial := 0; trial < 300; trial++ {
 		e := 20 + rng.Intn(78)
 		d := rng.Intn(e - 8)
@@ -245,6 +289,18 @@ func TestDecodeMatchesReference(t *testing.T) {
 		nerr := min(radius+1+rng.Intn(3), e-s)
 		rx, _, erased := corruptWord(rng, c, cw, nerr, s)
 		got := diffAgainstReference(t, fmt.Sprintf("GF(97) trial %d e=%d d=%d errors=%d erasures=%d", trial, e, d, nerr, s), c, rx, erased)
+		if plan, err := c.ErasurePlan(erased); err == nil && s > 0 {
+			var vals []uint64
+			for i, y := range rx {
+				if !plan.mask[i] {
+					vals = append(vals, y)
+				}
+			}
+			_, v := c.ring.PartialXGCD(plan.ps.Product(), plan.ps.Interpolate(vals), (e-s+d+1)/2)
+			if slices.ContainsFunc(erased, func(i int) bool { return c.ring.Eval(v, c.points[i]) == 0 }) {
+				erasedRoots++
+			}
+		}
 		switch {
 		case got.failed:
 			refused++
@@ -252,8 +308,9 @@ func TestDecodeMatchesReference(t *testing.T) {
 			miscorrected++
 		}
 	}
-	if miscorrected == 0 || refused == 0 {
-		t.Fatalf("GF(97) sweep saw %d miscorrections and %d refusals; it must exercise both", miscorrected, refused)
+	if miscorrected == 0 || refused == 0 || erasedRoots == 0 {
+		t.Fatalf("GF(97) sweep saw %d miscorrections, %d refusals and %d locators with a root at an erased point; it must exercise all three",
+			miscorrected, refused, erasedRoots)
 	}
 }
 
@@ -291,5 +348,21 @@ func TestWarmDecodeAllocatesNoTree(t *testing.T) {
 	t.Logf("allocations per decode: warm %.0f, cold (New + decode) %.0f", warm, cold)
 	if warm > cold/3 {
 		t.Fatalf("a warm decode makes %.0f allocations, a cold New+decode %.0f: the decode is rebuilding per-code state", warm, cold)
+	}
+	// A ceiling on the bytes as well: what a warm decode of this word
+	// allocated before the spectra were cached (ISSUE 24), when every tree
+	// node's product came out of a fresh transform buffer.
+	const bytesBefore = 560_909
+	const runs = 10
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		decode(c)
+	}
+	runtime.ReadMemStats(&m1)
+	if perDecode := (m1.TotalAlloc - m0.TotalAlloc) / runs; perDecode > bytesBefore {
+		t.Fatalf("a warm decode allocates %d bytes, more than the %d it did before", perDecode, bytesBefore)
+	} else {
+		t.Logf("bytes per warm decode: %d (ceiling %d)", perDecode, bytesBefore)
 	}
 }

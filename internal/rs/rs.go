@@ -7,19 +7,29 @@
 // is how a Camelot node identifies the Knights that Morgana enchanted
 // (paper §1.3, step 2).
 //
-// A decode is interpolate → partial Euclid → exact division → locator
-// roots, and only the middle two depend on more than the received word's
-// values: the subproduct tree and interpolation weights of the evaluation
-// points belong to the Code (and to an ErasurePlan, for a shortened point
-// set), built once. The corrected word is never re-encoded. Gao's stop
-// leaves g = u·G0 + v·G1 with G0(x_i) = 0 and G1(x_i) = r_i at every
-// delivered point, and the message is the exact quotient p = g/v, so
+// A decode is five steps — interpolate, partial Euclid, exact quotient,
+// locator roots, open — against state that depends on the evaluation
+// points alone and belongs to the Code (and to an ErasurePlan, for a
+// shortened point set): the subproduct tree with its node spectra, the
+// interpolation weights and the spectrum of G0, built once. The corrected
+// word is never re-encoded. Gao's stop leaves g = u·G0 + v·G1 with
+// G0(x_i) = 0 and G1(x_i) = r_i at every delivered point, and the message
+// is the exact quotient p = g/v, so
 //
 //	p(x_i)·v(x_i) = g(x_i) = v(x_i)·r_i,   hence p(x_i) = r_i wherever v(x_i) ≠ 0:
 //
 // the codeword can differ from the received word only at roots of the
-// locator v (degree at most the number of errors), and p is evaluated
-// only there and at erased positions.
+// locator v (degree at most the number of errors). And because u and v
+// are coprime, v | g = u·G0 + v·G1 makes v a divisor of the squarefree G0:
+// its roots are simple, they are delivered points, and u vanishes at none
+// of them. Differentiating p·v = u·G0 + v·G1 at such a root gives
+//
+//	p(x_i)·v'(x_i) = u(x_i)·G0'(x_i) + v'(x_i)·r_i,   hence p(x_i) = r_i + u(x_i)·G0'(x_i)/v'(x_i) ≠ r_i:
+//
+// every root of v is an error, and its corrected symbol costs two Horner
+// chains of degree at most the number of errors — G0'(x_i) is the
+// reciprocal of an interpolation weight — where evaluating p costs one of
+// degree d. p itself is evaluated only at erased positions.
 package rs
 
 import (
@@ -221,29 +231,21 @@ func (p *ErasurePlan) Decode(received []uint64) (message, corrected []uint64, er
 // full-length code so the corrected word and error locations can be
 // expressed in full-length coordinates.
 //
-// By the identity in the package comment the corrected word is the
+// By the identities in the package comment the corrected word is the
 // received word except at roots of the locator v and at erased positions,
-// so only those are evaluated; a clean word (constant v) evaluates
-// nothing. A root of v is reported as an error only if p really differs
-// from the received symbol there, which keeps the outcome — refusals
-// beyond the radius included — what re-encoding and diffing every
-// position would give.
+// so only those are computed; a clean word (no Euclidean step, constant
+// v) computes nothing. The outcome — refusals beyond the radius included —
+// is what re-encoding and diffing every position would give.
 func (c *Code) decodeOver(ps *poly.PointSet, vals []uint64, mask []bool) (message, corrected []uint64, errorLocs []int, err error) {
 	e := len(c.points)
 	n := ps.Len()
 	g1 := ps.Interpolate(vals)
-	if poly.Degree(g1) < 0 {
-		// Every delivered symbol is zero: the zero codeword (the Euclidean
-		// recursion below would degenerate on G1 = 0).
-		return make([]uint64, c.d+1), make([]uint64, e), nil, nil
-	}
-	stop := (n + c.d + 1) / 2
-	g, v := c.ring.PartialXGCD(ps.Product(), g1, stop)
+	u, v := c.ring.PartialXGCD(ps.Product(), g1, (n+c.d+1)/2)
 	if poly.Degree(v) < 0 {
 		return nil, nil, nil, fmt.Errorf("%w: degenerate error locator", ErrDecodeFailure)
 	}
-	p, r := c.ring.DivMod(g, v)
-	if len(r) != 0 || poly.Degree(p) > c.d {
+	p, ok := ps.Quotient(u, v, g1, c.d)
+	if !ok {
 		return nil, nil, nil, ErrDecodeFailure
 	}
 
@@ -251,34 +253,7 @@ func (c *Code) decodeOver(ps *poly.PointSet, vals []uint64, mask []bool) (messag
 	if poly.Degree(v) > 0 {
 		locator = ps.Eval(v)
 	}
-	q := c.ring.Field().Q
-	corrected = make([]uint64, e)
-	var open []int // positions whose symbol must come from p: erased, or a root of v
-	di := 0        // index into the delivered symbols
-	for i := range corrected {
-		if mask != nil && mask[i] {
-			open = append(open, i)
-			continue
-		}
-		if locator != nil && locator[di] == 0 {
-			open = append(open, i)
-		}
-		corrected[i] = vals[di] % q
-		di++
-	}
-	if len(open) > 0 {
-		xs := make([]uint64, len(open))
-		for j, i := range open {
-			xs[j] = c.points[i]
-		}
-		for j, y := range c.ring.EvalMany(p, xs) {
-			i := open[j]
-			if (mask == nil || !mask[i]) && y != corrected[i] {
-				errorLocs = append(errorLocs, i)
-			}
-			corrected[i] = y
-		}
-	}
+	corrected, errorLocs = c.open(ps, p, u, v, locator, vals, mask)
 	if radius := c.CorrectionRadiusWithErasures(e - n); len(errorLocs) > radius {
 		// The Euclidean stop produced a "codeword" farther away than the
 		// radius — with that many errors uniqueness is void; refuse.
@@ -288,6 +263,57 @@ func (c *Code) decodeOver(ps *poly.PointSet, vals []uint64, mask []bool) (messag
 	message = make([]uint64, c.d+1)
 	copy(message, p)
 	return message, corrected, errorLocs, nil
+}
+
+// open is the decode's last step: the corrected word and the positions at
+// which it differs from the delivered symbols, given the message p, the
+// cofactors and the locator's values at the delivered points (nil when v
+// is constant). By the identities of the package comment only the roots
+// of v — every one of them an error — and the erased positions are
+// computed: the first from u and v', the second from p.
+func (c *Code) open(ps *poly.PointSet, p, u, v, locator, vals []uint64, mask []bool) (corrected []uint64, errorLocs []int) {
+	f := c.ring.Field()
+	corrected = make([]uint64, len(c.points))
+	var rootAt, erased []int // the roots' indices into vals; the erased positions
+	di := 0                  // index into the delivered symbols
+	for i := range corrected {
+		if mask != nil && mask[i] {
+			erased = append(erased, i)
+			continue
+		}
+		if locator != nil && locator[di] == 0 {
+			errorLocs, rootAt = append(errorLocs, i), append(rootAt, di)
+		}
+		corrected[i] = vals[di] % f.Q
+		di++
+	}
+	if len(errorLocs) > 0 {
+		xs := c.pointsAt(errorLocs)
+		uAt, den := c.ring.EvalEach(u, xs), c.ring.EvalEach(c.ring.Derivative(v), xs)
+		w := ps.InvWeights()
+		for j, di := range rootAt {
+			den[j] = f.Mul(den[j], w[di]) // v'(x_i)/G0'(x_i), nonzero at a simple root
+		}
+		f.BatchInv(den)
+		for j, i := range errorLocs {
+			corrected[i] = f.Add(corrected[i], f.Mul(uAt[j], den[j]))
+		}
+	}
+	if len(erased) > 0 {
+		for j, y := range c.ring.EvalMany(p, c.pointsAt(erased)) {
+			corrected[erased[j]] = y
+		}
+	}
+	return corrected, errorLocs
+}
+
+// pointsAt returns the evaluation points at the given positions.
+func (c *Code) pointsAt(positions []int) []uint64 {
+	xs := make([]uint64, len(positions))
+	for j, i := range positions {
+		xs[j] = c.points[i]
+	}
+	return xs
 }
 
 // Verify spot-checks a putative message against an oracle for codeword

@@ -317,6 +317,53 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeStages times the five steps of one warm decode, each
+// called as decodeOver calls it, at the decode_bound geometry: e=1535,
+// d=1134, a lying node's block of 192 errors, one 61-bit prime. The table
+// a decode change starts from; nothing gates on it.
+func BenchmarkDecodeStages(b *testing.B) {
+	const e, d = 1535, 1134
+	q, _, err := ff.NTTPrime(1<<61, 4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := New(poly.NewRing(ff.Must(q)), ConsecutivePoints(e), d)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	word, _ := c.Encode(randMessage(rng, c.Field(), d))
+	for i := 192; i < 384; i++ {
+		word[i] = c.Field().Add(word[i], 1+rng.Uint64()%(c.Field().Q-1))
+	}
+	ps, ring := c.ps, c.ring
+	g1 := ps.Interpolate(word)
+	u, v := ring.PartialXGCD(ps.Product(), g1, (e+d+1)/2)
+	p, ok := ps.Quotient(u, v, g1, d)
+	locator := ps.Eval(v)
+	if _, locs := c.open(ps, p, u, v, locator, word, nil); !ok || len(locs) != 192 {
+		b.Fatalf("quotient ok=%v, %d error locations", ok, len(locs))
+	}
+	for _, stage := range []struct {
+		name string
+		run  func()
+	}{
+		{"interpolate", func() { ps.Interpolate(word) }},
+		{"euclid", func() { ring.PartialXGCD(ps.Product(), g1, (e+d+1)/2) }},
+		{"quotient", func() { ps.Quotient(u, v, g1, d) }},
+		{"locator", func() { ps.Eval(v) }},
+		{"open", func() { c.open(ps, p, u, v, locator, word, nil) }},
+		{"decode", func() { c.Decode(word) }},
+	} {
+		b.Run(stage.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				stage.run()
+			}
+		})
+	}
+}
+
 func TestDecodeZeroCodeword(t *testing.T) {
 	c := newTestCode(t, 32, 10)
 	// All-zero received word: the zero message, no errors.
