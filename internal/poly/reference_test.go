@@ -48,6 +48,15 @@ func diffPartialXGCD(t *testing.T, name string, r *Ring, a, b []uint64, stop int
 	}
 }
 
+// consecutive returns the points 0..n-1, the protocol's evaluation points.
+func consecutive(n int) []uint64 {
+	points := make([]uint64, n)
+	for i := range points {
+		points[i] = uint64(i)
+	}
+	return points
+}
+
 // sparsePoly is a polynomial of degree exactly deg over a small field
 // with many zero coefficients, so that leading coefficients of remainders
 // vanish and quotients of degree > 1 are common.
@@ -101,11 +110,7 @@ func TestPartialXGCDMatchesReference(t *testing.T) {
 	// with a block of errors, Gao's stop.
 	r := NewRing(ff.Must(q61))
 	const e, d, nerr = 300, 199, 50
-	points := make([]uint64, e)
-	for i := range points {
-		points[i] = uint64(i)
-	}
-	ps := r.NewPointSet(points)
+	ps := r.NewPointSet(consecutive(e))
 	word := ps.Eval(randPoly(rng, r.f, d))
 	for i := 60; i < 60+nerr; i++ {
 		word[i] = r.f.Add(word[i], 1)
@@ -168,10 +173,7 @@ func TestPointSetSpectra(t *testing.T) {
 	r := NewRing(ff.Must(q61))
 	rng := rand.New(rand.NewSource(2424))
 	for _, n := range []int{63, 64, 65, 255, 256, 257, 1535, 2048, 2049} {
-		points := make([]uint64, n)
-		for i := range points {
-			points[i] = uint64(i)
-		}
+		points := consecutive(n)
 		ps := r.NewPointSet(points)
 		if n >= nttThreshold && (ps.spec[2] == nil || ps.mHat == nil) {
 			t.Fatalf("n=%d: the set caches no spectra", n)
@@ -256,11 +258,7 @@ func TestPointSetSpectra(t *testing.T) {
 	// with a root at the generator 3 has no pointwise inverse there, and
 	// Quotient must reach the same polynomial through Mul and DivMod.
 	r = NewRing(ff.Must(257))
-	points := make([]uint64, 100)
-	for i := range points {
-		points[i] = uint64(i)
-	}
-	ps := r.NewPointSet(points)
+	ps := r.NewPointSet(consecutive(100))
 	msg := randPoly(rng, r.f, 79)
 	for _, at := range [][]int{{3}, {3, 5, 6, 7}, {0, 1, 2, 4}} {
 		word := ps.Eval(msg)

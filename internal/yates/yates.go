@@ -349,10 +349,14 @@ type PartsEvaluator struct {
 // NewPartsEvaluator prepares a reusable part-polynomial evaluator.
 func (ss *SplitSparse) NewPartsEvaluator() *PartsEvaluator {
 	nParts := ss.NumParts()
+	return ss.newPartsEvaluator(ss.f.NewLagrangeEvaluatorOneBased(nParts), make([]uint64, nParts))
+}
+
+func (ss *SplitSparse) newPartsEvaluator(le *ff.LagrangeEvaluator, phi []uint64) *PartsEvaluator {
 	return &PartsEvaluator{
 		ss:  ss,
-		le:  ss.f.NewLagrangeEvaluatorOneBased(nParts),
-		phi: make([]uint64, nParts),
+		le:  le,
+		phi: phi,
 		xl:  make([]uint64, pow(ss.s, ss.ell)),
 		buf: make([]uint64, max(ss.inner.scratch(), ss.outer.scratch())),
 	}
@@ -366,13 +370,7 @@ func (pe *PartsEvaluator) Sibling(ss *SplitSparse) *PartsEvaluator {
 	if ss.NumParts() != pe.ss.NumParts() {
 		panic("yates: sibling evaluator over a different part grid")
 	}
-	return &PartsEvaluator{
-		ss:  ss,
-		le:  pe.le,
-		phi: pe.phi,
-		xl:  make([]uint64, pow(ss.s, ss.ell)),
-		buf: make([]uint64, max(ss.inner.scratch(), ss.outer.scratch())),
-	}
+	return ss.newPartsEvaluator(pe.le, pe.phi)
 }
 
 // At evaluates the part-polynomials u^{(ℓ)}(z) at z = z0. The returned
