@@ -242,30 +242,25 @@ func (f Field) Reduce(x int64) uint64 {
 
 // ReduceU maps an arbitrary unsigned integer into [0, q). Same
 // division-free reduction as Mul, specialized to a one-word dividend.
-func (f Field) ReduceU(x uint64) uint64 {
-	v := f.k.v
-	if v == 0 {
-		panic("ff: Field not built by New/Must")
-	}
-	s := f.k.s
-	d := f.k.d
-	// x is arbitrary, so the dividend x·2^s is normalized by an explicit
-	// 128-bit shift (s <= 62 for constructed fields; Go defines x>>64 as
-	// 0 so even shift 0, for the transient moduli inside IsPrime, works).
-	u1 := x >> (64 - s)
-	u0 := x << s
-	qh, ql := bits.Mul64(u1, v)
+func (f Field) ReduceU(x uint64) uint64 { return reduce2(0, x, f.Kernel()) }
+
+// reduce2 returns (u1·2^64 + u0) mod q for u1 < q, normalizing the
+// dividend by an explicit 128-bit shift (Go defines x>>64 as 0, so even
+// shift 0, for the transient moduli inside IsPrime, works).
+func reduce2(u1, u0 uint64, k Kernel) uint64 {
+	n1, n0 := u1<<k.s|u0>>(64-k.s), u0<<k.s
+	qh, ql := bits.Mul64(n1, k.v)
 	var carry uint64
-	ql, carry = bits.Add64(ql, u0, 0)
-	qh, _ = bits.Add64(qh, u1+1, carry)
-	r := u0 - qh*d
+	ql, carry = bits.Add64(ql, n0, 0)
+	qh, _ = bits.Add64(qh, n1+1, carry)
+	r := n0 - qh*k.d
 	if r > ql {
-		r += d
+		r += k.d
 	}
-	if r >= d {
-		r -= d
+	if r >= k.d {
+		r -= k.d
 	}
-	return r >> s
+	return r >> k.s
 }
 
 // Exp returns a^e mod q by square-and-multiply.

@@ -169,23 +169,19 @@ func TestReduceVec4Q(t *testing.T) {
 	}
 }
 
-func TestAddSubVecAndSumProd3MatchScalar(t *testing.T) {
+func TestAddSubVecMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, q := range diffModuli(t) {
 		f := Must(q)
 		for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 64, 129} {
-			a, b, c := randVec(n, q, rng), randVec(n, q, rng), randVec(n, q, rng)
+			a, b := randVec(n, q, rng), randVec(n, q, rng)
 			if n > 2 { // the wrap-around edges of Add and Sub
 				a[0], b[0] = q-1, q-1
 				a[1], b[1] = 0, q-1
 			}
-			sum, diff, dot := make([]uint64, n), make([]uint64, n), uint64(0)
+			sum, diff := make([]uint64, n), make([]uint64, n)
 			for i := range a {
 				sum[i], diff[i] = (a[i]+b[i])%q, (a[i]+q-b[i])%q
-				dot = (dot + f.mulDiv(f.mulDiv(a[i], b[i]), c[i])) % q
-			}
-			if got := f.SumProd3(a, b, c); got != dot {
-				t.Fatalf("q=%d n=%d: SumProd3 = %d, want %d", q, n, got, dot)
 			}
 			got := make([]uint64, n)
 			f.AddVec(got, a, b)
@@ -210,6 +206,52 @@ func TestAddSubVecAndSumProd3MatchScalar(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// matMulDotScalar is MatMulDot through the division reference, one
+// reduction per operation.
+func matMulDotScalar(f Field, x, yt, w []uint64, n int) uint64 {
+	acc := uint64(0)
+	for d := 0; d < n; d++ {
+		for fc := 0; fc < n; fc++ {
+			xy := uint64(0)
+			for e := 0; e < n; e++ {
+				xy = f.Add(xy, f.mulDiv(x[d*n+e], yt[fc*n+e]))
+			}
+			acc = f.Add(acc, f.mulDiv(xy, w[d*n+fc]))
+		}
+	}
+	return acc
+}
+
+func TestMatMulDotMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, q := range diffModuli(t) {
+		f := Must(q)
+		for _, n := range []int{0, 1, 2, 3, 16, 27, 32, 64} {
+			for _, top := range []bool{false, true} {
+				x, yt, w := randVec(n*n, q, rng), randVec(n*n, q, rng), randVec(n*n, q, rng)
+				if top { // all q−1: every product at its largest, the carry word busiest
+					for i := range x {
+						x[i], yt[i], w[i] = q-1, q-1, q-1
+					}
+				}
+				if got, want := f.MatMulDot(x, yt, w, n), matMulDotScalar(f, x, yt, w, n); got != want {
+					t.Fatalf("q=%d n=%d top=%v: MatMulDot = %d, want %d", q, n, top, got, want)
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkMatMulDot32(b *testing.B) {
+	// One 32×32 block of the eval_bound geometry over a 2^61-floor prime.
+	f := Must(NextPrime(1 << 61))
+	rng := rand.New(rand.NewSource(1))
+	x, yt, w := randVec(1024, f.Q, rng), randVec(1024, f.Q, rng), randVec(1024, f.Q, rng)
+	for b.Loop() {
+		f.MatMulDot(x, yt, w, 32)
 	}
 }
 

@@ -30,17 +30,9 @@ type PointEvaluator struct {
 func (dc Decomposition) NewPointEvaluator(f ff.Field) *PointEvaluator {
 	n := dc.N()
 	idx := make([]int, n*n)
-	rowDigits := make([]int, dc.T)
-	colDigits := make([]int, dc.T)
 	for row := 0; row < n; row++ {
-		digitsOf(row, dc.N0, rowDigits)
 		for col := 0; col < n; col++ {
-			digitsOf(col, dc.N0, colDigits)
-			ix := 0
-			for j := 0; j < dc.T; j++ {
-				ix = ix*dc.N0*dc.N0 + rowDigits[j]*dc.N0 + colDigits[j]
-			}
-			idx[row*n+col] = ix
+			idx[row*n+col] = dc.PairIndex(row, col)
 		}
 	}
 	return &PointEvaluator{

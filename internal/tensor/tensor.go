@@ -253,17 +253,9 @@ func (dc Decomposition) coeffMatrixAtPoint(f ff.Field, which kind, x0 uint64) *m
 	// into the N×N matrix.
 	n := dc.N()
 	out := matrix.New(f, n, n)
-	rowDigits := make([]int, dc.T)
-	colDigits := make([]int, dc.T)
 	for row := 0; row < n; row++ {
-		digitsOf(row, dc.N0, rowDigits)
 		for col := 0; col < n; col++ {
-			digitsOf(col, dc.N0, colDigits)
-			idx := 0
-			for j := 0; j < dc.T; j++ {
-				idx = idx*dc.N0*dc.N0 + rowDigits[j]*dc.N0 + colDigits[j]
-			}
-			out.Set(row, col, y[idx])
+			out.Set(row, col, y[dc.PairIndex(row, col)])
 		}
 	}
 	return out
@@ -302,17 +294,32 @@ func (dc Decomposition) SparseBases(f ff.Field) (alpha, beta, gamma []uint64) {
 }
 
 // PairIndex maps a (row, col) pair of [N]×[N] to the interleaved-digit
-// index in [N0²^T] used by Kronecker-power vectors (row-major per digit).
+// index in [N0²^T] used by Kronecker-power vectors (row-major per digit):
+// pair digit j is row_j·N0 + col_j, most significant first.
 func (dc Decomposition) PairIndex(row, col int) int {
-	rowDigits := make([]int, dc.T)
-	colDigits := make([]int, dc.T)
-	digitsOf(row, dc.N0, rowDigits)
-	digitsOf(col, dc.N0, colDigits)
-	idx := 0
+	idx, scale := 0, 1
 	for j := 0; j < dc.T; j++ {
-		idx = idx*dc.N0*dc.N0 + rowDigits[j]*dc.N0 + colDigits[j]
+		idx += (row%dc.N0*dc.N0 + col%dc.N0) * scale
+		row /= dc.N0
+		col /= dc.N0
+		scale *= dc.N0 * dc.N0
 	}
 	return idx
+}
+
+// PairOf inverts PairIndex: the (row, col) pair at interleaved index idx.
+// The low c pair digits of idx are the low c digits of row and col, so
+// PairOf(idx mod N0^{2c}) is idx's place in its N0^c × N0^c block.
+func (dc Decomposition) PairOf(idx int) (row, col int) {
+	scale := 1
+	for j := 0; j < dc.T; j++ {
+		d := idx % (dc.N0 * dc.N0)
+		row += d / dc.N0 * scale
+		col += d % dc.N0 * scale
+		idx /= dc.N0 * dc.N0
+		scale *= dc.N0
+	}
+	return row, col
 }
 
 // digitsOf writes the base-b digits of x into dst, most significant first.

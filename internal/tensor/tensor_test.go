@@ -125,19 +125,50 @@ func TestCoeffPolynomialDegree(t *testing.T) {
 }
 
 func TestPairIndexRoundTrip(t *testing.T) {
-	dc := Strassen().Pow(3)
-	seen := make(map[int]bool)
-	for row := 0; row < dc.N(); row++ {
-		for col := 0; col < dc.N(); col++ {
-			idx := dc.PairIndex(row, col)
-			if idx < 0 || idx >= dc.N()*dc.N() {
-				t.Fatalf("PairIndex(%d,%d) = %d out of range", row, col, idx)
+	for _, dc := range []Decomposition{Strassen().Pow(3), Trivial(3).Pow(2), Strassen().Pow(1)} {
+		seen := make(map[int]bool)
+		for row := 0; row < dc.N(); row++ {
+			for col := 0; col < dc.N(); col++ {
+				idx := dc.PairIndex(row, col)
+				if idx < 0 || idx >= dc.N()*dc.N() {
+					t.Fatalf("N0=%d T=%d: PairIndex(%d,%d) = %d out of range", dc.N0, dc.T, row, col, idx)
+				}
+				if seen[idx] {
+					t.Fatalf("N0=%d T=%d: PairIndex collision at (%d,%d)", dc.N0, dc.T, row, col)
+				}
+				seen[idx] = true
+				if r, c := dc.PairOf(idx); r != row || c != col {
+					t.Fatalf("N0=%d T=%d: PairOf(PairIndex(%d,%d)) = (%d,%d)", dc.N0, dc.T, row, col, r, c)
+				}
+				// Pair digit j is row_j·N0 + col_j, most significant first.
+				want := 0
+				for j := dc.T - 1; j >= 0; j-- {
+					rd, cd := row/ipow(dc.N0, j)%dc.N0, col/ipow(dc.N0, j)%dc.N0
+					want = want*dc.N0*dc.N0 + rd*dc.N0 + cd
+				}
+				if idx != want {
+					t.Fatalf("N0=%d T=%d: PairIndex(%d,%d) = %d, want %d", dc.N0, dc.T, row, col, idx, want)
+				}
 			}
-			if seen[idx] {
-				t.Fatalf("PairIndex collision at (%d,%d)", row, col)
-			}
-			seen[idx] = true
 		}
+		// The low c pair digits are the in-block place: row and col mod N0^c.
+		c, b := dc.T-1, ipow(dc.N0, dc.T-1)
+		for idx := 0; idx < dc.N()*dc.N(); idx++ {
+			row, col := dc.PairOf(idx)
+			if r, cc := dc.PairOf(idx % (b * b)); r != row%b || cc != col%b {
+				t.Fatalf("N0=%d T=%d c=%d: block place of %d is (%d,%d), want (%d,%d)", dc.N0, dc.T, c, idx, r, cc, row%b, col%b)
+			}
+		}
+	}
+}
+
+func TestPairIndexAllocatesNothing(t *testing.T) {
+	dc := Strassen().Pow(7)
+	row, col := 0, 0
+	if n := testing.AllocsPerRun(100, func() {
+		row, col = dc.PairOf(dc.PairIndex(row+1, col+3))
+	}); n != 0 {
+		t.Fatalf("PairIndex/PairOf allocate %v times per call, want 0", n)
 	}
 }
 

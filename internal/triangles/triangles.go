@@ -75,47 +75,75 @@ func adjacencyEntries(g *graph.Graph, dc tensor.Decomposition) []yates.Entry {
 	return entries
 }
 
+// blockSide bounds the side N0^c of the blocks P(z0) is summed over
+// classically. BenchmarkTriangleAt at ℓ = 6 (n=256, p=0.3, 2-vCPU
+// reference host, medians of eight rounds) read 0.43 / 0.38 / 0.36 ms
+// per point for sides 16 / 32 / 64, and 32 and 64 within 2% with ℓ forced
+// to 6 and 7 at n=128; 32 does 7/8 of 64's products for the same time.
+const blockSide = 32
+
 // sparseTriple bundles the three split/sparse transforms (α, β, γ sides)
 // of the trace identity (19) for one modulus, each over the R0×n0²
-// transposed base. It is also the triangle plan.Plan for that modulus.
+// transposed base and laid out in side×side blocks. It is also the
+// triangle plan.Plan for that modulus.
 type sparseTriple struct {
 	f       ff.Field
+	side    int
 	a, b, c *yates.SplitSparse
 }
 
-func newSparseTriple(f ff.Field, g *graph.Graph, dc tensor.Decomposition, ell int) (*sparseTriple, error) {
-	entries := adjacencyEntries(g, dc)
+// newSparseTriple builds the three sides over one set of entry tables.
+// The ℓ inner digits split at cut c, the most with N0^c <= blockSide:
+// the top ℓ-c stay Yates levels of the base, and the low c pair digits
+// are an entry's place (row, col) in an N0^c × N0^c block (tensor.PairOf),
+// row-major for α and γ, transposed for β — the layout ff.MatMulDot reads.
+func newSparseTriple(f ff.Field, entries []yates.Entry, dc tensor.Decomposition, ell int) (*sparseTriple, error) {
 	alphaT, betaT, gammaT := dc.SparseBases(f)
-	var sides [3]*yates.SplitSparse
-	for i, base := range [][]uint64{alphaT, betaT, gammaT} {
-		ss, err := yates.NewSplitSparse(f, base, dc.R0, dc.N0*dc.N0, dc.T, entries, ell)
-		if err != nil {
-			return nil, err
-		}
-		sides[i] = ss
+	a, err := yates.NewSplitSparse(f, alphaT, dc.R0, dc.N0*dc.N0, dc.T, entries, ell)
+	if err != nil {
+		return nil, err
 	}
-	return &sparseTriple{f: f, a: sides[0], b: sides[1], c: sides[2]}, nil
+	b, c := a.Sibling(betaT), a.Sibling(gammaT)
+	cut, side := 0, 1
+	for cut < ell && side*dc.N0 <= blockSide {
+		cut, side = cut+1, side*dc.N0
+	}
+	rowMajor, colMajor := make([]int, side*side), make([]int, side*side)
+	for j := range rowMajor {
+		row, col := dc.PairOf(j)
+		rowMajor[j], colMajor[j] = row*side+col, col*side+row
+	}
+	return &sparseTriple{f: f, side: side,
+		a: a.Blocked(cut, rowMajor), b: b.Blocked(cut, colMajor), c: c.Blocked(cut, rowMajor)}, nil
 }
 
 // tripleEvaluator evaluates P(z0) = Σ_v A_v(z0)·B_v(z0)·C_v(z0), the one
-// per-point path of verifier and compiled plan alike. The three sides
-// share the part grid, so one Lagrange basis Φ(z0) — ea's, which eb and
-// ec are siblings of — serves all of them; only their (Aᵀ)^{⊗(k-ℓ)}
-// weights differ. It owns the three evaluators' scratch and is not safe
-// for concurrent use.
+// per-point path of verifier and compiled plan alike, as Σ_blocks ⟨X·Y, W⟩:
+// identity (10) over the c block digits is that sum over each block's v.
+// A point costs R0^{ℓ-c}·N0^{3c} products (7^{ℓ-c}·8^c for Strassen)
+// plus the scatter, which with N0^c <= blockSide keeps Theorem 3's
+// per-node Õ(m) bound. One Lagrange basis Φ(z0) — ea's, which eb and ec
+// are siblings of — serves all three sides. It owns the evaluators'
+// scratch and is not safe for concurrent use.
 type tripleEvaluator struct {
 	f          ff.Field
+	side       int
 	ea, eb, ec *yates.PartsEvaluator
 }
 
 func (tr *sparseTriple) evaluator() *tripleEvaluator {
 	ea := tr.a.NewPartsEvaluator()
-	return &tripleEvaluator{tr.f, ea, ea.Sibling(tr.b), ea.Sibling(tr.c)}
+	return &tripleEvaluator{tr.f, tr.side, ea, ea.Sibling(tr.b), ea.Sibling(tr.c)}
 }
 
 // atBasis is P(z0) given phi = Φ(z0).
 func (e *tripleEvaluator) atBasis(phi []uint64) uint64 {
-	return e.f.SumProd3(e.ea.AtBasis(phi), e.eb.AtBasis(phi), e.ec.AtBasis(phi))
+	x, yt, w := e.ea.Blocks(phi), e.eb.Blocks(phi), e.ec.Blocks(phi)
+	n, p := e.side*e.side, uint64(0)
+	for o := 0; o < len(x); o += n {
+		p = e.f.Add(p, e.f.MatMulDot(x[o:o+n], yt[o:o+n], w[o:o+n], e.side))
+	}
+	return p
 }
 
 // CountSplitSparse counts triangles with the Theorem 4 execution: the
@@ -135,7 +163,7 @@ func CountSplitSparse(g *graph.Graph, base tensor.Decomposition, parallelism int
 		return 0, fmt.Errorf("triangles: %w", err)
 	}
 	ell := yates.DefaultEll(dc.R0, dc.T, 2*g.M())
-	triple, err := newSparseTriple(f, g, dc, ell)
+	triple, err := newSparseTriple(f, adjacencyEntries(g, dc), dc, ell)
 	if err != nil {
 		return 0, fmt.Errorf("triangles: %w", err)
 	}
@@ -235,7 +263,7 @@ func (p *Problem) Evaluate(q, z0 uint64) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	triple, err := newSparseTriple(f, p.g, p.dc, p.ell)
+	triple, err := newSparseTriple(f, adjacencyEntries(p.g, p.dc), p.dc, p.ell)
 	if err != nil {
 		return nil, err
 	}
@@ -251,7 +279,7 @@ var _ core.CompiledProblem = (*Problem)(nil)
 // evaluator as Evaluate — so compiled and per-point protocol paths
 // decode to the same proof by construction.
 func (p *Problem) Compile(f ff.Field) (plan.Plan, error) {
-	triple, err := newSparseTriple(f, p.g, p.dc, p.ell)
+	triple, err := newSparseTriple(f, adjacencyEntries(p.g, p.dc), p.dc, p.ell)
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +289,7 @@ func (p *Problem) Compile(f ff.Field) (plan.Plan, error) {
 // EvaluateBlock implements plan.Plan. The evaluator is built per call,
 // not kept in the plan: it carries the scatter and Yates scratch that
 // makes a point allocation-free, and plans must stay safe for concurrent
-// EvaluateBlock calls. Its construction (three part-sized buffer pairs)
+// EvaluateBlock calls. Its construction (three s^ℓ-word scatter buffers)
 // is amortized over the block, and so are the bases' field inversions:
 // the block's Φ come from one sweep, not a Basis per point.
 func (tr *sparseTriple) EvaluateBlock(xs []uint64) ([][]uint64, error) {

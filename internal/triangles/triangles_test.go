@@ -4,12 +4,14 @@ import (
 	"context"
 	"math"
 	"math/big"
+	"sync"
 	"testing"
 
 	"camelot/internal/core"
 	"camelot/internal/ff"
 	"camelot/internal/graph"
 	"camelot/internal/tensor"
+	"camelot/internal/yates"
 )
 
 func TestCountNaiveKnown(t *testing.T) {
@@ -307,5 +309,195 @@ func TestCamelotTrianglesBatchEndToEnd(t *testing.T) {
 	}
 	if want := CountNaive(g); count.Cmp(new(big.Int).SetUint64(want)) != 0 {
 		t.Fatalf("count %v, want %d", count, want)
+	}
+}
+
+// referenceP is P(z0) at each of zs the long way, the path the block
+// evaluator replaced: each side's natural scatter through the one-shot
+// A^{⊗ℓ}, then the scalar sum Σ_v A_v·B_v·C_v over all R0^ℓ products.
+func referenceP(t *testing.T, f ff.Field, entries []yates.Entry, dc tensor.Decomposition, ell int, zs []uint64) []uint64 {
+	t.Helper()
+	bases := make([][]uint64, 3)
+	bases[0], bases[1], bases[2] = dc.SparseBases(f)
+	a, err := yates.NewSplitSparse(f, bases[0], dc.R0, dc.N0*dc.N0, dc.T, entries, ell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ea := a.NewPartsEvaluator()
+	evals := []*yates.PartsEvaluator{ea}
+	for _, base := range bases[1:] {
+		evals = append(evals, ea.Sibling(a.Sibling(base)))
+	}
+	out := make([]uint64, len(zs))
+	for i, z0 := range zs {
+		phi := ea.Basis(z0)
+		var sides [3][]uint64
+		for j, e := range evals {
+			sides[j] = yates.Transform(f, bases[j], dc.R0, dc.N0*dc.N0, ell, e.Scatter(phi))
+		}
+		for v := range sides[0] {
+			out[i] = f.Add(out[i], f.Mul(sides[0][v], f.Mul(sides[1][v], sides[2][v])))
+		}
+	}
+	return out
+}
+
+func TestBlockEvaluatorMatchesReference(t *testing.T) {
+	// The block Frobenius product against the reference at every ℓ the
+	// geometry allows — ℓ above the cut runs the Yates levels above the
+	// blocks — over a small prime, the 2^61 floor and the largest prime
+	// below 2^62. On the last, every entry is −1 = q−1: the scattered
+	// inputs are then sums of q−1 and the block products sit near 2^124,
+	// where the kernel's carry word fills. At grid points z0 ∈ [1, R/m']
+	// the block values must also sum to the trace, 6·triangles·v³.
+	top := uint64(ff.MaxPrime)
+	for !ff.IsPrime(top) {
+		top -= 2
+	}
+	for _, tc := range []struct {
+		name string
+		base tensor.Decomposition
+		g    *graph.Graph
+	}{
+		{"strassen", tensor.Strassen(), graph.Gnp(72, 0.3, 11)}, // T = 7
+		{"trivial2", tensor.Trivial(2), graph.Gnp(40, 0.3, 12)}, // T = 6
+		{"trivial3", tensor.Trivial(3), graph.Gnp(30, 0.3, 13)}, // T = 4
+	} {
+		dc, _ := tc.base.ForSize(tc.g.N())
+		trace := 6 * CountNaive(tc.g)
+		for ell := 0; ell <= dc.T; ell++ {
+			nParts := 1
+			for i := ell; i < dc.T; i++ {
+				nParts *= dc.R0
+			}
+			for _, q := range []uint64{ff.NextPrime(uint64(3*nParts + 2)), ff.NextPrime(1 << 61), top} {
+				f := ff.Must(q)
+				value := uint64(1)
+				if q == top {
+					value = q - 1
+				}
+				entries := adjacencyEntries(tc.g, dc)
+				for i := range entries {
+					entries[i].Value = value
+				}
+				tr, err := newSparseTriple(f, entries, dc, ell)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e := tr.evaluator()
+				points := []uint64{1, uint64(nParts), 0, uint64(nParts) + 1, q - 1, 1 + uint64(ell)*977}
+				for i, want := range referenceP(t, f, entries, dc, ell, points) {
+					if got := e.atBasis(e.ea.Basis(points[i])); got != want {
+						t.Fatalf("%s ℓ=%d q=%d z0=%d: block %d, reference %d", tc.name, ell, q, points[i], got, want)
+					}
+				}
+				if nParts > 512 {
+					continue
+				}
+				sum := uint64(0)
+				for z0 := uint64(1); z0 <= uint64(nParts); z0++ {
+					sum = f.Add(sum, e.atBasis(e.ea.Basis(z0)))
+				}
+				want := f.Mul(f.ReduceU(trace), f.Mul(value, f.Mul(value, value)))
+				if sum != want {
+					t.Fatalf("%s ℓ=%d q=%d: grid sum %d, want trace %d", tc.name, ell, q, sum, want)
+				}
+			}
+		}
+	}
+}
+
+// evalBoundTriple is the eval_bound geometry, n=128 and p=0.2 (T = 7),
+// compiled over a 2^61-floor prime with ℓ inner levels.
+func evalBoundTriple(tb testing.TB, ell int) *sparseTriple {
+	dc, _ := tensor.Strassen().ForSize(128)
+	tr, err := newSparseTriple(ff.Must(ff.NextPrime(1<<61)), adjacencyEntries(graph.Gnp(128, 0.2, 1), dc), dc, ell)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr
+}
+
+func TestTriangleEvaluatorAllocatesNothing(t *testing.T) {
+	// A built evaluator's point — basis, three scatters, the levels above
+	// the blocks (ℓ = 6), the block kernel — allocates nothing.
+	for _, ell := range []int{5, 6} {
+		e := evalBoundTriple(t, ell).evaluator()
+		z0 := uint64(1000)
+		if n := testing.AllocsPerRun(10, func() { z0++; e.atBasis(e.ea.Basis(z0)) }); n != 0 {
+			t.Fatalf("ℓ=%d: a point allocates %v times, want 0", ell, n)
+		}
+	}
+}
+
+func TestTrianglePlanConcurrent(t *testing.T) {
+	// One compiled plan, eight goroutines: with -race this pins that the
+	// plan's shared tables and kernels are only read, and every goroutine
+	// gets the serial values — with and without levels above the blocks.
+	for _, ell := range []int{5, 6} {
+		tr := evalBoundTriple(t, ell)
+		xs := []uint64{1, 2, 3, 48, 49, 50, 1 << 40}
+		want, err := tr.EvaluateBlock(xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, err := tr.EvaluateBlock(xs)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range want {
+					if got[i][0] != want[i][0] {
+						t.Errorf("ℓ=%d x=%d: %d, serial %d", ell, xs[i], got[i][0], want[i][0])
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// BenchmarkTriangleAt times one point of a compiled triangle plan, in
+// blocks of 32 consecutive off-grid points as a node evaluates them, at
+// the eval_bound and ctrl_workers geometries and at ℓ = 6 (n=256,
+// p=0.3), where blockSide was chosen. The ns/point metric is the one to
+// compare.
+func BenchmarkTriangleAt(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		n    int
+		p    float64
+	}{
+		{"eval_bound_n128", 128, 0.2},
+		{"ctrl_workers_n48", 48, 0.2},
+		{"ell6_n256", 256, 0.3},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			p, err := NewProblem(graph.Gnp(c.n, c.p, 1), tensor.Strassen())
+			if err != nil {
+				b.Fatal(err)
+			}
+			pl, err := p.Compile(ff.Must(ff.NextPrime(1 << 61)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			xs := make([]uint64, 32)
+			for i := range xs {
+				xs[i] = uint64(p.nParts + 1 + i)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := pl.EvaluateBlock(xs); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(xs)), "ns/point")
+		})
 	}
 }

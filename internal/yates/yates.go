@@ -23,7 +23,7 @@ import (
 // O(max(s,t)^k) — exactly paper eq. (5) level by level. This is the
 // one-shot form of the kernel below: compile, allocate scratch, apply.
 func Transform(f ff.Field, a []uint64, t, s, k int, x []uint64) []uint64 {
-	pw := compile(f, a, t, s, k)
+	pw := compile(f, a, t, s, k, 1)
 	if len(x) != pow(s, k) {
 		panic(fmt.Sprintf("yates: input length %d, want %d^%d", len(x), s, k))
 	}
@@ -37,18 +37,20 @@ type term struct {
 	cs   uint64 // Kernel.Shift(coefficient); read only when sign == 0
 }
 
-// power is A^{⊗k} compiled for repeated application — the evaluation
-// kernel. Each base row is a term list sorted +1, −1, general, so a
-// 0/±1 base (both tensor bases) costs modular adds and subtracts only.
-// A power is immutable and safe for concurrent apply calls; the scratch
-// belongs to the caller.
+// power is A^{⊗k} ⊗ I_run compiled for repeated application — the
+// evaluation kernel. Each base row is a term list sorted +1, −1, general,
+// so a 0/±1 base (both tensor bases) costs modular adds and subtracts
+// only. With run > 1 every index stands for a run of run words that no
+// level mixes: the Yates levels above a block layout. A power is
+// immutable and safe for concurrent apply calls; the scratch belongs to
+// the caller.
 type power struct {
-	f       ff.Field
-	t, s, k int
-	rows    [][]term
+	f            ff.Field
+	t, s, k, run int
+	rows         [][]term
 }
 
-func compile(f ff.Field, a []uint64, t, s, k int) *power {
+func compile(f ff.Field, a []uint64, t, s, k, run int) *power {
 	if len(a) != t*s {
 		panic(fmt.Sprintf("yates: base matrix %d entries, want %dx%d", len(a), t, s))
 	}
@@ -70,18 +72,18 @@ func compile(f ff.Field, a []uint64, t, s, k int) *power {
 			}
 		}
 	}
-	return &power{f: f, t: t, s: s, k: k, rows: rows}
+	return &power{f: f, t: t, s: s, k: k, run: run, rows: rows}
 }
 
 // scratch returns the buffer length apply needs: two copies of the
 // largest level, which is the output when t >= s and level one otherwise.
 func (pw *power) scratch() int {
-	return 2 * max(pow(pw.t, pw.k), pw.t*pow(pw.s, pw.k-1))
+	return 2 * pw.run * max(pow(pw.t, pw.k), pw.t*pow(pw.s, pw.k-1))
 }
 
-// apply returns A^{⊗k} x as a slice of buf (length scratch()), valid
-// until buf is next written; x is only read. Every level keeps the
-// natural row-major layout [prefix][digit][suffix] and ping-pongs
+// apply returns (A^{⊗k} ⊗ I_run) x as a slice of buf (length scratch()),
+// valid until buf is next written; x is only read. Every level keeps the
+// natural row-major layout [prefix][digit][suffix·run] and ping-pongs
 // between the halves of buf. All levels together cost the same in
 // either axis order, but the heavy ones should own the long contiguous
 // suffix: with t >= s the array grows, so the last axis goes first and
@@ -91,14 +93,13 @@ func (pw *power) apply(x, buf []uint64) []uint64 {
 	t, s, k := pw.t, pw.s, pw.k
 	b0, b1 := buf[:len(buf)/2], buf[len(buf)/2:]
 	if k == 0 {
-		b0[0] = x[0]
-		return b0[:1]
+		return b0[:copy(b0, x[:pw.run])]
 	}
 	cur := x
 	for step := 0; step < k; step++ {
-		prefix, suffix := pow(t, step), pow(s, k-1-step)
+		prefix, suffix := pow(t, step), pow(s, k-1-step)*pw.run
 		if t >= s {
-			prefix, suffix = pow(s, k-1-step), pow(t, step)
+			prefix, suffix = pow(s, k-1-step), pow(t, step)*pw.run
 		}
 		next := b0[:prefix*t*suffix]
 		if suffix == 1 {
@@ -211,9 +212,13 @@ type SplitSparse struct {
 	// lowDigits[i*(k-ℓ):] caches the k-ℓ least-significant base-s digits
 	// of entry i's index (most significant of the low block first);
 	// low[i] and high[i] are those digits and the ℓ most-significant
-	// ones, each as one number.
+	// ones, each as one number. Siblings share them.
 	lowDigits []int32
 	low, high []int
+	// The evaluators' layout (Blocked): entry i scatters to at[i], above
+	// is A^{⊗(ℓ-cut)} ⊗ I_{s^cut}; naturally at = high and cut = ℓ.
+	at    []int
+	above *power
 }
 
 // NewSplitSparse prepares a split/sparse transform. ell is the number of
@@ -229,18 +234,10 @@ func NewSplitSparse(f ff.Field, a []uint64, t, s, k int, entries []Entry, ell in
 	if ell < 0 || ell > k {
 		return nil, fmt.Errorf("yates: ell=%d out of range [0,%d]", ell, k)
 	}
-	at := make([]uint64, s*t)
-	for i := 0; i < t; i++ {
-		for j := 0; j < s; j++ {
-			at[j*t+i] = a[i*s+j]
-		}
-	}
 	nOut := k - ell
 	ss := &SplitSparse{
-		f: f, a: a, t: t, s: s, k: k, ell: ell,
+		f: f, t: t, s: s, k: k, ell: ell,
 		entries:   entries,
-		inner:     compile(f, a, t, s, ell),
-		outer:     compile(f, at, s, t, nOut),
 		lowDigits: make([]int32, len(entries)*nOut),
 		low:       make([]int, len(entries)),
 		high:      make([]int, len(entries)),
@@ -258,7 +255,43 @@ func NewSplitSparse(f ff.Field, a []uint64, t, s, k int, entries []Entry, ell in
 			low /= s
 		}
 	}
-	return ss, nil
+	return ss.Sibling(a), nil
+}
+
+// Sibling returns the transform of ss's entries, shape and ℓ under
+// another t×s base a, in the natural layout. The entries' digit tables
+// are shared, not rebuilt.
+func (ss *SplitSparse) Sibling(a []uint64) *SplitSparse {
+	t, s := ss.t, ss.s
+	at := make([]uint64, s*t)
+	for i := 0; i < t; i++ {
+		for j := 0; j < s; j++ {
+			at[j*t+i] = a[i*s+j]
+		}
+	}
+	out := *ss
+	out.a, out.inner = a, compile(ss.f, a, t, s, ss.ell, 1)
+	out.outer = compile(ss.f, at, s, t, ss.k-ss.ell, 1)
+	out.at, out.above = ss.high, compile(ss.f, a, t, s, 0, pow(s, ss.ell))
+	return &out
+}
+
+// Blocked returns ss with its evaluators' inner vector in blocks of
+// s^cut words: inner index h goes to word place[h mod s^cut] (place
+// permutes [s^cut]) of block ⌊h/s^cut⌋, and Blocks runs the ℓ-cut levels
+// above the blocks, A^{⊗(ℓ-cut)} ⊗ I_{s^cut}. Part is unchanged.
+func (ss *SplitSparse) Blocked(cut int, place []int) *SplitSparse {
+	if cut < 0 || cut > ss.ell {
+		panic(fmt.Sprintf("yates: block cut %d out of range [0,%d]", cut, ss.ell))
+	}
+	run := pow(ss.s, cut)
+	out := *ss
+	out.at = make([]int, len(ss.high))
+	for i, h := range ss.high {
+		out.at[i] = h - h%run + place[h%run]
+	}
+	out.above = compile(ss.f, ss.a, ss.t, ss.s, ss.ell-cut, run)
+	return &out
 }
 
 // DefaultEll returns the paper's choice ℓ = ⌈log_t |D|⌉ clamped to [0, k].
@@ -326,15 +359,17 @@ func (ss *SplitSparse) Dense() []uint64 {
 	return y
 }
 
-// PartsEvaluator evaluates the part-polynomials u^{(ℓ)}(z) of paper
-// §3.3 at arbitrary points: for z0 = 1, 2, ..., t^{k-ℓ} the result
-// equals Part(z0 - 1), elsewhere it is the degree-(t^{k-ℓ}-1)
-// polynomial extension. It is the one per-point path — the verifier's
-// Evaluate and preparation's compiled plans both run it — and costs
-// O(|D| + t^{k-ℓ+1}(k-ℓ) + inner Yates) per point with no allocation:
-// the Lagrange evaluator (factorial products and fixed denominators
-// inverted at construction), the basis and scatter vectors and the
-// kernel's ping-pong buffer are all owned here and reused between calls.
+// PartsEvaluator evaluates the input of the part-polynomials u^{(ℓ)}(z)
+// of paper §3.3 at arbitrary points: Scatter gives x^{(ℓ)}(z0), whose
+// inner transform A^{⊗ℓ} x^{(ℓ)}(z0) is Part(z0 - 1) for z0 = 1, 2, ...,
+// t^{k-ℓ} and the degree-(t^{k-ℓ}-1) polynomial extension elsewhere.
+// It is the one per-point path — the verifier's Evaluate and
+// preparation's compiled plans both run it — and costs
+// O(|D| + t^{k-ℓ+1}(k-ℓ)) per point, plus the levels above the blocks
+// for Blocks, with no allocation: the Lagrange evaluator (factorial
+// products and fixed denominators inverted at construction), the basis
+// and scatter vectors and the kernel's ping-pong buffer are all owned
+// here and reused between calls.
 //
 // Like ff.LagrangeEvaluator, a PartsEvaluator is NOT safe for
 // concurrent use (shared scratch); build one per goroutine.
@@ -343,7 +378,7 @@ type PartsEvaluator struct {
 	le  *ff.LagrangeEvaluator
 	phi []uint64 // Lagrange basis scratch, length t^{k-ℓ}
 	xl  []uint64 // scatter scratch, length s^ℓ
-	buf []uint64 // kernel scratch: the weights, then (once scattered) the part
+	buf []uint64 // kernel scratch: the weights, then the levels above the blocks
 }
 
 // NewPartsEvaluator prepares a reusable part-polynomial evaluator.
@@ -353,18 +388,22 @@ func (ss *SplitSparse) NewPartsEvaluator() *PartsEvaluator {
 }
 
 func (ss *SplitSparse) newPartsEvaluator(le *ff.LagrangeEvaluator, phi []uint64) *PartsEvaluator {
+	n := ss.outer.scratch()
+	if ss.above.k > 0 {
+		n = max(n, ss.above.scratch())
+	}
 	return &PartsEvaluator{
 		ss:  ss,
 		le:  le,
 		phi: phi,
 		xl:  make([]uint64, pow(ss.s, ss.ell)),
-		buf: make([]uint64, max(ss.inner.scratch(), ss.outer.scratch())),
+		buf: make([]uint64, n),
 	}
 }
 
 // Sibling returns an evaluator for ss, a transform over pe's part grid
 // with another base, that shares pe's Lagrange basis: one Basis or
-// SweepBasis on pe serves every sibling's AtBasis. For concurrent use the
+// SweepBasis on pe serves every sibling's Scatter. For concurrent use the
 // two are one evaluator.
 func (pe *PartsEvaluator) Sibling(ss *SplitSparse) *PartsEvaluator {
 	if ss.NumParts() != pe.ss.NumParts() {
@@ -373,15 +412,10 @@ func (pe *PartsEvaluator) Sibling(ss *SplitSparse) *PartsEvaluator {
 	return ss.newPartsEvaluator(pe.le, pe.phi)
 }
 
-// At evaluates the part-polynomials u^{(ℓ)}(z) at z = z0. The returned
-// slice is the evaluator's own scratch: it is valid until the next call
-// of At or AtBasis on this evaluator and must not be written.
-func (pe *PartsEvaluator) At(z0 uint64) []uint64 { return pe.AtBasis(pe.Basis(z0)) }
-
 // Basis returns Φ(z0), the Lagrange basis over the 1-based outer range
-// [t^{k-ℓ}], valid until the next Basis or At on this evaluator. It
-// depends on the grid alone, so evaluators of transforms that differ
-// only in their base can share one Basis per point through AtBasis.
+// [t^{k-ℓ}], valid until the next Basis on this evaluator. It depends on
+// the grid alone, so evaluators of transforms that differ only in their
+// base can share one Basis per point.
 func (pe *PartsEvaluator) Basis(z0 uint64) []uint64 { return pe.le.At(z0, pe.phi) }
 
 // SweepBasis calls visit(p, Φ(zs[p])) for every point of zs in order:
@@ -392,13 +426,15 @@ func (pe *PartsEvaluator) SweepBasis(zs []uint64, visit func(p int, phi []uint64
 	pe.le.Sweep(zs, visit)
 }
 
-// AtBasis is At given phi = Basis(z0).
-func (pe *PartsEvaluator) AtBasis(phi []uint64) []uint64 {
+// Scatter returns x^{(ℓ)}(z0) in ss's layout, given phi = Basis(z0):
+// paper step (b) with the weights interpolated. The result is the
+// evaluator's own scratch, valid until its next Scatter or Blocks, and
+// must not be written.
+func (pe *PartsEvaluator) Scatter(phi []uint64) []uint64 {
 	ss := pe.ss
 	f, fk := ss.f, ss.f.Kernel()
 	// α_{j_low}(z0) for every low-digit tuple: (Aᵀ)^{⊗(k-ℓ)} Φ.
 	alpha := ss.outer.apply(phi, pe.buf)
-	// Scatter with interpolated weights, then inner Yates.
 	clear(pe.xl)
 	for i, lo := range ss.low {
 		w := alpha[lo]
@@ -408,10 +444,22 @@ func (pe *PartsEvaluator) AtBasis(phi []uint64) []uint64 {
 		if v := ss.entries[i].Value; v != 1 {
 			w = ff.MulK(w, v, fk)
 		}
-		hi := ss.high[i]
-		pe.xl[hi] = f.Add(pe.xl[hi], w)
+		at := ss.at[i]
+		pe.xl[at] = f.Add(pe.xl[at], w)
 	}
-	return ss.inner.apply(pe.xl, pe.buf)
+	return pe.xl
+}
+
+// Blocks returns (A^{⊗(ℓ-cut)} ⊗ I_{s^cut}) Scatter(phi): run j of s^cut
+// words is block j after the levels above the blocks, and with none
+// (cut = ℓ, as in the natural layout) it is Scatter(phi) itself. Same
+// lifetime as Scatter's.
+func (pe *PartsEvaluator) Blocks(phi []uint64) []uint64 {
+	xl := pe.Scatter(phi)
+	if pe.ss.above.k == 0 {
+		return xl
+	}
+	return pe.ss.above.apply(xl, pe.buf)
 }
 
 // Zeta computes the subset zeta transform in place over a generic

@@ -199,11 +199,55 @@ func TestSplitSparseMatchesTransform(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := Transform(testField, ss.a, c.t, c.s, c.k, x)
-		got := ss.Dense()
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("case %+v: index %d: %d want %d", c, i, got[i], want[i])
+		// A sibling shares the entries' digit tables under another base.
+		for _, tr := range []*SplitSparse{ss, ss.Sibling(randBase(rng, c.t, c.s))} {
+			want := Transform(testField, tr.a, c.t, c.s, c.k, x)
+			got := tr.Dense()
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("case %+v: index %d: %d want %d", c, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+func TestBlockedMatchesTransform(t *testing.T) {
+	// Blocks of a Blocked transform against Transform run column by
+	// column: word v·s^cut + place(j) must be entry v of
+	// A^{⊗(ℓ-cut)} applied to the j-th in-block column of the natural
+	// scatter — for every cut from 0 (no blocks) to ℓ (no levels above),
+	// a random in-block permutation, and on- and off-grid points.
+	rng := rand.New(rand.NewSource(9))
+	for _, c := range []struct{ t, s, k, ell int }{{7, 4, 5, 3}, {3, 2, 5, 4}, {2, 2, 4, 4}, {7, 4, 3, 0}} {
+		x := make([]uint64, pow(c.s, c.k))
+		for _, i := range rng.Perm(len(x))[:min(len(x), 12)] {
+			x[i] = 1 + rng.Uint64()%(testField.Q-1)
+		}
+		ss, err := NewSplitSparse(testField, randBase(rng, c.t, c.s), c.t, c.s, c.k, sparseFromDense(x), c.ell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		natural := ss.NewPartsEvaluator()
+		for cut := 0; cut <= c.ell; cut++ {
+			run := pow(c.s, cut)
+			perm := rng.Perm(run)
+			pe := ss.Blocked(cut, perm).NewPartsEvaluator()
+			for _, z0 := range []uint64{1, uint64(ss.NumParts()), 77, testField.Q - 2} {
+				scattered := append([]uint64(nil), natural.Scatter(natural.Basis(z0))...)
+				got := pe.Blocks(pe.Basis(z0))
+				for j := 0; j < run; j++ {
+					col := make([]uint64, len(scattered)/run)
+					for h := range col {
+						col[h] = scattered[h*run+j]
+					}
+					want := Transform(testField, ss.a, c.t, c.s, c.ell-cut, col)
+					for v, wv := range want {
+						if g := got[v*run+perm[j]]; g != wv {
+							t.Fatalf("case %+v cut=%d z0=%d: block %d word %d = %d, want %d", c, cut, z0, v, perm[j], g, wv)
+						}
+					}
+				}
 			}
 		}
 	}
@@ -257,7 +301,7 @@ func TestPartsEvaluatorOnGridMatchesParts(t *testing.T) {
 		pe := ss.NewPartsEvaluator()
 		for outer := 0; outer < ss.NumParts(); outer++ {
 			want := ss.Part(outer)
-			got := pe.At(uint64(outer + 1))
+			got := partsAt(pe, uint64(outer+1))
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("(%d,%d,%d) outer %d entry %d: %d want %d", c.t, c.s, c.k, outer, i, got[i], want[i])
@@ -265,6 +309,13 @@ func TestPartsEvaluatorOnGridMatchesParts(t *testing.T) {
 			}
 		}
 	}
+}
+
+// partsAt is u^{(ℓ)}(z0) through an evaluator: its scatter pushed
+// through the one-shot inner transform.
+func partsAt(pe *PartsEvaluator, z0 uint64) []uint64 {
+	ss := pe.ss
+	return Transform(ss.f, ss.a, ss.t, ss.s, ss.ell, pe.Scatter(pe.Basis(z0)))
 }
 
 // partsAtDense is the dense reference of the §3.3 polynomial extension:
@@ -373,7 +424,7 @@ func TestPartsEvaluatorMatchesDense(t *testing.T) {
 		}
 		for _, z0 := range points {
 			want := partsAtDense(testField, a, c.t, c.s, c.k, c.ell, x, z0)
-			got := pe.At(z0)
+			got := partsAt(pe, z0)
 			if len(got) != len(want) {
 				t.Fatalf("case %+v z0=%d: length %d want %d", c, z0, len(got), len(want))
 			}
@@ -416,21 +467,16 @@ func evalBoundTransform(tb testing.TB) *SplitSparse {
 	return ss
 }
 
-func TestPartsEvaluatorAtAllocatesNothing(t *testing.T) {
-	pe := evalBoundTransform(t).NewPartsEvaluator()
-	z0 := uint64(1000)
-	if n := testing.AllocsPerRun(20, func() { z0++; _ = pe.At(z0) }); n != 0 {
-		t.Fatalf("PartsEvaluator.At allocates %v times per call, want 0", n)
-	}
-}
-
 func TestPartsEvaluatorAliasing(t *testing.T) {
-	// At returns the evaluator's own scratch, valid until its next At.
-	// Successive calls on one evaluator and interleaved calls on two must
-	// give the residues a fresh evaluator gives.
-	ss := evalBoundTransform(t)
+	// Scatter and Blocks return the evaluator's own scratch, valid until
+	// its next call. Successive calls on one evaluator and interleaved
+	// calls on two must give the residues a fresh evaluator gives — with
+	// one level above 16×16 blocks, so Blocks ping-pongs in the buffer
+	// the scatter's weights used.
+	ss := evalBoundTransform(t).Blocked(4, rand.New(rand.NewSource(5)).Perm(256))
+	at := func(pe *PartsEvaluator, z0 uint64) []uint64 { return pe.Blocks(pe.Basis(z0)) }
 	fresh := func(z0 uint64) []uint64 {
-		return append([]uint64(nil), ss.NewPartsEvaluator().At(z0)...)
+		return append([]uint64(nil), at(ss.NewPartsEvaluator(), z0)...)
 	}
 	equal := func(what string, got, want []uint64) {
 		t.Helper()
@@ -442,26 +488,26 @@ func TestPartsEvaluatorAliasing(t *testing.T) {
 	}
 	w1, w2 := fresh(77), fresh(123456)
 	pe, other := ss.NewPartsEvaluator(), ss.NewPartsEvaluator()
-	equal("first call", pe.At(77), w1)
-	equal("second call on the same evaluator", pe.At(123456), w2)
-	equal("repeat of the first point", pe.At(77), w1)
-	g1 := pe.At(77)
-	g2 := other.At(123456)
+	equal("first call", at(pe, 77), w1)
+	equal("second call on the same evaluator", at(pe, 123456), w2)
+	equal("repeat of the first point", at(pe, 77), w1)
+	g1 := at(pe, 77)
+	g2 := at(other, 123456)
 	equal("held result after another evaluator ran", g1, w1)
 	equal("the other evaluator", g2, w2)
-	equal("shared basis", other.AtBasis(pe.Basis(77)), w1)
+	equal("shared basis", other.Blocks(pe.Basis(77)), w1)
 }
 
 func TestPartsEvaluatorsConcurrentOnOneTransform(t *testing.T) {
-	// Compiled plans hand one SplitSparse (and its two compiled kernels)
-	// to every node goroutine, each with its own evaluator; run with
-	// -race, this pins that the shared half is only ever read.
-	ss := evalBoundTransform(t)
+	// Compiled plans hand one SplitSparse (and its compiled kernels) to
+	// every node goroutine, each with its own evaluator; run with -race,
+	// this pins that the shared half is only ever read.
+	ss := evalBoundTransform(t).Blocked(4, rand.New(rand.NewSource(5)).Perm(256))
 	points := []uint64{3, 50, 1 << 40, 999}
 	want := make([][]uint64, len(points))
 	pe := ss.NewPartsEvaluator()
 	for i, z0 := range points {
-		want[i] = append([]uint64(nil), pe.At(z0)...)
+		want[i] = append([]uint64(nil), pe.Blocks(pe.Basis(z0))...)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -470,7 +516,7 @@ func TestPartsEvaluatorsConcurrentOnOneTransform(t *testing.T) {
 			defer wg.Done()
 			pe := ss.NewPartsEvaluator()
 			for i, z0 := range points {
-				got := pe.At(z0)
+				got := pe.Blocks(pe.Basis(z0))
 				for v := range want[i] {
 					if got[v] != want[i][v] {
 						t.Errorf("z0=%d entry %d: %d want %d", z0, v, got[v], want[i][v])
@@ -487,7 +533,7 @@ func BenchmarkTransform7x4x5(b *testing.B) {
 	// The inner transform of eval_bound, through the kernel as the
 	// evaluator drives it: compiled once, caller-owned scratch.
 	rng := rand.New(rand.NewSource(1))
-	pw := compile(testField, strassenAlpha(testField), 7, 4, 5)
+	pw := compile(testField, strassenAlpha(testField), 7, 4, 5, 1)
 	x := randVec(rng, pow(4, 5))
 	buf := make([]uint64, pw.scratch())
 	b.ReportAllocs()
@@ -497,11 +543,13 @@ func BenchmarkTransform7x4x5(b *testing.B) {
 	}
 }
 
-func BenchmarkPartsEvaluatorAt(b *testing.B) {
+func BenchmarkPartsEvaluatorScatter(b *testing.B) {
+	// One side of one point at the eval_bound geometry: basis, outer
+	// weights and scatter — all of it, since ℓ = 5 is one 32×32 block.
 	pe := evalBoundTransform(b).NewPartsEvaluator()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = pe.At(uint64(1000 + i))
+		_ = pe.Scatter(pe.Basis(uint64(1000 + i)))
 	}
 }
