@@ -367,6 +367,73 @@ func TestVerifyProofSoundnessBound(t *testing.T) {
 	}
 }
 
+// TestVerifyProofBatchSoundnessBound measures VerifyProofBatch's
+// documented bound, (W−1+max(d, e−1))/q per prime, on the same W = 2
+// problem over GF(97), with two faults tolerated so that e−1 = 11 > d = 7
+// is the term that counts. A forged symbol adds δ to Evals[c][i]: the
+// coordinate's interpolant then exceeds its coefficients by δ·Λ_i(z),
+// which vanishes at the e−1 other grid points, and the fold compares
+// Σ_c r^c·δ_c·Λ_i(z) with zero. Forged on coordinate 0 alone, a trial
+// accepts iff Λ_i(z) = 0: rate (e−1)/q. Forged on coordinate 1 alone, or
+// by the same δ on both, the fold is r·δ·Λ_i(z) or (1+r)·δ·Λ_i(z), zero
+// iff r is 0 (or −1) or Λ_i(z) = 0: rate (q + (e−1)(q−1))/q², within
+// (e−1)/q² of the bound. Over 4000 seeds each
+// count must lie within four standard deviations of its rate, and under
+// trials times the bound plus the same slack.
+func TestVerifyProofBatchSoundnessBound(t *testing.T) {
+	const trials = 4000
+	p := testProblem()
+	honest, _, err := Run(context.Background(), p, Options{FaultTolerance: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := honest.Primes[0]
+	e, d, w := len(honest.Points), p.Degree(), p.Width()
+	if e-1 <= d {
+		t.Fatalf("e = %d: the test wants e−1 > d = %d", e, d)
+	}
+	qf := float64(q)
+	bound := float64(w-1+max(d, e-1)) / qf
+	slack := func(rate float64) float64 { return 4 * math.Sqrt(trials*rate*(1-rate)) }
+	for _, forgery := range []struct {
+		name   string
+		coords []int
+		rate   float64
+	}{
+		{"coordinate 0", []int{0}, float64(e-1) / qf},
+		{"coordinate 1", []int{1}, (qf + float64(e-1)*(qf-1)) / (qf * qf)},
+		{"both coordinates", []int{0, 1}, (qf + float64(e-1)*(qf-1)) / (qf * qf)},
+	} {
+		forged := *honest
+		forged.Evals = map[uint64][][]uint64{q: slices.Clone(honest.Evals[q])}
+		for _, c := range forgery.coords {
+			forged.Evals[q][c] = slices.Clone(honest.Evals[q][c])
+			forged.Evals[q][c][3] = (forged.Evals[q][c][3] + 5) % q
+		}
+		accepted := 0
+		for seed := int64(0); seed < trials; seed++ {
+			ok, err := VerifyProofBatch(&forged, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok {
+				accepted++
+			}
+		}
+		want := trials * forgery.rate
+		t.Logf("%s: accepted %d of %d trials, rate %.4f predicts %.0f, bound %d/%d", forgery.name, accepted, trials, forgery.rate, want, w-1+max(d, e-1), q)
+		if off := math.Abs(float64(accepted) - want); off > slack(forgery.rate) {
+			t.Errorf("%s: accepted %d of %d, want %.0f ± %.0f", forgery.name, accepted, trials, want, slack(forgery.rate))
+		}
+		if float64(accepted) > trials*bound+slack(bound) {
+			t.Errorf("%s: accepted %d of %d, above the documented bound (W−1+max(d, e−1))/q (%.0f + %.0f)", forgery.name, accepted, trials, trials*bound, slack(bound))
+		}
+	}
+	if ok, err := VerifyProofBatch(honest, 1); err != nil || !ok {
+		t.Fatalf("the honest proof: ok=%v err=%v", ok, err)
+	}
+}
+
 func TestPointAssignmentBalanced(t *testing.T) {
 	for _, tc := range []struct{ e, k int }{{10, 3}, {16, 8}, {7, 7}, {5, 1}, {100, 7}} {
 		pa := NewPointAssignment(tc.e, tc.k)

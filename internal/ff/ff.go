@@ -248,7 +248,13 @@ func (f Field) ReduceU(x uint64) uint64 { return reduce2(0, x, f.Kernel()) }
 // dividend by an explicit 128-bit shift (Go defines x>>64 as 0, so even
 // shift 0, for the transient moduli inside IsPrime, works).
 func reduce2(u1, u0 uint64, k Kernel) uint64 {
-	n1, n0 := u1<<k.s|u0>>(64-k.s), u0<<k.s
+	return reduceShifted(u1<<k.s|u0>>(64-k.s), u0<<k.s, k)
+}
+
+// reduceShifted returns (n1·2^64 + n0)/2^s mod q for a dividend already
+// normalized by the kernel's shift (n1 < d): MulKS's tail, small enough to
+// inline into loops that sum shifted products themselves.
+func reduceShifted(n1, n0 uint64, k Kernel) uint64 {
 	qh, ql := bits.Mul64(n1, k.v)
 	var carry uint64
 	ql, carry = bits.Add64(ql, n0, 0)

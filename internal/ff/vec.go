@@ -102,6 +102,39 @@ func MulSumVecK(dst, src, a []uint64, t uint64, k Kernel) {
 	}
 }
 
+// MulAddPoly adds c·b to p in place, cut to len(p): p[j] += Σ_i c[i]·b[j−i]
+// mod q over canonical entries, b not overlapping p — a step of
+// internal/poly's Euclidean loop, which passes its quotient negated. Like
+// MatMulDot it reduces no product: one pass per pair of coefficients of c
+// sums each p[j] and the pair's two products, pre-shifted as MulKS's are,
+// below q·2^64 and reduces once. A degree-1 quotient, all but every step
+// over a word-sized prime, is one pass and one reduction per coefficient.
+func (f Field) MulAddPoly(p, c, b []uint64) {
+	k := f.Kernel()
+	for i := 0; i < len(c) && i < len(p); i += 2 {
+		c0, c1 := c[i]<<k.s, uint64(0)
+		if i+1 < len(c) {
+			c1 = c[i+1] << k.s
+		}
+		w := p[i:min(len(p), i+len(b)+1)]
+		var prev uint64 // b[j-1]
+		for j := range w {
+			var bj uint64
+			if j < len(b) {
+				bj = b[j]
+			}
+			hi, lo := bits.Mul64(c0, bj)
+			var carry uint64
+			lo, carry = bits.Add64(lo, w[j]<<k.s, 0)
+			hi += carry
+			ph, pl := bits.Mul64(c1, prev)
+			lo, carry = bits.Add64(lo, pl, 0)
+			w[j] = reduceShifted(hi+ph+carry, lo, k)
+			prev = bj
+		}
+	}
+}
+
 // MatMulDot returns ⟨X·Y, W⟩ = Σ_{d,f} (Σ_e X[d][e]·Y[e][f])·W[d][f] mod q
 // for n×n matrices of canonical entries, X and W row-major and Y given
 // transposed (yt[f*n+e] = Y[e][f]) so every inner sum runs over two
@@ -169,8 +202,10 @@ func (s *acc3) add(hi, lo uint64) {
 func (s *acc3) reduce(k Kernel) uint64 { return reduce2(reduce2(s[2], s[1], k), s[0], k) }
 
 // AddVec sets dst[i] = a[i]+b[i] mod q over canonical entries. dst may
-// alias a or b; a and b must be at least as long as dst. With SubVec it
-// is the whole inner loop of a 0/±1 Yates level (internal/yates), where
+// alias a or b, or sit one entry below b (dst = a = x[:n], b = x[1:]), as
+// in internal/rs's forward-difference step: each b[i] is read before
+// dst[i+1] is written. a and b must be at least as long as dst. With SubVec
+// it is the whole inner loop of a 0/±1 Yates level (internal/yates), where
 // unrolling took the 7×4 Strassen transform from 55 to 40 µs.
 func (f Field) AddVec(dst, a, b []uint64) {
 	n := len(dst)

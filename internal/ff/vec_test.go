@@ -205,6 +205,15 @@ func TestAddSubVecMatchScalar(t *testing.T) {
 					t.Fatalf("q=%d n=%d: aliased AddVec then SubVec [%d] = %d, want %d", q, n, i, acc[i], a[i])
 				}
 			}
+			// b one entry ahead of dst is the forward-difference step.
+			if n > 0 {
+				f.AddVec(acc[:n-1], acc[:n-1], acc[1:])
+				for i := 0; i < n-1; i++ {
+					if want := (a[i] + a[i+1]) % q; acc[i] != want {
+						t.Fatalf("q=%d n=%d: shifted AddVec [%d] = %d, want %d", q, n, i, acc[i], want)
+					}
+				}
+			}
 		}
 	}
 }
@@ -239,6 +248,50 @@ func TestMatMulDotMatchesScalar(t *testing.T) {
 				}
 				if got, want := f.MatMulDot(x, yt, w, n), matMulDotScalar(f, x, yt, w, n); got != want {
 					t.Fatalf("q=%d n=%d top=%v: MatMulDot = %d, want %d", q, n, top, got, want)
+				}
+			}
+		}
+	}
+}
+
+// mulAddPolyScalar is MulAddPoly through the division reference, one
+// reduction per operation, into a copy of p.
+func mulAddPolyScalar(f Field, p, c, b []uint64) []uint64 {
+	out := append([]uint64(nil), p...)
+	for i, ci := range c {
+		for j, bj := range b {
+			if i+j < len(out) {
+				out[i+j] = f.Add(out[i+j], f.mulDiv(ci, bj))
+			}
+		}
+	}
+	return out
+}
+
+func TestMulAddPolyMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, q := range diffModuli(t) {
+		f := Must(q)
+		// len(p), len(c), len(b): empty operands, p cut below the full
+		// product or reaching past it, c of odd and even length (one pass
+		// per pair of coefficients), c longer than p.
+		for _, n := range [][3]int{{0, 1, 1}, {3, 0, 2}, {3, 2, 0}, {1, 1, 1}, {6, 2, 5}, {4, 2, 5},
+			{12, 2, 5}, {9, 3, 7}, {20, 5, 10}, {3, 6, 2}, {40, 8, 33}} {
+			for _, top := range []bool{false, true} {
+				p, c, b := randVec(n[0], q, rng), randVec(n[1], q, rng), randVec(n[2], q, rng)
+				if top { // all q−1: every sum at its largest
+					for _, v := range [][]uint64{p, c, b} {
+						for i := range v {
+							v[i] = q - 1
+						}
+					}
+				}
+				want := mulAddPolyScalar(f, p, c, b)
+				f.MulAddPoly(p, c, b)
+				for i := range want {
+					if p[i] != want[i] {
+						t.Fatalf("q=%d lengths %v top=%v: MulAddPoly[%d] = %d, want %d", q, n, top, i, p[i], want[i])
+					}
 				}
 			}
 		}

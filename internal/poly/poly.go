@@ -265,11 +265,15 @@ func (r *Ring) divInPlace(a, b, q []uint64) {
 // every remainder before the stop has degree ≥ n-k, so the quotients'
 // degrees sum to at most k, and by the half-GCD lemma such quotients are
 // functions of the leading 2k+1 coefficients of a and b. The classical
-// quadratic loop — one schoolbook division per remainder, buffers swapping
-// roles — runs on those alone, in O(k²) whatever n is. (Through step i the
-// terms dropped from a and b reach only the remainder's coefficients
-// below n-2k+deg v_i ≤ n-k: the leading ones, and whether the degree is
-// still ≥ n-k, read the same on the truncated pair.)
+// quadratic loop runs on those alone, in O(k²) whatever n is. (Through
+// step i the terms dropped from a and b reach only the remainder's
+// coefficients below n-2k+deg v_i ≤ n-k: the leading ones, and whether
+// the degree is still ≥ n-k, read the same on the truncated pair.) The
+// same lemma, applied to each pair (r0, r1) in turn, lets the loop drop
+// every coefficient below x^(2·stopDeg − deg r0) as it goes: those are
+// the ones the dropped terms have reached, and no later quotient reads
+// them. Each step takes its quotient from the leading coefficients, then
+// forms the remainder and both cofactors in one ff.MulAddPoly pass each.
 func (r *Ring) PartialXGCD(a, b []uint64, stopDeg int) (u, v []uint64) {
 	a, b = Trim(a), Trim(b)
 	if Degree(b) < stopDeg {
@@ -290,33 +294,44 @@ func (r *Ring) PartialXGCD(a, b []uint64, stopDeg int) (u, v []uint64) {
 	v0, v1 := make([]uint64, 0, k+1), append(make([]uint64, 0, k+1), 1)
 	q := make([]uint64, 0, len(r0))
 	for Degree(r1) >= stop {
-		q = q[:len(r0)-len(r1)+1]
-		r.divInPlace(r0, r1, q)
+		if drop := 2*stop - (len(r0) - 1); drop > 0 {
+			r0, r1, stop = r0[drop:], r1[drop:], stop-drop
+		}
+		q = r.negQuotient(q, r0, r1)
+		r.f.MulAddPoly(r0[:len(r1)-1], q, r1)
 		r0, r1 = r1, Trim(r0[:len(r1)-1])
-		u0, u1 = u1, r.subMul(u0, q, u1)
-		v0, v1 = v1, r.subMul(v0, q, v1)
+		u0, u1 = u1, r.mulAdd(u0, q, u1)
+		v0, v1 = v1, r.mulAdd(v0, q, v1)
 	}
 	return u1, v1
 }
 
-// subMul returns c0 - q·c1, formed in c0's buffer (grown when too short).
-func (r *Ring) subMul(c0, q, c1 []uint64) []uint64 {
+// negQuotient returns −(r0 div r1), formed in q's buffer, for trimmed r0
+// and r1 with len(r0) >= len(r1): a quotient of degree m is a function
+// of the leading m+1 coefficients of r0 and r1, read top down.
+func (r *Ring) negQuotient(q, r0, r1 []uint64) []uint64 {
+	f, k := r.f, r.f.Kernel()
+	m, top := len(r0)-len(r1), len(r1)-1
+	q = q[:m+1]
+	negInv := k.Shift(f.Neg(f.Inv(r1[top])))
+	for i := m; i >= 0; i-- {
+		c := r0[i+top]
+		for j := i + 1; j <= min(m, i+top); j++ {
+			c = f.Add(c, ff.MulK(q[j], r1[i+top-j], k))
+		}
+		q[i] = ff.MulKS(c, negInv, k)
+	}
+	return q
+}
+
+// mulAdd returns c0 + q·c1, formed in c0's buffer (grown when too short).
+func (r *Ring) mulAdd(c0, q, c1 []uint64) []uint64 {
 	if len(c1) == 0 {
 		return c0
 	}
 	if need := len(q) + len(c1) - 1; len(c0) < need {
 		c0 = append(c0, make([]uint64, need-len(c0))...)
 	}
-	k := r.f.Kernel()
-	for i, qi := range q {
-		if qi == 0 {
-			continue
-		}
-		qs := k.Shift(qi)
-		row := c0[i : i+len(c1)]
-		for j, cj := range c1 {
-			row[j] = r.f.Sub(row[j], ff.MulKS(cj, qs, k))
-		}
-	}
+	r.f.MulAddPoly(c0, q, c1)
 	return Trim(c0)
 }

@@ -70,6 +70,16 @@ func sparsePoly(rng *rand.Rand, f ff.Field, deg int) []uint64 {
 	return p
 }
 
+// withQuotients returns (a, b) whose Euclidean sequence has quotients of
+// the given degrees, in order, down to a last remainder of degree 3.
+func withQuotients(rng *rand.Rand, r *Ring, degs []int) (a, b []uint64) {
+	a, b = randPoly(rng, r.f, 5), randPoly(rng, r.f, 3)
+	for i := len(degs) - 1; i >= 0; i-- {
+		a, b = r.Add(r.Mul(randPoly(rng, r.f, degs[i]), a), b), a
+	}
+	return a, b
+}
+
 func TestPartialXGCDMatchesReference(t *testing.T) {
 	q61, _, err := ff.NTTPrime(1<<61, 1<<12)
 	if err != nil {
@@ -103,6 +113,17 @@ func TestPartialXGCDMatchesReference(t *testing.T) {
 		for _, stop := range []int{0, 1, 40} {
 			diffPartialXGCD(t, fmt.Sprintf("GF(%d) b = 0 stop=%d", q, stop), r, a, nil, stop)
 			diffPartialXGCD(t, fmt.Sprintf("GF(%d) b constant stop=%d", q, stop), r, a, []uint64{5}, stop)
+		}
+		// Sequences built bottom up, r_{i-1} = q_i·r_i + r_{i+1}, with
+		// quotients of the given degrees. A quotient of degree ≥ 2 means a
+		// leading coefficient cancelled in the remainder it divides by, and
+		// takes two or more passes of the fused kernel: cases the random
+		// rows over the 61-bit prime all but never reach.
+		for _, degs := range [][]int{{2, 2, 2}, {1, 2, 1, 3, 1, 5, 2}, {0, 3, 1, 2}, {6, 1, 4}, {1, 1, 1, 9}} {
+			a, b := withQuotients(rng, r, degs)
+			for stop := 0; stop <= Degree(a)+1; stop++ {
+				diffPartialXGCD(t, fmt.Sprintf("GF(%d) quotient degrees %v stop=%d", q, degs, stop), r, a, b, stop)
+			}
 		}
 	}
 

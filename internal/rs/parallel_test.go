@@ -2,8 +2,7 @@ package rs
 
 // Parallel-vs-serial equivalence for the Gao decoder (satellite of
 // ISSUE 6): the decode pipeline (interpolation up the code's subproduct
-// tree, locator evaluation down it) picks up parallelism from
-// internal/par through poly, and
+// tree) picks up parallelism from internal/par through poly, and
 // exact modular arithmetic means the parallel execution must reproduce
 // the serial result bit for bit — message, corrected word, and error
 // locations alike. CI's -race leg runs this with real interleavings.

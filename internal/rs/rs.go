@@ -1,7 +1,8 @@
 // Package rs implements the nonsystematic Reed–Solomon code of paper §2.3:
 // a message (p_0,...,p_d) is encoded as the evaluations of its polynomial
-// at e distinct field points, and decoded — in the presence of up to
-// ⌊(e-d-1)/2⌋ corrupted symbols — with Gao's extended-Euclidean decoder.
+// at the e points 0, 1, ..., e-1 — the protocol's grid, and the only
+// point set a Code accepts — and decoded, in the presence of up to
+// ⌊(e-d-1)/2⌋ corrupted symbols, with Gao's extended-Euclidean decoder.
 //
 // The decoder additionally reports *which* positions were corrupted, which
 // is how a Camelot node identifies the Knights that Morgana enchanted
@@ -30,6 +31,12 @@
 // chains of degree at most the number of errors — G0'(x_i) is the
 // reciprocal of an interpolation weight — where evaluating p costs one of
 // degree d. p itself is evaluated only at erased positions.
+//
+// The roots are found by walking the grid: for v of degree t the forward
+// differences Δ^j v(x), j ≤ t, step to x+1 as Δ^j v(x+1) = Δ^j v(x) +
+// Δ^(j+1) v(x), t additions and no multiplication per point. Seeded from
+// v(0..t) by Horner and t(t+1)/2 subtractions, the table gives v at all e
+// points for about e·t additions; erased points are stepped over, not read.
 package rs
 
 import (
@@ -44,8 +51,8 @@ import (
 // code than the unique-decoding radius, so no codeword can be recovered.
 var ErrDecodeFailure = errors.New("rs: received word beyond unique-decoding radius")
 
-// Code is a Reed–Solomon code of length e = len(Points) for messages of
-// degree at most d (that is, d+1 symbols). Points must be distinct mod q.
+// Code is a Reed–Solomon code of length e over the points 0..e-1 for
+// messages of degree at most d (that is, d+1 symbols).
 type Code struct {
 	ring   *poly.Ring
 	points []uint64
@@ -56,8 +63,9 @@ type Code struct {
 	ps *poly.PointSet
 }
 
-// New constructs a code over the given ring with the given evaluation
-// points and message degree bound d (message length d+1).
+// New constructs a code over the given ring with message degree bound d
+// (message length d+1). points must be ConsecutivePoints(e), e ≤ q: the
+// grid is what the locator's forward differences walk.
 func New(ring *poly.Ring, points []uint64, d int) (*Code, error) {
 	e := len(points)
 	if d < 0 || d+1 > e {
@@ -66,13 +74,10 @@ func New(ring *poly.Ring, points []uint64, d int) (*Code, error) {
 	if uint64(e) > ring.Field().Q {
 		return nil, fmt.Errorf("rs: length %d exceeds field size %d", e, ring.Field().Q)
 	}
-	seen := make(map[uint64]struct{}, e)
-	for _, x := range points {
-		xr := x % ring.Field().Q
-		if _, dup := seen[xr]; dup {
-			return nil, fmt.Errorf("rs: duplicate evaluation point %d", x)
+	for i, x := range points {
+		if x != uint64(i) {
+			return nil, fmt.Errorf("rs: evaluation points must be 0..%d, got %d at position %d", e-1, x, i)
 		}
-		seen[xr] = struct{}{}
 	}
 	return &Code{ring: ring, points: points, d: d, ps: ring.NewPointSet(points)}, nil
 }
@@ -85,10 +90,6 @@ func ConsecutivePoints(e int) []uint64 {
 	}
 	return pts
 }
-
-// Points returns the evaluation points (not a copy; callers must not
-// mutate).
-func (c *Code) Points() []uint64 { return c.points }
 
 // Footprint returns the bytes the code keeps alive — O(e log e) field
 // elements, nearly all of them the subproduct tree — for callers that
@@ -251,7 +252,7 @@ func (c *Code) decodeOver(ps *poly.PointSet, vals []uint64, mask []bool) (messag
 
 	var locator []uint64 // v at the delivered points; nil when v has no roots
 	if poly.Degree(v) > 0 {
-		locator = ps.Eval(v)
+		locator = locate(c.ring, v, e, mask)
 	}
 	corrected, errorLocs = c.open(ps, p, u, v, locator, vals, mask)
 	if radius := c.CorrectionRadiusWithErasures(e - n); len(errorLocs) > radius {
@@ -305,6 +306,27 @@ func (c *Code) open(ps *poly.PointSet, p, u, v, locator, vals []uint64, mask []b
 		}
 	}
 	return corrected, errorLocs
+}
+
+// locate returns v at the unerased points of 0..e-1 (mask nil: all of
+// them), in order, by the forward differences of the package comment.
+func locate(r *poly.Ring, v []uint64, e int, mask []bool) []uint64 {
+	f := r.Field()
+	t := poly.Degree(v)
+	diff := r.EvalEach(v, ConsecutivePoints(t+1))
+	for j := 1; j <= t; j++ { // level j: diff[i] = Δ^j v(i-j) for i ≥ j
+		for i := t; i >= j; i-- {
+			diff[i] = f.Sub(diff[i], diff[i-1])
+		}
+	}
+	out := make([]uint64, 0, e)
+	for x := range e {
+		if mask == nil || !mask[x] {
+			out = append(out, diff[0])
+		}
+		f.AddVec(diff[:t], diff[:t], diff[1:])
+	}
+	return out
 }
 
 // pointsAt returns the evaluation points at the given positions.

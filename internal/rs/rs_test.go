@@ -44,6 +44,12 @@ func TestNewValidation(t *testing.T) {
 		{"negative d", []uint64{0, 1}, -1, false},
 		{"duplicate points", []uint64{0, 1, 1}, 1, false},
 		{"duplicate mod q", []uint64{0, 1, 98}, 1, false},
+		// The locator walks the grid 0..e-1: distinct points off it are
+		// refused too.
+		{"spaced grid", []uint64{0, 2, 4, 6}, 1, false},
+		{"shifted grid", []uint64{1, 2, 3, 4}, 1, false},
+		{"permuted grid", []uint64{1, 0, 2, 3}, 1, false},
+		{"grid past q", ConsecutivePoints(98), 1, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -284,20 +290,38 @@ func BenchmarkEncode1024(b *testing.B) {
 	}
 }
 
-// BenchmarkDecode times one warm decode at the benchmark's decode_bound
-// geometry (e=1535, d=1134): a clean word, a lying node's block of 192
-// errors, and the whole budget spent on erasures through a reused plan.
-func BenchmarkDecode(b *testing.B) {
+// decodeBoundWords returns the benchmark's decode_bound geometry — e=1535,
+// d=1134 over the 61-bit NTT prime the engine's primes resemble — with a
+// codeword and a copy of it carrying a lying node's block of 192 errors.
+// (Over a small NTT prime such as newTestCode's, the locator almost surely
+// vanishes at one of the quotient's transform points and Quotient takes
+// its Mul and DivMod fallback, which the engine never does.)
+func decodeBoundWords(b *testing.B) (c *Code, clean, garbled []uint64) {
 	const e, d = 1535, 1134
-	c := newTestCode(b, e, d)
+	q, _, err := ff.NTTPrime(1<<61, 4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if c, err = New(poly.NewRing(ff.Must(q)), ConsecutivePoints(e), d); err != nil {
+		b.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(1))
-	cw, _ := c.Encode(randMessage(rng, c.Field(), d))
-	garbled := append([]uint64(nil), cw...)
+	clean, _ = c.Encode(randMessage(rng, c.Field(), d))
+	garbled = append([]uint64(nil), clean...)
 	for i := 192; i < 384; i++ {
 		garbled[i] = c.Field().Add(garbled[i], 1+rng.Uint64()%(c.Field().Q-1))
 	}
+	return c, clean, garbled
+}
+
+// BenchmarkDecode times one warm decode at the decode_bound geometry: a
+// clean word, a lying node's block of 192 errors, and the whole budget
+// spent on erasures through a reused plan.
+func BenchmarkDecode(b *testing.B) {
+	c, cw, garbled := decodeBoundWords(b)
 	full, _ := c.ErasurePlan(nil)
-	shortened, err := c.ErasurePlan(rng.Perm(e)[:e-d-1])
+	e := len(cw)
+	shortened, err := c.ErasurePlan(rand.New(rand.NewSource(1)).Perm(e)[:e-c.d-1])
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -318,29 +342,16 @@ func BenchmarkDecode(b *testing.B) {
 }
 
 // BenchmarkDecodeStages times the five steps of one warm decode, each
-// called as decodeOver calls it, at the decode_bound geometry: e=1535,
-// d=1134, a lying node's block of 192 errors, one 61-bit prime. The table
-// a decode change starts from; nothing gates on it.
+// called as decodeOver calls it, on BenchmarkDecode's errors row. The
+// table a decode change starts from; nothing gates on it.
 func BenchmarkDecodeStages(b *testing.B) {
-	const e, d = 1535, 1134
-	q, _, err := ff.NTTPrime(1<<61, 4096)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := New(poly.NewRing(ff.Must(q)), ConsecutivePoints(e), d)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	word, _ := c.Encode(randMessage(rng, c.Field(), d))
-	for i := 192; i < 384; i++ {
-		word[i] = c.Field().Add(word[i], 1+rng.Uint64()%(c.Field().Q-1))
-	}
+	c, _, word := decodeBoundWords(b)
+	e, d := len(c.points), c.d
 	ps, ring := c.ps, c.ring
 	g1 := ps.Interpolate(word)
 	u, v := ring.PartialXGCD(ps.Product(), g1, (e+d+1)/2)
 	p, ok := ps.Quotient(u, v, g1, d)
-	locator := ps.Eval(v)
+	locator := locate(ring, v, e, nil)
 	if _, locs := c.open(ps, p, u, v, locator, word, nil); !ok || len(locs) != 192 {
 		b.Fatalf("quotient ok=%v, %d error locations", ok, len(locs))
 	}
@@ -351,7 +362,7 @@ func BenchmarkDecodeStages(b *testing.B) {
 		{"interpolate", func() { ps.Interpolate(word) }},
 		{"euclid", func() { ring.PartialXGCD(ps.Product(), g1, (e+d+1)/2) }},
 		{"quotient", func() { ps.Quotient(u, v, g1, d) }},
-		{"locator", func() { ps.Eval(v) }},
+		{"locator", func() { locate(ring, v, e, nil) }},
 		{"open", func() { c.open(ps, p, u, v, locator, word, nil) }},
 		{"decode", func() { c.Decode(word) }},
 	} {
