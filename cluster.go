@@ -69,7 +69,7 @@ func (cl *Cluster) start(ctx context.Context, p core.Problem, opts core.Options)
 	if opts.MaxParallelism != 0 && opts.MaxParallelism != opts.Pool.Width() {
 		opts.Pool = nil
 	}
-	opts.Observer = (*jobObserver)(j)
+	opts.Progress = &j.progress
 	cl.mu.Lock()
 	if cl.closed {
 		cl.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -215,6 +216,67 @@ func TestJobStatusProgressesAndReportsGeometry(t *testing.T) {
 	}
 	if proof.Size() != rep.ProofSymbols {
 		t.Fatal("proof size disagrees with report")
+	}
+}
+
+// TestJobStatusLiveThroughLossyRepair polls Job.Status from a goroutine
+// (under -race in CI) while a cluster run loses two nodes' broadcasts,
+// refuses, repairs and names a lying node. Every read must see the
+// counts only grow and PointsDone within PointsTotal, and the last read
+// must agree with the Report.
+func TestJobStatusLiveThroughLossyRepair(t *testing.T) {
+	p, err := NewTriangleProblem(RandomGraph(18, 0.35, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k, liar = 8, 7
+	// f covers the liar's block of about e/k errors, but not that plus
+	// two lost blocks: round 0 refuses and one repair round heals it.
+	d := soloProof(t, p, core.Options{Nodes: 1}).Degree
+	faults := 0
+	for faults < (d+1+2*faults+k-1)/k {
+		faults++
+	}
+	cluster := NewCluster(WithNodes(k), WithLossyTransport(LossyConfig{Seed: 3, DropNodes: []int{2, 5}}))
+	defer cluster.Close()
+	job := cluster.Submit(context.Background(), p,
+		WithFaultTolerance(faults), WithAdversary(LyingNodes(11, liar)),
+		WithMaxErasures(2), WithMaxRepairRounds(1), WithGatherGrace(5*time.Second))
+
+	polled := make(chan error, 1)
+	go func() {
+		var last JobStatus
+		for {
+			st := job.Status()
+			switch {
+			case st.PointsDone < last.PointsDone || st.Suspects < last.Suspects:
+				polled <- fmt.Errorf("status went back: %+v after %+v", st, last)
+				return
+			case st.PointsDone > st.PointsTotal:
+				polled <- fmt.Errorf("PointsDone %d > PointsTotal %d", st.PointsDone, st.PointsTotal)
+				return
+			case st.State != JobRunning:
+				polled <- nil
+				return
+			}
+			last = st
+		}
+	}()
+	_, rep, err := job.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-polled; err != nil {
+		t.Fatal(err)
+	}
+	if rep.RepairRounds != 1 || !slices.Equal(rep.SuspectNodes, []int{liar}) {
+		t.Fatalf("fixture: repair rounds %d, suspects %v; want 1 and [%d]", rep.RepairRounds, rep.SuspectNodes, liar)
+	}
+	st := job.Status()
+	if st.Suspects != len(rep.SuspectNodes) || st.DeliveryFaults != len(rep.MissingNodes)+len(rep.RepairedNodes) ||
+		st.RepairRounds != rep.RepairRounds {
+		t.Fatalf("final status %+v disagrees with the report: suspects %v, missing %v, repaired %v, %d repair rounds",
+			st, rep.SuspectNodes, rep.MissingNodes, rep.RepairedNodes, rep.RepairRounds)
 	}
 }
 

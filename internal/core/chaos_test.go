@@ -15,7 +15,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -258,19 +257,6 @@ func chaosScenarios() []chaosScenario {
 	}
 }
 
-// chaosObserver records the delivery-fault and repair callbacks.
-type chaosObserver struct {
-	nopObserver
-	deliveryFaults atomic.Int32
-	repairRounds   atomic.Int32
-}
-
-func (o *chaosObserver) DeliveryFaults(n int) { o.deliveryFaults.Store(int32(n)) }
-
-func (o *chaosObserver) RepairRound(round int, reassigned []int) {
-	o.repairRounds.Store(int32(round))
-}
-
 func sameInts(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
@@ -328,7 +314,7 @@ func TestChaosScenarios(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			for _, base := range []int64{3, 17, 101} {
 				seed := base*1000003 + *chaosSeed
-				obs := &chaosObserver{}
+				prog := new(Progress)
 				opts := Options{
 					Nodes:           sc.nodes,
 					FaultTolerance:  sc.faults,
@@ -337,7 +323,7 @@ func TestChaosScenarios(t *testing.T) {
 					GatherGrace:     sc.grace,
 					Seed:            seed,
 					NewTransport:    func(k int) (Transport, error) { return sc.transport(seed, k) },
-					Observer:        obs,
+					Progress:        prog,
 				}
 				if sc.adversary != nil {
 					opts.Adversary = sc.adversary(seed)
@@ -371,18 +357,19 @@ func TestChaosScenarios(t *testing.T) {
 				if sc.wantRepaired != nil && !sameInts(rep.RepairedNodes, sc.wantRepaired) {
 					t.Fatalf("seed %d: RepairedNodes = %v, want %v", seed, rep.RepairedNodes, sc.wantRepaired)
 				}
-				if got, want := int(obs.repairRounds.Load()), rep.RepairRounds; got != want {
-					t.Fatalf("seed %d: observer saw %d repair rounds, report says %d", seed, got, want)
+				st := prog.Snapshot()
+				if st.RepairRounds != rep.RepairRounds {
+					t.Fatalf("seed %d: progress saw %d repair rounds, report says %d", seed, st.RepairRounds, rep.RepairRounds)
 				}
 				if sc.repair == 0 && rep.RepairRounds != 0 {
 					t.Fatalf("seed %d: repair disabled but report claims %d rounds", seed, rep.RepairRounds)
 				}
 				if !sc.skipDeliveryCk {
-					// The observer's delivery-fault count is the round-0
+					// The progress delivery-fault count is the round-0
 					// gather's view: everything repair later recovered plus
 					// whatever stayed missing.
-					if got, want := int(obs.deliveryFaults.Load()), len(rep.MissingNodes)+len(rep.RepairedNodes); got != want {
-						t.Fatalf("seed %d: observer saw %d delivery faults, report says %d", seed, got, want)
+					if want := len(rep.MissingNodes) + len(rep.RepairedNodes); st.DeliveryFaults != want {
+						t.Fatalf("seed %d: progress saw %d delivery faults, report says %d", seed, st.DeliveryFaults, want)
 					}
 				}
 				// Every adversary in the table is consistent, so each

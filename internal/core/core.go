@@ -218,9 +218,10 @@ type Options struct {
 	// code construction across runs — the Cluster's warm per-prime
 	// state. One-shot runs leave it nil and recompute per run.
 	Geometry *GeometryCache
-	// Observer, when non-nil, receives progress callbacks (stage
-	// transitions, evaluation units done, live suspect counts).
-	Observer Observer
+	// Progress is the run's live record, written by the engine as the
+	// run goes (default: a fresh one nobody reads). Hand each run its
+	// own.
+	Progress *Progress
 }
 
 // ErrInvalidOptions is the typed refusal of Options outside their
@@ -267,6 +268,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.GatherGrace == 0 {
 		o.GatherGrace = 2 * time.Second
+	}
+	if o.Progress == nil {
+		o.Progress = new(Progress)
 	}
 	return o
 }

@@ -7,7 +7,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"sync/atomic"
+	"sync"
 	"testing"
 )
 
@@ -138,35 +138,35 @@ func TestProofDisagreementIsTyped(t *testing.T) {
 	}
 }
 
-// cancelOnSuspects cancels the run from inside the first decode task to
-// report its suspects.
-type cancelOnSuspects struct {
-	nopObserver
+// cancellingAdversary equivocates, and cancels the run the first time it
+// is asked for a share — from inside the decode stage, where received
+// words are assembled.
+type cancellingAdversary struct {
+	*EquivocatingNodes
+	once   sync.Once
 	cancel context.CancelFunc
-	calls  atomic.Int32
 }
 
-func (o *cancelOnSuspects) SuspectsFound(int) {
-	o.calls.Add(1)
-	o.cancel()
+func (a *cancellingAdversary) Transform(sender, recipient int, prime uint64, coord, point int, value uint64) (uint64, bool) {
+	a.once.Do(a.cancel)
+	return a.EquivocatingNodes.Transform(sender, recipient, prime, coord, point, value)
 }
 
-// TestDecodeCancelledMidStage: a run cancelled while its first decode is
-// executing returns ctx.Err(), decodes nothing it had not already
-// started, and leaves no task set behind on the pool.
+// TestDecodeCancelledMidStage: a run cancelled inside its decode stage
+// returns ctx.Err() with its Report, decodes no more words than the pool
+// had workers running, and leaves no task set behind on the pool.
 func TestDecodeCancelledMidStage(t *testing.T) {
 	pool := NewPool(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	obs := &cancelOnSuspects{cancel: cancel}
-	opts := decodeTestOptions(NewEquivocatingNodes(5, 2, 5)) // 24 decode tasks
-	opts.Pool, opts.Observer = pool, obs
-	_, _, err := Run(ctx, decodeTestProblem(), opts)
+	opts := decodeTestOptions(&cancellingAdversary{EquivocatingNodes: NewEquivocatingNodes(5, 2, 5), cancel: cancel}) // 24 decode tasks
+	opts.Pool = pool
+	_, rep, err := Run(ctx, decodeTestProblem(), opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if n := obs.calls.Load(); n > int32(pool.Width()) {
-		t.Fatalf("%d decodes finished after the cancellation, pool width %d", n, pool.Width())
+	if rep == nil || rep.Decodes > pool.Width() {
+		t.Fatalf("report %+v after the cancellation: want one, with at most %d decodes (the pool width)", rep, pool.Width())
 	}
 	pool.mu.Lock()
 	left := len(pool.runs)

@@ -22,9 +22,11 @@ import (
 )
 
 // Report records what a Camelot run did: sizing, timing, adversary
-// damage, and verification outcome. All durations are wall-clock per
-// phase; MaxNodeCompute approximates the paper's per-node time E and
-// TotalNodeCompute the total work EK.
+// damage, and verification outcome. Run returns it on every exit once the
+// options and geometry are accepted, failures included. The stage walls
+// are charged whenever the run moves on from a stage, however the stage
+// ended, and add up over repair rounds; MaxNodeCompute approximates the
+// paper's per-node time E and TotalNodeCompute the total work EK.
 type Report struct {
 	// Problem is the Problem.Name of the run.
 	Problem string
@@ -59,22 +61,25 @@ type Report struct {
 	// CorruptedShares is the largest number of error locations any single
 	// decode observed (per prime, coordinate and word, maximized).
 	CorruptedShares int
-	// ComputeWall is the wall-clock duration of the distributed
-	// evaluation phase.
+	// ComputeWall is the wall-clock time of the prepare stage (building
+	// the transport, distributed evaluation and gather) over all rounds.
 	ComputeWall time.Duration
 	// MaxNodeCompute is the largest single node's evaluation time (≈ E).
 	MaxNodeCompute time.Duration
 	// TotalNodeCompute is the summed evaluation time of all nodes (≈ EK).
 	TotalNodeCompute time.Duration
-	// DecodeWall is the wall-clock duration of the decode phase.
+	// DecodeWall is the wall-clock time of the decode stage over all
+	// rounds.
 	DecodeWall time.Duration
 	// Decodes is the number of Gao decodes performed over all rounds: one
 	// per distinct received word per prime and coordinate — primes × width
 	// unless an adversary shows different recipients different words.
 	Decodes int
-	// VerifyPerTrial is the average duration of one verification trial.
+	// VerifyPerTrial is the wall-clock time of the verify stage over all
+	// rounds, divided by VerifyTrials: VerifyTrials × VerifyPerTrial is
+	// the stage's whole wall, every verification pass included.
 	VerifyPerTrial time.Duration
-	// VerifyTrials is the number of spot checks performed.
+	// VerifyTrials is the number of spot checks per verification pass.
 	VerifyTrials int
 	// Verified reports whether every trial accepted.
 	Verified bool
@@ -98,15 +103,11 @@ type engine struct {
 	assign PointAssignment
 	codes  []*rs.Code
 	report *Report
-	obs    Observer
-	// pointsLeft is the progress-credit budget: the (point, prime)
-	// units announced via Observer.Geometry that have not been credited
-	// through Observer.PointsDone yet. Repair rounds re-evaluate ranges
-	// whose round-0 evaluation may already have been credited (locally
-	// the computation succeeded — only the broadcast was lost), so all
-	// crediting routes through creditPoints, which debits this budget
-	// and clamps at zero: PointsDone can never exceed PointsTotal.
-	pointsLeft atomic.Int64
+	// The stage the run is in and since when; verifyWall is the verify
+	// stage's wall so far, which the report carries per trial.
+	stage      Stage
+	since      time.Time
+	verifyWall time.Duration
 
 	// Transport state, owned for the whole run once round 0 builds it:
 	// repair rounds re-gather over the same instance, so the engine —
@@ -169,10 +170,6 @@ func newEngine(p Problem, opts Options) (*engine, error) {
 		}
 		codes[pi] = code
 	}
-	obs := opts.Observer
-	if obs == nil {
-		obs = nopObserver{}
-	}
 	pool := opts.Pool
 	if pool == nil {
 		pool = NewPool(opts.MaxParallelism)
@@ -184,7 +181,6 @@ func newEngine(p Problem, opts Options) (*engine, error) {
 		primes:  primes,
 		assign:  NewPointAssignment(e, k),
 		codes:   codes,
-		obs:     obs,
 		report: &Report{
 			Problem:        p.Name(),
 			Nodes:          k,
@@ -209,34 +205,51 @@ func newEngine(p Problem, opts Options) (*engine, error) {
 // bounded repair rounds re-assign the missing nodes' point ranges to
 // survivors and retry — turning delivery faults the budget cannot absorb
 // into latency. It returns the decoded proof even when verification
-// fails (callers inspect the error).
+// fails (callers inspect the error), and the Report on every exit past
+// newEngine.
 func Run(ctx context.Context, p Problem, opts Options) (*Proof, *Report, error) {
 	en, err := newEngine(p, opts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %s: %w", p.Name(), err)
 	}
 	// The engine owns the transport for the whole run: no gather ends
-	// it, close does.
+	// it, close does. Before that, the last stage's wall is charged.
 	defer en.close()
-	en.pointsLeft.Store(int64(en.e * len(en.primes)))
-	en.obs.Geometry(en.e*len(en.primes), en.k)
+	defer en.enter(StageDone)
+	en.opts.Progress.pointsTotal.Store(int64(en.e * len(en.primes)))
 	if err := en.round(ctx, 0, en.ownRanges()); err != nil {
-		return nil, nil, fmt.Errorf("core: %s: %w", p.Name(), err)
+		return nil, en.report, fmt.Errorf("core: %s: %w", p.Name(), err)
 	}
 	proof, err := en.decodeAndVerify(ctx)
 	for n := 1; err != nil && en.canRepair(err, n); n++ {
 		if rerr := en.round(ctx, n, en.repairRanges(n)); rerr != nil {
-			return nil, nil, fmt.Errorf("core: %s: repair round %d: %w", p.Name(), n, rerr)
+			return nil, en.report, fmt.Errorf("core: %s: repair round %d: %w", p.Name(), n, rerr)
 		}
 		proof, err = en.decodeAndVerify(ctx)
 	}
 	if err != nil {
 		err = fmt.Errorf("core: %s: %w", p.Name(), err)
-		if proof == nil {
-			return nil, nil, err
-		}
 	}
 	return proof, en.report, err
+}
+
+// enter moves the run to stage s: it publishes s and charges the wall of
+// the stage the run leaves to the report — the one clock of every stage,
+// however the stage ended.
+func (en *engine) enter(s Stage) {
+	now := time.Now()
+	wall := now.Sub(en.since)
+	switch en.stage {
+	case StagePrepare:
+		en.report.ComputeWall += wall
+	case StageDecode:
+		en.report.DecodeWall += wall
+	case StageVerify:
+		en.verifyWall += wall
+		en.report.VerifyPerTrial = en.verifyWall / time.Duration(en.opts.VerifyTrials)
+	}
+	en.stage, en.since = s, now
+	en.opts.Progress.stage.Store(int32(s))
 }
 
 // decodeAndVerify is protocol steps 2 and 3 over whatever the rounds so
@@ -248,32 +261,6 @@ func (en *engine) decodeAndVerify(ctx context.Context) (*Proof, error) {
 		return nil, err
 	}
 	return proof, en.stageVerify(ctx, proof)
-}
-
-// creditPoints reports n newly evaluated (point, prime) units to the
-// observer, clamped to the remaining geometry budget. A repair round
-// recomputes ranges that round 0 may already have credited (local
-// evaluation completes even when the broadcast is lost, and a straggler
-// cut loose mid-range credited part of it), so without the clamp a
-// healed run would report PointsDone > PointsTotal.
-func (en *engine) creditPoints(n int) {
-	if n <= 0 {
-		return
-	}
-	for {
-		left := en.pointsLeft.Load()
-		if left <= 0 {
-			return
-		}
-		take := int64(n)
-		if take > left {
-			take = left
-		}
-		if en.pointsLeft.CompareAndSwap(left, left-take) {
-			en.obs.PointsDone(int(take))
-			return
-		}
-	}
 }
 
 // canRepair decides whether a failed decode-and-verify is worth another
@@ -382,8 +369,8 @@ func (en *engine) round(ctx context.Context, n int, ranges []assignment) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	en.enter(StagePrepare)
 	if n == 0 {
-		en.obs.StageStart(StagePrepare)
 		// A transport that can assign work to remote workers flips the
 		// engine into remote mode: manifests go out instead of local
 		// evaluation, and frames stream back through the same gather.
@@ -394,10 +381,9 @@ func (en *engine) round(ctx context.Context, n int, ranges []assignment) error {
 		en.tr = tr
 		en.remote, _ = tr.(RemoteAssigner)
 	} else {
-		en.obs.RepairRound(n, append([]int(nil), en.missing...))
+		en.opts.Progress.repairRounds.Store(int32(n))
 	}
 	quorumMode := en.opts.MaxErasures > 0
-	start := time.Now()
 	spec := GatherSpec{
 		K: en.k,
 		// A repair round is complete when every re-assigned range has
@@ -463,10 +449,9 @@ func (en *engine) round(ctx context.Context, n int, ranges []assignment) error {
 			en.report.MaxNodeCompute = m.Elapsed
 		}
 		if en.remote != nil {
-			// Remote evaluation reports no per-chunk progress; credit a
-			// range's points (per prime, matching Observer.Geometry's
-			// units) when its frame lands.
-			en.creditPoints((m.Hi - m.Lo) * len(en.primes))
+			// Remote evaluation reports no per-chunk progress; count a
+			// range's (point, prime) units when its frame lands.
+			en.opts.Progress.pointsDone.Add(int64((m.Hi - m.Lo) * len(en.primes)))
 		}
 		if n > 0 {
 			en.report.RepairedNodes = append(en.report.RepairedNodes, m.ID)
@@ -484,12 +469,11 @@ func (en *engine) round(ctx context.Context, n int, ranges []assignment) error {
 	en.missing = missing
 	en.report.MissingNodes = missing
 	if n == 0 {
-		en.obs.DeliveryFaults(len(missing))
+		en.opts.Progress.deliveryFaults.Store(int32(len(missing)))
 	} else {
 		sort.Ints(en.report.RepairedNodes)
 		en.report.RepairRounds = n
 	}
-	en.report.ComputeWall += time.Since(start)
 	return nil
 }
 
@@ -630,7 +614,7 @@ func (en *engine) evaluateAndSend(ctx context.Context, round int, ranges []assig
 		if err != nil {
 			return fmt.Errorf("node %d: %w", st.msg.Origin(), err)
 		}
-		en.creditPoints(chk.hi - chk.lo)
+		en.opts.Progress.pointsDone.Add(int64(chk.hi - chk.lo))
 		if st.remaining.Add(-1) == 0 {
 			// Last chunk of this message: it is complete (every
 			// other chunk's write happened-before the counter
@@ -728,18 +712,11 @@ func (en *engine) stageDecode(ctx context.Context) (*Proof, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	en.obs.StageStart(StageDecode)
+	en.enter(StageDecode)
 	honest := honestNodes(en.k, en.opts.Adversary)
 	if len(honest) == 0 {
 		return nil, ErrNoHonestNodes
 	}
-	// The decode wall starts here: a plan for a shortened point set builds
-	// that set's subproduct tree and interpolation weights, and that is
-	// decode work. It is charged on every exit — a round that ends in a
-	// refusal has decoded too — and like Decodes it accumulates: a
-	// repair-capable run decodes once per round.
-	decodeStart := time.Now()
-	defer func() { en.report.DecodeWall += time.Since(decodeStart) }()
 	// One erasure plan per prime, shared read-only by every decode: the
 	// erasure set is a property of the gather, not of any received word.
 	// An undecodable erasure set fails here.
@@ -765,8 +742,9 @@ func (en *engine) stageDecode(ctx context.Context) (*Proof, error) {
 	}
 	words := slices.Concat(byCoord...)
 
-	// Suspects merge as decodes finish so Status() can report a live
-	// count mid-stage.
+	// Suspects merge as decodes finish, and the live count is published
+	// under the same lock. Decode stages run one at a time, so keeping the
+	// larger of it and what an earlier round published needs no CAS.
 	var mu sync.Mutex
 	suspects := map[int]bool{}
 	decodes := 0
@@ -778,13 +756,14 @@ func (en *engine) stageDecode(ctx context.Context) (*Proof, error) {
 		for _, loc := range locs {
 			suspects[en.assign.Owner(loc)] = true
 		}
-		n := len(suspects)
+		if n := int32(len(suspects)); n > en.opts.Progress.suspects.Load() {
+			en.opts.Progress.suspects.Store(n)
+		}
 		mu.Unlock()
 		if err != nil {
 			return fmt.Errorf("node %d decoding: prime %d coord %d: %w", g.recipients[0], en.primes[g.prime], g.coord, err)
 		}
 		g.msg, g.corrected, g.locs = msg, corrected, locs
-		en.obs.SuspectsFound(n)
 		return nil
 	})
 	en.report.Decodes += decodes
@@ -832,13 +811,11 @@ func (en *engine) stageVerify(ctx context.Context, proof *Proof) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	en.obs.StageStart(StageVerify)
-	verifyStart := time.Now()
+	en.enter(StageVerify)
 	ok, err := verifyProof(ctx, en.p, proof, en.opts.VerifyTrials, en.opts.Seed)
 	if err != nil {
 		return fmt.Errorf("verification: %w", err)
 	}
-	en.report.VerifyPerTrial = time.Since(verifyStart) / time.Duration(en.opts.VerifyTrials)
 	en.report.Verified = ok
 	if !ok {
 		return ErrVerificationFailed

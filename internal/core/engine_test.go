@@ -380,8 +380,9 @@ func TestEveryStageReturnsCtxErr(t *testing.T) {
 // per-prime erasure plans build a subproduct tree and interpolation
 // weights over the surviving points before any word is decoded, and that
 // is decode time — Report.DecodeWall must include it, or it would be
-// charged to no stage. The part of stageDecode the report does not
-// account for has to be far smaller than building the plans takes.
+// charged to no stage. The part of stageDecode (and the move on to the
+// next stage, which charges it) the report does not account for has to
+// be far smaller than building the plans takes.
 func TestDecodeWallCoversPlanConstruction(t *testing.T) {
 	bg := context.Background()
 	en, err := newEngine(testProblem(), Options{
@@ -416,6 +417,7 @@ func TestDecodeWallCoversPlanConstruction(t *testing.T) {
 	if _, err := en.stageDecode(bg); err != nil {
 		t.Fatal(err)
 	}
+	en.enter(StageDone)
 	stageWall := time.Since(start)
 	unaccounted := stageWall - en.report.DecodeWall
 	t.Logf("e=%d, %d erased: plans %v, stage %v, DecodeWall %v", en.e, len(erased), planWall, stageWall, en.report.DecodeWall)

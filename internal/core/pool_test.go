@@ -407,54 +407,35 @@ func TestGeometryCacheFlushesByBytes(t *testing.T) {
 	}
 }
 
-// chunkObserver records observer callbacks for the progress tests.
-type chunkObserver struct {
-	mu       sync.Mutex
-	stages   []Stage
-	points   atomic.Int64
-	total    atomic.Int64
-	suspects atomic.Int64
-}
-
-func (o *chunkObserver) Geometry(points, nodes int) { o.total.Store(int64(points)) }
-func (o *chunkObserver) StageStart(s Stage) {
-	o.mu.Lock()
-	o.stages = append(o.stages, s)
-	o.mu.Unlock()
-}
-func (o *chunkObserver) PointsDone(d int)       { o.points.Add(int64(d)) }
-func (o *chunkObserver) SuspectsFound(n int)    { o.suspects.Store(int64(n)) }
-func (o *chunkObserver) DeliveryFaults(n int)   {}
-func (o *chunkObserver) RepairRound(int, []int) {}
-
-func TestObserverSeesStagesAndFullProgress(t *testing.T) {
-	obs := &chunkObserver{}
+// TestProgressSeesStagesAndFullProgress: a finished run's Progress reads
+// StageDone with every evaluation unit counted, and the Report charged a
+// wall to each of the three stages the run went through.
+func TestProgressSeesStagesAndFullProgress(t *testing.T) {
+	prog := new(Progress)
 	p := testProblem()
-	_, rep, err := Run(context.Background(), p, Options{Nodes: 2, FaultTolerance: 1, Observer: obs})
+	_, rep, err := Run(context.Background(), p, Options{Nodes: 2, FaultTolerance: 1, Progress: prog})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := rep.CodeLength * len(rep.Primes)
-	if got := obs.points.Load(); got != int64(want) {
-		t.Fatalf("observer saw %d evaluation units, want %d", got, want)
+	st := prog.Snapshot()
+	if want := rep.CodeLength * len(rep.Primes); st.PointsDone != want || st.PointsTotal != want {
+		t.Fatalf("points %d/%d, want %d/%d", st.PointsDone, st.PointsTotal, want, want)
 	}
-	if got := obs.total.Load(); got != int64(want) {
-		t.Fatalf("Geometry announced %d units, want %d", got, want)
+	if st.Stage != StageDone {
+		t.Fatalf("stage %v after the run, want done", st.Stage)
 	}
-	obs.mu.Lock()
-	stages := append([]Stage(nil), obs.stages...)
-	obs.mu.Unlock()
-	if len(stages) != 3 || stages[0] != StagePrepare || stages[1] != StageDecode || stages[2] != StageVerify {
-		t.Fatalf("stage sequence %v, want [prepare decode verify]", stages)
+	if rep.ComputeWall <= 0 || rep.DecodeWall <= 0 || rep.VerifyPerTrial <= 0 {
+		t.Fatalf("stage walls prepare %v, decode %v, verify %v per trial: want all three charged",
+			rep.ComputeWall, rep.DecodeWall, rep.VerifyPerTrial)
 	}
 }
 
-func TestObserverSeesSuspects(t *testing.T) {
-	obs := &chunkObserver{}
+func TestProgressSeesSuspects(t *testing.T) {
+	prog := new(Progress)
 	p := testProblem()
 	// Plenty of fault tolerance so one lying node is corrected.
 	_, rep, err := Run(context.Background(), p, Options{
-		Nodes: 4, FaultTolerance: 4, Adversary: NewLyingNodes(3, 1), Observer: obs,
+		Nodes: 4, FaultTolerance: 4, Adversary: NewLyingNodes(3, 1), Progress: prog,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -462,8 +443,8 @@ func TestObserverSeesSuspects(t *testing.T) {
 	if len(rep.SuspectNodes) == 0 {
 		t.Fatal("test needs a run that identifies suspects")
 	}
-	if got := obs.suspects.Load(); got != int64(len(rep.SuspectNodes)) {
-		t.Fatalf("observer saw %d suspects, report has %d", got, len(rep.SuspectNodes))
+	if got := prog.Snapshot().Suspects; got != len(rep.SuspectNodes) {
+		t.Fatalf("progress saw %d suspects, report has %d", got, len(rep.SuspectNodes))
 	}
 }
 

@@ -100,6 +100,72 @@ func TestRepairExhaustedStaysTyped(t *testing.T) {
 	}
 }
 
+// timedVerifyProblem is a compiled test problem whose per-point Evaluate
+// sleeps and adds up the time spent inside it. The prepare stage runs the
+// compiled plan, so only verification calls Evaluate.
+type timedVerifyProblem struct {
+	*batchPolyProblem
+	inside atomic.Int64
+}
+
+func (p *timedVerifyProblem) Evaluate(q, x0 uint64) ([]uint64, error) {
+	defer func(start time.Time) { p.inside.Add(int64(time.Since(start))) }(time.Now())
+	time.Sleep(time.Millisecond)
+	return p.batchPolyProblem.Evaluate(q, x0)
+}
+
+// TestRepairAfterMiscorrection pins chaos seed 7's case (mixed seed
+// 17000058): nodes 1, 5 and 6 are lost (6 erasures) while node 3 lies
+// (2 errors), beyond the budget of 8 over GF(97), and for this liar Gao
+// lands on a neighbouring codeword that only verification rejects.
+// Without repair the run fails ErrVerificationFailed; with one round it
+// heals bit-identically. Both verification passes are timed:
+// VerifyTrials × VerifyPerTrial covers every Evaluate either one made.
+func TestRepairAfterMiscorrection(t *testing.T) {
+	ctx := context.Background()
+	const seed = 17000058
+	baseline, _, err := Run(ctx, testProblem(), Options{Nodes: 8, FaultTolerance: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(repair int) (*timedVerifyProblem, *Proof, *Report, error) {
+		p := &timedVerifyProblem{batchPolyProblem: &batchPolyProblem{polyProblem: testProblem()}}
+		proof, rep, err := Run(ctx, p, Options{
+			Nodes: 8, FaultTolerance: 4, VerifyTrials: 3, Seed: seed,
+			MaxErasures: 3, MaxRepairRounds: repair, GatherGrace: 2 * time.Second,
+			Adversary: NewLyingNodes(seed, 3),
+			NewTransport: func(k int) (Transport, error) {
+				return &filterTransport{
+					BroadcastBus: NewBroadcastBus(k),
+					dropFn: func(m NodeShares) bool {
+						return m.Round == 0 && (m.ID == 1 || m.ID == 5 || m.ID == 6)
+					},
+				}, nil
+			},
+		})
+		return p, proof, rep, err
+	}
+	if _, _, _, err := run(0); !errors.Is(err, ErrVerificationFailed) {
+		t.Fatalf("repair off: err = %v, want ErrVerificationFailed (the miscorrection)", err)
+	}
+	p, proof, rep, err := run(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RepairRounds != 1 || !sameInts(rep.RepairedNodes, []int{1, 5, 6}) || !sameInts(rep.SuspectNodes, []int{3, 6}) {
+		t.Fatalf("repair rounds %d, repaired %v, suspects %v; want 1, [1 5 6], [3 6]",
+			rep.RepairRounds, rep.RepairedNodes, rep.SuspectNodes)
+	}
+	if err := proofsEqual(baseline, proof); err != nil {
+		t.Fatalf("repaired proof differs from the fault-free run: %v", err)
+	}
+	// Rounding down VerifyPerTrial loses under a nanosecond per trial.
+	verify, inside := time.Duration(rep.VerifyTrials)*rep.VerifyPerTrial, time.Duration(p.inside.Load())
+	if verify < inside-time.Duration(rep.VerifyTrials) {
+		t.Fatalf("VerifyTrials × VerifyPerTrial = %v, but verification spent %v inside Evaluate over both passes", verify, inside)
+	}
+}
+
 // replayTransport captures a frame the network "lost" in round 0 and
 // replays it — values mutated — into the repair round's gather, still
 // tagged Round 0. The round filter must treat it as noise.
@@ -327,32 +393,20 @@ func TestLossyDelayedCopyCannotStraddleRounds(t *testing.T) {
 	}
 }
 
-// progressObserver accumulates the Geometry total and PointsDone
-// credits — the counters JobStatus.PointsDone/PointsTotal are built
-// from at the session layer.
-type progressObserver struct {
-	nopObserver
-	total atomic.Int64
-	done  atomic.Int64
-}
-
-func (o *progressObserver) Geometry(points, nodes int) { o.total.Store(int64(points)) }
-func (o *progressObserver) PointsDone(delta int)       { o.done.Add(int64(delta)) }
-
 // TestRepairProgressNeverOverCredits pins the progress-accounting
 // invariant PointsDone <= PointsTotal across a healed run. Round 0
-// evaluates (and credits) every node's range but loses two broadcasts
+// evaluates (and counts) every node's range but loses two broadcasts
 // in transit; the repair round recomputes those ranges on sponsoring
-// survivors — a second evaluation of already-credited points that must
-// not be credited twice.
+// survivors — a second evaluation of already-counted points that must
+// not push PointsDone past PointsTotal.
 func TestRepairProgressNeverOverCredits(t *testing.T) {
 	ctx := context.Background()
 	p := testProblem()
-	obs := &progressObserver{}
+	prog := new(Progress)
 	_, rep, err := Run(ctx, p, Options{
 		Nodes: 5, FaultTolerance: 1,
 		MaxErasures: 2, MaxRepairRounds: 1, GatherGrace: 100 * time.Millisecond,
-		Observer: obs,
+		Progress: prog,
 		NewTransport: func(k int) (Transport, error) {
 			return &filterTransport{
 				BroadcastBus: NewBroadcastBus(k),
@@ -368,17 +422,17 @@ func TestRepairProgressNeverOverCredits(t *testing.T) {
 	if rep.RepairRounds != 1 {
 		t.Fatalf("RepairRounds = %d, want 1 (fixture must force a repair)", rep.RepairRounds)
 	}
-	total, done := obs.total.Load(), obs.done.Load()
-	if total <= 0 {
-		t.Fatalf("Geometry announced %d points", total)
+	st := prog.Snapshot()
+	if st.PointsTotal != rep.CodeLength*len(rep.Primes) {
+		t.Fatalf("PointsTotal = %d, want %d", st.PointsTotal, rep.CodeLength*len(rep.Primes))
 	}
-	if done > total {
-		t.Fatalf("PointsDone = %d exceeds PointsTotal = %d after repair: repair rounds double-credit progress", done, total)
+	if st.PointsDone > st.PointsTotal {
+		t.Fatalf("PointsDone = %d exceeds PointsTotal = %d after repair: repair rounds double-credit progress", st.PointsDone, st.PointsTotal)
 	}
-	if done < total {
+	if st.PointsDone < st.PointsTotal {
 		// Every range was eventually delivered (round 0 survivors plus
 		// repaired ranges), so a healed run's progress should also be
 		// complete — the clamp must not under-credit a full recovery.
-		t.Fatalf("PointsDone = %d < PointsTotal = %d after full heal", done, total)
+		t.Fatalf("PointsDone = %d < PointsTotal = %d after full heal", st.PointsDone, st.PointsTotal)
 	}
 }

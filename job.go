@@ -4,12 +4,12 @@ package camelot
 // run's (proof, report, error) triple plus an inspectable live status —
 // which protocol stage the run is in, how much of the evaluation grid
 // is done, how many suspect nodes the decoders have identified so far.
-// Status is fed by the engine's Observer callbacks, so polling it costs
-// a few atomic loads and never perturbs the run.
+// The job holds the run's core.Progress, which the engine writes
+// directly, so polling Status costs a few atomic loads and never
+// perturbs the run.
 
 import (
 	"context"
-	"sync/atomic"
 
 	"camelot/internal/core"
 )
@@ -52,30 +52,18 @@ func (s JobState) String() string {
 	return "unknown"
 }
 
-// JobStatus is a point-in-time snapshot of a job.
+// ProgressSnapshot is the engine's live record of a run: its Stage,
+// PointsDone/PointsTotal, Suspects, DeliveryFaults and RepairRounds.
+type ProgressSnapshot = core.ProgressSnapshot
+
+// JobStatus is a point-in-time snapshot of a job: the run's progress plus
+// the job's lifecycle.
 type JobStatus struct {
 	// Problem is the submitted problem's name.
 	Problem string
 	// State is the lifecycle state.
 	State JobState
-	// Stage is the protocol stage the run is in (StageQueued before the
-	// engine starts, StageDone after it finishes either way).
-	Stage Stage
-	// PointsDone / PointsTotal track the prepare stage's evaluation
-	// grid in (point, prime) units. PointsTotal is 0 until the engine
-	// has resolved the run geometry.
-	PointsDone, PointsTotal int
-	// Suspects is the live size of the union of suspect node sets
-	// across the decoders that have finished so far.
-	Suspects int
-	// DeliveryFaults is the number of nodes whose share broadcasts
-	// never arrived — transport losses decoded as erasures, reported
-	// distinctly from the content-fault Suspects. 0 until the prepare
-	// stage's gather resolves.
-	DeliveryFaults int
-	// RepairRounds is the number of self-healing gather rounds started
-	// so far (0 when repair never triggered).
-	RepairRounds int
+	ProgressSnapshot
 	// Err is the terminal error for failed jobs, nil otherwise.
 	Err error
 }
@@ -85,13 +73,8 @@ type JobStatus struct {
 type Job struct {
 	problem core.Problem
 	done    chan struct{}
-
-	stage          atomic.Int32
-	pointsDone     atomic.Int64
-	pointsTotal    atomic.Int64
-	suspects       atomic.Int32
-	deliveryFaults atomic.Int32
-	repairRounds   atomic.Int32
+	// progress is the run's live record; the engine is its only writer.
+	progress core.Progress
 
 	// Terminal results; written once by finish before done is closed,
 	// read only after done (or under the done-channel happens-before).
@@ -101,9 +84,7 @@ type Job struct {
 }
 
 func newJob(p core.Problem) *Job {
-	j := &Job{problem: p, done: make(chan struct{})}
-	j.stage.Store(int32(StageQueued))
-	return j
+	return &Job{problem: p, done: make(chan struct{})}
 }
 
 // finish publishes the terminal state. Called exactly once.
@@ -111,7 +92,6 @@ func (j *Job) finish(proof *Proof, report *Report, err error) {
 	j.proof = proof
 	j.report = report
 	j.err = err
-	j.stage.Store(int32(StageDone))
 	close(j.done)
 }
 
@@ -123,7 +103,8 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 // first, and returns the job's results. A ctx expiry here abandons the
 // wait only — the job keeps running under its submission context; Wait
 // again to re-attach. Like core.Run, a decoded proof may accompany a
-// verification error.
+// verification error, and the run's Report accompanies any failure of a
+// run that started.
 func (j *Job) Wait(ctx context.Context) (*Proof, *Report, error) {
 	select {
 	case <-j.done:
@@ -145,21 +126,13 @@ func (j *Job) Err() error {
 	}
 }
 
-// Status returns a point-in-time snapshot of the job's progress.
+// Status returns a point-in-time snapshot of the job's progress. A
+// finished job reads StageDone, even one whose run never started.
 func (j *Job) Status() JobStatus {
-	st := JobStatus{
-		Problem:        j.problem.Name(),
-		State:          JobRunning,
-		Stage:          Stage(j.stage.Load()),
-		PointsDone:     int(j.pointsDone.Load()),
-		PointsTotal:    int(j.pointsTotal.Load()),
-		Suspects:       int(j.suspects.Load()),
-		DeliveryFaults: int(j.deliveryFaults.Load()),
-		RepairRounds:   int(j.repairRounds.Load()),
-	}
+	st := JobStatus{Problem: j.problem.Name(), State: JobRunning, ProgressSnapshot: j.progress.Snapshot()}
 	select {
 	case <-j.done:
-		st.Err = j.err
+		st.Stage, st.Err = StageDone, j.err
 		if j.err != nil {
 			st.State = JobFailed
 		} else {
@@ -168,42 +141,4 @@ func (j *Job) Status() JobStatus {
 	default:
 	}
 	return st
-}
-
-// jobObserver adapts a Job to the engine's Observer interface without
-// exporting the callbacks on Job itself.
-type jobObserver Job
-
-var _ core.Observer = (*jobObserver)(nil)
-
-func (o *jobObserver) Geometry(points, nodes int) {
-	(*Job)(o).pointsTotal.Store(int64(points))
-}
-
-func (o *jobObserver) StageStart(s Stage) {
-	(*Job)(o).stage.Store(int32(s))
-}
-
-func (o *jobObserver) PointsDone(delta int) {
-	(*Job)(o).pointsDone.Add(int64(delta))
-}
-
-func (o *jobObserver) SuspectsFound(count int) {
-	j := (*Job)(o)
-	// Monotone max: decoders finish out of order.
-	for {
-		cur := j.suspects.Load()
-		if int32(count) <= cur || j.suspects.CompareAndSwap(cur, int32(count)) {
-			return
-		}
-	}
-}
-
-func (o *jobObserver) DeliveryFaults(count int) {
-	(*Job)(o).deliveryFaults.Store(int32(count))
-}
-
-func (o *jobObserver) RepairRound(round int, reassigned []int) {
-	// Rounds ascend, one caller at a time; a plain store suffices.
-	(*Job)(o).repairRounds.Store(int32(round))
 }

@@ -345,12 +345,16 @@ func TestParseWorkloadDocListsCatalog(t *testing.T) {
 }
 
 // TestOneOptionsRecord is the ratchet on settable values: core.Options is
-// the one record of a run's settings, so camelot.go declares at most the
-// thirteen With* setters of its fields, ServerConfig holds service policy
-// plus the digest's FaultTolerance and takes everything else as Run
-// options, and no front end outside the root package assembles the record
-// or calls the engine by hand. The numbers only go down.
+// the one record of a run's settings, at most fourteen fields, so
+// camelot.go declares at most the thirteen With* setters of its fields,
+// ServerConfig holds service policy plus the digest's FaultTolerance and
+// takes everything else as Run options, and no front end outside the
+// root package assembles the record or calls the engine by hand. The
+// numbers only go down.
 func TestOneOptionsRecord(t *testing.T) {
+	if n := reflect.TypeOf(core.Options{}).NumField(); n > 14 {
+		t.Errorf("core.Options has %d fields, at most 14 allowed", n)
+	}
 	if withs := exportedWiths(t); len(withs) > 13 {
 		t.Errorf("camelot.go declares %d With* constructors, at most 13 allowed: %v", len(withs), withs)
 	}

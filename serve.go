@@ -269,8 +269,9 @@ func (s *Server) Submit(tenant, spec string) (SubmitOutcome, error) {
 }
 
 // watch finalizes one preparation: marshals the proof for bit-identical
-// cached serving, folds the run's Report into the service metrics, and
-// releases the admission slots.
+// cached serving, folds the run's Report into the service metrics — a
+// failed run's too, since the engine returns its Report on failure —
+// and releases the admission slots.
 func (s *Server) watch(e *serveEntry) {
 	defer s.wg.Done()
 	proof, report, err := e.job.Wait(context.Background())
@@ -281,19 +282,17 @@ func (s *Server) watch(e *serveEntry) {
 		}
 	}
 	e.report, e.err = report, err
-
-	st := e.job.Status()
-	s.deliveryFaults.Add(int64(st.DeliveryFaults))
-	s.repairRounds.Add(int64(st.RepairRounds))
 	if err != nil {
 		s.runFailures.Add(1)
 	}
 
 	s.mu.Lock()
-	if report != nil {
+	if report != nil { // nil when the run was refused before it started
 		s.prepareNs += report.ComputeWall.Nanoseconds()
 		s.decodeNs += report.DecodeWall.Nanoseconds()
 		s.verifyNs += (time.Duration(report.VerifyTrials) * report.VerifyPerTrial).Nanoseconds()
+		s.deliveryFaults.Add(int64(len(report.MissingNodes) + len(report.RepairedNodes)))
+		s.repairRounds.Add(int64(report.RepairRounds))
 	}
 	// Tenant names come from clients: keep a key only while it counts
 	// something, or the map and /metrics grow with every name ever seen.
@@ -523,8 +522,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // WriteMetrics renders the service counters in the text exposition
 // format: admission and cache behaviour, live queue depth, per-tenant
-// in-flight counts, and the Observer-fed run aggregates (per-stage
-// wall time, delivery faults, repair rounds).
+// in-flight counts, and the run aggregates folded from every finished
+// run's Report, failed runs included (per-stage wall time, delivery
+// faults, repair rounds).
 func (s *Server) WriteMetrics(w io.Writer) {
 	s.mu.Lock()
 	depth := s.depth

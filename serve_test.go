@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -423,6 +424,40 @@ func BenchmarkServeCacheHit(b *testing.B) {
 		if _, err := srv.Result(ctx, hit.Digest); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestServeFailedRunReachesMetrics: a run refused by the decoder still
+// spent time preparing and decoding, and /metrics must show it beside the
+// failure it counts.
+func TestServeFailedRunReachesMetrics(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cl := NewCluster(WithNodes(4))
+	defer cl.Close()
+	// A lying node corrupts its whole block, about e/4 shares: far beyond
+	// a fault tolerance of 1.
+	srv := NewServer(cl, ServerConfig{FaultTolerance: 1, Run: []RunOption{WithAdversary(LyingNodes(7, 1))}})
+	defer srv.Close()
+	out, err := srv.Submit("alice", "triangles n=16 p=0.3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Result(ctx, out.Digest); !errors.Is(err, ErrDecodeFailure) {
+		t.Fatalf("result err = %v, want ErrDecodeFailure", err)
+	}
+	var metrics strings.Builder
+	srv.WriteMetrics(&metrics)
+	var decode float64
+	for _, line := range strings.Split(metrics.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, `camelot_stage_seconds{stage="decode"} `); ok {
+			if decode, err = strconv.ParseFloat(v, 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if decode <= 0 || !strings.Contains(metrics.String(), "camelot_run_failures_total 1\n") {
+		t.Fatalf("after a refused run, decode stage seconds %g and\n%s", decode, metrics.String())
 	}
 }
 
