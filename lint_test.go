@@ -313,6 +313,68 @@ func TestKindsAreDeclaredOnce(t *testing.T) {
 	}
 }
 
+// TestHamiltonVerifierIsSeparate keeps hamilton's per-point path apart
+// from its compiled plan (ROADMAP item 3): the bodies of Evaluate,
+// closedWalks and openWalks name nothing declared in plan.go, so a bug in
+// the strip kernel fails verification instead of entering a proof.
+func TestHamiltonVerifierIsSeparate(t *testing.T) {
+	const dir = "internal/hamilton"
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := pkgs["hamilton"].Files
+	plan, ok := files[filepath.Join(dir, "plan.go")]
+	if !ok {
+		t.Fatalf("%s/plan.go not found", dir)
+	}
+	declared := map[string]bool{}
+	for _, decl := range plan.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			declared[d.Name.Name] = true
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					declared[s.Name.Name] = true
+				case *ast.ValueSpec:
+					for _, id := range s.Names {
+						declared[id.Name] = true
+					}
+				}
+			}
+		}
+	}
+	delete(declared, "_")
+	verifier := map[string]bool{"Evaluate": true, "closedWalks": true, "openWalks": true}
+	found := 0
+	for name, file := range files {
+		if file == plan {
+			continue
+		}
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || !verifier[fn.Name.Name] || fn.Body == nil {
+				continue
+			}
+			found++
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && declared[id.Name] {
+					t.Errorf("%s: %s references %s, declared in plan.go", filepath.ToSlash(name), fn.Name.Name, id.Name)
+				}
+				return true
+			})
+		}
+	}
+	// Problem.Evaluate, PathProblem.Evaluate, closedWalks, openWalks.
+	if found != 4 {
+		t.Fatalf("found %d of the verifier's 4 functions in %s", found, dir)
+	}
+}
+
 // TestParseWorkloadDocListsCatalog checks the defaults table in
 // ParseWorkload's doc comment against the catalog, line for line.
 func TestParseWorkloadDocListsCatalog(t *testing.T) {
