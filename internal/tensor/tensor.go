@@ -307,21 +307,6 @@ func (dc Decomposition) PairIndex(row, col int) int {
 	return idx
 }
 
-// PairOf inverts PairIndex: the (row, col) pair at interleaved index idx.
-// The low c pair digits of idx are the low c digits of row and col, so
-// PairOf(idx mod N0^{2c}) is idx's place in its N0^c × N0^c block.
-func (dc Decomposition) PairOf(idx int) (row, col int) {
-	scale := 1
-	for j := 0; j < dc.T; j++ {
-		d := idx % (dc.N0 * dc.N0)
-		row += d / dc.N0 * scale
-		col += d % dc.N0 * scale
-		idx /= dc.N0 * dc.N0
-		scale *= dc.N0
-	}
-	return row, col
-}
-
 // digitsOf writes the base-b digits of x into dst, most significant first.
 func digitsOf(x, b int, dst []int) {
 	for j := len(dst) - 1; j >= 0; j-- {

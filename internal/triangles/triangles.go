@@ -63,16 +63,27 @@ func CountEdgeIterator(g *graph.Graph) uint64 {
 
 // adjacencyEntries returns the sparse Kronecker-indexed entries of the
 // adjacency matrix for the given decomposition: one entry per ordered
-// edge direction, at the interleaved pair index.
+// edge direction, at the interleaved pair index N0·sp[u] + sp[v].
 func adjacencyEntries(g *graph.Graph, dc tensor.Decomposition) []yates.Entry {
+	sp := spread(dc, g.N())
 	entries := make([]yates.Entry, 0, 2*g.M())
 	for _, e := range g.Edges() {
 		entries = append(entries,
-			yates.Entry{Index: dc.PairIndex(e[0], e[1]), Value: 1},
-			yates.Entry{Index: dc.PairIndex(e[1], e[0]), Value: 1},
+			yates.Entry{Index: dc.N0*sp[e[0]] + sp[e[1]], Value: 1},
+			yates.Entry{Index: dc.N0*sp[e[1]] + sp[e[0]], Value: 1},
 		)
 	}
 	return entries
+}
+
+// spread is the table sp[v] = dc.PairIndex(0, v) for v < n, so that
+// dc.PairIndex(u, v) = N0·sp[u] + sp[v].
+func spread(dc tensor.Decomposition, n int) []int {
+	sp := make([]int, n)
+	for v := range sp {
+		sp[v] = dc.PairIndex(0, v)
+	}
+	return sp
 }
 
 // blockSide bounds the side N0^c of the blocks P(z0) is summed over
@@ -95,8 +106,8 @@ type sparseTriple struct {
 // newSparseTriple builds the three sides over one set of entry tables.
 // The ℓ inner digits split at cut c, the most with N0^c <= blockSide:
 // the top ℓ-c stay Yates levels of the base, and the low c pair digits
-// are an entry's place (row, col) in an N0^c × N0^c block (tensor.PairOf),
-// row-major for α and γ, transposed for β — the layout ff.MatMulDot reads.
+// are an entry's place (row, col) in an N0^c × N0^c block, row-major for
+// α and γ, transposed for β — the layout ff.MatMulDot reads.
 func newSparseTriple(f ff.Field, entries []yates.Entry, dc tensor.Decomposition, ell int) (*sparseTriple, error) {
 	alphaT, betaT, gammaT := dc.SparseBases(f)
 	a, err := yates.NewSplitSparse(f, alphaT, dc.R0, dc.N0*dc.N0, dc.T, entries, ell)
@@ -108,13 +119,21 @@ func newSparseTriple(f ff.Field, entries []yates.Entry, dc tensor.Decomposition,
 	for cut < ell && side*dc.N0 <= blockSide {
 		cut, side = cut+1, side*dc.N0
 	}
-	rowMajor, colMajor := make([]int, side*side), make([]int, side*side)
-	for j := range rowMajor {
-		row, col := dc.PairOf(j)
-		rowMajor[j], colMajor[j] = row*side+col, col*side+row
-	}
+	rowMajor, colMajor := blockPlaces(dc, side)
 	return &sparseTriple{f: f, side: side,
 		a: a.Blocked(cut, rowMajor), b: b.Blocked(cut, colMajor), c: c.Blocked(cut, rowMajor)}, nil
+}
+
+// blockPlaces maps the in-block pair index N0·sp[row] + sp[col] of a
+// side×side block to i = row·side + col and to col·side + row.
+func blockPlaces(dc tensor.Decomposition, side int) (rowMajor, colMajor []int) {
+	sp := spread(dc, side)
+	rowMajor, colMajor = make([]int, side*side), make([]int, side*side)
+	for i := range rowMajor {
+		j := dc.N0*sp[i/side] + sp[i%side]
+		rowMajor[j], colMajor[j] = i, i%side*side+i/side
+	}
+	return rowMajor, colMajor
 }
 
 // tripleEvaluator evaluates P(z0) = Σ_v A_v(z0)·B_v(z0)·C_v(z0), the one

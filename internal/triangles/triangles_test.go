@@ -312,28 +312,43 @@ func TestCamelotTrianglesBatchEndToEnd(t *testing.T) {
 	}
 }
 
-// referenceP is P(z0) at each of zs the long way, the path the block
-// evaluator replaced: each side's natural scatter through the one-shot
-// A^{⊗ℓ}, then the scalar sum Σ_v A_v·B_v·C_v over all R0^ℓ products.
-func referenceP(t *testing.T, f ff.Field, entries []yates.Entry, dc tensor.Decomposition, ell int, zs []uint64) []uint64 {
-	t.Helper()
-	bases := make([][]uint64, 3)
+// referenceP is P(z0) at each of zs the long way, sharing no code with
+// the evaluator but the one-shot yates.Transform (itself held to the
+// dense Kronecker product): the one-shot Lagrange basis Φ(z0), the
+// weights α = (Aᵀ)^{⊗(T-ℓ)} Φ(z0) of every low index, each entry
+// scattered on its own at its high index with weight α_low·value, each
+// side through A^{⊗ℓ}, then the scalar sum Σ_v A_v·B_v·C_v over all
+// R0^ℓ products.
+func referenceP(f ff.Field, entries []yates.Entry, dc tensor.Decomposition, ell int, zs []uint64) []uint64 {
+	var bases [3][]uint64
 	bases[0], bases[1], bases[2] = dc.SparseBases(f)
-	a, err := yates.NewSplitSparse(f, bases[0], dc.R0, dc.N0*dc.N0, dc.T, entries, ell)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ea := a.NewPartsEvaluator()
-	evals := []*yates.PartsEvaluator{ea}
-	for _, base := range bases[1:] {
-		evals = append(evals, ea.Sibling(a.Sibling(base)))
+	t, s := dc.R0, dc.N0*dc.N0
+	nParts, sLow, sHigh := 1, 1, 1
+	for i := 0; i < dc.T; i++ {
+		if i < ell {
+			sHigh *= s
+		} else {
+			nParts, sLow = nParts*t, sLow*s
+		}
 	}
 	out := make([]uint64, len(zs))
 	for i, z0 := range zs {
-		phi := ea.Basis(z0)
+		phi := f.LagrangeAtOneBased(nParts, z0)
 		var sides [3][]uint64
-		for j, e := range evals {
-			sides[j] = yates.Transform(f, bases[j], dc.R0, dc.N0*dc.N0, ell, e.Scatter(phi))
+		for j, base := range bases {
+			baseT := make([]uint64, s*t)
+			for r := 0; r < t; r++ {
+				for c := 0; c < s; c++ {
+					baseT[c*t+r] = base[r*s+c]
+				}
+			}
+			alpha := yates.Transform(f, baseT, s, t, dc.T-ell, phi)
+			xl := make([]uint64, sHigh)
+			for _, e := range entries {
+				h := e.Index / sLow
+				xl[h] = f.Add(xl[h], f.Mul(alpha[e.Index%sLow], e.Value))
+			}
+			sides[j] = yates.Transform(f, base, t, s, ell, xl)
 		}
 		for v := range sides[0] {
 			out[i] = f.Add(out[i], f.Mul(sides[0][v], f.Mul(sides[1][v], sides[2][v])))
@@ -386,7 +401,7 @@ func TestBlockEvaluatorMatchesReference(t *testing.T) {
 				}
 				e := tr.evaluator()
 				points := []uint64{1, uint64(nParts), 0, uint64(nParts) + 1, q - 1, 1 + uint64(ell)*977}
-				for i, want := range referenceP(t, f, entries, dc, ell, points) {
+				for i, want := range referenceP(f, entries, dc, ell, points) {
 					if got := e.atBasis(e.ea.Basis(points[i])); got != want {
 						t.Fatalf("%s ℓ=%d q=%d z0=%d: block %d, reference %d", tc.name, ell, q, points[i], got, want)
 					}
@@ -500,4 +515,67 @@ func BenchmarkTriangleAt(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(xs)), "ns/point")
 		})
 	}
+}
+
+func TestSpreadTablesMatchPairIndex(t *testing.T) {
+	// The per-vertex tables against tensor's digit loop: every entry of a
+	// complete graph sits at PairIndex(u, v), and every block side's
+	// places put the in-block pair index of (row, col) at row·side + col
+	// (α, γ) and col·side + row (β) — at sizes that are and are not
+	// powers of N0.
+	for _, base := range []tensor.Decomposition{tensor.Strassen(), tensor.Trivial(3)} {
+		for _, n := range []int{5, 20, 48, 128} {
+			dc, _ := base.ForSize(n)
+			g := graph.Complete(n)
+			entries := adjacencyEntries(g, dc)
+			for i, e := range g.Edges() {
+				if got, want := entries[2*i].Index, dc.PairIndex(e[0], e[1]); got != want {
+					t.Fatalf("N0=%d n=%d: entry (%d,%d) at %d, want %d", dc.N0, n, e[0], e[1], got, want)
+				}
+				if got, want := entries[2*i+1].Index, dc.PairIndex(e[1], e[0]); got != want {
+					t.Fatalf("N0=%d n=%d: entry (%d,%d) at %d, want %d", dc.N0, n, e[1], e[0], got, want)
+				}
+			}
+			for c, side := 0, 1; c <= dc.T && side <= blockSide; c, side = c+1, side*dc.N0 {
+				rowMajor, colMajor := blockPlaces(dc, side)
+				for row := 0; row < side; row++ {
+					for col := 0; col < side; col++ {
+						j := dc.PairIndex(row, col)
+						if j >= side*side || rowMajor[j] != row*side+col || colMajor[j] != col*side+row {
+							t.Fatalf("N0=%d n=%d side=%d: (%d,%d) at pair index %d placed wrong", dc.N0, n, side, row, col, j)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkTriangleCompile times the per-prime set-up at the eval_bound
+// geometry (n=128, p=0.2, a 2^61-floor prime): a node's Compile, and the
+// verifier's one-point Evaluate, which rebuilds the same tables and then
+// evaluates once. Run it with -benchmem.
+func BenchmarkTriangleCompile(b *testing.B) {
+	p, err := NewProblem(graph.Gnp(128, 0.2, 1), tensor.Strassen())
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := ff.NextPrime(1 << 61)
+	b.Run("compile", func(b *testing.B) {
+		f := ff.Must(q)
+		for b.Loop() {
+			if _, err := p.Compile(f); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("evaluate", func(b *testing.B) {
+		z0 := uint64(p.nParts)
+		for b.Loop() {
+			z0++
+			if _, err := p.Evaluate(q, z0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -4,7 +4,9 @@
 // independent parts sized to a sparse input, and the polynomial extension
 // of paper §3.3 that replaces the outer part loop with evaluations of
 // part-polynomials at arbitrary field points — the key device behind the
-// sparsity-aware Camelot triangle algorithms.
+// sparsity-aware Camelot triangle algorithms. A sparse input is kept
+// grouped by the low digits its weights depend on, so a scatter costs
+// one weight per group and one modular add per entry.
 //
 // Index convention (paper §3): an index j in [s^k] is identified with its
 // k digits (j_1, ..., j_k) in base s, j_1 most significant.
@@ -12,6 +14,7 @@ package yates
 
 import (
 	"fmt"
+	"math"
 
 	"camelot/internal/ff"
 )
@@ -199,31 +202,32 @@ type Entry struct {
 // SplitSparse computes y = A^{⊗k} x for an input vector with |D| nonzero
 // entries, delivering the t^k outputs in t^{k-ℓ} independent parts of
 // t^ℓ entries each (paper §3.2). Parts can be produced concurrently and
-// each costs O((t^{ℓ+1}+s^{ℓ+1})ℓ + |D|) operations and O(t^ℓ + |D|)
-// space, never materializing the full output.
+// each costs O((t^{ℓ+1}+s^{ℓ+1})ℓ + s^{k-ℓ} + |D|) operations and
+// O(t^ℓ + s^{k-ℓ} + |D|) space, never materializing the full output.
 type SplitSparse struct {
 	f       ff.Field
 	a       []uint64 // t×s base
 	t, s, k int
 	ell     int
-	entries []Entry
 	inner   *power // A^{⊗ℓ}: scattered input → one part
 	outer   *power // (Aᵀ)^{⊗(k-ℓ)}: Lagrange basis → weight per low index
-	// lowDigits[i*(k-ℓ):] caches the k-ℓ least-significant base-s digits
-	// of entry i's index (most significant of the low block first);
-	// low[i] and high[i] are those digits and the ℓ most-significant
-	// ones, each as one number. Siblings share them.
-	lowDigits []int32
-	low, high []int
+	// The entries counting-sorted by low index (the k-ℓ least-significant
+	// digits, all an entry's weight depends on), shared by siblings: group
+	// lo is [start[lo], start[lo+1]) of high (the ℓ most-significant
+	// digits as one number) and of vals (nil when every value is 1).
+	start []int
+	high  []int32
+	vals  []uint64
 	// The evaluators' layout (Blocked): entry i scatters to at[i], above
 	// is A^{⊗(ℓ-cut)} ⊗ I_{s^cut}; naturally at = high and cut = ℓ.
-	at    []int
+	at    []int32
 	above *power
 }
 
 // NewSplitSparse prepares a split/sparse transform. ell is the number of
 // inner (Yates) levels; paper §3.2 picks ell = ⌈log_t |D|⌉, which
-// DefaultEll computes. Requires t >= s (paper's standing assumption).
+// DefaultEll computes. Requires t >= s (paper's standing assumption) and
+// s^ell < 2^31, the range of a scatter position.
 func NewSplitSparse(f ff.Field, a []uint64, t, s, k int, entries []Entry, ell int) (*SplitSparse, error) {
 	if t < s {
 		return nil, fmt.Errorf("yates: split/sparse requires t >= s, got t=%d s=%d", t, s)
@@ -234,33 +238,39 @@ func NewSplitSparse(f ff.Field, a []uint64, t, s, k int, entries []Entry, ell in
 	if ell < 0 || ell > k {
 		return nil, fmt.Errorf("yates: ell=%d out of range [0,%d]", ell, k)
 	}
-	nOut := k - ell
-	ss := &SplitSparse{
-		f: f, t: t, s: s, k: k, ell: ell,
-		entries:   entries,
-		lowDigits: make([]int32, len(entries)*nOut),
-		low:       make([]int, len(entries)),
-		high:      make([]int, len(entries)),
+	if math.Pow(float64(s), float64(ell)) > math.MaxInt32 {
+		return nil, fmt.Errorf("yates: %d^%d inner words exceed int32 positions", s, ell)
 	}
-	sHigh := pow(s, ell)
-	sLow := pow(s, nOut)
-	for i, e := range entries {
+	sHigh, sLow := pow(s, ell), pow(s, k-ell)
+	ss := &SplitSparse{f: f, t: t, s: s, k: k, ell: ell,
+		start: make([]int, sLow+1), high: make([]int32, len(entries))}
+	for _, e := range entries {
 		if e.Index < 0 || e.Index >= sHigh*sLow {
 			return nil, fmt.Errorf("yates: entry index %d out of range", e.Index)
 		}
-		ss.high[i], ss.low[i] = e.Index/sLow, e.Index%sLow
-		low := ss.low[i]
-		for d := nOut - 1; d >= 0; d-- {
-			ss.lowDigits[i*nOut+d] = int32(low % s)
-			low /= s
+		ss.start[e.Index%sLow+1]++
+		if e.Value != 1 && ss.vals == nil {
+			ss.vals = make([]uint64, len(entries))
 		}
+	}
+	for lo := 0; lo < sLow; lo++ {
+		ss.start[lo+1] += ss.start[lo]
+	}
+	next := append([]int(nil), ss.start[:sLow]...)
+	for _, e := range entries {
+		lo := e.Index % sLow
+		ss.high[next[lo]] = int32(e.Index / sLow)
+		if ss.vals != nil {
+			ss.vals[next[lo]] = e.Value
+		}
+		next[lo]++
 	}
 	return ss.Sibling(a), nil
 }
 
 // Sibling returns the transform of ss's entries, shape and ℓ under
-// another t×s base a, in the natural layout. The entries' digit tables
-// are shared, not rebuilt.
+// another t×s base a, in the natural layout. The grouped entries are
+// shared, not rebuilt.
 func (ss *SplitSparse) Sibling(a []uint64) *SplitSparse {
 	t, s := ss.t, ss.s
 	at := make([]uint64, s*t)
@@ -284,14 +294,35 @@ func (ss *SplitSparse) Blocked(cut int, place []int) *SplitSparse {
 	if cut < 0 || cut > ss.ell {
 		panic(fmt.Sprintf("yates: block cut %d out of range [0,%d]", cut, ss.ell))
 	}
-	run := pow(ss.s, cut)
+	run := int32(pow(ss.s, cut))
 	out := *ss
-	out.at = make([]int, len(ss.high))
+	out.at = make([]int32, len(ss.high))
 	for i, h := range ss.high {
-		out.at[i] = h - h%run + place[h%run]
+		out.at[i] = h - h%run + int32(place[h%run])
 	}
-	out.above = compile(ss.f, ss.a, ss.t, ss.s, ss.ell-cut, run)
+	out.above = compile(ss.f, ss.a, ss.t, ss.s, ss.ell-cut, int(run))
 	return &out
+}
+
+// scatter adds alpha[lo]·x_i at xl[pos[i]] for every entry i, a group
+// of low index lo at a time: nothing for a zero weight, and with unit
+// values one modular add per entry.
+func (ss *SplitSparse) scatter(xl []uint64, pos []int32, alpha []uint64) {
+	f, fk := ss.f, ss.f.Kernel()
+	for lo, w := range alpha {
+		first, end := ss.start[lo], ss.start[lo+1]
+		switch {
+		case w == 0:
+		case ss.vals == nil:
+			for _, p := range pos[first:end] {
+				xl[p] = f.Add(xl[p], w)
+			}
+		default:
+			for i, p := range pos[first:end] {
+				xl[p] = f.Add(xl[p], ff.MulK(w, ss.vals[first+i], fk))
+			}
+		}
+	}
 }
 
 // DefaultEll returns the paper's choice ℓ = ⌈log_t |D|⌉ clamped to [0, k].
@@ -308,55 +339,29 @@ func DefaultEll(t, k, nnz int) int {
 // NumParts returns the number of independent output parts, t^{k-ℓ}.
 func (ss *SplitSparse) NumParts() int { return pow(ss.t, ss.k-ss.ell) }
 
-// PartSize returns the number of output entries per part, t^ℓ.
-func (ss *SplitSparse) PartSize() int { return pow(ss.t, ss.ell) }
-
 // Part computes output part `outer` in [0, NumParts()): the vector of
 // y values whose last k-ℓ output digits equal the base-t digits of outer.
 // Part v contains y[v'*t^{k-ℓ} + outer] at position v' for v' in [t^ℓ].
 func (ss *SplitSparse) Part(outer int) []uint64 {
-	f := ss.f
-	nOut := ss.k - ss.ell
-	// Outer digits, most significant of the low block first.
-	outDigs := make([]int, nOut)
-	o := outer
-	for d := nOut - 1; d >= 0; d-- {
-		outDigs[d] = o % ss.t
-		o /= ss.t
-	}
-	// Scatter: x^{(ℓ)}_{high} += Π_w a[i_w][j_w] · x_j   (paper step (b)).
-	xl := make([]uint64, pow(ss.s, ss.ell))
-	for i, e := range ss.entries {
-		w := uint64(1)
-		for d, jd := range ss.lowDigits[i*nOut : (i+1)*nOut] {
-			w = f.Mul(w, ss.a[outDigs[d]*ss.s+int(jd)])
-			if w == 0 {
-				break
+	// Weight of low index j: Π_w a[i_w][j_w] over the base-t digits i_w
+	// of outer, a Kronecker product of base rows built most significant
+	// digit first; then the scatter x^{(ℓ)}_{high} += weight·x_j (paper
+	// step (b)).
+	alpha := []uint64{1}
+	for d := ss.k - ss.ell - 1; d >= 0; d-- {
+		row := ss.a[outer/pow(ss.t, d)%ss.t*ss.s:][:ss.s]
+		next := make([]uint64, 0, len(alpha)*ss.s)
+		for _, w := range alpha {
+			for _, c := range row {
+				next = append(next, ss.f.Mul(w, c))
 			}
 		}
-		if w == 0 {
-			continue
-		}
-		xl[ss.high[i]] = f.Add(xl[ss.high[i]], f.Mul(w, e.Value))
+		alpha = next
 	}
+	xl := make([]uint64, pow(ss.s, ss.ell))
+	ss.scatter(xl, ss.high, alpha)
 	// Inner classical Yates (paper step (c)).
 	return ss.inner.apply(xl, make([]uint64, ss.inner.scratch()))
-}
-
-// Dense computes the full y = A^{⊗k} x by concatenating parts — a test
-// and small-scale convenience (quadratic in part count; real users call
-// Part or a PartsEvaluator).
-func (ss *SplitSparse) Dense() []uint64 {
-	nParts := ss.NumParts()
-	size := ss.PartSize()
-	y := make([]uint64, nParts*size)
-	for outer := 0; outer < nParts; outer++ {
-		part := ss.Part(outer)
-		for v := 0; v < size; v++ {
-			y[v*nParts+outer] = part[v]
-		}
-	}
-	return y
 }
 
 // PartsEvaluator evaluates the input of the part-polynomials u^{(ℓ)}(z)
@@ -365,11 +370,13 @@ func (ss *SplitSparse) Dense() []uint64 {
 // t^{k-ℓ} and the degree-(t^{k-ℓ}-1) polynomial extension elsewhere.
 // It is the one per-point path — the verifier's Evaluate and
 // preparation's compiled plans both run it — and costs
-// O(|D| + t^{k-ℓ+1}(k-ℓ)) per point, plus the levels above the blocks
-// for Blocks, with no allocation: the Lagrange evaluator (factorial
-// products and fixed denominators inverted at construction), the basis
-// and scatter vectors and the kernel's ping-pong buffer are all owned
-// here and reused between calls.
+// O(t^{k-ℓ+1}(k-ℓ)) for the weights of the s^{k-ℓ} low indices plus
+// one modular add per entry (a multiply too for a value other than 1)
+// per point, plus the levels above the blocks for Blocks, with no
+// allocation: the Lagrange evaluator (factorial products and fixed
+// denominators inverted at construction), the basis and scatter vectors
+// and the kernel's ping-pong buffer are all owned here and reused
+// between calls.
 //
 // Like ff.LagrangeEvaluator, a PartsEvaluator is NOT safe for
 // concurrent use (shared scratch); build one per goroutine.
@@ -431,22 +438,9 @@ func (pe *PartsEvaluator) SweepBasis(zs []uint64, visit func(p int, phi []uint64
 // evaluator's own scratch, valid until its next Scatter or Blocks, and
 // must not be written.
 func (pe *PartsEvaluator) Scatter(phi []uint64) []uint64 {
-	ss := pe.ss
-	f, fk := ss.f, ss.f.Kernel()
-	// α_{j_low}(z0) for every low-digit tuple: (Aᵀ)^{⊗(k-ℓ)} Φ.
-	alpha := ss.outer.apply(phi, pe.buf)
 	clear(pe.xl)
-	for i, lo := range ss.low {
-		w := alpha[lo]
-		if w == 0 {
-			continue
-		}
-		if v := ss.entries[i].Value; v != 1 {
-			w = ff.MulK(w, v, fk)
-		}
-		at := ss.at[i]
-		pe.xl[at] = f.Add(pe.xl[at], w)
-	}
+	// Weighted by α_{j_low}(z0) for every low-digit tuple: (Aᵀ)^{⊗(k-ℓ)} Φ.
+	pe.ss.scatter(pe.xl, pe.ss.at, pe.ss.outer.apply(phi, pe.buf))
 	return pe.xl
 }
 

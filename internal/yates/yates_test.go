@@ -181,6 +181,19 @@ func sparseFromDense(x []uint64) []Entry {
 	return es
 }
 
+// dense is the full y = A^{⊗k} x from ss's parts, concatenated —
+// quadratic in the part count.
+func dense(ss *SplitSparse) []uint64 {
+	nParts, size := ss.NumParts(), pow(ss.t, ss.ell)
+	y := make([]uint64, nParts*size)
+	for outer := 0; outer < nParts; outer++ {
+		for v, pv := range ss.Part(outer) {
+			y[v*nParts+outer] = pv
+		}
+	}
+	return y
+}
+
 func TestSplitSparseMatchesTransform(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	cases := []struct{ t, s, k, ell, nnz int }{
@@ -202,7 +215,7 @@ func TestSplitSparseMatchesTransform(t *testing.T) {
 		// A sibling shares the entries' digit tables under another base.
 		for _, tr := range []*SplitSparse{ss, ss.Sibling(randBase(rng, c.t, c.s))} {
 			want := Transform(testField, tr.a, c.t, c.s, c.k, x)
-			got := tr.Dense()
+			got := dense(tr)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("case %+v: index %d: %d want %d", c, i, got[i], want[i])
@@ -264,6 +277,13 @@ func TestSplitSparseRejectsBadArgs(t *testing.T) {
 	}
 	if _, err := NewSplitSparse(testField, b, 3, 2, 2, []Entry{{Index: 99, Value: 1}}, 1); err == nil {
 		t.Fatal("want error for out-of-range entry")
+	}
+	// Scatter positions are int32: s^ℓ = 2^30 inner words fit, 2^31 do not.
+	if _, err := NewSplitSparse(testField, []uint64{1, 1, 0, 1}, 2, 2, 30, nil, 30); err != nil {
+		t.Fatalf("2^30 inner words: %v", err)
+	}
+	if _, err := NewSplitSparse(testField, []uint64{1, 1, 0, 1}, 2, 2, 31, nil, 31); err == nil {
+		t.Fatal("want error for 2^31 inner words")
 	}
 }
 
@@ -544,12 +564,181 @@ func BenchmarkTransform7x4x5(b *testing.B) {
 }
 
 func BenchmarkPartsEvaluatorScatter(b *testing.B) {
-	// One side of one point at the eval_bound geometry: basis, outer
-	// weights and scatter — all of it, since ℓ = 5 is one 32×32 block.
+	// One side of one point at the eval_bound geometry, the basis built
+	// once outside the loop as the three sides share it: outer weights
+	// and scatter, all of a side's work before the block kernel, since
+	// ℓ = 5 is one 32×32 block.
 	pe := evalBoundTransform(b).NewPartsEvaluator()
+	phi := append([]uint64(nil), pe.Basis(1000)...)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = pe.Scatter(pe.Basis(uint64(1000 + i)))
+	for b.Loop() {
+		_ = pe.Scatter(phi)
 	}
+}
+
+// perEntry is the oracle for the grouped scatter: every entry of the
+// list as given, its weight and position formed on its own from its
+// index, for ss = NewSplitSparse(…, entries, …) Blocked at cut with
+// place.
+type perEntry struct {
+	ss      *SplitSparse
+	entries []Entry
+	cut     int
+	place   []int
+}
+
+// scatter is x^{(ℓ)} in the blocked layout for the weights alpha of
+// every low index.
+func (o perEntry) scatter(alpha []uint64) []uint64 {
+	ss := o.ss
+	f, fk := ss.f, ss.f.Kernel()
+	sLow, run := pow(ss.s, ss.k-ss.ell), pow(ss.s, o.cut)
+	xl := make([]uint64, pow(ss.s, ss.ell))
+	for _, e := range o.entries {
+		w := alpha[e.Index%sLow]
+		if w == 0 {
+			continue
+		}
+		if v := e.Value; v != 1 {
+			w = ff.MulK(w, v, fk)
+		}
+		h := e.Index / sLow
+		at := h - h%run + o.place[h%run]
+		xl[at] = f.Add(xl[at], w)
+	}
+	return xl
+}
+
+// part is Part(outer) with each entry's weight the product over its own
+// low digits.
+func (o perEntry) part(outer int) []uint64 {
+	ss := o.ss
+	f, nOut := ss.f, ss.k-ss.ell
+	sLow := pow(ss.s, nOut)
+	outDigs := make([]int, nOut)
+	for d, x := nOut-1, outer; d >= 0; d, x = d-1, x/ss.t {
+		outDigs[d] = x % ss.t
+	}
+	xl := make([]uint64, pow(ss.s, ss.ell))
+	for _, e := range o.entries {
+		w := uint64(1)
+		for d, lo := nOut-1, e.Index%sLow; d >= 0; d, lo = d-1, lo/ss.s {
+			w = f.Mul(w, ss.a[outDigs[d]*ss.s+lo%ss.s])
+		}
+		h := e.Index / sLow
+		xl[h] = f.Add(xl[h], f.Mul(w, e.Value))
+	}
+	return Transform(f, ss.a, ss.t, ss.s, ss.ell, xl)
+}
+
+// checkScatterMatchesPerEntry holds Part, and Scatter and Blocks at
+// every cut with a random place, to the per-entry oracle bit for bit.
+func checkScatterMatchesPerEntry(tb testing.TB, rng *rand.Rand, f ff.Field, a []uint64, t, s, k, ell int, entries []Entry) {
+	tb.Helper()
+	ss, err := NewSplitSparse(f, a, t, s, k, entries, ell)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	equal := func(what string, got, want []uint64) {
+		tb.Helper()
+		for i := range want {
+			if got[i] != want[i] {
+				tb.Fatalf("(%d,%d,%d) ℓ=%d, %d entries: %s word %d = %d, want %d", t, s, k, ell, len(entries), what, i, got[i], want[i])
+			}
+		}
+	}
+	for outer := 0; outer < ss.NumParts(); outer += 1 + rng.Intn(5) {
+		equal("Part", ss.Part(outer), perEntry{ss: ss, entries: entries}.part(outer))
+	}
+	for cut := 0; cut <= ell; cut++ {
+		place := rng.Perm(pow(s, cut))
+		o := perEntry{ss.Blocked(cut, place), entries, cut, place}
+		pe := o.ss.NewPartsEvaluator()
+		for _, z0 := range []uint64{1, uint64(ss.NumParts()), 0, rng.Uint64() % f.Q} {
+			phi := pe.Basis(z0)
+			alpha := ss.outer.apply(phi, make([]uint64, ss.outer.scratch()))
+			want := o.scatter(alpha)
+			equal("Scatter", pe.Scatter(phi), want)
+			if o.ss.above.k > 0 {
+				want = o.ss.above.apply(want, make([]uint64, o.ss.above.scratch()))
+			}
+			equal("Blocks", pe.Blocks(phi), want)
+		}
+	}
+}
+
+// randEntries draws n entries over [size] — indices repeating about one
+// time in four — with values from {0, 1, q−1, random}, or all 1 when
+// unit is set.
+func randEntries(rng *rand.Rand, q uint64, size, n int, unit bool) []Entry {
+	entries := make([]Entry, n)
+	for i := range entries {
+		entries[i] = Entry{Index: rng.Intn(size), Value: 1}
+		if i > 0 && rng.Intn(4) == 0 {
+			entries[i].Index = entries[rng.Intn(i)].Index
+		}
+		if !unit {
+			entries[i].Value = []uint64{0, 1, q - 1, rng.Uint64() % q}[rng.Intn(4)]
+		}
+	}
+	return entries
+}
+
+func TestScatterMatchesPerEntry(t *testing.T) {
+	// The grouped scatter against the per-entry loop it replaced, over
+	// random t×s bases and the 0/±1 Strassen base (whose weights are
+	// often 0), unit and general values, duplicate indices, no entries at
+	// all, ℓ = 0 and ℓ = k, every cut — over a small prime and 2^61−1.
+	rng := rand.New(rand.NewSource(10))
+	for _, q := range []uint64{testField.Q, (1 << 61) - 1} {
+		f := ff.Must(q)
+		for _, c := range []struct{ t, s, k int }{{2, 2, 5}, {3, 2, 4}, {7, 4, 3}, {4, 3, 3}, {3, 1, 3}} {
+			for ell := 0; ell <= c.k; ell++ {
+				size := pow(c.s, c.k)
+				for _, n := range []int{0, 1, 3, 2 * size} {
+					for _, unit := range []bool{false, true} {
+						a := randBase(rng, c.t, c.s)
+						for i := range a {
+							a[i] = []uint64{0, 1, f.Q - 1, rng.Uint64() % f.Q}[rng.Intn(4)]
+						}
+						if c.t == 7 && unit {
+							a = strassenAlpha(f)
+						}
+						checkScatterMatchesPerEntry(t, rng, f, a, c.t, c.s, c.k, ell, randEntries(rng, f.Q, size, n, unit))
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzSplitSparseScatter decodes a shape from the first byte and an
+// entry from every three after it — two bytes of index, one of value
+// (0, 1, q−1 or the byte itself) — and holds the grouped scatter to the
+// per-entry oracle.
+func FuzzSplitSparseScatter(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{1, 0, 3, 1, 0, 3, 2, 7, 9, 0})
+	f.Add([]byte{5, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	shapes := []struct{ t, s, k int }{{2, 2, 4}, {3, 2, 4}, {7, 4, 3}, {4, 3, 3}, {3, 1, 2}}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		c := shapes[int(data[0])%len(shapes)]
+		ell := int(data[0]/8) % (c.k + 1)
+		var entries []Entry
+		for b := data[1:]; len(b) >= 3 && len(entries) < 256; b = b[3:] {
+			v := uint64(b[2])
+			switch v % 4 {
+			case 0, 1:
+				v %= 4
+			case 2:
+				v = testField.Q - 1
+			}
+			entries = append(entries, Entry{Index: (int(b[0])<<8 | int(b[1])) % pow(c.s, c.k), Value: v})
+		}
+		rng := rand.New(rand.NewSource(int64(len(data))))
+		checkScatterMatchesPerEntry(t, rng, testField, randBase(rng, c.t, c.s), c.t, c.s, c.k, ell, entries)
+	})
 }
