@@ -6,6 +6,7 @@ package ff
 // of their allowed ranges ([0,4q) first operands, unreduced [0,2q) sums).
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -254,6 +255,50 @@ func TestMatMulDotMatchesScalar(t *testing.T) {
 	}
 }
 
+// trilinearScalar is Trilinear through the division reference, one
+// reduction per operation.
+func trilinearScalar(f Field, t []uint16, x, y, z []uint64) uint64 {
+	g, acc := len(z), uint64(0)
+	for a := range x {
+		for b := range y {
+			for c := range z {
+				tv := f.mulDiv(uint64(t[(a*g+b)*g+c])%f.Q, z[c])
+				acc = f.Add(acc, f.mulDiv(x[a], f.mulDiv(y[b], tv)))
+			}
+		}
+	}
+	return acc
+}
+
+func TestTrilinearMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, q := range diffModuli(t) {
+		f := Must(q)
+		for _, g := range []int{0, 1, 2, 4, 16, 31} {
+			for _, top := range []bool{false, true} {
+				x, y, z := randVec(g, q, rng), randVec(g, q, rng), randVec(g, q, rng)
+				tensor := make([]uint16, g*g*g)
+				for i := range tensor {
+					tensor[i] = uint16(rng.Uint32())
+				}
+				if top { // vectors all q−1, tensor all 2^16−1: every sum at its largest
+					for _, v := range [][]uint64{x, y, z} {
+						for i := range v {
+							v[i] = q - 1
+						}
+					}
+					for i := range tensor {
+						tensor[i] = math.MaxUint16
+					}
+				}
+				if got, want := f.Trilinear(tensor, x, y, z, make([]uint64, 2*g*g+1)), trilinearScalar(f, tensor, x, y, z); got != want {
+					t.Fatalf("q=%d g=%d top=%v: Trilinear = %d, want %d", q, g, top, got, want)
+				}
+			}
+		}
+	}
+}
+
 // mulAddPolyScalar is MulAddPoly through the division reference, one
 // reduction per operation, into a copy of p.
 func mulAddPolyScalar(f Field, p, c, b []uint64) []uint64 {
@@ -350,4 +395,20 @@ func FuzzMulSumVecK(f *testing.F) {
 			}
 		}
 	})
+}
+
+func BenchmarkTrilinear16(b *testing.B) {
+	// The group tensor of the eval_bound geometry (G = 16) over a
+	// 2^61-floor prime.
+	f := Must(NextPrime(1 << 61))
+	rng := rand.New(rand.NewSource(1))
+	x, y, z := randVec(16, f.Q, rng), randVec(16, f.Q, rng), randVec(16, f.Q, rng)
+	t := make([]uint16, 16*16*16)
+	for i := range t {
+		t[i] = uint16(rng.Intn(1 << 15))
+	}
+	yz := make([]uint64, 2*16*16)
+	for b.Loop() {
+		f.Trilinear(t, x, y, z, yz)
+	}
 }

@@ -258,15 +258,16 @@ func TestEvaluateBlockEmpty(t *testing.T) {
 }
 
 // BenchmarkEvaluateBlock times one compiled block at the decode_bound
-// geometry (n = 12, a 20-bit prime, 160 consecutive points off the
-// grid); ns/op ÷ 160 is the plan's cost per point.
+// geometry (n = 12 over a 2^61-floor prime, the modulus every proof
+// prime sits at or above, 160 consecutive points off the grid); ns/op ÷
+// 160 is the plan's cost per point.
 func BenchmarkEvaluateBlock(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	p, err := NewProblem(randMatrix(rng, 12, 0, 3))
 	if err != nil {
 		b.Fatal(err)
 	}
-	pl, err := p.Compile(ff.Must(1048583))
+	pl, err := p.Compile(ff.Must(ff.NextPrime(1 << 61)))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -18,6 +19,7 @@ import (
 	"camelot/internal/crt"
 	"camelot/internal/ff"
 	"camelot/internal/graph"
+	"camelot/internal/par"
 	"camelot/internal/plan"
 	"camelot/internal/tensor"
 	"camelot/internal/yates"
@@ -95,11 +97,13 @@ const blockSide = 32
 
 // sparseTriple bundles the three split/sparse transforms (α, β, γ sides)
 // of the trace identity (19) for one modulus, each over the R0×n0²
-// transposed base and laid out in side×side blocks. It is also the
-// triangle plan.Plan for that modulus.
+// transposed base and laid out in side×side blocks. It is the verifier's
+// evaluator and the triangle plan.Plan for that modulus wherever the
+// group tensor (tensorPlan) does not pay.
 type sparseTriple struct {
 	f       ff.Field
 	side    int
+	levels  int // ℓ - cut, the Yates levels above the blocks
 	a, b, c *yates.SplitSparse
 }
 
@@ -120,7 +124,7 @@ func newSparseTriple(f ff.Field, entries []yates.Entry, dc tensor.Decomposition,
 		cut, side = cut+1, side*dc.N0
 	}
 	rowMajor, colMajor := blockPlaces(dc, side)
-	return &sparseTriple{f: f, side: side,
+	return &sparseTriple{f: f, side: side, levels: ell - cut,
 		a: a.Blocked(cut, rowMajor), b: b.Blocked(cut, colMajor), c: c.Blocked(cut, rowMajor)}, nil
 }
 
@@ -136,9 +140,10 @@ func blockPlaces(dc tensor.Decomposition, side int) (rowMajor, colMajor []int) {
 	return rowMajor, colMajor
 }
 
-// tripleEvaluator evaluates P(z0) = Σ_v A_v(z0)·B_v(z0)·C_v(z0), the one
-// per-point path of verifier and compiled plan alike, as Σ_blocks ⟨X·Y, W⟩:
-// identity (10) over the c block digits is that sum over each block's v.
+// tripleEvaluator evaluates P(z0) = Σ_v A_v(z0)·B_v(z0)·C_v(z0) — the
+// verifier's per-point path, and the compiled plan's where the group
+// tensor does not pay — as Σ_blocks ⟨X·Y, W⟩: identity (10) over the c
+// block digits is that sum over each block's v.
 // A point costs R0^{ℓ-c}·N0^{3c} products (7^{ℓ-c}·8^c for Strassen)
 // plus the scatter, which with N0^c <= blockSide keeps Theorem 3's
 // per-node Õ(m) bound. One Lagrange basis Φ(z0) — ea's, which eb and ec
@@ -163,6 +168,112 @@ func (e *tripleEvaluator) atBasis(phi []uint64) uint64 {
 		p = e.f.Add(p, e.f.MatMulDot(x[o:o+n], yt[o:o+n], w[o:o+n], e.side))
 	}
 	return p
+}
+
+// groupTensor is the triangle plan when the ℓ inner digits are one
+// block (cut = ℓ) of unit entries. Each side's block is then
+// Σ_a α_a(z0)·M_a over the G fixed 0/1 group blocks M_a of its Groups,
+// so ⟨X·Y, W⟩ is the trilinear form Σ_{a,b,c} α_a·β_b·γ_c·T[a][b][c] with
+// T[a][b][c] = ⟨M_a·M_b, M_c⟩, built once per plan: a point costs the
+// three weight vectors and G³ products (ff.Trilinear) where the block
+// costs side³. Evaluate keeps the block product, so the verifier does
+// not share this contraction with the proof it checks.
+type groupTensor struct {
+	tr *sparseTriple
+	g  int      // G, the groups of a side
+	t  []uint16 // T[a][b][c] at (a·G+b)·G+c
+}
+
+// tensorPlan returns tr's group-tensor plan when it pays — one block,
+// every entry value 1 and G³ < side³ — and nil otherwise. At eval_bound
+// (n=128) G = 16 groups and side = 32; at serve_cold's n=36 and
+// ctrl_workers' n=48 G³ >= side³, and at n=256 a Yates level sits above
+// the block.
+func (tr *sparseTriple) tensorPlan() *groupTensor {
+	start, _, vals := tr.a.Groups()
+	g := len(start) - 1
+	if tr.levels != 0 || vals != nil || g*g*g >= tr.side*tr.side*tr.side {
+		return nil
+	}
+	return newGroupTensor(tr)
+}
+
+// newGroupTensor builds T for tr, which must be one block of unit
+// entries, from row masks: row d of a β or γ group block is one
+// side-bit word, so each α entry (d, e) of M_a adds popcount(M_b[e] &
+// M_c[d]) to T[a][b][c] — |D|·G² word operations, with ⌊64/side⌋ α
+// entries of a group side by side in one 64-bit word, and T's G slabs
+// split over par helpers: the build runs inside the plan's single-flight
+// compile, which every other pool worker of the run waits on. It returns
+// nil when a β or γ group repeats a place, a block entry a mask cannot
+// hold. α's places are γ's (both row-major over the same entries), so
+// T[a][b][c] then counts distinct (d, e, f) and stays within side³ <=
+// 2^15.
+func newGroupTensor(tr *sparseTriple) *groupTensor {
+	side := int32(tr.side)
+	startA, posA, _ := tr.a.Groups()
+	g := len(startA) - 1
+	// rows[d·G+c] is row d of M_c: bit f is M_c[d][f]. β is laid out
+	// transposed (place f·side+e holds M_b[e][f]) and γ row-major.
+	rows := func(ss *yates.SplitSparse, transposed bool) []uint64 {
+		start, pos, _ := ss.Groups()
+		m := make([]uint64, tr.side*g)
+		for c := 0; c < g; c++ {
+			for _, p := range pos[start[c]:start[c+1]] {
+				d, f := p/side, p%side
+				if transposed {
+					d, f = f, d
+				}
+				if m[int(d)*g+c]&(1<<f) != 0 {
+					return nil
+				}
+				m[int(d)*g+c] |= 1 << f
+			}
+		}
+		return m
+	}
+	bRows, cRows := rows(tr.b, true), rows(tr.c, false)
+	if bRows == nil || cRows == nil {
+		return nil
+	}
+	t := make([]uint16, g*g*g)
+	per := 64 / tr.side
+	par.ForChunks(g, func(lo, hi int) {
+		bw, cw := make([]uint64, g), make([]uint64, g)
+		for a := lo; a < hi; a++ {
+			ta := t[a*g*g : (a+1)*g*g]
+			for first := startA[a]; first < startA[a+1]; first += per {
+				clear(bw)
+				clear(cw)
+				for j, p := range posA[first:min(first+per, startA[a+1])] {
+					d, e := int(p/side), int(p%side)
+					for i := range bw {
+						bw[i] |= bRows[e*g+i] << (j * tr.side)
+						cw[i] |= cRows[d*g+i] << (j * tr.side)
+					}
+				}
+				for b, bv := range bw {
+					tb := ta[b*g : (b+1)*g]
+					for c, cv := range cw {
+						tb[c] += uint16(bits.OnesCount64(bv & cv))
+					}
+				}
+			}
+		}
+	})
+	return &groupTensor{tr: tr, g: g, t: t}
+}
+
+// EvaluateBlock implements plan.Plan: the three weight vectors of each
+// point's basis, contracted with T. Its evaluators only weigh, so a call
+// builds no scatter vector.
+func (gt *groupTensor) EvaluateBlock(xs []uint64) ([][]uint64, error) {
+	e := gt.tr.evaluator()
+	vals, yz := make([]uint64, len(xs)), make([]uint64, 2*gt.g*gt.g)
+	e.ea.SweepBasis(xs, func(i int, phi []uint64) {
+		vals[i] = gt.tr.f.Trilinear(gt.t, e.ea.Weights(phi), e.eb.Weights(phi), e.ec.Weights(phi), yz)
+	})
+	return plan.Rows(vals, 1), nil
 }
 
 // CountSplitSparse counts triangles with the Theorem 4 execution: the
@@ -294,23 +405,28 @@ var _ core.CompiledProblem = (*Problem)(nil)
 
 // Compile implements plan.Compiler: the per-prime sparse triple (edge
 // reduction, digit tables, compiled Kronecker kernels) is built once and
-// only read afterwards, and each block then runs the same per-point
-// evaluator as Evaluate — so compiled and per-point protocol paths
-// decode to the same proof by construction.
+// only read afterwards. Where the group tensor pays (tensorPlan) the plan
+// contracts it, with T built here; elsewhere each block runs Evaluate's
+// per-point block product. Either way the plan must match Evaluate bit
+// for bit, which the differential tests pin and verification checks.
 func (p *Problem) Compile(f ff.Field) (plan.Plan, error) {
 	triple, err := newSparseTriple(f, adjacencyEntries(p.g, p.dc), p.dc, p.ell)
 	if err != nil {
 		return nil, err
 	}
+	if gt := triple.tensorPlan(); gt != nil {
+		return gt, nil
+	}
 	return triple, nil
 }
 
-// EvaluateBlock implements plan.Plan. The evaluator is built per call,
-// not kept in the plan: it carries the scatter and Yates scratch that
-// makes a point allocation-free, and plans must stay safe for concurrent
-// EvaluateBlock calls. Its construction (three s^ℓ-word scatter buffers)
-// is amortized over the block, and so are the bases' field inversions:
-// the block's Φ come from one sweep, not a Basis per point.
+// EvaluateBlock implements plan.Plan for the block product. The
+// evaluator is built per call, not kept in the plan: it carries the
+// scatter and Yates scratch that makes a point allocation-free, and plans
+// must stay safe for concurrent EvaluateBlock calls. Its construction
+// (three s^ℓ-word scatter buffers) is amortized over the block, and so
+// are the bases' field inversions: the block's Φ come from one sweep, not
+// a Basis per point.
 func (tr *sparseTriple) EvaluateBlock(xs []uint64) ([][]uint64, error) {
 	e := tr.evaluator()
 	vals := make([]uint64, len(xs))

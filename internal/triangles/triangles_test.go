@@ -10,6 +10,7 @@ import (
 	"camelot/internal/core"
 	"camelot/internal/ff"
 	"camelot/internal/graph"
+	"camelot/internal/plan"
 	"camelot/internal/tensor"
 	"camelot/internal/yates"
 )
@@ -234,9 +235,11 @@ func TestEvaluateBlockMatchesEvaluate(t *testing.T) {
 	// The compiled plan must be bit-identical to point-wise Evaluate
 	// (the verification stage evaluates through Evaluate, so any
 	// divergence would fail verification instead of corrupting the
-	// proof silently). Both run one evaluator type; what differs is that
-	// a block reuses its scratch from point to point while Evaluate
-	// starts fresh — so this pins that nothing leaks between points.
+	// proof silently). Both geometries here keep the block plan, which
+	// runs Evaluate's evaluator type; what differs is that a block reuses
+	// its scratch from point to point while Evaluate starts fresh — so
+	// this pins that nothing leaks between points. The group-tensor plan
+	// has its own differential test, TestGroupTensorMatchesEvaluate.
 	// Cover sparse and dense graphs, on- and off-grid points, and values
 	// needing reduction mod q.
 	for _, tc := range []struct {
@@ -365,10 +368,7 @@ func TestBlockEvaluatorMatchesReference(t *testing.T) {
 	// inputs are then sums of q−1 and the block products sit near 2^124,
 	// where the kernel's carry word fills. At grid points z0 ∈ [1, R/m']
 	// the block values must also sum to the trace, 6·triangles·v³.
-	top := uint64(ff.MaxPrime)
-	for !ff.IsPrime(top) {
-		top -= 2
-	}
+	top := topPrime()
 	for _, tc := range []struct {
 		name string
 		base tensor.Decomposition
@@ -448,11 +448,16 @@ func TestTriangleEvaluatorAllocatesNothing(t *testing.T) {
 func TestTrianglePlanConcurrent(t *testing.T) {
 	// One compiled plan, eight goroutines: with -race this pins that the
 	// plan's shared tables and kernels are only read, and every goroutine
-	// gets the serial values — with and without levels above the blocks.
-	for _, ell := range []int{5, 6} {
-		tr := evalBoundTriple(t, ell)
+	// gets the serial values — the block plan with and without levels
+	// above the blocks, and the group-tensor plan.
+	gt := evalBoundTriple(t, 5).tensorPlan()
+	if gt == nil {
+		t.Fatal("eval_bound has no group-tensor plan")
+	}
+	plans := map[string]plan.Plan{"ℓ=5": evalBoundTriple(t, 5), "ℓ=6": evalBoundTriple(t, 6), "tensor": gt}
+	for name, pl := range plans {
 		xs := []uint64{1, 2, 3, 48, 49, 50, 1 << 40}
-		want, err := tr.EvaluateBlock(xs)
+		want, err := pl.EvaluateBlock(xs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -461,14 +466,14 @@ func TestTrianglePlanConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got, err := tr.EvaluateBlock(xs)
+				got, err := pl.EvaluateBlock(xs)
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				for i := range want {
 					if got[i][0] != want[i][0] {
-						t.Errorf("ℓ=%d x=%d: %d, serial %d", ell, xs[i], got[i][0], want[i][0])
+						t.Errorf("%s x=%d: %d, serial %d", name, xs[i], got[i][0], want[i][0])
 						return
 					}
 				}

@@ -304,6 +304,15 @@ func (ss *SplitSparse) Blocked(cut int, place []int) *SplitSparse {
 	return &out
 }
 
+// Groups returns the entries as the evaluators scatter them: group lo,
+// the entries of low index lo that Weights(phi)[lo] weighs, sits at
+// positions pos[start[lo]:start[lo+1]] of the Blocked inner vector with
+// values vals[start[lo]:start[lo+1]], vals nil when every value is 1.
+// All three are shared and must not be written.
+func (ss *SplitSparse) Groups() (start []int, pos []int32, vals []uint64) {
+	return ss.start, ss.at, ss.vals
+}
+
 // scatter adds alpha[lo]·x_i at xl[pos[i]] for every entry i, a group
 // of low index lo at a time: nothing for a zero weight, and with unit
 // values one modular add per entry.
@@ -368,15 +377,14 @@ func (ss *SplitSparse) Part(outer int) []uint64 {
 // of paper §3.3 at arbitrary points: Scatter gives x^{(ℓ)}(z0), whose
 // inner transform A^{⊗ℓ} x^{(ℓ)}(z0) is Part(z0 - 1) for z0 = 1, 2, ...,
 // t^{k-ℓ} and the degree-(t^{k-ℓ}-1) polynomial extension elsewhere.
-// It is the one per-point path — the verifier's Evaluate and
-// preparation's compiled plans both run it — and costs
-// O(t^{k-ℓ+1}(k-ℓ)) for the weights of the s^{k-ℓ} low indices plus
-// one modular add per entry (a multiply too for a value other than 1)
-// per point, plus the levels above the blocks for Blocks, with no
-// allocation: the Lagrange evaluator (factorial products and fixed
-// denominators inverted at construction), the basis and scatter vectors
-// and the kernel's ping-pong buffer are all owned here and reused
-// between calls.
+// It costs O(t^{k-ℓ+1}(k-ℓ)) for the weights of the s^{k-ℓ} low
+// indices (Weights, all a caller that contracts precomputed group
+// products needs) plus one modular add per entry (a multiply too for a
+// value other than 1) per point, plus the levels above the blocks for
+// Blocks, with no allocation after the first Scatter: the Lagrange
+// evaluator (factorial products and fixed denominators inverted at
+// construction), the basis and scatter vectors and the kernel's
+// ping-pong buffer are all owned here and reused between calls.
 //
 // Like ff.LagrangeEvaluator, a PartsEvaluator is NOT safe for
 // concurrent use (shared scratch); build one per goroutine.
@@ -384,7 +392,7 @@ type PartsEvaluator struct {
 	ss  *SplitSparse
 	le  *ff.LagrangeEvaluator
 	phi []uint64 // Lagrange basis scratch, length t^{k-ℓ}
-	xl  []uint64 // scatter scratch, length s^ℓ
+	xl  []uint64 // scatter scratch, length s^ℓ, built by the first Scatter
 	buf []uint64 // kernel scratch: the weights, then the levels above the blocks
 }
 
@@ -399,13 +407,7 @@ func (ss *SplitSparse) newPartsEvaluator(le *ff.LagrangeEvaluator, phi []uint64)
 	if ss.above.k > 0 {
 		n = max(n, ss.above.scratch())
 	}
-	return &PartsEvaluator{
-		ss:  ss,
-		le:  le,
-		phi: phi,
-		xl:  make([]uint64, pow(ss.s, ss.ell)),
-		buf: make([]uint64, n),
-	}
+	return &PartsEvaluator{ss: ss, le: le, phi: phi, buf: make([]uint64, n)}
 }
 
 // Sibling returns an evaluator for ss, a transform over pe's part grid
@@ -433,14 +435,24 @@ func (pe *PartsEvaluator) SweepBasis(zs []uint64, visit func(p int, phi []uint64
 	pe.le.Sweep(zs, visit)
 }
 
+// Weights returns α(z0) = (Aᵀ)^{⊗(k-ℓ)} phi, the weight of every low
+// index and so of every group of Groups, given phi = Basis(z0). The
+// result is the evaluator's own scratch, valid until its next Weights,
+// Scatter or Blocks, and must not be written. An evaluator that only
+// weighs never builds the s^ℓ-word scatter vector.
+func (pe *PartsEvaluator) Weights(phi []uint64) []uint64 { return pe.ss.outer.apply(phi, pe.buf) }
+
 // Scatter returns x^{(ℓ)}(z0) in ss's layout, given phi = Basis(z0):
 // paper step (b) with the weights interpolated. The result is the
-// evaluator's own scratch, valid until its next Scatter or Blocks, and
-// must not be written.
+// evaluator's own scratch, valid until its next Weights, Scatter or
+// Blocks, and must not be written.
 func (pe *PartsEvaluator) Scatter(phi []uint64) []uint64 {
-	clear(pe.xl)
-	// Weighted by α_{j_low}(z0) for every low-digit tuple: (Aᵀ)^{⊗(k-ℓ)} Φ.
-	pe.ss.scatter(pe.xl, pe.ss.at, pe.ss.outer.apply(phi, pe.buf))
+	if pe.xl == nil {
+		pe.xl = make([]uint64, pow(pe.ss.s, pe.ss.ell))
+	} else {
+		clear(pe.xl)
+	}
+	pe.ss.scatter(pe.xl, pe.ss.at, pe.Weights(phi))
 	return pe.xl
 }
 

@@ -658,6 +658,20 @@ func checkScatterMatchesPerEntry(tb testing.TB, rng *rand.Rand, f ff.Field, a []
 			phi := pe.Basis(z0)
 			alpha := ss.outer.apply(phi, make([]uint64, ss.outer.scratch()))
 			want := o.scatter(alpha)
+			equal("Weights", pe.Weights(phi), alpha)
+			// Groups and Weights rebuild the scatter on their own.
+			start, pos, vals := o.ss.Groups()
+			grouped := make([]uint64, len(want))
+			for lo, w := range alpha {
+				for i := start[lo]; i < start[lo+1]; i++ {
+					v := uint64(1)
+					if vals != nil {
+						v = vals[i]
+					}
+					grouped[pos[i]] = f.Add(grouped[pos[i]], f.Mul(w, v))
+				}
+			}
+			equal("Groups", grouped, want)
 			equal("Scatter", pe.Scatter(phi), want)
 			if o.ss.above.k > 0 {
 				want = o.ss.above.apply(want, make([]uint64, o.ss.above.scratch()))
