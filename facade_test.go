@@ -3,7 +3,15 @@ package camelot
 import (
 	"context"
 	"math/big"
+	"slices"
+	"sync"
 	"testing"
+
+	"camelot/internal/core"
+	"camelot/internal/ff"
+	"camelot/internal/orthvec"
+	"camelot/internal/setcover"
+	"camelot/internal/tutte"
 )
 
 func TestGraphBuilders(t *testing.T) {
@@ -79,6 +87,115 @@ func TestRunProblemDirect(t *testing.T) {
 	ok, err := VerifyProof(p, proof, 2, 7)
 	if err != nil || !ok {
 		t.Fatalf("verify: %v %v", ok, err)
+	}
+}
+
+// TestRunProblemEvaluateOnly runs a problem with no Compile through
+// RunProblem — the facade takes any Problem, so each node's block is a
+// loop over Evaluate — and the proof verifies and carries the count.
+func TestRunProblemEvaluateOnly(t *testing.T) {
+	g := RandomGraph(16, 0.3, 5)
+	p, err := NewTriangleProblem(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := struct{ Problem }{p}
+	if _, ok := any(bare).(core.CompiledProblem); ok {
+		t.Fatal("the wrapper still compiles")
+	}
+	proof, _, err := RunProblem(context.Background(), bare, WithNodes(2), WithSeed(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := VerifyProof(bare, proof, 2, 7); err != nil || !ok {
+		t.Fatalf("verify: %v %v", ok, err)
+	}
+	got, err := p.Count(proof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(0)
+	for u := 0; u < g.N(); u++ {
+		for v := u + 1; v < g.N(); v++ {
+			for w := v + 1; w < g.N(); w++ {
+				if g.HasEdge(u, v) && g.HasEdge(v, w) && g.HasEdge(u, w) {
+					want++
+				}
+			}
+		}
+	}
+	if got.Cmp(big.NewInt(want)) != 0 {
+		t.Fatalf("count %v, want %d", got, want)
+	}
+}
+
+// TestCompiledPlansConcurrent drives one compiled plan of every catalog
+// kind at its defaults, and of the facade-only Hamming, exact-cover and
+// Tutte problems, from eight goroutines at once: with -race this pins
+// that a plan's shared state is only read and its scratch is per call,
+// and every goroutine's rows must equal Evaluate's.
+func TestCompiledPlansConcurrent(t *testing.T) {
+	problems := map[string]core.CompiledProblem{}
+	for _, k := range Kinds() {
+		w, err := ParseWorkload(k.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, ok := w.Problem.(core.CompiledProblem)
+		if !ok {
+			t.Fatalf("%s does not compile", k.Name)
+		}
+		problems[k.Name] = cp
+	}
+	am, bm, err := boolMatrices(24, 6, RandomBoolMatrix(24, 6, 0.3, 1), RandomBoolMatrix(24, 6, 0.3, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if problems["hamming"], err = orthvec.NewHammingProblem(am, bm); err != nil {
+		t.Fatal(err)
+	}
+	if problems["exact cover"], err = setcover.NewExactCoverProblem(randomFamily(8, 20, 1), 8, 3); err != nil {
+		t.Fatal(err)
+	}
+	if problems["tutte"], err = tutte.NewProblem(RandomMultigraph(6, 8, 1).mg, 2); err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range problems {
+		primes, err := core.ChoosePrimes(1, p.MinModulus(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := primes[0]
+		pl, err := p.Compile(ff.Must(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs := []uint64{0, 1, 2, 3, 1000, 1001, 1002, q - 1}
+		want := make([][]uint64, len(xs))
+		for i, x := range xs {
+			if want[i], err = p.Evaluate(q, x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		for range 8 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, err := pl.EvaluateBlock(xs)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range want {
+					if !slices.Equal(got[i], want[i]) {
+						t.Errorf("%s x=%d: %v, Evaluate %v", name, xs[i], got[i], want[i])
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 

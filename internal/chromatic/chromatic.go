@@ -72,58 +72,47 @@ func (p *Problem) NumPrimes() int {
 	return crt.PrimesFor(bound.BitLen(), p.MinModulus())
 }
 
-// nodeG computes the §9.2 node function in O*(2^{n/2}): a zeta transform
-// over the B-side independent sets, neighborhood lookups across the cut,
-// and a zeta transform over the E side.
-func (p *Problem) nodeG(f ff.Field, x0 uint64) []bipoly.Poly {
-	ring := p.split.Ring(f)
-	ne := len(p.split.E)
-	nb := len(p.split.B)
-	xp := p.split.NewXPowers(f, x0)
-	fullB := uint64(1)<<uint(nb) - 1
-
-	// fB(X) for X ⊆ B: w_B^{|X|} x0^{ΣX} if X independent, else 0.
-	gB := make([]bipoly.Poly, 1<<uint(nb))
-	for bm := uint64(0); bm <= fullB; bm++ {
-		if p.g.IsIndependentMask(bm << uint(ne)) {
-			gB[bm] = ring.Monomial(0, bits.OnesCount64(bm), xp.ForMask(bm))
-		}
-	}
-	// gB = zeta(fB) over the B lattice.
-	yates.Zeta(nb, gB, ring.AddInPlace)
-
-	// f̂E(X) for X ⊆ E: w_E^{|X|} · gB(B \ Γ_{G,B}(X)) if X independent.
-	g := make([]bipoly.Poly, 1<<uint(ne))
-	for em := uint64(0); em < 1<<uint(ne); em++ {
-		if !p.g.IsIndependentMask(em) {
-			continue
-		}
-		nbrB := (p.g.NeighborhoodMask(em) >> uint(ne)) & fullB
-		g[em] = ring.MulMonomial(gB[fullB&^nbrB], bits.OnesCount64(em), 0, 1)
-	}
-	// g = zeta(f̂E) over the E lattice.
-	yates.Zeta(ne, g, ring.AddInPlace)
-	return g
-}
-
 // Evaluate implements core.Problem: (P_1(x0), ..., P_{n+1}(x0)) mod q,
-// with incremental powers sharing the node function across all t.
+// the compiled plan at one point.
 func (p *Problem) Evaluate(q, x0 uint64) ([]uint64, error) {
 	f, err := ff.New(q)
 	if err != nil {
 		return nil, err
 	}
-	g := p.nodeG(f, x0)
-	return p.split.EvaluateAll(p.split.Ring(f), g, p.n+1)
+	return p.at(p.split.Ring(f), x0)
+}
+
+// at is the row at x0: the §9.2 node function in O*(2^{n/2}) — a zeta
+// transform over the B-side independent sets, lookups across the cut
+// and a zeta transform over the E side — through the template's
+// sum-product, with incremental powers sharing the node function across
+// all t.
+func (p *Problem) at(ring bipoly.Ring, x0 uint64) ([]uint64, error) {
+	ne := len(p.split.E)
+	nb := len(p.split.B)
+	xp := p.split.NewXPowers(ring.F, x0)
+	// fB(X) for X ⊆ B: w_B^{|X|} x0^{ΣX} if X independent, else 0;
+	// gB = zeta(fB) over the B lattice.
+	gB := make([]bipoly.Poly, 1<<uint(nb))
+	for _, m := range p.masks.b {
+		gB[m.mask] = ring.Monomial(0, m.pop, xp.ForMask(m.mask))
+	}
+	yates.Zeta(nb, gB, ring.AddInPlace)
+	// f̂E(X) for X ⊆ E: w_E^{|X|} · gB(B \ Γ_{G,B}(X)) if X independent;
+	// g = zeta(f̂E) over the E lattice.
+	g := make([]bipoly.Poly, 1<<uint(ne))
+	for _, m := range p.masks.e {
+		g[m.mask] = ring.MulMonomial(gB[m.comp], m.pop, 0, 1)
+	}
+	yates.Zeta(ne, g, ring.AddInPlace)
+	return p.split.EvaluateAll(ring, g, p.n+1)
 }
 
 // maskPlan is the evaluation-point-independent (and modulus-
-// independent) part of nodeG: which subsets of each side of the cut are
-// independent sets, their sizes, and — for the E side — the gB table
-// index B \ Γ(X) the cross-cut lookup reads. Evaluate rediscovers this
-// per point with IsIndependentMask/NeighborhoodMask bit scans; the
-// compiled plan reuses the construction-time tables for every point of
-// every block of every prime.
+// independent) part of the node function: which subsets of each side of
+// the cut are independent sets, their sizes, and — for the E side — the
+// gB table index B \ Γ(X) the cross-cut lookup reads, built once at
+// construction for every point of every prime.
 type maskPlan struct {
 	b []bMask
 	e []eMask
@@ -158,47 +147,24 @@ func (p *Problem) buildMasks() {
 	}
 }
 
-// compiled is the chromatic Plan for one prime: the construction-time
-// mask tables bound to the field and its ring. All per-point state (x0
-// powers, the gB and g lattices) is allocated inside EvaluateBlock, so
-// one compiled plan serves concurrent chunk tasks.
+// compiled is the chromatic Plan for one prime: the ring, bound once.
+// All per-point state (x0 powers, the gB and g lattices) is allocated
+// inside at, so one compiled plan serves concurrent chunk tasks.
 type compiled struct {
 	p    *Problem
-	f    ff.Field
 	ring bipoly.Ring
 }
 
-// Compile implements plan.Compiler: the independent-set scan of both
-// lattice sides — 2^{|E|} + 2^{|B|} mask/neighborhood probes per point
-// on the plain path — is hoisted out, so each point of a block runs
-// only the field-dependent work (x0 powers, zeta transforms, the
-// template's incremental t-powers). Arithmetic order is identical to
-// Evaluate, so results agree bit for bit (the equivalence test
-// cross-checks the two paths; the verification stage re-evaluates
-// through Evaluate either way).
+// Compile implements plan.Compiler.
 func (p *Problem) Compile(f ff.Field) (plan.Plan, error) {
-	return &compiled{p: p, f: f, ring: p.split.Ring(f)}, nil
+	return &compiled{p: p, ring: p.split.Ring(f)}, nil
 }
 
 // EvaluateBlock implements plan.Plan.
 func (c *compiled) EvaluateBlock(xs []uint64) ([][]uint64, error) {
-	p := c.p
-	ne := len(p.split.E)
-	nb := len(p.split.B)
 	rows := make([][]uint64, len(xs))
 	for i, x0 := range xs {
-		xp := p.split.NewXPowers(c.f, x0)
-		gB := make([]bipoly.Poly, 1<<uint(nb))
-		for _, m := range p.masks.b {
-			gB[m.mask] = c.ring.Monomial(0, m.pop, xp.ForMask(m.mask))
-		}
-		yates.Zeta(nb, gB, c.ring.AddInPlace)
-		g := make([]bipoly.Poly, 1<<uint(ne))
-		for _, m := range p.masks.e {
-			g[m.mask] = c.ring.MulMonomial(gB[m.comp], m.pop, 0, 1)
-		}
-		yates.Zeta(ne, g, c.ring.AddInPlace)
-		row, err := p.split.EvaluateAll(c.ring, g, p.n+1)
+		row, err := c.p.at(c.ring, x0)
 		if err != nil {
 			return nil, err
 		}

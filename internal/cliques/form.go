@@ -244,22 +244,3 @@ func (fm *Form) ProofEval(dc tensor.Decomposition, x0 uint64) (uint64, error) {
 	gamma := dc.GammaMatrixAtPoint(fm.f, x0)
 	return fm.Combine(alpha, beta, gamma)
 }
-
-// ProofEvalBlock evaluates P at every point of xs, hoisting the
-// per-prime tensor setup — reduced bases, Lagrange denominator
-// inverses, fan-out index table — out of the point loop via a shared
-// tensor.PointEvaluator. Results are identical to point-wise ProofEval.
-func (fm *Form) ProofEvalBlock(dc tensor.Decomposition, xs []uint64) ([]uint64, error) {
-	if dc.N() != fm.n {
-		return nil, fmt.Errorf("cliques: decomposition covers N=%d, form has N=%d", dc.N(), fm.n)
-	}
-	out := make([]uint64, len(xs))
-	err := dc.NewPointEvaluator(fm.f).Sweep(xs, func(i int, alpha, beta, gamma *matrix.Matrix) (err error) {
-		out[i], err = fm.Combine(alpha, beta, gamma)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}

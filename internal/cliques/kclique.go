@@ -194,9 +194,10 @@ type compiled struct {
 	fm *Form
 }
 
-// Compile implements plan.Compiler: one form build and one tensor
-// point-evaluator per block, instead of rebuilding Lagrange tables and
-// reduced bases three times per point.
+// Compile implements plan.Compiler: one form build per prime, and one
+// tensor point-evaluator per block instead of one-shot Lagrange tables
+// and reduced bases three times per point. Each point then runs
+// Form.Combine, as ProofEval does.
 func (p *Problem) Compile(f ff.Field) (plan.Plan, error) {
 	fm, err := p.buildForm(f)
 	if err != nil {
@@ -207,15 +208,15 @@ func (p *Problem) Compile(f ff.Field) (plan.Plan, error) {
 
 // EvaluateBlock implements plan.Plan.
 func (c *compiled) EvaluateBlock(xs []uint64) ([][]uint64, error) {
-	vals, err := c.fm.ProofEvalBlock(c.p.dc, xs)
+	vals := make([]uint64, len(xs))
+	err := c.p.dc.NewPointEvaluator(c.fm.f).Sweep(xs, func(i int, alpha, beta, gamma *matrix.Matrix) (err error) {
+		vals[i], err = c.fm.Combine(alpha, beta, gamma)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]uint64, len(xs))
-	for i, v := range vals {
-		out[i] = []uint64{v}
-	}
-	return out, nil
+	return plan.Rows(vals, 1), nil
 }
 
 // Recover extracts the clique count from a decoded proof:

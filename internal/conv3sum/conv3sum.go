@@ -72,11 +72,36 @@ func (p *Problem) MinModulus() uint64 {
 // NumPrimes implements core.Problem.
 func (p *Problem) NumPrimes() int { return 1 }
 
-// columns returns the coefficient forms of the t bit-column
-// interpolants over the field: A_j(i) = bit j of A[i] for i = 1..n.
-// The compiled plan hoists this per-prime interpolation out of the
-// per-point path; Evaluate rebuilds it per call.
-func (p *Problem) columns(f ff.Field) (*poly.Ring, [][]uint64) {
+// Evaluate implements core.Problem:
+// P(x0) = Σ_{ℓ=1}^{n/2} T(A(x0), A(ℓ), A(x0+ℓ)) with the ripple-carry
+// polynomial T of eq. (42). It is the compiled plan at one point.
+func (p *Problem) Evaluate(q, x0 uint64) ([]uint64, error) {
+	f, err := ff.New(q)
+	if err != nil {
+		return nil, err
+	}
+	return []uint64{p.compile(f).at(x0)}, nil
+}
+
+// compiled is the Convolution3SUM Plan for one prime: the t bit-column
+// interpolants are in coefficient form, computed once per compile; each
+// point then costs one multipoint evaluation sweep plus the n/2
+// ripple-carry products. The ring's transform scratch is pooled
+// internally and at's scratch is per point, so one plan serves
+// concurrent chunk tasks.
+type compiled struct {
+	p    *Problem
+	f    ff.Field
+	ring *poly.Ring
+	cs   [][]uint64 // coefficient forms, read-only after compile
+}
+
+// Compile implements plan.Compiler.
+func (p *Problem) Compile(f ff.Field) (plan.Plan, error) { return p.compile(f), nil }
+
+// compile interpolates the t bit-columns over the field:
+// A_j(i) = bit j of A[i] for i = 1..n.
+func (p *Problem) compile(f ff.Field) *compiled {
 	ring := poly.NewRing(f)
 	points := make([]uint64, p.n)
 	for i := range points {
@@ -90,29 +115,32 @@ func (p *Problem) columns(f ff.Field) (*poly.Ring, [][]uint64) {
 		}
 		cs[j] = ring.Interpolate(points, vals)
 	}
-	return ring, cs
+	return &compiled{p: p, f: f, ring: ring, cs: cs}
 }
 
-// Evaluate implements core.Problem:
-// P(x0) = Σ_{ℓ=1}^{n/2} T(A(x0), A(ℓ), A(x0+ℓ)) with the ripple-carry
-// polynomial T of eq. (42). The n/2+1 evaluation points of every column
-// polynomial are batched through fast multipoint evaluation.
-func (p *Problem) Evaluate(q, x0 uint64) ([]uint64, error) {
-	f, err := ff.New(q)
-	if err != nil {
-		return nil, err
+// EvaluateBlock implements plan.Plan.
+func (c *compiled) EvaluateBlock(xs []uint64) ([][]uint64, error) {
+	vals := make([]uint64, len(xs))
+	for xi, x0 := range xs {
+		vals[xi] = c.at(x0)
 	}
-	ring, cs := p.columns(f)
+	return plan.Rows(vals, 1), nil
+}
+
+// at is P(x0). The n/2+1 evaluation points of every column polynomial
+// are batched through fast multipoint evaluation.
+func (c *compiled) at(x0 uint64) uint64 {
+	p, f := c.p, c.f
 	half := p.n / 2
 	pts := make([]uint64, half+1)
-	pts[0] = x0 % q
+	pts[0] = x0 % f.Q
 	for l := 1; l <= half; l++ {
-		pts[l] = f.Add(x0%q, uint64(l)%q)
+		pts[l] = f.Add(x0%f.Q, uint64(l)%f.Q)
 	}
 	// colVals[j][idx] = A_j(pts[idx]).
 	colVals := make([][]uint64, p.t)
-	for j := 0; j < p.t; j++ {
-		colVals[j] = ring.EvalMany(cs[j], pts)
+	for j := range colVals {
+		colVals[j] = c.ring.EvalMany(c.cs[j], pts)
 	}
 	y := make([]uint64, p.t) // A(x0)
 	for j := range y {
@@ -128,64 +156,7 @@ func (p *Problem) Evaluate(q, x0 uint64) ([]uint64, error) {
 		}
 		total = f.Add(total, rippleCarryT(f, y, z, w))
 	}
-	return []uint64{total}, nil
-}
-
-// compiled is the Convolution3SUM Plan for one prime: the t bit-column
-// interpolants are in coefficient form, computed once per compile; each
-// point then costs one multipoint evaluation sweep plus the n/2
-// ripple-carry products. The ring's transform scratch is pooled
-// internally, so one plan serves concurrent chunk tasks.
-type compiled struct {
-	p    *Problem
-	f    ff.Field
-	ring *poly.Ring
-	cs   [][]uint64 // coefficient forms, read-only after compile
-}
-
-// Compile implements plan.Compiler: it hoists the per-prime column
-// interpolation (t polynomial interpolations of degree n-1) that
-// Evaluate pays on every call. The per-point arithmetic is identical to
-// Evaluate — same multipoint evaluator, same ripple-carry composition —
-// so rows agree bit for bit.
-func (p *Problem) Compile(f ff.Field) (plan.Plan, error) {
-	ring, cs := p.columns(f)
-	return &compiled{p: p, f: f, ring: ring, cs: cs}, nil
-}
-
-// EvaluateBlock implements plan.Plan.
-func (c *compiled) EvaluateBlock(xs []uint64) ([][]uint64, error) {
-	p, f := c.p, c.f
-	q := f.Q
-	half := p.n / 2
-	pts := make([]uint64, half+1)
-	colVals := make([][]uint64, p.t)
-	y := make([]uint64, p.t)
-	z := make([]uint64, p.t)
-	w := make([]uint64, p.t)
-	out := make([][]uint64, len(xs))
-	for xi, x0 := range xs {
-		pts[0] = x0 % q
-		for l := 1; l <= half; l++ {
-			pts[l] = f.Add(x0%q, uint64(l)%q)
-		}
-		for j := 0; j < p.t; j++ {
-			colVals[j] = c.ring.EvalMany(c.cs[j], pts)
-		}
-		for j := range y {
-			y[j] = colVals[j][0]
-		}
-		total := uint64(0)
-		for l := 1; l <= half; l++ {
-			for j := 0; j < p.t; j++ {
-				z[j] = (p.a[l-1] >> uint(j)) & 1
-				w[j] = colVals[j][l]
-			}
-			total = f.Add(total, rippleCarryT(f, y, z, w))
-		}
-		out[xi] = []uint64{total}
-	}
-	return out, nil
+	return total
 }
 
 // rippleCarryT evaluates the 3t-variate adder-indicator polynomial T of

@@ -213,9 +213,8 @@ func (p *Problem) NumPrimes() int {
 	return crt.PrimesFor(p.Bound().BitLen(), p.MinModulus())
 }
 
-// formsFor builds the m+1 forms over the field, one per w0. The
-// compiled plan hoists this per-prime build out of the per-point path;
-// Evaluate rebuilds it per call.
+// formsFor builds the m+1 forms over the field, one per w0: the
+// per-prime setup that Compile does once and Evaluate per call.
 func (p *Problem) formsFor(f ff.Field) ([]*cliques.Form, error) {
 	q := f.Q
 	w := p.totalWeight
@@ -249,7 +248,8 @@ func (p *Problem) formsFor(f ff.Field) ([]*cliques.Form, error) {
 }
 
 // Evaluate implements core.Problem: the tensor coefficient matrices at
-// x0 are computed once and combined through each w0's form.
+// x0, each from its own one-shot Lagrange basis, combined through each
+// w0's form.
 func (p *Problem) Evaluate(q, x0 uint64) ([]uint64, error) {
 	f, err := ff.New(q)
 	if err != nil {
@@ -259,18 +259,21 @@ func (p *Problem) Evaluate(q, x0 uint64) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	alpha := p.dc.AlphaMatrixAtPoint(f, x0)
-	beta := p.dc.BetaMatrixAtPoint(f, x0)
-	gamma := p.dc.GammaMatrixAtPoint(f, x0)
-	out := make([]uint64, len(fs))
+	return combineAll(fs, p.dc.AlphaMatrixAtPoint(f, x0), p.dc.BetaMatrixAtPoint(f, x0), p.dc.GammaMatrixAtPoint(f, x0))
+}
+
+// combineAll is the row (P_0(x0), ..., P_W(x0)) given the coefficient
+// matrices at x0.
+func combineAll(fs []*cliques.Form, alpha, beta, gamma *matrix.Matrix) ([]uint64, error) {
+	row := make([]uint64, len(fs))
 	for w0, form := range fs {
 		v, err := form.Combine(alpha, beta, gamma)
 		if err != nil {
 			return nil, err
 		}
-		out[w0] = v
+		row[w0] = v
 	}
-	return out, nil
+	return row, nil
 }
 
 // compiled is the 2-CSP Plan for one prime: the W+1 forms (each a set
@@ -284,12 +287,9 @@ type compiled struct {
 	fs []*cliques.Form
 }
 
-// Compile implements plan.Compiler: the per-prime form build (W+1 sets
-// of 15 padded σ^{n/6}-square matrices) that Evaluate pays per call
-// compiles once, and the per-point Lagrange setup of the coefficient
-// matrices amortizes across the block through a point evaluator. The
-// evaluator produces the same matrices as Alpha/Beta/GammaMatrixAtPoint
-// bit for bit, so compiled rows match Evaluate exactly.
+// Compile implements plan.Compiler: the form build compiles once, and a
+// block's coefficient matrices come from one tensor point-evaluator,
+// whose Lagrange setup amortizes across the block.
 func (p *Problem) Compile(f ff.Field) (plan.Plan, error) {
 	fs, err := p.formsFor(f)
 	if err != nil {
@@ -301,17 +301,9 @@ func (p *Problem) Compile(f ff.Field) (plan.Plan, error) {
 // EvaluateBlock implements plan.Plan.
 func (c *compiled) EvaluateBlock(xs []uint64) ([][]uint64, error) {
 	out := make([][]uint64, len(xs))
-	err := c.p.dc.NewPointEvaluator(c.f).Sweep(xs, func(xi int, alpha, beta, gamma *matrix.Matrix) error {
-		row := make([]uint64, len(c.fs))
-		for w0, form := range c.fs {
-			v, err := form.Combine(alpha, beta, gamma)
-			if err != nil {
-				return err
-			}
-			row[w0] = v
-		}
-		out[xi] = row
-		return nil
+	err := c.p.dc.NewPointEvaluator(c.f).Sweep(xs, func(xi int, alpha, beta, gamma *matrix.Matrix) (err error) {
+		out[xi], err = combineAll(c.fs, alpha, beta, gamma)
+		return err
 	})
 	if err != nil {
 		return nil, err

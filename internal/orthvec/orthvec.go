@@ -80,15 +80,21 @@ func (p *OVProblem) MinModulus() uint64 {
 // NumPrimes implements core.Problem: c_i <= n < q, one prime suffices.
 func (p *OVProblem) NumPrimes() int { return 1 }
 
-// Evaluate implements core.Problem: Õ(nt) per point.
+// Evaluate implements core.Problem: Õ(nt) per point, from a one-shot
+// Lagrange basis.
 func (p *OVProblem) Evaluate(q, x0 uint64) ([]uint64, error) {
 	f, err := ff.New(q)
 	if err != nil {
 		return nil, err
 	}
-	lam := f.LagrangeAtOneBased(p.a.N, x0)
+	return []uint64{p.at(f, f.LagrangeAtOneBased(p.a.N, x0), make([]uint64, p.a.T))}, nil
+}
+
+// at is P(x0) given lam, the Lagrange basis over 1..n at x0; acol is t
+// words of scratch.
+func (p *OVProblem) at(f ff.Field, lam, acol []uint64) uint64 {
 	// A_j(x0) = Σ_i a_ij Λ_{i+1}(x0).
-	acol := make([]uint64, p.a.T)
+	clear(acol)
 	for i := 0; i < p.a.N; i++ {
 		if lam[i] == 0 {
 			continue
@@ -117,69 +123,36 @@ func (p *OVProblem) Evaluate(q, x0 uint64) ([]uint64, error) {
 		}
 		total = f.Add(total, prod)
 	}
-	return []uint64{total}, nil
+	return total
 }
 
-// ovCompiled is the OVProblem Plan for one prime. The Lagrange
-// evaluator is built per EvaluateBlock call (its factorial/denominator
-// setup amortizes over the block's points, its field inversions over
-// each run of them); the column scratch vector is likewise per call,
-// making one plan safe for concurrent chunk tasks.
-type ovCompiled struct {
-	p *OVProblem
+// sweepPlan is the Plan of both problems of this package for one prime.
+// A block's Lagrange bases come from one run kernel
+// (ff.LagrangeEvaluator.Sweep), which builds its factorial and
+// denominator tables once per block and inverts differences once per
+// run of consecutive points; each basis then goes through the problem's
+// at, the formula Evaluate runs on its one-shot basis. The evaluator and
+// at's scratch are per call, so one plan serves concurrent chunk tasks.
+type sweepPlan struct {
 	f ff.Field
-}
-
-// Compile implements plan.Compiler: the Lagrange factorial and
-// denominator tables are built once per block instead of once per
-// point, and the basis/column scratch vectors are reused across the
-// block, leaving only the irreducible Õ(nt) combination work per point.
-// Deliberately not shared with Evaluate (which verification uses): the
-// two paths go through different Lagrange kernels and cross-check each
-// other.
-func (p *OVProblem) Compile(f ff.Field) (plan.Plan, error) {
-	return &ovCompiled{p: p, f: f}, nil
+	// basis is f's one- or zero-based evaluator constructor for grid.
+	basis   func(grid int) *ff.LagrangeEvaluator
+	grid    int
+	scratch int // words of scratch at needs
+	at      func(f ff.Field, lam, scratch []uint64) uint64
 }
 
 // EvaluateBlock implements plan.Plan.
-func (c *ovCompiled) EvaluateBlock(xs []uint64) ([][]uint64, error) {
-	p, f := c.p, c.f
-	k := f.Kernel()
-	acol := make([]uint64, p.a.T)
-	out := make([][]uint64, len(xs))
-	f.NewLagrangeEvaluatorOneBased(p.a.N).Sweep(xs, func(xi int, lam []uint64) {
-		for j := range acol {
-			acol[j] = 0
-		}
-		for i := 0; i < p.a.N; i++ {
-			if lam[i] == 0 {
-				continue
-			}
-			row := p.a.Bits[i*p.a.T:]
-			for j := 0; j < p.a.T; j++ {
-				if row[j] == 1 {
-					acol[j] = f.Add(acol[j], lam[i])
-				}
-			}
-		}
-		for j, v := range acol {
-			// Hoist the pre-shifted complements out of the row sweep.
-			acol[j] = k.Shift(f.Sub(1, v))
-		}
-		total := uint64(0)
-		for r := 0; r < p.b.N; r++ {
-			row := p.b.Bits[r*p.b.T:]
-			prod := uint64(1)
-			for j := 0; j < p.b.T && prod != 0; j++ {
-				if row[j] == 1 {
-					prod = ff.MulKS(prod, acol[j], k)
-				}
-			}
-			total = f.Add(total, prod)
-		}
-		out[xi] = []uint64{total}
-	})
-	return out, nil
+func (c sweepPlan) EvaluateBlock(xs []uint64) ([][]uint64, error) {
+	scratch := make([]uint64, c.scratch)
+	vals := make([]uint64, len(xs))
+	c.basis(c.grid).Sweep(xs, func(xi int, lam []uint64) { vals[xi] = c.at(c.f, lam, scratch) })
+	return plan.Rows(vals, 1), nil
+}
+
+// Compile implements plan.Compiler.
+func (p *OVProblem) Compile(f ff.Field) (plan.Plan, error) {
+	return sweepPlan{f: f, basis: f.NewLagrangeEvaluatorOneBased, grid: p.a.N, scratch: p.a.T, at: p.at}, nil
 }
 
 // Counts recovers (c_1, ..., c_n) from the proof: c_i = P(i).
@@ -278,20 +251,27 @@ func (p *HammingProblem) MinModulus() uint64 {
 // NumPrimes implements core.Problem.
 func (p *HammingProblem) NumPrimes() int { return 1 }
 
-// Evaluate implements core.Problem: Õ(nt²) per point.
+// Evaluate implements core.Problem: Õ(nt²) per point, from a one-shot
+// Lagrange basis.
 func (p *HammingProblem) Evaluate(q, x0 uint64) ([]uint64, error) {
 	f, err := ff.New(q)
 	if err != nil {
 		return nil, err
 	}
+	return []uint64{p.at(f, f.LagrangeAtZeroBased(p.grid, x0), make([]uint64, 2*p.a.T))}, nil
+}
+
+// at is P(x0) given phi, the Lagrange basis over the grid 0..grid-1 at
+// x0; zw is 2t words of scratch.
+func (p *HammingProblem) at(f ff.Field, phi, zw []uint64) uint64 {
 	t := p.a.T
-	phi := f.LagrangeAtZeroBased(p.grid, x0)
+	clear(zw)
 	// Column interpolants z_j = A_j(x0): value a_ij at grid point
 	// i(t+1)+h for every h (dummy zero row i=0).
-	z := make([]uint64, t)
+	z := zw[:t]
 	// Root suppliers w_ℓ (ℓ = 1..t): value (ℓ-1) + [ℓ-1 >= h] at grid
 	// point i(t+1)+h.
-	w := make([]uint64, t)
+	w := zw[t:]
 	for pt, v := range phi {
 		if v == 0 {
 			continue
@@ -312,7 +292,7 @@ func (p *HammingProblem) Evaluate(q, x0 uint64) ([]uint64, error) {
 				val = l
 			}
 			if val != 0 {
-				w[l-1] = f.Add(w[l-1], f.Mul(uint64(val)%q, v))
+				w[l-1] = f.Add(w[l-1], f.Mul(uint64(val)%f.Q, v))
 			}
 		}
 	}
@@ -334,84 +314,12 @@ func (p *HammingProblem) Evaluate(q, x0 uint64) ([]uint64, error) {
 		}
 		total = f.Add(total, prod)
 	}
-	return []uint64{total}, nil
+	return total
 }
 
-// hammingCompiled is the HammingProblem Plan for one prime: the
-// Lagrange evaluator and the z/w scratch are per-call, the point loop
-// otherwise mirrors Evaluate exactly (same arithmetic order, so rows
-// are bit-identical).
-type hammingCompiled struct {
-	p *HammingProblem
-	f ff.Field
-}
-
-// Compile implements plan.Compiler: the Lagrange factorial and
-// denominator tables build once per block instead of once per point,
-// and the differences are inverted once per run of points.
+// Compile implements plan.Compiler.
 func (p *HammingProblem) Compile(f ff.Field) (plan.Plan, error) {
-	return &hammingCompiled{p: p, f: f}, nil
-}
-
-// EvaluateBlock implements plan.Plan.
-func (c *hammingCompiled) EvaluateBlock(xs []uint64) ([][]uint64, error) {
-	p, f := c.p, c.f
-	q := f.Q
-	t := p.a.T
-	z := make([]uint64, t)
-	w := make([]uint64, t)
-	out := make([][]uint64, len(xs))
-	f.NewLagrangeEvaluatorZeroBased(p.grid).Sweep(xs, func(xi int, phi []uint64) {
-		for j := range z {
-			z[j] = 0
-		}
-		for l := range w {
-			w[l] = 0
-		}
-		for pt, v := range phi {
-			if v == 0 {
-				continue
-			}
-			i := pt / (t + 1)
-			h := pt % (t + 1)
-			if i >= 1 {
-				row := p.a.Bits[(i-1)*t:]
-				for j := 0; j < t; j++ {
-					if row[j] == 1 {
-						z[j] = f.Add(z[j], v)
-					}
-				}
-			}
-			for l := 1; l <= t; l++ {
-				val := l - 1
-				if l-1 >= h {
-					val = l
-				}
-				if val != 0 {
-					w[l-1] = f.Add(w[l-1], f.Mul(uint64(val)%q, v))
-				}
-			}
-		}
-		total := uint64(0)
-		for k := 0; k < p.b.N; k++ {
-			row := p.b.Bits[k*t:]
-			dist := uint64(0)
-			for j := 0; j < t; j++ {
-				if row[j] == 1 {
-					dist = f.Add(dist, f.Sub(1, z[j]))
-				} else {
-					dist = f.Add(dist, z[j])
-				}
-			}
-			prod := uint64(1)
-			for l := 0; l < t && prod != 0; l++ {
-				prod = f.Mul(prod, f.Sub(dist, w[l]))
-			}
-			total = f.Add(total, prod)
-		}
-		out[xi] = []uint64{total}
-	})
-	return out, nil
+	return sweepPlan{f: f, basis: f.NewLagrangeEvaluatorZeroBased, grid: p.grid, scratch: 2 * p.a.T, at: p.at}, nil
 }
 
 // Distribution recovers c_ih for i = 1..n, h = 0..t.

@@ -228,39 +228,51 @@ func TestHammingIdenticalMatrices(t *testing.T) {
 	}
 }
 
+// TestOVEvaluateBlockMatchesEvaluate holds both compiled plans — the
+// run kernel's bases — to Evaluate's one-shot bases, across runs that
+// enter and leave each problem's grid (1..12 for OV, 0..103 for Hamming).
 func TestOVEvaluateBlockMatchesEvaluate(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	a := randBool(rng, 12, 7, 0.4)
 	b := randBool(rng, 15, 7, 0.4)
-	p, err := NewOVProblem(a, b)
+	ov, err := NewOVProblem(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hamming, err := NewHammingProblem(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const q = uint64(1048583)
 	xs := make([]uint64, 0, 40)
-	for x := uint64(0); x < 20; x++ { // covers the indicator grid 1..12
+	for x := uint64(0); x < 20; x++ {
 		xs = append(xs, x)
 	}
-	xs = append(xs, 54321, 999983%q)
+	for x := uint64(98); x < 110; x++ {
+		xs = append(xs, x)
+	}
+	xs = append(xs, 54321, 999983%q, q-1)
 	f, err := ff.New(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := p.Compile(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := pl.EvaluateBlock(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, x := range xs {
-		want, err := p.Evaluate(q, x)
+	for _, p := range []core.CompiledProblem{ov, hamming} {
+		pl, err := p.Compile(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rows[i]) != 1 || rows[i][0] != want[0] {
-			t.Fatalf("block P(%d) = %v, point path %v", x, rows[i], want)
+		rows, err := pl.EvaluateBlock(xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, x := range xs {
+			want, err := p.Evaluate(q, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rows[i]) != 1 || rows[i][0] != want[0] {
+				t.Fatalf("%s: block P(%d) = %v, point path %v", p.Name(), x, rows[i], want)
+			}
 		}
 	}
 }

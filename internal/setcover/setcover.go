@@ -86,14 +86,27 @@ func (p *ExactCoverProblem) NumPrimes() int {
 	return crt.PrimesFor(bound.BitLen(), p.MinModulus())
 }
 
-// nodeG computes the §8.2 node function: scatter every family set into
+// Evaluate implements core.Problem: the compiled plan at one point.
+func (p *ExactCoverProblem) Evaluate(q, x0 uint64) ([]uint64, error) {
+	f, err := ff.New(q)
+	if err != nil {
+		return nil, err
+	}
+	v, err := p.at(p.split.Ring(f), x0)
+	if err != nil {
+		return nil, err
+	}
+	return []uint64{v}, nil
+}
+
+// at is P(x0): the §8.2 node function — every family set scattered into
 // g0[X∩E] with its bivariate weight and Kronecker x0-power, then a zeta
-// transform over the E-lattice. Time O*(2^{|E|} + |F|).
-func (p *ExactCoverProblem) nodeG(f ff.Field, x0 uint64) []bipoly.Poly {
-	ring := p.split.Ring(f)
+// transform over the E-lattice, time O*(2^{|E|} + |F|) — through the
+// template's sum-product.
+func (p *ExactCoverProblem) at(ring bipoly.Ring, x0 uint64) (uint64, error) {
 	ne := len(p.split.E)
 	eFull := uint64(1)<<uint(ne) - 1
-	xp := p.split.NewXPowers(f, x0)
+	xp := p.split.NewXPowers(ring.F, x0)
 	g := make([]bipoly.Poly, 1<<uint(ne))
 	for _, x := range p.family {
 		eMask := x & eFull
@@ -102,62 +115,38 @@ func (p *ExactCoverProblem) nodeG(f ff.Field, x0 uint64) []bipoly.Poly {
 		g[eMask] = ring.AddInPlace(g[eMask], mono)
 	}
 	yates.Zeta(ne, g, ring.AddInPlace)
-	return g
+	vals, err := p.split.EvaluateAll(ring, g, p.t)
+	if err != nil {
+		return 0, err
+	}
+	return vals[p.t-1], nil
 }
 
-// Evaluate implements core.Problem.
-func (p *ExactCoverProblem) Evaluate(q, x0 uint64) ([]uint64, error) {
-	f, err := ff.New(q)
-	if err != nil {
-		return nil, err
-	}
-	g := p.nodeG(f, x0)
-	vals, err := p.split.EvaluateAll(p.split.Ring(f), g, p.t)
-	if err != nil {
-		return nil, err
-	}
-	return []uint64{vals[p.t-1]}, nil
-}
-
-// exactCompiled is the ExactCoverProblem Plan for one prime: the field
-// and ring are bound once; every per-point structure (x0 powers, the
-// scatter lattice) is allocated inside EvaluateBlock.
+// exactCompiled is the ExactCoverProblem Plan for one prime: the ring,
+// bound once. Every per-point structure (x0 powers, the scatter
+// lattice) is allocated inside at, so one plan serves concurrent chunk
+// tasks.
 type exactCompiled struct {
 	p    *ExactCoverProblem
-	f    ff.Field
 	ring bipoly.Ring
 }
 
-// Compile implements plan.Compiler: the ring construction is hoisted;
-// the arithmetic per point is identical to Evaluate, so rows agree bit
-// for bit.
+// Compile implements plan.Compiler.
 func (p *ExactCoverProblem) Compile(f ff.Field) (plan.Plan, error) {
-	return &exactCompiled{p: p, f: f, ring: p.split.Ring(f)}, nil
+	return &exactCompiled{p: p, ring: p.split.Ring(f)}, nil
 }
 
 // EvaluateBlock implements plan.Plan.
 func (c *exactCompiled) EvaluateBlock(xs []uint64) ([][]uint64, error) {
-	p := c.p
-	ne := len(p.split.E)
-	eFull := uint64(1)<<uint(ne) - 1
-	rows := make([][]uint64, len(xs))
+	vals := make([]uint64, len(xs))
 	for i, x0 := range xs {
-		xp := p.split.NewXPowers(c.f, x0)
-		g := make([]bipoly.Poly, 1<<uint(ne))
-		for _, x := range p.family {
-			eMask := x & eFull
-			bMask := x >> uint(ne)
-			mono := c.ring.Monomial(bits.OnesCount64(eMask), bits.OnesCount64(bMask), xp.ForMask(bMask))
-			g[eMask] = c.ring.AddInPlace(g[eMask], mono)
-		}
-		yates.Zeta(ne, g, c.ring.AddInPlace)
-		vals, err := p.split.EvaluateAll(c.ring, g, p.t)
+		v, err := c.p.at(c.ring, x0)
 		if err != nil {
 			return nil, err
 		}
-		rows[i] = []uint64{vals[p.t-1]}
+		vals[i] = v
 	}
-	return rows, nil
+	return plan.Rows(vals, 1), nil
 }
 
 // RecoverTuples extracts the ordered-tuple count: it is the coefficient

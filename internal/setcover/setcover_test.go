@@ -130,10 +130,11 @@ func TestCoverCamelotMatchesIE(t *testing.T) {
 	}
 }
 
-// TestEvaluateBlockMatchesEvaluate pins the plan.Plan contract: the
-// compiled EvaluateBlock must reproduce Evaluate bit-for-bit, including
-// at grid points (indicator-vector Lagrange basis), points beyond the
-// grid, and families with duplicate or overlapping sets.
+// TestEvaluateBlockMatchesEvaluate pins the plan.Plan contract for both
+// problems: the compiled EvaluateBlock must reproduce Evaluate
+// bit-for-bit, including at grid points (indicator-vector Lagrange
+// basis), points beyond the grid, and families with duplicate or
+// overlapping sets.
 func TestEvaluateBlockMatchesEvaluate(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	fams := map[string][]uint64{
@@ -151,34 +152,41 @@ func TestEvaluateBlockMatchesEvaluate(t *testing.T) {
 			}
 		}
 		for _, tt := range []int{1, 3} {
-			p, err := NewCoverProblem(fam, n, tt)
+			cover, err := NewCoverProblem(fam, n, tt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			q := ff.NextPrime(p.MinModulus())
-			f, err := ff.New(q)
+			exact, err := NewExactCoverProblem(fam, n, tt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pl, err := p.Compile(f)
-			if err != nil {
-				t.Fatalf("%s t=%d: Compile: %v", name, tt, err)
-			}
-			xs := []uint64{0, 1, 2, uint64(1)<<uint(p.n1) - 1, 1 << uint(p.n1), 777, q - 1}
-			rows, err := pl.EvaluateBlock(xs)
-			if err != nil {
-				t.Fatalf("%s t=%d: EvaluateBlock: %v", name, tt, err)
-			}
-			if len(rows) != len(xs) {
-				t.Fatalf("%s t=%d: got %d rows, want %d", name, tt, len(rows), len(xs))
-			}
-			for i, x0 := range xs {
-				want, err := p.Evaluate(q, x0)
+			xs := []uint64{0, 1, 2, uint64(1)<<uint(cover.n1) - 1, 1 << uint(cover.n1), 777}
+			for _, p := range []core.CompiledProblem{cover, exact} {
+				q := ff.NextPrime(p.MinModulus())
+				f, err := ff.New(q)
 				if err != nil {
-					t.Fatalf("%s t=%d: Evaluate(%d): %v", name, tt, x0, err)
+					t.Fatal(err)
 				}
-				if len(rows[i]) != len(want) || rows[i][0] != want[0] {
-					t.Fatalf("%s t=%d x0=%d: block=%v point=%v", name, tt, x0, rows[i], want)
+				pl, err := p.Compile(f)
+				if err != nil {
+					t.Fatalf("%s: Compile: %v", p.Name(), err)
+				}
+				pts := append(xs[:len(xs):len(xs)], q-1)
+				rows, err := pl.EvaluateBlock(pts)
+				if err != nil {
+					t.Fatalf("%s: EvaluateBlock: %v", p.Name(), err)
+				}
+				if len(rows) != len(pts) {
+					t.Fatalf("%s: got %d rows, want %d", p.Name(), len(rows), len(pts))
+				}
+				for i, x0 := range pts {
+					want, err := p.Evaluate(q, x0)
+					if err != nil {
+						t.Fatalf("%s: Evaluate(%d): %v", p.Name(), x0, err)
+					}
+					if len(rows[i]) != len(want) || rows[i][0] != want[0] {
+						t.Fatalf("%s x0=%d: block=%v point=%v", p.Name(), x0, rows[i], want)
+					}
 				}
 			}
 		}

@@ -1,15 +1,14 @@
 package tutte
 
 // Compiled plan for the fixed-r Potts subproblem. The evaluation point
-// x0 enters nodeG only through the w_B-scalar xPow factors of S1 —
-// every other ingredient is fixed per prime: the (1+r) power table, the
-// S1 exponent factors, the S2 matrix together with its per-cardinality
-// transposed slices, and the f_{E1,E2} cross factors. Compile hoists
-// all of those; EvaluateBlock rebuilds only S1 and the downstream
-// products per point, with identical arithmetic to nodeG so residues
-// are bit-identical. Hoisted state is read-only (matrix.Mul allocates
-// its result) and all scratch is per call, so one plan serves
-// concurrent chunk tasks.
+// x0 enters the node function only through the w_B-scalar x0^{ΣX}
+// factors of S1 — every other ingredient is fixed per prime: the (1+r)
+// power table, the S1 exponent factors, the S2 matrix together with its
+// per-cardinality transposed slices, and the f_{E1,E2} cross factors.
+// compile builds those; at rebuilds only S1 and the downstream products
+// per point. Evaluate is compile plus one point. Hoisted state is
+// read-only (matrix.Mul allocates its result) and all scratch is per
+// point, so one plan serves concurrent chunk tasks.
 
 import (
 	"math/bits"
@@ -27,9 +26,10 @@ var _ core.CompiledProblem = (*Problem)(nil)
 type compiled struct {
 	p *Problem
 	f ff.Field
-	// s1base[y1<<nb | x] = (1+r)^{E[X,Y1]+E[X]}: S1 before the xPow factor.
+	// s1base[y1<<nb | x] = (1+r)^{E[X,Y1]+E[X]}: S1 before the x0^{ΣX} factor.
 	s1base []uint64
-	// m2t[j] = (S2|_j)ᵀ, the cardinality-j column slice of S2, transposed.
+	// m2t[j] = (S2|_j)ᵀ, the cardinality-j column slice of
+	// S2[Y2][X] = (1+r)^{E[X,Y2]+E[Y2]}, transposed.
 	m2t []*matrix.Matrix
 	// colsByJ[j] lists the B-masks of popcount j.
 	colsByJ [][]uint64
@@ -38,7 +38,10 @@ type compiled struct {
 }
 
 // Compile implements plan.Compiler.
-func (p *Problem) Compile(f ff.Field) (plan.Plan, error) {
+func (p *Problem) Compile(f ff.Field) (plan.Plan, error) { return p.compile(f), nil }
+
+// compile builds the point-independent tables of the node function.
+func (p *Problem) compile(f ff.Field) *compiled {
 	ne := len(p.split.E)
 	nb := len(p.split.B)
 	n1, n2 := p.n1, p.n2
@@ -95,54 +98,64 @@ func (p *Problem) Compile(f ff.Field) (plan.Plan, error) {
 			f12[y1<<uint(n2)|y2] = onePlusR[exp]
 		}
 	}
-	return &compiled{p: p, f: f, s1base: s1base, m2t: m2t, colsByJ: colsByJ, f12: f12}, nil
+	return &compiled{p: p, f: f, s1base: s1base, m2t: m2t, colsByJ: colsByJ, f12: f12}
 }
 
 // EvaluateBlock implements plan.Plan.
 func (c *compiled) EvaluateBlock(xs []uint64) ([][]uint64, error) {
+	out := make([][]uint64, len(xs))
+	for xi, x0 := range xs {
+		row, err := c.at(x0)
+		if err != nil {
+			return nil, err
+		}
+		out[xi] = row
+	}
+	return out, nil
+}
+
+// at is the row at x0: the §10.2 node function through the template's
+// sum-product. Vertex layout: E1 occupies vertices 0..n1-1, E2 occupies
+// n1..ne-1, B occupies ne..n-1. The cross-cut aggregation
+// t_{E1,E2} = f̂_{B,E1} · f̂_{B,E2}ᵀ is |B|+1 scalar matrix products, one
+// per B-subset cardinality class (the w_B exponent), each of shape
+// 2^{|E1|} × 2^{|B|} × 2^{|E2|}.
+func (c *compiled) at(x0 uint64) ([]uint64, error) {
 	f, p := c.f, c.p
 	ring := p.split.Ring(f)
 	ne := len(p.split.E)
 	nb := len(p.split.B)
 	n1, n2 := p.n1, p.n2
-	xPow := make([]uint64, 1<<uint(nb))
-	out := make([][]uint64, len(xs))
-	for xi, x0 := range xs {
-		xp := p.split.NewXPowers(f, x0)
-		for x := uint64(0); x < 1<<uint(nb); x++ {
-			xPow[x] = xp.ForMask(x)
-		}
-		// Per-cardinality products T_j = S1|_j · (S2|_j)ᵀ: only the
-		// popcount-j columns of S1 are populated, matching nodeG's m1.
-		tj := make([]*matrix.Matrix, nb+1)
-		for j := 0; j <= nb; j++ {
-			m1 := matrix.New(f, 1<<uint(n1), 1<<uint(nb))
-			for _, x := range c.colsByJ[j] {
-				for y1 := uint64(0); y1 < 1<<uint(n1); y1++ {
-					m1.Set(int(y1), int(x), f.Mul(c.s1base[y1<<uint(nb)|x], xPow[x]))
-				}
-			}
-			tj[j] = m1.Mul(c.m2t[j])
-		}
-		g := make([]bipoly.Poly, 1<<uint(ne))
-		for y1 := uint64(0); y1 < 1<<uint(n1); y1++ {
-			for y2 := uint64(0); y2 < 1<<uint(n2); y2++ {
-				f12 := c.f12[y1<<uint(n2)|y2]
-				wE := bits.OnesCount64(y1) + bits.OnesCount64(y2)
-				poly := ring.Zero()
-				for j := 0; j <= nb; j++ {
-					cv := f.Mul(f12, tj[j].At(int(y1), int(y2)))
-					poly = ring.AddInPlace(poly, ring.Monomial(wE, j, cv))
-				}
-				g[y1|y2<<uint(n1)] = poly
+	xp := p.split.NewXPowers(f, x0)
+	// Per-cardinality products T_j = S1|_j · (S2|_j)ᵀ with
+	// S1[Y1][X] = s1base[Y1][X] · x0^{ΣX}: only the popcount-j columns of
+	// S1 are populated.
+	tj := make([]*matrix.Matrix, nb+1)
+	for j := 0; j <= nb; j++ {
+		m1 := matrix.New(f, 1<<uint(n1), 1<<uint(nb))
+		for _, x := range c.colsByJ[j] {
+			xPow := xp.ForMask(x)
+			for y1 := uint64(0); y1 < 1<<uint(n1); y1++ {
+				m1.Set(int(y1), int(x), f.Mul(c.s1base[y1<<uint(nb)|x], xPow))
 			}
 		}
-		yates.Zeta(ne, g, ring.AddInPlace)
-		vals, err := p.split.EvaluateAll(ring, g, p.n+1)
-		if err != nil {
-			return nil, err
-		}
-		out[xi] = vals
+		tj[j] = m1.Mul(c.m2t[j])
 	}
-	return out, nil
+	// g0(Y1 ∪ Y2) = f_{E1,E2}(Y1,Y2) · Σ_j T_j[Y1][Y2] w_E^{|Y|} w_B^j.
+	g := make([]bipoly.Poly, 1<<uint(ne))
+	for y1 := uint64(0); y1 < 1<<uint(n1); y1++ {
+		for y2 := uint64(0); y2 < 1<<uint(n2); y2++ {
+			f12 := c.f12[y1<<uint(n2)|y2]
+			wE := bits.OnesCount64(y1) + bits.OnesCount64(y2)
+			poly := ring.Zero()
+			for j := 0; j <= nb; j++ {
+				cv := f.Mul(f12, tj[j].At(int(y1), int(y2)))
+				poly = ring.AddInPlace(poly, ring.Monomial(wE, j, cv))
+			}
+			g[y1|y2<<uint(n1)] = poly
+		}
+	}
+	// g = zeta(g0) over the E lattice.
+	yates.Zeta(ne, g, ring.AddInPlace)
+	return p.split.EvaluateAll(ring, g, p.n+1)
 }

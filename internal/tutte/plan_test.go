@@ -11,11 +11,12 @@ import (
 )
 
 // TestEvaluateBlockMatchesEvaluate: the compiled plan hoists every
-// x0-independent ingredient of nodeG (power tables, S2 slices, f12
-// factors); the remaining per-point arithmetic must stay bit-identical
-// to Evaluate across seeds, primes, and the full width-(n+1) row. A
-// shared plan is also exercised from concurrent goroutines so the race
-// detector validates the hoisted state is read-only.
+// x0-independent ingredient of the node function (power tables, S2
+// slices, f12 factors); the remaining per-point arithmetic must stay
+// bit-identical to Evaluate across seeds, primes, and the full
+// width-(n+1) row. A shared plan is also exercised from concurrent
+// goroutines so the race detector validates the hoisted state is
+// read-only.
 func TestEvaluateBlockMatchesEvaluate(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		mg := graph.RandomMultigraph(6, 8, seed)

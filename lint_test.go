@@ -313,25 +313,81 @@ func TestKindsAreDeclaredOnce(t *testing.T) {
 	}
 }
 
-// TestHamiltonVerifierIsSeparate keeps hamilton's per-point path apart
-// from its compiled plan (ROADMAP item 3): the bodies of Evaluate,
-// closedWalks and openWalks name nothing declared in plan.go, so a bug in
-// the strip kernel fails verification instead of entering a proof.
+// TestHamiltonVerifierIsSeparate pins what keeps a kind's verifier apart
+// from its compiled plan (ROADMAP item 3), by the names its functions'
+// bodies mention. One row per package:
+//   - hamilton's Evaluate, closedWalks and openWalks name nothing
+//     declared in plan.go, so a bug in the strip kernel fails
+//     verification instead of entering a proof;
+//   - OV's and Hamming's Evaluate and the at they share with the plan
+//     take a one-shot Lagrange basis, never the plan's run kernel;
+//   - csp's and cliques' Evaluate and their per-point combination take
+//     one-shot coefficient matrices, never the plan's tensor
+//     point-evaluator.
 func TestHamiltonVerifierIsSeparate(t *testing.T) {
-	const dir = "internal/hamilton"
-	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
+	lagrangeRun := func(id string) bool { return strings.HasPrefix(id, "NewLagrangeEvaluator") || id == "Sweep" }
+	pointEvaluator := func(id string) bool { return id == "NewPointEvaluator" }
+	for _, row := range []struct {
+		dir      string
+		verifier []string
+		// found is how many declarations the verifier names have.
+		found int
+		// forbidden is nil where the row forbids every name plan.go declares.
+		forbidden func(id string) bool
+	}{
+		{"internal/hamilton", []string{"Evaluate", "closedWalks", "openWalks"}, 4, nil},
+		{"internal/orthvec", []string{"Evaluate", "at"}, 4, lagrangeRun},
+		{"internal/csp", []string{"Evaluate", "combineAll"}, 2, pointEvaluator},
+		{"internal/cliques", []string{"Evaluate", "ProofEval", "Combine"}, 3, pointEvaluator},
+	} {
+		t.Run(filepath.Base(row.dir), func(t *testing.T) {
+			pkgs, err := parser.ParseDir(token.NewFileSet(), row.dir, func(fi fs.FileInfo) bool {
+				return !strings.HasSuffix(fi.Name(), "_test.go")
+			}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files := pkgs[filepath.Base(row.dir)].Files
+			var plan *ast.File
+			forbidden, why := row.forbidden, "which only the compiled plan may name"
+			if forbidden == nil {
+				var ok bool
+				if plan, ok = files[filepath.Join(row.dir, "plan.go")]; !ok {
+					t.Fatalf("%s/plan.go not found", row.dir)
+				}
+				declared := planDeclared(plan)
+				forbidden, why = func(id string) bool { return declared[id] }, "declared in plan.go"
+			}
+			found := 0
+			for name, file := range files {
+				if file == plan {
+					continue
+				}
+				for _, decl := range file.Decls {
+					fn, ok := decl.(*ast.FuncDecl)
+					if !ok || !slices.Contains(row.verifier, fn.Name.Name) || fn.Body == nil {
+						continue
+					}
+					found++
+					ast.Inspect(fn.Body, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok && forbidden(id.Name) {
+							t.Errorf("%s: %s references %s, %s", filepath.ToSlash(name), fn.Name.Name, id.Name, why)
+						}
+						return true
+					})
+				}
+			}
+			if found != row.found {
+				t.Fatalf("found %d of the verifier's %d functions in %s", found, row.found, row.dir)
+			}
+		})
 	}
-	files := pkgs["hamilton"].Files
-	plan, ok := files[filepath.Join(dir, "plan.go")]
-	if !ok {
-		t.Fatalf("%s/plan.go not found", dir)
-	}
+}
+
+// planDeclared is every package-level name a file declares.
+func planDeclared(file *ast.File) map[string]bool {
 	declared := map[string]bool{}
-	for _, decl := range plan.Decls {
+	for _, decl := range file.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
 			declared[d.Name.Name] = true
@@ -349,30 +405,7 @@ func TestHamiltonVerifierIsSeparate(t *testing.T) {
 		}
 	}
 	delete(declared, "_")
-	verifier := map[string]bool{"Evaluate": true, "closedWalks": true, "openWalks": true}
-	found := 0
-	for name, file := range files {
-		if file == plan {
-			continue
-		}
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || !verifier[fn.Name.Name] || fn.Body == nil {
-				continue
-			}
-			found++
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && declared[id.Name] {
-					t.Errorf("%s: %s references %s, declared in plan.go", filepath.ToSlash(name), fn.Name.Name, id.Name)
-				}
-				return true
-			})
-		}
-	}
-	// Problem.Evaluate, PathProblem.Evaluate, closedWalks, openWalks.
-	if found != 4 {
-		t.Fatalf("found %d of the verifier's 4 functions in %s", found, dir)
-	}
+	return declared
 }
 
 // TestParseWorkloadDocListsCatalog checks the defaults table in
