@@ -26,7 +26,6 @@ import (
 	"camelot/internal/conv3sum"
 	"camelot/internal/core"
 	"camelot/internal/csp"
-	"camelot/internal/ctrl"
 	"camelot/internal/graph"
 	"camelot/internal/orthvec"
 	"camelot/internal/setcover"
@@ -207,22 +206,6 @@ func summed[P any](counts func(P, *core.Proof) ([]int64, error)) func(P, *core.P
 			total.Add(total, big.NewInt(c))
 		}
 		return total, err
-	}
-}
-
-// init registers every kind with the control-protocol problem registry,
-// so any process importing the facade — the camelot binary's node
-// subcommand in particular — rebuilds a coordinator's workload from its
-// Assign manifest through the same ParseWorkload the coordinator used.
-func init() {
-	for _, k := range catalog {
-		ctrl.RegisterProblem(k.Name, func(instance []byte) (core.Problem, error) {
-			w, err := ParseWorkload(k.Name + " " + string(instance))
-			if err != nil {
-				return nil, err
-			}
-			return w.Problem, nil
-		})
 	}
 }
 

@@ -88,7 +88,6 @@ func runNode(ctx context.Context, rest []string) error {
 	fs := flag.NewFlagSet("node", flag.ContinueOnError)
 	join := fs.String("join", "", "coordinator host:port to join (required)")
 	secret := fs.String("secret", "", "shared cluster secret (must match the coordinator's)")
-	name := fs.String("name", "", "display name sent in the hello (defaults to the local address)")
 	failOwner := fs.Int("fail-owner", 0, "crash when a round-0 assignment names this logical node (fault-injection knob; 0 = off)")
 	if err := fs.Parse(rest); err != nil {
 		return err
@@ -105,7 +104,6 @@ func runNode(ctx context.Context, rest []string) error {
 	if err := camelot.ServeNode(ctx, camelot.NodeConfig{
 		Join:      *join,
 		Secret:    []byte(*secret),
-		Name:      *name,
 		FailOwner: *failOwner,
 	}); err != nil {
 		return err

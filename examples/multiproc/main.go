@@ -78,10 +78,8 @@ func main() {
 		coordArgs: append([]string{"coordinate", "-spec", spec,
 			"-listen", "127.0.0.1:0", "-workers", "2", "-secret", secret,
 			"-proofout", remotePath}, common...),
-		workers: [][]string{
-			{"node", "-secret", secret, "-name", "galahad"},
-			{"node", "-secret", secret, "-name", "percival"},
-		},
+		worker:             []string{"node", "-secret", secret},
+		workers:            2,
 		wantWorkerFailures: 0,
 	})
 	if remote := mustRead(remotePath); !bytes.Equal(remote, ref) {
@@ -97,11 +95,8 @@ func main() {
 			"-listen", "127.0.0.1:0", "-workers", "3", "-secret", secret,
 			"-erasures", "1", "-grace", "750ms", "-repair", "2",
 			"-proofout", healedPath}, common...),
-		workers: [][]string{
-			{"node", "-secret", secret, "-name", "mordred-a", "-fail-owner", "1"},
-			{"node", "-secret", secret, "-name", "mordred-b", "-fail-owner", "1"},
-			{"node", "-secret", secret, "-name", "mordred-c", "-fail-owner", "1"},
-		},
+		worker:             []string{"node", "-secret", secret, "-fail-owner", "1"},
+		workers:            3,
 		wantWorkerFailures: 1,
 	})
 	if !strings.Contains(out, "repair") {
@@ -113,10 +108,12 @@ func main() {
 	fmt.Println("churn proof: worker killed mid-run, repair round healed it, still bit-identical")
 }
 
-// deployment is one coordinator-plus-workers scenario.
+// deployment is one coordinator-plus-workers scenario: workers worker
+// processes, each started with the arguments worker.
 type deployment struct {
 	coordArgs []string
-	workers   [][]string
+	worker    []string
+	workers   int
 	// wantWorkerFailures is how many worker processes must exit
 	// non-zero (the -fail-owner victim); any other count is a bug.
 	wantWorkerFailures int
@@ -160,17 +157,16 @@ func runDeployment(ctx context.Context, bin string, d deployment) string {
 	}()
 
 	type workerExit struct {
-		name string
-		err  error
-		out  []byte
+		err error
+		out []byte
 	}
-	exits := make(chan workerExit, len(d.workers))
-	for _, args := range d.workers {
-		args := append(append([]string(nil), args...), "-join", addr)
+	args := append(append([]string(nil), d.worker...), "-join", addr)
+	exits := make(chan workerExit, d.workers)
+	for range d.workers {
 		go func() {
 			w := exec.CommandContext(ctx, bin, args...)
 			out, err := w.CombinedOutput()
-			exits <- workerExit{name: strings.Join(args, " "), err: err, out: out}
+			exits <- workerExit{err: err, out: out}
 		}()
 	}
 
@@ -180,7 +176,7 @@ func runDeployment(ctx context.Context, bin string, d deployment) string {
 		if e.err != nil {
 			failures++
 			if !bytes.Contains(e.out, []byte("injected worker failure")) {
-				log.Fatalf("worker %q failed for the wrong reason: %v\n%s", e.name, e.err, e.out)
+				log.Fatalf("worker %q failed for the wrong reason: %v\n%s", strings.Join(args, " "), e.err, e.out)
 			}
 		}
 	}

@@ -7,7 +7,6 @@ package core
 // round-trip without out-of-band metadata.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -19,9 +18,10 @@ var proofMagic = [4]byte{'C', 'M', 'L', 1}
 
 // ErrMalformedProof is the typed rejection of proof bytes that cannot
 // be a Camelot proof: wrong magic, implausible or duplicated geometry,
-// or a size claim the data cannot back. Once proofs cross a socket the
-// decoder is a trust boundary, so every claimed dimension is checked
-// against the bytes actually present before anything is allocated.
+// a size claim the data cannot back, a truncation or trailing bytes.
+// Once proofs cross a socket the decoder is a trust boundary, so every
+// claimed dimension is checked against the bytes actually present
+// before anything is allocated.
 var ErrMalformedProof = errors.New("core: malformed proof")
 
 // MarshalBinary implements encoding.BinaryMarshaler.
@@ -29,18 +29,18 @@ var ErrMalformedProof = errors.New("core: malformed proof")
 // Layout: magic | degree | width | #points | points... | #primes |
 // per prime: q | width × (d+1) coefficients | width × e evaluations.
 func (p *Proof) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Write(proofMagic[:])
-	w := func(v uint64) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	w(uint64(p.Degree))
-	w(uint64(p.Width))
-	w(uint64(len(p.Points)))
+	words := 3 + len(p.Points) + 1 + len(p.Primes)*(1+p.Width*(p.Degree+1+len(p.Points)))
+	buf := make([]byte, 0, len(proofMagic)+8*max(words, 0))
+	buf = append(buf, proofMagic[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(p.Degree))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(p.Width))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(p.Points)))
 	for _, x := range p.Points {
-		w(x)
+		buf = binary.LittleEndian.AppendUint64(buf, x)
 	}
-	w(uint64(len(p.Primes)))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(p.Primes)))
 	for _, q := range p.Primes {
-		w(q)
+		buf = binary.LittleEndian.AppendUint64(buf, q)
 		coeffs, ok := p.Coeffs[q]
 		if !ok || len(coeffs) != p.Width {
 			return nil, fmt.Errorf("core: proof missing coefficients for prime %d", q)
@@ -55,7 +55,7 @@ func (p *Proof) MarshalBinary() ([]byte, error) {
 					q, c, len(coeffs[c]), p.Degree+1)
 			}
 			for _, v := range coeffs[c] {
-				w(v)
+				buf = binary.LittleEndian.AppendUint64(buf, v)
 			}
 		}
 		for c := 0; c < p.Width; c++ {
@@ -64,98 +64,61 @@ func (p *Proof) MarshalBinary() ([]byte, error) {
 					q, c, len(evals[c]), len(p.Points))
 			}
 			for _, v := range evals[c] {
-				w(v)
+				buf = binary.LittleEndian.AppendUint64(buf, v)
 			}
 		}
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. Every failure
+// wraps ErrMalformedProof.
 func (p *Proof) UnmarshalBinary(data []byte) error {
 	rest, ok := ConsumeMagic(data, proofMagic)
 	if !ok {
 		return fmt.Errorf("%w: bad magic/version", ErrMalformedProof)
 	}
-	r := bytes.NewReader(rest)
-	var rdErr error
-	rd := func() uint64 {
-		var v uint64
-		if rdErr == nil {
-			rdErr = binary.Read(r, binary.LittleEndian, &v)
-		}
-		return v
-	}
-	degree := rd()
-	width := rd()
-	nPoints := rd()
-	if rdErr != nil {
-		return fmt.Errorf("core: truncated proof header: %w", rdErr)
-	}
 	const sane = 1 << 28
-	if degree > sane || width > 1<<16 || nPoints > sane {
-		return fmt.Errorf("%w: implausible geometry d=%d w=%d e=%d", ErrMalformedProof, degree, width, nPoints)
-	}
-	// Check every claimed dimension against the bytes actually present
-	// before allocating: a 40-byte payload must never be able to demand
-	// gigabytes. The geometry bounds above keep these products far
-	// below uint64 overflow.
-	if nPoints*8 > uint64(r.Len()) {
-		return fmt.Errorf("%w: %d points claimed, %d bytes available", ErrMalformedProof, nPoints, r.Len())
-	}
-	p.Degree = int(degree)
-	p.Width = int(width)
-	p.Points = make([]uint64, nPoints)
-	for i := range p.Points {
-		p.Points[i] = rd()
-	}
-	nPrimes := rd()
-	if rdErr != nil {
-		return fmt.Errorf("core: truncated proof points: %w", rdErr)
-	}
-	if nPrimes > 64 {
-		return fmt.Errorf("%w: implausible prime count %d", ErrMalformedProof, nPrimes)
+	r := NewCursor(rest, ErrMalformedProof)
+	degree := r.Int(sane)
+	width := r.Int(1 << 16)
+	points := r.Words(r.Int(sane))
+	nPrimes := r.Int(64)
+	if err := r.Err(); err != nil {
+		return err
 	}
 	// Per prime: the prime itself plus width coefficient vectors of
-	// degree+1 words and width evaluation vectors of nPoints words.
-	wordsPerPrime := 1 + width*(degree+1) + width*nPoints
-	if need := nPrimes * wordsPerPrime * 8; need > uint64(r.Len()) {
-		return fmt.Errorf("%w: body claims %d bytes, %d available", ErrMalformedProof, need, r.Len())
+	// degree+1 words and width evaluation vectors of len(points) words.
+	// Checking the whole body before allocating it keeps a tiny payload
+	// from demanding gigabytes; the bounds above keep the product far
+	// below uint64 overflow.
+	wordsPerPrime := 1 + uint64(width)*uint64(degree+1+len(points))
+	if need := uint64(nPrimes) * wordsPerPrime * 8; need > uint64(r.Left()) {
+		return fmt.Errorf("%w: body claims %d bytes, %d available", ErrMalformedProof, need, r.Left())
 	}
+	p.Degree, p.Width, p.Points = degree, width, points
 	p.Primes = make([]uint64, 0, nPrimes)
 	p.Coeffs = make(map[uint64][][]uint64, nPrimes)
 	p.Evals = make(map[uint64][][]uint64, nPrimes)
-	for pi := uint64(0); pi < nPrimes; pi++ {
-		q := rd()
+	for range nPrimes {
+		q := r.Word()
 		if _, dup := p.Coeffs[q]; dup {
 			// A repeated modulus would overwrite Coeffs[q]/Evals[q]
 			// while Primes kept both entries — an internally
 			// inconsistent proof no honest marshaller produces.
 			return fmt.Errorf("%w: duplicate prime %d", ErrMalformedProof, q)
 		}
-		coeffs := make([][]uint64, p.Width)
+		coeffs := make([][]uint64, width)
 		for c := range coeffs {
-			coeffs[c] = make([]uint64, p.Degree+1)
-			for j := range coeffs[c] {
-				coeffs[c][j] = rd()
-			}
+			coeffs[c] = r.Words(degree + 1)
 		}
-		evals := make([][]uint64, p.Width)
+		evals := make([][]uint64, width)
 		for c := range evals {
-			evals[c] = make([]uint64, nPoints)
-			for j := range evals[c] {
-				evals[c][j] = rd()
-			}
-		}
-		if rdErr != nil {
-			return fmt.Errorf("core: truncated proof body: %w", rdErr)
+			evals[c] = r.Words(len(points))
 		}
 		p.Primes = append(p.Primes, q)
 		p.Coeffs[q] = coeffs
 		p.Evals[q] = evals
 	}
-	if r.Len() != 0 {
-		return fmt.Errorf("core: %d trailing bytes after proof", r.Len())
-	}
-	return nil
+	return r.Done()
 }

@@ -8,8 +8,11 @@ package core
 // coverage of honest proofs lives in core_test.go.)
 
 import (
+	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 )
@@ -70,11 +73,10 @@ func proofHeader(degree, width, nPoints uint64, rest ...uint64) []byte {
 	return buf
 }
 
-// TestUnmarshalBoundsAllocationsAgainstPayload mails headers whose
-// claims would demand gigabytes: the decoder must reject them on the
-// byte budget before allocating anything claim-sized.
-func TestUnmarshalBoundsAllocationsAgainstPayload(t *testing.T) {
-	cases := map[string][]byte{
+// unbackedHeaders are proof headers whose claims would demand
+// gigabytes from a payload of a few dozen bytes.
+func unbackedHeaders() map[string][]byte {
+	return map[string][]byte{
 		// 2^28 points claimed, zero bytes behind them.
 		"unbacked points": proofHeader(4, 2, 1<<28),
 		// Small point set but one prime claiming width×(degree+1) ≈
@@ -83,7 +85,13 @@ func TestUnmarshalBoundsAllocationsAgainstPayload(t *testing.T) {
 		// 64 primes of a plausible-but-unbacked size.
 		"many primes": proofHeader(1<<20, 8, 2, 0, 0, 64, 12345),
 	}
-	for name, data := range cases {
+}
+
+// TestUnmarshalBoundsAllocationsAgainstPayload mails headers whose
+// claims would demand gigabytes: the decoder must reject them on the
+// byte budget before allocating anything claim-sized.
+func TestUnmarshalBoundsAllocationsAgainstPayload(t *testing.T) {
+	for name, data := range unbackedHeaders() {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
@@ -101,16 +109,66 @@ func TestUnmarshalBoundsAllocationsAgainstPayload(t *testing.T) {
 	}
 }
 
+// honestProofBytes marshals the proof of a real two-node run.
+func honestProofBytes(tb testing.TB) []byte {
+	tb.Helper()
+	proof, _, err := Run(context.Background(), testProblem(), Options{Nodes: 2, FaultTolerance: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	data, err := proof.MarshalBinary()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// TestUnmarshalRejectionsAreTyped: every rejection of proof bytes is
+// ErrMalformedProof, including each proper prefix of an honest proof
+// (cuts in the header and point list too) and the proof plus one
+// trailing byte.
 func TestUnmarshalRejectionsAreTyped(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":       nil,
 		"bad magic":   []byte("XXXX rest doesn't matter"),
 		"huge degree": proofHeader(1<<60, 1, 1),
 	}
+	honest := honestProofBytes(t)
+	for n := range len(honest) {
+		cases[fmt.Sprintf("prefix %d of %d", n, len(honest))] = honest[:n]
+	}
+	cases["one trailing byte"] = append(append([]byte(nil), honest...), 0)
 	for name, data := range cases {
 		var p Proof
 		if err := p.UnmarshalBinary(data); !errors.Is(err, ErrMalformedProof) {
-			t.Fatalf("%s: err = %v, want ErrMalformedProof", name, err)
+			t.Errorf("%s: err = %v, want ErrMalformedProof", name, err)
 		}
 	}
+}
+
+// FuzzUnmarshalProof holds the proof decoder to the property the share
+// and control codecs' fuzzers pin: any input either decodes and
+// re-marshals to exactly the input, or is rejected with
+// ErrMalformedProof — never a panic, never a claim-sized allocation.
+func FuzzUnmarshalProof(f *testing.F) {
+	f.Add(honestProofBytes(f))
+	for _, data := range unbackedHeaders() {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var p Proof
+		if err := p.UnmarshalBinary(data); err != nil {
+			if !errors.Is(err, ErrMalformedProof) {
+				t.Fatalf("rejection not typed: %v", err)
+			}
+			return
+		}
+		again, err := p.MarshalBinary()
+		if err != nil {
+			t.Fatalf("accepted proof failed to re-marshal: %v", err)
+		}
+		if !bytes.Equal(data, again) {
+			t.Fatalf("unmarshal/marshal not canonical:\n in %x\nout %x", data, again)
+		}
+	})
 }

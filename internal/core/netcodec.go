@@ -22,7 +22,7 @@ package core
 // sponsor that actually computed and sent it (from), and the round
 // number lets the collector drop stale frames from earlier gathers.
 // Version-1 frames are rejected with ErrBadFrame like any other
-// unknown format — both ends of a run upgrade together.
+// unknown format (see ConsumeMagic).
 //
 // On the stream the payload travels length-prefixed (see WriteFrame /
 // ReadFrame in frame.go): a uint32 little-endian byte count, then the
@@ -132,93 +132,49 @@ func EncodeNodeShares(m NodeShares) ([]byte, error) {
 // payload itself ever happens: each claimed dimension is checked
 // against the remaining bytes first.
 func DecodeNodeShares(data []byte) (NodeShares, error) {
-	var m NodeShares
 	rest, ok := ConsumeMagic(data, sharesMagic)
 	if !ok {
-		return m, fmt.Errorf("%w: bad magic/version", ErrBadFrame)
+		return NodeShares{}, fmt.Errorf("%w: bad magic/version", ErrBadFrame)
 	}
-	word := func() (uint64, bool) {
-		if len(rest) < 8 {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint64(rest)
-		rest = rest[8:]
-		return v, true
-	}
-	var hdr [7]uint64 // id, from, round, lo, hi, elapsed, errLen
-	for i := range hdr {
-		v, ok := word()
-		if !ok {
-			return m, fmt.Errorf("%w: truncated header", ErrBadFrame)
-		}
-		hdr[i] = v
-	}
-	id, from, round := int64(hdr[0]), int64(hdr[1]), int64(hdr[2])
-	lo, hi := int64(hdr[3]), int64(hdr[4])
-	span := hi - lo
+	r := NewCursor(rest, ErrBadFrame)
 	// id/from/round stay strictly below 1<<31 so the int conversions
 	// are exact even on 32-bit platforms; honest senders are 0..K-1 and
 	// honest rounds are tiny.
-	if id < 0 || id >= 1<<31 || from < 0 || from >= 1<<31 || round < 0 || round >= 1<<31 ||
-		lo < 0 || hi < lo || span > maxCodecSpan {
-		return m, fmt.Errorf("%w: implausible geometry id=%d from=%d round=%d range=[%d,%d)",
-			ErrBadFrame, id, from, round, lo, hi)
+	id, from, round := r.Int(1<<31-1), r.Int(1<<31-1), r.Int(1<<31-1)
+	lo, hi := int64(r.Word()), int64(r.Word())
+	elapsed := time.Duration(int64(r.Word()))
+	errText := r.Bytes(maxCodecErrLen)
+	nPrimes, width := r.Int(maxCodecPrimes), r.Int(maxCodecWidth)
+	if err := r.Err(); err != nil {
+		return NodeShares{}, err
 	}
-	errLen := hdr[6]
-	if errLen > maxCodecErrLen || errLen > uint64(len(rest)) {
-		return m, fmt.Errorf("%w: error text claims %d bytes, %d available", ErrBadFrame, errLen, len(rest))
-	}
-	var errText string
-	if errLen > 0 {
-		errText = string(rest[:errLen])
-		rest = rest[errLen:]
-	}
-	nPrimes, ok := word()
-	if !ok {
-		return m, fmt.Errorf("%w: truncated prime count", ErrBadFrame)
-	}
-	width, ok := word()
-	if !ok {
-		return m, fmt.Errorf("%w: truncated width", ErrBadFrame)
-	}
-	if nPrimes > maxCodecPrimes || width > maxCodecWidth {
-		return m, fmt.Errorf("%w: implausible shape primes=%d width=%d", ErrBadFrame, nPrimes, width)
+	span := hi - lo
+	if lo < 0 || hi < lo || span > maxCodecSpan {
+		return NodeShares{}, fmt.Errorf("%w: implausible range [%d,%d)", ErrBadFrame, lo, hi)
 	}
 	if nPrimes == 0 && width != 0 {
 		// With no primes there is nothing to be wide: the encoder
 		// always writes width 0 here, so anything else is not a frame
 		// it produced (keeping decode∘encode canonical).
-		return m, fmt.Errorf("%w: width %d with no primes", ErrBadFrame, width)
+		return NodeShares{}, fmt.Errorf("%w: width %d with no primes", ErrBadFrame, width)
 	}
 	// The whole body must be present, exactly: a short frame is
 	// corruption, a long one a framing bug. Checking before allocating
 	// bounds the decoder's memory by the bytes actually received.
 	// (Bounds above keep this product far below overflow.)
-	need := nPrimes * width * uint64(span) * 8
-	if need != uint64(len(rest)) {
-		return m, fmt.Errorf("%w: body claims %d bytes, frame carries %d", ErrBadFrame, need, len(rest))
+	if need := uint64(nPrimes) * uint64(width) * uint64(span) * 8; need != uint64(r.Left()) {
+		return NodeShares{}, fmt.Errorf("%w: body claims %d bytes, frame carries %d", ErrBadFrame, need, r.Left())
 	}
-	m.ID = int(id)
-	m.From = int(from)
-	m.Round = int(round)
-	m.Lo = int(lo)
-	m.Hi = int(hi)
-	m.Elapsed = time.Duration(int64(hdr[5]))
-	if errLen > 0 {
-		m.Err = &RemoteError{Msg: errText}
+	m := NodeShares{ID: id, From: from, Round: round, Lo: int(lo), Hi: int(hi), Elapsed: elapsed}
+	if len(errText) > 0 {
+		m.Err = &RemoteError{Msg: string(errText)}
 	}
 	m.Vals = make([][][]uint64, nPrimes)
 	for pi := range m.Vals {
-		coords := make([][]uint64, width)
-		for c := range coords {
-			vals := make([]uint64, span)
-			for j := range vals {
-				vals[j] = binary.LittleEndian.Uint64(rest)
-				rest = rest[8:]
-			}
-			coords[c] = vals
+		m.Vals[pi] = make([][]uint64, width)
+		for c := range m.Vals[pi] {
+			m.Vals[pi][c] = r.Words(int(span))
 		}
-		m.Vals[pi] = coords
 	}
 	return m, nil
 }

@@ -3,14 +3,16 @@
 // geometry and only gathers/decodes/verifies, and worker daemons that
 // join it over TCP, receive point-range assignments, evaluate locally,
 // and stream NodeShares frames back. The protocol is deliberately
-// small — hello/helloAck negotiate a version and a worker slot, assign
-// carries a range manifest, shares reuses the 'CMS'2 codec verbatim,
-// and done/error end things — layered over the same length-prefixed
-// framing (core.WriteFrame/ReadFrame) the share transport speaks.
+// small — hello/helloAck grant a worker slot, assign carries a range
+// manifest, shares reuses the 'CMS'2 codec verbatim, and done/error end
+// things — layered over the same length-prefixed framing
+// (core.WriteFrame/ReadFrame) the share transport speaks. The trailing
+// magic byte is the protocol's only version (see core.ConsumeMagic):
+// coordinator and workers upgrade together.
 //
 // Every control payload travels in one envelope:
 //
-//	magic 'C' 'M' 'C' 1
+//	magic 'C' 'M' 'C' 2
 //	tag (1 byte) | seq (uint64 LE) | macLen (1 byte: 0 or 32)
 //	macLen bytes of HMAC-SHA256 | body
 //
@@ -20,8 +22,8 @@
 // are the only messages allowed unauthenticated on a keyed connection.
 // Like the share codec, decoding is canonical — DecodeControl accepts
 // exactly the bytes EncodeControl produces, every claimed length is
-// checked against the bytes present before allocating, and any
-// violation is a typed ErrBadFrame, never a panic.
+// checked against the bytes present before allocating (core.Cursor),
+// and any violation is a typed ErrBadFrame, never a panic.
 package ctrl
 
 import (
@@ -32,14 +34,10 @@ import (
 	"camelot/internal/core"
 )
 
-// ProtocolVersion is this build's control-protocol version. The
-// handshake negotiates min(coordinator, worker); version 0 is refused.
-const ProtocolVersion = 1
-
 // ctrlMagic guards control frames against unrelated bytes (including
 // 'CMS' share frames arriving on the wrong port); the trailing byte is
 // the format version.
-var ctrlMagic = [4]byte{'C', 'M', 'C', 1}
+var ctrlMagic = [4]byte{'C', 'M', 'C', 2}
 
 // Control message tags, one per message kind in the envelope's tag
 // byte. The zero value is deliberately invalid.
@@ -61,14 +59,11 @@ var ErrBadFrame = errors.New("ctrl: malformed control frame")
 // allocation. Instances are textual workload specs, so 1 MiB is
 // generous; everything else is protocol-metadata sized.
 const (
-	maxNameLen     = 256
-	maxCaps        = 64
-	maxCapLen      = 128
 	maxKindLen     = 256
 	maxInstanceLen = 1 << 20
 	maxPrimes      = 64
 	maxErrMsgLen   = 1 << 16
-	maxCtrlInt     = 1 << 31 // ids, rounds, geometry words stay int-exact everywhere
+	maxCtrlInt     = 1<<31 - 1 // ids, rounds, geometry words stay int-exact everywhere
 )
 
 // macSize is the only authenticated-MAC length the envelope admits
@@ -85,38 +80,30 @@ type Frame struct {
 	Body []byte
 }
 
-// Hello is the worker's join request: its protocol version, an
-// optional resume token from a previous session on this coordinator
-// (empty for a fresh join, exactly 16 bytes to reattach), a display
-// name, and free-form capability strings for future negotiation.
+// Hello is the worker's join request: an optional resume token from a
+// previous session on this coordinator (empty for a fresh join, exactly
+// 16 bytes to reattach).
 type Hello struct {
-	Version int
-	Resume  []byte
-	Name    string
-	Caps    []string
+	Resume []byte
 }
 
-// HelloAck is the coordinator's grant: the negotiated version, the
-// worker slot in [0, K), the run's node count K, the resume token that
-// reattaches this slot after a reconnect, and the random challenge the
-// session key is derived from.
+// HelloAck is the coordinator's grant: the worker slot in [0, K), the
+// resume token that reattaches this slot after a reconnect, and the
+// random challenge the session key is derived from.
 type HelloAck struct {
-	Version   int
 	Worker    int
-	K         int
 	Resume    [16]byte
 	Challenge [16]byte
 }
 
 // Assign is one range manifest: evaluate the proof polynomial for
-// logical node Owner over points [Lo, Hi) for every prime, in a run
-// identified by Job, and send the result back tagged with Round. Kind
-// and Instance name the problem so a worker can rebuild it
-// deterministically (see RegisterProblem) — Evaluate is deterministic
-// in (q, x0), so the frames that come back are bit-identical to what
-// an in-process run would have produced.
+// logical node Owner over points [Lo, Hi) for every prime, and send
+// the result back tagged with Round. Kind and Instance name the problem
+// so a worker can rebuild it deterministically (the builder RunWorker
+// is given) — Evaluate is deterministic in (q, x0), so the frames that
+// come back are bit-identical to what an in-process run would have
+// produced.
 type Assign struct {
-	Job      int
 	Owner    int
 	Round    int
 	Lo, Hi   int
@@ -127,9 +114,8 @@ type Assign struct {
 }
 
 // Done tells a worker the run is over and the connection is closing.
-type Done struct {
-	Job int
-}
+// Its body is empty: a coordinator serves one run.
+type Done struct{}
 
 // ErrorMsg is a typed refusal: a stable machine code and a
 // human-readable message. Either side sends it just before closing.
@@ -140,7 +126,6 @@ type ErrorMsg struct {
 
 // Error codes carried by ErrorMsg.
 const (
-	CodeVersion    = 1 // no mutually supported protocol version
 	CodeClusterFul = 2 // every worker slot is taken and live
 	CodeAuth       = 3 // authentication failure
 	CodeBadFrame   = 4 // peer sent a malformed frame
@@ -163,46 +148,23 @@ func appendBytes(buf, b []byte) []byte {
 func encodeBody(msg any) (tag byte, body []byte, err error) {
 	switch m := msg.(type) {
 	case Hello:
-		if m.Version < 0 || m.Version >= maxCtrlInt {
-			return 0, nil, fmt.Errorf("ctrl: encode hello: bad version %d", m.Version)
-		}
 		if len(m.Resume) != 0 && len(m.Resume) != 16 {
 			return 0, nil, fmt.Errorf("ctrl: encode hello: resume token must be empty or 16 bytes, got %d", len(m.Resume))
 		}
-		if len(m.Name) > maxNameLen {
-			return 0, nil, fmt.Errorf("ctrl: encode hello: name %d bytes exceeds %d", len(m.Name), maxNameLen)
-		}
-		if len(m.Caps) > maxCaps {
-			return 0, nil, fmt.Errorf("ctrl: encode hello: %d caps exceeds %d", len(m.Caps), maxCaps)
-		}
-		body = appendUint(body, m.Version)
-		body = appendBytes(body, m.Resume)
-		body = appendBytes(body, []byte(m.Name))
-		body = appendUint(body, len(m.Caps))
-		for _, c := range m.Caps {
-			if len(c) > maxCapLen {
-				return 0, nil, fmt.Errorf("ctrl: encode hello: cap %d bytes exceeds %d", len(c), maxCapLen)
-			}
-			body = appendBytes(body, []byte(c))
-		}
-		return TagHello, body, nil
+		return TagHello, appendBytes(nil, m.Resume), nil
 	case HelloAck:
-		if m.Version < 0 || m.Version >= maxCtrlInt || m.Worker < 0 || m.Worker >= maxCtrlInt ||
-			m.K < 0 || m.K >= maxCtrlInt {
-			return 0, nil, fmt.Errorf("ctrl: encode helloAck: bad version=%d worker=%d k=%d", m.Version, m.Worker, m.K)
+		if m.Worker < 0 || m.Worker > maxCtrlInt {
+			return 0, nil, fmt.Errorf("ctrl: encode helloAck: bad worker %d", m.Worker)
 		}
-		body = appendUint(body, m.Version)
 		body = appendUint(body, m.Worker)
-		body = appendUint(body, m.K)
 		body = append(body, m.Resume[:]...)
 		body = append(body, m.Challenge[:]...)
 		return TagHelloAck, body, nil
 	case Assign:
-		if m.Job < 0 || m.Job >= maxCtrlInt || m.Owner < 0 || m.Owner >= maxCtrlInt ||
-			m.Round < 0 || m.Round >= maxCtrlInt || m.Lo < 0 || m.Hi < m.Lo || m.Hi >= maxCtrlInt ||
-			m.Width <= 0 || m.Width >= maxCtrlInt {
-			return 0, nil, fmt.Errorf("ctrl: encode assign: bad geometry job=%d owner=%d round=%d range=[%d,%d) width=%d",
-				m.Job, m.Owner, m.Round, m.Lo, m.Hi, m.Width)
+		if m.Owner < 0 || m.Owner > maxCtrlInt || m.Round < 0 || m.Round > maxCtrlInt ||
+			m.Lo < 0 || m.Hi < m.Lo || m.Hi > maxCtrlInt || m.Width <= 0 || m.Width > maxCtrlInt {
+			return 0, nil, fmt.Errorf("ctrl: encode assign: bad geometry owner=%d round=%d range=[%d,%d) width=%d",
+				m.Owner, m.Round, m.Lo, m.Hi, m.Width)
 		}
 		if len(m.Primes) == 0 || len(m.Primes) > maxPrimes {
 			return 0, nil, fmt.Errorf("ctrl: encode assign: %d primes (want 1..%d)", len(m.Primes), maxPrimes)
@@ -213,7 +175,6 @@ func encodeBody(msg any) (tag byte, body []byte, err error) {
 		if len(m.Instance) > maxInstanceLen {
 			return 0, nil, fmt.Errorf("ctrl: encode assign: instance %d bytes exceeds %d", len(m.Instance), maxInstanceLen)
 		}
-		body = appendUint(body, m.Job)
 		body = appendUint(body, m.Owner)
 		body = appendUint(body, m.Round)
 		body = appendUint(body, m.Lo)
@@ -233,12 +194,9 @@ func encodeBody(msg any) (tag byte, body []byte, err error) {
 		}
 		return TagShares, payload, nil
 	case Done:
-		if m.Job < 0 || m.Job >= maxCtrlInt {
-			return 0, nil, fmt.Errorf("ctrl: encode done: bad job %d", m.Job)
-		}
-		return TagDone, appendUint(nil, m.Job), nil
+		return TagDone, nil, nil
 	case ErrorMsg:
-		if m.Code < 0 || m.Code >= maxCtrlInt {
+		if m.Code < 0 || m.Code > maxCtrlInt {
 			return 0, nil, fmt.Errorf("ctrl: encode error: bad code %d", m.Code)
 		}
 		if len(m.Msg) > maxErrMsgLen {
@@ -292,172 +250,83 @@ func DecodeControl(payload []byte) (Frame, any, error) {
 	if !ok {
 		return f, nil, fmt.Errorf("%w: bad magic/version", ErrBadFrame)
 	}
-	if len(rest) < 1+8+1 {
-		return f, nil, fmt.Errorf("%w: truncated envelope", ErrBadFrame)
-	}
-	f.Tag = rest[0]
-	f.Seq = binary.LittleEndian.Uint64(rest[1:9])
-	macLen := int(rest[9])
-	rest = rest[10:]
+	r := core.NewCursor(rest, ErrBadFrame)
+	f.Tag = r.Byte()
+	f.Seq = r.Word()
+	macLen := int(r.Byte()) // 0 after a short read, caught below
 	if macLen != 0 && macLen != macSize {
 		return f, nil, fmt.Errorf("%w: mac length %d (want 0 or %d)", ErrBadFrame, macLen, macSize)
 	}
-	if len(rest) < macLen {
-		return f, nil, fmt.Errorf("%w: truncated mac", ErrBadFrame)
-	}
 	if macLen > 0 {
-		f.MAC = rest[:macLen:macLen]
-		rest = rest[macLen:]
+		f.MAC = r.Raw(macLen)
 	}
-	f.Body = rest
-	msg, err := decodeBody(f.Tag, rest)
+	if err := r.Err(); err != nil {
+		return f, nil, err
+	}
+	f.Body = r.Raw(r.Left())
+	msg, err := decodeBody(f.Tag, f.Body)
 	if err != nil {
 		return f, nil, err
 	}
 	return f, msg, nil
 }
 
-// bodyReader cursors over a message body with bounds-checked reads;
-// any overrun poisons it and the final done() check reports both
-// overruns and trailing garbage (which would break canonical
-// re-encoding).
-type bodyReader struct {
-	rest []byte
-	bad  bool
-}
-
-func (r *bodyReader) word() uint64 {
-	if r.bad || len(r.rest) < 8 {
-		r.bad = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.rest)
-	r.rest = r.rest[8:]
-	return v
-}
-
-// intWord reads a word that must fit the int range every id, round,
-// and geometry value lives in.
-func (r *bodyReader) intWord() int {
-	v := r.word()
-	if v >= maxCtrlInt {
-		r.bad = true
-		return 0
-	}
-	return int(v)
-}
-
-// bytes reads a length-prefixed byte string of at most max bytes.
-func (r *bodyReader) bytes(max int) []byte {
-	n := r.word()
-	if r.bad || n > uint64(max) || n > uint64(len(r.rest)) {
-		r.bad = true
-		return nil
-	}
-	b := r.rest[:n:n]
-	r.rest = r.rest[n:]
-	return b
-}
-
-// raw reads exactly n unprefixed bytes.
-func (r *bodyReader) raw(n int) []byte {
-	if r.bad || len(r.rest) < n {
-		r.bad = true
-		return nil
-	}
-	b := r.rest[:n:n]
-	r.rest = r.rest[n:]
-	return b
-}
-
-func (r *bodyReader) done() bool { return !r.bad && len(r.rest) == 0 }
-
+// decodeBody parses one message body; the canonical checks (no
+// trailing bytes, the encoder's bounds) make decode∘encode the
+// identity.
 func decodeBody(tag byte, body []byte) (any, error) {
-	r := &bodyReader{rest: body}
-	switch tag {
-	case TagHello:
-		var m Hello
-		m.Version = r.intWord()
-		resume := r.bytes(16)
-		if len(resume) != 0 && len(resume) != 16 {
-			return nil, fmt.Errorf("%w: hello resume token %d bytes", ErrBadFrame, len(resume))
-		}
-		if len(resume) > 0 {
-			m.Resume = append([]byte(nil), resume...)
-		}
-		m.Name = string(r.bytes(maxNameLen))
-		nCaps := r.intWord()
-		if r.bad || nCaps > maxCaps {
-			return nil, fmt.Errorf("%w: malformed hello", ErrBadFrame)
-		}
-		for i := 0; i < nCaps; i++ {
-			m.Caps = append(m.Caps, string(r.bytes(maxCapLen)))
-		}
-		if !r.done() {
-			return nil, fmt.Errorf("%w: malformed hello", ErrBadFrame)
-		}
-		return m, nil
-	case TagHelloAck:
-		var m HelloAck
-		m.Version = r.intWord()
-		m.Worker = r.intWord()
-		m.K = r.intWord()
-		copy(m.Resume[:], r.raw(16))
-		copy(m.Challenge[:], r.raw(16))
-		if !r.done() {
-			return nil, fmt.Errorf("%w: malformed helloAck", ErrBadFrame)
-		}
-		return m, nil
-	case TagAssign:
-		var m Assign
-		m.Job = r.intWord()
-		m.Owner = r.intWord()
-		m.Round = r.intWord()
-		m.Lo = r.intWord()
-		m.Hi = r.intWord()
-		m.Width = r.intWord()
-		nPrimes := r.intWord()
-		if r.bad || nPrimes == 0 || nPrimes > maxPrimes || m.Hi < m.Lo || m.Width <= 0 {
-			return nil, fmt.Errorf("%w: malformed assign", ErrBadFrame)
-		}
-		m.Primes = make([]uint64, nPrimes)
-		for i := range m.Primes {
-			m.Primes[i] = r.word()
-		}
-		kind := r.bytes(maxKindLen)
-		if len(kind) == 0 {
-			return nil, fmt.Errorf("%w: assign without problem kind", ErrBadFrame)
-		}
-		m.Kind = string(kind)
-		m.Instance = append([]byte(nil), r.bytes(maxInstanceLen)...)
-		if len(m.Instance) == 0 {
-			m.Instance = nil
-		}
-		if !r.done() {
-			return nil, fmt.Errorf("%w: malformed assign", ErrBadFrame)
-		}
-		return m, nil
-	case TagShares:
+	if tag == TagShares {
 		m, err := core.DecodeNodeShares(body)
 		if err != nil {
 			return nil, err // wraps core.ErrBadFrame
 		}
 		return m, nil
-	case TagDone:
-		m := Done{Job: r.intWord()}
-		if !r.done() {
-			return nil, fmt.Errorf("%w: malformed done", ErrBadFrame)
+	}
+	r := core.NewCursor(body, ErrBadFrame)
+	var msg any
+	plausible := true
+	switch tag {
+	case TagHello:
+		var m Hello
+		if resume := r.Bytes(16); len(resume) > 0 {
+			m.Resume = append([]byte(nil), resume...)
+			plausible = len(resume) == 16
 		}
-		return m, nil
+		msg = m
+	case TagHelloAck:
+		m := HelloAck{Worker: r.Int(maxCtrlInt)}
+		copy(m.Resume[:], r.Raw(16))
+		copy(m.Challenge[:], r.Raw(16))
+		msg = m
+	case TagAssign:
+		var m Assign
+		m.Owner = r.Int(maxCtrlInt)
+		m.Round = r.Int(maxCtrlInt)
+		m.Lo = r.Int(maxCtrlInt)
+		m.Hi = r.Int(maxCtrlInt)
+		m.Width = r.Int(maxCtrlInt)
+		m.Primes = r.Words(r.Int(maxPrimes))
+		m.Kind = string(r.Bytes(maxKindLen))
+		if instance := r.Bytes(maxInstanceLen); len(instance) > 0 {
+			m.Instance = append([]byte(nil), instance...)
+		}
+		plausible = len(m.Primes) > 0 && m.Hi >= m.Lo && m.Width > 0 && m.Kind != ""
+		msg = m
+	case TagDone:
+		msg = Done{}
 	case TagError:
 		var m ErrorMsg
-		m.Code = r.intWord()
-		m.Msg = string(r.bytes(maxErrMsgLen))
-		if !r.done() {
-			return nil, fmt.Errorf("%w: malformed error", ErrBadFrame)
-		}
-		return m, nil
+		m.Code = r.Int(maxCtrlInt)
+		m.Msg = string(r.Bytes(maxErrMsgLen))
+		msg = m
 	default:
 		return nil, fmt.Errorf("%w: unknown tag %d", ErrBadFrame, tag)
 	}
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	if !plausible {
+		return nil, fmt.Errorf("%w: implausible %T", ErrBadFrame, msg)
+	}
+	return msg, nil
 }

@@ -13,19 +13,19 @@ import (
 // used by the round-trip test and as the fuzz seed corpus.
 func sampleMessages() []any {
 	return []any{
-		Hello{Version: 1, Name: "worker-a", Caps: []string{"batch", "simd"}},
-		Hello{Version: 3, Resume: bytes.Repeat([]byte{0xAB}, 16)},
-		HelloAck{Version: 1, Worker: 2, K: 5,
+		Hello{},
+		Hello{Resume: bytes.Repeat([]byte{0xAB}, 16)},
+		HelloAck{Worker: 2,
 			Resume:    [16]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16},
 			Challenge: [16]byte{0xFF, 0xEE, 1}},
-		Assign{Job: 1, Owner: 3, Round: 2, Lo: 10, Hi: 20, Width: 2,
+		Assign{Owner: 3, Round: 2, Lo: 10, Hi: 20, Width: 2,
 			Primes: []uint64{97, 193}, Kind: "triangles", Instance: []byte("n=24 p=0.3 seed=7")},
-		Assign{Job: 7, Owner: 0, Round: 0, Lo: 0, Hi: 1, Width: 1, Primes: []uint64{17}, Kind: "k"},
+		Assign{Owner: 0, Round: 0, Lo: 0, Hi: 1, Width: 1, Primes: []uint64{17}, Kind: "k"},
 		core.NodeShares{ID: 1, From: 2, Round: 1, Lo: 4, Hi: 6, Elapsed: 5 * time.Millisecond,
 			Vals: [][][]uint64{{{7, 8}, {9, 10}}}},
 		core.NodeShares{ID: 0, From: 0, Round: 0, Lo: 0, Hi: 3,
 			Err: &core.RemoteError{Msg: "evaluation exploded"}},
-		Done{Job: 1},
+		Done{},
 		ErrorMsg{Code: CodeClusterFul, Msg: "all 4 worker slots are live"},
 	}
 }
@@ -128,7 +128,7 @@ func FuzzDecodeControl(f *testing.F) {
 			}
 		}
 	}
-	f.Add([]byte{'C', 'M', 'C', 1})
+	f.Add([]byte{'C', 'M', 'C', 2})
 	f.Add([]byte{'C', 'M', 'S', 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, msg, err := DecodeControl(data)

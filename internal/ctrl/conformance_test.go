@@ -32,7 +32,7 @@ func TestCoordinatorConformance(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			werrs[i] = RunWorker(context.Background(), WorkerConfig{Join: co.Addr()})
+			werrs[i] = RunWorker(context.Background(), WorkerConfig{Join: co.Addr()}, parsePolyInstance)
 		}()
 	}
 	assign := func(round int) {

@@ -48,7 +48,7 @@ type Config struct {
 	// disables frame authentication (loopback development mode).
 	Secret []byte
 	// Kind and Instance describe the workload for Assign manifests;
-	// workers rebuild the problem via RegisterProblem's constructors.
+	// workers rebuild the problem with the builder RunWorker is given.
 	Kind     string
 	Instance []byte
 	// MinWorkers is how many live workers the initial round waits for
@@ -59,10 +59,6 @@ type Config struct {
 	// (default 30s).
 	JoinTimeout time.Duration
 }
-
-// jobID is what every manifest and Done names as its job: a coordinator
-// serves one run, so there is nothing to tell apart.
-const jobID = 1
 
 func (cfg Config) withDefaults() Config {
 	if cfg.ListenAddr == "" {
@@ -85,7 +81,6 @@ type workerSlot struct {
 	used      bool
 	resume    [16]byte
 	conn      *wireConn
-	name      string
 	lastRound int
 }
 
@@ -215,14 +210,6 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 		wc.send(ErrorMsg{Code: CodeBadFrame, Msg: "expected hello"})
 		return
 	}
-	version := ProtocolVersion
-	if hello.Version < version {
-		version = hello.Version
-	}
-	if version < 1 {
-		wc.send(ErrorMsg{Code: CodeVersion, Msg: fmt.Sprintf("no common protocol version (coordinator %d, worker %d)", ProtocolVersion, hello.Version)})
-		return
-	}
 	slot := c.attach(hello)
 	if slot == nil {
 		wc.send(ErrorMsg{Code: CodeClusterFul, Msg: fmt.Sprintf("all %d worker slots are live", c.k)})
@@ -236,12 +223,12 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	// The ack travels unauthenticated — the key is derived *from* its
 	// challenge — and the key must be in place before the connection is
 	// published for senders or reads.
-	if err := wc.send(HelloAck{Version: version, Worker: slot.id, K: c.k, Resume: slot.resume, Challenge: challenge}); err != nil {
+	if err := wc.send(HelloAck{Worker: slot.id, Resume: slot.resume, Challenge: challenge}); err != nil {
 		c.detach(slot, wc)
 		return
 	}
 	wc.key = deriveKey(c.cfg.Secret, challenge)
-	replay := c.publish(slot, wc, hello.Name)
+	replay := c.publish(slot, wc)
 	for _, msg := range replay {
 		if err := wc.send(msg); err != nil {
 			c.detach(slot, wc)
@@ -289,14 +276,13 @@ func (c *Coordinator) attach(hello Hello) *workerSlot {
 // one — latest hello wins, because the old TCP connection may be a
 // half-open corpse) and returns the undelivered assignments routed to
 // the slot, for replay. A run waiting for workers is woken.
-func (c *Coordinator) publish(slot *workerSlot, wc *wireConn, name string) []Assign {
+func (c *Coordinator) publish(slot *workerSlot, wc *wireConn) []Assign {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if old := slot.conn; old != nil && old != wc {
 		old.conn.Close()
 	}
 	slot.conn = wc
-	slot.name = name
 	select {
 	case c.joined <- struct{}{}:
 	default:
@@ -434,7 +420,7 @@ func (c *Coordinator) AssignRanges(ctx context.Context, specs []core.AssignSpec)
 	}
 	for _, spec := range specs {
 		msg := Assign{
-			Job: jobID, Owner: spec.Owner, Round: spec.Round,
+			Owner: spec.Owner, Round: spec.Round,
 			Lo: spec.Lo, Hi: spec.Hi, Width: spec.Width, Primes: spec.Primes,
 			Kind: c.cfg.Kind, Instance: c.cfg.Instance,
 		}
@@ -556,7 +542,7 @@ func (c *Coordinator) Close() {
 		}
 		c.mu.Unlock()
 		for _, wc := range conns {
-			wc.send(Done{Job: jobID}) // best-effort, bounded by sendTimeout
+			wc.send(Done{}) // best-effort, bounded by sendTimeout
 			wc.conn.Close()
 		}
 		c.wg.Wait()

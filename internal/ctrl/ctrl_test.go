@@ -21,8 +21,8 @@ import (
 )
 
 // polyProblem is a minimal deterministic workload: one proof
-// polynomial P(x) = Σ_{i=0..d} ((salt+i) mod q) x^i. Registered under
-// kind "ctrl-poly" with instance encoding "d=N salt=S".
+// polynomial P(x) = Σ_{i=0..d} ((salt+i) mod q) x^i, kind "ctrl-poly"
+// with instance encoding "d=N salt=S" (parsePolyInstance).
 type polyProblem struct {
 	d    int
 	salt uint64
@@ -41,7 +41,10 @@ func (p polyProblem) Evaluate(q, x uint64) ([]uint64, error) {
 	return []uint64{acc}, nil
 }
 
-func parsePolyInstance(instance []byte) (core.Problem, error) {
+func parsePolyInstance(kind string, instance []byte) (core.Problem, error) {
+	if kind != "ctrl-poly" {
+		return nil, fmt.Errorf("ctrl: unknown problem kind %q", kind)
+	}
 	var p polyProblem
 	if _, err := fmt.Sscanf(string(instance), "d=%d salt=%d", &p.d, &p.salt); err != nil {
 		return nil, fmt.Errorf("ctrl-poly instance %q: %w", instance, err)
@@ -50,10 +53,6 @@ func parsePolyInstance(instance []byte) (core.Problem, error) {
 		return nil, fmt.Errorf("ctrl-poly instance %q: bad degree", instance)
 	}
 	return p, nil
-}
-
-func init() {
-	RegisterProblem("ctrl-poly", parsePolyInstance)
 }
 
 func testCtx(t *testing.T) context.Context {
@@ -111,9 +110,7 @@ func TestRemoteRunBitIdentity(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			werrs[i] = RunWorker(wctx, WorkerConfig{
-				Join: co.Addr(), Secret: secret, Name: fmt.Sprintf("w%d", i),
-			})
+			werrs[i] = RunWorker(wctx, WorkerConfig{Join: co.Addr(), Secret: secret}, parsePolyInstance)
 		}(i)
 	}
 	proof, report, err := core.Run(testCtx(t), p, core.Options{
@@ -163,9 +160,7 @@ func TestRemoteRepairHealsKilledWorker(t *testing.T) {
 			defer wg.Done()
 			// Every worker carries the same kill switch: which slot
 			// draws node 1 is a join-order race, and only that one dies.
-			werrs[i] = RunWorker(wctx, WorkerConfig{
-				Join: co.Addr(), Name: fmt.Sprintf("w%d", i), FailOwner: 1,
-			})
+			werrs[i] = RunWorker(wctx, WorkerConfig{Join: co.Addr(), FailOwner: 1}, parsePolyInstance)
 		}(i)
 	}
 	proof, report, err := core.Run(testCtx(t), p, core.Options{
@@ -219,7 +214,7 @@ func dialFake(t *testing.T, addr string, secret, resume []byte) *fakeWorker {
 		t.Fatalf("fake worker dial: %v", err)
 	}
 	wc := newWireConn(conn)
-	if err := wc.send(Hello{Version: ProtocolVersion, Resume: resume, Name: "fake"}); err != nil {
+	if err := wc.send(Hello{Resume: resume}); err != nil {
 		t.Fatalf("fake worker hello: %v", err)
 	}
 	_, msg, err := wc.recv()

@@ -33,9 +33,6 @@ type WorkerConfig struct {
 	// Secret must match the coordinator's; empty means the cluster runs
 	// unauthenticated.
 	Secret []byte
-	// Name is a display name carried in hello (defaults to the local
-	// address).
-	Name string
 	// FailOwner > 0 makes the worker die (ErrFailInjected) the moment a
 	// round-0 assignment names that logical node — a deterministic
 	// fault-injection knob for churn tests and the multiproc example.
@@ -62,15 +59,29 @@ const (
 
 // RunWorker runs the daemon until the coordinator says Done (nil), the
 // context ends, a terminal refusal arrives, or reconnection is
-// exhausted.
-func RunWorker(ctx context.Context, cfg WorkerConfig) error {
+// exhausted. build rebuilds an Assign manifest's problem from its
+// (kind, instance) pair; it must construct exactly the problem the
+// coordinator runs, deterministically, or the shares come back wrong.
+func RunWorker(ctx context.Context, cfg WorkerConfig, build func(kind string, instance []byte) (core.Problem, error)) error {
 	if cfg.Join == "" {
 		return fmt.Errorf("ctrl: worker needs a coordinator address")
 	}
 	// planners persist across assignments, reconnects, and repair
 	// rounds: each caches its problem's compiled per-prime plans, so a
 	// re-assigned range re-enters evaluation without recompiling.
-	planners := map[string]*core.Planner{}
+	cache := map[string]*core.Planner{}
+	planners := func(kind string, instance []byte) (*core.Planner, error) {
+		key := kind + "\x00" + string(instance)
+		if pl, ok := cache[key]; ok {
+			return pl, nil
+		}
+		p, err := build(kind, instance)
+		if err != nil {
+			return nil, err
+		}
+		cache[key] = core.NewPlanner(p)
+		return cache[key], nil
+	}
 	var resume []byte
 	backoff := workerRetryBackoff
 	failures := 0
@@ -104,7 +115,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 // serveWorker runs one connection's lifetime. joined reports whether
 // the handshake completed (resets the retry budget); terminal means
 // RunWorker must return err instead of reconnecting.
-func serveWorker(ctx context.Context, cfg WorkerConfig, resume *[]byte, planners map[string]*core.Planner) (joined, terminal bool, err error) {
+func serveWorker(ctx context.Context, cfg WorkerConfig, resume *[]byte, planners plannersFunc) (joined, terminal bool, err error) {
 	conn, err := net.DialTimeout("tcp", cfg.Join, workerDialTimeout)
 	if err != nil {
 		return false, false, err
@@ -121,11 +132,7 @@ func serveWorker(ctx context.Context, cfg WorkerConfig, resume *[]byte, planners
 		}
 	}()
 	wc := newWireConn(conn)
-	name := cfg.Name
-	if name == "" {
-		name = conn.LocalAddr().String()
-	}
-	if err := wc.send(Hello{Version: ProtocolVersion, Resume: *resume, Name: name}); err != nil {
+	if err := wc.send(Hello{Resume: *resume}); err != nil {
 		return false, false, err
 	}
 	_, msg, err := wc.recv()
@@ -138,9 +145,6 @@ func serveWorker(ctx context.Context, cfg WorkerConfig, resume *[]byte, planners
 			return false, true, fmt.Errorf("ctrl: coordinator refused join: %s (code %d)", em.Msg, em.Code)
 		}
 		return false, false, fmt.Errorf("%w: expected helloAck, got tag for %T", ErrBadFrame, msg)
-	}
-	if ack.Version < 1 || ack.Version > ProtocolVersion {
-		return false, true, fmt.Errorf("ctrl: coordinator negotiated unsupported protocol version %d", ack.Version)
 	}
 	*resume = append((*resume)[:0], ack.Resume[:]...)
 	wc.key = deriveKey(cfg.Secret, ack.Challenge)
@@ -178,7 +182,7 @@ func serveWorker(ctx context.Context, cfg WorkerConfig, resume *[]byte, planners
 // evaluation-side failure — unknown kind, geometry skew, a problem
 // error — travels as an in-band Err frame: a delivery outcome the
 // coordinator's fault accounting understands, not a silent hang.
-func runAssign(ctx context.Context, wc *wireConn, slot int, m Assign, planners map[string]*core.Planner) error {
+func runAssign(ctx context.Context, wc *wireConn, slot int, m Assign, planners plannersFunc) error {
 	shares, err := evaluateAssign(ctx, slot, m, planners)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -196,16 +200,14 @@ func runAssign(ctx context.Context, wc *wireConn, slot int, m Assign, planners m
 	return wc.send(shares)
 }
 
-func evaluateAssign(ctx context.Context, slot int, m Assign, planners map[string]*core.Planner) (core.NodeShares, error) {
-	cacheKey := m.Kind + "\x00" + string(m.Instance)
-	pl, ok := planners[cacheKey]
-	if !ok {
-		p, err := buildProblem(m.Kind, m.Instance)
-		if err != nil {
-			return core.NodeShares{}, err
-		}
-		pl = core.NewPlanner(p)
-		planners[cacheKey] = pl
+// plannersFunc returns the cached planner for a manifest's (kind,
+// instance), building its problem on first use.
+type plannersFunc func(kind string, instance []byte) (*core.Planner, error)
+
+func evaluateAssign(ctx context.Context, slot int, m Assign, planners plannersFunc) (core.NodeShares, error) {
+	pl, err := planners(m.Kind, m.Instance)
+	if err != nil {
+		return core.NodeShares{}, err
 	}
 	if w := pl.Problem().Width(); w != m.Width {
 		return core.NodeShares{}, fmt.Errorf("ctrl: assign width %d but problem %q has width %d (build skew?)", m.Width, m.Kind, w)

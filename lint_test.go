@@ -258,6 +258,30 @@ func TestCoreKeepsOneOfEach(t *testing.T) {
 	}
 }
 
+// TestWireCodecsShareOneReader keeps the proof ('CML'), share ('CMS')
+// and control ('CMC') decoders on frame.go's one bounded reader,
+// core.Cursor: no reflection-driven binary.Read/binary.Write anywhere
+// in non-test Go, and no hand-rolled word reads in the three codec
+// files, where a second reader would carry its own length checks.
+func TestWireCodecsShareOneReader(t *testing.T) {
+	offenders := linesContaining(t, []string{"binary.Read(", "binary.Write("}, true, "")
+	wordRead := regexp.MustCompile(`\.Uint(16|32|64)\(`)
+	for _, path := range []string{"internal/core/encode.go", "internal/core/netcodec.go", "internal/ctrl/codec.go"} {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			if wordRead.MatchString(line) {
+				offenders = append(offenders, fmt.Sprintf("%s:%d: %s", path, i+1, strings.TrimSpace(line)))
+			}
+		}
+	}
+	if len(offenders) > 0 {
+		t.Fatalf("wire bytes read outside core.Cursor:\n  %s", strings.Join(offenders, "\n  "))
+	}
+}
+
 // TestKindsAreDeclaredOnce is the catalog's half of "one of each": in
 // packages camelot and cmd/camelot a kind's name may be spelled as a Go
 // string literal — a switch case, a name list, a usage or error text —

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"time"
 
+	"camelot/internal/core"
 	"camelot/internal/ctrl"
 )
 
@@ -103,14 +104,22 @@ func (c *Coordinator) AsTransport() ClusterOption {
 }
 
 // NodeConfig parameterizes ServeNode: the coordinator's address to Join
-// (required), the shared Secret, a display Name, and FailOwner, the
-// deterministic-crash knob behind `camelot node -fail-owner`.
+// (required), the shared Secret, and FailOwner, the deterministic-crash
+// knob behind `camelot node -fail-owner`.
 type NodeConfig = ctrl.WorkerConfig
 
 // ServeNode runs the worker daemon until the coordinator says the run
 // is done (returns nil), the context ends, or the coordinator refuses
 // the join. Connection drops are retried with backoff; a reconnecting
-// worker resumes its slot and replays undelivered assignments.
+// worker resumes its slot and replays undelivered assignments. Each
+// Assign manifest's (kind, instance) pair is rebuilt through the same
+// ParseWorkload the coordinator used.
 func ServeNode(ctx context.Context, cfg NodeConfig) error {
-	return ctrl.RunWorker(ctx, cfg)
+	return ctrl.RunWorker(ctx, cfg, func(kind string, instance []byte) (core.Problem, error) {
+		w, err := ParseWorkload(kind + " " + string(instance))
+		if err != nil {
+			return nil, err
+		}
+		return w.Problem, nil
+	})
 }
