@@ -1,14 +1,18 @@
 package triangles
 
 // Tests of the group-tensor plan: bit for bit against Evaluate, the
-// block evaluator and referenceP; the rule that selects it; verification
-// refusing a wrong tensor; its allocations; and a fuzzer.
+// block evaluator and referenceP; its T against the all-triples
+// referenceTensor; the orbit table it is built over; the rule that
+// selects it; verification refusing a wrong tensor; its allocations; and
+// a fuzzer.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
+	"slices"
 	"testing"
 
 	"camelot/internal/core"
@@ -16,6 +20,7 @@ import (
 	"camelot/internal/graph"
 	"camelot/internal/plan"
 	"camelot/internal/tensor"
+	"camelot/internal/yates"
 )
 
 // topPrime is the largest prime the field package accepts, below 2^62.
@@ -91,6 +96,177 @@ func TestGroupTensorMatchesEvaluate(t *testing.T) {
 				if sum != f.ReduceU(trace) {
 					t.Fatalf("q=%d: grid sum %d, want trace %d", q, sum, trace)
 				}
+			}
+		})
+	}
+}
+
+// referenceTensor is T for tr counted over every triple, the orbit
+// build's oracle: row d of a β or γ group block is one side-bit word
+// read off that side's own grouped places, and each α entry (d, e) of
+// M_a adds popcount(M_b[e] & M_c[d]) to T[a][b][c] for every b and c —
+// |D|·G² word operations, serially. It returns nil when a β or γ group
+// repeats a place.
+func referenceTensor(tr *sparseTriple) []uint16 {
+	side := int32(tr.side)
+	startA, posA, _ := tr.a.Groups()
+	g := len(startA) - 1
+	// rows[d·G+c] is row d of M_c: bit f is M_c[d][f]. β is laid out
+	// transposed (place f·side+e holds M_b[e][f]) and γ row-major.
+	rows := func(ss *yates.SplitSparse, transposed bool) []uint64 {
+		start, pos, _ := ss.Groups()
+		m := make([]uint64, tr.side*g)
+		for c := 0; c < g; c++ {
+			for _, p := range pos[start[c]:start[c+1]] {
+				d, f := p/side, p%side
+				if transposed {
+					d, f = f, d
+				}
+				if m[int(d)*g+c]&(1<<f) != 0 {
+					return nil
+				}
+				m[int(d)*g+c] |= 1 << f
+			}
+		}
+		return m
+	}
+	bRows, cRows := rows(tr.b, true), rows(tr.c, false)
+	if bRows == nil || cRows == nil {
+		return nil
+	}
+	t := make([]uint16, g*g*g)
+	for a := 0; a < g; a++ {
+		for _, p := range posA[startA[a]:startA[a+1]] {
+			d, e := int(p/side), int(p%side)
+			for b := 0; b < g; b++ {
+				for c := 0; c < g; c++ {
+					t[(a*g+b)*g+c] += uint16(bits.OnesCount64(bRows[e*g+b] & cRows[d*g+c]))
+				}
+			}
+		}
+	}
+	return t
+}
+
+// tensorGeometry is one group-tensor geometry of the tests below: a
+// graph, a base and ℓ, with the groups a side has there.
+type tensorGeometry struct {
+	name   string
+	base   tensor.Decomposition
+	g      *graph.Graph
+	ell    int
+	groups int
+}
+
+// tensorGeometries are TestGroupTensorMatchesEvaluate's four geometries
+// at the ℓ NewProblem picks for them, Trivial(3) at n=27 (nine groups
+// over side 9, where the plan rule would keep the block product), a
+// hub-and-spoke graph whose group sizes are skewed, and a graph with
+// empty groups.
+func tensorGeometries() []tensorGeometry {
+	hub := graph.Gnp(128, 0.03, 5)
+	for v := 1; v < 128; v++ {
+		hub.AddEdge(0, v)
+		if v > 5 && v%3 == 0 {
+			hub.AddEdge(5, v)
+		}
+	}
+	// No vertex ≡ 3 (mod 4) has an edge, so every group whose two row
+	// digits or two column digits are 1 is empty.
+	sparse, gnp := graph.New(128), graph.Gnp(128, 0.4, 6)
+	for _, e := range gnp.Edges() {
+		if e[0]%4 != 3 && e[1]%4 != 3 {
+			sparse.AddEdge(e[0], e[1])
+		}
+	}
+	return []tensorGeometry{
+		{"eval_bound_p0.2", tensor.Strassen(), graph.Gnp(128, 0.2, 1), 5, 16},
+		{"eval_bound_p0.5", tensor.Strassen(), graph.Gnp(128, 0.5, 2), 5, 16},
+		{"strassen_n16", tensor.Strassen(), graph.Gnp(16, 0.5, 3), 3, 4},
+		{"trivial2_n128", tensor.Trivial(2), graph.Gnp(128, 0.5, 4), 5, 16},
+		{"trivial3_n27", tensor.Trivial(3), graph.Gnp(27, 0.5, 7), 2, 9},
+		{"hub_and_spoke", tensor.Strassen(), hub, 5, 16},
+		{"empty_groups", tensor.Strassen(), sparse, 5, 16},
+	}
+}
+
+// triple is the geometry's sparse triple over the 2^61 floor.
+func (tg tensorGeometry) triple(tb testing.TB) *sparseTriple {
+	dc, _ := tg.base.ForSize(tg.g.N())
+	tr, err := newSparseTriple(ff.Must(ff.NextPrime(1<<61)), adjacencyEntries(tg.g, dc), dc, tg.ell)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if start, _, _ := tr.a.Groups(); tr.levels != 0 || len(start)-1 != tg.groups {
+		tb.Fatalf("%s: %d levels above the block and %d groups, want 0 and %d", tg.name, tr.levels, len(start)-1, tg.groups)
+	}
+	return tr
+}
+
+func TestGroupTensorMatchesReference(t *testing.T) {
+	// The orbit-built T equals the all-triples count entry for entry at
+	// every geometry, skewed and empty groups included.
+	for _, tg := range tensorGeometries() {
+		t.Run(tg.name, func(t *testing.T) {
+			tr := tg.triple(t)
+			start, _, _ := tr.a.Groups()
+			sizes := make([]int, tg.groups)
+			for a := range sizes {
+				sizes[a] = start[a+1] - start[a]
+			}
+			if tg.name == "empty_groups" && slices.Min(sizes) != 0 {
+				t.Fatalf("group sizes %v: no empty group", sizes)
+			}
+			gt, want := newGroupTensor(tr), referenceTensor(tr)
+			if gt == nil || want == nil {
+				t.Fatalf("orbit build %v, reference %v: want both", gt != nil, want != nil)
+			}
+			for i, v := range want {
+				if gt.t[i] != v {
+					g := tg.groups
+					t.Fatalf("group sizes %v: T[%d][%d][%d] = %d, reference %d", sizes, i/(g*g), i/g%g, i%g, gt.t[i], v)
+				}
+			}
+		})
+	}
+}
+
+func TestGroupTensorOrbitTable(t *testing.T) {
+	// At every geometry τ transposes a group block on the row table
+	// (M_{τa} = M_aᵀ), every one of the G³ triples lies in exactly one
+	// orbit, and the orbit counts — the triples the build counts — are
+	// 720 at G = 16 (N0 = 2), 138 at G = 9 (N0 = 3) and 16 at G = 4,
+	// each read from the prebuilt tables.
+	orbits := map[int]int{16: 720, 9: 138, 4: 16}
+	for _, tg := range tensorGeometries() {
+		t.Run(tg.name, func(t *testing.T) {
+			tr := tg.triple(t)
+			g := tg.groups
+			ot := orbitTables[[2]int{tr.n0, g}]
+			if ot == nil || orbitsFor(tr.n0, g) != ot {
+				t.Fatalf("N0=%d, G=%d: no prebuilt orbit table", tr.n0, g)
+			}
+			rows, _ := rowTable(tr)
+			for a := range g {
+				for d := range tr.side {
+					for f := range tr.side {
+						if rows[ot.tau[a]][d]>>f&1 != rows[a][f]>>d&1 {
+							t.Fatalf("M_τ%d[%d][%d] != M_%d[%d][%d]", a, d, f, a, f, d)
+						}
+					}
+				}
+			}
+			seen := make([]int, g*g*g)
+			for _, m := range ot.member {
+				seen[m]++
+			}
+			for i, n := range seen {
+				if n != 1 {
+					t.Fatalf("triple (%d, %d, %d) in %d orbits", i/(g*g), i/g%g, i%g, n)
+				}
+			}
+			if len(ot.rep) != orbits[g] || len(ot.start) != len(ot.rep)+1 {
+				t.Fatalf("G=%d: %d orbits, want %d", g, len(ot.rep), orbits[g])
 			}
 		})
 	}
@@ -212,7 +388,7 @@ func TestGroupTensorAllocations(t *testing.T) {
 // fourth, one edge bit per vertex pair from the rest — at an ℓ whose
 // inner digits are one block (cut = ℓ) of at most 64 groups, whether or
 // not the rule would pick the tensor there, and holds the group-tensor
-// plan to the block evaluator.
+// plan's T to referenceTensor and its values to the block evaluator.
 func FuzzTrianglePlan(f *testing.F) {
 	f.Add([]byte{14, 0, 0, 1, 0xff, 0x0f, 0xa5, 0x3c})
 	f.Add([]byte{20, 1, 1, 0, 0x5a, 0x5a, 0x5a, 0x5a, 0x5a})
@@ -257,6 +433,9 @@ func FuzzTrianglePlan(f *testing.F) {
 		gt := newGroupTensor(tr)
 		if gt == nil {
 			t.Fatal("no group tensor for a graph's entries")
+		}
+		if want := referenceTensor(tr); !slices.Equal(gt.t, want) {
+			t.Fatalf("n=%d N0=%d ℓ=%d: orbit-built T differs from the all-triples reference", n, dc.N0, ell)
 		}
 		xs := []uint64{1, uint64(nParts), uint64(nParts) + 1, uint64(nParts) + 2, q - 1, uint64(data[0])<<40 | uint64(data[2])}
 		rows, err := gt.EvaluateBlock(xs)

@@ -105,6 +105,7 @@ type sparseTriple struct {
 	side    int
 	levels  int // ℓ - cut, the Yates levels above the blocks
 	a, b, c *yates.SplitSparse
+	n0      int // the base's N0: an entry's group is its T−ℓ low pair digits
 }
 
 // newSparseTriple builds the three sides over one set of entry tables.
@@ -125,7 +126,7 @@ func newSparseTriple(f ff.Field, entries []yates.Entry, dc tensor.Decomposition,
 	}
 	rowMajor, colMajor := blockPlaces(dc, side)
 	return &sparseTriple{f: f, side: side, levels: ell - cut,
-		a: a.Blocked(cut, rowMajor), b: b.Blocked(cut, colMajor), c: c.Blocked(cut, rowMajor)}, nil
+		a: a.Blocked(cut, rowMajor), b: b.Blocked(cut, colMajor), c: c.Blocked(cut, rowMajor), n0: dc.N0}, nil
 }
 
 // blockPlaces maps the in-block pair index N0·sp[row] + sp[col] of a
@@ -198,70 +199,175 @@ func (tr *sparseTriple) tensorPlan() *groupTensor {
 	return newGroupTensor(tr)
 }
 
-// newGroupTensor builds T for tr, which must be one block of unit
-// entries, from row masks: row d of a β or γ group block is one
-// side-bit word, so each α entry (d, e) of M_a adds popcount(M_b[e] &
-// M_c[d]) to T[a][b][c] — |D|·G² word operations, with ⌊64/side⌋ α
-// entries of a group side by side in one 64-bit word, and T's G slabs
-// split over par helpers: the build runs inside the plan's single-flight
-// compile, which every other pool worker of the run waits on. It returns
-// nil when a β or γ group repeats a place, a block entry a mask cannot
-// hold. α's places are γ's (both row-major over the same entries), so
-// T[a][b][c] then counts distinct (d, e, f) and stays within side³ <=
-// 2^15.
-func newGroupTensor(tr *sparseTriple) *groupTensor {
-	side := int32(tr.side)
-	startA, posA, _ := tr.a.Groups()
-	g := len(startA) - 1
-	// rows[d·G+c] is row d of M_c: bit f is M_c[d][f]. β is laid out
-	// transposed (place f·side+e holds M_b[e][f]) and γ row-major.
-	rows := func(ss *yates.SplitSparse, transposed bool) []uint64 {
-		start, pos, _ := ss.Groups()
-		m := make([]uint64, tr.side*g)
-		for c := 0; c < g; c++ {
-			for _, p := range pos[start[c]:start[c+1]] {
-				d, f := p/side, p%side
-				if transposed {
-					d, f = f, d
+// orbitTable partitions the G³ triples (a, b, c) of a side's groups into
+// the orbits of the six maps (a,b,c) → (a,b,c), (τa,c,b), (τb,τa,τc),
+// (b,τc,τa), (τc,a,τb), (c,τb,a), where τ swaps the row and column digits
+// of a group index (each base-N0² digit r·N0+c becomes c·N0+r). A
+// symmetric adjacency has M_{τa} = M_aᵀ, and T[a][b][c] =
+// trace(M_a·M_b·M_cᵀ) is invariant under all six: one count per orbit
+// fills T. The table depends on N0 and G only.
+type orbitTable struct {
+	tau    []int    // τ on group indices
+	rep    [][3]int // orbit i's first triple (a, b, c)
+	start  []int    // orbit i is member[start[i]:start[i+1]]
+	member []int    // triple indices (a·G+b)·G+c, each in exactly one orbit
+}
+
+// orbitTables holds the orbit table of every geometry past G = 1 that
+// the plan rule admits, keyed by N0 and G: with G = N0^{2k} groups and
+// side = N0^ℓ, G³ < side³ <= blockSide³ = 2^15 leaves G = 4 and 16 for
+// N0 = 2 and G = 9 for N0 = 3. Built once, it is only read; orbitsFor
+// builds any other table per call.
+var orbitTables = map[[2]int]*orbitTable{
+	{2, 4}: newOrbitTable(2, 4), {2, 16}: newOrbitTable(2, 16), {3, 9}: newOrbitTable(3, 9),
+}
+
+// orbitsFor returns the orbit table of g groups numbered by base-N0²
+// digits.
+func orbitsFor(n0, g int) *orbitTable {
+	if ot := orbitTables[[2]int{n0, g}]; ot != nil {
+		return ot
+	}
+	return newOrbitTable(n0, g)
+}
+
+// newOrbitTable builds the orbit table of g = N0^{2k} groups, numbered
+// as the decomposition low over k pair digits numbers pairs: τ maps
+// low.PairIndex(u, v) to low.PairIndex(v, u).
+func newOrbitTable(n0, g int) *orbitTable {
+	low := tensor.Trivial(n0)
+	low.T = 0
+	for low.N()*low.N() < g {
+		low.T++
+	}
+	n := low.N()
+	ot := &orbitTable{tau: make([]int, g), start: []int{0}}
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			ot.tau[low.PairIndex(u, v)] = low.PairIndex(v, u)
+		}
+	}
+	tau, seen := ot.tau, make([]bool, g*g*g)
+	for a := 0; a < g; a++ {
+		for b := 0; b < g; b++ {
+			for c := 0; c < g; c++ {
+				if seen[(a*g+b)*g+c] {
+					continue
 				}
-				if m[int(d)*g+c]&(1<<f) != 0 {
-					return nil
+				for _, m := range [6][3]int{{a, b, c}, {tau[a], c, b}, {tau[b], tau[a], tau[c]},
+					{b, tau[c], tau[a]}, {tau[c], a, tau[b]}, {c, tau[b], a}} {
+					if i := (m[0]*g+m[1])*g + m[2]; !seen[i] {
+						seen[i] = true
+						ot.member = append(ot.member, i)
+					}
 				}
-				m[int(d)*g+c] |= 1 << f
+				ot.rep = append(ot.rep, [3]int{a, b, c})
+				ot.start = append(ot.start, len(ot.member))
 			}
 		}
-		return m
 	}
-	bRows, cRows := rows(tr.b, true), rows(tr.c, false)
-	if bRows == nil || cRows == nil {
+	return ot
+}
+
+// rowTable returns rows[c][d], row d of the 0/1 group block M_c as a
+// side-bit word (bit f is M_c[d][f]; side <= blockSide = 32), and every
+// α entry's row and column as at[i] = d + f·blockSide, both read off α's
+// row-major grouped places d·side+f. β's and γ's tables would be the
+// same: the three sides group the same entries, β only transposed in its
+// block. It returns nil when a group repeats a place, a block entry a
+// row word cannot hold.
+func rowTable(tr *sparseTriple) (rows [][blockSide]uint32, at []uint16) {
+	start, pos, _ := tr.a.Groups()
+	side := int32(tr.side)
+	rows, at = make([][blockSide]uint32, len(start)-1), make([]uint16, len(pos))
+	for c := range rows {
+		for i := start[c]; i < start[c+1]; i++ {
+			d, f := pos[i]/side, pos[i]%side
+			if rows[c][d]&(1<<f) != 0 {
+				return nil, nil
+			}
+			rows[c][d] |= 1 << f
+			at[i] = uint16(d + f*blockSide)
+		}
+	}
+	return rows, at
+}
+
+// newGroupTensor builds T for tr, which must be one block of unit
+// entries of a symmetric adjacency, one orbit (orbitsFor) at a time: it
+// counts the orbit through the member whose first group a has the fewest
+// entries, T[a][b][c] = Σ over the entries (d, e) of M_a of
+// popcount(M_b[e] & M_c[d]) on rowTable's words, and copies the count to
+// the orbit's other members — Σ_orbits min(|M_a|, |M_b|, |M_c|) word
+// operations (135k at eval_bound, against |D|·G² = 824k for every
+// triple). The orbits are split over par helpers by their cumulative
+// entry count, so skewed group sizes still split evenly: the build runs
+// inside the plan's single-flight compile, which every other pool worker
+// of the run waits on. It returns nil where rowTable does. α's places
+// are γ's (both row-major over the same entries), so T[a][b][c] counts
+// distinct (d, e, f) and stays within side³ <= 2^15.
+func newGroupTensor(tr *sparseTriple) *groupTensor {
+	start, _, _ := tr.a.Groups()
+	g := len(start) - 1
+	rows, at := rowTable(tr)
+	if rows == nil {
 		return nil
 	}
+	ot := orbitsFor(tr.n0, g)
+	total := 0
+	for _, r := range ot.rep {
+		total += orbitWork(start, r)
+	}
 	t := make([]uint16, g*g*g)
-	per := 64 / tr.side
-	par.ForChunks(g, func(lo, hi int) {
-		bw, cw := make([]uint64, g), make([]uint64, g)
-		for a := lo; a < hi; a++ {
-			ta := t[a*g*g : (a+1)*g*g]
-			for first := startA[a]; first < startA[a+1]; first += per {
-				clear(bw)
-				clear(cw)
-				for j, p := range posA[first:min(first+per, startA[a+1])] {
-					d, e := int(p/side), int(p%side)
-					for i := range bw {
-						bw[i] |= bRows[e*g+i] << (j * tr.side)
-						cw[i] |= cRows[d*g+i] << (j * tr.side)
-					}
+	par.ForChunks(total, func(lo, hi int) {
+		// This chunk counts, into their first members, the orbits whose
+		// work starts in [lo, hi); one of no work past the last such
+		// start keeps its zero.
+		for i, done := 0, 0; i < len(ot.rep) && done < hi; i++ {
+			r := ot.rep[i]
+			if done >= lo {
+				a, b, c := r[0], r[1], r[2]
+				switch sa, sb, sc := start[a+1]-start[a], start[b+1]-start[b], start[c+1]-start[c]; {
+				case sb < sa && sb <= sc:
+					a, b, c = b, ot.tau[c], ot.tau[a]
+				case sc < sa && sc < sb:
+					a, b, c = c, ot.tau[b], a
 				}
-				for b, bv := range bw {
-					tb := ta[b*g : (b+1)*g]
-					for c, cv := range cw {
-						tb[c] += uint16(bits.OnesCount64(bv & cv))
-					}
-				}
+				t[ot.member[ot.start[i]]] = orbitCount(&rows[b], &rows[c], at[start[a]:start[a+1]])
 			}
+			done += orbitWork(start, r)
 		}
 	})
+	for i := range ot.rep {
+		first := ot.member[ot.start[i]]
+		for _, m := range ot.member[ot.start[i]+1 : ot.start[i+1]] {
+			t[m] = t[first]
+		}
+	}
 	return &groupTensor{tr: tr, g: g, t: t}
+}
+
+// orbitWork is the entries newGroupTensor counts for the orbit of r:
+// those of its smallest group, given the groups' starts.
+func orbitWork(start []int, r [3]int) int {
+	return min(start[r[0]+1]-start[r[0]], start[r[1]+1]-start[r[1]], start[r[2]+1]-start[r[2]])
+}
+
+// orbitCount is Σ over the entries d + e·blockSide of M_a in at of
+// popcount(rb[e] & rc[d]), two entries to a 64-bit word. The indices are
+// taken mod blockSide, which they are below, so that none is checked.
+func orbitCount(rb, rc *[blockSide]uint32, at []uint16) uint16 {
+	n := 0
+	for i := 1; i < len(at); i += 2 {
+		x, y := at[i-1], at[i]
+		n += bits.OnesCount64((uint64(rb[x/blockSide%blockSide])<<32 | uint64(rb[y/blockSide%blockSide])) &
+			(uint64(rc[x%blockSide])<<32 | uint64(rc[y%blockSide])))
+	}
+	if len(at)%2 == 1 {
+		x := at[len(at)-1]
+		n += bits.OnesCount32(rb[x/blockSide%blockSide] & rc[x%blockSide])
+	}
+	return uint16(n)
 }
 
 // EvaluateBlock implements plan.Plan: the three weight vectors of each

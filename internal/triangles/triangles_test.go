@@ -557,9 +557,10 @@ func TestSpreadTablesMatchPairIndex(t *testing.T) {
 }
 
 // BenchmarkTriangleCompile times the per-prime set-up at the eval_bound
-// geometry (n=128, p=0.2, a 2^61-floor prime): a node's Compile, and the
-// verifier's one-point Evaluate, which rebuilds the same tables and then
-// evaluates once. Run it with -benchmem.
+// geometry (n=128, p=0.2, a 2^61-floor prime): a node's Compile, the
+// group-tensor build alone on a prebuilt triple, and the verifier's
+// one-point Evaluate, which rebuilds the same tables and then evaluates
+// once. Run it with -benchmem.
 func BenchmarkTriangleCompile(b *testing.B) {
 	p, err := NewProblem(graph.Gnp(128, 0.2, 1), tensor.Strassen())
 	if err != nil {
@@ -571,6 +572,18 @@ func BenchmarkTriangleCompile(b *testing.B) {
 		for b.Loop() {
 			if _, err := p.Compile(f); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("tensor", func(b *testing.B) {
+		tr, err := newSparseTriple(ff.Must(q), adjacencyEntries(p.g, p.dc), p.dc, p.ell)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		for b.Loop() {
+			if newGroupTensor(tr) == nil {
+				b.Fatal("no group tensor at eval_bound")
 			}
 		}
 	})

@@ -347,10 +347,17 @@ func TestKindsAreDeclaredOnce(t *testing.T) {
 //     take a one-shot Lagrange basis, never the plan's run kernel;
 //   - csp's and cliques' Evaluate and their per-point combination take
 //     one-shot coefficient matrices, never the plan's tensor
-//     point-evaluator.
+//     point-evaluator;
+//   - triangles' Evaluate and its block product atBasis never reach the
+//     group tensor (its contraction, the rule that picks it, its orbit
+//     build), so a wrong T is refused.
 func TestHamiltonVerifierIsSeparate(t *testing.T) {
 	lagrangeRun := func(id string) bool { return strings.HasPrefix(id, "NewLagrangeEvaluator") || id == "Sweep" }
 	pointEvaluator := func(id string) bool { return id == "NewPointEvaluator" }
+	groupTensor := func(id string) bool {
+		return slices.Contains([]string{"Trilinear", "tensorPlan", "groupTensor", "newGroupTensor",
+			"orbitTable", "orbitTables", "orbitsFor", "newOrbitTable", "orbitWork", "orbitCount", "rowTable"}, id)
+	}
 	for _, row := range []struct {
 		dir      string
 		verifier []string
@@ -363,6 +370,7 @@ func TestHamiltonVerifierIsSeparate(t *testing.T) {
 		{"internal/orthvec", []string{"Evaluate", "at"}, 4, lagrangeRun},
 		{"internal/csp", []string{"Evaluate", "combineAll"}, 2, pointEvaluator},
 		{"internal/cliques", []string{"Evaluate", "ProofEval", "Combine"}, 3, pointEvaluator},
+		{"internal/triangles", []string{"Evaluate", "atBasis"}, 2, groupTensor},
 	} {
 		t.Run(filepath.Base(row.dir), func(t *testing.T) {
 			pkgs, err := parser.ParseDir(token.NewFileSet(), row.dir, func(fi fs.FileInfo) bool {
