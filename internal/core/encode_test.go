@@ -73,6 +73,13 @@ func proofHeader(degree, width, nPoints uint64, rest ...uint64) []byte {
 	return buf
 }
 
+// gridAtModulus is a 132-byte proof that decodes cleanly but whose grid
+// 0..4 is not smaller than its one modulus, 3 (degree 0, width 1): the
+// batch check's Lagrange basis does not exist there.
+func gridAtModulus() []byte {
+	return proofHeader(0, 1, 5, 0, 1, 2, 3, 4, 1, 3, 0, 0, 0, 0, 0, 0)
+}
+
 // unbackedHeaders are proof headers whose claims would demand
 // gigabytes from a payload of a few dozen bytes.
 func unbackedHeaders() map[string][]byte {
@@ -150,8 +157,12 @@ func TestUnmarshalRejectionsAreTyped(t *testing.T) {
 // and control codecs' fuzzers pin: any input either decodes and
 // re-marshals to exactly the input, or is rejected with
 // ErrMalformedProof — never a panic, never a claim-sized allocation.
+// Every accepted proof also goes through VerifyProofBatch, the check a
+// proof service runs on bytes it holds, which must answer without a
+// panic.
 func FuzzUnmarshalProof(f *testing.F) {
 	f.Add(honestProofBytes(f))
+	f.Add(gridAtModulus())
 	for _, data := range unbackedHeaders() {
 		f.Add(data)
 	}
@@ -170,5 +181,6 @@ func FuzzUnmarshalProof(f *testing.F) {
 		if !bytes.Equal(data, again) {
 			t.Fatalf("unmarshal/marshal not canonical:\n in %x\nout %x", data, again)
 		}
+		VerifyProofBatch(&p, 1)
 	})
 }

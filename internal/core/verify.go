@@ -17,7 +17,9 @@ import (
 // trials rounds and each modulus it draws a uniform x0 and compares one
 // fresh evaluation of P(x0) with Horner evaluation of the claimed
 // coefficients, for every coordinate. A correct proof always passes; a
-// forged one survives a round with probability at most d/q.
+// forged one survives a round with probability at most d/q. A proof over
+// a prime below p.MinModulus(), the floor Evaluate and that bound assume,
+// is an error.
 //
 // This is also the Merlin–Arthur mode: Arthur runs VerifyProof against a
 // proof Merlin supplied, spending only a single node's evaluation effort
@@ -41,6 +43,13 @@ func VerifyProofContext(ctx context.Context, p Problem, proof *Proof, trials int
 func verifyProof(ctx context.Context, p Problem, proof *Proof, trials int, seed int64) (bool, error) {
 	if trials <= 0 {
 		trials = 1
+	}
+	// Honest proofs start at the floor (ChoosePrimes); below it Evaluate
+	// need not be defined.
+	for _, q := range proof.Primes {
+		if q < p.MinModulus() {
+			return false, fmt.Errorf("proof modulus %d is below the problem's minimum %d", q, p.MinModulus())
+		}
 	}
 	rng := rand.New(rand.NewSource(seed))
 	for t := 0; t < trials; t++ {
@@ -130,6 +139,9 @@ func uniformUint64(rng *rand.Rand, q uint64) uint64 {
 // framework's primes (≥ 2^61, crt.FloorModulus) and typical proof
 // shapes (W-1+max(d, e-1) < 2^12) this is < 2^-49 per prime per call.
 //
+// A prime not above the grid (q ≤ e−1), where the Lagrange basis does not
+// exist, is an error.
+//
 // Cost: O(W·(d+e) + e) multiplications per prime versus the W·e·d of
 // auditing every point — the fold is what makes batched ingest cheap.
 func VerifyProofBatch(proof *Proof, seed int64) (bool, error) {
@@ -156,6 +168,9 @@ func verifyProofBatch(ctx context.Context, proof *Proof, seed int64) (bool, erro
 	for _, q := range proof.Primes {
 		if err := ctx.Err(); err != nil {
 			return false, err
+		}
+		if uint64(e) >= q {
+			return false, fmt.Errorf("batch verification requires the grid 0..%d to be smaller than the modulus %d", e-1, q)
 		}
 		f, err := ff.New(q)
 		if err != nil {

@@ -132,4 +132,12 @@ func TestVerifyProofBatchValidation(t *testing.T) {
 	if _, err := VerifyProofBatch(&scattered, 1); err == nil {
 		t.Fatal("expected non-consecutive-points error")
 	}
+
+	var tiny Proof
+	if err := tiny.UnmarshalBinary(gridAtModulus()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := VerifyProofBatch(&tiny, 1); err == nil {
+		t.Fatal("expected grid-not-below-modulus error")
+	}
 }

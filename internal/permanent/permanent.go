@@ -196,6 +196,7 @@ type compiled struct {
 // through the per-point path, so the two independent implementations
 // cross-check each other and a plan bug fails verification loudly
 // instead of silently corrupting the recovered permanent.
+// TestHamiltonVerifierIsSeparate (lint_test.go) holds Evaluate to that.
 func (p *Problem) Compile(f ff.Field) (plan.Plan, error) {
 	return &compiled{
 		p: p, f: f, am: p.reducedMatrix(f),

@@ -350,13 +350,20 @@ func TestKindsAreDeclaredOnce(t *testing.T) {
 //     point-evaluator;
 //   - triangles' Evaluate and its block product atBasis never reach the
 //     group tensor (its contraction, the rule that picks it, its orbit
-//     build), so a wrong T is refused.
+//     build), so a wrong T is refused;
+//   - permanent's Evaluate never reaches the compiled plan, its strip
+//     kernel or ff's run kernel behind D(x), so a bug in the Gray-code
+//     strip sweep fails verification.
 func TestHamiltonVerifierIsSeparate(t *testing.T) {
 	lagrangeRun := func(id string) bool { return strings.HasPrefix(id, "NewLagrangeEvaluator") || id == "Sweep" }
 	pointEvaluator := func(id string) bool { return id == "NewPointEvaluator" }
 	groupTensor := func(id string) bool {
 		return slices.Contains([]string{"Trilinear", "tensorPlan", "groupTensor", "newGroupTensor",
 			"orbitTable", "orbitTables", "orbitsFor", "newOrbitTable", "orbitWork", "orbitCount", "rowTable"}, id)
+	}
+	permanentPlan := func(id string) bool {
+		return slices.Contains([]string{"compiled", "Compile", "EvaluateBlock", "evaluateStrip",
+			"NewLagrangeEvaluatorZeroBased", "BitSweepBlock"}, id)
 	}
 	for _, row := range []struct {
 		dir      string
@@ -371,6 +378,7 @@ func TestHamiltonVerifierIsSeparate(t *testing.T) {
 		{"internal/csp", []string{"Evaluate", "combineAll"}, 2, pointEvaluator},
 		{"internal/cliques", []string{"Evaluate", "ProofEval", "Combine"}, 3, pointEvaluator},
 		{"internal/triangles", []string{"Evaluate", "atBasis"}, 2, groupTensor},
+		{"internal/permanent", []string{"Evaluate"}, 1, permanentPlan},
 	} {
 		t.Run(filepath.Base(row.dir), func(t *testing.T) {
 			pkgs, err := parser.ParseDir(token.NewFileSet(), row.dir, func(fi fs.FileInfo) bool {

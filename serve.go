@@ -11,10 +11,10 @@ package camelot
 //     Workload.Digest therefore never conflates distinct computations
 //     and never needs invalidation.
 //   - Proofs are independently verifiable: a cached artifact does not
-//     ask the client to trust the server's history. Every cached serve
-//     is accompanied by a fresh VerifyProofBatch spot-check, and the
-//     audit-grade VerifyProof path remains open to any client holding
-//     the input.
+//     ask the client to trust the server's history. An entry keeps only
+//     the bytes it serves, and every serve spot-checks exactly those with
+//     a fresh VerifyProofBatch; the audit-grade VerifyProof path remains
+//     open to any client holding the input.
 //   - The shared pool's weighted round-robin (core.Pool.RunWeighted)
 //     lets tenant priorities shape execution shares without starvation,
 //     so one service instance can serve tenants of different sizes.
@@ -54,6 +54,9 @@ var (
 // ErrUnknownProof is returned by status/result/verify lookups for a
 // digest the server has never admitted.
 var ErrUnknownProof = errors.New("camelot: no submission with that digest")
+
+// errSpotCheck refuses cached bytes that fail Result's spot-check.
+var errSpotCheck = fmt.Errorf("camelot: cached proof failed its spot-check: %w", ErrMalformedProof)
 
 // TenantConfig is one tenant's service contract.
 type TenantConfig struct {
@@ -123,7 +126,7 @@ func (c *ServerConfig) tenant(name string) TenantConfig {
 
 // serveEntry is one digest's lifecycle: admitted exactly once, watched
 // to completion, then held as the cached artifact. done is closed after
-// the terminal fields (bytes, proof, report, err) are written.
+// the terminal fields (bytes, err) are written.
 type serveEntry struct {
 	digest string
 	spec   string // canonical form
@@ -131,10 +134,8 @@ type serveEntry struct {
 	job    *Job
 	done   chan struct{}
 
-	bytes  []byte // marshaled proof, the bit-identical cached artifact
-	proof  *Proof // unmarshaling source of the spot checks
-	report *Report
-	err    error
+	bytes []byte // marshalled proof: the one copy served and spot-checked
+	err   error
 }
 
 // SubmitOutcome reports how a submission was admitted.
@@ -276,13 +277,9 @@ func (s *Server) watch(e *serveEntry) {
 	defer s.wg.Done()
 	proof, report, err := e.job.Wait(context.Background())
 	if err == nil {
-		var bytes []byte
-		if bytes, err = proof.MarshalBinary(); err == nil {
-			e.bytes, e.proof = bytes, proof
-		}
+		e.bytes, err = proof.MarshalBinary()
 	}
-	e.report, e.err = report, err
-	if err != nil {
+	if e.err = err; err != nil {
 		s.runFailures.Add(1)
 	}
 
@@ -326,12 +323,11 @@ func (s *Server) Status(digest string) (JobStatus, error) {
 }
 
 // Result returns the proof bytes for a digest, blocking until the
-// preparation finishes or ctx is done (long-poll). Every serve from a
-// finished entry — the cache-hit path — runs a fresh VerifyProofBatch
-// spot-check over the stored proof before the bytes are handed out, so
-// a corrupted cache fails closed rather than shipping garbage. The
-// returned slice is the cache's own storage; callers must not mutate
-// it.
+// preparation finishes or ctx is done (long-poll). Every serve first
+// decodes and batch-checks (VerifyProofBatch) the very bytes it hands
+// out, so a corrupted cache fails closed with an error wrapping
+// ErrMalformedProof. The returned slice is the cache's own storage;
+// callers must not mutate it.
 func (s *Server) Result(ctx context.Context, digest string) ([]byte, error) {
 	e, err := s.lookup(digest)
 	if err != nil {
@@ -345,42 +341,42 @@ func (s *Server) Result(ctx context.Context, digest string) ([]byte, error) {
 	if e.err != nil {
 		return nil, e.err
 	}
-	if ok, err := s.spotCheck(ctx, e); err != nil {
+	if err := s.spotCheck(ctx, e); err != nil {
 		return nil, err
-	} else if !ok {
-		return nil, fmt.Errorf("camelot: cached proof %s failed its spot-check", digest)
 	}
 	return e.bytes, nil
 }
 
-// VerifyStored runs a fresh VerifyProofBatch over a cached proof — the
-// client-triggered form of the spot-check every cached Result performs.
+// VerifyStored runs Result's spot-check on demand; a corrupted entry
+// answers (false, nil).
 func (s *Server) VerifyStored(ctx context.Context, digest string) (bool, error) {
-	e, err := s.lookup(digest)
-	if err != nil {
-		return false, err
+	_, err := s.Result(ctx, digest)
+	if errors.Is(err, errSpotCheck) {
+		return false, nil
 	}
-	select {
-	case <-e.done:
-	case <-ctx.Done():
-		return false, ctx.Err()
-	}
-	if e.err != nil {
-		return false, e.err
-	}
-	return s.spotCheck(ctx, e)
+	return err == nil, err
 }
 
-func (s *Server) spotCheck(ctx context.Context, e *serveEntry) (bool, error) {
+// spotCheck decodes the entry's bytes and batch-checks the result. Every
+// refusal but a context error is errSpotCheck.
+func (s *Server) spotCheck(ctx context.Context, e *serveEntry) error {
 	// Each check draws a distinct seed so repeated serves accumulate
 	// soundness rather than replaying one fold.
 	seed := s.run.Seed + s.spotSeed.Add(1)
 	s.spotChecks.Add(1)
-	ok, err := VerifyProofBatchContext(ctx, e.proof, seed)
-	if err == nil && !ok {
-		s.spotCheckFailures.Add(1)
+	var proof Proof
+	ok, err := false, proof.UnmarshalBinary(e.bytes)
+	if err == nil {
+		ok, err = VerifyProofBatchContext(ctx, &proof, seed)
 	}
-	return ok, err
+	if err == nil && !ok {
+		err = errors.New("folded evaluations disagree with the coefficients")
+	}
+	if err == nil || err == ctx.Err() {
+		return err
+	}
+	s.spotCheckFailures.Add(1)
+	return fmt.Errorf("%w: %s: %v", errSpotCheck, e.digest, err)
 }
 
 // --- HTTP front end -----------------------------------------------------------
@@ -414,9 +410,11 @@ type statusResponse struct {
 //	                  under backpressure; 400 on malformed specs.
 //	GET  /v1/status   ?digest=… → live JobStatus JSON.
 //	GET  /v1/result   ?digest=… → the proof bytes (long-poll until
-//	                  prepared; every serve is spot-checked first).
-//	POST /v1/verify   ?digest=… → fresh VerifyProofBatch over the cached
-//	                  proof → {"ok":true|false}.
+//	                  prepared), spot-checked first; 500 with
+//	                  {"error":"spot_check_failed"} if they fail it,
+//	                  {"error":"preparation_failed"} if the run did.
+//	POST /v1/verify   ?digest=… → the same spot-check on the cached
+//	                  bytes → {"ok":true|false}.
 //	GET  /metrics     → text counters: queue depth, cache hit ratio,
 //	                  per-stage latency, delivery faults, repair rounds.
 func (s *Server) Handler() http.Handler {
@@ -495,6 +493,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(err, ErrUnknownProof):
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown_digest"})
+	case errors.Is(err, errSpotCheck):
+		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": "spot_check_failed", "detail": err.Error()})
 	case err != nil:
 		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": "preparation_failed", "detail": err.Error()})
 	default:

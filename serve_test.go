@@ -493,12 +493,82 @@ func TestServeRunOptionsReachTheRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := e.report
+	_, rep, _ := e.job.Wait(ctx)
 	if fmt.Sprint(rep.SuspectNodes) != "[1]" || rep.VerifyTrials != 3 || rep.FaultTolerance != faults {
 		t.Fatalf("report: suspects %v, trials %d, fault tolerance %d; want [1], 3, %d",
 			rep.SuspectNodes, rep.VerifyTrials, rep.FaultTolerance, faults)
 	}
 	if st, err := srv.Status(out.Digest); err != nil || st.Suspects != 1 {
 		t.Fatalf("status: suspects %d, err %v; want 1", st.Suspects, err)
+	}
+}
+
+// TestServeRefusesCorruptedCache flips every byte of a cached proof in
+// turn: the spot-check must read the bytes that would be served, so each
+// flip is refused with an error wrapping ErrMalformedProof, VerifyStored
+// says false, and restoring the byte serves the original again. One flip
+// also goes over the wire, where it is a typed refusal and a counted
+// failure.
+func TestServeRefusesCorruptedCache(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cl := NewCluster(WithNodes(2))
+	defer cl.Close()
+	srv := NewServer(cl, ServerConfig{FaultTolerance: 1})
+	defer srv.Close()
+	out, err := srv.Submit("alice", "triangles n=12 p=0.3 seed=7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest, err := srv.Result(ctx, out.Digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest = bytes.Clone(honest)
+	e, err := srv.lookup(out.Digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range e.bytes {
+		e.bytes[i] ^= 0xff
+		if got, err := srv.Result(ctx, out.Digest); !errors.Is(err, ErrMalformedProof) {
+			t.Fatalf("byte %d of %d flipped: Result = (%d bytes, %v), want an ErrMalformedProof refusal", i, len(e.bytes), len(got), err)
+		}
+		if ok, err := srv.VerifyStored(ctx, out.Digest); ok || err != nil {
+			t.Fatalf("byte %d of %d flipped: VerifyStored = (%v, %v), want (false, nil)", i, len(e.bytes), ok, err)
+		}
+		e.bytes[i] ^= 0xff
+		if got, err := srv.Result(ctx, out.Digest); err != nil || !bytes.Equal(got, honest) {
+			t.Fatalf("byte %d restored: Result = (%d bytes, %v), want the original %d bytes", i, len(got), err, len(honest))
+		}
+	}
+
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	e.bytes[len(e.bytes)/2] ^= 0xff
+	defer func() { e.bytes[len(e.bytes)/2] ^= 0xff }()
+	resp, err := http.Get(ts.URL + "/v1/result?digest=" + out.Digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode == http.StatusOK || !strings.Contains(string(body), `"error":"spot_check_failed"`) {
+		t.Fatalf("corrupted /v1/result = %d %s, want a spot_check_failed refusal", resp.StatusCode, body)
+	}
+	resp, err = http.Post(ts.URL+"/v1/verify?digest="+out.Digest, "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"ok":false`) {
+		t.Fatalf("corrupted /v1/verify = %d %s, want {\"ok\":false}", resp.StatusCode, body)
+	}
+	var metrics strings.Builder
+	srv.WriteMetrics(&metrics)
+	want := fmt.Sprintf("camelot_spot_check_failures_total %d\n", 2*len(e.bytes)+2)
+	if !strings.Contains(metrics.String(), want) {
+		t.Fatalf("metrics lack %q:\n%s", want, metrics.String())
 	}
 }
