@@ -237,9 +237,10 @@ func TestBatchInvScratchMatchesBatchInv(t *testing.T) {
 }
 
 // TestMulKStaysInlinable rebuilds this package with the inliner's debug
-// output and fails if MulK stopped inlining — its cost sits exactly at
-// the compiler's budget, so any edit can silently push it over and
-// reintroduce a function call in every field multiply of every hot loop.
+// output and fails if MulK or MulShoup stopped inlining — MulK's cost
+// sits exactly at the compiler's budget, so any edit can silently push it
+// over and reintroduce a function call in every field multiply of every
+// hot loop; MulShoup is every NTT butterfly's product.
 func TestMulKStaysInlinable(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go toolchain not on PATH")
@@ -248,13 +249,15 @@ func TestMulKStaysInlinable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("go build -gcflags=-m=2: %v\n%s", err, out)
 	}
-	if !strings.Contains(string(out), "can inline MulK") {
-		for _, line := range strings.Split(string(out), "\n") {
-			if strings.Contains(line, "MulK") {
-				t.Logf("%s", line)
+	for _, fn := range []string{"MulK", "MulShoup"} {
+		if !strings.Contains(string(out), "can inline "+fn+" ") {
+			for _, line := range strings.Split(string(out), "\n") {
+				if strings.Contains(line, fn) {
+					t.Logf("%s", line)
+				}
 			}
+			t.Fatalf("%s is no longer inlinable; trim its cost back under the budget", fn)
 		}
-		t.Fatal("MulK is no longer inlinable; trim its cost back under the budget")
 	}
 }
 

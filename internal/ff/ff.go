@@ -12,6 +12,8 @@
 // with two multiplications and a few shifts — no hardware division
 // instruction — via Möller–Granlund 2-by-1 division against the
 // normalized modulus (the Barrett idea with a word-sized reciprocal).
+// A multiplier fixed for a whole loop goes further: ShoupOf pays one
+// division for its companion, and MulShoup then needs no reduction.
 // Construct Fields only through New/Must: a Field assembled as a struct
 // literal has no reciprocal and Mul/ReduceU panic on it. The old
 // division-based reduction survives as an unexported reference
@@ -134,6 +136,25 @@ func MulKS(a, bs uint64, k Kernel) uint64 {
 		r -= k.d
 	}
 	return r >> k.s
+}
+
+// ShoupOf returns w′ = ⌊w·2^64/q⌋, the companion MulShoup takes beside a
+// fixed multiplier w < q: one hardware division, paid once per table entry
+// or per constant that serves a whole polynomial.
+func ShoupOf(w, q uint64) uint64 {
+	ws, _ := bits.Div64(w, 0, q)
+	return ws
+}
+
+// MulShoup returns x·w mod q in [0, 2q) for any x < 2^64, given w < q and
+// ws = ShoupOf(w, q): Shoup's precomputed-quotient product, one high and
+// two low multiplications and no 128-bit reduction. hi = ⌊x·ws/2^64⌋
+// undershoots x·w/q by less than 2, so x·w − hi·q lies in [0, 2q) and is
+// exact in 64-bit arithmetic for q < 2^63. The lazy result suits loops
+// that keep Harvey's [0, 4q) invariant; others subtract q once.
+func MulShoup(x, w, ws, q uint64) uint64 {
+	hi, _ := bits.Mul64(x, ws)
+	return x*w - hi*q
 }
 
 // fieldCache memoizes New per modulus: problems construct a Field per

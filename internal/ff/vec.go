@@ -18,10 +18,14 @@ import "math/bits"
 // pin each variant against the scalar Field-op reference across the
 // diffModuli sweep.
 //
-// The bodies are unrolled 4-wide by hand: MulK/MulKS inline (guarded by
-// TestMulKStaysInlinable), and unrolling lets the four independent
-// reduction chains overlap in the out-of-order window instead of
-// serializing on the loop counter.
+// A multiplier fixed for the whole sweep with a ShoupOf companion goes
+// through MulShoup instead (MulVecShoup; internal/poly's NTT and tree
+// bases): any 64-bit first operand, a result in [0, 2q), no reduction.
+//
+// The bodies are unrolled 4-wide by hand: MulK/MulKS/MulShoup inline
+// (guarded by TestMulKStaysInlinable), and unrolling lets the four
+// independent reduction chains overlap in the out-of-order window instead
+// of serializing on the loop counter.
 
 // MulVecKS sets dst[i] = a[i]·b mod q for every i, where bs = k.Shift(b)
 // is the pre-shifted canonical multiplier. Entries of a may be lazy
@@ -39,6 +43,30 @@ func MulVecKS(dst, a []uint64, bs uint64, k Kernel) {
 	for ; i < n; i++ {
 		dst[i] = MulKS(a[i], bs, k)
 	}
+}
+
+// MulVecShoup sets dst[i] = a[i]·w mod q, canonical, for any entries of
+// a, where ws = ShoupOf(w, q). dst and a may alias; len(dst) must be >=
+// len(a).
+func MulVecShoup(dst, a []uint64, w, ws, q uint64) {
+	n := len(a)
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		d0, d1 := MulShoup(a[i], w, ws, q), MulShoup(a[i+1], w, ws, q)
+		d2, d3 := MulShoup(a[i+2], w, ws, q), MulShoup(a[i+3], w, ws, q)
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = reduce2Q(d0, q), reduce2Q(d1, q), reduce2Q(d2, q), reduce2Q(d3, q)
+	}
+	for ; i < n; i++ {
+		dst[i] = reduce2Q(MulShoup(a[i], w, ws, q), q)
+	}
+}
+
+// reduce2Q canonicalizes a residue below 2q.
+func reduce2Q(v, q uint64) uint64 {
+	if v >= q {
+		v -= q
+	}
+	return v
 }
 
 // MulVecK sets dst[i] = a[i]·b[i] mod q pointwise. Entries of a may be

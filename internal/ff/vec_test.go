@@ -65,6 +65,27 @@ func TestMulVecKSMatchesScalar(t *testing.T) {
 	}
 }
 
+func TestMulVecShoupMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, q := range diffModuli(t) {
+		f := Must(q)
+		for _, n := range []int{0, 1, 3, 4, 5, 8, 129} {
+			a := randVec(n, q, rng)
+			w := rng.Uint64() % q
+			lazy := lazyLift(a, q, 4, rng)
+			lazy = append(lazy, ^uint64(0)) // any word, not only the lazy range
+			a = append(a, (^uint64(0))%q)
+			got := make([]uint64, len(lazy))
+			MulVecShoup(got, lazy, w, ShoupOf(w, q), q)
+			for i := range a {
+				if want := f.Mul(a[i], w); got[i] != want {
+					t.Fatalf("q=%d n=%d: MulVecShoup[%d] = %d, want %d (a=%d)", q, n, i, got[i], want, lazy[i])
+				}
+			}
+		}
+	}
+}
+
 func TestMulVecKMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, q := range diffModuli(t) {

@@ -17,7 +17,8 @@ package poly
 // build one, use it and drop it. The quadratic bases under the tree —
 // Horner at the leaves, synthetic division in combineLagrange — are serial
 // multiply chains, latency-bound at 61 bits, and run four independent
-// points at a time (the ff/vec.go idiom).
+// points at a time (the ff/vec.go idiom), each point's multiplier an
+// ff.MulShoup against the companion the set keeps for it.
 
 import (
 	"slices"
@@ -53,7 +54,8 @@ const parSpanMin = 4 * fastThreshold
 type PointSet struct {
 	r      *Ring
 	points []uint64
-	size   int // leaf slots of the tree: n rounded up to a power of two
+	shoup  []uint64 // ff.ShoupOf of each point reduced mod q
+	size   int      // leaf slots of the tree: n rounded up to a power of two
 	// node is the tree in heap layout, 1-based: node[k] = Π (x - x_i) over
 	// the leaves under k, leaf size+i is (x - x_i), and a leaf slot past
 	// the last point is the constant 1. node[1] is the full product.
@@ -95,7 +97,10 @@ func (r *Ring) newTree(points []uint64) *PointSet {
 	n := len(points)
 	size := nttSize(n)
 	// The smallest nodes with a spectrum span spectralMin/2 leaves.
-	ps := &PointSet{r: r, points: points, size: size, node: make([][]uint64, 2*size), spec: make([][]uint64, 4*size/spectralMin)}
+	ps := &PointSet{r: r, points: points, shoup: make([]uint64, n), size: size, node: make([][]uint64, 2*size), spec: make([][]uint64, 4*size/spectralMin)}
+	for i, x := range points {
+		ps.shoup[i] = ff.ShoupOf(r.f.ReduceU(x), r.f.Q)
+	}
 	one := []uint64{1}
 	for i := 0; i < size; i++ {
 		if i < n {
@@ -166,7 +171,7 @@ func (ps *PointSet) Product() []uint64 { return ps.node[1] }
 // Footprint returns the bytes of field elements and slice headers the set
 // keeps alive, for callers that cache sets under a memory budget.
 func (ps *PointSet) Footprint() int {
-	words := len(ps.points) + len(ps.invW) + len(ps.mHat)
+	words := len(ps.points) + len(ps.shoup) + len(ps.invW) + len(ps.mHat)
 	for _, nd := range ps.node {
 		words += len(nd)
 	}
@@ -184,7 +189,9 @@ func (ps *PointSet) InvWeights() []uint64 { return ps.invW }
 // subproduct tree for large inputs and Horner per point for small ones.
 func (ps *PointSet) Eval(p []uint64) []uint64 {
 	if hornerWins(len(p), len(ps.points)) {
-		return ps.r.EvalEach(p, ps.points)
+		out := make([]uint64, len(ps.points))
+		ps.r.hornerEach(out, p, ps.points, ps.shoup)
+		return out
 	}
 	out := make([]uint64, len(ps.points))
 	ps.evalDown(1, p, out, 0, ps.size)
@@ -208,32 +215,39 @@ func hornerWins(plen, n int) bool { return n <= fastThreshold || plen <= fastThr
 // few points or a short polynomial, where no tree pays for itself.
 func (r *Ring) EvalEach(p, points []uint64) []uint64 {
 	out := make([]uint64, len(points))
-	r.hornerEach(out, p, points)
+	r.hornerEach(out, p, points, nil)
 	return out
 }
 
 // hornerEach sets out[i] = p(points[i]), four independent Horner chains
-// at a time (a lane past the last point evaluates at 0). The accumulators
-// ride the multiplier's lazy first-operand slot (a product plus a
-// canonical coefficient is below 2q) and are reduced once at the end.
-func (r *Ring) hornerEach(out, p, points []uint64) {
-	f := r.f
-	k := f.Kernel()
+// at a time (a lane past the last point evaluates at 0). shoup holds the
+// points' ff.ShoupOf companions, or is nil, and then each is computed
+// here: one division per point against the len(p) products it serves.
+// An accumulator is a Shoup product plus a canonical coefficient, below
+// 3q, and is reduced once at the end.
+func (r *Ring) hornerEach(out, p, points, shoup []uint64) {
+	f, q := r.f, r.f.Q
 	for i := 0; i < len(points); i += 4 {
-		var xs, as [4]uint64
+		var xs, ws [4]uint64
 		n := copy(xs[:], points[i:])
-		x0, x1 := k.Shift(f.ReduceU(xs[0])), k.Shift(f.ReduceU(xs[1]))
-		x2, x3 := k.Shift(f.ReduceU(xs[2])), k.Shift(f.ReduceU(xs[3]))
+		for l := range n {
+			xs[l] = f.ReduceU(xs[l])
+			if shoup != nil {
+				ws[l] = shoup[i+l]
+			} else {
+				ws[l] = ff.ShoupOf(xs[l], q)
+			}
+		}
 		var a0, a1, a2, a3 uint64
 		for j := len(p) - 1; j >= 0; j-- {
 			c := p[j]
-			a0, a1 = ff.MulKS(a0, x0, k)+c, ff.MulKS(a1, x1, k)+c
-			a2, a3 = ff.MulKS(a2, x2, k)+c, ff.MulKS(a3, x3, k)+c
+			a0, a1 = ff.MulShoup(a0, xs[0], ws[0], q)+c, ff.MulShoup(a1, xs[1], ws[1], q)+c
+			a2, a3 = ff.MulShoup(a2, xs[2], ws[2], q)+c, ff.MulShoup(a3, xs[3], ws[3], q)+c
 		}
-		as = [4]uint64{a0, a1, a2, a3}
+		as := [4]uint64{a0, a1, a2, a3}
 		copy(out[i:], as[:n])
 	}
-	ff.ReduceVec4Q(out, f.Q)
+	ff.ReduceVec4Q(out, q)
 }
 
 // evalDown reduces p modulo the subtree products, descending to leaves.
@@ -248,7 +262,7 @@ func (ps *PointSet) evalDown(k int, p []uint64, out []uint64, off, span int) {
 	// Below a size threshold, finish with Horner: cheaper than recursion.
 	if span <= fastThreshold {
 		hi := min(off+span, n)
-		r.hornerEach(out[off:hi], rem, ps.points[off:hi])
+		r.hornerEach(out[off:hi], rem, ps.points[off:hi], ps.shoup[off:hi])
 		return
 	}
 	// The children read rem (DivMod copies; nothing is mutated) and write
@@ -331,34 +345,48 @@ func (ps *PointSet) combineUp(k int, c []uint64, off, span int) []uint64 {
 // combineLagrange is the quadratic base of combineUp for the points
 // [lo, hi) under node k: each m_k/(x - x_i) comes from one synthetic
 // division of the (monic) node product and is accumulated scaled by c_i,
-// four points — four independent division chains — at a time.
+// four points — four independent division chains — at a time. Both
+// multipliers of a chain are Shoup products: x_i against the set's
+// companion, c_i against one computed here for the row it scales.
 func (ps *PointSet) combineLagrange(k int, c []uint64, lo, hi int) []uint64 {
 	f := ps.r.f
-	kern := f.Kernel()
+	q, twoQ := f.Q, 2*f.Q
 	m := ps.node[k] // degree hi-lo
 	out := make([]uint64, hi-lo)
 	for i := lo; i < hi; i += 4 {
-		var cs, xs [4]uint64 // a lane past hi carries c = 0 and adds nothing
+		var cs, css, xs, xss [4]uint64 // a lane past hi carries c = 0 and adds nothing
 		for l := 0; l < 4 && i+l < hi; l++ {
-			cs[l], xs[l] = kern.Shift(c[i+l]), kern.Shift(f.ReduceU(ps.points[i+l]))
+			cs[l], css[l] = c[i+l], ff.ShoupOf(c[i+l], q)
+			xs[l], xss[l] = f.ReduceU(ps.points[i+l]), ps.shoup[i+l]
 		}
-		c0, c1, c2, c3, x0, x1, x2, x3 := cs[0], cs[1], cs[2], cs[3], xs[0], xs[1], xs[2], xs[3]
-		// Quotient coefficients, from the top down; below 2q (a product
-		// plus a coefficient of m), the multiplier's lazy range.
+		// Quotient coefficients, from the top down: a Shoup product plus
+		// a coefficient of m, below 3q. Sums are folded below 2q as they
+		// go (four products below 2q each could wrap a word), and out
+		// stays below 2q until the end.
 		b0, b1, b2, b3 := uint64(1), uint64(1), uint64(1), uint64(1)
 		for j := len(out) - 1; ; j-- {
-			s01 := f.Add(ff.MulKS(b0, c0, kern), ff.MulKS(b1, c1, kern))
-			s23 := f.Add(ff.MulKS(b2, c2, kern), ff.MulKS(b3, c3, kern))
-			out[j] = f.Add(out[j], f.Add(s01, s23))
+			s01 := ff.MulShoup(b0, cs[0], css[0], q) + ff.MulShoup(b1, cs[1], css[1], q)
+			s23 := ff.MulShoup(b2, cs[2], css[2], q) + ff.MulShoup(b3, cs[3], css[3], q)
+			s := fold2Q(fold2Q(s01, twoQ)+fold2Q(s23, twoQ), twoQ)
+			out[j] = fold2Q(out[j]+s, twoQ)
 			if j == 0 {
 				break
 			}
 			mj := m[j]
-			b0, b1 = mj+ff.MulKS(b0, x0, kern), mj+ff.MulKS(b1, x1, kern)
-			b2, b3 = mj+ff.MulKS(b2, x2, kern), mj+ff.MulKS(b3, x3, kern)
+			b0, b1 = mj+ff.MulShoup(b0, xs[0], xss[0], q), mj+ff.MulShoup(b1, xs[1], xss[1], q)
+			b2, b3 = mj+ff.MulShoup(b2, xs[2], xss[2], q), mj+ff.MulShoup(b3, xs[3], xss[3], q)
 		}
 	}
+	ff.ReduceVec4Q(out, q)
 	return out
+}
+
+// fold2Q maps a sum below 4q into [0, 2q).
+func fold2Q(v, twoQ uint64) uint64 {
+	if v >= twoQ {
+		v -= twoQ
+	}
+	return v
 }
 
 // Quotient returns p = (u·m + v·b)/v, m the set's product, when the
@@ -395,6 +423,7 @@ func (ps *PointSet) Quotient(u, v, b []uint64, maxDeg int) (p []uint64, ok bool)
 func (ps *PointSet) quotientSpectral(u, v []uint64) []uint64 {
 	r, f := ps.r, ps.r.f
 	kern := f.Kernel()
+	q := f.Q
 	p := r.plan(ps.size)
 	vbuf, pbuf := p.bufs.Get().(*[]uint64), p.bufs.Get().(*[]uint64)
 	defer p.bufs.Put(vbuf)
@@ -412,7 +441,8 @@ func (ps *PointSet) quotientSpectral(u, v []uint64) []uint64 {
 	r.inverse(out, p)
 	_, untw := r.twist(ps.size)
 	for i, w := range untw {
-		out[i] = ff.MulKS(out[i], w, kern)
+		out[i] = ff.MulShoup(out[i], w.w, w.s, q)
 	}
+	ff.ReduceVec4Q(out, q)
 	return out
 }

@@ -6,7 +6,8 @@ package poly
 //
 // Transforms run against cached plans: for every (modulus, size) pair the
 // forward and inverse stage twiddle tables, the bit-reversal permutation,
-// and the 1/n scaling constant are computed once and shared process-wide
+// and the 1/n scaling constant — each multiplier beside its ff.ShoupOf
+// companion — are computed once and shared process-wide
 // (rings are rebuilt per prime per run, so the cache cannot live on the
 // Ring). Plans also pool transform scratch buffers, so a multiplication
 // allocates only its result. The cache is a sync.Map keyed by (q, n);
@@ -38,6 +39,11 @@ type planKey struct {
 
 var planCache sync.Map // planKey -> *nttPlan
 
+// twiddle is a multiplier w < q fixed for a whole loop, beside its
+// companion s = ff.ShoupOf(w, q): the one form in which a plan keeps its
+// constants, so every product by one is an ff.MulShoup.
+type twiddle struct{ w, s uint64 }
+
 // nttPlan holds everything a size-n transform over one modulus needs
 // beyond the data itself. Plans are immutable after construction apart
 // from the scratch pool.
@@ -49,14 +55,11 @@ type nttPlan struct {
 	// fwd and inv are the stage-major twiddle tables for the forward and
 	// inverse transforms: the stage with butterfly span `length` occupies
 	// half = length/2 consecutive entries holding wl^0..wl^(half-1),
-	// stages in ascending length order, n-1 entries total. Entries are
-	// stored pre-normalized with Kernel.Shift so every butterfly uses the
-	// cheaper ff.MulKS.
-	fwd []uint64
-	inv []uint64
-	// invN is 1/n mod q, the inverse-transform scaling constant, also
-	// pre-shifted for MulKS.
-	invN uint64
+	// stages in ascending length order, n-1 entries total.
+	fwd []twiddle
+	inv []twiddle
+	// invN is 1/n mod q, the inverse-transform scaling constant.
+	invN twiddle
 	// bufs pools length-n scratch vectors for mulNTT.
 	bufs sync.Pool
 }
@@ -75,20 +78,14 @@ func (r *Ring) plan(n int) *nttPlan {
 
 func (r *Ring) buildPlan(n int) *nttPlan {
 	f := r.f
-	k := f.Kernel()
 	w := r.rootOfOrder(n)
+	invN := f.Inv(f.ReduceU(uint64(n)))
 	p := &nttPlan{
 		n:    n,
 		rev:  make([]int32, n),
 		fwd:  stageTwiddles(f, w, n),
 		inv:  stageTwiddles(f, f.Inv(w), n),
-		invN: k.Shift(f.Inv(f.ReduceU(uint64(n)))),
-	}
-	for i, v := range p.fwd {
-		p.fwd[i] = k.Shift(v)
-	}
-	for i, v := range p.inv {
-		p.inv[i] = k.Shift(v)
+		invN: twiddle{invN, ff.ShoupOf(invN, f.Q)},
 	}
 	for i := 1; i < n; i++ {
 		p.rev[i] = p.rev[i>>1]>>1 | int32(i&1)*int32(n>>1)
@@ -102,8 +99,8 @@ func (r *Ring) buildPlan(n int) *nttPlan {
 
 // stageTwiddles fills the stage-major twiddle table for a transform with
 // primitive n-th root w (see nttPlan.fwd for the layout).
-func stageTwiddles(f ff.Field, w uint64, n int) []uint64 {
-	tw := make([]uint64, n-1)
+func stageTwiddles(f ff.Field, w uint64, n int) []twiddle {
+	tw := make([]twiddle, n-1)
 	off := 0
 	for length := 2; length <= n; length <<= 1 {
 		// wl = w^(n/length): primitive length-th root.
@@ -114,7 +111,7 @@ func stageTwiddles(f ff.Field, w uint64, n int) []uint64 {
 		half := length >> 1
 		wj := uint64(1)
 		for j := 0; j < half; j++ {
-			tw[off+j] = wj
+			tw[off+j] = twiddle{wj, ff.ShoupOf(wj, f.Q)}
 			wj = f.Mul(wj, wl)
 		}
 		off += half
@@ -149,11 +146,11 @@ func (r *Ring) mulNTT(a, b []uint64, n int) []uint64 {
 }
 
 // inverse is the inverse transform of a (entries below 4q) under plan p,
-// scaled by 1/n: invN is stored pre-shifted, the lazy residues feed the
-// multiplier's first-operand slot, and the sweep emits canonical values.
+// scaled by 1/n: the lazy residues go to ff.MulShoup as they are, and the
+// sweep emits canonical values.
 func (r *Ring) inverse(a []uint64, p *nttPlan) {
 	transformLazy(r.f, a, p, p.inv)
-	ff.MulVecKS(a, a, p.invN, r.f.Kernel())
+	ff.MulVecShoup(a, a, p.invN.w, p.invN.s, r.f.Q)
 }
 
 // spectrum returns the forward transform of a (len(a) ≤ p.n) under plan p
@@ -167,11 +164,11 @@ func (r *Ring) spectrum(a []uint64, p *nttPlan) []uint64 {
 	return s
 }
 
-// twist returns ψ^i and ψ^-i for i < n, pre-shifted for ff.MulKS, ψ the
-// primitive 2n-th root of unity of the size-2n plan: they are that plan's
-// last butterfly stage. Multiplying coefficient i by ψ^i before a size-n
-// transform evaluates at the odd 2n-th roots ψ·ω^j, the roots of x^n = -1.
-func (r *Ring) twist(n int) (tw, untw []uint64) {
+// twist returns ψ^i and ψ^-i for i < n, ψ the primitive 2n-th root of
+// unity of the size-2n plan: they are that plan's last butterfly stage.
+// Multiplying coefficient i by ψ^i before a size-n transform evaluates at
+// the odd 2n-th roots ψ·ω^j, the roots of x^n = -1.
+func (r *Ring) twist(n int) (tw, untw []twiddle) {
 	p := r.plan(2 * n)
 	return p.fwd[n-1:], p.inv[n-1:]
 }
@@ -179,10 +176,10 @@ func (r *Ring) twist(n int) (tw, untw []uint64) {
 // twistedSpectrum sets dst to the values of a (len(a) ≤ len(dst)) at the
 // odd 2·len(dst)-th roots of unity, in canonical residues.
 func (r *Ring) twistedSpectrum(dst, a []uint64) {
-	k := r.f.Kernel()
+	q := r.f.Q
 	tw, _ := r.twist(len(dst))
 	for i, ai := range a {
-		dst[i] = ff.MulKS(ai, tw[i], k)
+		dst[i] = ff.MulShoup(ai, tw[i].w, tw[i].s, q)
 	}
 	clear(dst[len(a):])
 	p := r.plan(len(dst))
@@ -213,67 +210,26 @@ func (r *Ring) rootOfOrder(n int) uint64 {
 	return w
 }
 
-// transform performs an in-place iterative radix-2 Cooley–Tukey pass of
-// a (length p.n) with the given stage twiddle table (p.fwd or p.inv).
-// The butterfly loop runs on the hoisted reduction kernel so the field
-// multiply inlines (see ff.MulK).
-//
-// transform is the fully-canonical reference path: transformLazy below
-// is differentially tested against it (TestTransformLazyMatchesReference)
-// and replaces it in mulNTT.
-func transform(f ff.Field, a []uint64, p *nttPlan, tw []uint64) {
-	n := p.n
-	k := f.Kernel()
-	q := f.Q
-	for i, ri := range p.rev {
-		if int32(i) < ri {
-			a[i], a[ri] = a[ri], a[i]
-		}
-	}
-	off := 0
-	for length := 2; length <= n; length <<= 1 {
-		half := length >> 1
-		ws := tw[off : off+half]
-		for start := 0; start < n; start += length {
-			lo := a[start : start+half : start+half]
-			hi := a[start+half : start+length : start+length]
-			for j, wj := range ws {
-				u := lo[j]
-				v := ff.MulKS(hi[j], wj, k)
-				s := u + v
-				if s >= q {
-					s -= q
-				}
-				lo[j] = s
-				d := u - v
-				if u < v {
-					d += q
-				}
-				hi[j] = d
-			}
-		}
-		off += half
-	}
-}
-
 // nttParallelMin is the transform size from which stage splitting across
 // par workers pays for itself; below it the fork/join overhead dominates
 // a stage's ~n/2 butterflies.
 const nttParallelMin = 4096
 
-// transformLazy is the production transform: same stage structure as
-// transform, but with Harvey-style lazy butterflies that keep residues
-// in [0, 4q) instead of canonicalizing after every operation, 4-wide
-// unrolled inner loops, and stages split across par workers for large
-// sizes. Canonical input yields output in the lazy range [0, 4q);
-// callers reduce (ff.ReduceVec4Q) or exploit the lazy first-operand
-// slot of ff.MulK (see mulNTT). Residues agree with transform mod q at
-// every index.
+// transformLazy performs an in-place iterative radix-2 Cooley–Tukey pass
+// of a (length p.n) with the given stage twiddle table (p.fwd or p.inv):
+// Harvey's lazy butterflies with Shoup products ("Faster arithmetic for
+// number-theoretic transforms"), which keep residues in [0, 4q) instead
+// of canonicalizing after every operation, 4-wide unrolled inner loops,
+// and stages split across par workers for large sizes. Input below 4q
+// yields output in the lazy range [0, 4q); callers reduce
+// (ff.ReduceVec4Q) or exploit the lazy first-operand slot of ff.MulK
+// (see mulNTT). TestTransformLazyMatchesReference holds it to a
+// canonical butterfly with Field.Mul.
 //
-// Per butterfly, with u = lo reduced into [0, 2q) and t = hi·w (< q,
-// canonical — hi < 4q rides MulKS's lazy first-operand budget):
+// Per butterfly, with u = lo reduced into [0, 2q) and t = hi·w in
+// [0, 2q) (ff.MulShoup takes the lazy hi as it is):
 //
-//	lo' = u + t        < 3q
+//	lo' = u + t        < 4q
 //	hi' = u + 2q - t   in (0, 4q)
 //
 // so the [0, 4q) invariant is maintained stage over stage.
@@ -282,10 +238,9 @@ const nttParallelMin = 4096
 // wrote) but its butterflies are independent. Early stages have many
 // blocks and short twiddle runs — they split by block; late stages have
 // few long blocks — they split the twiddle range inside each block.
-func transformLazy(f ff.Field, a []uint64, p *nttPlan, tw []uint64) {
+func transformLazy(f ff.Field, a []uint64, p *nttPlan, tw []twiddle) {
 	n := p.n
-	k := f.Kernel()
-	twoQ := 2 * f.Q
+	q := f.Q
 	for i, ri := range p.rev {
 		if int32(i) < ri {
 			a[i], a[ri] = a[ri], a[i]
@@ -301,13 +256,13 @@ func transformLazy(f ff.Field, a []uint64, p *nttPlan, tw []uint64) {
 		switch {
 		case !parallel:
 			for start := 0; start < n; start += length {
-				lazyButterflies(a[start:start+half:start+half], a[start+half:start+length:start+length], ws, twoQ, k)
+				lazyButterflies(a[start:start+half:start+half], a[start+half:start+length:start+length], ws, q)
 			}
 		case blocks >= workers:
 			par.ForChunks(blocks, func(blo, bhi int) {
 				for b := blo; b < bhi; b++ {
 					start := b * length
-					lazyButterflies(a[start:start+half:start+half], a[start+half:start+length:start+length], ws, twoQ, k)
+					lazyButterflies(a[start:start+half:start+half], a[start+half:start+length:start+length], ws, q)
 				}
 			})
 		default:
@@ -315,7 +270,7 @@ func transformLazy(f ff.Field, a []uint64, p *nttPlan, tw []uint64) {
 				lo := a[start : start+half : start+half]
 				hi := a[start+half : start+length : start+length]
 				par.ForChunks(half, func(jlo, jhi int) {
-					lazyButterflies(lo[jlo:jhi], hi[jlo:jhi], ws[jlo:jhi], twoQ, k)
+					lazyButterflies(lo[jlo:jhi], hi[jlo:jhi], ws[jlo:jhi], q)
 				})
 			}
 		}
@@ -325,10 +280,11 @@ func transformLazy(f ff.Field, a []uint64, p *nttPlan, tw []uint64) {
 
 // lazyButterflies applies one stage's butterflies to paired slices
 // (lo[j], hi[j]) with twiddles ws[j], maintaining the [0, 4q) lazy
-// invariant. The 4-wide unroll overlaps the independent reduction
-// chains; see ff/vec.go for the idiom.
-func lazyButterflies(lo, hi, ws []uint64, twoQ uint64, k ff.Kernel) {
+// invariant. The 4-wide unroll overlaps the independent product chains;
+// see ff/vec.go for the idiom.
+func lazyButterflies(lo, hi []uint64, ws []twiddle, q uint64) {
 	n := len(ws)
+	twoQ := 2 * q
 	j := 0
 	for ; j+4 <= n; j += 4 {
 		u0, u1, u2, u3 := lo[j], lo[j+1], lo[j+2], lo[j+3]
@@ -344,10 +300,11 @@ func lazyButterflies(lo, hi, ws []uint64, twoQ uint64, k ff.Kernel) {
 		if u3 >= twoQ {
 			u3 -= twoQ
 		}
-		t0 := ff.MulKS(hi[j], ws[j], k)
-		t1 := ff.MulKS(hi[j+1], ws[j+1], k)
-		t2 := ff.MulKS(hi[j+2], ws[j+2], k)
-		t3 := ff.MulKS(hi[j+3], ws[j+3], k)
+		w0, w1, w2, w3 := ws[j], ws[j+1], ws[j+2], ws[j+3]
+		t0 := ff.MulShoup(hi[j], w0.w, w0.s, q)
+		t1 := ff.MulShoup(hi[j+1], w1.w, w1.s, q)
+		t2 := ff.MulShoup(hi[j+2], w2.w, w2.s, q)
+		t3 := ff.MulShoup(hi[j+3], w3.w, w3.s, q)
 		lo[j], lo[j+1], lo[j+2], lo[j+3] = u0+t0, u1+t1, u2+t2, u3+t3
 		hi[j], hi[j+1], hi[j+2], hi[j+3] = u0+twoQ-t0, u1+twoQ-t1, u2+twoQ-t2, u3+twoQ-t3
 	}
@@ -356,7 +313,7 @@ func lazyButterflies(lo, hi, ws []uint64, twoQ uint64, k ff.Kernel) {
 		if u >= twoQ {
 			u -= twoQ
 		}
-		t := ff.MulKS(hi[j], ws[j], k)
+		t := ff.MulShoup(hi[j], ws[j].w, ws[j].s, q)
 		lo[j] = u + t
 		hi[j] = u + twoQ - t
 	}

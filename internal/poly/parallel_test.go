@@ -14,6 +14,28 @@ import (
 	"camelot/internal/par"
 )
 
+// transform is the fully canonical reference for transformLazy: the same
+// stage structure and twiddle table, one Field.Mul per butterfly, every
+// sum reduced at once.
+func transform(f ff.Field, a []uint64, p *nttPlan, tw []twiddle) {
+	for i, ri := range p.rev {
+		if int32(i) < ri {
+			a[i], a[ri] = a[ri], a[i]
+		}
+	}
+	off := 0
+	for length := 2; length <= p.n; length <<= 1 {
+		half := length >> 1
+		for start := 0; start < p.n; start += length {
+			for j, w := range tw[off : off+half] {
+				u, v := a[start+j], f.Mul(a[start+half+j], w.w)
+				a[start+j], a[start+half+j] = f.Add(u, v), f.Sub(u, v)
+			}
+		}
+		off += half
+	}
+}
+
 func TestTransformLazyMatchesReference(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		restore := par.SetParallelism(workers)
@@ -26,7 +48,7 @@ func TestTransformLazyMatchesReference(t *testing.T) {
 				a[i] = rng.Uint64() % f.Q
 			}
 			p := r.plan(n)
-			for _, tw := range [][]uint64{p.fwd, p.inv} {
+			for _, tw := range [][]twiddle{p.fwd, p.inv} {
 				want := make([]uint64, n)
 				copy(want, a)
 				transform(f, want, p, tw)

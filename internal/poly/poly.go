@@ -239,22 +239,29 @@ func (r *Ring) DivMod(a, b []uint64) (q, rem []uint64) {
 
 // divInPlace is schoolbook division of a by b (both trimmed, len(a) >=
 // len(b) > 0): it overwrites q[:len(a)-len(b)+1] with the quotient and
-// leaves the remainder in a[:len(b)-1], the rest of a zeroed.
+// leaves the remainder in a[:len(b)-1]. Each quotient coefficient scales
+// a whole row of b, so it gets its ff.ShoupOf companion; a's entries stay
+// below 2q until the remainder is reduced.
 func (r *Ring) divInPlace(a, b, q []uint64) {
-	k := r.f.Kernel()
-	invLeadS := k.Shift(r.f.Inv(b[len(b)-1]))
+	m, twoM := r.f.Q, 2*r.f.Q
+	inv := r.f.Inv(b[len(b)-1])
+	invS := ff.ShoupOf(inv, m)
 	for i := len(a) - len(b); i >= 0; i-- {
-		c := ff.MulKS(a[i+len(b)-1], invLeadS, k)
+		c := ff.MulShoup(a[i+len(b)-1], inv, invS, m)
+		if c >= m {
+			c -= m
+		}
 		q[i] = c
 		if c == 0 {
 			continue
 		}
-		cs := k.Shift(c)
+		cs := ff.ShoupOf(c, m)
 		row := a[i : i+len(b)]
 		for j, bj := range b {
-			row[j] = r.f.Sub(row[j], ff.MulKS(bj, cs, k))
+			row[j] = fold2Q(row[j]+twoM-ff.MulShoup(bj, c, cs, m), twoM)
 		}
 	}
+	ff.ReduceVec4Q(a[:len(b)-1], m)
 }
 
 // PartialXGCD runs the extended Euclidean algorithm on (a, b) and stops at

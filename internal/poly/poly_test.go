@@ -2,6 +2,7 @@ package poly
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -265,6 +266,35 @@ func TestPointSetProduct(t *testing.T) {
 // TestPointSetMatchesOneShot pins the cached form against the one-shot
 // Ring methods across the fastThreshold boundary and a padded tree, on
 // both rings: same evaluations, same interpolant, reused many times.
+// TestFootprintCountsEveryArray holds PointSet.Footprint, which
+// GeometryCache budgets codes by, to every slice the set keeps: each
+// []uint64 field's words, and each [][]uint64 field's headers and words,
+// found by reflection so that a new cached array must be counted.
+func TestFootprintCountsEveryArray(t *testing.T) {
+	for _, r := range []*Ring{testRing(t), plainRing(t)} {
+		for _, n := range []int{1, 5, 64, 300} {
+			ps := r.NewPointSet(consecutive(n))
+			words, headers, arrays := 0, 0, 0
+			v := reflect.ValueOf(ps).Elem()
+			for i := range v.NumField() {
+				switch fv := v.Field(i); fv.Type().String() {
+				case "[]uint64":
+					words, arrays = words+fv.Len(), arrays+1
+				case "[][]uint64":
+					headers, arrays = headers+fv.Len(), arrays+1
+					for j := range fv.Len() {
+						words += fv.Index(j).Len()
+					}
+				}
+			}
+			if arrays < 6 || ps.Footprint() != 8*words+24*headers {
+				t.Fatalf("q=%d n=%d: Footprint %d over %d arrays, the set holds %d words and %d headers",
+					r.f.Q, n, ps.Footprint(), arrays, words, headers)
+			}
+		}
+	}
+}
+
 func TestPointSetMatchesOneShot(t *testing.T) {
 	for name, r := range map[string]*Ring{"ntt": testRing(t), "plain": plainRing(t)} {
 		rng := rand.New(rand.NewSource(13))

@@ -6,38 +6,54 @@ package rs
 // exact modular arithmetic means the parallel execution must reproduce
 // the serial result bit for bit — message, corrected word, and error
 // locations alike. CI's -race leg runs this with real interleavings.
+// Two geometries: a small NTT prime, where Quotient falls back to Mul and
+// DivMod, and the engine's decode_bound geometry over a 61-bit prime,
+// where it divides on the odd roots beside the locator.
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"camelot/internal/par"
+	"camelot/internal/poly"
 )
 
 func TestDecodeParallelMatchesSerial(t *testing.T) {
-	e, d := 2048, 1500
-	c := newTestCode(t, e, d)
-	rng := rand.New(rand.NewSource(31))
-	f := c.Field()
-	msg := randMessage(rng, f, d)
+	t.Run("small-prime", func(t *testing.T) {
+		e, d := 2048, 1500
+		c := newTestCode(t, e, d)
+		rng := rand.New(rand.NewSource(31))
+		f := c.Field()
+		msg := randMessage(rng, f, d)
+		restore := par.SetParallelism(1)
+		encoded, err := c.Encode(msg)
+		restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		received := make([]uint64, e)
+		copy(received, encoded)
+		// Stay within the erasure-adjusted budget 2·errors + erasures ≤ e-d-1
+		// so both decode legs succeed rather than failing in tandem.
+		for i := 0; i < 200; i++ {
+			pos := rng.Intn(e)
+			received[pos] = (received[pos] + 1 + rng.Uint64()%(f.Q-1)) % f.Q
+		}
+		checkParallelDecode(t, c, msg, received, []int{3, 99, 1044})
+	})
+	t.Run("decode-bound", func(t *testing.T) {
+		// 2·192 errors + 3 erasures ≤ e-d-1 = 400.
+		c, msg, _, garbled := decodeBoundWords(t)
+		checkParallelDecode(t, c, msg, garbled, []int{3, 99, 1044})
+	})
+}
 
-	restore := par.SetParallelism(1)
-	encoded, err := c.Encode(msg)
-	restore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	received := make([]uint64, e)
-	copy(received, encoded)
-	// Stay within the erasure-adjusted budget 2·errors + erasures ≤ e-d-1
-	// so both decode legs succeed rather than failing in tandem.
-	for i := 0; i < 200; i++ {
-		pos := rng.Intn(e)
-		received[pos] = (received[pos] + 1 + rng.Uint64()%(f.Q-1)) % f.Q
-	}
-	erased := []int{3, 99, 1044}
-
+// checkParallelDecode requires Encode, Decode and DecodeErasures of one
+// word to agree bit for bit at parallelism 1 and 4, and one code and one
+// erasure plan to serve four decoding goroutines at once.
+func checkParallelDecode(t *testing.T, c *Code, msg, received []uint64, erased []int) {
 	type result struct {
 		msg, corrected []uint64
 		locs           []int
@@ -57,6 +73,9 @@ func TestDecodeParallelMatchesSerial(t *testing.T) {
 
 	serialClean, serialErased, serialEnc := run(1)
 	parClean, parErased, parEnc := run(4)
+	if serialClean.err != nil || serialErased.err != nil {
+		t.Fatalf("serial decode failed: %v / %v", serialClean.err, serialErased.err)
+	}
 
 	for i := range serialEnc {
 		if parEnc[i] != serialEnc[i] {
@@ -103,7 +122,7 @@ func TestDecodeParallelMatchesSerial(t *testing.T) {
 	// The engine's shape: one code and one erasure plan — one subproduct
 	// tree and weight vector each — decoded against from four goroutines
 	// at once, the tree walks inside forking onto par workers.
-	restore = par.SetParallelism(4)
+	restore := par.SetParallelism(4)
 	defer restore()
 	plan, err := c.ErasurePlan(erased)
 	if err != nil {
@@ -123,4 +142,43 @@ func TestDecodeParallelMatchesSerial(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestDecodeParallelRefusesBeyondRadius pins the order of the decode's
+// tail. The word is built so that Euclid stops at v = c·(x−a)² for a grid
+// point a, with g = (x−a)·h, h(a) ≠ 0: v does not divide g, so the
+// quotient refuses, while the locator finds the root a, at which
+// v'(a) = 0. open at that root would invert zero; it must not run before
+// the quotient's verdict, at any parallelism.
+func TestDecodeParallelRefusesBeyondRadius(t *testing.T) {
+	c, _, _, _ := decodeBoundWords(t)
+	f, ring := c.Field(), c.ring
+	e, d := len(c.points), c.d
+	const a = 700
+	rng := rand.New(rand.NewSource(5))
+	stop := (e + d + 1) / 2
+	h := randMessage(rng, f, stop-2)
+	for f.Horner(h, a) == 0 {
+		h[0] = f.Add(h[0], 1)
+	}
+	g := ring.Mul([]uint64{f.Neg(a), 1}, h)
+	word := make([]uint64, e)
+	for i := range word {
+		if i != a {
+			x := uint64(i)
+			word[i] = f.Div(f.Horner(g, x), f.Mul(f.Sub(x, a), f.Sub(x, a)))
+		}
+	}
+	_, v := ring.PartialXGCD(c.ps.Product(), c.ps.Interpolate(word), stop)
+	if poly.Degree(v) != 2 || f.Horner(v, a) != 0 || f.Horner(ring.Derivative(v), a) != 0 {
+		t.Fatalf("Euclid's locator %v is not c·(x−%d)²", v, a)
+	}
+	for _, workers := range []int{1, 4} {
+		restore := par.SetParallelism(workers)
+		_, _, _, err := c.Decode(word)
+		restore()
+		if !errors.Is(err, ErrDecodeFailure) {
+			t.Fatalf("parallelism %d: Decode = %v, want ErrDecodeFailure", workers, err)
+		}
+	}
 }

@@ -8,11 +8,11 @@
 // is how a Camelot node identifies the Knights that Morgana enchanted
 // (paper §1.3, step 2).
 //
-// A decode is five steps — interpolate, partial Euclid, exact quotient,
-// locator roots, open — against state that depends on the evaluation
-// points alone and belongs to the Code (and to an ErasurePlan, for a
-// shortened point set): the subproduct tree with its node spectra, the
-// interpolation weights and the spectrum of G0, built once. The corrected
+// A decode is five steps — interpolate, partial Euclid, exact quotient
+// beside the locator roots, open — against state that depends on the
+// evaluation points alone and belongs to the Code (and to an ErasurePlan,
+// for a shortened point set): the subproduct tree with its node spectra,
+// the interpolation weights and the spectrum of G0, built once. The corrected
 // word is never re-encoded. Gao's stop leaves g = u·G0 + v·G1 with
 // G0(x_i) = 0 and G1(x_i) = r_i at every delivered point, and the message
 // is the exact quotient p = g/v, so
@@ -44,6 +44,7 @@ import (
 	"fmt"
 
 	"camelot/internal/ff"
+	"camelot/internal/par"
 	"camelot/internal/poly"
 )
 
@@ -245,16 +246,10 @@ func (c *Code) decodeOver(ps *poly.PointSet, vals []uint64, mask []bool) (messag
 	if poly.Degree(v) < 0 {
 		return nil, nil, nil, fmt.Errorf("%w: degenerate error locator", ErrDecodeFailure)
 	}
-	p, ok := ps.Quotient(u, v, g1, c.d)
+	p, corrected, errorLocs, ok := c.tail(ps, u, v, g1, vals, mask)
 	if !ok {
 		return nil, nil, nil, ErrDecodeFailure
 	}
-
-	var locator []uint64 // v at the delivered points; nil when v has no roots
-	if poly.Degree(v) > 0 {
-		locator = locate(c.ring, v, e, mask)
-	}
-	corrected, errorLocs = c.open(ps, p, u, v, locator, vals, mask)
 	if radius := c.CorrectionRadiusWithErasures(e - n); len(errorLocs) > radius {
 		// The Euclidean stop produced a "codeword" farther away than the
 		// radius — with that many errors uniqueness is void; refuse.
@@ -264,6 +259,24 @@ func (c *Code) decodeOver(ps *poly.PointSet, vals []uint64, mask []bool) (messag
 	message = make([]uint64, c.d+1)
 	copy(message, p)
 	return message, corrected, errorLocs, nil
+}
+
+// tail is the decode after Euclid: the quotient beside the locator, which
+// depend on (u, v) alone, then open — only once the quotient has proved
+// the division exact (ok), because beyond the radius v need not divide
+// G0 and v' may vanish at one of its roots.
+func (c *Code) tail(ps *poly.PointSet, u, v, g1, vals []uint64, mask []bool) (p, corrected []uint64, errorLocs []int, ok bool) {
+	var locator []uint64 // v at the delivered points; nil when v has no roots
+	par.Do(func() { p, ok = ps.Quotient(u, v, g1, c.d) }, func() {
+		if poly.Degree(v) > 0 {
+			locator = locate(c.ring, v, len(c.points), mask)
+		}
+	})
+	if !ok {
+		return nil, nil, nil, false
+	}
+	corrected, errorLocs = c.open(ps, p, u, v, locator, vals, mask)
+	return p, corrected, errorLocs, true
 }
 
 // open is the decode's last step: the corrected word and the positions at
@@ -290,7 +303,8 @@ func (c *Code) open(ps *poly.PointSet, p, u, v, locator, vals []uint64, mask []b
 	}
 	if len(errorLocs) > 0 {
 		xs := c.pointsAt(errorLocs)
-		uAt, den := c.ring.EvalEach(u, xs), c.ring.EvalEach(c.ring.Derivative(v), xs)
+		var uAt, den []uint64
+		par.Do(func() { uAt = c.ring.EvalEach(u, xs) }, func() { den = c.ring.EvalEach(c.ring.Derivative(v), xs) })
 		w := ps.InvWeights()
 		for j, di := range rootAt {
 			den[j] = f.Mul(den[j], w[di]) // v'(x_i)/G0'(x_i), nonzero at a simple root

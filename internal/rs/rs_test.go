@@ -292,33 +292,35 @@ func BenchmarkEncode1024(b *testing.B) {
 
 // decodeBoundWords returns the benchmark's decode_bound geometry — e=1535,
 // d=1134 over the 61-bit NTT prime the engine's primes resemble — with a
-// codeword and a copy of it carrying a lying node's block of 192 errors.
+// message, its codeword and a copy of that carrying a lying node's block
+// of 192 errors.
 // (Over a small NTT prime such as newTestCode's, the locator almost surely
 // vanishes at one of the quotient's transform points and Quotient takes
 // its Mul and DivMod fallback, which the engine never does.)
-func decodeBoundWords(b *testing.B) (c *Code, clean, garbled []uint64) {
+func decodeBoundWords(tb testing.TB) (c *Code, msg, clean, garbled []uint64) {
 	const e, d = 1535, 1134
 	q, _, err := ff.NTTPrime(1<<61, 4096)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if c, err = New(poly.NewRing(ff.Must(q)), ConsecutivePoints(e), d); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	clean, _ = c.Encode(randMessage(rng, c.Field(), d))
+	msg = randMessage(rng, c.Field(), d)
+	clean, _ = c.Encode(msg)
 	garbled = append([]uint64(nil), clean...)
 	for i := 192; i < 384; i++ {
 		garbled[i] = c.Field().Add(garbled[i], 1+rng.Uint64()%(c.Field().Q-1))
 	}
-	return c, clean, garbled
+	return c, msg, clean, garbled
 }
 
 // BenchmarkDecode times one warm decode at the decode_bound geometry: a
 // clean word, a lying node's block of 192 errors, and the whole budget
 // spent on erasures through a reused plan.
 func BenchmarkDecode(b *testing.B) {
-	c, cw, garbled := decodeBoundWords(b)
+	c, _, cw, garbled := decodeBoundWords(b)
 	full, _ := c.ErasurePlan(nil)
 	e := len(cw)
 	shortened, err := c.ErasurePlan(rand.New(rand.NewSource(1)).Perm(e)[:e-c.d-1])
@@ -342,10 +344,16 @@ func BenchmarkDecode(b *testing.B) {
 }
 
 // BenchmarkDecodeStages times the five steps of one warm decode, each
-// called as decodeOver calls it, on BenchmarkDecode's errors row. The
-// table a decode change starts from; nothing gates on it.
+// called as decodeOver calls it, on BenchmarkDecode's errors row, and the
+// tail — quotient beside locator, then open, scheduled as decodeOver does
+// it — so that interpolate + euclid + tail sum to decode. Minima of eight
+// alternating -cpu 1 runs on a busy 2-vCPU host, in ms: interpolate 0.74,
+// euclid 0.49, quotient 0.22, locator 0.32, open 0.12, tail 0.71, decode
+// 2.13 (with MulKS butterflies and a serial tail: 1.14, 0.44, 0.24, 0.36,
+// 0.27, decode 2.79); at -cpu 2, tail 0.54 and decode 1.98. The table a
+// decode change starts from; nothing gates on it.
 func BenchmarkDecodeStages(b *testing.B) {
-	c, _, word := decodeBoundWords(b)
+	c, _, _, word := decodeBoundWords(b)
 	e, d := len(c.points), c.d
 	ps, ring := c.ps, c.ring
 	g1 := ps.Interpolate(word)
@@ -364,6 +372,7 @@ func BenchmarkDecodeStages(b *testing.B) {
 		{"quotient", func() { ps.Quotient(u, v, g1, d) }},
 		{"locator", func() { locate(ring, v, e, nil) }},
 		{"open", func() { c.open(ps, p, u, v, locator, word, nil) }},
+		{"tail", func() { c.tail(ps, u, v, g1, word, nil) }},
 		{"decode", func() { c.Decode(word) }},
 	} {
 		b.Run(stage.name, func(b *testing.B) {
