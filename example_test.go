@@ -137,7 +137,7 @@ func ExampleVerifyProof() {
 	}
 	fmt.Println("Arthur accepts the forged proof:", ok)
 	// Output:
-	// Merlin claims per(A) = 67392 with a 466-symbol proof
+	// Merlin claims per(A) = 67392 with a 311-symbol proof
 	// Arthur accepts the honest proof: true
 	// Arthur accepts the forged proof: false
 }

@@ -439,10 +439,11 @@ func NTTPrime(min uint64, order int) (q, root uint64, err error) {
 		return 0, 0, fmt.Errorf("ff: no prime >= %d below 2^62", min)
 	}
 	step := uint64(1) << k
-	// Smallest candidate c*2^k+1 >= max(min, 2^k+1).
-	c := (min + step - 1) / step
-	if c == 0 {
-		c = 1
+	// Smallest candidate c*2^k+1 >= max(min, 2^k+1): c = ⌈(min-1)/2^k⌉,
+	// so a min that is itself a candidate is tried first.
+	c := uint64(1)
+	if min > step+1 {
+		c = (min - 2 + step) / step
 	}
 	for {
 		q = c*step + 1

@@ -195,6 +195,34 @@ func TestNTTPrime(t *testing.T) {
 	}
 }
 
+// TestNTTPrimeFromACandidate: a min that is itself an NTT prime of the
+// order comes back unchanged, and is the smallest answer for any smaller
+// order; the whole range is scanned against IsPrime at small sizes.
+func TestNTTPrimeFromACandidate(t *testing.T) {
+	for _, order := range []int{1, 2, 4, 64, 1 << 11} {
+		for min := uint64(0); min < 1<<13; min += 1 + min/8 {
+			q, _, err := NTTPrime(min, order)
+			if err != nil {
+				t.Fatalf("NTTPrime(%d, %d): %v", min, order, err)
+			}
+			for c := max(min, uint64(order)+1); c < q; c++ {
+				if (c-1)%uint64(order) == 0 && IsPrime(c) {
+					t.Fatalf("NTTPrime(%d, %d) = %d skips the NTT prime %d", min, order, q, c)
+				}
+			}
+		}
+	}
+	q, _, err := NTTPrime(1<<61, 1<<11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, order := range []int{1 << 11, 1 << 9, 2} {
+		if got, _, err := NTTPrime(q, order); err != nil || got != q {
+			t.Errorf("NTTPrime(%d, %d) = %d, %v; want %d itself", q, order, got, err, q)
+		}
+	}
+}
+
 func TestLagrangeOneBasedIsBasis(t *testing.T) {
 	f := Must(10007)
 	const R = 20

@@ -50,11 +50,14 @@ func (p *Problem) Name() string { return fmt.Sprintf("hamilton-cycles(n=%d,m=%d)
 // Width implements core.Problem.
 func (p *Problem) Width() int { return 1 }
 
-// Degree implements core.Problem: the walk-count entry of M(z)^n has
-// total degree <= n in z, the sign product adds half more, composed with
-// deg D = 2^{half}-1.
+// Degree implements core.Problem: the surviving walk terms have total
+// degree <= half in the swept z, the sign product adds half more,
+// composed with deg D = 2^{half}-1. A closed n-walk's term survives the
+// alternating sum over the enumerated suffix only if the walk visits
+// all rest enumerated vertices; its last step lands on the anchor, so
+// at most n-1-rest = half of its steps land on swept vertices.
 func (p *Problem) Degree() int {
-	return (p.n + p.half) * (1<<uint(p.half) - 1)
+	return 2 * p.half * (1<<uint(p.half) - 1)
 }
 
 // MinModulus implements core.Problem.

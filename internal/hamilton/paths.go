@@ -50,10 +50,14 @@ func (p *PathProblem) Name() string {
 // Width implements core.Problem.
 func (p *PathProblem) Width() int { return 1 }
 
-// Degree implements core.Problem: the walk sum has total z-degree <= n,
-// the sign product adds half, composed with deg D = 2^{half}-1.
+// Degree implements core.Problem: the surviving walk terms have total
+// degree <= half in the swept z, the sign product adds half, composed
+// with deg D = 2^{half}-1. A path's term carries one z per visited
+// vertex and survives the alternating sum over the enumerated suffix
+// only if it visits all rest enumerated vertices, so at most
+// n-rest = half of its n vertices are swept ones.
 func (p *PathProblem) Degree() int {
-	return (p.n + p.half) * (1<<uint(p.half) - 1)
+	return 2 * p.half * (1<<uint(p.half) - 1)
 }
 
 // MinModulus implements core.Problem.

@@ -7,8 +7,10 @@
 package orthvec
 
 import (
+	"bytes"
 	"fmt"
 	"math/big"
+	"slices"
 
 	"camelot/internal/core"
 	"camelot/internal/crt"
@@ -46,6 +48,8 @@ func (m *BoolMatrix) At(i, j int) uint8 { return m.Bits[i*m.T+j] }
 // over the points 1..n, so P(i) = c_i.
 type OVProblem struct {
 	a, b *BoolMatrix
+	// maxOnes is max_k |b_k|, the most factors any summand of P has.
+	maxOnes int
 }
 
 var (
@@ -58,7 +62,11 @@ func NewOVProblem(a, b *BoolMatrix) (*OVProblem, error) {
 	if a.T != b.T {
 		return nil, fmt.Errorf("orthvec: dimension mismatch t=%d vs %d", a.T, b.T)
 	}
-	return &OVProblem{a: a, b: b}, nil
+	maxOnes := 0
+	for row := range slices.Chunk(b.Bits, b.T) {
+		maxOnes = max(maxOnes, bytes.Count(row, []byte{1}))
+	}
+	return &OVProblem{a: a, b: b, maxOnes: maxOnes}, nil
 }
 
 // Name implements core.Problem.
@@ -67,8 +75,11 @@ func (p *OVProblem) Name() string { return fmt.Sprintf("orthogonal-vectors(n=%d,
 // Width implements core.Problem.
 func (p *OVProblem) Width() int { return 1 }
 
-// Degree implements core.Problem: t factors of degree <= n-1.
-func (p *OVProblem) Degree() int { return p.a.T * (p.a.N - 1) }
+// Degree implements core.Problem: the summand of row k of B is a product
+// over the set bits of b_k, each factor 1 - A_j(x) of degree <= n-1, so
+// P has degree <= (n-1)·max_k |b_k|. A B with no set bit makes P the
+// constant n(B); it is declared at n-1 all the same, one factor's degree.
+func (p *OVProblem) Degree() int { return (p.a.N - 1) * max(1, p.maxOnes) }
 
 // MinModulus implements core.Problem: q must exceed the recovery grid and
 // the counts c_i <= n(B), so one prime at the shared floor

@@ -59,11 +59,15 @@ func (p *Problem) Name() string { return fmt.Sprintf("permanent(n=%d)", p.n) }
 // Width implements core.Problem.
 func (p *Problem) Width() int { return 1 }
 
-// Degree implements core.Problem: Q has total degree <= n + n/2 in its
-// n/2 arguments (n linear row factors plus the sign product), composed
-// with D of degree 2^{n/2}-1.
+// Degree implements core.Problem: Q has total degree <= 2·half in its
+// half arguments, composed with D of degree 2^half-1. Expanding the n
+// row factors (rowP_i + rowS_i) picks rowS_i for the rows of some set T;
+// the product over T of the suffix row sums survives Σ_s(-1)^{|s|} only
+// if T covers all n-half enumerated columns, so at most half of the
+// factors are prefix sums, each linear in z, and the sign product adds
+// half more. The naive bound n+half counts the suffix factors too.
 func (p *Problem) Degree() int {
-	return (p.n + p.half) * (1<<uint(p.half) - 1)
+	return 2 * p.half * (1<<uint(p.half) - 1)
 }
 
 // MinModulus implements core.Problem.

@@ -55,7 +55,7 @@ func unerased(e int, mask []bool) []uint64 {
 // TestConsecutiveLocatorMatchesEval diffs the locator against
 // PointSet.Eval over GF(97), GF(257) and a 61-bit NTT prime, for every
 // degree t from 1 to the radius on codes of length 64, 257 (the whole of
-// GF(257)) and 1535 (the decode_bound geometry), and on the shortest grid
+// GF(257)), 1157 (the decode_bound geometry) and 1535, and on the shortest grid
 // e = t+1. v has roots on the grid, and the masks erase some of them.
 func TestConsecutiveLocatorMatchesEval(t *testing.T) {
 	q61, _, err := ff.NTTPrime(1<<61, 4096)
@@ -66,7 +66,7 @@ func TestConsecutiveLocatorMatchesEval(t *testing.T) {
 	for _, q := range []uint64{97, 257, q61} {
 		r := poly.NewRing(ff.Must(q))
 		top := 0 // the largest radius of a code over this field
-		for _, code := range []struct{ e, d int }{{64, 1}, {257, 2}, {1535, 1134}} {
+		for _, code := range []struct{ e, d int }{{64, 1}, {257, 2}, {1157, 756}, {1535, 1134}} {
 			if uint64(code.e) > q {
 				continue
 			}
@@ -106,6 +106,7 @@ func FuzzConsecutiveLocator(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint16(64), uint16(20), []byte{0xff, 0})
 	f.Add(int64(2), uint8(1), uint16(257), uint16(128), []byte{1, 2, 4, 8})
 	f.Add(int64(3), uint8(2), uint16(1535), uint16(200), []byte{})
+	f.Add(int64(5), uint8(2), uint16(1157), uint16(200), []byte{})
 	f.Add(int64(4), uint8(2), uint16(2), uint16(1), []byte{2})
 	f.Fuzz(func(t *testing.T, seed int64, field uint8, eRaw, tRaw uint16, erase []byte) {
 		q := []uint64{97, 257, q61}[int(field)%3]

@@ -44,8 +44,13 @@ func TestDecodeParallelMatchesSerial(t *testing.T) {
 		checkParallelDecode(t, c, msg, received, []int{3, 99, 1044})
 	})
 	t.Run("decode-bound", func(t *testing.T) {
-		// 2·192 errors + 3 erasures ≤ e-d-1 = 400.
+		// 2·145 errors + 3 erasures ≤ e-d-1 = 400.
 		c, msg, _, garbled := decodeBoundWords(t)
+		checkParallelDecode(t, c, msg, garbled, []int{3, 99, 1044})
+	})
+	t.Run("e=1535", func(t *testing.T) {
+		// 2·192 errors + 3 erasures ≤ e-d-1 = 400.
+		c, msg, _, garbled := blockErrorWords(t, 1535, 1134, 192, 384)
 		checkParallelDecode(t, c, msg, garbled, []int{3, 99, 1044})
 	})
 }

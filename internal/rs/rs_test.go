@@ -290,15 +290,21 @@ func BenchmarkEncode1024(b *testing.B) {
 	}
 }
 
-// decodeBoundWords returns the benchmark's decode_bound geometry — e=1535,
-// d=1134 over the 61-bit NTT prime the engine's primes resemble — with a
-// message, its codeword and a copy of that carrying a lying node's block
-// of 192 errors.
+// decodeBoundWords returns the benchmark's decode_bound geometry — e=1157,
+// d=756 over the 61-bit NTT prime the engine's primes resemble — with a
+// message, its codeword and a copy of that carrying the lying node 1's
+// block of 145 errors (of 8 nodes).
 // (Over a small NTT prime such as newTestCode's, the locator almost surely
 // vanishes at one of the quotient's transform points and Quotient takes
 // its Mul and DivMod fallback, which the engine never does.)
 func decodeBoundWords(tb testing.TB) (c *Code, msg, clean, garbled []uint64) {
-	const e, d = 1535, 1134
+	return blockErrorWords(tb, 1157, 756, 145, 290)
+}
+
+// blockErrorWords is decodeBoundWords at another geometry, with the
+// errors at positions lo..hi-1. e=1535, d=1134 with errors at 192..383
+// is decode_bound before its permanent declared the degree it has.
+func blockErrorWords(tb testing.TB, e, d, lo, hi int) (c *Code, msg, clean, garbled []uint64) {
 	q, _, err := ff.NTTPrime(1<<61, 4096)
 	if err != nil {
 		tb.Fatal(err)
@@ -310,14 +316,14 @@ func decodeBoundWords(tb testing.TB) (c *Code, msg, clean, garbled []uint64) {
 	msg = randMessage(rng, c.Field(), d)
 	clean, _ = c.Encode(msg)
 	garbled = append([]uint64(nil), clean...)
-	for i := 192; i < 384; i++ {
+	for i := lo; i < hi; i++ {
 		garbled[i] = c.Field().Add(garbled[i], 1+rng.Uint64()%(c.Field().Q-1))
 	}
 	return c, msg, clean, garbled
 }
 
 // BenchmarkDecode times one warm decode at the decode_bound geometry: a
-// clean word, a lying node's block of 192 errors, and the whole budget
+// clean word, a lying node's block of 145 errors, and the whole budget
 // spent on erasures through a reused plan.
 func BenchmarkDecode(b *testing.B) {
 	c, _, cw, garbled := decodeBoundWords(b)
@@ -346,12 +352,13 @@ func BenchmarkDecode(b *testing.B) {
 // BenchmarkDecodeStages times the five steps of one warm decode, each
 // called as decodeOver calls it, on BenchmarkDecode's errors row, and the
 // tail — quotient beside locator, then open, scheduled as decodeOver does
-// it — so that interpolate + euclid + tail sum to decode. Minima of eight
-// alternating -cpu 1 runs on a busy 2-vCPU host, in ms: interpolate 0.74,
-// euclid 0.49, quotient 0.22, locator 0.32, open 0.12, tail 0.71, decode
-// 2.13 (with MulKS butterflies and a serial tail: 1.14, 0.44, 0.24, 0.36,
-// 0.27, decode 2.79); at -cpu 2, tail 0.54 and decode 1.98. The table a
-// decode change starts from; nothing gates on it.
+// it — so that interpolate + euclid + tail sum to decode. Minima of six
+// -cpu 1 runs on a busy 2-vCPU host, alternating with the same benchmark
+// at e=1535, d=1134 and 192 errors, in ms: interpolate 0.84, euclid 0.42,
+// quotient 0.24, locator 0.18, open 0.09, tail 0.50, decode 1.55 (at
+// e=1535: 0.84, 0.57, 0.20, 0.33, 0.12, 0.70, decode 2.43; the subproduct
+// tree is padded to 2048 leaves either way, so interpolate does not
+// shrink). The table a decode change starts from; nothing gates on it.
 func BenchmarkDecodeStages(b *testing.B) {
 	c, _, _, word := decodeBoundWords(b)
 	e, d := len(c.points), c.d
@@ -360,7 +367,7 @@ func BenchmarkDecodeStages(b *testing.B) {
 	u, v := ring.PartialXGCD(ps.Product(), g1, (e+d+1)/2)
 	p, ok := ps.Quotient(u, v, g1, d)
 	locator := locate(ring, v, e, nil)
-	if _, locs := c.open(ps, p, u, v, locator, word, nil); !ok || len(locs) != 192 {
+	if _, locs := c.open(ps, p, u, v, locator, word, nil); !ok || len(locs) != 145 {
 		b.Fatalf("quotient ok=%v, %d error locations", ok, len(locs))
 	}
 	for _, stage := range []struct {

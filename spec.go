@@ -50,10 +50,11 @@ type Workload struct {
 // The CLI, jobs manifests, and the serve layer must all key caches with
 // this digest so a proof prepared through any front end is a hit for the
 // others. The domain string is versioned with the proof bytes, so a key
-// never outlives them: v2 is proofs over primes from crt.FloorModulus's
-// 2^61 up (v1 was the 2^20 floor).
+// never outlives them: v3 is proofs of the permanent, Hamiltonian and
+// orthogonal-vectors kinds at the degree their polynomial has (v2 had
+// their naive degree bounds, v1 the 2^20 modulus floor).
 func (w *Workload) Digest(faults int) string {
-	h := sha256.Sum256([]byte(fmt.Sprintf("camelot/proof/v2 %s f=%d", w.Canonical, faults)))
+	h := sha256.Sum256([]byte(fmt.Sprintf("camelot/proof/v3 %s f=%d", w.Canonical, faults)))
 	return hex.EncodeToString(h[:])
 }
 

@@ -68,16 +68,18 @@ func TestWorkloadDigestSeparatesInstances(t *testing.T) {
 // their canonical lines (recorded at 9666d69, before the catalog
 // existed) and digests at defaults are pinned as literals, so no edit of
 // a default or of the grammar can move them without failing here. The
-// digests are of domain camelot/proof/v2: the canonical lines did not
-// change when the modulus floor went from 2^20 to 2^61, the proof bytes
-// behind every one of them did, and a key must not outlive its bytes.
+// digests are of domain camelot/proof/v3: the canonical lines did not
+// change when the modulus floor went from 2^20 to 2^61 (v2), nor when the
+// permanent, cnfsat and hamilton proofs dropped to the degree their
+// polynomial has (v3), the proof bytes behind them did, and a key must
+// not outlive its bytes.
 func TestCanonicalAndDigestPinned(t *testing.T) {
 	for _, pin := range []struct{ kind, canonical, digest0, digest2 string }{
-		{"triangles", "triangles seed=1 n=32 p=0.3", "0d4e7fa90a4d6dd3edb8d13591dd886a24245a1637b75ad5f09cae655345be35", "5a1e2e992ddb2fc032bd9b54d80c136244e1281692656827131465b60ca893bb"},
-		{"cliques", "cliques seed=1 n=8 k=6 p=0.7", "8ccdc76148bb3c37e987f1e040d682945cf18a805f4bec4f363ba6488efedf25", "78d4df421c15849206d45a27b5ecc7fae9a4c6d665d9fbb8667e581e892d88bb"},
-		{"permanent", "permanent seed=1 n=10", "340b4f6ae9d7ab208cda14ac131215f0618f0bff9aaf47f742a79508d4bd40d0", "901f4b5f8a0e739529097346836ff5cf17ec4d56ef440f7ccafb1d30c170e14b"},
-		{"cnfsat", "cnfsat seed=1 vars=12 clauses=20 width=3", "ffaa7bd14553a69111f72e19376ad75a584fdddfd78f279862e1725169eb4d9b", "9cfe85ebafc147aa019d9828a3c6a6eea008ae21c49ae6442342f96ac3152e0c"},
-		{"hamilton", "hamilton seed=1 n=9 p=0.5", "ab04ebadb3741e4e66a6f9db35de4d19d03e43b026c90aac37337b9eb81b300c", "5b65bce9674f9592136ee1107f48b3c653f1536674349e9bf0c3266ec7cbb27a"},
+		{"triangles", "triangles seed=1 n=32 p=0.3", "bda210af7a4afd17c643a1bf8b0c1a92cf248ce1ba7bc75c5a9d1c785185e031", "f15466665b0d255180579b1ff8f1f4ba56590060fa6701974ddf4f9c9574f94b"},
+		{"cliques", "cliques seed=1 n=8 k=6 p=0.7", "14659ccaabb5fcc865ee53a3cae6e16ae3f29f6f7430c50e7d7a658bf318e8c2", "719f4eb725ef88f6a58b60f1c5946ca30a30009d92ddc0bd4f8a4d3c5dbcdb85"},
+		{"permanent", "permanent seed=1 n=10", "ac86ddb700d59c9245f32da25a98d57732ab3493108c6cb3df560800ea439f89", "f05ee08f063c0a72b1346b518159d26ed9d934ba34582f42ce565ff4e8140036"},
+		{"cnfsat", "cnfsat seed=1 vars=12 clauses=20 width=3", "e81079d04c9121902068bf61e0e6648b8d8c8b900b7da42b622342e21f097a1f", "e4c59dcb06cd355491ca9ca42c43ebd11ef53e29e702442cba5911f0aae61155"},
+		{"hamilton", "hamilton seed=1 n=9 p=0.5", "da7e1f2513e54de09f34862ce9ab8395db9c32c3e44084cceef0f463c018fa3b", "d0824abd98b12e4143e8cf325951e97c8e6544c1e5f52bd6a7e6b3a29b83130d"},
 	} {
 		w, err := ParseWorkload(pin.kind)
 		if err != nil {

@@ -8,7 +8,8 @@ package camelot
 // a pure function of the instance — and never reads a clock:
 //
 //   - Degree() and Width() equal the closed form the problem's package
-//     documents, written here from the instance's parameters alone;
+//     documents, written here from the instance's parameters (and, for
+//     the orthogonal-vectors designs, the most set bits of a B row);
 //   - the proof, (Degree+1)·Width·NumPrimes field symbols, is within the
 //     theorem's formula with the factors its O*/Õ hides spelled out;
 //   - for the framework rows, that faults are named up to the radius and
@@ -166,34 +167,58 @@ func tutteRow(n int) sizing {
 }
 
 // Theorem 8(1): orthogonal vectors over the 2^{⌈v/2⌉} half-assignments,
-// one dimension per clause.
+// one dimension per clause; a B row's set bits are the clauses its
+// half-assignment leaves unsatisfied, so the degree is 2^{⌈v/2⌉} − 1
+// times the most clauses one B half-assignment leaves open.
 func cnfRow(vc [2]int) sizing {
 	v, clauses := vc[0], vc[1]
 	return sizing{
 		what:   fmt.Sprintf("cnfsat vars=%d clauses=%d", v, clauses),
-		degree: clauses * (1<<((v+1)/2) - 1), width: 1,
+		degree: max(1, mostOpenClauses(RandomCNF(v, clauses, 3, 1))) * (1<<((v+1)/2) - 1), width: 1,
 		bound: halfExp(2*clauses, v),
 	}
 }
 
+// mostOpenClauses is the most clauses of f that an assignment to its
+// last ⌊v/2⌋ variables satisfies no literal of.
+func mostOpenClauses(f *CNFFormula) int {
+	v1 := (f.V + 1) / 2
+	most := 0
+	for mask := 0; mask < 1<<(f.V-v1); mask++ {
+		open := 0
+		for _, cl := range f.Clauses {
+			if !slices.ContainsFunc(cl, func(lit int) bool {
+				v := max(lit, -lit) - v1 - 1
+				return v >= 0 && (mask>>v&1 == 1) == (lit > 0)
+			}) {
+				open++
+			}
+		}
+		most = max(most, open)
+	}
+	return most
+}
+
 // dSwept is the degree of the D(x)-composed designs of Theorem 8(2, 3)
-// and Appendix A.5: total degree n+half in the half swept variables,
-// composed with deg D = 2^half − 1.
-func dSwept(n, half int) int { return (n + half) * (1<<half - 1) }
+// and Appendix A.5: total degree 2·half in the half swept variables —
+// the alternating sum over the enumerated half keeps only terms with at
+// most half swept factors, and the sign product adds half — composed
+// with deg D = 2^half − 1.
+func dSwept(half int) int { return 2 * half * (1<<half - 1) }
 
 func permanentRow(n int) sizing {
-	return sizing{what: fmt.Sprintf("permanent n=%d", n), degree: dSwept(n, n/2), width: 1, bound: halfExp(n*n, n)}
+	return sizing{what: fmt.Sprintf("permanent n=%d", n), degree: dSwept(n / 2), width: 1, bound: halfExp(n*n, n)}
 }
 
 func hamiltonRow(n int) sizing {
-	return sizing{what: fmt.Sprintf("hamilton n=%d", n), degree: dSwept(n, (n-1)/2), width: 1, bound: halfExp(n*n, n)}
+	return sizing{what: fmt.Sprintf("hamilton n=%d", n), degree: dSwept((n - 1) / 2), width: 1, bound: halfExp(n*n, n)}
 }
 
 func hamiltonPathRow(n int) sizing {
 	return sizing{
 		what:   fmt.Sprintf("hamiltonian paths n=%d", n),
 		build:  func() (Problem, error) { return hamilton.NewPathProblem(graph.Gnp(n, 0.5, 1)) },
-		degree: dSwept(n, n/2), width: 1, bound: halfExp(n*n, n),
+		degree: dSwept(n / 2), width: 1, bound: halfExp(n*n, n),
 	}
 }
 
@@ -219,10 +244,17 @@ func exactCoverRow(n int) sizing {
 	}
 }
 
-// Theorem 11(1): t factors of degree n−1 — linear in n and in t.
+// Theorem 11(1): a factor of degree n−1 per set bit of a B row, at most
+// t of them — linear in n and in t. The catalog's B is
+// RandomBoolMatrix(n, t, 0.3, seed+1) at seed 1.
 func ovRow(nt [2]int) sizing {
 	n, t := nt[0], nt[1]
-	return sizing{what: fmt.Sprintf("ov n=%d t=%d", n, t), degree: t * (n - 1), width: 1, bound: float64(n * t)}
+	b := RandomBoolMatrix(n, t, 0.3, 2)
+	most := 0
+	for row := range slices.Chunk(b, t) {
+		most = max(most, bytes.Count(row, []byte{1}))
+	}
+	return sizing{what: fmt.Sprintf("ov n=%d t=%d", n, t), degree: max(1, most) * (n - 1), width: 1, bound: float64(n * t)}
 }
 
 // Theorem 11(2): t+1 factors over the (n+1)(t+1)-point grid — nt²-shaped.
@@ -271,7 +303,7 @@ var pinnedDegrees = map[string]int{
 	"cliques n=8 k=6": 1026, "cliques n=9 k=6": 7200, "cliques n=16 k=6": 7200, "cliques n=17 k=6": 50418,
 	"triangles n=32 p=0.3": 144, "triangles n=32 p=0.6": 18,
 	"chromatic n=10": 80, "chromatic n=20": 5120,
-	"permanent n=10": 465, "ov n=128 t=16": 2032,
+	"permanent n=10": 310, "ov n=128 t=16": 1270,
 }
 
 var theorems = []theorem{
