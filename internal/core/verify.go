@@ -196,13 +196,11 @@ func verifyProofBatch(ctx context.Context, proof *Proof, seed int64) (bool, erro
 				return false, fmt.Errorf("proof mod %d coordinate %d: %d coefficients and %d evaluations, want %d and %d",
 					q, c, len(coeffs[c]), len(evals[c]), proof.Degree+1, e)
 			}
-			rcS := k.Shift(rc)
-			for j, v := range coeffs[c] {
-				foldedC[j] = f.Add(foldedC[j], ff.MulKS(v%q, rcS, k))
-			}
-			for i, v := range evals[c] {
-				foldedE[i] = f.Add(foldedE[i], ff.MulKS(v%q, rcS, k))
-			}
+			// MulShoup takes any 64-bit word, so unreduced entries of a
+			// malformed proof fold in as their residues.
+			rcS := ff.ShoupOf(rc, q)
+			ff.MulAddVecShoup(foldedC, coeffs[c], rc, rcS, q)
+			ff.MulAddVecShoup(foldedE, evals[c], rc, rcS, q)
 			rc = ff.MulK(rc, r, k)
 		}
 		lam := f.LagrangeAtZeroBased(e, z)

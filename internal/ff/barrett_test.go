@@ -308,15 +308,13 @@ func BenchmarkFieldMul(b *testing.B) {
 			}
 		}
 	})
-	// The shape the pipeline's tightest loops actually use: the constant
-	// operand's normalization shift hoisted out of the loop (NTT twiddle
-	// tables are stored pre-shifted; DivMod/Horner/yates hoist per-row).
-	b.Run("barrett-kernel-preshifted", func(b *testing.B) {
-		k := f.Kernel()
-		cs := k.Shift(c)
+	// The shape of every loop by a fixed multiplier (NTT twiddles, Horner's
+	// x, yates coefficients): MulShoup against a companion computed once.
+	b.Run("shoup", func(b *testing.B) {
+		cs := ShoupOf(c, f.Q)
 		for i := 0; i < b.N; i++ {
 			for j := range xs {
-				xs[j] = MulKS(xs[j], cs, k)
+				xs[j] = reduce2Q(MulShoup(xs[j], c, cs, f.Q), f.Q)
 			}
 		}
 	})

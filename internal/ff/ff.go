@@ -8,12 +8,13 @@
 // # Division-free reduction
 //
 // A Field built by New (or Must) carries a precomputed reciprocal of its
-// modulus, so Mul, Exp, ReduceU, and Horner reduce 128-bit intermediates
+// modulus, so Mul, Exp and ReduceU reduce 128-bit intermediates
 // with two multiplications and a few shifts — no hardware division
 // instruction — via Möller–Granlund 2-by-1 division against the
 // normalized modulus (the Barrett idea with a word-sized reciprocal).
-// A multiplier fixed for a whole loop goes further: ShoupOf pays one
-// division for its companion, and MulShoup then needs no reduction.
+// A multiplier fixed for many products (Horner's x among them) goes
+// further: ShoupOf pays one division for its companion, and MulShoup
+// then needs no reduction.
 // Construct Fields only through New/Must: a Field assembled as a struct
 // literal has no reciprocal and Mul/ReduceU panic on it. The old
 // division-based reduction survives as an unexported reference
@@ -100,34 +101,6 @@ func MulK(a, b uint64, k Kernel) uint64 {
 	qh, _ = bits.Add64(qh, hi+1, carry)
 	// Remainder candidate plus at most two corrections (Möller–Granlund
 	// Algorithm 4; the quotient itself is not needed).
-	r := lo - qh*k.d
-	if r > ql {
-		r += k.d
-	}
-	if r >= k.d {
-		r -= k.d
-	}
-	return r >> k.s
-}
-
-// Shift pre-normalizes a canonical operand for MulKS: in a loop that
-// multiplies a stream by one fixed value (an NTT twiddle, Horner's x, a
-// scalar), the kernel's normalization shift of that value is
-// loop-invariant, and the compiler does not hoist it on its own (no
-// loop-invariant code motion). Shift once, then call MulKS per element.
-func (k Kernel) Shift(b uint64) uint64 { return b << k.s }
-
-// MulKS is MulK with the second operand already normalized by
-// Kernel.Shift: returns a*b mod q where bs = Shift(b) for canonical
-// a, b < q. One shift cheaper than MulK — the difference matters in the
-// tightest loops (NTT butterflies, polynomial division rows), which
-// multiply long streams by per-loop constants.
-func MulKS(a, bs uint64, k Kernel) uint64 {
-	hi, lo := bits.Mul64(a, bs)
-	qh, ql := bits.Mul64(hi, k.v)
-	var carry uint64
-	ql, carry = bits.Add64(ql, lo, 0)
-	qh, _ = bits.Add64(qh, hi+1, carry)
 	r := lo - qh*k.d
 	if r > ql {
 		r += k.d
@@ -273,7 +246,7 @@ func reduce2(u1, u0 uint64, k Kernel) uint64 {
 }
 
 // reduceShifted returns (n1·2^64 + n0)/2^s mod q for a dividend already
-// normalized by the kernel's shift (n1 < d): MulKS's tail, small enough to
+// normalized by the kernel's shift (n1 < d): MulK's tail, small enough to
 // inline into loops that sum shifted products themselves.
 func reduceShifted(n1, n0 uint64, k Kernel) uint64 {
 	qh, ql := bits.Mul64(n1, k.v)

@@ -30,43 +30,7 @@ func (f Field) checkGrid(bigR int) {
 //
 // The modulus must satisfy q > R so the points are distinct mod q.
 func (f Field) LagrangeAtOneBased(bigR int, x0 uint64) []uint64 {
-	f.checkGrid(bigR)
-	out := make([]uint64, bigR)
-	x0 = f.ReduceU(x0)
-	// If x0 is one of the interpolation points the basis is an indicator.
-	if x0 >= 1 && x0 <= uint64(bigR) {
-		out[x0-1] = 1
-		return out
-	}
-	k := f.Kernel()
-	// F_j = j! for j = 0..R-1.
-	fact := make([]uint64, bigR)
-	fact[0] = 1
-	for j := 1; j < bigR; j++ {
-		fact[j] = MulK(fact[j-1], uint64(j), k)
-	}
-	// Γ(x0) = Π_{j=1..R}(x0 - j), plus per-point denominators.
-	gamma := uint64(1)
-	denoms := make([]uint64, bigR)
-	for r := 1; r <= bigR; r++ {
-		diff := f.Sub(x0, uint64(r))
-		denoms[r-1] = diff
-		gamma = MulK(gamma, diff, k)
-	}
-	// denom_r = (-1)^{R-r} F_{r-1} F_{R-r} (x0-r); invert all at once.
-	for r := 1; r <= bigR; r++ {
-		d := MulK(fact[r-1], fact[bigR-r], k)
-		d = MulK(d, denoms[r-1], k)
-		if (bigR-r)%2 == 1 {
-			d = f.Neg(d)
-		}
-		denoms[r-1] = d
-	}
-	f.BatchInv(denoms)
-	for r := 0; r < bigR; r++ {
-		out[r] = MulK(gamma, denoms[r], k)
-	}
-	return out
+	return f.lagrangeAt(bigR, 1, x0)
 }
 
 // LagrangeAtZeroBased returns the vector (Φ_0(x0), ..., Φ_{R-1}(x0)) mod q
@@ -76,11 +40,19 @@ func (f Field) LagrangeAtOneBased(bigR int, x0 uint64) []uint64 {
 //
 // The modulus must satisfy q > R so the points are distinct mod q.
 func (f Field) LagrangeAtZeroBased(bigR int, x0 uint64) []uint64 {
+	return f.lagrangeAt(bigR, 0, x0)
+}
+
+// lagrangeAt is the basis over the grid base..base+R-1 at x0, with
+// F_j = j! and Γ(x0) = Π_i (x0-point_i):
+// out[i] = Γ(x0) / ((-1)^{R-1-i} F_i F_{R-1-i} (x0-point_i)).
+func (f Field) lagrangeAt(bigR int, base, x0 uint64) []uint64 {
 	f.checkGrid(bigR)
 	out := make([]uint64, bigR)
 	x0 = f.ReduceU(x0)
-	if x0 < uint64(bigR) {
-		out[x0] = 1
+	// If x0 is one of the interpolation points the basis is an indicator.
+	if x0 >= base && x0 < base+uint64(bigR) {
+		out[x0-base] = 1
 		return out
 	}
 	k := f.Kernel()
@@ -91,22 +63,22 @@ func (f Field) LagrangeAtZeroBased(bigR int, x0 uint64) []uint64 {
 	}
 	gamma := uint64(1)
 	denoms := make([]uint64, bigR)
-	for i := 0; i < bigR; i++ {
-		diff := f.Sub(x0, uint64(i))
+	for i := range denoms {
+		diff := f.Sub(x0, base+uint64(i))
 		denoms[i] = diff
 		gamma = MulK(gamma, diff, k)
 	}
-	for i := 0; i < bigR; i++ {
-		d := MulK(fact[i], fact[bigR-1-i], k)
-		d = MulK(d, denoms[i], k)
+	// The denominators, inverted in one batch.
+	for i, diff := range denoms {
+		d := MulK(MulK(fact[i], fact[bigR-1-i], k), diff, k)
 		if (bigR-1-i)%2 == 1 {
 			d = f.Neg(d)
 		}
 		denoms[i] = d
 	}
 	f.BatchInv(denoms)
-	for i := 0; i < bigR; i++ {
-		out[i] = MulK(gamma, denoms[i], k)
+	for i, d := range denoms {
+		out[i] = MulK(gamma, d, k)
 	}
 	return out
 }
@@ -157,10 +129,11 @@ type LagrangeEvaluator struct {
 	f    Field
 	bigR int
 	base uint64 // first grid point: 0 or 1
-	// invFixed[i] = 1 / ((-1)^{R-1-i} F_i F_{R-1-i}) for grid position i.
-	invFixed []uint64
-	diffs    []uint64 // At's scratch: the window of one point
-	prefix   []uint64 // At's scratch for the batch inversion's prefix products
+	// invFixed[i] = 1 / ((-1)^{R-1-i} F_i F_{R-1-i}) for grid position i,
+	// invFixedS[i] its ShoupOf companion.
+	invFixed, invFixedS []uint64
+	diffs               []uint64 // At's scratch: the window of one point
+	prefix              []uint64 // At's scratch for the batch inversion's prefix products
 }
 
 // NewLagrangeEvaluatorOneBased prepares an evaluator for the grid 1..R —
@@ -180,9 +153,10 @@ func (f Field) newLagrangeEvaluator(bigR int, base uint64) *LagrangeEvaluator {
 	k := f.Kernel()
 	le := &LagrangeEvaluator{
 		f: f, bigR: bigR, base: base,
-		invFixed: make([]uint64, bigR),
-		diffs:    make([]uint64, bigR),
-		prefix:   make([]uint64, bigR),
+		invFixed:  make([]uint64, bigR),
+		invFixedS: make([]uint64, bigR),
+		diffs:     make([]uint64, bigR),
+		prefix:    make([]uint64, bigR),
 	}
 	fact := le.diffs // scratch until the first At
 	fact[0] = 1
@@ -197,6 +171,9 @@ func (f Field) newLagrangeEvaluator(bigR int, base uint64) *LagrangeEvaluator {
 		le.invFixed[i] = d
 	}
 	f.BatchInvScratch(le.invFixed, le.prefix)
+	for i, w := range le.invFixed {
+		le.invFixedS[i] = ShoupOf(w, f.Q)
+	}
 	return le
 }
 
@@ -264,10 +241,20 @@ func (le *LagrangeEvaluator) At(x0 uint64, out []uint64) []uint64 {
 		out[x0-le.base] = 1
 		return out
 	}
-	k := f.Kernel()
-	gamma := le.window(x0, 1, le.diffs, le.prefix)
-	MulScaleVecKS(out, le.invFixed, le.diffs, k.Shift(gamma), k)
+	le.scale(out, le.diffs, le.window(x0, 1, le.diffs, le.prefix))
 	return out
+}
+
+// scale writes lam[i] = Γ·invFixed[i]·inv[i], the basis at a point whose
+// R inverted differences are inv and Γ gamma: two Shoup products per
+// entry, the first lazy.
+func (le *LagrangeEvaluator) scale(lam, inv []uint64, gamma uint64) {
+	q := le.f.Q
+	gs := ShoupOf(gamma, q)
+	inv, ws := inv[:len(lam)], le.invFixedS[:len(lam)]
+	for i, w := range le.invFixed[:len(lam)] {
+		lam[i] = reduce2Q(MulShoup(MulShoup(inv[i], w, ws[i], q), gamma, gs, q), q)
+	}
 }
 
 // sweepRun caps the runs of Sweep: 64 points share an inversion, and the
@@ -289,7 +276,6 @@ const sweepRun = 64
 // concurrently.
 func (le *LagrangeEvaluator) Sweep(xs []uint64, visit func(p int, lam []uint64)) {
 	f, bigR := le.f, le.bigR
-	k := f.Kernel()
 	w := min(len(xs), sweepRun) + bigR - 1
 	buf := make([]uint64, bigR+2*w)
 	lam, invBuf, prefix := buf[:bigR], buf[bigR:bigR+w], buf[bigR+w:]
@@ -309,7 +295,7 @@ func (le *LagrangeEvaluator) Sweep(xs []uint64, visit func(p int, lam []uint64))
 			if p > 0 {
 				gamma = le.slide(gamma, x0, p, n, inv)
 			}
-			MulScaleVecKS(lam, le.invFixed, inv[n-1-p:][:bigR], k.Shift(gamma), k)
+			le.scale(lam, inv[n-1-p:], gamma)
 			visit(p0+p, lam)
 		}
 		p0 += n
@@ -370,10 +356,10 @@ func (le *LagrangeEvaluator) BitSweepBlock(dst, xs, scratch []uint64) {
 			gam[p] = gamma
 		}
 		for i := 1; i < bigR; i++ { // position 0 has no bit set
-			cs := k.Shift(le.invFixed[i])
+			w, ws := le.invFixed[i], le.invFixedS[i]
 			src := inv[i : i+n]
 			for p := range term {
-				term[p] = MulKS(src[n-1-p], cs, k)
+				term[p] = reduce2Q(MulShoup(src[n-1-p], w, ws, f.Q), f.Q)
 			}
 			for b := uint(i); b != 0; b &= b - 1 {
 				row := dst[bits.TrailingZeros(b)*m+p0:][:n]
@@ -389,14 +375,16 @@ func (le *LagrangeEvaluator) BitSweepBlock(dst, xs, scratch []uint64) {
 }
 
 // Horner evaluates the polynomial with coefficient slice coeffs
-// (coeffs[j] is the coefficient of x^j) at x, mod q. This is the
-// verifier's right-hand side of paper eq. (2).
+// (coeffs[j] is the coefficient of x^j, canonical) at x, mod q. This is
+// the verifier's right-hand side of paper eq. (2): a chain of Shoup
+// products by the one fixed x, each step's value kept lazy below 3q and
+// reduced once at the end.
 func (f Field) Horner(coeffs []uint64, x uint64) uint64 {
-	k := f.Kernel()
-	xs := k.Shift(f.ReduceU(x))
+	x = f.ReduceU(x)
+	xs := ShoupOf(x, f.Q)
 	acc := uint64(0)
 	for j := len(coeffs) - 1; j >= 0; j-- {
-		acc = f.Add(MulKS(acc, xs, k), coeffs[j])
+		acc = MulShoup(acc, x, xs, f.Q) + coeffs[j]
 	}
-	return acc
+	return f.ReduceU(acc)
 }

@@ -1,6 +1,8 @@
 package ff
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/bits"
 	"testing"
 )
@@ -37,6 +39,32 @@ func FuzzMulShoup(f *testing.F) {
 		_, want := bits.Div64(hi, lo, q) // hi < w < q
 		if got >= 2*q || got%q != want {
 			t.Fatalf("q=%d: MulShoup(%d, %d) = %d, want %d mod q below 2q", q, x, w, got, want)
+		}
+	})
+}
+
+// FuzzHorner holds Field.Horner, the verifier's side of paper eq. (2), to a
+// Horner loop on the division oracle over the diffModuli sweep. Each
+// 8-byte word w of data is the coefficient q−1−(w mod q), so zero bytes
+// give the top coefficient everywhere; x is any 64-bit word.
+func FuzzHorner(f *testing.F) {
+	f.Add(make([]byte, 8*64), ^uint64(0))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint64(0))
+	f.Add(append(bytes.Repeat([]byte{0xff}, 14), 'X', '0'), uint64(1)<<62-51) // a lazy value above 2q
+	f.Fuzz(func(t *testing.T, data []byte, x uint64) {
+		for _, q := range diffModuli(t) {
+			fl := Must(q)
+			coeffs := make([]uint64, min(len(data)/8, 1<<12))
+			want, xr := uint64(0), x%q
+			for j := range coeffs {
+				coeffs[j] = q - 1 - binary.LittleEndian.Uint64(data[8*j:])%q
+			}
+			for j := len(coeffs) - 1; j >= 0; j-- {
+				want = (fl.mulDiv(want, xr) + coeffs[j]) % q
+			}
+			if got := fl.Horner(coeffs, x); got != want {
+				t.Fatalf("q=%d x=%d, %d coefficients: Horner = %d, reference %d", q, x, len(coeffs), got, want)
+			}
 		}
 	})
 }

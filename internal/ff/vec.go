@@ -2,48 +2,23 @@ package ff
 
 import "math/bits"
 
-// 4-wide unrolled lazy-reduction sweeps over the Möller–Granlund kernel.
+// Sweeps that multiply whole vectors, in two forms. MulK takes two
+// variable operands: the second must be canonical (< q), while the first
+// may be a lazy residue anywhere below 4q — the division precondition is
+// a·b < q·2^64, and 4q·q ≤ q·2^64 for every q ≤ MaxPrime = 2^62-1 — so
+// callers feed unreduced sums (< 2q) straight into it (MulVecK,
+// MulSumVecK). A multiplier fixed for many products takes its ShoupOf
+// companion once and goes through MulShoup (MulVecShoup, MulAddVecShoup;
+// internal/poly's NTT and tree bases): any 64-bit first operand, a
+// result in [0, 2q), no reduction. Every function here returns canonical
+// values, so results are bit-identical to the scalar Field-op loops that
+// vec_test.go pins each one against across the diffModuli sweep.
 //
-// MulK computes bits.Mul64(a, b<<k.s): only the SECOND operand is
-// shifted, so it must be canonical (< q), while the FIRST operand may be
-// a *lazy* residue anywhere below 4q — the division precondition is
-// a·b < q·2^64, and 4q·q ≤ q·2^64 for every q ≤ MaxPrime = 2^62-1.
-// The sweeps below exploit that one-sided slack: callers feed unreduced
-// sums (< 2q) and Harvey-style NTT residues (< 4q) straight into the
-// multiplier, skipping the conditional subtractions a canonical
-// representation would need. Every function returns fully canonical
-// values, so results are bit-identical to the reference loops they
-// replace (the arithmetic is exact mod q; only intermediate
-// representations differ). Differential and fuzz tests in vec_test.go
-// pin each variant against the scalar Field-op reference across the
-// diffModuli sweep.
-//
-// A multiplier fixed for the whole sweep with a ShoupOf companion goes
-// through MulShoup instead (MulVecShoup; internal/poly's NTT and tree
-// bases): any 64-bit first operand, a result in [0, 2q), no reduction.
-//
-// The bodies are unrolled 4-wide by hand: MulK/MulKS/MulShoup inline
-// (guarded by TestMulKStaysInlinable), and unrolling lets the four
-// independent reduction chains overlap in the out-of-order window instead
-// of serializing on the loop counter.
-
-// MulVecKS sets dst[i] = a[i]·b mod q for every i, where bs = k.Shift(b)
-// is the pre-shifted canonical multiplier. Entries of a may be lazy
-// (< 4q). dst and a may alias; len(dst) must be >= len(a).
-func MulVecKS(dst, a []uint64, bs uint64, k Kernel) {
-	n := len(a)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		d0 := MulKS(a[i], bs, k)
-		d1 := MulKS(a[i+1], bs, k)
-		d2 := MulKS(a[i+2], bs, k)
-		d3 := MulKS(a[i+3], bs, k)
-		dst[i], dst[i+1], dst[i+2], dst[i+3] = d0, d1, d2, d3
-	}
-	for ; i < n; i++ {
-		dst[i] = MulKS(a[i], bs, k)
-	}
-}
+// MulVecShoup, MulVecK and MulSumVecK, the sweeps of the evaluation hot
+// loops, are unrolled 4-wide by hand: MulK and MulShoup inline (guarded
+// by TestMulKStaysInlinable), and unrolling lets the four independent
+// reduction chains overlap in the out-of-order window instead of
+// serializing on the loop counter.
 
 // MulVecShoup sets dst[i] = a[i]·w mod q, canonical, for any entries of
 // a, where ws = ShoupOf(w, q). dst and a may alias; len(dst) must be >=
@@ -58,6 +33,16 @@ func MulVecShoup(dst, a []uint64, w, ws, q uint64) {
 	}
 	for ; i < n; i++ {
 		dst[i] = reduce2Q(MulShoup(a[i], w, ws, q), q)
+	}
+}
+
+// MulAddVecShoup sets dst[i] = dst[i] + a[i]·w mod q for canonical dst
+// and any entries of a, where ws = ShoupOf(w, q); a must be at least as
+// long as dst and may not overlap it.
+func MulAddVecShoup(dst, a []uint64, w, ws, q uint64) {
+	a = a[:len(dst)]
+	for i, x := range a {
+		dst[i] = reduce2Q(reduce2Q(dst[i]+MulShoup(x, w, ws, q), q), q)
 	}
 }
 
@@ -83,25 +68,6 @@ func MulVecK(dst, a, b []uint64, k Kernel) {
 	}
 	for ; i < n; i++ {
 		dst[i] = MulK(a[i], b[i], k)
-	}
-}
-
-// MulScaleVecKS sets dst[i] = a[i]·b[i]·c mod q, where cs = k.Shift(c)
-// is pre-shifted — the Lagrange grid reduction (LagrangeEvaluator.At
-// combines a fixed-weight vector, a per-point difference vector, and one
-// scalar). Entries of a may be lazy (< 4q); b and c must be canonical.
-func MulScaleVecKS(dst, a, b []uint64, cs uint64, k Kernel) {
-	n := len(a)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		d0 := MulKS(MulK(a[i], b[i], k), cs, k)
-		d1 := MulKS(MulK(a[i+1], b[i+1], k), cs, k)
-		d2 := MulKS(MulK(a[i+2], b[i+2], k), cs, k)
-		d3 := MulKS(MulK(a[i+3], b[i+3], k), cs, k)
-		dst[i], dst[i+1], dst[i+2], dst[i+3] = d0, d1, d2, d3
-	}
-	for ; i < n; i++ {
-		dst[i] = MulKS(MulK(a[i], b[i], k), cs, k)
 	}
 }
 
@@ -134,7 +100,7 @@ func MulSumVecK(dst, src, a []uint64, t uint64, k Kernel) {
 // mod q over canonical entries, b not overlapping p — a step of
 // internal/poly's Euclidean loop, which passes its quotient negated. Like
 // MatMulDot it reduces no product: one pass per pair of coefficients of c
-// sums each p[j] and the pair's two products, pre-shifted as MulKS's are,
+// sums each p[j] and the pair's two products, pre-shifted as MulK's are,
 // below q·2^64 and reduces once. A degree-1 quotient, all but every step
 // over a word-sized prime, is one pass and one reduction per coefficient.
 func (f Field) MulAddPoly(p, c, b []uint64) {
@@ -216,7 +182,7 @@ func (f Field) Trilinear(t []uint16, x, y, z, yz []uint64) uint64 {
 	k := f.Kernel()
 	yh, yl := yz[:g*g], yz[g*g:2*g*g]
 	for b, yb := range y {
-		MulVecKS(yl[b*g:(b+1)*g], z, k.Shift(yb), k)
+		MulVecShoup(yl[b*g:(b+1)*g], z, yb, ShoupOf(yb, f.Q), f.Q)
 	}
 	for i, v := range yl {
 		yh[i], yl[i] = v>>32, v&(1<<32-1)

@@ -34,31 +34,21 @@ func randVec(n int, q uint64, rng *rand.Rand) []uint64 {
 	return xs
 }
 
-func TestMulVecKSMatchesScalar(t *testing.T) {
+func TestMulAddVecShoupMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, q := range diffModuli(t) {
 		f := Must(q)
-		k := f.Kernel()
-		for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 64, 129} {
-			a := randVec(n, q, rng)
-			b := rng.Uint64() % q
+		for _, n := range []int{0, 1, 2, 5, 64, 129} {
+			a, dst := randVec(n, math.MaxUint64, rng), randVec(n, q, rng) // any words in a
+			w := rng.Uint64() % q
 			want := make([]uint64, n)
 			for i := range a {
-				want[i] = f.Mul(a[i], b)
+				want[i] = f.Add(dst[i], f.Mul(a[i]%q, w))
 			}
-			lazy := lazyLift(a, q, 4, rng)
-			got := make([]uint64, n)
-			MulVecKS(got, lazy, k.Shift(b), k)
+			MulAddVecShoup(dst, a, w, ShoupOf(w, q), q)
 			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("q=%d n=%d: MulVecKS[%d] = %d, want %d (lazy a=%d)", q, n, i, got[i], want[i], lazy[i])
-				}
-			}
-			// Aliased dst == a must work too.
-			MulVecKS(lazy, lazy, k.Shift(b), k)
-			for i := range want {
-				if lazy[i] != want[i] {
-					t.Fatalf("q=%d n=%d: aliased MulVecKS[%d] = %d, want %d", q, n, i, lazy[i], want[i])
+				if dst[i] != want[i] {
+					t.Fatalf("q=%d n=%d: MulAddVecShoup[%d] = %d, want %d (a=%d)", q, n, i, dst[i], want[i], a[i])
 				}
 			}
 		}
@@ -104,31 +94,6 @@ func TestMulVecKMatchesScalar(t *testing.T) {
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("q=%d n=%d: MulVecK[%d] = %d, want %d", q, n, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestMulScaleVecKSMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, q := range diffModuli(t) {
-		f := Must(q)
-		k := f.Kernel()
-		for _, n := range []int{0, 1, 3, 4, 5, 8, 77} {
-			a := randVec(n, q, rng)
-			b := randVec(n, q, rng)
-			c := rng.Uint64() % q
-			want := make([]uint64, n)
-			for i := range a {
-				want[i] = f.Mul(f.Mul(a[i], b[i]), c)
-			}
-			lazy := lazyLift(a, q, 4, rng)
-			got := make([]uint64, n)
-			MulScaleVecKS(got, lazy, b, k.Shift(c), k)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("q=%d n=%d: MulScaleVecKS[%d] = %d, want %d", q, n, i, got[i], want[i])
 				}
 			}
 		}
@@ -374,25 +339,19 @@ func BenchmarkMatMulDot32(b *testing.B) {
 	}
 }
 
-func FuzzMulVecKS(f *testing.F) {
+func FuzzMulAddVecShoup(f *testing.F) {
 	f.Add(uint64(1048583), uint64(3), uint64(5), uint64(2))
 	f.Add(^uint64(0), ^uint64(0), ^uint64(0), uint64(3))
-	f.Fuzz(func(t *testing.T, q, a, b, lift uint64) {
+	f.Fuzz(func(t *testing.T, q, a, w, d uint64) {
 		q = NextPrime(2 + q%(1<<61))
 		fl := Must(q)
-		k := fl.Kernel()
-		a, b = a%q, b%q
-		al := a + (lift%4)*q // lazy first operand, < 4q
-		if al < a {
-			al = a
-		}
-		src := []uint64{al, al, al, al, al} // crosses the 4-wide boundary
-		dst := make([]uint64, len(src))
-		MulVecKS(dst, src, k.Shift(b), k)
-		want := fl.mulDiv(a, b)
+		w, d = w%q, d%q
+		dst := []uint64{d, d, d, d, d}
+		MulAddVecShoup(dst, []uint64{a, a, a, a, a}, w, ShoupOf(w, q), q)
+		want := fl.Add(d, fl.mulDiv(a%q, w))
 		for i, got := range dst {
 			if got != want {
-				t.Fatalf("q=%d: MulVecKS[%d](%d,%d) = %d, reference %d", q, i, al, b, got, want)
+				t.Fatalf("q=%d: MulAddVecShoup[%d](%d, %d·%d) = %d, reference %d", q, i, d, a, w, got, want)
 			}
 		}
 	})

@@ -136,10 +136,9 @@ func (w *walkPlan) evaluateStrip(xs, totals, buf []uint64) {
 	for xi := range signP {
 		signP[xi] = sign0
 	}
-	two := k.Shift(2 % f.Q)
 	for j := 0; j < w.half; j++ {
 		for xi, zv := range z[j*m : (j+1)*m] {
-			signP[xi] = ff.MulK(signP[xi], f.Sub(1, ff.MulKS(zv, two, k)), k)
+			signP[xi] = ff.MulK(signP[xi], f.Sub(1, f.Add(zv, zv)), k)
 		}
 	}
 	fixed := uint64(1)<<w.lo - 1

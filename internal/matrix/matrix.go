@@ -119,17 +119,6 @@ func (m *Matrix) Hadamard(o *Matrix) *Matrix {
 	return out
 }
 
-// Scale returns c·m.
-func (m *Matrix) Scale(c uint64) *Matrix {
-	k := m.F.Kernel()
-	cs := k.Shift(c)
-	out := New(m.F, m.R, m.C)
-	for i := range m.A {
-		out.A[i] = ff.MulKS(m.A[i], cs, k)
-	}
-	return out
-}
-
 // DotAll returns Σ_ij m[i][j]·o[i][j] — the final contraction of the
 // Nešetřil–Poljak and new-circuit designs.
 func (m *Matrix) DotAll(o *Matrix) uint64 {
@@ -173,24 +162,16 @@ func (m *Matrix) Mul(o *Matrix) *Matrix {
 	return m.mulClassic(o)
 }
 
-// mulClassic is an ikj-ordered kernel: one division-free reduction per
-// product (ff.MulKS against the row entry's precomputed shift), zero
-// entries of m skipped.
+// mulClassic is an ikj-ordered kernel: one Shoup row per entry of m,
+// against the entry's ShoupOf companion, zero entries skipped.
 func (m *Matrix) mulClassic(o *Matrix) *Matrix {
 	out := New(m.F, m.R, o.C)
-	f := m.F
-	fk := f.Kernel()
+	q := m.F.Q
 	for i := 0; i < m.R; i++ {
-		for k := 0; k < m.C; k++ {
-			a := m.A[i*m.C+k]
-			if a == 0 {
-				continue
-			}
-			as := fk.Shift(a)
-			ork := o.A[k*o.C:]
-			outRow := out.A[i*o.C:]
-			for j := 0; j < o.C; j++ {
-				outRow[j] = f.Add(outRow[j], ff.MulKS(ork[j], as, fk))
+		outRow := out.A[i*o.C : (i+1)*o.C]
+		for k, a := range m.A[i*m.C : (i+1)*m.C] {
+			if a != 0 {
+				ff.MulAddVecShoup(outRow, o.A[k*o.C:], a, ff.ShoupOf(a, q), q)
 			}
 		}
 	}

@@ -142,16 +142,6 @@ func TestFromSliceValidation(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	a, _ := FromSlice(testField, 1, 3, []uint64{1, 2, 3})
-	s := a.Scale(10)
-	for i, want := range []uint64{10, 20, 30} {
-		if s.A[i] != want {
-			t.Fatalf("Scale: %v", s.A)
-		}
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	a := New(testField, 2, 2)
 	b := a.Clone()

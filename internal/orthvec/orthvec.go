@@ -98,13 +98,14 @@ func (p *OVProblem) Evaluate(q, x0 uint64) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []uint64{p.at(f, f.LagrangeAtOneBased(p.a.N, x0), make([]uint64, p.a.T))}, nil
+	return []uint64{p.at(f, f.LagrangeAtOneBased(p.a.N, x0), make([]uint64, 2*p.a.T))}, nil
 }
 
-// at is P(x0) given lam, the Lagrange basis over 1..n at x0; acol is t
-// words of scratch.
-func (p *OVProblem) at(f ff.Field, lam, acol []uint64) uint64 {
+// at is P(x0) given lam, the Lagrange basis over 1..n at x0; scratch is
+// 2t words.
+func (p *OVProblem) at(f ff.Field, lam, scratch []uint64) uint64 {
 	// A_j(x0) = Σ_i a_ij Λ_{i+1}(x0).
+	acol, acolS := scratch[:p.a.T], scratch[p.a.T:2*p.a.T]
 	clear(acol)
 	for i := 0; i < p.a.N; i++ {
 		if lam[i] == 0 {
@@ -118,10 +119,13 @@ func (p *OVProblem) at(f ff.Field, lam, acol []uint64) uint64 {
 		}
 	}
 	// The per-row product multiplies by (1 - A_j(x0)) for each set bit;
-	// hoist the t complements out of the n-row sweep.
-	k := f.Kernel()
+	// hoist the t complements and their ShoupOf companions out of the
+	// n-row sweep. The product stays lazy below 2q and is exactly 0 once
+	// it meets a zero complement.
+	q := f.Q
 	for j, v := range acol {
-		acol[j] = k.Shift(f.Sub(1, v)) // pre-shifted for MulKS
+		acol[j] = f.Sub(1, v)
+		acolS[j] = ff.ShoupOf(acol[j], q)
 	}
 	total := uint64(0)
 	for r := 0; r < p.b.N; r++ {
@@ -129,10 +133,10 @@ func (p *OVProblem) at(f ff.Field, lam, acol []uint64) uint64 {
 		prod := uint64(1)
 		for j := 0; j < p.b.T && prod != 0; j++ {
 			if row[j] == 1 {
-				prod = ff.MulKS(prod, acol[j], k)
+				prod = ff.MulShoup(prod, acol[j], acolS[j], q)
 			}
 		}
-		total = f.Add(total, prod)
+		total = f.Add(total, f.ReduceU(prod))
 	}
 	return total
 }
@@ -163,7 +167,7 @@ func (c sweepPlan) EvaluateBlock(xs []uint64) ([][]uint64, error) {
 
 // Compile implements plan.Compiler.
 func (p *OVProblem) Compile(f ff.Field) (plan.Plan, error) {
-	return sweepPlan{f: f, basis: f.NewLagrangeEvaluatorOneBased, grid: p.a.N, scratch: p.a.T, at: p.at}, nil
+	return sweepPlan{f: f, basis: f.NewLagrangeEvaluatorOneBased, grid: p.a.N, scratch: 2 * p.a.T, at: p.at}, nil
 }
 
 // Counts recovers (c_1, ..., c_n) from the proof: c_i = P(i).

@@ -180,10 +180,11 @@ func (p *Problem) reducedMatrix(f ff.Field) []uint64 {
 // only read afterwards; all sweep state is per-call scratch, so one plan
 // serves concurrent chunk tasks.
 type compiled struct {
-	p  *Problem
-	f  ff.Field
-	am []uint64              // reducedMatrix(f)
-	le *ff.LagrangeEvaluator // grid 0..2^half-1
+	p   *Problem
+	f   ff.Field
+	am  []uint64              // reducedMatrix(f)
+	amS []uint64              // ShoupOf companions of am
+	le  *ff.LagrangeEvaluator // grid 0..2^half-1
 }
 
 // Compile implements plan.Compiler. The per-point Evaluate runs two
@@ -202,8 +203,13 @@ type compiled struct {
 // instead of silently corrupting the recovered permanent.
 // TestHamiltonVerifierIsSeparate (lint_test.go) holds Evaluate to that.
 func (p *Problem) Compile(f ff.Field) (plan.Plan, error) {
+	am := p.reducedMatrix(f)
+	amS := make([]uint64, len(am))
+	for i, a := range am {
+		amS[i] = ff.ShoupOf(a, f.Q)
+	}
 	return &compiled{
-		p: p, f: f, am: p.reducedMatrix(f),
+		p: p, f: f, am: am, amS: amS,
 		le: f.NewLagrangeEvaluatorZeroBased(1 << uint(p.half)),
 	}, nil
 }
@@ -254,23 +260,19 @@ func (c *compiled) evaluateStrip(xs, totals, buf []uint64) {
 	for i := 0; i < n; i++ {
 		row := rowP[i*m : (i+1)*m]
 		for j := 0; j < half; j++ {
-			as := k.Shift(am[i*n+j])
-			for xi, zv := range z[j*m : (j+1)*m] {
-				row[xi] = f.Add(row[xi], ff.MulKS(zv, as, k))
-			}
+			ff.MulAddVecShoup(row, z[j*m:(j+1)*m], am[i*n+j], c.amS[i*n+j], f.Q)
 		}
 	}
 	sign0 := uint64(1)
 	if n%2 == 1 {
 		sign0 = f.Neg(sign0)
 	}
-	two := k.Shift(2 % f.Q)
 	for xi := range signP {
 		signP[xi] = sign0
 	}
 	for j := 0; j < half; j++ {
 		for xi, zv := range z[j*m : (j+1)*m] {
-			signP[xi] = ff.MulK(signP[xi], f.Sub(1, ff.MulKS(zv, two, k)), k)
+			signP[xi] = ff.MulK(signP[xi], f.Sub(1, f.Add(zv, zv)), k)
 		}
 	}
 	// The Gray-code sweep over suffix assignments: the suffix row sums

@@ -135,18 +135,13 @@ func (r *Ring) Mul(a, b []uint64) []uint64 {
 	return Trim(r.mulKaratsuba(a, b))
 }
 
-// mulNaive is the schoolbook product, on the hoisted reduction kernel.
+// mulNaive is the schoolbook product: one Shoup row per coefficient of a.
 func (r *Ring) mulNaive(a, b []uint64) []uint64 {
-	k := r.f.Kernel()
+	q := r.f.Q
 	out := make([]uint64, len(a)+len(b)-1)
 	for i, ai := range a {
-		if ai == 0 {
-			continue
-		}
-		ais := k.Shift(ai)
-		row := out[i : i+len(b)]
-		for j, bj := range b {
-			row[j] = r.f.Add(row[j], ff.MulKS(bj, ais, k))
+		if ai != 0 {
+			ff.MulAddVecShoup(out[i:i+len(b)], b, ai, ff.ShoupOf(ai, q), q)
 		}
 	}
 	return out
@@ -320,13 +315,13 @@ func (r *Ring) negQuotient(q, r0, r1 []uint64) []uint64 {
 	f, k := r.f, r.f.Kernel()
 	m, top := len(r0)-len(r1), len(r1)-1
 	q = q[:m+1]
-	negInv := k.Shift(f.Neg(f.Inv(r1[top])))
+	negInv := f.Neg(f.Inv(r1[top]))
 	for i := m; i >= 0; i-- {
 		c := r0[i+top]
 		for j := i + 1; j <= min(m, i+top); j++ {
 			c = f.Add(c, ff.MulK(q[j], r1[i+top-j], k))
 		}
-		q[i] = ff.MulKS(c, negInv, k)
+		q[i] = ff.MulK(c, negInv, k)
 	}
 	return q
 }

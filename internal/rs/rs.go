@@ -352,19 +352,5 @@ func (c *Code) pointsAt(positions []int) []uint64 {
 	return xs
 }
 
-// Verify spot-checks a putative message against an oracle for codeword
-// symbols: it draws one Camelot verification equation (paper eq. (2)) at
-// the given point x0, comparing oracle(x0) with Horner evaluation of the
-// message. A mismatch proves the message is not the oracle's polynomial;
-// agreement is correct with probability >= 1 - d/q for uniform x0.
-func (c *Code) Verify(message []uint64, x0 uint64, oracle func(uint64) (uint64, error)) (bool, error) {
-	want, err := oracle(x0)
-	if err != nil {
-		return false, fmt.Errorf("rs: verification oracle: %w", err)
-	}
-	f := c.ring.Field()
-	return f.Horner(message, x0) == want%f.Q, nil
-}
-
 // Field returns the underlying coefficient field.
 func (c *Code) Field() ff.Field { return c.ring.Field() }

@@ -35,9 +35,9 @@ func Transform(f ff.Field, a []uint64, t, s, k int, x []uint64) []uint64 {
 
 // term is one non-zero entry A[i][j] of a compiled base row.
 type term struct {
-	j    int    // source digit
-	sign int    // +1 for coefficient 1, −1 for q−1, 0 for anything else
-	cs   uint64 // Kernel.Shift(coefficient); read only when sign == 0
+	j     int    // source digit
+	sign  int    // +1 for coefficient 1, −1 for q−1, 0 for anything else
+	c, cs uint64 // the coefficient and its ShoupOf companion; read only when sign == 0
 }
 
 // power is A^{⊗k} ⊗ I_run compiled for repeated application — the
@@ -57,7 +57,6 @@ func compile(f ff.Field, a []uint64, t, s, k, run int) *power {
 	if len(a) != t*s {
 		panic(fmt.Sprintf("yates: base matrix %d entries, want %dx%d", len(a), t, s))
 	}
-	fk := f.Kernel()
 	rows := make([][]term, t)
 	for i := range rows {
 		for _, sign := range []int{1, -1, 0} {
@@ -70,7 +69,7 @@ func compile(f ff.Field, a []uint64, t, s, k, run int) *power {
 					sg = -1
 				}
 				if c != 0 && sg == sign {
-					rows[i] = append(rows[i], term{j: j, sign: sg, cs: fk.Shift(c)})
+					rows[i] = append(rows[i], term{j: j, sign: sg, c: c, cs: ff.ShoupOf(c, f.Q)})
 				}
 			}
 		}
@@ -125,7 +124,7 @@ func (pw *power) apply(x, buf []uint64) []uint64 {
 // per one-word run would cost more than the arithmetic (37 against 47 µs
 // for the whole 7×4, k=5 transform).
 func (pw *power) scalarLevel(next, cur []uint64) {
-	f, fk := pw.f, pw.f.Kernel()
+	f := pw.f
 	for p := 0; p*pw.t < len(next); p++ {
 		src := cur[p*pw.s : (p+1)*pw.s]
 		for i, row := range pw.rows {
@@ -137,7 +136,11 @@ func (pw *power) scalarLevel(next, cur []uint64) {
 				case -1:
 					acc = f.Sub(acc, src[tm.j])
 				default:
-					acc = f.Add(acc, ff.MulKS(src[tm.j], tm.cs, fk))
+					v := ff.MulShoup(src[tm.j], tm.c, tm.cs, f.Q)
+					if v >= f.Q {
+						v -= f.Q
+					}
+					acc = f.Add(acc, v)
 				}
 			}
 			next[p*pw.t+i] = acc
@@ -165,7 +168,7 @@ func (pw *power) combine(dst, src []uint64, row []term) {
 		copy(dst, run(row[0]))
 		rest = row[1:]
 	case len(row) >= 1 && row[0].sign == 0:
-		ff.MulVecKS(dst, run(row[0]), row[0].cs, f.Kernel())
+		ff.MulVecShoup(dst, run(row[0]), row[0].c, row[0].cs, f.Q)
 		rest = row[1:]
 	default:
 		clear(dst)
@@ -177,10 +180,7 @@ func (pw *power) combine(dst, src []uint64, row []term) {
 		case -1:
 			f.SubVec(dst, dst, run(tm))
 		default:
-			fk := f.Kernel()
-			for i, v := range run(tm) {
-				dst[i] = f.Add(dst[i], ff.MulKS(v, tm.cs, fk))
-			}
+			ff.MulAddVecShoup(dst, run(tm), tm.c, tm.cs, f.Q)
 		}
 	}
 }

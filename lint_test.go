@@ -258,6 +258,65 @@ func TestCoreKeepsOneOfEach(t *testing.T) {
 	}
 }
 
+// retiredProducts are the pre-shifted Möller–Granlund forms of a product
+// by a fixed field element. The pre-shifted operand was a bare uint64 that
+// no type marked, and an unshifted one gave a wrong residue without an
+// error. A multiplier reused across many products takes its ff.ShoupOf
+// companion once and goes through ff.MulShoup; one that serves a product
+// or two goes through ff.MulK.
+var retiredProducts = map[string]string{
+	"MulKS":         "ff.MulShoup with a ShoupOf companion, or ff.MulK",
+	"MulVecKS":      "ff.MulVecShoup",
+	"MulScaleVecKS": "ff.MulShoup, twice",
+	"Kernel.Shift":  "ff.ShoupOf",
+}
+
+// TestOneProductByAFixedElement keeps ff at one way to multiply many
+// values by one element: it fails if any Go file of the module declares
+// a function or method named in retiredProducts.
+func TestOneProductByAFixedElement(t *testing.T) {
+	var offenders []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == ".git" || name == ".bench_build" || name == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			name := fn.Name.Name
+			if fn.Recv != nil {
+				name = recvName(fn) + "." + name
+			}
+			if use, retired := retiredProducts[name]; retired {
+				offenders = append(offenders, fmt.Sprintf("%s: %s (use %s)", fset.Position(fn.Pos()), name, use))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(offenders) > 0 {
+		t.Fatalf("retired products by a fixed element declared:\n  %s", strings.Join(offenders, "\n  "))
+	}
+}
+
 // TestWireCodecsShareOneReader keeps the proof ('CML'), share ('CMS')
 // and control ('CMC') decoders on frame.go's one bounded reader,
 // core.Cursor: no reflection-driven binary.Read/binary.Write anywhere
