@@ -237,10 +237,11 @@ func TestBatchInvScratchMatchesBatchInv(t *testing.T) {
 }
 
 // TestMulKStaysInlinable rebuilds this package with the inliner's debug
-// output and fails if MulK or MulShoup stopped inlining — MulK's cost
-// sits exactly at the compiler's budget, so any edit can silently push it
-// over and reintroduce a function call in every field multiply of every
-// hot loop; MulShoup is every NTT butterfly's product.
+// output and fails if MulK, MulShoup or MulMont stopped inlining — MulK's
+// cost sits exactly at the compiler's budget, so any edit can silently
+// push it over and reintroduce a function call in every field multiply of
+// every hot loop; MulShoup is every NTT butterfly's product, MulMont every
+// product of the permanent's Gray-code sweep.
 func TestMulKStaysInlinable(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go toolchain not on PATH")
@@ -249,7 +250,7 @@ func TestMulKStaysInlinable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("go build -gcflags=-m=2: %v\n%s", err, out)
 	}
-	for _, fn := range []string{"MulK", "MulShoup"} {
+	for _, fn := range []string{"MulK", "MulShoup", "MulMont"} {
 		if !strings.Contains(string(out), "can inline "+fn+" ") {
 			for _, line := range strings.Split(string(out), "\n") {
 				if strings.Contains(line, fn) {

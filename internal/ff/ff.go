@@ -14,7 +14,8 @@
 // normalized modulus (the Barrett idea with a word-sized reciprocal).
 // A multiplier fixed for many products (Horner's x among them) goes
 // further: ShoupOf pays one division for its companion, and MulShoup
-// then needs no reduction.
+// then needs no reduction. A product chain of fixed length goes through
+// MulMont, whose 2^-64 per product the caller folds into one constant.
 // Construct Fields only through New/Must: a Field assembled as a struct
 // literal has no reciprocal and Mul/ReduceU panic on it. The old
 // division-based reduction survives as an unexported reference
@@ -128,6 +129,31 @@ func ShoupOf(w, q uint64) uint64 {
 func MulShoup(x, w, ws, q uint64) uint64 {
 	hi, _ := bits.Mul64(x, ws)
 	return x*w - hi*q
+}
+
+// MontOf returns qi = q⁻¹ mod 2^64 for odd q, MulMont's constant: each
+// Newton step x ← x·(2 − q·x) doubles the low bits x = q starts right on.
+func MontOf(q uint64) uint64 {
+	x := q
+	for range 5 {
+		x *= 2 - q*x
+	}
+	return x
+}
+
+// MulMont returns a·b·2^-64 mod q, canonical, for odd q, qi = MontOf(q)
+// and a·b < q·2^64 (a < 2q and b < q suffice): Montgomery's REDC. m·q,
+// m = lo·qi, agrees with a·b in the low word, so the result hi − ⌊m·q/2^64⌋
+// lies in (−q, q). A chain of k products carries 2^-64k, which the caller
+// folds into one constant instead of converting operands.
+func MulMont(a, b, q, qi uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	mh, _ := bits.Mul64(lo*qi, q)
+	r := hi - mh
+	if hi < mh {
+		r += q
+	}
+	return r
 }
 
 // fieldCache memoizes New per modulus: problems construct a Field per

@@ -43,6 +43,27 @@ func FuzzMulShoup(f *testing.F) {
 	})
 }
 
+// FuzzMulMont holds MulMont to the division oracle: for any odd modulus
+// in [3, MaxPrime] (MontOf needs q odd, not prime), a < 2q and b < q, the
+// product is canonical and MulMont(a, b)·2^64 ≡ a·b (mod q). The first
+// seed sits where REDC's precondition a·b < q·2^64 is tightest.
+func FuzzMulMont(f *testing.F) {
+	top := prevPrime(MaxPrime)
+	f.Add(top, 2*top-1, top-1)
+	f.Add(uint64(3), uint64(5), uint64(2))
+	f.Add(uint64(MaxPrime), uint64(0), uint64(0))
+	f.Add(uint64(0), ^uint64(0), ^uint64(0))
+	f.Fuzz(func(t *testing.T, q, a, b uint64) {
+		q = (3 + (q-3)%(MaxPrime-2)) | 1
+		a, b = a%(2*q), b%q
+		fl := newUnchecked(q)
+		got := MulMont(a, b, q, MontOf(q))
+		if got >= q || fl.mulDiv(got, fl.reduce128Div(1, 0)) != fl.mulDiv(a, b) {
+			t.Fatalf("q=%d: MulMont(%d, %d) = %d, want a canonical a·b·2^-64 = %d·2^-64", q, a, b, got, fl.mulDiv(a, b))
+		}
+	})
+}
+
 // FuzzHorner holds Field.Horner, the verifier's side of paper eq. (2), to a
 // Horner loop on the division oracle over the diffModuli sweep. Each
 // 8-byte word w of data is the coefficient q−1−(w mod q), so zero bytes

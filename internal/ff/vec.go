@@ -2,23 +2,27 @@ package ff
 
 import "math/bits"
 
-// Sweeps that multiply whole vectors, in two forms. MulK takes two
+// Sweeps that multiply whole vectors, in three forms. MulK takes two
 // variable operands: the second must be canonical (< q), while the first
 // may be a lazy residue anywhere below 4q — the division precondition is
 // a·b < q·2^64, and 4q·q ≤ q·2^64 for every q ≤ MaxPrime = 2^62-1 — so
-// callers feed unreduced sums (< 2q) straight into it (MulVecK,
-// MulSumVecK). A multiplier fixed for many products takes its ShoupOf
-// companion once and goes through MulShoup (MulVecShoup, MulAddVecShoup;
-// internal/poly's NTT and tree bases): any 64-bit first operand, a
-// result in [0, 2q), no reduction. Every function here returns canonical
-// values, so results are bit-identical to the scalar Field-op loops that
-// vec_test.go pins each one against across the diffModuli sweep.
+// callers feed unreduced sums (< 2q) straight into it (MulVecK). A
+// multiplier fixed for many products takes its ShoupOf companion once
+// and goes through MulShoup (MulVecShoup, MulAddVecShoup; internal/poly's
+// NTT and tree bases): any 64-bit first operand, a result in [0, 2q), no
+// reduction. A chain of fixed length over an odd q goes through MulMont
+// (MulSumVecMont, the permanent's Gray-code sweep): each product carries
+// a factor 2^-64, and since every result passes through the same number
+// of products, the caller folds them into one constant instead of
+// converting operands. Every function here returns canonical values, so
+// results are bit-identical to the scalar Field-op loops that vec_test.go
+// pins each one against across the diffModuli sweep.
 //
-// MulVecShoup, MulVecK and MulSumVecK, the sweeps of the evaluation hot
-// loops, are unrolled 4-wide by hand: MulK and MulShoup inline (guarded
-// by TestMulKStaysInlinable), and unrolling lets the four independent
-// reduction chains overlap in the out-of-order window instead of
-// serializing on the loop counter.
+// MulVecShoup, MulVecK and MulSumVecMont, the sweeps of the evaluation
+// hot loops, are unrolled 4-wide by hand: MulK, MulShoup and MulMont
+// inline (guarded by TestMulKStaysInlinable), and unrolling lets the four
+// independent reduction chains overlap in the out-of-order window instead
+// of serializing on the loop counter.
 
 // MulVecShoup sets dst[i] = a[i]·w mod q, canonical, for any entries of
 // a, where ws = ShoupOf(w, q). dst and a may alias; len(dst) must be >=
@@ -71,28 +75,28 @@ func MulVecK(dst, a, b []uint64, k Kernel) {
 	}
 }
 
-// MulSumVecK sets dst[i] = (a[i]+t)·src[i] mod q — one row of the
-// permanent's point-inner Ryser sweep: a holds a matrix row's prefix sums
-// at a strip of points, t the row's suffix sum at the current Gray step,
-// src the running products. The sums a[i]+t go to the multiplier
-// unreduced (< 2q, within the lazy first-operand budget), skipping the
-// canonicalizing subtraction of Field.Add. Entries of a and src and t
-// must be canonical; dst may alias src. The products of different points
-// are independent, so the reduction chains overlap where a per-point
-// product over the rows would serialize.
-func MulSumVecK(dst, src, a []uint64, t uint64, k Kernel) {
+// MulSumVecMont sets dst[i] = (a[i]+t)·src[i]·2^-64 mod q, for odd q and
+// qi = MontOf(q) — one row of the permanent's point-inner Ryser sweep: a
+// holds a matrix row's prefix sums at a strip of points, t the row's
+// suffix sum at the current Gray step, src the running products. The sums
+// a[i]+t go to MulMont unreduced (< 2q, inside its a·b < q·2^64),
+// skipping the canonicalizing subtraction of Field.Add. Entries of a and
+// src and t must be canonical; dst may alias src. The products of
+// different points are independent, so the reduction chains overlap where
+// a per-point product over the rows would serialize.
+func MulSumVecMont(dst, src, a []uint64, t, q, qi uint64) {
 	n := len(dst)
 	src, a = src[:n], a[:n]
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		d0 := MulK(a[i]+t, src[i], k)
-		d1 := MulK(a[i+1]+t, src[i+1], k)
-		d2 := MulK(a[i+2]+t, src[i+2], k)
-		d3 := MulK(a[i+3]+t, src[i+3], k)
+		d0 := MulMont(a[i]+t, src[i], q, qi)
+		d1 := MulMont(a[i+1]+t, src[i+1], q, qi)
+		d2 := MulMont(a[i+2]+t, src[i+2], q, qi)
+		d3 := MulMont(a[i+3]+t, src[i+3], q, qi)
 		dst[i], dst[i+1], dst[i+2], dst[i+3] = d0, d1, d2, d3
 	}
 	for ; i < n; i++ {
-		dst[i] = MulK(a[i]+t, src[i], k)
+		dst[i] = MulMont(a[i]+t, src[i], q, qi)
 	}
 }
 

@@ -100,11 +100,17 @@ func TestMulVecKMatchesScalar(t *testing.T) {
 	}
 }
 
-func TestMulSumVecKMatchesScalar(t *testing.T) {
+// TestMulSumVecMontMatchesScalar skips the even q = 2 of diffModuli:
+// MontOf, and so MulSumVecMont, requires an odd modulus.
+func TestMulSumVecMontMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, q := range diffModuli(t) {
+		if q%2 == 0 {
+			continue
+		}
 		f := Must(q)
-		k := f.Kernel()
+		qi := MontOf(q)
+		rInv := f.Inv(f.reduce128Div(1, 0)) // 2^-64 mod q
 		for _, n := range []int{0, 1, 3, 4, 5, 8, 33} {
 			for trial := 0; trial < 8; trial++ {
 				a := randVec(n, q, rng)
@@ -121,20 +127,20 @@ func TestMulSumVecKMatchesScalar(t *testing.T) {
 				}
 				want := make([]uint64, n)
 				for i := range want {
-					want[i] = f.Mul(f.Add(a[i], tv), src[i])
+					want[i] = f.Mul(f.Mul(f.Add(a[i], tv), src[i]), rInv)
 				}
 				got := make([]uint64, n)
-				MulSumVecK(got, src, a, tv, k)
+				MulSumVecMont(got, src, a, tv, q, qi)
 				for i := range want {
 					if got[i] != want[i] {
-						t.Fatalf("q=%d n=%d: MulSumVecK[%d] = %d, want %d", q, n, i, got[i], want[i])
+						t.Fatalf("q=%d n=%d: MulSumVecMont[%d] = %d, want %d", q, n, i, got[i], want[i])
 					}
 				}
 				// Aliased dst == src, as the sweep runs it.
-				MulSumVecK(src, src, a, tv, k)
+				MulSumVecMont(src, src, a, tv, q, qi)
 				for i := range want {
 					if src[i] != want[i] {
-						t.Fatalf("q=%d n=%d: aliased MulSumVecK[%d] = %d, want %d", q, n, i, src[i], want[i])
+						t.Fatalf("q=%d n=%d: aliased MulSumVecMont[%d] = %d, want %d", q, n, i, src[i], want[i])
 					}
 				}
 			}
@@ -357,21 +363,21 @@ func FuzzMulAddVecShoup(f *testing.F) {
 	})
 }
 
-func FuzzMulSumVecK(f *testing.F) {
+func FuzzMulSumVecMont(f *testing.F) {
 	f.Add(uint64(65537), uint64(1), uint64(2), uint64(3))
 	f.Add(^uint64(0), uint64(0), ^uint64(0), uint64(1))
 	f.Fuzz(func(t *testing.T, q, x, y, tv uint64) {
-		q = NextPrime(2 + q%(1<<61))
+		q = NextPrime(3 + q%(1<<61)) // odd, as MontOf requires
 		fl := Must(q)
-		k := fl.Kernel()
 		x, y, tv = x%q, y%q, tv%q
 		a := []uint64{x, y, x, y, x, y} // crosses the 4-wide boundary
 		src := []uint64{y, x, y, x, y, x}
 		dst := make([]uint64, len(a))
-		MulSumVecK(dst, src, a, tv, k)
+		MulSumVecMont(dst, src, a, tv, q, MontOf(q))
+		r := fl.reduce128Div(1, 0) // 2^64 mod q
 		for i := range a {
-			if want := fl.mulDiv((a[i]+tv)%q, src[i]); dst[i] != want {
-				t.Fatalf("q=%d: MulSumVecK(%v, %v, %d)[%d] = %d, reference %d", q, src, a, tv, i, dst[i], want)
+			if want := fl.mulDiv((a[i]+tv)%q, src[i]); dst[i] >= q || fl.mulDiv(dst[i], r) != want {
+				t.Fatalf("q=%d: MulSumVecMont(%v, %v, %d)[%d] = %d, want %d·2^-64", q, src, a, tv, i, dst[i], want)
 			}
 		}
 	})

@@ -180,11 +180,13 @@ func (p *Problem) reducedMatrix(f ff.Field) []uint64 {
 // only read afterwards; all sweep state is per-call scratch, so one plan
 // serves concurrent chunk tasks.
 type compiled struct {
-	p   *Problem
-	f   ff.Field
-	am  []uint64              // reducedMatrix(f)
-	amS []uint64              // ShoupOf companions of am
-	le  *ff.LagrangeEvaluator // grid 0..2^half-1
+	p    *Problem
+	f    ff.Field
+	am   []uint64              // reducedMatrix(f)
+	amS  []uint64              // ShoupOf companions of am
+	le   *ff.LagrangeEvaluator // grid 0..2^half-1
+	qi   uint64                // MontOf(f.Q)
+	sign uint64                // (-1)^n·R^{n+half} mod q, R = 2^64
 }
 
 // Compile implements plan.Compiler. The per-point Evaluate runs two
@@ -197,20 +199,30 @@ type compiled struct {
 // multiplies one row's sums into a strip of independent products and the
 // suffix row sums and Gray-code bookkeeping are paid once per strip.
 //
+// Every strip product is an ff.MulMont, which multiplies in R^-1 (R =
+// 2^64), and each Gray term passes through half sign factors (1-2z_j)
+// and n row sums: seeding the sign with (-1)^n·R^{n+half} cancels the
+// R^-(n+half), so no value is converted into or out of Montgomery form.
+//
 // Deliberately NOT shared with Evaluate: verification re-evaluates
 // through the per-point path, so the two independent implementations
 // cross-check each other and a plan bug fails verification loudly
 // instead of silently corrupting the recovered permanent.
 // TestHamiltonVerifierIsSeparate (lint_test.go) holds Evaluate to that.
 func (p *Problem) Compile(f ff.Field) (plan.Plan, error) {
+	if f.Q%2 == 0 {
+		return nil, fmt.Errorf("permanent: Montgomery sweep needs an odd modulus, got %d", f.Q)
+	}
 	am := p.reducedMatrix(f)
 	amS := make([]uint64, len(am))
 	for i, a := range am {
 		amS[i] = ff.ShoupOf(a, f.Q)
 	}
+	sign := f.Mul(f.Exp(f.Q-1, uint64(p.n)), f.Exp(2, uint64(64*(p.n+p.half))))
 	return &compiled{
 		p: p, f: f, am: am, amS: amS,
 		le: f.NewLagrangeEvaluatorZeroBased(1 << uint(p.half)),
+		qi: ff.MontOf(f.Q), sign: sign,
 	}, nil
 }
 
@@ -241,9 +253,8 @@ func (c *compiled) EvaluateBlock(xs []uint64) ([][]uint64, error) {
 // evaluateStrip writes P(x) for the points xs (at most strip of them)
 // into totals, which must be zero, working in buf.
 func (c *compiled) evaluateStrip(xs, totals, buf []uint64) {
-	f, am := c.f, c.am
+	f, am, qi := c.f, c.am, c.qi
 	n, half := c.p.n, c.p.half
-	k := f.Kernel()
 	m := len(xs)
 	cut := func(words int) []uint64 {
 		s := buf[:words:words]
@@ -255,7 +266,8 @@ func (c *compiled) evaluateStrip(xs, totals, buf []uint64) {
 	prod := buf[:m] // the kernel is done with its scratch
 	// Prefix state per point, row-major by matrix row so a Gray step
 	// streams over the strip: rowP[i·m+xi] = Σ_{j<half} a_ij z_j(x_xi) and
-	// signP[xi] = (-1)^n Π_{j<half} (1-2z_j(x_xi)).
+	// signP[xi] = (-1)^n R^n Π_{j<half} (1-2z_j(x_xi)), the R^half of
+	// c.sign spent by the half Montgomery products that build it.
 	clear(rowP)
 	for i := 0; i < n; i++ {
 		row := rowP[i*m : (i+1)*m]
@@ -263,31 +275,28 @@ func (c *compiled) evaluateStrip(xs, totals, buf []uint64) {
 			ff.MulAddVecShoup(row, z[j*m:(j+1)*m], am[i*n+j], c.amS[i*n+j], f.Q)
 		}
 	}
-	sign0 := uint64(1)
-	if n%2 == 1 {
-		sign0 = f.Neg(sign0)
-	}
 	for xi := range signP {
-		signP[xi] = sign0
+		signP[xi] = c.sign
 	}
 	for j := 0; j < half; j++ {
 		for xi, zv := range z[j*m : (j+1)*m] {
-			signP[xi] = ff.MulK(signP[xi], f.Sub(1, f.Add(zv, zv)), k)
+			signP[xi] = ff.MulMont(signP[xi], f.Sub(1, f.Add(zv, zv)), f.Q, qi)
 		}
 	}
 	// The Gray-code sweep over suffix assignments: the suffix row sums
 	// rowS and the suffix popcount advance once per step for the whole
 	// strip, and each step multiplies the row sums, one row per pass,
-	// into the strip's products. The sums enter the multiplier
-	// unreduced (< 2q); Evaluate keeps the scalar canonical sweep, so the
-	// block/point equivalence tests double as a differential check.
+	// into the strip's products; the n Montgomery products spend the R^n
+	// left in signP. The sums enter the multiplier unreduced (< 2q);
+	// Evaluate keeps the scalar canonical MulK sweep, so the block/point
+	// equivalence tests double as a differential check.
 	clear(rowS)
 	gray := uint64(0)
 	ones := 0
 	for iter := uint64(0); ; iter++ {
 		src := signP
 		for i := 0; i < n; i++ {
-			ff.MulSumVecK(prod, src, rowP[i*m:(i+1)*m], rowS[i], k)
+			ff.MulSumVecMont(prod, src, rowP[i*m:(i+1)*m], rowS[i], f.Q, qi)
 			src = prod
 		}
 		if ones%2 == 1 {

@@ -178,9 +178,10 @@ func BenchmarkRyser12(b *testing.B) {
 
 // TestEvaluateBlockMatchesEvaluate holds the compiled block path to the
 // per-point path bit for bit: block lengths on both sides of a strip
-// boundary, even and odd n, the matrices whose row products vanish, a
-// modulus at the top of the lazy range, and points that are grid points,
-// runs and isolated in one block.
+// boundary, even and odd n, the matrices whose row products vanish, the
+// largest prime below ff.MaxPrime (where the Montgomery sweep's unreduced
+// sums come closest to REDC's bound a·b < q·2^64), and points that are
+// grid points, runs and isolated in one block.
 func TestEvaluateBlockMatchesEvaluate(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	zeroRow := randMatrix(rng, 6, -3, 3)
@@ -195,13 +196,17 @@ func TestEvaluateBlockMatchesEvaluate(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 7, 12, 13} {
 		matrices = append(matrices, randMatrix(rng, n, -3, 3))
 	}
+	top := uint64(ff.MaxPrime)
+	for !ff.IsPrime(top) {
+		top -= 2
+	}
 	for _, a := range matrices {
 		n := len(a)
 		p, err := NewProblem(a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, q := range []uint64{1048583, 1<<61 - 1} {
+		for _, q := range []uint64{1048583, 1<<61 - 1, top} {
 			pl, err := p.Compile(ff.Must(q))
 			if err != nil {
 				t.Fatal(err)

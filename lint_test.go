@@ -263,12 +263,14 @@ func TestCoreKeepsOneOfEach(t *testing.T) {
 // no type marked, and an unshifted one gave a wrong residue without an
 // error. A multiplier reused across many products takes its ff.ShoupOf
 // companion once and goes through ff.MulShoup; one that serves a product
-// or two goes through ff.MulK.
+// or two goes through ff.MulK. MulSumVecK, the permanent's row sweep on
+// MulK, gave way to the Montgomery chain ff.MulSumVecMont.
 var retiredProducts = map[string]string{
 	"MulKS":         "ff.MulShoup with a ShoupOf companion, or ff.MulK",
 	"MulVecKS":      "ff.MulVecShoup",
 	"MulScaleVecKS": "ff.MulShoup, twice",
 	"Kernel.Shift":  "ff.ShoupOf",
+	"MulSumVecK":    "ff.MulSumVecMont",
 }
 
 // TestOneProductByAFixedElement keeps ff at one way to multiply many
@@ -411,8 +413,9 @@ func TestKindsAreDeclaredOnce(t *testing.T) {
 //     group tensor (its contraction, the rule that picks it, its orbit
 //     build), so a wrong T is refused;
 //   - permanent's Evaluate never reaches the compiled plan, its strip
-//     kernel or ff's run kernel behind D(x), so a bug in the Gray-code
-//     strip sweep fails verification.
+//     kernel, ff's run kernel behind D(x) or the Montgomery products of
+//     the strip sweep, so a bug in the Gray-code strip sweep fails
+//     verification and the verifier's sweep keeps its own reduction, MulK.
 func TestHamiltonVerifierIsSeparate(t *testing.T) {
 	lagrangeRun := func(id string) bool { return strings.HasPrefix(id, "NewLagrangeEvaluator") || id == "Sweep" }
 	pointEvaluator := func(id string) bool { return id == "NewPointEvaluator" }
@@ -422,7 +425,7 @@ func TestHamiltonVerifierIsSeparate(t *testing.T) {
 	}
 	permanentPlan := func(id string) bool {
 		return slices.Contains([]string{"compiled", "Compile", "EvaluateBlock", "evaluateStrip",
-			"NewLagrangeEvaluatorZeroBased", "BitSweepBlock"}, id)
+			"NewLagrangeEvaluatorZeroBased", "BitSweepBlock", "MulMont", "MulSumVecMont", "MontOf"}, id)
 	}
 	for _, row := range []struct {
 		dir      string
