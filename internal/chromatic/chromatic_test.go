@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"camelot/internal/core"
-	"camelot/internal/ff"
 	"camelot/internal/graph"
 	"camelot/internal/interp"
 )
@@ -212,55 +211,5 @@ func TestInterpolationUtility(t *testing.T) {
 	// Duplicate points must error.
 	if _, err := interp.LagrangeInt([]int64{1, 1}, []*big.Int{big.NewInt(0), big.NewInt(1)}); err == nil {
 		t.Fatal("want duplicate-point error")
-	}
-}
-
-// TestEvaluateBlockMatchesEvaluate pins the compiled plan against the
-// per-point path bit for bit (the plan.Plan contract: verification
-// re-evaluates through Evaluate, so any divergence would surface as a
-// verification failure, not a wrong answer — but it must not happen).
-func TestEvaluateBlockMatchesEvaluate(t *testing.T) {
-	for name, g := range map[string]*graph.Graph{
-		"gnp8":   graph.Gnp(8, 0.4, 1),
-		"cycle7": graph.Cycle(7),
-		"k5":     graph.Complete(5),
-	} {
-		t.Run(name, func(t *testing.T) {
-			p, err := NewProblem(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			q := ff.NextPrime(p.MinModulus())
-			f, err := ff.New(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pl, err := p.Compile(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			xs := []uint64{0, 1, 2, 7, 100, 1 << 19}
-			rows, err := pl.EvaluateBlock(xs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(rows) != len(xs) {
-				t.Fatalf("EvaluateBlock returned %d rows, want %d", len(rows), len(xs))
-			}
-			for i, x0 := range xs {
-				want, err := p.Evaluate(q, x0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(rows[i]) != len(want) {
-					t.Fatalf("x0=%d: row width %d, want %d", x0, len(rows[i]), len(want))
-				}
-				for c := range want {
-					if rows[i][c] != want[c] {
-						t.Fatalf("x0=%d coord %d: EvaluateBlock %d, Evaluate %d", x0, c, rows[i][c], want[c])
-					}
-				}
-			}
-		})
 	}
 }

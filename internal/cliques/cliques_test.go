@@ -333,37 +333,3 @@ func onesCount(x uint64) int {
 	}
 	return c
 }
-
-func TestEvaluateBlockMatchesEvaluate(t *testing.T) {
-	g := graph.Gnp(8, 0.7, 19)
-	p, err := NewProblem(g, 6, tensor.Strassen())
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, _, err := ff.NTTPrime(p.MinModulus(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := ff.New(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := p.Compile(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := []uint64{0, 1, 2, 7, 343, 344, 99991}
-	rows, err := pl.EvaluateBlock(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, x := range xs {
-		want, err := p.Evaluate(q, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rows[i]) != 1 || rows[i][0] != want[0] {
-			t.Fatalf("block P(%d) = %v, point path %v", x, rows[i], want)
-		}
-	}
-}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"camelot/internal/core"
-	"camelot/internal/ff"
 )
 
 func TestCountBruteKnown(t *testing.T) {
@@ -148,36 +147,5 @@ func TestTautologyAndFullCube(t *testing.T) {
 	}
 	if got.Cmp(big.NewInt(16)) != 0 {
 		t.Fatalf("tautology count = %v, want 16", got)
-	}
-}
-
-func TestEvaluateBlockMatchesEvaluate(t *testing.T) {
-	f := RandomFormula(9, 12, 3, 5)
-	p, err := NewProblem(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := uint64(1048583)
-	fld, err := ff.New(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := p.Compile(fld)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := []uint64{0, 1, 7, 100, 54321}
-	rows, err := pl.EvaluateBlock(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, x := range xs {
-		want, err := p.Evaluate(q, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rows[i][0] != want[0] {
-			t.Fatalf("block P(%d) = %d, point path %d", x, rows[i][0], want[0])
-		}
 	}
 }

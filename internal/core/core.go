@@ -87,7 +87,7 @@ type Proof struct {
 // Eval returns P_w(x) mod prime, using the corrected evaluation table
 // when x is one of the code points and Horner otherwise.
 func (p *Proof) Eval(prime uint64, w int, x uint64) uint64 {
-	f := ff.Must(prime) // proofs carry framework-selected primes; memoized, so cheap per call
+	f := ff.Must(prime) // Run and UnmarshalBinary admit only primes; memoized, so cheap per call
 	if x < uint64(len(p.Points)) {
 		return p.Evals[prime][w][x]
 	}

@@ -10,6 +10,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"camelot/internal/ff"
 )
 
 // proofMagic guards against decoding unrelated bytes; the trailing byte
@@ -102,6 +104,11 @@ func (p *Proof) UnmarshalBinary(data []byte) error {
 	p.Evals = make(map[uint64][][]uint64, nPrimes)
 	for range nPrimes {
 		q := r.Word()
+		if r.Err() == nil && !ff.IsModulus(q) {
+			// IsModulus, not ff.New: a modulus read from bytes must not
+			// join the field cache. Eval and SumRange rely on this check.
+			return fmt.Errorf("%w: modulus %d is not a prime in [2, 2^62)", ErrMalformedProof, q)
+		}
 		if _, dup := p.Coeffs[q]; dup {
 			// A repeated modulus would overwrite Coeffs[q]/Evals[q]
 			// while Primes kept both entries — an internally

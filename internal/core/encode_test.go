@@ -145,6 +145,17 @@ func TestUnmarshalRejectionsAreTyped(t *testing.T) {
 		cases[fmt.Sprintf("prefix %d of %d", n, len(honest))] = honest[:n]
 	}
 	cases["one trailing byte"] = append(append([]byte(nil), honest...), 0)
+	// The first prime's word follows the header and the point list.
+	var proof Proof
+	if err := proof.UnmarshalBinary(honest); err != nil {
+		t.Fatal(err)
+	}
+	at := len(proofMagic) + 8*(4+len(proof.Points))
+	for name, q := range map[string]uint64{"even modulus": proof.Primes[0] + 1, "odd composite modulus": 3 * 5 * 7 * 11} {
+		bad := append([]byte(nil), honest...)
+		binary.LittleEndian.PutUint64(bad[at:], q)
+		cases[name] = bad
+	}
 	for name, data := range cases {
 		var p Proof
 		if err := p.UnmarshalBinary(data); !errors.Is(err, ErrMalformedProof) {
@@ -158,8 +169,8 @@ func TestUnmarshalRejectionsAreTyped(t *testing.T) {
 // re-marshals to exactly the input, or is rejected with
 // ErrMalformedProof — never a panic, never a claim-sized allocation.
 // Every accepted proof also goes through VerifyProofBatch, the check a
-// proof service runs on bytes it holds, which must answer without a
-// panic.
+// proof service runs on bytes it holds, and SumRanges, which recovery
+// runs on every coordinate; neither may panic.
 func FuzzUnmarshalProof(f *testing.F) {
 	f.Add(honestProofBytes(f))
 	f.Add(gridAtModulus())
@@ -182,5 +193,8 @@ func FuzzUnmarshalProof(f *testing.F) {
 			t.Fatalf("unmarshal/marshal not canonical:\n in %x\nout %x", data, again)
 		}
 		VerifyProofBatch(&p, 1)
+		for c := range p.Width {
+			p.SumRanges(c, 0, uint64(len(p.Points)+2))
+		}
 	})
 }

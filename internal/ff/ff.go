@@ -183,6 +183,17 @@ func New(q uint64) (Field, error) {
 	return f, nil
 }
 
+// IsModulus reports whether New(q) would succeed, without memoizing q:
+// a cached modulus costs one map lookup, any other a Miller–Rabin run.
+// Moduli read from untrusted bytes are checked here, so they never join
+// the cache.
+func IsModulus(q uint64) bool {
+	if _, ok := fieldCache.Load(q); ok {
+		return true
+	}
+	return q >= 2 && q <= MaxPrime && IsPrime(q)
+}
+
 // Must is like New but panics on error. Intended for tests, package
 // initialization of known-prime constants, and call sites whose modulus
 // comes from the framework's own prime selection (where a non-prime is a

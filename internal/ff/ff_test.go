@@ -25,11 +25,25 @@ func TestNewRejectsComposites(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
+			if got := IsModulus(tt.q); got != tt.ok {
+				t.Fatalf("IsModulus(%d) = %v before New, want %v", tt.q, got, tt.ok)
+			}
 			_, err := New(tt.q)
 			if (err == nil) != tt.ok {
 				t.Fatalf("New(%d) error = %v, want ok=%v", tt.q, err, tt.ok)
 			}
+			if got := IsModulus(tt.q); got != tt.ok {
+				t.Fatalf("IsModulus(%d) = %v after New, want %v", tt.q, got, tt.ok)
+			}
 		})
+	}
+	// IsModulus checks without memoizing: a prime it admits stays out
+	// of the cache until New builds its field.
+	if !IsModulus(999983) {
+		t.Fatal("IsModulus refused the prime 999983")
+	}
+	if _, cached := fieldCache.Load(uint64(999983)); cached {
+		t.Fatal("IsModulus cached a modulus")
 	}
 }
 

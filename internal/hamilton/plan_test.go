@@ -4,9 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/big"
-	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 
 	"camelot/internal/core"
@@ -26,7 +24,7 @@ func isolatedZero(n int, seed int64) *graph.Graph {
 	return g
 }
 
-// testGraphs are the graphs the block/point differential runs at each n.
+// testGraphs are the graphs the grid-sum check runs at each n.
 func testGraphs(n int) map[string]*graph.Graph {
 	return map[string]*graph.Graph{
 		"empty":    graph.New(n),
@@ -37,115 +35,48 @@ func testGraphs(n int) map[string]*graph.Graph {
 	}
 }
 
-// blockPoints returns 130 points: the consecutive run 0..109, which
-// starts with the grid 0..2^half-1 and carries on off it, then 20
-// scattered residues ending in q-1. The blocks below are slices of it,
-// so each point's Evaluate runs once.
-func blockPoints(q uint64, seed int64) []uint64 {
-	xs := make([]uint64, 0, 130)
-	for x := uint64(0); x < 110; x++ {
-		xs = append(xs, x)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	for len(xs) < 129 {
-		xs = append(xs, rng.Uint64()%q)
-	}
-	return append(xs, q-1)
-}
-
-// checkPlanMatches verifies the compiled plan is bit-identical to
-// per-point Evaluate on blocks of 1, 3, 64, 65 and 130 points and on the
-// grid (a 65-point block is two strips of 33 and 32, a 130-point block
-// three of 44, so strip boundaries fall inside consecutive runs), that
-// the grid sums to directed, and that one shared plan instance survives
-// concurrent EvaluateBlock calls (the race detector checks compiled
-// state is read-only, scratch per call).
-func checkPlanMatches(t *testing.T, p core.CompiledProblem, half int, directed *big.Int) {
-	t.Helper()
-	primes, err := core.ChoosePrimes(1, p.MinModulus(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := primes[0]
-	pl, err := p.Compile(ff.Must(q))
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := blockPoints(q, int64(half))
-	want := make([][]uint64, len(all))
-	for i, x := range all {
-		if want[i], err = p.Evaluate(q, x); err != nil {
-			t.Fatal(err)
-		}
-	}
-	grid := 1 << uint(half)
-	for _, b := range [][2]int{{129, 130}, {127, 130}, {0, grid}, {40, 104}, {45, 110}, {0, 130}} {
-		rows, err := pl.EvaluateBlock(all[b[0]:b[1]])
+// TestGridSumIsTwiceTheCount: Σ P(i) over the grid 0..2^half-1 counts
+// the directed Hamiltonian cycles (paths), twice the undirected count,
+// on graphs with no edges, every edge and an anchor with no in-edges,
+// at the smallest n and at n whose grid fills a strip. P is the
+// verifier's Evaluate; camelot's TestPlansMatchEvaluate holds the
+// compiled plans to it on these graphs.
+func TestGridSumIsTwiceTheCount(t *testing.T) {
+	check := func(name string, p core.Problem, half int, undirected *big.Int) {
+		primes, err := core.ChoosePrimes(1, p.MinModulus(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(rows, want[b[0]:b[1]]) {
-			for i, row := range rows {
-				if !reflect.DeepEqual(row, want[b[0]+i]) {
-					t.Fatalf("q=%d block [%d,%d) x=%d: block %v != point %v", q, b[0], b[1], all[b[0]+i], row, want[b[0]+i])
-				}
+		f := ff.Must(primes[0])
+		sum := uint64(0)
+		for x := uint64(0); x < 1<<uint(half); x++ {
+			v, err := p.Evaluate(f.Q, x)
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Fatalf("q=%d block [%d,%d): %d rows, want %d", q, b[0], b[1], len(rows), b[1]-b[0])
+			sum = f.Add(sum, v[0])
+		}
+		directed := new(big.Int).Lsh(undirected, 1)
+		if want := directed.Mod(directed, new(big.Int).SetUint64(f.Q)).Uint64(); sum != want {
+			t.Errorf("%s: Σ P(i) over the grid = %d mod %d, want the directed count %d", name, sum, f.Q, want)
 		}
 	}
-	sum := new(big.Int)
-	for _, row := range want[:grid] {
-		sum.Add(sum, new(big.Int).SetUint64(row[0]))
-	}
-	qb := new(big.Int).SetUint64(q)
-	if sum.Mod(sum, qb).Cmp(new(big.Int).Mod(directed, qb)) != 0 {
-		t.Fatalf("q=%d: Σ P(i) over the grid = %v, want the directed count %v", q, sum, directed)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got, err := pl.EvaluateBlock(all)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("q=%d: concurrent block diverged", q)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// TestEvaluateBlockMatchesEvaluate: verification re-evaluates through
-// Evaluate, so any plan divergence would break the protocol. The strip
-// kernel drops vertices and edges per suffix and folds the signs by
-// distributivity mod q; this checks it at the smallest n, at n whose
-// grid fills a strip, and on graphs with no edges, every edge and an
-// anchor with no in-edges, for both cycles and paths.
-func TestEvaluateBlockMatchesEvaluate(t *testing.T) {
 	for _, n := range []int{3, 4, 5, 10, 13} {
 		for name, g := range testGraphs(n) {
-			t.Run(fmt.Sprintf("cycles/n=%d/%s", n, name), func(t *testing.T) {
-				p, err := NewProblem(g)
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkPlanMatches(t, p, p.half, new(big.Int).Lsh(CountDP(g), 1))
-			})
+			p, err := NewProblem(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("cycles/n=%d/%s", n, name), p, p.half, CountDP(g))
 		}
 	}
 	for _, n := range []int{2, 3, 10, 13} {
 		for name, g := range testGraphs(n) {
-			t.Run(fmt.Sprintf("paths/n=%d/%s", n, name), func(t *testing.T) {
-				p, err := NewPathProblem(g)
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkPlanMatches(t, p, p.half, new(big.Int).Lsh(CountPathsDP(g), 1))
-			})
+			p, err := NewPathProblem(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("paths/n=%d/%s", n, name), p, p.half, CountPathsDP(g))
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"camelot/internal/core"
-	"camelot/internal/ff"
 )
 
 func randBool(rng *rand.Rand, n, t int, density float64) *BoolMatrix {
@@ -224,55 +223,6 @@ func TestHammingIdenticalMatrices(t *testing.T) {
 	for i, row := range dist {
 		if row[0] < 1 {
 			t.Fatalf("row %d: distance-0 count %d, want >= 1", i+1, row[0])
-		}
-	}
-}
-
-// TestOVEvaluateBlockMatchesEvaluate holds both compiled plans — the
-// run kernel's bases — to Evaluate's one-shot bases, across runs that
-// enter and leave each problem's grid (1..12 for OV, 0..103 for Hamming).
-func TestOVEvaluateBlockMatchesEvaluate(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	a := randBool(rng, 12, 7, 0.4)
-	b := randBool(rng, 15, 7, 0.4)
-	ov, err := NewOVProblem(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hamming, err := NewHammingProblem(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const q = uint64(1048583)
-	xs := make([]uint64, 0, 40)
-	for x := uint64(0); x < 20; x++ {
-		xs = append(xs, x)
-	}
-	for x := uint64(98); x < 110; x++ {
-		xs = append(xs, x)
-	}
-	xs = append(xs, 54321, 999983%q, q-1)
-	f, err := ff.New(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []core.CompiledProblem{ov, hamming} {
-		pl, err := p.Compile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows, err := pl.EvaluateBlock(xs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, x := range xs {
-			want, err := p.Evaluate(q, x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(rows[i]) != 1 || rows[i][0] != want[0] {
-				t.Fatalf("%s: block P(%d) = %v, point path %v", p.Name(), x, rows[i], want)
-			}
 		}
 	}
 }

@@ -176,73 +176,6 @@ func BenchmarkRyser12(b *testing.B) {
 	}
 }
 
-// TestEvaluateBlockMatchesEvaluate holds the compiled block path to the
-// per-point path bit for bit: block lengths on both sides of a strip
-// boundary, even and odd n, the matrices whose row products vanish, the
-// largest prime below ff.MaxPrime (where the Montgomery sweep's unreduced
-// sums come closest to REDC's bound a·b < q·2^64), and points that are
-// grid points, runs and isolated in one block.
-func TestEvaluateBlockMatchesEvaluate(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	zeroRow := randMatrix(rng, 6, -3, 3)
-	for j := range zeroRow[2] {
-		zeroRow[2][j] = 0
-	}
-	zeroCol := randMatrix(rng, 6, -3, 3)
-	for i := range zeroCol {
-		zeroCol[i][5] = 0 // a suffix column: the Gray steps that flip it change nothing
-	}
-	matrices := [][][]int64{zeroRow, zeroCol}
-	for _, n := range []int{2, 3, 4, 7, 12, 13} {
-		matrices = append(matrices, randMatrix(rng, n, -3, 3))
-	}
-	top := uint64(ff.MaxPrime)
-	for !ff.IsPrime(top) {
-		top -= 2
-	}
-	for _, a := range matrices {
-		n := len(a)
-		p, err := NewProblem(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range []uint64{1048583, 1<<61 - 1, top} {
-			pl, err := p.Compile(ff.Must(q))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, m := range []int{1, strip - 1, strip, strip + 1, 3*strip + 5} {
-				// Consecutive from inside the grid, then from m/2 on isolated
-				// far-off points, one of them beyond q.
-				xs := make([]uint64, m)
-				for i := range xs {
-					xs[i] = uint64(1)<<uint(n/2) - 2 + uint64(i)
-					if i >= (m+1)/2 {
-						xs[i] = 99991 + 7*uint64(i)
-					}
-				}
-				xs[m-1] += q
-				rows, err := pl.EvaluateBlock(xs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(rows) != len(xs) {
-					t.Fatalf("n=%d: %d rows, want %d", n, len(rows), len(xs))
-				}
-				for i, x := range xs {
-					want, err := p.Evaluate(q, x)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(rows[i]) != 1 || rows[i][0] != want[0] {
-						t.Fatalf("n=%d q=%d m=%d: block P(%d) = %v, point path %v", n, q, m, x, rows[i], want)
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestEvaluateBlockEmpty(t *testing.T) {
 	p, err := NewProblem([][]int64{{1, 2}, {3, 4}})
 	if err != nil {

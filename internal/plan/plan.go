@@ -31,11 +31,15 @@ type Compiler interface {
 type Plan interface {
 	// EvaluateBlock computes the proof polynomials at every point of xs,
 	// returning one row (P_0(x), ..., P_{Width-1}(x)) per point. Results
-	// must be identical to the problem's point-wise Evaluate — the
-	// verification stage evaluates through Evaluate, so a divergent plan
-	// fails verification rather than silently corrupting the proof. The
-	// xs slice is reused between calls and must not be retained.
-	// Implementations must be safe for concurrent calls.
+	// must be identical to the problem's point-wise Evaluate, which the
+	// verifier runs. Where Evaluate is a formula of its own, a divergent
+	// plan fails verification; where Evaluate is the plan at one point
+	// (conv3sum, exact cover, chromatic, tutte), a wrong formula is wrong
+	// on both sides and verification cannot see it. What holds every kind
+	// is camelot's TestPlansMatchEvaluate: blocks equal Evaluate bit for
+	// bit over shared points, primes and cuts, and concurrent calls on one
+	// plan agree. The xs slice is reused between calls and must not be
+	// retained. Implementations must be safe for concurrent calls.
 	EvaluateBlock(xs []uint64) ([][]uint64, error)
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"camelot/internal/core"
-	"camelot/internal/ff"
 )
 
 // randomFamily draws nonempty subsets of [n] without repetition concerns.
@@ -126,69 +125,6 @@ func TestCoverCamelotMatchesIE(t *testing.T) {
 		}
 		if got.Cmp(want) != 0 {
 			t.Fatalf("t=%d: camelot=%v IE=%v", tt, got, want)
-		}
-	}
-}
-
-// TestEvaluateBlockMatchesEvaluate pins the plan.Plan contract for both
-// problems: the compiled EvaluateBlock must reproduce Evaluate
-// bit-for-bit, including at grid points (indicator-vector Lagrange
-// basis), points beyond the grid, and families with duplicate or
-// overlapping sets.
-func TestEvaluateBlockMatchesEvaluate(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	fams := map[string][]uint64{
-		"random7":   randomFamily(rng, 7, 6),
-		"dupes5":    {0b10101, 0b10101, 0b00011, 0b11000, 0b00100},
-		"single6":   {0b111111},
-		"overlaps6": randomFamily(rng, 6, 10),
-	}
-	for name, fam := range fams {
-		n := 7
-		if name != "random7" {
-			n = 6
-			if name == "dupes5" {
-				n = 5
-			}
-		}
-		for _, tt := range []int{1, 3} {
-			cover, err := NewCoverProblem(fam, n, tt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			exact, err := NewExactCoverProblem(fam, n, tt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			xs := []uint64{0, 1, 2, uint64(1)<<uint(cover.n1) - 1, 1 << uint(cover.n1), 777}
-			for _, p := range []core.CompiledProblem{cover, exact} {
-				q := ff.NextPrime(p.MinModulus())
-				f, err := ff.New(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pl, err := p.Compile(f)
-				if err != nil {
-					t.Fatalf("%s: Compile: %v", p.Name(), err)
-				}
-				pts := append(xs[:len(xs):len(xs)], q-1)
-				rows, err := pl.EvaluateBlock(pts)
-				if err != nil {
-					t.Fatalf("%s: EvaluateBlock: %v", p.Name(), err)
-				}
-				if len(rows) != len(pts) {
-					t.Fatalf("%s: got %d rows, want %d", p.Name(), len(rows), len(pts))
-				}
-				for i, x0 := range pts {
-					want, err := p.Evaluate(q, x0)
-					if err != nil {
-						t.Fatalf("%s: Evaluate(%d): %v", p.Name(), x0, err)
-					}
-					if len(rows[i]) != len(want) || rows[i][0] != want[0] {
-						t.Fatalf("%s x0=%d: block=%v point=%v", p.Name(), x0, rows[i], want)
-					}
-				}
-			}
 		}
 	}
 }

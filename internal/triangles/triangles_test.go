@@ -231,66 +231,6 @@ func BenchmarkSplitSparse64(b *testing.B) {
 	}
 }
 
-func TestEvaluateBlockMatchesEvaluate(t *testing.T) {
-	// The compiled plan must be bit-identical to point-wise Evaluate
-	// (the verification stage evaluates through Evaluate, so any
-	// divergence would fail verification instead of corrupting the
-	// proof silently). Both geometries here keep the block plan, which
-	// runs Evaluate's evaluator type; what differs is that a block reuses
-	// its scratch from point to point while Evaluate starts fresh — so
-	// this pins that nothing leaks between points. The group-tensor plan
-	// has its own differential test, TestGroupTensorMatchesEvaluate.
-	// Cover sparse and dense graphs, on- and off-grid points, and values
-	// needing reduction mod q.
-	for _, tc := range []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"sparse", graph.Gnp(48, 4.0/48, 3)},
-		{"dense", graph.Gnp(20, 0.5, 4)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			p, err := NewProblem(tc.g, tensor.Strassen())
-			if err != nil {
-				t.Fatal(err)
-			}
-			q, err := core.ChoosePrimes(1, p.MinModulus(), 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			xs := make([]uint64, 0, 40)
-			for x := uint64(0); x < 20; x++ {
-				xs = append(xs, x)
-			}
-			xs = append(xs, uint64(p.nParts), uint64(p.nParts)+1, q[0]-1, q[0], q[0]+7)
-			f, err := ff.New(q[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			pl, err := p.Compile(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows, err := pl.EvaluateBlock(xs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(rows) != len(xs) {
-				t.Fatalf("EvaluateBlock returned %d rows, want %d", len(rows), len(xs))
-			}
-			for i, x := range xs {
-				want, err := p.Evaluate(q[0], x)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(rows[i]) != 1 || rows[i][0] != want[0] {
-					t.Fatalf("x=%d: block %v != point %v", x, rows[i], want)
-				}
-			}
-		})
-	}
-}
-
 func TestCamelotTrianglesBatchEndToEnd(t *testing.T) {
 	// Full protocol through the compiled plan's block path, checked
 	// against the naive count.

@@ -18,12 +18,11 @@ import (
 	"camelot/internal/core"
 )
 
-// linesContaining walks the module's Go files — test files too unless
-// noTests, leaving out the directory skipDir — and returns
-// "path:line: text" for every line that contains one of the needles.
-func linesContaining(t *testing.T, needles []string, noTests bool, skipDir string) []string {
+// walkGoFiles calls visit with the slash path and the source of every
+// Go file of the module — test files too unless noTests — leaving out
+// the directory skipDir.
+func walkGoFiles(t *testing.T, noTests bool, skipDir string, visit func(path string, src []byte)) {
 	t.Helper()
-	var hits []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -42,19 +41,51 @@ func linesContaining(t *testing.T, needles []string, noTests bool, skipDir strin
 		if err != nil {
 			return err
 		}
-		for i, line := range strings.Split(string(src), "\n") {
-			for _, needle := range needles {
-				if strings.Contains(line, needle) {
-					hits = append(hits, fmt.Sprintf("%s:%d: %s", slash, i+1, strings.TrimSpace(line)))
-				}
-			}
-		}
+		visit(slash, src)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// linesContaining walks the Go files walkGoFiles does and returns
+// "path:line: text" for every line that contains one of the needles.
+func linesContaining(t *testing.T, needles []string, noTests bool, skipDir string) []string {
+	t.Helper()
+	var hits []string
+	walkGoFiles(t, noTests, skipDir, func(path string, src []byte) {
+		for i, line := range strings.Split(string(src), "\n") {
+			for _, needle := range needles {
+				if strings.Contains(line, needle) {
+					hits = append(hits, fmt.Sprintf("%s:%d: %s", path, i+1, strings.TrimSpace(line)))
+				}
+			}
+		}
+	})
 	return hits
+}
+
+// TestTestCodeRatio is the ratchet on test code: the lines of every
+// *_test.go file over the lines of the non-test Go outside benchmark/.
+// The bound only ever tightens, like the With* ratchet: a change that
+// folds copies of one property into a table lowers it, and one that
+// adds tests without code pays for them elsewhere first.
+func TestTestCodeRatio(t *testing.T) {
+	const maxRatio = 1.08
+	var tests, code int
+	walkGoFiles(t, false, "", func(path string, src []byte) {
+		lines := strings.Count(string(src), "\n")
+		switch {
+		case strings.HasSuffix(path, "_test.go"):
+			tests += lines
+		case !strings.HasPrefix(path, "benchmark/"):
+			code += lines
+		}
+	})
+	if ratio := float64(tests) / float64(code); ratio > maxRatio {
+		t.Errorf("test Go is %d lines against %d of code, ratio %.3f, at most %.2f allowed", tests, code, ratio, maxRatio)
+	}
 }
 
 // TestNoFieldLiteralsOutsideFF enforces the ff constructor contract: a

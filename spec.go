@@ -130,6 +130,9 @@ func (k *Kind) resolve(given map[string]string) (fieldValues, string, error) {
 		var err error
 		if f.real {
 			values.x[f.Name], err = strconv.ParseFloat(v, 64)
+			if x := values.x[f.Name]; !(x >= 0 && x <= 1) {
+				err = strconv.ErrRange // a probability; NaN and ±Inf fail too
+			}
 			v = strconv.FormatFloat(values.x[f.Name], 'g', -1, 64)
 		} else {
 			values.n[f.Name], err = strconv.Atoi(v)

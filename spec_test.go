@@ -135,11 +135,12 @@ func TestCatalogEntries(t *testing.T) {
 
 // A spec is untrusted input (the proof service parses what tenants
 // send): a zero or negative size must come back as an error or a
-// problem, never as a panic or a hang in an instance generator.
+// problem, never as a panic or a hang in an instance generator, and a
+// probability outside [0, 1], NaN and Inf among them, as an error.
 func TestParseWorkloadDegenerateFields(t *testing.T) {
 	for _, k := range Kinds() {
 		for _, f := range k.Fields {
-			for _, v := range []string{"0", "1", "-1", "65"} {
+			for _, v := range []string{"0", "1", "-1", "65", "NaN", "Inf"} {
 				spec := k.Name + " " + f.Name + "=" + v
 				done := make(chan error, 1)
 				go func() {
@@ -150,6 +151,9 @@ func TestParseWorkloadDegenerateFields(t *testing.T) {
 				case err := <-done:
 					if v == "-1" && !f.real && err == nil {
 						t.Errorf("ParseWorkload(%q) accepted a negative size", spec)
+					}
+					if v != "0" && v != "1" && f.real && err == nil {
+						t.Errorf("ParseWorkload(%q) accepted a probability outside [0, 1]", spec)
 					}
 				case <-time.After(20 * time.Second):
 					t.Fatalf("ParseWorkload(%q) hangs", spec)
