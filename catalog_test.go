@@ -14,6 +14,7 @@ import (
 	"camelot/internal/csp"
 	"camelot/internal/graph"
 	"camelot/internal/orthvec"
+	"camelot/internal/permanent"
 	"camelot/internal/setcover"
 	"camelot/internal/tutte"
 )
@@ -22,7 +23,10 @@ import (
 // (a total, Σ|c_k|, N_m) rather than in a facade constructor, so each is
 // checked against its package's brute-force oracle on the instance the
 // catalog's seeded generator draws — the wiring of generator, problem
-// and answer that no other test sees.
+// and answer that no other test sees. Each proof first has its stored
+// evaluation at x = 1 raised by one: VerifyProof, which reads only the
+// coefficients, still accepts it, so no answer may read Evals either
+// (the permanent row sums x = 0..7 and would print 10459).
 func TestCatalogAnswersMatchOracles(t *testing.T) {
 	sum := func(cs []int64) *big.Int {
 		total := new(big.Int)
@@ -68,6 +72,7 @@ func TestCatalogAnswersMatchOracles(t *testing.T) {
 			dist := csp.DistributionBrute(csp.RandomSystem(6, 2, 4, 0.5, 6))
 			return dist[len(dist)-1]
 		},
+		"permanent n=6 seed=1": func() *big.Int { return permanent.Naive(RandomIntMatrix(6, 1)) },
 	} {
 		w, err := ParseWorkload(spec)
 		if err != nil {
@@ -76,6 +81,11 @@ func TestCatalogAnswersMatchOracles(t *testing.T) {
 		proof, _, err := RunProblem(context.Background(), w.Problem, WithNodes(3))
 		if err != nil {
 			t.Fatalf("%s: %v", spec, err)
+		}
+		q := proof.Primes[0]
+		proof.Evals[q][0][1] = (proof.Evals[q][0][1] + 1) % q
+		if ok, err := VerifyProof(w.Problem, proof, 5, 1); !ok || err != nil {
+			t.Fatalf("%s: VerifyProof refused a proof whose Coeffs are honest: %v", spec, err)
 		}
 		got, err := w.Problem.Count(proof)
 		if err != nil {

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"camelot/internal/ff"
+	"camelot/internal/poly"
 )
 
 // Problem is a Camelot proof system: a family of Width() univariate proof
@@ -84,24 +85,26 @@ type Proof struct {
 	Evals map[uint64][][]uint64
 }
 
-// Eval returns P_w(x) mod prime, using the corrected evaluation table
-// when x is one of the code points and Horner otherwise.
+// Eval returns P_w(x) mod prime by Horner on the coefficients — what
+// VerifyProof checks against the input — never the stored Evals, which
+// only VerifyProofBatch ties to them.
 func (p *Proof) Eval(prime uint64, w int, x uint64) uint64 {
-	f := ff.Must(prime) // Run and UnmarshalBinary admit only primes; memoized, so cheap per call
-	if x < uint64(len(p.Points)) {
-		return p.Evals[prime][w][x]
-	}
-	return f.Horner(p.Coeffs[prime][w], x)
+	// Run and UnmarshalBinary admit only primes; memoized, so cheap per call.
+	return ff.Must(prime).Horner(p.Coeffs[prime][w], x)
 }
 
 // SumRange returns Σ_{x=lo}^{hi-1} P_w(x) mod prime — the reconstruction
 // sum used by problems whose answer is an evaluation sum (permanent, set
-// covers, triangle trace, clique form).
+// covers, triangle trace, clique form) — from the coefficients, as Eval.
 func (p *Proof) SumRange(prime uint64, w int, lo, hi uint64) uint64 {
 	f := ff.Must(prime)
-	acc := uint64(0)
+	xs := make([]uint64, 0, max(lo, hi)-lo)
 	for x := lo; x < hi; x++ {
-		acc = f.Add(acc, p.Eval(prime, w, x))
+		xs = append(xs, x)
+	}
+	acc := uint64(0)
+	for _, v := range poly.NewRing(f).EvalMany(p.Coeffs[prime][w], xs) {
+		acc = f.Add(acc, v)
 	}
 	return acc
 }

@@ -33,8 +33,9 @@ func topPrime() uint64 {
 }
 
 func TestGroupTensorMatchesEvaluate(t *testing.T) {
-	// The plan Compile returns at each geometry below is the group tensor,
-	// and at every grid point z0 ∈ [1, R/m'], the first point past the
+	// The plan Compile returns at each geometry below is the group tensor
+	// (at serve_cold's n=36 and ctrl_workers' n=48, G = side = 16), and
+	// at every grid point z0 ∈ [1, R/m'], the first point past the
 	// grid, q−1 and large off-grid points it must equal the verifier's
 	// Evaluate and referenceP bit for bit, over the 2^61 floor and the
 	// largest prime below 2^62; the grid values must sum to the trace.
@@ -48,6 +49,8 @@ func TestGroupTensorMatchesEvaluate(t *testing.T) {
 	}{
 		{"eval_bound_p0.2", tensor.Strassen(), graph.Gnp(128, 0.2, 1), 16, 32, 49},
 		{"eval_bound_p0.5", tensor.Strassen(), graph.Gnp(128, 0.5, 2), 16, 32, 49},
+		{"serve_cold_n36", tensor.Strassen(), graph.Gnp(36, 0.3, 1), 16, 16, 49},
+		{"ctrl_workers_n48", tensor.Strassen(), graph.Gnp(48, 0.2, 1), 16, 16, 49},
 		{"strassen_n16", tensor.Strassen(), graph.Gnp(16, 0.5, 3), 4, 8, 7},
 		{"trivial2_n128", tensor.Trivial(2), graph.Gnp(128, 0.5, 4), 16, 32, 64},
 	} {
@@ -158,9 +161,9 @@ type tensorGeometry struct {
 	groups int
 }
 
-// tensorGeometries are TestGroupTensorMatchesEvaluate's four geometries
-// at the ℓ NewProblem picks for them, Trivial(3) at n=27 (nine groups
-// over side 9, where the plan rule would keep the block product), a
+// tensorGeometries are four of TestGroupTensorMatchesEvaluate's
+// geometries at the ℓ NewProblem picks for them, Trivial(3) at n=27
+// (nine groups over side 9, the tie the plan rule takes), a
 // hub-and-spoke graph whose group sizes are skewed, and a graph with
 // empty groups.
 func tensorGeometries() []tensorGeometry {
@@ -273,16 +276,16 @@ func TestGroupTensorOrbitTable(t *testing.T) {
 }
 
 func TestGroupTensorRule(t *testing.T) {
-	// Compile takes the group tensor at eval_bound's n=128 and keeps the
-	// block product at serve_cold's n=36 and ctrl_workers' n=48 (G³ >=
-	// side³ there) and at ℓ = 6, n=256 (a Yates level above the block),
-	// over several graph seeds of each.
+	// Compile takes the group tensor at eval_bound's n=128 (G < side) and
+	// at serve_cold's n=36 and ctrl_workers' n=48 (G = side = 16), and
+	// keeps the block product at ℓ = 6, n=256 (a Yates level above the
+	// block), over several graph seeds of each.
 	for _, c := range []struct {
 		n      int
 		p      float64
 		tensor bool
 	}{
-		{128, 0.2, true}, {128, 0.5, true}, {36, 0.3, false}, {48, 0.2, false}, {256, 0.3, false},
+		{128, 0.2, true}, {128, 0.5, true}, {36, 0.3, true}, {48, 0.2, true}, {256, 0.3, false},
 	} {
 		for seed := int64(1); seed <= 3; seed++ {
 			p, err := NewProblem(graph.Gnp(c.n, c.p, seed), tensor.Strassen())
@@ -326,19 +329,22 @@ func TestVerifierRefusesWrongTensor(t *testing.T) {
 	// The nodes evaluate through the group tensor and the verifier through
 	// Evaluate's block product, which shares none of it. A wrong T entry
 	// makes every node's values one consistent but wrong polynomial: it
-	// decodes cleanly and must then be refused by verification.
-	p, err := NewProblem(graph.Gnp(128, 0.2, 1), tensor.Strassen())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seed := int64(1); seed <= 4; seed++ {
-		_, _, err := core.Run(context.Background(), wrongTensor{p}, core.Options{Nodes: 4, Seed: seed})
-		if !errors.Is(err, core.ErrVerificationFailed) {
-			t.Fatalf("seed %d: run with a wrong tensor returned %v, want %v", seed, err, core.ErrVerificationFailed)
+	// decodes cleanly and must then be refused by verification — at
+	// eval_bound's n=128 (G < side) and ctrl_workers' n=48 (G = side).
+	for _, n := range []int{128, 48} {
+		p, err := NewProblem(graph.Gnp(n, 0.2, 1), tensor.Strassen())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 1}); err != nil || !rep.Verified {
-		t.Fatalf("the same run with the right tensor: verified %v, %v", rep.Verified, err)
+		for seed := int64(1); seed <= 4; seed++ {
+			_, _, err := core.Run(context.Background(), wrongTensor{p}, core.Options{Nodes: 4, Seed: seed})
+			if !errors.Is(err, core.ErrVerificationFailed) {
+				t.Fatalf("n=%d seed %d: run with a wrong tensor returned %v, want %v", n, seed, err, core.ErrVerificationFailed)
+			}
+		}
+		if _, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 4, Seed: 1}); err != nil || !rep.Verified {
+			t.Fatalf("n=%d: the same run with the right tensor: verified %v, %v", n, rep.Verified, err)
+		}
 	}
 }
 

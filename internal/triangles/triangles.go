@@ -186,14 +186,18 @@ type groupTensor struct {
 }
 
 // tensorPlan returns tr's group-tensor plan when it pays — one block,
-// every entry value 1 and G³ < side³ — and nil otherwise. At eval_bound
+// every entry value 1 and G³ <= side³ — and nil otherwise. At eval_bound
 // (n=128) G = 16 groups and side = 32; at serve_cold's n=36 and
-// ctrl_workers' n=48 G³ >= side³, and at n=256 a Yates level sits above
+// ctrl_workers' n=48 G = side = 16, where the contraction's G³ products
+// and three weight vectors still beat the block's side³ products and
+// three scatters (1.7–2.0× per point on a 2-vCPU host; 2× at G = side
+// = 4 and 2.5× or more at 9). Past the tie, at side 8 and G = 16 (n=32),
+// the block product is 5–25% faster; at n=256 a Yates level sits above
 // the block.
 func (tr *sparseTriple) tensorPlan() *groupTensor {
 	start, _, vals := tr.a.Groups()
 	g := len(start) - 1
-	if tr.levels != 0 || vals != nil || g*g*g >= tr.side*tr.side*tr.side {
+	if tr.levels != 0 || vals != nil || g*g*g > tr.side*tr.side*tr.side {
 		return nil
 	}
 	return newGroupTensor(tr)
@@ -214,10 +218,11 @@ type orbitTable struct {
 }
 
 // orbitTables holds the orbit table of every geometry past G = 1 that
-// the plan rule admits, keyed by N0 and G: with G = N0^{2k} groups and
-// side = N0^ℓ, G³ < side³ <= blockSide³ = 2^15 leaves G = 4 and 16 for
-// N0 = 2 and G = 9 for N0 = 3. Built once, it is only read; orbitsFor
-// builds any other table per call.
+// the plan rule admits for N0 = 2 and 3, keyed by N0 and G: with
+// G = N0^{2k} groups and side = N0^ℓ, G <= side <= blockSide = 32
+// leaves G = 4 and 16 for N0 = 2 and G = 9 for N0 = 3. Built once, it is
+// only read; orbitsFor builds any other table (N0 = 4 or 5, G = side)
+// per call.
 var orbitTables = map[[2]int]*orbitTable{
 	{2, 4}: newOrbitTable(2, 4), {2, 16}: newOrbitTable(2, 16), {3, 9}: newOrbitTable(3, 9),
 }

@@ -86,35 +86,36 @@ func TestCountSplitSparseEmptyAndTiny(t *testing.T) {
 	}
 }
 
-func TestCamelotTrianglesEndToEnd(t *testing.T) {
-	g := graph.Gnp(24, 0.25, 7)
-	want := CountNaive(g)
-	p, err := NewProblem(g, tensor.Strassen())
+// runCount runs the protocol on p under opts, checks that the count
+// recovered from the proof is the naive one, and returns the report.
+func runCount(t *testing.T, p *Problem, opts core.Options) *core.Report {
+	t.Helper()
+	proof, rep, err := core.Run(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	proof, rep, err := core.Run(context.Background(), p, core.Options{
-		Nodes: 4, FaultTolerance: 2, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Verified {
-		t.Fatal("not verified")
 	}
 	got, err := p.Recover(proof)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Cmp(new(big.Int).SetUint64(want)) != 0 {
+	if want := CountNaive(p.g); got.Cmp(new(big.Int).SetUint64(want)) != 0 {
 		t.Fatalf("recovered %v, want %d", got, want)
+	}
+	return rep
+}
+
+func TestCamelotTrianglesEndToEnd(t *testing.T) {
+	p, err := NewProblem(graph.Gnp(24, 0.25, 7), tensor.Strassen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := runCount(t, p, core.Options{Nodes: 4, FaultTolerance: 2, Seed: 3}); !rep.Verified {
+		t.Fatal("not verified")
 	}
 }
 
 func TestCamelotTrianglesWithByzantineNode(t *testing.T) {
-	g := graph.Gnp(20, 0.3, 9)
-	want := CountNaive(g)
-	p, err := NewProblem(g, tensor.Strassen())
+	p, err := NewProblem(graph.Gnp(20, 0.3, 9), tensor.Strassen())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,20 +130,10 @@ func TestCamelotTrianglesWithByzantineNode(t *testing.T) {
 		}
 		f++
 	}
-	proof, rep, err := core.Run(context.Background(), p, core.Options{
+	rep := runCount(t, p, core.Options{
 		Nodes: k, FaultTolerance: f, Adversary: core.NewEquivocatingNodes(4, 1),
 		Seed: 8,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.Recover(proof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cmp(new(big.Int).SetUint64(want)) != 0 {
-		t.Fatalf("recovered %v, want %d", got, want)
-	}
 	for _, s := range rep.SuspectNodes {
 		if s != 1 {
 			t.Fatalf("honest node %d implicated", s)
@@ -234,24 +225,12 @@ func BenchmarkSplitSparse64(b *testing.B) {
 func TestCamelotTrianglesBatchEndToEnd(t *testing.T) {
 	// Full protocol through the compiled plan's block path, checked
 	// against the naive count.
-	g := graph.Gnp(30, 0.3, 8)
-	p, err := NewProblem(g, tensor.Strassen())
+	p, err := NewProblem(graph.Gnp(30, 0.3, 8), tensor.Strassen())
 	if err != nil {
 		t.Fatal(err)
 	}
-	proof, rep, err := core.Run(context.Background(), p, core.Options{Nodes: 3, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Verified {
+	if rep := runCount(t, p, core.Options{Nodes: 3, Seed: 5}); !rep.Verified {
 		t.Fatal("not verified")
-	}
-	count, err := p.Recover(proof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := CountNaive(g); count.Cmp(new(big.Int).SetUint64(want)) != 0 {
-		t.Fatalf("count %v, want %d", count, want)
 	}
 }
 
@@ -425,9 +404,9 @@ func TestTrianglePlanConcurrent(t *testing.T) {
 
 // BenchmarkTriangleAt times one point of a compiled triangle plan, in
 // blocks of 32 consecutive off-grid points as a node evaluates them, at
-// the eval_bound and ctrl_workers geometries and at ℓ = 6 (n=256,
-// p=0.3), where blockSide was chosen. The ns/point metric is the one to
-// compare.
+// the eval_bound, serve_cold and ctrl_workers geometries (group tensor)
+// and at ℓ = 6 (n=256, p=0.3, block product), where blockSide was
+// chosen. The ns/point metric is the one to compare.
 func BenchmarkTriangleAt(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -435,6 +414,7 @@ func BenchmarkTriangleAt(b *testing.B) {
 		p    float64
 	}{
 		{"eval_bound_n128", 128, 0.2},
+		{"serve_cold_n36", 36, 0.3},
 		{"ctrl_workers_n48", 48, 0.2},
 		{"ell6_n256", 256, 0.3},
 	} {
@@ -496,44 +476,55 @@ func TestSpreadTablesMatchPairIndex(t *testing.T) {
 	}
 }
 
-// BenchmarkTriangleCompile times the per-prime set-up at the eval_bound
-// geometry (n=128, p=0.2, a 2^61-floor prime): a node's Compile, the
+// BenchmarkTriangleCompile times the per-prime set-up over a 2^61-floor
+// prime at the serve_cold (n=36, p=0.3), ctrl_workers (n=48, p=0.2) and
+// eval_bound (n=128, p=0.2) geometries: a node's Compile, the
 // group-tensor build alone on a prebuilt triple, and the verifier's
 // one-point Evaluate, which rebuilds the same tables and then evaluates
 // once. Run it with -benchmem.
 func BenchmarkTriangleCompile(b *testing.B) {
-	p, err := NewProblem(graph.Gnp(128, 0.2, 1), tensor.Strassen())
-	if err != nil {
-		b.Fatal(err)
-	}
 	q := ff.NextPrime(1 << 61)
-	b.Run("compile", func(b *testing.B) {
-		f := ff.Must(q)
-		for b.Loop() {
-			if _, err := p.Compile(f); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("tensor", func(b *testing.B) {
-		tr, err := newSparseTriple(ff.Must(q), adjacencyEntries(p.g, p.dc), p.dc, p.ell)
+	for _, c := range []struct {
+		name string
+		n    int
+		p    float64
+	}{
+		{"serve_cold_n36", 36, 0.3},
+		{"ctrl_workers_n48", 48, 0.2},
+		{"eval_bound_n128", 128, 0.2},
+	} {
+		p, err := NewProblem(graph.Gnp(c.n, c.p, 1), tensor.Strassen())
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportAllocs()
-		for b.Loop() {
-			if newGroupTensor(tr) == nil {
-				b.Fatal("no group tensor at eval_bound")
+		b.Run(c.name+"/compile", func(b *testing.B) {
+			f := ff.Must(q)
+			for b.Loop() {
+				if _, err := p.Compile(f); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("evaluate", func(b *testing.B) {
-		z0 := uint64(p.nParts)
-		for b.Loop() {
-			z0++
-			if _, err := p.Evaluate(q, z0); err != nil {
+		})
+		b.Run(c.name+"/tensor", func(b *testing.B) {
+			tr, err := newSparseTriple(ff.Must(q), adjacencyEntries(p.g, p.dc), p.dc, p.ell)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			b.ReportAllocs()
+			for b.Loop() {
+				if newGroupTensor(tr) == nil {
+					b.Fatal("no group tensor")
+				}
+			}
+		})
+		b.Run(c.name+"/evaluate", func(b *testing.B) {
+			z0 := uint64(p.nParts)
+			for b.Loop() {
+				z0++
+				if _, err := p.Evaluate(q, z0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
