@@ -302,21 +302,6 @@ func TestVerifyProofRejectsForgery(t *testing.T) {
 	}
 }
 
-// TestVerifyProofRefusesModulusBelowFloor: a proof over a prime below
-// the problem's MinModulus is refused with an error, not judged — the
-// d/q bound is void there, and Evaluate need not be defined.
-func TestVerifyProofRefusesModulusBelowFloor(t *testing.T) {
-	p := testProblem() // MinModulus 17
-	for _, q := range []uint64{2, 3, 13} {
-		proof := &Proof{Degree: p.Degree(), Width: p.Width(), Primes: []uint64{q}, Coeffs: map[uint64][][]uint64{
-			q: {make([]uint64, p.Degree()+1), make([]uint64, p.Degree()+1)},
-		}}
-		if ok, err := VerifyProof(p, proof, 1, 1); err == nil {
-			t.Errorf("q = %d below MinModulus %d: VerifyProof = (%v, nil), want an error", q, p.MinModulus(), ok)
-		}
-	}
-}
-
 // TestVerifyProofSoundnessBound measures the paper's soundness claim —
 // a forged proof survives a trial with probability at most d/q — on the
 // one problem of the module whose q is small enough to see it (d = 7,

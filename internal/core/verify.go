@@ -19,7 +19,8 @@ import (
 // coefficients, for every coordinate. A correct proof always passes; a
 // forged one survives a round with probability at most d/q. A proof over
 // a prime below p.MinModulus(), the floor Evaluate and that bound assume,
-// is an error.
+// is an error; so is one whose geometry is not the problem's (see
+// checkGeometry), wrapping ErrMalformedProof.
 //
 // This is also the Merlin–Arthur mode: Arthur runs VerifyProof against a
 // proof Merlin supplied, spending only a single node's evaluation effort
@@ -51,6 +52,9 @@ func verifyProof(ctx context.Context, p Problem, proof *Proof, trials int, seed 
 			return false, fmt.Errorf("proof modulus %d is below the problem's minimum %d", q, p.MinModulus())
 		}
 	}
+	if err := checkGeometry(p, proof); err != nil {
+		return false, err
+	}
 	rng := rand.New(rand.NewSource(seed))
 	for t := 0; t < trials; t++ {
 		for _, q := range proof.Primes {
@@ -66,18 +70,46 @@ func verifyProof(ctx context.Context, p Problem, proof *Proof, trials int, seed 
 			if err != nil {
 				return false, fmt.Errorf("evaluating P(%d) mod %d: %w", x0, q, err)
 			}
-			coeffs, ok := proof.Coeffs[q]
-			if !ok {
-				return false, fmt.Errorf("proof missing modulus %d", q)
-			}
-			for c := 0; c < proof.Width; c++ {
-				if f.Horner(coeffs[c], x0) != want[c]%q {
+			for c, coeffs := range proof.Coeffs[q] {
+				if f.Horner(coeffs, x0) != want[c]%q {
 					return false, nil
 				}
 			}
 		}
 	}
 	return true, nil
+}
+
+// checkGeometry refuses a proof whose shape is not the problem's, so
+// that the comparison covers what the answer reads: the problem's Width
+// coordinates at (at least) its NumPrimes primes, each a vector of
+// exactly Degree()+1 coefficients — the length the d/q bound assumes
+// and the coefficient index an answer reads (CoeffResidues). The
+// proof's own Width, Degree and prime list are claims, not the
+// geometry: a vector cut short of zero top coefficients evaluates the
+// same and would pass the comparison.
+func checkGeometry(p Problem, proof *Proof) error {
+	width, d := p.Width(), p.Degree()
+	if proof.Width != width || proof.Degree != d {
+		return fmt.Errorf("%w: width %d and degree %d, the problem's are %d and %d",
+			ErrMalformedProof, proof.Width, proof.Degree, width, d)
+	}
+	if need := p.NumPrimes(); len(proof.Primes) < need {
+		return fmt.Errorf("%w: %d primes, the problem needs %d", ErrMalformedProof, len(proof.Primes), need)
+	}
+	for _, q := range proof.Primes {
+		coeffs := proof.Coeffs[q]
+		if len(coeffs) != width {
+			return fmt.Errorf("%w: %d coordinate vectors mod %d, want %d", ErrMalformedProof, len(coeffs), q, width)
+		}
+		for c, v := range coeffs {
+			if len(v) != d+1 {
+				return fmt.Errorf("%w: coordinate %d mod %d has %d coefficients, degree %d needs %d",
+					ErrMalformedProof, c, q, len(v), d, d+1)
+			}
+		}
+	}
+	return nil
 }
 
 // uniformUint64 draws a uniform value in [0, q) by rejection sampling:

@@ -1,134 +1,15 @@
 package ff
 
-// Differential tests pinning the precomputed-reciprocal (Barrett /
-// Möller–Granlund) reduction against the retired division-based
-// implementation, bit for bit, across the full supported modulus range —
-// plus the inlining guard for MulK and the microbenchmarks.
+// The constructor's guards, the transform roots, the inlining guard for
+// MulK and the microbenchmarks; the differential rows of the reduction
+// kernels are in reference_test.go.
 
 import (
 	"math/bits"
-	"math/rand"
 	"os/exec"
 	"strings"
 	"testing"
 )
-
-// prevPrime returns the largest prime <= n (n >= 2).
-func prevPrime(n uint64) uint64 {
-	for !IsPrime(n) {
-		n--
-	}
-	return n
-}
-
-// expDiv is Exp through the division reference path.
-func (f Field) expDiv(a, e uint64) uint64 {
-	a %= f.Q
-	result := uint64(1 % f.Q)
-	for e > 0 {
-		if e&1 == 1 {
-			result = f.mulDiv(result, a)
-		}
-		a = f.mulDiv(a, a)
-		e >>= 1
-	}
-	return result
-}
-
-// diffModuli is the modulus sweep every differential test runs over:
-// the smallest primes, mid-range primes (including NTT-friendly ones the
-// protocol actually selects), and the edge just below 2^62.
-func diffModuli(t testing.TB) []uint64 {
-	qs := []uint64{2, 3, 5, 7, 65537, 1048583, (1 << 31) - 1, (1 << 61) - 1}
-	qs = append(qs, prevPrime(MaxPrime))
-	qs = append(qs, prevPrime(MaxPrime-1<<20))
-	if q, _, err := NTTPrime(1<<45, 1<<12); err == nil {
-		qs = append(qs, q)
-	} else {
-		t.Fatalf("NTTPrime: %v", err)
-	}
-	return qs
-}
-
-func TestMulMatchesDivisionReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, q := range diffModuli(t) {
-		f := Must(q)
-		edge := []uint64{0, 1, 2, q / 2, q - 2, q - 1}
-		for _, a := range edge {
-			for _, b := range edge {
-				a, b := a%q, b%q
-				if got, want := f.Mul(a, b), f.mulDiv(a, b); got != want {
-					t.Fatalf("q=%d: Mul(%d,%d) = %d, reference %d", q, a, b, got, want)
-				}
-			}
-		}
-		for i := 0; i < 5000; i++ {
-			a, b := rng.Uint64()%q, rng.Uint64()%q
-			if got, want := f.Mul(a, b), f.mulDiv(a, b); got != want {
-				t.Fatalf("q=%d: Mul(%d,%d) = %d, reference %d", q, a, b, got, want)
-			}
-		}
-	}
-}
-
-func TestMulMatchesDivisionReferenceRandomPrimes(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 40; i++ {
-		q := NextPrime(2 + rng.Uint64()%(1<<61))
-		f := Must(q)
-		for j := 0; j < 500; j++ {
-			a, b := rng.Uint64()%q, rng.Uint64()%q
-			if got, want := f.Mul(a, b), f.mulDiv(a, b); got != want {
-				t.Fatalf("q=%d: Mul(%d,%d) = %d, reference %d", q, a, b, got, want)
-			}
-		}
-	}
-}
-
-func TestReduceUMatchesModulo(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, q := range diffModuli(t) {
-		f := Must(q)
-		for _, x := range []uint64{0, 1, q - 1, q, q + 1, 2*q - 1, ^uint64(0), ^uint64(0) - 1} {
-			if got, want := f.ReduceU(x), x%q; got != want {
-				t.Fatalf("q=%d: ReduceU(%d) = %d, want %d", q, x, got, want)
-			}
-		}
-		for i := 0; i < 5000; i++ {
-			x := rng.Uint64()
-			if got, want := f.ReduceU(x), x%q; got != want {
-				t.Fatalf("q=%d: ReduceU(%d) = %d, want %d", q, x, got, want)
-			}
-		}
-	}
-}
-
-func TestExpMatchesDivisionReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, q := range diffModuli(t) {
-		f := Must(q)
-		for i := 0; i < 200; i++ {
-			a, e := rng.Uint64(), rng.Uint64()
-			if got, want := f.Exp(a, e), f.expDiv(a, e); got != want {
-				t.Fatalf("q=%d: Exp(%d,%d) = %d, reference %d", q, a, e, got, want)
-			}
-		}
-	}
-}
-
-func TestMulExhaustiveTinyFields(t *testing.T) {
-	for _, q := range []uint64{2, 3, 5, 7, 11, 13} {
-		f := Must(q)
-		for a := uint64(0); a < q; a++ {
-			for b := uint64(0); b < q; b++ {
-				if got, want := f.Mul(a, b), a*b%q; got != want {
-					t.Fatalf("q=%d: Mul(%d,%d) = %d, want %d", q, a, b, got, want)
-				}
-			}
-		}
-	}
-}
 
 func TestMulPanicsOnUnconstructedField(t *testing.T) {
 	var f Field
@@ -212,30 +93,6 @@ func TestRootOfUnitySmallFields(t *testing.T) {
 	}
 }
 
-func TestBatchInvScratchMatchesBatchInv(t *testing.T) {
-	f := Must(1048583)
-	rng := rand.New(rand.NewSource(19))
-	for _, n := range []int{1, 2, 33, 500} {
-		xs := make([]uint64, n)
-		ys := make([]uint64, n)
-		for i := range xs {
-			xs[i] = 1 + rng.Uint64()%(f.Q-1)
-			ys[i] = xs[i]
-		}
-		scratch := make([]uint64, n)
-		f.BatchInv(xs)
-		f.BatchInvScratch(ys, scratch)
-		for i := range xs {
-			if xs[i] != ys[i] {
-				t.Fatalf("n=%d pos %d: BatchInv %d != BatchInvScratch %d", n, i, xs[i], ys[i])
-			}
-			if f.Mul(xs[i], ys[i]) != f.Mul(xs[i], xs[i]) {
-				t.Fatalf("inconsistent inverses")
-			}
-		}
-	}
-}
-
 // TestMulKStaysInlinable rebuilds this package with the inliner's debug
 // output and fails if MulK, MulShoup or MulMont stopped inlining — MulK's
 // cost sits exactly at the compiler's budget, so any edit can silently
@@ -260,25 +117,6 @@ func TestMulKStaysInlinable(t *testing.T) {
 			t.Fatalf("%s is no longer inlinable; trim its cost back under the budget", fn)
 		}
 	}
-}
-
-func FuzzMul(f *testing.F) {
-	f.Add(uint64(1048583), uint64(3), uint64(5))
-	f.Add(uint64(0), uint64(0), uint64(0))
-	f.Add(^uint64(0), ^uint64(0), ^uint64(0))
-	f.Fuzz(func(t *testing.T, q, a, b uint64) {
-		// Map q onto a supported prime deterministically; the bound keeps
-		// NextPrime comfortably below MaxPrime.
-		q = NextPrime(2 + q%(1<<61))
-		fl := Must(q)
-		a, b = a%q, b%q
-		if got, want := fl.Mul(a, b), fl.mulDiv(a, b); got != want {
-			t.Fatalf("q=%d: Mul(%d,%d) = %d, reference %d", q, a, b, got, want)
-		}
-		if got, want := fl.ReduceU(a+b), (a+b)%q; got != want {
-			t.Fatalf("q=%d: ReduceU(%d) = %d, want %d", q, a+b, got, want)
-		}
-	})
 }
 
 // --- microbenchmarks ----------------------------------------------------------
@@ -379,5 +217,31 @@ func BenchmarkLagrangeEvaluatorAt(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		le.At(uint64(1<<10+i), out)
+	}
+}
+
+func BenchmarkMatMulDot32(b *testing.B) {
+	// One 32×32 block of the eval_bound geometry over a 2^61-floor prime.
+	f := Must(NextPrime(1 << 61))
+	xs := benchOperands(f.Q)
+	x, yt, w := xs[:1024], xs[1024:2048], xs[2048:3072]
+	for b.Loop() {
+		f.MatMulDot(x, yt, w, 32)
+	}
+}
+
+func BenchmarkTrilinear16(b *testing.B) {
+	// The group tensor of the eval_bound geometry (G = 16) over a
+	// 2^61-floor prime.
+	f := Must(NextPrime(1 << 61))
+	xs := benchOperands(f.Q)
+	x, y, z := xs[:16], xs[16:32], xs[32:48]
+	t := make([]uint16, 16*16*16)
+	for i := range t {
+		t[i] = uint16(xs[48+i] >> 49)
+	}
+	yz := make([]uint64, 2*16*16)
+	for b.Loop() {
+		f.Trilinear(t, x, y, z, yz)
 	}
 }

@@ -1,7 +1,6 @@
 package ff
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -90,41 +89,6 @@ func TestFieldOpsSmall(t *testing.T) {
 	}
 }
 
-func TestMulLargeModulus(t *testing.T) {
-	f := Must((1 << 61) - 1)
-	a := uint64(1)<<60 + 12345
-	b := uint64(1)<<59 + 6789
-	// Cross-check against big-int-free double reduction: (a*b) via repeated
-	// addition in log steps (binary multiplication using only Add).
-	want := uint64(0)
-	x, y := a, b
-	for y > 0 {
-		if y&1 == 1 {
-			want = f.Add(want, x)
-		}
-		x = f.Add(x, x)
-		y >>= 1
-	}
-	if got := f.Mul(a, b); got != want {
-		t.Fatalf("Mul = %d, want %d", got, want)
-	}
-}
-
-func TestInvProperty(t *testing.T) {
-	f := Must(1000003)
-	cfg := &quick.Config{MaxCount: 200}
-	prop := func(a uint64) bool {
-		a %= f.Q
-		if a == 0 {
-			a = 1
-		}
-		return f.Mul(a, f.Inv(a)) == 1
-	}
-	if err := quick.Check(prop, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFieldAxiomsProperty(t *testing.T) {
 	f := Must(2147483647) // 2^31 - 1
 	cfg := &quick.Config{MaxCount: 300}
@@ -145,23 +109,6 @@ func TestFieldAxiomsProperty(t *testing.T) {
 	} {
 		if err := quick.Check(prop, cfg); err != nil {
 			t.Errorf("%s: %v", name, err)
-		}
-	}
-}
-
-func TestBatchInv(t *testing.T) {
-	f := Must(65537)
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]uint64, 100)
-	orig := make([]uint64, 100)
-	for i := range xs {
-		xs[i] = uint64(rng.Intn(65536)) + 1
-		orig[i] = xs[i]
-	}
-	f.BatchInv(xs)
-	for i := range xs {
-		if f.Mul(xs[i], orig[i]) != 1 {
-			t.Fatalf("element %d: %d * %d != 1", i, xs[i], orig[i])
 		}
 	}
 }
@@ -309,17 +256,6 @@ func TestLagrangeZeroBased(t *testing.T) {
 	}
 }
 
-func TestHorner(t *testing.T) {
-	f := Must(101)
-	// p(x) = 1 + 2x + 3x^2 at x=10: 1 + 20 + 300 = 321 = 321-3*101 = 18.
-	if got := f.Horner([]uint64{1, 2, 3}, 10); got != 18 {
-		t.Fatalf("Horner = %d, want 18", got)
-	}
-	if got := f.Horner(nil, 10); got != 0 {
-		t.Fatalf("Horner(nil) = %d, want 0", got)
-	}
-}
-
 func BenchmarkMul(b *testing.B) {
 	f := Must((1 << 61) - 1)
 	x, y := uint64(123456789012345), uint64(987654321098765)
@@ -338,30 +274,5 @@ func BenchmarkLagrangeVector(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = f.LagrangeAtOneBased(1<<14, 1<<19)
-	}
-}
-
-func TestLagrangeEvaluatorMatchesOneShot(t *testing.T) {
-	f := Must(1048583)
-	for _, bigR := range []int{1, 2, 7, 64, 343} {
-		one := f.NewLagrangeEvaluatorOneBased(bigR)
-		zero := f.NewLagrangeEvaluatorZeroBased(bigR)
-		out := make([]uint64, bigR)
-		for _, x0 := range []uint64{0, 1, uint64(bigR), uint64(bigR) + 1, 54321, f.Q - 1} {
-			wantOne := f.LagrangeAtOneBased(bigR, x0)
-			gotOne := one.At(x0, out)
-			for i := range wantOne {
-				if gotOne[i] != wantOne[i] {
-					t.Fatalf("R=%d x0=%d one-based pos %d: %d != %d", bigR, x0, i, gotOne[i], wantOne[i])
-				}
-			}
-			wantZero := f.LagrangeAtZeroBased(bigR, x0)
-			gotZero := zero.At(x0, out)
-			for i := range wantZero {
-				if gotZero[i] != wantZero[i] {
-					t.Fatalf("R=%d x0=%d zero-based pos %d: %d != %d", bigR, x0, i, gotZero[i], wantZero[i])
-				}
-			}
-		}
 	}
 }

@@ -30,6 +30,9 @@ type Problem struct {
 	n    int
 	half int // D(x)-swept z variables (vertices 1..half)
 	rest int // enumerated z variables (vertices half+1..n-1)
+	// numPrimes is NumPrimes, computed once: the verifier reads it for
+	// every proof, and the bound is big-integer work.
+	numPrimes int
 }
 
 var _ core.CompiledProblem = (*Problem)(nil)
@@ -41,7 +44,9 @@ func NewProblem(g *graph.Graph) (*Problem, error) {
 		return nil, fmt.Errorf("hamilton: n = %d out of supported range [3, 30]", n)
 	}
 	half := (n - 1) / 2
-	return &Problem{g: g, n: n, half: half, rest: n - 1 - half}, nil
+	p := &Problem{g: g, n: n, half: half, rest: n - 1 - half}
+	p.numPrimes = crt.PrimesFor(p.Bound().BitLen()+1, p.MinModulus())
+	return p, nil
 }
 
 // Name implements core.Problem.
@@ -69,9 +74,7 @@ func (p *Problem) MinModulus() uint64 {
 func (p *Problem) Bound() *big.Int { return new(big.Int).MulRange(1, int64(p.n)) }
 
 // NumPrimes implements core.Problem.
-func (p *Problem) NumPrimes() int {
-	return crt.PrimesFor(p.Bound().BitLen()+1, p.MinModulus())
-}
+func (p *Problem) NumPrimes() int { return p.numPrimes }
 
 // Evaluate implements core.Problem: O*(2^{n/2}) — for each enumerated
 // suffix, one n×n matrix power by repeated squaring.

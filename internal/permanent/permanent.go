@@ -23,6 +23,9 @@ type Problem struct {
 	n    int
 	half int // number of D(x)-swept columns
 	phi  int64
+	// numPrimes is NumPrimes, computed once: the verifier reads it for
+	// every proof, and the bound is big-integer work.
+	numPrimes int
 }
 
 var (
@@ -50,7 +53,9 @@ func NewProblem(a [][]int64) (*Problem, error) {
 			}
 		}
 	}
-	return &Problem{a: a, n: n, half: n / 2, phi: phi}, nil
+	p := &Problem{a: a, n: n, half: n / 2, phi: phi}
+	p.numPrimes = crt.PrimesFor(p.Bound().BitLen()+2, p.MinModulus())
+	return p, nil
 }
 
 // Name implements core.Problem.
@@ -84,9 +89,7 @@ func (p *Problem) Bound() *big.Int {
 
 // NumPrimes implements core.Problem: enough primes for the signed CRT
 // range (one extra bit for the sign).
-func (p *Problem) NumPrimes() int {
-	return crt.PrimesFor(p.Bound().BitLen()+2, p.MinModulus())
-}
+func (p *Problem) NumPrimes() int { return p.numPrimes }
 
 // Evaluate implements core.Problem: P(x0) = Q(D(x0)) per eq. (44), in
 // O*(2^{n/2}) via a Gray-code sweep of the enumerated suffix half.

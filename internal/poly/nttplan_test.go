@@ -1,10 +1,10 @@
 package poly
 
-// Tests for the cached-plan NTT: correctness against the naive product
-// and against a self-contained division-based reference transform (the
-// pre-plan implementation, kept here verbatim in spirit: twiddles
-// rebuilt per call, Fermat inversions per multiply, hardware-division
-// modmul), plan-cache concurrency, and the BenchmarkNTT pair.
+// The cached-plan NTT's reference, a self-contained division-based
+// transform (the pre-plan implementation, kept here verbatim in spirit:
+// twiddles rebuilt per call, Fermat inversions per multiply,
+// hardware-division modmul), which polyRows holds the plan and
+// transformLazy to; plan-cache concurrency; and the BenchmarkNTT pair.
 
 import (
 	"math/bits"
@@ -88,31 +88,6 @@ func refMulNTT(a, b []uint64, n int, w, q uint64) []uint64 {
 	return fa[:len(a)+len(b)-1]
 }
 
-func randPolyQ(rng *rand.Rand, n int, q uint64) []uint64 {
-	p := make([]uint64, n)
-	for i := range p {
-		p[i] = rng.Uint64() % q
-	}
-	if p[n-1] == 0 {
-		p[n-1] = 1
-	}
-	return p
-}
-
-// nttRings returns rings over NTT-friendly primes spanning the modulus
-// range, including one just under the 2^62 ceiling.
-func nttRings(t testing.TB) []*Ring {
-	var rs []*Ring
-	for _, min := range []uint64{1 << 20, 1 << 45, 1 << 61} {
-		q, _, err := ff.NTTPrime(min, 1<<13)
-		if err != nil {
-			t.Fatalf("NTTPrime(%d): %v", min, err)
-		}
-		rs = append(rs, NewRing(ff.Must(q)))
-	}
-	return rs
-}
-
 // The ring's transform root is the one ff.NTTPrime reports: for orders
 // 2^2..2^20 over the first four NTT primes from 2^61 up, squaring the
 // ring's full-two-adicity root down to order 2^k lands on NTTPrime's.
@@ -132,41 +107,6 @@ func TestNewRingRootAgreesWithNTTPrime(t *testing.T) {
 	}
 }
 
-func TestMulNTTMatchesReferenceTransform(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for _, r := range nttRings(t) {
-		q := r.f.Q
-		for _, size := range []int{130, 512, 2000} {
-			a := randPolyQ(rng, size, q)
-			b := randPolyQ(rng, size-7, q)
-			n := nttSize(len(a) + len(b) - 1)
-			w := r.rootOfOrder(n)
-			got := Trim(r.mulNTT(a, b, n))
-			want := Trim(refMulNTT(a, b, n, w, q))
-			if !Equal(got, want) {
-				t.Fatalf("q=%d size=%d: plan NTT disagrees with reference transform", q, size)
-			}
-		}
-	}
-}
-
-func TestMulNTTMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for _, r := range nttRings(t) {
-		q := r.f.Q
-		for _, size := range []int{1, 2, 3, 129, 700} {
-			a := randPolyQ(rng, size, q)
-			b := randPolyQ(rng, size+5, q)
-			n := nttSize(len(a) + len(b) - 1)
-			got := Trim(r.mulNTT(a, b, n))
-			want := Trim(r.mulNaive(a, b))
-			if !Equal(got, want) {
-				t.Fatalf("q=%d size=%d: NTT product disagrees with schoolbook", q, size)
-			}
-		}
-	}
-}
-
 // TestNTTPlanConcurrent hammers one modulus+size from many goroutines —
 // both through a shared ring and through per-goroutine rings — so the
 // race detector sees the plan cache's first-use publication.
@@ -177,8 +117,8 @@ func TestNTTPlanConcurrent(t *testing.T) {
 	}
 	shared := NewRing(ff.Must(q))
 	rng := rand.New(rand.NewSource(31))
-	a := randPolyQ(rng, 300, q)
-	b := randPolyQ(rng, 301, q)
+	a := randPoly(rng, shared.f, 299)
+	b := randPoly(rng, shared.f, 300)
 	want := shared.mulNaive(a, b)
 	var wg sync.WaitGroup
 	errs := make(chan string, 16)
@@ -215,8 +155,8 @@ func BenchmarkNTT(b *testing.B) {
 	}
 	r := NewRing(ff.Must(q))
 	rng := rand.New(rand.NewSource(37))
-	a := randPolyQ(rng, 2048, q)
-	c := randPolyQ(rng, 2048, q)
+	a := randPoly(rng, r.f, 2047)
+	c := randPoly(rng, r.f, 2047)
 	n := nttSize(len(a) + len(c) - 1)
 	w := r.rootOfOrder(n)
 	b.Run("plan", func(b *testing.B) {

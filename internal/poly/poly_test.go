@@ -59,23 +59,6 @@ func TestDegreeAndTrim(t *testing.T) {
 	}
 }
 
-func TestMulAgainstNaive(t *testing.T) {
-	rings := map[string]*Ring{"ntt": testRing(t), "plain": plainRing(t)}
-	sizes := [][2]int{{1, 1}, {3, 7}, {31, 33}, {100, 90}, {300, 5}, {512, 512}, {1000, 777}}
-	for name, r := range rings {
-		rng := rand.New(rand.NewSource(42))
-		for _, sz := range sizes {
-			a := randPoly(rng, r.f, sz[0])
-			b := randPoly(rng, r.f, sz[1])
-			got := r.Mul(a, b)
-			want := Trim(r.mulNaive(a, b))
-			if !Equal(got, want) {
-				t.Fatalf("%s: Mul mismatch at sizes %v", name, sz)
-			}
-		}
-	}
-}
-
 func TestMulZero(t *testing.T) {
 	r := testRing(t)
 	if got := r.Mul(nil, []uint64{1, 2, 3}); len(got) != 0 {
@@ -94,31 +77,6 @@ func TestMulPropertyCommutative(t *testing.T) {
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDivMod(t *testing.T) {
-	r := testRing(t)
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 50; trial++ {
-		a := randPoly(rng, r.f, 5+rng.Intn(200))
-		b := randPoly(rng, r.f, 1+rng.Intn(50))
-		q, rem := r.DivMod(a, b)
-		if Degree(rem) >= Degree(b) {
-			t.Fatalf("remainder degree %d >= divisor degree %d", Degree(rem), Degree(b))
-		}
-		back := r.Add(r.Mul(q, b), rem)
-		if !Equal(back, a) {
-			t.Fatalf("q*b + r != a (trial %d)", trial)
-		}
-	}
-}
-
-func TestDivModSmallerDividend(t *testing.T) {
-	r := testRing(t)
-	q, rem := r.DivMod([]uint64{1, 2}, []uint64{0, 0, 1})
-	if len(q) != 0 || !Equal(rem, []uint64{1, 2}) {
-		t.Fatalf("got q=%v rem=%v", q, rem)
 	}
 }
 
@@ -146,91 +104,6 @@ func TestGCD(t *testing.T) {
 	}
 	if _, rem := r.DivMod(got, g); len(rem) != 0 {
 		t.Fatal("g does not divide gcd")
-	}
-}
-
-// TestPartialXGCDInvariant checks what PartialXGCD promises: the
-// remainder g = u*a + v*b its cofactors stand for is the first of the
-// Euclidean sequence below the stop degree.
-func TestPartialXGCDInvariant(t *testing.T) {
-	r := testRing(t)
-	rng := rand.New(rand.NewSource(19))
-	check := func(name string, a, b []uint64, stop int) (g, v []uint64) {
-		t.Helper()
-		u, v := r.PartialXGCD(a, b, stop)
-		g = r.Add(r.Mul(u, a), r.Mul(v, b))
-		if Degree(g) >= stop {
-			t.Fatalf("%s: stopped with degree %d >= stop %d", name, Degree(g), stop)
-		}
-		// g is the FIRST remainder below the stop: replaying the sequence
-		// with DivMod reaches the same polynomial and no earlier one.
-		r0, r1 := Trim(a), Trim(b)
-		for Degree(r1) >= stop {
-			_, rem := r.DivMod(r0, r1)
-			r0, r1 = r1, rem
-		}
-		if !Equal(g, r1) {
-			t.Fatalf("%s: g is not the first remainder below degree %d", name, stop)
-		}
-		return g, v
-	}
-	for trial := 0; trial < 20; trial++ {
-		a := randPoly(rng, r.f, 40)
-		b := randPoly(rng, r.f, 35)
-		check("random", a, b, 1+rng.Intn(30))
-		check("deg a < deg b", b, a, 1+rng.Intn(30))
-	}
-	// A zero remainder: b divides a, so the sequence ends at 0 after one
-	// step — the shape of a received word next to the zero codeword, whose
-	// interpolant is a near-multiple of G0's cofactor.
-	b := randPoly(rng, r.f, 12)
-	a := r.Mul(b, randPoly(rng, r.f, 9))
-	g, v := check("zero remainder", a, b, 5)
-	if Degree(g) != -1 {
-		t.Fatalf("zero remainder: g has degree %d, want the zero polynomial", Degree(g))
-	}
-	if Degree(v) != Degree(a)-Degree(b) {
-		t.Fatalf("zero remainder: deg v = %d, want deg a - deg b = %d", Degree(v), Degree(a)-Degree(b))
-	}
-	// Already below the stop: nothing runs, g = b and v = 1.
-	g, v = check("no step", a, b, Degree(b)+1)
-	if !Equal(g, b) || !Equal(v, []uint64{1}) {
-		t.Fatalf("no step: got g of degree %d, v = %v", Degree(g), v)
-	}
-}
-
-func TestEvalManyMatchesHorner(t *testing.T) {
-	for name, r := range map[string]*Ring{"ntt": testRing(t), "plain": plainRing(t)} {
-		rng := rand.New(rand.NewSource(5))
-		p := randPoly(rng, r.f, 300)
-		points := make([]uint64, 400)
-		for i := range points {
-			points[i] = uint64(i) * 7919 % r.f.Q
-		}
-		got := r.EvalMany(p, points)
-		for i, x := range points {
-			if want := r.Eval(p, x); got[i] != want {
-				t.Fatalf("%s: EvalMany[%d] = %d, want %d", name, i, got[i], want)
-			}
-		}
-	}
-}
-
-func TestInterpolateRoundTrip(t *testing.T) {
-	for name, r := range map[string]*Ring{"ntt": testRing(t), "plain": plainRing(t)} {
-		rng := rand.New(rand.NewSource(9))
-		for _, n := range []int{1, 2, 17, 64, 65, 200, 513} {
-			p := randPoly(rng, r.f, n-1)
-			points := make([]uint64, n)
-			for i := range points {
-				points[i] = uint64(i)
-			}
-			values := r.EvalMany(p, points)
-			got := r.Interpolate(points, values)
-			if !Equal(got, p) {
-				t.Fatalf("%s: interpolate(n=%d) did not round-trip", name, n)
-			}
-		}
 	}
 }
 
@@ -263,9 +136,6 @@ func TestPointSetProduct(t *testing.T) {
 	}
 }
 
-// TestPointSetMatchesOneShot pins the cached form against the one-shot
-// Ring methods across the fastThreshold boundary and a padded tree, on
-// both rings: same evaluations, same interpolant, reused many times.
 // TestFootprintCountsEveryArray holds PointSet.Footprint, which
 // GeometryCache budgets codes by, to every slice the set keeps: each
 // []uint64 field's words, and each [][]uint64 field's headers and words,
@@ -295,44 +165,6 @@ func TestFootprintCountsEveryArray(t *testing.T) {
 	}
 }
 
-func TestPointSetMatchesOneShot(t *testing.T) {
-	for name, r := range map[string]*Ring{"ntt": testRing(t), "plain": plainRing(t)} {
-		rng := rand.New(rand.NewSource(13))
-		for _, n := range []int{1, 2, 63, 64, 65, 128, 129, 300, 513} {
-			points := make([]uint64, n)
-			for i := range points {
-				points[i] = uint64(i)*7919%r.f.Q + 1
-			}
-			ps := r.NewPointSet(points)
-			if ps.Len() != n {
-				t.Fatalf("%s n=%d: Len = %d", name, n, ps.Len())
-			}
-			for _, deg := range []int{0, n / 2, n - 1, n + 70} {
-				p := randPoly(rng, r.f, deg)
-				got := ps.Eval(p)
-				for i, x := range points {
-					if want := r.Eval(p, x); got[i] != want {
-						t.Fatalf("%s n=%d deg=%d: Eval[%d] = %d, Horner %d", name, n, deg, i, got[i], want)
-					}
-				}
-			}
-			for rep := 0; rep < 3; rep++ {
-				p := randPoly(rng, r.f, n-1)
-				values := r.EvalMany(p, points)
-				if got := ps.Interpolate(values); !Equal(got, p) {
-					t.Fatalf("%s n=%d: PointSet.Interpolate did not round-trip", name, n)
-				}
-				if got := r.Interpolate(points, values); !Equal(got, p) {
-					t.Fatalf("%s n=%d: Ring.Interpolate did not round-trip", name, n)
-				}
-			}
-			if got := ps.Interpolate(make([]uint64, n)); Degree(got) != -1 {
-				t.Fatalf("%s n=%d: interpolating zeros gave degree %d", name, n, Degree(got))
-			}
-		}
-	}
-}
-
 func TestDerivative(t *testing.T) {
 	r := testRing(t)
 	// d/dx (1 + 2x + 3x^2) = 2 + 6x
@@ -342,21 +174,6 @@ func TestDerivative(t *testing.T) {
 	}
 	if got := r.Derivative([]uint64{7}); len(got) != 0 {
 		t.Fatalf("derivative of constant = %v", got)
-	}
-}
-
-func TestNTTRoundTripProperty(t *testing.T) {
-	r := testRing(t)
-	if r.root == 0 {
-		t.Skip("ring lacks NTT support")
-	}
-	rng := rand.New(rand.NewSource(13))
-	a := randPoly(rng, r.f, 700)
-	b := randPoly(rng, r.f, 900)
-	got := r.mulNTT(a, b, nttSize(len(a)+len(b)-1))
-	want := r.mulNaive(a, b)
-	if !Equal(got, want) {
-		t.Fatal("NTT product differs from naive")
 	}
 }
 

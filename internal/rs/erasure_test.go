@@ -1,7 +1,6 @@
 package rs
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -27,78 +26,6 @@ func corruptWord(rng *rand.Rand, c *Code, cw []uint64, nerr, s int) (rx []uint64
 		errLocs[i] = true
 	}
 	return rx, errLocs, erased
-}
-
-func TestDecodeErasuresRecoversWithinBudget(t *testing.T) {
-	const e, d = 64, 20 // budget: 2t + s <= 43
-	c := newTestCode(t, e, d)
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 60; trial++ {
-		msg := randMessage(rng, c.Field(), d)
-		cw, err := c.Encode(msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := rng.Intn(e - d) // 0..43 erasures
-		tmax := c.CorrectionRadiusWithErasures(s)
-		if tmax < 0 {
-			continue
-		}
-		nerr := rng.Intn(tmax + 1)
-		rx, errLocs, erased := corruptWord(rng, c, cw, nerr, s)
-		got, corrected, locs, err := c.DecodeErasures(rx, erased)
-		if err != nil {
-			t.Fatalf("trial %d (s=%d t=%d): %v", trial, s, nerr, err)
-		}
-		if !poly.Equal(got, msg) {
-			t.Fatalf("trial %d (s=%d t=%d): wrong message", trial, s, nerr)
-		}
-		// The corrected word must be the true codeword everywhere,
-		// including the erased positions (they are filled back in).
-		for i := range cw {
-			if corrected[i] != cw[i] {
-				t.Fatalf("trial %d: corrected[%d] = %d, want %d", trial, i, corrected[i], cw[i])
-			}
-		}
-		// Reported locations are exactly the content errors — never the
-		// erasures, even though their received values were scrambled.
-		if len(locs) != len(errLocs) {
-			t.Fatalf("trial %d: reported %d error locations, want %d", trial, len(locs), len(errLocs))
-		}
-		for _, i := range locs {
-			if !errLocs[i] {
-				t.Fatalf("trial %d: spurious error location %d", trial, i)
-			}
-		}
-	}
-}
-
-func TestDecodeErasuresBeyondBudgetFails(t *testing.T) {
-	const e, d = 32, 15 // budget: 2t + s <= 16
-	c := newTestCode(t, e, d)
-	rng := rand.New(rand.NewSource(43))
-	msg := randMessage(rng, c.Field(), d)
-	cw, _ := c.Encode(msg)
-
-	// Too many erasures alone: fewer than d+1 symbols survive.
-	rx, _, erased := corruptWord(rng, c, cw, 0, e-d)
-	if _, _, _, err := c.DecodeErasures(rx, erased); !errors.Is(err, ErrDecodeFailure) {
-		t.Fatalf("e-d erasures: err = %v, want ErrDecodeFailure", err)
-	}
-
-	// Erasures within interpolation reach but errors beyond the shrunken
-	// radius: the decoder must refuse rather than return the wrong word.
-	s := 8 // radius shrinks to (32-8-15-1)/2 = 4
-	for trial := 0; trial < 20; trial++ {
-		rx, _, erased := corruptWord(rng, c, cw, c.CorrectionRadiusWithErasures(s)+3, s)
-		got, _, _, err := c.DecodeErasures(rx, erased)
-		if err == nil && poly.Equal(got, msg) {
-			continue // miscorrection cannot return the true message here, but be lenient in form
-		}
-		if err != nil && !errors.Is(err, ErrDecodeFailure) {
-			t.Fatalf("trial %d: unexpected error type: %v", trial, err)
-		}
-	}
 }
 
 func TestDecodeErasuresValidation(t *testing.T) {
@@ -140,118 +67,5 @@ func TestCorrectionRadiusWithErasures(t *testing.T) {
 	}
 	if c.CorrectionRadiusWithErasures(0) != c.CorrectionRadius() {
 		t.Error("zero erasures must reduce to the plain radius")
-	}
-}
-
-// FuzzDecodeErasures drives the decoder with erasure-heavy received
-// words — erasures plus errors up to and beyond the combined radius —
-// pinning the ErrDecodeFailure contract: within budget the decoder
-// recovers exactly; beyond budget it either refuses with
-// ErrDecodeFailure or returns a self-consistent nearby codeword; it
-// never panics and never reports more errors than the shrunken radius.
-func FuzzDecodeErasures(f *testing.F) {
-	const e, d = 48, 15 // budget: 2t + s <= 32
-	c := newTestCode(f, e, d)
-	f.Add(int64(1), uint8(0), uint8(0))
-	f.Add(int64(2), uint8(4), uint8(8))   // comfortably inside
-	f.Add(int64(3), uint8(8), uint8(16))  // exactly on the budget
-	f.Add(int64(4), uint8(9), uint8(16))  // one error past it
-	f.Add(int64(5), uint8(0), uint8(33))  // erasures alone past e-d-1
-	f.Add(int64(6), uint8(0), uint8(48))  // everything erased
-	f.Add(int64(7), uint8(16), uint8(0))  // plain errors at full radius
-	f.Add(int64(8), uint8(30), uint8(30)) // deep beyond, both kinds
-	f.Fuzz(func(t *testing.T, seed int64, nerrRaw, sRaw uint8) {
-		rng := rand.New(rand.NewSource(seed))
-		s := int(sRaw) % (e + 1)
-		nerr := int(nerrRaw) % (e - s + 1)
-		msg := randMessage(rng, c.Field(), d)
-		cw, err := c.Encode(msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rx, _, erased := corruptWord(rng, c, cw, nerr, s)
-		got, corrected, locs, err := c.DecodeErasures(rx, erased)
-		withinBudget := 2*nerr+s <= e-d-1
-		if withinBudget {
-			if err != nil {
-				t.Fatalf("s=%d t=%d within budget: %v", s, nerr, err)
-			}
-			if !poly.Equal(got, msg) {
-				t.Fatalf("s=%d t=%d within budget: wrong message", s, nerr)
-			}
-		}
-		if err != nil {
-			if !errors.Is(err, ErrDecodeFailure) {
-				t.Fatalf("s=%d t=%d: non-typed failure: %v", s, nerr, err)
-			}
-			return
-		}
-		// Success (possibly a miscorrection beyond the budget): the result
-		// must be self-consistent — corrected is the codeword of got, locs
-		// are exactly the delivered disagreements, and locs fits the
-		// erasure-shrunken radius.
-		recw, err := c.Encode(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		erasedSet := make(map[int]bool, len(erased))
-		for _, i := range erased {
-			erasedSet[i] = true
-		}
-		locSet := make(map[int]bool, len(locs))
-		for _, i := range locs {
-			if erasedSet[i] {
-				t.Fatalf("erased position %d reported as content error", i)
-			}
-			locSet[i] = true
-		}
-		for i := range recw {
-			if corrected[i] != recw[i] {
-				t.Fatalf("corrected[%d] inconsistent with decoded message", i)
-			}
-			if !erasedSet[i] && (rx[i]%c.Field().Q != corrected[i]) != locSet[i] {
-				t.Fatalf("error location set wrong at %d", i)
-			}
-		}
-		if max := c.CorrectionRadiusWithErasures(len(erasedSet)); len(locs) > max {
-			t.Fatalf("reported %d errors beyond shrunken radius %d", len(locs), max)
-		}
-	})
-}
-
-func TestErasurePlanReuseMatchesOneShot(t *testing.T) {
-	const e, d = 40, 12
-	c := newTestCode(t, e, d)
-	rng := rand.New(rand.NewSource(53))
-	erased := []int{3, 7, 21, 22}
-	plan, err := c.ErasurePlan(erased)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One plan decoding many words must agree with the one-shot form.
-	for trial := 0; trial < 20; trial++ {
-		msg := randMessage(rng, c.Field(), d)
-		cw, _ := c.Encode(msg)
-		rx := make([]uint64, e)
-		copy(rx, cw)
-		for _, i := range erased {
-			rx[i] = rng.Uint64() % c.Field().Q
-		}
-		rx[11] = c.Field().Add(rx[11], 1+rng.Uint64()%(c.Field().Q-1))
-		m1, c1, l1, err1 := plan.Decode(rx)
-		m2, c2, l2, err2 := c.DecodeErasures(rx, erased)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("trial %d: %v / %v", trial, err1, err2)
-		}
-		if !poly.Equal(m1, m2) || !poly.Equal(m1, msg) || !poly.Equal(c1, c2) {
-			t.Fatalf("trial %d: plan reuse diverged from one-shot decode", trial)
-		}
-		if len(l1) != 1 || len(l2) != 1 || l1[0] != 11 {
-			t.Fatalf("trial %d: error locations %v / %v, want [11]", trial, l1, l2)
-		}
-	}
-	// Undecodable erasure sets fail at plan build, typed.
-	if _, err := c.ErasurePlan(rng.Perm(e)[:e-d]); !errors.Is(err, ErrDecodeFailure) {
-		t.Fatalf("plan for e-d erasures: err = %v, want ErrDecodeFailure", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"camelot/internal/ff"
+	"camelot/internal/par"
 	"camelot/internal/poly"
 )
 
@@ -61,118 +62,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeClean(t *testing.T) {
-	for _, size := range []struct{ e, d int }{{8, 3}, {64, 20}, {257, 100}, {1024, 500}} {
-		c := newTestCode(t, size.e, size.d)
-		rng := rand.New(rand.NewSource(int64(size.e)))
-		msg := randMessage(rng, c.Field(), size.d)
-		cw, err := c.Encode(msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, corrected, locs, err := c.Decode(cw)
-		if err != nil {
-			t.Fatalf("e=%d d=%d: clean decode failed: %v", size.e, size.d, err)
-		}
-		if len(locs) != 0 {
-			t.Fatalf("clean decode reported errors at %v", locs)
-		}
-		if !poly.Equal(got, msg) {
-			t.Fatal("decoded message differs")
-		}
-		for i := range cw {
-			if corrected[i] != cw[i] {
-				t.Fatal("corrected codeword differs from transmitted")
-			}
-		}
-	}
-}
-
-func TestDecodeAtFullRadius(t *testing.T) {
-	const e, d = 101, 40 // radius = 30
-	c := newTestCode(t, e, d)
-	rng := rand.New(rand.NewSource(99))
-	msg := randMessage(rng, c.Field(), d)
-	cw, err := c.Encode(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	radius := c.CorrectionRadius()
-	if radius != 30 {
-		t.Fatalf("radius = %d, want 30", radius)
-	}
-	for _, nerr := range []int{1, 5, radius} {
-		rx := make([]uint64, e)
-		copy(rx, cw)
-		locs := rng.Perm(e)[:nerr]
-		for _, i := range locs {
-			rx[i] = (rx[i] + 1 + rng.Uint64()%(c.Field().Q-1)) % c.Field().Q
-		}
-		got, _, reported, err := c.Decode(rx)
-		if err != nil {
-			t.Fatalf("decode with %d errors failed: %v", nerr, err)
-		}
-		if !poly.Equal(got, msg) {
-			t.Fatalf("decode with %d errors returned wrong message", nerr)
-		}
-		if len(reported) != nerr {
-			t.Fatalf("reported %d error locations, want %d", len(reported), nerr)
-		}
-		want := make(map[int]bool, nerr)
-		for _, i := range locs {
-			want[i] = true
-		}
-		for _, i := range reported {
-			if !want[i] {
-				t.Fatalf("reported spurious error location %d", i)
-			}
-		}
-	}
-}
-
-func TestDecodeBeyondRadiusFails(t *testing.T) {
-	const e, d = 64, 30 // radius 16
-	c := newTestCode(t, e, d)
-	rng := rand.New(rand.NewSource(5))
-	msg := randMessage(rng, c.Field(), d)
-	cw, _ := c.Encode(msg)
-	rx := make([]uint64, e)
-	copy(rx, cw)
-	// Corrupt well beyond the radius with random garbage: decoding must
-	// either error or (with negligible probability) return some codeword —
-	// but never silently return the wrong message as if clean.
-	for _, i := range rng.Perm(e)[:40] {
-		rx[i] = rng.Uint64() % c.Field().Q
-	}
-	got, _, _, err := c.Decode(rx)
-	if err == nil && poly.Equal(got, msg) {
-		t.Fatal("decode claimed success with original message despite 40 corruptions (should be impossible)")
-	}
-	if err != nil && !errors.Is(err, ErrDecodeFailure) {
-		t.Fatalf("unexpected error type: %v", err)
-	}
-}
-
-func TestDecodeShortMessagePadding(t *testing.T) {
-	// Message shorter than d+1: decoder must return padded length d+1.
-	c := newTestCode(t, 32, 10)
-	msg := []uint64{1, 2, 3}
-	cw, err := c.Encode(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, _, err := c.Decode(cw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 11 {
-		t.Fatalf("decoded length %d, want 11", len(got))
-	}
-	if !poly.Equal(got, msg) {
-		t.Fatal("decoded message differs")
-	}
-}
-
 func TestEncodeRejectsLongMessage(t *testing.T) {
 	c := newTestCode(t, 16, 3)
 	if _, err := c.Encode(make([]uint64, 5)); err == nil {
@@ -199,42 +88,6 @@ func TestCorrectionRadiusFormula(t *testing.T) {
 		}
 		if got := c.CorrectionRadius(); got != tt.want {
 			t.Errorf("radius(e=%d,d=%d) = %d, want %d", tt.e, tt.d, got, tt.want)
-		}
-	}
-}
-
-func TestPropertyRandomErrorPatterns(t *testing.T) {
-	// Property: for random messages and random error patterns within the
-	// radius, decode always recovers message and exact error locations.
-	const e, d = 80, 25
-	c := newTestCode(t, e, d)
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 50; trial++ {
-		msg := randMessage(rng, c.Field(), d)
-		cw, _ := c.Encode(msg)
-		nerr := rng.Intn(c.CorrectionRadius() + 1)
-		rx := make([]uint64, e)
-		copy(rx, cw)
-		lset := map[int]bool{}
-		for _, i := range rng.Perm(e)[:nerr] {
-			delta := 1 + rng.Uint64()%(c.Field().Q-1)
-			rx[i] = c.Field().Add(rx[i], delta)
-			lset[i] = true
-		}
-		got, _, locs, err := c.Decode(rx)
-		if err != nil {
-			t.Fatalf("trial %d (%d errors): %v", trial, nerr, err)
-		}
-		if !poly.Equal(got, msg) {
-			t.Fatalf("trial %d: wrong message", trial)
-		}
-		if len(locs) != len(lset) {
-			t.Fatalf("trial %d: reported %d locations, want %d", trial, len(locs), len(lset))
-		}
-		for _, i := range locs {
-			if !lset[i] {
-				t.Fatalf("trial %d: spurious location %d", trial, i)
-			}
 		}
 	}
 }
@@ -352,32 +205,41 @@ func BenchmarkDecodeStages(b *testing.B) {
 	}
 }
 
-func TestDecodeZeroCodeword(t *testing.T) {
-	c := newTestCode(t, 32, 10)
-	// All-zero received word: the zero message, no errors.
-	msg, corrected, locs, err := c.Decode(make([]uint64, 32))
-	if err != nil {
-		t.Fatal(err)
+// TestDecodeParallelRefusesBeyondRadius pins the order of the decode's
+// tail. The word is built so that Euclid stops at v = c·(x−a)² for a grid
+// point a, with g = (x−a)·h, h(a) ≠ 0: v does not divide g, so the
+// quotient refuses, while the locator finds the root a, at which
+// v'(a) = 0. open at that root would invert zero; it must not run before
+// the quotient's verdict, at any parallelism.
+func TestDecodeParallelRefusesBeyondRadius(t *testing.T) {
+	c, _, _, _ := decodeBoundWords(t)
+	f, ring := c.Field(), c.ring
+	e, d := len(c.points), c.d
+	const a = 700
+	rng := rand.New(rand.NewSource(5))
+	stop := (e + d + 1) / 2
+	h := randMessage(rng, f, stop-2)
+	for f.Horner(h, a) == 0 {
+		h[0] = f.Add(h[0], 1)
 	}
-	if poly.Degree(msg) != -1 || len(locs) != 0 {
-		t.Fatalf("zero word: msg=%v locs=%v", msg, locs)
-	}
-	for _, v := range corrected {
-		if v != 0 {
-			t.Fatal("corrected word not zero")
+	g := ring.Mul([]uint64{f.Neg(a), 1}, h)
+	word := make([]uint64, e)
+	for i := range word {
+		if i != a {
+			x := uint64(i)
+			word[i] = f.Div(f.Horner(g, x), f.Mul(f.Sub(x, a), f.Sub(x, a)))
 		}
 	}
-	// Zero codeword with a few corruptions still decodes to zero.
-	rx := make([]uint64, 32)
-	rx[3], rx[17] = 5, 9
-	msg, _, locs, err = c.Decode(rx)
-	if err != nil {
-		t.Fatal(err)
+	_, v := ring.PartialXGCD(c.ps.Product(), c.ps.Interpolate(word), stop)
+	if poly.Degree(v) != 2 || f.Horner(v, a) != 0 || f.Horner(ring.Derivative(v), a) != 0 {
+		t.Fatalf("Euclid's locator %v is not c·(x−%d)²", v, a)
 	}
-	if poly.Degree(msg) != -1 {
-		t.Fatalf("corrupted zero word decoded to %v", msg)
-	}
-	if len(locs) != 2 {
-		t.Fatalf("error locations = %v, want 2", locs)
+	for _, workers := range []int{1, 4} {
+		restore := par.SetParallelism(workers)
+		_, _, _, err := c.Decode(word)
+		restore()
+		if !errors.Is(err, ErrDecodeFailure) {
+			t.Fatalf("parallelism %d: Decode = %v, want ErrDecodeFailure", workers, err)
+		}
 	}
 }
