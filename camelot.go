@@ -67,7 +67,9 @@ type Proof = core.Proof
 // the core package documentation for the contract.
 type Problem = core.Problem
 
-// Adversary injects byzantine behaviour into a run's share traffic.
+// Adversary injects byzantine behaviour into a run's share traffic: it
+// changes what a node's shares say, never whether they arrive (a crashed
+// node is a delivery fault, LossyConfig.DropNodes).
 type Adversary = core.Adversary
 
 // Transport carries node share broadcasts; the default is the in-memory
@@ -102,10 +104,6 @@ var ErrMalformedProof = core.ErrMalformedProof
 
 // NewBroadcastBus returns the default in-memory transport for k nodes.
 func NewBroadcastBus(k int) *core.BroadcastBus { return core.NewBroadcastBus(k) }
-
-// SilentNodes returns a crash-fault adversary: the listed nodes send
-// nothing.
-func SilentNodes(ids ...int) Adversary { return core.NewSilentNodes(ids...) }
 
 // LyingNodes returns a byzantine adversary whose listed nodes broadcast
 // deterministic garbage (the same garbage to every recipient).

@@ -27,36 +27,6 @@ func TestCountCliquesFacade(t *testing.T) {
 	}
 }
 
-func TestCountTrianglesFacadeWithByzantineNode(t *testing.T) {
-	g := RandomGraph(20, 0.3, 7)
-	// Probe geometry first so the radius covers one byzantine node block.
-	_, rep, err := CountTriangles(context.Background(), g, WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := rep.Degree
-	k := 5
-	f := 0
-	for {
-		e := d + 1 + 2*f
-		if f >= (e+k-1)/k {
-			break
-		}
-		f++
-	}
-	count, rep, err := CountTriangles(context.Background(), g,
-		WithNodes(k), WithFaultTolerance(f), WithAdversary(LyingNodes(3, 2)), WithSeed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.SuspectNodes) != 1 || rep.SuspectNodes[0] != 2 {
-		t.Fatalf("suspects = %v, want [2]", rep.SuspectNodes)
-	}
-	if count.Sign() < 0 {
-		t.Fatal("negative count")
-	}
-}
-
 func TestChromaticFacade(t *testing.T) {
 	coeffs, _, err := ChromaticPolynomial(context.Background(), CycleGraph(5), WithNodes(2))
 	if err != nil {

@@ -1,7 +1,10 @@
 // Command camelot runs Camelot computations from the command line: pick a
 // problem subcommand, a workload size, a node count, and optionally a
 // byzantine adversary, and it prepares, error-corrects, and verifies the
-// proof, printing the framework report.
+// proof, printing the framework report. A run has at most one adversary
+// flag: -lie (the listed nodes send the same garbage to everyone) or
+// -equivocate (different garbage to each recipient); both at once is a
+// usage error. A crashed node is a delivery fault, -dropnodes below.
 //
 // The problem subcommands are the kinds of the facade's catalog
 // (camelot.Kinds): each kind's fields are its flags, with the same names
@@ -92,7 +95,7 @@ type commonFlags struct {
 	nodes, faults, trials int
 	parallelism           int
 	seed                  int64
-	lie, silence, equiv   string
+	lie, equiv            string
 
 	// Transport fault simulation (a seeded lossy network).
 	dropNodes                    string
@@ -113,7 +116,6 @@ func (cf *commonFlags) register(fs *flag.FlagSet) {
 	fs.IntVar(&cf.parallelism, "parallelism", 0, "worker pool size driving the K nodes (0 = GOMAXPROCS)")
 	fs.Int64Var(&cf.seed, "seed", 1, "randomness seed")
 	fs.StringVar(&cf.lie, "lie", "", "comma-separated node ids that broadcast garbage")
-	fs.StringVar(&cf.silence, "silence", "", "comma-separated node ids that crash")
 	fs.StringVar(&cf.equiv, "equivocate", "", "comma-separated node ids that equivocate")
 	fs.StringVar(&cf.dropNodes, "dropnodes", "", "comma-separated node ids whose broadcasts the network always loses")
 	fs.Float64Var(&cf.dropRate, "droprate", 0, "probability a node's broadcast is dropped")
@@ -128,7 +130,8 @@ func (cf *commonFlags) register(fs *flag.FlagSet) {
 
 // validate checks what only a command line can get wrong: the syntax of
 // its flags (probabilities, a host:port address, a node count of zero
-// where the library would read "default"). Whether the resulting
+// where the library would read "default", two adversary flags where the
+// library keeps only the last WithAdversary). Whether the resulting
 // options make sense together is the library's judgement —
 // camelot.ErrInvalidOptions, the same refusal a Go caller, a manifest or
 // the proof service gets.
@@ -143,6 +146,9 @@ func (cf *commonFlags) validate() error {
 		if r.v < 0 || r.v > 1 {
 			return fmt.Errorf("%s is a probability: want 0..1, got %g", r.name, r.v)
 		}
+	}
+	if cf.lie != "" && cf.equiv != "" {
+		return fmt.Errorf("-lie and -equivocate: a run has one adversary, give one of the two flags")
 	}
 	if cf.listenAddr != "" {
 		if _, _, err := net.SplitHostPort(cf.listenAddr); err != nil {
@@ -212,7 +218,6 @@ func (cf *commonFlags) splitOptions() ([]camelot.RunOption, []camelot.ClusterOpt
 		make func(ids ...int) camelot.Adversary
 	}{
 		{cf.lie, func(ids ...int) camelot.Adversary { return camelot.LyingNodes(uint64(cf.seed), ids...) }},
-		{cf.silence, camelot.SilentNodes},
 		{cf.equiv, func(ids ...int) camelot.Adversary { return camelot.EquivocatingNodes(uint64(cf.seed), ids...) }},
 	} {
 		if ids, err := parse(adv.ids); err != nil {

@@ -30,7 +30,7 @@ func TestRunSubcommands(t *testing.T) {
 		"conv3sum":   {"conv3sum", "-n", "16", "-bits", "6"},
 		"csp":        {"csp", "-n", "6", "-sigma", "2", "-m", "4"},
 		"with-liar":  {"triangles", "-n", "16", "-p", "0.3", "-nodes", "4", "-faults", "40", "-lie", "1"},
-		"with-crash": {"triangles", "-n", "16", "-p", "0.3", "-nodes", "4", "-faults", "40", "-silence", "2"},
+		"with-crash": {"triangles", "-n", "16", "-p", "0.3", "-nodes", "4", "-faults", "40", "-dropnodes", "2", "-erasures", "1"},
 		"coordinate-local": {"coordinate", "-spec", "triangles n=16 p=0.3 seed=2", "-local",
 			"-nodes", "2", "-trials", "1"},
 	}
@@ -45,14 +45,16 @@ func TestRunSubcommands(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	cases := map[string][]string{
-		"no args":        nil,
-		"unknown":        {"frobnicate"},
-		"bad lie list":   {"triangles", "-lie", "x,y"},
-		"bad clique k":   {"cliques", "-k", "5"},
-		"beyond radius":  {"triangles", "-n", "16", "-p", "0.3", "-nodes", "2", "-faults", "0", "-lie", "0"},
-		"all byzantine":  {"triangles", "-n", "12", "-nodes", "1", "-lie", "0"},
-		"oversized csp":  {"csp", "-n", "5"},
-		"tiny permanent": {"permanent", "-n", "1"},
+		"no args":       nil,
+		"unknown":       {"frobnicate"},
+		"bad lie list":  {"triangles", "-lie", "x,y"},
+		"bad clique k":  {"cliques", "-k", "5"},
+		"beyond radius": {"triangles", "-n", "16", "-p", "0.3", "-nodes", "2", "-faults", "0", "-lie", "0"},
+		"all byzantine": {"triangles", "-n", "12", "-nodes", "1", "-lie", "0"},
+		// The last adversary flag used to replace the others silently.
+		"two adversaries": {"triangles", "-n", "16", "-p", "0.3", "-nodes", "4", "-faults", "40", "-lie", "1", "-equivocate", "2"},
+		"oversized csp":   {"csp", "-n", "5"},
+		"tiny permanent":  {"permanent", "-n", "1"},
 
 		// Flag syntax (commonFlags.validate) and cross-option rules (the
 		// library's ErrInvalidOptions): each contradictory combination

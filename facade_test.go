@@ -138,32 +138,6 @@ func TestTutteFacadeOnMultigraphWithLoops(t *testing.T) {
 	}
 }
 
-func TestSilentNodesFacade(t *testing.T) {
-	g := RandomGraph(18, 0.3, 9)
-	_, rep, err := CountTriangles(context.Background(), g, WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := rep.Degree
-	k := 4
-	f := 0
-	for {
-		e := d + 1 + 2*f
-		if f >= (e+k-1)/k {
-			break
-		}
-		f++
-	}
-	count, rep, err := CountTriangles(context.Background(), g,
-		WithNodes(k), WithFaultTolerance(f), WithAdversary(SilentNodes(1)), WithSeed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Verified || count.Sign() < 0 {
-		t.Fatal("silent-node run failed")
-	}
-}
-
 func TestHamiltonianPathsFacade(t *testing.T) {
 	count, _, err := CountHamiltonianPaths(context.Background(), CompleteGraph(4))
 	if err != nil {

@@ -1,19 +1,21 @@
 package camelot
 
-// Golden proofs: testdata/golden_proofs.txt stores the SHA-256 of
-// Proof.MarshalBinary() per (workload, f), recorded once from a known
-// commit. Every other bit-identity test in the module compares two runs
-// of the same engine, which a change to the engine moves on both sides
-// at once; these digests move only when the proof bytes do. Each digest
-// is checked under every execution shape the engine has — strict and
-// quorum gathers, a content fault, a repair round, the remote executor —
-// because the paper's claim is that all of them prepare the same proof.
+// The one conformance table. testdata/golden_proofs.txt stores the
+// SHA-256 of Proof.MarshalBinary() per (workload, f), recorded once from
+// a known commit: unlike two runs of one engine, a digest moves only when
+// the proof bytes do. The paper promises the same proof however nodes
+// fail, up to the Reed–Solomon radius, with the failed nodes named.
+// TestGoldenProofs runs every golden case on every shape (bus, loopback
+// TCP, ctrl, the proof service) under every fault schedule; each row
+// computes from the geometry whether 2·errors + erasures ≤ e−d−1 = 2f
+// and expects exactly one outcome: the pinned digest with the exact
+// suspects, missing nodes and decode count, or a typed ErrDecodeFailure.
 
 import (
-	"bufio"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -33,14 +35,13 @@ import (
 
 const (
 	goldenFile = "testdata/golden_proofs.txt"
-	// goldenNodes is the node count of every shape (clamped to the
-	// codeword length like the engine clamps it).
+	// goldenNodes is every shape's node count, clamped to e as runs are.
 	goldenNodes = 6
 )
 
 // goldenCase is one pinned workload. Spec cases are catalog kinds at
-// their defaults, which a ctrl worker can rebuild from the spec line,
-// so they also run on the remote executor.
+// their defaults, which a ctrl worker and the proof service can rebuild
+// from the spec line, so they also run on those shapes.
 type goldenCase struct {
 	name  string
 	spec  string
@@ -52,18 +53,12 @@ type goldenCase struct {
 // first, so a kind whose name one of them holds is filed as "<kind>-spec".
 func goldenCases() []goldenCase {
 	cases := []goldenCase{
-		{name: "chromatic", build: func() (Problem, error) {
-			return chromatic.NewProblem(graph.Gnp(8, 0.4, 1))
-		}},
+		{name: "chromatic", build: func() (Problem, error) { return chromatic.NewProblem(graph.Gnp(8, 0.4, 1)) }},
 		{name: "setcover", build: func() (Problem, error) {
 			return setcover.NewCoverProblem([]uint64{0b000111, 0b011100, 0b110001, 0b101010, 0b010101, 0b100100, 0b001001}, 6, 3)
 		}},
-		{name: "tutte-line", build: func() (Problem, error) {
-			return tutte.NewProblem(graph.RandomMultigraph(5, 6, 3), 2)
-		}},
-		{name: "conv3sum", build: func() (Problem, error) {
-			return conv3sum.NewProblem([]uint64{3, 5, 8, 13, 2, 10, 7, 15}, 6)
-		}},
+		{name: "tutte-line", build: func() (Problem, error) { return tutte.NewProblem(graph.RandomMultigraph(5, 6, 3), 2) }},
+		{name: "conv3sum", build: func() (Problem, error) { return conv3sum.NewProblem([]uint64{3, 5, 8, 13, 2, 10, 7, 15}, 6) }},
 		{name: "csp", build: func() (Problem, error) {
 			return csp.NewProblem(csp.RandomSystem(6, 2, 5, 0.5, 1), tensor.Strassen())
 		}},
@@ -88,44 +83,107 @@ func goldenCases() []goldenCase {
 	return cases
 }
 
-// goldenGeometry picks the smallest fault tolerance f under which every
-// shape is feasible on goldenNodes nodes — one lying node's whole block
-// stays within f errors — and the nodes a lossy network must drop to
-// push the erasures past the 2f budget, so that only a repair round can
-// finish the run.
-func goldenGeometry(t *testing.T, p Problem) (f, k int, beyond []int) {
+// goldenGeometry is one case's run geometry: the smallest fault
+// tolerance f under which one lying node's whole block stays within f
+// errors on goldenNodes nodes, the point split, and the shortest
+// prefixes of nodes 1, 2, … whose blocks exceed the radius as errors
+// (over) and as erasures (beyond).
+type goldenGeometry struct {
+	f, k         int
+	pa           core.PointAssignment
+	over, beyond []int
+}
+
+func newGoldenGeometry(t *testing.T, p Problem) goldenGeometry {
 	t.Helper()
-	for f = 1; ; f++ {
+	for f := 1; ; f++ {
 		e := p.Degree() + 1 + 2*f
-		k = min(goldenNodes, e)
-		if (e+k-1)/k > f {
+		g := goldenGeometry{f: f, k: min(goldenNodes, e)}
+		if (e+g.k-1)/g.k > f {
 			continue
 		}
-		pa := core.NewPointAssignment(e, k)
-		erased := 0
-		for id := 1; id < k && erased <= 2*f; id++ {
-			lo, hi := pa.Range(id)
-			erased += hi - lo
-			beyond = append(beyond, id)
+		g.pa = core.NewPointAssignment(e, g.k)
+		g.over, g.beyond = g.prefixBeyond(f), g.prefixBeyond(2*f)
+		if g.beyond == nil {
+			t.Fatalf("degree %d: no drop set on %d nodes exceeds the erasure budget %d", p.Degree(), g.k, 2*f)
 		}
-		if erased <= 2*f {
-			t.Fatalf("degree %d: no drop set on %d nodes exceeds the erasure budget %d", p.Degree(), k, 2*f)
-		}
-		return f, k, beyond
+		return g
 	}
+}
+
+// held is the number of points the given nodes hold.
+func (g goldenGeometry) held(nodes []int) (n int) {
+	for _, id := range nodes {
+		lo, hi := g.pa.Range(id)
+		n += hi - lo
+	}
+	return n
+}
+
+// prefixBeyond is the shortest prefix of nodes 1, 2, … holding more
+// than budget points, nil if even nodes 1..k−1 hold no more.
+func (g goldenGeometry) prefixBeyond(budget int) (nodes []int) {
+	for id := 1; id < g.k && g.held(nodes) <= budget; id++ {
+		nodes = append(nodes, id)
+	}
+	if g.held(nodes) <= budget {
+		return nil
+	}
+	return nodes
+}
+
+// goldenSchedule is one fault schedule: liars (alike to every recipient
+// or equivocating), nodes whose broadcasts the network loses (the crash
+// model), repair rounds, and whether it also runs over loopback TCP (a
+// strict and a lossy gather there).
+type goldenSchedule struct {
+	name       string
+	liars      []int
+	equivocate bool
+	drop       []int
+	repair     int
+	tcp        bool
+}
+
+func (g goldenGeometry) schedules() []goldenSchedule {
+	return []goldenSchedule{
+		{name: "none", tcp: true},
+		{name: "liar", liars: []int{1}},
+		{name: "equivocator", liars: []int{1}, equivocate: true},
+		{name: "drop", drop: []int{1}, tcp: true},
+		{name: "drop-repaired", drop: g.beyond, repair: 1},
+		{name: "liars-beyond", liars: g.over},
+		{name: "drop-beyond", drop: g.beyond},
+	}
+}
+
+// options are s's run options. A drop gathers in quorum mode with every
+// dropped node allowed missing, so no gather waits for its grace, and
+// the network delivers half the surviving broadcasts twice.
+func (g goldenGeometry) options(s goldenSchedule) []Option {
+	opts := []Option{WithFaultTolerance(g.f), WithSeed(1), WithMaxRepairRounds(s.repair)}
+	if s.drop != nil {
+		opts = append(opts, WithLossyTransport(LossyConfig{Seed: 21, DropNodes: s.drop, DupRate: 0.5}),
+			WithMaxErasures(len(s.drop)), WithGatherGrace(5*time.Second))
+	}
+	switch {
+	case s.equivocate:
+		opts = append(opts, WithAdversary(EquivocatingNodes(7, s.liars...)))
+	case s.liars != nil:
+		opts = append(opts, WithAdversary(LyingNodes(7, s.liars...)))
+	}
+	return opts
 }
 
 func readGolden(t *testing.T) map[string]string {
 	t.Helper()
-	fh, err := os.Open(goldenFile)
+	data, err := os.ReadFile(goldenFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fh.Close()
 	want := map[string]string{}
-	sc := bufio.NewScanner(fh)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
+	for line := range strings.Lines(string(data)) {
+		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
@@ -135,9 +193,6 @@ func readGolden(t *testing.T) map[string]string {
 		}
 		want[name] = rest
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
 	return want
 }
 
@@ -145,84 +200,124 @@ func TestGoldenProofs(t *testing.T) {
 	want := readGolden(t)
 	for _, gc := range goldenCases() {
 		t.Run(gc.name, func(t *testing.T) {
+			t.Parallel()
 			p, err := gc.build()
 			if err != nil {
 				t.Fatal(err)
 			}
-			f, k, beyond := goldenGeometry(t, p)
+			g := newGoldenGeometry(t, p)
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()
-			check := func(shape string, proof *Proof, err error) {
+			digest := func(shape string, raw []byte) {
 				t.Helper()
+				sum := sha256.Sum256(raw)
+				if got := fmt.Sprintf("f=%d %s", g.f, hex.EncodeToString(sum[:])); got != want[gc.name] {
+					t.Errorf("%s: proof bytes moved\n got: %s %s\nwant: %s %s", shape, gc.name, got, gc.name, want[gc.name])
+				}
+			}
+			// check holds one row to the outcome its geometry allows.
+			check := func(shape string, s goldenSchedule, proof *Proof, rep *Report, err error) {
+				t.Helper()
+				errs, erased := g.held(s.liars), g.held(s.drop)
+				missing, repaired, rounds := s.drop, []int(nil), 0
+				if s.repair > 0 && 2*errs+erased > 2*g.f {
+					// One round re-assigns every lost range to a survivor.
+					erased, missing, repaired, rounds = 0, nil, s.drop, 1
+				}
+				if 2*errs+erased > 2*g.f {
+					if !errors.Is(err, ErrDecodeFailure) {
+						t.Errorf("%s: %d errors and %d erasures exceed 2f = %d: got %v, want ErrDecodeFailure",
+							shape, errs, erased, 2*g.f, err)
+					}
+					return
+				}
 				if err != nil {
 					t.Errorf("%s: %v", shape, err)
 					return
 				}
 				raw, err := proof.MarshalBinary()
 				if err != nil {
-					t.Errorf("%s: %v", shape, err)
-					return
+					t.Fatal(err)
 				}
-				sum := sha256.Sum256(raw)
-				got := fmt.Sprintf("f=%d %s", f, hex.EncodeToString(sum[:]))
-				if got != want[gc.name] {
-					t.Errorf("%s: proof bytes moved\n got: %s %s\nwant: %s %s", shape, gc.name, got, gc.name, want[gc.name])
+				digest(shape, raw)
+				words := 1 // distinct received words per (prime, coordinate)
+				if s.equivocate {
+					words = g.k - len(s.liars) // every honest recipient sees its own
+				}
+				got := fmt.Sprint(rep.Verified, rep.SuspectNodes, rep.MissingNodes, rep.RepairedNodes, rep.RepairRounds, rep.Decodes, rep.CorruptedShares)
+				if exp := fmt.Sprint(true, s.liars, missing, repaired, rounds, words*rep.Width*len(rep.Primes), errs); got != exp {
+					t.Errorf("%s: verified, suspects, missing, repaired, repair rounds, decodes, corrupted shares = %s, want %s", shape, got, exp)
 				}
 			}
-			base := []Option{WithNodes(k), WithFaultTolerance(f), WithSeed(1)}
-			run := func(extra ...Option) (*Proof, *Report, error) {
-				return RunProblem(ctx, p, append(append([]Option(nil), base...), extra...)...)
+
+			// The bus and TCP rows share one cluster's pool and codes, and
+			// take their transport as a per-run option, as one-shot calls do.
+			cl := NewCluster(WithNodes(g.k))
+			defer cl.Close()
+			for _, s := range g.schedules() {
+				shapes := map[string][]Option{"bus": nil}
+				if s.tcp {
+					shapes["tcp"] = []Option{WithListenAddr("127.0.0.1:0")}
+				}
+				for transport, opts := range shapes {
+					shape := transport + "/" + s.name
+					job := cl.start(ctx, p, resolve(cl.base, append(opts, g.options(s)...)))
+					proof, rep, err := job.Wait(ctx)
+					check(shape, s, proof, rep, err)
+					if got := job.Status().DeliveryFaults; got != len(s.drop) {
+						t.Errorf("%s: status counts %d delivery faults, want %d", shape, got, len(s.drop))
+					}
+				}
 			}
-
-			proof, _, err := run()
-			check("bus", proof, err)
-
-			proof, rep, err := run(WithAdversary(LyingNodes(7, 1)))
-			check("bus+liar", proof, err)
-			if err == nil && (len(rep.SuspectNodes) != 1 || rep.SuspectNodes[0] != 1) {
-				t.Errorf("bus+liar: suspects %v, want [1]", rep.SuspectNodes)
-			}
-
-			proof, rep, err = run(WithLossyTransport(LossyConfig{DropNodes: []int{1}}),
-				WithMaxErasures(1), WithGatherGrace(5*time.Second))
-			check("lossy-within-budget", proof, err)
-			if err == nil && (len(rep.MissingNodes) != 1 || rep.RepairRounds != 0) {
-				t.Errorf("lossy-within-budget: missing %v after %d repair rounds, want node 1 erased and no repair",
-					rep.MissingNodes, rep.RepairRounds)
-			}
-
-			proof, rep, err = run(WithLossyTransport(LossyConfig{DropNodes: beyond}),
-				WithMaxErasures(len(beyond)), WithMaxRepairRounds(1), WithGatherGrace(5*time.Second))
-			check("lossy-repaired", proof, err)
-			if err == nil && (rep.RepairRounds != 1 || len(rep.RepairedNodes) != len(beyond)) {
-				t.Errorf("lossy-repaired: %d repair rounds healed %v, want one round healing %v",
-					rep.RepairRounds, rep.RepairedNodes, beyond)
-			}
-
 			if gc.spec == "" {
 				return
 			}
-			co, err := NewCoordinator(k, CoordinatorConfig{Workload: gc.spec, ListenAddr: "127.0.0.1:0", MinWorkers: 2})
+
+			// ctrl: a coordinator and two worker daemons for g.k logical
+			// nodes, every frame authenticated, through the one-shot facade.
+			none, secret := g.schedules()[0], []byte("golden-secret")
+			co, err := NewCoordinator(g.k, CoordinatorConfig{Workload: gc.spec, ListenAddr: "127.0.0.1:0", Secret: secret, MinWorkers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer co.Close()
 			var wg sync.WaitGroup
-			for i := 0; i < 2; i++ {
+			for range 2 {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					if err := ServeNode(ctx, NodeConfig{Join: co.Addr()}); err != nil && ctx.Err() == nil {
-						t.Errorf("remote: worker: %v", err)
+					if err := ServeNode(ctx, NodeConfig{Join: co.Addr(), Secret: secret}); err != nil && ctx.Err() == nil {
+						t.Errorf("ctrl: worker: %v", err)
 					}
 				}()
 			}
-			proof, _, err = run(co.AsTransport())
-			check("remote", proof, err)
+			proof, rep, err := RunProblem(ctx, co.Workload().Problem, append([]Option{WithNodes(g.k), co.AsTransport()}, g.options(none)...)...)
+			check("ctrl", none, proof, rep, err)
 			if err != nil {
 				cancel() // workers of a run that never finished would wait for it forever
 			}
 			wg.Wait()
+
+			// serve: prepared on three nodes (bytes depend on spec and f
+			// alone), then served again from the cache.
+			scl := NewCluster(WithNodes(3))
+			defer scl.Close()
+			srv := NewServer(scl, ServerConfig{FaultTolerance: g.f})
+			defer srv.Close()
+			for _, state := range []string{"running", "cached"} {
+				out, err := srv.Submit("golden", gc.spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw, err := srv.Result(ctx, out.Digest)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out.State != state {
+					t.Errorf("serve: submission is %q, want %q", out.State, state)
+				}
+				digest("serve/"+out.State, raw)
+			}
 		})
 	}
 }

@@ -6,9 +6,10 @@ package core
 // reproducible.
 type Adversary interface {
 	// Transform returns the (possibly corrupted) value the recipient
-	// receives for the given share, and whether the share arrives at all
-	// (false = dropped/silent).
-	Transform(sender, recipient int, prime uint64, coord, point int, value uint64) (uint64, bool)
+	// receives for the given share. Whether a share arrives at all is the
+	// transport's business, not the adversary's: a crashed node is a
+	// delivery fault (LossyConfig.DropNodes), decoded as erasures.
+	Transform(sender, recipient int, prime uint64, coord, point int, value uint64) uint64
 	// CorruptNodes lists the byzantine node ids, for reporting.
 	CorruptNodes() []int
 }
@@ -19,42 +20,12 @@ type NoAdversary struct{}
 var _ Adversary = NoAdversary{}
 
 // Transform implements Adversary.
-func (NoAdversary) Transform(_, _ int, _ uint64, _, _ int, value uint64) (uint64, bool) {
-	return value, true
+func (NoAdversary) Transform(_, _ int, _ uint64, _, _ int, value uint64) uint64 {
+	return value
 }
 
 // CorruptNodes implements Adversary.
 func (NoAdversary) CorruptNodes() []int { return nil }
-
-// SilentNodes drops every share sent by the listed nodes — the crash
-// failure model.
-type SilentNodes struct {
-	// IDs are the crashed node identifiers.
-	IDs []int
-	set map[int]bool
-}
-
-var _ Adversary = (*SilentNodes)(nil)
-
-// NewSilentNodes returns an adversary that silences the given nodes.
-func NewSilentNodes(ids ...int) *SilentNodes {
-	s := &SilentNodes{IDs: ids, set: make(map[int]bool, len(ids))}
-	for _, id := range ids {
-		s.set[id] = true
-	}
-	return s
-}
-
-// Transform implements Adversary.
-func (s *SilentNodes) Transform(sender, _ int, _ uint64, _, _ int, value uint64) (uint64, bool) {
-	if s.set[sender] {
-		return 0, false
-	}
-	return value, true
-}
-
-// CorruptNodes implements Adversary.
-func (s *SilentNodes) CorruptNodes() []int { return s.IDs }
 
 // LyingNodes replaces every share from the listed nodes with
 // deterministic garbage — the same garbage for every recipient (a
@@ -80,9 +51,9 @@ func NewLyingNodes(salt uint64, ids ...int) *LyingNodes {
 }
 
 // Transform implements Adversary.
-func (l *LyingNodes) Transform(sender, _ int, prime uint64, coord, point int, value uint64) (uint64, bool) {
+func (l *LyingNodes) Transform(sender, _ int, prime uint64, coord, point int, value uint64) uint64 {
 	if !l.set[sender] {
-		return value, true
+		return value
 	}
 	g := garbage(l.Salt, uint64(sender), prime, uint64(coord), uint64(point), 0)
 	// Guarantee the share is actually wrong.
@@ -90,7 +61,7 @@ func (l *LyingNodes) Transform(sender, _ int, prime uint64, coord, point int, va
 	if v == value {
 		v = (v + 1) % prime
 	}
-	return v, true
+	return v
 }
 
 // CorruptNodes implements Adversary.
@@ -120,16 +91,16 @@ func NewEquivocatingNodes(salt uint64, ids ...int) *EquivocatingNodes {
 }
 
 // Transform implements Adversary.
-func (e *EquivocatingNodes) Transform(sender, recipient int, prime uint64, coord, point int, value uint64) (uint64, bool) {
+func (e *EquivocatingNodes) Transform(sender, recipient int, prime uint64, coord, point int, value uint64) uint64 {
 	if !e.set[sender] {
-		return value, true
+		return value
 	}
 	g := garbage(e.Salt, uint64(sender), prime, uint64(coord), uint64(point), uint64(recipient)+1)
 	v := g % prime
 	if v == value {
 		v = (v + 1) % prime
 	}
-	return v, true
+	return v
 }
 
 // CorruptNodes implements Adversary.

@@ -47,15 +47,11 @@ func (en *engine) receivedWords(pi, c int, honest []int) []*receivedWord {
 			// what a node computes and sends: keyed by the message's
 			// physical origin, so a byzantine survivor's repair of a
 			// dead node's range arrives corrupted, while an honest
-			// sponsor's repair of a byzantine-but-silent node's range
-			// arrives clean.
+			// sponsor's repair of the range of a byzantine node whose
+			// broadcast the network lost arrives clean.
 			origin, vals := sender.Origin(), sender.Vals[pi][c]
 			for x := sender.Lo; x < sender.Hi; x++ {
-				v, delivered := adv.Transform(origin, recipient, q, c, x, vals[x-sender.Lo])
-				if !delivered {
-					v = 0 // suppressed share: decoder sees it as a (probable) error symbol
-				}
-				word[x] = v
+				word[x] = adv.Transform(origin, recipient, q, c, x, vals[x-sender.Lo])
 			}
 		}
 		same := slices.IndexFunc(words, func(g *receivedWord) bool { return slices.Equal(g.word, word) })

@@ -55,7 +55,6 @@ func TestDecodeOncePerDistinctWord(t *testing.T) {
 	}{
 		{"none", NoAdversary{}, perNode},
 		{"lying", NewLyingNodes(5, 2, 5), perNode},
-		{"silent", NewSilentNodes(2, 5), perNode},
 		{"equivocating", NewEquivocatingNodes(5, 2, 5), (k - 2) * perNode},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -86,15 +85,15 @@ type asideAdversary struct {
 	aside int
 }
 
-func (a asideAdversary) Transform(sender, recipient int, prime uint64, coord, point int, value uint64) (uint64, bool) {
-	v, ok := a.LyingNodes.Transform(sender, recipient, prime, coord, point, value)
+func (a asideAdversary) Transform(sender, recipient int, prime uint64, coord, point int, value uint64) uint64 {
+	v := a.LyingNodes.Transform(sender, recipient, prime, coord, point, value)
 	if recipient == a.aside && v != value {
 		v = (v + 1) % prime
 		if v == value {
 			v = (v + 1) % prime
 		}
 	}
-	return v, ok
+	return v
 }
 
 // TestDecodeGroupsByWordNotByAdversary: a liar equivocating to exactly
@@ -119,11 +118,11 @@ func TestDecodeGroupsByWordNotByAdversary(t *testing.T) {
 // every share plus one: a valid encoding of P+1, not of P.
 type shiftedViewAdversary struct{ recipient int }
 
-func (a shiftedViewAdversary) Transform(_, recipient int, prime uint64, _, _ int, value uint64) (uint64, bool) {
+func (a shiftedViewAdversary) Transform(_, recipient int, prime uint64, _, _ int, value uint64) uint64 {
 	if recipient == a.recipient {
-		return (value + 1) % prime, true
+		return (value + 1) % prime
 	}
-	return value, true
+	return value
 }
 
 func (shiftedViewAdversary) CorruptNodes() []int { return nil }
@@ -147,7 +146,7 @@ type cancellingAdversary struct {
 	cancel context.CancelFunc
 }
 
-func (a *cancellingAdversary) Transform(sender, recipient int, prime uint64, coord, point int, value uint64) (uint64, bool) {
+func (a *cancellingAdversary) Transform(sender, recipient int, prime uint64, coord, point int, value uint64) uint64 {
 	a.once.Do(a.cancel)
 	return a.EquivocatingNodes.Transform(sender, recipient, prime, coord, point, value)
 }

@@ -27,8 +27,9 @@ type LossyConfig struct {
 	// Seed drives every per-message fate decision.
 	Seed int64
 	// DropNodes lists senders whose broadcasts are always lost —
-	// deterministic whole-node delivery failure, the transport-level
-	// analogue of SilentNodes.
+	// deterministic whole-node delivery failure. This is the one crash
+	// model: a crashed node costs one erasure per point it holds, and the
+	// run names it in Report.MissingNodes, never among the suspects.
 	DropNodes []int
 	// DropRate is the probability a message is dropped.
 	DropRate float64

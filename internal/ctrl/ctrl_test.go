@@ -85,55 +85,6 @@ func marshal(t *testing.T, proof *core.Proof) []byte {
 	return raw
 }
 
-// TestRemoteRunBitIdentity: a coordinator with two worker goroutines
-// (fewer workers than logical nodes, so each worker serves multiple
-// assignments) produces a proof bit-identical to the in-process bus
-// run, with frame authentication on.
-func TestRemoteRunBitIdentity(t *testing.T) {
-	p := polyProblem{d: 6, salt: 11}
-	instance := []byte("d=6 salt=11")
-	secret := []byte("cluster-secret")
-	busRaw := runBus(t, p, core.Options{Nodes: 4, Seed: 42})
-
-	co, err := NewCoordinator(4, Config{
-		Kind: "ctrl-poly", Instance: instance, Secret: secret,
-		MinWorkers: 2, JoinTimeout: 20 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wctx, wcancel := context.WithCancel(context.Background())
-	defer wcancel()
-	var wg sync.WaitGroup
-	werrs := make([]error, 2)
-	for i := range werrs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			werrs[i] = RunWorker(wctx, WorkerConfig{Join: co.Addr(), Secret: secret}, parsePolyInstance)
-		}(i)
-	}
-	proof, report, err := core.Run(testCtx(t), p, core.Options{
-		Nodes: 4, Seed: 42,
-		NewTransport: func(k int) (core.Transport, error) { return co, nil },
-	})
-	if err != nil {
-		t.Fatalf("remote run: %v", err)
-	}
-	wg.Wait()
-	for i, werr := range werrs {
-		if werr != nil {
-			t.Errorf("worker %d: %v", i, werr)
-		}
-	}
-	if !report.Verified {
-		t.Error("remote proof did not verify")
-	}
-	if got := marshal(t, proof); !bytes.Equal(got, busRaw) {
-		t.Error("remote proof differs from bus proof")
-	}
-}
-
 // TestRemoteRepairHealsKilledWorker: three workers, one rigged to die
 // the moment round 0 assigns it node 1; the missing range must come
 // back through a repair-round re-assignment to a survivor, and the

@@ -136,7 +136,7 @@ func benchOperands(q uint64) []uint64 {
 // arithmetic behind a non-inlined call), and the retired hardware-
 // division reference.
 func BenchmarkFieldMul(b *testing.B) {
-	f := Must(prevPrime(MaxPrime))
+	f := Must(topPrime)
 	xs := benchOperands(f.Q)
 	c := xs[7] | 1
 	b.Run("barrett-kernel", func(b *testing.B) {
@@ -174,7 +174,7 @@ func BenchmarkFieldMul(b *testing.B) {
 }
 
 func BenchmarkFieldExp(b *testing.B) {
-	f := Must(prevPrime(MaxPrime))
+	f := Must(topPrime)
 	x := uint64(0)
 	for i := 0; i < b.N; i++ {
 		x = f.Exp(x+3, f.Q-2)

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -45,21 +46,61 @@ func (f Field) expDiv(a, e uint64) uint64 {
 	return result
 }
 
-// prevPrime returns the largest prime <= n (n >= 2).
+// isPrimeDiv is IsPrime through the division oracle: Miller–Rabin to
+// the first twelve prime bases, which decide every n < 2^64.
+func isPrimeDiv(n uint64) bool {
+	if n < 2 {
+		return false
+	}
+	f, d, r := Field{Q: n}, n-1, 0
+	for ; d%2 == 0; d /= 2 {
+		r++
+	}
+	for _, a := range []uint64{2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37} {
+		if n%a == 0 {
+			return n == a
+		}
+		x := f.expDiv(a, d)
+		for i := 1; i < r && x != 1 && x != n-1; i++ {
+			x = f.mulDiv(x, x)
+		}
+		if x != 1 && x != n-1 {
+			return false
+		}
+	}
+	return true
+}
+
+// prevPrime returns the largest prime <= n (n >= 2), by the oracle.
 func prevPrime(n uint64) uint64 {
-	for !IsPrime(n) {
+	for !isPrimeDiv(n) {
 		n--
 	}
 	return n
 }
 
 // diffModuli is the modulus sweep of every row: the smallest primes,
-// mid-range primes (among them an NTT prime of the kind the protocol
-// selects), and the edge just below 2^62.
-var diffModuli = func() []uint64 {
-	ntt, _, _ := NTTPrime(1<<45, 1<<12)
-	return []uint64{2, 3, 5, 7, 65537, 1048583, 1<<31 - 1, 1<<61 - 1, prevPrime(MaxPrime), prevPrime(MaxPrime - 1<<20), ntt}
-}()
+// mid-range primes (the last is NTTPrime(2^45, 2^12), the kind the
+// protocol selects), and the edge below 2^62 and below 2^62 − 2^20.
+// Literals: a prime search runs on the products under test.
+var diffModuli = []uint64{2, 3, 5, 7, 65537, 1048583, 1<<31 - 1, 1<<61 - 1, topPrime, 4611686018426339311, 35184372121601}
+
+// topPrime is the largest prime the package accepts, below 2^62.
+const topPrime = 4611686018427387847
+
+// TestMain holds IsPrime to the oracle before any test runs: a broken
+// product under it then fails here, not in a prime search that loops
+// until the binary's timeout.
+func TestMain(m *testing.M) {
+	composites := []uint64{0, 1, 4, 9, 561, 65535, 1<<31 + 1, (1<<31 - 1) * 3, 1<<61 + 1, MaxPrime, 3215031751}
+	for _, n := range slices.Concat(diffModuli, randomPrimes, composites) {
+		if got, want := IsPrime(n), isPrimeDiv(n); got != want {
+			fmt.Fprintf(os.Stderr, "IsPrime(%d) = %v, the division oracle says %v\n", n, got, want)
+			os.Exit(1)
+		}
+	}
+	os.Exit(m.Run())
+}
 
 // A dom is an operand's precondition: the range [lo, hi(q)) a kernel
 // accepts, hi returning 0 for every 64-bit word.
@@ -202,7 +243,8 @@ var (
 	randomPrimes = func() []uint64 {
 		rng, qs := rand.New(rand.NewSource(11)), make([]uint64, 40)
 		for i := range qs {
-			qs[i] = NextPrime(2 + rng.Uint64()%(1<<61))
+			for qs[i] = 2 + rng.Uint64()%(1<<61); !isPrimeDiv(qs[i]); qs[i]++ {
+			}
 		}
 		return qs
 	}()
@@ -509,8 +551,8 @@ func fuzzKernels(f *testing.F, names ...string) {
 	}
 	for sel := range seeds {
 		f.Add(uint8(sel), uint8(0), uint64(0), []byte(nil))
-		f.Add(uint8(sel), uint8(9), prevPrime(MaxPrime), []byte(nil))
-		f.Add(uint8(sel), uint8(9), prevPrime(MaxPrime), bytes.Repeat([]byte{0xff}, 72))
+		f.Add(uint8(sel), uint8(9), uint64(topPrime), []byte(nil))
+		f.Add(uint8(sel), uint8(9), uint64(topPrime), bytes.Repeat([]byte{0xff}, 72))
 		f.Add(uint8(sel), uint8(4), uint64(1048583), []byte("0123456789abcdefghijklmnopqrstuvwxyz0123"))
 		f.Add(uint8(sel), uint8(33), uint64(1<<61-1), []byte("\x01\x00\x00\x00\x00\x00\x00\x80\xfe\xff\xff\xff\xff\xff\xff\x3f"))
 		f.Add(uint8(sel), uint8(2), uint64(13), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})

@@ -1,10 +1,9 @@
 package camelot
 
-// Facade-level tests for the networked transport options and the Tutte
-// line-concurrency regression, both observed from the public API.
+// The Tutte line-concurrency regression, observed from the public API
+// through a counting transport factory.
 
 import (
-	"bytes"
 	"context"
 	"sync"
 	"sync/atomic"
@@ -13,79 +12,6 @@ import (
 
 	"camelot/internal/core"
 )
-
-// TestTCPFacadeProofBitIdentical is the acceptance criterion at the
-// public surface: a run configured with the TCP options over loopback
-// produces a proof bit-identical to the default bus run for the same
-// seed and problem.
-func TestTCPFacadeProofBitIdentical(t *testing.T) {
-	ctx := context.Background()
-	g := RandomGraph(24, 0.3, 7)
-	p, err := NewTriangleProblem(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(opts ...ClusterOption) []byte {
-		t.Helper()
-		cl := NewCluster(append([]ClusterOption{WithNodes(5)}, opts...)...)
-		defer cl.Close()
-		proof, rep, err := cl.Submit(ctx, p, WithSeed(3), WithFaultTolerance(2)).Wait(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rep.Verified {
-			t.Fatal("run not verified")
-		}
-		data, err := proof.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	bus := run()
-	tcp := run(WithListenAddr("127.0.0.1:0"))
-	if !bytes.Equal(bus, tcp) {
-		t.Fatal("TCP run's proof differs from the bus run's")
-	}
-}
-
-// TestTCPFacadeLossyRecovers drives WithListenAddr composed with
-// WithLossyTransport: drops within the erasure budget off a real
-// socket still recover the identical proof.
-func TestTCPFacadeLossyRecovers(t *testing.T) {
-	ctx := context.Background()
-	g := RandomGraph(20, 0.3, 7)
-	p, err := NewTriangleProblem(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const k, faults = 8, 12 // ~22 points per node, budget 24 covers one node
-	calm := NewCluster(WithNodes(k))
-	defer calm.Close()
-	calmProof, _, err := calm.Submit(ctx, p, WithSeed(3), WithFaultTolerance(faults)).Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lossy := NewCluster(
-		WithNodes(k),
-		WithListenAddr("127.0.0.1:0"),
-		WithLossyTransport(LossyConfig{Seed: 9, DropNodes: []int{4}}),
-	)
-	defer lossy.Close()
-	proof, rep, err := lossy.Submit(ctx, p,
-		WithSeed(3), WithFaultTolerance(faults), WithMaxErasures(1)).Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.MissingNodes) != 1 || rep.MissingNodes[0] != 4 {
-		t.Fatalf("MissingNodes = %v, want [4]", rep.MissingNodes)
-	}
-	a, _ := calmProof.MarshalBinary()
-	b, _ := proof.MarshalBinary()
-	if !bytes.Equal(a, b) {
-		t.Fatal("lossy TCP proof differs from calm run")
-	}
-}
 
 // countingFactory wraps the default bus factory and tracks how many
 // runs are between transport construction (the very start of a run's

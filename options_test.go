@@ -51,7 +51,7 @@ func changedFields(base, got core.Options) []string {
 // record through NewCluster and Submit or through a one-shot call. A
 // With* without a row here fails the test.
 func TestEveryOptionSetsItsField(t *testing.T) {
-	adversary := SilentNodes(1)
+	adversary := LyingNodes(7, 1)
 	bus := func(k int) (Transport, error) { return NewBroadcastBus(k), nil }
 	rows := []struct {
 		with  string

@@ -1,15 +1,14 @@
 package camelot
 
 // Facade-level tests for the multi-process deployment surface: the
-// workload spec grammar and a coordinator + in-process worker-daemon
-// run observed entirely through the public API (the OS-process variant
-// lives in examples/multiproc and CI).
+// workload spec grammar and the coordinator's geometry guard. A
+// coordinator + in-process worker-daemon run is TestGoldenProofs' ctrl
+// shape; the OS-process variant lives in examples/multiproc and CI.
 
 import (
 	"bytes"
 	"context"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -77,71 +76,6 @@ func TestParseWorkloadDefaultsMatchExplicit(t *testing.T) {
 	rb, _ := pb.MarshalBinary()
 	if !bytes.Equal(ra, rb) {
 		t.Error("default and explicit specs built different problems")
-	}
-}
-
-// TestCoordinatorFacadeBitIdentity drives a remote run entirely through
-// the public surface: NewCoordinator + AsTransport on the run side,
-// ServeNode daemons on the worker side, proof bit-identical to the
-// in-process default run.
-func TestCoordinatorFacadeBitIdentity(t *testing.T) {
-	const spec = "triangles n=12 p=0.5 seed=2"
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-
-	w, err := ParseWorkload(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	busProof, _, err := RunProblem(ctx, w.Problem, WithNodes(3), WithSeed(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	busRaw, _ := busProof.MarshalBinary()
-
-	co, err := NewCoordinator(3, CoordinatorConfig{
-		Workload:   spec,
-		ListenAddr: "127.0.0.1:0",
-		Secret:     []byte("facade-secret"),
-		MinWorkers: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	werrs := make([]error, 2)
-	for i := range werrs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			werrs[i] = ServeNode(ctx, NodeConfig{Join: co.Addr(), Secret: []byte("facade-secret")})
-		}(i)
-	}
-	proof, rep, err := RunProblem(ctx, co.Workload().Problem,
-		WithNodes(3), WithSeed(4), co.AsTransport())
-	if err != nil {
-		t.Fatalf("remote facade run: %v", err)
-	}
-	wg.Wait()
-	for i, werr := range werrs {
-		if werr != nil {
-			t.Errorf("worker %d: %v", i, werr)
-		}
-	}
-	if !rep.Verified {
-		t.Error("remote proof did not verify")
-	}
-	raw, _ := proof.MarshalBinary()
-	if !bytes.Equal(raw, busRaw) {
-		t.Error("remote facade proof differs from bus proof")
-	}
-	count, err := co.Workload().Problem.Count(proof)
-	if err != nil {
-		t.Fatalf("count recovery: %v", err)
-	}
-	busCount, _ := w.Problem.Count(busProof)
-	if count.Cmp(busCount) != 0 {
-		t.Errorf("remote count %v != bus count %v", count, busCount)
 	}
 }
 
