@@ -43,8 +43,9 @@ var ErrDecodeFailure = rs.ErrDecodeFailure
 
 // ErrInvalidOptions is the typed refusal of run options outside their
 // domain (a negative node count, fault tolerance, trial count, erasure
-// or repair budget) or contradicting each other (WithMaxRepairRounds or
-// WithGatherGrace without WithMaxErasures). The engine judges them once
+// or repair budget; a fault record naming a node the run does not have,
+// a node twice, or a rate outside [0, 1]) or contradicting each other
+// (WithMaxRepairRounds or WithGatherGrace without WithMaxErasures). The engine judges them once
 // per run, so one-shot calls, Cluster.Submit, manifests and the proof
 // service all refuse the same inputs. Match with errors.Is.
 var ErrInvalidOptions = core.ErrInvalidOptions
@@ -67,9 +68,19 @@ type Proof = core.Proof
 // the core package documentation for the contract.
 type Problem = core.Problem
 
-// Adversary injects byzantine behaviour into a run's share traffic: it
-// changes what a node's shares say, never whether they arrive (a crashed
-// node is a delivery fault, LossyConfig.DropNodes).
+// Adversary is a run's fault schedule, one record: liars (the same
+// garbage to every recipient), equivocators (different garbage to each),
+// crashed nodes whose broadcasts are always lost (DropNodes), and a
+// seeded lossy network (DropRate, DupRate, DelayRate, MaxDelay). Each
+// faulty node applies it to the message it sends — in-process, over
+// TCP and on a coordinator's workers alike — and the decoder is never
+// told who was faulty: it names the liars from the words it received
+// (Report.SuspectNodes) and the lost nodes from what never arrived
+// (Report.MissingNodes). Every draw is a pure function of Seed and the
+// sending node. Pass it with WithAdversary; node ids must lie in
+// [0, K), each in one role, and rates in [0, 1], or the run is
+// ErrInvalidOptions. A run that may lose broadcasts also needs
+// WithMaxErasures; a strict run that loses one ends in ErrDeliveryFault.
 type Adversary = core.Adversary
 
 // Transport carries node share broadcasts; the default is the in-memory
@@ -88,11 +99,6 @@ type TransportFactory = core.TransportFactory
 // NodeShares is the message a node broadcasts over the Transport.
 type NodeShares = core.NodeShares
 
-// LossyConfig parameterizes the simulated network faults of a lossy
-// transport: seeded drop/delay/duplicate decisions plus a deterministic
-// list of senders whose broadcasts are always lost.
-type LossyConfig = core.LossyConfig
-
 // ErrBadFrame is the typed rejection of a malformed NodeShares frame
 // arriving over a networked transport. Match with errors.Is.
 var ErrBadFrame = core.ErrBadFrame
@@ -105,15 +111,10 @@ var ErrMalformedProof = core.ErrMalformedProof
 // NewBroadcastBus returns the default in-memory transport for k nodes.
 func NewBroadcastBus(k int) *core.BroadcastBus { return core.NewBroadcastBus(k) }
 
-// LyingNodes returns a byzantine adversary whose listed nodes broadcast
-// deterministic garbage (the same garbage to every recipient).
-func LyingNodes(salt uint64, ids ...int) Adversary { return core.NewLyingNodes(salt, ids...) }
-
-// EquivocatingNodes returns a byzantine adversary whose listed nodes send
-// different garbage to different recipients.
-func EquivocatingNodes(salt uint64, ids ...int) Adversary {
-	return core.NewEquivocatingNodes(salt, ids...)
-}
+// LyingNodes returns the fault record whose listed nodes broadcast
+// deterministic garbage (the same garbage to every recipient), seeded
+// by salt.
+func LyingNodes(salt uint64, ids ...int) Adversary { return Adversary{Seed: salt, Liars: ids} }
 
 // --- Options ------------------------------------------------------------------
 
@@ -190,26 +191,12 @@ func WithTransport(tf TransportFactory) ClusterOption {
 // same WithMaxErasures/WithGatherGrace budget as any other transport.
 // Each run binds its own listener, so concurrent runs on one cluster
 // need an ephemeral port; back-to-back runs can share a fixed one.
-// Replaces any previously configured transport — place
-// WithLossyTransport after it so the faults ride the socket path. Runs
-// whose nodes are other processes use NewCoordinator instead.
+// Replaces any previously configured transport; a WithAdversary record's
+// faults ride the socket path like any other. Runs whose nodes are
+// other processes use NewCoordinator instead.
 func WithListenAddr(addr string) ClusterOption {
 	return func(o *core.Options) {
 		o.NewTransport = core.NewTCPFactory(core.TCPConfig{ListenAddr: addr})
-	}
-}
-
-// WithLossyTransport simulates a faulty network: seeded, per-sender
-// decisions to drop, delay, or duplicate share broadcasts, layered over
-// whatever transport the preceding options configured (the broadcast
-// bus by default, so order matters: place this after WithListenAddr to
-// lose messages on a socket run). Runs on a lossy cluster that may
-// actually drop messages also need the run-scoped WithMaxErasures to
-// opt into erasure-tolerant gathering; a strict run that loses one ends
-// in ErrDeliveryFault a grace period after sending has concluded.
-func WithLossyTransport(cfg LossyConfig) ClusterOption {
-	return func(o *core.Options) {
-		o.NewTransport = core.NewLossyFactory(cfg, o.NewTransport)
 	}
 }
 
@@ -219,7 +206,9 @@ func WithFaultTolerance(f int) RunOption {
 	return func(o *core.Options) { o.FaultTolerance = f }
 }
 
-// WithAdversary injects byzantine behaviour (for experiments and tests).
+// WithAdversary sets the run's fault schedule (for experiments and
+// tests): lying, equivocating and crashed nodes and a lossy network, in
+// one record; see Adversary.
 func WithAdversary(a Adversary) RunOption {
 	return func(o *core.Options) { o.Adversary = a }
 }

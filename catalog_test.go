@@ -107,12 +107,13 @@ func TestInvalidOptionsRefusedEverywhere(t *testing.T) {
 	ctx := context.Background()
 	g := CompleteGraph(6)
 	for name, opts := range map[string][]Option{
-		"negative faults":      {WithFaultTolerance(-3)},
-		"negative nodes":       {WithNodes(-2)},
-		"negative trials":      {WithVerifyTrials(-1)},
-		"negative erasures":    {WithMaxErasures(-4)},
-		"repair sans erasures": {WithMaxRepairRounds(1)},
-		"grace sans erasures":  {WithGatherGrace(time.Second)},
+		"negative faults":       {WithFaultTolerance(-3)},
+		"negative nodes":        {WithNodes(-2)},
+		"negative trials":       {WithVerifyTrials(-1)},
+		"negative erasures":     {WithMaxErasures(-4)},
+		"repair sans erasures":  {WithMaxRepairRounds(1)},
+		"grace sans erasures":   {WithGatherGrace(time.Second)},
+		"liar beyond the nodes": {WithNodes(4), WithAdversary(LyingNodes(7, 4))},
 	} {
 		if _, _, err := CountTriangles(ctx, g, opts...); !errors.Is(err, ErrInvalidOptions) {
 			t.Errorf("one-shot, %s: err = %v, want ErrInvalidOptions", name, err)
@@ -145,14 +146,14 @@ func TestInvalidOptionsRefusedEverywhere(t *testing.T) {
 func TestStrictRunRefusesLossPromptly(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	cl := NewCluster(WithNodes(4), WithLossyTransport(LossyConfig{DropNodes: []int{1}}))
+	cl := NewCluster(WithNodes(4))
 	defer cl.Close()
 	p, err := NewTriangleProblem(RandomGraph(12, 0.5, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	_, _, err = cl.Submit(context.Background(), p).Wait(ctx)
+	_, _, err = cl.Submit(context.Background(), p, WithAdversary(Adversary{DropNodes: []int{1}})).Wait(ctx)
 	if !errors.Is(err, ErrDeliveryFault) || !strings.Contains(err.Error(), "no message from node 1") {
 		t.Fatalf("err = %v, want ErrDeliveryFault naming node 1", err)
 	}

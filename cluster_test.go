@@ -204,10 +204,10 @@ func TestJobStatusLiveThroughLossyRepair(t *testing.T) {
 	for faults < (d+1+2*faults+k-1)/k {
 		faults++
 	}
-	cluster := NewCluster(WithNodes(k), WithLossyTransport(LossyConfig{Seed: 3, DropNodes: []int{2, 5}}))
+	cluster := NewCluster(WithNodes(k))
 	defer cluster.Close()
 	job := cluster.Submit(context.Background(), p,
-		WithFaultTolerance(faults), WithAdversary(LyingNodes(11, liar)),
+		WithFaultTolerance(faults), WithAdversary(Adversary{Seed: 11, Liars: []int{liar}, DropNodes: []int{2, 5}}),
 		WithMaxErasures(2), WithMaxRepairRounds(1), WithGatherGrace(5*time.Second))
 
 	polled := make(chan error, 1)

@@ -1,10 +1,13 @@
 // Command camelot runs Camelot computations from the command line: pick a
 // problem subcommand, a workload size, a node count, and optionally a
-// byzantine adversary, and it prepares, error-corrects, and verifies the
-// proof, printing the framework report. A run has at most one adversary
-// flag: -lie (the listed nodes send the same garbage to everyone) or
-// -equivocate (different garbage to each recipient); both at once is a
-// usage error. A crashed node is a delivery fault, -dropnodes below.
+// fault schedule, and it prepares, error-corrects, and verifies the
+// proof, printing the framework report. The fault flags build one
+// record (camelot.Adversary), applied by each faulty node to what it
+// sends: -lie (the listed nodes send the same garbage to everyone),
+// -equivocate (different garbage to each recipient) and the network
+// flags below. A node id outside 0..nodes-1, a node in two roles or a
+// rate outside 0..1 is refused as invalid options. A crashed node is a
+// delivery fault, -dropnodes below.
 //
 // The problem subcommands are the kinds of the facade's catalog
 // (camelot.Kinds): each kind's fields are its flags, with the same names
@@ -40,9 +43,10 @@
 //
 //	camelot serve -addr 127.0.0.1:8080 -nodes 4 -faults 2 -tenants alice=8:3,bob=2:1
 //
-// Every subcommand (jobs and serve included) also takes transport fault-simulation
-// flags: -dropnodes/-droprate/-duprate/-delayrate/-maxdelay wrap the
-// transport in a seeded lossy network, and -erasures/-grace opt the run
+// Every subcommand (jobs, serve and coordinate included) also takes network
+// fault flags: -dropnodes/-droprate/-duprate/-delayrate/-maxdelay lose,
+// repeat or hold the named nodes' broadcasts, seeded by -seed, on
+// whatever carries them, and -erasures/-grace opt the run
 // into the erasure-tolerant quorum gather that survives the losses
 // (without -erasures a lost broadcast ends the run with a typed refusal
 // naming the node). -repair N allows up to N self-healing gather rounds
@@ -54,8 +58,8 @@
 //
 // The -listen flag carries the share broadcasts over loopback sockets
 // instead of the in-memory bus: the run's collector binds the address
-// and its senders dial it. The lossy flags layer on top, so a chaos run
-// can drop frames off a real TCP stream:
+// and its senders dial it. The network fault flags apply there too, so
+// a chaos run can drop frames off a real TCP stream:
 //
 //	camelot triangles -n 48 -nodes 8 -listen 127.0.0.1:0
 //	camelot triangles -n 20 -nodes 8 -faults 12 -listen 127.0.0.1:0 -dropnodes 2 -erasures 1
@@ -97,7 +101,7 @@ type commonFlags struct {
 	seed                  int64
 	lie, equiv            string
 
-	// Transport fault simulation (a seeded lossy network).
+	// Network faults (a seeded lossy network), in the same record.
 	dropNodes                    string
 	dropRate, dupRate, delayRate float64
 	maxDelay                     time.Duration
@@ -129,26 +133,14 @@ func (cf *commonFlags) register(fs *flag.FlagSet) {
 }
 
 // validate checks what only a command line can get wrong: the syntax of
-// its flags (probabilities, a host:port address, a node count of zero
-// where the library would read "default", two adversary flags where the
-// library keeps only the last WithAdversary). Whether the resulting
-// options make sense together is the library's judgement —
-// camelot.ErrInvalidOptions, the same refusal a Go caller, a manifest or
-// the proof service gets.
+// its flags (a host:port address, a node count of zero where the
+// library would read "default"). Whether the resulting options make
+// sense together — fault ids, roles and rates included — is the
+// library's judgement: camelot.ErrInvalidOptions, the same refusal a Go
+// caller, a manifest or the proof service gets.
 func (cf *commonFlags) validate() error {
 	if cf.nodes == 0 {
 		return fmt.Errorf("-nodes 0: a run needs at least one node")
-	}
-	for _, r := range []struct {
-		name string
-		v    float64
-	}{{"-droprate", cf.dropRate}, {"-duprate", cf.dupRate}, {"-delayrate", cf.delayRate}} {
-		if r.v < 0 || r.v > 1 {
-			return fmt.Errorf("%s is a probability: want 0..1, got %g", r.name, r.v)
-		}
-	}
-	if cf.lie != "" && cf.equiv != "" {
-		return fmt.Errorf("-lie and -equivocate: a run has one adversary, give one of the two flags")
 	}
 	if cf.listenAddr != "" {
 		if _, _, err := net.SplitHostPort(cf.listenAddr); err != nil {
@@ -159,8 +151,9 @@ func (cf *commonFlags) validate() error {
 }
 
 // splitOptions resolves the flags into the session API's two scopes:
-// cluster-scoped (nodes, pool width) and run-scoped (faults, seed,
-// trials, adversary), which NewCluster and Submit take respectively.
+// cluster-scoped (nodes, pool width, transport) and run-scoped (faults,
+// seed, trials, the fault record), which NewCluster and Submit take
+// respectively.
 func (cf *commonFlags) splitOptions() ([]camelot.RunOption, []camelot.ClusterOption, error) {
 	if err := cf.validate(); err != nil {
 		return nil, nil, err
@@ -192,40 +185,26 @@ func (cf *commonFlags) splitOptions() ([]camelot.RunOption, []camelot.ClusterOpt
 		}
 		return ids, nil
 	}
-	// TCP before the lossy wrapper below, so injected faults ride the
-	// real socket path (loopback chaos).
 	if cf.listenAddr != "" {
 		cluster = append(cluster, camelot.WithListenAddr(cf.listenAddr))
 	}
-	dropIDs, err := parse(cf.dropNodes)
-	if err != nil {
-		return nil, nil, err
+	adv := camelot.Adversary{
+		Seed:      uint64(cf.seed),
+		DropRate:  cf.dropRate,
+		DupRate:   cf.dupRate,
+		DelayRate: cf.delayRate,
+		MaxDelay:  cf.maxDelay,
 	}
-	if len(dropIDs) > 0 || cf.dropRate > 0 || cf.dupRate > 0 || cf.delayRate > 0 {
-		// The lossy wrapper layers over whatever came before it — the
-		// loopback sockets when -listen is set, the plain bus otherwise.
-		cluster = append(cluster, camelot.WithLossyTransport(camelot.LossyConfig{
-			Seed:      cf.seed,
-			DropNodes: dropIDs,
-			DropRate:  cf.dropRate,
-			DupRate:   cf.dupRate,
-			DelayRate: cf.delayRate,
-			MaxDelay:  cf.maxDelay,
-		}))
-	}
-	for _, adv := range []struct {
-		ids  string
-		make func(ids ...int) camelot.Adversary
-	}{
-		{cf.lie, func(ids ...int) camelot.Adversary { return camelot.LyingNodes(uint64(cf.seed), ids...) }},
-		{cf.equiv, func(ids ...int) camelot.Adversary { return camelot.EquivocatingNodes(uint64(cf.seed), ids...) }},
-	} {
-		if ids, err := parse(adv.ids); err != nil {
+	for _, ids := range []struct {
+		flag string
+		dst  *[]int
+	}{{cf.lie, &adv.Liars}, {cf.equiv, &adv.Equivocators}, {cf.dropNodes, &adv.DropNodes}} {
+		var err error
+		if *ids.dst, err = parse(ids.flag); err != nil {
 			return nil, nil, err
-		} else if len(ids) > 0 {
-			run = append(run, camelot.WithAdversary(adv.make(ids...)))
 		}
 	}
+	run = append(run, camelot.WithAdversary(adv))
 	return run, cluster, nil
 }
 

@@ -51,10 +51,13 @@ func TestRunErrors(t *testing.T) {
 		"bad clique k":  {"cliques", "-k", "5"},
 		"beyond radius": {"triangles", "-n", "16", "-p", "0.3", "-nodes", "2", "-faults", "0", "-lie", "0"},
 		"all byzantine": {"triangles", "-n", "12", "-nodes", "1", "-lie", "0"},
-		// The last adversary flag used to replace the others silently.
-		"two adversaries": {"triangles", "-n", "16", "-p", "0.3", "-nodes", "4", "-faults", "40", "-lie", "1", "-equivocate", "2"},
-		"oversized csp":   {"csp", "-n", "5"},
-		"tiny permanent":  {"permanent", "-n", "1"},
+		// A node has one role in the fault record, and only nodes the run
+		// has can be faulty (node 9 used to be reported byzantine).
+		"two adversaries":  {"triangles", "-n", "16", "-p", "0.3", "-nodes", "4", "-faults", "40", "-lie", "1", "-equivocate", "1"},
+		"liar beyond K":    {"triangles", "-n", "16", "-p", "0.3", "-nodes", "4", "-faults", "40", "-lie", "9"},
+		"dropped beyond K": {"triangles", "-n", "16", "-p", "0.3", "-nodes", "4", "-faults", "40", "-dropnodes", "9", "-erasures", "1"},
+		"oversized csp":    {"csp", "-n", "5"},
+		"tiny permanent":   {"permanent", "-n", "1"},
 
 		// Flag syntax (commonFlags.validate) and cross-option rules (the
 		// library's ErrInvalidOptions): each contradictory combination
@@ -74,7 +77,7 @@ func TestRunErrors(t *testing.T) {
 		"coordinate no mode":      {"coordinate", "-spec", "triangles"},
 		"coordinate both modes":   {"coordinate", "-spec", "triangles", "-local", "-listen", "127.0.0.1:0"},
 		"coordinate bad spec":     {"coordinate", "-spec", "frobnicate n=3", "-local"},
-		"coordinate lossy remote": {"coordinate", "-spec", "triangles", "-listen", "127.0.0.1:0", "-dropnodes", "1", "-erasures", "1"},
+		"coordinate lossy remote": {"coordinate", "-spec", "triangles", "-listen", "127.0.0.1:0", "-dropnodes", "9", "-erasures", "1"},
 		"node sans join":          {"node"},
 		"node bad join":           {"node", "-join", "not-an-address"},
 		"node negative owner":     {"node", "-join", "127.0.0.1:9", "-fail-owner", "-1"},
@@ -210,8 +213,8 @@ func TestUsageCommentMatchesCatalog(t *testing.T) {
 	}
 }
 
-// The CLI has no "-dropnodes needs -erasures" rule: a strict run over a
-// lossy transport is the library's to end — typed, naming the node — and
+// The CLI has no "-dropnodes needs -erasures" rule: a strict run that
+// loses a broadcast is the library's to end — typed, naming the node — and
 // it must come back well inside the deadline rather than hang.
 func TestStrictDropRefusedPromptly(t *testing.T) {
 	done := make(chan error, 1)
@@ -222,7 +225,7 @@ func TestStrictDropRefusedPromptly(t *testing.T) {
 			t.Fatalf("err = %v, want ErrDeliveryFault naming node 1", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("strict run over a lossy transport still hangs")
+		t.Fatal("strict run losing a broadcast still hangs")
 	}
 }
 
@@ -249,7 +252,7 @@ func TestServeFlagsReachTheRun(t *testing.T) {
 		o(&run)
 	}
 	if run.MaxErasures != 1 || run.GatherGrace != 200*time.Millisecond || run.MaxRepairRounds != 2 ||
-		run.VerifyTrials != 3 || run.Adversary == nil || !slices.Equal(run.Adversary.CorruptNodes(), []int{2}) {
+		run.VerifyTrials != 3 || !slices.Equal(run.Adversary.CorruptNodes(), []int{2}) {
 		t.Fatalf("serve flags resolve to %+v", run)
 	}
 

@@ -52,11 +52,8 @@ func runCoordinate(ctx context.Context, rest []string) error {
 	if *local {
 		return runSpec(ctx, *spec, &cf, *proofOut)
 	}
-	// Remote mode: the coordinator IS the transport, so the in-process
-	// transport-shaping flags have nothing to attach to.
-	if cf.dropNodes != "" || cf.dropRate > 0 || cf.dupRate > 0 || cf.delayRate > 0 {
-		return fmt.Errorf("coordinate: the lossy flags shape in-process transports; fault-inject remote runs by killing workers (node -fail-owner)")
-	}
+	// Remote mode: the coordinator is the transport, and the fault flags
+	// travel in every manifest, applied by the worker acting as the node.
 	listen := cf.listenAddr
 	cf.listenAddr = "" // consumed by the coordinator, not the TCP transport options
 	if err := cf.validate(); err != nil {

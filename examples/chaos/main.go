@@ -5,7 +5,10 @@
 // honest Knights error-correct the shares, name the enchanted ones from
 // the decoded error locations alone, and deliver the proof of a calm
 // run. Then the network itself misbehaves: two Knights' broadcasts are
-// lost outright and every surviving scroll arrives twice. The collector
+// lost outright and every surviving scroll arrives twice. Both kinds of
+// weather are one fault record (camelot.Adversary), which each faulty
+// Knight applies to the scroll it sends; the decoders are never told
+// who was faulty. The collector
 // gathers by quorum instead of insisting on every message, the decoders
 // treat the lost Knights' coordinates as Reed–Solomon erasures, and the
 // proof still comes out bit-identical to a calm-weather run.
@@ -73,23 +76,24 @@ func main() {
 	}
 
 	// Enchantment: Knights 2 and 5 equivocate — different garbage to
-	// every recipient, so every honest Knight decodes a word of its own.
+	// every recipient, so every Knight decodes a word of its own.
 	// The radius f must swallow both their blocks.
 	radius := twoBlocks(1)
 	enchantedCalm, _ := calm(radius)
 	proof, rep, err := calmCluster.Submit(ctx, p, camelot.WithSeed(5), camelot.WithFaultTolerance(radius),
-		camelot.WithAdversary(camelot.EquivocatingNodes(13, 2, 5))).Wait(ctx)
+		camelot.WithAdversary(camelot.Adversary{Seed: 13, Equivocators: []int{2, 5}})).Wait(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
 	mustEqual("enchanted", enchantedCalm, proof)
 	fmt.Printf("enchanted run: %d of %d shares corrupted (radius %d), culprits named from the error locations: %v\n",
 		rep.CorruptedShares, rep.CodeLength, radius, rep.SuspectNodes)
-	fmt.Printf("               %d honest decodes agree on the calm run's proof, verified: %v\n", rep.Decodes, rep.Verified)
+	fmt.Printf("               %d decodes, one per Knight's word, agree on the calm run's proof, verified: %v\n", rep.Decodes, rep.Verified)
 
 	// Storm: nodes 2 and 6 are unreachable and every delivered message
 	// is duplicated. Losing 2 of 8 nodes erases 2·⌈e/8⌉ coordinates, so
 	// pick f with 2f ≥ that budget.
+	storm := camelot.Adversary{Seed: 77, DropNodes: []int{2, 6}, DupRate: 1.0}
 	faults := twoBlocks(2)
 	stormCalm, _ := calm(faults)
 	hurricaneCalm, _ := calm(1)
@@ -105,24 +109,18 @@ func main() {
 	} {
 		fmt.Printf("\n— %s —\n", network.name)
 		opts := append([]camelot.ClusterOption{camelot.WithNodes(k)}, network.opts...)
-		// The lossy wrapper goes last, so the faults ride whatever
-		// transport the options before it chose.
-		opts = append(opts, camelot.WithLossyTransport(camelot.LossyConfig{
-			Seed:      77,
-			DropNodes: []int{2, 6},
-			DupRate:   1.0,
-		}))
-		badWeather(ctx, camelot.NewCluster(opts...), p, faults, stormCalm, hurricaneCalm)
+		badWeather(ctx, camelot.NewCluster(opts...), p, storm, faults, stormCalm, hurricaneCalm)
 	}
 	fmt.Println("\nlies were corrected and named; the storm beyond the budget became latency, not failure — on either network")
 }
 
 // badWeather runs the storm, the hurricane and the healed hurricane on
-// one lossy cluster and checks each recovered proof against the calm
-// run's, byte for byte.
-func badWeather(ctx context.Context, cluster *camelot.Cluster, p camelot.CountingProblem, faults int, stormCalm, hurricaneCalm *camelot.Proof) {
+// one cluster and checks each recovered proof against the calm run's,
+// byte for byte.
+func badWeather(ctx context.Context, cluster *camelot.Cluster, p camelot.CountingProblem, storm camelot.Adversary, faults int, stormCalm, hurricaneCalm *camelot.Proof) {
 	defer cluster.Close()
 	proof, rep, err := cluster.Submit(ctx, p,
+		camelot.WithAdversary(storm),
 		camelot.WithSeed(5),
 		camelot.WithFaultTolerance(faults),
 		camelot.WithMaxErasures(2),
@@ -140,6 +138,7 @@ func badWeather(ctx context.Context, cluster *camelot.Cluster, p camelot.Countin
 	// erasures, and the two dead Knights own far more coordinates than
 	// that. Without repair the run must refuse, honestly and typed.
 	hurricane := []camelot.RunOption{
+		camelot.WithAdversary(storm),
 		camelot.WithSeed(5),
 		camelot.WithFaultTolerance(1),
 		camelot.WithMaxErasures(2),

@@ -5,8 +5,8 @@ package camelot
 // a known commit: unlike two runs of one engine, a digest moves only when
 // the proof bytes do. The paper promises the same proof however nodes
 // fail, up to the Reed–Solomon radius, with the failed nodes named.
-// TestGoldenProofs runs every golden case on every shape (bus, loopback
-// TCP, ctrl, the proof service) under every fault schedule; each row
+// TestGoldenProofs runs every golden case on the bus and ctrl shapes
+// under every fault schedule (TCP: none and drop; serve: none); each row
 // computes from the geometry whether 2·errors + erasures ≤ e−d−1 = 2f
 // and expects exactly one outcome: the pinned digest with the exact
 // suspects, missing nodes and decode count, or a typed ErrDecodeFailure.
@@ -135,7 +135,7 @@ func (g goldenGeometry) prefixBeyond(budget int) (nodes []int) {
 // goldenSchedule is one fault schedule: liars (alike to every recipient
 // or equivocating), nodes whose broadcasts the network loses (the crash
 // model), repair rounds, and whether it also runs over loopback TCP (a
-// strict and a lossy gather there).
+// strict and a quorum gather there).
 type goldenSchedule struct {
 	name       string
 	liars      []int
@@ -162,17 +162,15 @@ func (g goldenGeometry) schedules() []goldenSchedule {
 // the network delivers half the surviving broadcasts twice.
 func (g goldenGeometry) options(s goldenSchedule) []Option {
 	opts := []Option{WithFaultTolerance(g.f), WithSeed(1), WithMaxRepairRounds(s.repair)}
+	adv := Adversary{Seed: 7, Liars: s.liars}
+	if s.equivocate {
+		adv.Liars, adv.Equivocators = nil, s.liars
+	}
 	if s.drop != nil {
-		opts = append(opts, WithLossyTransport(LossyConfig{Seed: 21, DropNodes: s.drop, DupRate: 0.5}),
-			WithMaxErasures(len(s.drop)), WithGatherGrace(5*time.Second))
+		adv.DropNodes, adv.DupRate = s.drop, 0.5
+		opts = append(opts, WithMaxErasures(len(s.drop)), WithGatherGrace(5*time.Second))
 	}
-	switch {
-	case s.equivocate:
-		opts = append(opts, WithAdversary(EquivocatingNodes(7, s.liars...)))
-	case s.liars != nil:
-		opts = append(opts, WithAdversary(LyingNodes(7, s.liars...)))
-	}
-	return opts
+	return append(opts, WithAdversary(adv))
 }
 
 func readGolden(t *testing.T) map[string]string {
@@ -242,7 +240,7 @@ func TestGoldenProofs(t *testing.T) {
 				digest(shape, raw)
 				words := 1 // distinct received words per (prime, coordinate)
 				if s.equivocate {
-					words = g.k - len(s.liars) // every honest recipient sees its own
+					words = g.k // every node, the equivocator too, sees its own
 				}
 				got := fmt.Sprint(rep.Verified, rep.SuspectNodes, rep.MissingNodes, rep.RepairedNodes, rep.RepairRounds, rep.Decodes, rep.CorruptedShares)
 				if exp := fmt.Sprint(true, s.liars, missing, repaired, rounds, words*rep.Width*len(rep.Primes), errs); got != exp {
@@ -273,30 +271,35 @@ func TestGoldenProofs(t *testing.T) {
 				return
 			}
 
-			// ctrl: a coordinator and two worker daemons for g.k logical
-			// nodes, every frame authenticated, through the one-shot facade.
-			none, secret := g.schedules()[0], []byte("golden-secret")
-			co, err := NewCoordinator(g.k, CoordinatorConfig{Workload: gc.spec, ListenAddr: "127.0.0.1:0", Secret: secret, MinWorkers: 2})
-			if err != nil {
-				t.Fatal(err)
+			// ctrl: per schedule, a coordinator and two worker daemons for
+			// g.k logical nodes, every frame authenticated, through the
+			// one-shot facade; the schedule travels in the manifests.
+			secret := []byte("golden-secret")
+			for _, s := range g.schedules() {
+				co, err := NewCoordinator(g.k, CoordinatorConfig{Workload: gc.spec, ListenAddr: "127.0.0.1:0", Secret: secret, MinWorkers: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer co.Close()
+				wctx, stop := context.WithCancel(ctx)
+				var wg sync.WaitGroup
+				for range 2 {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						if err := ServeNode(wctx, NodeConfig{Join: co.Addr(), Secret: secret}); err != nil && wctx.Err() == nil {
+							t.Errorf("ctrl/%s: worker: %v", s.name, err)
+						}
+					}()
+				}
+				proof, rep, err := RunProblem(ctx, co.Workload().Problem, append([]Option{WithNodes(g.k), co.AsTransport()}, g.options(s)...)...)
+				check("ctrl/"+s.name, s, proof, rep, err)
+				// The run is over: a worker still evaluating a range the
+				// run no longer waits for (a dropped one) may miss the
+				// coordinator's Done, so the workers are stopped.
+				stop()
+				wg.Wait()
 			}
-			defer co.Close()
-			var wg sync.WaitGroup
-			for range 2 {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					if err := ServeNode(ctx, NodeConfig{Join: co.Addr(), Secret: secret}); err != nil && ctx.Err() == nil {
-						t.Errorf("ctrl: worker: %v", err)
-					}
-				}()
-			}
-			proof, rep, err := RunProblem(ctx, co.Workload().Problem, append([]Option{WithNodes(g.k), co.AsTransport()}, g.options(none)...)...)
-			check("ctrl", none, proof, rep, err)
-			if err != nil {
-				cancel() // workers of a run that never finished would wait for it forever
-			}
-			wg.Wait()
 
 			// serve: prepared on three nodes (bytes depend on spec and f
 			// alone), then served again from the cache.

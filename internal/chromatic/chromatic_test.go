@@ -137,7 +137,7 @@ func TestCamelotChromaticWithByzantineNodes(t *testing.T) {
 		f++
 	}
 	proof, rep, err := core.Run(context.Background(), p, core.Options{
-		Nodes: k, FaultTolerance: f, Adversary: core.NewLyingNodes(11, 2), Seed: 5,
+		Nodes: k, FaultTolerance: f, Adversary: core.Adversary{Seed: 11, Liars: []int{2}}, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)

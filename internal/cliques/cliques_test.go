@@ -241,7 +241,7 @@ func TestCamelotSixCliqueEndToEnd(t *testing.T) {
 	// byzantine node owns ~e/8 shares, so f must cover a full node block:
 	// e = 1027+2f, f=200 => e=1427, ~179 shares per node <= radius 200.
 	proof, rep, err := core.Run(context.Background(), p, core.Options{
-		Nodes: 8, FaultTolerance: 200, Adversary: core.NewLyingNodes(3, 2),
+		Nodes: 8, FaultTolerance: 200, Adversary: core.Adversary{Seed: 3, Liars: []int{2}},
 		Seed: 1,
 	})
 	if err != nil {

@@ -93,7 +93,7 @@ func TestCamelotWithByzantineFaults(t *testing.T) {
 		ft++
 	}
 	proof, rep, err := core.Run(context.Background(), p, core.Options{
-		Nodes: k, FaultTolerance: ft, Adversary: core.NewEquivocatingNodes(1, 4), Seed: 2,
+		Nodes: k, FaultTolerance: ft, Adversary: core.Adversary{Seed: 1, Equivocators: []int{4}}, Seed: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 package core
 
-// The deterministic chaos harness: a table of seeded transport-fault
-// scenarios — message loss, duplicate storms, delay-reordered arrivals,
+// The deterministic chaos harness: a table of seeded fault records —
+// message loss, duplicate storms, delay-reordered arrivals,
 // combined byzantine-plus-loss weather — asserting the protocol's two
 // honest outcomes. Where the Reed–Solomon budget 2·errors + erasures
 // ≤ e-d-1 covers the damage, the run must produce a proof bit-identical
@@ -15,6 +15,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -27,17 +28,19 @@ import (
 //	go test -race -run Chaos ./internal/core/ -args -chaos-seed 7
 var chaosSeed = flag.Int64("chaos-seed", 1, "seed mixed into every chaos scenario")
 
-// chaosScenario is one table entry. The transport factory receives the
-// mixed seed so loss patterns vary across seeds while staying
-// reproducible within one.
+// chaosScenario is one table entry: its fault record, seeded per run
+// with the mixed seed so loss patterns and lies vary across seeds while
+// staying reproducible within one, over the bus or over an ephemeral
+// loopback collector (a bind failure surfaces through the run as the
+// factory's error).
 type chaosScenario struct {
 	name           string
 	nodes, faults  int
 	maxErasures    int
 	repair         int // MaxRepairRounds (0: self-healing off)
 	grace          time.Duration
-	transport      func(seed int64, k int) (Transport, error)
-	adversary      func(seed int64) Adversary
+	tcp            bool
+	adversary      Adversary
 	wantErr        error // nil: run must succeed with the baseline proof
 	wantMissing    []int // exact MissingNodes to assert (nil skips)
 	wantSuspects   []int // exact SuspectNodes to assert (nil skips)
@@ -50,19 +53,6 @@ type chaosScenario struct {
 // erasures, one lying node costs 2 errors. Geometry B (k=5, f=1) has
 // budget 2, so losing two nodes (4 erasures) is unrecoverable.
 func chaosScenarios() []chaosScenario {
-	// A scenario's transport is a lossy wrapper, seeded per run, over the
-	// bus or over an ephemeral loopback collector (a bind failure surfaces
-	// through the run as the factory's error).
-	tcp := NewTCPFactory(TCPConfig{ListenAddr: "127.0.0.1:0"})
-	lossyOver := func(inner TransportFactory, cfg LossyConfig) func(int64, int) (Transport, error) {
-		return func(seed int64, k int) (Transport, error) {
-			cfg := cfg
-			cfg.Seed = seed
-			return NewLossyFactory(cfg, inner)(k)
-		}
-	}
-	lossy := func(cfg LossyConfig) func(int64, int) (Transport, error) { return lossyOver(nil, cfg) }
-	lossyTCP := func(cfg LossyConfig) func(int64, int) (Transport, error) { return lossyOver(tcp, cfg) }
 	return []chaosScenario{
 		{
 			// Every message held by the network and delivered out of
@@ -70,7 +60,7 @@ func chaosScenarios() []chaosScenario {
 			// must hear all eight across the asynchronous hop.
 			name:  "delayed-clean-strict",
 			nodes: 8, faults: 4,
-			transport:    lossy(LossyConfig{DelayRate: 1, MaxDelay: 3 * time.Millisecond}),
+			adversary:    Adversary{DelayRate: 1, MaxDelay: 3 * time.Millisecond},
 			wantMissing:  []int{},
 			wantSuspects: []int{},
 		},
@@ -80,7 +70,7 @@ func chaosScenarios() []chaosScenario {
 			// is exactly the dropped set.
 			name:  "drop-within-budget",
 			nodes: 8, faults: 4, maxErasures: 2, grace: 2 * time.Second,
-			transport:    lossy(LossyConfig{DropNodes: []int{2, 5}}),
+			adversary:    Adversary{DropNodes: []int{2, 5}},
 			wantMissing:  []int{2, 5},
 			wantSuspects: []int{},
 		},
@@ -89,7 +79,7 @@ func chaosScenarios() []chaosScenario {
 			// by distinct sender must shrug the storm off.
 			name:  "duplicate-storm",
 			nodes: 8, faults: 4, maxErasures: 2, grace: 2 * time.Second,
-			transport:      lossy(LossyConfig{DupRate: 1}),
+			adversary:      Adversary{DupRate: 1},
 			skipDeliveryCk: true, // an early quorum may erase 0-2 stragglers
 		},
 		{
@@ -97,7 +87,8 @@ func chaosScenarios() []chaosScenario {
 			// resets per arrival, so a slow-but-alive network completes.
 			name:  "tcp-all-delayed",
 			nodes: 8, faults: 4, maxErasures: 2, grace: 2 * time.Second,
-			transport:      lossyTCP(LossyConfig{DelayRate: 1, MaxDelay: 3 * time.Millisecond}),
+			tcp:            true,
+			adversary:      Adversary{DelayRate: 1, MaxDelay: 3 * time.Millisecond},
 			skipDeliveryCk: true,
 		},
 		{
@@ -107,8 +98,7 @@ func chaosScenarios() []chaosScenario {
 			// separate axes.
 			name:  "adversary-plus-loss",
 			nodes: 8, faults: 4, maxErasures: 1, grace: 2 * time.Second,
-			transport:    lossy(LossyConfig{DropNodes: []int{6}}),
-			adversary:    func(seed int64) Adversary { return NewLyingNodes(uint64(seed), 3) },
+			adversary:    Adversary{Liars: []int{3}, DropNodes: []int{6}},
 			wantMissing:  []int{6},
 			wantSuspects: []int{3},
 		},
@@ -117,7 +107,7 @@ func chaosScenarios() []chaosScenario {
 			// all eight nodes over loopback TCP frames.
 			name:  "tcp-clean-strict",
 			nodes: 8, faults: 4,
-			transport:    func(_ int64, k int) (Transport, error) { return tcp(k) },
+			tcp:          true,
 			wantMissing:  []int{},
 			wantSuspects: []int{},
 		},
@@ -127,7 +117,8 @@ func chaosScenarios() []chaosScenario {
 			// in-memory transports do.
 			name:  "tcp-drop-within-budget",
 			nodes: 8, faults: 4, maxErasures: 2, grace: 2 * time.Second,
-			transport:    lossyTCP(LossyConfig{DropNodes: []int{2, 5}}),
+			tcp:          true,
+			adversary:    Adversary{DropNodes: []int{2, 5}},
 			wantMissing:  []int{2, 5},
 			wantSuspects: []int{},
 		},
@@ -136,8 +127,8 @@ func chaosScenarios() []chaosScenario {
 			// a socket that loses node 6, on separate fault axes.
 			name:  "tcp-adversary-plus-loss",
 			nodes: 8, faults: 4, maxErasures: 1, grace: 2 * time.Second,
-			transport:    lossyTCP(LossyConfig{DropNodes: []int{6}}),
-			adversary:    func(seed int64) Adversary { return NewLyingNodes(uint64(seed), 3) },
+			tcp:          true,
+			adversary:    Adversary{Liars: []int{3}, DropNodes: []int{6}},
 			wantMissing:  []int{6},
 			wantSuspects: []int{3},
 		},
@@ -146,7 +137,7 @@ func chaosScenarios() []chaosScenario {
 			// decoder must refuse with the typed error.
 			name:  "drop-beyond-budget",
 			nodes: 5, faults: 1, maxErasures: 2, grace: 2 * time.Second,
-			transport: lossy(LossyConfig{DropNodes: []int{1, 3}}),
+			adversary: Adversary{DropNodes: []int{1, 3}},
 			wantErr:   rs.ErrDecodeFailure,
 		},
 		{
@@ -154,8 +145,7 @@ func chaosScenarios() []chaosScenario {
 			// top: still the same typed refusal, never a wrong proof.
 			name:  "combined-beyond-budget",
 			nodes: 5, faults: 1, maxErasures: 2, grace: 2 * time.Second,
-			transport: lossy(LossyConfig{DropNodes: []int{0, 2}, DupRate: 1}),
-			adversary: func(seed int64) Adversary { return NewLyingNodes(uint64(seed), 4) },
+			adversary: Adversary{Liars: []int{4}, DropNodes: []int{0, 2}, DupRate: 1},
 			wantErr:   rs.ErrDecodeFailure,
 		},
 		{
@@ -164,7 +154,7 @@ func chaosScenarios() []chaosScenario {
 			// stage must refuse — the deadline path, typed end to end.
 			name:  "grace-deadline-partial",
 			nodes: 5, faults: 1, maxErasures: 1, grace: 150 * time.Millisecond,
-			transport: lossy(LossyConfig{DropNodes: []int{1, 3}}),
+			adversary: Adversary{DropNodes: []int{1, 3}},
 			wantErr:   rs.ErrDecodeFailure,
 		},
 		{
@@ -174,7 +164,7 @@ func chaosScenarios() []chaosScenario {
 			// rather than hang on the caller's context.
 			name:  "total-loss",
 			nodes: 4, faults: 1, maxErasures: 4, grace: 150 * time.Millisecond,
-			transport: lossy(LossyConfig{DropRate: 1}),
+			adversary: Adversary{DropRate: 1},
 			wantErr:   rs.ErrDecodeFailure,
 		},
 		// Node-churn weather: the same beyond-budget storms, now with the
@@ -188,7 +178,7 @@ func chaosScenarios() []chaosScenario {
 			// round: survivors 0,2,4 sponsor the ranges of 1 and 3.
 			name:  "repair-drop-beyond-budget",
 			nodes: 5, faults: 1, maxErasures: 2, repair: 1, grace: 2 * time.Second,
-			transport:    lossy(LossyConfig{DropNodes: []int{1, 3}}),
+			adversary:    Adversary{DropNodes: []int{1, 3}},
 			wantMissing:  []int{},
 			wantSuspects: []int{},
 			wantRepaired: []int{1, 3},
@@ -199,7 +189,7 @@ func chaosScenarios() []chaosScenario {
 			// and reordered over the transport round 0 left open.
 			name:  "repair-delayed-beyond-budget",
 			nodes: 5, faults: 1, maxErasures: 2, repair: 1, grace: 2 * time.Second,
-			transport:    lossy(LossyConfig{DropNodes: []int{1, 3}, DelayRate: 1, MaxDelay: 3 * time.Millisecond}),
+			adversary:    Adversary{DropNodes: []int{1, 3}, DelayRate: 1, MaxDelay: 3 * time.Millisecond},
 			wantMissing:  []int{},
 			wantSuspects: []int{},
 			wantRepaired: []int{1, 3},
@@ -209,7 +199,8 @@ func chaosScenarios() []chaosScenario {
 			// repair round's frames on the same listener.
 			name:  "repair-tcp-beyond-budget",
 			nodes: 5, faults: 1, maxErasures: 2, repair: 1, grace: 2 * time.Second,
-			transport:    lossyTCP(LossyConfig{DropNodes: []int{1, 3}}),
+			tcp:          true,
+			adversary:    Adversary{DropNodes: []int{1, 3}},
 			wantMissing:  []int{},
 			wantSuspects: []int{},
 			wantRepaired: []int{1, 3},
@@ -222,8 +213,7 @@ func chaosScenarios() []chaosScenario {
 			// budget alone, staying on the content-fault axis.
 			name:  "repair-adversary-plus-storm",
 			nodes: 8, faults: 4, maxErasures: 3, repair: 1, grace: 2 * time.Second,
-			transport:    lossy(LossyConfig{DropNodes: []int{5, 6, 7}, DupRate: 1}),
-			adversary:    func(seed int64) Adversary { return NewLyingNodes(uint64(seed), 3) },
+			adversary:    Adversary{Liars: []int{3}, DropNodes: []int{5, 6, 7}, DupRate: 1},
 			wantMissing:  []int{},
 			wantSuspects: []int{3},
 			wantRepaired: []int{5, 6, 7},
@@ -238,8 +228,7 @@ func chaosScenarios() []chaosScenario {
 			// corrects them all and the proof stays bit-identical.
 			name:  "repair-byzantine-sponsor",
 			nodes: 8, faults: 4, maxErasures: 3, repair: 1, grace: 2 * time.Second,
-			transport:    lossy(LossyConfig{DropNodes: []int{1, 5, 6}}),
-			adversary:    func(seed int64) Adversary { return NewLyingNodes(uint64(seed), 3) },
+			adversary:    Adversary{Liars: []int{3}, DropNodes: []int{1, 5, 6}},
 			wantMissing:  []int{},
 			wantSuspects: []int{3, 6},
 			wantRepaired: []int{1, 5, 6},
@@ -251,23 +240,13 @@ func chaosScenarios() []chaosScenario {
 			// than loop or hang.
 			name:  "total-loss-with-repair",
 			nodes: 4, faults: 1, maxErasures: 4, repair: 2, grace: 150 * time.Millisecond,
-			transport: lossy(LossyConfig{DropRate: 1}),
+			adversary: Adversary{DropRate: 1},
 			wantErr:   rs.ErrDecodeFailure,
 		},
 	}
 }
 
-func sameInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+func sameInts(a, b []int) bool { return slices.Equal(a, b) }
 
 func proofsEqual(a, b *Proof) error {
 	if len(a.Primes) != len(b.Primes) {
@@ -315,18 +294,20 @@ func TestChaosScenarios(t *testing.T) {
 			for _, base := range []int64{3, 17, 101} {
 				seed := base*1000003 + *chaosSeed
 				prog := new(Progress)
+				adv := sc.adversary
+				adv.Seed = uint64(seed)
 				opts := Options{
 					Nodes:           sc.nodes,
 					FaultTolerance:  sc.faults,
+					Adversary:       adv,
 					MaxErasures:     sc.maxErasures,
 					MaxRepairRounds: sc.repair,
 					GatherGrace:     sc.grace,
 					Seed:            seed,
-					NewTransport:    func(k int) (Transport, error) { return sc.transport(seed, k) },
 					Progress:        prog,
 				}
-				if sc.adversary != nil {
-					opts.Adversary = sc.adversary(seed)
+				if sc.tcp {
+					opts.NewTransport = NewTCPFactory(TCPConfig{ListenAddr: "127.0.0.1:0"})
 				}
 				proof, rep, err := Run(ctx, p, opts)
 
@@ -404,9 +385,7 @@ func TestChaosLossRunsAreReproducible(t *testing.T) {
 	run := func() (*Proof, *Report) {
 		proof, rep, err := Run(ctx, p, Options{
 			Nodes: 8, FaultTolerance: 4, MaxErasures: 2, GatherGrace: 2 * time.Second,
-			NewTransport: func(k int) (Transport, error) {
-				return NewLossyTransport(NewBroadcastBus(k), LossyConfig{Seed: 99, DropNodes: []int{1, 4}}), nil
-			},
+			Adversary: Adversary{Seed: 99, DropNodes: []int{1, 4}},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -10,11 +10,13 @@
 //     over a pluggable Transport (default: an in-memory bus). Problems
 //     implementing CompiledProblem compile once per prime and evaluate
 //     their owned range in blocks.
-//   - Error correction during preparation (§1.3 step 2): every honest
-//     node's received word goes through the Gao decoder — once per
-//     distinct word, since one process holds them all — recovering the
-//     true proof and identifying the failed nodes, for up to ⌊(e-d-1)/2⌋
-//     corrupted shares — byzantine equivocation included.
+//   - Error correction during preparation (§1.3 step 2): every node's
+//     received word goes through the Gao decoder — once per distinct
+//     word, since one process holds them all — recovering the true proof
+//     and identifying the failed nodes, for up to ⌊(e-d-1)/2⌋ corrupted
+//     shares — byzantine equivocation included. Faulty nodes apply their
+//     faults to what they send (adversary.go); the decoder is never told
+//     who they are.
 //   - Independent verification (§1.3 step 3): any entity checks the proof
 //     against the input with one evaluation of P at a random point;
 //     soundness error ≤ d/q per trial.
@@ -137,10 +139,7 @@ func (p *Proof) Size() int {
 	return len(p.Primes) * p.Width * (p.Degree + 1)
 }
 
-// ErrNoHonestNodes is returned when the adversary corrupts every node.
-var ErrNoHonestNodes = errors.New("core: adversary left no honest nodes")
-
-// ErrProofDisagreement is returned when two honest nodes decode different
+// ErrProofDisagreement is returned when two nodes decode different
 // proofs: two distinct received words of one prime and coordinate each
 // decoded, but to different messages. Within the decoding radius that is
 // impossible, so corruption exceeded the configured fault tolerance.
@@ -163,7 +162,10 @@ type Options struct {
 	// FaultTolerance is the number f of corrupted shares the run must
 	// survive; the codeword length is e = d+1+2f (default 0).
 	FaultTolerance int
-	// Adversary injects byzantine behaviour (default: none).
+	// Adversary is the run's fault schedule — lying, equivocating and
+	// crashed nodes, a lossy network — which each faulty node applies to
+	// its own outgoing message (default: none). Its node ids must lie in
+	// [0, K) for the clamped K, each in one role.
 	Adversary Adversary
 	// Seed drives verification randomness (and nothing else; the
 	// computation itself is deterministic).
@@ -259,9 +261,6 @@ func (o Options) validate() error {
 func (o Options) withDefaults() Options {
 	if o.Nodes == 0 {
 		o.Nodes = 1
-	}
-	if o.Adversary == nil {
-		o.Adversary = NoAdversary{}
 	}
 	if o.VerifyTrials == 0 {
 		o.VerifyTrials = 1

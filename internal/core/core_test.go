@@ -135,7 +135,7 @@ func TestRunWithLyingNodesIdentifiesCulprits(t *testing.T) {
 	p := testProblem()
 	// d=7, f=4 => e = 8 + 8 = 16 points on 8 nodes => 2 points each.
 	// One lying node corrupts 2 shares <= radius 4.
-	adv := NewLyingNodes(1, 3)
+	adv := Adversary{Seed: 1, Liars: []int{3}}
 	proof, rep, err := Run(context.Background(), p, Options{
 		Nodes: 8, FaultTolerance: 4, Adversary: adv,
 	})
@@ -164,7 +164,7 @@ func TestRunWithEquivocation(t *testing.T) {
 	// garbage to different recipients; every honest node still decodes
 	// the same proof.
 	p := testProblem()
-	adv := NewEquivocatingNodes(7, 2, 5)
+	adv := Adversary{Seed: 7, Equivocators: []int{2, 5}}
 	// e = 8+2*8 = 24 points on 12 nodes => 2 points per node; two
 	// byzantine nodes corrupt 4 shares <= radius 8.
 	_, rep, err := Run(context.Background(), p, Options{
@@ -187,7 +187,7 @@ func TestRunWithEquivocation(t *testing.T) {
 func TestRunBeyondRadiusFails(t *testing.T) {
 	p := testProblem()
 	// f=1 => radius 1, but the lying node owns 2+ points.
-	adv := NewLyingNodes(1, 0)
+	adv := Adversary{Seed: 1, Liars: []int{0}}
 	_, _, err := Run(context.Background(), p, Options{
 		Nodes: 4, FaultTolerance: 1, Adversary: adv,
 	})
@@ -196,12 +196,16 @@ func TestRunBeyondRadiusFails(t *testing.T) {
 	}
 }
 
+// TestRunAllNodesByzantine: with every node lying and no redundancy
+// (f = 0) the lies are a codeword of their own. Nobody tells the decoder
+// the nodes are byzantine, so it decodes the lie and the randomized
+// check refuses it.
 func TestRunAllNodesByzantine(t *testing.T) {
 	p := testProblem()
-	adv := NewLyingNodes(1, 0, 1)
-	_, _, err := Run(context.Background(), p, Options{Nodes: 2, Adversary: adv})
-	if !errors.Is(err, ErrNoHonestNodes) {
-		t.Fatalf("err = %v, want ErrNoHonestNodes", err)
+	adv := Adversary{Seed: 1, Liars: []int{0, 1}}
+	_, _, err := Run(context.Background(), p, Options{Nodes: 2, Adversary: adv, VerifyTrials: 8})
+	if !errors.Is(err, ErrVerificationFailed) {
+		t.Fatalf("err = %v, want ErrVerificationFailed", err)
 	}
 }
 
@@ -495,35 +499,68 @@ func TestChoosePrimesWide(t *testing.T) {
 	}
 }
 
+// TestAdversaryDeterminism: a faulty node's message is a pure function
+// of the record and the message — a liar's every value wrong, the same
+// for every recipient, an equivocator's one view per recipient, each
+// value wrong and the views apart, an honest node's untouched. Over
+// q = 2 every other garbage draw hits the truth, so the bump away from
+// it is exercised.
 func TestAdversaryDeterminism(t *testing.T) {
-	a1 := NewLyingNodes(9, 1)
-	a2 := NewLyingNodes(9, 1)
-	v1 := a1.Transform(1, 0, 101, 0, 5, 7)
-	v2 := a2.Transform(1, 0, 101, 0, 5, 7)
-	if v1 != v2 {
-		t.Fatal("lying adversary not deterministic")
+	primes := []uint64{2, 101}
+	honest := func(id int) NodeShares {
+		m := NodeShares{ID: id, Lo: 40, Hi: 104, Vals: make([][][]uint64, len(primes))}
+		for pi, q := range primes {
+			for c := range 2 {
+				vals := make([]uint64, m.Hi-m.Lo)
+				for i := range vals {
+					vals[i] = uint64(i*7+c) % q
+				}
+				m.Vals[pi] = append(m.Vals[pi], vals)
+			}
+		}
+		return m
 	}
-	if v1 == 7 {
-		t.Fatal("lying adversary must change the value")
-	}
-	// Equivocators differ by recipient.
-	e := NewEquivocatingNodes(9, 1)
-	r0 := e.Transform(1, 0, 101, 0, 5, 7)
-	r1 := e.Transform(1, 2, 101, 0, 5, 7)
-	if r0 == r1 {
-		t.Fatal("equivocator sent identical values to different recipients (hash collision would be astronomically unlikely)")
+	const k = 4
+	adv := Adversary{Seed: 9, Liars: []int{1}, Equivocators: []int{2}}
+	for id := range k {
+		a, b, truth := honest(id), honest(id), honest(id)
+		adv.Apply(&a, primes, k)
+		adv.Apply(&b, primes, k)
+		if !slices.EqualFunc(a.Views, b.Views, equalView) || !equalView(a.Vals, b.Vals) {
+			t.Fatalf("node %d: two applications of one record differ", id)
+		}
+		for r := range k {
+			for pi := range primes {
+				for c, vals := range a.View(r)[pi] {
+					for i, v := range vals {
+						wrong := v != truth.Vals[pi][c][i]
+						if wrong != (id == 1 || id == 2) {
+							t.Fatalf("node %d, view %d, prime %d, coord %d, point %d: %d against the truth %d",
+								id, r, primes[pi], c, i, v, truth.Vals[pi][c][i])
+						}
+					}
+				}
+			}
+		}
+		if (a.Views != nil) != (id == 2) || id == 2 && equalView(a.Views[0], a.Views[1]) {
+			t.Fatalf("node %d: views %v", id, a.Views != nil)
+		}
 	}
 }
 
-// TestGarbageMatchesHashFNV pins every garbage value the adversaries and
-// the lossy transport have ever drawn: the inlined hash is hash/fnv's
+func equalView(a, b [][][]uint64) bool {
+	return slices.EqualFunc(a, b, func(x, y [][]uint64) bool { return slices.EqualFunc(x, y, slices.Equal) })
+}
+
+// TestGarbageMatchesHashFNV pins every garbage value the fault records
+// have ever drawn: the inlined hash is hash/fnv's
 // 64-bit FNV-1a over the parts' little-endian bytes.
 func TestGarbageMatchesHashFNV(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 1000; i++ {
 		parts := make([]uint64, 1+rng.Intn(6))
 		if i%2 == 0 {
-			parts = make([]uint64, 6) // what Transform passes
+			parts = make([]uint64, 6) // what a liar's share passes
 		}
 		h := fnv.New64a()
 		for j := range parts {
@@ -534,25 +571,6 @@ func TestGarbageMatchesHashFNV(t *testing.T) {
 		}
 		if got, want := garbage(parts...), h.Sum64(); got != want {
 			t.Fatalf("garbage(%v) = %#x, hash/fnv says %#x", parts, got, want)
-		}
-	}
-}
-
-// TestAdversaryTransformDoesNotAllocate: word assembly calls Transform
-// once per share per recipient, lying shares included.
-func TestAdversaryTransformDoesNotAllocate(t *testing.T) {
-	for name, adv := range map[string]Adversary{
-		"lying":        NewLyingNodes(9, 1),
-		"equivocating": NewEquivocatingNodes(9, 1),
-	} {
-		var sink uint64
-		allocs := testing.AllocsPerRun(100, func() {
-			lie := adv.Transform(1, 2, 12289, 0, 5, 7)
-			truth := adv.Transform(0, 2, 12289, 0, 5, 7)
-			sink += lie + truth
-		})
-		if allocs != 0 {
-			t.Errorf("%s: Transform allocates %v times per lying and honest share", name, allocs)
 		}
 	}
 }
@@ -583,7 +601,7 @@ func TestRunRandomAdversarySweep(t *testing.T) {
 			continue
 		}
 		bad := rng.Perm(k)[:1+rng.Intn(maxBad)]
-		adv := NewLyingNodes(uint64(trial), bad...)
+		adv := Adversary{Seed: uint64(trial), Liars: bad}
 		_, rep, err := Run(context.Background(), p, Options{
 			Nodes: k, FaultTolerance: f, Adversary: adv, Seed: int64(trial),
 		})

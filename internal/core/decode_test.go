@@ -1,13 +1,13 @@
 package core
 
-// The decode stage's contract: words are assembled per recipient, decoded
-// once per distinct word, and must agree across words.
+// The decode stage's contract: every node's view is assembled, each
+// distinct word decoded once, and the words must agree.
 
 import (
 	"bytes"
 	"context"
 	"errors"
-	"sync"
+	"runtime"
 	"testing"
 )
 
@@ -34,15 +34,15 @@ func proofBytes(t *testing.T, p *Proof) []byte {
 	return raw
 }
 
-// TestDecodeOncePerDistinctWord: whatever the adversary shows the honest
-// nodes, the proof is the fault-free proof and the byzantine nodes are
-// named; what it costs is one decode per distinct word — primes × width
-// when every recipient sees the same word, one per honest recipient
-// under equivocation.
+// TestDecodeOncePerDistinctWord: whatever the faulty nodes send, the
+// proof is the fault-free proof and the byzantine nodes are named; what
+// it costs is one decode per distinct word — primes × width when every
+// node received the same word, one per node under equivocation, the
+// equivocator's own view included.
 func TestDecodeOncePerDistinctWord(t *testing.T) {
 	ctx := context.Background()
 	p := decodeTestProblem()
-	clean, _, err := Run(ctx, p, decodeTestOptions(nil))
+	clean, _, err := Run(ctx, p, decodeTestOptions(Adversary{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,9 +53,9 @@ func TestDecodeOncePerDistinctWord(t *testing.T) {
 		adv     Adversary
 		decodes int
 	}{
-		{"none", NoAdversary{}, perNode},
-		{"lying", NewLyingNodes(5, 2, 5), perNode},
-		{"equivocating", NewEquivocatingNodes(5, 2, 5), (k - 2) * perNode},
+		{"none", Adversary{}, perNode},
+		{"lying", Adversary{Seed: 5, Liars: []int{2, 5}}, perNode},
+		{"equivocating", Adversary{Seed: 5, Equivocators: []int{2, 5}}, k * perNode},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			proof, rep, err := Run(ctx, p, decodeTestOptions(tc.adv))
@@ -78,31 +78,65 @@ func TestDecodeOncePerDistinctWord(t *testing.T) {
 	}
 }
 
-// asideAdversary is a consistent liar that tells one recipient a
-// different lie.
-type asideAdversary struct {
-	*LyingNodes
-	aside int
+// rewriting is a bus that hands every message to rewrite before it
+// travels: the tests' way of putting on the wire what no fault record
+// describes.
+type rewriting struct {
+	*BroadcastBus
+	rewrite func(m *NodeShares)
 }
 
-func (a asideAdversary) Transform(sender, recipient int, prime uint64, coord, point int, value uint64) uint64 {
-	v := a.LyingNodes.Transform(sender, recipient, prime, coord, point, value)
-	if recipient == a.aside && v != value {
-		v = (v + 1) % prime
-		if v == value {
-			v = (v + 1) % prime
-		}
+func (r rewriting) Send(ctx context.Context, m NodeShares) error {
+	r.rewrite(&m)
+	return r.BroadcastBus.Send(ctx, m)
+}
+
+// rewritingOptions are decodeTestOptions(adv) on a bus where every
+// message carries one view per recipient r: view(m, r, q, v) of each
+// value v over prime q.
+func rewritingOptions(adv Adversary, primes []uint64, view func(m NodeShares, r int, q, v uint64) uint64) Options {
+	opts := decodeTestOptions(adv)
+	opts.NewTransport = func(k int) (Transport, error) {
+		return rewriting{NewBroadcastBus(k), func(m *NodeShares) {
+			m.Views = make([][][][]uint64, k)
+			for r := range m.Views {
+				m.Views[r] = make([][][]uint64, len(m.Vals))
+				for pi, coords := range m.Vals {
+					for _, vals := range coords {
+						out := make([]uint64, len(vals))
+						for i, v := range vals {
+							out[i] = view(*m, r, primes[pi], v)
+						}
+						m.Views[r][pi] = append(m.Views[r][pi], out)
+					}
+				}
+			}
+			m.Vals = nil
+		}}, nil
 	}
-	return v
+	return opts
 }
 
-// TestDecodeGroupsByWordNotByAdversary: a liar equivocating to exactly
-// one recipient makes two distinct words per (prime, coordinate) — the
-// words are compared, no adversary is asked what kind it is — and the
-// two decode to the same proof.
+// TestDecodeGroupsByWordNotByAdversary: a node telling everyone one lie
+// and node 6 another makes two distinct words per (prime, coordinate) —
+// the words are compared, nobody is asked who lied — and the two decode
+// to the same proof.
 func TestDecodeGroupsByWordNotByAdversary(t *testing.T) {
-	adv := asideAdversary{LyingNodes: NewLyingNodes(5, 3), aside: 6}
-	_, rep, err := Run(context.Background(), decodeTestProblem(), decodeTestOptions(adv))
+	p := decodeTestProblem()
+	clean, _, err := Run(context.Background(), p, decodeTestOptions(Adversary{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := rewritingOptions(Adversary{}, clean.Primes, func(m NodeShares, r int, q, v uint64) uint64 {
+		switch {
+		case m.ID != 3:
+			return v
+		case r == 6:
+			return (v + 2) % q
+		}
+		return (v + 1) % q
+	})
+	_, rep, err := Run(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,58 +148,51 @@ func TestDecodeGroupsByWordNotByAdversary(t *testing.T) {
 	}
 }
 
-// shiftedViewAdversary declares no corrupt node, yet shows one recipient
-// every share plus one: a valid encoding of P+1, not of P.
-type shiftedViewAdversary struct{ recipient int }
-
-func (a shiftedViewAdversary) Transform(_, recipient int, prime uint64, _, _ int, value uint64) uint64 {
-	if recipient == a.recipient {
-		return (value + 1) % prime
-	}
-	return value
-}
-
-func (shiftedViewAdversary) CorruptNodes() []int { return nil }
-
-// TestProofDisagreementIsTyped: two honest nodes holding valid codewords
-// of different messages is corruption beyond what the run was told to
-// tolerate, and the refusal is ErrProofDisagreement.
+// TestProofDisagreementIsTyped: two nodes holding valid codewords of
+// different messages — node 4 is shown every share plus one, a valid
+// encoding of P+1, not of P — is corruption beyond what the run was
+// told to tolerate, and the refusal is ErrProofDisagreement.
 func TestProofDisagreementIsTyped(t *testing.T) {
-	_, _, err := Run(context.Background(), decodeTestProblem(), decodeTestOptions(shiftedViewAdversary{recipient: 4}))
-	if !errors.Is(err, ErrProofDisagreement) {
+	p := decodeTestProblem()
+	clean, _, err := Run(context.Background(), p, decodeTestOptions(Adversary{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := rewritingOptions(Adversary{}, clean.Primes, func(_ NodeShares, r int, q, v uint64) uint64 {
+		if r == 4 {
+			return (v + 1) % q
+		}
+		return v
+	})
+	if _, _, err := Run(context.Background(), p, opts); !errors.Is(err, ErrProofDisagreement) {
 		t.Fatalf("err = %v, want ErrProofDisagreement", err)
 	}
 }
 
-// cancellingAdversary equivocates, and cancels the run the first time it
-// is asked for a share — from inside the decode stage, where received
-// words are assembled.
-type cancellingAdversary struct {
-	*EquivocatingNodes
-	once   sync.Once
-	cancel context.CancelFunc
-}
-
-func (a *cancellingAdversary) Transform(sender, recipient int, prime uint64, coord, point int, value uint64) uint64 {
-	a.once.Do(a.cancel)
-	return a.EquivocatingNodes.Transform(sender, recipient, prime, coord, point, value)
-}
-
 // TestDecodeCancelledMidStage: a run cancelled inside its decode stage
-// returns ctx.Err() with its Report, decodes no more words than the pool
-// had workers running, and leaves no task set behind on the pool.
+// returns ctx.Err() with its Report, leaves words undecoded, and leaves
+// no task set behind on the pool. Two equivocators over a code of 4008
+// points make 32 distinct words, each a decode of milliseconds; the run
+// is cancelled as soon as it enters the stage.
 func TestDecodeCancelledMidStage(t *testing.T) {
 	pool := NewPool(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opts := decodeTestOptions(&cancellingAdversary{EquivocatingNodes: NewEquivocatingNodes(5, 2, 5), cancel: cancel}) // 24 decode tasks
-	opts.Pool = pool
+	prog := new(Progress)
+	opts := decodeTestOptions(Adversary{Seed: 5, Equivocators: []int{2, 5}})
+	opts.FaultTolerance, opts.Pool, opts.Progress = 2000, pool, prog
+	go func() {
+		for prog.Snapshot().Stage < StageDecode {
+			runtime.Gosched()
+		}
+		cancel()
+	}()
 	_, rep, err := Run(ctx, decodeTestProblem(), opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if rep == nil || rep.Decodes > pool.Width() {
-		t.Fatalf("report %+v after the cancellation: want one, with at most %d decodes (the pool width)", rep, pool.Width())
+	if rep == nil || rep.Decodes >= 8*2*2 {
+		t.Fatalf("report %+v after the cancellation: want one, with fewer than the run's 32 decodes", rep)
 	}
 	pool.mu.Lock()
 	left := len(pool.runs)

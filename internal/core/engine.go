@@ -39,9 +39,9 @@ type Report struct {
 	Primes []uint64
 	// ProofSymbols is the total proof size in field symbols.
 	ProofSymbols int
-	// ByzantineNodes are the adversary-controlled node ids.
+	// ByzantineNodes are the fault record's liars and equivocators.
 	ByzantineNodes []int
-	// SuspectNodes are the nodes the honest decoders identified as having
+	// SuspectNodes are the nodes the decoders identified as having
 	// contributed corrupted shares (union across received words).
 	SuspectNodes []int
 	// MissingNodes are the nodes whose share broadcasts never arrived —
@@ -73,7 +73,7 @@ type Report struct {
 	DecodeWall time.Duration
 	// Decodes is the number of Gao decodes performed over all rounds: one
 	// per distinct received word per prime and coordinate — primes × width
-	// unless an adversary shows different recipients different words.
+	// unless an equivocating sender shows different nodes different words.
 	Decodes int
 	// VerifyPerTrial is the wall-clock time of the verify stage over all
 	// rounds, divided by VerifyTrials: VerifyTrials × VerifyPerTrial is
@@ -144,6 +144,9 @@ func newEngine(p Problem, opts Options) (*engine, error) {
 	if k > e {
 		k = e // more nodes than points is pointless; trailing nodes would idle
 	}
+	if err := opts.Adversary.Validate(k); err != nil {
+		return nil, err
+	}
 	minQ := p.MinModulus()
 	if minQ < uint64(e)+1 {
 		minQ = uint64(e) + 1
@@ -189,7 +192,7 @@ func newEngine(p Problem, opts Options) (*engine, error) {
 			CodeLength:     e,
 			FaultTolerance: opts.FaultTolerance,
 			Primes:         primes,
-			ByzantineNodes: append([]int(nil), opts.Adversary.CorruptNodes()...),
+			ByzantineNodes: opts.Adversary.CorruptNodes(),
 			VerifyTrials:   opts.VerifyTrials,
 		},
 	}, nil
@@ -321,12 +324,11 @@ func (en *engine) ownRanges() []assignment {
 // Evaluation is deterministic in (q, x0), so a survivor recomputes
 // exactly the values the dead node would have sent, bit for bit. The
 // message carries the dead owner's id (what the decoders index by) and
-// is sent by a sponsoring survivor (what the transport's link faults
-// attach to), sponsors rotating across rounds so a round-robin neighbor
-// with its own bad link does not doom every retry. A remote executor
-// ignores the sponsor: the coordinator routes each range to whichever
-// worker is live, which is the point of separating logical nodes from
-// physical workers.
+// is sent by a sponsoring survivor (whose faults it then suffers),
+// sponsors rotating across rounds so a round-robin neighbor with its own
+// bad link does not doom every retry. Remotely the sponsor is the
+// logical node the worker acts as, whichever live worker the
+// coordinator routes the range to.
 func (en *engine) repairRanges(n int) []assignment {
 	dead := make([]bool, en.k)
 	for _, id := range en.missing {
@@ -486,7 +488,7 @@ func (en *engine) round(ctx context.Context, n int, ranges []assignment) error {
 //
 // Each round gets fresh send and gather contexts scoped to this call —
 // cancelling the round's senders on return is what abandons its
-// still-pending deliveries (a lossy transport's delayed copies, say) so
+// still-pending deliveries (a sender's delayed copies, say) so
 // they cannot leak into a later round's gather; the round filter in the
 // quorum loop is the second line of defense.
 func (en *engine) exchange(ctx context.Context, spec GatherSpec, ranges []assignment) ([]NodeShares, error) {
@@ -509,8 +511,8 @@ func (en *engine) exchange(ctx context.Context, spec GatherSpec, ranges []assign
 		manifests := make([]AssignSpec, len(ranges))
 		for i, a := range ranges {
 			manifests[i] = AssignSpec{
-				Owner: a.owner, Round: spec.Round, Lo: a.lo, Hi: a.hi,
-				Width: en.w, Primes: en.primes,
+				Owner: a.owner, Sponsor: a.sponsor, Round: spec.Round, Lo: a.lo, Hi: a.hi,
+				Width: en.w, Primes: en.primes, K: en.k, Adversary: en.opts.Adversary,
 			}
 		}
 		if err := en.remote.AssignRanges(ctx, manifests); err != nil {
@@ -567,8 +569,8 @@ type prepChunk struct {
 }
 
 // evaluateAndSend is the local executor: the pool evaluates every
-// assignment and Sends each message as its last chunk completes, then
-// the transport's accepted deliveries are drained.
+// assignment and sends each message as its last chunk completes, then
+// waits for the round's delayed deliveries.
 //
 // The work unit is a (range, prime, sub-range) chunk rather than a whole
 // node: when the pool is wider than the assignment list — a single-node
@@ -579,6 +581,7 @@ type prepChunk struct {
 // contract requires block results to match point-wise evaluation bit
 // for bit).
 func (en *engine) evaluateAndSend(ctx context.Context, round int, ranges []assignment) error {
+	var delayed delayedSends
 	parts := 1
 	if w := en.pool.Width(); w > len(ranges) {
 		parts = (w + len(ranges) - 1) / len(ranges)
@@ -620,38 +623,96 @@ func (en *engine) evaluateAndSend(ctx context.Context, round int, ranges []assig
 			// other chunk's write happened-before the counter
 			// reached zero), broadcast it.
 			st.msg.Elapsed = time.Duration(st.elapsedNS.Load())
-			return en.tr.Send(ctx, st.msg)
+			copies, delay := en.opts.Adversary.Apply(&st.msg, en.primes, en.k)
+			if delay > 0 {
+				delayed.send(ctx, en.tr, st.msg, copies, delay)
+				return nil
+			}
+			return sendCopies(ctx, en.tr, st.msg, copies)
 		}
 		return nil
 	})
 	if err != nil {
+		// The delayed deliveries end with the round's send context,
+		// which the caller cancels once this failure has ended the
+		// gather.
 		return err
 	}
-	// A transport may still hold accepted deliveries in flight
-	// (injected delays): conclude them before the caller announces
-	// SendsDone, and surface an asynchronous delivery failure exactly
-	// as a Send returning it would have.
-	if d, ok := en.tr.(SendDrainer); ok {
-		return d.DrainSends(ctx)
+	// Conclude the delayed deliveries before the caller announces
+	// SendsDone, and fail the round with the first of them that failed,
+	// as a blocking Send would have.
+	delayed.wg.Wait()
+	return delayed.err
+}
+
+// sendCopies puts copies of m on the transport, one after another.
+func sendCopies(ctx context.Context, tr Transport, m NodeShares, copies int) error {
+	for range copies {
+		if err := tr.Send(ctx, m); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
+// delayedSends are one round's delayed deliveries. Each runs on its own
+// goroutine, so an injected latency holds the message, not the sending
+// worker's pool slot, and is abandoned when the round's send context is
+// cancelled — which the engine does when the round's gather returns, so
+// a copy held past its round can never land in a later round's gather.
+type delayedSends struct {
+	wg  sync.WaitGroup
+	mu  sync.Mutex
+	err error // the first failure other than the round's cancellation
+}
+
+func (d *delayedSends) send(ctx context.Context, tr Transport, m NodeShares, copies int, delay time.Duration) {
+	d.wg.Add(1)
+	go func() {
+		defer d.wg.Done()
+		timer := time.NewTimer(delay)
+		defer timer.Stop()
+		select {
+		case <-timer.C:
+		case <-ctx.Done():
+			return
+		}
+		err := sendCopies(ctx, tr, m, copies)
+		if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+			d.mu.Lock()
+			if d.err == nil {
+				d.err = err
+			}
+			d.mu.Unlock()
+		}
+	}()
+}
+
 // shareShapeOK reports whether a delivered message's claimed geometry
 // matches what this run assigned its sender — the precondition every
-// decoder's indexing relies on.
+// decoder's indexing relies on: the broadcast, or one view for each of
+// the K recipients.
 func (en *engine) shareShapeOK(m NodeShares) bool {
 	lo, hi := en.assign.Range(m.ID)
-	if m.Lo != lo || m.Hi != hi || len(m.Vals) != len(en.primes) {
+	views := [][][][]uint64{m.Vals}
+	if m.Views != nil {
+		views = m.Views
+	}
+	if m.Lo != lo || m.Hi != hi || m.Views != nil && (len(m.Views) != en.k || m.Vals != nil) {
 		return false
 	}
-	for _, coords := range m.Vals {
-		if len(coords) != en.w {
+	for _, view := range views {
+		if len(view) != len(en.primes) {
 			return false
 		}
-		for _, vals := range coords {
-			if len(vals) != hi-lo {
+		for _, coords := range view {
+			if len(coords) != en.w {
 				return false
+			}
+			for _, vals := range coords {
+				if len(vals) != hi-lo {
+					return false
+				}
 			}
 		}
 	}
@@ -697,26 +758,22 @@ func cutRange(lo, hi, parts int) [][2]int {
 }
 
 // stageDecode is protocol step 2 (error correction during preparation):
-// assemble per recipient, decode per distinct word, agree across words.
-// Every honest node's received word is assembled through the adversary —
-// which may equivocate per recipient — and the pool runs one Gao decode
-// per distinct (prime, coordinate, word): a word's message, corrected
-// word and error locations are every one of its recipients' view, so a
-// consistent run decodes primes × width words and a fully equivocated
-// one every honest recipient's. The words of one (prime, coordinate)
-// must then decode to the same message. Nodes whose broadcasts the
-// transport lost contribute no symbols: their coordinates are decoded as
-// erasures, which cost half an error each in the Reed–Solomon budget and
-// are never counted as suspects.
+// assemble every node's view, decode per distinct word, agree across
+// words. Each of the K nodes decodes the word it received; the words are
+// compared, and the pool runs one Gao decode per distinct (prime,
+// coordinate, word): a word's message, corrected word and error
+// locations are every one of its recipients' view, so a run whose
+// messages are all broadcasts decodes primes × width words and one with
+// an equivocating sender one per node. The words of one (prime,
+// coordinate) must then decode to the same message. Nodes whose
+// broadcasts never arrived contribute no symbols: their coordinates are
+// decoded as erasures, which cost half an error each in the
+// Reed–Solomon budget and are never counted as suspects.
 func (en *engine) stageDecode(ctx context.Context) (*Proof, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	en.enter(StageDecode)
-	honest := honestNodes(en.k, en.opts.Adversary)
-	if len(honest) == 0 {
-		return nil, ErrNoHonestNodes
-	}
 	// One erasure plan per prime, shared read-only by every decode: the
 	// erasure set is a property of the gather, not of any received word.
 	// An undecodable erasure set fails here.
@@ -731,10 +788,10 @@ func (en *engine) stageDecode(ctx context.Context) (*Proof, error) {
 	}
 
 	// byCoord[pi*w+c] are the distinct words of (prime pi, coordinate c),
-	// the one holding the lowest honest recipient first.
+	// the one holding node 0's view first.
 	byCoord := make([][]*receivedWord, len(en.primes)*en.w)
 	err := en.pool.RunWeighted(ctx, len(byCoord), en.opts.Priority, func(i int) error {
-		byCoord[i] = en.receivedWords(i/en.w, i%en.w, honest)
+		byCoord[i] = en.receivedWords(i/en.w, i%en.w)
 		return nil
 	})
 	if err != nil {
@@ -771,8 +828,8 @@ func (en *engine) stageDecode(ctx context.Context) (*Proof, error) {
 		return nil, err
 	}
 
-	// Agreement: every honest node must have recovered the same proof,
-	// i.e. all distinct words of a (prime, coordinate) the same message.
+	// Agreement: every node must have recovered the same proof, i.e. all
+	// distinct words of a (prime, coordinate) the same message.
 	coeffs := make(map[uint64][][]uint64, len(en.primes))
 	evals := make(map[uint64][][]uint64, len(en.primes))
 	for pi, q := range en.primes {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -293,15 +294,20 @@ func TestEvaluateRangeAutotunesBlockSize(t *testing.T) {
 // instead of being clamped or surfacing from a layer below.
 func TestInvalidOptionsAreTyped(t *testing.T) {
 	for name, opts := range map[string]Options{
-		"negative nodes":       {Nodes: -2},
-		"negative faults":      {FaultTolerance: -3},
-		"negative trials":      {VerifyTrials: -1},
-		"negative erasures":    {MaxErasures: -4},
-		"negative repair":      {MaxErasures: 1, MaxRepairRounds: -1},
-		"negative grace":       {MaxErasures: 1, GatherGrace: -time.Second},
-		"negative parallelism": {MaxParallelism: -1},
-		"repair sans erasures": {Nodes: 3, MaxRepairRounds: 1},
-		"grace sans erasures":  {Nodes: 3, GatherGrace: time.Second},
+		"negative nodes":        {Nodes: -2},
+		"negative faults":       {FaultTolerance: -3},
+		"negative trials":       {VerifyTrials: -1},
+		"negative erasures":     {MaxErasures: -4},
+		"negative repair":       {MaxErasures: 1, MaxRepairRounds: -1},
+		"negative grace":        {MaxErasures: 1, GatherGrace: -time.Second},
+		"negative parallelism":  {MaxParallelism: -1},
+		"repair sans erasures":  {Nodes: 3, MaxRepairRounds: 1},
+		"grace sans erasures":   {Nodes: 3, GatherGrace: time.Second},
+		"liar beyond clamped K": {Nodes: 64, Adversary: Adversary{Liars: []int{8}}}, // e = 8 points
+		"node in two roles":     {Nodes: 4, Adversary: Adversary{Liars: []int{1}, DropNodes: []int{1}}},
+		"rate above 1":          {Nodes: 4, Adversary: Adversary{DropRate: 2}},
+		"rate NaN":              {Nodes: 4, Adversary: Adversary{DupRate: math.NaN()}},
+		"negative delay":        {Nodes: 4, Adversary: Adversary{MaxDelay: -time.Second}},
 	} {
 		if _, _, err := Run(context.Background(), testProblem(), opts); !errors.Is(err, ErrInvalidOptions) {
 			t.Errorf("%s: err = %v, want ErrInvalidOptions", name, err)
@@ -387,9 +393,7 @@ func TestDecodeWallCoversPlanConstruction(t *testing.T) {
 	bg := context.Background()
 	en, err := newEngine(testProblem(), Options{
 		Nodes: 8, FaultTolerance: 2000, MaxErasures: 1, GatherGrace: 50 * time.Millisecond,
-		NewTransport: func(k int) (Transport, error) {
-			return NewLossyTransport(NewBroadcastBus(k), LossyConfig{Seed: 1, DropNodes: []int{3}}), nil
-		},
+		Adversary: Adversary{Seed: 1, DropNodes: []int{3}},
 	})
 	if err != nil {
 		t.Fatal(err)

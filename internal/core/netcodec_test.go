@@ -43,6 +43,16 @@ func randomShares(rng *rand.Rand, id, lo, span, nPrimes, width int, errText stri
 	return m
 }
 
+// withViews turns m into an equivocating sender's message: views
+// random views of m's shape in place of its Vals.
+func withViews(rng *rand.Rand, m NodeShares, views int) NodeShares {
+	for range views {
+		m.Views = append(m.Views, randomShares(rng, m.ID, m.Lo, m.Hi-m.Lo, len(m.Vals), len(m.Vals[0]), "").Vals)
+	}
+	m.Vals = nil
+	return m
+}
+
 func sharesEqual(t *testing.T, a, b NodeShares) {
 	t.Helper()
 	if a.ID != b.ID || a.From != b.From || a.Round != b.Round ||
@@ -73,6 +83,12 @@ func sharesEqual(t *testing.T, a, b NodeShares) {
 			}
 		}
 	}
+	if len(a.Views) != len(b.Views) {
+		t.Fatalf("%d views vs %d", len(a.Views), len(b.Views))
+	}
+	for r := range a.Views {
+		sharesEqual(t, NodeShares{Vals: a.Views[r]}, NodeShares{Vals: b.Views[r]})
+	}
 }
 
 func TestNodeSharesRoundTrip(t *testing.T) {
@@ -88,8 +104,11 @@ func TestNodeSharesRoundTrip(t *testing.T) {
 		{2, 9, 4, 1, 2, "node 2: evaluation exploded"},
 		{1 << 20, 1 << 20, 100, 4, 3, ""},
 	}
-	for _, tc := range cases {
+	for i, tc := range cases {
 		m := randomShares(rng, tc.id, tc.lo, tc.span, tc.nPrimes, tc.width, tc.errText)
+		if tc.span > 0 && tc.nPrimes > 0 && i%2 == 1 {
+			m = withViews(rng, m, 3)
+		}
 		data, err := EncodeNodeShares(m)
 		if err != nil {
 			t.Fatalf("encode %+v: %v", tc, err)
@@ -253,6 +272,7 @@ func FuzzDecodeNodeShares(f *testing.F) {
 		randomShares(rng, 0, 0, 1, 1, 1, ""),
 		randomShares(rng, 6, 12, 5, 2, 3, "boom"),
 		randomShares(rng, 2, 0, 0, 1, 4, ""),
+		withViews(rng, randomShares(rng, 1, 3, 2, 2, 2, ""), 4),
 	} {
 		data, err := EncodeNodeShares(m)
 		if err != nil {
@@ -261,7 +281,7 @@ func FuzzDecodeNodeShares(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte{})
-	f.Add([]byte{'C', 'M', 'S', 1})
+	f.Add([]byte{'C', 'M', 'S', 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeNodeShares(data)
 		if err != nil {

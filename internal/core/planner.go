@@ -199,8 +199,8 @@ func evaluateRangeInto(ctx context.Context, pl *Planner, q uint64, lo, hi, width
 
 // EvaluateShares computes one complete NodeShares message for the
 // point range [lo, hi): every prime's width×span evaluation block,
-// stamped with the logical owner, the physical sender, and the gather
-// round. It runs the engine's own block loop, so a remotely produced
+// stamped with the logical owner, the logical node that sends it, and
+// the gather round. It runs the engine's own block loop, so a remotely produced
 // frame is bit-identical to what the in-process round would have
 // broadcast — the property the multi-process bit-identity checks pin.
 //

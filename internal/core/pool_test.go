@@ -435,7 +435,7 @@ func TestProgressSeesSuspects(t *testing.T) {
 	p := testProblem()
 	// Plenty of fault tolerance so one lying node is corrected.
 	_, rep, err := Run(context.Background(), p, Options{
-		Nodes: 4, FaultTolerance: 4, Adversary: NewLyingNodes(3, 1), Progress: prog,
+		Nodes: 4, FaultTolerance: 4, Adversary: Adversary{Seed: 3, Liars: []int{1}}, Progress: prog,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -133,7 +133,7 @@ func TestRepairAfterMiscorrection(t *testing.T) {
 		proof, rep, err := Run(ctx, p, Options{
 			Nodes: 8, FaultTolerance: 4, VerifyTrials: 3, Seed: seed,
 			MaxErasures: 3, MaxRepairRounds: repair, GatherGrace: 2 * time.Second,
-			Adversary: NewLyingNodes(seed, 3),
+			Adversary: Adversary{Seed: seed, Liars: []int{3}},
 			NewTransport: func(k int) (Transport, error) {
 				return &filterTransport{
 					BroadcastBus: NewBroadcastBus(k),
@@ -354,42 +354,25 @@ func TestCutRangeBoundaries(t *testing.T) {
 }
 
 // TestLossyDelayedCopyCannotStraddleRounds is the regression for the
-// round-isolation contract: a delayed delivery accepted in round N whose
-// Send context is cancelled when the round ends must be abandoned — it
-// must not land on the bus where round N+1's gather would have to
-// filter it.
+// round-isolation contract: a delivery delayed in round N whose send
+// context is cancelled when the round ends must be abandoned at once —
+// it must not hold the round, nor land on the bus where round N+1's
+// gather would have to filter it.
 func TestLossyDelayedCopyCannotStraddleRounds(t *testing.T) {
 	bus := NewBroadcastBus(4)
-	lt := NewLossyTransport(bus, LossyConfig{Seed: 5, DelayRate: 1, MaxDelay: time.Hour})
-	// Fate is pure in (Seed, sender): assert the fixture actually
-	// injects a delay long enough that cancellation races nothing.
-	if _, _, delay := lt.fate(0); delay < time.Second {
-		t.Fatalf("fixture: fate(0) delay %v too short for a deterministic test; pick another seed", delay)
-	}
+	var delayed delayedSends
 	roundCtx, cancelRound := context.WithCancel(context.Background())
-	if err := lt.Send(roundCtx, NodeShares{ID: 0, Round: 0}); err != nil {
-		t.Fatal(err)
-	}
+	delayed.send(roundCtx, bus, NodeShares{ID: 0, Round: 0}, 1, time.Hour)
 	cancelRound() // round 0's gather returned; the engine cancels its senders
-	if err := lt.DrainSends(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	waited := make(chan struct{})
+	go func() { delayed.wg.Wait(); close(waited) }()
 	select {
-	case m := <-bus.ch:
-		t.Fatalf("abandoned round-0 delivery reached the bus: %+v", m)
-	default:
+	case <-waited:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a delayed delivery outlived its round's cancellation")
 	}
-	// The next round's traffic flows normally over the same bus (sent
-	// directly: this fixture delays every lossy send by up to an hour).
-	if err := bus.Send(context.Background(), NodeShares{ID: 0, From: 2, Round: 1}); err != nil {
-		t.Fatal(err)
-	}
-	out, err := GatherShares(context.Background(), bus.ch, GatherSpec{K: 4, Quorum: 1, Round: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 || out[0].Round != 1 || out[0].Origin() != 2 {
-		t.Fatalf("round-1 gather saw %+v, want the sponsor's frame alone", out)
+	if delayed.err != nil || len(bus.ch) != 0 {
+		t.Fatalf("abandoned round-0 delivery: err %v, %d message(s) on the bus", delayed.err, len(bus.ch))
 	}
 }
 

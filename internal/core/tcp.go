@@ -16,7 +16,6 @@ package core
 // MaxErasures/GatherGrace budget exactly as for any other delivery
 // fault. Malformed frames are counted (BadFrames) and cost the peer
 // its connection, never an allocation beyond the bytes received.
-// LossyTransport composes on top for loopback chaos testing.
 
 import (
 	"context"
@@ -86,7 +85,7 @@ func NewTCPTransport(k int, cfg TCPConfig) (*TCPTransport, error) {
 	t := &TCPTransport{
 		k:  k,
 		ln: ln,
-		// Headroom for duplicated deliveries: a lossy wrapper must never
+		// Headroom for duplicated deliveries: a sender's duplicates must never
 		// wedge a reader.
 		ch:    make(chan NodeShares, 2*k+2),
 		done:  make(chan struct{}),

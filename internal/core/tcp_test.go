@@ -1,7 +1,7 @@
 package core
 
 // TCPTransport tests: full engine runs over loopback sockets (strict
-// and quorum gathers, bare and lossy-wrapped), the dial- and
+// and quorum gathers, with and without lost broadcasts), the dial- and
 // listen-retry paths, the malformed-frame trust boundary, and
 // Close/cancellation hygiene.
 
@@ -49,9 +49,9 @@ func TestTCPRunMatchesBus(t *testing.T) {
 	}
 }
 
-// TestTCPQuorumWithLoss drives the erasure path over real sockets: a
-// lossy wrapper drops two nodes' frames off the socket and the quorum
-// gather plus erasure decode must still recover the identical proof.
+// TestTCPQuorumWithLoss drives the erasure path over real sockets: two
+// nodes' frames never reach the socket and the quorum gather plus
+// erasure decode must still recover the identical proof.
 func TestTCPQuorumWithLoss(t *testing.T) {
 	ctx := context.Background()
 	p := testProblem()
@@ -61,9 +61,8 @@ func TestTCPQuorumWithLoss(t *testing.T) {
 	}
 	proof, rep, err := Run(ctx, p, Options{
 		Nodes: 8, FaultTolerance: 4, MaxErasures: 2, GatherGrace: 2 * time.Second,
-		NewTransport: func(k int) (Transport, error) {
-			return NewLossyTransport(tcpLoopback(t, k), LossyConfig{DropNodes: []int{2, 5}}), nil
-		},
+		Adversary:    Adversary{DropNodes: []int{2, 5}},
+		NewTransport: func(k int) (Transport, error) { return tcpLoopback(t, k), nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +71,7 @@ func TestTCPQuorumWithLoss(t *testing.T) {
 		t.Fatalf("MissingNodes = %v, want [2 5]", rep.MissingNodes)
 	}
 	if err := proofsEqual(baseline, proof); err != nil {
-		t.Fatalf("lossy tcp proof differs: %v", err)
+		t.Fatalf("tcp proof with losses differs: %v", err)
 	}
 }
 

@@ -3,16 +3,15 @@ package core
 // The transport layer carries the protocol's single message kind — a
 // node's broadcast of its evaluated shares — from the prepare stage to
 // the decode stage. The paper's model is a reliable broadcast bus; the
-// Transport interface keeps that as the default while modeling the
-// delivery-fault axis explicitly: TCPTransport carries the frames over
-// loopback sockets, and LossyTransport drops, delays, duplicates, and
-// reorders messages under a seeded RNG over either.
-// Delivery faults (a message that never arrives) are distinct from the
-// content faults the Adversary injects: the Adversary corrupts the
-// *values* of received words per (sender, recipient) pair at decode
-// time, while a faulty transport loses whole messages — the collector
-// then reports the missing senders and the decode stage treats their
-// coordinates as Reed–Solomon erasures.
+// Transport interface keeps that as the default, and TCPTransport
+// carries the same messages as frames over loopback sockets. A
+// transport only moves messages: what a faulty node sends, and whether
+// its message is lost, repeated or held on the way, was decided by the
+// sender under the run's Adversary record before Send (see
+// adversary.go). A message that never arrives is a delivery fault — the
+// collector reports the missing senders and the decode stage treats
+// their coordinates as Reed–Solomon erasures — while a message that
+// arrives with bad values is a content fault the decoder corrects.
 
 import (
 	"context"
@@ -29,10 +28,10 @@ type NodeShares struct {
 	// the owner is dead and a surviving sponsor computes and sends the
 	// range on its behalf; ID still names the owner.
 	ID int
-	// From is the node that physically sent the message: the owner
-	// itself in round 0, the sponsoring survivor in a repair round. The
-	// transport's link faults (a lossy network's drop fate, say) attach
-	// to the physical sender, not the range owner — see Origin.
+	// From is the logical node that sent the message: the owner itself
+	// in round 0, the sponsoring survivor in a repair round — in every
+	// shape, a remote worker acting for the node included. The sender's
+	// faults attach to it, not to the range owner — see Origin.
 	From int
 	// Round is the gather round the message belongs to: 0 for the
 	// initial prepare gather, n ≥ 1 for the n-th repair round. A
@@ -42,8 +41,13 @@ type NodeShares struct {
 	Round int
 	// Lo, Hi delimit the owned point-index range [Lo, Hi).
 	Lo, Hi int
-	// Vals is indexed [prime][coord][point-Lo].
+	// Vals is indexed [prime][coord][point-Lo]: what every recipient
+	// reads, unless Views is set.
 	Vals [][][]uint64
+	// Views, set only by an equivocating sender (Vals is then nil), holds
+	// one view per recipient, indexed [recipient][prime][coord][point-Lo]:
+	// one message per (owner, round) still, whatever the sender does.
+	Views [][][][]uint64
 	// Elapsed is the node's evaluation time.
 	Elapsed time.Duration
 	// Err is a node-side evaluation failure, reported in-band so the
@@ -51,8 +55,8 @@ type NodeShares struct {
 	Err error
 }
 
-// Origin returns the message's physical sender: the sponsor (From) for
-// a repair-round message, the owner (ID) otherwise. Round > 0 is the
+// Origin returns the message's sender: the sponsor (From) for a
+// repair-round message, the owner (ID) otherwise. Round > 0 is the
 // discriminant — From's zero value is a valid node id, so round-0
 // messages constructed without From must still originate from ID.
 func (m NodeShares) Origin() int {
@@ -62,10 +66,19 @@ func (m NodeShares) Origin() int {
 	return m.ID
 }
 
+// View returns what recipient r reads from the message: its own view
+// when the sender equivocated, the broadcast Vals otherwise.
+func (m NodeShares) View(r int) [][][]uint64 {
+	if m.Views != nil {
+		return m.Views[r]
+	}
+	return m.Vals
+}
+
 // Transport moves NodeShares messages from compute nodes to the
 // collector. It is the whole contract: the engine calls these four
-// methods and asks a transport nothing else (SendDrainer and
-// RemoteAssigner are the two genuine extras). Implementations must be
+// methods and asks a transport nothing else (RemoteAssigner is the one
+// genuine extra). Implementations must be
 // safe for concurrent Send calls; gathers run on a single collector
 // goroutine, and no gather ends the transport — a run gathers once per
 // round over the same instance, and whoever built the transport (the
@@ -137,18 +150,6 @@ type GatherSpec struct {
 	Round int
 }
 
-// SendDrainer is an optional Transport capability for transports that
-// accept a Send and deliver it later on their own goroutines (e.g.
-// LossyTransport's injected delays). DrainSends blocks until every
-// such in-flight delivery has completed or been abandoned and returns
-// the first delivery failure. The engine calls it once the worker pool
-// has finished sending and before closing GatherSpec.SendsDone, so an
-// asynchronous delivery failure still fails the run with its root
-// cause and "sending concluded" is never announced early.
-type SendDrainer interface {
-	DrainSends(ctx context.Context) error
-}
-
 // TransportFactory builds a fresh Transport for a run of k nodes, or
 // says why it cannot (a bind failure, a node count the transport was not
 // built for); round 0 returns that as the run's error. A factory rather
@@ -157,16 +158,21 @@ type SendDrainer interface {
 type TransportFactory func(k int) (Transport, error)
 
 // AssignSpec names one point range the engine wants evaluated remotely:
-// the logical node that owns it (what decoders index by), the gather
-// round its frames must carry, and the geometry a worker needs to
-// reproduce the evaluation bit for bit (Evaluate is deterministic in
-// (q, x0), so any worker produces the same words). The problem instance
-// itself travels out of band — a remote transport is constructed around
-// a specific workload.
+// the logical node that owns it (what decoders index by), the one that
+// sends it, the gather round its frames must carry, the geometry a
+// worker needs to reproduce the evaluation bit for bit (Evaluate is
+// deterministic in (q, x0), so any worker produces the same words) and
+// the run's fault record, which the worker applies as the sending node.
+// The problem instance itself travels out of band — a remote transport
+// is constructed around a specific workload.
 type AssignSpec struct {
 	// Owner is the logical node id in [0, K) whose range this is; the
 	// frames that come back carry it as NodeShares.ID.
 	Owner int
+	// Sponsor is the logical node that evaluates and sends the range:
+	// the owner in round 0, a survivor in a repair round. The frames
+	// carry it as NodeShares.From.
+	Sponsor int
 	// Round tags the gather round the resulting frames belong to
 	// (NodeShares.Round; 0 for the initial prepare, >= 1 for repairs).
 	Round int
@@ -176,6 +182,11 @@ type AssignSpec struct {
 	Width int
 	// Primes are the proof moduli, in proof order.
 	Primes []uint64
+	// K is the run's node count, the number of views an equivocating
+	// sponsor sends.
+	K int
+	// Adversary is the run's fault record.
+	Adversary Adversary
 }
 
 // RemoteAssigner is the optional Transport capability behind remote
@@ -234,7 +245,7 @@ func (b *BroadcastBus) GatherQuorum(ctx context.Context, spec GatherSpec) ([]Nod
 }
 
 // Close implements Transport: it releases senders blocked on a full bus
-// (a lossy wrapper's duplicates can overfill it).
+// (duplicated deliveries can overfill it).
 func (b *BroadcastBus) Close() { b.stop.Do(func() { close(b.done) }) }
 
 // GatherShares is the one quorum-gather loop over a message channel;
@@ -356,7 +367,7 @@ func GatherShares(ctx context.Context, ch <-chan NodeShares, spec GatherSpec) ([
 // for callers that bypass it). It errors only on protocol violations
 // (a sender outside [0, k)) and node-side failures — missing senders
 // are the caller's policy decision (the engine fails a strict run and
-// erases a lossy one).
+// erases a quorum one).
 func collectShares(msgs []NodeShares, k, round int) (delivered []NodeShares, missing []int, err error) {
 	all := make([]NodeShares, k)
 	seen := make([]bool, k)

@@ -4,7 +4,8 @@ package core
 // collector's tolerance of arbitrary message streams, the broadcast
 // bus's cancellation behaviour, the quorum-gather contract, the
 // four-method Transport contract over every implementation, and the
-// lossy wrapper. End-to-end fault scenarios live in chaos_test.go.
+// network faults of the fault record as the engine applies them.
+// End-to-end fault scenarios live in chaos_test.go.
 
 import (
 	"context"
@@ -13,6 +14,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -184,16 +186,11 @@ func TestGatherQuorumReturnsAtQuorum(t *testing.T) {
 }
 
 // transportImpls is the table of Transport implementations in this
-// package (internal/ctrl runs the same checks on its Coordinator). The
-// lossy rows delay every delivery, so arrivals cross an asynchronous hop
-// and land out of order.
+// package (internal/ctrl runs the same checks on its Coordinator).
 func transportImpls(t *testing.T) map[string]func(k int) Transport {
-	delayed := LossyConfig{Seed: 5, DelayRate: 1, MaxDelay: 2 * time.Millisecond}
 	return map[string]func(k int) Transport{
-		"bus":        func(k int) Transport { return NewBroadcastBus(k) },
-		"lossy(bus)": func(k int) Transport { return NewLossyTransport(NewBroadcastBus(k), delayed) },
-		"tcp":        func(k int) Transport { return tcpLoopback(t, k) },
-		"lossy(tcp)": func(k int) Transport { return NewLossyTransport(tcpLoopback(t, k), delayed) },
+		"bus": func(k int) Transport { return NewBroadcastBus(k) },
+		"tcp": func(k int) Transport { return tcpLoopback(t, k) },
 	}
 }
 
@@ -281,64 +278,56 @@ func TestTCPAndBusConformance(t *testing.T) {
 	}
 }
 
+// TestLossyTransportFateIsDeterministic: the network faults of a record
+// are a pure function of (Seed, sender), and the seed moves them.
 func TestLossyTransportFateIsDeterministic(t *testing.T) {
-	cfg := LossyConfig{Seed: 5, DropRate: 0.4, DupRate: 0.5, DelayRate: 0.5, MaxDelay: time.Millisecond}
-	a := NewLossyTransport(NewBroadcastBus(1), cfg)
-	b := NewLossyTransport(NewBroadcastBus(1), cfg)
-	varied := false
+	a := Adversary{Seed: 5, DropRate: 0.4, DupRate: 0.5, DelayRate: 0.5, MaxDelay: time.Millisecond}
+	b, other := a, a
+	other.Seed = 6
+	varied, same := false, true
 	for id := 0; id < 64; id++ {
-		d1, c1, del1 := a.fate(id)
-		d2, c2, del2 := b.fate(id)
-		if d1 != d2 || c1 != c2 || del1 != del2 {
-			t.Fatalf("fate(%d) differs across identically-seeded transports", id)
+		c1, del1 := a.fate(id)
+		if c2, del2 := b.fate(id); c1 != c2 || del1 != del2 {
+			t.Fatalf("fate(%d) differs across identically seeded records", id)
 		}
-		d3, c3, del3 := a.fate(id)
-		if d1 != d3 || c1 != c3 || del1 != del3 {
+		if c3, del3 := a.fate(id); c1 != c3 || del1 != del3 {
 			t.Fatalf("fate(%d) differs across calls", id)
 		}
-		if d1 || c1 == 2 || del1 > 0 {
-			varied = true
-		}
+		varied = varied || c1 != 1 || del1 > 0
+		c4, _ := other.fate(id)
+		same = same && c1 == c4
 	}
-	if !varied {
-		t.Fatal("no message met any fate at 40-50% rates over 64 senders")
-	}
-	// A different seed must produce a different fate pattern somewhere.
-	other := NewLossyTransport(NewBroadcastBus(1), LossyConfig{Seed: 6, DropRate: 0.4, DupRate: 0.5})
-	same := true
-	for id := 0; id < 64 && same; id++ {
-		d1, c1, _ := a.fate(id)
-		d2, c2, _ := other.fate(id)
-		same = d1 == d2 && c1 == c2
-	}
-	if same {
-		t.Fatal("seeds 5 and 6 produced identical fates for 64 senders")
+	if !varied || same {
+		t.Fatalf("over 64 senders at 40-50%% rates: some fate met %v, seeds 5 and 6 alike %v", varied, same)
 	}
 }
 
+// countingBus is a bus that counts the messages put on it.
+type countingBus struct {
+	*BroadcastBus
+	sent atomic.Int32
+}
+
+func (b *countingBus) Send(ctx context.Context, m NodeShares) error {
+	b.sent.Add(1)
+	return b.BroadcastBus.Send(ctx, m)
+}
+
+// TestLossyTransportDropsAndDuplicates: a dropped node's broadcast never
+// reaches the transport, every other one reaches it twice, and the run
+// names the dropped node missing.
 func TestLossyTransportDropsAndDuplicates(t *testing.T) {
-	bus := NewBroadcastBus(16)
-	tr := NewLossyTransport(bus, LossyConfig{DropNodes: []int{2}, DupRate: 1})
-	ctx := context.Background()
-	for id := 0; id < 4; id++ {
-		if err := tr.Send(ctx, NodeShares{ID: id}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// 3 survivors × 2 copies on the inner bus, node 2 gone entirely.
-	if got := len(bus.ch); got != 6 {
-		t.Fatalf("inner bus holds %d messages, want 6", got)
-	}
-	msgs, err := tr.GatherQuorum(ctx, GatherSpec{K: 4, Quorum: 3, Grace: time.Second})
+	bus := &countingBus{BroadcastBus: NewBroadcastBus(4)}
+	_, rep, err := Run(context.Background(), testProblem(), Options{
+		Nodes: 4, FaultTolerance: 4, MaxErasures: 1, GatherGrace: time.Second,
+		Adversary:    Adversary{DropNodes: []int{2}, DupRate: 1},
+		NewTransport: func(int) (Transport, error) { return bus, nil },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, missing, err := collectShares(msgs, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameInts(missing, []int{2}) {
-		t.Fatalf("missing = %v, want [2]", missing)
+	if got := bus.sent.Load(); got != 6 || !sameInts(rep.MissingNodes, []int{2}) {
+		t.Fatalf("%d messages sent, missing %v; want 3 survivors × 2 copies and [2]", got, rep.MissingNodes)
 	}
 }
 
@@ -354,10 +343,8 @@ func TestRunStrictModeRefusesLossPromptly(t *testing.T) {
 		"tcp": func(k int) Transport { return tcpLoopback(t, k) },
 	} {
 		_, _, err := Run(ctx, testProblem(), Options{
-			Nodes: 4, FaultTolerance: 4,
-			NewTransport: func(k int) (Transport, error) {
-				return NewLossyTransport(inner(k), LossyConfig{DropNodes: []int{2}}), nil
-			},
+			Nodes: 4, FaultTolerance: 4, Adversary: Adversary{DropNodes: []int{2}},
+			NewTransport: func(k int) (Transport, error) { return inner(k), nil },
 		})
 		if err == nil || !strings.Contains(err.Error(), "transport delivered no message from node 2") {
 			t.Fatalf("%s: err = %v, want the strict refusal naming node 2", name, err)
@@ -388,79 +375,43 @@ func TestRunQuorumModeMatchesStrictWhenNothingIsLost(t *testing.T) {
 	}
 }
 
-// TestLossyTransportDelayDoesNotBlockSender is the regression test for
-// the delay-injection fix: the injected latency models the network
-// holding the message, so Send must hand the delayed delivery to a
-// goroutine and return immediately — a blocking Send would serialize
-// the compute workers and skew every throughput reading.
+// TestLossyTransportDelayDoesNotBlockSender: an injected latency holds
+// the message, not the sending worker. Node 0's broadcast is held for
+// over half an hour on a one-worker pool that evaluates it first; the
+// other three must still be sent, the quorum gather must end the round,
+// and the held copy must be abandoned with it — a delay that blocked
+// the worker, or a copy that outlived its round, would hold the run.
 func TestLossyTransportDelayDoesNotBlockSender(t *testing.T) {
-	bus := NewBroadcastBus(2)
-	// Find a seed whose fate for sender 0 is "delay, no drop": the
-	// fate function is pure, so probe it without any I/O.
-	cfg := LossyConfig{DelayRate: 1, MaxDelay: time.Hour}
-	var lt *LossyTransport
-	for seed := int64(0); ; seed++ {
-		cfg.Seed = seed
-		lt = NewLossyTransport(bus, cfg)
-		if drop, _, delay := lt.fate(0); !drop && delay > 30*time.Minute {
-			break
-		}
-		if seed > 10_000 {
-			t.Fatal("no seed with a long delay fate found")
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	start := time.Now()
-	if err := lt.Send(ctx, NodeShares{ID: 0, Lo: 0, Hi: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if blocked := time.Since(start); blocked > 2*time.Second {
-		t.Fatalf("Send blocked %v on an hour-scale injected delay", blocked)
-	}
-	// The message is held by the network, not delivered yet.
-	drainCtx, drainCancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer drainCancel()
-	if _, err := bus.Gather(drainCtx, 1); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("delayed message visible early: %v", err)
-	}
-	// Cancelling the send context abandons the pending delivery, and
-	// DrainSends observes the goroutine's exit.
-	cancel()
-	_ = lt.DrainSends(context.Background())
-}
-
-// TestLossyTransportShortDelayStillDelivers: the asynchronous path
-// must still deliver (including duplicate copies) once the delay
-// elapses.
-func TestLossyTransportShortDelayStillDelivers(t *testing.T) {
-	bus := NewBroadcastBus(4)
-	cfg := LossyConfig{DelayRate: 1, DupRate: 1, MaxDelay: 2 * time.Millisecond}
-	var lt *LossyTransport
-	for seed := int64(0); ; seed++ {
-		cfg.Seed = seed
-		lt = NewLossyTransport(bus, cfg)
-		if drop, copies, delay := lt.fate(3); !drop && copies == 2 && delay > 0 {
-			break
-		}
-		if seed > 10_000 {
-			t.Fatal("no seed with a delayed duplicate fate found")
-		}
+	adv := Adversary{DelayRate: 0.3, MaxDelay: time.Hour}
+	delay := func(id int) time.Duration { _, d := adv.fate(id); return d }
+	for delay(0) < 30*time.Minute || delay(1)+delay(2)+delay(3) > 0 {
+		adv.Seed++
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := lt.Send(ctx, NodeShares{ID: 3, Lo: 0, Hi: 0}); err != nil {
-		t.Fatal(err)
-	}
-	// One distinct sender can never fill a quorum of two: the grace
-	// timer ends the gather, after both copies have landed.
-	msgs, err := bus.GatherQuorum(ctx, GatherSpec{K: 4, Quorum: 2, Grace: 200 * time.Millisecond})
+	_, rep, err := Run(ctx, testProblem(), Options{
+		Nodes: 4, FaultTolerance: 4, MaxErasures: 1, GatherGrace: time.Hour, MaxParallelism: 1, Adversary: adv,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(msgs) != 2 || msgs[0].ID != 3 || msgs[1].ID != 3 {
-		t.Fatalf("gathered %+v, want two copies from node 3", msgs)
+	if !sameInts(rep.MissingNodes, []int{0}) {
+		t.Fatalf("MissingNodes = %v, want the held node 0", rep.MissingNodes)
 	}
-	_ = lt.DrainSends(context.Background())
+}
+
+// TestLossyTransportShortDelayStillDelivers: delayed deliveries still
+// arrive, duplicate copies included, once their delay elapses — a
+// strict run hears every node.
+func TestLossyTransportShortDelayStillDelivers(t *testing.T) {
+	bus := &countingBus{BroadcastBus: NewBroadcastBus(4)}
+	_, rep, err := Run(context.Background(), testProblem(), Options{
+		Nodes: 4, FaultTolerance: 4, Adversary: Adversary{DelayRate: 1, DupRate: 1, MaxDelay: 2 * time.Millisecond},
+		NewTransport: func(int) (Transport, error) { return bus, nil },
+	})
+	if err != nil || !rep.Verified || bus.sent.Load() != 8 {
+		t.Fatalf("err %v, verified %v, %d messages sent; want a verified proof from 4 nodes × 2 copies", err, rep != nil && rep.Verified, bus.sent.Load())
+	}
 }
 
 // erroringTransport fails every Send; Gather behaves like a bus that
@@ -472,34 +423,18 @@ type erroringTransport struct {
 
 func (t *erroringTransport) Send(context.Context, NodeShares) error { return t.err }
 
-// TestLossyDelayedSendErrorFailsTheRun pins the error-propagation
-// contract of the asynchronous delay path: a delayed delivery that
-// fails must fail the run with the root cause — exactly as the old
-// blocking Send did — instead of leaving the gather waiting forever.
+// TestLossyDelayedSendErrorFailsTheRun pins the error propagation of
+// the delayed path: a delayed delivery that fails must fail the run with
+// the root cause, as a blocking Send does, instead of leaving the gather
+// waiting forever. DelayRate 1 delays every broadcast.
 func TestLossyDelayedSendErrorFailsTheRun(t *testing.T) {
 	boom := errors.New("the network ate the frame")
-	// A seed whose fate for every sender of a 2-node run is pure
-	// delay: probe fate directly.
-	cfg := LossyConfig{DelayRate: 1, MaxDelay: time.Millisecond}
-	probe := NewLossyTransport(NewBroadcastBus(2), cfg)
-	for seed := int64(0); ; seed++ {
-		probe.cfg.Seed = seed
-		if _, _, d0 := probe.fate(0); d0 > 0 {
-			if _, _, d1 := probe.fate(1); d1 > 0 {
-				cfg.Seed = seed
-				break
-			}
-		}
-		if seed > 100_000 {
-			t.Fatal("no all-delay seed found")
-		}
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	_, _, err := Run(ctx, testProblem(), Options{
-		Nodes: 2, FaultTolerance: 1,
+		Nodes: 2, FaultTolerance: 1, Adversary: Adversary{DelayRate: 1, MaxDelay: time.Millisecond},
 		NewTransport: func(k int) (Transport, error) {
-			return NewLossyTransport(&erroringTransport{BroadcastBus: NewBroadcastBus(k), err: boom}, cfg), nil
+			return &erroringTransport{BroadcastBus: NewBroadcastBus(k), err: boom}, nil
 		},
 	})
 	if !errors.Is(err, boom) {

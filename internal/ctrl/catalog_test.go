@@ -38,11 +38,11 @@ func TestWorkerRebuildsEveryCatalogKind(t *testing.T) {
 				t.Fatal(err)
 			}
 			lo, hi := e/2, min(e/2+3, e)
-			want, err := core.NewPlanner(p).EvaluateShares(ctx, primes, 1, 0, 0, lo, hi)
+			want, err := core.NewPlanner(p).EvaluateShares(ctx, primes, 1, 1, 0, lo, hi)
 			if err != nil {
 				t.Fatalf("%s: coordinator side: %v", spec, err)
 			}
-			got := remoteShares(ctx, t, w, core.AssignSpec{Owner: 1, Lo: lo, Hi: hi, Width: p.Width(), Primes: primes})
+			got := remoteShares(ctx, t, w, core.AssignSpec{Owner: 1, Sponsor: 1, Lo: lo, Hi: hi, Width: p.Width(), Primes: primes, K: 2})
 			if got.Err != nil {
 				t.Fatalf("%s: worker side: %v", spec, got.Err)
 			}

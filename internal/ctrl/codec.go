@@ -4,7 +4,7 @@
 // join it over TCP, receive point-range assignments, evaluate locally,
 // and stream NodeShares frames back. The protocol is deliberately
 // small — hello/helloAck grant a worker slot, assign carries a range
-// manifest, shares reuses the 'CMS'2 codec verbatim, and done/error end
+// manifest, shares reuses the 'CMS'3 codec verbatim, and done/error end
 // things — layered over the same length-prefixed framing
 // (core.WriteFrame/ReadFrame) the share transport speaks. The trailing
 // magic byte is the protocol's only version (see core.ConsumeMagic):
@@ -12,7 +12,7 @@
 //
 // Every control payload travels in one envelope:
 //
-//	magic 'C' 'M' 'C' 2
+//	magic 'C' 'M' 'C' 3
 //	tag (1 byte) | seq (uint64 LE) | macLen (1 byte: 0 or 32)
 //	macLen bytes of HMAC-SHA256 | body
 //
@@ -30,6 +30,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"time"
 
 	"camelot/internal/core"
 )
@@ -37,7 +39,7 @@ import (
 // ctrlMagic guards control frames against unrelated bytes (including
 // 'CMS' share frames arriving on the wrong port); the trailing byte is
 // the format version.
-var ctrlMagic = [4]byte{'C', 'M', 'C', 2}
+var ctrlMagic = [4]byte{'C', 'M', 'C', 3}
 
 // Control message tags, one per message kind in the envelope's tag
 // byte. The zero value is deliberately invalid.
@@ -45,7 +47,7 @@ const (
 	TagHello    byte = 1 // worker → coordinator: join request
 	TagHelloAck byte = 2 // coordinator → worker: slot grant + challenge
 	TagAssign   byte = 3 // coordinator → worker: one range manifest
-	TagShares   byte = 4 // worker → coordinator: 'CMS'2 payload verbatim
+	TagShares   byte = 4 // worker → coordinator: 'CMS'3 payload verbatim
 	TagDone     byte = 5 // coordinator → worker: run over, disconnect
 	TagError    byte = 6 // either direction: typed refusal, then close
 )
@@ -98,19 +100,23 @@ type HelloAck struct {
 
 // Assign is one range manifest: evaluate the proof polynomial for
 // logical node Owner over points [Lo, Hi) for every prime, and send
-// the result back tagged with Round. Kind and Instance name the problem
-// so a worker can rebuild it deterministically (the builder RunWorker
-// is given) — Evaluate is deterministic in (q, x0), so the frames that
-// come back are bit-identical to what an in-process run would have
-// produced.
+// the result back tagged with Round, as logical node Sponsor of a run
+// of K nodes under the run's fault record. Kind and Instance name the
+// problem so a worker can rebuild it deterministically (the builder
+// RunWorker is given) — Evaluate is deterministic in (q, x0), and the
+// record's faults in (Seed, sponsor, share), so the frames that come
+// back are bit-identical to what an in-process run would have sent.
 type Assign struct {
-	Owner    int
-	Round    int
-	Lo, Hi   int
-	Width    int
-	Primes   []uint64
-	Kind     string
-	Instance []byte
+	Owner     int
+	Sponsor   int
+	Round     int
+	Lo, Hi    int
+	Width     int
+	K         int
+	Primes    []uint64
+	Kind      string
+	Instance  []byte
+	Adversary core.Adversary
 }
 
 // Done tells a worker the run is over and the connection is closing.
@@ -161,10 +167,13 @@ func encodeBody(msg any) (tag byte, body []byte, err error) {
 		body = append(body, m.Challenge[:]...)
 		return TagHelloAck, body, nil
 	case Assign:
-		if m.Owner < 0 || m.Owner > maxCtrlInt || m.Round < 0 || m.Round > maxCtrlInt ||
-			m.Lo < 0 || m.Hi < m.Lo || m.Hi > maxCtrlInt || m.Width <= 0 || m.Width > maxCtrlInt {
-			return 0, nil, fmt.Errorf("ctrl: encode assign: bad geometry owner=%d round=%d range=[%d,%d) width=%d",
-				m.Owner, m.Round, m.Lo, m.Hi, m.Width)
+		if m.Owner < 0 || m.Round < 0 || m.Round > maxCtrlInt || m.Lo < 0 || m.Hi < m.Lo || m.Hi > maxCtrlInt ||
+			m.Width <= 0 || m.Width > maxCtrlInt || m.K > maxCtrlInt || m.Owner >= m.K || m.Sponsor < 0 || m.Sponsor >= m.K {
+			return 0, nil, fmt.Errorf("ctrl: encode assign: bad geometry owner=%d sponsor=%d k=%d round=%d range=[%d,%d) width=%d",
+				m.Owner, m.Sponsor, m.K, m.Round, m.Lo, m.Hi, m.Width)
+		}
+		if err := m.Adversary.Validate(m.K); err != nil {
+			return 0, nil, fmt.Errorf("ctrl: encode assign: %w", err)
 		}
 		if len(m.Primes) == 0 || len(m.Primes) > maxPrimes {
 			return 0, nil, fmt.Errorf("ctrl: encode assign: %d primes (want 1..%d)", len(m.Primes), maxPrimes)
@@ -175,17 +184,26 @@ func encodeBody(msg any) (tag byte, body []byte, err error) {
 		if len(m.Instance) > maxInstanceLen {
 			return 0, nil, fmt.Errorf("ctrl: encode assign: instance %d bytes exceeds %d", len(m.Instance), maxInstanceLen)
 		}
-		body = appendUint(body, m.Owner)
-		body = appendUint(body, m.Round)
-		body = appendUint(body, m.Lo)
-		body = appendUint(body, m.Hi)
-		body = appendUint(body, m.Width)
-		body = appendUint(body, len(m.Primes))
+		for _, v := range []int{m.Owner, m.Sponsor, m.Round, m.Lo, m.Hi, m.Width, m.K, len(m.Primes)} {
+			body = appendUint(body, v)
+		}
 		for _, q := range m.Primes {
 			body = binary.LittleEndian.AppendUint64(body, q)
 		}
 		body = appendBytes(body, []byte(m.Kind))
 		body = appendBytes(body, m.Instance)
+		a := m.Adversary
+		body = binary.LittleEndian.AppendUint64(body, a.Seed)
+		for _, ids := range [][]int{a.Liars, a.Equivocators, a.DropNodes} {
+			body = appendUint(body, len(ids))
+			for _, id := range ids {
+				body = appendUint(body, id)
+			}
+		}
+		for _, rate := range []float64{a.DropRate, a.DupRate, a.DelayRate} {
+			body = binary.LittleEndian.AppendUint64(body, math.Float64bits(rate))
+		}
+		body = binary.LittleEndian.AppendUint64(body, uint64(a.MaxDelay))
 		return TagAssign, body, nil
 	case core.NodeShares:
 		payload, err := core.EncodeNodeShares(m)
@@ -300,17 +318,28 @@ func decodeBody(tag byte, body []byte) (any, error) {
 		msg = m
 	case TagAssign:
 		var m Assign
-		m.Owner = r.Int(maxCtrlInt)
-		m.Round = r.Int(maxCtrlInt)
-		m.Lo = r.Int(maxCtrlInt)
-		m.Hi = r.Int(maxCtrlInt)
-		m.Width = r.Int(maxCtrlInt)
+		for _, v := range []*int{&m.Owner, &m.Sponsor, &m.Round, &m.Lo, &m.Hi, &m.Width, &m.K} {
+			*v = r.Int(maxCtrlInt)
+		}
 		m.Primes = r.Words(r.Int(maxPrimes))
 		m.Kind = string(r.Bytes(maxKindLen))
 		if instance := r.Bytes(maxInstanceLen); len(instance) > 0 {
 			m.Instance = append([]byte(nil), instance...)
 		}
-		plausible = len(m.Primes) > 0 && m.Hi >= m.Lo && m.Width > 0 && m.Kind != ""
+		a := &m.Adversary
+		a.Seed = r.Word()
+		for _, ids := range []*[]int{&a.Liars, &a.Equivocators, &a.DropNodes} {
+			// Words checks the claimed count against the bytes left.
+			for _, id := range r.Words(r.Int(maxCtrlInt)) {
+				*ids = append(*ids, int(min(id, maxCtrlInt))) // Validate refuses ids >= K
+			}
+		}
+		for _, rate := range []*float64{&a.DropRate, &a.DupRate, &a.DelayRate} {
+			*rate = math.Float64frombits(r.Word())
+		}
+		a.MaxDelay = time.Duration(int64(r.Word())) // Validate refuses a negative one
+		plausible = len(m.Primes) > 0 && m.Hi >= m.Lo && m.Width > 0 && m.Kind != "" &&
+			m.Owner < m.K && m.Sponsor < m.K && a.Validate(m.K) == nil
 		msg = m
 	case TagDone:
 		msg = Done{}

@@ -40,8 +40,8 @@ func TestCoordinatorConformance(t *testing.T) {
 		specs := make([]core.AssignSpec, k)
 		for owner := range specs {
 			specs[owner] = core.AssignSpec{
-				Owner: owner, Round: round, Lo: 2 * owner, Hi: 2*owner + 2,
-				Width: 1, Primes: []uint64{12289},
+				Owner: owner, Sponsor: owner, Round: round, Lo: 2 * owner, Hi: 2*owner + 2,
+				Width: 1, Primes: []uint64{12289}, K: k,
 			}
 		}
 		if err := co.AssignRanges(ctx, specs); err != nil {

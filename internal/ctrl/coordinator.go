@@ -14,8 +14,11 @@ package ctrl
 // Worker slots and logical nodes are distinct populations: a run has K
 // logical node ids (what decoders index by) and up to K worker slots;
 // with fewer live workers than K, assignments round-robin over the
-// live slots, and a frame names both its owner (NodeShares.ID) and the
-// slot that computed it (NodeShares.From). Faults map onto the
+// live slots, and a frame names its owner (NodeShares.ID) and the
+// logical node the worker sent it as (NodeShares.From, the manifest's
+// sponsor), exactly as an in-process run's frame does; the run's fault
+// record travels in the manifest and the worker applies it as that
+// node. Worker faults map onto the
 // engine's existing delivery-fault axis: a worker that dies silent
 // leaves its ranges unheard, and the quorum gather's grace timer turns
 // that silence into the round's missing set (absorbed as erasures,
@@ -387,15 +390,16 @@ func (c *Coordinator) faultTarget(slot *workerSlot) (owner, round int) {
 }
 
 // claimShares validates a shares frame against the assignment table:
-// it must answer an assignment routed to exactly this slot, carry the
-// slot as its physical sender, and be the first delivery. In-band Err
-// frames claim the assignment too — a worker-side evaluation failure
-// is a delivery outcome, not a hang.
+// it must answer an assignment routed to exactly this slot and name the
+// assignment's sponsor as its sender. A duplicate the fault record
+// asked for claims it again. In-band Err frames claim the assignment
+// too — a worker-side evaluation failure is a delivery outcome, not a
+// hang.
 func (c *Coordinator) claimShares(slotID int, m core.NodeShares) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	a := c.assigned[assignKey{owner: m.ID, round: m.Round}]
-	if a == nil || a.slot != slotID || m.From != slotID {
+	if a == nil || a.slot != slotID || m.From != a.msg.Sponsor {
 		return false
 	}
 	a.delivered = true
@@ -420,9 +424,9 @@ func (c *Coordinator) AssignRanges(ctx context.Context, specs []core.AssignSpec)
 	}
 	for _, spec := range specs {
 		msg := Assign{
-			Owner: spec.Owner, Round: spec.Round,
-			Lo: spec.Lo, Hi: spec.Hi, Width: spec.Width, Primes: spec.Primes,
-			Kind: c.cfg.Kind, Instance: c.cfg.Instance,
+			Owner: spec.Owner, Sponsor: spec.Sponsor, Round: spec.Round,
+			Lo: spec.Lo, Hi: spec.Hi, Width: spec.Width, K: spec.K, Primes: spec.Primes,
+			Kind: c.cfg.Kind, Instance: c.cfg.Instance, Adversary: spec.Adversary,
 		}
 		if err := c.dispatch(msg); err != nil {
 			return err

@@ -196,7 +196,7 @@ func (f *fakeWorker) recvAssign() Assign {
 
 func (f *fakeWorker) sendShares(ctx context.Context, p core.Problem, a Assign) {
 	f.t.Helper()
-	shares, err := core.NewPlanner(p).EvaluateShares(ctx, a.Primes, a.Owner, f.ack.Worker, a.Round, a.Lo, a.Hi)
+	shares, err := core.NewPlanner(p).EvaluateShares(ctx, a.Primes, a.Owner, a.Sponsor, a.Round, a.Lo, a.Hi)
 	if err != nil {
 		f.t.Fatalf("fake worker evaluate: %v", err)
 	}
@@ -413,7 +413,7 @@ func TestAuthTamperQuorum(t *testing.T) {
 // finished its handshake, is woken by the join itself and keeps the
 // wait's three ways out — assigned, closed, timed out — as they were.
 func TestAssignRangesJoinWait(t *testing.T) {
-	specs := []core.AssignSpec{{Owner: 0, Round: 0, Lo: 0, Hi: 1, Width: 1, Primes: []uint64{12289}}}
+	specs := []core.AssignSpec{{Owner: 0, Round: 0, Lo: 0, Hi: 1, Width: 1, Primes: []uint64{12289}, K: 1}}
 	for _, tc := range []struct {
 		name        string
 		minWorkers  int

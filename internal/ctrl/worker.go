@@ -4,9 +4,11 @@ package ctrl
 // evaluate whatever ranges arrive, stream the frames back, repeat
 // until told Done. A worker holds no run state beyond its problem
 // cache and its resume token — everything it needs to produce
-// bit-identical shares travels in the Assign manifest, and evaluation
+// bit-identical shares travels in the Assign manifest, evaluation
 // goes through core.Planner.EvaluateShares, the same block loop the
-// in-process engine uses. A dropped connection is retried with
+// in-process engine uses, and the manifest's fault record is applied
+// by core.Adversary.Apply, as the engine applies it, with the worker
+// acting as the manifest's sponsor. A dropped connection is retried with
 // exponential backoff; presenting the resume token reattaches the same
 // slot, and the coordinator replays any assignment whose shares never
 // landed, so a mid-run blip costs latency, not the run.
@@ -162,7 +164,7 @@ func serveWorker(ctx context.Context, cfg WorkerConfig, resume *[]byte, planners
 			if cfg.FailOwner > 0 && m.Owner == cfg.FailOwner && m.Round == 0 {
 				return joined, true, fmt.Errorf("%w: assigned node %d", ErrFailInjected, m.Owner)
 			}
-			if err := runAssign(ctx, wc, ack.Worker, m, planners); err != nil {
+			if err := runAssign(ctx, wc, m, planners); err != nil {
 				if ctx.Err() != nil {
 					return joined, true, ctx.Err()
 				}
@@ -178,12 +180,15 @@ func serveWorker(ctx context.Context, cfg WorkerConfig, resume *[]byte, planners
 	}
 }
 
-// runAssign evaluates one manifest and streams the result back. An
-// evaluation-side failure — unknown kind, geometry skew, a problem
-// error — travels as an in-band Err frame: a delivery outcome the
-// coordinator's fault accounting understands, not a silent hang.
-func runAssign(ctx context.Context, wc *wireConn, slot int, m Assign, planners plannersFunc) error {
-	shares, err := evaluateAssign(ctx, slot, m, planners)
+// runAssign evaluates one manifest and streams the result back as the
+// manifest's sponsor would send it under the fault record: garbled,
+// lost, repeated or held — a held frame holds this connection's next
+// assignments too. An evaluation-side failure — unknown kind, geometry
+// skew, a problem error — travels as an in-band Err frame: a delivery
+// outcome the coordinator's fault accounting understands, not a silent
+// hang.
+func runAssign(ctx context.Context, wc *wireConn, m Assign, planners plannersFunc) error {
+	shares, err := evaluateAssign(ctx, m, planners)
 	if err != nil {
 		if ctx.Err() != nil {
 			return err
@@ -192,19 +197,34 @@ func runAssign(ctx context.Context, wc *wireConn, slot int, m Assign, planners p
 		if len(msg) > maxErrMsgLen {
 			msg = msg[:maxErrMsgLen]
 		}
-		shares = core.NodeShares{
-			ID: m.Owner, From: slot, Round: m.Round, Lo: m.Lo, Hi: m.Hi,
+		return wc.send(core.NodeShares{
+			ID: m.Owner, From: m.Sponsor, Round: m.Round, Lo: m.Lo, Hi: m.Hi,
 			Err: &core.RemoteError{Msg: msg},
+		})
+	}
+	copies, delay := m.Adversary.Apply(&shares, m.Primes, m.K)
+	if delay > 0 {
+		timer := time.NewTimer(delay)
+		defer timer.Stop()
+		select {
+		case <-timer.C:
+		case <-ctx.Done():
+			return ctx.Err()
 		}
 	}
-	return wc.send(shares)
+	for range copies {
+		if err := wc.send(shares); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // plannersFunc returns the cached planner for a manifest's (kind,
 // instance), building its problem on first use.
 type plannersFunc func(kind string, instance []byte) (*core.Planner, error)
 
-func evaluateAssign(ctx context.Context, slot int, m Assign, planners plannersFunc) (core.NodeShares, error) {
+func evaluateAssign(ctx context.Context, m Assign, planners plannersFunc) (core.NodeShares, error) {
 	pl, err := planners(m.Kind, m.Instance)
 	if err != nil {
 		return core.NodeShares{}, err
@@ -212,5 +232,5 @@ func evaluateAssign(ctx context.Context, slot int, m Assign, planners plannersFu
 	if w := pl.Problem().Width(); w != m.Width {
 		return core.NodeShares{}, fmt.Errorf("ctrl: assign width %d but problem %q has width %d (build skew?)", m.Width, m.Kind, w)
 	}
-	return pl.EvaluateShares(ctx, m.Primes, m.Owner, slot, m.Round, m.Lo, m.Hi)
+	return pl.EvaluateShares(ctx, m.Primes, m.Owner, m.Sponsor, m.Round, m.Lo, m.Hi)
 }

@@ -84,7 +84,7 @@ func TestCamelotWithByzantineFaults(t *testing.T) {
 		ft++
 	}
 	proof, rep, err := core.Run(context.Background(), p, core.Options{
-		Nodes: k, FaultTolerance: ft, Adversary: core.NewEquivocatingNodes(5, 3), Seed: 6,
+		Nodes: k, FaultTolerance: ft, Adversary: core.Adversary{Seed: 5, Equivocators: []int{3}}, Seed: 6,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -83,7 +83,7 @@ func TestOVWithByzantineNode(t *testing.T) {
 		f++
 	}
 	proof, rep, err := core.Run(context.Background(), p, core.Options{
-		Nodes: k, FaultTolerance: f, Adversary: core.NewLyingNodes(8, 0), Seed: 4,
+		Nodes: k, FaultTolerance: f, Adversary: core.Adversary{Seed: 8, Liars: []int{0}}, Seed: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

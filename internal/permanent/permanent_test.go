@@ -119,7 +119,7 @@ func TestCamelotWithByzantineFaults(t *testing.T) {
 		ft++
 	}
 	proof, rep, err := core.Run(context.Background(), p, core.Options{
-		Nodes: k, FaultTolerance: ft, Adversary: core.NewLyingNodes(6, 1, 5), Seed: 3,
+		Nodes: k, FaultTolerance: ft, Adversary: core.Adversary{Seed: 6, Liars: []int{1, 5}}, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -148,7 +148,7 @@ func TestCoverCamelotWithByzantineFault(t *testing.T) {
 		f++
 	}
 	proof, rep, err := core.Run(context.Background(), p, core.Options{
-		Nodes: 8, FaultTolerance: f, Adversary: core.NewLyingNodes(1, 6), Seed: 9,
+		Nodes: 8, FaultTolerance: f, Adversary: core.Adversary{Seed: 1, Liars: []int{6}}, Seed: 9,
 	})
 	if err != nil {
 		t.Fatal(err)

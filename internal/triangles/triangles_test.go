@@ -131,7 +131,7 @@ func TestCamelotTrianglesWithByzantineNode(t *testing.T) {
 		f++
 	}
 	rep := runCount(t, p, core.Options{
-		Nodes: k, FaultTolerance: f, Adversary: core.NewEquivocatingNodes(4, 1),
+		Nodes: k, FaultTolerance: f, Adversary: core.Adversary{Seed: 4, Equivocators: []int{1}},
 		Seed: 8,
 	})
 	for _, s := range rep.SuspectNodes {

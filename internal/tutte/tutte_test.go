@@ -220,7 +220,7 @@ func TestCamelotTutteWithFaults(t *testing.T) {
 		f++
 	}
 	proof, rep, err := core.Run(context.Background(), p, core.Options{
-		Nodes: k, FaultTolerance: f, Adversary: core.NewEquivocatingNodes(2, 3), Seed: 6,
+		Nodes: k, FaultTolerance: f, Adversary: core.Adversary{Seed: 2, Equivocators: []int{3}}, Seed: 6,
 	})
 	if err != nil {
 		t.Fatal(err)

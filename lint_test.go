@@ -446,7 +446,10 @@ func TestKindsAreDeclaredOnce(t *testing.T) {
 //   - permanent's Evaluate never reaches the compiled plan, its strip
 //     kernel, ff's run kernel behind D(x) or the Montgomery products of
 //     the strip sweep, so a bug in the Gray-code strip sweep fails
-//     verification and the verifier's sweep keeps its own reduction, MulK.
+//     verification and the verifier's sweep keeps its own reduction, MulK;
+//   - core's decode stage (decode.go and stageDecode) names neither the
+//     fault record nor any of its fields: the decoder reads the words
+//     that arrived and is never told which nodes were faulty.
 func TestHamiltonVerifierIsSeparate(t *testing.T) {
 	lagrangeRun := func(id string) bool { return strings.HasPrefix(id, "NewLagrangeEvaluator") || id == "Sweep" }
 	pointEvaluator := func(id string) bool { return id == "NewPointEvaluator" }
@@ -457,6 +460,11 @@ func TestHamiltonVerifierIsSeparate(t *testing.T) {
 	permanentPlan := func(id string) bool {
 		return slices.Contains([]string{"compiled", "Compile", "EvaluateBlock", "evaluateStrip",
 			"NewLagrangeEvaluatorZeroBased", "BitSweepBlock", "MulMont", "MulSumVecMont", "MontOf"}, id)
+	}
+	faultRecord := func(id string) bool {
+		_, field := reflect.TypeOf(core.Adversary{}).FieldByName(id)
+		_, method := reflect.TypeOf(core.Adversary{}).MethodByName(id)
+		return id == "Adversary" || field || method
 	}
 	for _, row := range []struct {
 		dir      string
@@ -472,6 +480,7 @@ func TestHamiltonVerifierIsSeparate(t *testing.T) {
 		{"internal/cliques", []string{"Evaluate", "ProofEval", "Combine"}, 3, pointEvaluator},
 		{"internal/triangles", []string{"Evaluate", "atBasis"}, 2, groupTensor},
 		{"internal/permanent", []string{"Evaluate"}, 1, permanentPlan},
+		{"internal/core", []string{"stageDecode", "receivedWords", "sortedKeys"}, 3, faultRecord},
 	} {
 		t.Run(filepath.Base(row.dir), func(t *testing.T) {
 			pkgs, err := parser.ParseDir(token.NewFileSet(), row.dir, func(fi fs.FileInfo) bool {
@@ -574,7 +583,7 @@ func TestParseWorkloadDocListsCatalog(t *testing.T) {
 
 // TestOneOptionsRecord is the ratchet on settable values: core.Options is
 // the one record of a run's settings, at most fourteen fields, so
-// camelot.go declares at most the thirteen With* setters of its fields,
+// camelot.go declares at most the twelve With* setters of its fields,
 // ServerConfig holds service policy plus the digest's FaultTolerance and
 // takes everything else as Run options, and no front end outside the
 // root package assembles the record or calls the engine by hand. The
@@ -583,8 +592,8 @@ func TestOneOptionsRecord(t *testing.T) {
 	if n := reflect.TypeOf(core.Options{}).NumField(); n > 14 {
 		t.Errorf("core.Options has %d fields, at most 14 allowed", n)
 	}
-	if withs := exportedWiths(t); len(withs) > 13 {
-		t.Errorf("camelot.go declares %d With* constructors, at most 13 allowed: %v", len(withs), withs)
+	if withs := exportedWiths(t); len(withs) > 12 {
+		t.Errorf("camelot.go declares %d With* constructors, at most 12 allowed: %v", len(withs), withs)
 	}
 
 	file, err := parser.ParseFile(token.NewFileSet(), "serve.go", nil, 0)

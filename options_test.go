@@ -63,7 +63,6 @@ func TestEveryOptionSetsItsField(t *testing.T) {
 		{"WithMaxParallelism", WithMaxParallelism(3), "MaxParallelism", 3},
 		{"WithTransport", WithTransport(bus), "NewTransport", nil},
 		{"WithListenAddr", WithListenAddr("127.0.0.1:0"), "NewTransport", nil},
-		{"WithLossyTransport", WithLossyTransport(LossyConfig{DropNodes: []int{1}}), "NewTransport", nil},
 		{"WithFaultTolerance", WithFaultTolerance(5), "FaultTolerance", 5},
 		{"WithAdversary", WithAdversary(adversary), "Adversary", adversary},
 		{"WithSeed", WithSeed(11), "Seed", int64(11)},
