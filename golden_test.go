@@ -281,23 +281,19 @@ func TestGoldenProofs(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer co.Close()
-				wctx, stop := context.WithCancel(ctx)
 				var wg sync.WaitGroup
 				for range 2 {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						if err := ServeNode(wctx, NodeConfig{Join: co.Addr(), Secret: secret}); err != nil && wctx.Err() == nil {
+						if err := ServeNode(ctx, NodeConfig{Join: co.Addr(), Secret: secret}); err != nil {
 							t.Errorf("ctrl/%s: worker: %v", s.name, err)
 						}
 					}()
 				}
 				proof, rep, err := RunProblem(ctx, co.Workload().Problem, append([]Option{WithNodes(g.k), co.AsTransport()}, g.options(s)...)...)
 				check("ctrl/"+s.name, s, proof, rep, err)
-				// The run is over: a worker still evaluating a range the
-				// run no longer waits for (a dropped one) may miss the
-				// coordinator's Done, so the workers are stopped.
-				stop()
+				// Failed or not, the run closed the coordinator: Done ends every worker.
 				wg.Wait()
 			}
 

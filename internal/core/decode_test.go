@@ -7,7 +7,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"runtime"
+	"sync/atomic"
 	"testing"
 )
 
@@ -170,29 +170,28 @@ func TestProofDisagreementIsTyped(t *testing.T) {
 }
 
 // TestDecodeCancelledMidStage: a run cancelled inside its decode stage
-// returns ctx.Err() with its Report, leaves words undecoded, and leaves
-// no task set behind on the pool. Two equivocators over a code of 4008
-// points make 32 distinct words, each a decode of milliseconds; the run
-// is cancelled as soon as it enters the stage.
+// returns ctx.Err() with its Report, decodes no more words than the pool
+// had workers running, and leaves no task set behind on the pool. Two
+// equivocators make 32 distinct words; the run is cancelled as the first
+// is claimed, after the 4 (prime, coordinate) assembly tasks.
 func TestDecodeCancelledMidStage(t *testing.T) {
 	pool := NewPool(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	prog := new(Progress)
 	opts := decodeTestOptions(Adversary{Seed: 5, Equivocators: []int{2, 5}})
-	opts.FaultTolerance, opts.Pool, opts.Progress = 2000, pool, prog
-	go func() {
-		for prog.Snapshot().Stage < StageDecode {
-			runtime.Gosched()
+	opts.Pool, opts.Progress = pool, new(Progress)
+	var claims atomic.Int32
+	pool.claimed = func() {
+		if opts.Progress.Snapshot().Stage == StageDecode && claims.Add(1) == 2*2+1 {
+			cancel()
 		}
-		cancel()
-	}()
+	}
 	_, rep, err := Run(ctx, decodeTestProblem(), opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if rep == nil || rep.Decodes >= 8*2*2 {
-		t.Fatalf("report %+v after the cancellation: want one, with fewer than the run's 32 decodes", rep)
+	if rep == nil || rep.Decodes > pool.Width() {
+		t.Fatalf("report %+v after the cancellation: want one, with at most %d decodes (the pool width)", rep, pool.Width())
 	}
 	pool.mu.Lock()
 	left := len(pool.runs)

@@ -504,10 +504,8 @@ func (en *engine) exchange(ctx context.Context, spec GatherSpec, ranges []assign
 	sent := make(chan error, 1)
 	if en.remote != nil {
 		// SendsDone stays nil: the engine cannot see when remote workers
-		// finish sending, so a quorum gather's deadline rests on the
-		// grace timer armed by arrivals. The coordinator turns worker
-		// faults into in-band Err frames, which are arrivals too, so a
-		// dying cluster still converges instead of waiting out ctx.
+		// finish sending; the coordinator's gather knows it from their
+		// frames and Lost reports.
 		manifests := make([]AssignSpec, len(ranges))
 		for i, a := range ranges {
 			manifests[i] = AssignSpec{
@@ -581,7 +579,7 @@ type prepChunk struct {
 // contract requires block results to match point-wise evaluation bit
 // for bit).
 func (en *engine) evaluateAndSend(ctx context.Context, round int, ranges []assignment) error {
-	var delayed delayedSends
+	var held HeldSends
 	parts := 1
 	if w := en.pool.Width(); w > len(ranges) {
 		parts = (w + len(ranges) - 1) / len(ranges)
@@ -624,52 +622,42 @@ func (en *engine) evaluateAndSend(ctx context.Context, round int, ranges []assig
 			// reached zero), broadcast it.
 			st.msg.Elapsed = time.Duration(st.elapsedNS.Load())
 			copies, delay := en.opts.Adversary.Apply(&st.msg, en.primes, en.k)
-			if delay > 0 {
-				delayed.send(ctx, en.tr, st.msg, copies, delay)
-				return nil
-			}
-			return sendCopies(ctx, en.tr, st.msg, copies)
+			return Deliver(ctx, en.tr.Send, st.msg, copies, delay, &held)
 		}
 		return nil
 	})
 	if err != nil {
-		// The delayed deliveries end with the round's send context,
-		// which the caller cancels once this failure has ended the
-		// gather.
+		// The held deliveries end with the round's send context, which
+		// the caller cancels once this failure has ended the gather.
 		return err
 	}
-	// Conclude the delayed deliveries before the caller announces
+	// Conclude the held deliveries before the caller announces
 	// SendsDone, and fail the round with the first of them that failed,
 	// as a blocking Send would have.
-	delayed.wg.Wait()
-	return delayed.err
+	return held.Wait()
 }
 
-// sendCopies puts copies of m on the transport, one after another.
-func sendCopies(ctx context.Context, tr Transport, m NodeShares, copies int) error {
-	for range copies {
-		if err := tr.Send(ctx, m); err != nil {
-			return err
+// Deliver is how a sender acts on Adversary.Apply's verdict for m:
+// copies sends through send, at once or, when delay > 0, after the
+// delay on a goroutine held counts. A held copy holds the message, not
+// the sender, and is abandoned when ctx ends, which is how the end of
+// its round keeps it out of a later round's gather. The engine's pool
+// and a remote worker both deliver through it.
+func Deliver(ctx context.Context, send func(context.Context, NodeShares) error, m NodeShares, copies int, delay time.Duration, held *HeldSends) error {
+	sendCopies := func() error {
+		for range copies {
+			if err := send(ctx, m); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
-	return nil
-}
-
-// delayedSends are one round's delayed deliveries. Each runs on its own
-// goroutine, so an injected latency holds the message, not the sending
-// worker's pool slot, and is abandoned when the round's send context is
-// cancelled — which the engine does when the round's gather returns, so
-// a copy held past its round can never land in a later round's gather.
-type delayedSends struct {
-	wg  sync.WaitGroup
-	mu  sync.Mutex
-	err error // the first failure other than the round's cancellation
-}
-
-func (d *delayedSends) send(ctx context.Context, tr Transport, m NodeShares, copies int, delay time.Duration) {
-	d.wg.Add(1)
+	if delay <= 0 {
+		return sendCopies()
+	}
+	held.wg.Add(1)
 	go func() {
-		defer d.wg.Done()
+		defer held.wg.Done()
 		timer := time.NewTimer(delay)
 		defer timer.Stop()
 		select {
@@ -677,15 +665,31 @@ func (d *delayedSends) send(ctx context.Context, tr Transport, m NodeShares, cop
 		case <-ctx.Done():
 			return
 		}
-		err := sendCopies(ctx, tr, m, copies)
+		err := sendCopies()
 		if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			d.mu.Lock()
-			if d.err == nil {
-				d.err = err
+			held.mu.Lock()
+			if held.err == nil {
+				held.err = err
 			}
-			d.mu.Unlock()
+			held.mu.Unlock()
 		}
 	}()
+	return nil
+}
+
+// HeldSends are the deliveries Deliver holds for a delay. The zero
+// value is ready to use.
+type HeldSends struct {
+	wg  sync.WaitGroup
+	mu  sync.Mutex
+	err error // the first failure other than the end of the send context
+}
+
+// Wait returns once every held delivery has been sent or abandoned,
+// with the first that failed.
+func (h *HeldSends) Wait() error {
+	h.wg.Wait()
+	return h.err
 }
 
 // shareShapeOK reports whether a delivered message's claimed geometry

@@ -30,12 +30,13 @@ var ErrPoolClosed = errors.New("core: pool closed")
 type Pool struct {
 	width int
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	runs   []*poolRun // task sets with work left or tasks in flight
-	rr     int        // round-robin cursor into runs
-	closed bool
-	wg     sync.WaitGroup
+	mu      sync.Mutex
+	cond    *sync.Cond
+	runs    []*poolRun // task sets with work left or tasks in flight
+	rr      int        // round-robin cursor into runs
+	closed  bool
+	wg      sync.WaitGroup
+	claimed func() // when set (by tests, before any Run), runs as a task is claimed
 }
 
 // poolRun is one Run call's task set.
@@ -222,6 +223,9 @@ func (p *Pool) worker() {
 		r.next++
 		r.active++
 		p.mu.Unlock()
+		if p.claimed != nil {
+			p.claimed()
+		}
 		var err error
 		if e := r.ctx.Err(); e != nil {
 			err = e

@@ -360,19 +360,19 @@ func TestCutRangeBoundaries(t *testing.T) {
 // gather would have to filter it.
 func TestLossyDelayedCopyCannotStraddleRounds(t *testing.T) {
 	bus := NewBroadcastBus(4)
-	var delayed delayedSends
+	var held HeldSends
 	roundCtx, cancelRound := context.WithCancel(context.Background())
-	delayed.send(roundCtx, bus, NodeShares{ID: 0, Round: 0}, 1, time.Hour)
-	cancelRound() // round 0's gather returned; the engine cancels its senders
-	waited := make(chan struct{})
-	go func() { delayed.wg.Wait(); close(waited) }()
+	Deliver(roundCtx, bus.Send, NodeShares{ID: 0, Round: 0}, 1, time.Hour, &held) // held: returns nil
+	cancelRound()                                                                 // round 0's gather returned; the engine cancels its senders
+	waited := make(chan error)
+	go func() { waited <- held.Wait() }()
 	select {
-	case <-waited:
+	case err := <-waited:
+		if err != nil || len(bus.ch) != 0 {
+			t.Fatalf("abandoned round-0 delivery: err %v, %d message(s) on the bus", err, len(bus.ch))
+		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("a delayed delivery outlived its round's cancellation")
-	}
-	if delayed.err != nil || len(bus.ch) != 0 {
-		t.Fatalf("abandoned round-0 delivery: err %v, %d message(s) on the bus", delayed.err, len(bus.ch))
 	}
 }
 

@@ -127,7 +127,8 @@ type GatherSpec struct {
 	Grace time.Duration
 	// SendsDone, when non-nil, is closed by the caller once no further
 	// Send can occur (the engine closes it when the worker pool has
-	// finished). The gather then allows one final grace period for the
+	// finished; a coordinator when every assignment has arrived or been
+	// reported lost). The gather then allows one final grace period for the
 	// transport's in-flight hop to drain and returns whatever arrived —
 	// without this signal, a network that lost *every* message would
 	// never trip the first-arrival grace timer and the gather would
@@ -136,10 +137,10 @@ type GatherSpec struct {
 	// Strict marks the gather of a run that tolerates no delivery fault
 	// (Options.MaxErasures == 0): no sender is given up on while sending
 	// may still occur, so the grace timer stays unarmed until SendsDone
-	// closes (with SendsDone nil, as in remote runs, never). From then on
-	// a sender still unheard is lost, not slow, and the gather hands over
-	// the partial result for the engine to refuse by name. Transport.Gather
-	// is the strict gather with no SendsDone: it waits for all k or ctx.
+	// closes (with SendsDone nil, never). From then on a sender still
+	// unheard is lost, not slow, and the gather hands over the partial
+	// result for the engine to refuse by name. Transport.Gather is the
+	// strict gather with no SendsDone: it waits for all k or ctx.
 	Strict bool
 	// Round is the gather round this spec serves. Messages carrying any
 	// other NodeShares.Round are dropped unseen — not counted toward

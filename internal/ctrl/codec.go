@@ -4,8 +4,8 @@
 // join it over TCP, receive point-range assignments, evaluate locally,
 // and stream NodeShares frames back. The protocol is deliberately
 // small — hello/helloAck grant a worker slot, assign carries a range
-// manifest, shares reuses the 'CMS'3 codec verbatim, and done/error end
-// things — layered over the same length-prefixed framing
+// manifest, shares reuses the 'CMS'3 codec verbatim (lost stands in for
+// a frame the run's fault record lost), and done/error end things — layered over the same length-prefixed framing
 // (core.WriteFrame/ReadFrame) the share transport speaks. The trailing
 // magic byte is the protocol's only version (see core.ConsumeMagic):
 // coordinator and workers upgrade together.
@@ -50,6 +50,7 @@ const (
 	TagShares   byte = 4 // worker → coordinator: 'CMS'3 payload verbatim
 	TagDone     byte = 5 // coordinator → worker: run over, disconnect
 	TagError    byte = 6 // either direction: typed refusal, then close
+	TagLost     byte = 7 // worker → coordinator: an assignment's frame is lost
 )
 
 // ErrBadFrame is the typed rejection of a malformed control frame. It
@@ -117,6 +118,13 @@ type Assign struct {
 	Kind      string
 	Instance  []byte
 	Adversary core.Adversary
+}
+
+// Lost tells the coordinator that the fault record lost the frame
+// Sponsor owed for assignment (Owner, Round), so a round whose every
+// assignment has arrived or been lost is over, as in-process.
+type Lost struct {
+	Owner, Sponsor, Round int
 }
 
 // Done tells a worker the run is over and the connection is closing.
@@ -213,6 +221,14 @@ func encodeBody(msg any) (tag byte, body []byte, err error) {
 		return TagShares, payload, nil
 	case Done:
 		return TagDone, nil, nil
+	case Lost:
+		for _, v := range []int{m.Owner, m.Sponsor, m.Round} {
+			if v < 0 || v > maxCtrlInt {
+				return 0, nil, fmt.Errorf("ctrl: encode lost: bad id %d", v)
+			}
+			body = appendUint(body, v)
+		}
+		return TagLost, body, nil
 	case ErrorMsg:
 		if m.Code < 0 || m.Code > maxCtrlInt {
 			return 0, nil, fmt.Errorf("ctrl: encode error: bad code %d", m.Code)
@@ -232,7 +248,7 @@ func encodeBody(msg any) (tag byte, body []byte, err error) {
 // stream length prefix; core.WriteFrame adds it): the envelope for
 // msg's tag at sequence seq, authenticated under key when key is
 // non-nil. msg must be one of Hello, HelloAck, Assign,
-// core.NodeShares, Done, or ErrorMsg.
+// core.NodeShares, Lost, Done, or ErrorMsg.
 func EncodeMessage(seq uint64, key []byte, msg any) ([]byte, error) {
 	tag, body, err := encodeBody(msg)
 	if err != nil {
@@ -343,6 +359,8 @@ func decodeBody(tag byte, body []byte) (any, error) {
 		msg = m
 	case TagDone:
 		msg = Done{}
+	case TagLost:
+		msg = Lost{Owner: r.Int(maxCtrlInt), Sponsor: r.Int(maxCtrlInt), Round: r.Int(maxCtrlInt)}
 	case TagError:
 		var m ErrorMsg
 		m.Code = r.Int(maxCtrlInt)

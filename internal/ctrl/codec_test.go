@@ -3,6 +3,7 @@ package ctrl
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -29,6 +30,7 @@ func sampleMessages() []any {
 			Err: &core.RemoteError{Msg: "evaluation exploded"}},
 		core.NodeShares{ID: 2, From: 2, Lo: 3, Hi: 4,
 			Views: [][][][]uint64{{{{1}}, {{2}}}, {{{3}}, {{4}}}, {{{5}}, {{6}}}}},
+		Lost{Owner: 4, Sponsor: 2, Round: 1},
 		Done{},
 		ErrorMsg{Code: CodeClusterFul, Msg: "all 4 worker slots are live"},
 	}
@@ -94,28 +96,9 @@ func assertMessageEqual(t *testing.T, i int, want, got any) {
 		// The remaining kinds are plain comparable-ish structs with
 		// slices; canonical re-encode equality (checked by the caller)
 		// plus a type check suffices.
-		if wt, gt := typeName(want), typeName(got); wt != gt {
+		if wt, gt := fmt.Sprintf("%T", want), fmt.Sprintf("%T", got); wt != gt {
 			t.Errorf("msg %d: decoded %s, want %s", i, gt, wt)
 		}
-	}
-}
-
-func typeName(v any) string {
-	switch v.(type) {
-	case Hello:
-		return "Hello"
-	case HelloAck:
-		return "HelloAck"
-	case Assign:
-		return "Assign"
-	case Done:
-		return "Done"
-	case ErrorMsg:
-		return "ErrorMsg"
-	case core.NodeShares:
-		return "NodeShares"
-	default:
-		return "?"
 	}
 }
 

@@ -5,28 +5,22 @@ package ctrl
 // over the control protocol, ships them point-range manifests, and
 // feeds the frames they stream back into the exact quorum-gather loop
 // the in-process engine uses (core.GatherShares). To the engine it is
-// just another Transport with the RemoteAssigner capability — every
-// round calls AssignRanges instead of evaluating
-// locally, and everything downstream (collectShares, erasure decode,
-// repair policy) is unchanged, which is what keeps a multi-process
-// proof bit-identical to the in-process bus run.
+// just another Transport with the RemoteAssigner capability: every round
+// calls AssignRanges instead of evaluating locally, and everything
+// downstream is unchanged, which keeps a multi-process proof
+// bit-identical to the in-process bus run.
 //
 // Worker slots and logical nodes are distinct populations: a run has K
-// logical node ids (what decoders index by) and up to K worker slots;
-// with fewer live workers than K, assignments round-robin over the
-// live slots, and a frame names its owner (NodeShares.ID) and the
-// logical node the worker sent it as (NodeShares.From, the manifest's
-// sponsor), exactly as an in-process run's frame does; the run's fault
-// record travels in the manifest and the worker applies it as that
-// node. Worker faults map onto the
-// engine's existing delivery-fault axis: a worker that dies silent
-// leaves its ranges unheard, and the quorum gather's grace timer turns
-// that silence into the round's missing set (absorbed as erasures,
-// healed by a repair round's re-assignment to a live slot); an
-// authentication failure is injected in-band with its ErrAuth type
-// intact — a delivery fault in quorum mode, a typed refusal in strict
-// mode. A worker that reconnects with its resume token reattaches to
-// its slot and replays whatever was assigned but never delivered.
+// logical node ids (what decoders index by) and up to K worker slots,
+// over which assignments round-robin. A frame names its owner
+// (NodeShares.ID) and the logical node the worker sent it as (From, the
+// manifest's sponsor), as in-process; the worker applies the manifest's
+// fault record as that node. Worker faults are delivery faults: a
+// worker that dies silent leaves its ranges unheard, for the grace timer
+// to turn into the round's missing set; an authentication failure is
+// injected in-band with its ErrAuth type intact. A worker that
+// reconnects with its resume token reattaches to its slot and replays
+// whatever was assigned but never delivered.
 
 import (
 	"context"
@@ -90,9 +84,9 @@ type workerSlot struct {
 type assignKey struct{ owner, round int }
 
 // assignment tracks one manifest's lifecycle: which slot it is routed
-// to and whether its shares (or in-band failure) ever arrived.
-// Undelivered assignments are replayed to a worker that (re)attaches
-// to the slot.
+// to and whether its shares, its in-band failure or its Lost report
+// ever arrived. Undelivered assignments are replayed to a worker that
+// (re)attaches to the slot.
 type assignment struct {
 	slot      int
 	msg       Assign
@@ -121,6 +115,11 @@ type Coordinator struct {
 	slots    []*workerSlot
 	assigned map[assignKey]*assignment
 	rr       int // round-robin cursor over slots for dispatch
+	// round is the round AssignRanges last assigned, pending how many of
+	// its assignments are undelivered; settled closes when none is: the
+	// remote form of the engine's GatherSpec.SendsDone.
+	round, pending int
+	settled        chan struct{}
 }
 
 var (
@@ -231,7 +230,11 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 		return
 	}
 	wc.key = deriveKey(c.cfg.Secret, challenge)
-	replay := c.publish(slot, wc)
+	replay, open := c.publish(slot, wc)
+	if !open {
+		wc.send(Done{}) // the run ended during the handshake
+		return
+	}
 	for _, msg := range replay {
 		if err := wc.send(msg); err != nil {
 			c.detach(slot, wc)
@@ -278,10 +281,16 @@ func (c *Coordinator) attach(hello Hello) *workerSlot {
 // publish installs the connection on its slot (superseding any stale
 // one — latest hello wins, because the old TCP connection may be a
 // half-open corpse) and returns the undelivered assignments routed to
-// the slot, for replay. A run waiting for workers is woken.
-func (c *Coordinator) publish(slot *workerSlot, wc *wireConn) []Assign {
+// the slot, for replay. A run waiting for workers is woken. Once Close
+// has collected the live connections, nothing is installed: open is false.
+func (c *Coordinator) publish(slot *workerSlot, wc *wireConn) (replay []Assign, open bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	select {
+	case <-c.done:
+		return nil, false
+	default:
+	}
 	if old := slot.conn; old != nil && old != wc {
 		old.conn.Close()
 	}
@@ -290,24 +299,21 @@ func (c *Coordinator) publish(slot *workerSlot, wc *wireConn) []Assign {
 	case c.joined <- struct{}{}:
 	default:
 	}
-	var replay []Assign
 	for _, a := range c.assigned {
 		if a.slot == slot.id && !a.delivered {
 			replay = append(replay, a.msg)
 		}
 	}
-	return replay
+	return replay, true
 }
 
 // detach retires a connection from its slot if it still holds it. The
-// slot's undelivered assignments stay in the table, deliberately
-// silent: a reconnecting (or replacement) worker inherits and replays
-// them, and until one does, the quorum gather's grace timer — armed by
-// whatever did arrive — is what converts the silence into this round's
-// missing set. Injecting loss markers here instead would slam the door
-// on reconnect-with-resume: a strict gather would fail the run the
-// instant a worker blinked, and a quorum gather would erase ranges a
-// rejoin was about to deliver.
+// slot's undelivered assignments stay in the table, deliberately silent:
+// a reconnecting (or replacement) worker inherits and replays them, and
+// until one does, the grace timer turns the silence into this round's
+// missing set. Loss markers injected here would fail a strict run the
+// instant a worker blinked, and erase ranges a rejoin was about to
+// deliver.
 func (c *Coordinator) detach(slot *workerSlot, wc *wireConn) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -349,7 +355,8 @@ func (c *Coordinator) readLoop(slot *workerSlot, wc *wireConn) {
 		}
 		switch m := msg.(type) {
 		case core.NodeShares:
-			if !c.claimShares(slot.id, m) {
+			settled, ok := c.claim(slot.id, m.ID, m.From, m.Round)
+			if !ok {
 				// A frame for no assignment of this slot: protocol
 				// violation, drop the frame but keep the (authenticated)
 				// connection.
@@ -357,6 +364,15 @@ func (c *Coordinator) readLoop(slot *workerSlot, wc *wireConn) {
 				continue
 			}
 			c.inject(m)
+			if settled != nil {
+				close(settled)
+			}
+		case Lost:
+			if settled, ok := c.claim(slot.id, m.Owner, m.Sponsor, m.Round); !ok {
+				c.badFrames.Add(1)
+			} else if settled != nil {
+				close(settled)
+			}
 		case ErrorMsg:
 			// The worker refused its work; free the slot for a
 			// replacement to inherit its assignments.
@@ -389,21 +405,28 @@ func (c *Coordinator) faultTarget(slot *workerSlot) (owner, round int) {
 	return owner, round
 }
 
-// claimShares validates a shares frame against the assignment table:
-// it must answer an assignment routed to exactly this slot and name the
-// assignment's sponsor as its sender. A duplicate the fault record
-// asked for claims it again. In-band Err frames claim the assignment
-// too — a worker-side evaluation failure is a delivery outcome, not a
-// hang.
-func (c *Coordinator) claimShares(slotID int, m core.NodeShares) bool {
+// claim validates a shares frame or a Lost report against the
+// assignment table: it must answer an assignment routed to exactly this
+// slot and name the assignment's sponsor as its sender. A duplicate the
+// fault record asked for claims it again. In-band Err frames claim the
+// assignment too — a worker-side evaluation failure is a delivery
+// outcome, not a hang. A claim that delivers the current round's last
+// assignment returns the round's settled channel, for the caller to
+// close once the frame is on the gather channel.
+func (c *Coordinator) claim(slotID, owner, from, round int) (settled chan struct{}, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	a := c.assigned[assignKey{owner: m.ID, round: m.Round}]
-	if a == nil || a.slot != slotID || m.From != a.msg.Sponsor {
-		return false
+	a := c.assigned[assignKey{owner: owner, round: round}]
+	if a == nil || a.slot != slotID || from != a.msg.Sponsor {
+		return nil, false
+	}
+	if !a.delivered && round == c.round {
+		if c.pending--; c.pending == 0 {
+			settled = c.settled
+		}
 	}
 	a.delivered = true
-	return true
+	return settled, true
 }
 
 // AssignRanges implements core.RemoteAssigner: wait for enough live
@@ -422,12 +445,22 @@ func (c *Coordinator) AssignRanges(ctx context.Context, specs []core.AssignSpec)
 	if err := c.waitForWorkers(ctx, need); err != nil {
 		return err
 	}
-	for _, spec := range specs {
-		msg := Assign{
+	// The round's whole table is in place, undelivered, before the first
+	// manifest leaves, so no early arrival can settle the round.
+	msgs := make([]Assign, len(specs))
+	c.mu.Lock()
+	c.pending, c.settled = len(specs), make(chan struct{})
+	for i, spec := range specs {
+		msgs[i] = Assign{
 			Owner: spec.Owner, Sponsor: spec.Sponsor, Round: spec.Round,
 			Lo: spec.Lo, Hi: spec.Hi, Width: spec.Width, K: spec.K, Primes: spec.Primes,
 			Kind: c.cfg.Kind, Instance: c.cfg.Instance, Adversary: spec.Adversary,
 		}
+		c.round = spec.Round
+		c.assigned[assignKey{owner: spec.Owner, round: spec.Round}] = &assignment{slot: -1, msg: msgs[i]}
+	}
+	c.mu.Unlock()
+	for _, msg := range msgs {
 		if err := c.dispatch(msg); err != nil {
 			return err
 		}
@@ -485,12 +518,7 @@ func (c *Coordinator) dispatch(msg Assign) error {
 			return fmt.Errorf("ctrl: no live worker to assign node %d round %d", msg.Owner, msg.Round)
 		}
 		wc := slot.conn
-		key := assignKey{owner: msg.Owner, round: msg.Round}
-		if a := c.assigned[key]; a != nil {
-			a.slot = slot.id // re-route (send failover)
-		} else {
-			c.assigned[key] = &assignment{slot: slot.id, msg: msg}
-		}
+		c.assigned[assignKey{owner: msg.Owner, round: msg.Round}].slot = slot.id
 		if msg.Round > slot.lastRound {
 			slot.lastRound = msg.Round
 		}
@@ -521,17 +549,29 @@ func (c *Coordinator) Gather(ctx context.Context, k int) ([]core.NodeShares, err
 }
 
 // GatherQuorum implements core.Transport with exactly the engine's
-// shared gather loop. GatherSpec.SendsDone is nil in remote
-// mode; injected fault frames count as arrivals, so grace timing still
-// converges on a dying cluster.
+// shared gather loop, given the round's settled channel as SendsDone. A
+// worker that dies silent keeps its round unsettled; injected fault
+// frames count as arrivals, so grace timing still converges on a dying
+// cluster.
 func (c *Coordinator) GatherQuorum(ctx context.Context, spec core.GatherSpec) ([]core.NodeShares, error) {
+	c.mu.Lock()
+	if spec.SendsDone == nil && spec.Round == c.round {
+		spec.SendsDone = c.settled
+	}
+	c.mu.Unlock()
 	return core.GatherShares(ctx, c.ch, spec)
 }
 
+// closeLinger bounds how long Close waits for a worker told Done to
+// hang up.
+const closeLinger = 2 * time.Second
+
 // Close implements core.Transport: stop admitting, best-effort Done to
-// live workers so daemons exit cleanly, tear down connections, and wait
-// for every goroutine. Idempotent; the engine calls it when the run
-// ends.
+// live workers so daemons exit cleanly, and wait for every goroutine.
+// Each connection is half-closed after its Done and read until the
+// worker hangs up (or closeLinger passes): a full close while a worker's
+// frame arrives resets the connection, and can discard the Done queued
+// ahead of the reset. Idempotent; the engine calls it when the run ends.
 func (c *Coordinator) Close() {
 	c.closeOnce.Do(func() {
 		close(c.done)
@@ -547,7 +587,11 @@ func (c *Coordinator) Close() {
 		c.mu.Unlock()
 		for _, wc := range conns {
 			wc.send(Done{}) // best-effort, bounded by sendTimeout
-			wc.conn.Close()
+			if tc, ok := wc.conn.(interface{ CloseWrite() error }); ok && tc.CloseWrite() == nil {
+				wc.conn.SetReadDeadline(time.Now().Add(closeLinger))
+			} else {
+				wc.conn.Close()
+			}
 		}
 		c.wg.Wait()
 	})

@@ -69,11 +69,7 @@ func runBus(t *testing.T, p core.Problem, opts core.Options) []byte {
 	if err != nil {
 		t.Fatalf("bus run: %v", err)
 	}
-	raw, err := proof.MarshalBinary()
-	if err != nil {
-		t.Fatalf("bus proof marshal: %v", err)
-	}
-	return raw
+	return marshal(t, proof)
 }
 
 func marshal(t *testing.T, proof *core.Proof) []byte {
@@ -145,6 +141,46 @@ func TestRemoteRepairHealsKilledWorker(t *testing.T) {
 	}
 	if got := marshal(t, proof); !bytes.Equal(got, busRaw) {
 		t.Error("healed proof differs from bus proof")
+	}
+}
+
+// TestRemoteFaultRecordParity: a manifest's delivery faults end a remote
+// run as they end the in-process one — a held frame arrives, or is
+// erased once its round is over; a lost one is reported, so a round that
+// hears nothing still ends — and every worker returns on Done, whatever
+// it still holds.
+func TestRemoteFaultRecordParity(t *testing.T) {
+	p := polyProblem{d: 11, salt: 5}
+	for i, opts := range []core.Options{
+		{Adversary: core.Adversary{DelayRate: 1, MaxDelay: 20 * time.Millisecond}},
+		// Seed 2 holds node 3's frame for most of an hour.
+		{FaultTolerance: 4, MaxErasures: 1, GatherGrace: 300 * time.Millisecond,
+			Adversary: core.Adversary{Seed: 2, DelayRate: 0.3, MaxDelay: time.Hour}},
+		{Adversary: core.Adversary{DropNodes: []int{2}}},
+		{MaxErasures: 1, GatherGrace: 300 * time.Millisecond, Adversary: core.Adversary{DropRate: 1}},
+	} {
+		opts.Nodes = 4
+		want, _, wantErr := core.Run(testCtx(t), p, opts)
+		co, err := NewCoordinator(4, Config{Kind: "ctrl-poly", Instance: []byte("d=11 salt=5"), MinWorkers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := RunWorker(testCtx(t), WorkerConfig{Join: co.Addr()}, parsePolyInstance); err != nil {
+					t.Errorf("record %d: worker: %v", i, err)
+				}
+			}()
+		}
+		opts.NewTransport = func(int) (core.Transport, error) { return co, nil }
+		got, _, err := core.Run(testCtx(t), p, opts)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || err == nil && !bytes.Equal(marshal(t, got), marshal(t, want)) {
+			t.Errorf("record %d: remote run ended with %v, in-process with %v, or the proofs differ", i, err, wantErr)
+		}
+		wg.Wait()
 	}
 }
 

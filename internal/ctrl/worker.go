@@ -6,9 +6,9 @@ package ctrl
 // cache and its resume token — everything it needs to produce
 // bit-identical shares travels in the Assign manifest, evaluation
 // goes through core.Planner.EvaluateShares, the same block loop the
-// in-process engine uses, and the manifest's fault record is applied
-// by core.Adversary.Apply, as the engine applies it, with the worker
-// acting as the manifest's sponsor. A dropped connection is retried with
+// in-process engine uses, and the manifest's fault record goes through
+// core.Adversary.Apply and core.Deliver, as the engine's does, with the
+// worker acting as the manifest's sponsor. A dropped connection is retried with
 // exponential backoff; presenting the resume token reattaches the same
 // slot, and the coordinator replays any assignment whose shares never
 // landed, so a mid-run blip costs latency, not the run.
@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"camelot/internal/core"
@@ -124,15 +125,7 @@ func serveWorker(ctx context.Context, cfg WorkerConfig, resume *[]byte, planners
 	}
 	defer conn.Close()
 	// The context must be able to interrupt blocking reads.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-stop:
-		}
-	}()
+	defer context.AfterFunc(ctx, func() { conn.Close() })()
 	wc := newWireConn(conn)
 	if err := wc.send(Hello{Resume: *resume}); err != nil {
 		return false, false, err
@@ -151,6 +144,26 @@ func serveWorker(ctx context.Context, cfg WorkerConfig, resume *[]byte, planners
 	*resume = append((*resume)[:0], ack.Resume[:]...)
 	wc.key = deriveKey(cfg.Secret, ack.Challenge)
 	joined = true
+
+	// Assignments evaluate on goroutines of their own, one at a time, so
+	// this loop keeps reading: a Done, or the first assignment of a later
+	// round, ends the session's or the earlier round's evaluations and
+	// held frames, as the end of a round ends the engine's stragglers.
+	var cur struct { // the latest round assigned
+		round int
+		ctx   context.Context
+		end   context.CancelFunc
+	}
+	cur.ctx, cur.end = context.WithCancel(ctx)
+	var turn sync.Mutex
+	var work sync.WaitGroup
+	var held core.HeldSends
+	defer func() {
+		conn.Close() // a send still in flight fails at once
+		cur.end()
+		work.Wait()
+		held.Wait()
+	}()
 	for {
 		_, msg, err := wc.recv()
 		if err != nil {
@@ -164,12 +177,23 @@ func serveWorker(ctx context.Context, cfg WorkerConfig, resume *[]byte, planners
 			if cfg.FailOwner > 0 && m.Owner == cfg.FailOwner && m.Round == 0 {
 				return joined, true, fmt.Errorf("%w: assigned node %d", ErrFailInjected, m.Owner)
 			}
-			if err := runAssign(ctx, wc, m, planners); err != nil {
-				if ctx.Err() != nil {
-					return joined, true, ctx.Err()
-				}
-				return joined, false, err
+			if m.Round < cur.round {
+				continue // replayed from a round already over
 			}
+			if m.Round > cur.round {
+				cur.end()
+				cur.round = m.Round
+				cur.ctx, cur.end = context.WithCancel(ctx)
+			}
+			work.Add(1)
+			go func(ctx context.Context) {
+				defer work.Done()
+				turn.Lock()
+				defer turn.Unlock()
+				if err := runAssign(ctx, wc, m, planners, &held); err != nil && ctx.Err() == nil {
+					conn.Close() // the read loop fails, and the worker reconnects
+				}
+			}(cur.ctx)
 		case Done:
 			return joined, true, nil
 		case ErrorMsg:
@@ -180,15 +204,21 @@ func serveWorker(ctx context.Context, cfg WorkerConfig, resume *[]byte, planners
 	}
 }
 
-// runAssign evaluates one manifest and streams the result back as the
+// runAssign evaluates one manifest and delivers the result as the
 // manifest's sponsor would send it under the fault record: garbled,
-// lost, repeated or held — a held frame holds this connection's next
-// assignments too. An evaluation-side failure — unknown kind, geometry
-// skew, a problem error — travels as an in-band Err frame: a delivery
-// outcome the coordinator's fault accounting understands, not a silent
-// hang.
-func runAssign(ctx context.Context, wc *wireConn, m Assign, planners plannersFunc) error {
-	shares, err := evaluateAssign(ctx, m, planners)
+// repeated or held (core.Deliver), or lost, which it reports. An
+// evaluation-side failure — unknown kind, geometry skew, a problem
+// error — travels as an in-band Err frame: a delivery outcome the
+// coordinator's fault accounting understands, not a silent hang.
+func runAssign(ctx context.Context, wc *wireConn, m Assign, planners plannersFunc, held *core.HeldSends) error {
+	pl, err := planners(m.Kind, m.Instance)
+	if err == nil && pl.Problem().Width() != m.Width {
+		err = fmt.Errorf("ctrl: assign width %d but problem %q has width %d (build skew?)", m.Width, m.Kind, pl.Problem().Width())
+	}
+	var shares core.NodeShares
+	if err == nil {
+		shares, err = pl.EvaluateShares(ctx, m.Primes, m.Owner, m.Sponsor, m.Round, m.Lo, m.Hi)
+	}
 	if err != nil {
 		if ctx.Err() != nil {
 			return err
@@ -203,34 +233,13 @@ func runAssign(ctx context.Context, wc *wireConn, m Assign, planners plannersFun
 		})
 	}
 	copies, delay := m.Adversary.Apply(&shares, m.Primes, m.K)
-	if delay > 0 {
-		timer := time.NewTimer(delay)
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+	if copies == 0 {
+		return wc.send(Lost{Owner: m.Owner, Sponsor: m.Sponsor, Round: m.Round})
 	}
-	for range copies {
-		if err := wc.send(shares); err != nil {
-			return err
-		}
-	}
-	return nil
+	send := func(_ context.Context, m core.NodeShares) error { return wc.send(m) }
+	return core.Deliver(ctx, send, shares, copies, delay, held)
 }
 
 // plannersFunc returns the cached planner for a manifest's (kind,
 // instance), building its problem on first use.
 type plannersFunc func(kind string, instance []byte) (*core.Planner, error)
-
-func evaluateAssign(ctx context.Context, m Assign, planners plannersFunc) (core.NodeShares, error) {
-	pl, err := planners(m.Kind, m.Instance)
-	if err != nil {
-		return core.NodeShares{}, err
-	}
-	if w := pl.Problem().Width(); w != m.Width {
-		return core.NodeShares{}, fmt.Errorf("ctrl: assign width %d but problem %q has width %d (build skew?)", m.Width, m.Kind, w)
-	}
-	return pl.EvaluateShares(ctx, m.Primes, m.Owner, m.Sponsor, m.Round, m.Lo, m.Hi)
-}

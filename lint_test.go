@@ -72,7 +72,7 @@ func linesContaining(t *testing.T, needles []string, noTests bool, skipDir strin
 // folds copies of one property into a table lowers it, and one that
 // adds tests without code pays for them elsewhere first.
 func TestTestCodeRatio(t *testing.T) {
-	const maxRatio = 1.04
+	const maxRatio = 1.037
 	var tests, code int
 	walkGoFiles(t, false, "", func(path string, src []byte) {
 		lines := strings.Count(string(src), "\n")
@@ -84,7 +84,7 @@ func TestTestCodeRatio(t *testing.T) {
 		}
 	})
 	if ratio := float64(tests) / float64(code); ratio > maxRatio {
-		t.Errorf("test Go is %d lines against %d of code, ratio %.3f, at most %.2f allowed", tests, code, ratio, maxRatio)
+		t.Errorf("test Go is %d lines against %d of code, ratio %.3f, at most %.3f allowed", tests, code, ratio, maxRatio)
 	}
 }
 
