@@ -125,7 +125,7 @@ func (a Adversary) Apply(m *NodeShares, primes []uint64, k int) (copies int, del
 		}
 		m.Vals = nil
 	}
-	return a.fate(origin)
+	return a.Fate(origin)
 }
 
 // garble is the garbage node sender sends for the share (q, coord,
@@ -139,11 +139,12 @@ func (a Adversary) garble(q uint64, sender, coord, point int, view, v uint64) ui
 	return g
 }
 
-// fate decides what the network does to node id's broadcast,
+// Fate decides what the network does to node id's broadcast,
 // deterministic in (Seed, id). It is not re-drawn per round, which keeps
 // loss patterns pure in (Seed, link) and repair outcomes independent of
-// the schedule.
-func (a Adversary) fate(id int) (copies int, delay time.Duration) {
+// the schedule. It reads nothing of the message, so a sender learns
+// before evaluating whether anything it sends will arrive.
+func (a Adversary) Fate(id int) (copies int, delay time.Duration) {
 	if slices.Contains(a.DropNodes, id) || chance(garbage(a.Seed, uint64(id), 1)) < a.DropRate {
 		return 0, 0
 	}

@@ -75,9 +75,13 @@ type Report struct {
 	// per distinct received word per prime and coordinate — primes × width
 	// unless an equivocating sender shows different nodes different words.
 	Decodes int
-	// VerifyPerTrial is the wall-clock time of the verify stage over all
-	// rounds, divided by VerifyTrials: VerifyTrials × VerifyPerTrial is
-	// the stage's whole wall, every verification pass included.
+	// VerifyPerTrial is the verifier's wall-clock time over all rounds,
+	// divided by VerifyTrials. Its evaluations at the challenge points
+	// run once a run, on the pool beside the prepare stage; what of them
+	// ran before the verify stage began is added to that stage's wall,
+	// so VerifyTrials × VerifyPerTrial is every verification pass plus
+	// the one set of evaluations, and ComputeWall and DecodeWall stay
+	// their own stages' walls.
 	VerifyPerTrial time.Duration
 	// VerifyTrials is the number of spot checks per verification pass.
 	VerifyTrials int
@@ -125,6 +129,19 @@ type engine struct {
 	// in the decode stage.
 	shares  []NodeShares
 	missing []int
+
+	// expect is the verifier's evaluations at its challenge points,
+	// which Run starts on the pool before round 0.
+	expect pendingExpect
+}
+
+// pendingExpect is the verifier's half of step 3 that reads no proof
+// (expectProof), put on the pool while the Knights prepare the proof.
+type pendingExpect struct {
+	wait       func() error // the pool's verdict; nil once collected
+	stop       context.CancelFunc
+	exp        *expectations
+	start, end time.Time // when the evaluations ran
 }
 
 // newEngine validates the options and the problem geometry, selects the
@@ -220,6 +237,7 @@ func Run(ctx context.Context, p Problem, opts Options) (*Proof, *Report, error) 
 	defer en.close()
 	defer en.enter(StageDone)
 	en.opts.Progress.pointsTotal.Store(int64(en.e * len(en.primes)))
+	en.startExpect(ctx)
 	if err := en.round(ctx, 0, en.ownRanges()); err != nil {
 		return nil, en.report, fmt.Errorf("core: %s: %w", p.Name(), err)
 	}
@@ -289,9 +307,61 @@ func (en *engine) canRepair(err error, round int) bool {
 	return en.remote != nil || len(en.missing) < en.k
 }
 
-// close releases what the engine owns for the run: the transport (nil
-// when the run failed before round 0 opened one) and the private pool.
+// startExpect submits the verifier's evaluations at its challenge points
+// to the pool, with the run's priority and ahead of round 0's chunks:
+// they need the primes and the seed, never the proof, so they run while
+// the proof is prepared (on the coordinator while remote workers
+// evaluate) and stageVerify only checks.
+func (en *engine) startExpect(ctx context.Context) {
+	pe := &en.expect
+	ctx, pe.stop = context.WithCancel(ctx)
+	pe.wait = en.pool.Start(ctx, 1, en.opts.Priority, func(int) error {
+		pe.start = time.Now()
+		exp, err := expectProof(ctx, en.p, en.primes, en.opts.VerifyTrials, en.opts.Seed)
+		pe.exp, pe.end = exp, time.Now()
+		return err
+	})
+}
+
+// expectations returns the verifier's evaluations: startExpect's,
+// waited for until ctx ends, or computed in place when the stage runs
+// without Run. The evaluations that ran before the verify stage began
+// are charged to it all the same, once: they are the verifier's work.
+func (en *engine) expectations(ctx context.Context) (*expectations, error) {
+	pe := &en.expect
+	if pe.wait != nil {
+		defer context.AfterFunc(ctx, pe.stop)()
+		err := pe.wait()
+		pe.wait = nil
+		if err != nil {
+			return nil, err
+		}
+		before := pe.end
+		if en.since.Before(before) {
+			before = en.since
+		}
+		en.verifyWall += max(0, before.Sub(pe.start))
+	}
+	if pe.exp == nil {
+		exp, err := expectProof(ctx, en.p, en.primes, en.opts.VerifyTrials, en.opts.Seed)
+		if err != nil {
+			return nil, err
+		}
+		pe.exp = exp
+	}
+	return pe.exp, nil
+}
+
+// close releases what the engine owns for the run: the verifier's
+// evaluations still in flight, the transport (nil when the run failed
+// before round 0 opened one) and the private pool.
 func (en *engine) close() {
+	if pe := &en.expect; pe.stop != nil {
+		pe.stop()
+		if pe.wait != nil {
+			pe.wait()
+		}
+	}
 	if en.tr != nil {
 		en.tr.Close()
 	}
@@ -592,6 +662,9 @@ func (en *engine) evaluateAndSend(ctx context.Context, round int, ranges []assig
 			Lo: a.lo, Hi: a.hi,
 			Vals: make([][][]uint64, len(en.primes)),
 		}}
+		if copies, _ := en.opts.Adversary.Fate(st.msg.Origin()); copies == 0 {
+			continue // the network loses this message whatever it says
+		}
 		before := len(chunks)
 		for pi := range en.primes {
 			st.msg.Vals[pi] = make([][]uint64, en.w)
@@ -867,13 +940,20 @@ func (en *engine) stageDecode(ctx context.Context) (*Proof, error) {
 }
 
 // stageVerify is protocol step 3 (independent verification): the
-// randomized spot check of the decoded proof against the input.
+// randomized spot check of the decoded proof against the input. P's
+// values at the challenge points were computed beside the prepare stage
+// (startExpect); the stage waits for them and compares the proof with
+// them, every pass with the same ones.
 func (en *engine) stageVerify(ctx context.Context, proof *Proof) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	en.enter(StageVerify)
-	ok, err := verifyProof(ctx, en.p, proof, en.opts.VerifyTrials, en.opts.Seed)
+	exp, err := en.expectations(ctx)
+	ok := false
+	if err == nil {
+		ok, err = checkProof(en.p, proof, exp)
+	}
 	if err != nil {
 		return fmt.Errorf("verification: %w", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -379,6 +380,80 @@ func TestEveryStageReturnsCtxErr(t *testing.T) {
 	}
 	if err := en.stageVerify(bg, proof); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunCancelledOrRefusedLeavesNoGoroutine: the verifier's
+// evaluations run on the pool beside round 0 and end with the run,
+// however it ends — cancelled while round 0 sends, or failed in round 0
+// (both abandon the evaluations after at most one more point), or a
+// strict refusal of a lost node.
+func TestRunCancelledOrRefusedLeavesNoGoroutine(t *testing.T) {
+	const trials = 50 // 1 ms each: far longer than round 0
+	for name, opts := range map[string]func(cancel func()) Options{
+		"cancelled in round 0": func(cancel func()) Options {
+			return Options{Nodes: 4, MaxParallelism: 2, VerifyTrials: trials, NewTransport: func(k int) (Transport, error) {
+				return &filterTransport{BroadcastBus: NewBroadcastBus(k), dropFn: func(NodeShares) bool { cancel(); return false }}, nil
+			}}
+		},
+		"failed in round 0": func(func()) Options {
+			return Options{Nodes: 4, MaxParallelism: 2, VerifyTrials: trials, NewTransport: func(int) (Transport, error) {
+				return nil, errors.New("no transport")
+			}}
+		},
+		"strict refusal": func(func()) Options {
+			return Options{Nodes: 4, FaultTolerance: 4, Adversary: Adversary{DropNodes: []int{2}}}
+		},
+	} {
+		before := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		p := &timedVerifyProblem{batchPolyProblem: &batchPolyProblem{polyProblem: testProblem()}}
+		_, _, err := Run(ctx, p, opts(cancel))
+		cancel()
+		cancelled := name == "cancelled in round 0"
+		if err == nil || cancelled != errors.Is(err, context.Canceled) || name != "strict refusal" && p.calls.Load() >= trials {
+			t.Fatalf("%s: err = %v after %d of %d evaluations", name, err, p.calls.Load(), trials)
+		}
+		noGoroutineLeft(t, before)
+	}
+}
+
+// TestVerifierVerdictIsVerifyProofs: the engine evaluates its challenge
+// points on the pool while the proof is prepared, from the same seed in
+// the same order as VerifyProof, so its verdict on a proof is
+// VerifyProof's — on the honest proof, which a width-1 pool's run
+// verifies too, and on that proof with one coefficient flipped.
+func TestVerifierVerdictIsVerifyProofs(t *testing.T) {
+	bg, p := context.Background(), testProblem()
+	opts := Options{Nodes: 3, MaxParallelism: 1, VerifyTrials: 2, Seed: 5}
+	if _, rep, err := Run(bg, p, opts); err != nil || !rep.Verified {
+		t.Fatalf("width-1 run: err = %v, verified %v", err, rep != nil && rep.Verified)
+	}
+	en, err := newEngine(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer en.close()
+	en.startExpect(bg)
+	if err := en.round(bg, 0, en.ownRanges()); err != nil {
+		t.Fatal(err)
+	}
+	proof, err := en.stageDecode(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exp, _ := expectProof(bg, p, proof.Primes, opts.VerifyTrials, opts.Seed); fmt.Sprint(*exp) != fmt.Sprint(*en.expect.exp) {
+		t.Fatalf("engine's challenge points %v, VerifyProof's %v", *en.expect.exp, *exp)
+	}
+	for _, flip := range []bool{false, true} {
+		if q := proof.Primes[0]; flip {
+			proof.Coeffs[q][0][2] = (proof.Coeffs[q][0][2] + 1) % q
+		}
+		want, err := VerifyProof(p, proof, opts.VerifyTrials, opts.Seed)
+		got := en.stageVerify(bg, proof)
+		if err != nil || want == flip || (got == nil) != want || got != nil && !errors.Is(got, ErrVerificationFailed) {
+			t.Fatalf("flipped %v: engine says %v, VerifyProof (%v, %v)", flip, got, want, err)
+		}
 	}
 }
 

@@ -86,9 +86,19 @@ func (p *Pool) Run(ctx context.Context, n int, task func(id int) error) error {
 // where a plain Run claims one. Weights below 1 are clamped to 1, so a
 // weighted run never starves and an unweighted one never stalls.
 func (p *Pool) RunWeighted(ctx context.Context, n, weight int, task func(id int) error) error {
+	return p.Start(ctx, n, weight, task)()
+}
+
+// Start submits a task set as RunWeighted does but returns at once;
+// wait blocks until the set is done, as RunWeighted would, and returns
+// its verdict. The set joins the round-robin before Start returns, so
+// work the caller goes on to submit queues behind it. Until wait is
+// called, cancellation fails the set's unstarted tasks one claim at a
+// time; wait withdraws them at once.
+func (p *Pool) Start(ctx context.Context, n, weight int, task func(id int) error) (wait func() error) {
 	if n <= 0 {
 		// An empty task set has nothing left to do: it completed.
-		return nil
+		return func() error { return nil }
 	}
 	if weight < 1 {
 		weight = 1
@@ -97,33 +107,35 @@ func (p *Pool) RunWeighted(ctx context.Context, n, weight int, task func(id int)
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return ErrPoolClosed
+		return func() error { return ErrPoolClosed }
 	}
 	p.runs = append(p.runs, r)
 	p.mu.Unlock()
 	p.cond.Broadcast()
-	select {
-	case <-r.done:
-	case <-ctx.Done():
-		// Withdraw the unclaimed remainder; tasks already executing are
-		// expected to observe ctx themselves, and the run completes (and
-		// closes done) once they drain. A run whose tasks were all
-		// claimed (or that already finished) keeps its own outcome: a
-		// cancellation arriving after the last task was handed out has
-		// nothing to withdraw and must not turn success into failure.
-		p.mu.Lock()
-		if !r.finished && r.err == nil && r.next < r.n {
-			r.fail(ctx.Err())
-			p.finishLocked(r)
+	return func() error {
+		select {
+		case <-r.done:
+		case <-ctx.Done():
+			// Withdraw the unclaimed remainder; tasks already executing are
+			// expected to observe ctx themselves, and the run completes (and
+			// closes done) once they drain. A run whose tasks were all
+			// claimed (or that already finished) keeps its own outcome: a
+			// cancellation arriving after the last task was handed out has
+			// nothing to withdraw and must not turn success into failure.
+			p.mu.Lock()
+			if !r.finished && r.err == nil && r.next < r.n {
+				r.fail(ctx.Err())
+				p.finishLocked(r)
+			}
+			p.mu.Unlock()
+			<-r.done
 		}
-		p.mu.Unlock()
-		<-r.done
+		// r.err is nil only if no task failed and no withdrawal happened —
+		// i.e. all n tasks ran to completion — so it is the whole verdict:
+		// a context cancelled just after the last task finished does not
+		// retroactively fail a completed run.
+		return r.err
 	}
-	// r.err is nil only if no task failed and no withdrawal happened —
-	// i.e. all n tasks ran to completion — so it is the whole verdict:
-	// a context cancelled just after the last task finished does not
-	// retroactively fail a completed run.
-	return r.err
 }
 
 // Close drains the pool: new Run calls are rejected, task sets already

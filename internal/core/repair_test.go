@@ -101,14 +101,15 @@ func TestRepairExhaustedStaysTyped(t *testing.T) {
 }
 
 // timedVerifyProblem is a compiled test problem whose per-point Evaluate
-// sleeps and adds up the time spent inside it. The prepare stage runs the
-// compiled plan, so only verification calls Evaluate.
+// sleeps and adds up its calls and the time spent inside it. The prepare
+// stage runs the compiled plan, so only verification calls Evaluate.
 type timedVerifyProblem struct {
 	*batchPolyProblem
-	inside atomic.Int64
+	inside, calls atomic.Int64
 }
 
 func (p *timedVerifyProblem) Evaluate(q, x0 uint64) ([]uint64, error) {
+	p.calls.Add(1)
 	defer func(start time.Time) { p.inside.Add(int64(time.Since(start))) }(time.Now())
 	time.Sleep(time.Millisecond)
 	return p.batchPolyProblem.Evaluate(q, x0)
@@ -119,8 +120,9 @@ func (p *timedVerifyProblem) Evaluate(q, x0 uint64) ([]uint64, error) {
 // (2 errors), beyond the budget of 8 over GF(97), and for this liar Gao
 // lands on a neighbouring codeword that only verification rejects.
 // Without repair the run fails ErrVerificationFailed; with one round it
-// heals bit-identically. Both verification passes are timed:
-// VerifyTrials × VerifyPerTrial covers every Evaluate either one made.
+// heals bit-identically. Both verification passes check against one set
+// of evaluations, VerifyTrials per prime, and VerifyTrials ×
+// VerifyPerTrial covers the time they took.
 func TestRepairAfterMiscorrection(t *testing.T) {
 	ctx := context.Background()
 	const seed = 17000058
@@ -163,6 +165,9 @@ func TestRepairAfterMiscorrection(t *testing.T) {
 	verify, inside := time.Duration(rep.VerifyTrials)*rep.VerifyPerTrial, time.Duration(p.inside.Load())
 	if verify < inside-time.Duration(rep.VerifyTrials) {
 		t.Fatalf("VerifyTrials × VerifyPerTrial = %v, but verification spent %v inside Evaluate over both passes", verify, inside)
+	}
+	if n, want := p.calls.Load(), int64(rep.VerifyTrials*len(proof.Primes)); n != want {
+		t.Fatalf("two verification passes made %d Evaluate calls, want %d: one per trial and prime", n, want)
 	}
 }
 

@@ -267,14 +267,21 @@ func TestTCPAndBusConformance(t *testing.T) {
 			if err := tr.Send(ctx, NodeShares{ID: 0, Lo: 0, Hi: 0}); err != nil {
 				t.Fatalf("Send after Close: %v", err)
 			}
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-				time.Sleep(5 * time.Millisecond)
-			}
-			if n := runtime.NumGoroutine(); n > before {
-				t.Fatalf("%d goroutines before, %d after Close", before, n)
-			}
+			noGoroutineLeft(t, before)
 		})
+	}
+}
+
+// noGoroutineLeft waits up to five seconds for the goroutine count to
+// fall back to before, and fails the test if it does not.
+func noGoroutineLeft(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines before, %d after", before, n)
 	}
 }
 
@@ -286,15 +293,15 @@ func TestLossyTransportFateIsDeterministic(t *testing.T) {
 	other.Seed = 6
 	varied, same := false, true
 	for id := 0; id < 64; id++ {
-		c1, del1 := a.fate(id)
-		if c2, del2 := b.fate(id); c1 != c2 || del1 != del2 {
-			t.Fatalf("fate(%d) differs across identically seeded records", id)
+		c1, del1 := a.Fate(id)
+		if c2, del2 := b.Fate(id); c1 != c2 || del1 != del2 {
+			t.Fatalf("Fate(%d) differs across identically seeded records", id)
 		}
-		if c3, del3 := a.fate(id); c1 != c3 || del1 != del3 {
-			t.Fatalf("fate(%d) differs across calls", id)
+		if c3, del3 := a.Fate(id); c1 != c3 || del1 != del3 {
+			t.Fatalf("Fate(%d) differs across calls", id)
 		}
 		varied = varied || c1 != 1 || del1 > 0
-		c4, _ := other.fate(id)
+		c4, _ := other.Fate(id)
 		same = same && c1 == c4
 	}
 	if !varied || same {
@@ -383,7 +390,7 @@ func TestRunQuorumModeMatchesStrictWhenNothingIsLost(t *testing.T) {
 // the worker, or a copy that outlived its round, would hold the run.
 func TestLossyTransportDelayDoesNotBlockSender(t *testing.T) {
 	adv := Adversary{DelayRate: 0.3, MaxDelay: time.Hour}
-	delay := func(id int) time.Duration { _, d := adv.fate(id); return d }
+	delay := func(id int) time.Duration { _, d := adv.Fate(id); return d }
 	for delay(0) < 30*time.Minute || delay(1)+delay(2)+delay(3) > 0 {
 		adv.Seed++
 	}

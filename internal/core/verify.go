@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"camelot/internal/ff"
 )
@@ -39,41 +40,88 @@ func VerifyProofContext(ctx context.Context, p Problem, proof *Proof, trials int
 }
 
 // verifyProof is the context-aware engine form of VerifyProof: the
-// cancellation check runs once per (trial, prime) pair, so even a slow
-// problem aborts after at most one stray evaluation.
+// verifier's two halves in turn, the evaluations at the challenge
+// points (expectProof) and the check of the proof against them
+// (checkProof). The engine runs the same two, the first while the
+// Knights prepare the proof.
 func verifyProof(ctx context.Context, p Problem, proof *Proof, trials int, seed int64) (bool, error) {
+	exp, err := expectProof(ctx, p, proof.Primes, trials, seed)
+	if err != nil {
+		return false, err
+	}
+	return checkProof(p, proof, exp)
+}
+
+// challenge is one (trial, prime) pair of the check: the point x0 drawn
+// for the modulus q, and P(x0) mod q, every coordinate.
+type challenge struct {
+	q, x0 uint64
+	want  []uint64
+}
+
+// expectations are the verifier's half of the check that reads no
+// proof: the challenge points and P's values there, in draw order.
+type expectations struct {
+	primes []uint64
+	points []challenge
+}
+
+// expectProof draws every (trial, prime) point from
+// rand.NewSource(seed), trials outermost, and evaluates P there, one
+// fresh evaluation each. The cancellation check runs once per pair, so
+// even a slow problem aborts after at most one stray evaluation.
+func expectProof(ctx context.Context, p Problem, primes []uint64, trials int, seed int64) (*expectations, error) {
 	if trials <= 0 {
 		trials = 1
 	}
 	// Honest proofs start at the floor (ChoosePrimes); below it Evaluate
 	// need not be defined.
-	for _, q := range proof.Primes {
+	for _, q := range primes {
 		if q < p.MinModulus() {
-			return false, fmt.Errorf("proof modulus %d is below the problem's minimum %d", q, p.MinModulus())
+			return nil, fmt.Errorf("proof modulus %d is below the problem's minimum %d", q, p.MinModulus())
 		}
 	}
-	if err := checkGeometry(p, proof); err != nil {
-		return false, err
-	}
+	exp := &expectations{primes: primes, points: make([]challenge, 0, trials*len(primes))}
 	rng := rand.New(rand.NewSource(seed))
 	for t := 0; t < trials; t++ {
-		for _, q := range proof.Primes {
+		for _, q := range primes {
 			if err := ctx.Err(); err != nil {
-				return false, err
+				return nil, err
 			}
-			f, err := ff.New(q)
-			if err != nil {
-				return false, err
+			if _, err := ff.New(q); err != nil { // no P over a non-prime
+				return nil, err
 			}
 			x0 := uniformUint64(rng, q)
 			want, err := p.Evaluate(q, x0)
 			if err != nil {
-				return false, fmt.Errorf("evaluating P(%d) mod %d: %w", x0, q, err)
+				return nil, fmt.Errorf("evaluating P(%d) mod %d: %w", x0, q, err)
 			}
-			for c, coeffs := range proof.Coeffs[q] {
-				if f.Horner(coeffs, x0) != want[c]%q {
-					return false, nil
-				}
+			exp.points = append(exp.points, challenge{q: q, x0: x0, want: want})
+		}
+	}
+	return exp, nil
+}
+
+// checkProof is the verifier's half of the check that reads the proof:
+// the proof must have the problem's geometry over the primes exp was
+// drawn for (so none is below the floor), and every coordinate's
+// coefficients must evaluate, by Horner's rule, to P's value at every
+// challenge point.
+func checkProof(p Problem, proof *Proof, exp *expectations) (bool, error) {
+	if err := checkGeometry(p, proof); err != nil {
+		return false, err
+	}
+	if !slices.Equal(proof.Primes, exp.primes) {
+		return false, fmt.Errorf("proof over primes %v, challenge points drawn for %v", proof.Primes, exp.primes)
+	}
+	for _, ch := range exp.points {
+		f, err := ff.New(ch.q)
+		if err != nil {
+			return false, err
+		}
+		for c, coeffs := range proof.Coeffs[ch.q] {
+			if f.Horner(coeffs, ch.x0) != ch.want[c]%ch.q {
+				return false, nil
 			}
 		}
 	}

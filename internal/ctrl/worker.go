@@ -206,7 +206,8 @@ func serveWorker(ctx context.Context, cfg WorkerConfig, resume *[]byte, planners
 
 // runAssign evaluates one manifest and delivers the result as the
 // manifest's sponsor would send it under the fault record: garbled,
-// repeated or held (core.Deliver), or lost, which it reports. An
+// repeated or held (core.Deliver), or lost, which it reports before
+// evaluating anything (core.Adversary.Fate). An
 // evaluation-side failure — unknown kind, geometry skew, a problem
 // error — travels as an in-band Err frame: a delivery outcome the
 // coordinator's fault accounting understands, not a silent hang.
@@ -217,6 +218,12 @@ func runAssign(ctx context.Context, wc *wireConn, m Assign, planners plannersFun
 	}
 	var shares core.NodeShares
 	if err == nil {
+		origin := core.NodeShares{ID: m.Owner, From: m.Sponsor, Round: m.Round}.Origin()
+		if copies, _ := m.Adversary.Fate(origin); copies == 0 {
+			// The network loses this message whatever it says: report the
+			// loss without evaluating it.
+			return wc.send(Lost{Owner: m.Owner, Sponsor: m.Sponsor, Round: m.Round})
+		}
 		shares, err = pl.EvaluateShares(ctx, m.Primes, m.Owner, m.Sponsor, m.Round, m.Lo, m.Hi)
 	}
 	if err != nil {
@@ -233,9 +240,6 @@ func runAssign(ctx context.Context, wc *wireConn, m Assign, planners plannersFun
 		})
 	}
 	copies, delay := m.Adversary.Apply(&shares, m.Primes, m.K)
-	if copies == 0 {
-		return wc.send(Lost{Owner: m.Owner, Sponsor: m.Sponsor, Round: m.Round})
-	}
 	send := func(_ context.Context, m core.NodeShares) error { return wc.send(m) }
 	return core.Deliver(ctx, send, shares, copies, delay, held)
 }

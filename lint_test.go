@@ -449,7 +449,13 @@ func TestKindsAreDeclaredOnce(t *testing.T) {
 //     verification and the verifier's sweep keeps its own reduction, MulK;
 //   - core's decode stage (decode.go and stageDecode) names neither the
 //     fault record nor any of its fields: the decoder reads the words
-//     that arrived and is never told which nodes were faulty.
+//     that arrived and is never told which nodes were faulty;
+//   - core's expectProof, the verifier's evaluations that run beside the
+//     prepare stage, calls Problem.Evaluate and never the provers' plan
+//     machinery or the gathered shares;
+//   - a node's path (core's evaluateAndSend, ctrl's runAssign) names
+//     nothing of the verifier's expectations, so no challenge point
+//     reaches a prover.
 func TestHamiltonVerifierIsSeparate(t *testing.T) {
 	lagrangeRun := func(id string) bool { return strings.HasPrefix(id, "NewLagrangeEvaluator") || id == "Sweep" }
 	pointEvaluator := func(id string) bool { return id == "NewPointEvaluator" }
@@ -460,6 +466,12 @@ func TestHamiltonVerifierIsSeparate(t *testing.T) {
 	permanentPlan := func(id string) bool {
 		return slices.Contains([]string{"compiled", "Compile", "EvaluateBlock", "evaluateStrip",
 			"NewLagrangeEvaluatorZeroBased", "BitSweepBlock", "MulMont", "MulSumVecMont", "MontOf"}, id)
+	}
+	prover := func(id string) bool {
+		return slices.Contains([]string{"Planner", "NewPlanner", "planner", "Compile", "EvaluateBlock", "shares"}, id)
+	}
+	expectations := func(id string) bool {
+		return slices.Contains([]string{"expect", "expectations", "expectProof", "startExpect", "pendingExpect", "challenge", "checkProof"}, id)
 	}
 	faultRecord := func(id string) bool {
 		_, field := reflect.TypeOf(core.Adversary{}).FieldByName(id)
@@ -481,6 +493,9 @@ func TestHamiltonVerifierIsSeparate(t *testing.T) {
 		{"internal/triangles", []string{"Evaluate", "atBasis"}, 2, groupTensor},
 		{"internal/permanent", []string{"Evaluate"}, 1, permanentPlan},
 		{"internal/core", []string{"stageDecode", "receivedWords", "sortedKeys"}, 3, faultRecord},
+		{"internal/core", []string{"expectProof"}, 1, prover},
+		{"internal/core", []string{"evaluateAndSend"}, 1, expectations},
+		{"internal/ctrl", []string{"runAssign"}, 1, expectations},
 	} {
 		t.Run(filepath.Base(row.dir), func(t *testing.T) {
 			pkgs, err := parser.ParseDir(token.NewFileSet(), row.dir, func(fi fs.FileInfo) bool {
@@ -491,7 +506,7 @@ func TestHamiltonVerifierIsSeparate(t *testing.T) {
 			}
 			files := pkgs[filepath.Base(row.dir)].Files
 			var plan *ast.File
-			forbidden, why := row.forbidden, "which only the compiled plan may name"
+			forbidden, why := row.forbidden, "a name this row forbids there"
 			if forbidden == nil {
 				var ok bool
 				if plan, ok = files[filepath.Join(row.dir, "plan.go")]; !ok {
