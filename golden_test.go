@@ -248,8 +248,11 @@ func TestGoldenProofs(t *testing.T) {
 				}
 			}
 
-			// The bus and TCP rows share one cluster's pool and codes, and
-			// take their transport as a per-run option, as one-shot calls do.
+			// Every shape is a job of one cluster, taking its transport as a
+			// per-run option, whose status counts the delivery faults and, if
+			// nothing is lost, every point. ctrl: per schedule, a coordinator
+			// and two worker daemons for g.k logical nodes, every frame
+			// authenticated; the run's end tells the workers Done.
 			cl := NewCluster(WithNodes(g.k))
 			defer cl.Close()
 			for _, s := range g.schedules() {
@@ -257,44 +260,38 @@ func TestGoldenProofs(t *testing.T) {
 				if s.tcp {
 					shapes["tcp"] = []Option{WithListenAddr("127.0.0.1:0")}
 				}
+				var workers sync.WaitGroup
+				if gc.spec != "" {
+					secret := []byte("golden-secret")
+					co, err := NewCoordinator(g.k, CoordinatorConfig{Workload: gc.spec, ListenAddr: "127.0.0.1:0", Secret: secret, MinWorkers: 2})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer co.Close()
+					workers.Add(2)
+					for range 2 {
+						go func() {
+							defer workers.Done()
+							if err := ServeNode(ctx, NodeConfig{Join: co.Addr(), Secret: secret}); err != nil {
+								t.Errorf("ctrl/%s: worker: %v", s.name, err)
+							}
+						}()
+					}
+					shapes["ctrl"] = []Option{co.AsTransport()}
+				}
 				for transport, opts := range shapes {
 					shape := transport + "/" + s.name
 					job := cl.start(ctx, p, resolve(cl.base, append(opts, g.options(s)...)))
 					proof, rep, err := job.Wait(ctx)
 					check(shape, s, proof, rep, err)
-					if got := job.Status().DeliveryFaults; got != len(s.drop) {
-						t.Errorf("%s: status counts %d delivery faults, want %d", shape, got, len(s.drop))
+					if st := job.Status(); st.DeliveryFaults != len(s.drop) || s.drop == nil && st.PointsDone != st.PointsTotal {
+						t.Errorf("%s: status counts %d delivery faults and %d of %d points, want %d faults", shape, st.DeliveryFaults, st.PointsDone, st.PointsTotal, len(s.drop))
 					}
 				}
+				workers.Wait()
 			}
 			if gc.spec == "" {
 				return
-			}
-
-			// ctrl: per schedule, a coordinator and two worker daemons for
-			// g.k logical nodes, every frame authenticated, through the
-			// one-shot facade; the schedule travels in the manifests.
-			secret := []byte("golden-secret")
-			for _, s := range g.schedules() {
-				co, err := NewCoordinator(g.k, CoordinatorConfig{Workload: gc.spec, ListenAddr: "127.0.0.1:0", Secret: secret, MinWorkers: 2})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer co.Close()
-				var wg sync.WaitGroup
-				for range 2 {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						if err := ServeNode(ctx, NodeConfig{Join: co.Addr(), Secret: secret}); err != nil {
-							t.Errorf("ctrl/%s: worker: %v", s.name, err)
-						}
-					}()
-				}
-				proof, rep, err := RunProblem(ctx, co.Workload().Problem, append([]Option{WithNodes(g.k), co.AsTransport()}, g.options(s)...)...)
-				check("ctrl/"+s.name, s, proof, rep, err)
-				// Failed or not, the run closed the coordinator: Done ends every worker.
-				wg.Wait()
 			}
 
 			// serve: prepared on three nodes (bytes depend on spec and f

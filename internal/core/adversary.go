@@ -7,9 +7,9 @@ package core
 // says before it leaves, delivery faults decide whether and when it
 // arrives, and the decoder downstream reads words without ever asking
 // which nodes were faulty (paper §1.3: every node decodes what it
-// received). The engine applies the record to the messages its pool
-// sends; a remote worker applies the one its Assign manifest carries,
-// as the logical node the manifest names.
+// received). The one node model, Executor, applies it: the engine's to
+// the messages its pool sends, and a ctrl worker's to those of the
+// manifests it is sent, as the logical node each manifest names.
 
 import (
 	"fmt"
@@ -88,15 +88,15 @@ func (a Adversary) Validate(k int) error {
 	return nil
 }
 
-// Apply is what the record makes node m.Origin() do with its outgoing
-// message m in a run of k nodes over primes (in m.Vals order). Content
-// comes first: a liar overwrites m.Vals with garbage, and an
-// equivocator replaces them with m.Views, one garbage view per
-// recipient. Then fate: copies is how many times the network delivers
-// the message (0: lost), after delay. A repair round's message
-// originates from its sponsor, so a dropped owner's range re-sent by a
-// survivor arrives, and a lying sponsor's repair arrives corrupted.
-func (a Adversary) Apply(m *NodeShares, primes []uint64, k int) (copies int, delay time.Duration) {
+// Apply is what the record makes node m.Origin() write in its outgoing
+// message m in a run of k nodes over primes (in m.Vals order): a liar
+// overwrites m.Vals with garbage, and an equivocator replaces them with
+// m.Views, one garbage view per recipient. Whether and when the message
+// arrives is its fate, drawn before it is evaluated. A repair round's
+// message originates from its sponsor, so a dropped owner's range
+// re-sent by a survivor arrives, and a lying sponsor's repair arrives
+// corrupted.
+func (a Adversary) Apply(m *NodeShares, primes []uint64, k int) {
 	origin := m.Origin()
 	switch {
 	case slices.Contains(a.Liars, origin):
@@ -125,7 +125,6 @@ func (a Adversary) Apply(m *NodeShares, primes []uint64, k int) (copies int, del
 		}
 		m.Vals = nil
 	}
-	return a.Fate(origin)
 }
 
 // garble is the garbage node sender sends for the share (q, coord,
@@ -139,12 +138,12 @@ func (a Adversary) garble(q uint64, sender, coord, point int, view, v uint64) ui
 	return g
 }
 
-// Fate decides what the network does to node id's broadcast,
+// fate decides what the network does to node id's broadcast,
 // deterministic in (Seed, id). It is not re-drawn per round, which keeps
 // loss patterns pure in (Seed, link) and repair outcomes independent of
 // the schedule. It reads nothing of the message, so a sender learns
 // before evaluating whether anything it sends will arrive.
-func (a Adversary) Fate(id int) (copies int, delay time.Duration) {
+func (a Adversary) fate(id int) (copies int, delay time.Duration) {
 	if slices.Contains(a.DropNodes, id) || chance(garbage(a.Seed, uint64(id), 1)) < a.DropRate {
 		return 0, 0
 	}

@@ -15,7 +15,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"camelot/internal/rs"
@@ -118,10 +117,10 @@ type engine struct {
 	// not the gather — decides when the transport's world ends (see
 	// close).
 	tr Transport
-	// remote is the transport's RemoteAssigner capability when it has
-	// one: rounds then ship AssignSpec manifests to remote workers
-	// instead of evaluating on the local pool.
-	remote RemoteAssigner
+	// nodes evaluates and sends every round's ranges: the transport's
+	// own RemoteAssigner (a coordinator's workers) or else an Executor
+	// on the run's pool over tr.Send.
+	nodes RemoteAssigner
 
 	// What the rounds so far have gathered: the valid share messages
 	// (round 0's ordered by node id, repaired ones appended), and the
@@ -287,7 +286,9 @@ func (en *engine) decodeAndVerify(ctx context.Context) (*Proof, error) {
 // canRepair decides whether a failed decode-and-verify is worth another
 // gather round: repair must be enabled with rounds left, the failure
 // must be one more shares can fix, and there must be both missing nodes
-// to recompute and survivors to recompute them. Two failures qualify.
+// to recompute and survivors to sponsor them — in every shape, since a
+// message's fate is the sending node's, and a lost node sponsoring its
+// own range would be lost again. Two failures qualify.
 // The typed beyond-budget refusal is the usual one. The other is a
 // failed verification while nodes are missing: erasures shrink the
 // unique-decoding radius, and content errors beyond what is left of it
@@ -297,14 +298,7 @@ func (en *engine) decodeAndVerify(ctx context.Context) (*Proof, error) {
 // it. Anything else — cancellation, a decoder bug — repair cannot fix.
 func (en *engine) canRepair(err error, round int) bool {
 	recoverable := errors.Is(err, rs.ErrDecodeFailure) || errors.Is(err, ErrVerificationFailed)
-	if !(round <= en.opts.MaxRepairRounds && recoverable && len(en.missing) > 0) {
-		return false
-	}
-	// Locally, a survivor must exist to sponsor the recompute. Remotely,
-	// logical nodes and workers are different populations: even with
-	// every logical node missing, any live worker can be re-assigned the
-	// ranges (AssignRanges fails if none is).
-	return en.remote != nil || len(en.missing) < en.k
+	return round <= en.opts.MaxRepairRounds && recoverable && len(en.missing) > 0 && len(en.missing) < en.k
 }
 
 // startExpect submits the verifier's evaluations at its challenge points
@@ -370,22 +364,22 @@ func (en *engine) close() {
 	}
 }
 
-// assignment is one unit of a round: the point range [lo, hi) that
-// owner's decoder coordinates index, evaluated and sent by sponsor. In
-// round 0 every node sponsors its own range; in a repair round the
-// owner's broadcast was lost and a survivor stands in.
-type assignment struct {
-	owner, sponsor int
-	lo, hi         int
+// rangeOf is the unit of round n: owner's point range, which the
+// decoders index by owner, evaluated and sent by sponsor.
+func (en *engine) rangeOf(n, owner, sponsor int) AssignSpec {
+	lo, hi := en.assign.Range(owner)
+	return AssignSpec{
+		Owner: owner, Sponsor: sponsor, Round: n, Lo: lo, Hi: hi,
+		Width: en.w, Primes: en.primes, K: en.k, Adversary: en.opts.Adversary,
+	}
 }
 
 // ownRanges is round 0's assignment list: every node evaluates and
 // broadcasts its own range.
-func (en *engine) ownRanges() []assignment {
-	ranges := make([]assignment, en.k)
+func (en *engine) ownRanges() []AssignSpec {
+	ranges := make([]AssignSpec, en.k)
 	for id := range ranges {
-		lo, hi := en.assign.Range(id)
-		ranges[id] = assignment{owner: id, sponsor: id, lo: lo, hi: hi}
+		ranges[id] = en.rangeOf(0, id, id)
 	}
 	return ranges
 }
@@ -396,10 +390,10 @@ func (en *engine) ownRanges() []assignment {
 // message carries the dead owner's id (what the decoders index by) and
 // is sent by a sponsoring survivor (whose faults it then suffers),
 // sponsors rotating across rounds so a round-robin neighbor with its own
-// bad link does not doom every retry. Remotely the sponsor is the
-// logical node the worker acts as, whichever live worker the
-// coordinator routes the range to.
-func (en *engine) repairRanges(n int) []assignment {
+// bad link does not doom every retry. On a coordinator the sponsor is
+// the logical node the worker acts as, whichever live worker the range
+// is routed to.
+func (en *engine) repairRanges(n int) []AssignSpec {
 	dead := make([]bool, en.k)
 	for _, id := range en.missing {
 		dead[id] = true
@@ -410,13 +404,9 @@ func (en *engine) repairRanges(n int) []assignment {
 			survivors = append(survivors, id)
 		}
 	}
-	ranges := make([]assignment, len(en.missing))
+	ranges := make([]AssignSpec, len(en.missing))
 	for i, id := range en.missing {
-		lo, hi := en.assign.Range(id)
-		ranges[i] = assignment{owner: id, sponsor: id, lo: lo, hi: hi}
-		if len(survivors) > 0 {
-			ranges[i].sponsor = survivors[(i+n-1)%len(survivors)]
-		}
+		ranges[i] = en.rangeOf(n, id, survivors[(i+n-1)%len(survivors)])
 	}
 	return ranges
 }
@@ -437,21 +427,21 @@ func (en *engine) repairRanges(n int) []assignment {
 // pending work is cancelled — it could only produce messages the run
 // has already given up on), and the missing ids are decoded as erasures
 // instead of failing the run. A strict run refuses any loss by name.
-func (en *engine) round(ctx context.Context, n int, ranges []assignment) error {
+func (en *engine) round(ctx context.Context, n int, ranges []AssignSpec) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	en.enter(StagePrepare)
 	if n == 0 {
-		// A transport that can assign work to remote workers flips the
-		// engine into remote mode: manifests go out instead of local
-		// evaluation, and frames stream back through the same gather.
 		tr, err := en.opts.NewTransport(en.k)
 		if err != nil {
 			return err
 		}
 		en.tr = tr
-		en.remote, _ = tr.(RemoteAssigner)
+		var own bool
+		if en.nodes, own = tr.(RemoteAssigner); !own {
+			en.nodes = &Executor{Planner: en.planner, Pool: en.pool, Weight: en.opts.Priority, Send: tr.Send}
+		}
 	} else {
 		en.opts.Progress.repairRounds.Store(int32(n))
 	}
@@ -502,7 +492,7 @@ func (en *engine) round(ctx context.Context, n int, ranges []assignment) error {
 	// where it does not.
 	wanted := make([]bool, en.k)
 	for _, a := range ranges {
-		wanted[a.owner] = true
+		wanted[a.Owner] = true
 	}
 	for _, m := range delivered {
 		if !wanted[m.ID] {
@@ -520,19 +510,14 @@ func (en *engine) round(ctx context.Context, n int, ranges []assignment) error {
 		if m.Elapsed > en.report.MaxNodeCompute {
 			en.report.MaxNodeCompute = m.Elapsed
 		}
-		if en.remote != nil {
-			// Remote evaluation reports no per-chunk progress; count a
-			// range's (point, prime) units when its frame lands.
-			en.opts.Progress.pointsDone.Add(int64((m.Hi - m.Lo) * len(en.primes)))
-		}
 		if n > 0 {
 			en.report.RepairedNodes = append(en.report.RepairedNodes, m.ID)
 		}
 	}
 	var missing []int
 	for _, a := range ranges {
-		if wanted[a.owner] {
-			missing = append(missing, a.owner)
+		if wanted[a.Owner] {
+			missing = append(missing, a.Owner)
 		}
 	}
 	if len(missing) > 0 && !quorumMode {
@@ -550,20 +535,17 @@ func (en *engine) round(ctx context.Context, n int, ranges []assignment) error {
 }
 
 // exchange drives one send/gather round over the run's transport and
-// returns the raw gathered messages. Only the executor differs between
-// deployments: locally the worker pool evaluates the ranges and Sends
-// each completed message while the collector gathers; remotely the
-// transport ships each range's manifest to a live worker and the
-// collector gathers the frames streamed back.
+// returns the raw gathered messages: the round's ranges are assigned to
+// the run's nodes, and the collector gathers what they send.
 //
 // Each round gets fresh send and gather contexts scoped to this call —
 // cancelling the round's senders on return is what abandons its
 // still-pending deliveries (a sender's delayed copies, say) so
 // they cannot leak into a later round's gather; the round filter in the
 // quorum loop is the second line of defense.
-func (en *engine) exchange(ctx context.Context, spec GatherSpec, ranges []assignment) ([]NodeShares, error) {
+func (en *engine) exchange(ctx context.Context, spec GatherSpec, ranges []AssignSpec) ([]NodeShares, error) {
 	// Failure on either side of the transport must cancel the other:
-	// a pool (Send) failure cancels the gather so the collector cannot
+	// a sending failure cancels the gather so the collector cannot
 	// wait forever on messages that will never arrive, and a gather
 	// failure cancels the senders so a bounded transport cannot leave
 	// them blocked on a dead collector.
@@ -571,37 +553,24 @@ func (en *engine) exchange(ctx context.Context, spec GatherSpec, ranges []assign
 	defer cancelSend()
 	gatherCtx, cancelGather := context.WithCancel(ctx)
 	defer cancelGather()
-	sent := make(chan error, 1)
-	if en.remote != nil {
-		// SendsDone stays nil: the engine cannot see when remote workers
-		// finish sending; the coordinator's gather knows it from their
-		// frames and Lost reports.
-		manifests := make([]AssignSpec, len(ranges))
-		for i, a := range ranges {
-			manifests[i] = AssignSpec{
-				Owner: a.owner, Sponsor: a.sponsor, Round: spec.Round, Lo: a.lo, Hi: a.hi,
-				Width: en.w, Primes: en.primes, K: en.k, Adversary: en.opts.Adversary,
-			}
-		}
-		if err := en.remote.AssignRanges(ctx, manifests); err != nil {
-			return nil, err
-		}
-		sent <- nil
-	} else {
-		// sendsDone tells the gather that no further Send can occur, so a
-		// network that lost messages ends the round one grace period
-		// later instead of waiting out the caller's context.
-		sendsDone := make(chan struct{})
-		spec.SendsDone = sendsDone
-		go func() {
-			defer close(sendsDone)
-			err := en.evaluateAndSend(sendCtx, spec.Round, ranges)
-			if err != nil {
-				cancelGather()
-			}
-			sent <- err
-		}()
+	wait, err := en.nodes.AssignRanges(sendCtx, ranges, en.opts.Progress.addPoints)
+	if err != nil {
+		return nil, err
 	}
+	// sendsDone tells the gather that no further Send can occur, so a
+	// network that lost messages ends the round one grace period later
+	// instead of waiting out the caller's context.
+	sendsDone := make(chan struct{})
+	spec.SendsDone = sendsDone
+	sent := make(chan error, 1)
+	go func() {
+		defer close(sendsDone)
+		err := wait()
+		if err != nil {
+			cancelGather()
+		}
+		sent <- err
+	}()
 	// Every gather goes by spec, strict ones included: Transport.Gather
 	// has no SendsDone and could only wait out a lost message.
 	msgs, gatherErr := en.tr.GatherQuorum(gatherCtx, spec)
@@ -620,149 +589,6 @@ func (en *engine) exchange(ctx context.Context, spec GatherSpec, ranges []assign
 		return nil, gatherErr
 	}
 	return msgs, nil
-}
-
-// prepNode tracks one assignment's message across its chunk tasks.
-type prepNode struct {
-	msg       NodeShares
-	remaining atomic.Int32
-	elapsedNS atomic.Int64
-}
-
-// prepChunk is one local evaluation task: a slice of one assignment's
-// point range for one prime. node indexes the round's prepNode slice.
-type prepChunk struct {
-	node, prime int
-	lo, hi      int
-}
-
-// evaluateAndSend is the local executor: the pool evaluates every
-// assignment and sends each message as its last chunk completes, then
-// waits for the round's delayed deliveries.
-//
-// The work unit is a (range, prime, sub-range) chunk rather than a whole
-// node: when the pool is wider than the assignment list — a single-node
-// run on a many-core box, say — idle workers take sub-chunks of the same
-// range, so K bounds the paper's work *split* but never the machine's
-// parallelism. Chunk boundaries cannot change results: every point is
-// evaluated independently and written to its own slot (and the Plan
-// contract requires block results to match point-wise evaluation bit
-// for bit).
-func (en *engine) evaluateAndSend(ctx context.Context, round int, ranges []assignment) error {
-	var held HeldSends
-	parts := 1
-	if w := en.pool.Width(); w > len(ranges) {
-		parts = (w + len(ranges) - 1) / len(ranges)
-	}
-	nodes := make([]*prepNode, len(ranges))
-	var chunks []prepChunk
-	for i, a := range ranges {
-		st := &prepNode{msg: NodeShares{
-			ID: a.owner, From: a.sponsor, Round: round,
-			Lo: a.lo, Hi: a.hi,
-			Vals: make([][][]uint64, len(en.primes)),
-		}}
-		if copies, _ := en.opts.Adversary.Fate(st.msg.Origin()); copies == 0 {
-			continue // the network loses this message whatever it says
-		}
-		before := len(chunks)
-		for pi := range en.primes {
-			st.msg.Vals[pi] = make([][]uint64, en.w)
-			for c := 0; c < en.w; c++ {
-				st.msg.Vals[pi][c] = make([]uint64, a.hi-a.lo)
-			}
-			for _, cut := range cutRange(a.lo, a.hi, parts) {
-				chunks = append(chunks, prepChunk{node: i, prime: pi, lo: cut[0], hi: cut[1]})
-			}
-		}
-		st.remaining.Store(int32(len(chunks) - before))
-		nodes[i] = st
-	}
-	err := en.pool.RunWeighted(ctx, len(chunks), en.opts.Priority, func(ti int) error {
-		chk := chunks[ti]
-		st := nodes[chk.node]
-		start := time.Now()
-		err := evaluateRangeInto(ctx, en.planner, en.primes[chk.prime], chk.lo, chk.hi, en.w,
-			st.msg.Vals[chk.prime], st.msg.Lo)
-		st.elapsedNS.Add(int64(time.Since(start)))
-		if err != nil {
-			return fmt.Errorf("node %d: %w", st.msg.Origin(), err)
-		}
-		en.opts.Progress.pointsDone.Add(int64(chk.hi - chk.lo))
-		if st.remaining.Add(-1) == 0 {
-			// Last chunk of this message: it is complete (every
-			// other chunk's write happened-before the counter
-			// reached zero), broadcast it.
-			st.msg.Elapsed = time.Duration(st.elapsedNS.Load())
-			copies, delay := en.opts.Adversary.Apply(&st.msg, en.primes, en.k)
-			return Deliver(ctx, en.tr.Send, st.msg, copies, delay, &held)
-		}
-		return nil
-	})
-	if err != nil {
-		// The held deliveries end with the round's send context, which
-		// the caller cancels once this failure has ended the gather.
-		return err
-	}
-	// Conclude the held deliveries before the caller announces
-	// SendsDone, and fail the round with the first of them that failed,
-	// as a blocking Send would have.
-	return held.Wait()
-}
-
-// Deliver is how a sender acts on Adversary.Apply's verdict for m:
-// copies sends through send, at once or, when delay > 0, after the
-// delay on a goroutine held counts. A held copy holds the message, not
-// the sender, and is abandoned when ctx ends, which is how the end of
-// its round keeps it out of a later round's gather. The engine's pool
-// and a remote worker both deliver through it.
-func Deliver(ctx context.Context, send func(context.Context, NodeShares) error, m NodeShares, copies int, delay time.Duration, held *HeldSends) error {
-	sendCopies := func() error {
-		for range copies {
-			if err := send(ctx, m); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if delay <= 0 {
-		return sendCopies()
-	}
-	held.wg.Add(1)
-	go func() {
-		defer held.wg.Done()
-		timer := time.NewTimer(delay)
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			return
-		}
-		err := sendCopies()
-		if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			held.mu.Lock()
-			if held.err == nil {
-				held.err = err
-			}
-			held.mu.Unlock()
-		}
-	}()
-	return nil
-}
-
-// HeldSends are the deliveries Deliver holds for a delay. The zero
-// value is ready to use.
-type HeldSends struct {
-	wg  sync.WaitGroup
-	mu  sync.Mutex
-	err error // the first failure other than the end of the send context
-}
-
-// Wait returns once every held delivery has been sent or abandoned,
-// with the first that failed.
-func (h *HeldSends) Wait() error {
-	h.wg.Wait()
-	return h.err
 }
 
 // shareShapeOK reports whether a delivered message's claimed geometry
@@ -805,30 +631,6 @@ func (en *engine) erasedPoints(missing []int) []int {
 		lo, hi := en.assign.Range(id)
 		for x := lo; x < hi; x++ {
 			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// cutRange splits [lo, hi) into at most parts non-empty, contiguous,
-// near-equal pieces, in order.
-func cutRange(lo, hi, parts int) [][2]int {
-	n := hi - lo
-	if n <= 0 {
-		return nil
-	}
-	if parts > n {
-		parts = n
-	}
-	if parts <= 1 {
-		return [][2]int{{lo, hi}}
-	}
-	out := make([][2]int, 0, parts)
-	for i := 0; i < parts; i++ {
-		a := lo + i*n/parts
-		b := lo + (i+1)*n/parts
-		if a < b {
-			out = append(out, [2]int{a, b})
 		}
 	}
 	return out

@@ -259,8 +259,8 @@ func TestEvaluateRangeAutotunesBlockSize(t *testing.T) {
 	// evaluations push the steady-state size to the maxBatchChunk clamp,
 	// so the whole range takes 1 + ceil((hi-probeChunk)/maxBatchChunk)
 	// calls.
-	batch, err := evaluateRange(ctx, NewPlanner(bp), q, lo, hi, bp.Width())
-	if err != nil {
+	batch, point := [][]uint64{make([]uint64, hi-lo), make([]uint64, hi-lo)}, [][]uint64{make([]uint64, hi-lo), make([]uint64, hi-lo)}
+	if err := evaluateRangeInto(ctx, NewPlanner(bp), q, lo, hi, bp.Width(), batch, lo); err != nil {
 		t.Fatal(err)
 	}
 	wantCalls := int64(1 + (hi-lo-probeChunk+maxBatchChunk-1)/maxBatchChunk)
@@ -268,8 +268,7 @@ func TestEvaluateRangeAutotunesBlockSize(t *testing.T) {
 		t.Fatalf("autotuned range of %d points used %d blocks, want %d (probe %d + clamp %d)",
 			hi-lo, calls, wantCalls, probeChunk, maxBatchChunk)
 	}
-	point, err := evaluateRange(ctx, NewPlanner(bp.polyProblem), q, lo, hi, bp.Width())
-	if err != nil {
+	if err := evaluateRangeInto(ctx, NewPlanner(bp.polyProblem), q, lo, hi, bp.Width(), point, lo); err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(batch) != fmt.Sprint(point) {
@@ -280,7 +279,7 @@ func TestEvaluateRangeAutotunesBlockSize(t *testing.T) {
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
 	before := bp.blockCalls.Load()
-	if _, err := evaluateRange(cancelled, NewPlanner(bp), q, lo, hi, bp.Width()); !errors.Is(err, context.Canceled) {
+	if err := evaluateRangeInto(cancelled, NewPlanner(bp), q, lo, hi, bp.Width(), batch, lo); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if bp.blockCalls.Load() != before {
@@ -591,13 +590,11 @@ func TestEvaluateRangeFallbackMatchesBatch(t *testing.T) {
 	bp := &batchPolyProblem{polyProblem: testProblem()}
 	ctx := context.Background()
 	const q, lo, hi = 257, 2, 9
-	w := bp.Width()
-	batch, err := evaluateRange(ctx, NewPlanner(bp), q, lo, hi, w)
-	if err != nil {
+	batch, point := [][]uint64{make([]uint64, hi-lo), make([]uint64, hi-lo)}, [][]uint64{make([]uint64, hi-lo), make([]uint64, hi-lo)}
+	if err := evaluateRangeInto(ctx, NewPlanner(bp), q, lo, hi, bp.Width(), batch, lo); err != nil {
 		t.Fatal(err)
 	}
-	point, err := evaluateRange(ctx, NewPlanner(bp.polyProblem), q, lo, hi, w)
-	if err != nil {
+	if err := evaluateRangeInto(ctx, NewPlanner(bp.polyProblem), q, lo, hi, bp.Width(), point, lo); err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(batch) != fmt.Sprint(point) {

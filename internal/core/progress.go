@@ -42,7 +42,8 @@ func (s Stage) String() string {
 }
 
 // Progress is one run's live record. The engine it is handed to
-// (Options.Progress) is its only writer; Snapshot may be called from any
+// (Options.Progress) is its only writer, with the run's nodes counting
+// evaluation units through it; Snapshot may be called from any
 // goroutine while the run goes on. The zero value reads StageQueued.
 type Progress struct {
 	stage, suspects, deliveryFaults, repairRounds atomic.Int32
@@ -72,6 +73,9 @@ type ProgressSnapshot struct {
 	// so far (0 when repair never triggered).
 	RepairRounds int
 }
+
+// addPoints counts units (point, prime) evaluations done.
+func (p *Progress) addPoints(units int) { p.pointsDone.Add(int64(units)) }
 
 // Snapshot reads the record. Every count in it only grows over a run.
 func (p *Progress) Snapshot() ProgressSnapshot {

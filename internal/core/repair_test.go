@@ -365,12 +365,12 @@ func TestCutRangeBoundaries(t *testing.T) {
 // gather would have to filter it.
 func TestLossyDelayedCopyCannotStraddleRounds(t *testing.T) {
 	bus := NewBroadcastBus(4)
-	var held HeldSends
+	var held heldSends
 	roundCtx, cancelRound := context.WithCancel(context.Background())
-	Deliver(roundCtx, bus.Send, NodeShares{ID: 0, Round: 0}, 1, time.Hour, &held) // held: returns nil
+	deliver(roundCtx, bus.Send, NodeShares{ID: 0, Round: 0}, 1, time.Hour, &held) // held: returns nil
 	cancelRound()                                                                 // round 0's gather returned; the engine cancels its senders
 	waited := make(chan error)
-	go func() { waited <- held.Wait() }()
+	go func() { waited <- held.wait() }()
 	select {
 	case err := <-waited:
 		if err != nil || len(bus.ch) != 0 {

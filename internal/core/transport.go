@@ -78,7 +78,7 @@ func (m NodeShares) View(r int) [][][]uint64 {
 // Transport moves NodeShares messages from compute nodes to the
 // collector. It is the whole contract: the engine calls these four
 // methods and asks a transport nothing else (RemoteAssigner is the one
-// genuine extra). Implementations must be
+// one optional capability). Implementations must be
 // safe for concurrent Send calls; gathers run on a single collector
 // goroutine, and no gather ends the transport — a run gathers once per
 // round over the same instance, and whoever built the transport (the
@@ -126,13 +126,11 @@ type GatherSpec struct {
 	// entirely.
 	Grace time.Duration
 	// SendsDone, when non-nil, is closed by the caller once no further
-	// Send can occur (the engine closes it when the worker pool has
-	// finished; a coordinator when every assignment has arrived or been
-	// reported lost). The gather then allows one final grace period for the
-	// transport's in-flight hop to drain and returns whatever arrived —
-	// without this signal, a network that lost *every* message would
-	// never trip the first-arrival grace timer and the gather would
-	// wait for ctx alone.
+	// Send can occur (the engine closes it when its nodes' wait returns).
+	// The gather then allows one final grace period for the transport's
+	// in-flight hop to drain and returns whatever arrived — without this
+	// signal, a network that lost *every* message would never trip the
+	// first-arrival grace timer and the gather would wait for ctx alone.
 	SendsDone <-chan struct{}
 	// Strict marks the gather of a run that tolerates no delivery fault
 	// (Options.MaxErasures == 0): no sender is given up on while sending
@@ -158,14 +156,13 @@ type GatherSpec struct {
 // while Options values are routinely reused across runs.
 type TransportFactory func(k int) (Transport, error)
 
-// AssignSpec names one point range the engine wants evaluated remotely:
-// the logical node that owns it (what decoders index by), the one that
+// AssignSpec names one point range the engine wants evaluated: the
+// logical node that owns it (what decoders index by), the one that
 // sends it, the gather round its frames must carry, the geometry a
 // worker needs to reproduce the evaluation bit for bit (Evaluate is
 // deterministic in (q, x0), so any worker produces the same words) and
-// the run's fault record, which the worker applies as the sending node.
-// The problem instance itself travels out of band — a remote transport
-// is constructed around a specific workload.
+// the run's fault record, applied as the sending node. The problem
+// itself travels out of band: an executor holds its planner.
 type AssignSpec struct {
 	// Owner is the logical node id in [0, K) whose range this is; the
 	// frames that come back carry it as NodeShares.ID.
@@ -190,18 +187,16 @@ type AssignSpec struct {
 	Adversary Adversary
 }
 
-// RemoteAssigner is the optional Transport capability behind remote
-// (multi-process) runs: instead of the engine evaluating ranges on its
-// own worker pool and Send-ing the results, AssignRanges ships each
-// range's manifest to a live remote worker, which evaluates and streams
-// NodeShares frames back through the transport's gather side. The
-// engine detects the capability by type assertion when it opens the
-// transport and every round then assigns instead of evaluating; a repair
-// round re-assigns a missing range with its new Round tag. AssignRanges
-// returns once every spec has been handed to some worker (not once
-// results arrive) — delivery is judged by the gather, like any Send.
+// RemoteAssigner gets a round's ranges evaluated and sent. The engine
+// assigns to an Executor over the transport's Send unless the transport
+// is an assigner itself: the ctrl coordinator ships each range to a
+// worker daemon, whose Executor streams the frames back. AssignRanges
+// returns once every range is under way, and progress hears the
+// (point, prime) units done; wait returns once no further message of
+// the call can be sent, with the first failure, or once ctx ends.
+// Whether the messages arrived is judged by the gather.
 type RemoteAssigner interface {
-	AssignRanges(ctx context.Context, specs []AssignSpec) error
+	AssignRanges(ctx context.Context, specs []AssignSpec, progress func(units int)) (wait func() error, err error)
 }
 
 // BroadcastBus is the default in-memory transport: a reliable,

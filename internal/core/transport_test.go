@@ -285,23 +285,23 @@ func noGoroutineLeft(t *testing.T, before int) {
 	}
 }
 
-// TestLossyTransportFateIsDeterministic: the network faults of a record
+// TestAdversaryFateIsDeterministic: the network faults of a record
 // are a pure function of (Seed, sender), and the seed moves them.
-func TestLossyTransportFateIsDeterministic(t *testing.T) {
+func TestAdversaryFateIsDeterministic(t *testing.T) {
 	a := Adversary{Seed: 5, DropRate: 0.4, DupRate: 0.5, DelayRate: 0.5, MaxDelay: time.Millisecond}
 	b, other := a, a
 	other.Seed = 6
 	varied, same := false, true
 	for id := 0; id < 64; id++ {
-		c1, del1 := a.Fate(id)
-		if c2, del2 := b.Fate(id); c1 != c2 || del1 != del2 {
-			t.Fatalf("Fate(%d) differs across identically seeded records", id)
+		c1, del1 := a.fate(id)
+		if c2, del2 := b.fate(id); c1 != c2 || del1 != del2 {
+			t.Fatalf("fate(%d) differs across identically seeded records", id)
 		}
-		if c3, del3 := a.Fate(id); c1 != c3 || del1 != del3 {
-			t.Fatalf("Fate(%d) differs across calls", id)
+		if c3, del3 := a.fate(id); c1 != c3 || del1 != del3 {
+			t.Fatalf("fate(%d) differs across calls", id)
 		}
 		varied = varied || c1 != 1 || del1 > 0
-		c4, _ := other.Fate(id)
+		c4, _ := other.fate(id)
 		same = same && c1 == c4
 	}
 	if !varied || same {
@@ -320,10 +320,10 @@ func (b *countingBus) Send(ctx context.Context, m NodeShares) error {
 	return b.BroadcastBus.Send(ctx, m)
 }
 
-// TestLossyTransportDropsAndDuplicates: a dropped node's broadcast never
+// TestAdversaryDropsAndDuplicates: a dropped node's broadcast never
 // reaches the transport, every other one reaches it twice, and the run
 // names the dropped node missing.
-func TestLossyTransportDropsAndDuplicates(t *testing.T) {
+func TestAdversaryDropsAndDuplicates(t *testing.T) {
 	bus := &countingBus{BroadcastBus: NewBroadcastBus(4)}
 	_, rep, err := Run(context.Background(), testProblem(), Options{
 		Nodes: 4, FaultTolerance: 4, MaxErasures: 1, GatherGrace: time.Second,
@@ -382,15 +382,15 @@ func TestRunQuorumModeMatchesStrictWhenNothingIsLost(t *testing.T) {
 	}
 }
 
-// TestLossyTransportDelayDoesNotBlockSender: an injected latency holds
+// TestAdversaryDelayDoesNotBlockSender: an injected latency holds
 // the message, not the sending worker. Node 0's broadcast is held for
 // over half an hour on a one-worker pool that evaluates it first; the
 // other three must still be sent, the quorum gather must end the round,
 // and the held copy must be abandoned with it — a delay that blocked
 // the worker, or a copy that outlived its round, would hold the run.
-func TestLossyTransportDelayDoesNotBlockSender(t *testing.T) {
+func TestAdversaryDelayDoesNotBlockSender(t *testing.T) {
 	adv := Adversary{DelayRate: 0.3, MaxDelay: time.Hour}
-	delay := func(id int) time.Duration { _, d := adv.Fate(id); return d }
+	delay := func(id int) time.Duration { _, d := adv.fate(id); return d }
 	for delay(0) < 30*time.Minute || delay(1)+delay(2)+delay(3) > 0 {
 		adv.Seed++
 	}
@@ -407,10 +407,10 @@ func TestLossyTransportDelayDoesNotBlockSender(t *testing.T) {
 	}
 }
 
-// TestLossyTransportShortDelayStillDelivers: delayed deliveries still
+// TestAdversaryShortDelayStillDelivers: delayed deliveries still
 // arrive, duplicate copies included, once their delay elapses — a
 // strict run hears every node.
-func TestLossyTransportShortDelayStillDelivers(t *testing.T) {
+func TestAdversaryShortDelayStillDelivers(t *testing.T) {
 	bus := &countingBus{BroadcastBus: NewBroadcastBus(4)}
 	_, rep, err := Run(context.Background(), testProblem(), Options{
 		Nodes: 4, FaultTolerance: 4, Adversary: Adversary{DelayRate: 1, DupRate: 1, MaxDelay: 2 * time.Millisecond},

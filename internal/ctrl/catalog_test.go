@@ -21,6 +21,8 @@ import (
 func TestWorkerRebuildsEveryCatalogKind(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
+	pool := core.NewPool(1)
+	defer pool.Close()
 	for _, k := range camelot.Kinds() {
 		for _, spec := range []string{k.Name, k.Name + " seed=3"} {
 			w, err := camelot.ParseWorkload(spec)
@@ -38,11 +40,14 @@ func TestWorkerRebuildsEveryCatalogKind(t *testing.T) {
 				t.Fatal(err)
 			}
 			lo, hi := e/2, min(e/2+3, e)
-			want, err := core.NewPlanner(p).EvaluateShares(ctx, primes, 1, 1, 0, lo, hi)
-			if err != nil {
+			as := core.AssignSpec{Owner: 1, Sponsor: 1, Lo: lo, Hi: hi, Width: p.Width(), Primes: primes, K: 2}
+			var want core.NodeShares
+			x := &core.Executor{Planner: core.NewPlanner(p), Pool: pool, Send: func(_ context.Context, m core.NodeShares) error { want = m; return nil }}
+			wait, _ := x.AssignRanges(ctx, []core.AssignSpec{as}, nil)
+			if err := wait(); err != nil {
 				t.Fatalf("%s: coordinator side: %v", spec, err)
 			}
-			got := remoteShares(ctx, t, w, core.AssignSpec{Owner: 1, Sponsor: 1, Lo: lo, Hi: hi, Width: p.Width(), Primes: primes, K: 2})
+			got := remoteShares(ctx, t, w, as)
 			if got.Err != nil {
 				t.Fatalf("%s: worker side: %v", spec, got.Err)
 			}
@@ -63,7 +68,7 @@ func remoteShares(ctx context.Context, t *testing.T, w *camelot.Workload, spec c
 	}
 	served := make(chan error, 1)
 	go func() { served <- camelot.ServeNode(ctx, camelot.NodeConfig{Join: co.Addr()}) }()
-	if err := co.AssignRanges(ctx, []core.AssignSpec{spec}); err != nil {
+	if _, err := co.AssignRanges(ctx, []core.AssignSpec{spec}, nil); err != nil {
 		t.Fatal(err)
 	}
 	frames, err := co.GatherQuorum(ctx, core.GatherSpec{K: 2, Quorum: 1})

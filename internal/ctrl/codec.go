@@ -99,25 +99,19 @@ type HelloAck struct {
 	Challenge [16]byte
 }
 
-// Assign is one range manifest: evaluate the proof polynomial for
-// logical node Owner over points [Lo, Hi) for every prime, and send
-// the result back tagged with Round, as logical node Sponsor of a run
-// of K nodes under the run's fault record. Kind and Instance name the
-// problem so a worker can rebuild it deterministically (the builder
-// RunWorker is given) — Evaluate is deterministic in (q, x0), and the
-// record's faults in (Seed, sponsor, share), so the frames that come
-// back are bit-identical to what an in-process run would have sent.
+// Assign is one range manifest: the range the engine assigned
+// (evaluate the proof polynomial for logical node Owner over points
+// [Lo, Hi) for every prime, and send the result back tagged with Round,
+// as logical node Sponsor of a run of K nodes under the run's fault
+// record), plus the Kind and Instance that name the problem so a worker
+// can rebuild it deterministically (the builder RunWorker is given) —
+// Evaluate is deterministic in (q, x0), and the record's faults in
+// (Seed, sponsor, share), so the frames that come back are
+// bit-identical to what an in-process run would have sent.
 type Assign struct {
-	Owner     int
-	Sponsor   int
-	Round     int
-	Lo, Hi    int
-	Width     int
-	K         int
-	Primes    []uint64
-	Kind      string
-	Instance  []byte
-	Adversary core.Adversary
+	core.AssignSpec
+	Kind     string
+	Instance []byte
 }
 
 // Lost tells the coordinator that the fault record lost the frame

@@ -19,11 +19,11 @@ func sampleMessages() []any {
 		HelloAck{Worker: 2,
 			Resume:    [16]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16},
 			Challenge: [16]byte{0xFF, 0xEE, 1}},
-		Assign{Owner: 3, Sponsor: 1, Round: 2, Lo: 10, Hi: 20, Width: 2, K: 6,
-			Primes: []uint64{97, 193}, Kind: "triangles", Instance: []byte("n=24 p=0.3 seed=7"),
+		Assign{AssignSpec: core.AssignSpec{Owner: 3, Sponsor: 1, Round: 2, Lo: 10, Hi: 20, Width: 2, K: 6, Primes: []uint64{97, 193},
 			Adversary: core.Adversary{Seed: 1 << 63, Liars: []int{1, 4}, Equivocators: []int{5}, DropNodes: []int{3, 0},
 				DropRate: 0.25, DupRate: 1, DelayRate: 0.5, MaxDelay: 3 * time.Millisecond}},
-		Assign{Owner: 0, Round: 0, Lo: 0, Hi: 1, Width: 1, K: 1, Primes: []uint64{17}, Kind: "k"},
+			Kind: "triangles", Instance: []byte("n=24 p=0.3 seed=7")},
+		Assign{AssignSpec: core.AssignSpec{Owner: 0, Round: 0, Lo: 0, Hi: 1, Width: 1, K: 1, Primes: []uint64{17}}, Kind: "k"},
 		core.NodeShares{ID: 1, From: 2, Round: 1, Lo: 4, Hi: 6, Elapsed: 5 * time.Millisecond,
 			Vals: [][][]uint64{{{7, 8}, {9, 10}}}},
 		core.NodeShares{ID: 0, From: 0, Round: 0, Lo: 0, Hi: 3,

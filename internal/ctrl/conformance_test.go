@@ -44,7 +44,7 @@ func TestCoordinatorConformance(t *testing.T) {
 				Width: 1, Primes: []uint64{12289}, K: k,
 			}
 		}
-		if err := co.AssignRanges(ctx, specs); err != nil {
+		if _, err := co.AssignRanges(ctx, specs, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -4,11 +4,12 @@ package ctrl
 // server: it owns a run's geometry and workload, admits worker daemons
 // over the control protocol, ships them point-range manifests, and
 // feeds the frames they stream back into the exact quorum-gather loop
-// the in-process engine uses (core.GatherShares). To the engine it is
-// just another Transport with the RemoteAssigner capability: every round
-// calls AssignRanges instead of evaluating locally, and everything
-// downstream is unchanged, which keeps a multi-process proof
-// bit-identical to the in-process bus run.
+// the in-process engine uses (core.GatherShares). To the engine it is a
+// Transport with its own RemoteAssigner: every round's AssignRanges
+// ships the ranges to workers, each of which runs the one node model
+// (core.Executor) on them, and everything downstream is unchanged,
+// which keeps a multi-process proof bit-identical to the in-process bus
+// run.
 //
 // Worker slots and logical nodes are distinct populations: a run has K
 // logical node ids (what decoders index by) and up to K worker slots,
@@ -116,10 +117,12 @@ type Coordinator struct {
 	assigned map[assignKey]*assignment
 	rr       int // round-robin cursor over slots for dispatch
 	// round is the round AssignRanges last assigned, pending how many of
-	// its assignments are undelivered; settled closes when none is: the
-	// remote form of the engine's GatherSpec.SendsDone.
+	// its assignments are undelivered; settled closes when none is, which
+	// is when the round's wait returns. progress hears the round's
+	// evaluated units, a claimed frame at a time.
 	round, pending int
 	settled        chan struct{}
+	progress       func(units int)
 }
 
 var (
@@ -355,7 +358,7 @@ func (c *Coordinator) readLoop(slot *workerSlot, wc *wireConn) {
 		}
 		switch m := msg.(type) {
 		case core.NodeShares:
-			settled, ok := c.claim(slot.id, m.ID, m.From, m.Round)
+			settled, ok := c.claim(slot.id, m.ID, m.From, m.Round, m.Err == nil)
 			if !ok {
 				// A frame for no assignment of this slot: protocol
 				// violation, drop the frame but keep the (authenticated)
@@ -368,7 +371,7 @@ func (c *Coordinator) readLoop(slot *workerSlot, wc *wireConn) {
 				close(settled)
 			}
 		case Lost:
-			if settled, ok := c.claim(slot.id, m.Owner, m.Sponsor, m.Round); !ok {
+			if settled, ok := c.claim(slot.id, m.Owner, m.Sponsor, m.Round, false); !ok {
 				c.badFrames.Add(1)
 			} else if settled != nil {
 				close(settled)
@@ -410,10 +413,12 @@ func (c *Coordinator) faultTarget(slot *workerSlot) (owner, round int) {
 // slot and name the assignment's sponsor as its sender. A duplicate the
 // fault record asked for claims it again. In-band Err frames claim the
 // assignment too — a worker-side evaluation failure is a delivery
-// outcome, not a hang. A claim that delivers the current round's last
-// assignment returns the round's settled channel, for the caller to
-// close once the frame is on the gather channel.
-func (c *Coordinator) claim(slotID, owner, from, round int) (settled chan struct{}, ok bool) {
+// outcome, not a hang. The first claim of a current-round assignment
+// whose shares were evaluated reports the range's units to the round's
+// progress. A claim that delivers the current round's last assignment
+// returns the round's settled channel, for the caller to close once the
+// frame is on the gather channel.
+func (c *Coordinator) claim(slotID, owner, from, round int, evaluated bool) (settled chan struct{}, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	a := c.assigned[assignKey{owner: owner, round: round}]
@@ -421,6 +426,9 @@ func (c *Coordinator) claim(slotID, owner, from, round int) (settled chan struct
 		return nil, false
 	}
 	if !a.delivered && round == c.round {
+		if evaluated && c.progress != nil {
+			c.progress((a.msg.Hi - a.msg.Lo) * len(a.msg.Primes))
+		}
 		if c.pending--; c.pending == 0 {
 			settled = c.settled
 		}
@@ -430,11 +438,13 @@ func (c *Coordinator) claim(slotID, owner, from, round int) (settled chan struct
 }
 
 // AssignRanges implements core.RemoteAssigner: wait for enough live
-// workers, then round-robin each spec's manifest over them. The
-// initial round (Round 0) waits for MinWorkers; repair rounds proceed
-// with any single live worker — the point of a repair is that the
-// original population shrank.
-func (c *Coordinator) AssignRanges(ctx context.Context, specs []core.AssignSpec) error {
+// workers, then round-robin each spec's manifest over them, whatever
+// its sponsor. The initial round (Round 0) waits for MinWorkers; repair
+// rounds proceed with any single live worker — the point of a repair is
+// that the original population shrank. wait returns once every
+// assignment of the round has arrived or been reported lost (a worker
+// that dies silent keeps the round unsettled), or ctx ends.
+func (c *Coordinator) AssignRanges(ctx context.Context, specs []core.AssignSpec, progress func(units int)) (wait func() error, err error) {
 	need := 1
 	if len(specs) > 0 && specs[0].Round == 0 {
 		need = c.cfg.MinWorkers
@@ -443,29 +453,33 @@ func (c *Coordinator) AssignRanges(ctx context.Context, specs []core.AssignSpec)
 		}
 	}
 	if err := c.waitForWorkers(ctx, need); err != nil {
-		return err
+		return nil, err
 	}
 	// The round's whole table is in place, undelivered, before the first
 	// manifest leaves, so no early arrival can settle the round.
 	msgs := make([]Assign, len(specs))
+	settled := make(chan struct{})
 	c.mu.Lock()
-	c.pending, c.settled = len(specs), make(chan struct{})
+	c.pending, c.settled, c.progress = len(specs), settled, progress
 	for i, spec := range specs {
-		msgs[i] = Assign{
-			Owner: spec.Owner, Sponsor: spec.Sponsor, Round: spec.Round,
-			Lo: spec.Lo, Hi: spec.Hi, Width: spec.Width, K: spec.K, Primes: spec.Primes,
-			Kind: c.cfg.Kind, Instance: c.cfg.Instance, Adversary: spec.Adversary,
-		}
+		msgs[i] = Assign{AssignSpec: spec, Kind: c.cfg.Kind, Instance: c.cfg.Instance}
 		c.round = spec.Round
 		c.assigned[assignKey{owner: spec.Owner, round: spec.Round}] = &assignment{slot: -1, msg: msgs[i]}
 	}
 	c.mu.Unlock()
 	for _, msg := range msgs {
 		if err := c.dispatch(msg); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return func() error {
+		select {
+		case <-settled:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}, nil
 }
 
 // waitForWorkers blocks until need slots are live, re-counting each time
@@ -531,9 +545,9 @@ func (c *Coordinator) dispatch(msg Assign) error {
 	}
 }
 
-// Send implements core.Transport. A coordinator's engine never sends
-// locally — evaluation happens on workers — so a call here means it
-// was constructed for a run that could not use it (and names why).
+// Send implements core.Transport. A coordinator's engine sends nothing
+// itself — the workers' executors do — so a call here means it was
+// constructed for a run that could not use it (and names why).
 func (c *Coordinator) Send(ctx context.Context, m core.NodeShares) error {
 	return fmt.Errorf("ctrl: coordinator transport evaluates remotely; local Send is not supported")
 }
@@ -549,16 +563,9 @@ func (c *Coordinator) Gather(ctx context.Context, k int) ([]core.NodeShares, err
 }
 
 // GatherQuorum implements core.Transport with exactly the engine's
-// shared gather loop, given the round's settled channel as SendsDone. A
-// worker that dies silent keeps its round unsettled; injected fault
-// frames count as arrivals, so grace timing still converges on a dying
-// cluster.
+// shared gather loop. Injected fault frames count as arrivals, so grace
+// timing still converges on a dying cluster.
 func (c *Coordinator) GatherQuorum(ctx context.Context, spec core.GatherSpec) ([]core.NodeShares, error) {
-	c.mu.Lock()
-	if spec.SendsDone == nil && spec.Round == c.round {
-		spec.SendsDone = c.settled
-	}
-	c.mu.Unlock()
 	return core.GatherShares(ctx, c.ch, spec)
 }
 

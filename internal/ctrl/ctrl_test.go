@@ -232,11 +232,10 @@ func (f *fakeWorker) recvAssign() Assign {
 
 func (f *fakeWorker) sendShares(ctx context.Context, p core.Problem, a Assign) {
 	f.t.Helper()
-	shares, err := core.NewPlanner(p).EvaluateShares(ctx, a.Primes, a.Owner, a.Sponsor, a.Round, a.Lo, a.Hi)
-	if err != nil {
-		f.t.Fatalf("fake worker evaluate: %v", err)
-	}
-	if err := f.wc.send(shares); err != nil {
+	pool := core.NewPool(1)
+	defer pool.Close()
+	planner := func(string, []byte) (*core.Planner, error) { return core.NewPlanner(p), nil }
+	if err := runAssign(ctx, f.wc, a, planner, pool); err != nil {
 		f.t.Fatalf("fake worker send shares: %v", err)
 	}
 }
@@ -474,7 +473,7 @@ func TestAssignRangesJoinWait(t *testing.T) {
 			defer co.Close()
 			ctx := testCtx(t)
 			errc := make(chan error, 1)
-			go func() { errc <- co.AssignRanges(ctx, specs) }()
+			go func() { _, err := co.AssignRanges(ctx, specs, nil); errc <- err }()
 			time.Sleep(50 * time.Millisecond)
 			var fw *fakeWorker
 			if tc.join {

@@ -3,15 +3,15 @@ package ctrl
 // The worker daemon: dial the coordinator, handshake into a slot,
 // evaluate whatever ranges arrive, stream the frames back, repeat
 // until told Done. A worker holds no run state beyond its problem
-// cache and its resume token — everything it needs to produce
-// bit-identical shares travels in the Assign manifest, evaluation
-// goes through core.Planner.EvaluateShares, the same block loop the
-// in-process engine uses, and the manifest's fault record goes through
-// core.Adversary.Apply and core.Deliver, as the engine's does, with the
-// worker acting as the manifest's sponsor. A dropped connection is retried with
-// exponential backoff; presenting the resume token reattaches the same
-// slot, and the coordinator replays any assignment whose shares never
-// landed, so a mid-run blip costs latency, not the run.
+// cache, its pool and its resume token — everything it needs to produce
+// bit-identical shares travels in the Assign manifest, which it hands
+// to the one node model the in-process engine runs too (core.Executor):
+// the executor evaluates the range, applies the manifest's fault record
+// as the manifest's sponsor and sends the frame. A dropped connection
+// is retried with exponential backoff; presenting the resume token
+// reattaches the same slot, and the coordinator replays any assignment
+// whose shares never landed, so a mid-run blip costs latency, not the
+// run.
 
 import (
 	"context"
@@ -72,8 +72,12 @@ func RunWorker(ctx context.Context, cfg WorkerConfig, build func(kind string, in
 	// planners persist across assignments, reconnects, and repair
 	// rounds: each caches its problem's compiled per-prime plans, so a
 	// re-assigned range re-enters evaluation without recompiling.
+	// Assignments run concurrently, so the cache is locked.
+	var mu sync.Mutex
 	cache := map[string]*core.Planner{}
 	planners := func(kind string, instance []byte) (*core.Planner, error) {
+		mu.Lock()
+		defer mu.Unlock()
 		key := kind + "\x00" + string(instance)
 		if pl, ok := cache[key]; ok {
 			return pl, nil
@@ -85,11 +89,14 @@ func RunWorker(ctx context.Context, cfg WorkerConfig, build func(kind string, in
 		cache[key] = core.NewPlanner(p)
 		return cache[key], nil
 	}
+	// One pool evaluates every assignment the daemon is sent.
+	pool := core.NewPool(0)
+	defer pool.Close()
 	var resume []byte
 	backoff := workerRetryBackoff
 	failures := 0
 	for {
-		joined, terminal, err := serveWorker(ctx, cfg, &resume, planners)
+		joined, terminal, err := serveWorker(ctx, cfg, &resume, planners, pool)
 		if terminal {
 			return err
 		}
@@ -118,7 +125,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig, build func(kind string, in
 // serveWorker runs one connection's lifetime. joined reports whether
 // the handshake completed (resets the retry budget); terminal means
 // RunWorker must return err instead of reconnecting.
-func serveWorker(ctx context.Context, cfg WorkerConfig, resume *[]byte, planners plannersFunc) (joined, terminal bool, err error) {
+func serveWorker(ctx context.Context, cfg WorkerConfig, resume *[]byte, planners plannersFunc, pool *core.Pool) (joined, terminal bool, err error) {
 	conn, err := net.DialTimeout("tcp", cfg.Join, workerDialTimeout)
 	if err != nil {
 		return false, false, err
@@ -145,24 +152,22 @@ func serveWorker(ctx context.Context, cfg WorkerConfig, resume *[]byte, planners
 	wc.key = deriveKey(cfg.Secret, ack.Challenge)
 	joined = true
 
-	// Assignments evaluate on goroutines of their own, one at a time, so
-	// this loop keeps reading: a Done, or the first assignment of a later
-	// round, ends the session's or the earlier round's evaluations and
-	// held frames, as the end of a round ends the engine's stragglers.
+	// Assignments are waited for on goroutines of their own, evaluating
+	// on the pool, so this loop keeps reading: a Done, or the first
+	// assignment of a later round, ends the session's or the earlier
+	// round's evaluations and held frames, as the end of a round ends the
+	// engine's stragglers.
 	var cur struct { // the latest round assigned
 		round int
 		ctx   context.Context
 		end   context.CancelFunc
 	}
 	cur.ctx, cur.end = context.WithCancel(ctx)
-	var turn sync.Mutex
 	var work sync.WaitGroup
-	var held core.HeldSends
 	defer func() {
 		conn.Close() // a send still in flight fails at once
 		cur.end()
 		work.Wait()
-		held.Wait()
 	}()
 	for {
 		_, msg, err := wc.recv()
@@ -188,9 +193,7 @@ func serveWorker(ctx context.Context, cfg WorkerConfig, resume *[]byte, planners
 			work.Add(1)
 			go func(ctx context.Context) {
 				defer work.Done()
-				turn.Lock()
-				defer turn.Unlock()
-				if err := runAssign(ctx, wc, m, planners, &held); err != nil && ctx.Err() == nil {
+				if err := runAssign(ctx, wc, m, planners, pool); err != nil && ctx.Err() == nil {
 					conn.Close() // the read loop fails, and the worker reconnects
 				}
 			}(cur.ctx)
@@ -204,44 +207,38 @@ func serveWorker(ctx context.Context, cfg WorkerConfig, resume *[]byte, planners
 	}
 }
 
-// runAssign evaluates one manifest and delivers the result as the
-// manifest's sponsor would send it under the fault record: garbled,
-// repeated or held (core.Deliver), or lost, which it reports before
-// evaluating anything (core.Adversary.Fate). An
-// evaluation-side failure — unknown kind, geometry skew, a problem
-// error — travels as an in-band Err frame: a delivery outcome the
-// coordinator's fault accounting understands, not a silent hang.
-func runAssign(ctx context.Context, wc *wireConn, m Assign, planners plannersFunc, held *core.HeldSends) error {
+// runAssign runs one manifest on the node executor, as the manifest's
+// sponsor, and sends what it sends; a range the fault record loses is
+// reported Lost before it is evaluated. An evaluation-side failure —
+// unknown kind, geometry skew, a problem error — travels as an in-band
+// Err frame: a delivery outcome the coordinator's fault accounting
+// understands, not a silent hang.
+func runAssign(ctx context.Context, wc *wireConn, m Assign, planners plannersFunc, pool *core.Pool) error {
 	pl, err := planners(m.Kind, m.Instance)
-	if err == nil && pl.Problem().Width() != m.Width {
-		err = fmt.Errorf("ctrl: assign width %d but problem %q has width %d (build skew?)", m.Width, m.Kind, pl.Problem().Width())
-	}
-	var shares core.NodeShares
 	if err == nil {
-		origin := core.NodeShares{ID: m.Owner, From: m.Sponsor, Round: m.Round}.Origin()
-		if copies, _ := m.Adversary.Fate(origin); copies == 0 {
-			// The network loses this message whatever it says: report the
-			// loss without evaluating it.
-			return wc.send(Lost{Owner: m.Owner, Sponsor: m.Sponsor, Round: m.Round})
+		x := &core.Executor{
+			Planner: pl, Pool: pool,
+			Send: func(_ context.Context, m core.NodeShares) error { return wc.send(m) },
+			Lost: func(a core.AssignSpec) error {
+				return wc.send(Lost{Owner: a.Owner, Sponsor: a.Sponsor, Round: a.Round})
+			},
 		}
-		shares, err = pl.EvaluateShares(ctx, m.Primes, m.Owner, m.Sponsor, m.Round, m.Lo, m.Hi)
+		var wait func() error
+		if wait, err = x.AssignRanges(ctx, []core.AssignSpec{m.AssignSpec}, nil); err == nil {
+			err = wait()
+		}
 	}
-	if err != nil {
-		if ctx.Err() != nil {
-			return err
-		}
-		msg := err.Error()
-		if len(msg) > maxErrMsgLen {
-			msg = msg[:maxErrMsgLen]
-		}
-		return wc.send(core.NodeShares{
-			ID: m.Owner, From: m.Sponsor, Round: m.Round, Lo: m.Lo, Hi: m.Hi,
-			Err: &core.RemoteError{Msg: msg},
-		})
+	if err == nil || ctx.Err() != nil {
+		return err
 	}
-	copies, delay := m.Adversary.Apply(&shares, m.Primes, m.K)
-	send := func(_ context.Context, m core.NodeShares) error { return wc.send(m) }
-	return core.Deliver(ctx, send, shares, copies, delay, held)
+	msg := err.Error()
+	if len(msg) > maxErrMsgLen {
+		msg = msg[:maxErrMsgLen]
+	}
+	return wc.send(core.NodeShares{
+		ID: m.Owner, From: m.Sponsor, Round: m.Round, Lo: m.Lo, Hi: m.Hi,
+		Err: &core.RemoteError{Msg: msg},
+	})
 }
 
 // plannersFunc returns the cached planner for a manifest's (kind,

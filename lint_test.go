@@ -453,9 +453,10 @@ func TestKindsAreDeclaredOnce(t *testing.T) {
 //   - core's expectProof, the verifier's evaluations that run beside the
 //     prepare stage, calls Problem.Evaluate and never the provers' plan
 //     machinery or the gathered shares;
-//   - a node's path (core's evaluateAndSend, ctrl's runAssign) names
-//     nothing of the verifier's expectations, so no challenge point
-//     reaches a prover.
+//   - a node's path (core's Executor, ctrl's runAssign) names nothing of
+//     the verifier's expectations, so no challenge point reaches a
+//     prover, and runAssign nothing of the fault record, which the
+//     executor alone draws and applies.
 func TestHamiltonVerifierIsSeparate(t *testing.T) {
 	lagrangeRun := func(id string) bool { return strings.HasPrefix(id, "NewLagrangeEvaluator") || id == "Sweep" }
 	pointEvaluator := func(id string) bool { return id == "NewPointEvaluator" }
@@ -476,7 +477,7 @@ func TestHamiltonVerifierIsSeparate(t *testing.T) {
 	faultRecord := func(id string) bool {
 		_, field := reflect.TypeOf(core.Adversary{}).FieldByName(id)
 		_, method := reflect.TypeOf(core.Adversary{}).MethodByName(id)
-		return id == "Adversary" || field || method
+		return id == "Adversary" || id == "fate" || field || method
 	}
 	for _, row := range []struct {
 		dir      string
@@ -494,8 +495,9 @@ func TestHamiltonVerifierIsSeparate(t *testing.T) {
 		{"internal/permanent", []string{"Evaluate"}, 1, permanentPlan},
 		{"internal/core", []string{"stageDecode", "receivedWords", "sortedKeys"}, 3, faultRecord},
 		{"internal/core", []string{"expectProof"}, 1, prover},
-		{"internal/core", []string{"evaluateAndSend"}, 1, expectations},
+		{"internal/core", []string{"AssignRanges", "deliver"}, 2, expectations},
 		{"internal/ctrl", []string{"runAssign"}, 1, expectations},
+		{"internal/ctrl", []string{"runAssign"}, 1, faultRecord},
 	} {
 		t.Run(filepath.Base(row.dir), func(t *testing.T) {
 			pkgs, err := parser.ParseDir(token.NewFileSet(), row.dir, func(fi fs.FileInfo) bool {

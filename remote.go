@@ -3,11 +3,11 @@ package camelot
 // Multi-process deployment facade: a Coordinator that serves a run's
 // point-range assignments to worker daemons over the control protocol,
 // and ServeNode, the daemon loop a worker process runs. The coordinator
-// is just a Transport with the remote-assignment capability — plug it
-// into a cluster with AsTransport() and the engine ships manifests
-// instead of evaluating locally, while decode, verify, erasure
-// absorption, and repair rounds run unchanged. See ARCHITECTURE.md
-// "Multi-process deployment".
+// is a Transport that assigns ranges itself — plug it into a cluster
+// with AsTransport() and the engine assigns each round's ranges to it,
+// whose workers run the same node executor the engine runs in process,
+// while decode, verify, erasure absorption, and repair rounds run
+// unchanged. See ARCHITECTURE.md "Multi-process deployment".
 
 import (
 	"context"
