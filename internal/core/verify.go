@@ -7,44 +7,37 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
-	"math/rand"
+	"math/rand/v2"
 	"slices"
 
 	"camelot/internal/ff"
 )
 
 // VerifyProof runs the paper's randomized check (eq. (2)): for each of
-// trials rounds and each modulus it draws a uniform x0 and compares one
-// fresh evaluation of P(x0) with Horner evaluation of the claimed
-// coefficients, for every coordinate. A correct proof always passes; a
-// forged one survives a round with probability at most d/q. A proof over
-// a prime below p.MinModulus(), the floor Evaluate and that bound assume,
-// is an error; so is one whose geometry is not the problem's (see
-// checkGeometry), wrapping ErrMalformedProof.
+// trials rounds and each modulus it draws a uniform x0 from
+// challengeRand(seed) and compares one fresh evaluation of P(x0) with
+// Horner evaluation of the claimed coefficients, for every coordinate.
+// A correct proof always passes; a forged one survives a round with
+// probability at most d/q. A proof over a prime below p.MinModulus(),
+// the floor Evaluate and that bound assume, is an error; so is one whose
+// geometry is not the problem's (see checkGeometry), wrapping
+// ErrMalformedProof.
 //
 // This is also the Merlin–Arthur mode: Arthur runs VerifyProof against a
 // proof Merlin supplied, spending only a single node's evaluation effort
 // per trial.
 func VerifyProof(p Problem, proof *Proof, trials int, seed int64) (bool, error) {
-	return verifyProof(context.Background(), p, proof, trials, seed)
+	return VerifyProofContext(context.Background(), p, proof, trials, seed)
 }
 
 // VerifyProofContext is VerifyProof with cancellation: the check aborts
 // between (trial, prime) pairs when ctx is done, so multi-trial
 // verification of a large proof is as cancellable as every other
-// protocol stage. The job pipeline and any caller holding a deadline
-// should prefer it.
+// protocol stage. It runs the verifier's two halves in turn, the
+// evaluations at the challenge points (expectProof) and the check of the
+// proof against them (checkProof); the engine runs the same two, the
+// first while the Knights prepare the proof.
 func VerifyProofContext(ctx context.Context, p Problem, proof *Proof, trials int, seed int64) (bool, error) {
-	return verifyProof(ctx, p, proof, trials, seed)
-}
-
-// verifyProof is the context-aware engine form of VerifyProof: the
-// verifier's two halves in turn, the evaluations at the challenge
-// points (expectProof) and the check of the proof against them
-// (checkProof). The engine runs the same two, the first while the
-// Knights prepare the proof.
-func verifyProof(ctx context.Context, p Problem, proof *Proof, trials int, seed int64) (bool, error) {
 	exp, err := expectProof(ctx, p, proof.Primes, trials, seed)
 	if err != nil {
 		return false, err
@@ -67,7 +60,7 @@ type expectations struct {
 }
 
 // expectProof draws every (trial, prime) point from
-// rand.NewSource(seed), trials outermost, and evaluates P there, one
+// challengeRand(seed), trials outermost, and evaluates P there, one
 // fresh evaluation each. The cancellation check runs once per pair, so
 // even a slow problem aborts after at most one stray evaluation.
 func expectProof(ctx context.Context, p Problem, primes []uint64, trials int, seed int64) (*expectations, error) {
@@ -82,7 +75,7 @@ func expectProof(ctx context.Context, p Problem, primes []uint64, trials int, se
 		}
 	}
 	exp := &expectations{primes: primes, points: make([]challenge, 0, trials*len(primes))}
-	rng := rand.New(rand.NewSource(seed))
+	rng := challengeRand(seed)
 	for t := 0; t < trials; t++ {
 		for _, q := range primes {
 			if err := ctx.Err(); err != nil {
@@ -91,7 +84,7 @@ func expectProof(ctx context.Context, p Problem, primes []uint64, trials int, se
 			if _, err := ff.New(q); err != nil { // no P over a non-prime
 				return nil, err
 			}
-			x0 := uniformUint64(rng, q)
+			x0 := rng.Uint64N(q)
 			want, err := p.Evaluate(q, x0)
 			if err != nil {
 				return nil, fmt.Errorf("evaluating P(%d) mod %d: %w", x0, q, err)
@@ -160,26 +153,13 @@ func checkGeometry(p Problem, proof *Proof) error {
 	return nil
 }
 
-// uniformUint64 draws a uniform value in [0, q) by rejection sampling:
-// a plain rng.Uint64() % q overrepresents small residues by up to
-// 2^64 mod q draws, a bias the soundness bound d/q does not account
-// for. Values at or above the largest multiple of q below 2^64 are
-// redrawn (at most one redraw expected for any q >= 2).
-func uniformUint64(rng *rand.Rand, q uint64) uint64 {
-	if q == 0 {
-		panic("core: uniformUint64 with q = 0")
-	}
-	rem := (math.MaxUint64%q + 1) % q // 2^64 mod q
-	if rem == 0 {
-		return rng.Uint64() % q // q divides 2^64: no bias to reject
-	}
-	limit := math.MaxUint64 - rem // last acceptable value: ⌊2^64/q⌋·q - 1
-	for {
-		v := rng.Uint64()
-		if v <= limit {
-			return v % q
-		}
-	}
+// challengeRand is the generator every verifier draw comes from, in
+// VerifyProof and VerifyProofBatch alike: a PCG whose two state words
+// are the seed, set in O(1). Its Uint64N is uniform on [0, q); a plain
+// Uint64() % q would overrepresent small residues by up to 2^64 mod q
+// draws, a bias the soundness bounds do not account for.
+func challengeRand(seed int64) *rand.Rand {
+	return rand.New(rand.NewPCG(uint64(seed), uint64(seed)))
 }
 
 // VerifyProofBatch is the batched ingest check: it verifies that a
@@ -195,7 +175,7 @@ func uniformUint64(rng *rand.Rand, q uint64) uint64 {
 // that ties the proof to the problem.
 //
 // Per prime q, with W = Width, e = len(Points), d = Degree, the check
-// draws r, z uniform in [0, q) from the seeded generator and accepts
+// draws r, z uniform in [0, q) from challengeRand(seed) and accepts
 // iff
 //
 //	Σ_i Λ_i(z) · (Σ_c r^c·Evals[c][i])  ==  (Σ_c r^c·Coeffs[c])(z)
@@ -225,16 +205,12 @@ func uniformUint64(rng *rand.Rand, q uint64) uint64 {
 // Cost: O(W·(d+e) + e) multiplications per prime versus the W·e·d of
 // auditing every point — the fold is what makes batched ingest cheap.
 func VerifyProofBatch(proof *Proof, seed int64) (bool, error) {
-	return verifyProofBatch(context.Background(), proof, seed)
+	return VerifyProofBatchContext(context.Background(), proof, seed)
 }
 
 // VerifyProofBatchContext is VerifyProofBatch with cancellation,
 // checked once per prime.
 func VerifyProofBatchContext(ctx context.Context, proof *Proof, seed int64) (bool, error) {
-	return verifyProofBatch(ctx, proof, seed)
-}
-
-func verifyProofBatch(ctx context.Context, proof *Proof, seed int64) (bool, error) {
 	e := len(proof.Points)
 	for i, x := range proof.Points {
 		if x != uint64(i) {
@@ -244,7 +220,7 @@ func verifyProofBatch(ctx context.Context, proof *Proof, seed int64) (bool, erro
 	if proof.Width == 0 || e == 0 {
 		return true, nil
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := challengeRand(seed)
 	for _, q := range proof.Primes {
 		if err := ctx.Err(); err != nil {
 			return false, err
@@ -266,8 +242,8 @@ func verifyProofBatch(ctx context.Context, proof *Proof, seed int64) (bool, erro
 			return false, fmt.Errorf("proof mod %d has %d coefficient rows and %d evaluation rows, want %d",
 				q, len(coeffs), len(evals), proof.Width)
 		}
-		r := uniformUint64(rng, q)
-		z := uniformUint64(rng, q)
+		r := rng.Uint64N(q)
+		z := rng.Uint64N(q)
 		foldedC := make([]uint64, proof.Degree+1)
 		foldedE := make([]uint64, e)
 		rc := uint64(1) // r^c

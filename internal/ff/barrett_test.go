@@ -238,7 +238,7 @@ func BenchmarkTrilinear16(b *testing.B) {
 	x, y, z := xs[:16], xs[16:32], xs[32:48]
 	t := make([]uint16, 16*16*16)
 	for i := range t {
-		t[i] = uint16(xs[48+i] >> 49)
+		t[i] = uint16(xs[(48+i)%len(xs)] >> 49)
 	}
 	yz := make([]uint64, 2*16*16)
 	for b.Loop() {

@@ -19,10 +19,13 @@ package camelot
 //     lets tenant priorities shape execution shares without starvation,
 //     so one service instance can serve tenants of different sizes.
 //
-// Admission is bounded on two axes — a global in-flight preparation cap
-// and per-tenant caps — and refusals are typed (ErrTenantQuota,
-// ErrQueueFull) and mapped to 429 + Retry-After on the wire, so
-// overload turns into backpressure instead of queue collapse.
+// A hit costs its lookup and its spot check: Submit digests the resolved
+// spec line and builds the instance only on a miss. Errors come in one
+// order: a malformed spec, an instance that cannot be built, then the
+// admission refusals on two axes, a global in-flight preparation cap and
+// per-tenant caps — typed (ErrTenantQuota, ErrQueueFull) and mapped to
+// 429 + Retry-After on the wire, so overload turns into backpressure
+// instead of queue collapse.
 
 import (
 	"context"
@@ -129,7 +132,6 @@ func (c *ServerConfig) tenant(name string) TenantConfig {
 // the terminal fields (bytes, err) are written.
 type serveEntry struct {
 	digest string
-	spec   string // canonical form
 	tenant string // admitting tenant (owns the quota slot)
 	job    *Job
 	done   chan struct{}
@@ -212,61 +214,78 @@ func (s *Server) Close() {
 // Submit admits a workload for proof preparation under the given
 // tenant. It never blocks on other work: the outcome says whether the
 // proof is already cached, being prepared, or newly started, and
-// Result/Status follow up by digest. Refusals are ErrTenantQuota and
-// ErrQueueFull; a malformed spec errors as from ParseWorkload.
+// Result/Status follow up by digest. Only a miss builds the instance,
+// outside s.mu, and looks the digest up again before admitting it, so
+// an identical submission admitted meanwhile coalesces. A spec error is
+// ParseWorkload's; a build refusal leaves no entry and counts nowhere;
+// then come ErrTenantQuota and ErrQueueFull.
 func (s *Server) Submit(tenant, spec string) (SubmitOutcome, error) {
-	w, err := ParseWorkload(spec)
+	w, err := resolveWorkload(spec)
 	if err != nil {
 		return SubmitOutcome{}, err
 	}
-	s.submits.Add(1)
-	digest := w.Digest(s.cfg.FaultTolerance)
-	out := SubmitOutcome{Digest: digest, Canonical: w.Canonical}
-
+	out := SubmitOutcome{Digest: w.Digest(s.cfg.FaultTolerance), Canonical: w.Canonical}
 	s.mu.Lock()
-	if e, ok := s.entries[digest]; ok {
-		select {
-		case <-e.done:
-			if e.err == nil {
-				s.mu.Unlock()
-				s.cacheHits.Add(1)
-				out.State = "cached"
-				return out, nil
-			}
-			// A failed preparation is not a negative cache: fall
-			// through and replace the entry with a fresh attempt.
-		default:
-			s.mu.Unlock()
-			s.coalesced.Add(1)
-			out.State = "coalesced"
-			return out, nil
+	if out.State = s.entries[out.Digest].state(); out.State == "" {
+		s.mu.Unlock()
+		if err := w.build(); err != nil {
+			return SubmitOutcome{}, err
+		}
+		s.mu.Lock()
+		if out.State = s.entries[out.Digest].state(); out.State == "" {
+			out.State, err = s.admitLocked(tenant, w, out.Digest)
 		}
 	}
+	s.mu.Unlock()
+	s.submits.Add(1)
+	switch out.State {
+	case "cached":
+		s.cacheHits.Add(1)
+	case "coalesced":
+		s.coalesced.Add(1)
+	}
+	return out, err
+}
+
+// state is how a submission attaches to e: "cached", "coalesced" while
+// it runs, or "" when absent or failed (no negative cache: it retries).
+func (e *serveEntry) state() string {
+	if e == nil {
+		return ""
+	}
+	select {
+	case <-e.done:
+		if e.err != nil {
+			return ""
+		}
+		return "cached"
+	default:
+		return "coalesced"
+	}
+}
+
+// admitLocked starts w's preparation within quota and queue; s.mu is held.
+func (s *Server) admitLocked(tenant string, w *Workload, digest string) (string, error) {
 	tc := s.cfg.tenant(tenant)
 	if s.inflight[tenant] >= tc.MaxInFlight {
-		s.mu.Unlock()
 		s.refusedQuota.Add(1)
-		return out, fmt.Errorf("%w: tenant %q has %d preparations in flight", ErrTenantQuota, tenant, tc.MaxInFlight)
+		return "", fmt.Errorf("%w: tenant %q has %d preparations in flight", ErrTenantQuota, tenant, tc.MaxInFlight)
 	}
 	if s.depth >= s.cfg.MaxQueueDepth {
-		s.mu.Unlock()
 		s.refusedQueue.Add(1)
-		return out, fmt.Errorf("%w: %d preparations in flight", ErrQueueFull, s.depth)
+		return "", fmt.Errorf("%w: %d preparations in flight", ErrQueueFull, s.depth)
 	}
-	e := &serveEntry{digest: digest, spec: w.Canonical, tenant: tenant, done: make(chan struct{})}
+	e := &serveEntry{digest: digest, tenant: tenant, done: make(chan struct{})}
 	run := s.run
 	run.Priority = tc.Priority
 	e.job = s.cluster.start(s.ctx, w.Problem, run)
 	s.entries[digest] = e
 	s.inflight[tenant]++
 	s.depth++
-	s.mu.Unlock()
-
 	s.runs.Add(1)
 	s.wg.Add(1)
 	go s.watch(e)
-	out.State = "running"
-	return out, nil
+	return "running", nil
 }
 
 // watch finalizes one preparation: marshals the proof for bit-identical

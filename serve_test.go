@@ -44,9 +44,9 @@ func (t *serveGatedTransport) GatherQuorum(ctx context.Context, spec GatherSpec)
 func (t *serveGatedTransport) Close() { t.inner.Close() }
 
 // TestServeCacheHitsAreBitIdentical storms one server from two tenants
-// with a shared (cache-hitting) workload and per-goroutine distinct
-// (cache-missing) workloads, and asserts every cached serve is
-// bit-identical to the first served bytes, which TestGoldenProofs pins.
+// with a shared (cache-hitting) workload and distinct ones that pairs of
+// goroutines race to admit; it asserts one run per digest and every cached
+// serve bit-identical to the first served bytes, which TestGoldenProofs pins.
 func TestServeCacheHitsAreBitIdentical(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -77,17 +77,37 @@ func TestServeCacheHitsAreBitIdentical(t *testing.T) {
 
 	const workers = 8
 	var wg sync.WaitGroup
-	errc := make(chan error, workers)
+	errc, start := make(chan error, workers), make(chan struct{})
 	for g := 0; g < workers; g++ {
 		tenant := "alice"
 		if g%2 == 1 {
 			tenant = "bob"
 		}
-		distinct := fmt.Sprintf("triangles n=12 p=0.3 seed=%d", 100+g)
+		distinct := fmt.Sprintf("triangles n=12 p=0.3 seed=%d", 100+g/2)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			<-start
 			for i := 0; i < 3; i++ {
+				miss, err := srv.Submit(tenant, distinct)
+				if err != nil {
+					errc <- fmt.Errorf("%s distinct submit: %w", tenant, err)
+					return
+				}
+				if miss.Digest == out.Digest {
+					errc <- fmt.Errorf("distinct workload %q collided with shared digest", distinct)
+					return
+				}
+				db, err := srv.Result(ctx, miss.Digest)
+				if err != nil {
+					errc <- fmt.Errorf("%s distinct result: %w", tenant, err)
+					return
+				}
+				var dp Proof
+				if err := dp.UnmarshalBinary(db); err != nil {
+					errc <- fmt.Errorf("%s distinct proof bytes: %w", tenant, err)
+					return
+				}
 				hit, err := srv.Submit(tenant, shared)
 				if err != nil {
 					errc <- fmt.Errorf("%s shared submit: %w", tenant, err)
@@ -102,38 +122,47 @@ func TestServeCacheHitsAreBitIdentical(t *testing.T) {
 					errc <- fmt.Errorf("%s: cached proof not bit-identical to the first served", tenant)
 					return
 				}
-				miss, err := srv.Submit(tenant, distinct)
-				if err != nil {
-					errc <- fmt.Errorf("%s distinct submit: %w", tenant, err)
-					return
-				}
-				if miss.Digest == hit.Digest {
-					errc <- fmt.Errorf("distinct workload %q collided with shared digest", distinct)
-					return
-				}
-				db, err := srv.Result(ctx, miss.Digest)
-				if err != nil {
-					errc <- fmt.Errorf("%s distinct result: %w", tenant, err)
-					return
-				}
-				var dp Proof
-				if err := dp.UnmarshalBinary(db); err != nil {
-					errc <- fmt.Errorf("%s distinct proof bytes: %w", tenant, err)
-					return
-				}
 			}
 		}()
 	}
+	close(start)
 	wg.Wait()
 	close(errc)
 	for err := range errc {
 		t.Error(err)
 	}
-	if hits := srv.cacheHits.Load() + srv.coalesced.Load(); hits == 0 {
-		t.Error("repeated identical submissions produced no cache hits")
+	if runs := srv.runs.Load(); runs != 1+workers/2 {
+		t.Errorf("%d runs for %d distinct specs: a miss admitted twice", runs, 1+workers/2)
 	}
 	if ok, err := srv.VerifyStored(ctx, out.Digest); err != nil || !ok {
 		t.Fatalf("VerifyStored on cached proof = (%v, %v), want (true, nil)", ok, err)
+	}
+
+	// A hit builds nothing: a cached or coalesced Submit only resolves and
+	// digests (47–62 allocations when it built first). csp n=7 resolves but
+	// cannot build: its error returns, and no entry or submit is left.
+	for _, spec := range []string{"triangles n=36", "permanent n=10", "hamilton n=10", "cnfsat", "csp n=7"} {
+		entries, submits := len(srv.entries), srv.submits.Load()
+		out, err := srv.Submit("alice", spec)
+		if _, perr := ParseWorkload(spec); perr != nil {
+			if fmt.Sprint(err) != perr.Error() || len(srv.entries) != entries || srv.submits.Load() != submits {
+				t.Errorf("%s: err = %v, %d entries and %d submits, want %q, %d and %d", spec, err, len(srv.entries), srv.submits.Load(), perr, entries, submits)
+			}
+			continue
+		}
+		_, _ = srv.Result(ctx, out.Digest) // a failed run fails the cached row
+		for _, state := range []string{"cached", "coalesced"} {
+			if state == "coalesced" { // an entry in flight in the cached one's place
+				srv.entries[out.Digest] = &serveEntry{done: make(chan struct{})}
+			}
+			if n := testing.AllocsPerRun(100, func() {
+				if got, err := srv.Submit("alice", spec); got.State != state || err != nil {
+					t.Errorf("%s: Submit = %q, %v, want %s", spec, got.State, err, state)
+				}
+			}); n > 32 {
+				t.Errorf("%s: a %s Submit allocates %.0f times, want at most 32", spec, state, n)
+			}
+		}
 	}
 }
 

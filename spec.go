@@ -38,7 +38,8 @@ type Workload struct {
 	// Problem is the constructed counting problem.
 	Problem CountingProblem
 
-	label string // heads Answer's line; see Kind
+	kind   *Kind       // the catalog entry; its label heads Answer's line
+	values fieldValues // the resolved fields build reads
 }
 
 // Digest returns the content address of the proof this workload produces
@@ -76,6 +77,21 @@ func (w *Workload) Digest(faults int) string {
 //
 // and seed=1 everywhere.
 func ParseWorkload(spec string) (*Workload, error) {
+	w, err := resolveWorkload(spec)
+	if err == nil {
+		err = w.build()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// resolveWorkload is ParseWorkload's first half, all that Digest reads:
+// it applies the kind's defaults to the given fields and parses them,
+// seed first and then in declaration order — the order of the canonical
+// line, every value re-formatted — and leaves Problem nil.
+func resolveWorkload(spec string) (*Workload, error) {
 	parts := strings.Fields(spec)
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("empty workload spec")
@@ -102,27 +118,9 @@ func ParseWorkload(spec string) (*Workload, error) {
 		}
 		return nil, fmt.Errorf("%s: unknown workload kind (want %s)", name, strings.Join(names, "|"))
 	}
-	values, canonical, err := kind.resolve(given)
-	if err != nil {
-		return nil, err
-	}
-	p, err := kind.build(values)
-	if err != nil {
-		return nil, err
-	}
-	return &Workload{
-		Kind: name, Instance: []byte(strings.Join(parts[1:], " ")), Canonical: canonical, Problem: p,
-		label: kind.label,
-	}, nil
-}
-
-// resolve applies the kind's defaults to the given fields and parses
-// them, seed first and then in declaration order — which is also the
-// order of the canonical line it returns, every value re-formatted.
-func (k *Kind) resolve(given map[string]string) (fieldValues, string, error) {
 	values := fieldValues{n: map[string]int{}, x: map[string]float64{}}
-	canonical := k.Name
-	for _, f := range append([]Field{seedField}, k.Fields...) {
+	w := &Workload{Kind: name, Instance: []byte(strings.Join(parts[1:], " ")), Canonical: name, kind: kind, values: values}
+	for _, f := range append([]Field{seedField}, kind.Fields...) {
 		v, ok := given[f.Name]
 		if !ok {
 			v = f.Default
@@ -142,11 +140,18 @@ func (k *Kind) resolve(given map[string]string) (fieldValues, string, error) {
 			v = strconv.Itoa(values.n[f.Name])
 		}
 		if err != nil {
-			return fieldValues{}, "", fmt.Errorf("%s: bad %s=%q", k.Name, f.Name, given[f.Name])
+			return nil, fmt.Errorf("%s: bad %s=%q", name, f.Name, given[f.Name])
 		}
-		canonical += " " + f.Name + "=" + v
+		w.Canonical += " " + f.Name + "=" + v
 	}
-	return values, canonical, nil
+	return w, nil
+}
+
+// build is ParseWorkload's second half: the kind's seeded generator
+// draws the instance (graph, matrix or formula) the fields describe.
+func (w *Workload) build() (err error) {
+	w.Problem, err = w.kind.build(w.values)
+	return err
 }
 
 // Answer renders the workload's result from a decoded proof: the line
@@ -157,5 +162,5 @@ func (w *Workload) Answer(proof *Proof) (string, error) {
 		return p.text(proof)
 	}
 	n, err := w.Problem.Count(proof)
-	return fmt.Sprintf("%s: %v", w.label, n), err
+	return fmt.Sprintf("%s: %v", w.kind.label, n), err
 }
